@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use inspector_bench::ingest_bench::{
     encoded_branch_stream, ingest_with_pool, ingest_with_pool_batched,
@@ -15,6 +15,7 @@ use inspector_core::graph::CpgBuilder;
 use inspector_core::ids::ThreadId;
 use inspector_core::sharded::ShardedCpgBuilder;
 use inspector_core::subcomputation::SubComputation;
+use inspector_mem::commit::diff_page;
 use inspector_mem::shared::SharedImage;
 use inspector_mem::thread_mem::{ThreadMemory, TrackingMode};
 use inspector_perf::compress::lz_compress;
@@ -99,6 +100,39 @@ fn bench_fault_path(c: &mut Criterion) {
             mem.commit()
         });
     });
+    group.bench_function("twin_copy", |b| {
+        // One write fault on a page the view already knows, then its
+        // commit: the pooled snapshot plus a one-run fused diff.
+        let image = SharedImage::shared(4096);
+        let region = image.map_region("bench", 4096);
+        let mut mem = ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked);
+        let mut value = 0u64;
+        b.iter(|| {
+            value += 1;
+            mem.write_u64(region.base(), value);
+            mem.commit()
+        });
+    });
+    group.bench_function("tracked_hit_read", |b| {
+        // Repeat reads alternating between two already-faulted pages: one
+        // takes the last-slot fast path, the other the index lookup.
+        let image = SharedImage::shared(4096);
+        let region = image.map_region("bench", 4096 * 2);
+        let mut mem = ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked);
+        b.iter(|| mem.read_u64(region.base()) + mem.read_u64(region.base().add(4096)));
+    });
+    // The same page pairs the repo benchmark's `mem.diff_gib_per_s.*` rows
+    // use: 16 changed bytes, and every byte changed.
+    let twin = vec![0x5Au8; 4096];
+    let mut sparse = twin.clone();
+    sparse[1000..1016].fill(0xA5);
+    let dense = vec![0xA5u8; 4096];
+    group.throughput(Throughput::Bytes(4096));
+    for (name, working) in [("diff_sparse", &sparse), ("diff_dense", &dense)] {
+        group.bench_function(name, |b| {
+            b.iter(|| diff_page(black_box(&twin), black_box(working)))
+        });
+    }
     group.finish();
 }
 

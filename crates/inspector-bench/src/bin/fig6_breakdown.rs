@@ -1,5 +1,6 @@
 //! Regenerates Figure 6: breakdown of the provenance overhead into the
-//! threading-library and Intel-PT shares at 16 threads.
+//! threading-library and Intel-PT shares at `INSPECTOR_BENCH_THREADS` threads
+//! (default 16).
 
 use inspector_bench::figures::{figure6, print_figure6, BREAKDOWN_THREADS};
 use inspector_bench::harness::{size_from_env, threads_from_env};
@@ -14,7 +15,7 @@ fn main() {
         .unwrap_or(1);
     eprintln!("running figure 6 (size={size:?}, threads={threads}, repeats={repeats}) ...");
     let rows = figure6(size, threads, repeats);
-    print_figure6(&rows);
+    print_figure6(&rows, threads);
     // The decode-online cross-check is the end-to-end correctness gate for
     // the decode stage (serial or windowed): every workload's decoded
     // branch count must equal the recorder's own count on lossless runs.

@@ -1,5 +1,5 @@
 //! Regenerates the Figure 7 table: page-fault counts and rates for every
-//! workload at 16 threads.
+//! workload at `INSPECTOR_BENCH_THREADS` threads (default 16).
 
 use inspector_bench::figures::{figure7, print_figure7, BREAKDOWN_THREADS};
 use inspector_bench::harness::{size_from_env, threads_from_env};
@@ -14,5 +14,5 @@ fn main() {
         .unwrap_or(1);
     eprintln!("running figure 7 (size={size:?}, threads={threads}, repeats={repeats}) ...");
     let rows = figure7(size, threads, repeats);
-    print_figure7(&rows);
+    print_figure7(&rows, threads);
 }

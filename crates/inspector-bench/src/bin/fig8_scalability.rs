@@ -21,5 +21,5 @@ fn main() {
     eprintln!("running figure 8 (threads={threads}, repeats={repeats}, {knobs}) ...");
     let rows = figure8(threads, repeats);
     println!("pipeline knobs: {knobs}");
-    print_figure8(&rows);
+    print_figure8(&rows, threads);
 }

@@ -1,5 +1,6 @@
 //! Regenerates the Figure 9 table: provenance log size, compressibility,
-//! bandwidth and branch rate for every workload at 16 threads.
+//! bandwidth and branch rate for every workload at `INSPECTOR_BENCH_THREADS`
+//! threads (default 16).
 
 use inspector_bench::figures::{figure9, print_figure9, BREAKDOWN_THREADS};
 use inspector_bench::harness::{size_from_env, threads_from_env};
@@ -14,5 +15,5 @@ fn main() {
         .unwrap_or(1);
     eprintln!("running figure 9 (size={size:?}, threads={threads}, repeats={repeats}) ...");
     let rows = figure9(size, threads, repeats);
-    print_figure9(&rows);
+    print_figure9(&rows, threads);
 }

@@ -24,14 +24,23 @@ fn main() {
     print_figure5(&figure5(size, &threads, repeats), &threads);
     println!();
     eprintln!("=== Figure 6 ===");
-    print_figure6(&figure6(size, breakdown_threads, repeats));
+    print_figure6(
+        &figure6(size, breakdown_threads, repeats),
+        breakdown_threads,
+    );
     println!();
     eprintln!("=== Figure 7 ===");
-    print_figure7(&figure7(size, breakdown_threads, repeats));
+    print_figure7(
+        &figure7(size, breakdown_threads, repeats),
+        breakdown_threads,
+    );
     println!();
     eprintln!("=== Figure 8 ===");
-    print_figure8(&figure8(breakdown_threads, repeats));
+    print_figure8(&figure8(breakdown_threads, repeats), breakdown_threads);
     println!();
     eprintln!("=== Figure 9 ===");
-    print_figure9(&figure9(size, breakdown_threads, repeats));
+    print_figure9(
+        &figure9(size, breakdown_threads, repeats),
+        breakdown_threads,
+    );
 }

@@ -12,7 +12,8 @@ use crate::harness::measure_overhead;
 
 /// The thread counts swept in Figure 5 (the paper's 2–16 threads).
 pub const FIGURE5_THREADS: [usize; 4] = [2, 4, 8, 16];
-/// The thread count used by Figures 6, 7 and 9.
+/// The default thread count of Figures 6–9 (`INSPECTOR_BENCH_THREADS`
+/// overrides it in the figure binaries).
 pub const BREAKDOWN_THREADS: usize = 16;
 /// The applications used in the input-scalability experiment (Figure 8).
 pub const FIGURE8_APPS: [&str; 4] = [
@@ -73,7 +74,7 @@ pub fn print_figure5(rows: &[Fig5Row], threads: &[usize]) {
     }
 }
 
-/// One bar of Figure 6: overhead breakdown for one workload at 16 threads.
+/// One bar of Figure 6: overhead breakdown for one workload.
 #[derive(Debug, Clone)]
 pub struct Fig6Row {
     /// Workload name.
@@ -158,9 +159,9 @@ pub fn figure6(size: InputSize, threads: usize, repeats: usize) -> Vec<Fig6Row> 
         .collect()
 }
 
-/// Renders Figure 6 rows.
-pub fn print_figure6(rows: &[Fig6Row]) {
-    println!("Figure 6: overhead breakdown at {BREAKDOWN_THREADS} threads (ratio over native)");
+/// Renders Figure 6 rows measured at `threads` threads.
+pub fn print_figure6(rows: &[Fig6Row], threads: usize) {
+    println!("Figure 6: overhead breakdown at {threads} threads (ratio over native)");
     println!(
         "{:<20}{:>10}{:>16}{:>14}{:>13}{:>12}{:>9}{:>14}",
         "application",
@@ -243,9 +244,9 @@ pub fn figure7(size: InputSize, threads: usize, repeats: usize) -> Vec<Fig7Row> 
         .collect()
 }
 
-/// Renders the Figure 7 table.
-pub fn print_figure7(rows: &[Fig7Row]) {
-    println!("Figure 7: runtime statistics with {BREAKDOWN_THREADS} threads");
+/// Renders the Figure 7 table measured at `threads` threads.
+pub fn print_figure7(rows: &[Fig7Row], threads: usize) {
+    println!("Figure 7: runtime statistics with {threads} threads");
     println!(
         "{:<20}{:>14}{:>16}",
         "application", "page faults", "faults/sec"
@@ -290,9 +291,9 @@ pub fn figure8(threads: usize, repeats: usize) -> Vec<Fig8Row> {
     rows
 }
 
-/// Renders Figure 8 rows.
-pub fn print_figure8(rows: &[Fig8Row]) {
-    println!("Figure 8: overhead scalability with input size (16 threads)");
+/// Renders Figure 8 rows measured at `threads` threads.
+pub fn print_figure8(rows: &[Fig8Row], threads: usize) {
+    println!("Figure 8: overhead scalability with input size ({threads} threads)");
     println!(
         "{:<20}{:>6}{:>12}{:>16}",
         "application", "size", "overhead", "input pages"
@@ -348,9 +349,9 @@ pub fn figure9(size: InputSize, threads: usize, repeats: usize) -> Vec<Fig9Row> 
         .collect()
 }
 
-/// Renders the Figure 9 table.
-pub fn print_figure9(rows: &[Fig9Row]) {
-    println!("Figure 9: space overheads of the provenance log ({BREAKDOWN_THREADS} threads)");
+/// Renders the Figure 9 table measured at `threads` threads.
+pub fn print_figure9(rows: &[Fig9Row], threads: usize) {
+    println!("Figure 9: space overheads of the provenance log ({threads} threads)");
     println!(
         "{:<20}{:>12}{:>14}{:>8}{:>14}{:>16}",
         "application", "size [KB]", "compr. [KB]", "ratio", "KB/sec", "branches/sec"
@@ -539,10 +540,10 @@ mod tests {
             }],
         );
         print_figure5(&f5, &[2]);
-        print_figure6(&f6);
-        print_figure7(&f7);
-        print_figure8(&f8);
-        print_figure9(&f9);
+        print_figure6(&f6, 2);
+        print_figure7(&f7, 2);
+        print_figure8(&f8, 2);
+        print_figure9(&f9, 2);
         assert_eq!(secs(Duration::from_millis(1500)), 1.5);
     }
 }

@@ -22,6 +22,31 @@
 //! copy-on-write twins), and [`commit`] implements the byte-level diff and
 //! last-writer-wins merge.
 //!
+//! The application thread's critical path is kept to the paper's work —
+//! first touch faults, later accesses are free:
+//!
+//! * **one per-thread page table** ([`thread_mem`]): a slab of entries
+//!   (page, cached `Arc<SharedPage>`, protection flags, private copy) behind
+//!   one `PageId -> slot` index with a last-slot fast path, so a repeat
+//!   access is a compare and an index and never re-resolves the shared page;
+//! * **interval stamps**: an entry's protection flags count only while its
+//!   stamp equals the view's current interval, so `commit`, `protect_all`
+//!   and `discard` revoke every protection by bumping one counter;
+//! * **pooled twins**: a dirty page's twin and working copy share one
+//!   buffer from a bounded per-view free list that commit and discard refill,
+//!   so a write fault allocates nothing in steady state;
+//! * **one word-wide span kernel** ([`commit`]): equal regions and differing
+//!   runs are both crossed 8 bytes at a time; `commit` runs it fused with the
+//!   store into the cached shared page (no intermediate diff), and the public
+//!   `diff_page` runs the same kernel into a `PageDiff`.
+//!
+//! The native baseline (`TrackingMode::Native`, `SharedImage::read_direct` /
+//! `write_direct`) deliberately stays as it was: it still resolves
+//! `SharedImage::page` on every access, which the tracked path no longer
+//! does, so on access-bound programs tracked execution can now measure
+//! *below* native (`overhead_x` < 1). That is a property of this software
+//! baseline, not of INSPECTOR; see ROADMAP open item 1.
+//!
 //! ```
 //! use std::sync::Arc;
 //! use inspector_mem::shared::SharedImage;

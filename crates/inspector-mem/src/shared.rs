@@ -53,6 +53,19 @@ impl SharedPage {
             .collect()
     }
 
+    /// Copies the whole page into `buf` (the twin of a pooled private
+    /// copy); zipping the two slices leaves no per-byte bounds check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf` is not exactly one page long.
+    pub fn snapshot_into(&self, buf: &mut [u8]) {
+        assert_eq!(buf.len(), self.bytes.len(), "snapshot buffer size mismatch");
+        for (out, b) in buf.iter_mut().zip(self.bytes.iter()) {
+            *out = b.load(Ordering::Relaxed);
+        }
+    }
+
     /// Reads `buf.len()` bytes starting at `offset`.
     pub fn read(&self, offset: usize, buf: &mut [u8]) {
         for (i, out) in buf.iter_mut().enumerate() {

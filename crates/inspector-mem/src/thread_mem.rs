@@ -6,13 +6,35 @@
 //! it writes, and a commit operation that publishes byte-level diffs to the
 //! shared image at synchronization points.
 //!
+//! # The page table
+//!
+//! Every page the thread has ever touched owns one `PageEntry` in a slab,
+//! found through one `PageId -> slot` index with a last-slot fast path: a
+//! repeat access to the same page is a compare and an index. The entry caches
+//! the `Arc<SharedPage>`, so the shared image's page map is consulted once
+//! per page per thread, never per access.
+//!
+//! **Invariant: an entry's `readable`/`writable` flags are valid iff its
+//! `stamp` equals the view's current `interval`.** Ending a tracking interval
+//! ([`ThreadMemory::commit`], [`ThreadMemory::protect_all`],
+//! [`ThreadMemory::discard`]) bumps `interval`, which revokes every
+//! protection at once — the `mprotect(PROT_NONE)` over the whole mapping —
+//! without visiting an entry.
+//!
+//! A written page additionally holds one pooled buffer (`twin | working`,
+//! two pages long) and sits in the `dirty` list in first-write order, which
+//! is the order `commit` publishes in. Commit and discard hand the buffers
+//! back to a bounded free list, so a write fault allocates nothing in steady
+//! state. Private copies are *not* interval-stamped: `protect_all` with
+//! uncommitted writes makes the pages fault again but keeps their twins.
+//!
 //! The important behavioural properties preserved from the paper:
 //!
 //! * the **first** read or write of a page in a tracking interval "faults"
 //!   (is recorded and counted); subsequent accesses are free;
 //! * writes are invisible to other threads until [`ThreadMemory::commit`];
 //! * reads return the thread's own uncommitted writes (read-your-writes) and
-//!   otherwise the shared image as of the first access;
+//!   otherwise the shared image;
 //! * in [`TrackingMode::Native`] none of this happens — accesses go straight
 //!   to the shared image, which is the pthreads baseline the evaluation
 //!   compares against.
@@ -21,9 +43,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use serde::{Deserialize, Serialize};
+
 use crate::addr::{split_by_page, PageId, VirtAddr};
-use crate::commit::{apply_diff, diff_page, CommitOutcome};
-use crate::shared::SharedImage;
+use crate::commit::{commit_page, CommitOutcome};
+use crate::shared::{SharedImage, SharedPage};
 use crate::stats::MemStats;
 
 /// Whether accesses are tracked (INSPECTOR mode) or direct (native pthreads
@@ -37,8 +61,6 @@ pub enum TrackingMode {
     Native,
 }
 
-use serde::{Deserialize, Serialize};
-
 /// A first-touch access recorded during the current tracking interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AccessRecord {
@@ -48,18 +70,21 @@ pub struct AccessRecord {
     pub write: bool,
 }
 
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct PageProtection {
+/// Private-copy buffers kept for reuse per view (two pages each).
+const POOL_MAX_BUFFERS: usize = 64;
+
+/// One page-table entry; see the module docs for the stamp invariant.
+#[derive(Debug)]
+struct PageEntry {
+    page: PageId,
+    shared: Arc<SharedPage>,
+    /// The interval `readable`/`writable` were last set in.
+    stamp: u64,
     readable: bool,
     writable: bool,
-}
-
-#[derive(Debug)]
-struct PrivatePage {
-    /// Contents of the shared page when this thread first wrote it.
-    twin: Vec<u8>,
-    /// The thread's working copy (twin + this thread's writes).
-    working: Vec<u8>,
+    /// Empty while the page is clean. While dirty: the shared page as it was
+    /// at the first write (twin) followed by the thread's working copy.
+    private: Box<[u8]>,
 }
 
 /// A thread's private, protection-tracked view of the shared image.
@@ -68,8 +93,16 @@ pub struct ThreadMemory {
     image: Arc<SharedImage>,
     mode: TrackingMode,
     page_size: usize,
-    protections: HashMap<PageId, PageProtection>,
-    private: HashMap<PageId, PrivatePage>,
+    table: Vec<PageEntry>,
+    index: HashMap<PageId, usize>,
+    /// Slot of the most recently accessed page.
+    last_slot: usize,
+    /// Current tracking interval; starts above every fresh entry's stamp.
+    interval: u64,
+    /// Slots holding a private copy, in first-write order.
+    dirty: Vec<usize>,
+    /// Free private-copy buffers, at most [`POOL_MAX_BUFFERS`].
+    pool: Vec<Box<[u8]>>,
     /// First-touch log of the current tracking interval, drained by the
     /// runtime at synchronization points.
     access_log: Vec<AccessRecord>,
@@ -84,8 +117,12 @@ impl ThreadMemory {
             image,
             mode,
             page_size,
-            protections: HashMap::new(),
-            private: HashMap::new(),
+            table: Vec::new(),
+            index: HashMap::new(),
+            last_slot: 0,
+            interval: 1,
+            dirty: Vec::new(),
+            pool: Vec::new(),
             access_log: Vec::new(),
             stats: MemStats::default(),
         }
@@ -106,28 +143,31 @@ impl ThreadMemory {
         self.stats
     }
 
-    /// Drains the first-touch access log of the current interval.
+    /// Takes the first-touch access log of the current interval.
+    pub fn take_access_log(&mut self) -> Vec<AccessRecord> {
+        std::mem::take(&mut self.access_log)
+    }
+
+    /// Drains the first-touch access log of the current interval, keeping
+    /// the log's buffer for the next one.
     ///
     /// The runtime calls this at every synchronization point and feeds the
     /// records into the provenance recorder as the read/write set of the
     /// finished sub-computation.
-    pub fn take_access_log(&mut self) -> Vec<AccessRecord> {
-        std::mem::take(&mut self.access_log)
+    pub fn drain_access_log(&mut self) -> std::vec::Drain<'_, AccessRecord> {
+        self.access_log.drain(..)
     }
 
     /// Starts a new tracking interval: equivalent to `mprotect(PROT_NONE)`
     /// over the whole shared mapping — every page will fault again on first
     /// access.
     pub fn protect_all(&mut self) {
-        if self.mode == TrackingMode::Native {
-            return;
-        }
-        self.protections.clear();
+        self.interval += 1;
     }
 
     /// Number of private (copy-on-write) pages currently held.
     pub fn private_pages(&self) -> usize {
-        self.private.len()
+        self.dirty.len()
     }
 
     // ----- raw byte access -------------------------------------------------
@@ -140,12 +180,14 @@ impl ThreadMemory {
         }
         let mut cursor = 0;
         for (page, offset, len) in split_by_page(addr, buf.len(), self.page_size) {
-            self.fault_on_read(page);
+            let slot = self.slot_of(page);
+            self.fault_on_read(slot);
+            let entry = &self.table[slot];
             let dst = &mut buf[cursor..cursor + len];
-            if let Some(p) = self.private.get(&page) {
-                dst.copy_from_slice(&p.working[offset..offset + len]);
+            if entry.private.is_empty() {
+                entry.shared.read(offset, dst);
             } else {
-                self.image.page(page).read(offset, dst);
+                dst.copy_from_slice(&entry.private[self.page_size + offset..][..len]);
             }
             cursor += len;
         }
@@ -159,12 +201,10 @@ impl ThreadMemory {
         }
         let mut cursor = 0;
         for (page, offset, len) in split_by_page(addr, data.len(), self.page_size) {
-            self.fault_on_write(page);
-            let p = self
-                .private
-                .get_mut(&page)
-                .expect("write fault must create the private copy");
-            p.working[offset..offset + len].copy_from_slice(&data[cursor..cursor + len]);
+            let slot = self.slot_of(page);
+            self.fault_on_write(slot);
+            self.table[slot].private[self.page_size + offset..][..len]
+                .copy_from_slice(&data[cursor..cursor + len]);
             cursor += len;
         }
     }
@@ -230,8 +270,9 @@ impl ThreadMemory {
     // ----- commit ----------------------------------------------------------
 
     /// Publishes the thread's buffered writes to the shared image
-    /// (byte-level diff against the twin, last-writer-wins), drops the
-    /// private copies and re-protects every page.
+    /// (byte-level diff against the twin, last-writer-wins, pages in
+    /// first-write order), drops the private copies and re-protects every
+    /// page.
     ///
     /// In native mode this is a no-op (writes were already direct).
     pub fn commit(&mut self) -> CommitOutcome {
@@ -240,16 +281,20 @@ impl ThreadMemory {
         }
         let start = Instant::now();
         let mut outcome = CommitOutcome::default();
-        for (page, p) in self.private.drain() {
+        for slot in self.dirty.drain(..) {
+            let entry = &mut self.table[slot];
+            let buf = std::mem::take(&mut entry.private);
+            let (twin, working) = buf.split_at(self.page_size);
+            let written = commit_page(&entry.shared, twin, working);
             outcome.pages_examined += 1;
-            let diff = diff_page(&p.twin, &p.working);
-            if !diff.is_empty() {
+            if written > 0 {
                 outcome.pages_changed += 1;
-                outcome.bytes_written += diff.changed_bytes();
-                apply_diff(&self.image.page(page), &diff);
+                outcome.bytes_written += written;
             }
+            self.pool.push(buf);
         }
-        self.protections.clear();
+        self.pool.truncate(POOL_MAX_BUFFERS);
+        self.interval += 1;
         self.stats.commits += 1;
         self.stats.pages_examined += outcome.pages_examined as u64;
         self.stats.pages_committed += outcome.pages_changed as u64;
@@ -261,69 +306,96 @@ impl ThreadMemory {
     /// Discards buffered writes without publishing them (used when a thread
     /// aborts). Private copies and protections are dropped.
     pub fn discard(&mut self) {
-        self.private.clear();
-        self.protections.clear();
+        for slot in self.dirty.drain(..) {
+            self.pool
+                .push(std::mem::take(&mut self.table[slot].private));
+        }
+        self.pool.truncate(POOL_MAX_BUFFERS);
+        self.interval += 1;
         self.access_log.clear();
     }
 
     // ----- fault path ------------------------------------------------------
 
-    fn fault_on_read(&mut self, page: PageId) {
-        let prot = self.protections.entry(page).or_default();
-        if prot.readable {
+    /// The page-table slot of `page`, created (and the shared page resolved)
+    /// on the thread's first ever touch.
+    fn slot_of(&mut self, page: PageId) -> usize {
+        if self.table.get(self.last_slot).map(|e| e.page) == Some(page) {
+            return self.last_slot;
+        }
+        let slot = match self.index.get(&page) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.table.len();
+                self.table.push(PageEntry {
+                    page,
+                    shared: self.image.page(page),
+                    stamp: 0,
+                    readable: false,
+                    writable: false,
+                    private: Box::default(),
+                });
+                self.index.insert(page, slot);
+                slot
+            }
+        };
+        self.last_slot = slot;
+        slot
+    }
+
+    fn fault_on_read(&mut self, slot: usize) {
+        let entry = &mut self.table[slot];
+        if entry.stamp == self.interval && entry.readable {
             return;
         }
         let start = Instant::now();
-        prot.readable = true;
+        if entry.stamp != self.interval {
+            entry.stamp = self.interval;
+            entry.writable = false;
+        }
+        entry.readable = true;
         self.stats.read_faults += 1;
-        self.access_log.push(AccessRecord { page, write: false });
+        self.access_log.push(AccessRecord {
+            page: entry.page,
+            write: false,
+        });
         self.stats.fault_time += start.elapsed();
     }
 
-    fn fault_on_write(&mut self, page: PageId) {
-        let needs_fault = !self
-            .protections
-            .get(&page)
-            .map(|p| p.writable)
-            .unwrap_or(false);
-        if needs_fault {
-            let start = Instant::now();
-            let prot = self.protections.entry(page).or_default();
-            prot.writable = true;
-            prot.readable = true;
-            self.stats.write_faults += 1;
-            self.access_log.push(AccessRecord { page, write: true });
-            if !self.private.contains_key(&page) {
-                let twin = self.image.page(page).snapshot();
-                self.private.insert(
-                    page,
-                    PrivatePage {
-                        working: twin.clone(),
-                        twin,
-                    },
-                );
-                self.stats.pages_copied += 1;
-            }
-            self.stats.fault_time += start.elapsed();
-        } else if !self.private.contains_key(&page) {
-            // Can only happen if protections survived a commit, which clears
-            // private pages; recreate the copy defensively.
-            let twin = self.image.page(page).snapshot();
-            self.private.insert(
-                page,
-                PrivatePage {
-                    working: twin.clone(),
-                    twin,
-                },
-            );
+    fn fault_on_write(&mut self, slot: usize) {
+        let entry = &mut self.table[slot];
+        if entry.stamp == self.interval && entry.writable {
+            return;
+        }
+        let start = Instant::now();
+        entry.stamp = self.interval;
+        entry.readable = true;
+        entry.writable = true;
+        self.stats.write_faults += 1;
+        self.access_log.push(AccessRecord {
+            page: entry.page,
+            write: true,
+        });
+        if entry.private.is_empty() {
+            let mut buf = self
+                .pool
+                .pop()
+                .unwrap_or_else(|| vec![0; 2 * self.page_size].into_boxed_slice());
+            let (twin, working) = buf.split_at_mut(self.page_size);
+            entry.shared.snapshot_into(twin);
+            working.copy_from_slice(twin);
+            entry.private = buf;
+            self.dirty.push(slot);
             self.stats.pages_copied += 1;
         }
+        self.stats.fault_time += start.elapsed();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn setup(mode: TrackingMode) -> (Arc<SharedImage>, ThreadMemory, VirtAddr) {
         let image = SharedImage::shared(4096);
@@ -459,5 +531,190 @@ mod tests {
         assert_eq!(mem.read_f64(base.add(16)), 2.25);
         mem.write_u8(base.add(24), 9);
         assert_eq!(mem.read_u8(base.add(24)), 9);
+    }
+
+    #[test]
+    fn protect_all_with_private_pages_refaults_without_retwinning() {
+        let (image, mut mem, base) = setup(TrackingMode::Tracked);
+        mem.write_u64(base, 5);
+        image.write_u64_direct(base.add(8), 77); // lands after the twin was taken
+        mem.protect_all();
+        assert_eq!(mem.private_pages(), 1, "uncommitted copy survives");
+        mem.write_u64(base.add(16), 6);
+        assert_eq!(mem.read_u64(base), 5, "working copy kept");
+        assert_eq!(mem.read_u64(base.add(8)), 0, "twin not retaken");
+        let stats = mem.stats();
+        assert_eq!((stats.write_faults, stats.read_faults), (2, 0));
+        assert_eq!(stats.pages_copied, 1);
+        let outcome = mem.commit();
+        assert_eq!((outcome.pages_examined, outcome.bytes_written), (1, 2));
+        assert_eq!(image.read_u64_direct(base.add(8)), 77, "not clobbered");
+    }
+
+    #[test]
+    fn buffer_pool_stays_bounded_after_a_large_interval() {
+        let image = SharedImage::shared(4096);
+        let region = image.map_region("heap", 4096 * 1000);
+        let mut mem = ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked);
+        for round in 1..=2u64 {
+            for page in 0..1000 {
+                mem.write_u64(region.base().add(page * 4096), round);
+            }
+            assert_eq!(mem.private_pages(), 1000);
+            assert_eq!(mem.commit().pages_changed, 1000);
+            assert_eq!(mem.pool.len(), POOL_MAX_BUFFERS);
+        }
+        for page in 0..1000 {
+            mem.write_u64(region.base().add(page * 4096), 3);
+        }
+        mem.discard();
+        assert_eq!(mem.pool.len(), POOL_MAX_BUFFERS);
+        assert_eq!(image.read_u64_direct(region.base()), 2);
+    }
+
+    // ----- model-based equivalence ------------------------------------------
+
+    const MODEL_PAGE: usize = 64;
+    const MODEL_PAGES: u64 = 6;
+
+    /// The naive map-based view the page table replaced: one protection map
+    /// and one private-copy map per thread, cleared wholesale, over a shared
+    /// image that is a plain map of byte vectors.
+    #[derive(Default)]
+    struct ModelView {
+        protections: HashMap<PageId, (bool, bool)>,
+        private: HashMap<PageId, (Vec<u8>, Vec<u8>)>,
+        log: Vec<AccessRecord>,
+        stats: MemStats,
+    }
+
+    type ModelImage = HashMap<PageId, Vec<u8>>;
+
+    impl ModelView {
+        fn read(&mut self, shared: &ModelImage, addr: VirtAddr, len: usize) -> Vec<u8> {
+            let mut out = Vec::new();
+            for (page, offset, len) in split_by_page(addr, len, MODEL_PAGE) {
+                let prot = self.protections.entry(page).or_default();
+                if !prot.0 {
+                    prot.0 = true;
+                    self.stats.read_faults += 1;
+                    self.log.push(AccessRecord { page, write: false });
+                }
+                let zero = vec![0; MODEL_PAGE];
+                let bytes = match self.private.get(&page) {
+                    Some((_, working)) => working,
+                    None => shared.get(&page).unwrap_or(&zero),
+                };
+                out.extend_from_slice(&bytes[offset..offset + len]);
+            }
+            out
+        }
+
+        fn write(&mut self, shared: &ModelImage, addr: VirtAddr, data: &[u8]) {
+            let mut cursor = 0;
+            for (page, offset, len) in split_by_page(addr, data.len(), MODEL_PAGE) {
+                let prot = self.protections.entry(page).or_default();
+                if !prot.1 {
+                    *prot = (true, true);
+                    self.stats.write_faults += 1;
+                    self.log.push(AccessRecord { page, write: true });
+                    self.private.entry(page).or_insert_with(|| {
+                        self.stats.pages_copied += 1;
+                        let twin = shared.get(&page).cloned().unwrap_or(vec![0; MODEL_PAGE]);
+                        (twin.clone(), twin)
+                    });
+                }
+                self.private.get_mut(&page).unwrap().1[offset..offset + len]
+                    .copy_from_slice(&data[cursor..cursor + len]);
+                cursor += len;
+            }
+        }
+
+        fn commit(&mut self, shared: &mut ModelImage) -> CommitOutcome {
+            let mut outcome = CommitOutcome::default();
+            for (page, (twin, working)) in self.private.drain() {
+                outcome.pages_examined += 1;
+                let target = shared.entry(page).or_insert(vec![0; MODEL_PAGE]);
+                let mut changed = 0;
+                for i in (0..MODEL_PAGE).filter(|&i| twin[i] != working[i]) {
+                    target[i] = working[i];
+                    changed += 1;
+                }
+                outcome.pages_changed += usize::from(changed > 0);
+                outcome.bytes_written += changed;
+            }
+            self.protections.clear();
+            outcome
+        }
+    }
+
+    proptest! {
+        /// Two page-table views over one image behave exactly like two
+        /// naive map-based views over a map image under any interleaving of
+        /// reads, writes (page-crossing ones included), commits,
+        /// `protect_all`s and discards: same bytes read, same fault and
+        /// copy counts, same access logs, same commit outcomes, same final
+        /// shared bytes.
+        #[test]
+        fn prop_page_table_matches_the_map_model(
+            ops in proptest::collection::vec(any::<u64>(), 1..160),
+        ) {
+            let image = SharedImage::shared(MODEL_PAGE);
+            let base = image.map_region("heap", MODEL_PAGES * MODEL_PAGE as u64).base();
+            let mut views: Vec<ThreadMemory> = (0..2)
+                .map(|_| ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked))
+                .collect();
+            let mut model_image = ModelImage::new();
+            let mut models = [ModelView::default(), ModelView::default()];
+
+            for op in ops {
+                let (view, model) = (&mut views[op as usize & 1], &mut models[op as usize & 1]);
+                let len = 1 + (op >> 8) as usize % 20;
+                let span = MODEL_PAGES * MODEL_PAGE as u64 - len as u64;
+                let addr = base.add((op >> 16) % (span + 1));
+                match (op >> 1) % 16 {
+                    0..=5 => {
+                        let mut buf = vec![0; len];
+                        view.read_bytes(addr, &mut buf);
+                        prop_assert_eq!(buf, model.read(&model_image, addr, len));
+                    }
+                    6..=11 => {
+                        let data: Vec<u8> = (0..len).map(|i| (op >> (i % 8 * 8)) as u8).collect();
+                        view.write_bytes(addr, &data);
+                        model.write(&model_image, addr, &data);
+                    }
+                    12..=13 => {
+                        prop_assert_eq!(view.take_access_log(), std::mem::take(&mut model.log));
+                        prop_assert_eq!(view.commit(), model.commit(&mut model_image));
+                    }
+                    14 => {
+                        view.protect_all();
+                        model.protections.clear();
+                    }
+                    _ => {
+                        view.discard();
+                        model.private.clear();
+                        model.protections.clear();
+                        model.log.clear();
+                    }
+                }
+                let stats = view.stats();
+                prop_assert_eq!(
+                    (stats.read_faults, stats.write_faults, stats.pages_copied),
+                    (model.stats.read_faults, model.stats.write_faults, model.stats.pages_copied)
+                );
+                prop_assert_eq!(view.private_pages(), model.private.len());
+            }
+
+            for (view, model) in views.iter_mut().zip(&mut models) {
+                prop_assert_eq!(view.drain_access_log().collect::<Vec<_>>(), model.log.clone());
+                prop_assert_eq!(view.commit(), model.commit(&mut model_image));
+            }
+            for page in 0..MODEL_PAGES {
+                let page = base.add(page * MODEL_PAGE as u64).page(MODEL_PAGE);
+                let expected = model_image.get(&page).cloned().unwrap_or(vec![0; MODEL_PAGE]);
+                prop_assert_eq!(image.page(page).snapshot(), expected);
+            }
+        }
     }
 }

@@ -327,7 +327,17 @@ impl ThreadCtx {
         if self.mode() == ExecutionMode::Native {
             return;
         }
-        for rec in self.mem.take_access_log() {
+        self.end_interval();
+        self.recorder.on_synchronization(object, kind);
+        self.flush_retired();
+        self.flush_trace();
+    }
+
+    /// Closes the tracking interval: feeds its first-touch accesses into
+    /// the provenance recorder as the read/write set of the current
+    /// sub-computation, then publishes the buffered writes.
+    fn end_interval(&mut self) {
+        for rec in self.mem.drain_access_log() {
             let page = CorePageId::new(rec.page.number());
             let access = if rec.write {
                 AccessKind::Write
@@ -337,9 +347,6 @@ impl ThreadCtx {
             self.recorder.on_memory_access(page, access);
         }
         self.mem.commit();
-        self.recorder.on_synchronization(object, kind);
-        self.flush_retired();
-        self.flush_trace();
     }
 
     /// Streams the sub-computations retired since the last flush into the
@@ -506,16 +513,7 @@ impl ThreadCtx {
                 self.sync_boundary(object, SyncKind::Release);
             } else {
                 // Root thread: flush the final interval without a release.
-                for rec in self.mem.take_access_log() {
-                    let page = CorePageId::new(rec.page.number());
-                    let access = if rec.write {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    };
-                    self.recorder.on_memory_access(page, access);
-                }
-                self.mem.commit();
+                self.end_interval();
             }
         } else {
             // Native mode still has to make buffered writes visible (they
