@@ -11,8 +11,10 @@ use inspector_bench::ingest_bench::{
     encoded_branch_stream, ingest_with_pool, ingest_with_pool_batched,
 };
 use inspector_core::clock::VectorClock;
+use inspector_core::event::BranchKind;
 use inspector_core::graph::CpgBuilder;
 use inspector_core::ids::ThreadId;
+use inspector_core::recorder::{SyncClockRegistry, ThreadRecorder};
 use inspector_core::sharded::ShardedCpgBuilder;
 use inspector_core::subcomputation::SubComputation;
 use inspector_mem::commit::diff_page;
@@ -24,6 +26,7 @@ use inspector_pt::decode::PacketDecoder;
 use inspector_pt::encode::PacketEncoder;
 use inspector_pt::packet::{find_psb, find_psb_naive};
 use inspector_pt::stream::StreamingDecoder;
+use inspector_pt::trace::ThreadTrace;
 use inspector_pt::window::decode_windowed_into;
 
 fn bench_vector_clocks(c: &mut Criterion) {
@@ -159,6 +162,17 @@ fn bench_pt_codec(c: &mut Criterion) {
             enc.finish()
         });
     });
+    // The same events as the app thread pays for them: through
+    // `ThreadTrace::record`, i.e. with the timers and the periodic flush.
+    group.bench_function("record_10k_branches", |b| {
+        b.iter(|| {
+            let mut trace = ThreadTrace::new(0x40_0000);
+            for e in &events {
+                trace.record(*e);
+            }
+            trace.finish()
+        });
+    });
     let mut enc = PacketEncoder::new();
     for e in &events {
         enc.branch(e);
@@ -170,6 +184,28 @@ fn bench_pt_codec(c: &mut Criterion) {
     });
     group.bench_function("lz_compress_trace", |b| {
         b.iter(|| lz_compress(&bytes));
+    });
+    group.finish();
+}
+
+fn bench_recorder(c: &mut Criterion) {
+    let mut group = c.benchmark_group("recorder");
+    group.throughput(Throughput::Elements(10_000));
+    group.bench_function("on_branch_10k", |b| {
+        b.iter(|| {
+            let mut rec = ThreadRecorder::new(ThreadId::new(0), SyncClockRegistry::shared());
+            for i in 0..10_000u64 {
+                let kind = if i % 16 == 0 {
+                    BranchKind::Indirect
+                } else if i % 3 == 0 {
+                    BranchKind::ConditionalTaken
+                } else {
+                    BranchKind::ConditionalNotTaken
+                };
+                rec.on_branch(kind, 0x40_0000 + (i % 64) * 16);
+            }
+            rec.finish()
+        });
     });
     group.finish();
 }
@@ -435,6 +471,6 @@ fn bench_cpg_spill(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_vector_clocks, bench_fault_path, bench_pt_codec, bench_pt_decode, bench_cpg_build, bench_cpg_ingest, bench_sync_contention, bench_seal_latency, bench_cpg_spill
+    targets = bench_vector_clocks, bench_fault_path, bench_pt_codec, bench_recorder, bench_pt_decode, bench_cpg_build, bench_cpg_ingest, bench_sync_contention, bench_seal_latency, bench_cpg_spill
 }
 criterion_main!(micro);

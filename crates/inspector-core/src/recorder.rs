@@ -18,9 +18,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::clock::VectorClock;
 use crate::event::{AccessKind, BranchKind, SyncKind, TraceEvent};
-use crate::ids::{PageId, SubId, SyncObjectId, ThreadId, ThunkId};
+use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
 use crate::subcomputation::{SubComputation, SyncPoint};
-use crate::thunk::Thunk;
 
 /// Shared registry of synchronization-object vector clocks (`C_S`).
 ///
@@ -98,8 +97,6 @@ pub struct ThreadRecorder {
     clock: VectorClock,
     /// Sub-computation counter `α`.
     alpha: u64,
-    /// Thunk counter `β` within the current sub-computation.
-    beta: u64,
     /// The sub-computation currently being executed.
     current: SubComputation,
     /// Completed sub-computations, in execution order (`L_t`).
@@ -124,7 +121,6 @@ impl ThreadRecorder {
             thread,
             clock,
             alpha: 0,
-            beta: 0,
             current,
             completed: Vec::new(),
             stats: RecorderStats::default(),
@@ -188,18 +184,7 @@ impl ThreadRecorder {
     pub fn on_branch(&mut self, kind: BranchKind, ip: u64) {
         debug_assert!(!self.finished, "recorder used after thread exit");
         self.stats.branches += 1;
-        if self.current.thunks.is_empty() {
-            self.current
-                .thunks
-                .push(Thunk::open(ThunkId::new(self.current.id, 0), 0));
-        }
-        if let Some(last) = self.current.thunks.last_mut() {
-            last.close(kind, ip);
-        }
-        self.beta += 1;
-        self.current
-            .thunks
-            .push(Thunk::open(ThunkId::new(self.current.id, self.beta), ip));
+        self.current.thunks.record_branch(kind, ip);
     }
 
     /// `onSynchronization`: ends the current sub-computation, performs the
@@ -297,7 +282,6 @@ impl ThreadRecorder {
     /// sub-computation's clock.
     fn start_next(&mut self) {
         self.alpha += 1;
-        self.beta = 0;
         self.clock.set(self.thread, self.alpha + 1);
         self.current = SubComputation::new(SubId::new(self.thread, self.alpha), self.clock.clone());
     }

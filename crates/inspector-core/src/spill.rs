@@ -66,9 +66,8 @@ use serde::{Deserialize, Serialize};
 use crate::clock::VectorClock;
 use crate::event::{BranchKind, SyncKind};
 use crate::graph::{DependenceEdge, EdgeKind};
-use crate::ids::{PageId, SubId, SyncObjectId, ThreadId, ThunkId};
+use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
 use crate::subcomputation::{SubComputation, SyncPoint};
-use crate::thunk::{Thunk, ThunkList};
 
 /// Default segment-roll size: 1 MiB keeps individual files small enough to
 /// replay incrementally while amortising file creation.
@@ -593,22 +592,29 @@ fn decode_node(cursor: &mut Cursor<'_>) -> SpillResult<SubComputation> {
     for _ in 0..cursor.take_u32()? {
         sub.write_set.insert(PageId::new(cursor.take_u64()?));
     }
-    let thunks = cursor.take_u32()?;
-    let mut list = ThunkList::new();
-    for _ in 0..thunks {
+    // The thunk records are a derived view of the branch log (see
+    // `thunk.rs`): β counts up from 0, each thunk starts where the previous
+    // one branched to, and exactly the last one is open — behind at least
+    // one branch, so never alone. Anything else would decode into a
+    // different list than was written.
+    let thunks = cursor.take_u32()? as u64;
+    let mut entry = 0;
+    for index in 0..thunks {
         let beta = cursor.take_u64()?;
         let entry_ip = cursor.take_u64()?;
-        let mut thunk = Thunk::open(ThunkId::new(id, beta), entry_ip);
-        match cursor.take_u8()? {
-            0 => {}
-            code => {
-                let ip = cursor.take_u64()?;
-                thunk.close(branch_kind_from(code)?, ip);
-            }
+        let code = cursor.take_u8()?;
+        let open = code == 0;
+        if beta != index || entry_ip != entry || open != (index + 1 == thunks) || thunks == 1 {
+            return Err(SpillError::Corrupt(format!(
+                "thunk {index} of {thunks} breaks the branch chain: beta {beta}, \
+                 entry {entry_ip:#x} (expected {entry:#x}), open {open}"
+            )));
         }
-        list.push(thunk);
+        if !open {
+            entry = cursor.take_u64()?;
+            sub.thunks.record_branch(branch_kind_from(code)?, entry);
+        }
     }
-    sub.thunks = list;
     sub.terminator = match cursor.take_u8()? {
         0 => None,
         code => {
@@ -1451,6 +1457,139 @@ mod tests {
             // Representation-exact, not just Eq: the equivalence suites
             // fingerprint through Debug.
             assert_eq!(format!("{decoded:?}"), format!("{sub:?}"));
+        }
+    }
+
+    /// `L_2[0]` with two page touches and one branch of every kind, and the
+    /// branch-free `L_2[1]` behind it.
+    fn golden_subs() -> Vec<SubComputation> {
+        use crate::event::BranchKind;
+        let mut rec = ThreadRecorder::new(ThreadId::new(2), SyncClockRegistry::shared());
+        rec.on_memory_access(PageId::new(3), AccessKind::Read);
+        rec.on_memory_access(PageId::new(17), AccessKind::Write);
+        rec.on_branch(BranchKind::ConditionalTaken, 0x40_0000);
+        rec.on_branch(BranchKind::ConditionalNotTaken, 0x40_0010);
+        rec.on_branch(BranchKind::Indirect, 0x7fff_1234_5678);
+        rec.on_branch(BranchKind::Return, 0x40_0020);
+        rec.on_synchronization(SyncObjectId::new(7), SyncKind::Release);
+        rec.finish()
+    }
+
+    /// `encode_node(golden_subs()[0])` as the materialised `Vec<Thunk>` form
+    /// wrote it (captured at commit 320cf13, the last one with that form).
+    const GOLDEN_NODE_HEX: &str = "\
+        020000000000000000000000030000000000000000000000000000000000000001000000000000000100\
+        000003000000000000000100000011000000000000000500000000000000000000000000000000000000\
+        010000400000000000010000000000000000004000000000000210004000000000000200000000000000\
+        10004000000000000378563412ff7f0000030000000000000078563412ff7f0000042000400000000000\
+        0400000000000000200040000000000000010700000000000000";
+    /// Byte offset of thunk 0's record (β, entry ip, kind code, branch ip)
+    /// in the golden payload, and the length of a closed thunk record.
+    const GOLDEN_THUNKS_AT: usize = 68;
+    const CLOSED_THUNK_BYTES: usize = 25;
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn node_encoding_is_byte_identical_to_the_materialised_form() {
+        let subs = golden_subs();
+        let mut buf = Vec::new();
+        encode_node(&mut buf, &subs[0]);
+        assert_eq!(buf, unhex(GOLDEN_NODE_HEX));
+        assert_eq!(decode_node(&mut Cursor::new(&buf)).unwrap(), subs[0]);
+        // No branches, no thunk records.
+        let mut buf = Vec::new();
+        encode_node(&mut buf, &subs[1]);
+        assert_eq!(
+            buf,
+            unhex(
+                "02000000010000000000000003000000000000000000000000000000\
+                 00000000020000000000000000000000000000000000000000"
+            )
+        );
+    }
+
+    /// The golden payload with one thunk-chain invariant broken each.
+    fn broken_chains() -> Vec<(&'static str, Vec<u8>)> {
+        let golden = unhex(GOLDEN_NODE_HEX);
+        let thunk = |i: usize| GOLDEN_THUNKS_AT + i * CLOSED_THUNK_BYTES;
+        let mut cases = Vec::new();
+        let mut beta = golden.clone();
+        beta[thunk(2)] = 5;
+        cases.push(("beta out of sequence", beta));
+        let mut entry = golden.clone();
+        entry[thunk(1) + 8] ^= 0x40;
+        cases.push(("entry ip off the chain", entry));
+        let mut first_entry = golden.clone();
+        first_entry[thunk(0) + 8] = 1;
+        cases.push(("first thunk not entered at 0", first_entry));
+        // Thunk 1 open: its branch ip goes, the record shrinks by 8 bytes.
+        let mut open_inside = golden.clone();
+        open_inside[thunk(1) + 16] = 0;
+        open_inside.drain(thunk(1) + 17..thunk(1) + 25);
+        cases.push(("open thunk before the last", open_inside));
+        // Thunk 4 (the trailing one) closed by a branch nobody recorded.
+        let mut closed_last = golden.clone();
+        closed_last[thunk(4) + 16] = 1;
+        closed_last.splice(thunk(4) + 17..thunk(4) + 17, [0u8; 8]);
+        cases.push(("closed trailing thunk", closed_last));
+        // One thunk only: open, but with no branch before it.
+        let mut lone = golden[..GOLDEN_THUNKS_AT].to_vec();
+        lone[GOLDEN_THUNKS_AT - 4] = 1;
+        lone.extend_from_slice(&[0u8; 17]);
+        lone.extend_from_slice(&golden[golden.len() - 9..]);
+        cases.push(("lone open thunk", lone));
+        cases
+    }
+
+    #[test]
+    fn broken_thunk_chains_are_corrupt_not_a_different_list() {
+        for (what, payload) in broken_chains() {
+            match decode_node(&mut Cursor::new(&payload)) {
+                Err(SpillError::Corrupt(msg)) => {
+                    assert!(msg.contains("branch chain"), "{what}: {msg}")
+                }
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn recovery_counts_a_crc_valid_broken_chain_as_a_skipped_record() {
+        // Two good node records, then a framed record whose CRC is right
+        // but whose thunk chain is not, then a record that is fine again:
+        // recovery keeps the prefix, counts one decode failure and accounts
+        // every byte from the bad frame on as lost.
+        for (what, payload) in broken_chains() {
+            let dir = unique_dir("chain");
+            let subs = recorded_subs();
+            let mut store = SpillStore::create(&dir, 0, DEFAULT_SEGMENT_BYTES).unwrap();
+            store.set_retain(true);
+            store.append_node(&subs[0]).unwrap();
+            store.append_node(&subs[1]).unwrap();
+            let good_bytes = store.bytes_written();
+            store.begin_record(TAG_NODE);
+            store.scratch.extend_from_slice(&payload);
+            store.finish_record().unwrap();
+            store.append_node(&subs[2]).unwrap();
+            let manifest = ManifestWriter::new(&dir, 0, SpillDurability::None);
+            manifest.update_shard(0, store.manifest_snapshot()).unwrap();
+            let lost = store.bytes_written() - good_bytes;
+            drop(store);
+
+            let recovery = crate::recover::recover_session(&dir).unwrap();
+            let report = &recovery.report;
+            assert_eq!(report.decode_failures, 1, "{what}");
+            assert_eq!(report.crc_failures + report.torn_records, 0, "{what}");
+            assert_eq!(report.lost_bytes, lost, "{what}");
+            assert_eq!(report.recovered_nodes, 2, "{what}");
+            assert!(recovery.cpg.nodes().eq(subs[..2].iter()), "{what}");
+            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 

@@ -50,7 +50,7 @@ impl SubComputation {
             clock,
             read_set: BTreeSet::new(),
             write_set: BTreeSet::new(),
-            thunks: ThunkList::new(),
+            thunks: ThunkList::new(id),
             terminator: None,
         }
     }

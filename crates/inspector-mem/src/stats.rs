@@ -28,6 +28,10 @@ pub struct MemStats {
     pub commits: u64,
     /// Wall-clock time spent in the fault path (protection bookkeeping plus
     /// twin copying).
+    ///
+    /// A sampled estimate: the fault path times one read fault in 64 and
+    /// one write fault in 64 — net of the clock read itself — and adds each
+    /// scaled (1-in-64 sample, scaled). `commit_time` is exact.
     #[serde(with = "duration_nanos")]
     pub fault_time: Duration,
     /// Wall-clock time spent diffing and committing dirty pages.

@@ -41,7 +41,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
@@ -72,6 +72,41 @@ pub struct AccessRecord {
 
 /// Private-copy buffers kept for reuse per view (two pages each).
 const POOL_MAX_BUFFERS: usize = 64;
+
+/// One fault of each kind in this many is timed, and its time stands for all
+/// of them: a clock read costs as much as the bookkeeping of a read fault.
+const SAMPLE_EVERY: u32 = 64;
+
+/// Stopwatch for an event shorter than a clock read. Starting it reads the
+/// clock twice back to back; the gap is what one read adds to an interval,
+/// and [`Sample::scaled`] takes it off so the estimate is not mostly
+/// stopwatch.
+struct Sample {
+    idle: Instant,
+    start: Instant,
+}
+
+impl Sample {
+    /// Starts the stopwatch if the event is due: `seen` of its kind came
+    /// before it, and the first of every [`SAMPLE_EVERY`] is timed.
+    fn due(seen: u64) -> Option<Sample> {
+        seen.is_multiple_of(u64::from(SAMPLE_EVERY)).then(|| {
+            let idle = Instant::now();
+            Sample {
+                idle,
+                start: Instant::now(),
+            }
+        })
+    }
+
+    /// The time since the start, net of the clock, standing for
+    /// [`SAMPLE_EVERY`] faults — at least a nanosecond each, so sampled work
+    /// never reads as none.
+    fn scaled(self) -> Duration {
+        let net = self.start.elapsed().saturating_sub(self.start - self.idle);
+        net.max(Duration::from_nanos(1)) * SAMPLE_EVERY
+    }
+}
 
 /// One page-table entry; see the module docs for the stamp invariant.
 #[derive(Debug)]
@@ -343,12 +378,19 @@ impl ThreadMemory {
         slot
     }
 
+    // Both fault paths read the clock for one fault in `SAMPLE_EVERY` and
+    // add the sample scaled (see `MemStats::fault_time`). Read and write
+    // faults are sampled separately, first of each included: a twin copy
+    // costs a hundred times a read fault's bookkeeping, and a loop faulting
+    // in a fixed pattern would always present the same kind to a shared
+    // stride.
+
     fn fault_on_read(&mut self, slot: usize) {
         let entry = &mut self.table[slot];
         if entry.stamp == self.interval && entry.readable {
             return;
         }
-        let start = Instant::now();
+        let sample = Sample::due(self.stats.read_faults);
         if entry.stamp != self.interval {
             entry.stamp = self.interval;
             entry.writable = false;
@@ -359,7 +401,9 @@ impl ThreadMemory {
             page: entry.page,
             write: false,
         });
-        self.stats.fault_time += start.elapsed();
+        if let Some(sample) = sample {
+            self.stats.fault_time += sample.scaled();
+        }
     }
 
     fn fault_on_write(&mut self, slot: usize) {
@@ -367,7 +411,7 @@ impl ThreadMemory {
         if entry.stamp == self.interval && entry.writable {
             return;
         }
-        let start = Instant::now();
+        let sample = Sample::due(self.stats.write_faults);
         entry.stamp = self.interval;
         entry.readable = true;
         entry.writable = true;
@@ -388,7 +432,9 @@ impl ThreadMemory {
             self.dirty.push(slot);
             self.stats.pages_copied += 1;
         }
-        self.stats.fault_time += start.elapsed();
+        if let Some(sample) = sample {
+            self.stats.fault_time += sample.scaled();
+        }
     }
 }
 
@@ -439,6 +485,39 @@ mod tests {
         mem.protect_all();
         mem.read_u64(base);
         assert_eq!(mem.stats().read_faults, 2);
+    }
+
+    #[test]
+    fn fault_time_is_sampled_one_fault_in_64_per_kind() {
+        let image = SharedImage::shared(4096);
+        let base = image.map_region("heap", 4096 * 130).base();
+        let mut mem = ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked);
+        let page = |i: u64| base.add(4096 * i);
+
+        // The first fault of each kind is timed, so one of either shows.
+        mem.read_u64(page(0));
+        let one_read = mem.stats().fault_time;
+        assert!(one_read > Duration::ZERO);
+        mem.write_u64(page(1), 1);
+        let one_each = mem.stats().fault_time;
+        assert!(one_each > one_read);
+
+        // Faults 2..=64 of a kind never reach the clock; the 65th does.
+        for i in 2..65 {
+            mem.read_u64(page(i));
+        }
+        assert_eq!(mem.stats().read_faults, 64);
+        assert_eq!(mem.stats().fault_time, one_each);
+        mem.read_u64(page(65));
+        let second_sample = mem.stats().fault_time;
+        assert!(second_sample > one_each);
+        for i in 66..129 {
+            mem.write_u64(page(i), 1);
+        }
+        assert_eq!(mem.stats().write_faults, 64);
+        assert_eq!(mem.stats().fault_time, second_sample);
+        mem.write_u64(page(129), 1);
+        assert!(mem.stats().fault_time > second_sample);
     }
 
     #[test]

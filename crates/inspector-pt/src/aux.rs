@@ -147,10 +147,12 @@ impl AuxBuffer {
         self.stats.bytes_lost += bytes;
     }
 
-    /// Collects (drains) everything currently buffered — the consumer side,
-    /// equivalent to `perf record` copying the AUX area to disk.
-    pub fn collect(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.data)
+    /// Collects (drains) everything currently buffered into the end of
+    /// `sink` — the consumer side, equivalent to `perf record` copying the
+    /// AUX area to disk. The ring keeps its storage for the next window.
+    pub fn collect_into(&mut self, sink: &mut Vec<u8>) {
+        sink.extend_from_slice(&self.data);
+        self.data.clear();
     }
 
     /// Peeks at the buffered bytes without draining them (snapshot grab).
@@ -162,6 +164,12 @@ impl AuxBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn collect(aux: &mut AuxBuffer) -> Vec<u8> {
+        let mut sink = Vec::new();
+        aux.collect_into(&mut sink);
+        sink
+    }
 
     #[test]
     fn full_trace_accepts_until_capacity() {
@@ -180,10 +188,10 @@ mod tests {
         assert_eq!(aux.stats().bytes_lost, 2);
         assert_eq!(aux.stats().gaps, 1);
         // Consumer drains, producer resumes: an OVF marker precedes new data.
-        let first = aux.collect();
+        let first = collect(&mut aux);
         assert_eq!(first, vec![1, 2, 3, 4]);
         aux.produce(&[7]);
-        let second = aux.collect();
+        let second = collect(&mut aux);
         assert_eq!(second, vec![OPC_ESCAPE, OPC_OVF, 7]);
     }
 
@@ -211,7 +219,13 @@ mod tests {
     fn collect_drains_buffer() {
         let mut aux = AuxBuffer::new(AuxMode::Snapshot, 16);
         aux.produce(&[1, 2, 3]);
-        assert_eq!(aux.collect(), vec![1, 2, 3]);
+        assert_eq!(collect(&mut aux), vec![1, 2, 3]);
+        assert!(aux.is_empty());
+        // Collection appends: what the sink already held stays in front.
+        aux.produce(&[4, 5]);
+        let mut sink = vec![9];
+        aux.collect_into(&mut sink);
+        assert_eq!(sink, vec![9, 4, 5]);
         assert!(aux.is_empty());
         assert_eq!(aux.capacity(), 16);
         assert_eq!(aux.mode(), AuxMode::Snapshot);
@@ -234,7 +248,7 @@ mod tests {
         assert_eq!(aux.stats().gaps, 1);
         assert_eq!(aux.stats().bytes_lost, 10);
         aux.produce(&[9]);
-        assert_eq!(aux.collect(), vec![1, 2, OPC_ESCAPE, OPC_OVF, 9]);
+        assert_eq!(collect(&mut aux), vec![1, 2, OPC_ESCAPE, OPC_OVF, 9]);
     }
 
     #[test]

@@ -32,7 +32,10 @@ impl Default for EncoderConfig {
 pub struct PacketEncoder {
     config: EncoderConfig,
     out: Vec<u8>,
-    pending_tnt: Vec<bool>,
+    /// Pending TNT bits, oldest in bit 0. Never more than
+    /// [`LONG_TNT_CAPACITY`] (47) of them, so they fit one word.
+    tnt_bits: u64,
+    tnt_len: usize,
     last_ip: u64,
     bytes_since_psb: usize,
     branches: u64,
@@ -56,7 +59,8 @@ impl PacketEncoder {
         PacketEncoder {
             config,
             out: Vec::new(),
-            pending_tnt: Vec::new(),
+            tnt_bits: 0,
+            tnt_len: 0,
             last_ip: 0,
             bytes_since_psb: 0,
             branches: 0,
@@ -89,8 +93,9 @@ impl PacketEncoder {
         self.branches += 1;
         match *event {
             BranchEvent::Conditional { taken } => {
-                self.pending_tnt.push(taken);
-                if self.pending_tnt.len() >= LONG_TNT_CAPACITY {
+                self.tnt_bits |= u64::from(taken) << self.tnt_len;
+                self.tnt_len += 1;
+                if self.tnt_len >= LONG_TNT_CAPACITY {
                     self.flush_tnt();
                 }
             }
@@ -144,6 +149,15 @@ impl PacketEncoder {
         std::mem::take(&mut self.out)
     }
 
+    /// [`drain`](Self::drain) into the end of `sink`, keeping the encoder's
+    /// own buffer: a caller that drains at every boundary allocates nothing
+    /// once both buffers have grown.
+    pub fn drain_into(&mut self, sink: &mut Vec<u8>) {
+        self.flush_tnt();
+        sink.extend_from_slice(&self.out);
+        self.out.clear();
+    }
+
     // ----- packet emission -------------------------------------------------
 
     fn emit_psb_group(&mut self) {
@@ -179,39 +193,33 @@ impl PacketEncoder {
     }
 
     fn flush_tnt(&mut self) {
-        while !self.pending_tnt.is_empty() {
-            if self.pending_tnt.len() >= self.config.prefer_long_tnt_at {
-                let take = self.pending_tnt.len().min(LONG_TNT_CAPACITY);
-                let bits: Vec<bool> = self.pending_tnt.drain(..take).collect();
+        while self.tnt_len > 0 {
+            if self.tnt_len >= self.config.prefer_long_tnt_at {
                 // Long TNT: escape + opcode + 6 payload bytes. Bits are
                 // packed LSB-first with a stop bit above the last one.
-                let mut payload: u64 = 0;
-                for (i, &b) in bits.iter().enumerate() {
-                    if b {
-                        payload |= 1 << i;
-                    }
-                }
-                payload |= 1 << bits.len(); // stop bit
+                let take = self.tnt_len.min(LONG_TNT_CAPACITY);
+                let payload = self.take_tnt(take) | 1 << take;
                 self.out.push(OPC_ESCAPE);
                 self.out.push(OPC_LONG_TNT);
                 self.out.extend_from_slice(&payload.to_le_bytes()[..6]);
                 self.bytes_since_psb += 8;
             } else {
-                let take = self.pending_tnt.len().min(SHORT_TNT_CAPACITY);
-                let bits: Vec<bool> = self.pending_tnt.drain(..take).collect();
                 // Short TNT: single byte, bit0 = 0, bits start at bit 1,
                 // stop bit above the last one.
-                let mut byte: u8 = 0;
-                for (i, &b) in bits.iter().enumerate() {
-                    if b {
-                        byte |= 1 << (i + 1);
-                    }
-                }
-                byte |= 1 << (bits.len() + 1); // stop bit
+                let take = self.tnt_len.min(SHORT_TNT_CAPACITY);
+                let byte = (self.take_tnt(take) << 1 | 1 << (take + 1)) as u8;
                 self.out.push(byte);
                 self.bytes_since_psb += 1;
             }
         }
+    }
+
+    /// Removes and returns the `n` oldest pending TNT bits.
+    fn take_tnt(&mut self, n: usize) -> u64 {
+        let bits = self.tnt_bits & ((1 << n) - 1);
+        self.tnt_bits >>= n;
+        self.tnt_len -= n;
+        bits
     }
 
     fn maybe_psb(&mut self) {
@@ -228,6 +236,134 @@ impl PacketEncoder {
 mod tests {
     use super::*;
     use crate::packet::PSB_LEN;
+    use proptest::prelude::*;
+
+    /// The encoder as it was with a `Vec<bool>` TNT queue: conditionals are
+    /// queued here and packed by the old drain-and-collect loop, everything
+    /// else goes through the inner encoder — whose own accumulator therefore
+    /// stays empty — so only the TNT representation differs.
+    struct VecBoolEncoder {
+        inner: PacketEncoder,
+        pending_tnt: Vec<bool>,
+    }
+
+    impl VecBoolEncoder {
+        fn branch(&mut self, event: &BranchEvent) {
+            let BranchEvent::Conditional { taken } = *event else {
+                self.flush_tnt();
+                return self.inner.branch(event);
+            };
+            self.inner.branches += 1;
+            self.pending_tnt.push(taken);
+            if self.pending_tnt.len() >= LONG_TNT_CAPACITY {
+                self.flush_tnt();
+            }
+            let interval = self.inner.config.psb_interval_bytes;
+            if interval > 0 && self.inner.bytes_since_psb >= interval {
+                self.flush_tnt();
+                self.inner.emit_psb_group();
+            }
+        }
+
+        fn drain(&mut self) -> Vec<u8> {
+            self.flush_tnt();
+            self.inner.drain()
+        }
+
+        fn finish(mut self) -> Vec<u8> {
+            self.flush_tnt();
+            self.inner.finish()
+        }
+
+        fn flush_tnt(&mut self) {
+            let PacketEncoder {
+                config,
+                out,
+                bytes_since_psb,
+                ..
+            } = &mut self.inner;
+            while !self.pending_tnt.is_empty() {
+                if self.pending_tnt.len() >= config.prefer_long_tnt_at {
+                    let take = self.pending_tnt.len().min(LONG_TNT_CAPACITY);
+                    let bits: Vec<bool> = self.pending_tnt.drain(..take).collect();
+                    let mut payload: u64 = 0;
+                    for (i, &b) in bits.iter().enumerate() {
+                        if b {
+                            payload |= 1 << i;
+                        }
+                    }
+                    payload |= 1 << bits.len(); // stop bit
+                    out.push(OPC_ESCAPE);
+                    out.push(OPC_LONG_TNT);
+                    out.extend_from_slice(&payload.to_le_bytes()[..6]);
+                    *bytes_since_psb += 8;
+                } else {
+                    let take = self.pending_tnt.len().min(SHORT_TNT_CAPACITY);
+                    let bits: Vec<bool> = self.pending_tnt.drain(..take).collect();
+                    let mut byte: u8 = 0;
+                    for (i, &b) in bits.iter().enumerate() {
+                        if b {
+                            byte |= 1 << (i + 1);
+                        }
+                    }
+                    byte |= 1 << (bits.len() + 1); // stop bit
+                    out.push(byte);
+                    *bytes_since_psb += 1;
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// The word accumulator emits, byte for byte, what the `Vec<bool>`
+        /// queue did: over random event mixes, TNT thresholds on both sides
+        /// of the capacities, drains at random points (each chunk compared)
+        /// and streams that cross several periodic PSBs.
+        #[test]
+        fn prop_tnt_accumulator_matches_the_vec_bool_queue(
+            words in proptest::collection::vec(any::<u64>(), 1..3000),
+            prefer_long_tnt_at in 1usize..60,
+            psb_shift in 6u32..13,
+        ) {
+            let config = EncoderConfig {
+                psb_interval_bytes: 1 << psb_shift,
+                prefer_long_tnt_at,
+            };
+            let mut new = PacketEncoder::with_config(config);
+            let mut old = VecBoolEncoder {
+                inner: PacketEncoder::with_config(config),
+                pending_tnt: Vec::new(),
+            };
+            new.begin(0x40_0000);
+            old.inner.begin(0x40_0000);
+            let mut sink = vec![0xAA];
+            for w in words {
+                let ip = (w >> 16) & [0xFFFF, 0xFFFF_FFFF, u64::MAX >> 16][(w >> 8) as usize % 3];
+                let event = match w % 32 {
+                    0 => BranchEvent::Indirect { target: ip },
+                    1 => BranchEvent::Return { target: ip },
+                    2 if w & 0x700 == 0 => BranchEvent::TraceStop { ip },
+                    3 if w & 0x700 == 0 => BranchEvent::TraceStart { ip },
+                    4 if w & 0x700 == 0 => BranchEvent::Overflow,
+                    _ => BranchEvent::Conditional { taken: w & 0x80 != 0 },
+                };
+                new.branch(&event);
+                old.branch(&event);
+                match (w >> 40) % 97 {
+                    0 => prop_assert_eq!(new.drain(), old.drain()),
+                    1 => {
+                        let before = sink.len();
+                        new.drain_into(&mut sink);
+                        prop_assert_eq!(&sink[before..], &old.drain()[..]);
+                        prop_assert_eq!(new.bytes(), 0);
+                    }
+                    _ => {}
+                }
+            }
+            prop_assert_eq!(new.branches(), old.inner.branches());
+            prop_assert_eq!(new.finish(), old.finish());
+        }
+    }
 
     #[test]
     fn begin_emits_psb_header() {

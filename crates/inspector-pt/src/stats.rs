@@ -20,6 +20,11 @@ pub struct PtStats {
     pub gaps: u64,
     /// Wall-clock time spent encoding packets and writing the AUX buffer
     /// (the "OS support for Intel PT" share of the overhead breakdown).
+    ///
+    /// A sampled estimate: `ThreadTrace::record` times one event in 64 —
+    /// net of the clock read itself — and adds it scaled (1-in-64 sample,
+    /// scaled); only the periodic in-`record` flush is timed exactly.
+    /// Explicit `flush`/`finish` calls are the caller's to time.
     #[serde(with = "duration_nanos")]
     pub encode_time: Duration,
 }

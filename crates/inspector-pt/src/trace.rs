@@ -6,7 +6,7 @@
 //! thread's AUX buffer and collected either continuously (full-trace mode) or
 //! on demand (snapshot mode).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
@@ -39,10 +39,47 @@ impl Default for TraceConfig {
     }
 }
 
+/// One recorded event in this many is timed, and its time stands for all of
+/// them: a clock read costs several times the encode work it would measure.
+const SAMPLE_EVERY: u32 = 64;
+
+/// Stopwatch for an event shorter than a clock read. Starting it reads the
+/// clock twice back to back; the gap is what one read adds to an interval,
+/// and [`Sample::scaled`] takes it off so the estimate is not mostly
+/// stopwatch.
+struct Sample {
+    idle: Instant,
+    start: Instant,
+}
+
+impl Sample {
+    /// Starts the stopwatch if the event is due: `seen` of its kind came
+    /// before it, and the first of every [`SAMPLE_EVERY`] is timed.
+    fn due(seen: u64) -> Option<Sample> {
+        seen.is_multiple_of(u64::from(SAMPLE_EVERY)).then(|| {
+            let idle = Instant::now();
+            Sample {
+                idle,
+                start: Instant::now(),
+            }
+        })
+    }
+
+    /// The time since the start, net of the clock, standing for
+    /// [`SAMPLE_EVERY`] events — at least a nanosecond each, so sampled work
+    /// never reads as none.
+    fn scaled(self) -> Duration {
+        let net = self.start.elapsed().saturating_sub(self.start - self.idle);
+        net.max(Duration::from_nanos(1)) * SAMPLE_EVERY
+    }
+}
+
 /// A per-thread Intel PT trace.
 #[derive(Debug)]
 pub struct ThreadTrace {
     encoder: PacketEncoder,
+    /// Encoder output on its way into the AUX buffer; empty between flushes.
+    staging: Vec<u8>,
     aux: AuxBuffer,
     collected: Vec<u8>,
     stats: PtStats,
@@ -63,6 +100,7 @@ impl ThreadTrace {
         encoder.begin(start_ip);
         ThreadTrace {
             encoder,
+            staging: Vec::new(),
             aux: AuxBuffer::new(config.mode, config.aux_capacity),
             collected: Vec::new(),
             stats: PtStats::default(),
@@ -72,18 +110,33 @@ impl ThreadTrace {
     }
 
     /// Records one branch event.
+    ///
+    /// The clock is read for one event in 64 and the sample is added
+    /// scaled (see [`PtStats::encode_time`]). TNT bits and IP packets are
+    /// sampled separately, first of each included: they cost differently,
+    /// and a loop recording them in a fixed pattern would always present
+    /// the same one to a shared stride. The periodic flush is timed on its
+    /// own, exactly, so no sample carries it.
     pub fn record(&mut self, event: BranchEvent) {
-        let start = Instant::now();
+        let conditional = event.is_conditional();
+        let seen = if conditional {
+            self.stats.conditional_branches
+        } else {
+            self.stats.branches - self.stats.conditional_branches
+        };
+        let sample = Sample::due(seen);
         self.stats.branches += 1;
-        if event.is_conditional() {
-            self.stats.conditional_branches += 1;
-        }
+        self.stats.conditional_branches += u64::from(conditional);
         self.encoder.branch(&event);
+        if let Some(sample) = sample {
+            self.stats.encode_time += sample.scaled();
+        }
         self.since_flush += 1;
         if self.since_flush >= self.config.flush_every {
+            let start = Instant::now();
             self.flush();
+            self.stats.encode_time += start.elapsed();
         }
-        self.stats.encode_time += start.elapsed();
     }
 
     /// Records a conditional branch (convenience).
@@ -100,14 +153,14 @@ impl ThreadTrace {
     /// mode, collects the AUX contents into the trace log (what `perf
     /// record` would write to `/tmp`).
     pub fn flush(&mut self) {
-        let bytes = self.encoder.drain();
-        if !bytes.is_empty() {
-            self.stats.trace_bytes += bytes.len() as u64;
-            self.aux.produce(&bytes);
+        self.encoder.drain_into(&mut self.staging);
+        if !self.staging.is_empty() {
+            self.stats.trace_bytes += self.staging.len() as u64;
+            self.aux.produce(&self.staging);
+            self.staging.clear();
         }
         if self.config.mode == AuxMode::FullTrace {
-            let drained = self.aux.collect();
-            self.collected.extend_from_slice(&drained);
+            self.aux.collect_into(&mut self.collected);
         }
         let aux_stats = self.aux.stats();
         self.stats.bytes_lost = aux_stats.bytes_lost;
@@ -144,12 +197,11 @@ impl ThreadTrace {
     /// online decode stage) never see a spurious truncation.
     pub fn drain_collected(&mut self) -> Vec<u8> {
         let boundary = complete_frame_prefix(&self.collected);
-        if boundary == self.collected.len() {
-            std::mem::take(&mut self.collected)
-        } else {
-            let tail = self.collected.split_off(boundary);
-            std::mem::replace(&mut self.collected, tail)
-        }
+        // The chunk is copied out at its exact size and the log keeps its
+        // buffer, so the flushes in between allocate nothing.
+        let chunk = self.collected[..boundary].to_vec();
+        self.collected.drain(..boundary);
+        chunk
     }
 
     /// Grabs a snapshot of the most recent trace window (snapshot mode):
@@ -190,8 +242,7 @@ impl ThreadTrace {
         let tail = encoder.finish();
         self.stats.trace_bytes += tail.len() as u64;
         self.aux.produce(&tail);
-        let drained = self.aux.collect();
-        self.collected.extend_from_slice(&drained);
+        self.aux.collect_into(&mut self.collected);
         let aux_stats = self.aux.stats();
         self.stats.bytes_lost = aux_stats.bytes_lost;
         self.stats.gaps = aux_stats.gaps;
@@ -439,6 +490,58 @@ mod tests {
             dec.decode_events()
                 .expect("snapshot window must not end mid-packet");
         }
+    }
+
+    /// Records `branches` conditionals; the sampled estimate and the wall
+    /// time of the loop that produced it.
+    fn timed_trace(branches: u64) -> (Duration, Duration) {
+        let mut trace = ThreadTrace::new(0x400000);
+        let start = Instant::now();
+        for i in 0..branches {
+            trace.conditional(i % 3 == 0);
+        }
+        let wall = start.elapsed();
+        (trace.stats().encode_time, wall)
+    }
+
+    #[test]
+    fn sampled_encode_time_is_nonzero_for_any_trace_length() {
+        for branches in [1, 63, 64, 10_000] {
+            assert!(timed_trace(branches).0 > Duration::ZERO, "{branches}");
+        }
+    }
+
+    #[test]
+    fn encode_time_is_sampled_one_event_in_64_per_kind() {
+        let mut trace = ThreadTrace::new(0x400000);
+        trace.conditional(true);
+        let one_bit = trace.stats().encode_time;
+        trace.indirect(0x1234);
+        let one_each = trace.stats().encode_time;
+        assert!(one_each > one_bit);
+        // Events 2..=64 of a kind never reach the clock; the 65th does.
+        for i in 1..64u64 {
+            trace.conditional(i % 2 == 0);
+            trace.indirect(0x1234 + i);
+        }
+        assert_eq!(trace.stats().encode_time, one_each);
+        trace.conditional(false);
+        let second_sample = trace.stats().encode_time;
+        assert!(second_sample > one_each);
+        trace.indirect(0x9999);
+        assert!(trace.stats().encode_time > second_sample);
+    }
+
+    #[test]
+    fn sampled_encode_time_stays_below_the_loop_that_produced_it() {
+        // An estimate that still carried the stopwatch would sit several
+        // times above the loop on every attempt; a preempted sample (scaled
+        // 64x where the loop pays it once) only spoils the odd one.
+        let attempts: Vec<_> = (0..5).map(|_| timed_trace(10_000)).collect();
+        assert!(
+            attempts.iter().any(|(estimate, wall)| estimate < wall),
+            "(estimate, loop) per attempt: {attempts:?}"
+        );
     }
 
     #[test]

@@ -223,6 +223,15 @@ impl PhaseBreakdown {
     /// Splits `total_overhead` (ratio of inspector to native wall time) into
     /// the components proportionally to the time each subsystem spent.
     ///
+    /// Two of the inputs are estimates, not totals: the fault half of the
+    /// threading time ([`MemStats::fault_time`]) and the PT time
+    /// ([`PtStats::encode_time`]) are each a 1-in-64 sample, scaled, taken
+    /// net of the clock read — timing every fault and branch cost the
+    /// application several times what was being measured.
+    ///
+    /// [`MemStats::fault_time`]: inspector_mem::stats::MemStats::fault_time
+    /// [`PtStats::encode_time`]: inspector_pt::stats::PtStats::encode_time
+    ///
     /// Spilling runs *inside* the ingest workers' timed busy loop (unlike
     /// online decode, which is timed separately), so its time is carved out
     /// of the graph share rather than added next to it — otherwise the

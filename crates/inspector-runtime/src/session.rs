@@ -847,13 +847,6 @@ impl InspectorSession {
         self.try_run(f).unwrap_or_else(|err| panic!("{err}"))
     }
 
-    /// [`run`](Self::run), with ingest-worker failures reported instead of
-    /// propagated. Every worker runs supervised (`catch_unwind`): when one
-    /// dies, its lane closes — producers blocked on it unblock with a send
-    /// error rather than deadlocking — the surviving workers drain
-    /// normally, and the provenance ingested before the failure is still
-    /// sealed. On failure the returned [`SessionError`] carries every dead
-    /// worker's panic message plus that partial report.
     /// Directory holding this session's spill artifacts (segments +
     /// `MANIFEST`), when spilling is configured. After a crashed or
     /// retained run the directory outlives the session and can be handed
@@ -862,6 +855,13 @@ impl InspectorSession {
         self.shared.builder.spill_directory().map(Into::into)
     }
 
+    /// [`run`](Self::run), with ingest-worker failures reported instead of
+    /// propagated. Every worker runs supervised (`catch_unwind`): when one
+    /// dies, its lane closes — producers blocked on it unblock with a send
+    /// error rather than deadlocking — the surviving workers drain
+    /// normally, and the provenance ingested before the failure is still
+    /// sealed. On failure the returned [`SessionError`] carries every dead
+    /// worker's panic message plus that partial report.
     pub fn try_run<F>(&self, f: F) -> Result<RunReport, SessionError>
     where
         F: FnOnce(&mut ThreadCtx),
