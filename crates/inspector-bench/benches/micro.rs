@@ -13,10 +13,12 @@ use inspector_bench::ingest_bench::{
 use inspector_core::clock::VectorClock;
 use inspector_core::event::BranchKind;
 use inspector_core::graph::CpgBuilder;
-use inspector_core::ids::ThreadId;
+use inspector_core::ids::{PageId, ThreadId};
+use inspector_core::query::{EdgeFilter, ProvenanceQuery};
 use inspector_core::recorder::{SyncClockRegistry, ThreadRecorder};
 use inspector_core::sharded::ShardedCpgBuilder;
 use inspector_core::subcomputation::SubComputation;
+use inspector_core::taint::{TaintLabel, TaintTracker};
 use inspector_mem::commit::diff_page;
 use inspector_mem::shared::SharedImage;
 use inspector_mem::thread_mem::{ThreadMemory, TrackingMode};
@@ -314,6 +316,45 @@ fn bench_cpg_build(c: &mut Criterion) {
             },
         );
     }
+
+    // The read side, on one 8-thread lock-heavy graph of ~51k vertices and
+    // ~127k edges.
+    let mut builder = CpgBuilder::new();
+    for seq in inspector_core::testing::lock_heavy_sequences(8, 3200, 32, 16) {
+        builder.add_thread(seq);
+    }
+    let cpg = builder.build();
+    assert!(cpg.node_count() >= 50_000);
+    group.bench_function("topo", |b| b.iter(|| cpg.topological_order()));
+    group.bench_function("validate", |b| b.iter(|| cpg.validate()));
+    group.bench_function("taint_4_labels_control_flow", |b| {
+        let mut tracker = TaintTracker::new().with_control_flow(true);
+        for label in 0..4 {
+            tracker.taint_page(PageId::new(label * 5), TaintLabel(label as u32));
+        }
+        b.iter(|| tracker.propagate(&cpg));
+    });
+    group.bench_function("slice_all_backward", |b| {
+        let query = ProvenanceQuery::new(&cpg);
+        let target = *cpg
+            .thread_sequence(ThreadId::new(0))
+            .last()
+            .expect("thread 0 recorded");
+        b.iter(|| query.backward_slice(target, EdgeFilter::ALL));
+    });
+    group.bench_function("adjacency_build", |b| {
+        // Nodes and edges move through each rebuild; only the index and
+        // adjacency are built (and the previous ones dropped) inside the
+        // timer.
+        b.iter_custom(|iters| {
+            let mut graph = cpg.clone();
+            let start = std::time::Instant::now();
+            for _ in 0..iters {
+                graph = inspector_core::testing::reindex(graph);
+            }
+            start.elapsed()
+        });
+    });
     group.finish();
 }
 

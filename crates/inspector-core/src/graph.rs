@@ -4,8 +4,20 @@
 //! and whose edges are control, synchronization and data-dependence edges
 //! (paper §IV-A). It is constructed offline from the per-thread execution
 //! sequences produced by [`crate::recorder::ThreadRecorder`].
+//!
+//! ## Dense positions
+//!
+//! A built graph is immutable, so its read side is indexed by *position*:
+//! the rank of a vertex in id order, which is also its index in the node
+//! store. `SubId → position` is one `(thread, first position, len)` range
+//! per thread; adjacency is CSR over positions, each row holding
+//! `(neighbour position, edge position, kind)` in edge-vector order. An
+//! edge with an endpoint that is not a vertex stays in [`Cpg::edges`] but
+//! has no row. The whole-graph algorithms (topological order, slices,
+//! taint, validation) run on these flat arrays; positions are crate-private
+//! and every public signature speaks [`SubId`].
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
@@ -103,110 +115,138 @@ pub struct CpgStats {
     pub pages_written: u64,
 }
 
-/// Cheap multiply-xor hasher for the adjacency spans' [`SubId`] keys:
-/// SipHash dominates the `from_parts` profile on the seal's critical path,
-/// and these maps never see untrusted keys.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FastIdHasher(u64);
+/// One thread's vertices: a contiguous run of positions, since the node
+/// store is sorted by `(thread, α)`.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct ThreadRange {
+    thread: ThreadId,
+    /// Position of the thread's first vertex.
+    first: u32,
+    len: u32,
+}
 
-impl std::hash::Hasher for FastIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 29;
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
+impl ThreadRange {
+    fn positions(&self) -> std::ops::Range<usize> {
+        self.first as usize..(self.first + self.len) as usize
     }
 }
 
-type FastIdState = std::hash::BuildHasherDefault<FastIdHasher>;
+/// One CSR adjacency entry: an edge seen from one of its endpoints.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+pub(crate) struct Adjacent {
+    /// Position of the vertex at the other end.
+    pub(crate) neighbour: u32,
+    /// Index of the edge in the edge vector.
+    edge: u32,
+    pub(crate) kind: EdgeKind,
+}
 
-/// Flat (CSR-style) adjacency index: edge positions grouped by endpoint in
-/// one shared order vector, with per-node `(offset, len)` spans. Two
-/// allocations for the whole graph instead of one `Vec` per node, which
-/// keeps the per-node cost of [`Cpg::from_parts`] flat as graphs grow —
-/// the streaming seal builds this on the run's critical path.
+/// CSR adjacency over node positions: row `p` is
+/// `entries[offsets[p]..offsets[p + 1]]`, in edge-vector order. Two
+/// allocations for the whole graph and no hashing — the streaming seal
+/// builds this on the run's critical path.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub(crate) struct AdjacencyIndex {
-    /// node → `(offset, len)` into `order`.
-    spans: HashMap<SubId, (usize, usize), FastIdState>,
-    /// Edge indexes grouped by endpoint.
-    order: Vec<usize>,
+    /// Row starts, `nodes + 1` long (empty for [`Cpg::default`], which has
+    /// no position to ask a row for).
+    offsets: Vec<u32>,
+    entries: Vec<Adjacent>,
 }
 
 impl AdjacencyIndex {
-    /// Builds the successor and predecessor indexes over `edges` in one
-    /// fused sweep (the edge vector is the largest thing the seal touches,
-    /// so passes over it are what the critical path pays for): one shared
-    /// counting pass, one prefix-sum pass over each span table, one shared
-    /// fill pass.
-    fn build_pair(edges: &[DependenceEdge]) -> (Self, Self) {
-        let hint = edges.len().min(1024);
-        let mut successors = AdjacencyIndex {
-            spans: HashMap::with_capacity_and_hasher(hint, FastIdState::default()),
-            order: Vec::new(),
-        };
-        let mut predecessors = AdjacencyIndex {
-            spans: HashMap::with_capacity_and_hasher(hint, FastIdState::default()),
-            order: Vec::new(),
-        };
-        for e in edges {
-            successors.spans.entry(e.src).or_insert((0, 0)).1 += 1;
-            predecessors.spans.entry(e.dst).or_insert((0, 0)).1 += 1;
+    /// Builds the successor and predecessor indexes over `edges`, whose
+    /// endpoints `resolved` holds as positions (`None` for an edge with a
+    /// missing endpoint, which gets no row): one counting pass, one
+    /// prefix-sum pass, one fill pass — a stable counting sort, so each row
+    /// keeps edge-vector order.
+    fn build_pair(
+        nodes: usize,
+        edges: &[DependenceEdge],
+        resolved: &[Option<(u32, u32)>],
+    ) -> (Self, Self) {
+        let mut successors = vec![0u32; nodes + 1];
+        let mut predecessors = vec![0u32; nodes + 1];
+        for &(src, dst) in resolved.iter().flatten() {
+            successors[src as usize + 1] += 1;
+            predecessors[dst as usize + 1] += 1;
         }
-        for index in [&mut successors, &mut predecessors] {
-            let mut offset = 0usize;
-            for span in index.spans.values_mut() {
-                let len = span.1;
-                *span = (offset, 0); // len doubles as the fill cursor below
-                offset += len;
+        for offsets in [&mut successors, &mut predecessors] {
+            for p in 0..nodes {
+                offsets[p + 1] += offsets[p];
             }
-            index.order = vec![0usize; edges.len()];
         }
-        for (i, e) in edges.iter().enumerate() {
-            let span = successors.spans.get_mut(&e.src).expect("counted above");
-            successors.order[span.0 + span.1] = i;
-            span.1 += 1;
-            let span = predecessors.spans.get_mut(&e.dst).expect("counted above");
-            predecessors.order[span.0 + span.1] = i;
-            span.1 += 1;
+        fn place(cursor: &mut [u32], entries: &mut [Adjacent], row: u32, entry: Adjacent) {
+            let slot = &mut cursor[row as usize];
+            entries[*slot as usize] = entry;
+            *slot += 1;
         }
-        (successors, predecessors)
+        let unfilled = Adjacent {
+            neighbour: 0,
+            edge: 0,
+            kind: EdgeKind::Control,
+        };
+        let mut out = vec![unfilled; successors[nodes] as usize];
+        let mut into = out.clone();
+        let (mut out_cursor, mut in_cursor) = (successors.clone(), predecessors.clone());
+        for (i, (e, ends)) in edges.iter().zip(resolved).enumerate() {
+            let Some((src, dst)) = *ends else { continue };
+            let (edge, kind) = (i as u32, e.kind);
+            let towards = |neighbour| Adjacent {
+                neighbour,
+                edge,
+                kind,
+            };
+            place(&mut out_cursor, &mut out, src, towards(dst));
+            place(&mut in_cursor, &mut into, dst, towards(src));
+        }
+        (
+            AdjacencyIndex {
+                offsets: successors,
+                entries: out,
+            },
+            AdjacencyIndex {
+                offsets: predecessors,
+                entries: into,
+            },
+        )
     }
 
-    /// The edge positions incident to `id` (empty if none).
-    fn of(&self, id: SubId) -> &[usize] {
-        match self.spans.get(&id) {
-            Some(&(offset, len)) => &self.order[offset..offset + len],
-            None => &[],
-        }
+    /// The entries of the vertex at `position`.
+    pub(crate) fn row(&self, position: u32) -> &[Adjacent] {
+        let p = position as usize;
+        &self.entries[self.offsets[p] as usize..self.offsets[p + 1] as usize]
     }
+}
+
+/// Indexes of the set bits of a bitset, ascending.
+pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors((word != 0).then_some(word), |&rest| {
+            let rest = rest & (rest - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+    })
 }
 
 /// The Concurrent Provenance Graph.
 ///
-/// The node store is a flat vector sorted by [`SubId`] — a binary-search
-/// map. The graph is built once and never mutated, so the sorted-vector
-/// layout costs nothing over a tree while letting the streaming seal hand
-/// its already-merged-in-order nodes over without building one (the tree
-/// bulk build was the largest remaining per-node cost on the seal's
-/// critical path).
+/// The node store is a flat vector sorted by [`SubId`]. The graph is built
+/// once and never mutated, so the sorted-vector layout costs nothing over a
+/// tree while letting the streaming seal hand its already-merged-in-order
+/// nodes over without building one (the tree bulk build was the largest
+/// remaining per-node cost on the seal's critical path), and it makes a
+/// vertex's index its dense position (see the module docs).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Cpg {
     /// Vertices, sorted by id and duplicate-free.
     pub(crate) nodes: Vec<SubComputation>,
     pub(crate) edges: Vec<DependenceEdge>,
+    /// `ids[p] == nodes[p].id`, packed so lookups and orderings stay off
+    /// the (much larger) vertices.
+    ids: Vec<SubId>,
+    /// Per-thread position ranges, sorted by thread.
+    ranges: Vec<ThreadRange>,
     pub(crate) successors: AdjacencyIndex,
     pub(crate) predecessors: AdjacencyIndex,
 }
@@ -231,13 +271,39 @@ impl Cpg {
             nodes.windows(2).all(|w| w[0].id < w[1].id),
             "node store must be sorted by id and duplicate-free"
         );
-        let (successors, predecessors) = AdjacencyIndex::build_pair(&edges);
-        Cpg {
+        assert!(
+            u32::try_from(nodes.len()).is_ok() && u32::try_from(edges.len()).is_ok(),
+            "positions are 32-bit: {} nodes, {} edges",
+            nodes.len(),
+            edges.len()
+        );
+        let ids: Vec<SubId> = nodes.iter().map(|n| n.id).collect();
+        let mut ranges: Vec<ThreadRange> = Vec::new();
+        for (p, id) in ids.iter().enumerate() {
+            match ranges.last_mut() {
+                Some(range) if range.thread == id.thread => range.len += 1,
+                _ => ranges.push(ThreadRange {
+                    thread: id.thread,
+                    first: p as u32,
+                    len: 1,
+                }),
+            }
+        }
+        let mut cpg = Cpg {
             nodes,
             edges,
-            successors,
-            predecessors,
-        }
+            ids,
+            ranges,
+            ..Cpg::default()
+        };
+        let resolved: Vec<Option<(u32, u32)>> = cpg
+            .edges
+            .iter()
+            .map(|e| Some((cpg.position(e.src)?, cpg.position(e.dst)?)))
+            .collect();
+        (cpg.successors, cpg.predecessors) =
+            AdjacencyIndex::build_pair(cpg.nodes.len(), &cpg.edges, &resolved);
+        cpg
     }
 
     /// Number of vertices.
@@ -250,12 +316,44 @@ impl Cpg {
         self.edges.len()
     }
 
-    /// Looks up a vertex (binary search over the sorted node store).
-    pub fn node(&self, id: SubId) -> Option<&SubComputation> {
-        self.nodes
-            .binary_search_by(|n| n.id.cmp(&id))
+    fn thread_range(&self, thread: ThreadId) -> Option<&ThreadRange> {
+        self.ranges
+            .binary_search_by_key(&thread, |r| r.thread)
             .ok()
-            .map(|i| &self.nodes[i])
+            .map(|i| &self.ranges[i])
+    }
+
+    /// The dense position of a vertex: its rank in id order.
+    pub(crate) fn position(&self, id: SubId) -> Option<u32> {
+        let range = self.thread_range(id.thread)?;
+        let ids = &self.ids[range.positions()];
+        let offset = id.alpha.checked_sub(ids[0].alpha)?;
+        // α is strictly increasing along a thread, so the vertex at rank r
+        // has α ≥ first α + r: `id` sits at rank `offset` when the thread's
+        // α are contiguous (every complete run) and before it otherwise.
+        let before = offset.min(ids.len() as u64) as usize;
+        let rank = match ids.get(before) {
+            Some(at) if at.alpha == id.alpha => before,
+            _ => ids[..before]
+                .binary_search_by_key(&id.alpha, |i| i.alpha)
+                .ok()?,
+        };
+        Some(range.first + rank as u32)
+    }
+
+    /// The id of the vertex at `position`.
+    pub(crate) fn id_at(&self, position: u32) -> SubId {
+        self.ids[position as usize]
+    }
+
+    /// The vertex at `position`.
+    pub(crate) fn node_at(&self, position: u32) -> &SubComputation {
+        &self.nodes[position as usize]
+    }
+
+    /// Looks up a vertex.
+    pub fn node(&self, id: SubId) -> Option<&SubComputation> {
+        self.position(id).map(|p| self.node_at(p))
     }
 
     /// Iterates over all vertices in `(thread, α)` order.
@@ -273,17 +371,26 @@ impl Cpg {
         self.edges.iter().filter(move |e| e.kind == kind)
     }
 
-    /// Outgoing edges of a vertex.
-    pub fn outgoing(&self, id: SubId) -> impl Iterator<Item = &DependenceEdge> {
-        self.successors.of(id).iter().map(move |&i| &self.edges[i])
+    fn incident<'a>(
+        &'a self,
+        index: &'a AdjacencyIndex,
+        id: SubId,
+    ) -> impl Iterator<Item = &'a DependenceEdge> {
+        let row = self.position(id).map_or(&[][..], |p| index.row(p));
+        row.iter()
+            .map(move |entry| &self.edges[entry.edge as usize])
     }
 
-    /// Incoming edges of a vertex.
+    /// Outgoing edges of a vertex, in edge-vector order (an edge whose other
+    /// endpoint is not a vertex is not listed).
+    pub fn outgoing(&self, id: SubId) -> impl Iterator<Item = &DependenceEdge> {
+        self.incident(&self.successors, id)
+    }
+
+    /// Incoming edges of a vertex, under the same rules as
+    /// [`outgoing`](Self::outgoing).
     pub fn incoming(&self, id: SubId) -> impl Iterator<Item = &DependenceEdge> {
-        self.predecessors
-            .of(id)
-            .iter()
-            .map(move |&i| &self.edges[i])
+        self.incident(&self.predecessors, id)
     }
 
     /// Returns `true` if `a` happens-before `b` according to the recorded
@@ -297,23 +404,20 @@ impl Cpg {
 
     /// All threads that contributed at least one vertex.
     pub fn threads(&self) -> BTreeSet<ThreadId> {
-        self.nodes.iter().map(|n| n.id.thread).collect()
+        self.ranges.iter().map(|r| r.thread).collect()
     }
 
     /// The execution sequence `L_t` of one thread.
     pub fn thread_sequence(&self, thread: ThreadId) -> Vec<SubId> {
-        self.nodes
-            .iter()
-            .map(|n| n.id)
-            .filter(|id| id.thread == thread)
-            .collect()
+        self.thread_range(thread)
+            .map_or_else(Vec::new, |r| self.ids[r.positions()].to_vec())
     }
 
     /// Aggregate statistics for the graph.
     pub fn stats(&self) -> CpgStats {
         let mut stats = CpgStats {
             nodes: self.nodes.len(),
-            threads: self.threads().len(),
+            threads: self.ranges.len(),
             ..CpgStats::default()
         };
         for e in &self.edges {
@@ -335,11 +439,66 @@ impl Cpg {
     /// contains a cycle (which would indicate a recording bug — the CPG must
     /// be a DAG).
     pub fn topological_order(&self) -> Option<Vec<SubId>> {
+        // Every edge between two vertices has one successor entry; an edge
+        // without one dangles, and no order can honour it.
+        if self.successors.entries.len() != self.edges.len() {
+            return None;
+        }
+        // FIFO Kahn; `order` doubles as the queue (`head` is its front).
+        let nodes = self.nodes.len();
+        let mut indegree: Vec<u32> = (0..nodes as u32)
+            .map(|p| self.predecessors.row(p).len() as u32)
+            .collect();
+        let mut order: Vec<u32> = Vec::with_capacity(nodes);
+        order.extend((0..nodes as u32).filter(|&p| indegree[p as usize] == 0));
+        let mut head = 0;
+        while let Some(&p) = order.get(head) {
+            head += 1;
+            for entry in self.successors.row(p) {
+                let d = &mut indegree[entry.neighbour as usize];
+                *d -= 1;
+                if *d == 0 {
+                    order.push(entry.neighbour);
+                }
+            }
+        }
+        (order.len() == nodes).then(|| order.into_iter().map(|p| self.id_at(p)).collect())
+    }
+
+    /// Checks structural invariants: the graph is a DAG, every edge endpoint
+    /// exists, and every edge respects the happens-before order.
+    pub fn validate(&self) -> Result<(), CpgValidationError> {
+        for e in &self.edges {
+            let (Some(src), Some(dst)) = (self.position(e.src), self.position(e.dst)) else {
+                return Err(CpgValidationError::DanglingEdge {
+                    src: e.src,
+                    dst: e.dst,
+                });
+            };
+            if !self.node_at(src).happens_before(self.node_at(dst)) {
+                return Err(CpgValidationError::EdgeAgainstOrder {
+                    src: e.src,
+                    dst: e.dst,
+                });
+            }
+        }
+        if self.topological_order().is_none() {
+            return Err(CpgValidationError::Cycle);
+        }
+        Ok(())
+    }
+}
+
+/// The pre-dense-index implementation, kept verbatim over the public API
+/// as the reference the dense one is tested against.
+#[cfg(test)]
+impl Cpg {
+    pub(crate) fn topological_order_reference(&self) -> Option<Vec<SubId>> {
         let mut indegree: BTreeMap<SubId, usize> = self.nodes.iter().map(|n| (n.id, 0)).collect();
         for e in &self.edges {
             *indegree.get_mut(&e.dst)? += 1;
         }
-        let mut queue: VecDeque<SubId> = indegree
+        let mut queue: std::collections::VecDeque<SubId> = indegree
             .iter()
             .filter(|(_, &d)| d == 0)
             .map(|(&id, _)| id)
@@ -360,29 +519,6 @@ impl Cpg {
         } else {
             None
         }
-    }
-
-    /// Checks structural invariants: the graph is a DAG, every edge endpoint
-    /// exists, and every edge respects the happens-before order.
-    pub fn validate(&self) -> Result<(), CpgValidationError> {
-        for e in &self.edges {
-            if self.node(e.src).is_none() || self.node(e.dst).is_none() {
-                return Err(CpgValidationError::DanglingEdge {
-                    src: e.src,
-                    dst: e.dst,
-                });
-            }
-            if !self.happens_before(e.src, e.dst) {
-                return Err(CpgValidationError::EdgeAgainstOrder {
-                    src: e.src,
-                    dst: e.dst,
-                });
-            }
-        }
-        if self.topological_order().is_none() {
-            return Err(CpgValidationError::Cycle);
-        }
-        Ok(())
     }
 }
 

@@ -107,6 +107,8 @@ pub mod frontier;
 pub mod graph;
 pub mod ids;
 pub mod query;
+#[cfg(test)]
+mod read_side_tests;
 pub mod recorder;
 pub mod recover;
 pub mod sharded;

@@ -8,11 +8,11 @@
 //! * *NUMA memory management* — page access summaries expose which threads
 //!   touch which pages and how often.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
-use crate::graph::{Cpg, EdgeKind};
+use crate::graph::{set_bits, Cpg, EdgeKind};
 use crate::ids::{PageId, SubId, ThreadId};
 
 /// Which edge kinds a traversal is allowed to follow.
@@ -75,9 +75,10 @@ impl PageAccessSummary {
     /// Returns `true` if more than one thread touched the page (a candidate
     /// for false sharing / remote NUMA traffic).
     pub fn is_shared(&self) -> bool {
-        let mut threads: BTreeSet<ThreadId> = self.readers.keys().copied().collect();
-        threads.extend(self.writers.keys().copied());
-        threads.len() > 1
+        let mut threads = self.readers.keys().chain(self.writers.keys());
+        threads
+            .next()
+            .is_some_and(|first| threads.any(|t| t != first))
     }
 }
 
@@ -237,11 +238,53 @@ impl<'a> ProvenanceQuery<'a> {
     }
 
     fn traverse(&self, start: SubId, filter: EdgeFilter, dir: Direction) -> BTreeSet<SubId> {
+        let cpg = self.cpg;
+        let Some(start) = cpg.position(start) else {
+            return BTreeSet::new();
+        };
+        let index = match dir {
+            Direction::Forward => &cpg.successors,
+            Direction::Backward => &cpg.predecessors,
+        };
+        // One bit per position. The reached set does not depend on visit
+        // order, so the frontier is a plain stack.
+        let mut seen = vec![0u64; cpg.node_count().div_ceil(64)];
+        let mut mark = |p: u32| {
+            let (word, bit) = (&mut seen[p as usize / 64], 1u64 << (p % 64));
+            let fresh = *word & bit == 0;
+            *word |= bit;
+            fresh
+        };
+        mark(start);
+        let mut frontier = vec![start];
+        while let Some(p) = frontier.pop() {
+            for entry in index.row(p) {
+                if filter.allows(entry.kind) && mark(entry.neighbour) {
+                    frontier.push(entry.neighbour);
+                }
+            }
+        }
+        // Ascending positions are ascending ids: the set is bulk-built from
+        // one sorted run.
+        set_bits(&seen).map(|p| cpg.id_at(p as u32)).collect()
+    }
+}
+
+/// The pre-dense-index traversal, kept verbatim over the public API as the
+/// reference the dense one is tested against.
+#[cfg(test)]
+impl ProvenanceQuery<'_> {
+    pub(crate) fn traverse_reference(
+        &self,
+        start: SubId,
+        filter: EdgeFilter,
+        dir: Direction,
+    ) -> BTreeSet<SubId> {
         let mut seen = BTreeSet::new();
         if self.cpg.node(start).is_none() {
             return seen;
         }
-        let mut queue = VecDeque::new();
+        let mut queue = std::collections::VecDeque::new();
         queue.push_back(start);
         seen.insert(start);
         while let Some(id) = queue.pop_front() {
@@ -270,7 +313,7 @@ impl<'a> ProvenanceQuery<'a> {
 }
 
 #[derive(Debug, Clone, Copy)]
-enum Direction {
+pub(crate) enum Direction {
     Forward,
     Backward,
 }
@@ -377,6 +420,20 @@ mod tests {
         let summary = q.page_summary();
         assert!(summary[&PageId::new(1)].is_shared());
         assert!(summary[&PageId::new(1)].total_touches() >= 2);
+    }
+
+    #[test]
+    fn is_shared_counts_distinct_threads_across_both_maps() {
+        let summary = |readers: &[u32], writers: &[u32]| PageAccessSummary {
+            readers: readers.iter().map(|&t| (ThreadId::new(t), 1)).collect(),
+            writers: writers.iter().map(|&t| (ThreadId::new(t), 1)).collect(),
+        };
+        assert!(!summary(&[], &[]).is_shared());
+        assert!(!summary(&[3], &[]).is_shared());
+        assert!(!summary(&[3], &[3]).is_shared());
+        assert!(summary(&[3], &[4]).is_shared());
+        assert!(summary(&[1, 2], &[]).is_shared());
+        assert!(summary(&[], &[1, 2]).is_shared());
     }
 
     #[test]

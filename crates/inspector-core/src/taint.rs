@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
-use crate::graph::{Cpg, EdgeKind};
+use crate::graph::{set_bits, Cpg, EdgeKind};
 use crate::ids::{PageId, SubId};
 
 /// A small integer taint label (for example "input file 3").
@@ -48,6 +48,19 @@ impl TaintReport {
     pub fn tainted_sub_count(&self) -> usize {
         self.tainted_subs.len()
     }
+}
+
+/// ORs row `from` of the label-bit table into row `into`; `true` if that
+/// added a label.
+fn merge_row(rows: &mut [u64], words: usize, from: usize, into: usize) -> bool {
+    let mut grew = false;
+    for w in 0..words {
+        let bits = rows[from * words + w];
+        let target = &mut rows[into * words + w];
+        grew |= bits & !*target != 0;
+        *target |= bits;
+    }
+    grew
 }
 
 /// Taint propagation engine.
@@ -93,16 +106,135 @@ impl TaintTracker {
 
     /// Propagates taint through the graph and returns the full report.
     ///
-    /// Propagation is a fixed-point over the topological order of the CPG: a
-    /// sub-computation inherits the labels of every tainted page it reads;
-    /// every page it writes then carries the union of its labels.
+    /// A sub-computation inherits the labels of every tainted page it reads
+    /// and of its tainted predecessors along the followed edges; every page
+    /// it writes then carries the union of its labels. The report is the
+    /// least fixed point of those rules, which a monotone worklist reaches
+    /// from any visit order — so a cyclic (malformed) graph needs no special
+    /// case.
     pub fn propagate(&self, cpg: &Cpg) -> TaintReport {
+        // Interned labels: a label set is a row of `words` 64-bit words, bit
+        // i standing for the i-th label in label order. Rows `0..nodes`
+        // belong to the vertices by position, the rest to the source pages
+        // in page order.
+        let labels: Vec<TaintLabel> = self
+            .sources
+            .values()
+            .flatten()
+            .copied()
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let words = labels.len().div_ceil(64);
+        let nodes = cpg.node_count();
+        let mut rows = vec![0u64; (nodes + self.sources.len()) * words];
+        for (i, page_labels) in self.sources.values().enumerate() {
+            for label in page_labels {
+                let bit = labels.binary_search(label).expect("interned above");
+                rows[(nodes + i) * words + bit / 64] |= 1 << (bit % 64);
+            }
+        }
+
+        // Seed: sub-computations directly reading a source page.
+        let mut queued = vec![false; nodes];
+        let mut worklist: VecDeque<u32> = VecDeque::new();
+        for (p, node) in cpg.nodes().enumerate() {
+            let mut seeded = false;
+            for (i, &page) in self.sources.keys().enumerate() {
+                if node.reads(page) {
+                    seeded |= merge_row(&mut rows, words, nodes + i, p);
+                }
+            }
+            if seeded {
+                queued[p] = true;
+                worklist.push_back(p as u32);
+            }
+        }
+
+        // Downstream readers along data edges inherit the labels; with the
+        // conservative policy, intra-thread successors do as well.
+        while let Some(p) = worklist.pop_front() {
+            queued[p as usize] = false;
+            for entry in cpg.successors.row(p) {
+                let follow = match entry.kind {
+                    EdgeKind::Data => true,
+                    EdgeKind::Control => self.through_control_flow,
+                    EdgeKind::Synchronization => false,
+                };
+                let next = entry.neighbour as usize;
+                if follow && merge_row(&mut rows, words, p as usize, next) && !queued[next] {
+                    queued[next] = true;
+                    worklist.push_back(entry.neighbour);
+                }
+            }
+        }
+
+        let row = |r: usize| &rows[r * words..(r + 1) * words];
+        let label_set = |row: &[u64]| -> BTreeSet<TaintLabel> {
+            set_bits(row).map(|bit| labels[bit]).collect()
+        };
+        let tainted: Vec<usize> = (0..nodes)
+            .filter(|&p| row(p).iter().any(|&word| word != 0))
+            .collect();
+        // Every page written by a tainted sub-computation becomes tainted.
+        // Sorted, the rows feeding one page form one run.
+        let mut page_rows: Vec<(PageId, usize)> =
+            self.sources.keys().copied().zip(nodes..).collect();
+        for &p in &tainted {
+            let written = &cpg.node_at(p as u32).write_set;
+            page_rows.extend(written.iter().map(|&page| (page, p)));
+        }
+        page_rows.sort_unstable();
+        let mut union = vec![0u64; words];
+        TaintReport {
+            // Both maps are bulk-built from runs sorted by key.
+            tainted_subs: tainted
+                .iter()
+                .map(|&p| (cpg.id_at(p as u32), label_set(row(p))))
+                .collect(),
+            tainted_pages: page_rows
+                .chunk_by(|a, b| a.0 == b.0)
+                .map(|run| {
+                    union.fill(0);
+                    for &(_, r) in run {
+                        union
+                            .iter_mut()
+                            .zip(row(r))
+                            .for_each(|(u, &word)| *u |= word);
+                    }
+                    (run[0].0, label_set(&union))
+                })
+                .collect(),
+        }
+    }
+
+    /// Convenience: propagate and decide whether an output operation reading
+    /// from `pages` would leak any tainted data (the DIFT policy check).
+    pub fn check_output(&self, cpg: &Cpg, pages: &[PageId]) -> Result<(), TaintViolation> {
+        let report = self.propagate(cpg);
+        for &p in pages {
+            if let Some(labels) = report.labels_of_page(p) {
+                return Err(TaintViolation {
+                    page: p,
+                    labels: labels.clone(),
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The pre-dense-index propagation, kept over the public API as the
+/// reference the dense one is tested against.
+#[cfg(test)]
+impl TaintTracker {
+    pub(crate) fn propagate_reference(&self, cpg: &Cpg) -> TaintReport {
         let mut report = TaintReport {
             tainted_subs: BTreeMap::new(),
             tainted_pages: self.sources.clone(),
         };
 
-        let order = match cpg.topological_order() {
+        let order = match cpg.topological_order_reference() {
             Some(o) => o,
             None => cpg.nodes().map(|n| n.id).collect(),
         };
@@ -133,9 +265,7 @@ impl TaintTracker {
             if let Some(node) = cpg.node(id) {
                 for &page in &node.write_set {
                     let entry = report.tainted_pages.entry(page).or_default();
-                    let before = entry.len();
                     entry.extend(labels.iter().copied());
-                    let _ = before;
                 }
             }
             // Downstream readers along data edges inherit the labels; with
@@ -159,21 +289,6 @@ impl TaintTracker {
         }
 
         report
-    }
-
-    /// Convenience: propagate and decide whether an output operation reading
-    /// from `pages` would leak any tainted data (the DIFT policy check).
-    pub fn check_output(&self, cpg: &Cpg, pages: &[PageId]) -> Result<(), TaintViolation> {
-        let report = self.propagate(cpg);
-        for &p in pages {
-            if let Some(labels) = report.labels_of_page(p) {
-                return Err(TaintViolation {
-                    page: p,
-                    labels: labels.clone(),
-                });
-            }
-        }
-        Ok(())
     }
 }
 

@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use crate::event::{AccessKind, SyncKind};
+use crate::graph::Cpg;
 use crate::ids::{PageId, SyncObjectId, ThreadId};
 use crate::recorder::{SyncClockRegistry, ThreadRecorder};
 use crate::subcomputation::SubComputation;
@@ -80,6 +81,13 @@ pub fn announce_all(
             builder.announce_thread(first.id.thread, &first.clock);
         }
     }
+}
+
+/// Rebuilds `cpg`'s position index and adjacency from its own nodes and
+/// edges: the step every builder ends with (the streaming seal pays it on
+/// the run's critical path), isolated for the micro-benchmarks.
+pub fn reindex(cpg: Cpg) -> Cpg {
+    Cpg::from_sorted_nodes(cpg.nodes, cpg.edges)
 }
 
 #[cfg(test)]
