@@ -29,7 +29,6 @@ use inspector_pt::encode::PacketEncoder;
 use inspector_pt::packet::{find_psb, find_psb_naive};
 use inspector_pt::stream::StreamingDecoder;
 use inspector_pt::trace::ThreadTrace;
-use inspector_pt::window::decode_windowed_into;
 
 fn bench_vector_clocks(c: &mut Criterion) {
     let mut group = c.benchmark_group("vector_clock");
@@ -244,27 +243,8 @@ fn bench_pt_decode(c: &mut Criterion) {
             });
         });
     }
-    // The parallel PSB-window path swept over its fan-out; `windows = 1`
-    // prices the scanner + resequencer machinery against `streaming` above.
-    for windows in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("windowed", windows),
-            &windows,
-            |b, &windows| {
-                b.iter(|| {
-                    let mut events = 0u64;
-                    let stats = decode_windowed_into(&bytes, windows, true, &mut |item| {
-                        item.unwrap();
-                        events += 1;
-                    });
-                    assert_eq!(stats.errors, 0);
-                    events
-                });
-            },
-        );
-    }
-    // The PSB-boundary scan the window scanner runs over every AUX chunk:
-    // the swar word-at-a-time scan against the byte-at-a-time reference.
+    // The PSB-boundary scan the streaming decoder resynchronises with: the
+    // swar word-at-a-time scan against the byte-at-a-time reference.
     // Same walk shape for both — restart one past each hit, like a decoder
     // resynchronising repeatedly.
     for (name, scan) in [

@@ -1,10 +1,9 @@
 //! Records the streaming-ingest perf baseline into `BENCH_ingest.json`:
 //! the `cpg_ingest` pool-size × shard-count × workload grid, the
 //! `seal_latency` sweep (ns per sub-computation), the `pt_decode`
-//! batch-vs-streaming decode throughput (MiB/s) plus the parallel
-//! PSB-window decode swept over window counts, and the `spill`
-//! threshold sweep (spill bandwidth + peak resident window + process RSS
-//! high-water mark).
+//! batch-vs-streaming decode throughput (MiB/s) plus the PSB-scan
+//! comparison, and the `spill` threshold sweep (spill bandwidth + peak
+//! resident window + process RSS high-water mark).
 //!
 //! Run `--quick` (or set `INSPECTOR_BENCH_QUICK=1`) for the CI smoke shape;
 //! set `INSPECTOR_BENCH_OUT` to change the output path (default
@@ -26,7 +25,7 @@ use inspector_bench::check::{compare, parse_metrics, CheckOutcome};
 use inspector_bench::ingest_bench::{
     measure_batch_ns_per_sub, measure_decode_throughput, measure_durability_cell,
     measure_grid_cell, measure_index_residency, measure_pooled_build, measure_psb_scan_throughput,
-    measure_spill_cell, measure_windowed_throughput, peak_rss_kib, GridCell,
+    measure_spill_cell, peak_rss_kib, GridCell,
 };
 use inspector_core::spill::SpillDurability;
 use inspector_core::testing::lock_heavy_sequences;
@@ -299,15 +298,13 @@ fn main() {
 
     // Decode-while-running throughput: the streaming decoder fed at AUX
     // chunk granularities vs the batch reference over the same stream, then
-    // the parallel PSB-window path swept over its worker fan-out. Both row
-    // kinds live in the same `pt_decode` section; the line scanner tells
-    // them apart by their distinguishing fields (`chunk_bytes` vs
-    // `windows`).
+    // the PSB scan. Both row kinds live in the same `pt_decode` section; the
+    // line scanner tells them apart by their distinguishing fields
+    // (`chunk_bytes` vs `scan`).
     json.push_str("  \"pt_decode\": [\n");
     // Same stream length in both shapes — see the comparability note above.
     let decode_branches: u64 = 200_000;
     let chunk_sizes: &[usize] = if quick { &[4096] } else { &[512, 4096, 65536] };
-    let mut serial_streaming_mib = 0f64;
     for &chunk in chunk_sizes {
         let t = measure_decode_throughput(decode_branches, chunk, cheap_repeats);
         eprintln!(
@@ -320,7 +317,6 @@ fn main() {
             t.streaming_mib_per_sec(),
             t.streaming_branches_per_sec()
         );
-        serial_streaming_mib = serial_streaming_mib.max(t.streaming_mib_per_sec());
         let _ = writeln!(
             json,
             "    {{\"chunk_bytes\": {}, \"bytes\": {}, \"branches\": {}, \
@@ -334,41 +330,8 @@ fn main() {
             t.streaming_branches_per_sec(),
         );
     }
-    // Window sweep: `windows = 1` is the serial-comparable cell (one worker
-    // decoding every window in sequence through the reassembler), so its
-    // gap to `streaming_mib_per_sec` above is the fan-out machinery's
-    // overhead; higher counts only pay off with real cores underneath.
-    let window_counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
-    for &windows in window_counts {
-        let t = measure_windowed_throughput(decode_branches, windows, cheap_repeats);
-        eprintln!(
-            "pt_decode/windows{}: {} branches, {} bytes, windowed {:.0} MiB/s \
-             ({:.2e} branches/s)",
-            windows,
-            t.branches,
-            t.bytes,
-            t.windowed_mib_per_sec(),
-            t.windowed_branches_per_sec()
-        );
-        if windows == 1 && serial_streaming_mib > 0.0 {
-            eprintln!(
-                "pt_decode single-window overhead: {:.1}% vs best serial streaming cell",
-                (1.0 - t.windowed_mib_per_sec() / serial_streaming_mib) * 100.0
-            );
-        }
-        let _ = writeln!(
-            json,
-            "    {{\"windows\": {}, \"bytes\": {}, \"branches\": {}, \
-             \"windowed_mib_per_sec\": {:.1}, \"windowed_branches_per_sec\": {:.0}}},",
-            t.windows,
-            t.bytes,
-            t.branches,
-            t.windowed_mib_per_sec(),
-            t.windowed_branches_per_sec(),
-        );
-    }
-    // PSB-boundary scan: the swar word-at-a-time scan the window scanner
-    // runs over every AUX chunk, against the byte-at-a-time reference.
+    // PSB-boundary scan: the swar word-at-a-time scan the streaming decoder
+    // resynchronises with, against the byte-at-a-time reference.
     let scan = measure_psb_scan_throughput(decode_branches, cheap_repeats);
     eprintln!(
         "pt_decode/psb_scan: {} bytes, swar {:.0} MiB/s, naive {:.0} MiB/s ({:.2}x)",

@@ -17,8 +17,8 @@ fn main() {
     let rows = figure6(size, threads, repeats);
     print_figure6(&rows, threads);
     // The decode-online cross-check is the end-to-end correctness gate for
-    // the decode stage (serial or windowed): every workload's decoded
-    // branch count must equal the recorder's own count on lossless runs.
+    // the decode stage: every workload's decoded branch count must equal
+    // the recorder's own count on lossless runs.
     // A run whose trace gapped (tiny AUX rings, or the CI fault cell's
     // INSPECTOR_FAULT_* plan) has no exact expected count: its loss is
     // accounted in the `gaps`/`lost_bytes` columns instead, and the

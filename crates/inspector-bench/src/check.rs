@@ -46,16 +46,6 @@ pub struct DecodeMetric {
     pub streaming_mib_per_sec: f64,
 }
 
-/// One windowed `pt_decode` sweep point (parallel PSB-window decode at a
-/// given fan-out; `windows = 1` is the serial-comparable cell).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowedMetric {
-    /// Worker/window fan-out the decode ran with.
-    pub windows: u64,
-    /// Windowed decode bandwidth, MiB/s.
-    pub windowed_mib_per_sec: f64,
-}
-
 /// One PSB-scan point (`swar` is the shipping scan, `naive` the
 /// byte-at-a-time reference it is measured against).
 #[derive(Debug, Clone, PartialEq)]
@@ -114,8 +104,6 @@ pub struct BenchMetrics {
     pub seal_points: Vec<SealMetric>,
     /// `pt_decode` throughput points.
     pub decode_points: Vec<DecodeMetric>,
-    /// Windowed `pt_decode` sweep points.
-    pub windowed_points: Vec<WindowedMetric>,
     /// PSB-scan points.
     pub scan_points: Vec<ScanMetric>,
     /// `spill` threshold sweep points.
@@ -157,7 +145,6 @@ fn field_str(line: &str, key: &str) -> Option<String> {
 /// The scanner keys off the distinguishing field of each row kind
 /// (`total_ns_per_sub` + `pool` for grid cells, `iterations` +
 /// `seal_ns_per_sub` for seal points, `chunk_bytes` for decode points,
-/// `windows` + `windowed_mib_per_sec` for windowed decode points,
 /// `scan` + `scan_mib_per_sec` for PSB-scan points,
 /// `threshold` + `total_ns_per_sub` for spill points,
 /// `durability` + `total_ns_per_sub` for durability rows) and tracks the
@@ -206,15 +193,6 @@ pub fn parse_metrics(json: &str) -> BenchMetrics {
                 chunk_bytes: chunk,
                 batch_mib_per_sec: batch,
                 streaming_mib_per_sec: streaming,
-            });
-        }
-        if let (Some(windows), Some(windowed)) = (
-            field_u64(line, "windows"),
-            field_f64(line, "windowed_mib_per_sec"),
-        ) {
-            metrics.windowed_points.push(WindowedMetric {
-                windows,
-                windowed_mib_per_sec: windowed,
             });
         }
         if let (Some(scan), Some(mib)) =
@@ -441,25 +419,6 @@ pub fn compare(current: &BenchMetrics, baseline: &BenchMetrics, tolerance: f64) 
         }
     }
 
-    for point in &current.windowed_points {
-        let Some(base) = baseline
-            .windowed_points
-            .iter()
-            .find(|b| b.windows == point.windows)
-        else {
-            continue;
-        };
-        compared += 1;
-        let ratio = worse_high(base.windowed_mib_per_sec, point.windowed_mib_per_sec);
-        if ratio > 1.0 + tolerance {
-            regressions.push(Regression {
-                metric: format!("pt_decode/windows={} (MiB/s)", point.windows),
-                baseline: base.windowed_mib_per_sec,
-                current: point.windowed_mib_per_sec,
-                ratio,
-            });
-        }
-    }
     for point in &current.scan_points {
         let Some(base) = baseline.scan_points.iter().find(|b| b.scan == point.scan) else {
             continue;
@@ -522,7 +481,6 @@ mod tests {
   ],
   "pt_decode": [
     {{"chunk_bytes": 4096, "bytes": 100, "branches": 50, "batch_mib_per_sec": 200.0, "streaming_mib_per_sec": {decode_mib}, "streaming_branches_per_sec": 1}},
-    {{"windows": 4, "bytes": 100, "branches": 50, "windowed_mib_per_sec": 150.0, "windowed_branches_per_sec": 1}},
     {{"scan": "swar", "bytes": 100, "scan_mib_per_sec": 12000.0}},
     {{"scan": "naive", "bytes": 100, "scan_mib_per_sec": 2500.0}}
   ],
@@ -559,9 +517,6 @@ mod tests {
         assert_eq!(m.spill_points.len(), 1);
         assert_eq!(m.spill_points[0].threshold, 8);
         assert!((m.spill_points[0].total_ns_per_sub - 2000.0).abs() < 1e-9);
-        assert_eq!(m.windowed_points.len(), 1);
-        assert_eq!(m.windowed_points[0].windows, 4);
-        assert!((m.windowed_points[0].windowed_mib_per_sec - 150.0).abs() < 1e-9);
         assert_eq!(m.scan_points.len(), 2);
         assert_eq!(m.scan_points[0].scan, "swar");
         assert!((m.scan_points[0].scan_mib_per_sec - 12000.0).abs() < 1e-9);
@@ -646,27 +601,6 @@ mod tests {
             }
             other => panic!("expected scan regression, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn windowed_regression_beyond_tolerance_fails() {
-        let baseline = parse_metrics(&artefact(1, 1000.0, 50.0, 100.0));
-        let mut current = parse_metrics(&artefact(1, 1000.0, 50.0, 100.0));
-        // Only the windowed decode cell regressed (half the bandwidth).
-        current.windowed_points[0].windowed_mib_per_sec = 75.0;
-        match compare(&current, &baseline, 0.30) {
-            CheckOutcome::Failed(regressions) => {
-                assert_eq!(regressions.len(), 1, "{regressions:?}");
-                assert!(regressions[0].metric.contains("pt_decode/windows=4"));
-            }
-            other => panic!("expected windowed regression, got {other:?}"),
-        }
-        // Within tolerance passes.
-        current.windowed_points[0].windowed_mib_per_sec = 120.0;
-        assert!(matches!(
-            compare(&current, &baseline, 0.30),
-            CheckOutcome::Passed(_)
-        ));
     }
 
     #[test]
@@ -762,7 +696,6 @@ mod tests {
         current.durability_points[0].durability = "otherA".into();
         current.durability_points[1].durability = "otherB".into();
         current.fault_points[0].plan = "other".into();
-        current.windowed_points[0].windows = 999;
         current.scan_points[0].scan = "other0".into();
         current.scan_points[1].scan = "other1".into();
         assert!(matches!(

@@ -107,8 +107,6 @@ pub struct Fig6Row {
     /// Lossless runs where the decoded branch count disagreed with the
     /// recorder's own count (must be 0 — the decode-online cross-check).
     pub decode_mismatches: u64,
-    /// PSB windows the decode stage fanned out (0 = serial decode).
-    pub decode_windows: u64,
     /// AUX overflow episodes across the run's threads (0 on healthy runs;
     /// nonzero under tiny rings or an `INSPECTOR_FAULT_OVERFLOW_BYTES`
     /// plan). When nonzero the decode cross-check is accounted, not
@@ -148,7 +146,6 @@ pub fn figure6(size: InputSize, threads: usize, repeats: usize) -> Vec<Fig6Row> 
                 decoded_branches: m.report.stats.decoded_branches,
                 decode_errors: m.report.stats.decode_errors,
                 decode_mismatches: m.report.stats.decode_mismatches,
-                decode_windows: m.report.stats.decode_windows,
                 gaps: m.report.stats.gaps,
                 lost_bytes: m.report.stats.lost_bytes,
                 degraded: m.report.stats.degraded,
@@ -191,15 +188,9 @@ pub fn print_figure6(rows: &[Fig6Row], threads: usize) {
         let decoded: u64 = rows.iter().map(|r| r.decoded_branches).sum();
         let errors: u64 = rows.iter().map(|r| r.decode_errors).sum();
         let mismatches: u64 = rows.iter().map(|r| r.decode_mismatches).sum();
-        let windows: u64 = rows.iter().map(|r| r.decode_windows).sum();
         println!(
             "online decode: {decoded} branches recovered, {errors} decode errors, \
-             {mismatches} cross-check mismatches{}",
-            if windows > 0 {
-                format!(" ({windows} PSB windows fanned out)")
-            } else {
-                String::new()
-            }
+             {mismatches} cross-check mismatches"
         );
     }
     if rows.iter().any(|r| r.spilled_subs > 0) {
@@ -511,7 +502,6 @@ mod tests {
                 decoded_branches: 1234,
                 decode_errors: 0,
                 decode_mismatches: 0,
-                decode_windows: 3,
                 gaps: 1,
                 lost_bytes: 512,
                 degraded: true,

@@ -21,7 +21,6 @@ use inspector_pt::branch::BranchEvent;
 use inspector_pt::decode::PacketDecoder;
 use inspector_pt::encode::PacketEncoder;
 use inspector_pt::stream::StreamingDecoder;
-use inspector_pt::window::decode_windowed_into;
 
 /// Streams `sequences` into a fresh builder from a `pool`-wide producer
 /// pool and seals. `pool == 1` reproduces the single-ingest-thread
@@ -610,68 +609,6 @@ pub fn measure_psb_scan_throughput(branches: u64, repeats: usize) -> PsbScanThro
     }
 }
 
-/// One windowed-decode measurement: the same deterministic stream as
-/// [`measure_decode_throughput`], decoded through the parallel PSB-window
-/// path with a given worker/window fan-out.
-#[derive(Debug, Clone)]
-pub struct WindowedThroughput {
-    /// Stream length in bytes.
-    pub bytes: usize,
-    /// Branch events the stream encodes.
-    pub branches: u64,
-    /// Worker/window fan-out the decode ran with.
-    pub windows: usize,
-    /// Best-of-N windowed decode time for the whole stream, nanoseconds.
-    pub windowed_ns: f64,
-}
-
-impl WindowedThroughput {
-    /// Windowed decode bandwidth in MiB/s.
-    pub fn windowed_mib_per_sec(&self) -> f64 {
-        (self.bytes as f64 / (1024.0 * 1024.0)) / (self.windowed_ns * 1e-9)
-    }
-
-    /// Windowed decode rate in branch events per second.
-    pub fn windowed_branches_per_sec(&self) -> f64 {
-        self.branches as f64 / (self.windowed_ns * 1e-9)
-    }
-}
-
-/// Measures windowed (parallel PSB-window) decode throughput over the same
-/// deterministic stream the serial `pt_decode` rows use, best of `repeats`.
-/// Events are drained through a discarding sink — the shape the runtime's
-/// counting cross-check produces — and every repeat asserts the merged
-/// counters recovered every encoded branch with no errors.
-pub fn measure_windowed_throughput(
-    branches: u64,
-    windows: usize,
-    repeats: usize,
-) -> WindowedThroughput {
-    let (bytes, branches) = encoded_branch_stream(branches);
-    let mut best = Duration::MAX;
-    for _ in 0..repeats.max(1) {
-        let start = Instant::now();
-        let mut drained = 0u64;
-        let stats = decode_windowed_into(&bytes, windows.max(1), true, &mut |item| {
-            item.expect("clean stream");
-            drained += 1;
-        });
-        best = best.min(start.elapsed());
-        assert_eq!(stats.errors, 0);
-        assert_eq!(
-            stats.branches, branches,
-            "windowed decode must recover every encoded branch"
-        );
-        std::hint::black_box(drained);
-    }
-    WindowedThroughput {
-        bytes: bytes.len(),
-        branches,
-        windows: windows.max(1),
-        windowed_ns: best.as_nanos() as f64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -748,18 +685,6 @@ mod tests {
         assert!(t.swar_mib_per_sec() > 0.0);
         assert!(t.naive_mib_per_sec() > 0.0);
         assert!(t.speedup() > 0.0);
-    }
-
-    #[test]
-    fn windowed_throughput_recovers_every_branch() {
-        for windows in [1usize, 4] {
-            let t = measure_windowed_throughput(5_000, windows, 1);
-            assert!(t.bytes > 0);
-            assert_eq!(t.branches, 5_000);
-            assert_eq!(t.windows, windows);
-            assert!(t.windowed_mib_per_sec() > 0.0);
-            assert!(t.windowed_branches_per_sec() > 0.0);
-        }
     }
 
     #[test]

@@ -21,17 +21,19 @@
 //! The encoder/decoder pair is what gives the evaluation its realistic trace
 //! volumes, bandwidths and compression ratios (Figures 6 and 9).
 //!
-//! # Three decode modes: batch, streaming, windowed
+//! # One grammar, one carrier
 //!
-//! Three decode paths share one packet grammar and one packet→event mapping
+//! Decoding is two layers over one packet→event mapping
 //! ([`decode::packet_events`]):
 //!
-//! * [`decode::PacketDecoder`] is the **batch** decoder: it requires the
-//!   complete byte stream, fails fast ([`decode::DecodeError`]) and is the
-//!   semantic reference.
-//! * [`stream::StreamingDecoder`] is the **online** decoder the runtime's
-//!   ingest workers run while the traced program executes. It accepts AUX
-//!   chunks incrementally and upholds two contracts:
+//! * [`decode::PacketDecoder`] is the **grammar**: `next_packet` parses one
+//!   packet from a complete byte slice, fails fast
+//!   ([`decode::DecodeError`]) and is the semantic reference every other
+//!   decode result is compared against.
+//! * [`stream::StreamingDecoder`] is the **carrier** over it — a carry
+//!   buffer around `PacketDecoder::next_packet` — and the one decoder the
+//!   runtime's ingest workers and post-mortem log decoding run. It accepts
+//!   AUX chunks incrementally and upholds two contracts:
 //!
 //!   1. **Chunk boundaries are invisible.** A packet cut by a chunk
 //!      boundary is carried (deferred), never errored; over *any* chunking
@@ -43,19 +45,6 @@
 //!      the decoder then discards bytes until the next PSB pattern (where
 //!      the IP context is reset by construction) and resumes losing only
 //!      the events between the corruption point and that PSB.
-//!
-//! * The **windowed** path ([`window`]) parallelises the streaming decode:
-//!   [`window::WindowScanner`] splits the stream at PSB-run starts (found
-//!   with the SWAR scanner behind [`packet::find_psb`]), each window is
-//!   decoded speculatively with a fresh context by a
-//!   [`window::WindowDecoder`] on any available worker, and a
-//!   [`window::Reassembler`] fed through the sequence-numbered
-//!   [`ordered::OrderedQueue`] merges the outcomes back into exact stream
-//!   order — validating every boundary (and serially replaying the rare
-//!   false cut where the PSB byte-pattern sat inside a packet payload) so
-//!   the merged events, errors and [`stream::StreamStats`] are
-//!   byte-for-byte the serial streaming output, contracts 1 and 2
-//!   included.
 //!
 //! Producers uphold the matching invariant: [`trace::ThreadTrace`] never
 //! hands out a chunk that ends mid-packet ([`packet::complete_frame_prefix`]
@@ -82,20 +71,16 @@ pub mod aux;
 pub mod branch;
 pub mod decode;
 pub mod encode;
-pub mod ordered;
 pub mod packet;
 pub mod stats;
 pub mod stream;
 pub mod trace;
-pub mod window;
 
 pub use aux::{AuxBuffer, AuxMode};
 pub use branch::BranchEvent;
 pub use decode::{DecodeError, PacketDecoder};
 pub use encode::PacketEncoder;
-pub use ordered::OrderedQueue;
 pub use packet::Packet;
 pub use stats::PtStats;
 pub use stream::{StreamStats, StreamingDecoder};
 pub use trace::ThreadTrace;
-pub use window::{decode_windowed, Reassembler, WindowDecoder, WindowOutcome, WindowScanner};

@@ -231,8 +231,8 @@ pub fn find_psb(bytes: &[u8]) -> Option<usize> {
 }
 
 /// [`find_psb`] restricted to offsets `>= start` (still indexing into the
-/// full slice) — the incremental window scanner re-scans only the unseen
-/// suffix plus a 3-byte overlap.
+/// full slice), so a caller walking every PSB of a stream resumes after the
+/// previous hit instead of re-slicing.
 pub fn find_psb_from(bytes: &[u8], start: usize) -> Option<usize> {
     let n = bytes.len();
     if n < 4 || start + 4 > n {

@@ -150,43 +150,6 @@ impl StreamingDecoder {
         }
     }
 
-    /// Resumes a decoder mid-stream from an explicit carry state: `carry`
-    /// becomes the undecoded buffer, `last_ip`/`resyncing` the inherited
-    /// context. Statistics start at zero — the caller owns the merge into
-    /// whatever stream-order totals it keeps (the windowed reassembler's
-    /// serial-replay and finalisation path).
-    pub(crate) fn resume(
-        carry: Vec<u8>,
-        last_ip: u64,
-        resyncing: bool,
-        record_events: bool,
-    ) -> Self {
-        StreamingDecoder {
-            buf: carry,
-            last_ip,
-            resyncing,
-            record_events,
-            ..Self::default()
-        }
-    }
-
-    /// Rewinds the decoder to its start-of-stream state while keeping the
-    /// carry-buffer and pending-queue allocations. The windowed decode path
-    /// reuses one decoder per worker across PSB windows this way: on
-    /// TNT-dense streams the pending queue grows to a full pump quantum of
-    /// events, and reallocating it for every window dominated the
-    /// per-window decode profile.
-    pub(crate) fn reset(&mut self, record_events: bool) {
-        self.buf.clear();
-        self.head = 0;
-        self.last_ip = 0;
-        self.pending.clear();
-        self.resyncing = false;
-        self.finished = false;
-        self.record_events = record_events;
-        self.stats = StreamStats::default();
-    }
-
     /// Appends one AUX chunk and decodes. In counting mode everything
     /// decodable is consumed before returning; in recording mode one
     /// [`PUMP_QUANTUM`] is decoded eagerly and the rest is pulled on demand
@@ -270,21 +233,6 @@ impl StreamingDecoder {
     /// mode — complete packets not yet pulled by the demand-driven pump.
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.head
-    }
-
-    /// The undecoded carry bytes (exact suffix of the pushed stream).
-    pub(crate) fn carry(&self) -> &[u8] {
-        &self.buf[self.head..]
-    }
-
-    /// The last-IP decompression context.
-    pub(crate) fn context_ip(&self) -> u64 {
-        self.last_ip
-    }
-
-    /// Whether the decoder is discarding garbage awaiting a PSB.
-    pub(crate) fn is_resyncing(&self) -> bool {
-        self.resyncing
     }
 
     /// The per-pass pump bound for this decoder's mode.
@@ -403,7 +351,7 @@ impl StreamingDecoder {
     /// synchronised; `false` when more bytes are needed (a 3-byte tail is
     /// kept in case a PSB pattern straddles the chunk boundary).
     fn resync(&mut self) -> bool {
-        if let Some(i) = find_psb(self.carry()) {
+        if let Some(i) = find_psb(&self.buf[self.head..]) {
             self.consume(i);
             self.resyncing = false;
             self.stats.resyncs += 1;

@@ -128,21 +128,6 @@ pub struct SessionConfig {
     /// decodable offline after a PSB re-sync, so it bypasses the online
     /// stage.
     pub decode_online: bool,
-    /// Fan the online PT decode out across the ingest pool in PSB-delimited
-    /// windows. `0` (the default) keeps the serial per-thread streaming
-    /// decode untouched. A nonzero value sets the per-thread resequencer
-    /// depth: AUX chunks are scanned for PSB-run starts, whole windows are
-    /// published as decode jobs that **any** idle ingest worker can steal,
-    /// and a sequence-numbered [`OrderedQueue`] merges the outcomes back
-    /// into stream order for the same recorder cross-check — with at most
-    /// this many windows in flight ahead of the merge point per thread
-    /// (backpressure). Only effective together with `decode_online`;
-    /// results are event- and counter-identical to the serial path
-    /// (`RunStats::{decode_windows, resequencer_max_depth}` report the
-    /// fan-out).
-    ///
-    /// [`OrderedQueue`]: inspector_pt::OrderedQueue
-    pub decode_windows: usize,
     /// Spill sealed-off consistent prefixes of the streaming CPG build to
     /// disk once a shard holds this many resident sub-computations, bounding
     /// peak memory to the active window for long runs (§VI). `0` (the
@@ -201,7 +186,6 @@ impl SessionConfig {
             ingest_threads: default_ingest_threads(),
             ingest_batch: 64,
             decode_online: false,
-            decode_windows: 0,
             spill_threshold: 0,
             spill_dir: None,
             spill_durability: SpillDurability::None,
@@ -262,13 +246,6 @@ impl SessionConfig {
         self
     }
 
-    /// Returns a copy with windowed online decode enabled at the given
-    /// resequencer depth (0 keeps the serial streaming path).
-    pub fn with_decode_windows(mut self, windows: usize) -> Self {
-        self.decode_windows = windows;
-        self
-    }
-
     /// Returns a copy with the given spill threshold (0 disables spilling).
     pub fn with_spill_threshold(mut self, threshold: usize) -> Self {
         self.spill_threshold = threshold;
@@ -310,9 +287,6 @@ impl SessionConfig {
     ///   sub-computation),
     /// * `INSPECTOR_DECODE_ONLINE` — `1`/`true` decodes PT packets on the
     ///   ingest workers while the program runs (the `pt_decode` phase),
-    /// * `INSPECTOR_DECODE_WINDOWS` — nonzero fans the online decode out in
-    ///   PSB-delimited windows across the pool with this resequencer depth
-    ///   (`0`/unset keeps the serial streaming path),
     /// * `INSPECTOR_SPILL_THRESHOLD` — per-shard resident sub-computation
     ///   count that triggers a spill-to-disk cut (`0` explicitly disables
     ///   spilling — unlike the knobs above, zero is this knob's documented
@@ -332,12 +306,11 @@ impl SessionConfig {
     ///   the default, so `FOO=0` and unset are equivalent.
     ///
     /// Unset or unrecognized values leave the corresponding configured
-    /// default untouched. For the five structural knobs
+    /// default untouched. For the four structural knobs
     /// (`INGEST_THREADS`, `CPG_SHARDS`, `INGEST_QUEUE_DEPTH`,
-    /// `INGEST_BATCH`, `DECODE_WINDOWS`) a zero is treated as unrecognized
-    /// too: they have no meaningful zero configuration (for
-    /// `DECODE_WINDOWS` zero *is* the serial default), so `FOO=0` keeps
-    /// the default rather than being silently clamped to 1.
+    /// `INGEST_BATCH`) a zero is treated as unrecognized too: they have no
+    /// meaningful zero configuration, so `FOO=0` keeps the default rather
+    /// than being silently clamped to 1.
     pub fn apply_env(self) -> Self {
         self.apply_env_with(|name| std::env::var(name).ok())
     }
@@ -368,9 +341,6 @@ impl SessionConfig {
         }
         if let Some(on) = lookup("INSPECTOR_DECODE_ONLINE").and_then(|raw| parse_bool(&raw)) {
             self = self.with_decode_online(on);
-        }
-        if let Some(windows) = knob("INSPECTOR_DECODE_WINDOWS") {
-            self = self.with_decode_windows(windows);
         }
         // Spill threshold: zero is a meaningful value (explicitly off).
         if let Some(threshold) =
@@ -464,7 +434,6 @@ mod tests {
             .with_ingest_queue_depth(64)
             .with_ingest_batch(16)
             .with_decode_online(true)
-            .with_decode_windows(4)
             .with_spill_threshold(128)
             .with_spill_dir("/tmp/spill");
         assert_eq!(c.mode, ExecutionMode::Inspector);
@@ -475,7 +444,6 @@ mod tests {
         assert_eq!(c.ingest_queue_depth, 64);
         assert_eq!(c.ingest_batch, 16);
         assert!(c.decode_online);
-        assert_eq!(c.decode_windows, 4);
         assert_eq!(c.spill_threshold, 128);
         assert_eq!(c.spill_dir, Some(PathBuf::from("/tmp/spill")));
     }
@@ -484,8 +452,6 @@ mod tests {
     fn online_decode_and_spill_default_off() {
         assert!(!SessionConfig::inspector().decode_online);
         assert!(!SessionConfig::native().decode_online);
-        assert_eq!(SessionConfig::inspector().decode_windows, 0);
-        assert_eq!(SessionConfig::native().decode_windows, 0);
         assert_eq!(SessionConfig::inspector().spill_threshold, 0);
         assert_eq!(SessionConfig::inspector().spill_dir, None);
     }
@@ -522,7 +488,6 @@ mod tests {
             "INSPECTOR_INGEST_QUEUE_DEPTH" => Some("64".into()),
             "INSPECTOR_INGEST_BATCH" => Some("8".into()),
             "INSPECTOR_DECODE_ONLINE" => Some("1".into()),
-            "INSPECTOR_DECODE_WINDOWS" => Some("4".into()),
             "INSPECTOR_SPILL_THRESHOLD" => Some("256".into()),
             "INSPECTOR_SPILL_DIR" => Some("/tmp/spill-env".into()),
             _ => None,
@@ -532,7 +497,6 @@ mod tests {
         assert_eq!(parsed.ingest_queue_depth, 64);
         assert_eq!(parsed.ingest_batch, 8);
         assert!(parsed.decode_online);
-        assert_eq!(parsed.decode_windows, 4);
         assert_eq!(parsed.spill_threshold, 256);
         assert_eq!(parsed.spill_dir, Some(PathBuf::from("/tmp/spill-env")));
     }
@@ -551,22 +515,19 @@ mod tests {
             .with_ingest_threads(3)
             .with_cpg_shards(5)
             .with_ingest_queue_depth(77)
-            .with_ingest_batch(9)
-            .with_decode_windows(6);
+            .with_ingest_batch(9);
         for bad in ["", "  ", "not-a-number", "-1", "2.5"] {
             let parsed = base.clone().apply_env_with(|name| match name {
                 "INSPECTOR_INGEST_THREADS"
                 | "INSPECTOR_CPG_SHARDS"
                 | "INSPECTOR_INGEST_QUEUE_DEPTH"
-                | "INSPECTOR_INGEST_BATCH"
-                | "INSPECTOR_DECODE_WINDOWS" => Some(bad.into()),
+                | "INSPECTOR_INGEST_BATCH" => Some(bad.into()),
                 _ => None,
             });
             assert_eq!(parsed.ingest_threads, 3, "value {bad:?}");
             assert_eq!(parsed.cpg_shards, 5, "value {bad:?}");
             assert_eq!(parsed.ingest_queue_depth, 77, "value {bad:?}");
             assert_eq!(parsed.ingest_batch, 9, "value {bad:?}");
-            assert_eq!(parsed.decode_windows, 6, "value {bad:?}");
         }
     }
 
@@ -579,14 +540,12 @@ mod tests {
             .with_ingest_threads(3)
             .with_cpg_shards(5)
             .with_ingest_queue_depth(77)
-            .with_ingest_batch(9)
-            .with_decode_windows(6);
+            .with_ingest_batch(9);
         let parsed = base.clone().apply_env_with(|name| match name {
             "INSPECTOR_INGEST_THREADS"
             | "INSPECTOR_CPG_SHARDS"
             | "INSPECTOR_INGEST_QUEUE_DEPTH"
-            | "INSPECTOR_INGEST_BATCH"
-            | "INSPECTOR_DECODE_WINDOWS" => Some("0".into()),
+            | "INSPECTOR_INGEST_BATCH" => Some("0".into()),
             _ => None,
         });
         assert_eq!(parsed, base);

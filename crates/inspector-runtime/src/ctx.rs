@@ -408,28 +408,29 @@ impl ThreadCtx {
     /// spurious errors, so it always takes the direct path (offline
     /// consumers re-sync it at a PSB).
     fn submit_aux(&mut self, data: Vec<u8>) {
-        if self.shared.config.decode_online && self.shared.config.aux_mode == AuxMode::FullTrace {
-            if let Some(tx) = &self.ingest {
-                match tx.send(IngestMsg::Aux {
+        let online =
+            self.shared.config.decode_online && self.shared.config.aux_mode == AuxMode::FullTrace;
+        let data = match &self.ingest {
+            Some(tx) if online => {
+                let msg = IngestMsg::Aux {
                     thread: self.thread,
                     pid: self.pid,
                     data,
-                }) {
+                };
+                match tx.send(msg) {
                     Ok(()) => return,
-                    // The run is already over (receiver gone): fall back to
-                    // the direct path so late AUX data is still accounted,
-                    // as before online decoding existed.
-                    Err(std::sync::mpsc::SendError(IngestMsg::Aux { data, .. })) => {
-                        self.shared.perf.submit(PerfEvent::Aux {
-                            pid: self.pid,
-                            data,
-                        });
-                        return;
-                    }
-                    Err(_) => unreachable!("send returns the message it rejected"),
+                    // The run is already over (receiver gone): take the
+                    // bytes back out of the rejected message and fall
+                    // through to the direct path so late AUX data is still
+                    // accounted, as before online decoding existed.
+                    Err(std::sync::mpsc::SendError(IngestMsg::Aux { data, .. })) => data,
+                    // `send` hands back the `Aux` it was given; any other
+                    // message would carry no AUX bytes to account.
+                    Err(_) => return,
                 }
             }
-        }
+            _ => data,
+        };
         self.shared.perf.submit(PerfEvent::Aux {
             pid: self.pid,
             data,

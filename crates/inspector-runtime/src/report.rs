@@ -62,20 +62,6 @@ pub struct RunStats {
     pub decode_mismatches: u64,
     /// AUX payload bytes pushed through the online decoders.
     pub decode_bytes: u64,
-    /// PSB-delimited windows decoded by the parallel windowed path (summed
-    /// across threads, the final partial window of each thread included).
-    /// Zero when [`SessionConfig::decode_windows`] is 0 and the serial
-    /// streaming path ran instead.
-    ///
-    /// [`SessionConfig::decode_windows`]: crate::SessionConfig::decode_windows
-    pub decode_windows: u64,
-    /// High-water mark of out-of-order window outcomes held by any one
-    /// thread's resequencer at once — how far completion order actually
-    /// diverged from stream order (bounded by
-    /// [`SessionConfig::decode_windows`]). Zero on the serial path.
-    ///
-    /// [`SessionConfig::decode_windows`]: crate::SessionConfig::decode_windows
-    pub resequencer_max_depth: u64,
     /// CPU time of the online decode stage, summed across ingest workers
     /// (the `pt_decode` phase). Like graph ingestion it is overlapped with
     /// application execution; attributing it separately lets Figure 6 show

@@ -6,11 +6,11 @@
 //! and a real [`InspectorSession`] run with `decode_online` must decode
 //! every recorded branch without perturbing the graph.
 //!
-//! The windowed parallel path carries the same contracts: over any stream
-//! (arbitrary byte soups included), any chunking and any worker/window
-//! fan-out, `decode_windowed` and the incremental
-//! scanner→decoder→reassembler pipeline must be event- and
-//! counter-identical to the serial streaming decoder.
+//! Chunking stays invisible on damaged input too: over corrupted streams
+//! and arbitrary byte soups, chunk-fed decoding yields the same events,
+//! the same in-band errors at the same offsets and the same counters as
+//! one push of the whole stream — and the counting-only mode the ingest
+//! workers run keeps exactly the recording mode's counters.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -19,9 +19,8 @@ use inspector::prelude::*;
 use inspector::pt::branch::BranchEvent;
 use inspector::pt::decode::{DecodeError, PacketDecoder};
 use inspector::pt::encode::{EncoderConfig, PacketEncoder};
-use inspector::pt::stream::StreamingDecoder;
+use inspector::pt::stream::{StreamStats, StreamingDecoder};
 use inspector::pt::trace::ThreadTrace;
-use inspector::pt::window::{decode_windowed, Reassembler, WindowDecoder, WindowScanner};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -88,6 +87,25 @@ fn stream_with_cuts(bytes: &[u8], cut_points: &[usize]) -> Vec<BranchEvent> {
     assert_eq!(dec.stats().errors, 0);
     assert_eq!(dec.buffered(), 0, "finish must consume the whole stream");
     out
+}
+
+/// Feeds `bytes` to `dec` in `chunk`-byte pushes, draining after each, and
+/// returns the yielded events and in-band errors in order plus the final
+/// counters. `chunk = usize::MAX` is the one-push reference.
+fn decode_chunked(
+    mut dec: StreamingDecoder,
+    bytes: &[u8],
+    chunk: usize,
+) -> (Vec<Result<BranchEvent, DecodeError>>, StreamStats) {
+    let mut items = Vec::new();
+    for c in bytes.chunks(chunk) {
+        dec.push(c);
+        items.extend(dec.events());
+    }
+    dec.finish();
+    items.extend(dec.events());
+    assert_eq!(dec.buffered(), 0, "finish must consume the whole stream");
+    (items, dec.stats())
 }
 
 // ---------------------------------------------------------------------------
@@ -178,65 +196,65 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Property: windowed ≡ serial ≡ batch (the parallel-decode contract)
+// Property: chunking is invisible on corrupted and arbitrary bytes too, and
+// counting mode keeps recording mode's counters
 // ---------------------------------------------------------------------------
 
-/// Serial streaming reference: the whole stream through one decoder,
-/// events and in-band errors in order, plus the final counters.
-fn serial_items(
-    bytes: &[u8],
-) -> (
-    Vec<Result<BranchEvent, DecodeError>>,
-    inspector::pt::StreamStats,
-) {
-    let mut dec = StreamingDecoder::new();
-    dec.push(bytes);
-    dec.finish();
-    let items: Vec<_> = dec.events().collect();
-    (items, dec.stats())
+/// `stats` without the packet count — the one counter a chunk boundary may
+/// move: a PSB run cut in two decodes as two PSB packets (see the
+/// `inspector::pt::stream` module docs).
+fn sans_packets(stats: StreamStats) -> StreamStats {
+    StreamStats {
+        packets: 0,
+        ..stats
+    }
+}
+
+/// An encoded stream at one of three PSB densities with, optionally, one
+/// byte overwritten.
+fn maybe_corrupted_stream(seeds: &[u64], psb_sel: u64, overwrite: Option<(u64, u8)>) -> Vec<u8> {
+    let mut bytes = encode_seeds(seeds, [64usize, 256, 4096][psb_sel as usize]);
+    if let Some((pos, byte)) = overwrite {
+        let at = (pos as usize) % bytes.len();
+        bytes[at] = byte;
+    }
+    bytes
+}
+
+/// Chunk-fed decoding of `bytes` must be indistinguishable from one push:
+/// same events, same in-band errors at the same offsets, same counters
+/// (packets aside), every byte consumed.
+fn assert_chunking_invisible(bytes: &[u8], chunk: usize) {
+    let (whole, whole_stats) = decode_chunked(StreamingDecoder::new(), bytes, usize::MAX);
+    let (chunked, chunked_stats) = decode_chunked(StreamingDecoder::new(), bytes, chunk);
+    assert_eq!(chunked, whole);
+    assert_eq!(sans_packets(chunked_stats), sans_packets(whole_stats));
+    assert_eq!(chunked_stats.bytes_consumed, bytes.len() as u64);
+}
+
+/// The counting-only decoder must keep exactly the counters a recording
+/// decoder keeps over the same pushes — packets included: both are fully
+/// drained between pushes, so they cut every PSB run alike — while
+/// queueing nothing.
+fn assert_counting_equals_recording(bytes: &[u8], chunk: usize) {
+    let (items, recording) = decode_chunked(StreamingDecoder::new(), bytes, chunk);
+    let (queued, counting) = decode_chunked(StreamingDecoder::counting_only(), bytes, chunk);
+    assert!(queued.is_empty(), "counting mode queues no items");
+    assert_eq!(counting, recording);
+    // The counters also agree with what the recording decoder yielded.
+    assert_eq!(
+        counting.events,
+        items.iter().filter(|i| i.is_ok()).count() as u64
+    );
+    assert_eq!(
+        counting.errors,
+        items.iter().filter(|i| i.is_err()).count() as u64
+    );
 }
 
 proptest! {
     #[test]
-    fn windowed_equals_serial_and_batch_for_any_stream(
-        seeds in vec(any::<u64>(), 1..300),
-        psb_sel in 0u64..4,
-        workers_sel in 0usize..4,
-    ) {
-        // Sweep PSB density (0 = a single degenerate window) and the
-        // worker/window fan-out: the parallel decode must be event- and
-        // counter-identical to serial streaming, which equals batch.
-        let psb_interval = [0usize, 64, 256, 4096][psb_sel as usize];
-        let workers = [1usize, 2, 4, 8][workers_sel];
-        let bytes = encode_seeds(&seeds, psb_interval);
-        let batch = PacketDecoder::new(&bytes).decode_events().unwrap();
-        let (serial, serial_stats) = serial_items(&bytes);
-        let (windowed, stats) = decode_windowed(&bytes, workers);
-        prop_assert_eq!(&windowed, &serial);
-        prop_assert_eq!(stats, serial_stats);
-        prop_assert_eq!(stats.errors, 0);
-        let clean: Vec<BranchEvent> =
-            windowed.into_iter().map(|item| item.unwrap()).collect();
-        prop_assert_eq!(clean, batch);
-    }
-
-    #[test]
-    fn windowed_equals_serial_on_arbitrary_bytes(
-        data in vec(any::<u8>(), 0..2048),
-        workers_sel in 0usize..4,
-    ) {
-        // Any byte soup — corrupted, truncated, PSB-free, or all three:
-        // the parallel path must still be indistinguishable from serial,
-        // in-band errors and resync accounting included.
-        let workers = [1usize, 2, 4, 8][workers_sel];
-        let (serial, serial_stats) = serial_items(&data);
-        let (windowed, stats) = decode_windowed(&data, workers);
-        prop_assert_eq!(windowed, serial);
-        prop_assert_eq!(stats, serial_stats);
-    }
-
-    #[test]
-    fn windowed_pipeline_is_chunking_invariant_under_corruption(
+    fn chunking_is_invisible_under_corruption(
         seeds in vec(any::<u64>(), 1..200),
         psb_sel in 0u64..3,
         do_corrupt in any::<bool>(),
@@ -244,29 +262,41 @@ proptest! {
         corrupt_byte in any::<u8>(),
         chunk in 1usize..512,
     ) {
-        // The incremental scanner→window-decoder→reassembler pipeline (the
-        // shape the ingest pool runs) over any chunking, optionally with an
-        // arbitrary byte overwritten: exactly the serial single in-band
-        // error, the same resync window lost, the same counters.
-        let psb_interval = [64usize, 256, 4096][psb_sel as usize];
-        let mut bytes = encode_seeds(&seeds, psb_interval);
-        if do_corrupt {
-            let at = (corrupt_pos as usize) % bytes.len();
-            bytes[at] = corrupt_byte;
-        }
-        let (serial, serial_stats) = serial_items(&bytes);
-        let mut decoder = WindowDecoder::new();
-        let mut scanner = WindowScanner::new();
-        let mut reasm = Reassembler::new(true);
-        for c in bytes.chunks(chunk) {
-            for window in scanner.push(c) {
-                reasm.accept(decoder.decode(window));
-            }
-        }
-        reasm.accept(decoder.decode(scanner.flush()));
-        reasm.finish();
-        prop_assert_eq!(reasm.take_events(), serial);
-        prop_assert_eq!(reasm.stats(), serial_stats);
+        // Any chunking of a stream with an arbitrary byte overwritten:
+        // exactly the one-push in-band error, the same resync window lost,
+        // the same counters.
+        let overwrite = do_corrupt.then_some((corrupt_pos, corrupt_byte));
+        let bytes = maybe_corrupted_stream(&seeds, psb_sel, overwrite);
+        assert_chunking_invisible(&bytes, chunk);
+    }
+
+    #[test]
+    fn chunking_is_invisible_on_arbitrary_bytes(
+        data in vec(any::<u8>(), 0..2048),
+        chunk in 1usize..512,
+    ) {
+        // Any byte soup — corrupted, truncated, PSB-free, or all three:
+        // where the chunk cuts fall must not show, in-band errors and
+        // resync accounting included.
+        assert_chunking_invisible(&data, chunk);
+    }
+
+    #[test]
+    fn counting_only_counters_equal_recording_counters(
+        seeds in vec(any::<u64>(), 1..200),
+        psb_sel in 0u64..3,
+        do_corrupt in any::<bool>(),
+        corrupt_pos in any::<u64>(),
+        corrupt_byte in any::<u8>(),
+        data in vec(any::<u8>(), 0..2048),
+        chunk in 1usize..512,
+    ) {
+        // The mode the ingest workers and post-mortem log decoding run, on
+        // both generators above.
+        let overwrite = do_corrupt.then_some((corrupt_pos, corrupt_byte));
+        let bytes = maybe_corrupted_stream(&seeds, psb_sel, overwrite);
+        assert_counting_equals_recording(&bytes, chunk);
+        assert_counting_equals_recording(&data, chunk);
     }
 }
 
@@ -312,33 +342,17 @@ fn psb_dense_stream() -> Vec<u8> {
 
 /// Runs a corrupted stream through the streaming decoder in small chunks
 /// and splits the outcome into events and errors.
-fn stream_corrupt(
-    bytes: &[u8],
-) -> (
-    Vec<BranchEvent>,
-    Vec<DecodeError>,
-    inspector::pt::StreamStats,
-) {
-    let mut dec = StreamingDecoder::new();
+fn stream_corrupt(bytes: &[u8]) -> (Vec<BranchEvent>, Vec<DecodeError>, StreamStats) {
+    let (items, stats) = decode_chunked(StreamingDecoder::new(), bytes, 17);
     let mut events = Vec::new();
     let mut errors = Vec::new();
-    for chunk in bytes.chunks(17) {
-        dec.push(chunk);
-        for item in dec.events() {
-            match item {
-                Ok(e) => events.push(e),
-                Err(e) => errors.push(e),
-            }
-        }
-    }
-    dec.finish();
-    for item in dec.events() {
+    for item in items {
         match item {
             Ok(e) => events.push(e),
             Err(e) => errors.push(e),
         }
     }
-    (events, errors, dec.stats())
+    (events, errors, stats)
 }
 
 #[test]
