@@ -29,9 +29,11 @@ pub fn ingest_with_pool(sequences: &[Vec<SubComputation>], pool: usize, shards: 
     measure_pooled_build(sequences, pool, shards).cpg
 }
 
-/// [`ingest_with_pool`] with the `SubBatch` transport shape: each producer
-/// hands the builder α-contiguous batches of up to `batch` sub-computations
-/// per call, so stripe locking amortises as it does on the runtime's lanes.
+/// [`ingest_with_pool`] through [`ShardedCpgBuilder::ingest_batch`]: each
+/// producer hands the builder α-contiguous batches of up to `batch`
+/// sub-computations per call, so stripe locking amortises across the batch
+/// (a shape for replay and offline rebuilds; the runtime's lanes carry one
+/// sub-computation per message).
 pub fn ingest_with_pool_batched(
     sequences: &[Vec<SubComputation>],
     pool: usize,

@@ -128,7 +128,9 @@ impl fmt::Display for SyncObjectId {
 ///
 /// INSPECTOR tracks read and write sets at page granularity: this is the page
 /// *number*, i.e. the virtual address divided by the page size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct PageId(u64);
 
 impl PageId {

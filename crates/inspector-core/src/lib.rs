@@ -22,8 +22,9 @@
 //! [`graph::Cpg`] through one of two builders:
 //!
 //! * [`sharded::ShardedCpgBuilder`] — the **streaming** path the runtime
-//!   uses. Sub-computations are drained out of each recorder as they retire
-//!   ([`recorder::ThreadRecorder::drain_retired`]) and ingested **by value**
+//!   uses. Each recorder hands a sub-computation out as it retires
+//!   ([`recorder::ThreadRecorder::retire_at_synchronization`]) and it is
+//!   ingested **by value**
 //!   — singly or as α-contiguous batches — into lock-striped shards keyed
 //!   by thread id. All three edge kinds are applied during ingestion (an
 //!   acquire's candidate releases and a reader's candidate writers are
@@ -112,6 +113,7 @@ mod read_side_tests;
 pub mod recorder;
 pub mod recover;
 pub mod sharded;
+mod small;
 pub mod snapshot;
 pub mod spill;
 pub mod subcomputation;
@@ -127,5 +129,5 @@ pub use recorder::{SyncClockRegistry, ThreadRecorder};
 pub use recover::{recover_session, Recovery, RecoveryReport};
 pub use sharded::{IngestStats, ShardedCpgBuilder};
 pub use spill::{SpillDurability, SpillError, SpillSettings, SpillStore};
-pub use subcomputation::SubComputation;
+pub use subcomputation::{PageSet, SubComputation};
 pub use thunk::Thunk;

@@ -9,6 +9,24 @@
 //! The design is completely decentralized: threads only interact through the
 //! per-object synchronization clocks, exactly as in the paper, so recording
 //! does not serialize the application.
+//!
+//! # What closing a sub-computation costs
+//!
+//! A thread closes one sub-computation per synchronization operation, so
+//! this is the runtime's per-boundary path. The streaming runtime takes each
+//! closed sub-computation **by value**
+//! ([`retire_at_synchronization`](ThreadRecorder::retire_at_synchronization),
+//! [`retire_at_exit`](ThreadRecorder::retire_at_exit)) — it never sits in a
+//! list that has to be taken and regrown. Page sets and clocks are inline
+//! while small (`small.rs`), so stamping the next sub-computation copies the
+//! thread clock without allocating, and branches are staged in one buffer
+//! the recorder keeps and copied out at their exact size on retirement: at
+//! most one allocation per sub-computation that branched, none otherwise.
+//! A log too long for that to pay (`STAGED_COPY_MAX`) leaves with the
+//! buffer it grew in instead.
+//! [`on_synchronization`](ThreadRecorder::on_synchronization) and
+//! [`finish`](ThreadRecorder::finish) keep the whole sequence `L_t` for
+//! callers that replay a trace offline.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,6 +38,7 @@ use crate::clock::VectorClock;
 use crate::event::{AccessKind, BranchKind, SyncKind, TraceEvent};
 use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
 use crate::subcomputation::{SubComputation, SyncPoint};
+use crate::thunk::{BranchRecord, ThunkList};
 
 /// Shared registry of synchronization-object vector clocks (`C_S`).
 ///
@@ -89,6 +108,15 @@ pub struct RecorderStats {
     pub sync_ops: u64,
 }
 
+/// Longest branch log (in branches; 16 KiB) a closing sub-computation copies
+/// out of the staging buffer. Up to here the copy is cheaper than the
+/// allocator calls a log grown from empty makes, and the buffer the recorder
+/// keeps is small. A longer log — `word_count` and its kind record 0.5–1 M
+/// branches in one sub-computation — would be copied at memory bandwidth
+/// and leave the thread holding a buffer as large as the biggest log it
+/// ever recorded, so it is moved out instead and staging restarts empty.
+const STAGED_COPY_MAX: usize = 1024;
+
 /// Per-thread provenance recorder implementing Algorithm 1.
 #[derive(Debug)]
 pub struct ThreadRecorder {
@@ -97,9 +125,20 @@ pub struct ThreadRecorder {
     clock: VectorClock,
     /// Sub-computation counter `α`.
     alpha: u64,
-    /// The sub-computation currently being executed.
+    /// The sub-computation currently being executed (its branches are in
+    /// `staged` until it closes).
     current: SubComputation,
-    /// Completed sub-computations, in execution order (`L_t`).
+    /// Branches of the current sub-computation. One buffer across
+    /// sub-computations: a closing one copies its branches out at their
+    /// exact size, so the slack a growing log needs never reaches the graph
+    /// (see [`STAGED_COPY_MAX`] for the logs that take the buffer along).
+    staged: Vec<BranchRecord>,
+    /// Sub-computations closed through [`on_synchronization`] /
+    /// [`on_thread_exit`], in execution order (`L_t`). The `retire_*` calls
+    /// bypass it.
+    ///
+    /// [`on_synchronization`]: Self::on_synchronization
+    /// [`on_thread_exit`]: Self::on_thread_exit
     completed: Vec<SubComputation>,
     stats: RecorderStats,
     registry: Arc<SyncClockRegistry>,
@@ -122,6 +161,7 @@ impl ThreadRecorder {
             clock,
             alpha: 0,
             current,
+            staged: Vec::new(),
             completed: Vec::new(),
             stats: RecorderStats::default(),
             registry,
@@ -184,12 +224,13 @@ impl ThreadRecorder {
     pub fn on_branch(&mut self, kind: BranchKind, ip: u64) {
         debug_assert!(!self.finished, "recorder used after thread exit");
         self.stats.branches += 1;
-        self.current.thunks.record_branch(kind, ip);
+        self.staged.push(BranchRecord { kind, ip });
     }
 
     /// `onSynchronization`: ends the current sub-computation, performs the
     /// vector-clock exchange for the acquire/release operation and starts the
-    /// next sub-computation.
+    /// next sub-computation. The closed sub-computation joins the sequence
+    /// [`finish`](Self::finish) returns.
     ///
     /// The caller performs the *actual* blocking synchronization; the
     /// convention (matching the paper) is:
@@ -198,9 +239,25 @@ impl ThreadRecorder {
     ///   returned, so that the releasing thread's clock is already stored in
     ///   the registry.
     pub fn on_synchronization(&mut self, object: SyncObjectId, kind: SyncKind) -> SubId {
+        let closed = self.retire_at_synchronization(object, kind);
+        self.completed.push(closed);
+        self.current.id
+    }
+
+    /// [`on_synchronization`](Self::on_synchronization), handing the closed
+    /// sub-computation to the caller **by value** instead of keeping it —
+    /// the hand-off point of the streaming CPG pipeline. The runtime calls
+    /// this at every synchronization boundary, so retired provenance flows
+    /// into the graph while the thread keeps running and the recorder holds
+    /// nothing but the sub-computation in progress.
+    pub fn retire_at_synchronization(
+        &mut self,
+        object: SyncObjectId,
+        kind: SyncKind,
+    ) -> SubComputation {
         debug_assert!(!self.finished, "recorder used after thread exit");
         self.stats.sync_ops += 1;
-        self.finish_current(Some(SyncPoint { object, kind }));
+        let closed = self.close_current(Some(SyncPoint { object, kind }));
         match kind {
             SyncKind::Release => {
                 self.registry.release(object, &self.clock);
@@ -214,16 +271,26 @@ impl ThreadRecorder {
             }
         }
         self.start_next();
-        self.current.id
+        closed
     }
 
-    /// Marks the thread as terminated, closing the last sub-computation.
+    /// Marks the thread as terminated, closing the last sub-computation
+    /// into the sequence [`finish`](Self::finish) returns.
     pub fn on_thread_exit(&mut self) {
-        if self.finished {
-            return;
+        if let Some(last) = self.retire_at_exit() {
+            self.completed.push(last);
         }
-        self.finish_current(None);
+    }
+
+    /// [`on_thread_exit`](Self::on_thread_exit), handing the last
+    /// sub-computation to the caller by value. `None` if the thread already
+    /// exited.
+    pub fn retire_at_exit(&mut self) -> Option<SubComputation> {
+        if self.finished {
+            return None;
+        }
         self.finished = true;
+        Some(self.close_current(None))
     }
 
     /// Drives the recorder from a generic [`TraceEvent`].
@@ -246,36 +313,41 @@ impl ThreadRecorder {
     }
 
     /// Consumes the recorder and returns the thread's execution sequence
-    /// `L_t` — the completed sub-computations in order, minus anything a
-    /// prior [`drain_retired`](Self::drain_retired) already handed off.
+    /// `L_t` — the sub-computations closed through
+    /// [`on_synchronization`](Self::on_synchronization) and the thread's
+    /// exit, in order. Sub-computations handed out by the `retire_*` calls
+    /// are the caller's and do not appear.
     pub fn finish(mut self) -> Vec<SubComputation> {
         self.on_thread_exit();
         self.completed
     }
 
-    /// Removes and returns the sub-computations that retired since the last
-    /// drain, **by value** — the hand-off point of the streaming CPG
-    /// pipeline. The runtime calls this at every synchronization boundary so
-    /// retired provenance flows into the graph while the thread keeps
-    /// running, instead of accumulating until [`finish`](Self::finish).
-    pub fn drain_retired(&mut self) -> Vec<SubComputation> {
-        std::mem::take(&mut self.completed)
-    }
-
-    /// Completed sub-computations recorded so far (not including the one in
-    /// progress). Used by the live-snapshot facility.
+    /// Sub-computations closed into the kept sequence so far (not including
+    /// the one in progress).
     pub fn completed(&self) -> &[SubComputation] {
         &self.completed
     }
 
-    fn finish_current(&mut self, terminator: Option<SyncPoint>) {
-        self.current.terminator = terminator;
+    /// Closes the current sub-computation and returns it, leaving an empty
+    /// placeholder for α + 1 that [`start_next`](Self::start_next) stamps.
+    fn close_current(&mut self, terminator: Option<SyncPoint>) -> SubComputation {
         self.stats.subcomputations += 1;
-        let finished = std::mem::replace(
+        let mut closed = std::mem::replace(
             &mut self.current,
             SubComputation::new(SubId::new(self.thread, self.alpha + 1), VectorClock::new()),
         );
-        self.completed.push(finished);
+        closed.terminator = terminator;
+        let log = if self.staged.len() <= STAGED_COPY_MAX {
+            let exact = self.staged.as_slice().to_vec();
+            self.staged.clear();
+            exact
+        } else {
+            let mut grown = std::mem::take(&mut self.staged);
+            grown.shrink_to_fit();
+            grown
+        };
+        closed.thunks = ThunkList::from_branches(closed.id, log);
+        closed
     }
 
     /// `startSub-computation`: bumps α, refreshes `C_t[t]` and stamps the new
@@ -412,6 +484,62 @@ mod tests {
         r.on_thread_exit();
         r.on_thread_exit();
         assert_eq!(r.completed().len(), 1);
+    }
+
+    #[test]
+    fn retired_subcomputations_are_handed_out_not_kept() {
+        let reg = SyncClockRegistry::shared();
+        let s = SyncObjectId::new(3);
+        let mut streamed = ThreadRecorder::new(t(0), Arc::clone(&reg));
+        let mut kept = ThreadRecorder::new(t(0), SyncClockRegistry::shared());
+        let mut retired = Vec::new();
+        for round in 0..3u64 {
+            for r in [&mut streamed, &mut kept] {
+                r.on_memory_access(PageId::new(round), AccessKind::Write);
+                for b in 0..round {
+                    r.on_branch(BranchKind::ConditionalTaken, 0x10 + b);
+                }
+            }
+            retired.push(streamed.retire_at_synchronization(s, SyncKind::ReleaseAcquire));
+            kept.on_synchronization(s, SyncKind::ReleaseAcquire);
+        }
+        assert!(streamed.completed().is_empty(), "nothing is kept");
+        retired.extend(streamed.retire_at_exit());
+        assert!(streamed.retire_at_exit().is_none(), "exit is idempotent");
+        kept.on_thread_exit();
+        assert_eq!(streamed.stats(), kept.stats());
+        // Both routes close the same sub-computations.
+        assert_eq!(retired, kept.finish());
+        assert_eq!(retired[2].thunks.branches(), 2);
+        assert!(retired[0].thunks.is_empty());
+    }
+
+    #[test]
+    fn long_branch_logs_leave_with_their_buffer_and_short_ones_with_a_copy() {
+        let reg = SyncClockRegistry::shared();
+        let s = SyncObjectId::new(3);
+        let mut r = ThreadRecorder::new(t(0), reg);
+        for (branches, keeps_buffer) in [
+            (STAGED_COPY_MAX, true),
+            (STAGED_COPY_MAX + 1, false),
+            (3, true),
+            (0, true),
+        ] {
+            for b in 0..branches as u64 {
+                r.on_branch(BranchKind::Indirect, b);
+            }
+            let closed = r.retire_at_synchronization(s, SyncKind::Release);
+            assert_eq!(closed.thunks.branches(), branches);
+            let last = closed
+                .thunks
+                .iter()
+                .filter_map(|thunk| thunk.terminator)
+                .last();
+            assert_eq!(last.map(|b| b.ip), (branches as u64).checked_sub(1));
+            assert!(r.staged.is_empty());
+            // The buffer survives a short log and leaves with a long one.
+            assert_eq!(r.staged.capacity() > 0, keeps_buffer, "{branches} branches");
+        }
     }
 
     #[test]

@@ -103,7 +103,7 @@ use crate::graph::{
 };
 use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
 use crate::spill::{ManifestWriter, Replay, SpillSettings, SpillStore};
-use crate::subcomputation::{SubComputation, SyncPoint};
+use crate::subcomputation::{PageSet, SubComputation, SyncPoint};
 
 /// Default number of lock stripes.
 const DEFAULT_SHARDS: usize = 8;
@@ -209,7 +209,7 @@ struct PendingReader {
     clock: VectorClock,
     /// The reader's read set in page order, so the pages inside each
     /// emitted edge match the batch builder's ordering exactly.
-    read_set: Vec<PageId>,
+    read_set: PageSet,
 }
 
 /// One thread's stored execution sequence inside a shard: the live suffix
@@ -1153,7 +1153,7 @@ impl ShardedCpgBuilder {
                             let pending = PendingReader {
                                 dst: sub.id,
                                 clock: sub.clock.clone(),
-                                read_set: sub.read_set.iter().copied().collect(),
+                                read_set: sub.read_set.clone(),
                             };
                             // The frontier may cross the threshold while
                             // the parking loop takes the wait stripe; the

@@ -88,6 +88,14 @@ impl ThunkList {
         }
     }
 
+    /// Creates the thunk list of sub-computation `owner` from its retired
+    /// branches, in order. The list keeps the vector as handed in, so a
+    /// caller that passes an exact-size one carries no spare capacity into
+    /// the graph (and an empty one no allocation).
+    pub fn from_branches(owner: SubId, branches: Vec<BranchRecord>) -> Self {
+        ThunkList { owner, branches }
+    }
+
     /// Records a retired branch: closes the open thunk with it and opens
     /// the next one at `ip`.
     pub fn record_branch(&mut self, kind: BranchKind, ip: u64) {
@@ -249,6 +257,9 @@ mod tests {
             for &(kind, ip) in &branches {
                 list.record_branch(kind, ip);
             }
+            let records: Vec<BranchRecord> =
+                branches.iter().map(|&(kind, ip)| BranchRecord { kind, ip }).collect();
+            prop_assert_eq!(&ThunkList::from_branches(owner, records), &list);
             prop_assert_eq!(list.iter().collect::<Vec<_>>(), reference.clone());
             prop_assert_eq!((&list).into_iter().count(), reference.len());
             prop_assert_eq!(list.len(), reference.len());

@@ -31,10 +31,15 @@ pub struct MemStats {
     ///
     /// A sampled estimate: the fault path times one read fault in 64 and
     /// one write fault in 64 — net of the clock read itself — and adds each
-    /// scaled (1-in-64 sample, scaled). `commit_time` is exact.
+    /// scaled (1-in-64 sample, scaled).
     #[serde(with = "duration_nanos")]
     pub fault_time: Duration,
     /// Wall-clock time spent diffing and committing dirty pages.
+    ///
+    /// A sampled estimate, like `fault_time`: one commit in 64 (the first
+    /// included) is timed net of the clock read and added scaled. A commit
+    /// runs at every synchronization boundary and, with a page or two dirty,
+    /// takes about three clock reads' time itself.
     #[serde(with = "duration_nanos")]
     pub commit_time: Duration,
 }

@@ -73,8 +73,9 @@ pub struct AccessRecord {
 /// Private-copy buffers kept for reuse per view (two pages each).
 const POOL_MAX_BUFFERS: usize = 64;
 
-/// One fault of each kind in this many is timed, and its time stands for all
-/// of them: a clock read costs as much as the bookkeeping of a read fault.
+/// One fault of each kind — and one commit — in this many is timed, and its
+/// time stands for all of them: a clock read costs as much as the
+/// bookkeeping of a read fault, and two of them a third of a one-page commit.
 const SAMPLE_EVERY: u32 = 64;
 
 /// Stopwatch for an event shorter than a clock read. Starting it reads the
@@ -100,7 +101,7 @@ impl Sample {
     }
 
     /// The time since the start, net of the clock, standing for
-    /// [`SAMPLE_EVERY`] faults — at least a nanosecond each, so sampled work
+    /// [`SAMPLE_EVERY`] events — at least a nanosecond each, so sampled work
     /// never reads as none.
     fn scaled(self) -> Duration {
         let net = self.start.elapsed().saturating_sub(self.start - self.idle);
@@ -314,7 +315,10 @@ impl ThreadMemory {
         if self.mode == TrackingMode::Native {
             return CommitOutcome::default();
         }
-        let start = Instant::now();
+        // One commit in `SAMPLE_EVERY` is timed (see `MemStats::commit_time`):
+        // a boundary that dirtied one page spends a third of an exact
+        // commit timer inside the clock.
+        let sample = Sample::due(self.stats.commits);
         let mut outcome = CommitOutcome::default();
         for slot in self.dirty.drain(..) {
             let entry = &mut self.table[slot];
@@ -334,7 +338,9 @@ impl ThreadMemory {
         self.stats.pages_examined += outcome.pages_examined as u64;
         self.stats.pages_committed += outcome.pages_changed as u64;
         self.stats.bytes_committed += outcome.bytes_written as u64;
-        self.stats.commit_time += start.elapsed();
+        if let Some(sample) = sample {
+            self.stats.commit_time += sample.scaled();
+        }
         outcome
     }
 
@@ -518,6 +524,29 @@ mod tests {
         assert_eq!(mem.stats().fault_time, second_sample);
         mem.write_u64(page(129), 1);
         assert!(mem.stats().fault_time > second_sample);
+    }
+
+    #[test]
+    fn commit_time_is_sampled_one_commit_in_64() {
+        let image = SharedImage::shared(4096);
+        let base = image.map_region("heap", 4096).base();
+        let mut mem = ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked);
+        // The first commit is timed, so a single one shows.
+        mem.write_u64(base, 1);
+        mem.commit();
+        let first = mem.stats().commit_time;
+        assert!(first > Duration::ZERO);
+        // Commits 2..=64 never reach the clock; the 65th does.
+        for i in 2..=64 {
+            mem.write_u64(base, i);
+            mem.commit();
+        }
+        assert_eq!(mem.stats().commits, 64);
+        assert_eq!(mem.stats().commit_time, first);
+        mem.write_u64(base, 65);
+        mem.commit();
+        assert!(mem.stats().commit_time > first);
+        assert_eq!(image.read_u64_direct(base), 65);
     }
 
     #[test]

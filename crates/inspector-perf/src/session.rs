@@ -79,6 +79,9 @@ impl TraceSession {
             }
             return;
         }
+        if let PerfEvent::Aux { pid, data } = &event {
+            return self.submit_aux(*pid, data);
+        }
         if !self.cgroup.contains(event.pid()) {
             self.state.lock().stats.filtered += 1;
             return;
@@ -86,11 +89,6 @@ impl TraceSession {
         let mut st = self.state.lock();
         st.stats.accepted += 1;
         match event {
-            PerfEvent::Aux { pid, data } => {
-                st.stats.aux_bytes += data.len() as u64;
-                st.stats.aux_records += 1;
-                st.aux.entry(pid).or_default().extend_from_slice(&data);
-            }
             PerfEvent::Lost { bytes, .. } => {
                 st.stats.lost_bytes += bytes;
             }
@@ -102,8 +100,28 @@ impl TraceSession {
             } => {
                 st.mmaps.push((pid, addr, len, filename));
             }
-            PerfEvent::Exit { .. } | PerfEvent::Sample { .. } | PerfEvent::Fork { .. } => {}
+            PerfEvent::Exit { .. }
+            | PerfEvent::Sample { .. }
+            | PerfEvent::Fork { .. }
+            | PerfEvent::Aux { .. } => {}
         }
+    }
+
+    /// Submits one AUX record from borrowed bytes: what
+    /// [`submit`](Self::submit) does with a [`PerfEvent::Aux`] — same cgroup
+    /// filter, same `aux_records` / `aux_bytes` accounting, the payload
+    /// appended to the process's log — for a producer that still owns the
+    /// buffer the bytes sit in.
+    pub fn submit_aux(&self, pid: ProcessId, data: &[u8]) {
+        if !self.cgroup.contains(pid) {
+            self.state.lock().stats.filtered += 1;
+            return;
+        }
+        let mut st = self.state.lock();
+        st.stats.accepted += 1;
+        st.stats.aux_bytes += data.len() as u64;
+        st.stats.aux_records += 1;
+        st.aux.entry(pid).or_default().extend_from_slice(data);
     }
 
     /// Registers the root process of the traced application and counts it.
@@ -202,6 +220,24 @@ mod tests {
         assert_eq!(s.aux_data(ProcessId(1)), vec![1, 2, 3]);
         assert_eq!(s.full_log(), vec![1, 2, 3]);
         assert_eq!(s.stats().aux_records, 2);
+    }
+
+    #[test]
+    fn borrowed_aux_is_filtered_and_accounted_like_an_aux_event() {
+        let owned = session();
+        let borrowed = session();
+        for (pid, data) in [(1, vec![1u8, 2]), (99, vec![9; 4]), (1, vec![3])] {
+            borrowed.submit_aux(ProcessId(pid), &data);
+            owned.submit(PerfEvent::Aux {
+                pid: ProcessId(pid),
+                data,
+            });
+        }
+        assert_eq!(borrowed.stats(), owned.stats());
+        assert_eq!(borrowed.stats().filtered, 1);
+        assert_eq!(borrowed.stats().aux_records, 2);
+        assert_eq!(borrowed.full_log(), owned.full_log());
+        assert_eq!(borrowed.aux_data(ProcessId(1)), vec![1, 2, 3]);
     }
 
     #[test]

@@ -196,12 +196,21 @@ impl ThreadTrace {
     /// instead of being handed out truncated, so per-chunk consumers (the
     /// online decode stage) never see a spurious truncation.
     pub fn drain_collected(&mut self) -> Vec<u8> {
-        let boundary = complete_frame_prefix(&self.collected);
         // The chunk is copied out at its exact size and the log keeps its
         // buffer, so the flushes in between allocate nothing.
-        let chunk = self.collected[..boundary].to_vec();
+        self.drain_collected_with(<[u8]>::to_vec)
+    }
+
+    /// [`drain_collected`](Self::drain_collected) without the copy: lends
+    /// the chunk — the same complete-frame prefix, possibly empty — to
+    /// `consume` and removes it from the log afterwards. For consumers that
+    /// append the bytes somewhere of their own (the perf session's per-process
+    /// log) and would drop an owned chunk right after.
+    pub fn drain_collected_with<R>(&mut self, consume: impl FnOnce(&[u8]) -> R) -> R {
+        let boundary = complete_frame_prefix(&self.collected);
+        let result = consume(&self.collected[..boundary]);
         self.collected.drain(..boundary);
-        chunk
+        result
     }
 
     /// Grabs a snapshot of the most recent trace window (snapshot mode):
@@ -446,6 +455,28 @@ mod tests {
         assert!(events.contains(&BranchEvent::Indirect {
             target: 0x7777_1234_5678
         }));
+    }
+
+    #[test]
+    fn lent_chunks_are_the_drained_chunks() {
+        // Two traces in lockstep, one drained by value and one by loan:
+        // same cuts, same bytes, and the loan leaves nothing behind.
+        let mut owned = ThreadTrace::new(0x400000);
+        let mut lent = ThreadTrace::new(0x400000);
+        for round in 0..40u64 {
+            for i in 0..round % 7 {
+                for trace in [&mut owned, &mut lent] {
+                    trace.conditional(i % 2 == 0);
+                    trace.indirect(0x400000 + round * 64 + i);
+                }
+            }
+            owned.flush();
+            lent.flush();
+            let chunk = owned.drain_collected();
+            assert!(lent.drain_collected_with(|bytes| bytes == chunk.as_slice()));
+            assert!(lent.collected.is_empty());
+        }
+        assert_eq!(owned.finish().0, lent.finish().0);
     }
 
     #[test]

@@ -1,10 +1,18 @@
 //! Session configuration.
 //!
 //! Every pipeline knob is also exposed as an `INSPECTOR_*` environment
-//! variable through [`SessionConfig::apply_env`], so harnesses and CI can
-//! sweep configurations without recompiling. Parsing is deliberately
-//! conservative: an unset, unparsable or out-of-range value leaves the
-//! configured default untouched instead of silently clamping or disabling.
+//! variable through [`SessionConfig::apply_env`] (14 of them: three
+//! structural, decode, four for the spill tier, six fault triggers), so
+//! harnesses and CI can sweep configurations without recompiling. Parsing is
+//! deliberately conservative: an unset, unparsable or out-of-range value
+//! leaves the configured default untouched instead of silently clamping or
+//! disabling.
+//!
+//! What is *not* here on purpose: the lane transport has no setting. A
+//! synchronization boundary retires exactly one sub-computation, so there
+//! is nothing for a batch cap to choose between, and the backlog at which a
+//! producer wakes a parked ingest worker is a measured constant in
+//! `lane.rs`, not a knob.
 
 use std::path::PathBuf;
 
@@ -105,18 +113,11 @@ pub struct SessionConfig {
     /// throttles the application instead of buffering unbounded provenance.
     pub ingest_queue_depth: usize,
     /// Number of ingest-pool workers draining the provenance channel. Each
-    /// worker owns one SPSC lane; application threads are routed to lanes by
+    /// worker owns one lane; application threads are routed to lanes by
     /// `ThreadId % ingest_threads`, preserving the per-thread FIFO delivery
     /// the streaming builder relies on. Defaults to
     /// `min(4, available_parallelism)`.
     pub ingest_threads: usize,
-    /// Largest number of retired sub-computations one lane message may
-    /// carry. Every synchronization boundary drains whatever retired since
-    /// the last flush and ships it as one `SubBatch` (chunked at this cap),
-    /// so channel synchronization and stripe-lock traffic amortise across
-    /// the batch. `1` degrades to one message per sub-computation (the
-    /// pre-batching transport).
-    pub ingest_batch: usize,
     /// Decode PT packets back into branch events **while the program runs**:
     /// AUX chunks are routed through the ingest lanes to per-thread
     /// streaming decoders on the pool workers, which cross-check the
@@ -184,7 +185,6 @@ impl SessionConfig {
             cpg_shards: 8,
             ingest_queue_depth: 1024,
             ingest_threads: default_ingest_threads(),
-            ingest_batch: 64,
             decode_online: false,
             spill_threshold: 0,
             spill_dir: None,
@@ -233,13 +233,6 @@ impl SessionConfig {
         self
     }
 
-    /// Returns a copy with the given lane-transport batch cap (clamped to
-    /// ≥ 1; 1 sends one message per retired sub-computation).
-    pub fn with_ingest_batch(mut self, batch: usize) -> Self {
-        self.ingest_batch = batch.max(1);
-        self
-    }
-
     /// Returns a copy with online PT decoding switched on or off.
     pub fn with_decode_online(mut self, on: bool) -> Self {
         self.decode_online = on;
@@ -282,9 +275,6 @@ impl SessionConfig {
     /// * `INSPECTOR_INGEST_THREADS` — ingest-pool width,
     /// * `INSPECTOR_CPG_SHARDS` — streaming-builder lock stripes,
     /// * `INSPECTOR_INGEST_QUEUE_DEPTH` — per-lane bounded-channel capacity,
-    /// * `INSPECTOR_INGEST_BATCH` — largest number of retired
-    ///   sub-computations one lane message may carry (`1` = one message per
-    ///   sub-computation),
     /// * `INSPECTOR_DECODE_ONLINE` — `1`/`true` decodes PT packets on the
     ///   ingest workers while the program runs (the `pt_decode` phase),
     /// * `INSPECTOR_SPILL_THRESHOLD` — per-shard resident sub-computation
@@ -306,11 +296,11 @@ impl SessionConfig {
     ///   the default, so `FOO=0` and unset are equivalent.
     ///
     /// Unset or unrecognized values leave the corresponding configured
-    /// default untouched. For the four structural knobs
-    /// (`INGEST_THREADS`, `CPG_SHARDS`, `INGEST_QUEUE_DEPTH`,
-    /// `INGEST_BATCH`) a zero is treated as unrecognized too: they have no
-    /// meaningful zero configuration, so `FOO=0` keeps the default rather
-    /// than being silently clamped to 1.
+    /// default untouched. For the three structural knobs
+    /// (`INGEST_THREADS`, `CPG_SHARDS`, `INGEST_QUEUE_DEPTH`) a zero is
+    /// treated as unrecognized too: they have no meaningful zero
+    /// configuration, so `FOO=0` keeps the default rather than being
+    /// silently clamped to 1.
     pub fn apply_env(self) -> Self {
         self.apply_env_with(|name| std::env::var(name).ok())
     }
@@ -335,9 +325,6 @@ impl SessionConfig {
         }
         if let Some(depth) = knob("INSPECTOR_INGEST_QUEUE_DEPTH") {
             self = self.with_ingest_queue_depth(depth);
-        }
-        if let Some(batch) = knob("INSPECTOR_INGEST_BATCH") {
-            self = self.with_ingest_batch(batch);
         }
         if let Some(on) = lookup("INSPECTOR_DECODE_ONLINE").and_then(|raw| parse_bool(&raw)) {
             self = self.with_decode_online(on);
@@ -432,7 +419,6 @@ mod tests {
             .with_ingest_threads(2)
             .with_cpg_shards(16)
             .with_ingest_queue_depth(64)
-            .with_ingest_batch(16)
             .with_decode_online(true)
             .with_spill_threshold(128)
             .with_spill_dir("/tmp/spill");
@@ -442,7 +428,6 @@ mod tests {
         assert_eq!(c.ingest_threads, 2);
         assert_eq!(c.cpg_shards, 16);
         assert_eq!(c.ingest_queue_depth, 64);
-        assert_eq!(c.ingest_batch, 16);
         assert!(c.decode_online);
         assert_eq!(c.spill_threshold, 128);
         assert_eq!(c.spill_dir, Some(PathBuf::from("/tmp/spill")));
@@ -461,12 +446,10 @@ mod tests {
         let c = SessionConfig::inspector()
             .with_ingest_threads(0)
             .with_cpg_shards(0)
-            .with_ingest_queue_depth(0)
-            .with_ingest_batch(0);
+            .with_ingest_queue_depth(0);
         assert_eq!(c.ingest_threads, 1);
         assert_eq!(c.cpg_shards, 1);
         assert_eq!(c.ingest_queue_depth, 1);
-        assert_eq!(c.ingest_batch, 1);
     }
 
     #[test]
@@ -486,7 +469,6 @@ mod tests {
             "INSPECTOR_INGEST_THREADS" => Some(" 3 ".into()),
             "INSPECTOR_CPG_SHARDS" => Some("16".into()),
             "INSPECTOR_INGEST_QUEUE_DEPTH" => Some("64".into()),
-            "INSPECTOR_INGEST_BATCH" => Some("8".into()),
             "INSPECTOR_DECODE_ONLINE" => Some("1".into()),
             "INSPECTOR_SPILL_THRESHOLD" => Some("256".into()),
             "INSPECTOR_SPILL_DIR" => Some("/tmp/spill-env".into()),
@@ -495,7 +477,6 @@ mod tests {
         assert_eq!(parsed.ingest_threads, 3);
         assert_eq!(parsed.cpg_shards, 16);
         assert_eq!(parsed.ingest_queue_depth, 64);
-        assert_eq!(parsed.ingest_batch, 8);
         assert!(parsed.decode_online);
         assert_eq!(parsed.spill_threshold, 256);
         assert_eq!(parsed.spill_dir, Some(PathBuf::from("/tmp/spill-env")));
@@ -514,20 +495,17 @@ mod tests {
         let base = SessionConfig::inspector()
             .with_ingest_threads(3)
             .with_cpg_shards(5)
-            .with_ingest_queue_depth(77)
-            .with_ingest_batch(9);
+            .with_ingest_queue_depth(77);
         for bad in ["", "  ", "not-a-number", "-1", "2.5"] {
             let parsed = base.clone().apply_env_with(|name| match name {
                 "INSPECTOR_INGEST_THREADS"
                 | "INSPECTOR_CPG_SHARDS"
-                | "INSPECTOR_INGEST_QUEUE_DEPTH"
-                | "INSPECTOR_INGEST_BATCH" => Some(bad.into()),
+                | "INSPECTOR_INGEST_QUEUE_DEPTH" => Some(bad.into()),
                 _ => None,
             });
             assert_eq!(parsed.ingest_threads, 3, "value {bad:?}");
             assert_eq!(parsed.cpg_shards, 5, "value {bad:?}");
             assert_eq!(parsed.ingest_queue_depth, 77, "value {bad:?}");
-            assert_eq!(parsed.ingest_batch, 9, "value {bad:?}");
         }
     }
 
@@ -539,13 +517,11 @@ mod tests {
         let base = SessionConfig::inspector()
             .with_ingest_threads(3)
             .with_cpg_shards(5)
-            .with_ingest_queue_depth(77)
-            .with_ingest_batch(9);
+            .with_ingest_queue_depth(77);
         let parsed = base.clone().apply_env_with(|name| match name {
             "INSPECTOR_INGEST_THREADS"
             | "INSPECTOR_CPG_SHARDS"
-            | "INSPECTOR_INGEST_QUEUE_DEPTH"
-            | "INSPECTOR_INGEST_BATCH" => Some("0".into()),
+            | "INSPECTOR_INGEST_QUEUE_DEPTH" => Some("0".into()),
             _ => None,
         });
         assert_eq!(parsed, base);

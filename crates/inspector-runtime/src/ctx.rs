@@ -6,15 +6,32 @@
 //! thread's private memory view, provenance recorder and PT trace (the
 //! "thread as a process" of the paper), in native mode it degrades to a thin
 //! wrapper over direct shared-memory access.
+//!
+//! # What a synchronization boundary costs
+//!
+//! [`ThreadCtx::sync_boundary`] runs at every acquire and release — ~100 k
+//! times in a `reverse_index` run — and the provenance work of one boundary
+//! is a fraction of a microsecond, so a heap allocation, a copy or a futex
+//! wake per boundary is what the overhead ratio would be made of. The path
+//! has none of them by construction: the interval's first-touch records fold
+//! into inline page sets, the recorder hands the closed sub-computation out
+//! by value and it travels the lane as itself (no batch vector, no list to
+//! take and regrow), the thread clock is copied inline, the AUX chunk is
+//! lent to the perf session rather than copied for it, and the ingest worker
+//! is woken once per backlog, not once per message (`lane.rs`). What a
+//! boundary still pays is the commit, the registry's clock exchange, one
+//! exact-size branch log if the sub-computation branched, and two queue
+//! operations. `tests/boundary_allocs.rs` pins the allocation count, so a
+//! new per-boundary allocation fails CI rather than a benchmark.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use inspector_core::event::{AccessKind, BranchKind, SyncKind};
 use inspector_core::ids::{PageId as CorePageId, SyncObjectId, ThreadId};
 use inspector_core::recorder::ThreadRecorder;
+use inspector_core::subcomputation::SubComputation;
 use inspector_mem::addr::VirtAddr;
 use inspector_mem::thread_mem::{ThreadMemory, TrackingMode};
 use inspector_perf::cgroup::ProcessId;
@@ -24,6 +41,7 @@ use inspector_pt::branch::BranchEvent;
 use inspector_pt::trace::{ThreadTrace, TraceConfig};
 
 use crate::config::ExecutionMode;
+use crate::lane::LaneSender;
 use crate::session::{IngestMsg, Shared, ThreadDone};
 
 /// Allocates process-wide unique synchronization-object identifiers.
@@ -62,7 +80,7 @@ pub struct ThreadCtx {
     /// This thread's lane of the session's provenance ingest pool
     /// (`ThreadId % pool`); retired sub-computations and the exit
     /// statistics flow through it.
-    ingest: Option<SyncSender<IngestMsg>>,
+    ingest: Option<LaneSender<IngestMsg>>,
     /// Synthetic program counter used to label conditional branches.
     pc: u64,
     spawn_overhead: Duration,
@@ -152,7 +170,7 @@ impl ThreadCtx {
             ExecutionMode::Native => None,
         };
         // One lane of the ingest pool, fixed by thread id: every
-        // sub-computation of this thread travels the same SPSC lane, so
+        // sub-computation of this thread travels the same lane, so
         // per-thread FIFO delivery survives the fan-out.
         let ingest = shared.ingest_sender_for(thread);
         ThreadCtx {
@@ -315,9 +333,9 @@ impl ThreadCtx {
     /// Ends the current sub-computation at a synchronization operation on
     /// `object`: publishes buffered writes (shared-memory commit), feeds the
     /// interval's first-touch accesses into the provenance recorder,
-    /// performs the vector-clock exchange, and flushes everything that just
-    /// retired — the sub-computation(s) into the streaming CPG pipeline and
-    /// the pending PT packet bytes into the perf session.
+    /// performs the vector-clock exchange, and hands on what just retired —
+    /// the closed sub-computation into the streaming CPG pipeline and the
+    /// pending PT packet bytes into the perf session.
     ///
     /// The synchronization primitives in [`crate::sync`] call this for you;
     /// it is public so that custom primitives can participate in provenance
@@ -328,8 +346,8 @@ impl ThreadCtx {
             return;
         }
         self.end_interval();
-        self.recorder.on_synchronization(object, kind);
-        self.flush_retired();
+        let retired = self.recorder.retire_at_synchronization(object, kind);
+        self.stream_retired(retired);
         self.flush_trace();
     }
 
@@ -349,69 +367,63 @@ impl ThreadCtx {
         self.mem.commit();
     }
 
-    /// Streams the sub-computations retired since the last flush into the
-    /// session's CPG pipeline, by value — as one `SubBatch` per boundary
-    /// (chunked at [`SessionConfig::ingest_batch`]), so channel
-    /// synchronization and the builder's stripe locking amortise across
-    /// the batch instead of being paid per sub-computation.
+    /// Publishes a retired sub-computation on this thread's lane of the
+    /// session's CPG pipeline, by value. The ingest worker's wake is the
+    /// lane's business (deferred until a backlog is due).
     ///
-    /// A send can only fail after the session dropped the receiver (run
-    /// already over); provenance is then discarded, matching the old
-    /// post-run behaviour.
-    ///
-    /// [`SessionConfig::ingest_batch`]: crate::SessionConfig::ingest_batch
-    fn flush_retired(&mut self) {
+    /// A send can only fail after the lane's worker is gone (run already
+    /// over, or the worker died); provenance is then discarded, matching
+    /// the old post-run behaviour.
+    fn stream_retired(&self, retired: SubComputation) {
         if let Some(tx) = &self.ingest {
-            let mut retired = self.recorder.drain_retired();
-            if retired.is_empty() {
-                return;
-            }
-            let cap = self.shared.config.ingest_batch.max(1);
-            if cap == 1 {
-                // Batching disabled: one message per sub-computation, the
-                // pre-batching transport.
-                for sub in retired {
-                    let _ = tx.send(IngestMsg::Sub(sub));
-                }
-                return;
-            }
-            while retired.len() > cap {
-                let rest = retired.split_off(cap);
-                let _ = tx.send(IngestMsg::SubBatch(std::mem::replace(&mut retired, rest)));
-            }
-            let _ = tx.send(IngestMsg::SubBatch(retired));
+            let _ = tx.send(IngestMsg::Sub(retired));
         }
     }
 
-    /// Hands the PT packet bytes collected since the last flush to the perf
-    /// session, so AUX data is consumed while the thread runs instead of in
-    /// one lump at teardown.
+    /// Hands the PT packet bytes collected since the last flush to their
+    /// consumer, so AUX data is consumed while the thread runs instead of
+    /// in one lump at teardown. On the direct route the perf session copies
+    /// the chunk straight out of the trace's own log; only the online-decode
+    /// route, whose consumer is another thread, takes an owned copy.
     fn flush_trace(&mut self) {
-        if let Some(trace) = self.trace.as_mut() {
-            trace.flush();
+        let Some(trace) = self.trace.as_mut() else {
+            return;
+        };
+        trace.flush();
+        if self.ingest.is_some() && Self::decodes_online(&self.shared) {
             let chunk = trace.drain_collected();
             if !chunk.is_empty() {
                 self.submit_aux(chunk);
             }
+        } else {
+            let (perf, pid) = (&self.shared.perf, self.pid);
+            trace.drain_collected_with(|chunk| {
+                if !chunk.is_empty() {
+                    perf.submit_aux(pid, chunk);
+                }
+            });
         }
     }
 
-    /// Routes one AUX chunk to its consumer. With online decoding off the
-    /// chunk goes straight into the perf session; with it on, the chunk
-    /// travels this thread's ingest lane instead, so the pool worker runs
-    /// it through the thread's streaming decoder **in recording order**
-    /// (the lane is the same FIFO that carries the sub-computations) and
-    /// forwards the bytes to the perf session afterwards.
+    /// Whether AUX chunks travel the ingest lanes to the online decoders.
     ///
     /// Only full-trace streams are decodable from the start; a
     /// snapshot-mode window wraps mid-packet at its head and would report
     /// spurious errors, so it always takes the direct path (offline
     /// consumers re-sync it at a PSB).
+    fn decodes_online(shared: &Shared) -> bool {
+        shared.config.decode_online && shared.config.aux_mode == AuxMode::FullTrace
+    }
+
+    /// Routes one owned AUX chunk to its consumer. With online decoding off
+    /// the chunk goes straight into the perf session; with it on, the chunk
+    /// travels this thread's ingest lane instead, so the pool worker runs
+    /// it through the thread's streaming decoder **in recording order**
+    /// (the lane is the same FIFO that carries the sub-computations) and
+    /// forwards the bytes to the perf session afterwards.
     fn submit_aux(&mut self, data: Vec<u8>) {
-        let online =
-            self.shared.config.decode_online && self.shared.config.aux_mode == AuxMode::FullTrace;
         let data = match &self.ingest {
-            Some(tx) if online => {
+            Some(tx) if Self::decodes_online(&self.shared) => {
                 let msg = IngestMsg::Aux {
                     thread: self.thread,
                     pid: self.pid,
@@ -431,10 +443,7 @@ impl ThreadCtx {
             }
             _ => data,
         };
-        self.shared.perf.submit(PerfEvent::Aux {
-            pid: self.pid,
-            data,
-        });
+        self.shared.perf.submit_aux(self.pid, &data);
     }
 
     // ----- thread management -------------------------------------------------
@@ -532,13 +541,17 @@ impl ThreadCtx {
             // decode stage sees the complete stream when it cross-checks.
             self.submit_aux(tail);
         }
-        self.recorder.on_thread_exit();
+        let last = self.recorder.retire_at_exit();
         if mode == ExecutionMode::Inspector {
-            self.flush_retired();
+            if let Some(last) = last {
+                self.stream_retired(last);
+            }
         }
         let recorder_stats = self.recorder.stats();
         if let Some(tx) = &self.ingest {
-            let _ = tx.send(IngestMsg::Done(ThreadDone {
+            // Urgent: the thread publishes nothing after this, so no later
+            // backlog would ever wake the worker for it.
+            let _ = tx.send_urgent(IngestMsg::Done(ThreadDone {
                 thread: self.thread,
                 mem: mem_stats,
                 pt: pt_stats,

@@ -23,10 +23,11 @@
 //! # Parallel streaming CPG pipeline
 //!
 //! Provenance never waits for the run to end. Each synchronization boundary
-//! a thread crosses does three things: commit the write diff, drain the
-//! sub-computations that just retired out of the thread's recorder
-//! (by value — no clone), and push them down the thread's bounded channel
-//! lane to the session's **ingest-thread pool**
+//! a thread crosses does three things: commit the write diff, take the
+//! sub-computation that just retired out of the thread's recorder
+//! (by value — no clone, no allocation), and publish it on the thread's
+//! bounded lane (`lane.rs`: delivered at once, the worker's wake deferred
+//! until a backlog is due) to the session's **ingest-thread pool**
 //! ([`SessionConfig::ingest_threads`] workers; a thread always sends on
 //! lane `ThreadId % pool`, so per-thread delivery stays FIFO while
 //! different threads' provenance is ingested concurrently). The workers
@@ -108,6 +109,7 @@
 
 pub mod config;
 pub mod ctx;
+mod lane;
 pub mod report;
 pub mod session;
 pub mod sync;

@@ -4,14 +4,13 @@
 //!
 //! # Streaming pipeline
 //!
-//! Every [`ThreadCtx`] drains its recorder at each synchronization boundary
-//! and sends the retired sub-computations **by value** through a bounded
-//! channel lane — as one `SubBatch` message per boundary (chunked at
-//! [`SessionConfig::ingest_batch`]), so channel synchronization and the
-//! builder's stripe locking amortise across whatever retired together.
-//! The channel is fanned out across an **ingest-thread pool**
+//! Every [`ThreadCtx`] closes one sub-computation per synchronization
+//! boundary and publishes it **by value**, as one `IngestMsg::Sub`, on a
+//! bounded lane (`lane.rs`: delivery at every boundary, the consumer's
+//! wake deferred until a backlog is worth a futex).
+//! The lanes fan out across an **ingest-thread pool**
 //! ([`SessionConfig::ingest_threads`] workers, spawned per
-//! [`InspectorSession::run`]): each worker owns one SPSC lane, and an
+//! [`InspectorSession::run`]): each worker owns one lane, and an
 //! application thread always sends on lane `ThreadId % pool`, so one
 //! thread's sub-computations can never reorder — the per-thread FIFO
 //! invariant the lock-striped [`ShardedCpgBuilder`] relies on — while
@@ -39,7 +38,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,6 +61,7 @@ use inspector_pt::stream::StreamingDecoder;
 
 use crate::config::{ExecutionMode, SessionConfig};
 use crate::ctx::ThreadCtx;
+use crate::lane::{lane, LaneReceiver, LaneSender};
 use crate::report::{RunReport, RunStats};
 
 /// Size of the shared heap mapped at session creation. Pages are
@@ -113,13 +112,9 @@ pub(crate) struct ThreadDone {
 /// A message on the provenance ingest channel.
 #[derive(Debug)]
 pub(crate) enum IngestMsg {
-    /// One retired sub-computation, handed off by value.
+    /// One retired sub-computation, handed off by value — what every
+    /// synchronization boundary and every thread exit publishes.
     Sub(SubComputation),
-    /// One thread's α-contiguous batch of retired sub-computations —
-    /// everything one synchronization boundary drained, chunked at
-    /// [`SessionConfig::ingest_batch`]. One channel rendezvous and one
-    /// stripe-lock round per batch instead of per sub-computation.
-    SubBatch(Vec<SubComputation>),
     /// One AUX chunk, routed through the lane when
     /// [`SessionConfig::decode_online`] is set: the worker pushes it
     /// through the producing thread's streaming decoder (the lane's FIFO
@@ -157,7 +152,7 @@ pub(crate) struct Shared {
     /// Sender sides of the ingest-pool lanes of the *current* run (one per
     /// pool worker). Present only while [`InspectorSession::run`] is
     /// executing; thread contexts clone their lane at construction.
-    ingest_tx: Mutex<Option<Vec<SyncSender<IngestMsg>>>>,
+    ingest_tx: Mutex<Option<Vec<LaneSender<IngestMsg>>>>,
 }
 
 impl Shared {
@@ -175,8 +170,8 @@ impl Shared {
 
     /// The lane `thread` must send its provenance on: lanes are assigned by
     /// `ThreadId % pool`, so one thread's sub-computations always travel the
-    /// same SPSC lane and can never reorder.
-    pub(crate) fn ingest_sender_for(&self, thread: ThreadId) -> Option<SyncSender<IngestMsg>> {
+    /// same lane and can never reorder.
+    pub(crate) fn ingest_sender_for(&self, thread: ThreadId) -> Option<LaneSender<IngestMsg>> {
         self.ingest_tx
             .lock()
             .as_ref()
@@ -201,7 +196,11 @@ impl Shared {
             .iter()
             .filter_map(|lane| {
                 let (ack_tx, ack_rx) = std::sync::mpsc::channel();
-                lane.send(IngestMsg::Barrier(ack_tx)).ok().map(|()| ack_rx)
+                // Urgent: the caller blocks on the ack, so a parked worker
+                // must not sit on it until a backlog builds up.
+                lane.send_urgent(IngestMsg::Barrier(ack_tx))
+                    .ok()
+                    .map(|()| ack_rx)
             })
             .collect();
         for ack in acks {
@@ -264,7 +263,7 @@ pub(crate) struct WorkerOutcome {
 /// its lane to the sharded builder, runs routed AUX chunks through
 /// per-thread streaming decoders (decode-while-running), and collects
 /// per-thread statistics.
-fn ingest_loop(rx: Receiver<IngestMsg>, shared: Arc<Shared>, lane: usize) -> WorkerOutcome {
+fn ingest_loop(rx: LaneReceiver<IngestMsg>, shared: Arc<Shared>, lane: usize) -> WorkerOutcome {
     let mut done = Vec::new();
     let mut busy = Duration::ZERO;
     let mut decode = DecodeAgg::default();
@@ -288,15 +287,6 @@ fn ingest_loop(rx: Receiver<IngestMsg>, shared: Arc<Shared>, lane: usize) -> Wor
                 }
                 let start = Instant::now();
                 shared.builder.ingest(sub);
-                busy += start.elapsed();
-            }
-            IngestMsg::SubBatch(batch) => {
-                batches += 1;
-                if panic_at == Some(batches) {
-                    panic!("injected fault: ingest worker {lane} died at message {batches}");
-                }
-                let start = Instant::now();
-                shared.builder.ingest_batch(batch);
                 busy += start.elapsed();
             }
             IngestMsg::Aux {
@@ -648,24 +638,24 @@ impl InspectorSession {
         if plan.crash_at_spill > 0 {
             self.shared.builder.inject_spill_crash(plan.crash_at_spill);
         }
-        let depth = self.shared.config.ingest_queue_depth.max(1);
+        let depth = self.shared.config.ingest_queue_depth;
         let lanes = self.shared.config.ingest_threads.max(1);
         let mut senders = Vec::with_capacity(lanes);
         let mut workers = Vec::with_capacity(lanes);
-        for lane in 0..lanes {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<IngestMsg>(depth);
+        for index in 0..lanes {
+            let (tx, rx) = lane::<IngestMsg>(depth);
             senders.push(tx);
             let shared = Arc::clone(&self.shared);
             workers.push(
                 std::thread::Builder::new()
-                    .name(format!("inspector-cpg-ingest-{lane}"))
+                    .name(format!("inspector-cpg-ingest-{index}"))
                     .spawn(move || {
                         // Supervised: a panicking worker unwinds out of
                         // `ingest_loop`, dropping `rx` — the lane closes
                         // and producers blocked on it fail fast instead of
                         // deadlocking on a dead consumer.
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            ingest_loop(rx, shared, lane)
+                            ingest_loop(rx, shared, index)
                         }))
                     })
                     .expect("failed to spawn CPG ingest worker"),
@@ -1232,67 +1222,6 @@ mod tests {
         };
         assert_eq!(fingerprint(&spilled.cpg), fingerprint(&plain.cpg));
         assert!(spilled.cpg.validate().is_ok());
-    }
-
-    #[test]
-    fn batched_transport_matches_unbatched_transport() {
-        // The same workload under batch caps 1 (one message per sub), 2
-        // (chunking exercised) and the default. Workers are joined
-        // immediately after spawning so the lock-acquisition schedule —
-        // and therefore the happens-before order — is deterministic across
-        // runs; sync-object ids still differ per run, so the cross-run
-        // comparison is on id-independent aggregates, and each run is
-        // additionally checked against its own batch-oracle rebuild.
-        let run = |config: SessionConfig| {
-            let session = InspectorSession::new(config);
-            let region = session.map_region("counter", 8);
-            let base = region.base();
-            let lock = Arc::new(InspMutex::new());
-            let report = session.run(move |ctx| {
-                for _ in 0..3 {
-                    let lock = Arc::clone(&lock);
-                    let h = ctx.spawn(move |ctx| {
-                        for _ in 0..10u64 {
-                            lock.lock(ctx);
-                            let v = ctx.read_u64(base);
-                            ctx.write_u64(base, v + 1);
-                            lock.unlock(ctx);
-                        }
-                    });
-                    ctx.join(h);
-                }
-            });
-            assert!(report.cpg.validate().is_ok());
-            // Per-run oracle: the streamed graph equals the batch rebuild
-            // of its own recorded sequences — transport cannot have
-            // reordered, dropped or duplicated anything.
-            let mut oracle = inspector_core::graph::CpgBuilder::new();
-            for thread in report.cpg.threads() {
-                let seq: Vec<SubComputation> = report
-                    .cpg
-                    .thread_sequence(thread)
-                    .into_iter()
-                    .map(|id| report.cpg.node(id).expect("listed node").clone())
-                    .collect();
-                oracle.add_thread(seq);
-            }
-            let oracle = oracle.build();
-            let fingerprint = |cpg: &Cpg| -> std::collections::BTreeSet<String> {
-                cpg.edges().map(|e| format!("{e:?}")).collect()
-            };
-            assert_eq!(fingerprint(&report.cpg), fingerprint(&oracle));
-            report
-        };
-        let reference = run(SessionConfig::inspector().with_ingest_batch(1));
-        for cap in [2usize, 64] {
-            let batched = run(SessionConfig::inspector().with_ingest_batch(cap));
-            assert_eq!(
-                batched.cpg.node_count(),
-                reference.cpg.node_count(),
-                "cap={cap}"
-            );
-            assert_eq!(batched.cpg.stats(), reference.cpg.stats(), "cap={cap}");
-        }
     }
 
     #[test]

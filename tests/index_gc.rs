@@ -74,7 +74,7 @@ fn random_sequences(seed: u64) -> Vec<Vec<SubComputation>> {
 
 /// Streams the sequences in a random delivery interleaving that is FIFO per
 /// thread, delivering a random-length α-contiguous *batch* from a random
-/// thread each step — the `SubBatch` transport shape.
+/// thread each step — the `ingest_batch` delivery shape.
 fn stream_random_batches(
     builder: &ShardedCpgBuilder,
     sequences: Vec<Vec<SubComputation>>,
