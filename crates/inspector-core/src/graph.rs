@@ -252,8 +252,9 @@ pub struct Cpg {
 }
 
 impl Cpg {
-    /// Assembles a graph from a finished node map and edge set, building
-    /// the adjacency indexes. Used by the batch builder.
+    /// Assembles a graph from a node map and edge set (hand-built graphs in
+    /// the read-side tests).
+    #[cfg(test)]
     pub(crate) fn from_parts(
         nodes: BTreeMap<SubId, SubComputation>,
         edges: Vec<DependenceEdge>,
@@ -583,25 +584,47 @@ impl CpgBuilder {
     /// Builds the graph: derives control, synchronization and data edges.
     ///
     /// This is the reference *batch* path: it clones every sub-computation
-    /// into the graph and scans the whole node set for edges. The streaming
-    /// [`crate::sharded::ShardedCpgBuilder`] produces an identical graph
-    /// without the clone or the end-of-run scan; this builder is kept as the
-    /// equivalence oracle and for offline reconstruction from stored
-    /// sequences.
+    /// and hands the copy to [`into_cpg`](Self::into_cpg), so the builder
+    /// stays usable. The streaming [`crate::sharded::ShardedCpgBuilder`]
+    /// produces an identical graph without the clone or the end-of-run
+    /// scan; this builder is kept as the equivalence oracle and for offline
+    /// reconstruction from stored sequences.
     pub fn build(&self) -> Cpg {
-        let mut nodes = BTreeMap::new();
-        for seq in self.sequences.values() {
-            for sub in seq {
-                nodes.insert(sub.id, sub.clone());
-            }
+        CpgBuilder {
+            sequences: self.sequences.clone(),
         }
+        .into_cpg()
+    }
 
+    /// Builds the graph out of the builder's own sequences: the edges are
+    /// derived from the per-thread slices, then the sub-computations *move*
+    /// into the graph. What offline recovery calls — it owns what it
+    /// decoded — and the one derivation path [`build`](Self::build) shares.
+    pub fn into_cpg(self) -> Cpg {
         let mut edges = Vec::new();
         Self::derive_control_edges(&self.sequences, &mut edges);
         Self::derive_sync_edges(&self.sequences, &mut edges);
-        Self::derive_data_edges(&nodes, &mut edges);
 
-        Cpg::from_parts(nodes, edges)
+        let total = self.sequences.values().map(Vec::len).sum();
+        let mut nodes: Vec<SubComputation> = Vec::with_capacity(total);
+        for seq in self.sequences.into_values() {
+            nodes.extend(seq);
+        }
+        // Recorder output is one ascending α-run per thread; anything else
+        // gets the id order a map would have imposed, the later of two
+        // equal ids winning.
+        if !nodes.windows(2).all(|w| w[0].id < w[1].id) {
+            nodes.sort_by_key(|sub| sub.id);
+            nodes.dedup_by(|later, kept| {
+                let same = later.id == kept.id;
+                if same {
+                    std::mem::swap(later, kept);
+                }
+                same
+            });
+        }
+        Self::derive_data_edges(&nodes, &mut edges);
+        Cpg::from_sorted_nodes(nodes, edges)
     }
 
     fn derive_control_edges(
@@ -709,12 +732,12 @@ impl CpgBuilder {
     /// Writers of a page are grouped per thread; for each reader only the
     /// latest preceding writer of each thread is a candidate, and dominated
     /// candidates are discarded (last-writer semantics).
-    fn derive_data_edges(nodes: &BTreeMap<SubId, SubComputation>, edges: &mut Vec<DependenceEdge>) {
-        // Index writers by page and thread; iteration over the BTreeMap is in
-        // (thread, α) order, so per-thread lists are already sorted.
+    fn derive_data_edges(nodes: &[SubComputation], edges: &mut Vec<DependenceEdge>) {
+        // Index writers by page and thread; `nodes` is in (thread, α)
+        // order, so per-thread lists are already sorted.
         type ByThread<'a> = BTreeMap<ThreadId, Vec<&'a SubComputation>>;
         let mut writers: HashMap<PageId, ByThread<'_>> = HashMap::new();
-        for sub in nodes.values() {
+        for sub in nodes {
             for &page in &sub.write_set {
                 writers
                     .entry(page)
@@ -737,11 +760,11 @@ impl CpgBuilder {
     /// construction differs (full node scan here, maintained during
     /// ingestion there).
     pub(crate) fn derive_data_edges_from_index(
-        nodes: &BTreeMap<SubId, SubComputation>,
+        nodes: &[SubComputation],
         writers: &HashMap<PageId, BTreeMap<ThreadId, Vec<&SubComputation>>>,
         edges: &mut Vec<DependenceEdge>,
     ) {
-        for reader in nodes.values() {
+        for reader in nodes {
             // page -> latest writers (per writer sub-computation).
             let mut per_writer_pages: BTreeMap<SubId, Vec<PageId>> = BTreeMap::new();
             for &page in &reader.read_set {
@@ -911,6 +934,56 @@ mod tests {
         for pair in seq.windows(2) {
             assert!(pair[0].alpha < pair[1].alpha);
         }
+    }
+
+    proptest::proptest! {
+        /// The oracle guard for the consuming build: `build(&self)` and
+        /// `into_cpg(self)` return node- and edge-identical graphs (same
+        /// nodes, same edges in the same order), and `build` leaves the
+        /// builder reusable.
+        #[test]
+        fn prop_borrowing_and_consuming_builds_agree(
+            ping_pong in proptest::prelude::any::<bool>(),
+            threads in 1u32..13,
+            iterations in 1u64..10,
+            pages in 1u64..7,
+        ) {
+            let sequences = if ping_pong {
+                crate::testing::ping_pong_sequences(threads, iterations)
+            } else {
+                crate::testing::lock_heavy_sequences(threads, iterations, pages, pages)
+            };
+            let mut builder = CpgBuilder::new();
+            for seq in &sequences {
+                builder.add_thread(seq.clone());
+            }
+            let borrowed = builder.build();
+            let again = builder.build();
+            let consumed = builder.into_cpg();
+            for other in [&again, &consumed] {
+                proptest::prop_assert_eq!(&borrowed.nodes, &other.nodes);
+                proptest::prop_assert_eq!(&borrowed.edges, &other.edges);
+            }
+            proptest::prop_assert_eq!(borrowed.node_count(), sequences.iter().map(Vec::len).sum::<usize>());
+            proptest::prop_assert_eq!(consumed.validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn malformed_sequences_get_the_id_order_a_map_would_impose() {
+        // Out of α order, with a duplicate id: the later duplicate wins.
+        let sub = |alpha: u64, page: u64| {
+            let mut sub =
+                SubComputation::new(SubId::new(ThreadId::new(0), alpha), VectorClock::new());
+            sub.record_write(PageId::new(page));
+            sub
+        };
+        let mut builder = CpgBuilder::new();
+        builder.add_thread(vec![sub(2, 1), sub(0, 2), sub(1, 3), sub(0, 4)]);
+        let cpg = builder.into_cpg();
+        let alphas: Vec<u64> = cpg.nodes().map(|n| n.id.alpha).collect();
+        assert_eq!(alphas, [0, 1, 2]);
+        assert!(cpg.nodes().next().unwrap().writes(PageId::new(4)));
     }
 
     #[test]

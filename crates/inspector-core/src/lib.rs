@@ -38,15 +38,17 @@
 //!   sub-computations, not a second copy of the whole trace — and with
 //!   [`spill::SpillSettings`] it is bounded to an *active window*: sealed-off
 //!   consistent prefixes are encoded into length-prefixed, append-only
-//!   per-shard segment files (see [`spill`] for the on-disk format), faulted
-//!   back in on demand for live snapshots, and concatenated back into the
-//!   final graph at seal.
+//!   per-shard segment files (see [`spill`] for the on-disk format) — one
+//!   write per consistent cut —, replayed on demand for live snapshots,
+//!   and concatenated back into the final graph at seal.
 //!
 //!   The spill tier is **fault tolerant rather than fault free**: every
 //!   I/O failure surfaces as a typed [`spill::SpillError`] instead of a
-//!   panic. A failing append is retried with bounded backoff; if the
-//!   device stays broken the shard *reverts the cut* — the prefix it was
-//!   about to evict stays resident in memory and the store detaches, so
+//!   panic. A failing round is retried with bounded backoff (each attempt
+//!   from the last committed length, so a partial write never stays in
+//!   front of the retry); if the device stays broken the cut never
+//!   happened — the prefix it was about to evict is still resident, earlier
+//!   rounds are replayed back into memory and the store detaches, so
 //!   the session degrades to unbounded-memory operation with a graph
 //!   **identical** to the never-spilled one (callers see the episode as a
 //!   `spill_fallbacks` count, never as data loss). On reload, a torn

@@ -36,12 +36,14 @@
 //! graph node- and edge-identical to the sealed one, with zero loss.
 
 use std::collections::{BTreeMap, HashSet};
+use std::fs::File;
+use std::io::Read;
 use std::path::Path;
 
 use crate::graph::{Cpg, CpgBuilder};
 use crate::spill::{
-    parse_segment_header, read_manifest, segment_file_name, ManifestSegment, RecordPayload,
-    SpillError, SpillResult, SEGMENT_HEADER_BYTES,
+    check_edge, parse_segment_header, read_manifest, scan_segment, segment_file_name,
+    ManifestSegment, ScanEnd, SpillError, SpillResult, ThreadRuns, SEGMENT_HEADER_BYTES,
 };
 use crate::subcomputation::SubComputation;
 
@@ -161,7 +163,9 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
         by_shard.entry(seg.shard).or_default().push(*seg);
     }
     let mut consumed: HashSet<String> = HashSet::new();
-    let mut nodes_by_thread: BTreeMap<u32, Vec<SubComputation>> = BTreeMap::new();
+    let mut runs = ThreadRuns::default();
+    // One image buffer for every scanned segment.
+    let mut bytes = Vec::new();
     for (shard, mut segs) in by_shard {
         segs.sort_by_key(|s| s.index);
         // Once a shard hits its first invalid record (or a hole in the
@@ -190,8 +194,9 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
                 }
                 continue;
             }
-            let bytes = match std::fs::read(&path) {
-                Ok(bytes) => bytes,
+            bytes.clear();
+            match File::open(&path).and_then(|mut file| file.read_to_end(&mut bytes)) {
+                Ok(_) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                     report.missing_segments += 1;
                     report.missing_bytes += seg.bytes;
@@ -199,7 +204,7 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
                     continue;
                 }
                 Err(e) => return Err(e.into()),
-            };
+            }
             report.total_bytes += bytes.len() as u64;
             let header_ok = match parse_segment_header(&bytes, &path) {
                 Ok(header) => {
@@ -221,53 +226,39 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
             if file_len < seg.bytes {
                 report.missing_bytes += seg.bytes - file_len;
             }
-            let mut pos = SEGMENT_HEADER_BYTES as usize;
-            while pos < avail {
-                let skip_rest = |report: &mut RecoveryReport, pos: usize| {
-                    report.lost_bytes += (avail - pos) as u64;
-                };
-                if pos + 4 > avail {
+            // Edge records are only grammar-checked and counted: the graph
+            // re-derives its edges from the node payloads.
+            let edge_records = &mut report.recovered_edge_records;
+            let end = scan_segment(
+                &bytes,
+                avail,
+                |sub| runs.push(sub),
+                |cursor| {
+                    check_edge(cursor)?;
+                    cursor.expect_exhausted()?;
+                    *edge_records += 1;
+                    Ok(())
+                },
+            );
+            let valid_end = match end {
+                ScanEnd::Clean => avail,
+                ScanEnd::Torn(at) => {
                     report.torn_records += 1;
-                    skip_rest(&mut report, pos);
-                    poisoned = true;
-                    break;
+                    at
                 }
-                let mut word = [0u8; 4];
-                word.copy_from_slice(&bytes[pos..pos + 4]);
-                let len = u32::from_le_bytes(word) as usize;
-                if pos + 4 + len + 4 > avail {
-                    report.torn_records += 1;
-                    skip_rest(&mut report, pos);
-                    poisoned = true;
-                    break;
-                }
-                let payload = &bytes[pos + 4..pos + 4 + len];
-                word.copy_from_slice(&bytes[pos + 4 + len..pos + 8 + len]);
-                if crate::spill::crc32(payload) != u32::from_le_bytes(word) {
+                ScanEnd::Crc(at) => {
                     report.crc_failures += 1;
-                    skip_rest(&mut report, pos);
-                    poisoned = true;
-                    break;
+                    at
                 }
-                match crate::spill::decode_record(payload) {
-                    Ok(RecordPayload::Node(sub)) => {
-                        nodes_by_thread
-                            .entry(sub.id.thread.index() as u32)
-                            .or_default()
-                            .push(sub);
-                    }
-                    Ok(RecordPayload::Edge(_)) => {
-                        report.recovered_edge_records += 1;
-                    }
-                    Err(_) => {
-                        report.decode_failures += 1;
-                        skip_rest(&mut report, pos);
-                        poisoned = true;
-                        break;
-                    }
+                ScanEnd::Decode(at, _) => {
+                    report.decode_failures += 1;
+                    at
                 }
-                report.recovered_bytes += (8 + len) as u64;
-                pos += 8 + len;
+            };
+            report.recovered_bytes += (valid_end as u64).saturating_sub(SEGMENT_HEADER_BYTES);
+            if valid_end < avail {
+                report.lost_bytes += (avail - valid_end) as u64;
+                poisoned = true;
             }
             if file_len > seg.bytes {
                 // Bytes appended after the last published cut: durable but
@@ -299,13 +290,15 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
         Err(e) => return Err(e.into()),
     }
 
-    // Per-thread contiguous α-prefixes. Within a shard node records land
-    // in α order, and a thread spills through exactly one shard, so this
-    // sort is a no-op on well-formed input; a hole means the records
-    // beyond it are unusable.
+    // Per-thread contiguous α-prefixes (the scan delivers each thread's
+    // records in α order); a hole means the records beyond it are unusable.
+    let mut nodes_by_thread: BTreeMap<u32, Vec<SubComputation>> = runs
+        .into_sorted()
+        .into_iter()
+        .map(|(thread, nodes)| (thread.index() as u32, nodes))
+        .collect();
     let mut decoded_nodes = 0u64;
     for (&thread, nodes) in nodes_by_thread.iter_mut() {
-        nodes.sort_by_key(|sub| sub.id.alpha);
         decoded_nodes += nodes.len() as u64;
         let contiguous = nodes
             .iter()
@@ -362,7 +355,7 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
     }
     report.excluded_nodes = decoded_nodes - report.recovered_nodes;
     report.consistent_frontier = frontier.into_iter().filter(|&(_, f)| f > 0).collect();
-    let cpg = builder.build();
+    let cpg = builder.into_cpg();
     report.recovered_edges = cpg.edge_count() as u64;
     debug_assert_eq!(
         report.total_bytes,

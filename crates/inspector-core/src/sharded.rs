@@ -66,15 +66,18 @@
 //!   every sub whose causal frontier is fully delivered, i.e. exactly the
 //!   region the frontier wait-index can never touch again — is encoded into
 //!   the shard's append-only [`SpillStore`] together with the stripe-local
-//!   (control + data) edges into it, and evicted. The cut reads the epoch
+//!   (control + data) edges into it, and evicted. A cut is the unit of
+//!   I/O: its records are staged back to back and committed with **one
+//!   write**, and memory is touched only after that write succeeded, so a
+//!   failed round leaves the shard as it was. The cut reads the epoch
 //!   frontier lock-free (monotone, so a stale read only keeps a sub
 //!   resident one extra round). The release and page-write indexes keep
 //!   only `(α, clock)` entries, so spilled writers still resolve future
-//!   readers; live snapshots fault spilled nodes back in through the
-//!   store's `SubId → (segment, offset)` index; and
-//!   [`seal`](ShardedCpgBuilder::seal) concatenates the segments back into
-//!   the final graph instead of moving nodes, making peak resident memory
-//!   O(active window) instead of O(trace length) (paper §VI).
+//!   readers; live snapshots replay the shard's segments to fault spilled
+//!   prefixes back in; and [`seal`](ShardedCpgBuilder::seal) concatenates
+//!   the segments back into the final graph instead of moving nodes,
+//!   making peak resident memory O(active window) instead of O(trace
+//!   length) (paper §VI).
 //!
 //! Lock order is `node stripe → page stripe → release stripe → wait
 //! stripe`; no path takes any pair in the opposite order, no family is
@@ -102,7 +105,7 @@ use crate::graph::{
     ordered_before, prune_superseded_writers, Cpg, CpgBuilder, DependenceEdge, EdgeKind,
 };
 use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
-use crate::spill::{ManifestWriter, Replay, SpillSettings, SpillStore};
+use crate::spill::{ManifestWriter, Replay, SpillDurability, SpillSettings, SpillStore};
 use crate::subcomputation::{PageSet, SubComputation, SyncPoint};
 
 /// Default number of lock stripes.
@@ -167,6 +170,9 @@ pub struct IngestStats {
     /// replays its segments back into memory and the final graph is
     /// complete.
     pub spill_fallbacks: u64,
+    /// `write` calls issued on spill segments: one per opened segment (its
+    /// header) plus one per round commit attempt — never one per record.
+    pub spill_writes: u64,
 }
 
 /// Debug-build profile of stripe-lock acquisitions, by family. All zeros in
@@ -225,6 +231,17 @@ struct ThreadSeq {
     spilled_tail: Option<(SubId, Option<SyncPoint>)>,
     /// Resident sub-computations, in α order.
     live: Vec<SubComputation>,
+    /// Length of the `live` prefix staged in the spill round in flight;
+    /// zero outside [`ShardedCpgBuilder::spill_shard`].
+    staged: usize,
+}
+
+/// Whether `id` is below its thread's spill cut: already on disk, or staged
+/// to go there in the round in flight.
+fn below_cut(sequences: &BTreeMap<ThreadId, ThreadSeq>, id: SubId) -> bool {
+    sequences
+        .get(&id.thread)
+        .is_some_and(|seq| id.alpha < seq.base + seq.staged as u64)
 }
 
 impl ThreadSeq {
@@ -562,6 +579,8 @@ pub struct ShardedCpgBuilder {
     /// current build (write failure after retries, store creation failure,
     /// unreadable or torn records at replay).
     spill_fallbacks: AtomicU64,
+    /// Segment `write` calls issued in the current build.
+    spill_writes: AtomicU64,
     /// Spill-write attempts since the injection counter was armed; only
     /// advanced while `fail_spill_write_at` is nonzero.
     spill_appends: AtomicU64,
@@ -572,12 +591,12 @@ pub struct ShardedCpgBuilder {
     /// Per-session manifest publisher (`None` when spilling is disabled).
     spill_manifest: Option<ManifestWriter>,
     /// Fault injection: simulate a whole-process crash after the Nth spill
-    /// record — the (N+1)th append writes a torn frame, the manifest
+    /// record — record N+1 reaches the disk as a torn frame, the manifest
     /// freezes, and every store detaches keeping its files, exactly the
     /// on-disk state a dead process leaves behind.
     /// `0` = disabled. Survives seals (it is configuration, not a counter).
     crash_spill_at: AtomicU64,
-    /// Spill records appended so far; only advanced while
+    /// Spill records staged so far; only advanced while
     /// `crash_spill_at` is armed.
     spill_record_count: AtomicU64,
     /// Set once the injected crash fired.
@@ -627,17 +646,9 @@ impl ShardedCpgBuilder {
         let shard_stripes: Vec<Mutex<Shard>> = (0..shards)
             .map(|i| {
                 let store = spill.as_ref().and_then(|s| {
-                    match SpillStore::create(&s.dir, i, s.segment_bytes) {
-                        Ok(mut store) => {
-                            store.set_durability(s.durability);
-                            store.set_session_id(s.session_id);
-                            Some(store)
-                        }
-                        Err(_) => {
-                            create_fallbacks += 1;
-                            None
-                        }
-                    }
+                    SpillStore::create(s, i)
+                        .inspect_err(|_| create_fallbacks += 1)
+                        .ok()
                 });
                 Mutex::new(Shard {
                     spill: store,
@@ -652,7 +663,7 @@ impl ShardedCpgBuilder {
             // The stores above created the session directory; stamp it with
             // the (empty) manifest immediately so even a crash during the
             // very first append leaves one behind for recovery.
-            let _ = manifest.publish_initial();
+            let _ = manifest.publish();
         }
         ShardedCpgBuilder {
             shards: shard_stripes,
@@ -689,6 +700,7 @@ impl ShardedCpgBuilder {
             resident: AtomicU64::new(0),
             peak_resident: AtomicU64::new(0),
             spill_fallbacks: AtomicU64::new(create_fallbacks),
+            spill_writes: AtomicU64::new(0),
             spill_appends: AtomicU64::new(0),
             fail_spill_write_at: AtomicU64::new(0),
             spill_manifest,
@@ -830,25 +842,29 @@ impl ShardedCpgBuilder {
             spill_time: Duration::from_nanos(self.spill_time_nanos.load(Ordering::Acquire)),
             peak_resident_subs: self.peak_resident.load(Ordering::Acquire),
             spill_fallbacks: self.spill_fallbacks.load(Ordering::Acquire),
+            spill_writes: self.spill_writes.load(Ordering::Acquire),
         }
     }
 
     /// Arms deterministic spill fault injection: the `nth` (1-based)
     /// spill-write attempt — and every attempt after it — fails, modelling
-    /// a disk that filled up and stayed full. `0` disarms. Callable on the
-    /// shared builder; writes already in flight may complete first.
+    /// a disk that filled up and stayed full. A round is one write, so
+    /// attempts count **rounds** (and their retries), not records. `0`
+    /// disarms. Callable on the shared builder; writes already in flight
+    /// may complete first.
     pub fn inject_spill_write_failure(&self, nth: u64) {
         self.fail_spill_write_at.store(nth, Ordering::Release);
     }
 
-    /// Arms deterministic crash injection: appending the (`nth`+1)-th
-    /// spill record (1-based, across all shards) writes only a torn frame
-    /// prefix and then behaves as if the process died — the manifest
-    /// freezes where it was, every store detaches keeping its files, and
-    /// the seal retains all spill artifacts for offline recovery. `0`
-    /// disarms. The build itself still completes, degraded: everything
-    /// spilled is restored into memory first, so the sealed graph loses
-    /// nothing in-process.
+    /// Arms deterministic crash injection: the (`nth`+1)-th spill
+    /// **record** (1-based, across all shards) is the one the process dies
+    /// in — its round's write carries the whole frames staged before it
+    /// and only a torn prefix of that one — and then the builder behaves
+    /// as if the process died: the manifest freezes where it was, every
+    /// store detaches keeping its files, and the seal retains all spill
+    /// artifacts for offline recovery. `0` disarms. The build itself still
+    /// completes, degraded: everything spilled is restored into memory
+    /// first, so the sealed graph loses nothing in-process.
     pub fn inject_spill_crash(&self, nth: u64) {
         self.crash_spill_at.store(nth, Ordering::Release);
     }
@@ -870,8 +886,8 @@ impl ShardedCpgBuilder {
         self.spill.as_ref().map(|s| s.dir.as_path())
     }
 
-    /// Counts one spill record append against the armed crash point.
-    /// Returns `true` when this append is the one that "kills" the
+    /// Counts one staged spill record against the armed crash point.
+    /// Returns `true` when this record is the one that "kills" the
     /// process. Costs one atomic load while disarmed.
     fn spill_crash_due(&self) -> bool {
         let at = self.crash_spill_at.load(Ordering::Acquire);
@@ -881,10 +897,10 @@ impl ShardedCpgBuilder {
         self.spill_record_count.fetch_add(1, Ordering::AcqRel) + 1 > at
     }
 
-    /// Runs one spill-write attempt with bounded retries. Injected
-    /// failures consume the same attempt budget as real ones. Returns
-    /// `false` when the write never succeeded — the caller falls back to
-    /// in-memory retention.
+    /// Runs one round's write with bounded retries. Injected failures
+    /// consume the same attempt budget as real ones. Returns `false` when
+    /// the write never succeeded — the caller falls back to in-memory
+    /// retention.
     fn try_spill_append(&self, mut attempt: impl FnMut() -> std::io::Result<()>) -> bool {
         const BACKOFF_MICROS: [u64; 3] = [0, 50, 200];
         for backoff in BACKOFF_MICROS {
@@ -1449,6 +1465,13 @@ impl ShardedCpgBuilder {
     /// again), so its node and the stripe-local edges into it move to the
     /// shard's append-only [`SpillStore`] and leave memory.
     ///
+    /// The cut is one **round**: every spillable node of every thread of
+    /// the stripe, then the stripe-local edges into them, are staged as
+    /// back-to-back frames and committed with one write. Memory is touched
+    /// only after that write succeeded — the prefixes are detached and the
+    /// edge vectors retained in place — so a failed round leaves the shard
+    /// exactly as it was.
+    ///
     /// Coverage of a sub's clock by the frontier is monotone along a
     /// thread's sequence (clocks only grow), so the spillable region is
     /// always a prefix, and the epoch reads are lock-free — a stale read
@@ -1459,160 +1482,172 @@ impl ShardedCpgBuilder {
     /// emitted twice.
     fn spill_shard(&self, stripe: usize, shard: &mut Shard) {
         let started = Instant::now();
+        self.spill_round(stripe, shard);
+        self.spill_time_nanos
+            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::AcqRel);
+    }
+
+    fn spill_round(&self, stripe: usize, shard: &mut Shard) {
         // After a simulated crash nothing spills any more: each store is
         // lazily restored into memory (the dead process's graph work was
         // already restored at the crash point; intact shards restore here
         // or at seal) and detached with its files kept for recovery.
         if self.spill_crashed.load(Ordering::Acquire) {
-            if let Some(store) = shard.spill.as_mut() {
-                if let Ok(replay) = store.replay() {
-                    self.restore_replay_into_shard(shard, replay, 0);
-                }
-            }
-            if let Some(mut store) = shard.spill.take() {
-                store.detach_keeping_files();
-            }
+            self.restore_and_detach(shard);
             return;
         }
-        let Some(store) = shard.spill.as_mut() else {
+        let Shard {
+            sequences,
+            control_edges,
+            data_edges,
+            spill: Some(store),
+            ..
+        } = shard
+        else {
             return;
         };
+
+        // Stage the round. Every record counts against the armed crash
+        // point; the one that "kills" the process ends the round there.
         let bytes_before = store.bytes_written();
-        let mut spilled = 0u64;
-        let mut write_failed = false;
+        let writes_before = store.writes();
+        store.begin_round();
         let mut crashed = false;
-        'threads: for (&thread, seq) in shard.sequences.iter_mut() {
-            let cut = seq
-                .live
-                .iter()
-                .position(|sub| first_unmet(&self.frontier, thread, &sub.clock).is_some())
-                .unwrap_or(seq.live.len());
-            let mut moved = 0usize;
-            for sub in seq.live[..cut].iter() {
-                if self.spill_crash_due() {
-                    // The injected crash point: die mid-append, leaving a
-                    // torn frame, and stop touching the disk.
-                    let _ = store.append_torn_node(sub);
-                    crashed = true;
-                } else if !self.try_spill_append(|| store.append_node(sub)) {
-                    write_failed = true;
-                }
-                if crashed || write_failed {
-                    seq.live.drain(..moved);
-                    seq.base += moved as u64;
-                    spilled += moved as u64;
-                    break 'threads;
-                }
-                seq.spilled_tail = Some((sub.id, sub.terminator));
-                moved += 1;
-            }
-            seq.live.drain(..moved);
-            seq.base += moved as u64;
-            spilled += moved as u64;
-        }
-        if !write_failed && !crashed && spilled > 0 {
-            // Move the stripe-local edges whose destination is below the
-            // cut: no further edge into those readers can ever be emitted.
-            let bases: HashMap<ThreadId, u64> = shard
-                .sequences
-                .iter()
-                .map(|(&t, seq)| (t, seq.base))
-                .collect();
-            let below_cut = |id: SubId| bases.get(&id.thread).is_some_and(|&base| id.alpha < base);
-            for edges in [&mut shard.control_edges, &mut shard.data_edges] {
-                let mut keep = Vec::with_capacity(edges.len());
-                for edge in edges.drain(..) {
-                    if !write_failed && !crashed && below_cut(edge.dst) {
-                        if self.spill_crash_due() {
-                            let _ = store.append_torn_edge(&edge);
-                            crashed = true;
-                        } else if self.try_spill_append(|| store.append_edge(&edge)) {
-                            continue;
-                        } else {
-                            // The edge stayed in memory only because its
-                            // write failed; stop spilling and fall back.
-                            write_failed = true;
-                        }
+        let mut dies_here = || {
+            crashed = self.spill_crash_due();
+            crashed
+        };
+        let mut staged = 0usize;
+        'stage: {
+            for (&thread, seq) in sequences.iter_mut() {
+                seq.staged = seq
+                    .live
+                    .iter()
+                    .position(|sub| first_unmet(&self.frontier, thread, &sub.clock).is_some())
+                    .unwrap_or(seq.live.len());
+                staged += seq.staged;
+                for sub in &seq.live[..seq.staged] {
+                    store.stage_node(sub);
+                    if dies_here() {
+                        break 'stage;
                     }
-                    keep.push(edge);
                 }
-                *edges = keep;
+            }
+            if staged == 0 {
+                return;
+            }
+            // The stripe-local edges whose destination is below the cut:
+            // no further edge into those readers can ever be emitted.
+            for edge in control_edges.iter().chain(data_edges.iter()) {
+                if below_cut(sequences, edge.dst) {
+                    store.stage_edge(edge);
+                    if dies_here() {
+                        break 'stage;
+                    }
+                }
             }
         }
-        if crashed {
-            // Freeze the manifest exactly where the "dead" process left
-            // it, restore everything spilled (all rounds) back into the
-            // shard so the in-process graph stays complete, and detach the
-            // store keeping every byte on disk for offline recovery.
-            self.spill_crashed.store(true, Ordering::Release);
-            if let Some(manifest) = self.spill_manifest.as_ref() {
-                manifest.freeze();
+
+        let committed = if crashed {
+            // Die inside the round's write, leaving a torn frame.
+            let _ = store.commit_torn();
+            None
+        } else {
+            let mut rolled = false;
+            self.try_spill_append(|| store.commit_round().map(|r| rolled = r))
+                .then_some(rolled)
+        };
+        self.spill_writes
+            .fetch_add(store.writes() - writes_before, Ordering::AcqRel);
+
+        let Some(rolled) = committed else {
+            for seq in sequences.values_mut() {
+                seq.staged = 0;
             }
             self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
-            if let Ok(replay) = store.replay() {
-                self.restore_replay_into_shard(shard, replay, spilled);
-            }
-            if let Some(mut store) = shard.spill.take() {
-                store.detach_keeping_files();
-            }
-        } else if write_failed {
-            // Bounded retries exhausted (ENOSPC, injected fault): fall
-            // back to in-memory retention. Everything spilled so far —
-            // this round's and earlier rounds' — is replayed back into
-            // the shard so nothing is lost, and the store is dropped.
-            self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
-            match store.drain_all() {
-                Ok(replay) => {
-                    self.restore_replay_into_shard(shard, replay, spilled);
-                    shard.spill = None;
+            if crashed {
+                // Freeze the manifest exactly where the "dead" process
+                // left it, restore every committed round back into the
+                // shard so the in-process graph stays complete, and detach
+                // the store keeping every byte on disk for offline
+                // recovery.
+                self.spill_crashed.store(true, Ordering::Release);
+                if let Some(manifest) = self.spill_manifest.as_ref() {
+                    manifest.freeze();
                 }
-                Err(_) => {
+                self.restore_and_detach(shard);
+            } else {
+                // Bounded retries exhausted (ENOSPC, injected fault): fall
+                // back to in-memory retention. The earlier rounds are
+                // replayed back into the shard so nothing is lost, and the
+                // store is dropped.
+                match store.drain_all() {
+                    Ok(replay) => {
+                        self.restore_replay_into_shard(shard, replay);
+                        shard.spill = None;
+                    }
                     // The spilled prefix cannot be read back right now;
                     // keep the store so the seal can retry the replay, but
                     // make no further spill attempt.
-                    shard.spill_disabled = true;
+                    Err(_) => shard.spill_disabled = true,
                 }
             }
-        } else if spilled > 0 {
-            self.resident.fetch_sub(spilled, Ordering::AcqRel);
-            self.spilled_subs.fetch_add(spilled, Ordering::AcqRel);
-            self.spill_bytes
-                .fetch_add(store.bytes_written() - bytes_before, Ordering::AcqRel);
-            // The round's bytes are complete on disk: push them to stable
-            // storage per the durability policy, then let the manifest
-            // name them. A sync failure just leaves the manifest at the
-            // previous cut — it must never name non-durable bytes.
-            if let Some(manifest) = self.spill_manifest.as_ref() {
-                if store.sync_for_cut().is_ok() {
-                    let _ = manifest.update_shard(stripe, store.manifest_snapshot());
-                }
+            return;
+        };
+
+        // The round is on disk: detach it from memory.
+        for seq in sequences.values_mut() {
+            let cut = std::mem::take(&mut seq.staged);
+            if let Some(last) = seq.live[..cut].last() {
+                seq.spilled_tail = Some((last.id, last.terminator));
+                seq.live.drain(..cut);
+                seq.base += cut as u64;
             }
         }
-        self.spill_time_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::AcqRel);
+        control_edges.retain(|edge| !below_cut(sequences, edge.dst));
+        data_edges.retain(|edge| !below_cut(sequences, edge.dst));
+        let spilled = staged as u64;
+        self.resident.fetch_sub(spilled, Ordering::AcqRel);
+        self.spilled_subs.fetch_add(spilled, Ordering::AcqRel);
+        self.spill_bytes
+            .fetch_add(store.bytes_written() - bytes_before, Ordering::AcqRel);
+        // Push the round to stable storage per the durability policy, then
+        // let the manifest name it. With no durability promised only a
+        // round that opened a segment publishes. A sync failure just leaves
+        // the manifest at the previous cut — it must never name
+        // non-durable bytes.
+        let durable = self
+            .spill
+            .as_ref()
+            .is_some_and(|s| s.durability != SpillDurability::None);
+        if let Some(manifest) = self.spill_manifest.as_ref() {
+            if (durable || rolled) && store.sync_for_cut().is_ok() {
+                let _ = manifest.update_shard(stripe, store.manifest_snapshot());
+            }
+        }
+    }
+
+    /// Replays the shard's store back into memory (best effort) and
+    /// detaches it with its files kept — what every shard does once the
+    /// injected crash has fired.
+    fn restore_and_detach(&self, shard: &mut Shard) {
+        if let Some(mut store) = shard.spill.take() {
+            if let Ok(replay) = store.replay() {
+                self.restore_replay_into_shard(shard, replay);
+            }
+            store.detach_keeping_files();
+        }
     }
 
     /// Merges a spill replay back into the shard's live state: nodes
     /// re-enter their sequences ahead of the current live suffix, edges
     /// rejoin the stripe-local buffers, and the residency counters are
-    /// adjusted. `spilled_this_round` names how many of the replayed nodes
-    /// were appended in the current (failed/crashed) round — those were
-    /// never subtracted from the residency counters, so only the earlier
-    /// rounds' nodes re-enter the accounting.
-    fn restore_replay_into_shard(
-        &self,
-        shard: &mut Shard,
-        replay: Replay,
-        spilled_this_round: u64,
-    ) {
-        let restored = replay.nodes.len() as u64;
-        let mut by_thread: BTreeMap<ThreadId, Vec<SubComputation>> = BTreeMap::new();
-        for sub in replay.nodes {
-            by_thread.entry(sub.id.thread).or_default().push(sub);
-        }
-        for (t, prefix) in by_thread {
+    /// adjusted. A replay holds exactly the committed rounds, i.e. the
+    /// nodes that had left the residency accounting.
+    fn restore_replay_into_shard(&self, shard: &mut Shard, replay: Replay) {
+        let restored: u64 = replay.nodes.values().map(|run| run.len() as u64).sum();
+        for (t, mut live) in replay.nodes {
             let seq = shard.sequences.entry(t).or_default();
-            let mut live = prefix;
             live.append(&mut seq.live);
             seq.live = live;
             seq.base = 0;
@@ -1624,11 +1659,10 @@ impl ShardedCpgBuilder {
                 _ => shard.data_edges.push(edge),
             }
         }
-        let returning = restored.saturating_sub(spilled_this_round);
-        if returning > 0 {
-            let resident = self.resident.fetch_add(returning, Ordering::AcqRel) + returning;
+        if restored > 0 {
+            let resident = self.resident.fetch_add(restored, Ordering::AcqRel) + restored;
             self.peak_resident.fetch_max(resident, Ordering::AcqRel);
-            self.spilled_subs.fetch_sub(returning, Ordering::AcqRel);
+            self.spilled_subs.fetch_sub(restored, Ordering::AcqRel);
         }
     }
 
@@ -1647,32 +1681,35 @@ impl ShardedCpgBuilder {
         // replay per shard (not a seek per node — the stripe locks are held
         // for the duration, so the fault path must scale with segment
         // count, not trace length). Only shards that actually spilled pay.
+        // A prefix that cannot be read back (segment damaged or gone) is a
+        // counted degradation, never a panic with every stripe locked: the
+        // thread is left out of the view, and the snapshot's consistent-cut
+        // trim drops whatever then lacks its causal context.
         let mut faulted: Vec<(ThreadId, Vec<SubComputation>)> = Vec::new();
         for guard in &guards {
             let spilled_any = guard.sequences.values().any(|seq| seq.base > 0);
             if !spilled_any {
                 continue;
             }
-            let store = guard.spill.as_ref().expect("spilled prefix has a store");
-            let replay = store.replay().expect("replay spill segments");
-            // Within one thread the replay yields α order, so bucketing by
-            // thread gives each prefix already sorted.
-            let mut by_thread: BTreeMap<ThreadId, Vec<SubComputation>> = BTreeMap::new();
-            for sub in replay.nodes {
-                by_thread.entry(sub.id.thread).or_default().push(sub);
-            }
+            let mut prefixes = match guard.spill.as_ref().map(SpillStore::replay) {
+                Some(Ok(replay)) => replay.nodes,
+                _ => BTreeMap::new(),
+            };
+            let mut complete = true;
             for (&t, seq) in &guard.sequences {
                 if seq.base == 0 {
                     continue;
                 }
-                let mut full = by_thread.remove(&t).unwrap_or_default();
-                assert_eq!(
-                    full.len() as u64,
-                    seq.base,
-                    "replayed prefix must cover every spilled sub of {t}"
-                );
-                full.extend(seq.live.iter().cloned());
-                faulted.push((t, full));
+                let mut full = prefixes.remove(&t).unwrap_or_default();
+                if full.len() as u64 == seq.base {
+                    full.extend(seq.live.iter().cloned());
+                    faulted.push((t, full));
+                } else {
+                    complete = false;
+                }
+            }
+            if !complete {
+                self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
             }
         }
         let mut map: BTreeMap<ThreadId, &[SubComputation]> = BTreeMap::new();
@@ -1790,14 +1827,12 @@ impl ShardedCpgBuilder {
         self.data_at_seal
             .fetch_add(seal_data_emitted, Ordering::AcqRel);
 
-        // Per-shard node runs, as *iterators*: a shard's live sequences
-        // iterate in (thread, α) order, so without spilling a run streams
-        // straight out of the drained map; a spill replay interleaves
-        // threads, so such shards fall back to one per-run adaptive sort
-        // over their (still mostly sorted) contents. The runs feed the
-        // k-way merge below without an intermediate per-run buffer.
-        let mut runs: Vec<NodeIter> = Vec::new();
-        let mut total_nodes = 0usize;
+        // Per-thread node runs: a thread is stored in exactly one stripe,
+        // its live sequence is in α order and a spill replay arrives
+        // bucketed per thread in α order, so a thread's replayed prefix
+        // followed by its live suffix is one contiguous run of the graph's
+        // (thread, α)-sorted node store.
+        let mut runs: BTreeMap<ThreadId, [Vec<SubComputation>; 2]> = BTreeMap::new();
         let mut edges: Vec<DependenceEdge> = Vec::new();
         let crashed = self.spill_crashed.load(Ordering::Acquire);
         let retain = self.seal_retain.load(Ordering::Acquire)
@@ -1806,142 +1841,91 @@ impl ShardedCpgBuilder {
         // retention, or an unreadable store kept for forensics): the
         // directory and manifest are then left in place.
         let mut artifacts_kept = crashed;
-        // Cleared when the retained on-disk copy is incomplete (an append
-        // or sync failed): the manifest then stays unclean.
+        // Cleared when the retained on-disk copy is incomplete (a replay,
+        // commit or sync failed): the manifest then stays unclean.
         let mut retained_complete = true;
         for index in 0..self.shards.len() {
             let mut guard = self.lock_shard(index);
             let shard = &mut *guard;
             // Spilled prefixes first: the segments are concatenated back
-            // into the final graph (one sequential replay per shard) and —
-            // unless the run crashed or retention is on — deleted so the
+            // into the final graph (one sequential replay per shard). A
+            // simulated crash (a dead process drains and deletes nothing)
+            // and a retaining seal replay non-destructively and leave every
+            // file in place; otherwise the segments are deleted so the
             // store is empty for the next build.
-            let mut detach_store = false;
-            let spilled_nodes = match shard.spill.as_mut() {
-                Some(store) => {
-                    if crashed {
-                        // A simulated crash fired: a dead process drains
-                        // and deletes nothing. Replay non-destructively so
-                        // the in-memory graph stays complete and leave
-                        // every file exactly as the crash left it.
-                        let nodes = match store.replay() {
-                            Ok(mut replay) => {
-                                if replay.torn_tails > 0 {
-                                    self.spill_fallbacks
-                                        .fetch_add(replay.torn_tails, Ordering::AcqRel);
-                                }
-                                edges.append(&mut replay.edges);
-                                replay.nodes
-                            }
-                            Err(_) => {
-                                self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
-                                Vec::new()
-                            }
-                        };
-                        store.detach_keeping_files();
-                        detach_store = true;
-                        nodes
-                    } else if retain {
-                        // Retained seal: replay the spilled prefix for the
-                        // in-memory graph, then complete the on-disk copy
-                        // by appending every still-live node, sync, and
-                        // publish the final manifest entry. The directory
-                        // becomes a recoverable image of the full graph.
-                        let nodes = match store.replay() {
-                            Ok(mut replay) => {
-                                if replay.torn_tails > 0 {
-                                    self.spill_fallbacks
-                                        .fetch_add(replay.torn_tails, Ordering::AcqRel);
-                                    retained_complete = false;
-                                }
-                                edges.append(&mut replay.edges);
-                                replay.nodes
-                            }
-                            Err(_) => {
-                                self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
-                                retained_complete = false;
-                                Vec::new()
-                            }
-                        };
-                        let mut append_failed = false;
-                        'live: for seq in shard.sequences.values() {
-                            for sub in &seq.live {
-                                if !self.try_spill_append(|| store.append_node(sub)) {
-                                    append_failed = true;
-                                    break 'live;
-                                }
-                            }
-                        }
-                        let synced = store.sync_for_cut().is_ok();
-                        if synced {
-                            if let Some(manifest) = self.spill_manifest.as_ref() {
-                                let _ = manifest.update_shard(index, store.manifest_snapshot());
-                            }
-                        }
-                        if append_failed || !synced {
-                            self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
+            let mut detach_store = crashed || retain;
+            if let Some(store) = shard.spill.as_mut() {
+                let replayed = if detach_store {
+                    store.replay()
+                } else {
+                    store.drain_all()
+                };
+                match replayed {
+                    Ok(mut replay) => {
+                        // Torn tails are skipped by the replay; each one is
+                        // a degradation the caller can observe.
+                        if replay.torn_tails > 0 {
+                            self.spill_fallbacks
+                                .fetch_add(replay.torn_tails, Ordering::AcqRel);
                             retained_complete = false;
                         }
-                        store.detach_keeping_files();
-                        detach_store = true;
-                        artifacts_kept = true;
-                        nodes
-                    } else {
-                        match store.drain_all() {
-                            Ok(mut replay) => {
-                                // Crash-torn tails are skipped by the
-                                // replay; each one is a degradation the
-                                // caller can observe.
-                                if replay.torn_tails > 0 {
-                                    self.spill_fallbacks
-                                        .fetch_add(replay.torn_tails, Ordering::AcqRel);
-                                }
-                                edges.append(&mut replay.edges);
-                                replay.nodes
-                            }
-                            Err(_) => {
-                                // The spilled prefix is unreadable: seal
-                                // what is still in memory and account the
-                                // degradation instead of aborting the
-                                // whole build. The store is detached with
-                                // its files kept — never delete material a
-                                // forensic recovery might still read.
-                                self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
-                                store.detach_keeping_files();
-                                detach_store = true;
-                                artifacts_kept = true;
-                                Vec::new()
-                            }
+                        edges.append(&mut replay.edges);
+                        for (thread, prefix) in replay.nodes {
+                            runs.entry(thread).or_default()[0] = prefix;
                         }
                     }
+                    Err(_) => {
+                        // The spilled prefix is unreadable: seal what is
+                        // still in memory and account the degradation
+                        // instead of aborting the whole build. The store is
+                        // detached with its files kept — never delete
+                        // material a forensic recovery might still read.
+                        self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
+                        retained_complete = false;
+                        if let Some(manifest) = self.spill_manifest.as_ref() {
+                            manifest.set_shard(index, store.manifest_snapshot());
+                        }
+                        detach_store = true;
+                        artifacts_kept = true;
+                    }
                 }
-                None => Vec::new(),
-            };
-            if detach_store {
-                shard.spill = None;
+                if retain && !crashed {
+                    // Retained seal: complete the on-disk copy with one
+                    // more round holding every still-live node, sync, and
+                    // hand the manifest the final entry. The directory
+                    // becomes a recoverable image of the full graph.
+                    let writes_before = store.writes();
+                    store.begin_round();
+                    for seq in shard.sequences.values() {
+                        for sub in &seq.live {
+                            store.stage_node(sub);
+                        }
+                    }
+                    let appended = self.try_spill_append(|| store.commit_round().map(drop));
+                    self.spill_writes
+                        .fetch_add(store.writes() - writes_before, Ordering::AcqRel);
+                    let synced = store.sync_for_cut().is_ok();
+                    if let Some(manifest) = self.spill_manifest.as_ref().filter(|_| synced) {
+                        manifest.set_shard(index, store.manifest_snapshot());
+                    }
+                    if !appended || !synced {
+                        self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
+                        retained_complete = false;
+                    }
+                    artifacts_kept = true;
+                }
+                if detach_store {
+                    store.detach_keeping_files();
+                    shard.spill = None;
+                }
             }
-            let sequences = std::mem::take(&mut shard.sequences);
+            for (thread, seq) in std::mem::take(&mut shard.sequences) {
+                runs.entry(thread).or_default()[1] = seq.live;
+            }
             shard.ingests_since_spill = 0;
             shard.spill_disabled = false;
             edges.append(&mut shard.control_edges);
             edges.append(&mut shard.data_edges);
-            drop(guard);
-
-            let live: usize = sequences.values().map(|seq| seq.live.len()).sum();
-            total_nodes += spilled_nodes.len() + live;
-            if spilled_nodes.is_empty() {
-                if live > 0 {
-                    runs.push(Box::new(sequences.into_values().flat_map(|seq| seq.live)));
-                }
-            } else {
-                let mut run: Vec<SubComputation> = Vec::with_capacity(spilled_nodes.len() + live);
-                run.extend(spilled_nodes);
-                for (_, seq) in sequences {
-                    run.extend(seq.live);
-                }
-                run.sort_by_key(|sub| sub.id);
-                runs.push(Box::new(run.into_iter()));
-            }
         }
         // Spill-artifact epilogue. A retained seal that completed its
         // on-disk copy publishes the clean manifest (a frozen, crashed
@@ -1955,9 +1939,9 @@ impl ShardedCpgBuilder {
                     if retain && retained_complete && !crashed {
                         let _ = manifest.mark_clean();
                     } else if !crashed {
-                        // Incomplete retention / unreadable store: flush
-                        // whatever entries the durability policy deferred,
-                        // but the manifest stays unclean.
+                        // Incomplete retention / unreadable store: publish
+                        // the entries handed over above, but the manifest
+                        // stays unclean.
                         let _ = manifest.publish();
                     }
                 }
@@ -2022,6 +2006,7 @@ impl ShardedCpgBuilder {
             &self.resident,
             &self.peak_resident,
             &self.spill_fallbacks,
+            &self.spill_writes,
             &self.spill_appends,
             &self.spill_record_count,
             // fail_spill_write_at and crash_spill_at are configuration,
@@ -2033,54 +2018,15 @@ impl ShardedCpgBuilder {
         self.spill_crashed.store(false, Ordering::Release);
         self.seal_retain.store(false, Ordering::Release);
 
-        // K-way merge of the sorted runs (k = live shard count), streamed
-        // straight into the graph's sorted node store: one buffering pass,
-        // no tree build, no sort — each node moves a constant number of
-        // times and the per-sub seal cost stays flat as runs grow.
+        // The runs concatenate in thread order straight into the graph's
+        // sorted node store: one bulk move per run, no merge, no sort — the
+        // per-sub seal cost stays flat as runs grow.
+        let total_nodes = runs.values().flatten().map(Vec::len).sum();
         let mut nodes: Vec<SubComputation> = Vec::with_capacity(total_nodes);
-        nodes.extend(MergeSortedRuns::new(runs));
-        debug_assert_eq!(nodes.len(), total_nodes, "merge must preserve every node");
+        for run in runs.into_values().flatten() {
+            nodes.extend(run);
+        }
         Cpg::from_sorted_nodes(nodes, edges)
-    }
-}
-
-/// One per-shard node source of the seal's k-way merge.
-type NodeIter = Box<dyn Iterator<Item = SubComputation>>;
-
-/// Streaming k-way merge of per-shard node runs, each sorted by [`SubId`].
-/// `k` is the shard count, so picking the minimum front is a constant-cost
-/// scan.
-struct MergeSortedRuns {
-    fronts: Vec<Option<SubComputation>>,
-    rests: Vec<NodeIter>,
-}
-
-impl MergeSortedRuns {
-    fn new(mut runs: Vec<NodeIter>) -> Self {
-        let fronts = runs.iter_mut().map(|run| run.next()).collect();
-        MergeSortedRuns {
-            fronts,
-            rests: runs,
-        }
-    }
-}
-
-impl Iterator for MergeSortedRuns {
-    type Item = SubComputation;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let mut min: Option<usize> = None;
-        for (i, front) in self.fronts.iter().enumerate() {
-            if let Some(sub) = front {
-                if min.is_none_or(|m| sub.id < self.fronts[m].as_ref().expect("front set").id) {
-                    min = Some(i);
-                }
-            }
-        }
-        let i = min?;
-        let out = self.fronts[i].take();
-        self.fronts[i] = self.rests[i].next();
-        out
     }
 }
 
@@ -2655,6 +2601,85 @@ mod tests {
                 }
             }
         });
+    }
+
+    #[test]
+    fn with_sequences_survives_a_vanished_segment() {
+        // A segment deleted between a spill and a snapshot must degrade the
+        // view, not abort the caller with every stripe locked.
+        let sequences = lock_heavy_sequences(2);
+        let streaming =
+            ShardedCpgBuilder::with_shards_and_spill(2, Some(spill_settings(1, "vanish")));
+        for seq in sequences.clone() {
+            for sub in seq {
+                streaming.ingest(sub);
+            }
+        }
+        assert!(streaming.stats().spilled_subs > 0);
+        assert_eq!(streaming.stats().spill_fallbacks, 0);
+        // Thread 0 spills through shard 0: take its first segment away.
+        let dir = streaming.spill_directory().expect("spilling").to_path_buf();
+        std::fs::remove_file(dir.join(crate::spill::segment_file_name(0, 0))).unwrap();
+        streaming.with_sequences(|map| {
+            // The thread whose prefix is gone is left out; the other
+            // shard's thread is complete from α = 0.
+            assert!(!map.contains_key(&ThreadId::new(0)));
+            let other = map[&ThreadId::new(1)];
+            assert_eq!(other.len(), sequences[1].len());
+            assert_eq!(other[0].id.alpha, 0);
+        });
+        assert_eq!(streaming.stats().spill_fallbacks, 1);
+        // The seal degrades the same way instead of panicking.
+        let sealed = streaming.seal();
+        assert!(sealed.node_count() < sequences.iter().map(Vec::len).sum());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_round_leaves_the_shard_untouched() {
+        // All-or-nothing: a round whose write fails on every attempt (each
+        // one part-way through) detaches nothing and retains every edge.
+        let sequences = lock_heavy_sequences(2);
+        // A threshold nothing reaches, so the only round is the one below.
+        let streaming =
+            ShardedCpgBuilder::with_shards_and_spill(1, Some(spill_settings(10_000, "atomic")));
+        for seq in sequences {
+            for sub in seq {
+                streaming.ingest(sub);
+            }
+        }
+        let snapshot = |shard: &Shard| {
+            let sequences: Vec<_> = shard
+                .sequences
+                .iter()
+                .map(|(&t, seq)| (t, seq.base, seq.spilled_tail, seq.staged, seq.live.clone()))
+                .collect();
+            (
+                sequences,
+                shard.control_edges.clone(),
+                shard.data_edges.clone(),
+            )
+        };
+        let mut guard = streaming.lock_shard(0);
+        let before = snapshot(&guard);
+        let resident = streaming.resident.load(Ordering::Acquire);
+        guard
+            .spill
+            .as_mut()
+            .expect("store")
+            .fail_next_writes(&[9, 200, 1]);
+        streaming.spill_shard(0, &mut guard);
+        assert_eq!(snapshot(&guard), before);
+        assert!(guard.spill.is_none(), "the shard fell back to memory");
+        drop(guard);
+        let stats = streaming.stats();
+        assert_eq!(stats.spilled_subs, 0);
+        assert_eq!(stats.spill_bytes, 0);
+        assert_eq!(stats.spill_fallbacks, 1);
+        // The segment header and three attempts.
+        assert_eq!(stats.spill_writes, 4);
+        assert_eq!(streaming.resident.load(Ordering::Acquire), resident);
+        std::fs::remove_dir_all(streaming.spill_directory().expect("spilling")).ok();
     }
 
     #[test]

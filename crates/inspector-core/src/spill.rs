@@ -36,11 +36,20 @@
 //! equal to the original — because the seal-time reload must reproduce a
 //! graph that is node- and edge-identical to the batch oracle.
 //!
-//! A small in-memory index maps every spilled node's [`SubId`] to its
-//! `(segment, offset)`, so live snapshots and taint queries taken while the
-//! program runs can still **fault spilled nodes back in**
-//! ([`SpillStore::fault_node`]) without replaying whole segments; the seal
-//! replays everything once, sequentially ([`SpillStore::drain_all`]).
+//! # One write per consistent cut
+//!
+//! The unit of I/O is the **round**: the builder stages everything one
+//! consistent cut of a shard moves to disk back to back in one reusable
+//! buffer ([`SpillStore::stage_node`] / [`SpillStore::stage_edge`]) and
+//! [`SpillStore::commit_round`] issues a single `write`. Counters and the
+//! manifest snapshot move only after it succeeded; a failed attempt cuts
+//! the segment back to the last committed length, so a retry never lands
+//! behind a partial frame. Segments roll at round boundaries.
+//!
+//! Reading is one frame walker, `scan_segment`. The seal, live snapshots
+//! and the crash fallback replay a store's committed bytes sequentially
+//! ([`SpillStore::replay`] — there is no per-node fault-in index), and
+//! offline recovery walks the manifest-named bytes with the same loop.
 //!
 //! # Crash consistency
 //!
@@ -55,7 +64,7 @@
 //! CRC-checks every record inside them, and rebuilds the maximal
 //! consistent prefix of the run.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -281,15 +290,6 @@ pub enum SpillError {
     /// code, or trailing bytes. This indicates a writer bug or on-disk
     /// corruption, not an interrupted append.
     Corrupt(String),
-    /// A record at the tail of a segment is incomplete: the process died
-    /// mid-append. Replay skips and counts such records; the fault-in path
-    /// reports which segment was torn.
-    TornTail {
-        /// Segment index the torn record sits in.
-        segment: usize,
-        /// Byte offset of the torn record's length prefix.
-        offset: u64,
-    },
     /// Like [`SpillError::Corrupt`], but located: the decoder knew which
     /// file and record offset the malformed payload came from.
     CorruptAt {
@@ -338,9 +338,6 @@ impl std::fmt::Display for SpillError {
         match self {
             SpillError::Io(e) => write!(f, "spill I/O failed: {e}"),
             SpillError::Corrupt(what) => write!(f, "corrupt spill record: {what}"),
-            SpillError::TornTail { segment, offset } => {
-                write!(f, "torn spill record at segment {segment} offset {offset}")
-            }
             SpillError::CorruptAt { what, path, offset } => {
                 write!(
                     f,
@@ -380,14 +377,47 @@ impl From<std::io::Error> for SpillError {
 /// Result alias for spill operations.
 pub type SpillResult<T> = Result<T, SpillError>;
 
+/// Node records bucketed per thread as a scan delivers them.
+///
+/// A thread spills through exactly one shard and its prefix only ever
+/// grows, so within one thread records arrive in α order; that is checked
+/// on arrival, and a run that arrived out of order is sorted once at the
+/// end instead of every consumer re-bucketing and re-sorting the replay.
+#[derive(Debug, Default)]
+pub(crate) struct ThreadRuns {
+    runs: BTreeMap<ThreadId, Vec<SubComputation>>,
+    out_of_order: bool,
+}
+
+impl ThreadRuns {
+    pub(crate) fn push(&mut self, sub: SubComputation) {
+        let run = self.runs.entry(sub.id.thread).or_default();
+        if run.last().is_some_and(|last| last.id.alpha >= sub.id.alpha) {
+            self.out_of_order = true;
+        }
+        run.push(sub);
+    }
+
+    /// The per-thread runs, each in α order.
+    pub(crate) fn into_sorted(mut self) -> BTreeMap<ThreadId, Vec<SubComputation>> {
+        if self.out_of_order {
+            for run in self.runs.values_mut() {
+                run.sort_by_key(|sub| sub.id.alpha);
+            }
+        }
+        self.runs
+    }
+}
+
 /// Everything a sequential replay recovered, plus how much it had to skip.
 #[derive(Debug, Default)]
 pub struct Replay {
-    /// Recovered node records, in append order.
-    pub nodes: Vec<SubComputation>,
+    /// Recovered node records per thread, each run in α order.
+    pub nodes: BTreeMap<ThreadId, Vec<SubComputation>>,
     /// Recovered edge records, in append order.
     pub edges: Vec<DependenceEdge>,
-    /// Crash-torn tail records skipped (at most one per segment).
+    /// Segments whose committed bytes end in a torn record, or that carry
+    /// bytes past the committed length (a round that never committed).
     pub torn_tails: u64,
 }
 
@@ -412,7 +442,7 @@ fn put_sub_id(buf: &mut Vec<u8>, id: SubId) {
 /// truncated or malformed record as [`SpillError::Corrupt`] — never a
 /// panic — so a damaged spill file degrades the session instead of
 /// aborting it.
-struct Cursor<'a> {
+pub(crate) struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
@@ -470,7 +500,7 @@ impl<'a> Cursor<'a> {
         self.pos == self.bytes.len()
     }
 
-    fn expect_exhausted(&self) -> SpillResult<()> {
+    pub(crate) fn expect_exhausted(&self) -> SpillResult<()> {
         if self.exhausted() {
             Ok(())
         } else {
@@ -643,7 +673,12 @@ fn encode_edge(buf: &mut Vec<u8>, edge: &DependenceEdge) {
     }
 }
 
-fn decode_edge(cursor: &mut Cursor<'_>) -> SpillResult<DependenceEdge> {
+/// Walks one edge body — the grammar [`encode_edge`] writes — handing each
+/// page to `page` instead of deciding what to do with it.
+fn walk_edge(
+    cursor: &mut Cursor<'_>,
+    mut page: impl FnMut(PageId),
+) -> SpillResult<(SubId, SubId, EdgeKind, Option<SyncObjectId>)> {
     let src = cursor.take_sub_id()?;
     let dst = cursor.take_sub_id()?;
     let kind = edge_kind_from(cursor.take_u8()?)?;
@@ -651,10 +686,15 @@ fn decode_edge(cursor: &mut Cursor<'_>) -> SpillResult<DependenceEdge> {
         0 => None,
         _ => Some(SyncObjectId::new(cursor.take_u64()?)),
     };
-    let mut pages = Vec::new();
     for _ in 0..cursor.take_u32()? {
-        pages.push(PageId::new(cursor.take_u64()?));
+        page(PageId::new(cursor.take_u64()?));
     }
+    Ok((src, dst, kind, object))
+}
+
+pub(crate) fn decode_edge(cursor: &mut Cursor<'_>) -> SpillResult<DependenceEdge> {
+    let mut pages = Vec::new();
+    let (src, dst, kind, object) = walk_edge(cursor, |page| pages.push(page))?;
     Ok(DependenceEdge {
         src,
         dst,
@@ -664,8 +704,13 @@ fn decode_edge(cursor: &mut Cursor<'_>) -> SpillResult<DependenceEdge> {
     })
 }
 
+/// Grammar-checks one edge body without materialising it.
+pub(crate) fn check_edge(cursor: &mut Cursor<'_>) -> SpillResult<()> {
+    walk_edge(cursor, |_| ()).map(drop)
+}
+
 // ---------------------------------------------------------------------------
-// Segment headers and record payloads (shared with offline recovery)
+// Segment headers and the frame walker (shared with offline recovery)
 // ---------------------------------------------------------------------------
 
 /// File name of segment `index` of shard `shard`.
@@ -716,23 +761,72 @@ pub(crate) fn parse_segment_header(bytes: &[u8], path: &Path) -> SpillResult<Seg
     Ok(SegmentHeader { shard, session_id })
 }
 
-/// One decoded record payload (tag already consumed and dispatched).
+/// How a [`scan_segment`] pass ended. Offsets are those of the offending
+/// record's length prefix; everything before it was delivered.
 #[derive(Debug)]
-pub(crate) enum RecordPayload {
-    Node(SubComputation),
-    Edge(DependenceEdge),
+pub(crate) enum ScanEnd {
+    /// Every trusted byte was a complete, valid record.
+    Clean,
+    /// The record at this offset is cut short by the end of the trusted
+    /// bytes: the writer died (or the file was truncated) mid-record.
+    Torn(usize),
+    /// The record at this offset is fully framed but fails its CRC.
+    Crc(usize),
+    /// The record at this offset passes its CRC but does not decode.
+    Decode(usize, SpillError),
 }
 
-/// Decodes a full record payload (tag byte + body), checking exhaustion.
-pub(crate) fn decode_record(payload: &[u8]) -> SpillResult<RecordPayload> {
-    let mut cursor = Cursor::new(payload);
-    let record = match cursor.take_u8()? {
-        TAG_NODE => RecordPayload::Node(decode_node(&mut cursor)?),
-        TAG_EDGE => RecordPayload::Edge(decode_edge(&mut cursor)?),
-        other => return Err(SpillError::Corrupt(format!("tag {other}"))),
-    };
-    cursor.expect_exhausted()?;
-    Ok(record)
+/// The one frame walker over a segment image: CRC-checks and decodes the
+/// records in `bytes[SEGMENT_HEADER_BYTES..min(bytes.len(), trusted_len)]`
+/// in order, handing every node record to `node` and the body of every
+/// edge record (tag consumed) to `edge`, until the bytes run out or a
+/// record is bad. Nothing after a bad record is looked at — without sync
+/// markers it cannot be trusted. The caller has validated the header.
+pub(crate) fn scan_segment(
+    bytes: &[u8],
+    trusted_len: usize,
+    mut node: impl FnMut(SubComputation),
+    mut edge: impl FnMut(&mut Cursor<'_>) -> SpillResult<()>,
+) -> ScanEnd {
+    let avail = bytes.len().min(trusted_len);
+    let mut pos = SEGMENT_HEADER_BYTES as usize;
+    while pos < avail {
+        // A frame too short for its length word, payload, or CRC trailer
+        // is a torn tail.
+        let Some(body) = bytes[pos..avail].get(4..) else {
+            return ScanEnd::Torn(pos);
+        };
+        let mut word = [0u8; 4];
+        word.copy_from_slice(&bytes[pos..pos + 4]);
+        let len = u32::from_le_bytes(word) as usize;
+        if (body.len() as u64) < len as u64 + 4 {
+            return ScanEnd::Torn(pos);
+        }
+        let payload = &body[..len];
+        word.copy_from_slice(&body[len..len + 4]);
+        if crc32(payload) != u32::from_le_bytes(word) {
+            return ScanEnd::Crc(pos);
+        }
+        let mut cursor = Cursor::new(payload);
+        let mut record = || match cursor.take_u8()? {
+            TAG_NODE => {
+                let sub = decode_node(&mut cursor)?;
+                cursor.expect_exhausted()?;
+                node(sub);
+                Ok(())
+            }
+            TAG_EDGE => {
+                edge(&mut cursor)?;
+                cursor.expect_exhausted()
+            }
+            other => Err(SpillError::Corrupt(format!("tag {other}"))),
+        };
+        if let Err(e) = record() {
+            return ScanEnd::Decode(pos, e);
+        }
+        pos += 8 + len;
+    }
+    ScanEnd::Clean
 }
 
 // ---------------------------------------------------------------------------
@@ -834,17 +928,17 @@ pub fn read_manifest(dir: &Path) -> SpillResult<Option<ParsedManifest>> {
 
 /// Serialises and atomically publishes the per-session manifest.
 ///
-/// All shards of one builder share one writer; each successful spill round
-/// replaces that shard's entry in memory, and the file is republished via
+/// All shards of one builder share one writer; a spill round replaces that
+/// shard's entry in memory, and the file is republished via
 /// `MANIFEST.tmp` + rename so readers only ever observe a complete
-/// manifest. *When* the file is rewritten follows the durability policy:
-/// under [`SpillDurability::None`] (no durability promise) republication
-/// is deferred to segment rolls, the initial publish, and the final
-/// seal-time update — the rewrite-per-cut cost would otherwise dominate
-/// the spill hot path for a tier that promises nothing. `Flush` and
-/// `Fsync` republish at every durable cut: the manifest *is* their durable
-/// frontier. Under `Fsync` the tmp file is additionally fsynced before the
-/// rename and the directory after it.
+/// manifest. *When* a round publishes is the builder's call and follows
+/// the durability policy: under [`SpillDurability::None`] (no durability
+/// promise) only a round that opened a segment does — the rewrite-per-cut
+/// cost would otherwise dominate the spill hot path for a tier that
+/// promises nothing — while `Flush` and `Fsync` publish at every durable
+/// cut: the manifest *is* their durable frontier. Under `Fsync` the tmp
+/// file is additionally fsynced before the rename and the directory after
+/// it.
 #[derive(Debug)]
 pub struct ManifestWriter {
     dir: PathBuf,
@@ -858,8 +952,6 @@ struct ManifestState {
     shards: BTreeMap<usize, ShardManifest>,
     clean: bool,
     frozen: bool,
-    /// The file has been written at least once since creation/cleanup.
-    published: bool,
 }
 
 impl ManifestWriter {
@@ -873,49 +965,33 @@ impl ManifestWriter {
         }
     }
 
-    /// Publishes the (possibly empty) manifest if it has never been
-    /// written: a spill directory carries its session's manifest from the
-    /// moment it can receive records, so even a crash during the very
-    /// first append leaves one behind for recovery.
-    pub fn publish_initial(&self) -> std::io::Result<()> {
+    /// Replaces `shard`'s manifest entry without touching the file; the
+    /// next publication carries it. A frozen writer (post-crash) ignores
+    /// the update: after a simulated crash the manifest must stay exactly
+    /// as the dying process left it.
+    pub fn set_shard(&self, shard: usize, snapshot: ShardManifest) {
         let mut state = self.state.lock();
-        if state.frozen || state.published {
-            return Ok(());
+        if !state.frozen {
+            state.shards.insert(shard, snapshot);
         }
-        self.write_locked(&mut state)
     }
 
-    /// Replaces `shard`'s manifest entry and republishes the file per the
-    /// durability policy (every cut under `Flush`/`Fsync`; first publish
-    /// and segment rolls only under `None` — see the type docs).
-    /// A frozen writer (post-crash) ignores the update: after a simulated
-    /// crash the manifest must stay exactly as the dying process left it.
+    /// Replaces `shard`'s manifest entry and republishes the file.
     pub fn update_shard(&self, shard: usize, snapshot: ShardManifest) -> std::io::Result<()> {
-        let mut state = self.state.lock();
-        if state.frozen {
-            return Ok(());
-        }
-        let rolled = state
-            .shards
-            .get(&shard)
-            .is_none_or(|old| old.segments.len() != snapshot.segments.len());
-        state.shards.insert(shard, snapshot);
-        if self.durability != SpillDurability::None || rolled || !state.published {
-            self.write_locked(&mut state)
-        } else {
-            Ok(())
-        }
+        self.set_shard(shard, snapshot);
+        self.publish()
     }
 
-    /// Republishes the current (unclean) state, flushing any entries a
-    /// deferring durability policy has not written yet. Used by seals that
-    /// keep artifacts without reaching the clean mark.
+    /// Publishes the current state. A spill directory carries its
+    /// session's manifest from the moment it can receive records (the
+    /// builder publishes the empty one at creation), so even a crash during
+    /// the very first round leaves one behind for recovery.
     pub fn publish(&self) -> std::io::Result<()> {
-        let mut state = self.state.lock();
+        let state = self.state.lock();
         if state.frozen {
             return Ok(());
         }
-        self.write_locked(&mut state)
+        self.write_locked(&state)
     }
 
     /// Marks the manifest clean (final seal-time update) and republishes
@@ -926,7 +1002,7 @@ impl ManifestWriter {
             return Ok(());
         }
         state.clean = true;
-        self.write_locked(&mut state)
+        self.write_locked(&state)
     }
 
     /// Freezes the writer: all further updates become no-ops. Used by
@@ -944,7 +1020,7 @@ impl ManifestWriter {
         *state = ManifestState::default();
     }
 
-    fn write_locked(&self, state: &mut ManifestState) -> std::io::Result<()> {
+    fn write_locked(&self, state: &ManifestState) -> std::io::Result<()> {
         let mut text = String::new();
         text.push_str(MANIFEST_HEADER);
         text.push('\n');
@@ -975,7 +1051,6 @@ impl ManifestWriter {
         if self.durability == SpillDurability::Fsync {
             File::open(&self.dir)?.sync_all()?;
         }
-        state.published = true;
         Ok(())
     }
 }
@@ -984,32 +1059,33 @@ impl ManifestWriter {
 // The per-shard store
 // ---------------------------------------------------------------------------
 
-/// Location of a spilled node: segment index and byte offset of its record's
-/// length prefix.
-type NodeLocation = (u32, u64);
-
-/// Reads exactly `buf.len()` bytes; `Ok(false)` means the file ended first
-/// (a torn record), any other failure is a real I/O error.
-fn read_full(file: &mut File, buf: &mut [u8]) -> std::io::Result<bool> {
-    match file.read_exact(buf) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
-        Err(e) => Err(e),
-    }
-}
-
 /// Metadata of one written segment file.
 #[derive(Debug, Clone)]
 struct SegmentMeta {
     path: PathBuf,
-    /// Complete records appended so far.
+    /// Complete records committed so far.
     records: u64,
-    /// Byte length of the durable, fully-framed prefix (header included).
+    /// Byte length of the committed, fully-framed prefix (header included).
     bytes: u64,
 }
 
-/// Append-only spill store of one shard: open segment writer, the segment
-/// file list, and the node fault-in index.
+/// One spill round being staged: its frames back to back, and what
+/// committing them adds to the store's counters.
+#[derive(Debug, Default)]
+struct Round {
+    /// Whole frames (`len | tag | payload | crc`), in staging order.
+    frames: Vec<u8>,
+    /// Offset in `frames` of the newest frame.
+    last_frame: usize,
+    records: u64,
+    /// Node frames staged per thread (raw index), one entry per run.
+    nodes: Vec<(u32, u64)>,
+    /// A commit attempt of this round opened a new segment.
+    rolled: bool,
+}
+
+/// Append-only spill store of one shard: the open segment writer, the
+/// segment file list, and the round being staged.
 #[derive(Debug)]
 pub struct SpillStore {
     dir: PathBuf,
@@ -1024,220 +1100,242 @@ pub struct SpillStore {
     segments: Vec<SegmentMeta>,
     /// Writer for the last segment in `segments`.
     current: Option<File>,
-    /// Bytes written to the current segment (fixed header included).
+    /// Committed length of the current segment (fixed header included).
     current_len: u64,
-    /// Fault-in index over spilled nodes.
-    index: HashMap<SubId, NodeLocation>,
-    /// Total payload + framing bytes appended since the last reset.
+    /// A write attempt failed: the file may hold part of a round past
+    /// `current_len`, and the next attempt must cut it back first.
+    rewind_due: bool,
+    /// Total payload + framing bytes committed since the last reset.
     bytes_written: u64,
-    /// Node records appended since the last reset.
+    /// Node records committed since the last reset.
     nodes_spilled: u64,
-    /// Complete node records appended per thread (raw index) — the
+    /// Segment `write_all` calls issued since creation: one per opened
+    /// segment (its header) plus one per round commit attempt.
+    writes: u64,
+    /// Complete node records committed per thread (raw index) — the
     /// per-thread durable frontier published through the manifest.
     thread_counts: BTreeMap<u32, u64>,
-    /// Reusable record-encoding buffer (whole frame: len + payload + crc).
-    scratch: Vec<u8>,
+    round: Round,
+    /// Test hook: each entry makes one commit attempt write only that many
+    /// bytes of its round and then fail, like a device filling up mid-write.
+    #[cfg(test)]
+    partial_writes: Vec<usize>,
 }
 
 impl SpillStore {
-    /// Creates the store for shard `shard`, creating `dir` if needed.
-    /// Durability defaults to [`SpillDurability::None`] and the session id
-    /// to 0; see [`SpillStore::set_durability`] / [`SpillStore::set_session_id`].
-    pub fn create(dir: &Path, shard: usize, segment_bytes: u64) -> std::io::Result<Self> {
-        std::fs::create_dir_all(dir)?;
+    /// Creates the store for shard `shard` under `settings.dir` (created if
+    /// needed), with the settings' segment size, durability policy and
+    /// session id.
+    pub fn create(settings: &SpillSettings, shard: usize) -> std::io::Result<Self> {
+        std::fs::create_dir_all(&settings.dir)?;
         Ok(SpillStore {
-            dir: dir.to_path_buf(),
+            dir: settings.dir.clone(),
             shard,
-            segment_bytes: segment_bytes.max(1),
-            durability: SpillDurability::default(),
-            session_id: 0,
+            segment_bytes: settings.segment_bytes.max(1),
+            durability: settings.durability,
+            session_id: settings.session_id,
             retain: false,
             segments: Vec::new(),
             current: None,
             current_len: 0,
-            index: HashMap::new(),
+            rewind_due: false,
             bytes_written: 0,
             nodes_spilled: 0,
+            writes: 0,
             thread_counts: BTreeMap::new(),
-            scratch: Vec::new(),
+            round: Round::default(),
+            #[cfg(test)]
+            partial_writes: Vec::new(),
         })
     }
 
-    /// Sets the sync policy applied at cut boundaries and segment rolls.
-    pub fn set_durability(&mut self, durability: SpillDurability) {
-        self.durability = durability;
-    }
-
-    /// Sets the session id stamped into subsequent segment headers.
-    /// Call before the first append; already-written headers keep theirs.
-    pub fn set_session_id(&mut self, session_id: u64) {
-        self.session_id = session_id;
-    }
-
-    /// Keep (or stop keeping) all on-disk artifacts when the store is
-    /// dropped or reset. Degraded runs set this so forensic material
-    /// survives the process.
-    pub fn set_retain(&mut self, retain: bool) {
-        self.retain = retain;
-    }
-
-    /// Number of nodes currently spilled.
-    pub fn spilled_nodes(&self) -> u64 {
-        self.nodes_spilled
-    }
-
-    /// Bytes appended (framing included) since the last reset.
+    /// Bytes committed (framing included) since the last reset.
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
 
-    /// Number of segment files written since the last reset.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
+    /// Segment `write_all` calls issued since the store was created.
+    pub fn writes(&self) -> u64 {
+        self.writes
     }
 
-    /// Returns `true` if `id` has been spilled (and not drained since).
-    pub fn contains(&self, id: SubId) -> bool {
-        self.index.contains_key(&id)
+    /// Test hook: the next commit attempts write only `partial[i]` bytes of
+    /// their round and fail, first entry first.
+    #[cfg(test)]
+    pub(crate) fn fail_next_writes(&mut self, partial: &[usize]) {
+        self.partial_writes = partial.iter().rev().copied().collect();
     }
 
-    fn segment_path(&self, segment: usize) -> PathBuf {
-        self.dir.join(segment_file_name(self.shard, segment))
+    /// Starts staging a round, dropping whatever an abandoned one left.
+    pub fn begin_round(&mut self) {
+        self.round.frames.clear();
+        self.round.nodes.clear();
+        self.round.last_frame = 0;
+        self.round.records = 0;
+        self.round.rolled = false;
+    }
+
+    /// Appends one whole frame to the round: length word, tag, the payload
+    /// `encode` writes, CRC32 trailer.
+    fn stage(&mut self, tag: u8, encode: impl FnOnce(&mut Vec<u8>)) {
+        let frames = &mut self.round.frames;
+        let start = frames.len();
+        frames.extend_from_slice(&[0u8; 4]);
+        frames.push(tag);
+        encode(frames);
+        let payload_len = (frames.len() - start - 4) as u32;
+        frames[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
+        let crc = crc32(&frames[start + 4..]);
+        frames.extend_from_slice(&crc.to_le_bytes());
+        self.round.last_frame = start;
+        self.round.records += 1;
+    }
+
+    /// Stages one finished sub-computation.
+    pub fn stage_node(&mut self, sub: &SubComputation) {
+        self.stage(TAG_NODE, |buf| encode_node(buf, sub));
+        let thread = sub.id.thread.index() as u32;
+        match self.round.nodes.last_mut() {
+            Some((t, n)) if *t == thread => *n += 1,
+            _ => self.round.nodes.push((thread, 1)),
+        }
+    }
+
+    /// Stages one stripe-local edge (its destination is below the shard's
+    /// spill cut, so no further edge into that destination can appear).
+    pub fn stage_edge(&mut self, edge: &DependenceEdge) {
+        self.stage(TAG_EDGE, |buf| encode_edge(buf, edge));
     }
 
     /// Ensures a writable segment with room is open, rolling (and syncing
-    /// the finished segment per the durability policy) if needed. Returns
-    /// the (segment, offset) the next record will land at.
-    fn writer_position(&mut self) -> std::io::Result<NodeLocation> {
-        let needs_new = match self.current {
-            None => true,
-            Some(_) => self.current_len >= self.segment_bytes,
-        };
-        if needs_new {
-            if let Some(finished) = self.current.take() {
-                if self.durability != SpillDurability::None {
-                    finished.sync_data()?;
-                }
+    /// the finished segment per the durability policy) if needed.
+    fn open_segment(&mut self) -> std::io::Result<()> {
+        if self.current.is_some() && self.current_len < self.segment_bytes {
+            return Ok(());
+        }
+        if let Some(finished) = self.current.take() {
+            if self.durability != SpillDurability::None {
+                finished.sync_data()?;
             }
-            // The directory may have been cleaned up by a previous seal of
-            // a reused builder; recreate it on demand.
-            std::fs::create_dir_all(&self.dir)?;
-            let path = self.segment_path(self.segments.len());
-            let mut file = OpenOptions::new()
-                .create(true)
-                .truncate(true)
-                .write(true)
-                .open(&path)?;
-            file.write_all(&encode_segment_header(self.shard as u32, self.session_id))?;
-            self.segments.push(SegmentMeta {
-                path,
-                records: 0,
-                bytes: SEGMENT_HEADER_BYTES,
-            });
-            self.current = Some(file);
-            self.current_len = SEGMENT_HEADER_BYTES;
         }
-        Ok((self.segments.len() as u32 - 1, self.current_len))
-    }
-
-    /// Starts a record frame in scratch: length placeholder, then the tag.
-    fn begin_record(&mut self, tag: u8) {
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&[0u8; 4]);
-        self.scratch.push(tag);
-    }
-
-    /// Finishes the frame in scratch (patches the length, appends the
-    /// CRC32 trailer) and appends it with a single write.
-    fn finish_record(&mut self) -> std::io::Result<()> {
-        let payload_len = (self.scratch.len() - 4) as u32;
-        self.scratch[..4].copy_from_slice(&payload_len.to_le_bytes());
-        let crc = crc32(&self.scratch[4..]);
-        self.scratch.extend_from_slice(&crc.to_le_bytes());
-        let file = self.current.as_mut().ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::NotConnected, "spill writer not open")
-        })?;
-        file.write_all(&self.scratch)?;
-        let total = self.scratch.len() as u64;
-        self.current_len += total;
-        self.bytes_written += total;
-        if let Some(meta) = self.segments.last_mut() {
-            meta.records += 1;
-            meta.bytes = self.current_len;
-        }
+        // The directory may have been cleaned up by a previous seal of
+        // a reused builder; recreate it on demand.
+        std::fs::create_dir_all(&self.dir)?;
+        let path = self
+            .dir
+            .join(segment_file_name(self.shard, self.segments.len()));
+        let mut file = OpenOptions::new()
+            .create(true)
+            .truncate(true)
+            .write(true)
+            .open(&path)?;
+        self.writes += 1;
+        file.write_all(&encode_segment_header(self.shard as u32, self.session_id))?;
+        self.segments.push(SegmentMeta {
+            path,
+            records: 0,
+            bytes: SEGMENT_HEADER_BYTES,
+        });
+        self.current = Some(file);
+        self.current_len = SEGMENT_HEADER_BYTES;
+        self.rewind_due = false;
+        self.round.rolled = true;
         Ok(())
     }
 
-    /// Appends one finished sub-computation and registers it in the
-    /// fault-in index.
-    pub fn append_node(&mut self, sub: &SubComputation) -> std::io::Result<()> {
-        let location = self.writer_position()?;
-        self.begin_record(TAG_NODE);
-        encode_node(&mut self.scratch, sub);
-        self.finish_record()?;
-        self.index.insert(sub.id, location);
-        self.nodes_spilled += 1;
-        *self
-            .thread_counts
-            .entry(sub.id.thread.index() as u32)
-            .or_insert(0) += 1;
-        Ok(())
-    }
-
-    /// Appends one stripe-local edge (its destination is below the shard's
-    /// spill cut, so no further edge into that destination can appear).
-    pub fn append_edge(&mut self, edge: &DependenceEdge) -> std::io::Result<()> {
-        self.writer_position()?;
-        self.begin_record(TAG_EDGE);
-        encode_edge(&mut self.scratch, edge);
-        self.finish_record()
-    }
-
-    /// Deterministically simulates dying mid-append: writes only a prefix
-    /// of `sub`'s frame (the length word plus half the payload) and leaves
-    /// every counter, the index, and the manifest snapshot untouched —
-    /// exactly the on-disk state a crash between `write` and bookkeeping
-    /// leaves behind.
-    pub fn append_torn_node(&mut self, sub: &SubComputation) -> std::io::Result<()> {
-        self.writer_position()?;
-        self.begin_record(TAG_NODE);
-        encode_node(&mut self.scratch, sub);
-        self.finish_torn()
-    }
-
-    /// Edge-record variant of [`SpillStore::append_torn_node`].
-    pub fn append_torn_edge(&mut self, edge: &DependenceEdge) -> std::io::Result<()> {
-        self.writer_position()?;
-        self.begin_record(TAG_EDGE);
-        encode_edge(&mut self.scratch, edge);
-        self.finish_torn()
-    }
-
-    /// Writes only a prefix of the frame in scratch: the length word plus
-    /// half the payload, never the CRC trailer.
-    fn finish_torn(&mut self) -> std::io::Result<()> {
-        let payload_len = (self.scratch.len() - 4) as u32;
-        self.scratch[..4].copy_from_slice(&payload_len.to_le_bytes());
-        let torn = 4 + payload_len as usize / 2;
-        let file = self.current.as_mut().ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::NotConnected, "spill writer not open")
-        })?;
-        file.write_all(&self.scratch[..torn])?;
-        self.current_len += torn as u64;
-        Ok(())
-    }
-
-    /// Pushes everything appended so far toward stable storage according
-    /// to the durability policy, so the manifest may name it. A no-op
-    /// under [`SpillDurability::None`].
-    pub fn sync_for_cut(&mut self) -> std::io::Result<()> {
-        if self.durability == SpillDurability::None {
+    /// Cuts the current segment back to its committed length after a
+    /// failed write, so the next attempt cannot land behind a partial one.
+    fn rewind(&mut self) -> std::io::Result<()> {
+        if !self.rewind_due {
             return Ok(());
         }
         if let Some(file) = self.current.as_mut() {
-            file.sync_data()?;
+            file.set_len(self.current_len)?;
+            file.seek(SeekFrom::Start(self.current_len))?;
         }
+        self.rewind_due = false;
         Ok(())
+    }
+
+    /// The round's one `write`.
+    fn write_frames(&mut self) -> std::io::Result<()> {
+        self.open_segment()?;
+        self.rewind()?;
+        let file = self.current.as_mut().ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::NotConnected, "spill writer not open")
+        })?;
+        self.writes += 1;
+        #[cfg(test)]
+        if let Some(k) = self.partial_writes.pop() {
+            file.write_all(&self.round.frames[..k.min(self.round.frames.len())])?;
+            return Err(std::io::Error::other("injected partial write"));
+        }
+        file.write_all(&self.round.frames)
+    }
+
+    /// Commits the staged round with a single write (after rolling to a
+    /// new segment if the current one is full) and only then moves the
+    /// counters the manifest snapshot is built from. Returns whether the
+    /// round opened a segment. An empty round is a no-op.
+    ///
+    /// # Errors
+    ///
+    /// On failure nothing is committed: the segment is cut back to the
+    /// previous round's end (at once, or before the next attempt writes if
+    /// that failed too), the round stays staged, and the call can be
+    /// retried.
+    pub fn commit_round(&mut self) -> std::io::Result<bool> {
+        if self.round.frames.is_empty() {
+            return Ok(false);
+        }
+        if let Err(e) = self.write_frames() {
+            self.rewind_due = self.current.is_some();
+            let _ = self.rewind();
+            return Err(e);
+        }
+        let total = self.round.frames.len() as u64;
+        self.current_len += total;
+        self.bytes_written += total;
+        if let Some(meta) = self.segments.last_mut() {
+            meta.records += self.round.records;
+            meta.bytes = self.current_len;
+        }
+        for (thread, nodes) in self.round.nodes.drain(..) {
+            *self.thread_counts.entry(thread).or_insert(0) += nodes;
+            self.nodes_spilled += nodes;
+        }
+        self.round.frames.clear();
+        self.round.records = 0;
+        Ok(self.round.rolled)
+    }
+
+    /// Deterministically simulates dying inside the round's write: the
+    /// newest staged frame is cut to its length word plus half its payload
+    /// (never the CRC trailer), the buffer is written once, and nothing is
+    /// committed — exactly the on-disk state a crash between `write` and
+    /// bookkeeping leaves behind. The writer is closed: a dead process
+    /// appends nothing further.
+    pub fn commit_torn(&mut self) -> std::io::Result<()> {
+        // `len | payload | crc`: keep the length word and half the payload.
+        let start = self.round.last_frame;
+        let Some(payload_len) = (self.round.frames.len() - start).checked_sub(8) else {
+            return Ok(());
+        };
+        self.round.frames.truncate(start + 4 + payload_len / 2);
+        let written = self.write_frames();
+        self.current = None;
+        self.begin_round();
+        written
+    }
+
+    /// Pushes everything committed so far toward stable storage according
+    /// to the durability policy, so the manifest may name it. A no-op
+    /// under [`SpillDurability::None`].
+    pub fn sync_for_cut(&mut self) -> std::io::Result<()> {
+        match self.current.as_mut() {
+            Some(file) if self.durability != SpillDurability::None => file.sync_data(),
+            _ => Ok(()),
+        }
     }
 
     /// Snapshot of this shard's durable state for the manifest: segment
@@ -1255,125 +1353,82 @@ impl SpillStore {
         }
     }
 
-    /// Reads one spilled node back in through the index, without touching
-    /// the rest of its segment. Returns `None` for ids that were never
-    /// spilled.
+    /// Replays the committed records of every segment in append order
+    /// without consuming the store: one sequential read per segment, node
+    /// records bucketed per thread in α order, edge records in append
+    /// order. Used by the seal, the live-snapshot path and the crash /
+    /// write-failure fallbacks.
+    ///
+    /// A record torn at the end of a segment's committed bytes (the file
+    /// was truncated underneath the store) and bytes past them (a round
+    /// that never committed) are **skipped and counted** in
+    /// [`Replay::torn_tails`], not an error: the committed prefix before
+    /// them is intact by construction.
     ///
     /// # Errors
     ///
-    /// [`SpillError::TornTail`] if the indexed record is incomplete on disk
-    /// (crash mid-append); [`SpillError::Corrupt`] if its payload is
-    /// malformed; [`SpillError::Io`] on read failure.
-    pub fn fault_node(&self, id: SubId) -> SpillResult<Option<SubComputation>> {
-        let Some(&(segment, offset)) = self.index.get(&id) else {
-            return Ok(None);
-        };
-        let torn = || SpillError::TornTail {
-            segment: segment as usize,
-            offset,
-        };
-        let path = &self.segments[segment as usize].path;
-        let mut file = File::open(path)?;
-        file.seek(SeekFrom::Start(offset))?;
-        let mut len = [0u8; 4];
-        read_full(&mut file, &mut len)?
-            .then_some(())
-            .ok_or_else(torn)?;
-        let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
-        read_full(&mut file, &mut payload)?
-            .then_some(())
-            .ok_or_else(torn)?;
-        let mut crc = [0u8; 4];
-        read_full(&mut file, &mut crc)?
-            .then_some(())
-            .ok_or_else(torn)?;
-        if crc32(&payload) != u32::from_le_bytes(crc) {
-            return Err(SpillError::CrcMismatch {
-                path: path.clone(),
-                offset,
-            });
-        }
-        match decode_record(&payload).map_err(|e| e.with_location(path, offset))? {
-            RecordPayload::Node(sub) => Ok(Some(sub)),
-            RecordPayload::Edge(_) => Err(SpillError::CorruptAt {
-                what: "index points at a non-node record".into(),
-                path: path.clone(),
-                offset,
-            }),
-        }
-    }
-
-    /// Replays every record of every segment in append order without
-    /// consuming the store. Within one thread, node records appear in α
-    /// order (prefixes only ever grow), so callers can bucket by thread and
-    /// get sorted sequences for free. Used by the live-snapshot fault path
-    /// — one sequential read per shard instead of a seek per node.
-    ///
-    /// A record torn at a segment's tail (the process died mid-append) is
-    /// **skipped and counted** in [`Replay::torn_tails`], not an error:
-    /// after a crash the torn suffix is exactly the data that was still in
-    /// flight, and the surviving prefix is intact by construction.
-    ///
-    /// # Errors
-    ///
-    /// [`SpillError::Corrupt`] for a malformed fully-framed payload;
-    /// [`SpillError::Io`] on read failure.
+    /// [`SpillError::CrcMismatch`] / [`SpillError::CorruptAt`] for a damaged
+    /// fully-framed record; [`SpillError::Io`] on read failure.
     pub fn replay(&self) -> SpillResult<Replay> {
-        let mut out = Replay {
-            nodes: Vec::with_capacity(self.nodes_spilled as usize),
-            ..Replay::default()
-        };
+        let records: u64 = self.segments.iter().map(|meta| meta.records).sum();
+        // Exact-size runs: a 48 k-node run grown by doubling re-faults its
+        // pages several times over.
+        let mut nodes = ThreadRuns::default();
+        for (&thread, &count) in &self.thread_counts {
+            let run = Vec::with_capacity(count as usize);
+            nodes.runs.insert(ThreadId::new(thread), run);
+        }
+        let mut edges = Vec::with_capacity(records.saturating_sub(self.nodes_spilled) as usize);
+        let mut torn_tails = 0;
+        // One image buffer for all segments: they are equally sized, and a
+        // fresh megabyte per file is a fresh round of page faults.
+        let mut bytes = Vec::new();
         for meta in &self.segments {
-            let bytes = std::fs::read(&meta.path)?;
+            bytes.clear();
+            File::open(&meta.path)?.read_to_end(&mut bytes)?;
             parse_segment_header(&bytes, &meta.path)?;
-            let mut pos = SEGMENT_HEADER_BYTES as usize;
-            while pos < bytes.len() {
-                // A frame too short for its length word, payload, or CRC
-                // trailer is a torn tail (the process died mid-append).
-                if pos + 4 > bytes.len() {
-                    out.torn_tails += 1;
-                    break;
-                }
-                let mut word = [0u8; 4];
-                word.copy_from_slice(&bytes[pos..pos + 4]);
-                let len = u32::from_le_bytes(word) as usize;
-                if pos + 4 + len + 4 > bytes.len() {
-                    out.torn_tails += 1;
-                    break;
-                }
-                let payload = &bytes[pos + 4..pos + 4 + len];
-                word.copy_from_slice(&bytes[pos + 4 + len..pos + 8 + len]);
-                if crc32(payload) != u32::from_le_bytes(word) {
+            let end = scan_segment(
+                &bytes,
+                meta.bytes as usize,
+                |sub| nodes.push(sub),
+                |cursor| {
+                    edges.push(decode_edge(cursor)?);
+                    Ok(())
+                },
+            );
+            match end {
+                ScanEnd::Clean => torn_tails += u64::from(bytes.len() as u64 > meta.bytes),
+                ScanEnd::Torn(_) => torn_tails += 1,
+                ScanEnd::Crc(at) => {
                     return Err(SpillError::CrcMismatch {
                         path: meta.path.clone(),
-                        offset: pos as u64,
-                    });
+                        offset: at as u64,
+                    })
                 }
-                match decode_record(payload).map_err(|e| e.with_location(&meta.path, pos as u64))? {
-                    RecordPayload::Node(sub) => out.nodes.push(sub),
-                    RecordPayload::Edge(edge) => out.edges.push(edge),
-                }
-                pos += 8 + len;
+                ScanEnd::Decode(at, e) => return Err(e.with_location(&meta.path, at as u64)),
             }
         }
-        Ok(out)
+        Ok(Replay {
+            nodes: nodes.into_sorted(),
+            edges,
+            torn_tails,
+        })
     }
 
-    /// Replays every record of every segment in append order, then deletes
-    /// the segment files and resets the store for the next build. This is
-    /// the seal path: segments are concatenated back into the final graph
-    /// instead of nodes being moved out of memory.
+    /// Replays every committed record of every segment in append order,
+    /// then deletes the segment files and resets the store for the next
+    /// build. This is the seal path: segments are concatenated back into
+    /// the final graph instead of nodes being moved out of memory.
     ///
     /// # Errors
     ///
     /// Propagates [`SpillStore::replay`]'s errors; the store is left
     /// unconsumed on failure so the caller can decide how to degrade.
     pub fn drain_all(&mut self) -> SpillResult<Replay> {
-        // Make sure everything is on disk before replaying.
+        // Close the writer before replaying.
         self.current = None;
         let drained = self.replay()?;
         self.remove_files();
-        self.index.clear();
         self.current_len = 0;
         self.bytes_written = 0;
         self.nodes_spilled = 0;
@@ -1431,6 +1486,15 @@ mod tests {
         ))
     }
 
+    /// A store under `dir` with the given segment size.
+    fn store_in(dir: &Path, shard: usize, segment_bytes: u64) -> SpillStore {
+        let settings = SpillSettings {
+            segment_bytes,
+            ..SpillSettings::new(1, dir)
+        };
+        SpillStore::create(&settings, shard).unwrap()
+    }
+
     fn recorded_subs() -> Vec<SubComputation> {
         let registry = SyncClockRegistry::shared();
         let lock = SyncObjectId::new(7);
@@ -1443,6 +1507,28 @@ mod tests {
             rec.on_synchronization(lock, SyncKind::Release);
         }
         rec.finish()
+    }
+
+    /// Commits `subs` as one round.
+    fn commit_nodes(store: &mut SpillStore, subs: &[SubComputation]) {
+        store.begin_round();
+        for sub in subs {
+            store.stage_node(sub);
+        }
+        store.commit_round().unwrap();
+    }
+
+    /// The replayed run of thread 2, the one `recorded_subs` records.
+    fn run_of(replay: &Replay) -> &[SubComputation] {
+        replay
+            .nodes
+            .get(&ThreadId::new(2))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// The bytes of the store's newest segment file.
+    fn segment_bytes(store: &SpillStore) -> Vec<u8> {
+        std::fs::read(&store.segments.last().unwrap().path).unwrap()
     }
 
     #[test]
@@ -1568,15 +1654,14 @@ mod tests {
         for (what, payload) in broken_chains() {
             let dir = unique_dir("chain");
             let subs = recorded_subs();
-            let mut store = SpillStore::create(&dir, 0, DEFAULT_SEGMENT_BYTES).unwrap();
-            store.set_retain(true);
-            store.append_node(&subs[0]).unwrap();
-            store.append_node(&subs[1]).unwrap();
+            let mut store = store_in(&dir, 0, DEFAULT_SEGMENT_BYTES);
+            store.detach_keeping_files();
+            commit_nodes(&mut store, &subs[..2]);
             let good_bytes = store.bytes_written();
-            store.begin_record(TAG_NODE);
-            store.scratch.extend_from_slice(&payload);
-            store.finish_record().unwrap();
-            store.append_node(&subs[2]).unwrap();
+            store.begin_round();
+            store.stage(TAG_NODE, |buf| buf.extend_from_slice(&payload));
+            store.stage_node(&subs[2]);
+            store.commit_round().unwrap();
             let manifest = ManifestWriter::new(&dir, 0, SpillDurability::None);
             manifest.update_shard(0, store.manifest_snapshot()).unwrap();
             let lost = store.bytes_written() - good_bytes;
@@ -1629,13 +1714,10 @@ mod tests {
     }
 
     #[test]
-    fn store_appends_faults_and_drains() {
+    fn store_commits_rounds_and_drains() {
         let dir = unique_dir("store");
         let subs = recorded_subs();
-        let mut store = SpillStore::create(&dir, 0, DEFAULT_SEGMENT_BYTES).unwrap();
-        for sub in &subs {
-            store.append_node(sub).unwrap();
-        }
+        let mut store = store_in(&dir, 0, DEFAULT_SEGMENT_BYTES);
         let edge = DependenceEdge {
             src: subs[0].id,
             dst: subs[1].id,
@@ -1643,28 +1725,35 @@ mod tests {
             object: None,
             pages: Vec::new(),
         };
-        store.append_edge(&edge).unwrap();
-        assert_eq!(store.spilled_nodes(), subs.len() as u64);
-        assert!(store.bytes_written() > 0);
-
-        // Random-access fault-in through the index.
-        for sub in &subs {
-            assert!(store.contains(sub.id));
-            let faulted = store.fault_node(sub.id).unwrap().expect("spilled");
-            assert_eq!(&faulted, sub);
+        // Two rounds: nodes and an edge, then the remaining nodes.
+        store.begin_round();
+        for sub in &subs[..4] {
+            store.stage_node(sub);
         }
-        assert!(store
-            .fault_node(SubId::new(ThreadId::new(9), 99))
-            .unwrap()
-            .is_none());
+        store.stage_edge(&edge);
+        assert_eq!(store.nodes_spilled, 0, "staging commits nothing");
+        assert!(
+            store.commit_round().unwrap(),
+            "the first round opens segment 0"
+        );
+        commit_nodes(&mut store, &subs[4..]);
+        assert_eq!(store.nodes_spilled, subs.len() as u64);
+        assert!(store.bytes_written() > 0);
+        // One write for the header, one per round — none per record.
+        assert_eq!(store.writes(), 3);
+        // An empty round is a no-op.
+        store.begin_round();
+        assert!(!store.commit_round().unwrap());
+        assert_eq!(store.writes(), 3);
 
         // Sequential replay returns everything in append order and resets.
         let replay = store.drain_all().unwrap();
-        assert_eq!(replay.nodes, subs);
+        assert_eq!(run_of(&replay), subs);
+        assert_eq!(replay.nodes.len(), 1);
         assert_eq!(replay.edges, vec![edge]);
         assert_eq!(replay.torn_tails, 0);
-        assert_eq!(store.spilled_nodes(), 0);
-        assert_eq!(store.segment_count(), 0);
+        assert_eq!(store.nodes_spilled, 0);
+        assert_eq!(store.segments.len(), 0);
         let replay = store.drain_all().unwrap();
         assert!(replay.nodes.is_empty() && replay.edges.is_empty());
         drop(store);
@@ -1672,54 +1761,63 @@ mod tests {
     }
 
     #[test]
-    fn segments_roll_at_the_configured_size() {
+    fn segments_roll_at_round_boundaries() {
         let dir = unique_dir("roll");
         let subs = recorded_subs();
-        // A tiny segment size forces a roll on (almost) every record.
-        let mut store = SpillStore::create(&dir, 3, 16).unwrap();
-        for sub in &subs {
-            store.append_node(sub).unwrap();
+        // Rounds of two nodes against a segment size a few rounds wide.
+        let limit = 400;
+        let mut store = store_in(&dir, 3, limit);
+        let mut largest_round = 0;
+        for round in subs.chunks(2) {
+            let before = store.bytes_written();
+            commit_nodes(&mut store, round);
+            largest_round = largest_round.max(store.bytes_written() - before);
         }
-        assert!(
-            store.segment_count() >= subs.len(),
-            "expected one segment per record at segment_bytes=16, got {}",
-            store.segment_count()
+        assert!(store.segments.len() > 1, "{}", store.segments.len());
+        let (last, full) = store.segments.split_last().unwrap();
+        // A segment is left only once it is full, and exceeds the limit by
+        // less than one round: the roll happens before a round, never
+        // inside it.
+        for meta in full {
+            assert!(meta.bytes >= limit, "{meta:?}");
+        }
+        for meta in full.iter().chain([last]) {
+            assert!(meta.bytes < limit + largest_round, "{meta:?}");
+            assert_eq!(std::fs::metadata(&meta.path).unwrap().len(), meta.bytes);
+        }
+        // One write per segment header and one per round.
+        assert_eq!(
+            store.writes(),
+            (store.segments.len() + subs.chunks(2).len()) as u64
         );
-        // Fault-in still works across segment boundaries.
-        for sub in &subs {
-            assert_eq!(store.fault_node(sub.id).unwrap().as_ref(), Some(sub));
-        }
+        // Replay reads across the segment boundaries.
         let replay = store.drain_all().unwrap();
-        assert_eq!(replay.nodes, subs);
+        assert_eq!(run_of(&replay), subs);
     }
 
     #[test]
     fn store_is_reusable_after_drain() {
         let dir = unique_dir("reuse");
         let subs = recorded_subs();
-        let mut store = SpillStore::create(&dir, 1, 64).unwrap();
+        let mut store = store_in(&dir, 1, 64);
         for round in 0..3 {
-            for sub in &subs {
-                store.append_node(sub).unwrap();
-            }
+            commit_nodes(&mut store, &subs);
             let replay = store.drain_all().unwrap();
-            assert_eq!(replay.nodes, subs, "round {round}");
+            assert_eq!(run_of(&replay), subs, "round {round}");
             assert!(replay.edges.is_empty());
         }
     }
 
     #[test]
     fn torn_final_record_is_skipped_and_counted() {
-        // Crash-mid-append round trip: append, truncate the last segment
-        // inside the final record, replay. The surviving prefix comes back
-        // intact and the torn record is counted, never a panic.
+        // Crash-mid-append round trip: commit, truncate the segment inside
+        // the final record, replay. The surviving prefix comes back intact
+        // and the torn record is counted, never a panic.
         let dir = unique_dir("torn");
         let subs = recorded_subs();
-        let mut store = SpillStore::create(&dir, 0, DEFAULT_SEGMENT_BYTES).unwrap();
-        for sub in &subs {
-            store.append_node(sub).unwrap();
-        }
-        // Flush, then chop the file inside the last record's CRC trailer
+        let mut store = store_in(&dir, 0, DEFAULT_SEGMENT_BYTES);
+        commit_nodes(&mut store, &subs);
+        // Close, then chop the file inside the last record's CRC trailer
         // (and separately mid-payload).
         store.current = None;
         let path = store.segments.last().unwrap().path.clone();
@@ -1729,22 +1827,13 @@ mod tests {
             file.set_len(full.len() as u64 - chop).unwrap();
             drop(file);
             let replay = store.replay().unwrap();
-            assert_eq!(replay.nodes, subs[..subs.len() - 1]);
+            assert_eq!(run_of(&replay), &subs[..subs.len() - 1]);
             assert!(replay.edges.is_empty());
             assert_eq!(replay.torn_tails, 1, "chop {chop}");
         }
-        // The fault-in path reports the torn record as such.
-        let err = store.fault_node(subs.last().unwrap().id).unwrap_err();
-        assert!(matches!(err, SpillError::TornTail { .. }), "{err}");
-        assert!(err.to_string().contains("torn"));
-        // Intact records still fault in fine.
-        assert_eq!(
-            store.fault_node(subs[0].id).unwrap().as_ref(),
-            Some(&subs[0])
-        );
         // drain_all skips + counts the same way.
         let replay = store.drain_all().unwrap();
-        assert_eq!(replay.nodes, subs[..subs.len() - 1]);
+        assert_eq!(run_of(&replay), &subs[..subs.len() - 1]);
         assert_eq!(replay.torn_tails, 1);
     }
 
@@ -1752,8 +1841,8 @@ mod tests {
     fn corrupt_payload_is_a_typed_error_not_a_panic() {
         let dir = unique_dir("corrupt");
         let subs = recorded_subs();
-        let mut store = SpillStore::create(&dir, 0, DEFAULT_SEGMENT_BYTES).unwrap();
-        store.append_node(&subs[0]).unwrap();
+        let mut store = store_in(&dir, 0, DEFAULT_SEGMENT_BYTES);
+        commit_nodes(&mut store, &subs[..1]);
         store.current = None;
         let path = store.segments.last().unwrap().path.clone();
         let mut bytes = std::fs::read(&path).unwrap();
@@ -1772,28 +1861,21 @@ mod tests {
             msg.contains(&format!("offset {SEGMENT_HEADER_BYTES}")),
             "{msg}"
         );
-        // Fault-in sees the same typed error.
-        let err = store.fault_node(subs[0].id).unwrap_err();
-        assert!(matches!(err, SpillError::CrcMismatch { .. }), "{err}");
     }
 
     #[test]
     fn bad_tag_with_valid_crc_is_a_located_corrupt_error() {
         let dir = unique_dir("badtag");
         let subs = recorded_subs();
-        let mut store = SpillStore::create(&dir, 0, DEFAULT_SEGMENT_BYTES).unwrap();
-        store.append_node(&subs[0]).unwrap();
-        store.current = None;
+        let mut store = store_in(&dir, 0, DEFAULT_SEGMENT_BYTES);
+        commit_nodes(&mut store, &subs[..1]);
+        // A framed record with an unknown tag but a *valid* CRC, so the
+        // decode (not the checksum) rejects it.
+        let offset = store.current_len;
+        store.begin_round();
+        store.stage(9, |_| ());
+        store.commit_round().unwrap();
         let path = store.segments.last().unwrap().path.clone();
-        // Hand-craft a framed record with an unknown tag but a *valid*
-        // CRC, so the decode (not the checksum) rejects it.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let offset = bytes.len() as u64;
-        let payload = [9u8];
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
         let err = store.replay().unwrap_err();
         match &err {
             SpillError::CorruptAt {
@@ -1821,9 +1903,9 @@ mod tests {
     fn segment_header_is_stamped_and_validated() {
         let dir = unique_dir("header");
         let subs = recorded_subs();
-        let mut store = SpillStore::create(&dir, 5, DEFAULT_SEGMENT_BYTES).unwrap();
-        store.set_session_id(0xDEAD_BEEF);
-        store.append_node(&subs[0]).unwrap();
+        let settings = SpillSettings::new(1, &dir).with_session_id(0xDEAD_BEEF);
+        let mut store = SpillStore::create(&settings, 5).unwrap();
+        commit_nodes(&mut store, &subs[..1]);
         store.current = None;
         let path = store.segments.last().unwrap().path.clone();
         let bytes = std::fs::read(&path).unwrap();
@@ -1844,32 +1926,211 @@ mod tests {
     }
 
     #[test]
-    fn torn_append_simulates_a_mid_write_crash() {
-        let dir = unique_dir("tornappend");
+    fn torn_commit_simulates_a_mid_write_crash() {
+        let dir = unique_dir("torncommit");
         let subs = recorded_subs();
-        let mut store = SpillStore::create(&dir, 0, DEFAULT_SEGMENT_BYTES).unwrap();
-        store.append_node(&subs[0]).unwrap();
-        store.append_node(&subs[1]).unwrap();
+        let mut store = store_in(&dir, 0, DEFAULT_SEGMENT_BYTES);
+        commit_nodes(&mut store, &subs[..2]);
         let before = store.manifest_snapshot();
-        store.append_torn_node(&subs[2]).unwrap();
-        // The torn record never becomes durable state: counters, index,
-        // and the manifest snapshot are unchanged.
-        assert_eq!(store.spilled_nodes(), 2);
-        assert!(!store.contains(subs[2].id));
+        let committed = segment_bytes(&store);
+        // The crash round: one whole record, then the one the process
+        // dies in.
+        store.begin_round();
+        store.stage_node(&subs[2]);
+        let whole = store.round.frames.clone();
+        store.stage_node(&subs[3]);
+        let torn_frame = store.round.frames[whole.len()..].to_vec();
+        store.commit_torn().unwrap();
+        // On disk: the committed rounds, the whole frame, and the torn
+        // one's length word plus half its payload.
+        let payload_len = torn_frame.len() - RECORD_OVERHEAD_BYTES as usize;
+        let expected = [
+            &committed[..],
+            &whole[..],
+            &torn_frame[..4 + payload_len / 2],
+        ]
+        .concat();
+        assert_eq!(segment_bytes(&store), expected);
+        // The round never becomes durable state: counters and the manifest
+        // snapshot are unchanged.
+        assert_eq!(store.nodes_spilled, 2);
         assert_eq!(store.manifest_snapshot(), before);
-        // Replay skips and counts it.
-        store.current = None;
+        // Replay stops at the committed length and counts the tail.
         let replay = store.replay().unwrap();
-        assert_eq!(replay.nodes, subs[..2]);
+        assert_eq!(run_of(&replay), &subs[..2]);
         assert_eq!(replay.torn_tails, 1);
+    }
+
+    /// The satellite bugfix: segments are not opened in append mode, so a
+    /// retry after a partial write used to land *behind* the partial bytes.
+    #[test]
+    fn a_retried_round_never_lands_behind_a_partial_write() {
+        let subs = recorded_subs();
+        // The no-failure run.
+        let clean_dir = unique_dir("retry-clean");
+        let mut clean = store_in(&clean_dir, 0, DEFAULT_SEGMENT_BYTES);
+        commit_nodes(&mut clean, &subs[..2]);
+        let first_round = segment_bytes(&clean);
+        commit_nodes(&mut clean, &subs[2..]);
+        let both_rounds = segment_bytes(&clean);
+
+        let dir = unique_dir("retry");
+        let mut store = store_in(&dir, 0, DEFAULT_SEGMENT_BYTES);
+        commit_nodes(&mut store, &subs[..2]);
+        let counters = (
+            store.nodes_spilled,
+            store.bytes_written(),
+            store.manifest_snapshot(),
+        );
+        // Two attempts die part-way (mid-frame, and after a whole frame
+        // plus a bit), the third succeeds.
+        store.begin_round();
+        for sub in &subs[2..] {
+            store.stage_node(sub);
+        }
+        store.fail_next_writes(&[7, 150]);
+        assert!(store.commit_round().is_err());
+        assert_eq!(segment_bytes(&store), first_round, "cut back at once");
+        assert!(store.commit_round().is_err());
+        assert_eq!(
+            (
+                store.nodes_spilled,
+                store.bytes_written(),
+                store.manifest_snapshot()
+            ),
+            counters,
+            "a failed round commits nothing"
+        );
+        store.commit_round().unwrap();
+        assert_eq!(segment_bytes(&store), both_rounds);
+        assert_eq!(store.manifest_snapshot(), clean.manifest_snapshot());
+        assert_eq!(run_of(&store.replay().unwrap()), subs);
+
+        // Retries exhausted: the segment ends exactly at the previous
+        // round and the store replays what it committed.
+        let dir = unique_dir("retry-exhausted");
+        let mut store = store_in(&dir, 0, DEFAULT_SEGMENT_BYTES);
+        commit_nodes(&mut store, &subs[..2]);
+        store.begin_round();
+        for sub in &subs[2..] {
+            store.stage_node(sub);
+        }
+        store.fail_next_writes(&[1, 40, 300]);
+        for _ in 0..3 {
+            assert!(store.commit_round().is_err());
+        }
+        assert_eq!(segment_bytes(&store), first_round);
+        assert_eq!(store.nodes_spilled, 2);
+        let replay = store.replay().unwrap();
+        assert_eq!(run_of(&replay), &subs[..2]);
+        assert_eq!(replay.torn_tails, 0);
+    }
+
+    /// One record framed on its own, as the per-record writer framed it:
+    /// length word, tag, payload, CRC32 over tag and payload.
+    fn lone_frame(tag: u8, encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut payload = vec![tag];
+        encode(&mut payload);
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame
+    }
+
+    /// Golden byte identity of the unit of I/O: whatever the round sizes,
+    /// a segment is its header followed by exactly the frames a per-record
+    /// writer would have appended one at a time, and the records are the
+    /// graph.
+    #[test]
+    fn rounds_are_the_concatenation_of_per_record_frames() {
+        use crate::sharded::ShardedCpgBuilder;
+        use crate::testing::{ingest_round_robin, lock_heavy_sequences, ping_pong_sequences};
+        use std::cell::RefCell;
+
+        let shapes = [
+            lock_heavy_sequences(4, 40, 4, 4),
+            ping_pong_sequences(3, 60),
+        ];
+        for sequences in &shapes {
+            for threshold in [1usize, 2, 8, 64] {
+                let dir = unique_dir("golden");
+                let settings = SpillSettings {
+                    // A few segments per shard at the small thresholds.
+                    segment_bytes: 8 << 10,
+                    ..SpillSettings::new(threshold, &dir).with_retain_on_seal(true)
+                };
+                let builder = ShardedCpgBuilder::with_shards_and_spill(2, Some(settings));
+                ingest_round_robin(&builder, sequences.clone(), |_| {});
+                let spilled = builder.stats().spilled_subs;
+                assert!(spilled > 0 || threshold == 64, "threshold {threshold}");
+                let sealed = builder.seal();
+
+                let mut nodes = ThreadRuns::default();
+                let mut edges = Vec::new();
+                for shard in 0..2 {
+                    for index in 0.. {
+                        let path = dir.join(segment_file_name(shard, index));
+                        let Ok(bytes) = std::fs::read(&path) else {
+                            break;
+                        };
+                        let expected =
+                            RefCell::new(encode_segment_header(shard as u32, 0).to_vec());
+                        let end = scan_segment(
+                            &bytes,
+                            bytes.len(),
+                            |sub| {
+                                let frame = lone_frame(TAG_NODE, |buf| encode_node(buf, &sub));
+                                expected.borrow_mut().extend(frame);
+                                nodes.push(sub);
+                            },
+                            |cursor| {
+                                let edge = decode_edge(cursor)?;
+                                let frame = lone_frame(TAG_EDGE, |buf| encode_edge(buf, &edge));
+                                expected.borrow_mut().extend(frame);
+                                edges.push(edge);
+                                Ok(())
+                            },
+                        );
+                        assert!(matches!(end, ScanEnd::Clean), "{end:?}");
+                        assert_eq!(bytes, expected.into_inner(), "{}", path.display());
+                    }
+                }
+                // The retained image holds every node, per thread in α
+                // order, and each spilled edge record once.
+                let runs: Vec<_> = nodes.into_sorted().into_values().collect();
+                assert_eq!(&runs, sequences, "threshold {threshold}");
+                let graph_edges: Vec<_> = sealed.edges().collect();
+                for (i, edge) in edges.iter().enumerate() {
+                    assert!(graph_edges.contains(&edge), "{edge:?}");
+                    assert!(!edges[..i].contains(edge), "{edge:?} spilled twice");
+                }
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn thread_runs_verify_order_on_arrival_and_fall_back_to_the_sort() {
+        let subs = &recorded_subs()[..6];
+        let mut in_order = ThreadRuns::default();
+        let mut shuffled = ThreadRuns::default();
+        for sub in subs {
+            in_order.push(sub.clone());
+        }
+        for i in [1, 0, 3, 2, 5, 4] {
+            shuffled.push(subs[i].clone());
+        }
+        assert!(!in_order.out_of_order && shuffled.out_of_order);
+        assert_eq!(in_order.into_sorted()[&ThreadId::new(2)], subs);
+        assert_eq!(shuffled.into_sorted()[&ThreadId::new(2)], subs);
     }
 
     #[test]
     fn retained_store_keeps_files_on_drop() {
         let dir = unique_dir("retain");
         let subs = recorded_subs();
-        let mut store = SpillStore::create(&dir, 0, DEFAULT_SEGMENT_BYTES).unwrap();
-        store.append_node(&subs[0]).unwrap();
+        let mut store = store_in(&dir, 0, DEFAULT_SEGMENT_BYTES);
+        commit_nodes(&mut store, &subs[..1]);
         let path = store.segments.last().unwrap().path.clone();
         store.detach_keeping_files();
         drop(store);
@@ -1882,14 +2143,17 @@ mod tests {
     fn flush_durability_syncs_without_changing_contents() {
         let dir = unique_dir("flush");
         let subs = recorded_subs();
-        let mut store = SpillStore::create(&dir, 0, 64).unwrap();
-        store.set_durability(SpillDurability::Flush);
-        for sub in &subs {
-            store.append_node(sub).unwrap();
+        let settings = SpillSettings {
+            segment_bytes: 64,
+            ..SpillSettings::new(1, &dir).with_durability(SpillDurability::Flush)
+        };
+        let mut store = SpillStore::create(&settings, 0).unwrap();
+        for round in subs.chunks(2) {
+            commit_nodes(&mut store, round);
         }
         store.sync_for_cut().unwrap();
         let replay = store.replay().unwrap();
-        assert_eq!(replay.nodes, subs);
+        assert_eq!(run_of(&replay), subs);
         let snapshot = store.manifest_snapshot();
         assert_eq!(
             snapshot.segments.iter().map(|(r, _)| r).sum::<u64>(),

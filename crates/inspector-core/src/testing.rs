@@ -83,6 +83,25 @@ pub fn announce_all(
     }
 }
 
+/// Announces the threads of `sequences`, then delivers them from one
+/// producer round-robin over the threads (FIFO within each), calling
+/// `after_each` once per ingested sub-computation — the deterministic
+/// delivery the spill-tier tests count rounds and writes against.
+pub fn ingest_round_robin(
+    builder: &crate::sharded::ShardedCpgBuilder,
+    sequences: Vec<Vec<SubComputation>>,
+    mut after_each: impl FnMut(&crate::sharded::ShardedCpgBuilder),
+) {
+    announce_all(builder, &sequences);
+    let mut cursors: Vec<_> = sequences.into_iter().map(Vec::into_iter).collect();
+    while cursors.iter().any(|c| c.len() > 0) {
+        for sub in cursors.iter_mut().filter_map(Iterator::next) {
+            builder.ingest(sub);
+            after_each(builder);
+        }
+    }
+}
+
 /// Rebuilds `cpg`'s position index and adjacency from its own nodes and
 /// edges: the step every builder ends with (the streaming seal pays it on
 /// the run's critical path), isolated for the micro-benchmarks.

@@ -53,17 +53,20 @@ pub struct FaultPlan {
     /// fell behind. The loss flows through the normal OVF accounting
     /// (`gaps`, `bytes_lost`, a real OVF packet in the stream).
     pub overflow_bytes: u64,
-    /// Fail the Nth (1-based) spill-write attempt and every later one,
-    /// modelling a disk that filled up and stayed full. The builder
-    /// retries with bounded backoff, then falls back to in-memory
-    /// retention (`spill_fallbacks`).
+    /// Fail the Nth (1-based) spill-write **attempt** and every later
+    /// one, modelling a disk that filled up and stayed full. A consistent
+    /// cut is written as one round, so this counts one attempt per round
+    /// (plus its retries), not one per record. The builder retries with
+    /// bounded backoff, then falls back to in-memory retention
+    /// (`spill_fallbacks`).
     pub fail_spill_write: u64,
     /// Simulate a whole-process crash after the Nth (1-based) spilled
-    /// record: the append that would write record N+1 writes only a torn
-    /// frame prefix (exactly what a killed process leaves behind), the
-    /// manifest freezes at its last published cut, and the session
-    /// degrades to in-memory retention with the on-disk artifacts kept
-    /// for [`inspector_core::recover::recover_session`] to examine
+    /// **record** — records, not rounds: the round holding record N+1
+    /// writes the whole frames before it and only a torn prefix of that
+    /// one (exactly what a process killed inside the write leaves
+    /// behind), the manifest freezes at its last published cut, and the
+    /// session degrades to in-memory retention with the on-disk artifacts
+    /// kept for [`inspector_core::recover::recover_session`] to examine
     /// (`spill_fallbacks` counts the episode).
     pub crash_at_spill: u64,
     /// Panic this ingest worker (1-based lane index; `0` = none) …
@@ -291,7 +294,9 @@ impl SessionConfig {
     ///   `INSPECTOR_FAULT_SPILL_WRITE`, `INSPECTOR_FAULT_CRASH_AT_SPILL`,
     ///   `INSPECTOR_FAULT_PANIC_WORKER`,
     ///   `INSPECTOR_FAULT_PANIC_AT_BATCH` — the [`FaultPlan`] triggers,
-    ///   for exercising the degraded paths from CI without recompiling.
+    ///   for exercising the degraded paths from CI without recompiling
+    ///   (`SPILL_WRITE=n` counts write *attempts*, one per spill round;
+    ///   `CRASH_AT_SPILL=n` counts spilled *records*).
     ///   Like the structural knobs, zero means "disarmed" and is exactly
     ///   the default, so `FOO=0` and unset are equivalent.
     ///

@@ -19,7 +19,12 @@ use std::path::Path;
 use std::sync::Arc;
 
 use inspector::core::graph::{Cpg, CpgBuilder};
+use inspector::core::sharded::ShardedCpgBuilder;
+use inspector::core::spill::{
+    segment_file_name, SpillSettings, RECORD_OVERHEAD_BYTES, SEGMENT_HEADER_BYTES,
+};
 use inspector::core::subcomputation::SubComputation;
+use inspector::core::testing::{ingest_round_robin, ping_pong_sequences};
 use inspector::prelude::*;
 use proptest::prelude::*;
 
@@ -286,6 +291,125 @@ proptest! {
         );
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// One deterministic single-producer, single-shard build under the knobs of
+/// the CI crash-recovery cell (threshold 2, `flush`), crashing after
+/// `crash_at` records (0: never). `observe` runs after every ingest. Returns
+/// the sealed graph and whether the crash fired.
+fn build_crashing_at(
+    dir: &Path,
+    crash_at: u64,
+    mut observe: impl FnMut(&ShardedCpgBuilder),
+) -> (Cpg, bool) {
+    let sequences = ping_pong_sequences(2, 6);
+    let settings = SpillSettings::new(2, dir).with_durability(SpillDurability::Flush);
+    let builder = ShardedCpgBuilder::with_shards_and_spill(1, Some(settings));
+    builder.inject_spill_crash(crash_at);
+    ingest_round_robin(&builder, sequences, &mut observe);
+    let crashed = builder.spill_crash_triggered();
+    (builder.seal(), crashed)
+}
+
+/// The unit of I/O is a round, but the crash point still counts *records*:
+/// for every `n`, a crash after `n` records leaves exactly the first `n`
+/// frames of the uncrashed run, then frame `n + 1` cut to its length word
+/// plus half its payload, and the manifest of the last cut before that —
+/// the directory a per-record writer dying at the same point left behind.
+#[test]
+fn every_crash_point_leaves_the_frames_before_it_and_one_torn_frame() {
+    // The uncrashed run: its segment image, and the manifest as published
+    // at each cut (`flush` republishes at every one).
+    let golden_dir = spill_dir();
+    let segment = segment_file_name(0, 0);
+    let mut golden = Vec::new();
+    let mut cuts: Vec<(u64, u64, String)> = Vec::new(); // (records, bytes, manifest text)
+    let (sealed, crashed) = build_crashing_at(&golden_dir, 0, |_| {
+        let text = std::fs::read_to_string(golden_dir.join("MANIFEST")).expect("manifest");
+        if cuts.last().is_none_or(|(_, _, last)| *last != text) {
+            let named = inspector::core::spill::parse_manifest(&text).expect("parsable");
+            let (records, bytes) = named
+                .segments
+                .first()
+                .map_or((0, 0), |s| (s.records, s.bytes));
+            cuts.push((records, bytes, text));
+            golden = std::fs::read(golden_dir.join(&segment)).unwrap_or_default();
+        }
+    });
+    assert!(!crashed);
+    assert!(!golden_dir.exists(), "a clean seal removes the directory");
+    // Frame boundaries of the golden image.
+    let mut frames = vec![SEGMENT_HEADER_BYTES as usize];
+    while *frames.last().unwrap() < golden.len() {
+        let at = *frames.last().unwrap();
+        let len = u32::from_le_bytes(golden[at..at + 4].try_into().unwrap()) as usize;
+        frames.push(at + len + RECORD_OVERHEAD_BYTES as usize);
+    }
+    let records = frames.len() as u64 - 1;
+    assert_eq!(
+        records,
+        cuts.last().unwrap().0,
+        "every spilled record is manifested"
+    );
+    assert!(cuts.len() > 3, "several rounds: {cuts:?}");
+    // The CI cell arms `INSPECTOR_FAULT_CRASH_AT_SPILL=5` at these knobs:
+    // the record it tears must sit inside a round, behind whole frames of
+    // the same buffer, so that the torn-mid-buffer path is what CI runs.
+    assert!(
+        cuts.iter().all(|&(at, _, _)| at != 5) && records > 5,
+        "record 6 opens a round: {cuts:?}"
+    );
+
+    for n in 1..records {
+        let dir = spill_dir();
+        let (sealed_n, crashed) = build_crashing_at(&dir, n, |_| {});
+        assert!(crashed, "crash_at {n} of {records}");
+        assert_eq!(
+            edge_fingerprint(&sealed_n),
+            edge_fingerprint(&sealed),
+            "crash_at {n}"
+        );
+        // On disk: frames[..n], then the torn prefix of frame n + 1.
+        let (whole, next) = (frames[n as usize], frames[n as usize + 1]);
+        let payload = next - whole - RECORD_OVERHEAD_BYTES as usize;
+        let expected = &golden[..whole + 4 + payload / 2];
+        assert_eq!(
+            std::fs::read(dir.join(&segment)).unwrap(),
+            expected,
+            "crash_at {n}"
+        );
+        // The manifest froze at the last cut the crash round did not reach.
+        let (_, durable_bytes, manifest) = cuts.iter().rev().find(|(at, _, _)| *at <= n).unwrap();
+        let frozen = std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
+        assert_eq!(&frozen, manifest, "crash_at {n}");
+
+        let recovery = assert_recovery_contract(&dir, &sealed_n);
+        let r = &recovery.report;
+        assert!(r.manifest_found && !r.manifest_clean, "crash_at {n}: {r:?}");
+        assert_eq!(r.total_bytes, expected.len() as u64);
+        assert_eq!(r.header_bytes, SEGMENT_HEADER_BYTES.min(*durable_bytes));
+        assert_eq!(
+            r.recovered_bytes,
+            durable_bytes.saturating_sub(SEGMENT_HEADER_BYTES)
+        );
+        assert_eq!(
+            r.unmanifested_bytes,
+            r.total_bytes - durable_bytes,
+            "crash_at {n}"
+        );
+        assert_eq!(r.lost_bytes, r.unmanifested_bytes);
+        assert_eq!(
+            r.torn_records + r.crc_failures + r.decode_failures,
+            0,
+            "{r:?}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // A crash point at or past the last record never fires.
+    let dir = spill_dir();
+    let (_, crashed) = build_crashing_at(&dir, records, |_| {});
+    assert!(!crashed && !dir.exists());
 }
 
 /// A cleanly sealed, retained directory reproduces the sealed graph
