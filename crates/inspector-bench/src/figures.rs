@@ -92,10 +92,10 @@ pub struct Fig6Row {
     /// hide).
     pub graph: f64,
     /// Share attributed to online PT decoding (the `pt_decode` phase).
-    /// Zero unless the run set `INSPECTOR_DECODE_ONLINE`/`decode_online`.
+    /// Zero unless the run set `decode_online`.
     pub pt_decode: f64,
     /// Share attributed to the spill stage (`spill` phase). Zero unless the
-    /// run set `INSPECTOR_SPILL_THRESHOLD`/`spill_threshold`.
+    /// run set `spill_threshold`.
     pub spill: f64,
     /// Sub-computations the spill stage moved to disk (0 with spilling off).
     pub spilled_subs: u64,
@@ -108,8 +108,8 @@ pub struct Fig6Row {
     /// recorder's own count (must be 0 — the decode-online cross-check).
     pub decode_mismatches: u64,
     /// AUX overflow episodes across the run's threads (0 on healthy runs;
-    /// nonzero under tiny rings or an `INSPECTOR_FAULT_OVERFLOW_BYTES`
-    /// plan). When nonzero the decode cross-check is accounted, not
+    /// nonzero under tiny rings or a `FaultPlan::overflow_bytes` plan).
+    /// When nonzero the decode cross-check is accounted, not
     /// asserted — see `RunStats::gaps`.
     pub gaps: u64,
     /// Trace bytes those overflow episodes dropped (`RunStats::lost_bytes`).
@@ -419,10 +419,9 @@ mod tests {
             );
             assert!(r.graph_overlap >= 1.0, "{:?}", r);
             assert!(r.ingest_workers >= 1, "{:?}", r);
-            // Without INSPECTOR_DECODE_ONLINE the decode stage is inert;
-            // with it (the CI knob matrix), the cross-check must hold —
-            // hard on lossless runs, accounted-only when the trace gapped
-            // (the CI fault cell injects overflows on purpose).
+            // The presets leave the decode stage off, so this is the
+            // invariant's default arm; `tests/end_to_end.rs` runs it with
+            // decode, spill and injected faults on.
             if r.gaps == 0 && r.lost_bytes == 0 {
                 assert_eq!(r.decode_errors, 0, "{:?}", r);
                 assert_eq!(r.decode_mismatches, 0, "{:?}", r);

@@ -1,4 +1,9 @@
 //! Measurement plumbing shared by all figure generators.
+//!
+//! The `INSPECTOR_BENCH_*` variables read here (input size, thread counts;
+//! the binaries add repeats, output path and quick mode) are arguments of
+//! the harness. The pipeline itself is measured as the library ships it:
+//! its settings are `SessionConfig` values, never environment variables.
 
 use std::time::Duration;
 
@@ -22,9 +27,8 @@ pub struct OverheadMeasurement {
     pub inspector_time: Duration,
     /// Full report of the INSPECTOR run.
     pub report: RunReport,
-    /// Session configuration the INSPECTOR run used, pipeline knobs
-    /// (`ingest_threads`, `cpg_shards`, `ingest_queue_depth`) included, so
-    /// emitted reports record what they measured.
+    /// Session configuration the INSPECTOR run used, so emitted reports
+    /// record what they measured.
     pub config: SessionConfig,
 }
 
@@ -44,11 +48,8 @@ impl OverheadMeasurement {
 /// Runs `workload` once natively and once under INSPECTOR and returns the
 /// paired measurement. `repeats` > 1 applies a truncated mean (drop min and
 /// max) to the wall times, mirroring the paper's measurement protocol.
-///
-/// Both runs pick up the streaming-pipeline knobs from the environment
-/// ([`pipeline_config_from_env`]), so the ROADMAP contention study —
-/// sweeping ingest-pool width, shard count and queue depth across the
-/// workloads — is runnable without recompiling.
+/// Both runs use the library's presets ([`SessionConfig::native`] /
+/// [`SessionConfig::inspector`]) as they are.
 pub fn measure_overhead(
     workload: &dyn Workload,
     threads: usize,
@@ -56,8 +57,8 @@ pub fn measure_overhead(
     repeats: usize,
 ) -> OverheadMeasurement {
     let repeats = repeats.max(1);
-    let native_config = pipeline_config_from_env(SessionConfig::native());
-    let inspector_config = pipeline_config_from_env(SessionConfig::inspector());
+    let native_config = SessionConfig::native();
+    let inspector_config = SessionConfig::inspector();
     let mut native_times = Vec::with_capacity(repeats);
     let mut inspector_times = Vec::with_capacity(repeats);
     let mut last_report = None;
@@ -111,29 +112,13 @@ pub fn size_from_env(default: InputSize) -> InputSize {
     }
 }
 
-/// Applies the streaming-pipeline knobs from the environment to a session
-/// configuration (`INSPECTOR_INGEST_THREADS`, `INSPECTOR_CPG_SHARDS`,
-/// `INSPECTOR_INGEST_QUEUE_DEPTH`, `INSPECTOR_DECODE_ONLINE`,
-/// `INSPECTOR_SPILL_THRESHOLD`, `INSPECTOR_SPILL_DIR`).
-///
-/// Parsing lives in [`SessionConfig::apply_env`] — one contract for every
-/// consumer: unset, unrecognized or (for the structural knobs) zero values
-/// leave the configured default untouched.
-pub fn pipeline_config_from_env(config: SessionConfig) -> SessionConfig {
-    config.apply_env()
-}
-
-/// One-line description of the pipeline knobs a configuration runs with,
-/// printed by the figure binaries so every emitted report records them.
+/// One-line description of the pipeline settings a configuration runs
+/// with, printed by the figure binaries so every emitted report records
+/// them.
 pub fn pipeline_knobs_label(config: &SessionConfig) -> String {
     format!(
-        "ingest_threads={} cpg_shards={} ingest_queue_depth={} decode_online={} \
-         spill_threshold={}",
-        config.ingest_threads,
-        config.cpg_shards,
-        config.ingest_queue_depth,
-        config.decode_online as u8,
-        config.spill_threshold
+        "ingest_threads={} decode_online={} spill_threshold={}",
+        config.ingest_threads, config.decode_online as u8, config.spill_threshold
     )
 }
 
@@ -202,29 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_knobs_parse_and_fall_back() {
-        // Parsing itself is unit-tested in inspector-runtime's config
-        // module; here we only verify the delegation surface the figure
-        // binaries use.
-        let base = SessionConfig::inspector();
-        let parsed = base.clone().apply_env_with(|name| match name {
-            "INSPECTOR_INGEST_THREADS" => Some(" 3 ".into()),
-            "INSPECTOR_CPG_SHARDS" => Some("not-a-number".into()),
-            "INSPECTOR_INGEST_QUEUE_DEPTH" => Some("64".into()),
-            "INSPECTOR_DECODE_ONLINE" => Some("1".into()),
-            "INSPECTOR_SPILL_THRESHOLD" => Some("32".into()),
-            _ => None,
-        });
-        assert_eq!(parsed.ingest_threads, 3);
-        assert_eq!(parsed.cpg_shards, base.cpg_shards);
-        assert_eq!(parsed.ingest_queue_depth, 64);
-        assert!(parsed.decode_online);
-        assert_eq!(parsed.spill_threshold, 32);
-        let label = pipeline_knobs_label(&parsed);
-        assert!(label.contains("spill_threshold=32"));
-    }
-
-    #[test]
     fn measurement_records_its_configuration() {
         let w = workload_by_name("histogram").unwrap();
         let m = measure_overhead(w.as_ref(), 1, InputSize::Tiny, 1);
@@ -232,6 +194,6 @@ mod tests {
         assert_eq!(m.report.stats.ingest_workers, m.config.ingest_threads);
         let label = pipeline_knobs_label(&m.config);
         assert!(label.contains("ingest_threads="));
-        assert!(label.contains("cpg_shards="));
+        assert!(label.contains("spill_threshold=0"));
     }
 }

@@ -368,25 +368,16 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn unique_dir(tag: &str) -> PathBuf {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        std::env::temp_dir().join(format!(
-            "inspector-recover-test-{tag}-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ))
-    }
+    use crate::testing::TempDir;
 
     #[test]
     fn missing_directory_is_an_io_error() {
-        let dir = unique_dir("nodir");
+        let tmp = TempDir::new("recover-test");
+        let dir = tmp.path();
         // read_manifest is fine with a missing dir (NotFound → no
         // manifest) and the dir walk tolerates it too: an absent
         // directory simply recovers empty.
-        let recovery = recover_session(&dir).unwrap();
+        let recovery = recover_session(dir).unwrap();
         assert_eq!(recovery.cpg.node_count(), 0);
         assert!(!recovery.report.manifest_found);
         assert!(recovery.report.degraded());
@@ -394,26 +385,26 @@ mod tests {
 
     #[test]
     fn empty_directory_recovers_an_empty_degraded_graph() {
-        let dir = unique_dir("empty");
-        std::fs::create_dir_all(&dir).unwrap();
-        let recovery = recover_session(&dir).unwrap();
+        let tmp = TempDir::new("recover-test");
+        let dir = tmp.path();
+        std::fs::create_dir_all(dir).unwrap();
+        let recovery = recover_session(dir).unwrap();
         assert_eq!(recovery.cpg.node_count(), 0);
         assert_eq!(recovery.report.recovered_nodes, 0);
         assert!(!recovery.report.manifest_found);
         assert!(recovery.report.degraded());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn unmanifested_files_are_counted_never_decoded() {
-        let dir = unique_dir("unmanifested");
-        std::fs::create_dir_all(&dir).unwrap();
+        let tmp = TempDir::new("recover-test");
+        let dir = tmp.path();
+        std::fs::create_dir_all(dir).unwrap();
         std::fs::write(dir.join("shard-0-seg-0.spill"), vec![0xAB; 57]).unwrap();
-        let recovery = recover_session(&dir).unwrap();
+        let recovery = recover_session(dir).unwrap();
         assert_eq!(recovery.cpg.node_count(), 0);
         assert_eq!(recovery.report.total_bytes, 57);
         assert_eq!(recovery.report.unmanifested_bytes, 57);
         assert_eq!(recovery.report.lost_bytes, 57);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -2053,14 +2053,10 @@ fn prune_index_list<T>(entries: &mut Vec<T>, floor_u: u64, alpha_of: impl Fn(&T)
 mod tests {
     use super::*;
 
-    use std::collections::BTreeSet;
+    use crate::testing::{edge_fingerprint, TempDir};
 
     fn lock_heavy_sequences(threads: u32) -> Vec<Vec<SubComputation>> {
         crate::testing::lock_heavy_sequences(threads, 20, 8, 8)
-    }
-
-    fn edge_set(cpg: &Cpg) -> BTreeSet<String> {
-        cpg.edges().map(|e| format!("{e:?}")).collect()
     }
 
     #[test]
@@ -2111,7 +2107,7 @@ mod tests {
         let sealed = streaming.seal();
 
         assert_eq!(sealed.node_count(), reference.node_count());
-        assert_eq!(edge_set(&sealed), edge_set(&reference));
+        assert_eq!(edge_fingerprint(&sealed), edge_fingerprint(&reference));
         assert!(sealed.validate().is_ok());
     }
 
@@ -2136,7 +2132,11 @@ mod tests {
                 }
             }
             let sealed = streaming.seal();
-            assert_eq!(edge_set(&sealed), edge_set(&reference), "chunk={chunk}");
+            assert_eq!(
+                edge_fingerprint(&sealed),
+                edge_fingerprint(&reference),
+                "chunk={chunk}"
+            );
             let stats = streaming.last_sealed_stats().expect("sealed");
             assert_eq!(stats.sync_resolved_at_seal, 0, "chunk={chunk}");
             assert_eq!(stats.data_resolved_at_seal, 0, "chunk={chunk}");
@@ -2187,7 +2187,7 @@ mod tests {
         let sealed = streaming.seal();
         let stats = streaming.last_sealed_stats().expect("sealed once");
 
-        assert_eq!(edge_set(&sealed), edge_set(&reference));
+        assert_eq!(edge_fingerprint(&sealed), edge_fingerprint(&reference));
         assert!(
             stats.peak_parked_acquires > 1,
             "expected parked acquires, got {stats:?}"
@@ -2241,7 +2241,10 @@ mod tests {
             stats.data_resolved_at_ingest > 0,
             "expected eager data resolution, got {stats:?}"
         );
-        assert_eq!(edge_set(&streaming.seal()), edge_set(&reference));
+        assert_eq!(
+            edge_fingerprint(&streaming.seal()),
+            edge_fingerprint(&reference)
+        );
         // Complete delivery: everything was resolved before the seal.
         let sealed = streaming.last_sealed_stats().expect("sealed");
         assert_eq!(sealed.data_resolved_at_seal, 0);
@@ -2270,7 +2273,7 @@ mod tests {
             }
         });
         let sealed = streaming.seal();
-        assert_eq!(edge_set(&sealed), edge_set(&reference));
+        assert_eq!(edge_fingerprint(&sealed), edge_fingerprint(&reference));
         let stats = streaming.last_sealed_stats().expect("sealed");
         assert_eq!(stats.sync_resolved_at_seal, 0);
         assert_eq!(stats.data_resolved_at_seal, 0);
@@ -2431,7 +2434,11 @@ mod tests {
                 }
             }
             let sealed = streaming.seal();
-            assert_eq!(edge_set(&sealed), edge_set(&reference), "order={order}");
+            assert_eq!(
+                edge_fingerprint(&sealed),
+                edge_fingerprint(&reference),
+                "order={order}"
+            );
             let stats = streaming.last_sealed_stats().expect("sealed");
             assert_eq!(stats.sync_resolved_at_seal, 0);
             assert_eq!(stats.data_resolved_at_seal, 0);
@@ -2459,7 +2466,7 @@ mod tests {
             }
         }
         let second = streaming.seal();
-        assert_eq!(edge_set(&second), edge_set(&first));
+        assert_eq!(edge_fingerprint(&second), edge_fingerprint(&first));
         // Per-build counters: the second build's stats cover only the
         // second ingestion round.
         let stats = streaming.last_sealed_stats().expect("sealed");
@@ -2478,14 +2485,7 @@ mod tests {
         streaming.ingest(first);
     }
 
-    fn spill_settings(threshold: usize, tag: &str) -> SpillSettings {
-        use std::sync::atomic::AtomicU64;
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "inspector-sharded-spill-{tag}-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
+    fn spill_settings(threshold: usize, dir: &Path) -> SpillSettings {
         SpillSettings {
             // Small segments so the tests exercise segment rolling too.
             segment_bytes: 512,
@@ -2503,9 +2503,10 @@ mod tests {
         let reference = batch.build();
 
         for threshold in [1usize, 2, 8] {
+            let tmp = TempDir::new("sharded-spill");
             let streaming = ShardedCpgBuilder::with_shards_and_spill(
                 3,
-                Some(spill_settings(threshold, "match")),
+                Some(spill_settings(threshold, tmp.path())),
             );
             let mut cursors: Vec<std::vec::IntoIter<SubComputation>> = sequences
                 .clone()
@@ -2529,8 +2530,8 @@ mod tests {
                 "threshold={threshold}"
             );
             assert_eq!(
-                edge_set(&sealed),
-                edge_set(&reference),
+                edge_fingerprint(&sealed),
+                edge_fingerprint(&reference),
                 "threshold={threshold}"
             );
             let stats = streaming.last_sealed_stats().expect("sealed");
@@ -2551,8 +2552,9 @@ mod tests {
         // window, not the trace length.
         let sequences = lock_heavy_sequences(4);
         let total: usize = sequences.iter().map(|s| s.len()).sum();
+        let tmp = TempDir::new("sharded-spill");
         let streaming =
-            ShardedCpgBuilder::with_shards_and_spill(2, Some(spill_settings(1, "window")));
+            ShardedCpgBuilder::with_shards_and_spill(2, Some(spill_settings(1, tmp.path())));
         for seq in sequences {
             for sub in seq {
                 streaming.ingest(sub);
@@ -2575,8 +2577,9 @@ mod tests {
     fn with_sequences_faults_spilled_prefixes_back_in() {
         let sequences = lock_heavy_sequences(2);
         let expected: usize = sequences.iter().map(|s| s.len()).sum();
+        let tmp = TempDir::new("sharded-spill");
         let streaming =
-            ShardedCpgBuilder::with_shards_and_spill(2, Some(spill_settings(1, "fault")));
+            ShardedCpgBuilder::with_shards_and_spill(2, Some(spill_settings(1, tmp.path())));
         let mut cursors: Vec<std::vec::IntoIter<SubComputation>> =
             sequences.into_iter().map(|s| s.into_iter()).collect();
         let mut progressed = true;
@@ -2608,8 +2611,9 @@ mod tests {
         // A segment deleted between a spill and a snapshot must degrade the
         // view, not abort the caller with every stripe locked.
         let sequences = lock_heavy_sequences(2);
+        let tmp = TempDir::new("sharded-spill");
         let streaming =
-            ShardedCpgBuilder::with_shards_and_spill(2, Some(spill_settings(1, "vanish")));
+            ShardedCpgBuilder::with_shards_and_spill(2, Some(spill_settings(1, tmp.path())));
         for seq in sequences.clone() {
             for sub in seq {
                 streaming.ingest(sub);
@@ -2632,7 +2636,6 @@ mod tests {
         // The seal degrades the same way instead of panicking.
         let sealed = streaming.seal();
         assert!(sealed.node_count() < sequences.iter().map(Vec::len).sum());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2641,8 +2644,9 @@ mod tests {
         // one part-way through) detaches nothing and retains every edge.
         let sequences = lock_heavy_sequences(2);
         // A threshold nothing reaches, so the only round is the one below.
+        let tmp = TempDir::new("sharded-spill");
         let streaming =
-            ShardedCpgBuilder::with_shards_and_spill(1, Some(spill_settings(10_000, "atomic")));
+            ShardedCpgBuilder::with_shards_and_spill(1, Some(spill_settings(10_000, tmp.path())));
         for seq in sequences {
             for sub in seq {
                 streaming.ingest(sub);
@@ -2679,14 +2683,14 @@ mod tests {
         // The segment header and three attempts.
         assert_eq!(stats.spill_writes, 4);
         assert_eq!(streaming.resident.load(Ordering::Acquire), resident);
-        std::fs::remove_dir_all(streaming.spill_directory().expect("spilling")).ok();
     }
 
     #[test]
     fn spilling_builder_is_reusable_after_seal() {
         let sequences = lock_heavy_sequences(2);
+        let tmp = TempDir::new("sharded-spill");
         let streaming =
-            ShardedCpgBuilder::with_shards_and_spill(2, Some(spill_settings(2, "reuse")));
+            ShardedCpgBuilder::with_shards_and_spill(2, Some(spill_settings(2, tmp.path())));
         let mut first: Option<std::collections::BTreeSet<String>> = None;
         for _ in 0..2 {
             for seq in sequences.clone() {
@@ -2695,7 +2699,7 @@ mod tests {
                 }
             }
             let sealed = streaming.seal();
-            let fingerprint = edge_set(&sealed);
+            let fingerprint = edge_fingerprint(&sealed);
             if let Some(prev) = &first {
                 assert_eq!(&fingerprint, prev);
             }
@@ -2721,8 +2725,9 @@ mod tests {
         // back): both degrade to in-memory retention and the final graph
         // is complete.
         for fail_at in [1u64, 10] {
+            let tmp = TempDir::new("sharded-spill");
             let streaming =
-                ShardedCpgBuilder::with_shards_and_spill(2, Some(spill_settings(1, "enospc")));
+                ShardedCpgBuilder::with_shards_and_spill(2, Some(spill_settings(1, tmp.path())));
             streaming.inject_spill_write_failure(fail_at);
             for seq in sequences.clone() {
                 for sub in seq {
@@ -2735,7 +2740,11 @@ mod tests {
                 reference.node_count(),
                 "fail_at={fail_at}"
             );
-            assert_eq!(edge_set(&sealed), edge_set(&reference), "fail_at={fail_at}");
+            assert_eq!(
+                edge_fingerprint(&sealed),
+                edge_fingerprint(&reference),
+                "fail_at={fail_at}"
+            );
             let stats = streaming.last_sealed_stats().expect("sealed");
             assert!(stats.spill_fallbacks > 0, "fail_at={fail_at}: {stats:?}");
         }
@@ -2743,10 +2752,12 @@ mod tests {
 
     #[test]
     fn unusable_spill_dir_degrades_to_in_memory() {
-        let settings = spill_settings(1, "nodir");
         // Occupy the spill directory path with a plain file so no store
         // can be created: the builder must run fully in memory and report
         // the degradation instead of panicking.
+        let tmp = TempDir::new("sharded-spill");
+        let settings = spill_settings(1, &tmp.path().join("file"));
+        std::fs::create_dir_all(tmp.path()).unwrap();
         std::fs::write(&settings.dir, b"not a directory").expect("plant blocking file");
         let streaming = ShardedCpgBuilder::with_shards_and_spill(2, Some(settings));
         let sequences = lock_heavy_sequences(2);

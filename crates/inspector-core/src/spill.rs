@@ -127,17 +127,6 @@ pub enum SpillDurability {
 }
 
 impl SpillDurability {
-    /// Parses a policy name, case-insensitively. Unrecognised spellings
-    /// return `None` so env handling can keep the configured default.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "none" => Some(SpillDurability::None),
-            "flush" => Some(SpillDurability::Flush),
-            "fsync" => Some(SpillDurability::Fsync),
-            _ => None,
-        }
-    }
-
     /// Canonical lower-case policy name.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -1474,17 +1463,8 @@ mod tests {
     use super::*;
     use crate::event::{AccessKind, SyncKind};
     use crate::recorder::{SyncClockRegistry, ThreadRecorder};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::testing::TempDir;
     use std::sync::Arc;
-
-    fn unique_dir(tag: &str) -> PathBuf {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        std::env::temp_dir().join(format!(
-            "inspector-spill-test-{tag}-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ))
-    }
 
     /// A store under `dir` with the given segment size.
     fn store_in(dir: &Path, shard: usize, segment_bytes: u64) -> SpillStore {
@@ -1652,9 +1632,10 @@ mod tests {
         // recovery keeps the prefix, counts one decode failure and accounts
         // every byte from the bad frame on as lost.
         for (what, payload) in broken_chains() {
-            let dir = unique_dir("chain");
+            let tmp = TempDir::new("spill-test");
+            let dir = tmp.path();
             let subs = recorded_subs();
-            let mut store = store_in(&dir, 0, DEFAULT_SEGMENT_BYTES);
+            let mut store = store_in(dir, 0, DEFAULT_SEGMENT_BYTES);
             store.detach_keeping_files();
             commit_nodes(&mut store, &subs[..2]);
             let good_bytes = store.bytes_written();
@@ -1662,19 +1643,18 @@ mod tests {
             store.stage(TAG_NODE, |buf| buf.extend_from_slice(&payload));
             store.stage_node(&subs[2]);
             store.commit_round().unwrap();
-            let manifest = ManifestWriter::new(&dir, 0, SpillDurability::None);
+            let manifest = ManifestWriter::new(dir, 0, SpillDurability::None);
             manifest.update_shard(0, store.manifest_snapshot()).unwrap();
             let lost = store.bytes_written() - good_bytes;
             drop(store);
 
-            let recovery = crate::recover::recover_session(&dir).unwrap();
+            let recovery = crate::recover::recover_session(dir).unwrap();
             let report = &recovery.report;
             assert_eq!(report.decode_failures, 1, "{what}");
             assert_eq!(report.crc_failures + report.torn_records, 0, "{what}");
             assert_eq!(report.lost_bytes, lost, "{what}");
             assert_eq!(report.recovered_nodes, 2, "{what}");
             assert!(recovery.cpg.nodes().eq(subs[..2].iter()), "{what}");
-            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 
@@ -1715,9 +1695,10 @@ mod tests {
 
     #[test]
     fn store_commits_rounds_and_drains() {
-        let dir = unique_dir("store");
+        let tmp = TempDir::new("spill-test");
+        let dir = tmp.path();
         let subs = recorded_subs();
-        let mut store = store_in(&dir, 0, DEFAULT_SEGMENT_BYTES);
+        let mut store = store_in(dir, 0, DEFAULT_SEGMENT_BYTES);
         let edge = DependenceEdge {
             src: subs[0].id,
             dst: subs[1].id,
@@ -1762,11 +1743,12 @@ mod tests {
 
     #[test]
     fn segments_roll_at_round_boundaries() {
-        let dir = unique_dir("roll");
+        let tmp = TempDir::new("spill-test");
+        let dir = tmp.path();
         let subs = recorded_subs();
         // Rounds of two nodes against a segment size a few rounds wide.
         let limit = 400;
-        let mut store = store_in(&dir, 3, limit);
+        let mut store = store_in(dir, 3, limit);
         let mut largest_round = 0;
         for round in subs.chunks(2) {
             let before = store.bytes_written();
@@ -1797,9 +1779,10 @@ mod tests {
 
     #[test]
     fn store_is_reusable_after_drain() {
-        let dir = unique_dir("reuse");
+        let tmp = TempDir::new("spill-test");
+        let dir = tmp.path();
         let subs = recorded_subs();
-        let mut store = store_in(&dir, 1, 64);
+        let mut store = store_in(dir, 1, 64);
         for round in 0..3 {
             commit_nodes(&mut store, &subs);
             let replay = store.drain_all().unwrap();
@@ -1813,9 +1796,10 @@ mod tests {
         // Crash-mid-append round trip: commit, truncate the segment inside
         // the final record, replay. The surviving prefix comes back intact
         // and the torn record is counted, never a panic.
-        let dir = unique_dir("torn");
+        let tmp = TempDir::new("spill-test");
+        let dir = tmp.path();
         let subs = recorded_subs();
-        let mut store = store_in(&dir, 0, DEFAULT_SEGMENT_BYTES);
+        let mut store = store_in(dir, 0, DEFAULT_SEGMENT_BYTES);
         commit_nodes(&mut store, &subs);
         // Close, then chop the file inside the last record's CRC trailer
         // (and separately mid-payload).
@@ -1839,9 +1823,10 @@ mod tests {
 
     #[test]
     fn corrupt_payload_is_a_typed_error_not_a_panic() {
-        let dir = unique_dir("corrupt");
+        let tmp = TempDir::new("spill-test");
+        let dir = tmp.path();
         let subs = recorded_subs();
-        let mut store = store_in(&dir, 0, DEFAULT_SEGMENT_BYTES);
+        let mut store = store_in(dir, 0, DEFAULT_SEGMENT_BYTES);
         commit_nodes(&mut store, &subs[..1]);
         store.current = None;
         let path = store.segments.last().unwrap().path.clone();
@@ -1865,9 +1850,10 @@ mod tests {
 
     #[test]
     fn bad_tag_with_valid_crc_is_a_located_corrupt_error() {
-        let dir = unique_dir("badtag");
+        let tmp = TempDir::new("spill-test");
+        let dir = tmp.path();
         let subs = recorded_subs();
-        let mut store = store_in(&dir, 0, DEFAULT_SEGMENT_BYTES);
+        let mut store = store_in(dir, 0, DEFAULT_SEGMENT_BYTES);
         commit_nodes(&mut store, &subs[..1]);
         // A framed record with an unknown tag but a *valid* CRC, so the
         // decode (not the checksum) rejects it.
@@ -1901,9 +1887,10 @@ mod tests {
 
     #[test]
     fn segment_header_is_stamped_and_validated() {
-        let dir = unique_dir("header");
+        let tmp = TempDir::new("spill-test");
+        let dir = tmp.path();
         let subs = recorded_subs();
-        let settings = SpillSettings::new(1, &dir).with_session_id(0xDEAD_BEEF);
+        let settings = SpillSettings::new(1, dir).with_session_id(0xDEAD_BEEF);
         let mut store = SpillStore::create(&settings, 5).unwrap();
         commit_nodes(&mut store, &subs[..1]);
         store.current = None;
@@ -1927,9 +1914,10 @@ mod tests {
 
     #[test]
     fn torn_commit_simulates_a_mid_write_crash() {
-        let dir = unique_dir("torncommit");
+        let tmp = TempDir::new("spill-test");
+        let dir = tmp.path();
         let subs = recorded_subs();
-        let mut store = store_in(&dir, 0, DEFAULT_SEGMENT_BYTES);
+        let mut store = store_in(dir, 0, DEFAULT_SEGMENT_BYTES);
         commit_nodes(&mut store, &subs[..2]);
         let before = store.manifest_snapshot();
         let committed = segment_bytes(&store);
@@ -1967,15 +1955,18 @@ mod tests {
     fn a_retried_round_never_lands_behind_a_partial_write() {
         let subs = recorded_subs();
         // The no-failure run.
-        let clean_dir = unique_dir("retry-clean");
-        let mut clean = store_in(&clean_dir, 0, DEFAULT_SEGMENT_BYTES);
+        let clean_tmp = TempDir::new("spill-test");
+        let clean_dir = clean_tmp.path();
+        let mut clean = store_in(clean_dir, 0, DEFAULT_SEGMENT_BYTES);
         commit_nodes(&mut clean, &subs[..2]);
         let first_round = segment_bytes(&clean);
         commit_nodes(&mut clean, &subs[2..]);
         let both_rounds = segment_bytes(&clean);
 
-        let dir = unique_dir("retry");
-        let mut store = store_in(&dir, 0, DEFAULT_SEGMENT_BYTES);
+        let tmp = TempDir::new("spill-test");
+
+        let dir = tmp.path();
+        let mut store = store_in(dir, 0, DEFAULT_SEGMENT_BYTES);
         commit_nodes(&mut store, &subs[..2]);
         let counters = (
             store.nodes_spilled,
@@ -2008,8 +1999,9 @@ mod tests {
 
         // Retries exhausted: the segment ends exactly at the previous
         // round and the store replays what it committed.
-        let dir = unique_dir("retry-exhausted");
-        let mut store = store_in(&dir, 0, DEFAULT_SEGMENT_BYTES);
+        let tmp = TempDir::new("spill-test");
+        let dir = tmp.path();
+        let mut store = store_in(dir, 0, DEFAULT_SEGMENT_BYTES);
         commit_nodes(&mut store, &subs[..2]);
         store.begin_round();
         for sub in &subs[2..] {
@@ -2053,11 +2045,12 @@ mod tests {
         ];
         for sequences in &shapes {
             for threshold in [1usize, 2, 8, 64] {
-                let dir = unique_dir("golden");
+                let tmp = TempDir::new("spill-test");
+                let dir = tmp.path();
                 let settings = SpillSettings {
                     // A few segments per shard at the small thresholds.
                     segment_bytes: 8 << 10,
-                    ..SpillSettings::new(threshold, &dir).with_retain_on_seal(true)
+                    ..SpillSettings::new(threshold, dir).with_retain_on_seal(true)
                 };
                 let builder = ShardedCpgBuilder::with_shards_and_spill(2, Some(settings));
                 ingest_round_robin(&builder, sequences.clone(), |_| {});
@@ -2104,7 +2097,6 @@ mod tests {
                     assert!(graph_edges.contains(&edge), "{edge:?}");
                     assert!(!edges[..i].contains(edge), "{edge:?} spilled twice");
                 }
-                std::fs::remove_dir_all(&dir).unwrap();
             }
         }
     }
@@ -2127,25 +2119,26 @@ mod tests {
 
     #[test]
     fn retained_store_keeps_files_on_drop() {
-        let dir = unique_dir("retain");
+        let tmp = TempDir::new("spill-test");
+        let dir = tmp.path();
         let subs = recorded_subs();
-        let mut store = store_in(&dir, 0, DEFAULT_SEGMENT_BYTES);
+        let mut store = store_in(dir, 0, DEFAULT_SEGMENT_BYTES);
         commit_nodes(&mut store, &subs[..1]);
         let path = store.segments.last().unwrap().path.clone();
         store.detach_keeping_files();
         drop(store);
         assert!(path.exists(), "retained segment must survive drop");
         assert!(dir.exists());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn flush_durability_syncs_without_changing_contents() {
-        let dir = unique_dir("flush");
+        let tmp = TempDir::new("spill-test");
+        let dir = tmp.path();
         let subs = recorded_subs();
         let settings = SpillSettings {
             segment_bytes: 64,
-            ..SpillSettings::new(1, &dir).with_durability(SpillDurability::Flush)
+            ..SpillSettings::new(1, dir).with_durability(SpillDurability::Flush)
         };
         let mut store = SpillStore::create(&settings, 0).unwrap();
         for round in subs.chunks(2) {
@@ -2167,9 +2160,10 @@ mod tests {
 
     #[test]
     fn manifest_roundtrips_and_renames_atomically() {
-        let dir = unique_dir("manifest");
-        std::fs::create_dir_all(&dir).unwrap();
-        let writer = ManifestWriter::new(&dir, 77, SpillDurability::None);
+        let tmp = TempDir::new("spill-test");
+        let dir = tmp.path();
+        std::fs::create_dir_all(dir).unwrap();
+        let writer = ManifestWriter::new(dir, 77, SpillDurability::None);
         let mut shard0 = ShardManifest::default();
         shard0.segments.push((3, 120));
         shard0.segments.push((1, 60));
@@ -2182,7 +2176,7 @@ mod tests {
         // No tmp file lingers after a successful publish.
         assert!(dir.join(MANIFEST_FILE).exists());
         assert!(!dir.join(MANIFEST_TMP_FILE).exists());
-        let parsed = read_manifest(&dir).unwrap().unwrap();
+        let parsed = read_manifest(dir).unwrap().unwrap();
         assert_eq!(parsed.session_id, 77);
         assert!(!parsed.clean);
         assert_eq!(parsed.thread_counts, BTreeMap::from([(0, 4), (1, 2)]));
@@ -2210,37 +2204,36 @@ mod tests {
             ]
         );
         writer.mark_clean().unwrap();
-        assert!(read_manifest(&dir).unwrap().unwrap().clean);
+        assert!(read_manifest(dir).unwrap().unwrap().clean);
         // A frozen writer (simulated crash) publishes nothing further.
         writer.freeze();
         writer.update_shard(0, ShardManifest::default()).unwrap();
-        let after_freeze = read_manifest(&dir).unwrap().unwrap();
+        let after_freeze = read_manifest(dir).unwrap().unwrap();
         assert_eq!(after_freeze.segments.len(), 3);
         writer.cleanup();
         // cleanup() removed the manifest but freeze() keeps future writes
         // suppressed; only the state was reset.
-        assert!(read_manifest(&dir).unwrap().is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(read_manifest(dir).unwrap().is_none());
     }
 
     #[test]
     fn stale_tmp_manifest_is_ignored_by_readers() {
-        let dir = unique_dir("staletmp");
-        std::fs::create_dir_all(&dir).unwrap();
-        let writer = ManifestWriter::new(&dir, 9, SpillDurability::None);
+        let tmp = TempDir::new("spill-test");
+        let dir = tmp.path();
+        std::fs::create_dir_all(dir).unwrap();
+        let writer = ManifestWriter::new(dir, 9, SpillDurability::None);
         let mut shard = ShardManifest::default();
         shard.segments.push((1, 50));
         writer.update_shard(0, shard).unwrap();
         // Simulate an interrupted update: garbage landed in the tmp file
         // but the rename never happened.
         std::fs::write(dir.join(MANIFEST_TMP_FILE), b"half-written garbage").unwrap();
-        let parsed = read_manifest(&dir).unwrap().unwrap();
+        let parsed = read_manifest(dir).unwrap().unwrap();
         assert_eq!(parsed.session_id, 9);
         assert_eq!(parsed.segments.len(), 1);
         // With no published manifest at all, a stale tmp must not count.
         std::fs::remove_file(dir.join(MANIFEST_FILE)).unwrap();
-        assert!(read_manifest(&dir).unwrap().is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(read_manifest(dir).unwrap().is_none());
     }
 
     #[test]
@@ -2250,26 +2243,5 @@ mod tests {
         assert!(parse_manifest("inspector-spill-manifest v2\nsession abc\n").is_err());
         let ok = parse_manifest("inspector-spill-manifest v2\nsession 1\nclean 0\n").unwrap();
         assert_eq!(ok.session_id, 1);
-    }
-
-    #[test]
-    fn durability_parse_accepts_known_spellings_only() {
-        assert_eq!(SpillDurability::parse("none"), Some(SpillDurability::None));
-        assert_eq!(
-            SpillDurability::parse(" FLUSH "),
-            Some(SpillDurability::Flush)
-        );
-        assert_eq!(
-            SpillDurability::parse("Fsync"),
-            Some(SpillDurability::Fsync)
-        );
-        assert_eq!(SpillDurability::parse("sometimes"), None);
-        for d in [
-            SpillDurability::None,
-            SpillDurability::Flush,
-            SpillDurability::Fsync,
-        ] {
-            assert_eq!(SpillDurability::parse(d.as_str()), Some(d));
-        }
     }
 }

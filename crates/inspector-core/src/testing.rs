@@ -1,14 +1,146 @@
 //! Deterministic workload generators shared by the unit tests, the
-//! streaming-equivalence suite and the benchmarks, so they all exercise the
-//! same recorded shapes.
+//! integration suites and the benchmarks, so they all exercise the same
+//! recorded shapes — plus the oracle harness the suites check against (the
+//! batch rebuild and the node / edge fingerprints) and a self-removing
+//! temporary directory for the spill tier.
 
+use std::collections::BTreeSet;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::event::{AccessKind, SyncKind};
-use crate::graph::Cpg;
+use crate::graph::{Cpg, CpgBuilder};
 use crate::ids::{PageId, SyncObjectId, ThreadId};
 use crate::recorder::{SyncClockRegistry, ThreadRecorder};
 use crate::subcomputation::SubComputation;
+
+/// splitmix64, so each property-test case expands one seed into a full
+/// random schedule deterministically.
+#[derive(Debug)]
+pub struct Rng(pub u64);
+
+impl Rng {
+    /// The next 64 random bits.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform-ish in `0..n` (`0` when `n` is 0).
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n.max(1)
+    }
+}
+
+/// Records a random multithreaded execution: 2–4 threads run a random
+/// *global* schedule of reads, writes and release/acquire operations over
+/// 1–8 pages and 1–3 locks, so their vector clocks entangle in random ways.
+/// The operation count is drawn from `ops`.
+pub fn random_sequences(seed: u64, ops: Range<u64>) -> Vec<Vec<SubComputation>> {
+    let mut rng = Rng(seed);
+    let threads = 2 + rng.below(3) as u32;
+    let pages = 1 + rng.below(8);
+    let locks = 1 + rng.below(3);
+    let ops = ops.start + rng.below(ops.end - ops.start);
+
+    let registry = SyncClockRegistry::shared();
+    let mut recs: Vec<ThreadRecorder> = (0..threads)
+        .map(|t| ThreadRecorder::new(ThreadId::new(t), Arc::clone(&registry)))
+        .collect();
+    for _ in 0..ops {
+        let t = rng.below(threads as u64) as usize;
+        match rng.below(5) {
+            0 => recs[t].on_memory_access(PageId::new(rng.below(pages)), AccessKind::Read),
+            1 | 2 => recs[t].on_memory_access(PageId::new(rng.below(pages)), AccessKind::Write),
+            3 => {
+                recs[t]
+                    .on_synchronization(SyncObjectId::new(1 + rng.below(locks)), SyncKind::Release);
+            }
+            _ => {
+                recs[t]
+                    .on_synchronization(SyncObjectId::new(1 + rng.below(locks)), SyncKind::Acquire);
+            }
+        }
+    }
+    recs.into_iter().map(|r| r.finish()).collect()
+}
+
+/// The batch oracle: every thread's full sequence through
+/// [`CpgBuilder::build`].
+pub fn batch_build(sequences: &[Vec<SubComputation>]) -> Cpg {
+    let mut builder = CpgBuilder::new();
+    for seq in sequences {
+        builder.add_thread(seq.clone());
+    }
+    builder.build()
+}
+
+/// The batch oracle over the per-thread sequences stored in `cpg`'s own
+/// node set: whatever subset of each thread a streamed (or lossy) run kept,
+/// the edges derived from it must be exactly what the offline builder
+/// derives from that subset.
+pub fn rebatch(cpg: &Cpg) -> Cpg {
+    let mut builder = CpgBuilder::new();
+    for thread in cpg.threads() {
+        let seq: Vec<SubComputation> = cpg
+            .thread_sequence(thread)
+            .into_iter()
+            .map(|id| cpg.node(id).expect("listed node exists").clone())
+            .collect();
+        builder.add_thread(seq);
+    }
+    builder.build()
+}
+
+/// Every edge of `cpg`, rendered, as a set.
+pub fn edge_fingerprint(cpg: &Cpg) -> BTreeSet<String> {
+    cpg.edges().map(|e| format!("{e:?}")).collect()
+}
+
+/// Every node of `cpg`, rendered, in node-store order.
+pub fn node_fingerprint(cpg: &Cpg) -> Vec<String> {
+    cpg.nodes().map(|n| format!("{n:?}")).collect()
+}
+
+/// A process-unique path `inspector-<label>-<pid>-<n>` under the system
+/// temp dir whose whole tree is removed when the guard drops.
+///
+/// The path is not created: the spill tier creates what it writes into, and
+/// a clean seal removes it again. Crashed and degraded runs keep their spill
+/// directories on purpose (they are what recovery reads), so pointing a
+/// session's [`spill dir`](crate::spill::SpillSettings::dir) here is what
+/// cleans up after them.
+#[derive(Debug)]
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    /// Reserves a fresh path; `label` names the suite that owns it.
+    pub fn new(label: &str) -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        TempDir(std::env::temp_dir().join(format!(
+            "inspector-{label}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        )))
+    }
+
+    /// The guarded path.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        // Absent is fine: a clean seal already removed it.
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// Records a lock-heavy execution: every thread repeatedly acquires one
 /// global lock, reads page `i % read_pages`, writes page
@@ -98,6 +230,27 @@ pub fn ingest_round_robin(
         for sub in cursors.iter_mut().filter_map(Iterator::next) {
             builder.ingest(sub);
             after_each(builder);
+        }
+    }
+}
+
+/// Announces the threads of `sequences`, then delivers them in a random
+/// interleaving drawn from `seed` that is FIFO per thread (repeatedly
+/// picking a random non-empty thread cursor).
+pub fn ingest_random_interleaving(
+    builder: &crate::sharded::ShardedCpgBuilder,
+    sequences: Vec<Vec<SubComputation>>,
+    seed: u64,
+) {
+    announce_all(builder, &sequences);
+    let mut rng = Rng(seed ^ 0xDEAD_BEEF);
+    let mut cursors: Vec<_> = sequences.into_iter().map(Vec::into_iter).collect();
+    let mut remaining: usize = cursors.iter().map(|c| c.len()).sum();
+    while remaining > 0 {
+        let pick = rng.below(cursors.len() as u64) as usize;
+        if let Some(sub) = cursors[pick].next() {
+            builder.ingest(sub);
+            remaining -= 1;
         }
     }
 }

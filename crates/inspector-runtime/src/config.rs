@@ -1,18 +1,31 @@
-//! Session configuration.
+//! Session configuration: plain values, set in code.
 //!
-//! Every pipeline knob is also exposed as an `INSPECTOR_*` environment
-//! variable through [`SessionConfig::apply_env`] (14 of them: three
-//! structural, decode, four for the spill tier, six fault triggers), so
-//! harnesses and CI can sweep configurations without recompiling. Parsing is
-//! deliberately conservative: an unset, unparsable or out-of-range value
-//! leaves the configured default untouched instead of silently clamping or
-//! disabling.
+//! The library reads nothing from the environment. An application links it
+//! and takes [`SessionConfig::inspector`] as it is; a test or harness that
+//! wants another configuration builds it with the `with_*` methods. Every
+//! field is here because something sets it:
 //!
-//! What is *not* here on purpose: the lane transport has no setting. A
-//! synchronization boundary retires exactly one sub-computation, so there
-//! is nothing for a batch cap to choose between, and the backlog at which a
-//! producer wakes a parked ingest worker is a measured constant in
-//! `lane.rs`, not a knob.
+//! | field | default | who sets it, and why |
+//! |---|---|---|
+//! | `mode` | `Inspector` | [`SessionConfig::native`]: the denominator of every overhead figure |
+//! | `page_size` | 4 KiB | the paper's setup; nothing overrides it |
+//! | `aux_mode` | full trace | the session test of a snapshot-mode ring, which online decode must bypass |
+//! | `aux_capacity` | 4 MiB | the tiny-ring overflow tests (`tests/fault_tolerance.rs`, session tests) |
+//! | `pt_flush_every` | 4 096 branches | the paper's setup; nothing overrides it |
+//! | `live_snapshots`, `snapshot_slots` | off, 8 | `tests/snapshots_and_taint.rs` and the lane tests (snapshot barriers) |
+//! | `charge_spawn_cost` | on | the spawn-cost ablation in `benches/figures.rs` |
+//! | `ingest_threads` | `min(4, cores)` | every benchmark session (`1`); the equivalence and fault suites sweep 1–4 |
+//! | `decode_online` | off | the Figure 6 `pt_decode` column; `tests/streaming_decode.rs` and the session sweeps |
+//! | `spill_threshold`, `spill_dir`, `spill_durability`, `spill_retain` | off, temp dir, `None`, off | the benchmark's `fault_commit_spill` sets all four; `tests/crash_recovery.rs` sweeps durability |
+//! | `fault_plan` | empty | `tests/fault_tolerance.rs`, `tests/crash_recovery.rs`, `examples/recover.rs` |
+//!
+//! What is *not* here on purpose: the streaming builder's shard count and
+//! the lane depth are constants (`session.rs`, `lane.rs`) because no
+//! measurement told their values apart, and the lane transport has no
+//! setting at all — a synchronization boundary retires exactly one
+//! sub-computation, so there is nothing for a batch cap to choose between,
+//! and the backlog at which a producer wakes a parked ingest worker is a
+//! measured constant.
 
 use std::path::PathBuf;
 
@@ -109,12 +122,6 @@ pub struct SessionConfig {
     /// a thread (process) is created, as the real threads-as-processes
     /// design does. Disable to isolate other overhead sources in ablations.
     pub charge_spawn_cost: bool,
-    /// Number of lock-striped shards in the streaming CPG builder.
-    pub cpg_shards: usize,
-    /// Bounded capacity (in messages) of each lane of the channel feeding
-    /// retired sub-computations to the CPG ingest pool. Backpressure
-    /// throttles the application instead of buffering unbounded provenance.
-    pub ingest_queue_depth: usize,
     /// Number of ingest-pool workers draining the provenance channel. Each
     /// worker owns one lane; application threads are routed to lanes by
     /// `ThreadId % ingest_threads`, preserving the per-thread FIFO delivery
@@ -185,8 +192,6 @@ impl SessionConfig {
             live_snapshots: false,
             snapshot_slots: 8,
             charge_spawn_cost: true,
-            cpg_shards: 8,
-            ingest_queue_depth: 1024,
             ingest_threads: default_ingest_threads(),
             decode_online: false,
             spill_threshold: 0,
@@ -221,18 +226,6 @@ impl SessionConfig {
     /// Returns a copy with the given ingest-pool width (clamped to ≥ 1).
     pub fn with_ingest_threads(mut self, workers: usize) -> Self {
         self.ingest_threads = workers.max(1);
-        self
-    }
-
-    /// Returns a copy with the given streaming-builder shard count.
-    pub fn with_cpg_shards(mut self, shards: usize) -> Self {
-        self.cpg_shards = shards.max(1);
-        self
-    }
-
-    /// Returns a copy with the given per-lane ingest-queue depth.
-    pub fn with_ingest_queue_depth(mut self, depth: usize) -> Self {
-        self.ingest_queue_depth = depth.max(1);
         self
     }
 
@@ -272,128 +265,6 @@ impl SessionConfig {
         self.fault_plan = plan;
         self
     }
-
-    /// Applies the streaming-pipeline knobs from the process environment:
-    ///
-    /// * `INSPECTOR_INGEST_THREADS` — ingest-pool width,
-    /// * `INSPECTOR_CPG_SHARDS` — streaming-builder lock stripes,
-    /// * `INSPECTOR_INGEST_QUEUE_DEPTH` — per-lane bounded-channel capacity,
-    /// * `INSPECTOR_DECODE_ONLINE` — `1`/`true` decodes PT packets on the
-    ///   ingest workers while the program runs (the `pt_decode` phase),
-    /// * `INSPECTOR_SPILL_THRESHOLD` — per-shard resident sub-computation
-    ///   count that triggers a spill-to-disk cut (`0` explicitly disables
-    ///   spilling — unlike the knobs above, zero is this knob's documented
-    ///   "off" value and is applied),
-    /// * `INSPECTOR_SPILL_DIR` — directory for the spill segment files,
-    /// * `INSPECTOR_SPILL_DURABILITY` — `none`/`flush`/`fsync` selects the
-    ///   spill tier's durability policy (unrecognized spellings keep the
-    ///   configured default),
-    /// * `INSPECTOR_SPILL_RETAIN` — `1`/`true` keeps the sealed on-disk
-    ///   image (segments + clean manifest) after a successful seal,
-    /// * `INSPECTOR_FAULT_CORRUPT_AT`, `INSPECTOR_FAULT_OVERFLOW_BYTES`,
-    ///   `INSPECTOR_FAULT_SPILL_WRITE`, `INSPECTOR_FAULT_CRASH_AT_SPILL`,
-    ///   `INSPECTOR_FAULT_PANIC_WORKER`,
-    ///   `INSPECTOR_FAULT_PANIC_AT_BATCH` — the [`FaultPlan`] triggers,
-    ///   for exercising the degraded paths from CI without recompiling
-    ///   (`SPILL_WRITE=n` counts write *attempts*, one per spill round;
-    ///   `CRASH_AT_SPILL=n` counts spilled *records*).
-    ///   Like the structural knobs, zero means "disarmed" and is exactly
-    ///   the default, so `FOO=0` and unset are equivalent.
-    ///
-    /// Unset or unrecognized values leave the corresponding configured
-    /// default untouched. For the three structural knobs
-    /// (`INGEST_THREADS`, `CPG_SHARDS`, `INGEST_QUEUE_DEPTH`) a zero is
-    /// treated as unrecognized too: they have no meaningful zero
-    /// configuration, so `FOO=0` keeps the default rather than being
-    /// silently clamped to 1.
-    pub fn apply_env(self) -> Self {
-        self.apply_env_with(|name| std::env::var(name).ok())
-    }
-
-    /// [`apply_env`](Self::apply_env) with the variable lookup injected, so
-    /// tests can exercise the parsing without mutating (or depending on)
-    /// the process environment.
-    pub fn apply_env_with(mut self, lookup: impl Fn(&str) -> Option<String>) -> Self {
-        // Structural knobs: parse failures *and* zero leave the default.
-        let knob = |name: &str| -> Option<usize> {
-            lookup(name)?
-                .trim()
-                .parse()
-                .ok()
-                .filter(|&value: &usize| value > 0)
-        };
-        if let Some(workers) = knob("INSPECTOR_INGEST_THREADS") {
-            self = self.with_ingest_threads(workers);
-        }
-        if let Some(shards) = knob("INSPECTOR_CPG_SHARDS") {
-            self = self.with_cpg_shards(shards);
-        }
-        if let Some(depth) = knob("INSPECTOR_INGEST_QUEUE_DEPTH") {
-            self = self.with_ingest_queue_depth(depth);
-        }
-        if let Some(on) = lookup("INSPECTOR_DECODE_ONLINE").and_then(|raw| parse_bool(&raw)) {
-            self = self.with_decode_online(on);
-        }
-        // Spill threshold: zero is a meaningful value (explicitly off).
-        if let Some(threshold) =
-            lookup("INSPECTOR_SPILL_THRESHOLD").and_then(|raw| raw.trim().parse::<usize>().ok())
-        {
-            self = self.with_spill_threshold(threshold);
-        }
-        if let Some(dir) = lookup("INSPECTOR_SPILL_DIR").filter(|d| !d.trim().is_empty()) {
-            self = self.with_spill_dir(dir.trim());
-        }
-        if let Some(durability) =
-            lookup("INSPECTOR_SPILL_DURABILITY").and_then(|raw| SpillDurability::parse(&raw))
-        {
-            self = self.with_spill_durability(durability);
-        }
-        if let Some(retain) = lookup("INSPECTOR_SPILL_RETAIN").and_then(|raw| parse_bool(&raw)) {
-            self = self.with_spill_retain(retain);
-        }
-        // Fault triggers: 0 is the disarmed default, so — like the
-        // structural knobs — parse failures and zero leave the plan field
-        // untouched.
-        let fault = |name: &str| -> Option<u64> {
-            lookup(name)?
-                .trim()
-                .parse()
-                .ok()
-                .filter(|&value: &u64| value > 0)
-        };
-        if let Some(at) = fault("INSPECTOR_FAULT_CORRUPT_AT") {
-            self.fault_plan.corrupt_aux_at = at;
-        }
-        if let Some(bytes) = fault("INSPECTOR_FAULT_OVERFLOW_BYTES") {
-            self.fault_plan.overflow_bytes = bytes;
-        }
-        if let Some(nth) = fault("INSPECTOR_FAULT_SPILL_WRITE") {
-            self.fault_plan.fail_spill_write = nth;
-        }
-        if let Some(nth) = fault("INSPECTOR_FAULT_CRASH_AT_SPILL") {
-            self.fault_plan.crash_at_spill = nth;
-        }
-        if let Some(worker) = fault("INSPECTOR_FAULT_PANIC_WORKER") {
-            self.fault_plan.panic_worker = worker;
-        }
-        if let Some(batch) = fault("INSPECTOR_FAULT_PANIC_AT_BATCH") {
-            self.fault_plan.panic_at_batch = batch;
-        }
-        self
-    }
-}
-
-/// Parses a boolean knob: `1`/`true` and `0`/`false` (case-insensitive);
-/// anything else is unrecognized and leaves the configured default.
-fn parse_bool(raw: &str) -> Option<bool> {
-    let v = raw.trim();
-    if v == "1" || v.eq_ignore_ascii_case("true") {
-        Some(true)
-    } else if v == "0" || v.eq_ignore_ascii_case("false") {
-        Some(false)
-    } else {
-        None
-    }
 }
 
 impl Default for SessionConfig {
@@ -422,8 +293,6 @@ mod tests {
             .with_mode(ExecutionMode::Inspector)
             .with_live_snapshots(3)
             .with_ingest_threads(2)
-            .with_cpg_shards(16)
-            .with_ingest_queue_depth(64)
             .with_decode_online(true)
             .with_spill_threshold(128)
             .with_spill_dir("/tmp/spill");
@@ -431,217 +300,32 @@ mod tests {
         assert!(c.live_snapshots);
         assert_eq!(c.snapshot_slots, 3);
         assert_eq!(c.ingest_threads, 2);
-        assert_eq!(c.cpg_shards, 16);
-        assert_eq!(c.ingest_queue_depth, 64);
         assert!(c.decode_online);
         assert_eq!(c.spill_threshold, 128);
         assert_eq!(c.spill_dir, Some(PathBuf::from("/tmp/spill")));
     }
 
     #[test]
-    fn online_decode_and_spill_default_off() {
-        assert!(!SessionConfig::inspector().decode_online);
+    fn online_decode_spill_and_faults_default_off() {
+        let c = SessionConfig::inspector();
+        assert!(!c.decode_online);
         assert!(!SessionConfig::native().decode_online);
-        assert_eq!(SessionConfig::inspector().spill_threshold, 0);
-        assert_eq!(SessionConfig::inspector().spill_dir, None);
+        assert_eq!(c.spill_threshold, 0);
+        assert_eq!(c.spill_dir, None);
+        assert_eq!(c.spill_durability, SpillDurability::None);
+        assert!(!c.spill_retain);
+        assert!(c.fault_plan.is_empty());
     }
 
     #[test]
-    fn knob_builders_clamp_to_at_least_one() {
-        let c = SessionConfig::inspector()
-            .with_ingest_threads(0)
-            .with_cpg_shards(0)
-            .with_ingest_queue_depth(0);
-        assert_eq!(c.ingest_threads, 1);
-        assert_eq!(c.cpg_shards, 1);
-        assert_eq!(c.ingest_queue_depth, 1);
-    }
-
-    #[test]
-    fn default_pool_width_is_bounded() {
+    fn pool_width_is_bounded_and_at_least_one() {
         let c = SessionConfig::inspector();
         assert!((1..=4).contains(&c.ingest_threads));
+        assert_eq!(c.with_ingest_threads(0).ingest_threads, 1);
     }
 
     #[test]
     fn default_is_inspector() {
         assert_eq!(SessionConfig::default().mode, ExecutionMode::Inspector);
-    }
-
-    #[test]
-    fn env_knobs_apply_when_recognized() {
-        let parsed = SessionConfig::inspector().apply_env_with(|name| match name {
-            "INSPECTOR_INGEST_THREADS" => Some(" 3 ".into()),
-            "INSPECTOR_CPG_SHARDS" => Some("16".into()),
-            "INSPECTOR_INGEST_QUEUE_DEPTH" => Some("64".into()),
-            "INSPECTOR_DECODE_ONLINE" => Some("1".into()),
-            "INSPECTOR_SPILL_THRESHOLD" => Some("256".into()),
-            "INSPECTOR_SPILL_DIR" => Some("/tmp/spill-env".into()),
-            _ => None,
-        });
-        assert_eq!(parsed.ingest_threads, 3);
-        assert_eq!(parsed.cpg_shards, 16);
-        assert_eq!(parsed.ingest_queue_depth, 64);
-        assert!(parsed.decode_online);
-        assert_eq!(parsed.spill_threshold, 256);
-        assert_eq!(parsed.spill_dir, Some(PathBuf::from("/tmp/spill-env")));
-    }
-
-    #[test]
-    fn env_knobs_without_variables_leave_config_unchanged() {
-        let base = SessionConfig::inspector();
-        assert_eq!(base.clone().apply_env_with(|_| None), base);
-    }
-
-    #[test]
-    fn unrecognized_structural_knob_values_keep_the_configured_default() {
-        // A deliberately non-default base, so "default untouched" is
-        // distinguishable from "reset to the preset".
-        let base = SessionConfig::inspector()
-            .with_ingest_threads(3)
-            .with_cpg_shards(5)
-            .with_ingest_queue_depth(77);
-        for bad in ["", "  ", "not-a-number", "-1", "2.5"] {
-            let parsed = base.clone().apply_env_with(|name| match name {
-                "INSPECTOR_INGEST_THREADS"
-                | "INSPECTOR_CPG_SHARDS"
-                | "INSPECTOR_INGEST_QUEUE_DEPTH" => Some(bad.into()),
-                _ => None,
-            });
-            assert_eq!(parsed.ingest_threads, 3, "value {bad:?}");
-            assert_eq!(parsed.cpg_shards, 5, "value {bad:?}");
-            assert_eq!(parsed.ingest_queue_depth, 77, "value {bad:?}");
-        }
-    }
-
-    #[test]
-    fn zero_structural_knob_values_keep_the_configured_default() {
-        // Zero has no meaningful configuration for these knobs; it must not
-        // be silently clamped to 1 (the regression PR 3 fixed only for
-        // INSPECTOR_DECODE_ONLINE).
-        let base = SessionConfig::inspector()
-            .with_ingest_threads(3)
-            .with_cpg_shards(5)
-            .with_ingest_queue_depth(77);
-        let parsed = base.clone().apply_env_with(|name| match name {
-            "INSPECTOR_INGEST_THREADS"
-            | "INSPECTOR_CPG_SHARDS"
-            | "INSPECTOR_INGEST_QUEUE_DEPTH" => Some("0".into()),
-            _ => None,
-        });
-        assert_eq!(parsed, base);
-    }
-
-    #[test]
-    fn decode_online_spellings_and_fallback() {
-        let base = SessionConfig::inspector();
-        let on_by_default = base.clone().with_decode_online(true);
-        for (value, expect_from_off, expect_from_on) in [
-            ("true", true, true),
-            ("TRUE", true, true),
-            ("0", false, false),
-            ("false", false, false),
-            ("banana", false, true), // unrecognized: default preserved
-        ] {
-            let from_off = base
-                .clone()
-                .apply_env_with(|name| (name == "INSPECTOR_DECODE_ONLINE").then(|| value.into()));
-            assert_eq!(from_off.decode_online, expect_from_off, "value {value:?}");
-            let from_on = on_by_default
-                .clone()
-                .apply_env_with(|name| (name == "INSPECTOR_DECODE_ONLINE").then(|| value.into()));
-            assert_eq!(from_on.decode_online, expect_from_on, "value {value:?}");
-        }
-    }
-
-    #[test]
-    fn fault_plan_defaults_empty_and_env_knobs_arm_it() {
-        assert!(SessionConfig::inspector().fault_plan.is_empty());
-        let parsed = SessionConfig::inspector().apply_env_with(|name| match name {
-            "INSPECTOR_FAULT_CORRUPT_AT" => Some(" 17 ".into()),
-            "INSPECTOR_FAULT_OVERFLOW_BYTES" => Some("512".into()),
-            "INSPECTOR_FAULT_SPILL_WRITE" => Some("3".into()),
-            "INSPECTOR_FAULT_CRASH_AT_SPILL" => Some("11".into()),
-            "INSPECTOR_FAULT_PANIC_WORKER" => Some("2".into()),
-            "INSPECTOR_FAULT_PANIC_AT_BATCH" => Some("5".into()),
-            _ => None,
-        });
-        assert_eq!(
-            parsed.fault_plan,
-            FaultPlan {
-                corrupt_aux_at: 17,
-                overflow_bytes: 512,
-                fail_spill_write: 3,
-                crash_at_spill: 11,
-                panic_worker: 2,
-                panic_at_batch: 5,
-            }
-        );
-        assert!(!parsed.fault_plan.is_empty());
-    }
-
-    #[test]
-    fn fault_knobs_zero_or_unrecognized_leave_the_plan() {
-        // A non-default base plan, so "untouched" is distinguishable from
-        // "reset to empty".
-        let base = SessionConfig::inspector().with_fault_plan(FaultPlan {
-            corrupt_aux_at: 9,
-            overflow_bytes: 64,
-            fail_spill_write: 1,
-            crash_at_spill: 4,
-            panic_worker: 1,
-            panic_at_batch: 2,
-        });
-        for bad in ["", "0", "not-a-number", "-1", "2.5"] {
-            let parsed = base
-                .clone()
-                .apply_env_with(|name| name.starts_with("INSPECTOR_FAULT_").then(|| bad.into()));
-            assert_eq!(parsed.fault_plan, base.fault_plan, "value {bad:?}");
-        }
-        assert_eq!(base.clone().apply_env_with(|_| None), base);
-    }
-
-    #[test]
-    fn spill_threshold_zero_is_explicitly_off() {
-        // Unlike the structural knobs, 0 is the spill knob's documented
-        // "disable" value: it must override a nonzero configured default.
-        let base = SessionConfig::inspector().with_spill_threshold(64);
-        let parsed = base
-            .clone()
-            .apply_env_with(|name| (name == "INSPECTOR_SPILL_THRESHOLD").then(|| "0".into()));
-        assert_eq!(parsed.spill_threshold, 0);
-        // Unrecognized values still keep the default.
-        let parsed = base
-            .clone()
-            .apply_env_with(|name| (name == "INSPECTOR_SPILL_THRESHOLD").then(|| "lots".into()));
-        assert_eq!(parsed.spill_threshold, 64);
-        // An empty spill dir is unrecognized.
-        let parsed =
-            base.apply_env_with(|name| (name == "INSPECTOR_SPILL_DIR").then(|| "  ".into()));
-        assert_eq!(parsed.spill_dir, None);
-    }
-
-    #[test]
-    fn spill_durability_and_retain_env_knobs() {
-        let base = SessionConfig::inspector();
-        assert_eq!(base.spill_durability, SpillDurability::None);
-        assert!(!base.spill_retain);
-        let parsed = base.clone().apply_env_with(|name| match name {
-            "INSPECTOR_SPILL_DURABILITY" => Some(" Fsync ".into()),
-            "INSPECTOR_SPILL_RETAIN" => Some("true".into()),
-            _ => None,
-        });
-        assert_eq!(parsed.spill_durability, SpillDurability::Fsync);
-        assert!(parsed.spill_retain);
-        // Unrecognized spellings keep the configured default rather than
-        // silently disabling a requested durability tier.
-        let configured = base.with_spill_durability(SpillDurability::Flush);
-        let parsed = configured.clone().apply_env_with(|name| {
-            (name == "INSPECTOR_SPILL_DURABILITY").then(|| "paranoid".into())
-        });
-        assert_eq!(parsed.spill_durability, SpillDurability::Flush);
-        let parsed = configured
-            .apply_env_with(|name| (name == "INSPECTOR_SPILL_DURABILITY").then(|| "none".into()));
-        assert_eq!(parsed.spill_durability, SpillDurability::None);
     }
 }

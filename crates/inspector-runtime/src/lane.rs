@@ -79,6 +79,12 @@ use std::thread::{self, Thread};
 /// Backlog at which a producer wakes a parked consumer.
 pub(crate) const WAKE_BACKLOG: usize = 32;
 
+/// Capacity of a session's lanes, in messages. Deep enough that the wake
+/// above, not backpressure, decides when the worker runs (32 ≪ 1 024), and
+/// bounded so a stalled worker throttles the application instead of letting
+/// provenance pile up. Never swept; it is the value every session ran with.
+pub(crate) const LANE_DEPTH: usize = 1024;
+
 #[derive(Debug)]
 struct LaneState {
     /// Messages reserved by producers and not yet taken by the consumer.
@@ -468,12 +474,13 @@ mod tests {
                 panic_at_batch: 100,
                 ..FaultPlan::default()
             };
-            // A lane far shallower than the burst: producers that were not
-            // failed fast would block on it forever.
+            // The worker dies at message 100 of a 4 000-boundary burst: the
+            // 3 900 behind it are almost four lanes' worth (`LANE_DEPTH`), so
+            // producers that were not failed fast would block forever. The
+            // shallow-lane wake path is `a_lane_shallower_than_the_threshold_…`.
             let session = InspectorSession::new(
                 SessionConfig::inspector()
                     .with_ingest_threads(1)
-                    .with_ingest_queue_depth(4)
                     .with_fault_plan(plan),
             );
             let err = session

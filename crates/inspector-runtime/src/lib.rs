@@ -51,9 +51,9 @@
 //! equivalence suite in `tests/streaming_equivalence.rs` and the
 //! `tests/incremental_data_edges.rs` property suite enforce that.
 //!
-//! With [`SessionConfig::decode_online`] (env knob `INSPECTOR_DECODE_ONLINE`
-//! in the bench harness) the AUX chunks also travel the ingest lanes, and
-//! each pool worker decodes its threads' PT packets back into branch events
+//! With [`SessionConfig::decode_online`] the AUX chunks also travel the
+//! ingest lanes, and each pool worker decodes its threads' PT packets back
+//! into branch events
 //! **while the program runs** ([`inspector_pt::stream::StreamingDecoder`]),
 //! cross-checking the decoded branch counts against the recorder; the cost
 //! appears as the `pt_decode` phase of the Figure 6 breakdown.
@@ -76,9 +76,9 @@
 //! surviving workers drain, and [`InspectorSession::try_run`] returns a
 //! structured [`SessionError`] carrying the per-worker failures *and* the
 //! partial [`RunReport`]. Faults are injected deterministically through
-//! [`FaultPlan`] (config field [`SessionConfig::fault_plan`] or the
-//! `INSPECTOR_FAULT_*` env knobs); `tests/fault_tolerance.rs` proves the
-//! contract over random schedules and fault plans.
+//! [`FaultPlan`] (config field [`SessionConfig::fault_plan`]);
+//! `tests/fault_tolerance.rs` proves the contract over random schedules and
+//! fault plans.
 //!
 //! ```
 //! use inspector_runtime::{ExecutionMode, InspectorSession, SessionConfig};

@@ -61,12 +61,19 @@ use inspector_pt::stream::StreamingDecoder;
 
 use crate::config::{ExecutionMode, SessionConfig};
 use crate::ctx::ThreadCtx;
-use crate::lane::{lane, LaneReceiver, LaneSender};
+use crate::lane::{lane, LaneReceiver, LaneSender, LANE_DEPTH};
 use crate::report::{RunReport, RunStats};
 
 /// Size of the shared heap mapped at session creation. Pages are
 /// materialised lazily, so a generous reservation costs nothing.
 const HEAP_BYTES: u64 = 256 << 20;
+
+/// Lock stripes of the session's streaming builder. Not a setting: the
+/// `cpg_ingest` grid in `BENCH_ingest.json` reads 969 / 947 / 950 ns per
+/// sub-computation at 1 / 4 / 8 stripes (one ingest worker) and stays
+/// within 10 % at every other pool width, so no measured value beats
+/// another and the one every session has always run with stays.
+const CPG_SHARDS: usize = 8;
 
 /// Resolves the spill configuration for a session's streaming builder:
 /// `None` when spilling is off (threshold 0 or a native run, which never
@@ -490,7 +497,7 @@ impl InspectorSession {
         let perf = TraceSession::new(cgroup);
         let slots = config.snapshot_slots.max(1);
         let builder = Arc::new(ShardedCpgBuilder::with_shards_and_spill(
-            config.cpg_shards,
+            CPG_SHARDS,
             spill_settings_for(&config),
         ));
         let shared = Arc::new(Shared {
@@ -638,12 +645,11 @@ impl InspectorSession {
         if plan.crash_at_spill > 0 {
             self.shared.builder.inject_spill_crash(plan.crash_at_spill);
         }
-        let depth = self.shared.config.ingest_queue_depth;
         let lanes = self.shared.config.ingest_threads.max(1);
         let mut senders = Vec::with_capacity(lanes);
         let mut workers = Vec::with_capacity(lanes);
         for index in 0..lanes {
-            let (tx, rx) = lane::<IngestMsg>(depth);
+            let (tx, rx) = lane::<IngestMsg>(LANE_DEPTH);
             senders.push(tx);
             let shared = Arc::clone(&self.shared);
             workers.push(

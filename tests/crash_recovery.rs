@@ -14,7 +14,7 @@
 //! bit rot (a flipped byte, caught by the per-record CRC) degrade the
 //! recovered graph to a smaller consistent prefix, never to an error.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -24,42 +24,11 @@ use inspector::core::spill::{
     segment_file_name, SpillSettings, RECORD_OVERHEAD_BYTES, SEGMENT_HEADER_BYTES,
 };
 use inspector::core::subcomputation::SubComputation;
-use inspector::core::testing::{ingest_round_robin, ping_pong_sequences};
+use inspector::core::testing::{
+    edge_fingerprint, ingest_round_robin, ping_pong_sequences, Rng, TempDir,
+};
 use inspector::prelude::*;
 use proptest::prelude::*;
-
-/// splitmix64, so each proptest case expands one seed into a full random
-/// schedule + crash plan deterministically.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
-/// A test-unique spill directory so concurrent cases never collide.
-fn spill_dir() -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "inspector-crash-rec-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-fn edge_fingerprint(cpg: &Cpg) -> BTreeSet<String> {
-    cpg.edges().map(|e| format!("{e:?}")).collect()
-}
 
 /// The batch oracle over a frontier-truncated slice of a sealed graph:
 /// each thread's sequence cut at the recovered consistent frontier, re-fed
@@ -195,9 +164,10 @@ proptest! {
             1 => SpillDurability::Flush,
             _ => SpillDurability::Fsync,
         };
+        let tmp = TempDir::new("crash-rec");
         let config = SessionConfig::inspector()
             .with_spill_threshold(threshold)
-            .with_spill_dir(spill_dir())
+            .with_spill_dir(tmp.path())
             .with_spill_durability(durability)
             .with_spill_retain(true) // keep the image even if the crash never fires
             .with_fault_plan(FaultPlan { crash_at_spill: crash_at, ..FaultPlan::default() });
@@ -220,7 +190,6 @@ proptest! {
             prop_assert_eq!(recovery.cpg.node_count(), report.cpg.node_count());
             prop_assert_eq!(edge_fingerprint(&recovery.cpg), edge_fingerprint(&report.cpg));
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Satellite property: truncate a cleanly sealed image at a random
@@ -230,9 +199,10 @@ proptest! {
     #[test]
     fn truncation_at_any_offset_recovers_an_accounted_prefix(seed in any::<u64>()) {
         let mut rng = Rng(seed ^ 0x7A93);
+        let tmp = TempDir::new("crash-rec");
         let config = SessionConfig::inspector()
             .with_spill_threshold(1 + rng.below(4) as usize)
-            .with_spill_dir(spill_dir())
+            .with_spill_dir(tmp.path())
             .with_spill_retain(true);
         let session = InspectorSession::new(config);
         let report = run_shaped(&session, &mut rng);
@@ -255,7 +225,6 @@ proptest! {
             prop_assert!(r.missing_bytes > 0 || r.lost_bytes > 0, "{:?}", r);
             prop_assert!(r.degraded(), "{:?}", r);
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Satellite property: flip one byte anywhere in a cleanly sealed
@@ -265,9 +234,10 @@ proptest! {
     #[test]
     fn a_flipped_byte_is_caught_and_accounted(seed in any::<u64>()) {
         let mut rng = Rng(seed ^ 0xC4C1);
+        let tmp = TempDir::new("crash-rec");
         let config = SessionConfig::inspector()
             .with_spill_threshold(1 + rng.below(4) as usize)
-            .with_spill_dir(spill_dir())
+            .with_spill_dir(tmp.path())
             .with_spill_retain(true);
         let session = InspectorSession::new(config);
         let report = run_shaped(&session, &mut rng);
@@ -289,12 +259,12 @@ proptest! {
             "{:?}",
             r
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
-/// One deterministic single-producer, single-shard build under the knobs of
-/// the CI crash-recovery cell (threshold 2, `flush`), crashing after
+/// One deterministic single-producer, single-shard build under the spill
+/// settings of the end-to-end crash configuration (threshold 2, `flush`;
+/// `tests/end_to_end.rs`), crashing after
 /// `crash_at` records (0: never). `observe` runs after every ingest. Returns
 /// the sealed graph and whether the crash fired.
 fn build_crashing_at(
@@ -320,11 +290,12 @@ fn build_crashing_at(
 fn every_crash_point_leaves_the_frames_before_it_and_one_torn_frame() {
     // The uncrashed run: its segment image, and the manifest as published
     // at each cut (`flush` republishes at every one).
-    let golden_dir = spill_dir();
+    let golden_tmp = TempDir::new("crash-rec");
+    let golden_dir = golden_tmp.path();
     let segment = segment_file_name(0, 0);
     let mut golden = Vec::new();
     let mut cuts: Vec<(u64, u64, String)> = Vec::new(); // (records, bytes, manifest text)
-    let (sealed, crashed) = build_crashing_at(&golden_dir, 0, |_| {
+    let (sealed, crashed) = build_crashing_at(golden_dir, 0, |_| {
         let text = std::fs::read_to_string(golden_dir.join("MANIFEST")).expect("manifest");
         if cuts.last().is_none_or(|(_, _, last)| *last != text) {
             let named = inspector::core::spill::parse_manifest(&text).expect("parsable");
@@ -352,17 +323,19 @@ fn every_crash_point_leaves_the_frames_before_it_and_one_torn_frame() {
         "every spilled record is manifested"
     );
     assert!(cuts.len() > 3, "several rounds: {cuts:?}");
-    // The CI cell arms `INSPECTOR_FAULT_CRASH_AT_SPILL=5` at these knobs:
-    // the record it tears must sit inside a round, behind whole frames of
-    // the same buffer, so that the torn-mid-buffer path is what CI runs.
+    // The end-to-end crash configuration arms `crash_at_spill: 5` at these
+    // settings: the record it tears must sit inside a round, behind whole
+    // frames of the same buffer, so that the torn-mid-buffer path is what
+    // every test run exercises.
     assert!(
         cuts.iter().all(|&(at, _, _)| at != 5) && records > 5,
         "record 6 opens a round: {cuts:?}"
     );
 
     for n in 1..records {
-        let dir = spill_dir();
-        let (sealed_n, crashed) = build_crashing_at(&dir, n, |_| {});
+        let tmp = TempDir::new("crash-rec");
+        let dir = tmp.path();
+        let (sealed_n, crashed) = build_crashing_at(dir, n, |_| {});
         assert!(crashed, "crash_at {n} of {records}");
         assert_eq!(
             edge_fingerprint(&sealed_n),
@@ -383,7 +356,7 @@ fn every_crash_point_leaves_the_frames_before_it_and_one_torn_frame() {
         let frozen = std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
         assert_eq!(&frozen, manifest, "crash_at {n}");
 
-        let recovery = assert_recovery_contract(&dir, &sealed_n);
+        let recovery = assert_recovery_contract(dir, &sealed_n);
         let r = &recovery.report;
         assert!(r.manifest_found && !r.manifest_clean, "crash_at {n}: {r:?}");
         assert_eq!(r.total_bytes, expected.len() as u64);
@@ -403,22 +376,22 @@ fn every_crash_point_leaves_the_frames_before_it_and_one_torn_frame() {
             0,
             "{r:?}"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     // A crash point at or past the last record never fires.
-    let dir = spill_dir();
-    let (_, crashed) = build_crashing_at(&dir, records, |_| {});
-    assert!(!crashed && !dir.exists());
+    let tmp = TempDir::new("crash-rec");
+    let (_, crashed) = build_crashing_at(tmp.path(), records, |_| {});
+    assert!(!crashed && !tmp.path().exists());
 }
 
 /// A cleanly sealed, retained directory reproduces the sealed graph
 /// exactly — nodes, edges, zero loss, `degraded()` false.
 #[test]
 fn clean_retained_directory_recovers_the_sealed_graph_exactly() {
+    let tmp = TempDir::new("crash-rec");
     let config = SessionConfig::inspector()
         .with_spill_threshold(2)
-        .with_spill_dir(spill_dir())
+        .with_spill_dir(tmp.path())
         .with_spill_retain(true);
     let session = InspectorSession::new(config);
     let report = run_shaped(&session, &mut Rng(42));
@@ -436,7 +409,6 @@ fn clean_retained_directory_recovers_the_sealed_graph_exactly() {
         edge_fingerprint(&recovery.cpg),
         edge_fingerprint(&report.cpg)
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A stale `MANIFEST.tmp` left by an interrupted atomic rename is ignored:
@@ -444,9 +416,10 @@ fn clean_retained_directory_recovers_the_sealed_graph_exactly() {
 /// sealed graph exactly.
 #[test]
 fn stale_tmp_manifest_does_not_perturb_recovery() {
+    let tmp = TempDir::new("crash-rec");
     let config = SessionConfig::inspector()
         .with_spill_threshold(2)
-        .with_spill_dir(spill_dir())
+        .with_spill_dir(tmp.path())
         .with_spill_retain(true);
     let session = InspectorSession::new(config);
     let report = run_shaped(&session, &mut Rng(7));
@@ -456,7 +429,6 @@ fn stale_tmp_manifest_does_not_perturb_recovery() {
     let recovery = assert_recovery_contract(&dir, &report.cpg);
     assert!(!recovery.report.degraded(), "{:?}", recovery.report);
     assert_eq!(recovery.cpg.node_count(), report.cpg.node_count());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Satellite contract: a clean, non-retained seal removes its
@@ -464,11 +436,12 @@ fn stale_tmp_manifest_does_not_perturb_recovery() {
 /// manifest — for forensics.
 #[test]
 fn clean_seal_removes_the_directory_and_a_crash_keeps_it() {
+    let tmp = TempDir::new("crash-rec");
     // Clean run, no retain: the directory is gone after the seal.
     let clean = InspectorSession::new(
         SessionConfig::inspector()
             .with_spill_threshold(1)
-            .with_spill_dir(spill_dir()),
+            .with_spill_dir(tmp.path()),
     );
     let report = run_shaped(&clean, &mut Rng(3));
     assert!(report.stats.spilled_subs > 0, "{:?}", report.stats);
@@ -479,7 +452,7 @@ fn clean_seal_removes_the_directory_and_a_crash_keeps_it() {
     let crashed = InspectorSession::new(
         SessionConfig::inspector()
             .with_spill_threshold(1)
-            .with_spill_dir(spill_dir())
+            .with_spill_dir(tmp.path())
             .with_fault_plan(FaultPlan {
                 crash_at_spill: 3,
                 ..FaultPlan::default()
@@ -493,28 +466,30 @@ fn clean_seal_removes_the_directory_and_a_crash_keeps_it() {
     assert!(dir.join("MANIFEST").is_file(), "manifest kept for recovery");
     let recovery = inspector::core::recover::recover_session(&dir).expect("recovery I/O");
     assert!(recovery.report.manifest_found);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The crash knob reaches the session through the same env path as every
-/// other fault trigger.
+/// A crashed session keeps its spill directory for recovery on purpose;
+/// the [`TempDir`] it was pointed at is what removes it.
 #[test]
-fn crash_env_knob_reaches_the_session() {
-    let config = SessionConfig::inspector().apply_env_with(|name| match name {
-        "INSPECTOR_FAULT_CRASH_AT_SPILL" => Some("2".into()),
-        "INSPECTOR_SPILL_THRESHOLD" => Some("1".into()),
-        "INSPECTOR_SPILL_DURABILITY" => Some("flush".into()),
-        _ => None,
-    });
-    assert_eq!(config.fault_plan.crash_at_spill, 2);
-    assert_eq!(config.spill_durability, SpillDurability::Flush);
-    let config = config.with_spill_dir(spill_dir());
-    let session = InspectorSession::new(config);
+fn a_crashed_session_directory_is_gone_once_the_guard_drops() {
+    let tmp = TempDir::new("crash-rec");
+    let session = InspectorSession::new(
+        SessionConfig::inspector()
+            .with_spill_threshold(1)
+            .with_spill_durability(SpillDurability::Flush)
+            .with_spill_dir(tmp.path())
+            .with_fault_plan(FaultPlan {
+                crash_at_spill: 2,
+                ..FaultPlan::default()
+            }),
+    );
     let report = run_shaped(&session, &mut Rng(11));
     assert!(report.stats.spill_fallbacks > 0, "{:?}", report.stats);
     assert!(report.stats.degraded);
     let dir = session.spill_directory().expect("spill directory");
+    assert!(dir.starts_with(tmp.path()) && dir.is_dir());
     let recovery = inspector::core::recover::recover_session(&dir).expect("recovery I/O");
     assert!(recovery.report.degraded());
-    std::fs::remove_dir_all(&dir).ok();
+    drop(tmp);
+    assert!(!dir.exists(), "{} outlived its guard", dir.display());
 }

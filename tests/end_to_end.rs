@@ -2,8 +2,10 @@
 //! through the threading library, memory tracking and PT tracing to the CPG
 //! and its queries.
 
+use std::path::Path;
 use std::sync::Arc;
 
+use inspector::core::testing::TempDir;
 use inspector::prelude::*;
 use inspector::pt::decode::PacketDecoder;
 
@@ -109,27 +111,90 @@ fn native_and_inspector_compute_identical_results_for_all_workloads() {
     }
 }
 
+/// The pipeline configurations every workload runs under: the preset;
+/// online decode behind a single ingest worker with spilling on; an AUX
+/// overflow on every thread plus a spill device that never takes a write;
+/// and a crash that tears the sixth spilled record under the `flush` tier.
+fn pipeline_configurations(spill_dir: &Path) -> [(&'static str, SessionConfig); 4] {
+    let spilling = SessionConfig::inspector().with_spill_dir(spill_dir);
+    [
+        ("default", SessionConfig::inspector()),
+        (
+            "decode+spill",
+            spilling
+                .clone()
+                .with_decode_online(true)
+                .with_ingest_threads(1)
+                .with_spill_threshold(4),
+        ),
+        (
+            "faults",
+            spilling
+                .clone()
+                .with_decode_online(true)
+                .with_ingest_threads(4)
+                .with_spill_threshold(4)
+                .with_fault_plan(FaultPlan {
+                    overflow_bytes: 256,
+                    fail_spill_write: 1,
+                    ..FaultPlan::default()
+                }),
+        ),
+        (
+            "crash",
+            spilling
+                .with_ingest_threads(4)
+                .with_spill_threshold(2)
+                .with_spill_durability(SpillDurability::Flush)
+                .with_fault_plan(FaultPlan {
+                    crash_at_spill: 5,
+                    ..FaultPlan::default()
+                }),
+        ),
+    ]
+}
+
 #[test]
 fn every_workload_produces_a_valid_graph_with_all_edge_kinds() {
-    for workload in all_workloads() {
-        let result = workload.execute(SessionConfig::inspector(), 2, InputSize::Tiny);
-        let cpg = &result.report.cpg;
-        cpg.validate()
-            .unwrap_or_else(|e| panic!("{}: invalid CPG: {e}", workload.name()));
-        let stats = cpg.stats();
-        assert!(stats.nodes > 0, "{}: empty CPG", workload.name());
-        assert!(
-            stats.control_edges > 0,
-            "{}: no control edges",
-            workload.name()
-        );
-        assert!(stats.sync_edges > 0, "{}: no sync edges", workload.name());
-        assert!(stats.data_edges > 0, "{}: no data edges", workload.name());
-        assert!(
-            result.report.stats.pt.branches > 0,
-            "{}: no branches traced",
-            workload.name()
-        );
+    // Degraded runs keep their spill directories; the guard removes them.
+    let tmp = TempDir::new("end-to-end");
+    for (name, config) in pipeline_configurations(tmp.path()) {
+        for workload in all_workloads() {
+            let context = format!("{name}/{}", workload.name());
+            let result = workload.execute(config.clone(), 2, InputSize::Tiny);
+            let cpg = &result.report.cpg;
+            cpg.validate()
+                .unwrap_or_else(|e| panic!("{context}: invalid CPG: {e}"));
+            let stats = cpg.stats();
+            assert!(stats.nodes > 0, "{context}: empty CPG");
+            assert!(stats.control_edges > 0, "{context}: no control edges");
+            assert!(stats.sync_edges > 0, "{context}: no sync edges");
+            assert!(stats.data_edges > 0, "{context}: no data edges");
+
+            let s = &result.report.stats;
+            assert!(s.pt.branches > 0, "{context}: no branches traced");
+            // The configuration took effect.
+            let plan = config.fault_plan;
+            assert_eq!(s.ingest_workers, config.ingest_threads, "{context}");
+            if config.decode_online {
+                assert!(s.decoded_branches > 0, "{context}: {s:?}");
+            }
+            if config.spill_threshold > 0 && plan.is_empty() {
+                assert!(s.spilled_subs > 0, "{context}: {s:?}");
+            }
+            if plan.fail_spill_write > 0 || plan.crash_at_spill > 0 {
+                assert!(s.spill_fallbacks > 0, "{context}: {s:?}");
+            }
+            assert_eq!(s.degraded, !plan.is_empty(), "{context}: {s:?}");
+            // The decode cross-check is exact when nothing was lost, and a
+            // loss is never silent.
+            if s.gaps == 0 && s.lost_bytes == 0 {
+                assert_eq!(s.decode_errors, 0, "{context}: {s:?}");
+                assert_eq!(s.decode_mismatches, 0, "{context}: {s:?}");
+            } else {
+                assert!(s.degraded, "{context}: loss without the degraded bit");
+            }
+        }
     }
 }
 

@@ -14,64 +14,12 @@
 //! existing equivalence properties keep holding (the fault hooks are
 //! invisible unless armed).
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use inspector::core::graph::{Cpg, CpgBuilder};
-use inspector::core::subcomputation::SubComputation;
+use inspector::core::testing::{edge_fingerprint, rebatch, Rng, TempDir};
 use inspector::prelude::*;
 use inspector::runtime::RunStats;
 use proptest::prelude::*;
-
-/// splitmix64, so each proptest case expands one seed into a full random
-/// schedule + fault plan deterministically.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
-/// Rebuilds a batch CPG from the per-thread sequences stored in a streamed
-/// graph's node set — the "oracle over the same prefix": whatever subset of
-/// each thread's subs survived ingestion, the edges derived from it must be
-/// exactly what the offline builder derives from that subset.
-fn rebatch(cpg: &Cpg) -> Cpg {
-    let mut builder = CpgBuilder::new();
-    for thread in cpg.threads() {
-        let seq: Vec<SubComputation> = cpg
-            .thread_sequence(thread)
-            .into_iter()
-            .map(|id| cpg.node(id).expect("listed node exists").clone())
-            .collect();
-        builder.add_thread(seq);
-    }
-    builder.build()
-}
-
-fn edge_fingerprint(cpg: &Cpg) -> BTreeSet<String> {
-    cpg.edges().map(|e| format!("{e:?}")).collect()
-}
-
-/// A test-unique spill directory so concurrent cases never collide.
-fn spill_dir() -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "inspector-fault-tol-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ))
-}
 
 /// Expands a seed into a random session shape: worker count, iterations,
 /// branch density — every thread branches so every thread ships AUX data.
@@ -158,8 +106,10 @@ proptest! {
             .with_decode_online(decode_online)
             .with_ingest_threads(1 + rng.below(2) as usize)
             .with_fault_plan(plan);
+        // A degraded run keeps its spill directory; the guard removes it.
+        let dir = TempDir::new("fault-tol");
         if fail_spill_write > 0 {
-            config = config.with_spill_threshold(1).with_spill_dir(spill_dir());
+            config = config.with_spill_threshold(1).with_spill_dir(dir.path());
         }
         let lanes = config.ingest_threads as u64;
 
@@ -285,24 +235,4 @@ fn tiny_ring_session_overflows_and_accounts_the_loss() {
     assert!(s.degraded);
     // The graph over what was captured is intact.
     assert!(report.cpg.validate().is_ok());
-}
-
-#[test]
-fn fault_env_knobs_reach_the_session() {
-    // The harness contract: `INSPECTOR_FAULT_*` reaches the plan through
-    // the same injected-lookup path every other knob uses.
-    let config = SessionConfig::inspector().apply_env_with(|name| match name {
-        "INSPECTOR_FAULT_OVERFLOW_BYTES" => Some("128".into()),
-        _ => None,
-    });
-    assert_eq!(config.fault_plan.overflow_bytes, 128);
-    let session = InspectorSession::new(config);
-    let report = session.run(|ctx| {
-        for i in 0..50u64 {
-            ctx.branch(i % 2 == 0);
-        }
-    });
-    assert_eq!(report.stats.gaps, report.stats.threads as u64);
-    assert_eq!(report.stats.lost_bytes, 128 * report.stats.gaps);
-    assert!(report.stats.degraded);
 }

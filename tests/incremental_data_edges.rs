@@ -6,111 +6,22 @@
 //! have had nothing to do (`data_resolved_at_seal == 0`,
 //! `sync_resolved_at_seal == 0`).
 
-use std::collections::BTreeSet;
-use std::sync::Arc;
-
-use inspector::core::event::{AccessKind, SyncKind};
-use inspector::core::graph::{Cpg, CpgBuilder};
-use inspector::core::ids::{PageId, SyncObjectId, ThreadId};
-use inspector::core::recorder::{SyncClockRegistry, ThreadRecorder};
 use inspector::core::sharded::ShardedCpgBuilder;
-use inspector::core::subcomputation::SubComputation;
-use inspector::core::testing::announce_all;
+use inspector::core::testing::{
+    announce_all, batch_build, edge_fingerprint, ingest_random_interleaving, random_sequences, Rng,
+};
 use proptest::prelude::*;
-
-/// splitmix64, so each proptest case expands one seed into a full random
-/// schedule deterministically.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
-/// Records a random multithreaded execution: a random *global* schedule of
-/// reads, writes and release/acquire/barrier operations over small page and
-/// lock pools, so the threads' vector clocks entangle in random ways.
-fn random_sequences(seed: u64) -> Vec<Vec<SubComputation>> {
-    let mut rng = Rng(seed);
-    let threads = 2 + rng.below(3) as u32; // 2..=4
-    let pages = 1 + rng.below(8); // 1..=8
-    let locks = 1 + rng.below(3); // 1..=3
-    let ops = 30 + rng.below(60); // 30..=89 operations, globally scheduled
-
-    let registry = SyncClockRegistry::shared();
-    let mut recs: Vec<ThreadRecorder> = (0..threads)
-        .map(|t| ThreadRecorder::new(ThreadId::new(t), Arc::clone(&registry)))
-        .collect();
-    for _ in 0..ops {
-        let t = rng.below(threads as u64) as usize;
-        match rng.below(5) {
-            0 => recs[t].on_memory_access(PageId::new(rng.below(pages)), AccessKind::Read),
-            1 | 2 => recs[t].on_memory_access(PageId::new(rng.below(pages)), AccessKind::Write),
-            3 => {
-                recs[t]
-                    .on_synchronization(SyncObjectId::new(1 + rng.below(locks)), SyncKind::Release);
-            }
-            _ => {
-                recs[t]
-                    .on_synchronization(SyncObjectId::new(1 + rng.below(locks)), SyncKind::Acquire);
-            }
-        }
-    }
-    recs.into_iter().map(|r| r.finish()).collect()
-}
-
-/// Streams the sequences in a random delivery interleaving that is FIFO per
-/// thread (repeatedly picking a random non-empty thread cursor).
-fn stream_random_interleaving(
-    builder: &ShardedCpgBuilder,
-    sequences: Vec<Vec<SubComputation>>,
-    seed: u64,
-) {
-    announce_all(builder, &sequences);
-    let mut rng = Rng(seed ^ 0xDEAD_BEEF);
-    let mut cursors: Vec<std::vec::IntoIter<SubComputation>> =
-        sequences.into_iter().map(|s| s.into_iter()).collect();
-    let mut remaining: usize = cursors.iter().map(|c| c.len()).sum();
-    while remaining > 0 {
-        let pick = rng.below(cursors.len() as u64) as usize;
-        if let Some(sub) = cursors[pick].next() {
-            builder.ingest(sub);
-            remaining -= 1;
-        }
-    }
-}
-
-fn batch_build(sequences: &[Vec<SubComputation>]) -> Cpg {
-    let mut builder = CpgBuilder::new();
-    for seq in sequences {
-        builder.add_thread(seq.clone());
-    }
-    builder.build()
-}
-
-fn edge_fingerprint(cpg: &Cpg) -> BTreeSet<String> {
-    cpg.edges().map(|e| format!("{e:?}")).collect()
-}
 
 proptest! {
     #[test]
     fn incremental_resolution_matches_batch_over_random_interleavings(seed in any::<u64>()) {
-        let sequences = random_sequences(seed);
+        let sequences = random_sequences(seed, 30..90);
         let reference = batch_build(&sequences);
 
         let mut rng = Rng(seed ^ 0x5EED);
         let shards = 1 + rng.below(8) as usize;
         let streaming = ShardedCpgBuilder::with_shards(shards);
-        stream_random_interleaving(&streaming, sequences, seed);
+        ingest_random_interleaving(&streaming, sequences, seed);
         let sealed = streaming.seal();
 
         prop_assert_eq!(sealed.node_count(), reference.node_count());
@@ -131,7 +42,7 @@ proptest! {
         // the most skewed delivery the per-thread FIFO contract allows, so
         // readers and acquires park in bulk and resolve via the frontier
         // wait-index, never via a seal-time pass.
-        let sequences = random_sequences(seed);
+        let sequences = random_sequences(seed, 30..90);
         let reference = batch_build(&sequences);
 
         let streaming = ShardedCpgBuilder::with_shards(4);
@@ -154,11 +65,11 @@ proptest! {
         // Sealing must fully reset the write index, the wait indexes and
         // the counters: a second identical build on the same builder
         // produces identical edges and fresh counters.
-        let sequences = random_sequences(seed);
+        let sequences = random_sequences(seed, 30..90);
         let streaming = ShardedCpgBuilder::with_shards(3);
-        stream_random_interleaving(&streaming, sequences.clone(), seed);
+        ingest_random_interleaving(&streaming, sequences.clone(), seed);
         let first = streaming.seal();
-        stream_random_interleaving(&streaming, sequences, seed.wrapping_add(1));
+        ingest_random_interleaving(&streaming, sequences, seed.wrapping_add(1));
         let second = streaming.seal();
 
         prop_assert_eq!(edge_fingerprint(&first), edge_fingerprint(&second));

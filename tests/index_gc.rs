@@ -7,70 +7,15 @@
 //! ping-pong run additionally pins the residency claim: live release-index
 //! entries stay O(threads), not O(events).
 
-use std::collections::BTreeSet;
-use std::sync::Arc;
-
-use inspector::core::event::{AccessKind, SyncKind};
-use inspector::core::graph::{Cpg, CpgBuilder};
-use inspector::core::ids::{PageId, SyncObjectId, ThreadId};
-use inspector::core::recorder::{SyncClockRegistry, ThreadRecorder};
+use inspector::core::event::SyncKind;
 use inspector::core::sharded::ShardedCpgBuilder;
 use inspector::core::spill::SpillSettings;
 use inspector::core::subcomputation::SubComputation;
-use inspector::core::testing::announce_all;
-use inspector::core::testing::ping_pong_sequences;
+use inspector::core::testing::{
+    announce_all, batch_build, edge_fingerprint, node_fingerprint, ping_pong_sequences,
+    random_sequences, Rng, TempDir,
+};
 use proptest::prelude::*;
-
-/// splitmix64, so each proptest case expands one seed into a full random
-/// schedule deterministically.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
-/// Records a random multithreaded execution: a random *global* schedule of
-/// reads, writes and release/acquire operations over small page and lock
-/// pools, so the threads' vector clocks entangle in random ways (the same
-/// shape as the `incremental_data_edges` and `spill_equivalence` suites).
-fn random_sequences(seed: u64) -> Vec<Vec<SubComputation>> {
-    let mut rng = Rng(seed);
-    let threads = 2 + rng.below(3) as u32; // 2..=4
-    let pages = 1 + rng.below(8); // 1..=8
-    let locks = 1 + rng.below(3); // 1..=3
-    let ops = 40 + rng.below(80); // 40..=119 operations, globally scheduled
-
-    let registry = SyncClockRegistry::shared();
-    let mut recs: Vec<ThreadRecorder> = (0..threads)
-        .map(|t| ThreadRecorder::new(ThreadId::new(t), Arc::clone(&registry)))
-        .collect();
-    for _ in 0..ops {
-        let t = rng.below(threads as u64) as usize;
-        match rng.below(5) {
-            0 => recs[t].on_memory_access(PageId::new(rng.below(pages)), AccessKind::Read),
-            1 | 2 => recs[t].on_memory_access(PageId::new(rng.below(pages)), AccessKind::Write),
-            3 => {
-                recs[t]
-                    .on_synchronization(SyncObjectId::new(1 + rng.below(locks)), SyncKind::Release);
-            }
-            _ => {
-                recs[t]
-                    .on_synchronization(SyncObjectId::new(1 + rng.below(locks)), SyncKind::Acquire);
-            }
-        }
-    }
-    recs.into_iter().map(|r| r.finish()).collect()
-}
 
 /// Streams the sequences in a random delivery interleaving that is FIFO per
 /// thread, delivering a random-length α-contiguous *batch* from a random
@@ -98,35 +43,12 @@ fn stream_random_batches(
     }
 }
 
-fn batch_build(sequences: &[Vec<SubComputation>]) -> Cpg {
-    let mut builder = CpgBuilder::new();
-    for seq in sequences {
-        builder.add_thread(seq.clone());
-    }
-    builder.build()
-}
-
-fn edge_fingerprint(cpg: &Cpg) -> BTreeSet<String> {
-    cpg.edges().map(|e| format!("{e:?}")).collect()
-}
-
-fn node_fingerprint(cpg: &Cpg) -> Vec<String> {
-    cpg.nodes().map(|n| format!("{n:?}")).collect()
-}
-
-/// A test-unique spill directory with tiny segments, so the GC × spill
-/// interaction is exercised with constant segment rolling.
-fn spill_settings(threshold: usize) -> SpillSettings {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "inspector-index-gc-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
+/// Spill settings with tiny segments, so the GC × spill interaction is
+/// exercised with constant segment rolling.
+fn spill_settings(threshold: usize, dir: &TempDir) -> SpillSettings {
     SpillSettings {
         segment_bytes: 256,
-        ..SpillSettings::new(threshold, dir)
+        ..SpillSettings::new(threshold, dir.path())
     }
 }
 
@@ -138,7 +60,7 @@ proptest! {
         // pass after every single index append) × random spill threshold:
         // the graph must be identical to the batch oracle and the seal-time
         // safety nets must stay idle.
-        let sequences = random_sequences(seed);
+        let sequences = random_sequences(seed, 40..120);
         let reference = batch_build(&sequences);
 
         let mut rng = Rng(seed ^ 0x006C_0A11);
@@ -147,9 +69,10 @@ proptest! {
         let spill = [0usize, 0, 1, 4][rng.below(4) as usize];
         let max_batch = 1 + rng.below(7) as usize;
 
+        let dir = TempDir::new("index-gc");
         let mut streaming = ShardedCpgBuilder::with_shards_and_spill(
             shards,
-            (spill > 0).then(|| spill_settings(spill)),
+            (spill > 0).then(|| spill_settings(spill, &dir)),
         );
         streaming.set_index_gc_interval(gc_interval);
         stream_random_batches(&streaming, sequences, seed, max_batch);
@@ -184,7 +107,7 @@ proptest! {
         // Real OS-thread producer pools (the runtime's lane routing) with a
         // GC pass after every append: races between parking, popping,
         // resolution and the GC floor must never cost an edge.
-        let sequences = random_sequences(seed);
+        let sequences = random_sequences(seed, 40..120);
         let reference = batch_build(&sequences);
         for pool in [2usize, 4] {
             let mut streaming = ShardedCpgBuilder::with_shards(4);

@@ -8,121 +8,24 @@
 //! reporting the work (`RunStats::{spilled_subs, spill_bytes,
 //! peak_resident_subs}`).
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use inspector::core::event::{AccessKind, SyncKind};
-use inspector::core::graph::{Cpg, CpgBuilder};
-use inspector::core::ids::{PageId, SyncObjectId, ThreadId};
-use inspector::core::recorder::{SyncClockRegistry, ThreadRecorder};
 use inspector::core::sharded::ShardedCpgBuilder;
 use inspector::core::spill::SpillSettings;
 use inspector::core::subcomputation::SubComputation;
-use inspector::core::testing::announce_all;
+use inspector::core::testing::{
+    announce_all, batch_build, edge_fingerprint, ingest_random_interleaving, node_fingerprint,
+    random_sequences, rebatch, Rng, TempDir,
+};
 use inspector::prelude::*;
 use proptest::prelude::*;
 
-/// splitmix64, so each proptest case expands one seed into a full random
-/// schedule deterministically.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
-/// Records a random multithreaded execution: a random *global* schedule of
-/// reads, writes and release/acquire operations over small page and lock
-/// pools, so the threads' vector clocks entangle in random ways (the same
-/// shape as the `incremental_data_edges` suite).
-fn random_sequences(seed: u64) -> Vec<Vec<SubComputation>> {
-    let mut rng = Rng(seed);
-    let threads = 2 + rng.below(3) as u32; // 2..=4
-    let pages = 1 + rng.below(8); // 1..=8
-    let locks = 1 + rng.below(3); // 1..=3
-    let ops = 30 + rng.below(60); // 30..=89 operations, globally scheduled
-
-    let registry = SyncClockRegistry::shared();
-    let mut recs: Vec<ThreadRecorder> = (0..threads)
-        .map(|t| ThreadRecorder::new(ThreadId::new(t), Arc::clone(&registry)))
-        .collect();
-    for _ in 0..ops {
-        let t = rng.below(threads as u64) as usize;
-        match rng.below(5) {
-            0 => recs[t].on_memory_access(PageId::new(rng.below(pages)), AccessKind::Read),
-            1 | 2 => recs[t].on_memory_access(PageId::new(rng.below(pages)), AccessKind::Write),
-            3 => {
-                recs[t]
-                    .on_synchronization(SyncObjectId::new(1 + rng.below(locks)), SyncKind::Release);
-            }
-            _ => {
-                recs[t]
-                    .on_synchronization(SyncObjectId::new(1 + rng.below(locks)), SyncKind::Acquire);
-            }
-        }
-    }
-    recs.into_iter().map(|r| r.finish()).collect()
-}
-
-/// Streams the sequences in a random delivery interleaving that is FIFO per
-/// thread (repeatedly picking a random non-empty thread cursor).
-fn stream_random_interleaving(
-    builder: &ShardedCpgBuilder,
-    sequences: Vec<Vec<SubComputation>>,
-    seed: u64,
-) {
-    announce_all(builder, &sequences);
-    let mut rng = Rng(seed ^ 0xDEAD_BEEF);
-    let mut cursors: Vec<std::vec::IntoIter<SubComputation>> =
-        sequences.into_iter().map(|s| s.into_iter()).collect();
-    let mut remaining: usize = cursors.iter().map(|c| c.len()).sum();
-    while remaining > 0 {
-        let pick = rng.below(cursors.len() as u64) as usize;
-        if let Some(sub) = cursors[pick].next() {
-            builder.ingest(sub);
-            remaining -= 1;
-        }
-    }
-}
-
-fn batch_build(sequences: &[Vec<SubComputation>]) -> Cpg {
-    let mut builder = CpgBuilder::new();
-    for seq in sequences {
-        builder.add_thread(seq.clone());
-    }
-    builder.build()
-}
-
-fn edge_fingerprint(cpg: &Cpg) -> BTreeSet<String> {
-    cpg.edges().map(|e| format!("{e:?}")).collect()
-}
-
-fn node_fingerprint(cpg: &Cpg) -> Vec<String> {
-    cpg.nodes().map(|n| format!("{n:?}")).collect()
-}
-
-/// A test-unique spill directory with tiny segments, so segment rolling and
-/// multi-segment fault-in are exercised constantly.
-fn spill_settings(threshold: usize) -> SpillSettings {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "inspector-spill-eq-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
+/// Spill settings with tiny segments, so segment rolling and multi-segment
+/// fault-in are exercised constantly.
+fn spill_settings(threshold: usize, dir: &TempDir) -> SpillSettings {
     SpillSettings {
         segment_bytes: 256,
-        ..SpillSettings::new(threshold, dir)
+        ..SpillSettings::new(threshold, dir.path())
     }
 }
 
@@ -132,15 +35,16 @@ proptest! {
         // Random schedule × random FIFO interleaving × random shard count ×
         // random spill threshold (biased to include 1, the most aggressive
         // cut): the reloaded graph must be identical to the batch oracle.
-        let sequences = random_sequences(seed);
+        let sequences = random_sequences(seed, 30..90);
         let reference = batch_build(&sequences);
 
         let mut rng = Rng(seed ^ 0x5EED);
         let shards = 1 + rng.below(8) as usize;
         let threshold = [1, 1, 2, 4, 16][rng.below(5) as usize];
+        let dir = TempDir::new("spill-eq");
         let streaming =
-            ShardedCpgBuilder::with_shards_and_spill(shards, Some(spill_settings(threshold)));
-        stream_random_interleaving(&streaming, sequences, seed);
+            ShardedCpgBuilder::with_shards_and_spill(shards, Some(spill_settings(threshold, &dir)));
+        ingest_random_interleaving(&streaming, sequences, seed);
         let sealed = streaming.seal();
 
         prop_assert_eq!(sealed.node_count(), reference.node_count());
@@ -167,11 +71,12 @@ proptest! {
         // The runtime's lane routing (worker w owns threads with index %
         // pool == w) driving a spilling builder from real OS threads: the
         // graph must stay identical to the oracle for every pool width.
-        let sequences = random_sequences(seed);
+        let sequences = random_sequences(seed, 30..90);
         let reference = batch_build(&sequences);
         for pool in [1usize, 2, 4] {
+            let dir = TempDir::new("spill-eq");
             let streaming =
-                ShardedCpgBuilder::with_shards_and_spill(4, Some(spill_settings(1)));
+                ShardedCpgBuilder::with_shards_and_spill(4, Some(spill_settings(1, &dir)));
             announce_all(&streaming, &sequences);
             std::thread::scope(|scope| {
                 for worker in 0..pool {
@@ -212,12 +117,13 @@ proptest! {
         // Sealing must fully reset the spill stores alongside the indexes
         // and counters: a second build on the same builder produces
         // identical edges and fresh counters.
-        let sequences = random_sequences(seed);
+        let sequences = random_sequences(seed, 30..90);
+        let dir = TempDir::new("spill-eq");
         let streaming =
-            ShardedCpgBuilder::with_shards_and_spill(3, Some(spill_settings(2)));
-        stream_random_interleaving(&streaming, sequences.clone(), seed);
+            ShardedCpgBuilder::with_shards_and_spill(3, Some(spill_settings(2, &dir)));
+        ingest_random_interleaving(&streaming, sequences.clone(), seed);
         let first = streaming.seal();
-        stream_random_interleaving(&streaming, sequences, seed.wrapping_add(1));
+        ingest_random_interleaving(&streaming, sequences, seed.wrapping_add(1));
         let second = streaming.seal();
 
         prop_assert_eq!(edge_fingerprint(&first), edge_fingerprint(&second));
@@ -228,95 +134,71 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Session-level: the env-tunable pipeline with spilling on
+// Session-level: the pipeline with spilling on
 // ---------------------------------------------------------------------------
-
-/// Rebuilds a batch CPG from the per-thread sequences stored in a streamed
-/// graph's node set.
-fn rebatch(cpg: &Cpg) -> Cpg {
-    let mut builder = CpgBuilder::new();
-    for thread in cpg.threads() {
-        let seq: Vec<SubComputation> = cpg
-            .thread_sequence(thread)
-            .into_iter()
-            .map(|id| cpg.node(id).expect("listed node exists").clone())
-            .collect();
-        builder.add_thread(seq);
-    }
-    builder.build()
-}
 
 #[test]
 fn session_with_spill_threshold_one_bounds_the_window() {
-    // Base config honours the CI knob matrix (`INSPECTOR_INGEST_THREADS`,
-    // `INSPECTOR_DECODE_ONLINE`, ...); the spill threshold is then forced
-    // to 1 so this test always exercises the most aggressive cut.
-    let config = SessionConfig::inspector()
-        .apply_env()
-        .with_spill_threshold(1);
-    let session = InspectorSession::new(config);
-    let counter = session.map_region("counter", 8).base();
-    let lock = Arc::new(InspMutex::new());
-    let report = session.run(move |ctx| {
-        let mut handles = Vec::new();
-        for _ in 0..3 {
-            let lock = Arc::clone(&lock);
-            handles.push(ctx.spawn(move |ctx| {
-                for _ in 0..12u64 {
-                    lock.lock(ctx);
-                    let v = ctx.read_u64(counter);
-                    ctx.write_u64(counter, v + 1);
-                    lock.unlock(ctx);
+    // The most aggressive cut, under every decode × ingest-pool combination.
+    for decode in [false, true] {
+        for pool in [1usize, 4] {
+            let context = format!("decode={decode}/pool={pool}");
+            let session = InspectorSession::new(
+                SessionConfig::inspector()
+                    .with_decode_online(decode)
+                    .with_ingest_threads(pool)
+                    .with_spill_threshold(1),
+            );
+            let counter = session.map_region("counter", 8).base();
+            let lock = Arc::new(InspMutex::new());
+            let report = session.run(move |ctx| {
+                let mut handles = Vec::new();
+                for _ in 0..3 {
+                    let lock = Arc::clone(&lock);
+                    handles.push(ctx.spawn(move |ctx| {
+                        for i in 0..12u64 {
+                            ctx.branch(i % 2 == 0);
+                            lock.lock(ctx);
+                            let v = ctx.read_u64(counter);
+                            ctx.write_u64(counter, v + 1);
+                            lock.unlock(ctx);
+                        }
+                    }));
                 }
-            }));
-        }
-        for h in handles {
-            ctx.join(h);
-        }
-    });
+                for h in handles {
+                    ctx.join(h);
+                }
+            });
+            let s = &report.stats;
 
-    // Spilling happened and is reported.
-    assert!(report.stats.spilled_subs > 0, "{:?}", report.stats);
-    assert!(report.stats.spill_bytes > 0);
-    // Peak resident memory is the active window, not the trace length.
-    assert!(
-        report.stats.peak_resident_subs < report.stats.recorder.subcomputations,
-        "peak resident {} vs {} recorded",
-        report.stats.peak_resident_subs,
-        report.stats.recorder.subcomputations
-    );
-    // Equivalence is preserved: the sealed graph matches its own batch
-    // rebuild exactly.
-    let reference = rebatch(&report.cpg);
-    assert_eq!(report.cpg.node_count(), reference.node_count());
-    assert_eq!(edge_fingerprint(&report.cpg), edge_fingerprint(&reference));
-    assert!(report.cpg.validate().is_ok());
-    // Complete run: nothing was left for the seal.
-    let stats = session.ingest_stats();
-    assert_eq!(stats.sync_resolved_at_seal, 0, "{stats:?}");
-    assert_eq!(stats.data_resolved_at_seal, 0, "{stats:?}");
-}
-
-#[test]
-fn spill_env_knob_flows_into_the_session() {
-    // The harness contract: `INSPECTOR_SPILL_THRESHOLD` reaches the
-    // builder. Exercised through the injected-lookup path so the test does
-    // not mutate the process environment.
-    let config = SessionConfig::inspector()
-        .apply_env_with(|name| (name == "INSPECTOR_SPILL_THRESHOLD").then(|| "1".into()));
-    assert_eq!(config.spill_threshold, 1);
-    let session = InspectorSession::new(config);
-    let cell = session.map_region("cell", 8).base();
-    let report = session.run(move |ctx| {
-        for i in 0..40u64 {
-            let obj = inspector::runtime::ctx::fresh_sync_id();
-            ctx.write_u64(cell, i);
-            ctx.sync_boundary(obj, inspector::core::event::SyncKind::Release);
+            // The configuration took effect.
+            assert_eq!(s.ingest_workers, pool, "{context}");
+            assert_eq!(s.decoded_branches > 0, decode, "{context}: {s:?}");
+            // Spilling happened and is reported.
+            assert!(s.spilled_subs > 0, "{context}: {s:?}");
+            assert!(s.spill_bytes > 0, "{context}");
+            // Peak resident memory is the active window, not the trace length.
+            assert!(
+                s.peak_resident_subs < s.recorder.subcomputations,
+                "{context}: peak resident {} vs {} recorded",
+                s.peak_resident_subs,
+                s.recorder.subcomputations
+            );
+            // Equivalence is preserved: the sealed graph matches its own
+            // batch rebuild exactly.
+            let reference = rebatch(&report.cpg);
+            assert_eq!(report.cpg.node_count(), reference.node_count(), "{context}");
+            assert_eq!(
+                edge_fingerprint(&report.cpg),
+                edge_fingerprint(&reference),
+                "{context}"
+            );
+            assert!(report.cpg.validate().is_ok(), "{context}");
+            assert!(!s.degraded, "{context}: {s:?}");
+            // Complete run: nothing was left for the seal.
+            let stats = session.ingest_stats();
+            assert_eq!(stats.sync_resolved_at_seal, 0, "{context}: {stats:?}");
+            assert_eq!(stats.data_resolved_at_seal, 0, "{context}: {stats:?}");
         }
-    });
-    assert!(report.stats.spilled_subs > 0, "{:?}", report.stats);
-    assert_eq!(
-        report.cpg.node_count() as u64,
-        session.ingest_stats().ingested
-    );
+    }
 }

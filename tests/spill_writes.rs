@@ -8,25 +8,20 @@
 //! every runner, so one `write` per record (what the tier did before: ≈ 240 k
 //! calls for `reverse_index` Small, ≈ 12 k now) fails here.
 
-use std::path::PathBuf;
-
 use inspector::core::sharded::ShardedCpgBuilder;
 use inspector::core::spill::SpillSettings;
-use inspector::core::testing::{ingest_round_robin, ping_pong_sequences};
-
-fn spill_dir() -> PathBuf {
-    std::env::temp_dir().join(format!("inspector-spill-writes-{}", std::process::id()))
-}
+use inspector::core::testing::{ingest_round_robin, ping_pong_sequences, TempDir};
 
 #[test]
 fn a_spill_round_costs_one_write_and_a_segment_one_more() {
     // 3 threads × 401 sub-computations, one producer, threshold 8, segments
     // small enough to roll a few times per shard.
     let sequences = ping_pong_sequences(3, 200);
-    let dir = spill_dir();
+    let tmp = TempDir::new("spill-writes");
+    let dir = tmp.path();
     let settings = SpillSettings {
         segment_bytes: 16 << 10,
-        ..SpillSettings::new(8, &dir)
+        ..SpillSettings::new(8, dir)
     };
     let builder = ShardedCpgBuilder::with_shards_and_spill(2, Some(settings));
 
@@ -39,7 +34,7 @@ fn a_spill_round_costs_one_write_and_a_segment_one_more() {
         rounds += u64::from(now > spilled);
         spilled = now;
     });
-    let segments = std::fs::read_dir(&dir)
+    let segments = std::fs::read_dir(dir)
         .expect("spill directory")
         .flatten()
         .filter(|e| e.file_name().to_string_lossy().ends_with(".spill"))

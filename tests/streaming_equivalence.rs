@@ -4,16 +4,17 @@
 //! interleaving and shard count — and the graphs coming out of real
 //! [`InspectorSession`] runs must satisfy the same property.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use inspector::core::event::{AccessKind, SyncKind};
-use inspector::core::graph::{Cpg, CpgBuilder};
+use inspector::core::graph::Cpg;
 use inspector::core::ids::{PageId, SyncObjectId, ThreadId};
 use inspector::core::recorder::{SyncClockRegistry, ThreadRecorder};
 use inspector::core::sharded::ShardedCpgBuilder;
 use inspector::core::subcomputation::SubComputation;
-use inspector::core::testing::announce_all;
+use inspector::core::testing::{
+    announce_all, batch_build, edge_fingerprint, node_fingerprint, rebatch,
+};
 use inspector::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -79,14 +80,6 @@ fn producer_chain(threads: u32) -> Vec<Vec<SubComputation>> {
 // Comparison helpers
 // ---------------------------------------------------------------------------
 
-fn node_fingerprint(cpg: &Cpg) -> Vec<String> {
-    cpg.nodes().map(|n| format!("{n:?}")).collect()
-}
-
-fn edge_fingerprint(cpg: &Cpg) -> BTreeSet<String> {
-    cpg.edges().map(|e| format!("{e:?}")).collect()
-}
-
 fn assert_identical(streamed: &Cpg, reference: &Cpg, context: &str) {
     assert_eq!(
         streamed.node_count(),
@@ -112,14 +105,6 @@ fn assert_identical(streamed: &Cpg, reference: &Cpg, context: &str) {
         streamed.validate().is_ok(),
         "{context}: invalid streamed CPG"
     );
-}
-
-fn batch_build(sequences: &[Vec<SubComputation>]) -> Cpg {
-    let mut builder = CpgBuilder::new();
-    for seq in sequences {
-        builder.add_thread(seq.clone());
-    }
-    builder.build()
 }
 
 /// Streams the sequences round-robin across threads (FIFO per thread).
@@ -203,69 +188,60 @@ fn empty_and_single_sub_streams_match_batch() {
 // End-to-end: real sessions produce batch-identical graphs
 // ---------------------------------------------------------------------------
 
-/// Rebuilds a batch CPG from the per-thread sequences stored in a streamed
-/// graph's node set (the nodes carry everything the batch builder needs).
-fn rebatch(cpg: &Cpg) -> Cpg {
-    let mut builder = CpgBuilder::new();
-    for thread in cpg.threads() {
-        let seq: Vec<SubComputation> = cpg
-            .thread_sequence(thread)
-            .into_iter()
-            .map(|id| cpg.node(id).expect("listed node exists").clone())
-            .collect();
-        builder.add_thread(seq);
-    }
-    builder.build()
-}
-
+/// Worker count × online decode × ingest-pool width × spill threshold: the
+/// graph must be identical to its own batch rebuild whichever stages ran and
+/// however many ingest workers drained the provenance lanes.
 #[test]
 fn real_session_graphs_match_batch_rebuild() {
-    // Sweep worker count × ingest-pool width: the graph must be identical
-    // regardless of how many ingest workers drained the provenance lanes.
-    // The base config honours the CI knob matrix (`INSPECTOR_DECODE_ONLINE`,
-    // `INSPECTOR_SPILL_THRESHOLD`, ...) so every documented env combination
-    // actually exercises this equivalence property; the pool width stays an
-    // explicit sweep.
     for workers in [1usize, 4, 8] {
-        for pool in [1usize, 4] {
-            let session = InspectorSession::new(
-                SessionConfig::inspector()
-                    .apply_env()
-                    .with_ingest_threads(pool),
-            );
-            let counter = session.map_region("counter", 8).base();
-            let staging = session.map_region("staging", 4096 * 8).base();
-            let lock = Arc::new(InspMutex::new());
-            let report = session.run(move |ctx| {
-                let mut handles = Vec::new();
-                for w in 0..workers {
-                    let lock = Arc::clone(&lock);
-                    handles.push(ctx.spawn(move |ctx| {
-                        for i in 0..6u64 {
-                            ctx.write_u64(staging.add(w as u64 * 4096), i);
-                            lock.lock(ctx);
-                            let v = ctx.read_u64(counter);
-                            ctx.write_u64(counter, v + 1);
-                            lock.unlock(ctx);
+        for decode in [false, true] {
+            for pool in [1usize, 4] {
+                for threshold in [0usize, 4] {
+                    let context =
+                        format!("workers={workers}/decode={decode}/pool={pool}/spill={threshold}");
+                    let session = InspectorSession::new(
+                        SessionConfig::inspector()
+                            .with_decode_online(decode)
+                            .with_ingest_threads(pool)
+                            .with_spill_threshold(threshold),
+                    );
+                    let counter = session.map_region("counter", 8).base();
+                    let staging = session.map_region("staging", 4096 * 8).base();
+                    let lock = Arc::new(InspMutex::new());
+                    let report = session.run(move |ctx| {
+                        let mut handles = Vec::new();
+                        for w in 0..workers {
+                            let lock = Arc::clone(&lock);
+                            handles.push(ctx.spawn(move |ctx| {
+                                for i in 0..6u64 {
+                                    ctx.branch(i % 2 == 0);
+                                    ctx.write_u64(staging.add(w as u64 * 4096), i);
+                                    lock.lock(ctx);
+                                    let v = ctx.read_u64(counter);
+                                    ctx.write_u64(counter, v + 1);
+                                    lock.unlock(ctx);
+                                }
+                            }));
                         }
-                    }));
+                        for h in handles {
+                            ctx.join(h);
+                        }
+                    });
+                    let s = &report.stats;
+                    assert_identical(&report.cpg, &rebatch(&report.cpg), &context);
+                    assert_eq!(session.image().read_u64_direct(counter), 6 * workers as u64);
+                    // The configuration took effect, and nothing was lost.
+                    assert_eq!(s.ingest_workers, pool, "{context}");
+                    assert_eq!(s.decoded_branches > 0, decode, "{context}: {s:?}");
+                    assert_eq!(s.spilled_subs > 0, threshold > 0, "{context}: {s:?}");
+                    assert!(!s.degraded, "{context}: {s:?}");
+                    assert_eq!(s.decode_errors + s.decode_mismatches, 0, "{context}: {s:?}");
+                    // Complete runs never leave work for the seal-time safety nets.
+                    let stats = session.ingest_stats();
+                    assert_eq!(stats.sync_resolved_at_seal, 0, "{context}: {stats:?}");
+                    assert_eq!(stats.data_resolved_at_seal, 0, "{context}: {stats:?}");
                 }
-                for h in handles {
-                    ctx.join(h);
-                }
-            });
-            let reference = rebatch(&report.cpg);
-            assert_identical(
-                &report.cpg,
-                &reference,
-                &format!("session/workers={workers}/pool={pool}"),
-            );
-            assert_eq!(session.image().read_u64_direct(counter), 6 * workers as u64);
-            assert_eq!(report.stats.ingest_workers, pool);
-            // Complete runs never leave work for the seal-time safety nets.
-            let stats = session.ingest_stats();
-            assert_eq!(stats.sync_resolved_at_seal, 0, "pool={pool}: {stats:?}");
-            assert_eq!(stats.data_resolved_at_seal, 0, "pool={pool}: {stats:?}");
+            }
         }
     }
 }
