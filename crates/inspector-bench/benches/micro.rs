@@ -125,6 +125,20 @@ fn bench_fault_path(c: &mut Criterion) {
         let mut mem = ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked);
         b.iter(|| mem.read_u64(region.base()) + mem.read_u64(region.base().add(4096)));
     });
+    group.bench_function("tracked_clean_read_u8", |b| {
+        // Byte reads of an already-faulted page the view never wrote, so
+        // each goes to the shared page: the path an app scanning its mapped
+        // input (`branch_trace`'s apps) runs once per byte.
+        let image = SharedImage::shared(4096);
+        let region = image.map_input("bench", &[7; 4096]);
+        let mut mem = ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked);
+        mem.read_u8(region.base());
+        let mut offset = 0u64;
+        b.iter(|| {
+            offset = (offset + 1) % 4096;
+            mem.read_u8(region.base().add(offset))
+        });
+    });
     // The same page pairs the repo benchmark's `mem.diff_gib_per_s.*` rows
     // use: 16 changed bytes, and every byte changed.
     let twin = vec![0x5Au8; 4096];

@@ -6,8 +6,9 @@
 //! shared image. Overlapping writes by different threads to the *same byte*
 //! are resolved last-writer-wins, exactly as in the paper (and in TreadMarks
 //! / Munin / Dthreads before it). Writes by different threads to different
-//! bytes of the same page merge cleanly, which is what makes the
-//! threads-as-processes design immune to false sharing.
+//! bytes of the same page — down to different bytes of one word, which
+//! [`SharedPage::write`] merges lane by lane — merge cleanly, which is what
+//! makes the threads-as-processes design immune to false sharing.
 //!
 //! One span kernel finds the changed runs (maximal, non-adjacent, only
 //! bytes that differ) a word at a time. [`diff_page`] collects them into a

@@ -38,14 +38,21 @@
 //! * **one word-wide span kernel** ([`commit`]): equal regions and differing
 //!   runs are both crossed 8 bytes at a time; `commit` runs it fused with the
 //!   store into the cached shared page (no intermediate diff), and the public
-//!   `diff_page` runs the same kernel into a `PageDiff`.
+//!   `diff_page` runs the same kernel into a `PageDiff`;
+//! * **word-wide shared pages** ([`shared`]): a `SharedPage` is relaxed
+//!   atomic `u64` words, byte `i` in little-endian lane `i % 8` of word
+//!   `i / 8`, so a twin is 512 word loads, a clean-page read inside one word
+//!   is one load and a shift, and a commit stores whole words outright and
+//!   merges partial ones with one compare-and-swap that replaces only its
+//!   own lanes — every byte still behaves as its own atomic.
 //!
 //! The native baseline (`TrackingMode::Native`, `SharedImage::read_direct` /
 //! `write_direct`) deliberately stays as it was: it still resolves
 //! `SharedImage::page` on every access, which the tracked path no longer
 //! does, so on access-bound programs tracked execution can now measure
 //! *below* native (`overhead_x` < 1). That is a property of this software
-//! baseline, not of INSPECTOR; see ROADMAP open item 1.
+//! baseline, not of INSPECTOR; giving native the same per-thread page cache
+//! is ROADMAP open item 1(a).
 //!
 //! ```
 //! use std::sync::Arc;

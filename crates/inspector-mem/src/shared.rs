@@ -7,14 +7,30 @@
 //! *tracked* mode they only read it on first touch and publish their writes
 //! through [`crate::commit`] at synchronization points.
 //!
-//! Page contents are stored as relaxed atomic bytes so that concurrent
-//! direct access (native mode) and concurrent commits (tracked mode) are
-//! well-defined in Rust without imposing a lock on every access. Atomicity
-//! across multi-byte values is the application's responsibility, exactly as
-//! POSIX requires for pthreads programs.
+//! Page contents are stored as relaxed atomic 64-bit words so that
+//! concurrent direct access (native mode) and concurrent commits (tracked
+//! mode) are well-defined in Rust without a lock on every access, and so
+//! that whole-page copies (twins) and aligned reads and writes move eight
+//! bytes per atomic operation. Byte `i` of a page lives in little-endian
+//! lane `i % 8` of word `i / 8`; a page whose length is not a multiple of
+//! eight keeps its tail in the low lanes of its last word.
+//!
+//! Every byte still behaves as its own relaxed atomic:
+//!
+//! * a write covering a whole word is one store;
+//! * a write covering part of a word replaces only its own lanes with one
+//!   compare-and-swap loop (`fetch_update`), so concurrent writes to
+//!   different bytes of one word all survive — the false-sharing immunity
+//!   the commit relies on — and no reader ever sees a byte value that no
+//!   thread wrote. Clearing the lanes with `fetch_and` and then setting
+//!   them with `fetch_or` would also keep the neighbours' bytes, but would
+//!   show readers a transient zero in between, so it is not used.
+//!
+//! Atomicity across multi-byte values is the application's responsibility,
+//! exactly as POSIX requires for pthreads programs.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -22,72 +38,153 @@ use parking_lot::RwLock;
 use crate::addr::{split_by_page, PageId, VirtAddr, DEFAULT_PAGE_SIZE};
 use crate::region::{Region, RegionKind};
 
-/// One shared page; bytes are individually atomic (relaxed).
+/// Bytes per storage word of a [`SharedPage`].
+const WORD: usize = std::mem::size_of::<u64>();
+
+/// Stores the low `out.len()` lanes of `word` into `out`, lowest first.
+fn unpack(word: u64, out: &mut [u8]) {
+    if out.len() == WORD {
+        out.copy_from_slice(&word.to_le_bytes());
+    } else {
+        let mut word = word;
+        for b in out {
+            *b = word as u8;
+            word >>= 8;
+        }
+    }
+}
+
+/// The panic of [`SharedPage::check_range`], kept out of line so the
+/// one-word read and write paths need no stack frame for its message.
+#[cold]
+#[inline(never)]
+fn out_of_range(offset: usize, len: usize, page: usize) -> ! {
+    panic!("range {offset}+{len} outside a {page}-byte page")
+}
+
+/// One shared page: relaxed atomic words, each byte an independent lane
+/// (see the module docs for the write rule).
 #[derive(Debug)]
 pub struct SharedPage {
-    bytes: Box<[AtomicU8]>,
+    words: Box<[AtomicU64]>,
+    len: usize,
 }
 
 impl SharedPage {
     /// Creates a zero-filled page of `page_size` bytes.
     pub fn zeroed(page_size: usize) -> Self {
-        let bytes = (0..page_size).map(|_| AtomicU8::new(0)).collect();
-        SharedPage { bytes }
+        let words = (0..page_size.div_ceil(WORD))
+            .map(|_| AtomicU64::new(0))
+            .collect();
+        SharedPage {
+            words,
+            len: page_size,
+        }
     }
 
     /// Page size in bytes.
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.len
     }
 
     /// Returns `true` if the page has zero size (never the case in practice).
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len == 0
     }
 
-    /// Copies the page contents into a fresh buffer (used to create twins).
+    /// Copies the page contents into a fresh buffer.
     pub fn snapshot(&self) -> Vec<u8> {
-        self.bytes
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
+        let mut buf = vec![0; self.len];
+        self.snapshot_into(&mut buf);
+        buf
     }
 
-    /// Copies the whole page into `buf` (the twin of a pooled private
-    /// copy); zipping the two slices leaves no per-byte bounds check.
+    /// Copies the whole page into `buf`, one word load per eight bytes (the
+    /// twin of a pooled private copy).
     ///
     /// # Panics
     ///
     /// Panics if `buf` is not exactly one page long.
     pub fn snapshot_into(&self, buf: &mut [u8]) {
-        assert_eq!(buf.len(), self.bytes.len(), "snapshot buffer size mismatch");
-        for (out, b) in buf.iter_mut().zip(self.bytes.iter()) {
-            *out = b.load(Ordering::Relaxed);
+        assert_eq!(buf.len(), self.len, "snapshot buffer size mismatch");
+        // Stores dominate a twin copy, so words are gathered four at a time
+        // and stored as one 32-byte block: a quarter of the stores of a
+        // word-by-word copy such as `read`.
+        const BLOCK: usize = 4 * WORD;
+        let mut blocks = buf.chunks_exact_mut(BLOCK);
+        for (out, words) in blocks.by_ref().zip(self.words.chunks_exact(BLOCK / WORD)) {
+            let mut block = [0; BLOCK];
+            for (bytes, word) in block.chunks_exact_mut(WORD).zip(words) {
+                bytes.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
+            }
+            out.copy_from_slice(&block);
+        }
+        let tail = blocks.into_remainder();
+        self.read(self.len - tail.len(), tail);
+    }
+
+    /// Panics unless `offset..offset + len` lies inside the page: the lanes
+    /// past the end of a short last word must never be read or written.
+    fn check_range(&self, offset: usize, len: usize) {
+        if offset > self.len || len > self.len - offset {
+            out_of_range(offset, len, self.len);
         }
     }
 
-    /// Reads `buf.len()` bytes starting at `offset`.
-    pub fn read(&self, offset: usize, buf: &mut [u8]) {
-        for (i, out) in buf.iter_mut().enumerate() {
-            *out = self.bytes[offset + i].load(Ordering::Relaxed);
+    /// Reads `buf.len()` bytes starting at `offset`: one load and a shift
+    /// per word the range touches, so a read inside one word is one load.
+    pub fn read(&self, mut offset: usize, mut buf: &mut [u8]) {
+        self.check_range(offset, buf.len());
+        while !buf.is_empty() {
+            let lane = offset % WORD;
+            let n = (WORD - lane).min(buf.len());
+            let (head, rest) = std::mem::take(&mut buf).split_at_mut(n);
+            let word = self.words[offset / WORD].load(Ordering::Relaxed);
+            unpack(word >> (8 * lane), head);
+            (offset, buf) = (offset + n, rest);
         }
     }
 
-    /// Writes `data` starting at `offset`.
-    pub fn write(&self, offset: usize, data: &[u8]) {
-        for (i, &v) in data.iter().enumerate() {
-            self.bytes[offset + i].store(v, Ordering::Relaxed);
+    /// Writes `data` starting at `offset`: a whole word is one store, a
+    /// partial word a merge of its own lanes (see the module docs).
+    pub fn write(&self, mut offset: usize, mut data: &[u8]) {
+        self.check_range(offset, data.len());
+        while !data.is_empty() {
+            let lane = offset % WORD;
+            let (head, rest) = data.split_at((WORD - lane).min(data.len()));
+            self.write_lanes(offset / WORD, lane, head);
+            (offset, data) = (offset + head.len(), rest);
         }
+    }
+
+    /// Replaces lanes `lane..lane + bytes.len()` of word `index` (1 to 8
+    /// bytes, inside the word) and no others.
+    fn write_lanes(&self, index: usize, lane: usize, bytes: &[u8]) {
+        let word = &self.words[index];
+        if let Ok(bytes) = <[u8; WORD]>::try_from(bytes) {
+            word.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
+            return;
+        }
+        let packed = bytes.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+        let value = packed << (8 * lane);
+        let mask = u64::MAX >> (8 * (WORD - bytes.len())) << (8 * lane);
+        // One compare-and-swap loop, never a clear then a set: the closure
+        // always returns `Some`, so the update cannot fail.
+        let _ = word.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
+            Some(old & !mask | value)
+        });
     }
 
     /// Writes a single byte.
     pub fn write_byte(&self, offset: usize, value: u8) {
-        self.bytes[offset].store(value, Ordering::Relaxed);
+        self.write(offset, &[value]);
     }
 
     /// Reads a single byte.
     pub fn read_byte(&self, offset: usize) -> u8 {
-        self.bytes[offset].load(Ordering::Relaxed)
+        let mut byte = [0];
+        self.read(offset, &mut byte);
+        byte[0]
     }
 }
 
@@ -253,6 +350,7 @@ impl SharedImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn regions_do_not_overlap() {
@@ -342,5 +440,139 @@ mod tests {
         assert!(!page.is_empty());
         page.write_byte(5, 0xab);
         assert_eq!(page.read_byte(5), 0xab);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 13-byte page")]
+    fn the_short_last_word_is_not_writable_past_the_page() {
+        // Lanes 5..8 of word 1 exist in storage but not in the page.
+        SharedPage::zeroed(13).write(12, &[1, 2]);
+    }
+
+    /// Eight writers each own one lane of every word — thread `k` owns lane
+    /// `(k + w) % 8` of word `w`, so the lane-7 byte of one word and the
+    /// lane-0 byte of the next share an owner — and rewrite their bytes as
+    /// one-byte runs and as two-byte runs across those word edges, while a
+    /// reader snapshots the page. A value's low three bits name its owner
+    /// and its high five bits are never zero, so a torn word or a transient
+    /// zero shows as a byte its owner never wrote; and since only the owner
+    /// writes a byte, each writer finds its bytes as it left them in the
+    /// round before, or a neighbour's merge lost its write.
+    #[test]
+    fn concurrent_writers_of_one_word_never_tear_or_lose_bytes() {
+        use std::ops::Range;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        const WORDS: usize = 64;
+        const ROUNDS: usize = 10_000;
+        let owner = |i: usize| (i % WORD + WORD - i / WORD % WORD) % WORD;
+        let value = |k: usize, round: usize| ((round % 31 + 1) << 3 | k) as u8;
+        let page = SharedPage::zeroed(WORDS * WORD);
+        for i in 0..page.len() {
+            page.write_byte(i, value(owner(i), 0));
+        }
+        let (start, done) = (Barrier::new(WORD + 1), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..WORD)
+                .map(|k| {
+                    let (page, start) = (&page, &start);
+                    s.spawn(move || {
+                        let singles: Vec<Range<usize>> = (0..page.len())
+                            .filter(|&i| owner(i) == k)
+                            .map(|i| i..i + 1)
+                            .collect();
+                        // The same bytes with each word-edge pair as one run.
+                        let mut pairs: Vec<Range<usize>> = Vec::new();
+                        for run in singles.iter().cloned() {
+                            match pairs.last_mut() {
+                                Some(last) if last.end == run.start => last.end = run.end,
+                                _ => pairs.push(run),
+                            }
+                        }
+                        start.wait();
+                        for round in 1..=ROUNDS {
+                            let v = value(k, round);
+                            for run in if round % 2 == 0 { &pairs } else { &singles } {
+                                for i in run.clone() {
+                                    assert_eq!(
+                                        page.read_byte(i),
+                                        value(k, round - 1),
+                                        "byte {i} lost"
+                                    );
+                                }
+                                page.write(run.start, &[v, v][..run.len()]);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let reader = s.spawn(|| {
+                start.wait();
+                loop {
+                    let finished = done.load(Ordering::Acquire);
+                    for (i, b) in page.snapshot().into_iter().enumerate() {
+                        assert_eq!(
+                            usize::from(b & 7),
+                            owner(i),
+                            "byte {i} = {b:#x}: not its owner's"
+                        );
+                        assert_ne!(b >> 3, 0, "byte {i} = {b:#x}: never written");
+                    }
+                    if finished {
+                        break;
+                    }
+                }
+            });
+            // Stop the reader even when a writer failed, then report both.
+            let writers: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+            done.store(true, Ordering::Release);
+            reader
+                .join()
+                .expect("reader saw a byte its owner never wrote");
+            for writer in writers {
+                writer.expect("a writer's byte was overwritten");
+            }
+        });
+        for i in 0..page.len() {
+            assert_eq!(page.read_byte(i), value(owner(i), ROUNDS), "byte {i}");
+        }
+    }
+
+    proptest! {
+        /// A page of any length, a multiple of eight or not, behaves as a
+        /// plain byte vector under writes, reads and snapshots at any offset
+        /// and length.
+        #[test]
+        fn prop_shared_page_matches_a_byte_vector(
+            len in 0usize..97,
+            ops in proptest::collection::vec(any::<u64>(), 1..48),
+        ) {
+            let page = SharedPage::zeroed(len);
+            let mut model = vec![0u8; len];
+            for op in ops {
+                let offset = (op >> 8) as usize % (len + 1);
+                let n = (op >> 24) as usize % (len - offset + 1);
+                match op % 3 {
+                    0 => {
+                        let data: Vec<u8> =
+                            (0..n).map(|i| (op >> (i % 8 * 8)) as u8 ^ i as u8).collect();
+                        page.write(offset, &data);
+                        model[offset..offset + n].copy_from_slice(&data);
+                    }
+                    1 => {
+                        let mut buf = vec![0xEE; n];
+                        page.read(offset, &mut buf);
+                        prop_assert_eq!(&buf[..], &model[offset..offset + n]);
+                    }
+                    _ => {
+                        let mut buf = vec![0xEE; len];
+                        page.snapshot_into(&mut buf);
+                        prop_assert_eq!(&buf, &model);
+                    }
+                }
+            }
+            prop_assert_eq!(page.snapshot(), model);
+        }
     }
 }

@@ -562,17 +562,21 @@ mod tests {
     }
 
     #[test]
-    fn updates_from_other_threads_visible_after_reprotect() {
+    fn clean_page_reads_see_other_threads_commits_at_once() {
         let (image, mut mem, base) = setup(TrackingMode::Tracked);
         assert_eq!(mem.read_u64(base), 0);
         // Another thread commits a new value directly.
         image.write_u64_direct(base, 123);
-        // Still the old interval: our view has no private copy of the page
-        // (we only read it), so a fresh read sees the update only after the
-        // protections are reset — which is fine under RC since visibility is
-        // only guaranteed after a synchronization point anyway.
+        // Still the same interval, but the page is clean (only read), so its
+        // reads go straight to the shared image and see the commit at once.
+        // RC allows this — it only promises visibility after a
+        // synchronization point — and only a written page is isolated by its
+        // twin (`private_copy_isolates_from_concurrent_commits`).
+        assert_eq!(mem.read_u64(base), 123);
+        assert_eq!(mem.stats().read_faults, 1, "no new fault");
         mem.protect_all();
         assert_eq!(mem.read_u64(base), 123);
+        assert_eq!(mem.stats().read_faults, 2);
     }
 
     #[test]

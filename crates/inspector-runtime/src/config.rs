@@ -8,7 +8,6 @@
 //! | field | default | who sets it, and why |
 //! |---|---|---|
 //! | `mode` | `Inspector` | [`SessionConfig::native`]: the denominator of every overhead figure |
-//! | `page_size` | 4 KiB | the paper's setup; nothing overrides it |
 //! | `aux_mode` | full trace | the session test of a snapshot-mode ring, which online decode must bypass |
 //! | `aux_capacity` | 4 MiB | the tiny-ring overflow tests (`tests/fault_tolerance.rs`, session tests) |
 //! | `pt_flush_every` | 4 096 branches | the paper's setup; nothing overrides it |
@@ -103,8 +102,6 @@ impl FaultPlan {
 pub struct SessionConfig {
     /// Execution mode.
     pub mode: ExecutionMode,
-    /// Page size of the simulated MMU.
-    pub page_size: usize,
     /// AUX buffer mode for the PT traces.
     pub aux_mode: AuxMode,
     /// AUX buffer capacity per thread, in bytes.
@@ -181,11 +178,11 @@ fn default_ingest_threads() -> usize {
 
 impl SessionConfig {
     /// Full-provenance configuration with defaults matching the paper's
-    /// setup (4 KiB pages, 4 MiB AUX buffers, full-trace mode).
+    /// setup (4 MiB AUX buffers, full-trace mode; pages are always
+    /// [`inspector_mem::DEFAULT_PAGE_SIZE`], 4 KiB).
     pub fn inspector() -> Self {
         SessionConfig {
             mode: ExecutionMode::Inspector,
-            page_size: 4096,
             aux_mode: AuxMode::FullTrace,
             aux_capacity: 4 << 20,
             pt_flush_every: 4096,
@@ -283,7 +280,6 @@ mod tests {
         let b = SessionConfig::native();
         assert_eq!(a.mode, ExecutionMode::Inspector);
         assert_eq!(b.mode, ExecutionMode::Native);
-        assert_eq!(a.page_size, b.page_size);
         assert_eq!(a.aux_capacity, b.aux_capacity);
     }
 

@@ -490,7 +490,7 @@ pub struct InspectorSession {
 impl InspectorSession {
     /// Creates a session with the given configuration.
     pub fn new(config: SessionConfig) -> Self {
-        let image = SharedImage::shared(config.page_size);
+        let image = SharedImage::with_default_page_size();
         let heap_region = image.map_region("shared-heap", HEAP_BYTES);
         let allocator = HeapAllocator::new(heap_region);
         let cgroup = Arc::new(Cgroup::new("inspector"));
