@@ -228,8 +228,10 @@ fn bench_recorder(c: &mut Criterion) {
 fn bench_pt_decode(c: &mut Criterion) {
     // Decode-while-running throughput: the batch decoder over the whole
     // stream is the reference; the streaming decoder is measured at the
-    // chunk sizes AUX delivery actually produces. The delta is the price
-    // of incremental decoding (carry buffer + per-chunk pump).
+    // chunk sizes AUX delivery actually produces, recording events and, at
+    // 4 KiB, in the counting-only mode the ingest workers and post-mortem
+    // log decoding run. The delta is the price of incremental decoding
+    // (carry buffer + per-chunk pump).
     let mut group = c.benchmark_group("pt_decode");
     let (bytes, _) = encoded_branch_stream(50_000);
     group.throughput(Throughput::Bytes(bytes.len() as u64));
@@ -257,6 +259,16 @@ fn bench_pt_decode(c: &mut Criterion) {
             });
         });
     }
+    group.bench_with_input(BenchmarkId::new("counting", 4096), &4096, |b, &chunk| {
+        b.iter(|| {
+            let mut dec = StreamingDecoder::counting_only();
+            for c in bytes.chunks(chunk) {
+                dec.push(c);
+            }
+            dec.finish();
+            dec.stats().events
+        });
+    });
     // The PSB-boundary scan the streaming decoder resynchronises with: the
     // swar word-at-a-time scan against the byte-at-a-time reference.
     // Same walk shape for both — restart one past each hit, like a decoder

@@ -5,8 +5,8 @@ use std::fmt;
 
 use crate::branch::BranchEvent;
 use crate::packet::{
-    ip_decompress, Packet, FUP_BASE, IP_BYTES_BY_CODE, OPC_ESCAPE, OPC_LONG_TNT, OPC_MODE, OPC_OVF,
-    OPC_PAD, OPC_PSB, OPC_PSBEND, TIP_BASE, TIP_PGD_BASE, TIP_PGE_BASE,
+    ip_decompress, Packet, TntBits, FUP_BASE, IP_BYTES_BY_CODE, OPC_ESCAPE, OPC_LONG_TNT, OPC_MODE,
+    OPC_OVF, OPC_PAD, OPC_PSB, OPC_PSBEND, TIP_BASE, TIP_PGD_BASE, TIP_PGE_BASE,
 };
 
 /// A malformed or truncated packet stream.
@@ -147,9 +147,8 @@ impl<'a> PacketDecoder<'a> {
                     let mut payload = [0u8; 8];
                     payload[..6].copy_from_slice(&self.data[self.pos + 2..self.pos + 8]);
                     self.pos += 8;
-                    let value = u64::from_le_bytes(payload);
                     return Ok(Some(Packet::Tnt {
-                        bits: unpack_tnt(value),
+                        bits: TntBits::from_payload(u64::from_le_bytes(payload)),
                     }));
                 }
                 _ => {
@@ -171,9 +170,8 @@ impl<'a> PacketDecoder<'a> {
         if byte & 1 == 0 {
             // Short TNT.
             self.pos += 1;
-            let value = (byte >> 1) as u64;
             return Ok(Some(Packet::Tnt {
-                bits: unpack_tnt(value),
+                bits: TntBits::from_payload((byte >> 1) as u64),
             }));
         }
 
@@ -267,19 +265,43 @@ pub fn packet_events(packet: Packet, sink: &mut impl FnMut(BranchEvent)) {
     }
 }
 
-/// Unpacks TNT bits from a packed value with a terminating stop bit.
-fn unpack_tnt(value: u64) -> Vec<bool> {
-    if value == 0 {
-        return Vec::new();
+/// What one packet adds to a decoded stream's counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct PacketCounts {
+    /// Events [`packet_events`] yields for the packet.
+    pub events: u64,
+    /// Those of them that are retired branches (conditional + indirect).
+    pub branches: u64,
+    /// Those of them that are trace gaps ([`BranchEvent::Overflow`]).
+    pub gaps: u64,
+}
+
+/// The counters [`packet_events`] would produce for `packet`, computed per
+/// packet rather than per event — how the streaming decoder accounts in
+/// both of its modes, so counting mode keeps recording mode's counters by
+/// construction.
+pub(crate) fn packet_counts(packet: Packet) -> PacketCounts {
+    let (events, branches, gaps) = match packet {
+        Packet::Tnt { bits } => (bits.len() as u64, bits.len() as u64, 0),
+        Packet::Tip { .. } => (1, 1, 0),
+        Packet::TipPge { .. } | Packet::TipPgd { .. } => (1, 0, 0),
+        Packet::Overflow => (1, 0, 1),
+        Packet::Pad | Packet::Psb | Packet::PsbEnd | Packet::Fup { .. } | Packet::Mode { .. } => {
+            (0, 0, 0)
+        }
+    };
+    PacketCounts {
+        events,
+        branches,
+        gaps,
     }
-    let stop = 63 - value.leading_zeros() as usize;
-    (0..stop).map(|i| value & (1 << i) != 0).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encode::PacketEncoder;
+    use crate::packet::LONG_TNT_CAPACITY;
 
     fn roundtrip(events: &[BranchEvent]) -> Vec<BranchEvent> {
         let mut enc = PacketEncoder::new();
@@ -432,6 +454,94 @@ mod tests {
     #[test]
     fn empty_stream_decodes_to_nothing() {
         assert!(PacketDecoder::new(&[]).decode_events().unwrap().is_empty());
+    }
+
+    /// The `Vec<bool>` TNT unpacker the packed [`TntBits`] replaced: the
+    /// reference its bit order and length are checked against.
+    fn unpack_tnt_vec(value: u64) -> Vec<bool> {
+        if value == 0 {
+            return Vec::new();
+        }
+        let stop = 63 - value.leading_zeros() as usize;
+        (0..stop).map(|i| value & (1 << i) != 0).collect()
+    }
+
+    /// The bits of the single TNT packet `bytes` decodes to.
+    fn decoded_tnt(bytes: &[u8]) -> Vec<bool> {
+        let mut dec = PacketDecoder::new(bytes);
+        let Some(Packet::Tnt { bits }) = dec.next_packet().unwrap() else {
+            panic!("{bytes:02x?} is not a TNT packet");
+        };
+        assert_eq!(dec.position(), bytes.len());
+        bits.into_iter().collect()
+    }
+
+    #[test]
+    fn packed_tnt_bits_match_the_vec_bool_unpacker() {
+        // Every short-TNT header byte: even, and neither PAD (0x00) nor the
+        // escape (0x02, which would be a TNT of zero branches).
+        for byte in (4..=u8::MAX).step_by(2) {
+            assert_eq!(
+                decoded_tnt(&[byte]),
+                unpack_tnt_vec((byte >> 1) as u64),
+                "short TNT {byte:#04x}"
+            );
+        }
+        // Long TNT payloads of every length, random bits below the stop bit.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for len in 1..=LONG_TNT_CAPACITY {
+            for _ in 0..64 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let payload = (state & ((1 << len) - 1)) | 1 << len;
+                let mut bytes = vec![OPC_ESCAPE, OPC_LONG_TNT];
+                bytes.extend_from_slice(&payload.to_le_bytes()[..6]);
+                let bits = decoded_tnt(&bytes);
+                assert_eq!(bits.len(), len);
+                assert_eq!(bits, unpack_tnt_vec(payload), "payload {payload:#x}");
+            }
+        }
+        // The all-zero payload carries no stop bit and no branches.
+        let zero = [OPC_ESCAPE, OPC_LONG_TNT, 0, 0, 0, 0, 0, 0];
+        assert_eq!(decoded_tnt(&zero), unpack_tnt_vec(0));
+        assert!(TntBits::from_payload(0).is_empty());
+    }
+
+    #[test]
+    fn packet_counts_match_the_events_of_every_packet_variant() {
+        let mut packets = vec![
+            Packet::Pad,
+            Packet::Psb,
+            Packet::PsbEnd,
+            Packet::Overflow,
+            Packet::Tip { ip: 0x40_1000 },
+            Packet::TipPge { ip: 0x40_1000 },
+            Packet::TipPgd { ip: 0x40_1000 },
+            Packet::Fup { ip: 0x40_1000 },
+            Packet::Mode { payload: 1 },
+        ];
+        for payload in [0, 1, 0b10, 0b1101, 0x7F, 1 << 47, (1 << 48) - 1] {
+            packets.push(Packet::Tnt {
+                bits: TntBits::from_payload(payload),
+            });
+        }
+        for packet in packets {
+            let mut expected = PacketCounts::default();
+            packet_events(packet, &mut |event| {
+                expected.events += 1;
+                if matches!(
+                    event,
+                    BranchEvent::Conditional { .. } | BranchEvent::Indirect { .. }
+                ) {
+                    expected.branches += 1;
+                }
+                if event == BranchEvent::Overflow {
+                    expected.gaps += 1;
+                }
+            });
+            assert_eq!(packet_counts(packet), expected, "{packet:?}");
+        }
     }
 
     #[test]

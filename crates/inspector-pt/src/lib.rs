@@ -29,11 +29,16 @@
 //! * [`decode::PacketDecoder`] is the **grammar**: `next_packet` parses one
 //!   packet from a complete byte slice, fails fast
 //!   ([`decode::DecodeError`]) and is the semantic reference every other
-//!   decode result is compared against.
+//!   decode result is compared against. A [`Packet`] is `Copy` and a TNT
+//!   packet's branches are one packed word ([`packet::TntBits`]), so
+//!   parsing allocates nothing.
 //! * [`stream::StreamingDecoder`] is the **carrier** over it — a carry
 //!   buffer around `PacketDecoder::next_packet` — and the one decoder the
-//!   runtime's ingest workers and post-mortem log decoding run. It accepts
-//!   AUX chunks incrementally and upholds two contracts:
+//!   runtime's ingest workers and post-mortem log decoding run. Its
+//!   counters come from one per-packet function beside `packet_events`,
+//!   so its counting-only mode adds once per packet, never per event, and
+//!   keeps the recording mode's counters by construction. It accepts AUX
+//!   chunks incrementally and upholds two contracts:
 //!
 //!   1. **Chunk boundaries are invisible.** A packet cut by a chunk
 //!      boundary is carried (deferred), never errored; over *any* chunking

@@ -57,8 +57,70 @@ pub const FUP_BASE: u8 = 0x1D;
 /// How many low-order IP bytes each `ipbytes` code carries.
 pub const IP_BYTES_BY_CODE: [usize; 7] = [0, 2, 4, 6, 8, 0, 8];
 
+/// The taken/not-taken bits of one TNT packet, packed into one word: bit `i`
+/// is the `i`-th oldest branch (`1` = taken), and only the low
+/// [`len`](Self::len) bits (at most [`LONG_TNT_CAPACITY`]) are meaningful.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TntBits {
+    bits: u64,
+    len: u32,
+}
+
+impl TntBits {
+    /// Unpacks a TNT payload terminated by a stop bit: the highest set bit
+    /// is the stop bit and every bit below it is a branch. A payload of `0`
+    /// or `1` carries no branches.
+    pub(crate) fn from_payload(payload: u64) -> Self {
+        let len = payload.checked_ilog2().unwrap_or(0);
+        TntBits {
+            bits: payload & ((1 << len) - 1),
+            len,
+        }
+    }
+
+    /// Number of branches the packet carries.
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// `true` for a packet that carries no branches.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+}
+
+impl IntoIterator for TntBits {
+    type Item = bool;
+    type IntoIter = TntBitsIter;
+
+    /// The bits, oldest branch first (`true` = taken).
+    fn into_iter(self) -> TntBitsIter {
+        TntBitsIter(self)
+    }
+}
+
+/// Iterator over [`TntBits`], oldest branch first.
+#[derive(Debug, Clone)]
+pub struct TntBitsIter(TntBits);
+
+impl Iterator for TntBitsIter {
+    type Item = bool;
+
+    #[inline]
+    fn next(&mut self) -> Option<bool> {
+        let TntBits { bits, len } = &mut self.0;
+        if *len == 0 {
+            return None;
+        }
+        let taken = *bits & 1 != 0;
+        *bits >>= 1;
+        *len -= 1;
+        Some(taken)
+    }
+}
+
 /// A decoded PT packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Packet {
     /// Padding (alignment filler).
     Pad,
@@ -71,8 +133,8 @@ pub enum Packet {
     /// Taken/not-taken bits for consecutive conditional branches, oldest
     /// first.
     Tnt {
-        /// The bits, oldest branch first (`true` = taken).
-        bits: Vec<bool>,
+        /// The bits, oldest branch first.
+        bits: TntBits,
     },
     /// Target of an indirect branch / return.
     Tip {

@@ -14,6 +14,10 @@
 //!   pulls further quanta as the consumer drains, so the pending-event
 //!   queue stays cache-resident no matter how large the pushed chunks are
 //!   (counting mode decodes everything at push — it queues nothing);
+//! * counters are kept **per packet** in both modes, from one function
+//!   (`decode::packet_counts`) that states what each packet's
+//!   events add up to: counting mode never expands a TNT packet into its
+//!   events, and it keeps recording mode's counters by construction;
 //! * corruption surfaces as a single in-band
 //!   [`DecodeError::UnknownPacket`], after which the decoder discards
 //!   garbage up to the next PSB and resumes (at most one PSB window of
@@ -33,7 +37,7 @@
 use std::collections::VecDeque;
 
 use crate::branch::BranchEvent;
-use crate::decode::{packet_events, DecodeError, PacketDecoder};
+use crate::decode::{packet_counts, packet_events, DecodeError, PacketDecoder};
 use crate::packet::find_psb;
 
 /// Counters of one streaming decode session.
@@ -140,9 +144,11 @@ impl StreamingDecoder {
     }
 
     /// Creates a decoder that only maintains [`StreamStats`] counters and
-    /// never queues events or in-band errors — no per-event allocation on
-    /// the hot path. [`next_event`](Self::next_event) always returns
-    /// `None`; read the outcome from [`stats`](Self::stats).
+    /// never queues events or in-band errors: each decoded packet costs
+    /// one add per counter, however many branches it carries, and nothing
+    /// is allocated beyond the carry buffer.
+    /// [`next_event`](Self::next_event) always returns `None`; read the
+    /// outcome from [`stats`](Self::stats).
     pub fn counting_only() -> Self {
         StreamingDecoder {
             record_events: false,
@@ -286,22 +292,14 @@ impl StreamingDecoder {
                     match dec.next_packet() {
                         Ok(Some(packet)) => {
                             committed = dec.position();
+                            let counts = packet_counts(packet);
                             stats.packets += 1;
-                            packet_events(packet, &mut |event| {
-                                stats.events += 1;
-                                if matches!(
-                                    event,
-                                    BranchEvent::Conditional { .. } | BranchEvent::Indirect { .. }
-                                ) {
-                                    stats.branches += 1;
-                                }
-                                if matches!(event, BranchEvent::Overflow) {
-                                    stats.gaps += 1;
-                                }
-                                if *record_events {
-                                    pending.push_back(Ok(event));
-                                }
-                            });
+                            stats.events += counts.events;
+                            stats.branches += counts.branches;
+                            stats.gaps += counts.gaps;
+                            if *record_events {
+                                packet_events(packet, &mut |event| pending.push_back(Ok(event)));
+                            }
                         }
                         Ok(None) => break Stop::Drained,
                         Err(DecodeError::Truncated { .. }) => break Stop::Truncated,

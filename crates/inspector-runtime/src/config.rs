@@ -10,7 +10,6 @@
 //! | `mode` | `Inspector` | [`SessionConfig::native`]: the denominator of every overhead figure |
 //! | `aux_mode` | full trace | the session test of a snapshot-mode ring, which online decode must bypass |
 //! | `aux_capacity` | 4 MiB | the tiny-ring overflow tests (`tests/fault_tolerance.rs`, session tests) |
-//! | `pt_flush_every` | 4 096 branches | the paper's setup; nothing overrides it |
 //! | `live_snapshots`, `snapshot_slots` | off, 8 | `tests/snapshots_and_taint.rs` and the lane tests (snapshot barriers) |
 //! | `charge_spawn_cost` | on | the spawn-cost ablation in `benches/figures.rs` |
 //! | `ingest_threads` | `min(4, cores)` | every benchmark session (`1`); the equivalence and fault suites sweep 1–4 |
@@ -106,8 +105,6 @@ pub struct SessionConfig {
     pub aux_mode: AuxMode,
     /// AUX buffer capacity per thread, in bytes.
     pub aux_capacity: usize,
-    /// Flush the PT encoder every this many branches.
-    pub pt_flush_every: u64,
     /// Enable the live-snapshot ring so consistent snapshots can be taken
     /// while the program runs (§VI). Snapshots read the streaming CPG
     /// builder's shard store directly, so enabling this no longer costs a
@@ -185,7 +182,6 @@ impl SessionConfig {
             mode: ExecutionMode::Inspector,
             aux_mode: AuxMode::FullTrace,
             aux_capacity: 4 << 20,
-            pt_flush_every: 4096,
             live_snapshots: false,
             snapshot_slots: 8,
             charge_spawn_cost: true,

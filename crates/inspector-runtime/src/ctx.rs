@@ -153,7 +153,7 @@ impl ThreadCtx {
                     TraceConfig {
                         mode: shared.config.aux_mode,
                         aux_capacity: shared.config.aux_capacity,
-                        flush_every: shared.config.pt_flush_every,
+                        ..TraceConfig::default()
                     },
                 );
                 let overflow = shared.config.fault_plan.overflow_bytes;

@@ -1,28 +1,52 @@
-//! An exact work counter for the synchronization boundary: heap allocations
-//! and bytes the *application thread* pays per `sync_boundary`, counted by a
-//! wrapping global allocator around a `reverse_index`-shaped loop.
+//! Exact work counters: heap allocations counted by a wrapping global
+//! allocator, per thread, over two hot paths.
 //!
-//! The boundary path is supposed to be allocation-free apart from one
-//! exact-size branch log per sub-computation that branched (see
-//! `inspector-runtime/src/ctx.rs`). Timings on a shared box cannot pin that;
-//! a count can: it is the same on every runner, so one extra allocation per
-//! boundary fails here. Before PR 21 this loop read 5.09 allocations and
-//! 880 bytes per boundary.
+//! * The synchronization boundary: allocations and bytes the *application
+//!   thread* pays per `sync_boundary` around a `reverse_index`-shaped loop.
+//!   The boundary path is supposed to be allocation-free apart from one
+//!   exact-size branch log per sub-computation that branched (see
+//!   `inspector-runtime/src/ctx.rs`). Before the boundary stopped allocating
+//!   its page sets, clocks and lane messages, this loop read 5.09
+//!   allocations and 880 bytes per boundary.
+//! * PT decoding: the packet grammar allocates nothing, and the streaming
+//!   decoder allocates only its carry buffer and event queue, a constant
+//!   that does not grow with the length of the stream. Before TNT bits were
+//!   packed into one word, every TNT packet allocated.
+//!
+//! Timings on a shared box cannot pin either; a count can: it is the same
+//! on every runner, so one extra allocation per boundary or per packet
+//! fails here. Counts are kept per thread, so the two tests cannot see each
+//! other's allocations when the harness runs them in parallel.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use inspector::prelude::*;
+use inspector::pt::branch::BranchEvent;
+use inspector::pt::decode::{packet_events, PacketDecoder};
+use inspector::pt::encode::PacketEncoder;
+use inspector::pt::packet::complete_frame_prefix;
+use inspector::pt::stream::StreamingDecoder;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Allocations and bytes requested by one thread.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Allocs {
+    allocations: u64,
+    bytes: u64,
+}
+
+impl Allocs {
+    fn add(&mut self, other: Allocs) {
+        self.allocations += other.allocations;
+        self.bytes += other.bytes;
+    }
+}
 
 thread_local! {
-    /// Set by an application thread for the span it wants counted. Ingest
-    /// workers and the test harness never set it.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// What this thread allocated while armed by [`counted`]; `None` while
+    /// disarmed. Ingest workers and the test harness never arm it.
+    static COUNTED: Cell<Option<Allocs>> = const { Cell::new(None) };
 }
 
 /// `System`, counting what armed threads allocate.
@@ -32,17 +56,22 @@ impl CountingAllocator {
     fn note(bytes: usize) {
         // `try_with`: the allocator also runs while a thread's locals are
         // being torn down.
-        if COUNTING.try_with(Cell::get).unwrap_or(false) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-        }
+        let _ = COUNTED.try_with(|counted| {
+            if let Some(mut allocs) = counted.get() {
+                allocs.add(Allocs {
+                    allocations: 1,
+                    bytes: bytes as u64,
+                });
+                counted.set(Some(allocs));
+            }
+        });
     }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counting in between touches only
-// atomics and a `const`-initialised, destructor-free thread-local, neither
-// of which allocates or unwinds.
+// upholds the `GlobalAlloc` contract; the counting in between touches only a
+// `const`-initialised, destructor-free thread-local, which neither allocates
+// nor unwinds.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         Self::note(layout.size());
@@ -72,6 +101,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Runs `f` with the calling thread's allocations counted.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, Allocs) {
+    COUNTED.set(Some(Allocs::default()));
+    let result = f();
+    let allocs = COUNTED.replace(None).expect("armed above");
+    (result, allocs)
+}
+
 const THREADS: u64 = 2;
 const ITERATIONS: u64 = 20_000;
 
@@ -80,30 +117,33 @@ fn a_boundary_costs_the_app_thread_at_most_one_allocation() {
     let session = InspectorSession::new(SessionConfig::inspector().with_ingest_threads(1));
     let heads = session.map_region("heads", 8 * 64).base();
     let lock = Arc::new(InspMutex::new());
+    let total = Arc::new(Mutex::new(Allocs::default()));
     let report = session.run(|ctx| {
         let workers: Vec<_> = (0..THREADS)
             .map(|_| {
                 let lock = Arc::clone(&lock);
+                let total = Arc::clone(&total);
                 ctx.spawn(move |ctx| {
                     ctx.set_pc(0x49_0000);
-                    COUNTING.set(true);
                     // One `reverse_index` link per iteration: scan a word
                     // (branches), allocate and fill a 16-byte node, then
                     // push it onto a bucket under the lock.
-                    for i in 0..ITERATIONS {
-                        for bit in 0..6 {
-                            ctx.branch((i >> bit) & 1 == 0);
+                    let ((), allocs) = counted(|| {
+                        for i in 0..ITERATIONS {
+                            for bit in 0..6 {
+                                ctx.branch((i >> bit) & 1 == 0);
+                            }
+                            let node = ctx.alloc(16);
+                            ctx.write_u64(node, i);
+                            lock.lock(ctx);
+                            let head_addr = heads.add((i % 64) * 8);
+                            let head = ctx.read_u64(head_addr);
+                            ctx.write_u64(node.add(8), head);
+                            ctx.write_u64(head_addr, node.raw());
+                            lock.unlock(ctx);
                         }
-                        let node = ctx.alloc(16);
-                        ctx.write_u64(node, i);
-                        lock.lock(ctx);
-                        let head_addr = heads.add((i % 64) * 8);
-                        let head = ctx.read_u64(head_addr);
-                        ctx.write_u64(node.add(8), head);
-                        ctx.write_u64(head_addr, node.raw());
-                        lock.unlock(ctx);
-                    }
-                    COUNTING.set(false);
+                    });
+                    total.lock().expect("no counting thread panics").add(allocs);
                 })
             })
             .collect();
@@ -116,12 +156,111 @@ fn a_boundary_costs_the_app_thread_at_most_one_allocation() {
 
     // Two boundaries per iteration: the lock's acquire and its release.
     let boundaries = (THREADS * ITERATIONS * 2) as f64;
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) as f64 / boundaries;
-    let bytes = BYTES.load(Ordering::Relaxed) as f64 / boundaries;
+    let total = *total.lock().expect("no counting thread panics");
+    let allocations = total.allocations as f64 / boundaries;
+    let bytes = total.bytes as f64 / boundaries;
     println!("per boundary on the app thread: {allocations:.3} allocations, {bytes:.1} bytes");
     assert!(
         allocations <= 1.1,
         "{allocations:.3} allocations per boundary (limit 1.1)"
     );
     assert!(bytes <= 150.0, "{bytes:.1} bytes per boundary (limit 150)");
+}
+
+/// A seeded two-kind branch stream — mostly conditionals, one indirect
+/// branch in eight to nearby targets — encoded until it holds at least
+/// `len` bytes.
+fn seeded_pt_log(len: usize) -> Vec<u8> {
+    let mut enc = PacketEncoder::new();
+    enc.begin(0x40_0000);
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    while enc.bytes() < len {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        enc.branch(&if state & 7 == 0 {
+            BranchEvent::Indirect {
+                target: 0x40_0000 + (state >> 40) % 0x4000,
+            }
+        } else {
+            BranchEvent::Conditional {
+                taken: state & 0x100 != 0,
+            }
+        });
+    }
+    enc.finish()
+}
+
+/// The allocations of one pass of `decode` over `bytes`; the events it
+/// reports must match the batch decoder's count.
+fn decode_allocs(bytes: &[u8], decode: fn(&[u8]) -> u64) -> Allocs {
+    let (events, allocs) = counted(|| decode(bytes));
+    assert_eq!(
+        events,
+        batch(bytes),
+        "event count over {} bytes",
+        bytes.len()
+    );
+    allocs
+}
+
+/// The batch grammar and the packet→event mapping, events counted.
+fn batch(bytes: &[u8]) -> u64 {
+    let mut dec = PacketDecoder::new(bytes);
+    let mut events = 0;
+    while let Some(packet) = dec.next_packet().expect("a well-formed prefix") {
+        packet_events(packet, &mut |_| events += 1);
+    }
+    events
+}
+
+/// The counting-only streaming decoder fed AUX-sized 4 KiB pushes.
+fn counting(bytes: &[u8]) -> u64 {
+    let mut dec = StreamingDecoder::counting_only();
+    for chunk in bytes.chunks(4096) {
+        dec.push(chunk);
+    }
+    dec.finish();
+    dec.stats().events
+}
+
+/// A recording streaming decoder fed 4 KiB pushes and drained after each.
+fn recording(bytes: &[u8]) -> u64 {
+    let mut dec = StreamingDecoder::new();
+    let mut events = 0;
+    for chunk in bytes.chunks(4096) {
+        dec.push(chunk);
+        events += dec.events().filter(|item| item.is_ok()).count() as u64;
+    }
+    dec.finish();
+    events += dec.events().filter(|item| item.is_ok()).count() as u64;
+    events
+}
+
+#[test]
+fn pt_decoding_allocates_a_constant_independent_of_stream_length() {
+    const MIB: usize = 1 << 20;
+    let long = seeded_pt_log(4 * MIB);
+    let short = &long[..complete_frame_prefix(&long[..MIB])];
+
+    let grammar = decode_allocs(&long, batch);
+    assert_eq!(grammar, Allocs::default(), "next_packet + packet_events");
+
+    for (name, decode) in [
+        ("counting_only", counting as fn(&[u8]) -> u64),
+        ("recording", recording),
+    ] {
+        let short = decode_allocs(short, decode);
+        let long = decode_allocs(&long, decode);
+        println!("{name}: 1 MiB {short:?}, 4 MiB {long:?}");
+        assert_eq!(
+            short.allocations, long.allocations,
+            "{name}: allocations must not grow with the stream"
+        );
+        assert!(
+            long.allocations <= 32,
+            "{name}: {} allocations (limit 32)",
+            long.allocations
+        );
+    }
 }
