@@ -23,8 +23,8 @@ fn bench_workload_modes(c: &mut Criterion) {
 }
 
 fn bench_spawn_cost_ablation(c: &mut Criterion) {
-    // Ablation called out in DESIGN.md: how much of kmeans' overhead comes
-    // from charging the threads-as-processes creation cost.
+    // Ablation of `SessionConfig::charge_spawn_cost`: how much of kmeans'
+    // overhead comes from charging the threads-as-processes creation cost.
     let mut group = c.benchmark_group("ablation_spawn_cost");
     let workload = workload_by_name("kmeans").expect("kmeans");
     group.bench_function("with_spawn_cost", |b| {

@@ -1,5 +1,5 @@
 //! Micro-benchmarks (ablations) for the individual substrates: the cost of
-//! the mechanisms DESIGN.md calls out — vector-clock maintenance, the
+//! the mechanisms the pipeline is built from — vector-clock maintenance, the
 //! page-fault path, byte-level diff/commit, PT packet encoding/decoding, LZ
 //! compression, and CPG construction.
 
@@ -233,7 +233,7 @@ fn bench_pt_decode(c: &mut Criterion) {
     // log decoding run. The delta is the price of incremental decoding
     // (carry buffer + per-chunk pump).
     let mut group = c.benchmark_group("pt_decode");
-    let (bytes, _) = encoded_branch_stream(50_000);
+    let bytes = encoded_branch_stream(50_000);
     group.throughput(Throughput::Bytes(bytes.len() as u64));
     group.bench_function("batch", |b| {
         b.iter(|| PacketDecoder::new(&bytes).decode_events().unwrap());

@@ -1,9 +1,9 @@
 //! Measurement plumbing shared by all figure generators.
 //!
 //! The `INSPECTOR_BENCH_*` variables read here (input size, thread counts;
-//! the binaries add repeats, output path and quick mode) are arguments of
-//! the harness. The pipeline itself is measured as the library ships it:
-//! its settings are `SessionConfig` values, never environment variables.
+//! the binaries add repeats) are arguments of the harness. The pipeline
+//! itself is measured as the library ships it: its settings are
+//! `SessionConfig` values, never environment variables.
 
 use std::time::Duration;
 

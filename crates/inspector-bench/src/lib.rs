@@ -11,14 +11,13 @@
 //! | Figure 8 — overhead vs. input size (S/M/L) | `fig8_scalability` | [`figures::figure8`] |
 //! | Figure 9 — provenance log space overheads (table) | `fig9_space` | [`figures::figure9`] |
 //!
-//! Numbers are produced on a software-simulated substrate (see DESIGN.md),
-//! so absolute values differ from the paper's Broadwell testbed; the
-//! harness exists to reproduce the *shape* of each result — which
-//! applications are outliers, what dominates their overhead, how overheads
-//! scale with threads and input size, and how large/compressible the logs
-//! are.
+//! Numbers are produced on a software-simulated substrate (see the
+//! Architecture section of ROADMAP.md), so absolute values differ from the
+//! paper's Broadwell testbed; the harness exists to reproduce the *shape*
+//! of each result — which applications are outliers, what dominates their
+//! overhead, how overheads scale with threads and input size, and how
+//! large/compressible the logs are.
 
-pub mod check;
 pub mod figures;
 pub mod harness;
 pub mod ingest_bench;

@@ -69,10 +69,12 @@ use crate::report::{RunReport, RunStats};
 const HEAP_BYTES: u64 = 256 << 20;
 
 /// Lock stripes of the session's streaming builder. Not a setting: the
-/// `cpg_ingest` grid in `BENCH_ingest.json` reads 969 / 947 / 950 ns per
-/// sub-computation at 1 / 4 / 8 stripes (one ingest worker) and stays
-/// within 10 % at every other pool width, so no measured value beats
-/// another and the one every session has always run with stays.
+/// pool × stripe grid recorded on one core (the numbers CHANGES.md keeps)
+/// reads 969 / 947 / 950 ns per sub-computation at 1 / 4 / 8 stripes (one
+/// ingest worker) and stays within 10 % at every other pool width, so no
+/// measured value beats another and the one every session has always run
+/// with stays. `benches/micro.rs` in `inspector-bench` sweeps the same grid
+/// live as `cpg_ingest/pool{1,2,4}/shards{1,4,8}`.
 const CPG_SHARDS: usize = 8;
 
 /// Resolves the spill configuration for a session's streaming builder:

@@ -9,7 +9,7 @@
 //! calls for `reverse_index` Small, ≈ 12 k now) fails here.
 
 use inspector::core::sharded::ShardedCpgBuilder;
-use inspector::core::spill::SpillSettings;
+use inspector::core::spill::{read_manifest, SpillDurability, SpillSettings};
 use inspector::core::testing::{ingest_round_robin, ping_pong_sequences, TempDir};
 
 #[test]
@@ -62,4 +62,62 @@ fn a_spill_round_costs_one_write_and_a_segment_one_more() {
     let sealed = builder.last_sealed_stats().expect("sealed");
     assert_eq!(sealed.spill_writes, stats.spill_writes);
     assert!(!dir.exists());
+}
+
+/// When a round republishes `MANIFEST` is the durability policy, and it is
+/// what keeps the durability hooks free for a tier that promises nothing:
+/// under `None` only a round that opened a segment publishes, under `Flush`
+/// every committed round does (the manifest is its durable frontier). A
+/// retaining seal completes both to the whole graph.
+#[test]
+fn only_a_durable_tier_republishes_the_manifest_every_round() {
+    let sequences = ping_pong_sequences(3, 200);
+    let subs: u64 = sequences.iter().map(|s| s.len() as u64).sum();
+    for durability in [SpillDurability::None, SpillDurability::Flush] {
+        // One shard and one segment that never rolls, so exactly one round
+        // (the first) opens a segment.
+        let tmp = TempDir::new("spill-manifest");
+        let dir = tmp.path();
+        let settings = SpillSettings {
+            segment_bytes: 1 << 30,
+            ..SpillSettings::new(8, dir)
+                .with_durability(durability)
+                .with_retain_on_seal(true)
+        };
+        let builder = ShardedCpgBuilder::with_shards_and_spill(1, Some(settings));
+        let mut rounds = 0u64;
+        let mut first_round = 0u64;
+        let mut spilled = 0u64;
+        ingest_round_robin(&builder, sequences.clone(), |builder| {
+            let now = builder.stats().spilled_subs;
+            if now > spilled {
+                rounds += 1;
+                if first_round == 0 {
+                    first_round = now;
+                }
+            }
+            spilled = now;
+        });
+        let named = || -> u64 {
+            let manifest = read_manifest(dir).expect("readable").expect("published");
+            manifest.thread_counts.values().sum()
+        };
+        let stats = builder.stats();
+        assert_eq!(stats.spill_fallbacks, 0, "{durability:?}: {stats:?}");
+        assert_eq!(
+            stats.spill_writes,
+            rounds + 1,
+            "{durability:?}: {rounds} rounds in one segment"
+        );
+        assert!(rounds > 50, "{durability:?}: {rounds} rounds");
+        let expected = match durability {
+            SpillDurability::None => first_round,
+            _ => stats.spilled_subs,
+        };
+        assert_eq!(named(), expected, "{durability:?}: {stats:?}");
+        assert!(first_round < stats.spilled_subs);
+
+        builder.seal();
+        assert_eq!(named(), subs, "{durability:?}: retained seal");
+    }
 }
