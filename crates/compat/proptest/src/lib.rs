@@ -122,7 +122,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::test_runner::TestRng;
 
-    /// Anything usable as the size argument of [`vec`].
+    /// Anything usable as the size argument of [`vec()`].
     pub trait IntoSize {
         /// Draws a concrete length.
         fn pick(&self, rng: &mut TestRng) -> usize;

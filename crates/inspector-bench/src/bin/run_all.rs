@@ -1,8 +1,8 @@
 //! Runs every figure/table generator in sequence (the full evaluation).
 //!
 //! `INSPECTOR_BENCH_SIZE=tiny cargo run -p inspector-bench --bin run_all --release`
-//! gives a quick smoke pass; the default medium size reproduces the shapes
-//! reported in EXPERIMENTS.md.
+//! gives a quick smoke pass; the default medium size reproduces the shapes of
+//! the paper's figures.
 
 use inspector_bench::figures::{
     figure5, figure6, figure7, figure8, figure9, print_figure5, print_figure6, print_figure7,

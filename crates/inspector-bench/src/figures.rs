@@ -1,8 +1,8 @@
 //! Generators for every figure and table of the paper's evaluation.
 //!
-//! Each generator returns structured rows (so tests and EXPERIMENTS.md can
-//! consume them) and has a `print_*` companion that renders the same rows in
-//! a layout matching the paper's presentation.
+//! Each generator returns structured rows (so tests can consume them) and has
+//! a `print_*` companion that renders the same rows in a layout matching the
+//! paper's presentation.
 
 use std::time::Duration;
 

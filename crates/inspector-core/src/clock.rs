@@ -16,8 +16,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::ThreadId;
 use crate::small::SmallVec;
 
@@ -32,7 +30,7 @@ const INLINE_THREADS: usize = 4;
 ///
 /// Equality and hashing compare the stored components (trailing zeros
 /// included, as before), never whether they sit inline or on the heap.
-#[derive(Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct VectorClock {
     entries: SmallVec<u64, INLINE_THREADS>,
 }

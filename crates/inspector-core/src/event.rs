@@ -1,15 +1,11 @@
-//! Trace events consumed by the provenance recorder.
+//! Kinds of the events the provenance recorder folds into sub-computations.
 //!
-//! The threading library and the PT decoder translate raw observations
-//! (page faults, decoded branch packets, synchronization calls) into
-//! [`TraceEvent`]s; the recorder folds them into sub-computations.
-
-use serde::{Deserialize, Serialize};
-
-use crate::ids::{PageId, SyncObjectId, ThreadId};
+//! The threading library translates raw observations (page faults, branches,
+//! synchronization calls) into calls on the recorder; these enums say which
+//! kind of access, branch or synchronization each call reports.
 
 /// Kind of memory access observed by the MMU-assisted tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A load instruction touched the page for the first time in the current
     /// sub-computation.
@@ -20,7 +16,7 @@ pub enum AccessKind {
 }
 
 /// Kind of branch observed by the (simulated) Intel PT decoder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BranchKind {
     /// Conditional branch, taken (a TNT `1` bit).
     ConditionalTaken,
@@ -49,7 +45,7 @@ impl BranchKind {
 /// §IV-A): `unlock`, `barrier` entry, `cond_signal`, `sem_post` and thread
 /// creation *release* a synchronization object, while `lock`, barrier exit,
 /// `cond_wait` return, `sem_wait` and thread join *acquire* it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyncKind {
     /// The thread released the synchronization object (made its updates
     /// visible to the next acquirer).
@@ -63,64 +59,6 @@ pub enum SyncKind {
     ReleaseAcquire,
 }
 
-/// A single event in the per-thread execution trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TraceEvent {
-    /// First access to a page in the current sub-computation.
-    MemoryAccess {
-        /// The accessing thread.
-        thread: ThreadId,
-        /// The page that was touched.
-        page: PageId,
-        /// Whether it was a load or a store.
-        kind: AccessKind,
-    },
-    /// A branch retired on the thread (from the PT trace).
-    Branch {
-        /// The executing thread.
-        thread: ThreadId,
-        /// The kind of branch.
-        kind: BranchKind,
-        /// Instruction pointer of the branch (or its target for indirect
-        /// branches), used to label thunks.
-        ip: u64,
-    },
-    /// A synchronization operation; terminates the current sub-computation.
-    Synchronization {
-        /// The synchronizing thread.
-        thread: ThreadId,
-        /// The object being synchronized on.
-        object: SyncObjectId,
-        /// Acquire/release role of the thread.
-        kind: SyncKind,
-    },
-    /// The thread terminated; terminates its last sub-computation.
-    ThreadExit {
-        /// The exiting thread.
-        thread: ThreadId,
-    },
-}
-
-impl TraceEvent {
-    /// The thread this event belongs to.
-    pub fn thread(&self) -> ThreadId {
-        match *self {
-            TraceEvent::MemoryAccess { thread, .. }
-            | TraceEvent::Branch { thread, .. }
-            | TraceEvent::Synchronization { thread, .. }
-            | TraceEvent::ThreadExit { thread } => thread,
-        }
-    }
-
-    /// Whether this event ends the currently executing sub-computation.
-    pub fn ends_subcomputation(&self) -> bool {
-        matches!(
-            self,
-            TraceEvent::Synchronization { .. } | TraceEvent::ThreadExit { .. }
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,28 +69,5 @@ mod tests {
         assert!(BranchKind::ConditionalNotTaken.is_conditional());
         assert!(!BranchKind::Indirect.is_conditional());
         assert!(!BranchKind::Return.is_conditional());
-    }
-
-    #[test]
-    fn event_thread_extraction() {
-        let t = ThreadId::new(3);
-        let e = TraceEvent::MemoryAccess {
-            thread: t,
-            page: PageId::new(1),
-            kind: AccessKind::Read,
-        };
-        assert_eq!(e.thread(), t);
-        assert!(!e.ends_subcomputation());
-
-        let s = TraceEvent::Synchronization {
-            thread: t,
-            object: SyncObjectId::new(9),
-            kind: SyncKind::Acquire,
-        };
-        assert!(s.ends_subcomputation());
-
-        let x = TraceEvent::ThreadExit { thread: t };
-        assert!(x.ends_subcomputation());
-        assert_eq!(x.thread(), t);
     }
 }

@@ -19,8 +19,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::VectorClock;
 use crate::event::SyncKind;
 use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
@@ -67,7 +65,7 @@ pub(crate) fn prune_superseded_writers(candidates: &[(SubId, &VectorClock)]) -> 
 }
 
 /// The kind of a CPG edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EdgeKind {
     /// Intra-thread program order between consecutive sub-computations.
     Control,
@@ -79,7 +77,7 @@ pub enum EdgeKind {
 }
 
 /// A directed edge of the CPG.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DependenceEdge {
     /// Source sub-computation (the earlier one in the partial order).
     pub src: SubId,
@@ -95,7 +93,7 @@ pub struct DependenceEdge {
 }
 
 /// Aggregate statistics about a CPG, used by the evaluation harness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CpgStats {
     /// Number of vertices (sub-computations).
     pub nodes: usize,
@@ -117,7 +115,7 @@ pub struct CpgStats {
 
 /// One thread's vertices: a contiguous run of positions, since the node
 /// store is sorted by `(thread, α)`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct ThreadRange {
     thread: ThreadId,
     /// Position of the thread's first vertex.
@@ -132,7 +130,7 @@ impl ThreadRange {
 }
 
 /// One CSR adjacency entry: an edge seen from one of its endpoints.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Adjacent {
     /// Position of the vertex at the other end.
     pub(crate) neighbour: u32,
@@ -145,7 +143,7 @@ pub(crate) struct Adjacent {
 /// `entries[offsets[p]..offsets[p + 1]]`, in edge-vector order. Two
 /// allocations for the whole graph and no hashing — the streaming seal
 /// builds this on the run's critical path.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct AdjacencyIndex {
     /// Row starts, `nodes + 1` long (empty for [`Cpg::default`], which has
     /// no position to ask a row for).
@@ -237,7 +235,7 @@ pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 /// nodes over without building one (the tree bulk build was the largest
 /// remaining per-node cost on the seal's critical path), and it makes a
 /// vertex's index its dense position (see the module docs).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Cpg {
     /// Vertices, sorted by id and duplicate-free.
     pub(crate) nodes: Vec<SubComputation>,
@@ -984,19 +982,5 @@ mod tests {
         let alphas: Vec<u64> = cpg.nodes().map(|n| n.id.alpha).collect();
         assert_eq!(alphas, [0, 1, 2]);
         assert!(cpg.nodes().next().unwrap().writes(PageId::new(4)));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let cpg = example_cpg();
-        let json = serde_json_like(&cpg);
-        assert!(json > 0);
-    }
-
-    /// There is no serde_json in the dependency set; just check that the
-    /// Serialize impl is materialisable through a counting serializer proxy
-    /// (bincode-like length estimate via Debug formatting).
-    fn serde_json_like(cpg: &Cpg) -> usize {
-        format!("{cpg:?}").len()
     }
 }

@@ -5,14 +5,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a logical application thread.
 ///
 /// INSPECTOR implements threads as separate processes, but at the provenance
 /// level every worker is still identified by the dense index it was assigned
 /// at `pthread_create` time (the main thread is thread `0`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadId(u32);
 
 impl ThreadId {
@@ -25,9 +23,6 @@ impl ThreadId {
     pub const fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// The main (initial) thread of the traced program.
-    pub const MAIN: ThreadId = ThreadId(0);
 }
 
 impl fmt::Display for ThreadId {
@@ -48,7 +43,7 @@ impl From<u32> for ThreadId {
 /// A sub-computation is addressed by its owning thread and the value of the
 /// thread-local sub-computation counter `α` at the time it started
 /// (`L_t[α]` in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SubId {
     /// Thread that executed the sub-computation.
     pub thread: ThreadId,
@@ -79,7 +74,7 @@ impl fmt::Display for SubId {
 
 /// Identifier of a thunk: the sequence of instructions between two successive
 /// branches inside a sub-computation (`L_t[α].Δ[β]` in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThunkId {
     /// Sub-computation that contains the thunk.
     pub sub: SubId,
@@ -102,7 +97,7 @@ impl fmt::Display for ThunkId {
 
 /// Identifier of a synchronization object (mutex, condition variable,
 /// semaphore, barrier, thread join handle, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SyncObjectId(u64);
 
 impl SyncObjectId {
@@ -128,9 +123,7 @@ impl fmt::Display for SyncObjectId {
 ///
 /// INSPECTOR tracks read and write sets at page granularity: this is the page
 /// *number*, i.e. the virtual address divided by the page size.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId(u64);
 
 impl PageId {
@@ -198,10 +191,5 @@ mod tests {
         let p = PageId::new(42);
         assert_eq!(p.number(), 42);
         assert_eq!(PageId::from(42u64), p);
-    }
-
-    #[test]
-    fn main_thread_is_index_zero() {
-        assert_eq!(ThreadId::MAIN.index(), 0);
     }
 }

@@ -17,7 +17,7 @@
 //!   recorded partial order.
 //!
 //! The crate is deliberately independent of *how* the underlying trace is
-//! obtained: the threading library ([`inspector-runtime`]) feeds events into a
+//! obtained: the threading library (`inspector-runtime`) feeds events into a
 //! [`recorder::ThreadRecorder`] per thread, and the per-thread logs become a
 //! [`graph::Cpg`] through one of two builders:
 //!
@@ -124,7 +124,7 @@ pub mod testing;
 pub mod thunk;
 
 pub use clock::VectorClock;
-pub use event::{AccessKind, BranchKind, SyncKind, TraceEvent};
+pub use event::{AccessKind, BranchKind, SyncKind};
 pub use graph::{Cpg, CpgBuilder, DependenceEdge, EdgeKind};
 pub use ids::{PageId, SubId, SyncObjectId, ThreadId, ThunkId};
 pub use recorder::{SyncClockRegistry, ThreadRecorder};

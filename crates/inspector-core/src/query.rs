@@ -10,13 +10,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::{set_bits, Cpg, EdgeKind};
 use crate::ids::{PageId, SubId, ThreadId};
 
 /// Which edge kinds a traversal is allowed to follow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeFilter {
     /// Follow intra-thread control edges.
     pub control: bool,
@@ -58,7 +56,7 @@ impl EdgeFilter {
 }
 
 /// Summary of how one page was accessed, for the NUMA case study.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PageAccessSummary {
     /// Threads that read the page and how many sub-computations did so.
     pub readers: BTreeMap<ThreadId, usize>,
@@ -67,11 +65,6 @@ pub struct PageAccessSummary {
 }
 
 impl PageAccessSummary {
-    /// Total read + write touches.
-    pub fn total_touches(&self) -> usize {
-        self.readers.values().sum::<usize>() + self.writers.values().sum::<usize>()
-    }
-
     /// Returns `true` if more than one thread touched the page (a candidate
     /// for false sharing / remote NUMA traffic).
     pub fn is_shared(&self) -> bool {
@@ -114,16 +107,6 @@ impl<'a> ProvenanceQuery<'a> {
             .nodes()
             .filter(|n| n.reads(page))
             .map(|n| n.id)
-            .collect()
-    }
-
-    /// The last writers of `page` visible to `reader` (sources of the data
-    /// edges carrying `page` into `reader`).
-    pub fn sources_of(&self, reader: SubId, page: PageId) -> Vec<SubId> {
-        self.cpg
-            .incoming(reader)
-            .filter(|e| e.kind == EdgeKind::Data && e.pages.contains(&page))
-            .map(|e| e.src)
             .collect()
     }
 
@@ -419,7 +402,6 @@ mod tests {
         assert!(shared.contains(&PageId::new(2)));
         let summary = q.page_summary();
         assert!(summary[&PageId::new(1)].is_shared());
-        assert!(summary[&PageId::new(1)].total_touches() >= 2);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The parallel provenance-recording algorithm (paper Algorithms 1 and 2).
 //!
 //! Each application thread owns a [`ThreadRecorder`]; synchronization-object
-//! clocks live in a shared [`SyncClockRegistry`]. The recorder is driven by
-//! [`TraceEvent`]s: memory accesses extend the read/write sets, branches
+//! clocks live in a shared [`SyncClockRegistry`]. The threading library
+//! drives the recorder: memory accesses extend the read/write sets, branches
 //! extend the thunk list, and synchronization operations terminate the
 //! current sub-computation and exchange vector clocks through the registry.
 //!
@@ -32,10 +32,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::clock::VectorClock;
-use crate::event::{AccessKind, BranchKind, SyncKind, TraceEvent};
+use crate::event::{AccessKind, BranchKind, SyncKind};
 use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
 use crate::subcomputation::{SubComputation, SyncPoint};
 use crate::thunk::{BranchRecord, ThunkList};
@@ -76,11 +75,6 @@ impl SyncClockRegistry {
         }
     }
 
-    /// Returns a copy of the clock currently stored for `object`.
-    pub fn clock_of(&self, object: SyncObjectId) -> VectorClock {
-        self.clocks.lock().get(&object).cloned().unwrap_or_default()
-    }
-
     /// Number of synchronization objects seen so far.
     pub fn len(&self) -> usize {
         self.clocks.lock().len()
@@ -94,7 +88,7 @@ impl SyncClockRegistry {
 
 /// Counters accumulated while recording one thread, used by the evaluation
 /// harness (page-fault rates, branch counts).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecorderStats {
     /// First-touch page read events recorded.
     pub page_reads: u64,
@@ -169,27 +163,9 @@ impl ThreadRecorder {
         }
     }
 
-    /// Creates a recorder whose clock is seeded from a parent thread's clock,
-    /// modelling the implicit release/acquire pair of `pthread_create`.
-    pub fn with_parent_clock(
-        thread: ThreadId,
-        registry: Arc<SyncClockRegistry>,
-        parent_clock: &VectorClock,
-    ) -> Self {
-        let mut rec = Self::new(thread, registry);
-        rec.clock.join(parent_clock);
-        rec.current.clock = rec.clock.clone();
-        rec
-    }
-
     /// The thread this recorder belongs to.
     pub fn thread(&self) -> ThreadId {
         self.thread
-    }
-
-    /// The identifier of the sub-computation currently being recorded.
-    pub fn current_sub(&self) -> SubId {
-        self.current.id
     }
 
     /// A copy of the thread clock `C_t`.
@@ -291,25 +267,6 @@ impl ThreadRecorder {
         }
         self.finished = true;
         Some(self.close_current(None))
-    }
-
-    /// Drives the recorder from a generic [`TraceEvent`].
-    ///
-    /// Events belonging to other threads are ignored (the recorder is
-    /// strictly per-thread), which makes it convenient to replay a merged
-    /// trace against a set of recorders.
-    pub fn on_event(&mut self, event: &TraceEvent) {
-        if event.thread() != self.thread {
-            return;
-        }
-        match *event {
-            TraceEvent::MemoryAccess { page, kind, .. } => self.on_memory_access(page, kind),
-            TraceEvent::Branch { kind, ip, .. } => self.on_branch(kind, ip),
-            TraceEvent::Synchronization { object, kind, .. } => {
-                self.on_synchronization(object, kind);
-            }
-            TraceEvent::ThreadExit { .. } => self.on_thread_exit(),
-        }
     }
 
     /// Consumes the recorder and returns the thread's execution sequence
@@ -445,39 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn parent_clock_orders_spawn() {
-        let reg = SyncClockRegistry::shared();
-        let mut parent = ThreadRecorder::new(t(0), Arc::clone(&reg));
-        parent.on_memory_access(PageId::new(9), AccessKind::Write);
-        parent.on_synchronization(SyncObjectId::new(7), SyncKind::Release);
-        let parent_clock = parent.clock();
-
-        let mut child = ThreadRecorder::with_parent_clock(t(1), reg, &parent_clock);
-        child.on_memory_access(PageId::new(9), AccessKind::Read);
-        let child_subs = child.finish();
-        let parent_subs = parent.finish();
-        assert!(parent_subs[0].happens_before(&child_subs[0]));
-    }
-
-    #[test]
-    fn on_event_ignores_other_threads() {
-        let reg = SyncClockRegistry::shared();
-        let mut r = ThreadRecorder::new(t(0), reg);
-        r.on_event(&TraceEvent::MemoryAccess {
-            thread: t(1),
-            page: PageId::new(1),
-            kind: AccessKind::Read,
-        });
-        assert_eq!(r.stats().page_reads, 0);
-        r.on_event(&TraceEvent::MemoryAccess {
-            thread: t(0),
-            page: PageId::new(1),
-            kind: AccessKind::Read,
-        });
-        assert_eq!(r.stats().page_reads, 1);
-    }
-
-    #[test]
     fn thread_exit_is_idempotent() {
         let reg = SyncClockRegistry::shared();
         let mut r = ThreadRecorder::new(t(0), reg);
@@ -543,9 +467,8 @@ mod tests {
     }
 
     #[test]
-    fn registry_clock_of_unknown_object_is_zero() {
+    fn new_registry_is_empty() {
         let reg = SyncClockRegistry::new();
-        assert!(reg.clock_of(SyncObjectId::new(5)).is_empty());
         assert!(reg.is_empty());
         assert_eq!(reg.len(), 0);
     }

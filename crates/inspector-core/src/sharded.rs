@@ -733,11 +733,6 @@ impl ShardedCpgBuilder {
         self.spill.as_ref().map(|s| s.threshold)
     }
 
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The stripe a thread's sub-computations are stored in.
     pub fn shard_for(&self, thread: ThreadId) -> usize {
         thread.index() % self.shards.len()
@@ -2062,7 +2057,7 @@ mod tests {
     #[test]
     fn shard_routing_wraps_on_thread_id_boundaries() {
         let builder = ShardedCpgBuilder::with_shards(4);
-        assert_eq!(builder.shard_count(), 4);
+        assert_eq!(builder.shards.len(), 4);
         assert_eq!(builder.shard_for(ThreadId::new(0)), 0);
         assert_eq!(builder.shard_for(ThreadId::new(3)), 3);
         // Exactly at the stripe-count boundary the routing wraps...
@@ -2077,7 +2072,7 @@ mod tests {
         let single = ShardedCpgBuilder::with_shards(1);
         assert_eq!(single.shard_for(ThreadId::new(7)), 0);
         // Zero stripes are clamped rather than dividing by zero.
-        assert_eq!(ShardedCpgBuilder::with_shards(0).shard_count(), 1);
+        assert_eq!(ShardedCpgBuilder::with_shards(0).shards.len(), 1);
     }
 
     #[test]

@@ -14,14 +14,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::{Cpg, CpgBuilder};
 use crate::ids::ThreadId;
 use crate::subcomputation::SubComputation;
 
 /// A consistent prefix of every thread's execution sequence.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ConsistentCut {
     /// For each thread, how many completed sub-computations are included.
     pub frontier: BTreeMap<ThreadId, usize>,
@@ -84,7 +82,7 @@ pub fn consistent_cut(sequences: &BTreeMap<ThreadId, &[SubComputation]>) -> Cons
 }
 
 /// A snapshot: the CPG restricted to a consistent cut, plus the cut itself.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Monotonically increasing snapshot sequence number.
     pub sequence: u64,

@@ -70,7 +70,6 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::clock::VectorClock;
 use crate::event::{BranchKind, SyncKind};
@@ -115,7 +114,7 @@ const MANIFEST_HEADER: &str = "inspector-spill-manifest v2";
 /// `None` is free (the page cache already survives a killed process);
 /// `Flush` adds one `fdatasync` per shard per spill round; `Fsync`
 /// additionally syncs the manifest and its directory on every update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpillDurability {
     /// Write into the page cache only; no explicit sync.
     #[default]

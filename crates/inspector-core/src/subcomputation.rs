@@ -11,8 +11,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::VectorClock;
 use crate::event::SyncKind;
 use crate::ids::{PageId, SubId, SyncObjectId};
@@ -32,7 +30,7 @@ const INLINE_PAGES: usize = 4;
 /// Insertion keeps the order by shifting, which is what a set of one to a
 /// few pages wants; the large sets that occur are whole-input scans, which
 /// touch pages in ascending order and so append.
-#[derive(Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct PageSet {
     pages: SmallVec<PageId, INLINE_PAGES>,
 }
@@ -108,7 +106,7 @@ impl fmt::Debug for PageSet {
 /// Recording it alongside the vertex lets the snapshot facility compute
 /// consistent cuts (an acquire may only be in the cut if the matching release
 /// is) and lets queries reconstruct the sync schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncPoint {
     /// The synchronization object involved.
     pub object: SyncObjectId,
@@ -118,7 +116,7 @@ pub struct SyncPoint {
 
 /// A sub-computation `L_t[α]`: everything one thread executed between two
 /// successive synchronization operations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubComputation {
     /// Identifier (thread, α).
     pub id: SubId,
@@ -188,11 +186,6 @@ impl SubComputation {
     pub fn concurrent_with(&self, other: &SubComputation) -> bool {
         !self.happens_before(other) && !other.happens_before(self) && self.id != other.id
     }
-
-    /// Total number of distinct pages touched.
-    pub fn footprint_pages(&self) -> usize {
-        self.read_set.len() + self.write_set.len() - self.read_write_intersection().count()
-    }
 }
 
 #[cfg(test)]
@@ -244,7 +237,6 @@ mod tests {
                 s.read_write_intersection().collect::<Vec<_>>(),
                 model_reads.intersection(&model_writes).copied().collect::<Vec<_>>()
             );
-            prop_assert_eq!(s.footprint_pages(), model_reads.union(&model_writes).count());
 
             // The same contents built on the heap from the start compare,
             // hash and print as the (possibly inline) set does.
@@ -280,7 +272,6 @@ mod tests {
         assert!(s.record_write(PageId::new(1)));
         assert!(s.reads(PageId::new(1)));
         assert!(s.writes(PageId::new(1)));
-        assert_eq!(s.footprint_pages(), 1);
         assert_eq!(s.read_write_intersection().count(), 1);
     }
 
@@ -304,15 +295,5 @@ mod tests {
         let c = sub(0, 0, &[(0, 0)]);
         let d = sub(1, 0, &[(1, 0)]);
         assert!(c.concurrent_with(&d));
-    }
-
-    #[test]
-    fn footprint_counts_union() {
-        let mut s = sub(0, 0, &[]);
-        s.record_read(PageId::new(1));
-        s.record_read(PageId::new(2));
-        s.record_write(PageId::new(2));
-        s.record_write(PageId::new(3));
-        assert_eq!(s.footprint_pages(), 3);
     }
 }

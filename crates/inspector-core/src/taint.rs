@@ -10,17 +10,15 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::{set_bits, Cpg, EdgeKind};
 use crate::ids::{PageId, SubId};
 
 /// A small integer taint label (for example "input file 3").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaintLabel(pub u32);
 
 /// Result of propagating taint through a CPG.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TaintReport {
     /// Labels attached to each tainted sub-computation.
     pub tainted_subs: BTreeMap<SubId, BTreeSet<TaintLabel>>,
@@ -29,11 +27,6 @@ pub struct TaintReport {
 }
 
 impl TaintReport {
-    /// Returns `true` if the sub-computation carries any taint.
-    pub fn sub_is_tainted(&self, sub: SubId) -> bool {
-        self.tainted_subs.contains_key(&sub)
-    }
-
     /// Returns `true` if the page carries any taint at the end of the run.
     pub fn page_is_tainted(&self, page: PageId) -> bool {
         self.tainted_pages.contains_key(&page)

@@ -20,13 +20,11 @@
 //! The spill codec writes the view and, on the way back in, accepts only
 //! byte strings that satisfy it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::BranchKind;
 use crate::ids::{SubId, ThunkId};
 
 /// One thunk: the branch that terminated it plus a few bookkeeping counters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Thunk {
     /// Identifier (sub-computation + position β).
     pub id: ThunkId,
@@ -40,7 +38,7 @@ pub struct Thunk {
 }
 
 /// A retired branch as recorded in the control-flow trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchRecord {
     /// Branch kind (conditional taken / not-taken, indirect, return).
     pub kind: BranchKind,
@@ -64,16 +62,11 @@ impl Thunk {
     pub fn close(&mut self, kind: BranchKind, ip: u64) {
         self.terminator = Some(BranchRecord { kind, ip });
     }
-
-    /// Whether the thunk has been terminated by a branch.
-    pub fn is_closed(&self) -> bool {
-        self.terminator.is_some()
-    }
 }
 
 /// The ordered list of thunks of one sub-computation, stored as its branch
 /// log (see the module docs for the derived view).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThunkList {
     owner: SubId,
     branches: Vec<BranchRecord>,
@@ -209,9 +202,9 @@ mod tests {
     #[test]
     fn open_then_close_thunk() {
         let mut t = Thunk::open(ThunkId::new(OWNER, 0), 0x400000);
-        assert!(!t.is_closed());
+        assert!(t.terminator.is_none());
         t.close(BranchKind::ConditionalTaken, 0x400010);
-        assert!(t.is_closed());
+        assert!(t.terminator.is_some());
         assert_eq!(t.terminator.unwrap().ip, 0x400010);
     }
 
@@ -236,7 +229,7 @@ mod tests {
         let last = list.iter().last().unwrap();
         assert_eq!(last.id, ThunkId::new(OWNER, 1));
         assert_eq!(last.entry_ip, 7);
-        assert!(!last.is_closed());
+        assert!(last.terminator.is_none());
     }
 
     proptest! {
@@ -266,7 +259,7 @@ mod tests {
             prop_assert_eq!(list.is_empty(), reference.is_empty());
             prop_assert_eq!(
                 list.branches(),
-                reference.iter().filter(|t| t.is_closed()).count()
+                reference.iter().filter(|t| t.terminator.is_some()).count()
             );
             prop_assert_eq!(
                 list.conditional_branches(),

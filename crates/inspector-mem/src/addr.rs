@@ -2,15 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Default page size used by the simulated MMU (matches x86-64).
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
 
 /// A virtual address inside the simulated shared address space.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtAddr(u64);
 
 impl VirtAddr {
@@ -64,9 +60,7 @@ impl From<u64> for VirtAddr {
 }
 
 /// A page number (virtual address divided by the page size).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PageId(u64);
 
 impl PageId {

@@ -11,7 +11,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::addr::VirtAddr;
 use crate::region::Region;
@@ -20,7 +19,7 @@ use crate::region::Region;
 const ALIGN: u64 = 16;
 
 /// Allocator statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocStats {
     /// Number of `alloc` calls served.
     pub allocations: u64,
@@ -164,11 +163,6 @@ impl HeapAllocator {
     pub fn stats(&self) -> AllocStats {
         self.state.lock().stats
     }
-
-    /// Number of live allocations.
-    pub fn live_allocations(&self) -> usize {
-        self.state.lock().live.len()
-    }
 }
 
 #[cfg(test)]
@@ -189,7 +183,7 @@ mod tests {
         assert_eq!(x.raw() % ALIGN, 0);
         assert_eq!(y.raw() % ALIGN, 0);
         assert!(y.raw() >= x.raw() + 16);
-        assert_eq!(a.live_allocations(), 2);
+        assert_eq!(a.state.lock().live.len(), 2);
     }
 
     #[test]
@@ -252,6 +246,6 @@ mod tests {
         let b = a.clone();
         let x = a.alloc(16).unwrap();
         b.free(x);
-        assert_eq!(a.live_allocations(), 0);
+        assert_eq!(a.state.lock().live.len(), 0);
     }
 }

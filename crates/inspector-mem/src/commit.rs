@@ -16,12 +16,10 @@
 //! the same kernel fused with the store into the shared page, so the commit
 //! path allocates nothing.
 
-use serde::{Deserialize, Serialize};
-
 use crate::shared::SharedPage;
 
 /// A contiguous run of changed bytes within one page.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiffRun {
     /// Byte offset of the run within the page.
     pub offset: usize,
@@ -30,7 +28,7 @@ pub struct DiffRun {
 }
 
 /// The set of changed byte runs of one dirty page.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PageDiff {
     /// Changed runs, in increasing offset order, non-adjacent.
     pub runs: Vec<DiffRun>,
@@ -40,11 +38,6 @@ impl PageDiff {
     /// Returns `true` if nothing changed.
     pub fn is_empty(&self) -> bool {
         self.runs.is_empty()
-    }
-
-    /// Total number of changed bytes.
-    pub fn changed_bytes(&self) -> usize {
-        self.runs.iter().map(|r| r.bytes.len()).sum()
     }
 }
 
@@ -156,7 +149,7 @@ pub(crate) fn commit_page(shared: &SharedPage, twin: &[u8], working: &[u8]) -> u
 
 /// Statistics of a single commit operation, consumed by the runtime's
 /// overhead accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommitOutcome {
     /// Dirty pages examined.
     pub pages_examined: usize,
@@ -193,6 +186,11 @@ mod tests {
         PageDiff { runs }
     }
 
+    /// Total number of changed bytes in `diff`.
+    fn changed_bytes(diff: &PageDiff) -> usize {
+        diff.runs.iter().map(|r| r.bytes.len()).sum()
+    }
+
     /// Kernel ≡ reference, and the fused commit stores exactly the bytes
     /// `apply_diff` would into a page that holds unrelated contents.
     fn assert_kernel_matches_reference(twin: &[u8], working: &[u8]) {
@@ -206,7 +204,7 @@ mod tests {
         fused.write(0, &other);
         applied.write(0, &other);
         apply_diff(&applied, &expected);
-        assert_eq!(commit_page(&fused, twin, working), expected.changed_bytes());
+        assert_eq!(commit_page(&fused, twin, working), changed_bytes(&expected));
         assert_eq!(fused.snapshot(), applied.snapshot());
     }
 
@@ -233,7 +231,7 @@ mod tests {
         let a = vec![7u8; 128];
         let d = diff_page(&a, &a);
         assert!(d.is_empty());
-        assert_eq!(d.changed_bytes(), 0);
+        assert_eq!(changed_bytes(&d), 0);
     }
 
     #[test]
@@ -248,7 +246,7 @@ mod tests {
         assert_eq!(d.runs[0].offset, 2);
         assert_eq!(d.runs[0].bytes, vec![1, 2]);
         assert_eq!(d.runs[1].offset, 10);
-        assert_eq!(d.changed_bytes(), 3);
+        assert_eq!(changed_bytes(&d), 3);
     }
 
     #[test]
@@ -348,7 +346,7 @@ mod tests {
         ) {
             let d = diff_page(&twin, &working);
             let hamming = twin.iter().zip(&working).filter(|(a, b)| a != b).count();
-            prop_assert_eq!(d.changed_bytes(), hamming);
+            prop_assert_eq!(changed_bytes(&d), hamming);
         }
 
         /// Runs never touch bytes that did not change.

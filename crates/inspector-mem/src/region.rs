@@ -4,13 +4,11 @@
 //! library: the globals segment, the shared heap, or an input file mapped by
 //! the `mmap` shim (paper §V-A, *Input support*).
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{PageId, VirtAddr};
 
 /// Purpose of a mapped region, used by provenance consumers to tell input
 /// pages apart from heap/global pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegionKind {
     /// Global/static data of the traced program.
     Globals,
@@ -21,7 +19,7 @@ pub enum RegionKind {
 }
 
 /// A contiguous mapped range of the shared address space.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {
     name: String,
     kind: RegionKind,

@@ -175,11 +175,6 @@ impl SharedPage {
         });
     }
 
-    /// Writes a single byte.
-    pub fn write_byte(&self, offset: usize, value: u8) {
-        self.write(offset, &[value]);
-    }
-
     /// Reads a single byte.
     pub fn read_byte(&self, offset: usize) -> u8 {
         let mut byte = [0];
@@ -271,21 +266,6 @@ impl SharedImage {
         self.state.read().regions.clone()
     }
 
-    /// The region containing `addr`, if any.
-    pub fn region_containing(&self, addr: VirtAddr) -> Option<Region> {
-        self.state
-            .read()
-            .regions
-            .iter()
-            .find(|r| r.contains(addr))
-            .cloned()
-    }
-
-    /// Total bytes currently mapped.
-    pub fn mapped_bytes(&self) -> u64 {
-        self.state.read().regions.iter().map(|r| r.len()).sum()
-    }
-
     /// Returns the shared page object for `page`, creating it zero-filled on
     /// first use.
     pub fn page(&self, page: PageId) -> Arc<SharedPage> {
@@ -298,11 +278,6 @@ impl SharedImage {
                 .entry(page)
                 .or_insert_with(|| Arc::new(SharedPage::zeroed(self.page_size))),
         )
-    }
-
-    /// Number of pages that have been materialised.
-    pub fn resident_pages(&self) -> usize {
-        self.pages.read().len()
     }
 
     /// Reads bytes directly from the shared image (native-mode access path
@@ -359,15 +334,6 @@ mod tests {
         let b = image.map_region("b", 1);
         assert!(a.end() <= b.base());
         assert_eq!(image.regions().len(), 2);
-        assert_eq!(image.mapped_bytes(), 10_001);
-    }
-
-    #[test]
-    fn region_lookup_by_address() {
-        let image = SharedImage::new(4096);
-        let a = image.map_region("a", 100);
-        assert_eq!(image.region_containing(a.at(50)).unwrap().name(), "a");
-        assert!(image.region_containing(VirtAddr::new(1)).is_none());
     }
 
     #[test]
@@ -408,9 +374,9 @@ mod tests {
     fn pages_are_materialised_lazily() {
         let image = SharedImage::new(4096);
         let _r = image.map_region("big", 4096 * 1000);
-        assert_eq!(image.resident_pages(), 0);
+        assert_eq!(image.pages.read().len(), 0);
         image.write_u64_direct(_r.base(), 1);
-        assert_eq!(image.resident_pages(), 1);
+        assert_eq!(image.pages.read().len(), 1);
     }
 
     #[test]
@@ -438,7 +404,7 @@ mod tests {
         let page = SharedPage::zeroed(64);
         assert_eq!(page.len(), 64);
         assert!(!page.is_empty());
-        page.write_byte(5, 0xab);
+        page.write(5, &[0xab]);
         assert_eq!(page.read_byte(5), 0xab);
     }
 
@@ -470,7 +436,7 @@ mod tests {
         let value = |k: usize, round: usize| ((round % 31 + 1) << 3 | k) as u8;
         let page = SharedPage::zeroed(WORDS * WORD);
         for i in 0..page.len() {
-            page.write_byte(i, value(owner(i), 0));
+            page.write(i, &[value(owner(i), 0)]);
         }
         let (start, done) = (Barrier::new(WORD + 1), AtomicBool::new(false));
         std::thread::scope(|s| {

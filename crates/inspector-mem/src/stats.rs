@@ -5,10 +5,8 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Per-thread memory-tracking statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemStats {
     /// Simulated read-protection faults (first read of a page in a
     /// sub-computation).
@@ -32,7 +30,6 @@ pub struct MemStats {
     /// A sampled estimate: the fault path times one read fault in 64 and
     /// one write fault in 64 — net of the clock read itself — and adds each
     /// scaled (1-in-64 sample, scaled).
-    #[serde(with = "duration_nanos")]
     pub fault_time: Duration,
     /// Wall-clock time spent diffing and committing dirty pages.
     ///
@@ -40,7 +37,6 @@ pub struct MemStats {
     /// included) is timed net of the clock read and added scaled. A commit
     /// runs at every synchronization boundary and, with a page or two dirty,
     /// takes about three clock reads' time itself.
-    #[serde(with = "duration_nanos")]
     pub commit_time: Duration,
 }
 
@@ -66,24 +62,6 @@ impl MemStats {
         self.commits += other.commits;
         self.fault_time += other.fault_time;
         self.commit_time += other.commit_time;
-    }
-}
-
-// The offline serde stand-in's derives ignore field adapters, leaving these
-// functions unreferenced; they are the real wire format once the actual
-// serde is vendored.
-#[allow(dead_code)]
-mod duration_nanos {
-    use std::time::Duration;
-
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(d: &Duration, s: S) -> Result<S::Ok, S::Error> {
-        (d.as_nanos() as u64).serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Duration, D::Error> {
-        Ok(Duration::from_nanos(u64::deserialize(d)?))
     }
 }
 

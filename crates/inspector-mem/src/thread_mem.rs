@@ -43,8 +43,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{split_by_page, PageId, VirtAddr};
 use crate::commit::{commit_page, CommitOutcome};
 use crate::shared::{SharedImage, SharedPage};
@@ -52,7 +50,7 @@ use crate::stats::MemStats;
 
 /// Whether accesses are tracked (INSPECTOR mode) or direct (native pthreads
 /// baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TrackingMode {
     /// Full provenance tracking: protection faults, COW twins, commit diffs.
     #[default]
@@ -62,7 +60,7 @@ pub enum TrackingMode {
 }
 
 /// A first-touch access recorded during the current tracking interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessRecord {
     /// The page that was touched.
     pub page: PageId,
@@ -179,11 +177,6 @@ impl ThreadMemory {
         self.stats
     }
 
-    /// Takes the first-touch access log of the current interval.
-    pub fn take_access_log(&mut self) -> Vec<AccessRecord> {
-        std::mem::take(&mut self.access_log)
-    }
-
     /// Drains the first-touch access log of the current interval, keeping
     /// the log's buffer for the next one.
     ///
@@ -199,11 +192,6 @@ impl ThreadMemory {
     /// access.
     pub fn protect_all(&mut self) {
         self.interval += 1;
-    }
-
-    /// Number of private (copy-on-write) pages currently held.
-    pub fn private_pages(&self) -> usize {
-        self.dirty.len()
     }
 
     // ----- raw byte access -------------------------------------------------
@@ -464,7 +452,7 @@ mod tests {
         assert_eq!(image.read_u64_direct(base), 0, "not yet visible");
         mem.commit();
         assert_eq!(image.read_u64_direct(base), 99);
-        assert_eq!(mem.private_pages(), 0, "private copies dropped at commit");
+        assert_eq!(mem.dirty.len(), 0, "private copies dropped at commit");
     }
 
     #[test]
@@ -473,7 +461,7 @@ mod tests {
         mem.write_u64(base, 7);
         assert_eq!(image.read_u64_direct(base), 7);
         assert_eq!(mem.stats().total_faults(), 0);
-        assert!(mem.take_access_log().is_empty());
+        assert!(mem.drain_access_log().collect::<Vec<_>>().is_empty());
     }
 
     #[test]
@@ -554,11 +542,14 @@ mod tests {
         let (_image, mut mem, base) = setup(TrackingMode::Tracked);
         mem.read_u64(base);
         mem.write_u64(base.add(4096), 1);
-        let log = mem.take_access_log();
+        let log = mem.drain_access_log().collect::<Vec<_>>();
         assert_eq!(log.len(), 2);
         assert!(!log[0].write);
         assert!(log[1].write);
-        assert!(mem.take_access_log().is_empty(), "log is drained");
+        assert!(
+            mem.drain_access_log().collect::<Vec<_>>().is_empty(),
+            "log is drained"
+        );
     }
 
     #[test]
@@ -651,7 +642,7 @@ mod tests {
         mem.write_u64(base, 5);
         image.write_u64_direct(base.add(8), 77); // lands after the twin was taken
         mem.protect_all();
-        assert_eq!(mem.private_pages(), 1, "uncommitted copy survives");
+        assert_eq!(mem.dirty.len(), 1, "uncommitted copy survives");
         mem.write_u64(base.add(16), 6);
         assert_eq!(mem.read_u64(base), 5, "working copy kept");
         assert_eq!(mem.read_u64(base.add(8)), 0, "twin not retaken");
@@ -672,7 +663,7 @@ mod tests {
             for page in 0..1000 {
                 mem.write_u64(region.base().add(page * 4096), round);
             }
-            assert_eq!(mem.private_pages(), 1000);
+            assert_eq!(mem.dirty.len(), 1000);
             assert_eq!(mem.commit().pages_changed, 1000);
             assert_eq!(mem.pool.len(), POOL_MAX_BUFFERS);
         }
@@ -796,7 +787,7 @@ mod tests {
                         model.write(&model_image, addr, &data);
                     }
                     12..=13 => {
-                        prop_assert_eq!(view.take_access_log(), std::mem::take(&mut model.log));
+                        prop_assert_eq!(view.drain_access_log().collect::<Vec<_>>(), std::mem::take(&mut model.log));
                         prop_assert_eq!(view.commit(), model.commit(&mut model_image));
                     }
                     14 => {
@@ -815,7 +806,7 @@ mod tests {
                     (stats.read_faults, stats.write_faults, stats.pages_copied),
                     (model.stats.read_faults, model.stats.write_faults, model.stats.pages_copied)
                 );
-                prop_assert_eq!(view.private_pages(), model.private.len());
+                prop_assert_eq!(view.dirty.len(), model.private.len());
             }
 
             for (view, model) in views.iter_mut().zip(&mut models) {

@@ -2,13 +2,11 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::compress::{compression_ratio, lz_compress};
 
 /// Space-overhead report for one application run: the columns of the paper's
 /// Figure 9 table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SpaceReport {
     /// Raw provenance log size in bytes (PT packets + threading-library
     /// records + perf framing).
@@ -51,21 +49,6 @@ impl SpaceReport {
             branches,
         }
     }
-
-    /// Log size in mebibytes.
-    pub fn log_megabytes(&self) -> f64 {
-        self.log_bytes as f64 / (1024.0 * 1024.0)
-    }
-
-    /// Compressed size in mebibytes.
-    pub fn compressed_megabytes(&self) -> f64 {
-        self.compressed_bytes as f64 / (1024.0 * 1024.0)
-    }
-
-    /// Bandwidth in MB/s.
-    pub fn bandwidth_mb_per_sec(&self) -> f64 {
-        self.bandwidth_bytes_per_sec / (1024.0 * 1024.0)
-    }
 }
 
 #[cfg(test)]
@@ -78,8 +61,7 @@ mod tests {
         let report = SpaceReport::from_log(&log, 500_000, Duration::from_secs(2));
         assert_eq!(report.log_bytes, 1 << 20);
         assert!(report.compression_ratio > 10.0, "constant data compresses");
-        assert!((report.log_megabytes() - 1.0).abs() < 1e-9);
-        assert!((report.bandwidth_mb_per_sec() - 0.5).abs() < 1e-9);
+        assert!((report.bandwidth_bytes_per_sec - f64::from(1 << 19)).abs() < 1e-6);
         assert!((report.branches_per_sec - 250_000.0).abs() < 1e-6);
     }
 
@@ -88,6 +70,5 @@ mod tests {
         let report = SpaceReport::from_sizes(100, 50, 10, Duration::ZERO);
         assert!(report.bandwidth_bytes_per_sec.is_finite());
         assert_eq!(report.compression_ratio, 2.0);
-        assert!(report.compressed_megabytes() > 0.0);
     }
 }

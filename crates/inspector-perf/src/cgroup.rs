@@ -9,10 +9,9 @@
 use std::collections::HashSet;
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 
 /// A process identifier in the simulated system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub u64);
 
 impl std::fmt::Display for ProcessId {

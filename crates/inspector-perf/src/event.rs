@@ -6,12 +6,10 @@
 //! the PT decoder to map trace IPs back onto binaries), and AUX records
 //! carrying the PT packet payloads.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cgroup::ProcessId;
 
 /// One perf event record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PerfEvent {
     /// A new process entered the system (fork/clone).
     Fork {
@@ -44,21 +42,6 @@ pub enum PerfEvent {
         /// The PT packet bytes.
         data: Vec<u8>,
     },
-    /// AUX data was lost (the consumer could not keep up).
-    Lost {
-        /// The traced process.
-        pid: ProcessId,
-        /// Number of bytes lost.
-        bytes: u64,
-    },
-    /// A generic counter sample (unused by provenance, present for
-    /// completeness of the interface).
-    Sample {
-        /// The sampled process.
-        pid: ProcessId,
-        /// Instruction pointer of the sample.
-        ip: u64,
-    },
 }
 
 impl PerfEvent {
@@ -66,27 +49,10 @@ impl PerfEvent {
     pub fn pid(&self) -> ProcessId {
         match *self {
             PerfEvent::Fork { child, .. } => child,
-            PerfEvent::Exit { pid }
-            | PerfEvent::Mmap { pid, .. }
-            | PerfEvent::Aux { pid, .. }
-            | PerfEvent::Lost { pid, .. }
-            | PerfEvent::Sample { pid, .. } => pid,
-        }
-    }
-
-    /// Approximate on-disk size of the record in bytes (header + payload),
-    /// used for log-size accounting.
-    pub fn encoded_size(&self) -> usize {
-        const HEADER: usize = 8;
-        HEADER
-            + match self {
-                PerfEvent::Fork { .. } => 16,
-                PerfEvent::Exit { .. } => 8,
-                PerfEvent::Mmap { filename, .. } => 24 + filename.len(),
-                PerfEvent::Aux { data, .. } => 16 + data.len(),
-                PerfEvent::Lost { .. } => 16,
-                PerfEvent::Sample { .. } => 16,
+            PerfEvent::Exit { pid } | PerfEvent::Mmap { pid, .. } | PerfEvent::Aux { pid, .. } => {
+                pid
             }
+        }
     }
 }
 
@@ -105,25 +71,5 @@ mod tests {
             ProcessId(2)
         );
         assert_eq!(PerfEvent::Exit { pid: ProcessId(3) }.pid(), ProcessId(3));
-    }
-
-    #[test]
-    fn encoded_size_scales_with_payload() {
-        let small = PerfEvent::Aux {
-            pid: ProcessId(1),
-            data: vec![0; 10],
-        };
-        let big = PerfEvent::Aux {
-            pid: ProcessId(1),
-            data: vec![0; 1000],
-        };
-        assert!(big.encoded_size() > small.encoded_size());
-        let mmap = PerfEvent::Mmap {
-            pid: ProcessId(1),
-            addr: 0,
-            len: 0,
-            filename: "libinspector.so".into(),
-        };
-        assert!(mmap.encoded_size() > 24);
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! A software stand-in for the Linux `perf` plumbing that INSPECTOR uses to
 //! expose Intel PT to user space (paper §V-B): event records, per-process
-//! trace sessions, cgroup-style filtering, ring-buffer slots for the
-//! snapshot facility, and the log-size / bandwidth / compressibility
-//! accounting behind the space-overhead table (Figure 9).
+//! trace sessions, cgroup-style filtering, and the log-size / bandwidth /
+//! compressibility accounting behind the space-overhead table (Figure 9).
 //!
 //! The real system drives `perf record` with a PT PMU event restricted to a
 //! control group that contains all of the application's thread-processes,
@@ -15,7 +14,6 @@
 //!   application (children inherit membership, exactly like cgroups);
 //! * [`session::TraceSession`] — accepts [`event::PerfEvent`]s, filters them
 //!   by cgroup, and stores per-thread AUX (PT) payloads;
-//! * [`ringbuf::SlotRing`] — the bounded ring of snapshot slots;
 //! * [`compress::lz_compress`] — a self-contained LZ77 compressor used only
 //!   to *measure* how compressible the provenance log is (the paper uses
 //!   lz4 for the same purpose).
@@ -24,12 +22,10 @@ pub mod bandwidth;
 pub mod cgroup;
 pub mod compress;
 pub mod event;
-pub mod ringbuf;
 pub mod session;
 
 pub use bandwidth::SpaceReport;
 pub use cgroup::{Cgroup, ProcessId};
 pub use compress::{lz_compress, lz_decompress};
 pub use event::PerfEvent;
-pub use ringbuf::SlotRing;
 pub use session::TraceSession;

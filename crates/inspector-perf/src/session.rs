@@ -3,21 +3,20 @@
 //! A session is created with a dedicated [`Cgroup`]; events are only accepted
 //! from member processes (the cgroup filter). AUX records carry PT packet
 //! payloads and are accumulated per process; `mmap` events are kept so the
-//! decoder can map IPs back onto loadables; lost-data records are tallied.
+//! decoder can map IPs back onto loadables.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::bandwidth::SpaceReport;
 use crate::cgroup::{Cgroup, ProcessId};
 use crate::event::PerfEvent;
 
 /// Summary counters of a trace session.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Events accepted (from cgroup members).
     pub accepted: u64,
@@ -30,8 +29,6 @@ pub struct SessionStats {
     /// counter evidences incremental consumption rather than a single
     /// teardown hand-off.
     pub aux_records: u64,
-    /// Bytes reported lost by the producer.
-    pub lost_bytes: u64,
     /// Processes observed (members only).
     pub processes: u64,
 }
@@ -88,22 +85,14 @@ impl TraceSession {
         }
         let mut st = self.state.lock();
         st.stats.accepted += 1;
-        match event {
-            PerfEvent::Lost { bytes, .. } => {
-                st.stats.lost_bytes += bytes;
-            }
-            PerfEvent::Mmap {
-                pid,
-                addr,
-                len,
-                filename,
-            } => {
-                st.mmaps.push((pid, addr, len, filename));
-            }
-            PerfEvent::Exit { .. }
-            | PerfEvent::Sample { .. }
-            | PerfEvent::Fork { .. }
-            | PerfEvent::Aux { .. } => {}
+        if let PerfEvent::Mmap {
+            pid,
+            addr,
+            len,
+            filename,
+        } = event
+        {
+            st.mmaps.push((pid, addr, len, filename));
         }
     }
 
@@ -128,11 +117,6 @@ impl TraceSession {
     pub fn register_root(&self, pid: ProcessId) {
         self.cgroup.add(pid);
         self.state.lock().stats.processes += 1;
-    }
-
-    /// The AUX (PT) payload collected for one process.
-    pub fn aux_data(&self, pid: ProcessId) -> Vec<u8> {
-        self.state.lock().aux.get(&pid).cloned().unwrap_or_default()
     }
 
     /// Concatenated AUX payload of every traced process (the "provenance
@@ -203,7 +187,7 @@ mod tests {
         });
         assert_eq!(s.stats().aux_bytes, 10);
         assert_eq!(s.stats().processes, 3);
-        assert_eq!(s.aux_data(ProcessId(3)).len(), 10);
+        assert_eq!(s.full_log().len(), 10);
     }
 
     #[test]
@@ -217,7 +201,6 @@ mod tests {
             pid: ProcessId(1),
             data: vec![3],
         });
-        assert_eq!(s.aux_data(ProcessId(1)), vec![1, 2, 3]);
         assert_eq!(s.full_log(), vec![1, 2, 3]);
         assert_eq!(s.stats().aux_records, 2);
     }
@@ -237,17 +220,7 @@ mod tests {
         assert_eq!(borrowed.stats().filtered, 1);
         assert_eq!(borrowed.stats().aux_records, 2);
         assert_eq!(borrowed.full_log(), owned.full_log());
-        assert_eq!(borrowed.aux_data(ProcessId(1)), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn lost_bytes_are_tallied() {
-        let s = session();
-        s.submit(PerfEvent::Lost {
-            pid: ProcessId(1),
-            bytes: 4096,
-        });
-        assert_eq!(s.stats().lost_bytes, 4096);
+        assert_eq!(borrowed.full_log(), vec![1, 2, 3]);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Branch events: the logical control-flow records carried by a PT stream.
 
-use serde::{Deserialize, Serialize};
-
 /// One retired branch as seen by the tracing hardware.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BranchEvent {
     /// A conditional branch; encoded as a single TNT bit.
     Conditional {

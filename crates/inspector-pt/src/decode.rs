@@ -78,18 +78,6 @@ impl<'a> PacketDecoder<'a> {
         self.last_ip
     }
 
-    /// Skips forward to the next PSB packet (used to start decoding in the
-    /// middle of a wrapped snapshot buffer). Returns `true` if a PSB was
-    /// found.
-    pub fn sync_to_psb(&mut self) -> bool {
-        if let Some(i) = crate::packet::find_psb(&self.data[self.pos..]) {
-            self.pos += i;
-            return true;
-        }
-        self.pos = self.pos.max(self.data.len().saturating_sub(3));
-        false
-    }
-
     /// Decodes the next packet, or `None` at end of stream.
     ///
     /// # Errors
@@ -210,19 +198,6 @@ impl<'a> PacketDecoder<'a> {
         self.pos += 1 + nbytes;
         self.last_ip = ip;
         Ok(Some(packet))
-    }
-
-    /// Decodes the remaining stream into packets.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`DecodeError`] encountered.
-    pub fn decode_packets(&mut self) -> Result<Vec<Packet>, DecodeError> {
-        let mut out = Vec::new();
-        while let Some(p) = self.next_packet()? {
-            out.push(p);
-        }
-        Ok(out)
     }
 
     /// Decodes the remaining stream into branch events (the form consumed by
@@ -363,7 +338,7 @@ mod tests {
         }
         let bytes = enc.finish();
         let mut dec = PacketDecoder::new(&bytes);
-        let packets = dec.decode_packets().unwrap();
+        let packets: Vec<Packet> = std::iter::from_fn(|| dec.next_packet().unwrap()).collect();
         assert_eq!(packets[0].mnemonic(), "PSB");
         assert!(packets.iter().any(|p| p.mnemonic() == "TIP.PGE"));
         assert!(packets.iter().any(|p| p.mnemonic() == "TNT"));
@@ -428,27 +403,6 @@ mod tests {
         assert!(matches!(err, DecodeError::UnknownPacket { byte: 0x2F, .. }));
         assert_eq!(dec.position(), pos, "failed packet must not consume");
         assert_eq!(dec.last_ip(), ip, "failed packet must not touch context");
-    }
-
-    #[test]
-    fn sync_to_psb_skips_garbage_prefix() {
-        let mut enc = PacketEncoder::new();
-        enc.begin(0x400000);
-        enc.branch(&BranchEvent::Conditional { taken: true });
-        let bytes = enc.finish();
-        // Prepend garbage that is not decodable on its own.
-        let mut wrapped = vec![0xABu8, 0xCD, 0xEF];
-        wrapped.extend_from_slice(&bytes);
-        let mut dec = PacketDecoder::new(&wrapped);
-        assert!(dec.sync_to_psb());
-        let events = dec.decode_events().unwrap();
-        assert!(events.contains(&BranchEvent::Conditional { taken: true }));
-    }
-
-    #[test]
-    fn sync_to_psb_reports_absence() {
-        let mut dec = PacketDecoder::new(&[1, 2, 3]);
-        assert!(!dec.sync_to_psb());
     }
 
     #[test]

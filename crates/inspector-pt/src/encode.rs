@@ -2,8 +2,8 @@
 
 use crate::branch::BranchEvent;
 use crate::packet::{
-    ip_compression, FUP_BASE, LONG_TNT_CAPACITY, OPC_ESCAPE, OPC_LONG_TNT, OPC_MODE, OPC_OVF,
-    OPC_PSB, OPC_PSBEND, SHORT_TNT_CAPACITY, TIP_BASE, TIP_PGD_BASE, TIP_PGE_BASE,
+    ip_compression, LONG_TNT_CAPACITY, OPC_ESCAPE, OPC_LONG_TNT, OPC_MODE, OPC_OVF, OPC_PSB,
+    OPC_PSBEND, SHORT_TNT_CAPACITY, TIP_BASE, TIP_PGD_BASE, TIP_PGE_BASE,
 };
 
 /// Encoder configuration.
@@ -114,21 +114,19 @@ impl PacketEncoder {
             BranchEvent::Overflow => {
                 self.flush_tnt();
                 self.emit_two(OPC_ESCAPE, OPC_OVF);
-                // Real hardware re-establishes the IP context after a gap;
-                // the decoder resets on OVF, so the encoder must too or the
-                // first IP packet after the gap would compress against a
-                // context the decoder no longer has.
-                self.last_ip = 0;
+                self.restart_ip_compression();
             }
         }
         self.maybe_psb();
     }
 
-    /// Emits an asynchronous FUP packet (used by the snapshot facility to
-    /// mark the point at which a snapshot was requested).
-    pub fn fup(&mut self, ip: u64) {
-        self.flush_tnt();
-        self.emit_ip_packet(FUP_BASE, ip);
+    /// Forgets the last-IP context, so the next IP packet compresses
+    /// against zero. Real hardware re-establishes the IP context after a
+    /// gap and the decoder resets it at OVF, so the encoder must too
+    /// whenever the stream gains a gap, or the first IP packet after it
+    /// would compress against a context the decoder never saw.
+    pub(crate) fn restart_ip_compression(&mut self) {
+        self.last_ip = 0;
     }
 
     /// Flushes pending TNT bits and a final TIP.PGD, returning the full

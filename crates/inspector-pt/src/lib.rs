@@ -10,14 +10,14 @@
 //! address, and the stream is periodically re-synchronised with **PSB**
 //! packets. The packets are written by the CPU into the *AUX area* ring
 //! buffer exposed through the Linux `perf` interface; if the consumer cannot
-//! keep up the stream has gaps (an **OVF** packet), and in *snapshot mode*
-//! the buffer simply wraps so that only the most recent window survives.
+//! keep up the stream has gaps (an **OVF** packet), after which IP
+//! compression restarts from a zero context.
 //!
 //! This crate reproduces that pipeline in software with a byte-exact packet
 //! format: [`encode::PacketEncoder`] turns a stream of [`branch::BranchEvent`]s
-//! into packet bytes, [`aux::AuxBuffer`] models the ring buffer in both full
-//! and snapshot modes, and [`decode::PacketDecoder`] turns captured bytes
-//! back into branch events (re-synchronising at PSB boundaries after gaps).
+//! into packet bytes, [`aux::AuxBuffer`] models the full-trace ring buffer,
+//! and [`decode::PacketDecoder`] turns captured bytes back into branch
+//! events.
 //! The encoder/decoder pair is what gives the evaluation its realistic trace
 //! volumes, bandwidths and compression ratios (Figures 6 and 9).
 //!
@@ -81,7 +81,7 @@ pub mod stats;
 pub mod stream;
 pub mod trace;
 
-pub use aux::{AuxBuffer, AuxMode};
+pub use aux::AuxBuffer;
 pub use branch::BranchEvent;
 pub use decode::{DecodeError, PacketDecoder};
 pub use encode::PacketEncoder;

@@ -21,8 +21,6 @@
 //! many low-order bytes are present; the remaining high-order bytes are taken
 //! from the previously emitted IP.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of TNT bits a short TNT packet can carry.
 pub const SHORT_TNT_CAPACITY: usize = 6;
 /// Number of TNT bits a long TNT packet can carry.
@@ -60,7 +58,7 @@ pub const IP_BYTES_BY_CODE: [usize; 7] = [0, 2, 4, 6, 8, 0, 8];
 /// The taken/not-taken bits of one TNT packet, packed into one word: bit `i`
 /// is the `i`-th oldest branch (`1` = taken), and only the low
 /// [`len`](Self::len) bits (at most [`LONG_TNT_CAPACITY`]) are meaningful.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TntBits {
     bits: u64,
     len: u32,
@@ -120,7 +118,7 @@ impl Iterator for TntBitsIter {
 }
 
 /// A decoded PT packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Packet {
     /// Padding (alignment filler).
     Pad,

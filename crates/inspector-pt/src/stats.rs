@@ -3,10 +3,8 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Per-thread (or aggregated) PT tracing statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PtStats {
     /// Branch events recorded (conditional + indirect + returns).
     pub branches: u64,
@@ -25,7 +23,6 @@ pub struct PtStats {
     /// net of the clock read itself — and adds it scaled (1-in-64 sample,
     /// scaled); only the periodic in-`record` flush is timed exactly.
     /// Explicit `flush`/`finish` calls are the caller's to time.
-    #[serde(with = "duration_nanos")]
     pub encode_time: Duration,
 }
 
@@ -47,24 +44,6 @@ impl PtStats {
         } else {
             self.trace_bytes as f64 / self.branches as f64
         }
-    }
-}
-
-// The offline serde stand-in's derives ignore field adapters, leaving these
-// functions unreferenced; they are the real wire format once the actual
-// serde is vendored.
-#[allow(dead_code)]
-mod duration_nanos {
-    use std::time::Duration;
-
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(d: &Duration, s: S) -> Result<S::Ok, S::Error> {
-        (d.as_nanos() as u64).serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Duration, D::Error> {
-        Ok(Duration::from_nanos(u64::deserialize(d)?))
     }
 }
 

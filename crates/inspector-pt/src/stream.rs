@@ -1,6 +1,6 @@
 //! The streaming packet decoder: decode-while-running.
 //!
-//! [`PacketDecoder`](crate::decode::PacketDecoder) needs the complete byte
+//! [`PacketDecoder`] needs the complete byte
 //! stream up front; a live session only ever has a *prefix* — AUX chunks
 //! arrive at synchronization boundaries and can be cut at arbitrary byte
 //! offsets. [`StreamingDecoder`] closes that gap (the hwtracer-style
@@ -157,8 +157,8 @@ impl StreamingDecoder {
     }
 
     /// Appends one AUX chunk and decodes. In counting mode everything
-    /// decodable is consumed before returning; in recording mode one
-    /// [`PUMP_QUANTUM`] is decoded eagerly and the rest is pulled on demand
+    /// decodable is consumed before returning; in recording mode one 4 KiB
+    /// quantum is decoded eagerly and the rest is pulled on demand
     /// as [`next_event`](Self::next_event) / [`events`](Self::events) drain
     /// the queue, so the pending-event queue stays small and cache-resident
     /// regardless of chunk size.
@@ -248,11 +248,6 @@ impl StreamingDecoder {
         } else {
             usize::MAX
         }
-    }
-
-    /// `true` once [`finish`](Self::finish) has been called.
-    pub fn is_finished(&self) -> bool {
-        self.finished
     }
 
     /// Counters so far.

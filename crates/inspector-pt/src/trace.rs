@@ -3,27 +3,21 @@
 //! The runtime gives every traced thread a [`ThreadTrace`]. Branch events are
 //! encoded immediately (that cost is the "OS support for Intel PT" share of
 //! the provenance overhead); the resulting packet bytes are pushed into the
-//! thread's AUX buffer and collected either continuously (full-trace mode) or
-//! on demand (snapshot mode).
+//! thread's AUX buffer and collected at every flush.
 
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
-use crate::aux::{AuxBuffer, AuxMode};
+use crate::aux::AuxBuffer;
 use crate::branch::BranchEvent;
 use crate::decode::{DecodeError, PacketDecoder};
 use crate::encode::PacketEncoder;
-use crate::packet::{complete_frame_prefix, find_psb};
+use crate::packet::complete_frame_prefix;
 use crate::stats::PtStats;
 
 /// Configuration of a per-thread trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// AUX buffer mode.
-    pub mode: AuxMode,
-    /// AUX buffer capacity in bytes (perf uses 4 MiB slots by default;
-    /// the paper's snapshot facility uses 4 MB slots as well).
+    /// AUX buffer capacity in bytes (perf uses 4 MiB slots by default).
     pub aux_capacity: usize,
     /// Flush the encoder into the AUX buffer every this many branches.
     pub flush_every: u64,
@@ -32,7 +26,6 @@ pub struct TraceConfig {
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
-            mode: AuxMode::FullTrace,
             aux_capacity: 4 << 20,
             flush_every: 4096,
         }
@@ -101,7 +94,7 @@ impl ThreadTrace {
         ThreadTrace {
             encoder,
             staging: Vec::new(),
-            aux: AuxBuffer::new(config.mode, config.aux_capacity),
+            aux: AuxBuffer::new(config.aux_capacity),
             collected: Vec::new(),
             stats: PtStats::default(),
             config,
@@ -149,31 +142,46 @@ impl ThreadTrace {
         self.record(BranchEvent::Indirect { target });
     }
 
-    /// Flushes pending encoder output into the AUX buffer and, in full-trace
-    /// mode, collects the AUX contents into the trace log (what `perf
-    /// record` would write to `/tmp`).
+    /// Flushes pending encoder output into the AUX buffer and collects the
+    /// AUX contents into the trace log (what `perf record` would write to
+    /// `/tmp`).
+    ///
+    /// If the ring drops the output, the encoder's IP compression restarts:
+    /// the decoder resets its last-IP context at the OVF marker that will
+    /// precede the next bytes, and they must not compress against the IP of
+    /// packets it never sees.
     pub fn flush(&mut self) {
         self.encoder.drain_into(&mut self.staging);
         if !self.staging.is_empty() {
             self.stats.trace_bytes += self.staging.len() as u64;
-            self.aux.produce(&self.staging);
+            if !self.aux.produce(&self.staging) {
+                self.encoder.restart_ip_compression();
+            }
             self.staging.clear();
         }
-        if self.config.mode == AuxMode::FullTrace {
-            self.aux.collect_into(&mut self.collected);
-        }
-        let aux_stats = self.aux.stats();
-        self.stats.bytes_lost = aux_stats.bytes_lost;
-        self.stats.gaps = aux_stats.gaps;
+        self.aux.collect_into(&mut self.collected);
+        self.sync_loss();
         self.since_flush = 0;
     }
 
     /// Forces one overflow episode of `bytes` lost bytes on the underlying
-    /// AUX ring (deterministic fault injection). The loss is accounted like
-    /// a real slow-consumer drop — `gaps`/`bytes_lost` in [`PtStats`] — and
-    /// the next flush emits a real OVF marker into the collected stream.
+    /// AUX ring (deterministic fault injection). Everything recorded so far
+    /// is flushed first, so the gap follows it. The loss is accounted like
+    /// a real slow-consumer drop — `gaps`/`bytes_lost` in [`PtStats`] — the
+    /// next flush emits a real OVF marker into the collected stream, and IP
+    /// compression restarts as after a real drop.
     pub fn inject_overflow(&mut self, bytes: u64) {
+        if bytes == 0 {
+            return;
+        }
+        self.flush();
         self.aux.inject_overflow(bytes);
+        self.encoder.restart_ip_compression();
+        self.sync_loss();
+    }
+
+    /// Copies the ring's loss accounting into the trace statistics.
+    fn sync_loss(&mut self) {
         let aux_stats = self.aux.stats();
         self.stats.bytes_lost = aux_stats.bytes_lost;
         self.stats.gaps = aux_stats.gaps;
@@ -213,31 +221,6 @@ impl ThreadTrace {
         result
     }
 
-    /// Grabs a snapshot of the most recent trace window (snapshot mode):
-    /// emits a FUP marking the request point and returns the bytes currently
-    /// retained in the AUX buffer.
-    ///
-    /// The window's head may start mid-packet (the ring overwrites oldest
-    /// bytes first; consumers re-sync at the first PSB). For any window
-    /// that contains a PSB — the only kind a consumer can decode at all —
-    /// the tail is guaranteed to end on a packet boundary: the window is
-    /// frame-scanned from that PSB and a partial trailing frame is trimmed
-    /// off rather than returned truncated. A PSB-free window is returned
-    /// as-is (there is no trustworthy framing to trim by).
-    pub fn snapshot(&mut self, marker_ip: u64) -> Vec<u8> {
-        self.encoder.fup(marker_ip);
-        let bytes = self.encoder.drain();
-        self.stats.trace_bytes += bytes.len() as u64;
-        self.aux.produce(&bytes);
-        let window = self.aux.peek();
-        // Frame-scan from the first PSB — the only point at which framing
-        // is trustworthy in a wrapped window.
-        match find_psb(window) {
-            Some(start) => window[..start + complete_frame_prefix(&window[start..])].to_vec(),
-            None => window.to_vec(),
-        }
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> PtStats {
         self.stats
@@ -252,9 +235,7 @@ impl ThreadTrace {
         self.stats.trace_bytes += tail.len() as u64;
         self.aux.produce(&tail);
         self.aux.collect_into(&mut self.collected);
-        let aux_stats = self.aux.stats();
-        self.stats.bytes_lost = aux_stats.bytes_lost;
-        self.stats.gaps = aux_stats.gaps;
+        self.sync_loss();
         (self.collected, self.stats)
     }
 
@@ -314,7 +295,6 @@ mod tests {
         let mut trace = ThreadTrace::with_config(
             0,
             TraceConfig {
-                mode: AuxMode::FullTrace,
                 aux_capacity: 512,
                 flush_every: 16,
             },
@@ -335,7 +315,6 @@ mod tests {
         let mut trace = ThreadTrace::with_config(
             0,
             TraceConfig {
-                mode: AuxMode::FullTrace,
                 aux_capacity: 64,
                 flush_every: 1_000_000,
             },
@@ -363,27 +342,67 @@ mod tests {
         assert!(events.contains(&BranchEvent::Overflow));
     }
 
+    /// The indirect targets decoded after the last gap of `log`.
+    fn targets_after_last_gap(log: &[u8]) -> Vec<u64> {
+        let events = ThreadTrace::decode(log).unwrap();
+        let gap = events
+            .iter()
+            .rposition(|e| *e == BranchEvent::Overflow)
+            .expect("the log has a gap");
+        events[gap..]
+            .iter()
+            .filter_map(|e| match *e {
+                BranchEvent::Indirect { target } => Some(target),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
-    fn snapshot_mode_retains_recent_window_only() {
+    fn a_dropped_flush_restarts_ip_compression() {
+        // A 64-byte ring drops 200 indirect branches in one flush. The
+        // targets recorded next share their upper bytes with the dropped
+        // ones; they must not be compressed against them, since the decoder
+        // restarts from a zero context at the OVF marker.
         let mut trace = ThreadTrace::with_config(
-            0,
+            0x40_0000,
             TraceConfig {
-                mode: AuxMode::Snapshot,
-                aux_capacity: 256,
-                flush_every: 8,
+                aux_capacity: 64,
+                flush_every: 1_000_000,
             },
         );
-        for i in 0..10_000u64 {
-            trace.conditional(i % 2 == 0);
+        trace.indirect(0x40_1000);
+        trace.flush();
+        for i in 0..200u64 {
+            trace.indirect(0x5500_0c7f_0000 + i * 8);
         }
-        let window = trace.snapshot(0xdead);
-        assert!(window.len() <= 256);
-        // The window decodes after re-syncing to a PSB (or from the start if
-        // it happens to begin on a packet boundary).
-        let mut dec = PacketDecoder::new(&window);
-        if dec.sync_to_psb() {
-            assert!(dec.decode_events().is_ok());
+        trace.flush();
+        assert_eq!(trace.stats().gaps, 1);
+        let after: Vec<u64> = (0..4).map(|i| 0x5500_0c80_0000 + i * 8).collect();
+        for &target in &after {
+            trace.indirect(target);
         }
+        let (log, stats) = trace.finish();
+        assert_eq!(stats.gaps, 1);
+        assert_eq!(targets_after_last_gap(&log), after);
+    }
+
+    #[test]
+    fn an_injected_gap_follows_the_pending_output() {
+        // Nothing is flushed before the injection: the bytes already
+        // encoded must land ahead of the OVF marker, or the context restart
+        // would split a compressed pair across it.
+        let mut trace = ThreadTrace::new(0x40_0000);
+        trace.indirect(0x40_1000);
+        trace.inject_overflow(100);
+        let after = [0x40_1008, 0x40_1010];
+        for target in after {
+            trace.indirect(target);
+        }
+        let (log, _) = trace.finish();
+        assert_eq!(targets_after_last_gap(&log), after);
+        let events = ThreadTrace::decode(&log).unwrap();
+        assert!(events.contains(&BranchEvent::Indirect { target: 0x40_1000 }));
     }
 
     #[test]
@@ -494,33 +513,6 @@ mod tests {
         // finish() returns everything still buffered, carried tail included.
         let (log, _) = trace.finish();
         assert!(log.starts_with(&tip[..tip.len() - 1]));
-    }
-
-    #[test]
-    fn snapshot_window_ends_on_a_packet_boundary() {
-        let mut trace = ThreadTrace::with_config(
-            0,
-            TraceConfig {
-                mode: AuxMode::Snapshot,
-                aux_capacity: 256,
-                flush_every: 8,
-            },
-        );
-        for i in 0..10_000u64 {
-            if i % 5 == 0 {
-                trace.indirect(i * 0x1357);
-            } else {
-                trace.conditional(i % 2 == 0);
-            }
-        }
-        let window = trace.snapshot(0xdead);
-        let mut dec = PacketDecoder::new(&window);
-        if dec.sync_to_psb() {
-            // From the first PSB on, the window must decode without a
-            // truncation at the tail.
-            dec.decode_events()
-                .expect("snapshot window must not end mid-packet");
-        }
     }
 
     /// Records `branches` conditionals; the sampled estimate and the wall

@@ -8,7 +8,6 @@
 //! | field | default | who sets it, and why |
 //! |---|---|---|
 //! | `mode` | `Inspector` | [`SessionConfig::native`]: the denominator of every overhead figure |
-//! | `aux_mode` | full trace | the session test of a snapshot-mode ring, which online decode must bypass |
 //! | `aux_capacity` | 4 MiB | the tiny-ring overflow tests (`tests/fault_tolerance.rs`, session tests) |
 //! | `live_snapshots`, `snapshot_slots` | off, 8 | `tests/snapshots_and_taint.rs` and the lane tests (snapshot barriers) |
 //! | `charge_spawn_cost` | on | the spawn-cost ablation in `benches/figures.rs` |
@@ -27,13 +26,10 @@
 
 use std::path::PathBuf;
 
-use serde::{Deserialize, Serialize};
-
 use inspector_core::spill::SpillDurability;
-use inspector_pt::aux::AuxMode;
 
 /// Whether a run is a plain pthreads baseline or a full INSPECTOR run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
     /// Native pthreads baseline: direct shared-memory access, no tracking,
     /// no PT encoding. Used as the denominator of every overhead figure.
@@ -52,7 +48,7 @@ pub enum ExecutionMode {
 /// run report's health counters (`RunStats::{gaps, lost_bytes,
 /// decode_degraded, spill_fallbacks, worker_failures, degraded}`)
 /// instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// XOR-flip the byte at this 1-based cumulative offset of every
     /// thread's AUX stream as it enters the online decoder, modelling
@@ -60,8 +56,8 @@ pub struct FaultPlan {
     /// the thread's cross-check degrades instead of asserting.
     pub corrupt_aux_at: u64,
     /// Inject one AUX overflow episode of this many lost bytes into each
-    /// thread's trace before its first flush, modelling a consumer that
-    /// fell behind. The loss flows through the normal OVF accounting
+    /// thread's trace right after its start header, before its first
+    /// branch, modelling a consumer that fell behind. The loss flows through the normal OVF accounting
     /// (`gaps`, `bytes_lost`, a real OVF packet in the stream).
     pub overflow_bytes: u64,
     /// Fail the Nth (1-based) spill-write **attempt** and every later
@@ -97,12 +93,10 @@ impl FaultPlan {
 }
 
 /// Configuration of an [`crate::InspectorSession`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {
     /// Execution mode.
     pub mode: ExecutionMode,
-    /// AUX buffer mode for the PT traces.
-    pub aux_mode: AuxMode,
     /// AUX buffer capacity per thread, in bytes.
     pub aux_capacity: usize,
     /// Enable the live-snapshot ring so consistent snapshots can be taken
@@ -128,10 +122,7 @@ pub struct SessionConfig {
     /// decoded branch counts against the recorder and attribute the cost as
     /// the `pt_decode` phase (`RunStats::{decoded_branches, decode_errors,
     /// decode_time}`). Off by default; the chunks still reach the perf
-    /// session either way. Only effective with [`AuxMode::FullTrace`]: a
-    /// snapshot-mode window wraps mid-packet at its head and is only
-    /// decodable offline after a PSB re-sync, so it bypasses the online
-    /// stage.
+    /// session either way.
     pub decode_online: bool,
     /// Spill sealed-off consistent prefixes of the streaming CPG build to
     /// disk once a shard holds this many resident sub-computations, bounding
@@ -175,12 +166,11 @@ fn default_ingest_threads() -> usize {
 
 impl SessionConfig {
     /// Full-provenance configuration with defaults matching the paper's
-    /// setup (4 MiB AUX buffers, full-trace mode; pages are always
+    /// setup (4 MiB full-trace AUX buffers; pages are always
     /// [`inspector_mem::DEFAULT_PAGE_SIZE`], 4 KiB).
     pub fn inspector() -> Self {
         SessionConfig {
             mode: ExecutionMode::Inspector,
-            aux_mode: AuxMode::FullTrace,
             aux_capacity: 4 << 20,
             live_snapshots: false,
             snapshot_slots: 8,
@@ -201,12 +191,6 @@ impl SessionConfig {
             mode: ExecutionMode::Native,
             ..Self::inspector()
         }
-    }
-
-    /// Returns a copy with the given mode.
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Returns a copy with live snapshots enabled and the given slot count.
@@ -281,8 +265,7 @@ mod tests {
 
     #[test]
     fn builders_apply() {
-        let c = SessionConfig::native()
-            .with_mode(ExecutionMode::Inspector)
+        let c = SessionConfig::inspector()
             .with_live_snapshots(3)
             .with_ingest_threads(2)
             .with_decode_online(true)

@@ -36,7 +36,6 @@ use inspector_mem::addr::VirtAddr;
 use inspector_mem::thread_mem::{ThreadMemory, TrackingMode};
 use inspector_perf::cgroup::ProcessId;
 use inspector_perf::event::PerfEvent;
-use inspector_pt::aux::AuxMode;
 use inspector_pt::branch::BranchEvent;
 use inspector_pt::trace::{ThreadTrace, TraceConfig};
 
@@ -151,7 +150,6 @@ impl ThreadCtx {
                 let mut trace = ThreadTrace::with_config(
                     0x40_0000 + thread.index() as u64 * 0x1000,
                     TraceConfig {
-                        mode: shared.config.aux_mode,
                         aux_capacity: shared.config.aux_capacity,
                         ..TraceConfig::default()
                     },
@@ -184,11 +182,6 @@ impl ThreadCtx {
             pc: 0x40_0000,
             spawn_overhead,
         }
-    }
-
-    /// The logical thread id of this context.
-    pub fn thread_id(&self) -> ThreadId {
-        self.thread
     }
 
     /// The process id backing this thread (threads are processes).
@@ -390,7 +383,7 @@ impl ThreadCtx {
             return;
         };
         trace.flush();
-        if self.ingest.is_some() && Self::decodes_online(&self.shared) {
+        if self.ingest.is_some() && self.shared.config.decode_online {
             let chunk = trace.drain_collected();
             if !chunk.is_empty() {
                 self.submit_aux(chunk);
@@ -405,16 +398,6 @@ impl ThreadCtx {
         }
     }
 
-    /// Whether AUX chunks travel the ingest lanes to the online decoders.
-    ///
-    /// Only full-trace streams are decodable from the start; a
-    /// snapshot-mode window wraps mid-packet at its head and would report
-    /// spurious errors, so it always takes the direct path (offline
-    /// consumers re-sync it at a PSB).
-    fn decodes_online(shared: &Shared) -> bool {
-        shared.config.decode_online && shared.config.aux_mode == AuxMode::FullTrace
-    }
-
     /// Routes one owned AUX chunk to its consumer. With online decoding off
     /// the chunk goes straight into the perf session; with it on, the chunk
     /// travels this thread's ingest lane instead, so the pool worker runs
@@ -423,7 +406,7 @@ impl ThreadCtx {
     /// forwards the bytes to the perf session afterwards.
     fn submit_aux(&mut self, data: Vec<u8>) {
         let data = match &self.ingest {
-            Some(tx) if Self::decodes_online(&self.shared) => {
+            Some(tx) if self.shared.config.decode_online => {
                 let msg = IngestMsg::Aux {
                     thread: self.thread,
                     pid: self.pid,

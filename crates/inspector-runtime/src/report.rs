@@ -2,8 +2,6 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use inspector_core::graph::Cpg;
 use inspector_core::recorder::RecorderStats;
 use inspector_mem::stats::MemStats;
@@ -13,10 +11,9 @@ use inspector_pt::stats::PtStats;
 use crate::config::ExecutionMode;
 
 /// Aggregated statistics of one run.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RunStats {
     /// End-to-end wall-clock time of the run.
-    #[serde(with = "duration_nanos")]
     pub wall_time: Duration,
     /// Number of threads (including the main thread).
     pub threads: usize,
@@ -28,21 +25,18 @@ pub struct RunStats {
     pub recorder: RecorderStats,
     /// Time spent duplicating per-process state at thread creation
     /// (threads-as-processes cost).
-    #[serde(with = "duration_nanos")]
     pub spawn_time: Duration,
     /// Critical-path time of streaming CPG construction: the busiest ingest
     /// worker's shard-ingestion time (overlapped with the application) plus
     /// the end-of-run seal. With a single ingest worker this equals the old
     /// single-thread wall time; with a pool it is the share of construction
     /// the fan-out could not hide.
-    #[serde(with = "duration_nanos")]
     pub graph_ingest_time: Duration,
     /// Total CPU time of streaming CPG construction: every ingest worker's
     /// busy time summed, plus the seal. `graph_ingest_cpu_time /
     /// graph_ingest_time` is the pool's overlap factor (≈ 1.0 means one
     /// worker did everything; higher means the pool genuinely parallelised
     /// construction).
-    #[serde(with = "duration_nanos")]
     pub graph_ingest_cpu_time: Duration,
     /// Number of ingest-pool workers that drained the provenance channel.
     pub ingest_workers: usize,
@@ -66,7 +60,6 @@ pub struct RunStats {
     /// (the `pt_decode` phase). Like graph ingestion it is overlapped with
     /// application execution; attributing it separately lets Figure 6 show
     /// what decode-while-running costs.
-    #[serde(with = "duration_nanos")]
     pub decode_time: Duration,
     /// Release- and page-write-index entries the streaming builder's
     /// frontier GC dropped as provably superseded during the run. Nonzero
@@ -95,7 +88,6 @@ pub struct RunStats {
     /// `spill` phase). A subset of the workers' graph-ingest busy time,
     /// attributed separately so Figure 6 can show what bounding memory
     /// costs.
-    #[serde(with = "duration_nanos")]
     pub spill_time: Duration,
     /// Trace gaps (AUX overflow episodes) summed over all threads. Every
     /// gap means an unknown number of branch events were lost; branches
@@ -187,7 +179,7 @@ impl RunStats {
 
 /// Split of the measured overhead into its sources, for the Figure 6
 /// breakdown.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Total overhead with respect to the native run (≥ 1.0, ratio).
     pub total_overhead: f64,
@@ -257,7 +249,7 @@ impl PhaseBreakdown {
 }
 
 /// The complete result of one run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// The mode the run executed in.
     pub mode: ExecutionMode,
@@ -268,31 +260,6 @@ pub struct RunReport {
     /// Space/bandwidth report for the provenance log (zeroed for native
     /// runs).
     pub space: SpaceReport,
-}
-
-impl RunReport {
-    /// Convenience: overhead of this run relative to a native wall time.
-    pub fn overhead_vs(&self, native_wall_time: Duration) -> f64 {
-        self.stats.wall_time.as_secs_f64() / native_wall_time.as_secs_f64().max(1e-9)
-    }
-}
-
-// The offline serde stand-in's derives ignore field adapters, leaving these
-// functions unreferenced; they are the real wire format once the actual
-// serde is vendored.
-#[allow(dead_code)]
-mod duration_nanos {
-    use std::time::Duration;
-
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(d: &Duration, s: S) -> Result<S::Ok, S::Error> {
-        (d.as_nanos() as u64).serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Duration, D::Error> {
-        Ok(Duration::from_nanos(u64::deserialize(d)?))
-    }
 }
 
 #[cfg(test)]

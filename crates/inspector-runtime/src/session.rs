@@ -1161,26 +1161,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_mode_bypasses_online_decode() {
-        // A snapshot-mode window wraps mid-packet at its head; decoding it
-        // online would report spurious errors, so the stage must stay
-        // inert and the window must still reach the perf session.
-        let mut config = SessionConfig::inspector().with_decode_online(true);
-        config.aux_mode = inspector_pt::AuxMode::Snapshot;
-        config.aux_capacity = 256;
-        let session = InspectorSession::new(config);
-        let report = session.run(|ctx| {
-            for i in 0..10_000u64 {
-                ctx.branch(i % 2 == 0);
-            }
-        });
-        assert_eq!(report.stats.decode_errors, 0, "healthy run, no errors");
-        assert_eq!(report.stats.decode_mismatches, 0);
-        assert_eq!(report.stats.decoded_branches, 0, "stage bypassed");
-        assert!(session.shared.perf.stats().aux_bytes > 0);
-    }
-
-    #[test]
     fn decode_off_leaves_decode_counters_zero() {
         let session = InspectorSession::new(SessionConfig::inspector());
         let report = session.run(|ctx| {

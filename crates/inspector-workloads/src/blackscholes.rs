@@ -6,7 +6,6 @@
 //! The access pattern is the friendliest in the suite: mostly reads, one
 //! small write per option, synchronization only at spawn/join.
 
-use inspector_mem::addr::VirtAddr;
 use inspector_runtime::{InspectorSession, SessionConfig};
 
 use crate::input::{rng_for, InputSize};
@@ -126,11 +125,6 @@ impl Workload for Blackscholes {
         }
         WorkloadResult { report, checksum }
     }
-}
-
-/// Address helper reused by tests.
-pub fn price_addr(prices_base: VirtAddr, index: usize) -> VirtAddr {
-    prices_base.add((index * 8) as u64)
 }
 
 #[cfg(test)]

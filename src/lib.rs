@@ -8,12 +8,13 @@
 //! downstream users (and the examples under `examples/`) only need one
 //! dependency:
 //!
-//! * [`runtime`] — the threading library and session API ([`InspectorSession`],
-//!   [`ThreadCtx`], the `sync` primitives);
+//! * [`runtime`] — the threading library and session API
+//!   ([`InspectorSession`](runtime::InspectorSession),
+//!   [`ThreadCtx`](runtime::ThreadCtx), the `sync` primitives);
 //! * [`core`] — the Concurrent Provenance Graph, queries, taint tracking and
 //!   snapshots;
 //! * [`mem`] — the paged shared-memory substrate;
-//! * [`pt`] — the PT packet encoder/decoder and AUX buffers;
+//! * [`pt`] — the PT packet encoder/decoder;
 //! * [`perf`] — the perf-style trace session, cgroup filter and LZ
 //!   compressor;
 //! * [`workloads`] — the twelve PARSEC/Phoenix benchmark applications.

@@ -18,6 +18,7 @@ use std::sync::Arc;
 
 use inspector::core::testing::{edge_fingerprint, rebatch, Rng, TempDir};
 use inspector::prelude::*;
+use inspector::pt::{BranchEvent, PacketDecoder};
 use inspector::runtime::RunStats;
 use proptest::prelude::*;
 
@@ -235,4 +236,41 @@ fn tiny_ring_session_overflows_and_accounts_the_loss() {
     assert!(s.degraded);
     // The graph over what was captured is intact.
     assert!(report.cpg.validate().is_ok());
+}
+
+#[test]
+fn tiny_ring_session_decodes_exact_targets_after_the_gap() {
+    // `RunStats::gaps` promises that what is decoded after a gap is exact —
+    // for IP targets too, not just branch counts. Nearby call targets share
+    // their upper bytes, so a post-gap target compressed against a dropped
+    // one would decode to a different address.
+    let mut config = SessionConfig::inspector();
+    config.aux_capacity = 256;
+    let session = InspectorSession::new(config);
+    let targets: Vec<u64> = (0..8_232u64).map(|i| 0x5500_0c80_0000 + 8 * i).collect();
+    let calls = targets.clone();
+    let report = session.run(move |ctx| {
+        // No sync boundaries: the periodic flushes overflow the ring, and
+        // only the final one fits.
+        for &target in &calls {
+            ctx.call(target);
+        }
+    });
+    assert!(report.stats.gaps > 0, "{:?}", report.stats);
+    let events = PacketDecoder::new(&session.provenance_log())
+        .decode_events()
+        .expect("OVF markers decode cleanly");
+    let gap = events
+        .iter()
+        .rposition(|e| *e == BranchEvent::Overflow)
+        .expect("the log marks the gap");
+    let decoded: Vec<u64> = events[gap..]
+        .iter()
+        .filter_map(|e| match *e {
+            BranchEvent::Indirect { target } => Some(target),
+            _ => None,
+        })
+        .collect();
+    assert!(!decoded.is_empty(), "some calls follow the gap");
+    assert_eq!(decoded, targets[targets.len() - decoded.len()..]);
 }
