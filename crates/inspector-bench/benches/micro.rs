@@ -324,7 +324,9 @@ fn bench_cpg_build(c: &mut Criterion) {
     }
 
     // The read side, on one 8-thread lock-heavy graph of ~51k vertices and
-    // ~127k edges.
+    // ~127k edges. Each query returns the size of its answer, as the repo
+    // benchmark's `graph_query` batch reads it; the page index is built in
+    // the warm-up.
     let mut builder = CpgBuilder::new();
     for seq in inspector_core::testing::lock_heavy_sequences(8, 3200, 32, 16) {
         builder.add_thread(seq);
@@ -338,7 +340,7 @@ fn bench_cpg_build(c: &mut Criterion) {
         for label in 0..4 {
             tracker.taint_page(PageId::new(label * 5), TaintLabel(label as u32));
         }
-        b.iter(|| tracker.propagate(&cpg));
+        b.iter(|| tracker.propagate(&cpg).tainted_sub_count());
     });
     group.bench_function("slice_all_backward", |b| {
         let query = ProvenanceQuery::new(&cpg);
@@ -346,7 +348,11 @@ fn bench_cpg_build(c: &mut Criterion) {
             .thread_sequence(ThreadId::new(0))
             .last()
             .expect("thread 0 recorded");
-        b.iter(|| query.backward_slice(target, EdgeFilter::ALL));
+        b.iter(|| query.backward_slice(target, EdgeFilter::ALL).len());
+    });
+    group.bench_function("page_summary", |b| {
+        let query = ProvenanceQuery::new(&cpg);
+        b.iter(|| query.page_summary().len());
     });
     group.bench_function("adjacency_build", |b| {
         // Nodes and edges move through each rebuild; only the index and

@@ -16,8 +16,22 @@
 //! has no row. The whole-graph algorithms (topological order, slices,
 //! taint, validation) run on these flat arrays; positions are crate-private
 //! and every public signature speaks [`SubId`].
+//!
+//! ## Page index
+//!
+//! The page-keyed queries (writers and readers of a page, the page summary,
+//! taint seeding and tainted pages) go through a page index: the distinct
+//! pages any vertex reads or writes, ascending, and per page CSR rows of its
+//! reader positions and its writer positions, each ascending. Positions
+//! ascend in `(thread, α)` order, so one thread's accessors of a page are one
+//! contiguous run of its row. The index is built on the first page-keyed
+//! query, once per graph: sealing and recovery never pay for it, and neither
+//! does a traced run that is never queried. On the 97 k-node `reverse_index`
+//! Small graph (≈ 242 k page accesses over 286 pages) the build takes
+//! 5.5–8 ms on a 2-vCPU guest.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::OnceLock;
 
 use crate::clock::VectorClock;
 use crate::event::SyncKind;
@@ -216,6 +230,123 @@ impl AdjacencyIndex {
     }
 }
 
+/// CSR rows of positions: row `i` is `positions[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug, Clone, Default)]
+struct PositionRows {
+    offsets: Vec<u32>,
+    positions: Vec<u32>,
+}
+
+impl PositionRows {
+    /// Counting sort of `(row, position)` accesses by row; accesses arrive
+    /// in ascending position order, so each row comes out ascending.
+    fn build(rows: usize, accesses: &[(u32, u32)]) -> Self {
+        let mut offsets = vec![0u32; rows + 1];
+        for &(row, _) in accesses {
+            offsets[row as usize + 1] += 1;
+        }
+        for r in 0..rows {
+            offsets[r + 1] += offsets[r];
+        }
+        let mut cursor = offsets.clone();
+        let mut positions = vec![0u32; accesses.len()];
+        for &(row, position) in accesses {
+            let slot = &mut cursor[row as usize];
+            positions[*slot as usize] = position;
+            *slot += 1;
+        }
+        PositionRows { offsets, positions }
+    }
+
+    fn row(&self, i: usize) -> &[u32] {
+        &self.positions[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+/// Page → accessor index (see the module docs).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PageIndex {
+    /// Every page some vertex reads or writes, ascending.
+    pages: Vec<PageId>,
+    /// Row `i`: the positions of the readers of `pages[i]`, ascending.
+    readers: PositionRows,
+    /// Row `i`: the positions of the writers of `pages[i]`, ascending.
+    writers: PositionRows,
+}
+
+impl PageIndex {
+    fn build(nodes: &[SubComputation]) -> Self {
+        // Pages are interned in first-seen order. A vertex often touches the
+        // page its predecessor touched (and reads what it writes), so the
+        // last page is checked before the map.
+        let mut seen: Vec<PageId> = Vec::new();
+        let mut slots: HashMap<PageId, u32> = HashMap::new();
+        let mut last: Option<(PageId, u32)> = None;
+        let mut intern = |page: PageId| match last {
+            Some((known, slot)) if known == page => slot,
+            _ => {
+                let slot = *slots.entry(page).or_insert_with(|| {
+                    seen.push(page);
+                    seen.len() as u32 - 1
+                });
+                last = Some((page, slot));
+                slot
+            }
+        };
+        let (mut reads, mut writes) = (Vec::new(), Vec::new());
+        for (p, node) in nodes.iter().enumerate() {
+            let p = p as u32;
+            reads.extend(node.read_set.iter().map(|&page| (intern(page), p)));
+            writes.extend(node.write_set.iter().map(|&page| (intern(page), p)));
+        }
+        // Slot → rank in page order.
+        let mut order: Vec<u32> = (0..seen.len() as u32).collect();
+        order.sort_unstable_by_key(|&slot| seen[slot as usize]);
+        let mut rank = vec![0u32; order.len()];
+        for (r, &slot) in order.iter().enumerate() {
+            rank[slot as usize] = r as u32;
+        }
+        for access in reads.iter_mut().chain(writes.iter_mut()) {
+            access.0 = rank[access.0 as usize];
+        }
+        PageIndex {
+            pages: order.iter().map(|&slot| seen[slot as usize]).collect(),
+            readers: PositionRows::build(order.len(), &reads),
+            writers: PositionRows::build(order.len(), &writes),
+        }
+    }
+
+    /// Every page some vertex reads or writes, ascending.
+    pub(crate) fn pages(&self) -> &[PageId] {
+        &self.pages
+    }
+
+    /// The reader positions of the `i`-th page, ascending.
+    pub(crate) fn readers(&self, i: usize) -> &[u32] {
+        self.readers.row(i)
+    }
+
+    /// The writer positions of the `i`-th page, ascending.
+    pub(crate) fn writers(&self, i: usize) -> &[u32] {
+        self.writers.row(i)
+    }
+
+    /// The reader positions of `page`, ascending (none for a page no vertex
+    /// touches).
+    pub(crate) fn readers_of(&self, page: PageId) -> &[u32] {
+        self.pages
+            .binary_search(&page)
+            .map_or(&[], |i| self.readers(i))
+    }
+
+    /// The writer positions of `page`, ascending.
+    pub(crate) fn writers_of(&self, page: PageId) -> &[u32] {
+        self.pages
+            .binary_search(&page)
+            .map_or(&[], |i| self.writers(i))
+    }
+}
+
 /// Indexes of the set bits of a bitset, ascending.
 pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words.iter().enumerate().flat_map(|(w, &word)| {
@@ -247,6 +378,8 @@ pub struct Cpg {
     ranges: Vec<ThreadRange>,
     pub(crate) successors: AdjacencyIndex,
     pub(crate) predecessors: AdjacencyIndex,
+    /// Built on the first page-keyed query (see the module docs).
+    page_index: OnceLock<PageIndex>,
 }
 
 impl Cpg {
@@ -348,6 +481,28 @@ impl Cpg {
     /// The vertex at `position`.
     pub(crate) fn node_at(&self, position: u32) -> &SubComputation {
         &self.nodes[position as usize]
+    }
+
+    /// The page → accessor index, built on first use.
+    pub(crate) fn page_index(&self) -> &PageIndex {
+        self.page_index
+            .get_or_init(|| PageIndex::build(&self.nodes))
+    }
+
+    /// Splits an ascending row of positions into one run per thread, in
+    /// thread order: O(log) per run, whatever its length.
+    pub(crate) fn thread_runs<'r>(
+        &'r self,
+        mut row: &'r [u32],
+    ) -> impl Iterator<Item = (ThreadId, &'r [u32])> + 'r {
+        std::iter::from_fn(move || {
+            let &first = row.first()?;
+            let range = &self.ranges[self.ranges.partition_point(|r| r.first <= first) - 1];
+            let end = range.first + range.len;
+            let (run, rest) = row.split_at(row.partition_point(|&p| p < end));
+            row = rest;
+            Some((range.thread, run))
+        })
     }
 
     /// Looks up a vertex.

@@ -7,8 +7,29 @@
 //!   a sensitive input page (see [`crate::taint`]);
 //! * *NUMA memory management* — page access summaries expose which threads
 //!   touch which pages and how often.
+//!
+//! ## Cost
+//!
+//! Every query costs what its answer costs, not a scan of the graph:
+//! * slices run over the adjacency CSR and return the traversal's own
+//!   bitset as a [`SubSet`] — O(reached vertices + their edges), plus one
+//!   word per 64 vertices;
+//! * the page-keyed queries read the graph's page index (one row of reader
+//!   and one of writer positions per page; see the `graph` module docs),
+//!   built once per graph on the first of them:
+//!   [`writers_of`](ProvenanceQuery::writers_of) /
+//!   [`readers_of`](ProvenanceQuery::readers_of) are one binary search plus
+//!   the row; [`page_summary`](ProvenanceQuery::page_summary) and
+//!   [`shared_pages`](ProvenanceQuery::shared_pages) split each row into
+//!   per-thread runs by binary search, O(pages × threads × log);
+//!   [`explain_page`](ProvenanceQuery::explain_page) compares one writer per
+//!   thread, O(threads²), then runs one backward data slice.
+//!
+//! [`unordered_conflicts`](ProvenanceQuery::unordered_conflicts) is still
+//! all-pairs.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 use crate::graph::{set_bits, Cpg, EdgeKind};
 use crate::ids::{PageId, SubId, ThreadId};
@@ -68,10 +89,62 @@ impl PageAccessSummary {
     /// Returns `true` if more than one thread touched the page (a candidate
     /// for false sharing / remote NUMA traffic).
     pub fn is_shared(&self) -> bool {
-        let mut threads = self.readers.keys().chain(self.writers.keys());
-        threads
-            .next()
-            .is_some_and(|first| threads.any(|t| t != first))
+        more_than_one(self.readers.keys().chain(self.writers.keys()).copied())
+    }
+}
+
+/// `true` if `threads` yields two different threads.
+fn more_than_one(mut threads: impl Iterator<Item = ThreadId>) -> bool {
+    threads
+        .next()
+        .is_some_and(|first| threads.any(|t| t != first))
+}
+
+/// A set of sub-computations of one graph, as a slice returns it: one bit
+/// per vertex position, so the set is the traversal's own visited set and
+/// [`contains`](Self::contains) is one position lookup.
+#[derive(Clone)]
+pub struct SubSet<'a> {
+    cpg: &'a Cpg,
+    bits: Vec<u64>,
+    len: usize,
+}
+
+impl<'a> SubSet<'a> {
+    fn new(cpg: &'a Cpg, bits: Vec<u64>) -> Self {
+        let len = bits.iter().map(|word| word.count_ones() as usize).sum();
+        SubSet { cpg, bits, len }
+    }
+
+    /// Number of sub-computations in the set.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` if the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Returns `true` if `id` is in the set.
+    pub fn contains(&self, id: SubId) -> bool {
+        self.cpg.position(id).is_some_and(|p| {
+            let p = p as usize;
+            self.bits
+                .get(p / 64)
+                .is_some_and(|word| word >> (p % 64) & 1 == 1)
+        })
+    }
+
+    /// The members in id order.
+    pub fn iter(&self) -> impl Iterator<Item = SubId> + '_ {
+        set_bits(&self.bits).map(|p| self.cpg.id_at(p as u32))
+    }
+}
+
+impl fmt::Debug for SubSet<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -92,22 +165,18 @@ impl<'a> ProvenanceQuery<'a> {
         self.cpg
     }
 
-    /// Sub-computations that wrote `page`.
-    pub fn writers_of(&self, page: PageId) -> Vec<SubId> {
-        self.cpg
-            .nodes()
-            .filter(|n| n.writes(page))
-            .map(|n| n.id)
-            .collect()
+    /// Sub-computations that wrote `page`, in id order.
+    pub fn writers_of(&self, page: PageId) -> impl ExactSizeIterator<Item = SubId> + 'a {
+        let cpg = self.cpg;
+        let row = cpg.page_index().writers_of(page);
+        row.iter().map(move |&p| cpg.id_at(p))
     }
 
-    /// Sub-computations that read `page`.
-    pub fn readers_of(&self, page: PageId) -> Vec<SubId> {
-        self.cpg
-            .nodes()
-            .filter(|n| n.reads(page))
-            .map(|n| n.id)
-            .collect()
+    /// Sub-computations that read `page`, in id order.
+    pub fn readers_of(&self, page: PageId) -> impl ExactSizeIterator<Item = SubId> + 'a {
+        let cpg = self.cpg;
+        let row = cpg.page_index().readers_of(page);
+        row.iter().map(move |&p| cpg.id_at(p))
     }
 
     /// Backward slice: every sub-computation that (transitively) precedes
@@ -115,36 +184,36 @@ impl<'a> ProvenanceQuery<'a> {
     ///
     /// With [`EdgeFilter::DATA_ONLY`] this answers "which computations
     /// contributed data to this one" — the debugging case study.
-    pub fn backward_slice(&self, target: SubId, filter: EdgeFilter) -> BTreeSet<SubId> {
-        self.traverse(target, filter, Direction::Backward)
+    pub fn backward_slice(&self, target: SubId, filter: EdgeFilter) -> SubSet<'a> {
+        self.traverse(self.cpg.position(target), filter, Direction::Backward)
     }
 
     /// Forward slice: every sub-computation (transitively) reachable from
     /// `source` along the allowed edge kinds, including `source` itself.
-    pub fn forward_slice(&self, source: SubId, filter: EdgeFilter) -> BTreeSet<SubId> {
-        self.traverse(source, filter, Direction::Forward)
+    pub fn forward_slice(&self, source: SubId, filter: EdgeFilter) -> SubSet<'a> {
+        self.traverse(self.cpg.position(source), filter, Direction::Forward)
     }
 
     /// The set of sub-computations that influenced the final contents of
     /// `page`: the backward data slice rooted at the last writers of the
-    /// page.
-    pub fn explain_page(&self, page: PageId) -> BTreeSet<SubId> {
-        let writers = self.writers_of(page);
-        // Last writers = maximal under happens-before.
-        let last: Vec<SubId> = writers
-            .iter()
-            .copied()
-            .filter(|&w| {
-                !writers
-                    .iter()
-                    .any(|&o| o != w && self.cpg.happens_before(w, o))
-            })
+    /// page (the writers maximal under happens-before).
+    ///
+    /// Same-thread order is α order, so only a thread's last writer of the
+    /// page can be maximal, and only those are compared. That is exact on
+    /// every recorded graph, where clocks grow along a thread.
+    pub fn explain_page(&self, page: PageId) -> SubSet<'a> {
+        let cpg = self.cpg;
+        let writers = cpg.page_index().writers_of(page);
+        let last: Vec<u32> = cpg
+            .thread_runs(writers)
+            .filter_map(|(_, run)| run.last().copied())
             .collect();
-        let mut out = BTreeSet::new();
-        for w in last {
-            out.extend(self.backward_slice(w, EdgeFilter::DATA_ONLY));
-        }
-        out
+        let maximal = last.iter().copied().filter(|&w| {
+            !last
+                .iter()
+                .any(|&o| o != w && cpg.node_at(w).happens_before(cpg.node_at(o)))
+        });
+        self.traverse(maximal, EdgeFilter::DATA_ONLY, Direction::Backward)
     }
 
     /// Reconstructs the schedule: all sub-computations sorted by a
@@ -160,33 +229,36 @@ impl<'a> ProvenanceQuery<'a> {
 
     /// Per-page access summary across the whole execution.
     pub fn page_summary(&self) -> BTreeMap<PageId, PageAccessSummary> {
-        let mut out: BTreeMap<PageId, PageAccessSummary> = BTreeMap::new();
-        for n in self.cpg.nodes() {
-            for &p in &n.read_set {
-                *out.entry(p)
-                    .or_default()
-                    .readers
-                    .entry(n.id.thread)
-                    .or_default() += 1;
-            }
-            for &p in &n.write_set {
-                *out.entry(p)
-                    .or_default()
-                    .writers
-                    .entry(n.id.thread)
-                    .or_default() += 1;
-            }
-        }
-        out
+        let index = self.cpg.page_index();
+        let per_thread = |row: &[u32]| -> BTreeMap<ThreadId, usize> {
+            self.cpg
+                .thread_runs(row)
+                .map(|(thread, run)| (thread, run.len()))
+                .collect()
+        };
+        // Both levels are bulk-built from runs sorted by key.
+        index
+            .pages()
+            .iter()
+            .enumerate()
+            .map(|(i, &page)| {
+                let summary = PageAccessSummary {
+                    readers: per_thread(index.readers(i)),
+                    writers: per_thread(index.writers(i)),
+                };
+                (page, summary)
+            })
+            .collect()
     }
 
     /// Pages touched by more than one thread (candidates for false sharing
-    /// or remote NUMA traffic).
+    /// or remote NUMA traffic), ascending.
     pub fn shared_pages(&self) -> Vec<PageId> {
-        self.page_summary()
-            .into_iter()
-            .filter(|(_, s)| s.is_shared())
-            .map(|(p, _)| p)
+        let index = self.cpg.page_index();
+        let threads = |row| self.cpg.thread_runs(row).map(|(thread, _)| thread);
+        (0..index.pages().len())
+            .filter(|&i| more_than_one(threads(index.readers(i)).chain(threads(index.writers(i)))))
+            .map(|i| index.pages()[i])
             .collect()
     }
 
@@ -220,17 +292,22 @@ impl<'a> ProvenanceQuery<'a> {
         out
     }
 
-    fn traverse(&self, start: SubId, filter: EdgeFilter, dir: Direction) -> BTreeSet<SubId> {
+    /// Everything reachable from the `starts` positions along `filter`'s
+    /// edges in direction `dir`, the starts included.
+    fn traverse(
+        &self,
+        starts: impl IntoIterator<Item = u32>,
+        filter: EdgeFilter,
+        dir: Direction,
+    ) -> SubSet<'a> {
         let cpg = self.cpg;
-        let Some(start) = cpg.position(start) else {
-            return BTreeSet::new();
-        };
         let index = match dir {
             Direction::Forward => &cpg.successors,
             Direction::Backward => &cpg.predecessors,
         };
         // One bit per position. The reached set does not depend on visit
-        // order, so the frontier is a plain stack.
+        // order, so the frontier is a plain stack. The set's size is counted
+        // afterwards from the words, not here.
         let mut seen = vec![0u64; cpg.node_count().div_ceil(64)];
         let mut mark = |p: u32| {
             let (word, bit) = (&mut seen[p as usize / 64], 1u64 << (p % 64));
@@ -238,8 +315,7 @@ impl<'a> ProvenanceQuery<'a> {
             *word |= bit;
             fresh
         };
-        mark(start);
-        let mut frontier = vec![start];
+        let mut frontier: Vec<u32> = starts.into_iter().filter(|&p| mark(p)).collect();
         while let Some(p) = frontier.pop() {
             for entry in index.row(p) {
                 if filter.allows(entry.kind) && mark(entry.neighbour) {
@@ -247,14 +323,12 @@ impl<'a> ProvenanceQuery<'a> {
                 }
             }
         }
-        // Ascending positions are ascending ids: the set is bulk-built from
-        // one sorted run.
-        set_bits(&seen).map(|p| cpg.id_at(p as u32)).collect()
+        SubSet::new(cpg, seen)
     }
 }
 
-/// The pre-dense-index traversal, kept verbatim over the public API as the
-/// reference the dense one is tested against.
+/// The pre-dense-index implementations, kept verbatim over the public API
+/// as the references the dense ones are tested against.
 #[cfg(test)]
 impl ProvenanceQuery<'_> {
     pub(crate) fn traverse_reference(
@@ -292,6 +366,70 @@ impl ProvenanceQuery<'_> {
             }
         }
         seen
+    }
+
+    pub(crate) fn writers_of_reference(&self, page: PageId) -> Vec<SubId> {
+        self.cpg
+            .nodes()
+            .filter(|n| n.writes(page))
+            .map(|n| n.id)
+            .collect()
+    }
+
+    pub(crate) fn readers_of_reference(&self, page: PageId) -> Vec<SubId> {
+        self.cpg
+            .nodes()
+            .filter(|n| n.reads(page))
+            .map(|n| n.id)
+            .collect()
+    }
+
+    pub(crate) fn explain_page_reference(&self, page: PageId) -> BTreeSet<SubId> {
+        let writers = self.writers_of_reference(page);
+        // Last writers = maximal under happens-before.
+        let last: Vec<SubId> = writers
+            .iter()
+            .copied()
+            .filter(|&w| {
+                !writers
+                    .iter()
+                    .any(|&o| o != w && self.cpg.happens_before(w, o))
+            })
+            .collect();
+        let mut out = BTreeSet::new();
+        for w in last {
+            out.extend(self.traverse_reference(w, EdgeFilter::DATA_ONLY, Direction::Backward));
+        }
+        out
+    }
+
+    pub(crate) fn page_summary_reference(&self) -> BTreeMap<PageId, PageAccessSummary> {
+        let mut out: BTreeMap<PageId, PageAccessSummary> = BTreeMap::new();
+        for n in self.cpg.nodes() {
+            for &p in &n.read_set {
+                *out.entry(p)
+                    .or_default()
+                    .readers
+                    .entry(n.id.thread)
+                    .or_default() += 1;
+            }
+            for &p in &n.write_set {
+                *out.entry(p)
+                    .or_default()
+                    .writers
+                    .entry(n.id.thread)
+                    .or_default() += 1;
+            }
+        }
+        out
+    }
+
+    pub(crate) fn shared_pages_reference(&self) -> Vec<PageId> {
+        self.page_summary_reference()
+            .into_iter()
+            .filter(|(_, s)| s.is_shared())
+            .map(|(p, _)| p)
+            .collect()
     }
 }
 
@@ -345,6 +483,7 @@ mod tests {
         assert_eq!(q.writers_of(PageId::new(1)).len(), 1);
         assert_eq!(q.readers_of(PageId::new(1)).len(), 1);
         assert_eq!(q.writers_of(PageId::new(2)).len(), 1);
+        assert_eq!(q.writers_of(PageId::new(3)).len(), 0);
     }
 
     #[test]
@@ -356,8 +495,8 @@ mod tests {
         let slice = q.backward_slice(reader, EdgeFilter::DATA_ONLY);
         // Slice must include T1's middle sub-computation (writer of 2) and
         // T0's first sub-computation (writer of 1) transitively.
-        assert!(slice.contains(&SubId::new(ThreadId::new(1), 1)));
-        assert!(slice.contains(&SubId::new(ThreadId::new(0), 0)));
+        assert!(slice.contains(SubId::new(ThreadId::new(1), 1)));
+        assert!(slice.contains(SubId::new(ThreadId::new(0), 0)));
     }
 
     #[test]
@@ -366,7 +505,7 @@ mod tests {
         let q = ProvenanceQuery::new(&cpg);
         let source = SubId::new(ThreadId::new(0), 0);
         let slice = q.forward_slice(source, EdgeFilter::DATA_ONLY);
-        assert!(slice.contains(&SubId::new(ThreadId::new(2), 1)));
+        assert!(slice.contains(SubId::new(ThreadId::new(2), 1)));
     }
 
     #[test]
@@ -374,8 +513,8 @@ mod tests {
         let cpg = pipeline_cpg();
         let q = ProvenanceQuery::new(&cpg);
         let explanation = q.explain_page(PageId::new(2));
-        assert!(explanation.contains(&SubId::new(ThreadId::new(1), 1)));
-        assert!(explanation.contains(&SubId::new(ThreadId::new(0), 0)));
+        assert!(explanation.contains(SubId::new(ThreadId::new(1), 1)));
+        assert!(explanation.contains(SubId::new(ThreadId::new(0), 0)));
     }
 
     #[test]

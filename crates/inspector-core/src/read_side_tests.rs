@@ -3,18 +3,27 @@
 //! must not turn into out-of-bounds positions, and equivalence of the
 //! flat-array algorithms to the `*_reference` implementations they
 //! replaced.
+//!
+//! CI also runs this module under the release profile
+//! (`cargo test --release -p inspector-core --lib read_side`): the dense
+//! paths count and index bits, and a miscompiled counter only shows with
+//! the optimiser on.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
+use std::sync::Arc;
+
 use crate::clock::VectorClock;
+use crate::event::{AccessKind, SyncKind};
 use crate::graph::{Cpg, CpgBuilder, CpgValidationError, DependenceEdge, EdgeKind};
-use crate::ids::{PageId, SubId, ThreadId};
-use crate::query::{Direction, EdgeFilter, ProvenanceQuery};
+use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
+use crate::query::{Direction, EdgeFilter, ProvenanceQuery, SubSet};
+use crate::recorder::{SyncClockRegistry, ThreadRecorder};
 use crate::sharded::ShardedCpgBuilder;
 use crate::subcomputation::SubComputation;
-use crate::taint::{TaintLabel, TaintTracker};
+use crate::taint::{ReferenceReport, TaintLabel, TaintReport, TaintTracker};
 use crate::testing::{announce_all, lock_heavy_sequences, ping_pong_sequences};
 
 const FILTERS: [EdgeFilter; 3] = [
@@ -62,17 +71,101 @@ fn assert_index_consistent(cpg: &Cpg) {
 }
 
 /// Slices in both directions under every filter, and taint under both
-/// policies, from `start` — the calls a malformed graph must survive.
+/// policies, from `start` — the calls a malformed graph must survive — each
+/// equal to its reference.
 fn query_everything_from(cpg: &Cpg, start: SubId) {
     let query = ProvenanceQuery::new(cpg);
     for filter in FILTERS {
-        query.backward_slice(start, filter);
-        query.forward_slice(start, filter);
+        for dir in [Direction::Backward, Direction::Forward] {
+            assert_slice_matches(cpg, start, filter, dir);
+        }
     }
     for control_flow in [false, true] {
         let mut tracker = TaintTracker::new().with_control_flow(control_flow);
         tracker.taint_page(PageId::new(100), TaintLabel(1));
-        tracker.propagate(cpg);
+        assert_taint_matches(
+            cpg,
+            &tracker.propagate(cpg),
+            &tracker.propagate_reference(cpg),
+        );
+    }
+    assert_pages_match(cpg, [1, 2, 100].map(PageId::new));
+    assert_eq!(query.page_summary(), query.page_summary_reference());
+}
+
+/// A set answers like the `BTreeSet` it replaced: the same members in the
+/// same order, the same size, and `contains` true exactly for members —
+/// every vertex of `cpg` and a few ids that are not vertices are probed.
+fn assert_set_matches(cpg: &Cpg, dense: &SubSet, reference: &BTreeSet<SubId>, what: &str) {
+    assert_eq!(
+        dense.iter().collect::<Vec<_>>(),
+        reference.iter().copied().collect::<Vec<_>>(),
+        "{what}"
+    );
+    assert_eq!(dense.len(), reference.len(), "{what}");
+    assert_eq!(dense.is_empty(), reference.is_empty(), "{what}");
+    let strangers = [id(0, u64::MAX), id(u32::MAX, 0)];
+    for probe in cpg.nodes().map(|n| n.id).chain(strangers) {
+        assert_eq!(
+            dense.contains(probe),
+            reference.contains(&probe),
+            "{what}: {probe}"
+        );
+    }
+}
+
+fn assert_slice_matches(cpg: &Cpg, start: SubId, filter: EdgeFilter, dir: Direction) {
+    let query = ProvenanceQuery::new(cpg);
+    let dense = match dir {
+        Direction::Backward => query.backward_slice(start, filter),
+        Direction::Forward => query.forward_slice(start, filter),
+    };
+    let what = format!("{dir:?} slice of {start} under {filter:?}");
+    assert_set_matches(
+        cpg,
+        &dense,
+        &query.traverse_reference(start, filter, dir),
+        &what,
+    );
+}
+
+/// The dense report answers every question the reference's two maps do.
+fn assert_taint_matches(cpg: &Cpg, report: &TaintReport, reference: &ReferenceReport) {
+    let (subs, pages) = reference;
+    assert_eq!(&report.tainted_pages, pages);
+    assert_eq!(report.tainted_sub_count(), subs.len());
+    let stranger = id(u32::MAX, 0);
+    for probe in cpg.nodes().map(|n| n.id).chain([stranger]) {
+        let labels: Vec<TaintLabel> = report.labels_of_sub(probe).collect();
+        let expected: Vec<TaintLabel> = subs
+            .get(&probe)
+            .map_or_else(Vec::new, |set| set.iter().copied().collect());
+        assert_eq!(labels, expected, "labels of {probe}");
+    }
+}
+
+/// The page-keyed queries against their node-scan references, on each of
+/// `pages`.
+fn assert_pages_match(cpg: &Cpg, pages: impl IntoIterator<Item = PageId>) {
+    let query = ProvenanceQuery::new(cpg);
+    assert_eq!(query.shared_pages(), query.shared_pages_reference());
+    for page in pages {
+        assert_eq!(
+            query.writers_of(page).collect::<Vec<_>>(),
+            query.writers_of_reference(page),
+            "writers of {page}"
+        );
+        assert_eq!(
+            query.readers_of(page).collect::<Vec<_>>(),
+            query.readers_of_reference(page),
+            "readers of {page}"
+        );
+        assert_set_matches(
+            cpg,
+            &query.explain_page(page),
+            &query.explain_page_reference(page),
+            &format!("explanation of {page}"),
+        );
     }
 }
 
@@ -146,11 +239,66 @@ fn default_graph_answers_every_query_with_nothing() {
     assert!(query.backward_slice(anyone, EdgeFilter::ALL).is_empty());
     assert!(query.forward_slice(anyone, EdgeFilter::ALL).is_empty());
     assert!(query.page_summary().is_empty());
+    assert!(query.shared_pages().is_empty());
+    assert_eq!(query.writers_of(PageId::new(0)).len(), 0);
+    assert_eq!(query.readers_of(PageId::new(0)).len(), 0);
+    assert!(query.explain_page(PageId::new(0)).is_empty());
     let mut tracker = TaintTracker::new().with_control_flow(true);
     tracker.taint_page(PageId::new(100), TaintLabel(1));
     let report = tracker.propagate(&cpg);
-    assert!(report.tainted_subs.is_empty());
+    assert_eq!(report.tainted_sub_count(), 0);
+    assert_eq!(report.labels_of_sub(anyone).count(), 0);
     assert_eq!(report.tainted_pages.len(), 1);
+    query_everything_from(&cpg, anyone);
+}
+
+#[test]
+fn a_source_page_nothing_touches_stays_tainted() {
+    let (a, b) = (id(0, 0), id(0, 1));
+    let mut reader = sub(a);
+    reader.record_read(PageId::new(1));
+    let mut writer = sub(b);
+    writer.record_write(PageId::new(2));
+    let cpg = graph(vec![reader, writer], vec![edge(a, b, EdgeKind::Control)]);
+    let mut tracker = TaintTracker::new().with_control_flow(true);
+    tracker.taint_page(PageId::new(1), TaintLabel(3));
+    tracker.taint_page(PageId::new(50), TaintLabel(4));
+    let report = tracker.propagate(&cpg);
+    assert_taint_matches(&cpg, &report, &tracker.propagate_reference(&cpg));
+    let labels = |page| report.labels_of_page(PageId::new(page)).cloned();
+    assert_eq!(labels(50), Some([TaintLabel(4)].into()));
+    assert_eq!(labels(1), Some([TaintLabel(3)].into()));
+    assert_eq!(labels(2), Some([TaintLabel(3)].into()));
+    assert_eq!(report.labels_of_sub(b).collect::<Vec<_>>(), [TaintLabel(3)]);
+    for start in [a, b] {
+        query_everything_from(&cpg, start);
+    }
+}
+
+#[test]
+fn a_page_that_is_only_read() {
+    // Two threads read page 5; nothing writes it. Page 6 is written by one
+    // of them only.
+    let (a, b) = (id(0, 0), id(1, 0));
+    let mut first = sub(a);
+    first.record_read(PageId::new(5));
+    first.record_write(PageId::new(6));
+    let mut second = sub(b);
+    second.record_read(PageId::new(5));
+    let cpg = graph(vec![first, second], Vec::new());
+    let query = ProvenanceQuery::new(&cpg);
+    let summary = query.page_summary();
+    assert_eq!(summary, query.page_summary_reference());
+    let only_read = &summary[&PageId::new(5)];
+    assert!(only_read.writers.is_empty());
+    assert_eq!(only_read.readers.len(), 2);
+    assert_eq!(query.shared_pages(), [PageId::new(5)]);
+    assert!(query.explain_page(PageId::new(5)).is_empty());
+    assert_eq!(query.readers_of(PageId::new(5)).collect::<Vec<_>>(), [a, b]);
+    assert_pages_match(&cpg, (4..8).map(PageId::new));
+    for start in [a, b] {
+        query_everything_from(&cpg, start);
+    }
 }
 
 #[test]
@@ -185,7 +333,8 @@ fn dangling_edges_are_reported_and_have_no_row() {
             query_everything_from(&cpg, start);
         }
         let query = ProvenanceQuery::new(&cpg);
-        assert_eq!(query.forward_slice(a, EdgeFilter::ALL), [a, b].into());
+        let slice = query.forward_slice(a, EdgeFilter::ALL);
+        assert_eq!(slice.iter().collect::<Vec<_>>(), [a, b]);
     }
 }
 
@@ -216,16 +365,78 @@ fn two_cycle_is_rejected_and_taint_still_terminates() {
     for start in [a, b] {
         query_everything_from(&cpg, start);
     }
-    assert_eq!(
-        ProvenanceQuery::new(&cpg).backward_slice(a, EdgeFilter::DATA_ONLY),
-        [a, b].into()
-    );
+    let slice = ProvenanceQuery::new(&cpg).backward_slice(a, EdgeFilter::DATA_ONLY);
+    assert_eq!(slice.iter().collect::<Vec<_>>(), [a, b]);
     let mut tracker = TaintTracker::new();
     tracker.taint_page(PageId::new(100), TaintLabel(7));
     let report = tracker.propagate(&cpg);
-    assert_eq!(report, tracker.propagate_reference(&cpg));
+    assert_taint_matches(&cpg, &report, &tracker.propagate_reference(&cpg));
     assert_eq!(report.tainted_sub_count(), 2);
     assert!(report.page_is_tainted(PageId::new(2)));
+}
+
+/// `explain_page` on a page 10 000 sub-computations write: four workers
+/// write it 2 500 times each. Without a joiner every worker's last write is
+/// maximal — the shape the all-pairs comparison took seconds on — and the
+/// answer is the union of their reference slices; with a joiner that writes
+/// the page last it equals the all-pairs reference itself (cheap here: the
+/// joiner's write is the first one that reference scans).
+#[test]
+fn explain_page_on_a_hot_page() {
+    const WORKERS: u32 = 4;
+    const WRITES: u64 = 2_500;
+    let hot = PageId::new(7);
+    let done = |t: u32| SyncObjectId::new(10 + t as u64);
+    let registry = SyncClockRegistry::shared();
+    let recorder = |t: u32| ThreadRecorder::new(ThreadId::new(t), Arc::clone(&registry));
+    let spawn = SyncObjectId::new(1);
+    let mut spawner = recorder(WORKERS + 1);
+    spawner.on_synchronization(spawn, SyncKind::Release);
+    let mut sequences = vec![spawner.finish()];
+    for t in 1..=WORKERS {
+        let mut worker = recorder(t);
+        worker.on_synchronization(spawn, SyncKind::Acquire);
+        for _ in 0..WRITES {
+            worker.on_memory_access(hot, AccessKind::Read);
+            worker.on_memory_access(hot, AccessKind::Write);
+            worker.on_synchronization(done(t), SyncKind::Release);
+        }
+        sequences.push(worker.finish());
+    }
+    let last_writes: Vec<SubId> = sequences
+        .iter()
+        .filter_map(|seq| seq.iter().rev().find(|sub| sub.writes(hot)))
+        .map(|sub| sub.id)
+        .collect();
+    assert_eq!(last_writes.len(), WORKERS as usize);
+    let mut joiner = recorder(0);
+    for t in 1..=WORKERS {
+        joiner.on_synchronization(done(t), SyncKind::Acquire);
+    }
+    joiner.on_memory_access(hot, AccessKind::Read);
+    joiner.on_memory_access(hot, AccessKind::Write);
+    let joiner = joiner.finish();
+
+    let cpg = crate::testing::batch_build(&sequences);
+    let query = ProvenanceQuery::new(&cpg);
+    assert_eq!(query.writers_of(hot).len() as u64, WORKERS as u64 * WRITES);
+    let mut expected = BTreeSet::new();
+    for &w in &last_writes {
+        expected.extend(query.traverse_reference(w, EdgeFilter::DATA_ONLY, Direction::Backward));
+    }
+    assert_set_matches(&cpg, &query.explain_page(hot), &expected, "no joiner");
+
+    sequences.push(joiner);
+    let cpg = crate::testing::batch_build(&sequences);
+    let query = ProvenanceQuery::new(&cpg);
+    let explained = query.explain_page(hot);
+    assert_eq!(explained.len() as u64, WORKERS as u64 * WRITES + 1);
+    assert_set_matches(
+        &cpg,
+        &explained,
+        &query.explain_page_reference(hot),
+        "joiner",
+    );
 }
 
 /// The same sequences built by the batch oracle and by a streaming seal
@@ -264,18 +475,13 @@ fn assert_matches_references(cpg: &Cpg, pages: u64, picks: &[u64]) {
     for &start in &starts {
         for filter in FILTERS {
             for dir in [Direction::Backward, Direction::Forward] {
-                let dense = match dir {
-                    Direction::Backward => query.backward_slice(start, filter),
-                    Direction::Forward => query.forward_slice(start, filter),
-                };
-                assert_eq!(
-                    dense,
-                    query.traverse_reference(start, filter, dir),
-                    "{dir:?} slice of {start} under {filter:?}"
-                );
+                assert_slice_matches(cpg, start, filter, dir);
             }
         }
     }
+    assert_eq!(query.page_summary(), query.page_summary_reference());
+    // One page past the touched ones.
+    assert_pages_match(cpg, (0..=pages).map(PageId::new));
 
     // 70 labels cross a word boundary; label values are not dense; every
     // other label also lands on page 0, so sources overlap.
@@ -290,20 +496,17 @@ fn assert_matches_references(cpg: &Cpg, pages: u64, picks: &[u64]) {
                 }
             }
             let report = tracker.propagate(cpg);
-            assert_eq!(
-                report,
-                tracker.propagate_reference(cpg),
-                "{labels} labels, control flow {control_flow}"
-            );
-            assert_eq!(labels == 0, report == Default::default());
+            assert_taint_matches(cpg, &report, &tracker.propagate_reference(cpg));
+            let untainted = report.tainted_sub_count() == 0 && report.tainted_pages.is_empty();
+            assert_eq!(labels == 0, untainted);
         }
     }
 }
 
 proptest! {
-    /// Topological order element for element, slices and taint reports:
-    /// the dense read side answers what the reference implementations do,
-    /// on batch-built and on sealed graphs.
+    /// Topological order element for element, slices, taint reports and
+    /// the page-keyed queries: the dense read side answers what the
+    /// reference implementations do, on batch-built and on sealed graphs.
     #[test]
     fn prop_dense_read_side_matches_references(
         ping_pong in any::<bool>(),

@@ -7,8 +7,22 @@
 //! becomes tainted, and every page it writes becomes tainted for downstream
 //! readers. A policy checker can query the final taint set before allowing an
 //! output system call.
+//!
+//! ## Cost
+//!
+//! Label sets are interned as rows of bits, one row per vertex, so
+//! [`TaintTracker::propagate`] allocates one table however many vertices end
+//! up tainted, and the [`TaintReport`] *is* that table: a vertex's labels
+//! ([`TaintReport::labels_of_sub`]) are decoded from its row on demand.
+//! Propagation is seeded from the graph's page index (the readers of each
+//! source page, not a scan of every vertex) and walks the region the seeds
+//! reach once, in topological order: O(region vertices + followed edges ×
+//! label words). The tainted pages are the union of each page's writers'
+//! rows — O(page accesses × label words) plus one map entry per tainted
+//! page.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 use crate::graph::{set_bits, Cpg, EdgeKind};
 use crate::ids::{PageId, SubId};
@@ -18,15 +32,21 @@ use crate::ids::{PageId, SubId};
 pub struct TaintLabel(pub u32);
 
 /// Result of propagating taint through a CPG.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TaintReport {
-    /// Labels attached to each tainted sub-computation.
-    pub tainted_subs: BTreeMap<SubId, BTreeSet<TaintLabel>>,
+#[derive(Clone)]
+pub struct TaintReport<'a> {
     /// Labels attached to each tainted page after the execution.
     pub tainted_pages: BTreeMap<PageId, BTreeSet<TaintLabel>>,
+    cpg: &'a Cpg,
+    /// Every source label, ascending: bit `i` of a row stands for
+    /// `labels[i]`.
+    labels: Vec<TaintLabel>,
+    /// One row of `labels.len().div_ceil(64)` words per vertex, by position.
+    rows: Vec<u64>,
+    /// Vertices whose row is not empty.
+    tainted_subs: usize,
 }
 
-impl TaintReport {
+impl TaintReport<'_> {
     /// Returns `true` if the page carries any taint at the end of the run.
     pub fn page_is_tainted(&self, page: PageId) -> bool {
         self.tainted_pages.contains_key(&page)
@@ -39,7 +59,27 @@ impl TaintReport {
 
     /// Number of tainted sub-computations.
     pub fn tainted_sub_count(&self) -> usize {
-        self.tainted_subs.len()
+        self.tainted_subs
+    }
+
+    /// The labels a sub-computation carries, ascending (none when it is
+    /// untainted or not in the graph).
+    pub fn labels_of_sub(&self, id: SubId) -> impl Iterator<Item = TaintLabel> + '_ {
+        let words = self.labels.len().div_ceil(64);
+        let row = self.cpg.position(id).map_or(&[][..], |p| {
+            let p = p as usize;
+            &self.rows[p * words..(p + 1) * words]
+        });
+        set_bits(row).map(|bit| self.labels[bit])
+    }
+}
+
+impl fmt::Debug for TaintReport<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TaintReport")
+            .field("tainted_subs", &self.tainted_subs)
+            .field("tainted_pages", &self.tainted_pages)
+            .finish_non_exhaustive()
     }
 }
 
@@ -101,11 +141,12 @@ impl TaintTracker {
     ///
     /// A sub-computation inherits the labels of every tainted page it reads
     /// and of its tainted predecessors along the followed edges; every page
-    /// it writes then carries the union of its labels. The report is the
-    /// least fixed point of those rules, which a monotone worklist reaches
-    /// from any visit order — so a cyclic (malformed) graph needs no special
-    /// case.
-    pub fn propagate(&self, cpg: &Cpg) -> TaintReport {
+    /// it writes then carries the union of its labels, and a source page
+    /// keeps its own labels whether or not anything touches it. The report
+    /// is the least fixed point of those rules. On a DAG one pass in
+    /// topological order reaches it; the vertices a cycle (a malformed
+    /// graph) holds back are finished by a monotone worklist.
+    pub fn propagate<'a>(&self, cpg: &'a Cpg) -> TaintReport<'a> {
         // Interned labels: a label set is a row of `words` 64-bit words, bit
         // i standing for the i-th label in label order. Rows `0..nodes`
         // belong to the vertices by position, the rest to the source pages
@@ -128,76 +169,121 @@ impl TaintTracker {
             }
         }
 
-        // Seed: sub-computations directly reading a source page.
-        let mut queued = vec![false; nodes];
-        let mut worklist: VecDeque<u32> = VecDeque::new();
-        for (p, node) in cpg.nodes().enumerate() {
-            let mut seeded = false;
-            for (i, &page) in self.sources.keys().enumerate() {
-                if node.reads(page) {
-                    seeded |= merge_row(&mut rows, words, nodes + i, p);
+        // Seed: the readers of each source page.
+        let index = cpg.page_index();
+        let mut reached = vec![false; nodes];
+        let mut region: Vec<u32> = Vec::new();
+        for (i, &page) in self.sources.keys().enumerate() {
+            for &p in index.readers_of(page) {
+                merge_row(&mut rows, words, nodes + i, p as usize);
+                if !std::mem::replace(&mut reached[p as usize], true) {
+                    region.push(p);
                 }
-            }
-            if seeded {
-                queued[p] = true;
-                worklist.push_back(p as u32);
             }
         }
 
         // Downstream readers along data edges inherit the labels; with the
-        // conservative policy, intra-thread successors do as well.
-        while let Some(p) = worklist.pop_front() {
+        // conservative policy, intra-thread successors do as well. The
+        // region the seeds reach is walked in topological order, so a vertex
+        // is merged into its successors once, when its own row is final:
+        // `waiting[p]` counts p's followed in-edges not merged yet.
+        let follows = |kind| match kind {
+            EdgeKind::Data => true,
+            EdgeKind::Control => self.through_control_flow,
+            EdgeKind::Synchronization => false,
+        };
+        let followed = |p: u32| {
+            cpg.successors
+                .row(p)
+                .iter()
+                .filter(move |entry| follows(entry.kind))
+                .map(|entry| entry.neighbour)
+        };
+        let mut waiting = vec![0u32; nodes];
+        let mut next_unvisited = 0;
+        while let Some(&p) = region.get(next_unvisited) {
+            next_unvisited += 1;
+            for next in followed(p) {
+                waiting[next as usize] += 1;
+                if !std::mem::replace(&mut reached[next as usize], true) {
+                    region.push(next);
+                }
+            }
+        }
+        let mut ready: Vec<u32> = region
+            .iter()
+            .copied()
+            .filter(|&p| waiting[p as usize] == 0)
+            .collect();
+        while let Some(p) = ready.pop() {
+            for next in followed(p) {
+                merge_row(&mut rows, words, p as usize, next as usize);
+                waiting[next as usize] -= 1;
+                if waiting[next as usize] == 0 {
+                    ready.push(next);
+                }
+            }
+        }
+        // What still waits sits on or behind a cycle (a malformed graph): a
+        // monotone worklist finishes those, from any visit order.
+        let mut worklist: Vec<u32> = region
+            .into_iter()
+            .filter(|&p| waiting[p as usize] > 0)
+            .collect();
+        let mut queued = waiting.iter().map(|&w| w > 0).collect::<Vec<_>>();
+        while let Some(p) = worklist.pop() {
             queued[p as usize] = false;
-            for entry in cpg.successors.row(p) {
-                let follow = match entry.kind {
-                    EdgeKind::Data => true,
-                    EdgeKind::Control => self.through_control_flow,
-                    EdgeKind::Synchronization => false,
-                };
-                let next = entry.neighbour as usize;
-                if follow && merge_row(&mut rows, words, p as usize, next) && !queued[next] {
-                    queued[next] = true;
-                    worklist.push_back(entry.neighbour);
+            for next in followed(p) {
+                if merge_row(&mut rows, words, p as usize, next as usize)
+                    && !std::mem::replace(&mut queued[next as usize], true)
+                {
+                    worklist.push(next);
                 }
             }
         }
 
+        // A page carries its source labels and the union of its writers'.
         let row = |r: usize| &rows[r * words..(r + 1) * words];
-        let label_set = |row: &[u64]| -> BTreeSet<TaintLabel> {
-            set_bits(row).map(|bit| labels[bit]).collect()
-        };
-        let tainted: Vec<usize> = (0..nodes)
-            .filter(|&p| row(p).iter().any(|&word| word != 0))
-            .collect();
-        // Every page written by a tainted sub-computation becomes tainted.
-        // Sorted, the rows feeding one page form one run.
-        let mut page_rows: Vec<(PageId, usize)> =
-            self.sources.keys().copied().zip(nodes..).collect();
-        for &p in &tainted {
-            let written = &cpg.node_at(p as u32).write_set;
-            page_rows.extend(written.iter().map(|&page| (page, p)));
-        }
-        page_rows.sort_unstable();
         let mut union = vec![0u64; words];
+        let mut page_labels = |source: Option<usize>, writers: &[u32]| {
+            union.fill(0);
+            for r in source
+                .into_iter()
+                .chain(writers.iter().map(|&p| p as usize))
+            {
+                union
+                    .iter_mut()
+                    .zip(row(r))
+                    .for_each(|(u, &word)| *u |= word);
+            }
+            let set: BTreeSet<TaintLabel> = set_bits(&union).map(|bit| labels[bit]).collect();
+            (!set.is_empty()).then_some(set)
+        };
+        let mut tainted_pages = BTreeMap::new();
+        for (i, &page) in self.sources.keys().enumerate() {
+            if let Some(set) = page_labels(Some(nodes + i), index.writers_of(page)) {
+                tainted_pages.insert(page, set);
+            }
+        }
+        for (i, page) in index.pages().iter().enumerate() {
+            if self.sources.contains_key(page) {
+                continue;
+            }
+            if let Some(set) = page_labels(None, index.writers(i)) {
+                tainted_pages.insert(*page, set);
+            }
+        }
+
+        let tainted_subs = (0..nodes)
+            .filter(|&p| row(p).iter().any(|&word| word != 0))
+            .count();
+        rows.truncate(nodes * words);
         TaintReport {
-            // Both maps are bulk-built from runs sorted by key.
-            tainted_subs: tainted
-                .iter()
-                .map(|&p| (cpg.id_at(p as u32), label_set(row(p))))
-                .collect(),
-            tainted_pages: page_rows
-                .chunk_by(|a, b| a.0 == b.0)
-                .map(|run| {
-                    union.fill(0);
-                    for &(_, r) in run {
-                        union
-                            .iter_mut()
-                            .zip(row(r))
-                            .for_each(|(u, &word)| *u |= word);
-                    }
-                    (run[0].0, label_set(&union))
-                })
-                .collect(),
+            tainted_pages,
+            cpg,
+            labels,
+            rows,
+            tainted_subs,
         }
     }
 
@@ -217,15 +303,21 @@ impl TaintTracker {
     }
 }
 
+/// Labels per tainted sub-computation and per tainted page, as the
+/// reference propagation reports them.
+#[cfg(test)]
+pub(crate) type ReferenceReport = (
+    BTreeMap<SubId, BTreeSet<TaintLabel>>,
+    BTreeMap<PageId, BTreeSet<TaintLabel>>,
+);
+
 /// The pre-dense-index propagation, kept over the public API as the
 /// reference the dense one is tested against.
 #[cfg(test)]
 impl TaintTracker {
-    pub(crate) fn propagate_reference(&self, cpg: &Cpg) -> TaintReport {
-        let mut report = TaintReport {
-            tainted_subs: BTreeMap::new(),
-            tainted_pages: self.sources.clone(),
-        };
+    pub(crate) fn propagate_reference(&self, cpg: &Cpg) -> ReferenceReport {
+        let mut tainted_subs: BTreeMap<SubId, BTreeSet<TaintLabel>> = BTreeMap::new();
+        let mut tainted_pages = self.sources.clone();
 
         let order = match cpg.topological_order_reference() {
             Some(o) => o,
@@ -233,7 +325,7 @@ impl TaintTracker {
         };
 
         // Seed: sub-computations directly reading a source page.
-        let mut worklist: VecDeque<SubId> = VecDeque::new();
+        let mut worklist = std::collections::VecDeque::new();
         for &id in &order {
             let node = cpg.node(id).expect("node from topological order");
             let mut labels = BTreeSet::new();
@@ -243,21 +335,21 @@ impl TaintTracker {
                 }
             }
             if !labels.is_empty() {
-                report.tainted_subs.insert(id, labels);
+                tainted_subs.insert(id, labels);
                 worklist.push_back(id);
             }
         }
 
         // Propagate along data edges until fixed point.
         while let Some(id) = worklist.pop_front() {
-            let labels = report.tainted_subs.get(&id).cloned().unwrap_or_default();
+            let labels = tainted_subs.get(&id).cloned().unwrap_or_default();
             if labels.is_empty() {
                 continue;
             }
             // Every page written by a tainted sub-computation becomes tainted.
             if let Some(node) = cpg.node(id) {
                 for &page in &node.write_set {
-                    let entry = report.tainted_pages.entry(page).or_default();
+                    let entry = tainted_pages.entry(page).or_default();
                     entry.extend(labels.iter().copied());
                 }
             }
@@ -272,7 +364,7 @@ impl TaintTracker {
                 if !follow {
                     continue;
                 }
-                let entry = report.tainted_subs.entry(e.dst).or_default();
+                let entry = tainted_subs.entry(e.dst).or_default();
                 let before = entry.len();
                 entry.extend(labels.iter().copied());
                 if entry.len() != before {
@@ -281,7 +373,7 @@ impl TaintTracker {
             }
         }
 
-        report
+        (tainted_subs, tainted_pages)
     }
 }
 

@@ -978,8 +978,7 @@ mod tests {
         // Writer of `a` (worker, before barrier) must happen-before the
         // main thread's post-barrier sub-computations.
         let q = ProvenanceQuery::new(&report.cpg);
-        let writers = q.writers_of(PageId::new(a.raw() / 4096));
-        assert!(!writers.is_empty());
+        assert!(q.writers_of(PageId::new(a.raw() / 4096)).next().is_some());
         assert!(report.cpg.validate().is_ok());
         assert!(report.cpg.stats().sync_edges >= 1);
     }
@@ -1068,7 +1067,7 @@ mod tests {
         // The input pages appear in some read set.
         let q = ProvenanceQuery::new(&report.cpg);
         let first_input_page = PageId::new(input.base().raw() / 4096);
-        assert!(!q.readers_of(first_input_page).is_empty());
+        assert!(q.readers_of(first_input_page).next().is_some());
         // And the perf session recorded the mmap event.
         assert_eq!(session.shared.perf.mmaps().len(), 1);
     }

@@ -61,8 +61,12 @@ fn main() {
     }
     println!();
 
-    println!("why does it have this value? (backward data slice of the last writers)");
-    for sub in query.explain_page(total_page) {
+    let explanation = query.explain_page(total_page);
+    println!(
+        "why does it have this value? (backward data slice of the last writers, {} sub-computations)",
+        explanation.len()
+    );
+    for sub in explanation.iter() {
         println!("  {sub}");
     }
     println!();

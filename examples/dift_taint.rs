@@ -60,6 +60,13 @@ fn main() {
         taint.tainted_sub_count(),
         taint.tainted_pages.len()
     );
+    // Which sub-computations wrote the report buffer, and what they carry.
+    let query = ProvenanceQuery::new(&report.cpg);
+    let leaky_page = PageId::new(leaky_out.raw() / 4096);
+    for writer in query.writers_of(leaky_page) {
+        let labels: Vec<TaintLabel> = taint.labels_of_sub(writer).collect();
+        println!("  report-buffer writer {writer} carries {labels:?}");
+    }
     println!();
 
     // Policy check at the output system call.

@@ -80,7 +80,7 @@ fn main() {
     println!();
     println!(
         "{} of {} touched pages are thread-private",
-        summary.values().filter(|a| !a.is_shared()).count(),
+        summary.len() - query.shared_pages().len(),
         summary.len()
     );
 }

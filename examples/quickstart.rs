@@ -73,7 +73,7 @@ fn main() {
     let query = ProvenanceQuery::new(&report.cpg);
     let y_page = PageId::new(y.raw() / 4096);
     println!("provenance of y (page {y_page}):");
-    for sub in query.explain_page(y_page) {
+    for sub in query.explain_page(y_page).iter() {
         let node = report.cpg.node(sub).expect("node in graph");
         println!(
             "  {sub}  reads {:?}  writes {:?}",

@@ -47,7 +47,10 @@
 //!
 //! assert_eq!(report.cpg.stats().threads, 5);
 //! let query = ProvenanceQuery::new(&report.cpg);
-//! assert!(!query.writers_of(PageId::new(counter.raw() / 4096)).is_empty());
+//! let page = PageId::new(counter.raw() / 4096);
+//! assert_eq!(query.writers_of(page).len(), 4);
+//! // Every worker's write is in the backward data slice of the page.
+//! assert_eq!(query.explain_page(page).len(), 4);
 //! ```
 
 pub use inspector_core as core;
