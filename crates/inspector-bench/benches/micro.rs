@@ -228,9 +228,9 @@ fn bench_recorder(c: &mut Criterion) {
 fn bench_pt_decode(c: &mut Criterion) {
     // Decode-while-running throughput: the batch decoder over the whole
     // stream is the reference; the streaming decoder is measured at the
-    // chunk sizes AUX delivery actually produces, recording events and, at
-    // 4 KiB, in the counting-only mode the ingest workers and post-mortem
-    // log decoding run. The delta is the price of incremental decoding
+    // chunk sizes AUX delivery actually produces, handing events to a sink
+    // and, at 4 KiB, without one, as the ingest workers and post-mortem log
+    // decoding run it. The delta is the price of incremental decoding
     // (carry buffer + per-chunk pump).
     let mut group = c.benchmark_group("pt_decode");
     let bytes = encoded_branch_stream(50_000);
@@ -241,20 +241,16 @@ fn bench_pt_decode(c: &mut Criterion) {
     for chunk in [512usize, 4096, 65536] {
         group.bench_with_input(BenchmarkId::new("streaming", chunk), &chunk, |b, &chunk| {
             b.iter(|| {
-                let mut dec = StreamingDecoder::new();
+                let mut dec = StreamingDecoder::counting_only();
                 let mut events = 0u64;
-                for c in bytes.chunks(chunk) {
-                    dec.push(c);
-                    while let Some(item) = dec.next_event() {
-                        item.unwrap();
-                        events += 1;
-                    }
-                }
-                dec.finish();
-                while let Some(item) = dec.next_event() {
+                let mut sink = |item: Result<_, _>| {
                     item.unwrap();
                     events += 1;
+                };
+                for c in bytes.chunks(chunk) {
+                    dec.push_with(c, &mut sink);
                 }
+                dec.finish_with(&mut sink);
                 events
             });
         });

@@ -72,6 +72,8 @@ impl AuxBuffer {
     /// Offers packet bytes to the buffer (the producer side). Returns
     /// `false` if they were dropped: the ring had no room for them — after a
     /// gap, no room for them *and* the OVF marker that must precede them.
+    /// `bytes` is accepted or dropped whole, never cut, so a ring offered
+    /// whole packets only ever holds whole packets.
     pub fn produce(&mut self, bytes: &[u8]) -> bool {
         self.stats.bytes_produced += bytes.len() as u64;
         let marker = if self.in_overflow { OVF_LEN } else { 0 };

@@ -6,31 +6,17 @@ use crate::packet::{
     OPC_PSBEND, SHORT_TNT_CAPACITY, TIP_BASE, TIP_PGD_BASE, TIP_PGE_BASE,
 };
 
-/// Encoder configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EncoderConfig {
-    /// Emit a PSB synchronisation point every this many payload bytes
-    /// (mirrors the hardware's periodic PSB generation). `0` disables
-    /// periodic PSBs.
-    pub psb_interval_bytes: usize,
-    /// Use long TNT packets when at least this many bits are pending;
-    /// otherwise short TNTs are used.
-    pub prefer_long_tnt_at: usize,
-}
-
-impl Default for EncoderConfig {
-    fn default() -> Self {
-        EncoderConfig {
-            psb_interval_bytes: 4096,
-            prefer_long_tnt_at: SHORT_TNT_CAPACITY + 1,
-        }
-    }
-}
+/// Payload bytes between two periodic PSBs unless a caller asks otherwise.
+const PSB_INTERVAL_BYTES: usize = 4096;
 
 /// Encodes a stream of branch events into PT packet bytes.
 #[derive(Debug)]
 pub struct PacketEncoder {
-    config: EncoderConfig,
+    /// Emit a PSB synchronisation point every this many payload bytes
+    /// (mirrors the hardware's periodic PSB generation); `0` disables
+    /// periodic PSBs.
+    psb_interval_bytes: usize,
+    /// Packet bytes produced since the last drain.
     out: Vec<u8>,
     /// Pending TNT bits, oldest in bit 0. Never more than
     /// [`LONG_TNT_CAPACITY`] (47) of them, so they fit one word.
@@ -38,7 +24,6 @@ pub struct PacketEncoder {
     tnt_len: usize,
     last_ip: u64,
     bytes_since_psb: usize,
-    branches: u64,
     started: bool,
 }
 
@@ -49,31 +34,27 @@ impl Default for PacketEncoder {
 }
 
 impl PacketEncoder {
-    /// Creates an encoder with the default configuration.
+    /// Creates an encoder that emits a PSB every 4 KiB of payload.
     pub fn new() -> Self {
-        Self::with_config(EncoderConfig::default())
+        Self::with_psb_interval(PSB_INTERVAL_BYTES)
     }
 
-    /// Creates an encoder with an explicit configuration.
-    pub fn with_config(config: EncoderConfig) -> Self {
+    /// Creates an encoder that emits a PSB every `psb_interval_bytes`
+    /// payload bytes; `0` disables periodic PSBs.
+    pub fn with_psb_interval(psb_interval_bytes: usize) -> Self {
         PacketEncoder {
-            config,
+            psb_interval_bytes,
             out: Vec::new(),
             tnt_bits: 0,
             tnt_len: 0,
             last_ip: 0,
             bytes_since_psb: 0,
-            branches: 0,
             started: false,
         }
     }
 
-    /// Number of branch events encoded so far.
-    pub fn branches(&self) -> u64 {
-        self.branches
-    }
-
-    /// Number of packet bytes produced so far (excluding pending TNT bits).
+    /// Number of packet bytes produced since the last drain (excluding
+    /// pending TNT bits).
     pub fn bytes(&self) -> usize {
         self.out.len()
     }
@@ -90,7 +71,6 @@ impl PacketEncoder {
 
     /// Encodes one branch event.
     pub fn branch(&mut self, event: &BranchEvent) {
-        self.branches += 1;
         match *event {
             BranchEvent::Conditional { taken } => {
                 self.tnt_bits |= u64::from(taken) << self.tnt_len;
@@ -147,13 +127,16 @@ impl PacketEncoder {
         std::mem::take(&mut self.out)
     }
 
-    /// [`drain`](Self::drain) into the end of `sink`, keeping the encoder's
-    /// own buffer: a caller that drains at every boundary allocates nothing
-    /// once both buffers have grown.
-    pub fn drain_into(&mut self, sink: &mut Vec<u8>) {
+    /// [`drain`](Self::drain) that lends the bytes instead of handing over
+    /// the buffer: flushes pending TNT bits, lends the bytes produced since
+    /// the last drain to `consume`, then forgets them. The encoder keeps its
+    /// buffer, so a caller that drains at every boundary allocates nothing
+    /// once it has grown. The lent bytes always end on a packet boundary.
+    pub fn drain_with<R>(&mut self, consume: impl FnOnce(&[u8]) -> R) -> R {
         self.flush_tnt();
-        sink.extend_from_slice(&self.out);
+        let result = consume(&self.out);
         self.out.clear();
+        result
     }
 
     // ----- packet emission -------------------------------------------------
@@ -192,7 +175,7 @@ impl PacketEncoder {
 
     fn flush_tnt(&mut self) {
         while self.tnt_len > 0 {
-            if self.tnt_len >= self.config.prefer_long_tnt_at {
+            if self.tnt_len > SHORT_TNT_CAPACITY {
                 // Long TNT: escape + opcode + 6 payload bytes. Bits are
                 // packed LSB-first with a stop bit above the last one.
                 let take = self.tnt_len.min(LONG_TNT_CAPACITY);
@@ -221,9 +204,7 @@ impl PacketEncoder {
     }
 
     fn maybe_psb(&mut self) {
-        if self.config.psb_interval_bytes > 0
-            && self.bytes_since_psb >= self.config.psb_interval_bytes
-        {
+        if self.psb_interval_bytes > 0 && self.bytes_since_psb >= self.psb_interval_bytes {
             self.flush_tnt();
             self.emit_psb_group();
         }
@@ -251,12 +232,11 @@ mod tests {
                 self.flush_tnt();
                 return self.inner.branch(event);
             };
-            self.inner.branches += 1;
             self.pending_tnt.push(taken);
             if self.pending_tnt.len() >= LONG_TNT_CAPACITY {
                 self.flush_tnt();
             }
-            let interval = self.inner.config.psb_interval_bytes;
+            let interval = self.inner.psb_interval_bytes;
             if interval > 0 && self.inner.bytes_since_psb >= interval {
                 self.flush_tnt();
                 self.inner.emit_psb_group();
@@ -275,13 +255,12 @@ mod tests {
 
         fn flush_tnt(&mut self) {
             let PacketEncoder {
-                config,
                 out,
                 bytes_since_psb,
                 ..
             } = &mut self.inner;
             while !self.pending_tnt.is_empty() {
-                if self.pending_tnt.len() >= config.prefer_long_tnt_at {
+                if self.pending_tnt.len() > SHORT_TNT_CAPACITY {
                     let take = self.pending_tnt.len().min(LONG_TNT_CAPACITY);
                     let bits: Vec<bool> = self.pending_tnt.drain(..take).collect();
                     let mut payload: u64 = 0;
@@ -314,27 +293,20 @@ mod tests {
 
     proptest! {
         /// The word accumulator emits, byte for byte, what the `Vec<bool>`
-        /// queue did: over random event mixes, TNT thresholds on both sides
-        /// of the capacities, drains at random points (each chunk compared)
-        /// and streams that cross several periodic PSBs.
+        /// queue did: over random event mixes, drains at random points (each
+        /// chunk compared) and streams that cross several periodic PSBs.
         #[test]
         fn prop_tnt_accumulator_matches_the_vec_bool_queue(
             words in proptest::collection::vec(any::<u64>(), 1..3000),
-            prefer_long_tnt_at in 1usize..60,
             psb_shift in 6u32..13,
         ) {
-            let config = EncoderConfig {
-                psb_interval_bytes: 1 << psb_shift,
-                prefer_long_tnt_at,
-            };
-            let mut new = PacketEncoder::with_config(config);
+            let mut new = PacketEncoder::with_psb_interval(1 << psb_shift);
             let mut old = VecBoolEncoder {
-                inner: PacketEncoder::with_config(config),
+                inner: PacketEncoder::with_psb_interval(1 << psb_shift),
                 pending_tnt: Vec::new(),
             };
             new.begin(0x40_0000);
             old.inner.begin(0x40_0000);
-            let mut sink = vec![0xAA];
             for w in words {
                 let ip = (w >> 16) & [0xFFFF, 0xFFFF_FFFF, u64::MAX >> 16][(w >> 8) as usize % 3];
                 let event = match w % 32 {
@@ -350,15 +322,13 @@ mod tests {
                 match (w >> 40) % 97 {
                     0 => prop_assert_eq!(new.drain(), old.drain()),
                     1 => {
-                        let before = sink.len();
-                        new.drain_into(&mut sink);
-                        prop_assert_eq!(&sink[before..], &old.drain()[..]);
+                        let expected = old.drain();
+                        prop_assert!(new.drain_with(|lent| lent == expected.as_slice()));
                         prop_assert_eq!(new.bytes(), 0);
                     }
                     _ => {}
                 }
             }
-            prop_assert_eq!(new.branches(), old.inner.branches());
             prop_assert_eq!(new.finish(), old.finish());
         }
     }
@@ -412,20 +382,8 @@ mod tests {
     }
 
     #[test]
-    fn branch_counter_counts_all_kinds() {
-        let mut enc = PacketEncoder::new();
-        enc.branch(&BranchEvent::Conditional { taken: true });
-        enc.branch(&BranchEvent::Indirect { target: 8 });
-        enc.branch(&BranchEvent::Return { target: 16 });
-        assert_eq!(enc.branches(), 3);
-    }
-
-    #[test]
     fn periodic_psb_is_emitted() {
-        let mut enc = PacketEncoder::with_config(EncoderConfig {
-            psb_interval_bytes: 64,
-            ..EncoderConfig::default()
-        });
+        let mut enc = PacketEncoder::with_psb_interval(64);
         enc.begin(0);
         for i in 0..200u64 {
             enc.branch(&BranchEvent::Indirect {

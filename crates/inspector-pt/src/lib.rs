@@ -31,18 +31,21 @@
 //!   ([`decode::DecodeError`]) and is the semantic reference every other
 //!   decode result is compared against. A [`Packet`] is `Copy` and a TNT
 //!   packet's branches are one packed word ([`packet::TntBits`]), so
-//!   parsing allocates nothing.
+//!   parsing allocates nothing. It is the only code that knows how long a
+//!   packet is.
 //! * [`stream::StreamingDecoder`] is the **carrier** over it — a carry
 //!   buffer around `PacketDecoder::next_packet` — and the one decoder the
-//!   runtime's ingest workers and post-mortem log decoding run. Its
-//!   counters come from one per-packet function beside `packet_events`,
-//!   so its counting-only mode adds once per packet, never per event, and
-//!   keeps the recording mode's counters by construction. It accepts AUX
-//!   chunks incrementally and upholds two contracts:
+//!   runtime's ingest workers and post-mortem log decoding run. It has one
+//!   mode: every push decodes all complete packets and adds to its
+//!   counters once per packet, from one per-packet function beside
+//!   `packet_events`; a caller that wants the events passes a sink
+//!   ([`stream::StreamingDecoder::push_with`]), and the counters are the
+//!   same either way. It accepts AUX chunks incrementally and upholds two
+//!   contracts:
 //!
 //!   1. **Chunk boundaries are invisible.** A packet cut by a chunk
 //!      boundary is carried (deferred), never errored; over *any* chunking
-//!      of a well-formed stream the yielded events are byte-for-byte what
+//!      of a well-formed stream the sink receives byte-for-byte the events
 //!      the batch decoder produces on the concatenated bytes. A truncated
 //!      tail only becomes an error at [`stream::StreamingDecoder::finish`].
 //!   2. **Corruption costs at most one PSB window.** An undecodable header
@@ -51,10 +54,19 @@
 //!      the IP context is reset by construction) and resumes losing only
 //!      the events between the corruption point and that PSB.
 //!
-//! Producers uphold the matching invariant: [`trace::ThreadTrace`] never
-//! hands out a chunk that ends mid-packet ([`packet::complete_frame_prefix`]
-//! carries partial frames into the next drain), so deferral in practice
-//! only triggers on byte-granular transports.
+//! Producers never hand out a chunk that ends mid-packet, and no second
+//! grammar checks it, because three facts make it so by construction:
+//!
+//! 1. [`encode::PacketEncoder::drain_with`] flushes pending TNT bits before
+//!    it lends its output, so the encoder only ever hands out whole
+//!    packets;
+//! 2. [`aux::AuxBuffer::produce`] accepts or drops each such output whole,
+//!    and writes the OVF marker of a gap as one 2-byte unit;
+//! 3. [`aux::AuxBuffer::collect_into`] moves the whole ring.
+//!
+//! So every chunk [`trace::ThreadTrace::drain_collected`] returns decodes
+//! on its own, and deferral only triggers for consumers that cut a log at
+//! arbitrary byte offsets (post-mortem decoding in fixed-size chunks).
 //!
 //! ```
 //! use inspector_pt::branch::BranchEvent;

@@ -214,55 +214,6 @@ pub fn ip_decompress(last_ip: u64, code: u8, payload: &[u8]) -> u64 {
     }
 }
 
-/// Byte length of the packet frame starting at `bytes[0]`, or `None` if the
-/// slice ends before the frame does (a partial frame).
-///
-/// Packet framing is context-free: every packet's length is determined by
-/// its header byte (plus the escape's second byte), never by the last-IP
-/// decompression state — which is what lets AUX consumers cut a stream at
-/// packet boundaries without decoding it. A PSB is framed as individual
-/// `0x02 0x82` pairs (the decoder coalesces adjacent pairs); unknown
-/// headers are framed at their minimum length so a scan over corrupt data
-/// still makes progress.
-pub fn frame_len(bytes: &[u8]) -> Option<usize> {
-    let byte = *bytes.first()?;
-    if byte == OPC_PAD {
-        return Some(1);
-    }
-    if byte == OPC_ESCAPE {
-        let second = *bytes.get(1)?;
-        let len = if second == OPC_LONG_TNT { 8 } else { 2 };
-        return (bytes.len() >= len).then_some(len);
-    }
-    if byte == OPC_MODE {
-        return (bytes.len() >= 2).then_some(2);
-    }
-    if byte & 1 == 0 {
-        // Short TNT.
-        return Some(1);
-    }
-    // IP packet family; code 7 is unknown, framed as the header alone.
-    let nbytes = IP_BYTES_BY_CODE
-        .get((byte >> 5) as usize)
-        .copied()
-        .unwrap_or(0);
-    (bytes.len() > nbytes).then_some(1 + nbytes)
-}
-
-/// Length of the longest prefix of `bytes` that ends on a packet-frame
-/// boundary; the remainder is a partial frame a consumer must carry until
-/// the missing bytes arrive.
-pub fn complete_frame_prefix(bytes: &[u8]) -> usize {
-    let mut pos = 0;
-    while pos < bytes.len() {
-        match frame_len(&bytes[pos..]) {
-            Some(len) => pos += len,
-            None => break,
-        }
-    }
-    pos
-}
-
 /// The 4-byte prefix of a PSB run a decoder scans for when resynchronising.
 pub const PSB_PATTERN: [u8; 4] = [OPC_ESCAPE, OPC_PSB, OPC_ESCAPE, OPC_PSB];
 
@@ -392,41 +343,6 @@ mod tests {
             (3, 6)
         );
         assert_eq!(ip_compression(0, 0xffff_ffff_ffff_ffff), (6, 8));
-    }
-
-    #[test]
-    fn frame_lengths_match_the_wire_format() {
-        assert_eq!(frame_len(&[OPC_PAD]), Some(1));
-        assert_eq!(frame_len(&[0b0000_0110]), Some(1)); // short TNT
-        assert_eq!(frame_len(&[OPC_MODE, 0x01]), Some(2));
-        assert_eq!(frame_len(&[OPC_ESCAPE, OPC_PSB]), Some(2)); // one PSB pair
-        assert_eq!(frame_len(&[OPC_ESCAPE, OPC_PSBEND]), Some(2));
-        assert_eq!(frame_len(&[OPC_ESCAPE, OPC_OVF]), Some(2));
-        assert_eq!(
-            frame_len(&[OPC_ESCAPE, OPC_LONG_TNT, 0, 0, 0, 0, 0, 1]),
-            Some(8)
-        );
-        // TIP with 2 payload bytes: header code 1.
-        assert_eq!(frame_len(&[TIP_BASE | (1 << 5), 0xAA, 0xBB]), Some(3));
-    }
-
-    #[test]
-    fn partial_frames_are_detected() {
-        assert_eq!(frame_len(&[]), None);
-        assert_eq!(frame_len(&[OPC_ESCAPE]), None);
-        assert_eq!(frame_len(&[OPC_MODE]), None);
-        assert_eq!(frame_len(&[OPC_ESCAPE, OPC_LONG_TNT, 0, 0]), None);
-        assert_eq!(frame_len(&[TIP_BASE | (1 << 5), 0xAA]), None);
-    }
-
-    #[test]
-    fn complete_frame_prefix_stops_at_partial_tail() {
-        // PAD, MODE, then a TIP missing its last payload byte.
-        let bytes = [OPC_PAD, OPC_MODE, 0x01, TIP_BASE | (1 << 5), 0xAA];
-        assert_eq!(complete_frame_prefix(&bytes), 3);
-        // A fully framed stream consumes everything.
-        assert_eq!(complete_frame_prefix(&bytes[..3]), 3);
-        assert_eq!(complete_frame_prefix(&[]), 0);
     }
 
     #[test]

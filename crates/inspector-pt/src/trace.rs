@@ -4,33 +4,25 @@
 //! encoded immediately (that cost is the "OS support for Intel PT" share of
 //! the provenance overhead); the resulting packet bytes are pushed into the
 //! thread's AUX buffer and collected at every flush.
+//!
+//! The collected log only ever ends on a packet boundary, by construction:
+//! the encoder flushes its pending TNT bits before it lends its output, the
+//! ring accepts or drops each lent output whole and writes its OVF marker
+//! as one unit, and collection moves the whole ring.
 
 use std::time::{Duration, Instant};
 
 use crate::aux::AuxBuffer;
 use crate::branch::BranchEvent;
-use crate::decode::{DecodeError, PacketDecoder};
 use crate::encode::PacketEncoder;
-use crate::packet::complete_frame_prefix;
 use crate::stats::PtStats;
 
-/// Configuration of a per-thread trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// AUX buffer capacity in bytes (perf uses 4 MiB slots by default).
-    pub aux_capacity: usize,
-    /// Flush the encoder into the AUX buffer every this many branches.
-    pub flush_every: u64,
-}
+/// AUX buffer capacity of [`ThreadTrace::new`], in bytes (perf uses 4 MiB
+/// slots by default).
+const AUX_CAPACITY: usize = 4 << 20;
 
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            aux_capacity: 4 << 20,
-            flush_every: 4096,
-        }
-    }
-}
+/// The encoder is flushed into the AUX buffer every this many branches.
+const FLUSH_EVERY: u64 = 4096;
 
 /// One recorded event in this many is timed, and its time stands for all of
 /// them: a clock read costs several times the encode work it would measure.
@@ -71,33 +63,33 @@ impl Sample {
 #[derive(Debug)]
 pub struct ThreadTrace {
     encoder: PacketEncoder,
-    /// Encoder output on its way into the AUX buffer; empty between flushes.
-    staging: Vec<u8>,
     aux: AuxBuffer,
     collected: Vec<u8>,
     stats: PtStats,
-    config: TraceConfig,
     since_flush: u64,
 }
 
 impl ThreadTrace {
-    /// Creates a trace with the default configuration and enables tracing at
+    /// Creates a trace with a 4 MiB AUX buffer and enables tracing at
     /// `start_ip`.
     pub fn new(start_ip: u64) -> Self {
-        Self::with_config(start_ip, TraceConfig::default())
+        Self::with_aux_capacity(start_ip, AUX_CAPACITY)
     }
 
-    /// Creates a trace with an explicit configuration.
-    pub fn with_config(start_ip: u64, config: TraceConfig) -> Self {
+    /// Creates a trace whose AUX buffer holds `bytes` bytes and enables
+    /// tracing at `start_ip`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is zero.
+    pub fn with_aux_capacity(start_ip: u64, bytes: usize) -> Self {
         let mut encoder = PacketEncoder::new();
         encoder.begin(start_ip);
         ThreadTrace {
             encoder,
-            staging: Vec::new(),
-            aux: AuxBuffer::new(config.aux_capacity),
+            aux: AuxBuffer::new(bytes),
             collected: Vec::new(),
             stats: PtStats::default(),
-            config,
             since_flush: 0,
         }
     }
@@ -125,7 +117,7 @@ impl ThreadTrace {
             self.stats.encode_time += sample.scaled();
         }
         self.since_flush += 1;
-        if self.since_flush >= self.config.flush_every {
+        if self.since_flush >= FLUSH_EVERY {
             let start = Instant::now();
             self.flush();
             self.stats.encode_time += start.elapsed();
@@ -151,13 +143,12 @@ impl ThreadTrace {
     /// precede the next bytes, and they must not compress against the IP of
     /// packets it never sees.
     pub fn flush(&mut self) {
-        self.encoder.drain_into(&mut self.staging);
-        if !self.staging.is_empty() {
-            self.stats.trace_bytes += self.staging.len() as u64;
-            if !self.aux.produce(&self.staging) {
-                self.encoder.restart_ip_compression();
-            }
-            self.staging.clear();
+        let dropped = self.encoder.drain_with(|bytes| {
+            self.stats.trace_bytes += bytes.len() as u64;
+            !bytes.is_empty() && !self.aux.produce(bytes)
+        });
+        if dropped {
+            self.encoder.restart_ip_compression();
         }
         self.aux.collect_into(&mut self.collected);
         self.sync_loss();
@@ -198,11 +189,9 @@ impl ThreadTrace {
     /// the same branch-event stream as an undrained run (packet framing may
     /// differ, since a drain forces pending TNT bits into a packet early).
     ///
-    /// A drained chunk never ends mid-packet: if the collected log ends in
-    /// a partial frame (possible when the AUX transport cuts at arbitrary
-    /// byte offsets), the partial tail is carried into the next drain
-    /// instead of being handed out truncated, so per-chunk consumers (the
-    /// online decode stage) never see a spurious truncation.
+    /// A drained chunk never ends mid-packet (see the module docs), so a
+    /// per-chunk consumer (the online decode stage) never carries a partial
+    /// packet from one drain to the next.
     pub fn drain_collected(&mut self) -> Vec<u8> {
         // The chunk is copied out at its exact size and the log keeps its
         // buffer, so the flushes in between allocate nothing.
@@ -210,14 +199,13 @@ impl ThreadTrace {
     }
 
     /// [`drain_collected`](Self::drain_collected) without the copy: lends
-    /// the chunk — the same complete-frame prefix, possibly empty — to
-    /// `consume` and removes it from the log afterwards. For consumers that
-    /// append the bytes somewhere of their own (the perf session's per-process
-    /// log) and would drop an owned chunk right after.
+    /// the whole collected log, possibly empty, to `consume` and empties it
+    /// afterwards. For consumers that append the bytes somewhere of their
+    /// own (the perf session's per-process log) and would drop an owned
+    /// chunk right after.
     pub fn drain_collected_with<R>(&mut self, consume: impl FnOnce(&[u8]) -> R) -> R {
-        let boundary = complete_frame_prefix(&self.collected);
-        let result = consume(&self.collected[..boundary]);
-        self.collected.drain(..boundary);
+        let result = consume(&self.collected);
+        self.collected.clear();
         result
     }
 
@@ -238,20 +226,16 @@ impl ThreadTrace {
         self.sync_loss();
         (self.collected, self.stats)
     }
-
-    /// Decodes a collected log back into branch events.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] if the log is malformed.
-    pub fn decode(log: &[u8]) -> Result<Vec<BranchEvent>, DecodeError> {
-        PacketDecoder::new(log).decode_events()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::PacketDecoder;
+
+    fn decode(log: &[u8]) -> Vec<BranchEvent> {
+        PacketDecoder::new(log).decode_events().unwrap()
+    }
 
     #[test]
     fn record_flush_finish_roundtrip() {
@@ -269,7 +253,7 @@ mod tests {
         assert!(stats.trace_bytes > 0);
         assert!(!log.is_empty());
 
-        let events = ThreadTrace::decode(&log).unwrap();
+        let events = decode(&log);
         let conditionals = events.iter().filter(|e| e.is_conditional()).count();
         assert_eq!(conditionals, 900);
     }
@@ -292,15 +276,12 @@ mod tests {
     fn full_trace_mode_with_tiny_aux_reports_loss_free_collection() {
         // The runtime collects at every flush, so even a small AUX buffer
         // does not lose data as long as flushes are frequent enough.
-        let mut trace = ThreadTrace::with_config(
-            0,
-            TraceConfig {
-                aux_capacity: 512,
-                flush_every: 16,
-            },
-        );
+        let mut trace = ThreadTrace::with_aux_capacity(0, 512);
         for i in 0..5_000u64 {
             trace.indirect(i * 0x1111);
+            if i % 16 == 15 {
+                trace.flush();
+            }
         }
         let (log, stats) = trace.finish();
         assert_eq!(stats.bytes_lost, 0);
@@ -311,15 +292,11 @@ mod tests {
     #[test]
     fn slow_consumer_loses_data_and_records_gaps() {
         // Flushing rarely with a tiny AUX buffer models a consumer that
-        // cannot keep up: data must be lost and gaps recorded.
-        let mut trace = ThreadTrace::with_config(
-            0,
-            TraceConfig {
-                aux_capacity: 64,
-                flush_every: 1_000_000,
-            },
-        );
-        for i in 0..10_000u64 {
+        // cannot keep up: data must be lost and gaps recorded. The 1 000
+        // branches stay below the periodic flush, so only the explicit
+        // flush below moves bytes.
+        let mut trace = ThreadTrace::with_aux_capacity(0, 64);
+        for i in 0..1_000u64 {
             trace.indirect(i * 0x9999_7777);
         }
         trace.flush();
@@ -338,13 +315,13 @@ mod tests {
         let (log, stats) = trace.finish();
         assert_eq!(stats.gaps, 1);
         assert_eq!(stats.bytes_lost, 100);
-        let events = ThreadTrace::decode(&log).unwrap();
+        let events = decode(&log);
         assert!(events.contains(&BranchEvent::Overflow));
     }
 
     /// The indirect targets decoded after the last gap of `log`.
     fn targets_after_last_gap(log: &[u8]) -> Vec<u64> {
-        let events = ThreadTrace::decode(log).unwrap();
+        let events = decode(log);
         let gap = events
             .iter()
             .rposition(|e| *e == BranchEvent::Overflow)
@@ -364,13 +341,7 @@ mod tests {
         // targets recorded next share their upper bytes with the dropped
         // ones; they must not be compressed against them, since the decoder
         // restarts from a zero context at the OVF marker.
-        let mut trace = ThreadTrace::with_config(
-            0x40_0000,
-            TraceConfig {
-                aux_capacity: 64,
-                flush_every: 1_000_000,
-            },
-        );
+        let mut trace = ThreadTrace::with_aux_capacity(0x40_0000, 64);
         trace.indirect(0x40_1000);
         trace.flush();
         for i in 0..200u64 {
@@ -401,7 +372,7 @@ mod tests {
         }
         let (log, _) = trace.finish();
         assert_eq!(targets_after_last_gap(&log), after);
-        let events = ThreadTrace::decode(&log).unwrap();
+        let events = decode(&log);
         assert!(events.contains(&BranchEvent::Indirect { target: 0x40_1000 }));
     }
 
@@ -433,47 +404,10 @@ mod tests {
         };
         let undrained = run(None);
         let drained = run(Some(64));
-        let reference = ThreadTrace::decode(&undrained).unwrap();
-        let incremental = ThreadTrace::decode(&drained).unwrap();
+        let reference = decode(&undrained);
+        let incremental = decode(&drained);
         assert_eq!(incremental, reference);
         assert!(!incremental.is_empty());
-    }
-
-    #[test]
-    fn drain_collected_carries_a_partial_packet_into_the_next_drain() {
-        // Regression: a byte-granular AUX transport can leave the collected
-        // log ending mid-packet. The drain must stop at the last packet
-        // boundary and hand the partial tail out with the *next* drain,
-        // never as a truncated chunk.
-        let mut trace = ThreadTrace::new(0x400000);
-        trace.indirect(0xdead_beef);
-        trace.flush();
-        // A TIP packet whose last two bytes have not arrived yet.
-        let mut enc = PacketEncoder::new();
-        enc.branch(&BranchEvent::Indirect {
-            target: 0x7777_1234_5678,
-        });
-        let tip = enc.drain();
-        let (head, tail) = tip.split_at(tip.len() - 2);
-        trace.collected.extend_from_slice(head);
-
-        let first = trace.drain_collected();
-        // The chunk decodes standalone — no spurious truncation error…
-        PacketDecoder::new(&first)
-            .decode_events()
-            .expect("drained chunk must end on a packet boundary");
-        // …because the partial frame stayed buffered.
-        assert!(!trace.collected.is_empty(), "partial tail must be carried");
-
-        trace.collected.extend_from_slice(tail);
-        let second = trace.drain_collected();
-        assert!(trace.collected.is_empty());
-        let mut all = first;
-        all.extend_from_slice(&second);
-        let events = PacketDecoder::new(&all).decode_events().unwrap();
-        assert!(events.contains(&BranchEvent::Indirect {
-            target: 0x7777_1234_5678
-        }));
     }
 
     #[test]
@@ -496,23 +430,6 @@ mod tests {
             assert!(lent.collected.is_empty());
         }
         assert_eq!(owned.finish().0, lent.finish().0);
-    }
-
-    #[test]
-    fn carried_partial_tail_is_flushed_by_finish() {
-        let mut trace = ThreadTrace::new(0x400000);
-        trace.conditional(true);
-        // Leave a partial TIP in the collected log, as above.
-        let mut enc = PacketEncoder::new();
-        enc.branch(&BranchEvent::Indirect { target: 0x1111 });
-        let tip = enc.drain();
-        trace.flush();
-        trace.collected.extend_from_slice(&tip[..tip.len() - 1]);
-        let _ = trace.drain_collected();
-        assert!(!trace.collected.is_empty());
-        // finish() returns everything still buffered, carried tail included.
-        let (log, _) = trace.finish();
-        assert!(log.starts_with(&tip[..tip.len() - 1]));
     }
 
     /// Records `branches` conditionals; the sampled estimate and the wall

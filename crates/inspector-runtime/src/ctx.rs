@@ -37,7 +37,7 @@ use inspector_mem::thread_mem::{ThreadMemory, TrackingMode};
 use inspector_perf::cgroup::ProcessId;
 use inspector_perf::event::PerfEvent;
 use inspector_pt::branch::BranchEvent;
-use inspector_pt::trace::{ThreadTrace, TraceConfig};
+use inspector_pt::trace::ThreadTrace;
 
 use crate::config::ExecutionMode;
 use crate::lane::LaneSender;
@@ -147,12 +147,9 @@ impl ThreadCtx {
         }
         let trace = match shared.config.mode {
             ExecutionMode::Inspector => {
-                let mut trace = ThreadTrace::with_config(
+                let mut trace = ThreadTrace::with_aux_capacity(
                     0x40_0000 + thread.index() as u64 * 0x1000,
-                    TraceConfig {
-                        aux_capacity: shared.config.aux_capacity,
-                        ..TraceConfig::default()
-                    },
+                    shared.config.aux_capacity,
                 );
                 let overflow = shared.config.fault_plan.overflow_bytes;
                 if overflow > 0 {

@@ -316,8 +316,8 @@ fn ingest_loop(rx: LaneReceiver<IngestMsg>, shared: Arc<Shared>, lane: usize) ->
                 }
                 let data = data;
                 let start = Instant::now();
-                // Counting mode: the cross-check needs the decoders'
-                // counters, not the event stream, so nothing is queued.
+                // No sink: the cross-check needs the decoders' counters,
+                // not the event stream.
                 let dec = decoders
                     .entry(thread)
                     .or_insert_with(StreamingDecoder::counting_only);

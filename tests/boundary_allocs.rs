@@ -9,9 +9,9 @@
 //!   its page sets, clocks and lane messages, this loop read 5.09
 //!   allocations and 880 bytes per boundary.
 //! * PT decoding: the packet grammar allocates nothing, and the streaming
-//!   decoder allocates only its carry buffer and event queue, a constant
-//!   that does not grow with the length of the stream. Before TNT bits were
-//!   packed into one word, every TNT packet allocated.
+//!   decoder allocates only its carry buffer, with or without an event
+//!   sink: a constant that does not grow with the length of the stream.
+//!   Before TNT bits were packed into one word, every TNT packet allocated.
 //!
 //! Timings on a shared box cannot pin either; a count can: it is the same
 //! on every runner, so one extra allocation per boundary or per packet
@@ -26,7 +26,6 @@ use inspector::prelude::*;
 use inspector::pt::branch::BranchEvent;
 use inspector::pt::decode::{packet_events, PacketDecoder};
 use inspector::pt::encode::PacketEncoder;
-use inspector::pt::packet::complete_frame_prefix;
 use inspector::pt::stream::StreamingDecoder;
 
 /// Allocations and bytes requested by one thread.
@@ -214,8 +213,8 @@ fn batch(bytes: &[u8]) -> u64 {
     events
 }
 
-/// The counting-only streaming decoder fed AUX-sized 4 KiB pushes.
-fn counting(bytes: &[u8]) -> u64 {
+/// The streaming decoder fed AUX-sized 4 KiB pushes, counters only.
+fn push(bytes: &[u8]) -> u64 {
     let mut dec = StreamingDecoder::counting_only();
     for chunk in bytes.chunks(4096) {
         dec.push(chunk);
@@ -224,16 +223,15 @@ fn counting(bytes: &[u8]) -> u64 {
     dec.stats().events
 }
 
-/// A recording streaming decoder fed 4 KiB pushes and drained after each.
-fn recording(bytes: &[u8]) -> u64 {
-    let mut dec = StreamingDecoder::new();
+/// The streaming decoder fed 4 KiB pushes, events counted by a sink.
+fn push_with(bytes: &[u8]) -> u64 {
+    let mut dec = StreamingDecoder::counting_only();
     let mut events = 0;
+    let mut sink = |item: Result<BranchEvent, _>| events += u64::from(item.is_ok());
     for chunk in bytes.chunks(4096) {
-        dec.push(chunk);
-        events += dec.events().filter(|item| item.is_ok()).count() as u64;
+        dec.push_with(chunk, &mut sink);
     }
-    dec.finish();
-    events += dec.events().filter(|item| item.is_ok()).count() as u64;
+    dec.finish_with(&mut sink);
     events
 }
 
@@ -241,16 +239,13 @@ fn recording(bytes: &[u8]) -> u64 {
 fn pt_decoding_allocates_a_constant_independent_of_stream_length() {
     const MIB: usize = 1 << 20;
     let long = seeded_pt_log(4 * MIB);
-    let short = &long[..complete_frame_prefix(&long[..MIB])];
+    let short = seeded_pt_log(MIB);
 
     let grammar = decode_allocs(&long, batch);
     assert_eq!(grammar, Allocs::default(), "next_packet + packet_events");
 
-    for (name, decode) in [
-        ("counting_only", counting as fn(&[u8]) -> u64),
-        ("recording", recording),
-    ] {
-        let short = decode_allocs(short, decode);
+    for (name, decode) in [("push", push as fn(&[u8]) -> u64), ("push_with", push_with)] {
+        let short = decode_allocs(&short, decode);
         let long = decode_allocs(&long, decode);
         println!("{name}: 1 MiB {short:?}, 4 MiB {long:?}");
         assert_eq!(

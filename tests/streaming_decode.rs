@@ -7,18 +7,19 @@
 //! every recorded branch without perturbing the graph.
 //!
 //! Chunking stays invisible on damaged input too: over corrupted streams
-//! and arbitrary byte soups, chunk-fed decoding yields the same events,
-//! the same in-band errors at the same offsets and the same counters as
-//! one push of the whole stream — and the counting-only mode the ingest
-//! workers run keeps exactly the recording mode's counters.
+//! and arbitrary byte soups, chunk-fed decoding hands its sink the same
+//! events, the same in-band errors at the same offsets and keeps the same
+//! counters as one push of the whole stream — and decoding without a sink,
+//! as the ingest workers do, keeps exactly the counters of decoding into
+//! one.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use inspector::prelude::*;
 use inspector::pt::branch::BranchEvent;
-use inspector::pt::decode::{DecodeError, PacketDecoder};
-use inspector::pt::encode::{EncoderConfig, PacketEncoder};
+use inspector::pt::decode::{packet_events, DecodeError, PacketDecoder};
+use inspector::pt::encode::PacketEncoder;
 use inspector::pt::stream::{StreamStats, StreamingDecoder};
 use inspector::pt::trace::ThreadTrace;
 use proptest::collection::vec;
@@ -51,10 +52,7 @@ fn event_from_seed(seed: u64) -> BranchEvent {
 /// Encodes `seeds` as branch events with the given periodic-PSB interval
 /// (0 disables periodic PSBs), begin/finish markers included.
 fn encode_seeds(seeds: &[u64], psb_interval_bytes: usize) -> Vec<u8> {
-    let mut enc = PacketEncoder::with_config(EncoderConfig {
-        psb_interval_bytes,
-        ..EncoderConfig::default()
-    });
+    let mut enc = PacketEncoder::with_psb_interval(psb_interval_bytes);
     enc.begin(0x40_0000);
     for &s in seeds {
         enc.branch(&event_from_seed(s));
@@ -69,43 +67,74 @@ fn stream_with_cuts(bytes: &[u8], cut_points: &[usize]) -> Vec<BranchEvent> {
     cuts.push(bytes.len());
     cuts.sort_unstable();
     cuts.dedup();
-    let mut dec = StreamingDecoder::new();
+    let mut dec = StreamingDecoder::counting_only();
     let mut out = Vec::new();
+    let mut sink = |item: Result<BranchEvent, DecodeError>| {
+        out.push(item.expect("well-formed stream must decode cleanly"));
+    };
     let mut prev = 0;
     for &cut in &cuts {
-        dec.push(&bytes[prev..cut]);
+        dec.push_with(&bytes[prev..cut], &mut sink);
         prev = cut;
-        for item in dec.events() {
-            out.push(item.expect("well-formed stream must decode cleanly"));
-        }
     }
-    dec.push(&bytes[prev..]);
-    dec.finish();
-    for item in dec.events() {
-        out.push(item.expect("well-formed stream must decode cleanly"));
-    }
+    dec.push_with(&bytes[prev..], &mut sink);
+    dec.finish_with(&mut sink);
     assert_eq!(dec.stats().errors, 0);
     assert_eq!(dec.buffered(), 0, "finish must consume the whole stream");
     out
 }
 
-/// Feeds `bytes` to `dec` in `chunk`-byte pushes, draining after each, and
-/// returns the yielded events and in-band errors in order plus the final
-/// counters. `chunk = usize::MAX` is the one-push reference.
+/// Everything a sink receives when `chunks` are pushed in order and the
+/// stream is finished — events and in-band errors in order — plus the final
+/// counters.
+fn decode_chunks<'a>(
+    chunks: impl IntoIterator<Item = &'a [u8]>,
+) -> (Vec<Result<BranchEvent, DecodeError>>, StreamStats) {
+    let mut dec = StreamingDecoder::counting_only();
+    let mut items = Vec::new();
+    for chunk in chunks {
+        dec.push_with(chunk, |item| items.push(item));
+    }
+    dec.finish_with(|item| items.push(item));
+    assert_eq!(dec.buffered(), 0, "finish must consume the whole stream");
+    (items, dec.stats())
+}
+
+/// [`decode_chunks`] over `bytes` cut into `chunk`-byte pushes;
+/// `chunk = usize::MAX` is the one-push reference.
 fn decode_chunked(
-    mut dec: StreamingDecoder,
     bytes: &[u8],
     chunk: usize,
 ) -> (Vec<Result<BranchEvent, DecodeError>>, StreamStats) {
-    let mut items = Vec::new();
+    decode_chunks(bytes.chunks(chunk))
+}
+
+/// The counters of `bytes` pushed in `chunk`-byte pieces without a sink.
+fn count_chunked(bytes: &[u8], chunk: usize) -> StreamStats {
+    let mut dec = StreamingDecoder::counting_only();
     for c in bytes.chunks(chunk) {
         dec.push(c);
-        items.extend(dec.events());
     }
     dec.finish();
-    items.extend(dec.events());
     assert_eq!(dec.buffered(), 0, "finish must consume the whole stream");
-    (items, dec.stats())
+    dec.stats()
+}
+
+/// What the batch decoder makes of `bytes`, in the streaming sink's terms:
+/// every event, then the error that stopped it, if any.
+fn batch_items(bytes: &[u8]) -> Vec<Result<BranchEvent, DecodeError>> {
+    let mut dec = PacketDecoder::new(bytes);
+    let mut items = Vec::new();
+    loop {
+        match dec.next_packet() {
+            Ok(Some(packet)) => packet_events(packet, &mut |event| items.push(Ok(event))),
+            Ok(None) => return items,
+            Err(error) => {
+                items.push(Err(error));
+                return items;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -147,57 +176,76 @@ proptest! {
     fn thread_trace_drains_stream_decode(
         seeds in vec(any::<u64>(), 1..400),
         drain_every in 1u64..64,
+        ring_sel in 0u64..3,
+        overflow in any::<u64>(),
     ) {
         // The producer side of the pipeline: a ThreadTrace drained at
-        // irregular boundaries must stream-decode to the same events as the
-        // undrained log — and every drained chunk must decode standalone
-        // (no partial tail is ever handed out).
-        let mut trace = ThreadTrace::new(0x40_0000);
-        let mut dec = StreamingDecoder::new();
+        // irregular boundaries, through a ring that may be too small for a
+        // drain's worth of packets (64 B, 256 B or the 4 MiB default) and,
+        // in half the cases, with one injected overflow. Whatever the ring
+        // drops, it drops whole flushes and writes whole OVF markers, so
+        // every drained chunk decodes on its own, and the chunk-fed
+        // decode is the batch decode of the concatenation, errors included.
+        let mut trace = match ring_sel {
+            0 => ThreadTrace::with_aux_capacity(0x40_0000, 64),
+            1 => ThreadTrace::with_aux_capacity(0x40_0000, 256),
+            _ => ThreadTrace::new(0x40_0000),
+        };
+        let inject_at = (overflow & 1 == 0).then(|| (overflow >> 1) as usize % seeds.len());
+        let mut chunks = Vec::new();
         for (i, &s) in seeds.iter().enumerate() {
+            if inject_at == Some(i) {
+                trace.inject_overflow(1 + (overflow >> 32) % 4096);
+            }
             trace.record(event_from_seed(s));
             if i as u64 % drain_every == drain_every - 1 {
                 trace.flush();
-                let chunk = trace.drain_collected();
-                PacketDecoder::new(&chunk)
-                    .decode_events()
-                    .expect("drained chunks end on packet boundaries");
-                dec.push(&chunk);
+                chunks.push(trace.drain_collected());
             }
         }
-        let (tail, _) = trace.finish();
-        dec.push(&tail);
-        dec.finish();
-        let streamed: Vec<BranchEvent> =
-            dec.events().map(|i| i.expect("clean stream")).collect();
-        prop_assert_eq!(dec.stats().errors, 0);
-        // Conditionals and indirect transfers survive byte-exactly; only
-        // the Return/Indirect distinction is lost (both are TIPs), exactly
-        // as in the batch decoder.
-        let expected: Vec<BranchEvent> = seeds
-            .iter()
-            .map(|&s| match event_from_seed(s) {
-                BranchEvent::Return { target } => BranchEvent::Indirect { target },
-                e => e,
-            })
-            .collect();
-        let branches: Vec<BranchEvent> = streamed
-            .iter()
-            .copied()
-            .filter(|e| {
-                matches!(
-                    e,
-                    BranchEvent::Conditional { .. } | BranchEvent::Indirect { .. }
-                )
-            })
-            .collect();
-        prop_assert_eq!(branches, expected);
+        let (tail, stats) = trace.finish();
+        chunks.push(tail);
+        for chunk in &chunks {
+            PacketDecoder::new(chunk)
+                .decode_events()
+                .expect("drained chunks end on packet boundaries");
+        }
+        let (streamed, decoded) = decode_chunks(chunks.iter().map(Vec::as_slice));
+        prop_assert_eq!(&streamed, &batch_items(&chunks.concat()));
+        prop_assert_eq!(decoded.errors, 0);
+        // Every gap the ring counted is one OVF marker in the stream: the
+        // final flush always fits an emptied ring and closes the last one.
+        prop_assert_eq!(decoded.gaps, stats.gaps);
+        prop_assert!(inject_at.is_none() || stats.gaps > 0);
+        if stats.gaps == 0 {
+            // Loss-free: conditionals and indirect transfers survive
+            // byte-exactly; only the Return/Indirect distinction is lost
+            // (both are TIPs), exactly as in the batch decoder.
+            let expected: Vec<BranchEvent> = seeds
+                .iter()
+                .map(|&s| match event_from_seed(s) {
+                    BranchEvent::Return { target } => BranchEvent::Indirect { target },
+                    e => e,
+                })
+                .collect();
+            let branches: Vec<BranchEvent> = streamed
+                .iter()
+                .map(|item| *item.as_ref().expect("clean stream"))
+                .filter(|e| {
+                    matches!(
+                        e,
+                        BranchEvent::Conditional { .. } | BranchEvent::Indirect { .. }
+                    )
+                })
+                .collect();
+            prop_assert_eq!(branches, expected);
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
 // Property: chunking is invisible on corrupted and arbitrary bytes too, and
-// counting mode keeps recording mode's counters
+// the counters do not depend on whether a sink is passed
 // ---------------------------------------------------------------------------
 
 /// `stats` without the packet count — the one counter a chunk boundary may
@@ -225,23 +273,21 @@ fn maybe_corrupted_stream(seeds: &[u64], psb_sel: u64, overwrite: Option<(u64, u
 /// same events, same in-band errors at the same offsets, same counters
 /// (packets aside), every byte consumed.
 fn assert_chunking_invisible(bytes: &[u8], chunk: usize) {
-    let (whole, whole_stats) = decode_chunked(StreamingDecoder::new(), bytes, usize::MAX);
-    let (chunked, chunked_stats) = decode_chunked(StreamingDecoder::new(), bytes, chunk);
+    let (whole, whole_stats) = decode_chunked(bytes, usize::MAX);
+    let (chunked, chunked_stats) = decode_chunked(bytes, chunk);
     assert_eq!(chunked, whole);
     assert_eq!(sans_packets(chunked_stats), sans_packets(whole_stats));
     assert_eq!(chunked_stats.bytes_consumed, bytes.len() as u64);
 }
 
-/// The counting-only decoder must keep exactly the counters a recording
-/// decoder keeps over the same pushes — packets included: both are fully
-/// drained between pushes, so they cut every PSB run alike — while
-/// queueing nothing.
+/// Pushes without a sink must keep exactly the counters that the same
+/// pushes into a sink keep — packets included: both cut every PSB run at
+/// the same offsets.
 fn assert_counting_equals_recording(bytes: &[u8], chunk: usize) {
-    let (items, recording) = decode_chunked(StreamingDecoder::new(), bytes, chunk);
-    let (queued, counting) = decode_chunked(StreamingDecoder::counting_only(), bytes, chunk);
-    assert!(queued.is_empty(), "counting mode queues no items");
+    let (items, recording) = decode_chunked(bytes, chunk);
+    let counting = count_chunked(bytes, chunk);
     assert_eq!(counting, recording);
-    // The counters also agree with what the recording decoder yielded.
+    // The counters also agree with what the sink received.
     assert_eq!(
         counting.events,
         items.iter().filter(|i| i.is_ok()).count() as u64
@@ -291,8 +337,8 @@ proptest! {
         data in vec(any::<u8>(), 0..2048),
         chunk in 1usize..512,
     ) {
-        // The mode the ingest workers and post-mortem log decoding run, on
-        // both generators above.
+        // Pushes without a sink, as the ingest workers and post-mortem log
+        // decoding run them, on both generators above.
         let overwrite = do_corrupt.then_some((corrupt_pos, corrupt_byte));
         let bytes = maybe_corrupted_stream(&seeds, psb_sel, overwrite);
         assert_counting_equals_recording(&bytes, chunk);
@@ -323,10 +369,7 @@ fn packet_starts(bytes: &[u8]) -> Vec<(usize, bool)> {
 /// Builds a PSB-dense stream whose TIP payload bytes can never fake a PSB
 /// pattern (no `0x82` bytes), so resync points are unambiguous.
 fn psb_dense_stream() -> Vec<u8> {
-    let mut enc = PacketEncoder::with_config(EncoderConfig {
-        psb_interval_bytes: 96,
-        ..EncoderConfig::default()
-    });
+    let mut enc = PacketEncoder::with_psb_interval(96);
     enc.begin(0x40_0000);
     for i in 0..600u64 {
         if i % 4 == 0 {
@@ -343,7 +386,7 @@ fn psb_dense_stream() -> Vec<u8> {
 /// Runs a corrupted stream through the streaming decoder in small chunks
 /// and splits the outcome into events and errors.
 fn stream_corrupt(bytes: &[u8]) -> (Vec<BranchEvent>, Vec<DecodeError>, StreamStats) {
-    let (items, stats) = decode_chunked(StreamingDecoder::new(), bytes, 17);
+    let (items, stats) = decode_chunked(bytes, 17);
     let mut events = Vec::new();
     let mut errors = Vec::new();
     for item in items {
