@@ -19,11 +19,12 @@
 //! [`retire_at_exit`](ThreadRecorder::retire_at_exit)) — it never sits in a
 //! list that has to be taken and regrown. Page sets and clocks are inline
 //! while small (`small.rs`), so stamping the next sub-computation copies the
-//! thread clock without allocating, and branches are staged in one buffer
-//! the recorder keeps and copied out at their exact size on retirement: at
-//! most one allocation per sub-computation that branched, none otherwise.
-//! A log too long for that to pay (`STAGED_COPY_MAX`) leaves with the
-//! buffer it grew in instead.
+//! thread clock without allocating. Branches are staged in one compact log
+//! the recorder keeps (`thunk.rs`: 2 bits per branch, a few bytes per IP
+//! change) and copied out at their exact size on retirement. Up to 15
+//! bytes of log — 40 conditionals under one label — the copy sits inside
+//! the sub-computation, so one that branched a little costs no allocation
+//! either; a longer one costs one.
 //! [`on_synchronization`](ThreadRecorder::on_synchronization) and
 //! [`finish`](ThreadRecorder::finish) keep the whole sequence `L_t` for
 //! callers that replay a trace offline.
@@ -37,7 +38,7 @@ use crate::clock::VectorClock;
 use crate::event::{AccessKind, BranchKind, SyncKind};
 use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
 use crate::subcomputation::{SubComputation, SyncPoint};
-use crate::thunk::{BranchRecord, ThunkList};
+use crate::thunk::StagedThunks;
 
 /// Shared registry of synchronization-object vector clocks (`C_S`).
 ///
@@ -102,15 +103,6 @@ pub struct RecorderStats {
     pub sync_ops: u64,
 }
 
-/// Longest branch log (in branches; 16 KiB) a closing sub-computation copies
-/// out of the staging buffer. Up to here the copy is cheaper than the
-/// allocator calls a log grown from empty makes, and the buffer the recorder
-/// keeps is small. A longer log — `word_count` and its kind record 0.5–1 M
-/// branches in one sub-computation — would be copied at memory bandwidth
-/// and leave the thread holding a buffer as large as the biggest log it
-/// ever recorded, so it is moved out instead and staging restarts empty.
-const STAGED_COPY_MAX: usize = 1024;
-
 /// Per-thread provenance recorder implementing Algorithm 1.
 #[derive(Debug)]
 pub struct ThreadRecorder {
@@ -122,11 +114,12 @@ pub struct ThreadRecorder {
     /// The sub-computation currently being executed (its branches are in
     /// `staged` until it closes).
     current: SubComputation,
-    /// Branches of the current sub-computation. One buffer across
+    /// Branches of the current sub-computation. One log across
     /// sub-computations: a closing one copies its branches out at their
-    /// exact size, so the slack a growing log needs never reaches the graph
-    /// (see [`STAGED_COPY_MAX`] for the logs that take the buffer along).
-    staged: Vec<BranchRecord>,
+    /// exact size, so the slack a growing log needs never reaches the graph.
+    /// The buffer stays as large as the longest log the thread recorded —
+    /// 2 bits per branch, 256 KiB for a million.
+    staged: StagedThunks,
     /// Sub-computations closed through [`on_synchronization`] /
     /// [`on_thread_exit`], in execution order (`L_t`). The `retire_*` calls
     /// bypass it.
@@ -155,7 +148,7 @@ impl ThreadRecorder {
             clock,
             alpha: 0,
             current,
-            staged: Vec::new(),
+            staged: StagedThunks::new(),
             completed: Vec::new(),
             stats: RecorderStats::default(),
             registry,
@@ -200,7 +193,7 @@ impl ThreadRecorder {
     pub fn on_branch(&mut self, kind: BranchKind, ip: u64) {
         debug_assert!(!self.finished, "recorder used after thread exit");
         self.stats.branches += 1;
-        self.staged.push(BranchRecord { kind, ip });
+        self.staged.record(kind, ip);
     }
 
     /// `onSynchronization`: ends the current sub-computation, performs the
@@ -294,16 +287,7 @@ impl ThreadRecorder {
             SubComputation::new(SubId::new(self.thread, self.alpha + 1), VectorClock::new()),
         );
         closed.terminator = terminator;
-        let log = if self.staged.len() <= STAGED_COPY_MAX {
-            let exact = self.staged.as_slice().to_vec();
-            self.staged.clear();
-            exact
-        } else {
-            let mut grown = std::mem::take(&mut self.staged);
-            grown.shrink_to_fit();
-            grown
-        };
-        closed.thunks = ThunkList::from_branches(closed.id, log);
+        closed.thunks = self.staged.take(closed.id);
         closed
     }
 
@@ -439,30 +423,36 @@ mod tests {
     }
 
     #[test]
-    fn long_branch_logs_leave_with_their_buffer_and_short_ones_with_a_copy() {
+    fn a_short_retire_leaves_staging_empty_and_allocates_nothing() {
         let reg = SyncClockRegistry::shared();
         let s = SyncObjectId::new(3);
         let mut r = ThreadRecorder::new(t(0), reg);
-        for (branches, keeps_buffer) in [
-            (STAGED_COPY_MAX, true),
-            (STAGED_COPY_MAX + 1, false),
-            (3, true),
-            (0, true),
-        ] {
-            for b in 0..branches as u64 {
-                r.on_branch(BranchKind::Indirect, b);
+        // A new target per branch: a long log, grown on the heap.
+        for b in 0..10_000u64 {
+            r.on_branch(BranchKind::Indirect, b);
+        }
+        let long = r.retire_at_synchronization(s, SyncKind::Release);
+        assert_eq!(long.thunks.branches(), 10_000);
+        assert_eq!(long.thunks.iter().last().map(|t| t.entry_ip), Some(9_999));
+        assert!(!long.thunks.is_inline());
+        let buffer = r.staged.log_ptr();
+        // 40 conditionals under one label are the most the list holds
+        // inline: the copy needs no block, and staging keeps its buffer.
+        for branches in [6, 40, 0] {
+            for b in 0..branches {
+                let kind = if b % 3 == 0 {
+                    BranchKind::ConditionalTaken
+                } else {
+                    BranchKind::ConditionalNotTaken
+                };
+                r.on_branch(kind, 0x49_0000);
             }
             let closed = r.retire_at_synchronization(s, SyncKind::Release);
             assert_eq!(closed.thunks.branches(), branches);
-            let last = closed
-                .thunks
-                .iter()
-                .filter_map(|thunk| thunk.terminator)
-                .last();
-            assert_eq!(last.map(|b| b.ip), (branches as u64).checked_sub(1));
+            assert_eq!(closed.thunks.conditional_branches(), branches);
+            assert!(closed.thunks.is_inline(), "{branches} branches");
             assert!(r.staged.is_empty());
-            // The buffer survives a short log and leaves with a long one.
-            assert_eq!(r.staged.capacity() > 0, keeps_buffer, "{branches} branches");
+            assert_eq!(r.staged.log_ptr(), buffer, "{branches} branches");
         }
     }
 

@@ -1,4 +1,5 @@
-//! The one small-vector type behind page sets and vector clocks.
+//! The one small-vector type behind page sets, vector clocks and branch
+//! logs.
 //!
 //! A sub-computation closes at every synchronization operation, so the
 //! runtime builds, ships, indexes and stores one per boundary — ~100 k of
@@ -8,7 +9,9 @@
 //! up to `N` elements inside the value itself takes the allocator off that
 //! path: building, cloning and dropping a small set or clock touches no
 //! heap, and a node drags no separately allocated blocks behind it for a
-//! worker on another core to read and free.
+//! worker on another core to read and free. A branch log is bytes, 15 of
+//! them inline (`thunk.rs`): with `Vec`'s capacity niche holding the tag,
+//! that form is as small as the `Vec` itself.
 //!
 //! `SmallVec` holds elements **in order, as pushed**; whatever condition a
 //! user keeps among them (sorted and deduplicated for `PageSet`, dense by
@@ -83,10 +86,47 @@ impl<T: Copy + Default, const N: usize> SmallVec<T, N> {
         }
     }
 
+    /// A copy at the exact size of the contents: inline when they fit —
+    /// even if `self` has moved to the heap — and one heap allocation of
+    /// exactly `len` elements otherwise.
+    pub(crate) fn exact_copy(&self) -> Self {
+        match &self.0 {
+            Repr::Heap(items) if items.len() <= N => {
+                let mut inline = [T::default(); N];
+                inline[..items.len()].copy_from_slice(items);
+                SmallVec(Repr::Inline {
+                    len: items.len() as u8,
+                    items: inline,
+                })
+            }
+            Repr::Heap(items) => SmallVec(Repr::Heap(items.as_slice().to_vec())),
+            Repr::Inline { .. } => self.clone(),
+        }
+    }
+
     /// Appends `value`.
     pub(crate) fn push(&mut self, value: T) {
         let at = self.len();
         self.insert(at, value);
+    }
+
+    /// Appends `values`, in order.
+    pub(crate) fn extend_from_slice(&mut self, values: &[T]) {
+        match &mut self.0 {
+            Repr::Inline { len, items } if usize::from(*len) + values.len() <= N => {
+                let old = usize::from(*len);
+                items[old..old + values.len()].copy_from_slice(values);
+                *len += values.len() as u8;
+            }
+            Repr::Inline { len, items } => {
+                let old = usize::from(*len);
+                let mut spilled = Vec::with_capacity((2 * N).max(old + values.len()));
+                spilled.extend_from_slice(&items[..old]);
+                spilled.extend_from_slice(values);
+                self.0 = Repr::Heap(spilled);
+            }
+            Repr::Heap(items) => items.extend_from_slice(values),
+        }
     }
 
     /// Inserts `value` at `index`, shifting everything after it up.
@@ -227,6 +267,16 @@ mod tests {
         assert_eq!(std::mem::size_of::<Small>(), 8 + 4 * 8);
     }
 
+    /// The node is built, shipped, indexed and stored once per boundary,
+    /// so its size is paid per boundary: growing it has to be a decision
+    /// measured on `fault_commit`, not a side effect. 192 = id 16 + clock
+    /// 40 + two page sets 80 + branch log 40 + terminator 16.
+    #[test]
+    fn a_sub_computation_stays_192_bytes() {
+        use crate::subcomputation::SubComputation;
+        assert_eq!(std::mem::size_of::<SubComputation>(), 192);
+    }
+
     #[test]
     fn with_capacity_picks_the_form_by_size() {
         assert!(Small::with_capacity(4).is_inline());
@@ -260,10 +310,11 @@ mod tests {
 
     proptest! {
         /// Every operation leaves the same contents a `Vec` would hold,
-        /// across the inline → heap move.
+        /// across the inline → heap move, and an exact copy is inline
+        /// whenever the contents fit.
         #[test]
         fn prop_matches_vec_model(
-            ops in proptest::collection::vec(0u8..4, 0..40),
+            ops in proptest::collection::vec(0u8..5, 0..40),
             values in proptest::collection::vec(any::<u64>(), 40),
             positions in proptest::collection::vec(0usize..12, 40),
         ) {
@@ -284,13 +335,21 @@ mod tests {
                         small.truncate(at);
                         model.truncate(at);
                     }
-                    _ => {
+                    3 => {
                         small.grow_to(at, value);
                         if at > model.len() {
                             model.resize(at, value);
                         }
                     }
+                    _ => {
+                        let values = vec![value; at % 4];
+                        small.extend_from_slice(&values);
+                        model.extend_from_slice(&values);
+                    }
                 }
+                let copy = small.exact_copy();
+                prop_assert_eq!(copy.is_inline(), model.len() <= 4);
+                prop_assert_eq!(copy.as_slice(), model.as_slice());
                 prop_assert_eq!(small.as_slice(), model.as_slice());
                 prop_assert_eq!(small.len(), model.len());
             }

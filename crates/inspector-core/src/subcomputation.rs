@@ -6,8 +6,8 @@
 //! [`PageSet`]s and its clock's components use the same storage
 //! (`small.rs`): a sub-computation that touched a handful of pages on
 //! a handful of threads — all but 45 of the 200 092 the 12 workloads produce
-//! at Small — owns no heap block besides its branch log, and is built,
-//! cloned and dropped without the allocator.
+//! at Small — owns no heap block besides a branch log longer than 15 bytes
+//! (`thunk.rs`), and is built, cloned and dropped without the allocator.
 
 use std::fmt;
 

@@ -19,10 +19,11 @@
 //! take and regrow), the thread clock is copied inline, the AUX chunk is
 //! lent to the perf session rather than copied for it, and the ingest worker
 //! is woken once per backlog, not once per message (`lane.rs`). What a
-//! boundary still pays is the commit, the registry's clock exchange, one
-//! exact-size branch log if the sub-computation branched, and two queue
-//! operations. `tests/boundary_allocs.rs` pins the allocation count, so a
-//! new per-boundary allocation fails CI rather than a benchmark.
+//! boundary still pays is the commit, the registry's clock exchange, a
+//! copy of the branch log at 2 bits per branch — inline up to 40
+//! conditionals under one label, one exact-size block beyond — and two
+//! queue operations. `tests/boundary_allocs.rs` pins the allocation count,
+//! so a new per-boundary allocation fails CI rather than a benchmark.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
