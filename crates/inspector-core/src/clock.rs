@@ -137,17 +137,14 @@ impl VectorClock {
     /// `Some(Ordering::Greater)` for the converse, `Some(Ordering::Equal)` for
     /// identical clocks and `None` when the clocks are concurrent.
     pub fn partial_cmp_hb(&self, other: &VectorClock) -> Option<Ordering> {
-        let mut less = false;
-        let mut greater = false;
-        let n = self.entries.len().max(other.entries.len());
-        for i in 0..n {
-            let a = self.entries.get(i).copied().unwrap_or(0);
-            let b = other.entries.get(i).copied().unwrap_or(0);
-            match a.cmp(&b) {
-                Ordering::Less => less = true,
-                Ordering::Greater => greater = true,
-                Ordering::Equal => {}
-            }
+        let (mine, theirs) = (self.entries.as_slice(), other.entries.as_slice());
+        let shared = mine.len().min(theirs.len());
+        // Past the shorter clock, the other side's components meet zeros.
+        let mut less = theirs[shared..].iter().any(|&v| v != 0);
+        let mut greater = mine[shared..].iter().any(|&v| v != 0);
+        for (&a, &b) in mine[..shared].iter().zip(&theirs[..shared]) {
+            less |= a < b;
+            greater |= a > b;
             if less && greater {
                 return None;
             }

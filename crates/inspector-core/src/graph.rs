@@ -29,14 +29,30 @@
 //! does a traced run that is never queried. On the 97 k-node `reverse_index`
 //! Small graph (≈ 242 k page accesses over 286 pages) the build takes
 //! 5.5–8 ms on a 2-vCPU guest.
+//!
+//! ## Batch derivation
+//!
+//! [`CpgBuilder`] derives the edges from the nodes alone, on every core the
+//! host offers: control edges on the calling thread, synchronization edges
+//! on one worker, data edges over contiguous reader chunks on the rest, the
+//! parts concatenated in the order one sequential pass emits them. The
+//! searches for a reader's latest preceding writer (or an acquire's latest
+//! preceding release) start from a cursor the previous reader of the same
+//! thread left, which is sound because clocks never go backwards along a
+//! thread; sequences that break that rule are searched from scratch. The
+//! sequential derivation it replaced is kept under `cfg(test)` as the
+//! reference it must match edge for edge.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::clock::VectorClock;
 use crate::event::SyncKind;
 use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
+use crate::pool;
 use crate::subcomputation::SubComputation;
+use parking_lot::Mutex;
 
 /// Happens-before between two sub-computations identified by `(id, clock)`
 /// pairs — the exact relation [`SubComputation::happens_before`] evaluates,
@@ -61,12 +77,14 @@ pub(crate) fn ordered_before(
 /// `candidates` holds, per writing thread, the latest writer of the page
 /// that happens-before the reader. A candidate is superseded when another
 /// candidate happens-after it (its update was overwritten before the read),
-/// so only the maximal candidates survive. This is the single shared kernel
-/// of data-dependence resolution: the batch
-/// [`CpgBuilder::derive_data_edges_from_index`] pass, the streaming
-/// builder's ingest-time resolution and its seal-time leftovers all feed it
-/// the same shape and therefore cannot diverge in last-writer semantics.
-pub(crate) fn prune_superseded_writers(candidates: &[(SubId, &VectorClock)]) -> Vec<SubId> {
+/// so only the maximal candidates survive, in candidate order. This is the
+/// single shared kernel of data-dependence resolution: the batch
+/// derivation, the streaming builder's ingest-time resolution and its
+/// seal-time leftovers all feed it the same shape and therefore cannot
+/// diverge in last-writer semantics.
+pub(crate) fn prune_superseded_writers<'c>(
+    candidates: &'c [(SubId, &'c VectorClock)],
+) -> impl Iterator<Item = SubId> + 'c {
     candidates
         .iter()
         .filter(|(id, clock)| {
@@ -75,7 +93,6 @@ pub(crate) fn prune_superseded_writers(candidates: &[(SubId, &VectorClock)]) -> 
                 .any(|(other, oc)| other != id && ordered_before(*id, clock, *other, oc))
         })
         .map(|(id, _)| *id)
-        .collect()
 }
 
 /// The kind of a CPG edge.
@@ -438,6 +455,17 @@ impl Cpg {
         cpg
     }
 
+    /// The graph of an id-sorted, duplicate-free node store whose threads
+    /// are recorder output (what [`CpgBuilder::into_cpg`] concatenates, and
+    /// what offline recovery keeps), with the edges derived over it.
+    pub(crate) fn derived(nodes: Vec<SubComputation>) -> Self {
+        let edges = {
+            let view = NodeView::of_sorted(&nodes);
+            derive(&view, false, view.clocks_monotone()).0
+        };
+        Cpg::from_sorted_nodes(nodes, edges)
+    }
+
     /// Number of vertices.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -719,6 +747,13 @@ pub struct CpgBuilder {
     sequences: BTreeMap<ThreadId, Vec<SubComputation>>,
 }
 
+/// Nodes below which one worker gets the whole batch derivation: under a
+/// few thousand nodes, spawning costs more than the split saves.
+const MIN_NODES_PER_WORKER: usize = 1 << 12;
+
+/// Data-edge chunks per worker, so readers of uneven cost still balance.
+const CHUNKS_PER_WORKER: usize = 4;
+
 impl CpgBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
@@ -734,26 +769,646 @@ impl CpgBuilder {
         self
     }
 
-    /// Builds the graph: derives control, synchronization and data edges.
+    /// Builds the graph: derives control, synchronization and data edges,
+    /// and leaves the builder usable.
     ///
-    /// This is the reference *batch* path: it clones every sub-computation
-    /// and hands the copy to [`into_cpg`](Self::into_cpg), so the builder
-    /// stays usable. The streaming [`crate::sharded::ShardedCpgBuilder`]
-    /// produces an identical graph without the clone or the end-of-run
-    /// scan; this builder is kept as the equivalence oracle and for offline
-    /// reconstruction from stored sequences.
+    /// This is the reference *batch* path, kept as the equivalence oracle
+    /// of the streaming [`crate::sharded::ShardedCpgBuilder`] and for
+    /// offline reconstruction from stored sequences. The edges are derived
+    /// over the borrowed sequences while one unit of the same fan-out clones
+    /// the nodes straight into the graph's node store, so nothing is copied
+    /// twice. The derivation is [`into_cpg`](Self::into_cpg)'s.
     pub fn build(&self) -> Cpg {
-        CpgBuilder {
-            sequences: self.sequences.clone(),
+        if !self.ids_in_order() {
+            return CpgBuilder {
+                sequences: self.sequences.clone(),
+            }
+            .into_cpg();
         }
-        .into_cpg()
+        let view = NodeView::of_sequences(self.sequences.values().map(Vec::as_slice));
+        let (edges, nodes) = derive(&view, true, view.clocks_monotone());
+        drop(view);
+        Cpg::from_sorted_nodes(nodes, edges)
     }
 
-    /// Builds the graph out of the builder's own sequences: the edges are
-    /// derived from the per-thread slices, then the sub-computations *move*
-    /// into the graph. What offline recovery calls — it owns what it
-    /// decoded — and the one derivation path [`build`](Self::build) shares.
+    /// Builds the graph out of the builder's own sequences: the
+    /// sub-computations *move* into the node store, then the edges are
+    /// derived over it. Offline recovery derives its graph the same way,
+    /// over the node store it decoded.
+    ///
+    /// The derivation uses every core the host offers (none for small
+    /// graphs): the calling thread derives the control edges, one worker
+    /// the synchronization edges, and the others split the readers into
+    /// contiguous chunks and derive their data edges. The parts are
+    /// concatenated in the order a single pass emits them — control edges,
+    /// then synchronization edges, then data edges reader by reader — so
+    /// the graph is the same, edge for edge, on any number of cores. The
+    /// writer index and every scratch buffer are gone before the adjacency
+    /// index is built.
+    ///
+    /// Sequences whose ids are not recorder output (out of α order,
+    /// duplicate or foreign ids) take the sequential path instead: control
+    /// and synchronization edges over the raw sequences, then the id order
+    /// a map would impose on the nodes (the later of two equal ids
+    /// winning), then the data edges.
     pub fn into_cpg(self) -> Cpg {
+        if !self.ids_in_order() {
+            return self.into_cpg_malformed();
+        }
+        Cpg::derived(concat(self.sequences))
+    }
+
+    /// [`into_cpg`](Self::into_cpg) for sequences whose ids are out of
+    /// order, on the calling thread.
+    fn into_cpg_malformed(self) -> Cpg {
+        let raw = NodeView::of_sequences(self.sequences.values().map(Vec::as_slice));
+        let mut edges = control_edges(&raw);
+        sync_edges(&raw, false, &mut edges);
+        drop(raw);
+        let mut nodes = concat(self.sequences);
+        if !nodes.windows(2).all(|w| w[0].id < w[1].id) {
+            nodes.sort_by_key(|sub| sub.id);
+            nodes.dedup_by(|later, kept| {
+                let same = later.id == kept.id;
+                if same {
+                    std::mem::swap(later, kept);
+                }
+                same
+            });
+        }
+        {
+            let sorted = NodeView::of_sorted(&nodes);
+            let writers = WriterIndex::build(&sorted);
+            let mut scratch = DataScratch::default();
+            let readers = 0..nodes.len();
+            data_edges(&sorted, &writers, readers, false, &mut scratch, &mut edges);
+        }
+        Cpg::from_sorted_nodes(nodes, edges)
+    }
+
+    /// Every sequence holds one thread's nodes only, strictly ascending in
+    /// α — what a recorder produces. Such sequences concatenate into the
+    /// id-sorted node store as they are.
+    fn ids_in_order(&self) -> bool {
+        self.sequences.iter().all(|(&thread, seq)| {
+            seq.iter().all(|sub| sub.id.thread == thread)
+                && seq.windows(2).all(|w| w[0].id.alpha < w[1].id.alpha)
+        })
+    }
+
+    /// Emits one data edge per surviving writer of `reader`. Shared tail of
+    /// the streaming builder's resolution paths; the page list is part of
+    /// an edge's identity, so it is normalised to page order here
+    /// regardless of the order the caller visited the read set in (the
+    /// streaming path visits it stripe-major).
+    pub(crate) fn emit_reader_data_edges(
+        reader: SubId,
+        per_writer_pages: BTreeMap<SubId, Vec<PageId>>,
+        edges: &mut Vec<DependenceEdge>,
+    ) {
+        for (writer, mut pages) in per_writer_pages {
+            pages.sort_unstable();
+            edges.push(DependenceEdge {
+                src: writer,
+                dst: reader,
+                kind: EdgeKind::Data,
+                object: None,
+                pages,
+            });
+        }
+    }
+}
+
+/// Borrowed nodes with one run per thread: the id-sorted node store, or
+/// the raw input sequences.
+struct NodeView<'a> {
+    nodes: Vec<&'a SubComputation>,
+    /// Position ranges of the runs, in order.
+    threads: Vec<Range<usize>>,
+}
+
+impl<'a> NodeView<'a> {
+    /// One run per input sequence.
+    fn of_sequences(sequences: impl Iterator<Item = &'a [SubComputation]>) -> Self {
+        let mut view = NodeView {
+            nodes: Vec::new(),
+            threads: Vec::new(),
+        };
+        for seq in sequences {
+            let start = view.nodes.len();
+            view.nodes.extend(seq);
+            view.threads.push(start..view.nodes.len());
+        }
+        view
+    }
+
+    /// One run per thread of an id-sorted node store.
+    fn of_sorted(nodes: &'a [SubComputation]) -> Self {
+        let mut threads: Vec<Range<usize>> = Vec::new();
+        for (p, pair) in nodes.windows(2).enumerate() {
+            if pair[0].id.thread != pair[1].id.thread {
+                let start = threads.last().map_or(0, |run| run.end);
+                threads.push(start..p + 1);
+            }
+        }
+        if !nodes.is_empty() {
+            let start = threads.last().map_or(0, |run| run.end);
+            threads.push(start..nodes.len());
+        }
+        NodeView {
+            nodes: nodes.iter().collect(),
+            threads,
+        }
+    }
+
+    fn sequences(&self) -> impl Iterator<Item = &[&'a SubComputation]> + '_ {
+        self.threads.iter().map(|run| &self.nodes[run.clone()])
+    }
+
+    /// No run's clock ever goes backwards, so happens-before against any
+    /// fixed node is monotone along each run from any starting point — what
+    /// the derivation's cursors rely on. Recorder output always qualifies.
+    fn clocks_monotone(&self) -> bool {
+        self.sequences().all(|seq| {
+            seq.windows(2).all(|w| {
+                matches!(
+                    w[0].clock.partial_cmp_hb(&w[1].clock),
+                    Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
+                )
+            })
+        })
+    }
+}
+
+/// How many of `run` — one thread's nodes in execution order — happen
+/// before `target`.
+///
+/// Happens-before is monotone along a thread's execution sequence (if
+/// `L_t[α]` happens-before `x` then so does every earlier sub-computation
+/// of `t`), so the predecessors form a prefix, a binary search finds its
+/// end, and the node before it is the latest preceding one.
+fn preceding<'n, T>(
+    run: &[T],
+    node: impl Fn(&T) -> &'n SubComputation,
+    target: &SubComputation,
+) -> usize {
+    run.partition_point(|entry| node(entry).happens_before(target))
+}
+
+/// [`preceding`] when the first `from` entries of `run` are already known
+/// to happen before `target` — a cursor left by an earlier target that
+/// `target` succeeds on its own thread. Gallops forward from the cursor,
+/// then binary-searches the last step, so a target that moved the prefix
+/// by `d` costs `O(log d)` tests, nearly all of them on nodes next to the
+/// cursor. Needs a well-formed run: its answer is [`preceding`]'s only when
+/// happens-before is monotone along it.
+fn preceding_from<'n, T>(
+    run: &[T],
+    from: usize,
+    node: impl Fn(&T) -> &'n SubComputation,
+    target: &SubComputation,
+) -> usize {
+    let precedes = |entry: &T| node(entry).happens_before(target);
+    let (mut known, mut step) = (from, 1);
+    loop {
+        let probe = known + step - 1;
+        let Some(entry) = run.get(probe) else {
+            return known + run[known..].partition_point(precedes);
+        };
+        if !precedes(entry) {
+            return known + run[known..probe].partition_point(precedes);
+        }
+        known = probe + 1;
+        step *= 2;
+    }
+}
+
+/// One unit of the parallel derivation, with the vector its output goes
+/// into.
+enum Unit {
+    Sync(Vec<DependenceEdge>),
+    CloneNodes(Vec<SubComputation>),
+    Data(Range<usize>, Vec<DependenceEdge>),
+}
+
+/// What a unit hands back.
+enum Part {
+    Edges(Vec<DependenceEdge>),
+    Nodes(Vec<SubComputation>),
+}
+
+/// Derives every edge of `view`, whose runs are id-ordered threads —
+/// control, then synchronization, then data edges reader by reader — plus,
+/// with `clone_nodes`, a copy of its nodes in view order.
+///
+/// The calling thread derives the control edges into the edge vector the
+/// graph keeps, while up to [`pool::workers`] workers derive the
+/// synchronization edges, clone the nodes, and split the readers into
+/// contiguous chunks; their parts are appended in unit order. `monotone`
+/// says whether every run's clocks never go backwards, which lets the
+/// searches for the latest preceding release or writer start from a
+/// cursor.
+fn derive(
+    view: &NodeView<'_>,
+    clone_nodes: bool,
+    monotone: bool,
+) -> (Vec<DependenceEdge>, Vec<SubComputation>) {
+    let workers = pool::workers(view.nodes.len(), MIN_NODES_PER_WORKER);
+    let chunks = if workers > 1 {
+        workers * CHUNKS_PER_WORKER
+    } else {
+        1
+    };
+    // Every unit's output vector is made here, on the calling thread, so it
+    // stays in this thread's allocator arena however a worker grows it (a
+    // worker's own allocations go to an arena this thread never reuses).
+    let mut units = vec![Unit::Sync(Vec::with_capacity(1))];
+    if clone_nodes {
+        units.push(Unit::CloneNodes(Vec::with_capacity(view.nodes.len())));
+    }
+    for readers in reader_chunks(&view.nodes, chunks) {
+        units.push(Unit::Data(readers, Vec::with_capacity(1)));
+    }
+    let units: Vec<Mutex<Option<Unit>>> = units.into_iter().map(|u| Mutex::new(Some(u))).collect();
+    // Built by the first data unit, while the synchronization unit runs.
+    let writers = OnceLock::new();
+    pool::fan_out(
+        units.len(),
+        workers,
+        DataScratch::default,
+        |scratch, unit| match units[unit].lock().take() {
+            Some(Unit::Sync(mut out)) => {
+                sync_edges(view, monotone, &mut out);
+                Part::Edges(out)
+            }
+            Some(Unit::CloneNodes(mut out)) => {
+                out.extend(view.nodes.iter().map(|&sub| sub.clone()));
+                Part::Nodes(out)
+            }
+            Some(Unit::Data(readers, mut out)) => {
+                let writers = writers.get_or_init(|| WriterIndex::build(view));
+                data_edges(view, writers, readers, monotone, scratch, &mut out);
+                Part::Edges(out)
+            }
+            None => Part::Edges(Vec::new()),
+        },
+        |parts| {
+            let mut edges = control_edges(view);
+            let mut nodes = Vec::new();
+            for part in parts {
+                match part {
+                    Part::Edges(mut part) => edges.append(&mut part),
+                    Part::Nodes(part) => nodes = part,
+                }
+            }
+            (edges, nodes)
+        },
+    )
+}
+
+/// The sequences concatenated, in order, into one node store.
+fn concat(sequences: BTreeMap<ThreadId, Vec<SubComputation>>) -> Vec<SubComputation> {
+    let total = sequences.values().map(Vec::len).sum();
+    let mut nodes: Vec<SubComputation> = Vec::with_capacity(total);
+    for seq in sequences.into_values() {
+        nodes.extend(seq);
+    }
+    nodes
+}
+
+/// Contiguous reader ranges of about equal read-set weight, at most
+/// `chunks` of them, covering every position.
+fn reader_chunks(nodes: &[&SubComputation], chunks: usize) -> Vec<Range<usize>> {
+    let weight = |sub: &SubComputation| sub.read_set.len() + 1;
+    let total: usize = nodes.iter().map(|&sub| weight(sub)).sum();
+    let per_chunk = total.div_ceil(chunks.max(1)).max(1);
+    let mut out = Vec::with_capacity(chunks);
+    let (mut start, mut filled) = (0, 0);
+    for (p, &sub) in nodes.iter().enumerate() {
+        filled += weight(sub);
+        if filled >= per_chunk {
+            out.push(start..p + 1);
+            (start, filled) = (p + 1, 0);
+        }
+    }
+    if start < nodes.len() || out.is_empty() {
+        out.push(start..nodes.len());
+    }
+    out
+}
+
+/// Control edges: consecutive nodes of each run, in run order.
+fn control_edges(view: &NodeView<'_>) -> Vec<DependenceEdge> {
+    let count = view
+        .threads
+        .iter()
+        .map(|run| run.len().saturating_sub(1))
+        .sum();
+    let mut edges = Vec::with_capacity(count);
+    for seq in view.sequences() {
+        edges.extend(seq.windows(2).map(|pair| DependenceEdge {
+            src: pair[0].id,
+            dst: pair[1].id,
+            kind: EdgeKind::Control,
+            object: None,
+            pages: Vec::new(),
+        }));
+    }
+    edges
+}
+
+/// Synchronization edges of the view's runs, acquire by acquire in run
+/// order.
+///
+/// A synchronization edge goes from `a` to `b` when `a` ended with a
+/// release of object `S`, `b` started right after an acquire of `S` on
+/// another thread, and `a` happens-before `b`. For every acquiring
+/// sub-computation only the *latest* preceding release per releasing thread
+/// is considered (earlier releases are transitively implied), and dominated
+/// candidates are dropped so the edge set stays close to a transitive
+/// reduction.
+///
+/// With `monotone` (every run is a well-formed thread), each releasing
+/// thread's latest preceding release is found from a cursor that only
+/// moves forward along the acquiring thread ([`preceding_from`]): its
+/// clock never goes backwards, so neither does the prefix of releases that
+/// precede it. Otherwise each acquire binary-searches the whole release run
+/// ([`preceding`]).
+fn sync_edges(view: &NodeView<'_>, monotone: bool, edges: &mut Vec<DependenceEdge>) {
+    // Releases grouped by object, then releasing thread, each group in run
+    // order: a stable sort of the releases as the runs list them.
+    let mut releases: Vec<(SyncObjectId, &SubComputation)> = view
+        .nodes
+        .iter()
+        .filter_map(|&sub| {
+            let sp = sub.terminator?;
+            matches!(sp.kind, SyncKind::Release | SyncKind::ReleaseAcquire)
+                .then_some((sp.object, sub))
+        })
+        .collect();
+    releases.sort_by_key(|&(object, sub)| (object, sub.id.thread));
+    // `groups[g]` is one (object, thread) group of `releases`; `objects`
+    // maps each object to its groups, in thread order.
+    let mut groups: Vec<Range<usize>> = Vec::new();
+    let mut objects: Vec<(SyncObjectId, Range<usize>)> = Vec::new();
+    for (i, &(object, sub)) in releases.iter().enumerate() {
+        let (last_object, last) = releases[i.saturating_sub(1)];
+        if i > 0 && last_object == object && last.id.thread == sub.id.thread {
+            if let Some(group) = groups.last_mut() {
+                group.end = i + 1;
+            }
+            continue;
+        }
+        match objects.last_mut() {
+            Some((known, range)) if *known == object => range.end = groups.len() + 1,
+            _ => objects.push((object, groups.len()..groups.len() + 1)),
+        }
+        groups.push(i..i + 1);
+    }
+
+    // Per group: the run whose acquires last moved its cursor, and the
+    // cursor (how many of the group's releases precede that run's latest
+    // acquire).
+    let mut cursors: Vec<(usize, usize)> = vec![(usize::MAX, 0); groups.len()];
+    let mut candidates: Vec<&SubComputation> = Vec::new();
+    for (run, seq) in view.sequences().enumerate() {
+        for pair in seq.windows(2) {
+            let (prev, next) = (pair[0], pair[1]);
+            let Some(sp) = prev.terminator else { continue };
+            if !matches!(sp.kind, SyncKind::Acquire | SyncKind::ReleaseAcquire) {
+                continue;
+            }
+            let Ok(o) = objects.binary_search_by_key(&sp.object, |(object, _)| *object) else {
+                continue;
+            };
+            candidates.clear();
+            for g in objects[o].1.clone() {
+                let group = &releases[groups[g].clone()];
+                if group[0].1.id.thread == next.id.thread {
+                    continue;
+                }
+                let before = if monotone {
+                    let (owner, cursor) = &mut cursors[g];
+                    if *owner != run {
+                        (*owner, *cursor) = (run, 0);
+                    }
+                    *cursor = preceding_from(group, *cursor, |r| r.1, next);
+                    *cursor
+                } else {
+                    preceding(group, |r| r.1, next)
+                };
+                if before > 0 {
+                    candidates.push(group[before - 1].1);
+                }
+            }
+            for r in &candidates {
+                let dominated = candidates
+                    .iter()
+                    .any(|other| other.id != r.id && r.happens_before(other));
+                if !dominated {
+                    edges.push(DependenceEdge {
+                        src: r.id,
+                        dst: next.id,
+                        kind: EdgeKind::Synchronization,
+                        object: Some(sp.object),
+                        pages: Vec::new(),
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// One multiply per page number (FxHash's step): the writer index is
+/// probed once per page a reader reads, where SipHash's cost shows.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl std::hash::Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+/// Page → writer index of the batch derivation: per written page, the
+/// positions of its writers, ascending, cut into one run per thread.
+struct WriterIndex {
+    slots: HashMap<PageId, u32, std::hash::BuildHasherDefault<PageHasher>>,
+    writers: PositionRows,
+    /// Page `i`'s runs end at `run_ends[run_rows[i]..run_rows[i + 1]]`,
+    /// offsets into its writer row. A run's index in `run_ends` names it.
+    run_rows: Vec<u32>,
+    run_ends: Vec<u32>,
+}
+
+impl WriterIndex {
+    fn build(view: &NodeView<'_>) -> Self {
+        let mut slots: HashMap<PageId, u32, _> = HashMap::default();
+        // A writer often writes the page its predecessor wrote.
+        let mut last: Option<(PageId, u32)> = None;
+        let mut writes: Vec<(u32, u32)> = Vec::new();
+        for (p, sub) in view.nodes.iter().enumerate() {
+            for &page in &sub.write_set {
+                let slot = match last {
+                    Some((known, slot)) if known == page => slot,
+                    _ => {
+                        let fresh = slots.len() as u32;
+                        let slot = *slots.entry(page).or_insert(fresh);
+                        last = Some((page, slot));
+                        slot
+                    }
+                };
+                writes.push((slot, p as u32));
+            }
+        }
+        let writers = PositionRows::build(slots.len(), &writes);
+        drop(writes);
+        // Which run of the view a position is in, without touching the
+        // (much larger) node it names.
+        let run_of = |p: u32| view.threads.partition_point(|run| run.end <= p as usize);
+        let mut run_rows = Vec::with_capacity(slots.len() + 1);
+        let mut run_ends = Vec::new();
+        run_rows.push(0);
+        for i in 0..slots.len() {
+            let row = writers.row(i);
+            let cuts = (1..row.len()).filter(|&k| run_of(row[k - 1]) != run_of(row[k]));
+            run_ends.extend(cuts.map(|k| k as u32));
+            run_ends.push(row.len() as u32);
+            run_rows.push(run_ends.len() as u32);
+        }
+        WriterIndex {
+            slots,
+            writers,
+            run_rows,
+            run_ends,
+        }
+    }
+
+    /// Every run of the index.
+    fn runs_total(&self) -> usize {
+        self.run_ends.len()
+    }
+
+    /// The writers of `page` as `(run, positions)`, one run per thread in
+    /// thread order, each in execution order (none for a page nobody
+    /// writes).
+    fn runs(&self, page: PageId) -> impl Iterator<Item = (usize, &[u32])> + '_ {
+        let (row, first, ends) = match self.slots.get(&page) {
+            Some(&slot) => {
+                let slot = slot as usize;
+                let first = self.run_rows[slot] as usize;
+                let ends = &self.run_ends[first..self.run_rows[slot + 1] as usize];
+                (self.writers.row(slot), first, ends)
+            }
+            None => (&[][..], 0, &[][..]),
+        };
+        let mut start = 0;
+        ends.iter().enumerate().map(move |(k, &end)| {
+            let run = &row[start..end as usize];
+            start = end as usize;
+            (first + k, run)
+        })
+    }
+}
+
+/// A data worker's buffers, reused for every reader it resolves.
+#[derive(Default)]
+struct DataScratch<'a> {
+    /// One page's candidate writers.
+    candidates: Vec<(SubId, &'a VectorClock)>,
+    /// `(writer, page)` for every page the reader takes from a writer.
+    flows: Vec<(SubId, PageId)>,
+    /// Per writer run: the reader thread that last moved its cursor (as
+    /// `epoch`), and the cursor.
+    cursors: Vec<(u64, usize)>,
+    /// Names the reader thread being resolved; bumped for every new one.
+    epoch: u64,
+}
+
+/// Data edges into the readers at positions `readers` of `view`, reader by
+/// reader, writers of one reader in id order.
+///
+/// A data edge goes from writer `w` to reader `r` when `w` happens-before
+/// `r`, `w`'s write set intersects `r`'s read set, and no intervening
+/// writer of the same page sits between them (update-use relation). Per
+/// page the latest preceding writer of each thread is a candidate and
+/// superseded candidates are dropped (the shared
+/// [`prune_superseded_writers`] kernel, which the streaming builder runs
+/// too). With `monotone`, the latest preceding writer is searched from a
+/// per-run cursor that a reader's successors on its thread only move
+/// forward ([`preceding_from`]); otherwise from scratch ([`preceding`]).
+/// Nothing is allocated per reader beyond the edges' page lists.
+fn data_edges<'a>(
+    view: &NodeView<'a>,
+    writers: &WriterIndex,
+    readers: Range<usize>,
+    monotone: bool,
+    scratch: &mut DataScratch<'a>,
+    edges: &mut Vec<DependenceEdge>,
+) {
+    let nodes = &view.nodes;
+    scratch.cursors.resize(writers.runs_total(), (0, 0));
+    let mut thread = None;
+    for &reader in &nodes[readers] {
+        if thread != Some(reader.id.thread) {
+            thread = Some(reader.id.thread);
+            scratch.epoch += 1;
+        }
+        scratch.flows.clear();
+        for &page in &reader.read_set {
+            scratch.candidates.clear();
+            for (r, run) in writers.runs(page) {
+                let node = |&p: &u32| nodes[p as usize];
+                let before = if monotone {
+                    let (owner, cursor) = &mut scratch.cursors[r];
+                    if *owner != scratch.epoch {
+                        (*owner, *cursor) = (scratch.epoch, 0);
+                    }
+                    *cursor = preceding_from(run, *cursor, node, reader);
+                    *cursor
+                } else {
+                    preceding(run, node, reader)
+                };
+                if before > 0 {
+                    let w = nodes[run[before - 1] as usize];
+                    if w.id != reader.id {
+                        scratch.candidates.push((w.id, &w.clock));
+                    }
+                }
+            }
+            for w in prune_superseded_writers(&scratch.candidates) {
+                scratch.flows.push((w, page));
+            }
+        }
+        // Each page is visited once per reader, so the pairs are distinct.
+        scratch.flows.sort_unstable();
+        for flow in scratch.flows.chunk_by(|a, b| a.0 == b.0) {
+            edges.push(DependenceEdge {
+                src: flow[0].0,
+                dst: reader.id,
+                kind: EdgeKind::Data,
+                object: None,
+                pages: flow.iter().map(|&(_, page)| page).collect(),
+            });
+        }
+    }
+}
+
+/// The sequential derivation this module shipped before the parallel one,
+/// kept verbatim as the reference it is tested against, edge for edge.
+#[cfg(test)]
+impl CpgBuilder {
+    pub(crate) fn into_cpg_reference(self) -> Cpg {
         let mut edges = Vec::new();
         Self::derive_control_edges(&self.sequences, &mut edges);
         Self::derive_sync_edges(&self.sequences, &mut edges);
@@ -763,9 +1418,6 @@ impl CpgBuilder {
         for seq in self.sequences.into_values() {
             nodes.extend(seq);
         }
-        // Recorder output is one ascending α-run per thread; anything else
-        // gets the id order a map would have imposed, the later of two
-        // equal ids winning.
         if !nodes.windows(2).all(|w| w[0].id < w[1].id) {
             nodes.sort_by_key(|sub| sub.id);
             nodes.dedup_by(|later, kept| {
@@ -797,14 +1449,7 @@ impl CpgBuilder {
         }
     }
 
-    /// For a list of same-thread sub-computations sorted by execution order,
-    /// returns the latest one that happens-before `target`, if any.
-    ///
-    /// Happens-before is monotone along a thread's execution sequence
-    /// (if `L_t[α]` happens-before `x` then so does every earlier
-    /// sub-computation of `t`), so the predecessors form a prefix and a
-    /// binary search suffices.
-    pub(crate) fn latest_preceding<'a>(
+    fn latest_preceding<'a>(
         sorted: &[&'a SubComputation],
         target: &SubComputation,
     ) -> Option<&'a SubComputation> {
@@ -816,19 +1461,10 @@ impl CpgBuilder {
         }
     }
 
-    /// Synchronization edge from `a` to `b` when `a` ended with a release of
-    /// object `S`, `b` started right after an acquire of `S` on another
-    /// thread, and `a` happens-before `b`.
-    ///
-    /// For every acquiring sub-computation only the *latest* preceding
-    /// release per releasing thread is considered (earlier releases are
-    /// transitively implied), and dominated candidates are dropped so the
-    /// edge set stays close to a transitive reduction.
     fn derive_sync_edges(
         sequences: &BTreeMap<ThreadId, Vec<SubComputation>>,
         edges: &mut Vec<DependenceEdge>,
     ) {
-        // Index releases by object, grouped by thread, in execution order.
         type ByThread<'a> = BTreeMap<ThreadId, Vec<&'a SubComputation>>;
         let mut releases: HashMap<SyncObjectId, ByThread<'_>> = HashMap::new();
         for seq in sequences.values() {
@@ -878,16 +1514,7 @@ impl CpgBuilder {
         }
     }
 
-    /// Data edge from writer `w` to reader `r` when `w` happens-before `r`,
-    /// `w`'s write set intersects `r`'s read set, and no intervening writer
-    /// of the same page sits between them (update-use relation).
-    ///
-    /// Writers of a page are grouped per thread; for each reader only the
-    /// latest preceding writer of each thread is a candidate, and dominated
-    /// candidates are discarded (last-writer semantics).
     fn derive_data_edges(nodes: &[SubComputation], edges: &mut Vec<DependenceEdge>) {
-        // Index writers by page and thread; `nodes` is in (thread, α)
-        // order, so per-thread lists are already sorted.
         type ByThread<'a> = BTreeMap<ThreadId, Vec<&'a SubComputation>>;
         let mut writers: HashMap<PageId, ByThread<'_>> = HashMap::new();
         for sub in nodes {
@@ -900,25 +1527,7 @@ impl CpgBuilder {
                     .push(sub);
             }
         }
-        Self::derive_data_edges_from_index(nodes, &writers, edges);
-    }
-
-    /// The per-reader update-use resolution over a prebuilt writer index.
-    ///
-    /// Candidate selection ([`latest_preceding`](Self::latest_preceding) per
-    /// writing thread) and dominance pruning
-    /// ([`prune_superseded_writers`]) are shared with the streaming
-    /// builder's incremental path, so the batch oracle and the streamed
-    /// graph cannot diverge in last-writer semantics — only the index
-    /// construction differs (full node scan here, maintained during
-    /// ingestion there).
-    pub(crate) fn derive_data_edges_from_index(
-        nodes: &[SubComputation],
-        writers: &HashMap<PageId, BTreeMap<ThreadId, Vec<&SubComputation>>>,
-        edges: &mut Vec<DependenceEdge>,
-    ) {
         for reader in nodes {
-            // page -> latest writers (per writer sub-computation).
             let mut per_writer_pages: BTreeMap<SubId, Vec<PageId>> = BTreeMap::new();
             for &page in &reader.read_set {
                 let Some(by_thread) = writers.get(&page) else {
@@ -935,28 +1544,6 @@ impl CpgBuilder {
                 }
             }
             Self::emit_reader_data_edges(reader.id, per_writer_pages, edges);
-        }
-    }
-
-    /// Emits one data edge per surviving writer of `reader`. Shared tail of
-    /// every data-resolution path; the page list is part of an edge's
-    /// identity, so it is normalised to page order here regardless of the
-    /// order the caller visited the read set in (the streaming path visits
-    /// it stripe-major).
-    pub(crate) fn emit_reader_data_edges(
-        reader: SubId,
-        per_writer_pages: BTreeMap<SubId, Vec<PageId>>,
-        edges: &mut Vec<DependenceEdge>,
-    ) {
-        for (writer, mut pages) in per_writer_pages {
-            pages.sort_unstable();
-            edges.push(DependenceEdge {
-                src: writer,
-                dst: reader,
-                kind: EdgeKind::Data,
-                object: None,
-                pages,
-            });
         }
     }
 }
@@ -1119,6 +1706,71 @@ mod tests {
             }
             proptest::prop_assert_eq!(borrowed.node_count(), sequences.iter().map(Vec::len).sum::<usize>());
             proptest::prop_assert_eq!(consumed.validate(), Ok(()));
+        }
+    }
+
+    /// Recorder output broken the ways stored or hand-made sequences can
+    /// be: two nodes of a thread swapped, a duplicate id, a node filed under
+    /// another thread, a clock that goes backwards.
+    fn malformed(mut sequences: Vec<Vec<SubComputation>>, seed: u64) -> Vec<Vec<SubComputation>> {
+        let mut rng = crate::testing::Rng(seed);
+        for _ in 0..1 + rng.below(4) {
+            let s = rng.below(sequences.len() as u64) as usize;
+            let len = sequences[s].len() as u64;
+            let (i, j) = (rng.below(len) as usize, rng.below(len) as usize);
+            match rng.below(4) {
+                0 => sequences[s].swap(i, j),
+                1 => {
+                    let mut copy = sequences[s][i].clone();
+                    copy.record_write(PageId::new(rng.below(8)));
+                    sequences[s].insert(j, copy);
+                }
+                2 if len > 1 => {
+                    let moved = sequences[s].remove(i);
+                    let to = rng.below(sequences.len() as u64) as usize;
+                    let at = rng.below(sequences[to].len() as u64 + 1) as usize;
+                    sequences[to].insert(at, moved);
+                }
+                _ => sequences[s][i].clock = VectorClock::new(),
+            }
+        }
+        sequences
+    }
+
+    proptest::proptest! {
+        /// The parallel derivation is the sequential one it replaced, edge
+        /// for edge in vector order, on recorder output and on malformed
+        /// sequences alike, with one worker and with several.
+        #[test]
+        fn prop_parallel_derivation_matches_the_reference(
+            shape in 0u8..4,
+            seed in proptest::prelude::any::<u64>(),
+            threads in 1u32..9,
+            iterations in 1u64..12,
+            pages in 1u64..6,
+            workers in 2usize..6,
+        ) {
+            let sequences = match shape {
+                0 => crate::testing::random_sequences(seed, 1..160),
+                1 => crate::testing::lock_heavy_sequences(threads, iterations, pages, pages + 1),
+                2 => crate::testing::ping_pong_sequences(threads, iterations),
+                _ => malformed(crate::testing::random_sequences(seed, 1..160), seed),
+            };
+            let mut builder = CpgBuilder::new();
+            for seq in &sequences {
+                builder.add_thread(seq.clone());
+            }
+            let reference = CpgBuilder { sequences: builder.sequences.clone() }.into_cpg_reference();
+            for workers in [1, workers] {
+                let (built, consumed) = crate::pool::with_workers(workers, || {
+                    let consumed = CpgBuilder { sequences: builder.sequences.clone() }.into_cpg();
+                    (builder.build(), consumed)
+                });
+                for graph in [&built, &consumed] {
+                    proptest::prop_assert_eq!(&graph.nodes, &reference.nodes);
+                    proptest::prop_assert_eq!(&graph.edges, &reference.edges);
+                }
+            }
         }
     }
 

@@ -109,6 +109,7 @@ pub mod event;
 pub mod frontier;
 pub mod graph;
 pub mod ids;
+mod pool;
 pub mod query;
 #[cfg(test)]
 mod read_side_tests;

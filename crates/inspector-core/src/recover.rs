@@ -17,33 +17,41 @@
 //!    of its shard — without sync markers nothing after a bad frame can be
 //!    trusted — and every skipped byte lands in a typed counter
 //!    ([`RecoveryReport::torn_records`], [`RecoveryReport::crc_failures`],
-//!    …) plus the [`RecoveryReport::lost_bytes`] total.
+//!    …) plus the [`RecoveryReport::lost_bytes`] total. Segments are read,
+//!    checked and decoded on every core the host offers, one segment per
+//!    unit of work; the torn / CRC / poison policy is then applied to the
+//!    outcomes **in segment order**, so the report is the one a sequential
+//!    pass produces, field for field.
 //! 3. **Shrink to a consistent cut.** The decoded per-thread prefixes are
 //!    lowered to the largest frontier `F` such that every kept node's
 //!    vector clock is covered by `F` (a fixpoint that terminates because
 //!    `F` only shrinks). Nodes decoded fine but above the cut are counted
 //!    as [`RecoveryReport::excluded_nodes`] — they are not *lost*, they
 //!    just cannot join a causally closed graph.
-//! 4. **Re-derive the graph.** The surviving sequences feed the batch
-//!    [`CpgBuilder`] — the same oracle the streaming builder is proven
-//!    against — so the recovered CPG carries complete control, sync, and
-//!    data edges for its prefix. A consistent prefix is causally closed,
-//!    which makes the oracle over the prefix identical to the full graph
-//!    restricted to it; spilled edge *records* are therefore only needed
-//!    for byte accounting, never for graph reconstruction.
+//! 4. **Re-derive the graph.** The decoded nodes land in one store, which
+//!    arrives in `(thread, α)` order whenever every shard holds one
+//!    thread; the cut is applied to it in place, and the survivors become
+//!    the graph's node store as they are. Their edges are derived by the
+//!    batch [`CpgBuilder`](crate::graph::CpgBuilder)'s parallel derivation
+//!    — the oracle the streaming builder is proven against — so the
+//!    recovered CPG carries complete control, sync, and data edges for its
+//!    prefix. A consistent prefix is causally closed, which makes the
+//!    oracle over the prefix identical to the full graph restricted to it;
+//!    spilled edge *records* are therefore only needed for byte
+//!    accounting, never for graph reconstruction.
 //!
 //! Recovering the directory of a cleanly sealed, retained session yields a
 //! graph node- and edge-identical to the sealed one, with zero loss.
 
 use std::collections::{BTreeMap, HashSet};
-use std::fs::File;
-use std::io::Read;
+use std::ops::Range;
 use std::path::Path;
 
-use crate::graph::{Cpg, CpgBuilder};
+use crate::graph::Cpg;
+use crate::pool;
 use crate::spill::{
-    check_edge, parse_segment_header, read_manifest, scan_segment, segment_file_name,
-    ManifestSegment, ScanEnd, SpillError, SpillResult, ThreadRuns, SEGMENT_HEADER_BYTES,
+    read_manifest, scan_segment_file, segment_file_name, ManifestSegment, RecordBuffers, ScanEnd,
+    SegmentScan, SpillError, SpillResult, MIN_NODE_FRAME_BYTES, SEGMENT_HEADER_BYTES,
 };
 use crate::subcomputation::SubComputation;
 
@@ -162,113 +170,145 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
     for seg in &manifest.segments {
         by_shard.entry(seg.shard).or_default().push(*seg);
     }
+    let plan: Vec<(usize, ManifestSegment)> = by_shard
+        .into_values()
+        .flat_map(|mut segs| {
+            segs.sort_by_key(|s| s.index);
+            segs.into_iter().enumerate()
+        })
+        .collect();
+    // Every decoded node, in arrival order, in what becomes the recovered
+    // graph's node store. Sized for the durable frontier, which the named
+    // bytes bound (a damaged manifest cannot make this abort).
+    let named_bytes = plan
+        .iter()
+        .fold(0u64, |sum, (_, seg)| sum.saturating_add(seg.bytes));
+    let durable = manifest
+        .thread_counts
+        .values()
+        .fold(0u64, |sum, &n| sum.saturating_add(n));
+    let mut nodes: Vec<SubComputation> = Vec::new();
+    let room = durable.min(named_bytes / MIN_NODE_FRAME_BYTES);
+    let _ = nodes.try_reserve_exact(usize::try_from(room).unwrap_or(0));
     let mut consumed: HashSet<String> = HashSet::new();
-    let mut runs = ThreadRuns::default();
-    // One image buffer for every scanned segment.
-    let mut bytes = Vec::new();
-    for (shard, mut segs) in by_shard {
-        segs.sort_by_key(|s| s.index);
-        // Once a shard hits its first invalid record (or a hole in the
-        // segment list), nothing after it can be trusted: later files are
-        // counted wholesale, never decoded.
-        let mut poisoned = false;
-        for (expected_index, seg) in segs.iter().enumerate() {
-            let name = segment_file_name(seg.shard, seg.index);
-            let path = dir.join(&name);
-            consumed.insert(name);
-            if seg.index != expected_index {
-                report.missing_segments += 1;
-                report.missing_bytes += seg.bytes;
-                poisoned = true;
-            }
-            if poisoned {
-                match std::fs::metadata(&path) {
-                    Ok(meta) => {
-                        report.total_bytes += meta.len();
-                        report.lost_bytes += meta.len();
-                    }
-                    Err(_) => {
-                        report.missing_segments += 1;
-                        report.missing_bytes += seg.bytes;
-                    }
+    // Every segment is read and scanned on the pool, one per unit; the
+    // policy below takes the outcomes in segment order, exactly as one
+    // sequential pass would meet them.
+    let workers = pool::workers(plan.len(), 1);
+    let largest = plan.iter().map(|(_, seg)| seg.bytes).max();
+    let buffers = RecordBuffers::new(pool::in_flight(workers));
+    pool::fan_out(
+        plan.len(),
+        workers,
+        || RecordBuffers::image(largest.unwrap_or(0)),
+        |image, i| {
+            let seg = &plan[i].1;
+            let path = dir.join(segment_file_name(seg.shard, seg.index));
+            // Edge records are only grammar-checked and counted: the graph
+            // re-derives its edges from the node payloads.
+            scan_segment_file(&path, seg.bytes, false, image, &buffers)
+        },
+        |scans| -> SpillResult<()> {
+            let mut shard = None;
+            // Once a shard hits its first invalid record (or a hole in the
+            // segment list), nothing after it can be trusted: later files
+            // are counted wholesale, never decoded.
+            let mut poisoned = false;
+            for (&(expected_index, seg), scan) in plan.iter().zip(scans) {
+                if shard != Some(seg.shard) {
+                    shard = Some(seg.shard);
+                    poisoned = false;
                 }
-                continue;
-            }
-            bytes.clear();
-            match File::open(&path).and_then(|mut file| file.read_to_end(&mut bytes)) {
-                Ok(_) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                let name = segment_file_name(seg.shard, seg.index);
+                let path = dir.join(&name);
+                consumed.insert(name);
+                if seg.index != expected_index {
                     report.missing_segments += 1;
                     report.missing_bytes += seg.bytes;
                     poisoned = true;
+                }
+                if poisoned {
+                    match std::fs::metadata(&path) {
+                        Ok(meta) => {
+                            report.total_bytes += meta.len();
+                            report.lost_bytes += meta.len();
+                        }
+                        Err(_) => {
+                            report.missing_segments += 1;
+                            report.missing_bytes += seg.bytes;
+                        }
+                    }
                     continue;
                 }
-                Err(e) => return Err(e.into()),
-            }
-            report.total_bytes += bytes.len() as u64;
-            let header_ok = match parse_segment_header(&bytes, &path) {
-                Ok(header) => {
-                    header.shard as usize == shard && header.session_id == manifest.session_id
+                let (file_len, header, records, end) = match scan {
+                    SegmentScan::Unreadable(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                        report.missing_segments += 1;
+                        report.missing_bytes += seg.bytes;
+                        poisoned = true;
+                        continue;
+                    }
+                    SegmentScan::Unreadable(e) => return Err(e.into()),
+                    SegmentScan::BadHeader { file_len, .. } => (file_len, None, None, None),
+                    SegmentScan::Scanned {
+                        file_len,
+                        header,
+                        records,
+                        end,
+                    } => (file_len, Some(header), Some(records), Some(end)),
+                };
+                report.total_bytes += file_len;
+                let header_ok = header.is_some_and(|header| {
+                    header.shard as usize == seg.shard && header.session_id == manifest.session_id
+                });
+                let (true, Some(records), Some(end)) = (header_ok, records, end) else {
+                    report.bad_headers += 1;
+                    report.lost_bytes += file_len;
+                    poisoned = true;
+                    continue;
+                };
+                report.header_bytes += SEGMENT_HEADER_BYTES;
+                // Only the manifest-named prefix is trusted; a file shorter
+                // than its manifest entry was externally truncated.
+                let avail = file_len.min(seg.bytes) as usize;
+                if file_len < seg.bytes {
+                    report.missing_bytes += seg.bytes - file_len;
                 }
-                Err(_) => false,
-            };
-            if !header_ok {
-                report.bad_headers += 1;
-                report.lost_bytes += bytes.len() as u64;
-                poisoned = true;
-                continue;
-            }
-            report.header_bytes += SEGMENT_HEADER_BYTES;
-            let file_len = bytes.len() as u64;
-            // Only the manifest-named prefix is trusted; a file shorter
-            // than its manifest entry was externally truncated.
-            let avail = file_len.min(seg.bytes) as usize;
-            if file_len < seg.bytes {
-                report.missing_bytes += seg.bytes - file_len;
-            }
-            // Edge records are only grammar-checked and counted: the graph
-            // re-derives its edges from the node payloads.
-            let edge_records = &mut report.recovered_edge_records;
-            let end = scan_segment(
-                &bytes,
-                avail,
-                |sub| runs.push(sub),
-                |cursor| {
-                    check_edge(cursor)?;
-                    cursor.expect_exhausted()?;
-                    *edge_records += 1;
-                    Ok(())
-                },
-            );
-            let valid_end = match end {
-                ScanEnd::Clean => avail,
-                ScanEnd::Torn(at) => {
-                    report.torn_records += 1;
-                    at
+                report.recovered_edge_records += records.edge_records;
+                let mut records = records;
+                nodes.append(&mut records.nodes);
+                buffers.give_back(records);
+                let valid_end = match end {
+                    ScanEnd::Clean => avail,
+                    ScanEnd::Torn(at) => {
+                        report.torn_records += 1;
+                        at
+                    }
+                    ScanEnd::Crc(at) => {
+                        report.crc_failures += 1;
+                        at
+                    }
+                    ScanEnd::Decode(at, _) => {
+                        report.decode_failures += 1;
+                        at
+                    }
+                };
+                report.recovered_bytes += (valid_end as u64).saturating_sub(SEGMENT_HEADER_BYTES);
+                if valid_end < avail {
+                    report.lost_bytes += (avail - valid_end) as u64;
+                    poisoned = true;
                 }
-                ScanEnd::Crc(at) => {
-                    report.crc_failures += 1;
-                    at
+                if file_len > seg.bytes {
+                    // Bytes appended after the last published cut: durable
+                    // but never promised. The crash round's appends land
+                    // here.
+                    let tail = file_len - seg.bytes;
+                    report.unmanifested_bytes += tail;
+                    report.lost_bytes += tail;
                 }
-                ScanEnd::Decode(at, _) => {
-                    report.decode_failures += 1;
-                    at
-                }
-            };
-            report.recovered_bytes += (valid_end as u64).saturating_sub(SEGMENT_HEADER_BYTES);
-            if valid_end < avail {
-                report.lost_bytes += (avail - valid_end) as u64;
-                poisoned = true;
             }
-            if file_len > seg.bytes {
-                // Bytes appended after the last published cut: durable but
-                // never promised. The crash round's appends land here.
-                let tail = file_len - seg.bytes;
-                report.unmanifested_bytes += tail;
-                report.lost_bytes += tail;
-            }
-        }
-    }
+            Ok(())
+        },
+    )?;
 
     // Whole files the manifest never named (including everything when the
     // manifest itself is missing).
@@ -290,26 +330,39 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
         Err(e) => return Err(e.into()),
     }
 
-    // Per-thread contiguous α-prefixes (the scan delivers each thread's
-    // records in α order); a hole means the records beyond it are unusable.
-    let mut nodes_by_thread: BTreeMap<u32, Vec<SubComputation>> = runs
-        .into_sorted()
-        .into_iter()
-        .map(|(thread, nodes)| (thread.index() as u32, nodes))
-        .collect();
-    let mut decoded_nodes = 0u64;
-    for (&thread, nodes) in nodes_by_thread.iter_mut() {
-        decoded_nodes += nodes.len() as u64;
-        let contiguous = nodes
+    // Into (thread, α) order. The scan delivers each thread's records in
+    // α order, and shards in index order, so with one thread per shard the
+    // store arrives sorted. Otherwise a stable sort by id gives the order
+    // per-thread buckets would have, equal ids in arrival order.
+    if !nodes.windows(2).all(|w| w[0].id < w[1].id) {
+        let mut order: Vec<usize> = (0..nodes.len()).collect();
+        order.sort_by_key(|&i| nodes[i].id);
+        let mut slots: Vec<Option<SubComputation>> = nodes.into_iter().map(Some).collect();
+        nodes = order.into_iter().filter_map(|i| slots[i].take()).collect();
+    }
+    let decoded_nodes = nodes.len() as u64;
+
+    // Per thread, the positions of its run, and the contiguous α-prefix
+    // of it (a hole means the records beyond it are unusable) that the
+    // manifest vouched for — a record the durable frontier does not cover
+    // may lack its causal context.
+    let mut threads: Vec<(u32, Range<usize>)> = Vec::new();
+    for (p, sub) in nodes.iter().enumerate() {
+        let thread = sub.id.thread.index() as u32;
+        match threads.last_mut() {
+            Some((t, run)) if *t == thread => run.end = p + 1,
+            _ => threads.push((thread, p..p + 1)),
+        }
+    }
+    let mut frontier: BTreeMap<u32, u64> = BTreeMap::new();
+    for (thread, run) in &threads {
+        let contiguous = nodes[run.clone()]
             .iter()
             .enumerate()
             .take_while(|(i, sub)| sub.id.alpha == *i as u64)
             .count();
-        nodes.truncate(contiguous);
-        // Never trust more than the manifest vouched for — a record the
-        // durable frontier does not cover may lack its causal context.
-        let durable = *report.durable_frontier.get(&thread).unwrap_or(&0) as usize;
-        nodes.truncate(durable.min(nodes.len()));
+        let durable = *report.durable_frontier.get(thread).unwrap_or(&0) as usize;
+        frontier.insert(*thread, contiguous.min(durable) as u64);
     }
 
     // Shrink to the maximal consistent frontier: every kept node's clock
@@ -317,24 +370,20 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
     // monotone along a thread (clocks only grow), so each pass is a
     // partition point, and the frontier only ever shrinks — the fixpoint
     // terminates.
-    let mut frontier: BTreeMap<u32, u64> = nodes_by_thread
-        .iter()
-        .map(|(&t, nodes)| (t, nodes.len() as u64))
-        .collect();
     loop {
         let mut changed = false;
-        for (&thread, nodes) in &nodes_by_thread {
-            let current = frontier[&thread] as usize;
+        for (thread, run) in &threads {
+            let current = frontier[thread] as usize;
             let covered = |sub: &SubComputation| {
                 sub.clock.iter().all(|(u, k)| {
-                    u.index() as u32 == thread
+                    u.index() as u32 == *thread
                         || k == 0
                         || k <= *frontier.get(&(u.index() as u32)).unwrap_or(&0)
                 })
             };
-            let kept = nodes[..current].partition_point(covered);
+            let kept = nodes[run.start..run.start + current].partition_point(covered);
             if kept < current {
-                frontier.insert(thread, kept as u64);
+                frontier.insert(*thread, kept as u64);
                 changed = true;
             }
         }
@@ -343,19 +392,22 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
         }
     }
 
-    // Build the graph from the surviving prefixes with the batch oracle.
-    let mut builder = CpgBuilder::new();
-    for (&thread, nodes) in nodes_by_thread.iter_mut() {
-        let keep = frontier[&thread] as usize;
-        nodes.truncate(keep);
-        report.recovered_nodes += keep as u64;
-        if keep > 0 {
-            builder.add_thread(std::mem::take(nodes));
-        }
-    }
+    // Keep each thread's consistent prefix, in place, and derive the edges
+    // as the batch oracle does.
+    let mut position = 0;
+    let mut run = threads.iter().peekable();
+    nodes.retain(|_| {
+        while run.next_if(|(_, r)| r.end <= position).is_some() {}
+        let keep = run
+            .peek()
+            .is_some_and(|(t, r)| position < r.start + frontier[t] as usize);
+        position += 1;
+        keep
+    });
+    report.recovered_nodes = nodes.len() as u64;
     report.excluded_nodes = decoded_nodes - report.recovered_nodes;
     report.consistent_frontier = frontier.into_iter().filter(|&(_, f)| f > 0).collect();
-    let cpg = builder.into_cpg();
+    let cpg = Cpg::derived(nodes);
     report.recovered_edges = cpg.edge_count() as u64;
     debug_assert_eq!(
         report.total_bytes,
@@ -368,7 +420,118 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharded::ShardedCpgBuilder;
+    use crate::spill::SpillSettings;
     use crate::testing::TempDir;
+
+    /// A cleanly sealed, retained session over three shards with tiny
+    /// segments, so every shard spans several segment files.
+    fn retained_session(dir: &Path) -> Cpg {
+        let sequences = crate::testing::lock_heavy_sequences(6, 60, 3, 4);
+        let settings = SpillSettings {
+            segment_bytes: 512,
+            ..SpillSettings::new(2, dir).with_retain_on_seal(true)
+        };
+        let builder = ShardedCpgBuilder::with_shards_and_spill(3, Some(settings));
+        crate::testing::announce_all(&builder, &sequences);
+        let mut cursors: Vec<_> = sequences.into_iter().map(Vec::into_iter).collect();
+        while cursors
+            .iter_mut()
+            .filter_map(Iterator::next)
+            .map(|sub| builder.ingest(sub))
+            .count()
+            > 0
+        {}
+        builder.seal()
+    }
+
+    /// A named way to damage one segment file.
+    type Damage = (&'static str, fn(&Path));
+
+    /// Damage to a middle segment of one shard: recovery on several workers
+    /// reports exactly what the sequential pass reports, field for field,
+    /// recovers the same graph, and loses only that segment and the ones
+    /// after it in the same shard.
+    #[test]
+    fn parallel_scan_is_the_sequential_scan() {
+        let damages: [Damage; 5] = [
+            ("clean", |_| {}),
+            ("flipped crc", |path| {
+                let mut bytes = std::fs::read(path).unwrap();
+                bytes[SEGMENT_HEADER_BYTES as usize + 6] ^= 0x40;
+                std::fs::write(path, bytes).unwrap();
+            }),
+            ("torn frame", |path| {
+                let bytes = std::fs::read(path).unwrap();
+                std::fs::write(path, &bytes[..SEGMENT_HEADER_BYTES as usize + 10]).unwrap();
+            }),
+            ("bad header", |path| {
+                let mut bytes = std::fs::read(path).unwrap();
+                bytes[0] ^= 0xFF;
+                std::fs::write(path, bytes).unwrap();
+            }),
+            ("missing file", |path| std::fs::remove_file(path).unwrap()),
+        ];
+        for (what, damage) in damages {
+            let tmp = TempDir::new("recover-test");
+            let dir = tmp.path();
+            let sealed = retained_session(dir);
+            let manifest = read_manifest(dir).unwrap().unwrap();
+            // The shard with the most segments, damaged in the middle.
+            let segments = |shard| manifest.segments.iter().filter(move |s| s.shard == shard);
+            let shard = (0..3).max_by_key(|&k| segments(k).count()).unwrap();
+            let count = segments(shard).count();
+            assert!(count >= 4, "{count} segments");
+            let hit = count / 2;
+            let file_len = |index| {
+                std::fs::metadata(dir.join(segment_file_name(shard, index))).map_or(0, |m| m.len())
+            };
+            let behind: u64 = (hit + 1..count).map(file_len).sum();
+            let hit_len = file_len(hit);
+            damage(&dir.join(segment_file_name(shard, hit)));
+
+            let recover = |workers| crate::pool::with_workers(workers, || recover_session(dir));
+            let sequential = recover(1).unwrap();
+            for workers in [2, 3, 8] {
+                let parallel = recover(workers).unwrap();
+                assert_eq!(
+                    parallel.report, sequential.report,
+                    "{what}, {workers} workers"
+                );
+                assert_eq!(parallel.cpg.nodes, sequential.cpg.nodes, "{what}");
+                assert_eq!(parallel.cpg.edges, sequential.cpg.edges, "{what}");
+            }
+            let report = &sequential.report;
+            let header = SEGMENT_HEADER_BYTES;
+            match what {
+                "clean" => {
+                    assert!(!report.degraded(), "{report:?}");
+                    assert_eq!(sequential.cpg.nodes, sealed.nodes);
+                    assert_eq!(sequential.cpg.edge_count(), sealed.edge_count());
+                }
+                "flipped crc" => {
+                    assert_eq!(report.crc_failures, 1);
+                    assert_eq!(report.lost_bytes, hit_len - header + behind);
+                }
+                "torn frame" => {
+                    assert_eq!(report.torn_records, 1);
+                    assert_eq!(report.lost_bytes, 10 + behind);
+                }
+                "bad header" => {
+                    assert_eq!(report.bad_headers, 1);
+                    assert_eq!(report.lost_bytes, hit_len + behind);
+                }
+                _ => {
+                    assert_eq!(report.missing_segments, 1);
+                    assert_eq!(report.lost_bytes, behind);
+                }
+            }
+            if what != "clean" {
+                assert!(report.excluded_nodes > 0 || report.recovered_nodes > 0);
+                assert!(report.recovered_nodes < sealed.node_count() as u64);
+            }
+        }
+    }
 
     #[test]
     fn missing_directory_is_an_io_error() {

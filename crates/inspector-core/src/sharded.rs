@@ -105,6 +105,7 @@ use crate::graph::{
     ordered_before, prune_superseded_writers, Cpg, CpgBuilder, DependenceEdge, EdgeKind,
 };
 use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
+use crate::pool;
 use crate::spill::{ManifestWriter, Replay, SpillDurability, SpillSettings, SpillStore};
 use crate::subcomputation::{PageSet, SubComputation, SyncPoint};
 
@@ -335,7 +336,7 @@ impl ReleaseShard {
             .filter_map(|(&t, rels)| {
                 // happens-before is monotone along a thread's sequence, so
                 // the preceding releases form a prefix (same argument as
-                // `CpgBuilder::latest_preceding`).
+                // the batch derivation's `preceding` in `graph.rs`).
                 let prefix = rels.partition_point(|(_, c)| c.happens_before(&p.clock));
                 if prefix == 0 {
                     None
@@ -1334,8 +1335,8 @@ impl ShardedCpgBuilder {
         }
     }
 
-    /// Emits the data-dependence edges into reader `dst`, mirroring
-    /// [`CpgBuilder::derive_data_edges_from_index`] exactly: per page, the
+    /// Emits the data-dependence edges into reader `dst`, mirroring the
+    /// batch derivation's data pass (`graph.rs`) exactly: per page, the
     /// latest preceding writer of each thread is a candidate and superseded
     /// candidates are dropped (the shared `prune_superseded_writers`
     /// kernel); pages accumulate per surviving writer in read-set order.
@@ -1362,7 +1363,7 @@ impl ShardedCpgBuilder {
                     .filter_map(|(&t, entries)| {
                         // happens-before is monotone along a thread's
                         // writes, so the preceding writers form a prefix
-                        // (same argument as `CpgBuilder::latest_preceding`).
+                        // (same argument as `graph.rs`'s `preceding`).
                         let prefix = entries.partition_point(|(a, c)| {
                             ordered_before(SubId::new(t, *a), c, dst, clock)
                         });
@@ -1767,7 +1768,7 @@ impl ShardedCpgBuilder {
         }
 
         // Parked readers are pairwise independent: fan them out per owning
-        // shard across a scoped pool. On complete runs this is empty and the
+        // shard across the pool. On complete runs this is empty and the
         // seal is O(node moves).
         let mut seal_data_edges: Vec<DependenceEdge> = Vec::new();
         let mut seal_data_emitted = 0u64;
@@ -1779,44 +1780,23 @@ impl ShardedCpgBuilder {
                 groups[shard].push(r);
             }
             groups.retain(|g| !g.is_empty());
-            if groups.len() == 1 {
-                for r in &groups[0] {
-                    seal_data_emitted += self.resolve_reader_into(
-                        r.dst,
-                        &r.clock,
-                        &r.read_set,
-                        &mut seal_data_edges,
-                    );
-                }
-            } else {
-                let results: Vec<(Vec<DependenceEdge>, u64)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = groups
-                        .iter()
-                        .map(|group| {
-                            scope.spawn(move || {
-                                let mut edges = Vec::new();
-                                let mut emitted = 0;
-                                for r in group {
-                                    emitted += self.resolve_reader_into(
-                                        r.dst,
-                                        &r.clock,
-                                        &r.read_set,
-                                        &mut edges,
-                                    );
-                                }
-                                (edges, emitted)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("seal reader group panicked"))
-                        .collect()
-                });
-                for (mut edges, emitted) in results {
-                    seal_data_edges.append(&mut edges);
-                    seal_data_emitted += emitted;
-                }
+            let resolved = pool::map(
+                groups.len(),
+                pool::workers(groups.len(), 1),
+                || (),
+                |_, g| {
+                    let mut edges = Vec::new();
+                    let mut emitted = 0;
+                    for r in &groups[g] {
+                        emitted +=
+                            self.resolve_reader_into(r.dst, &r.clock, &r.read_set, &mut edges);
+                    }
+                    (edges, emitted)
+                },
+            );
+            for (mut edges, emitted) in resolved {
+                seal_data_edges.append(&mut edges);
+                seal_data_emitted += emitted;
             }
         }
         self.data_at_seal

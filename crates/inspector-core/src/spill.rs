@@ -46,10 +46,14 @@
 //! the segment back to the last committed length, so a retry never lands
 //! behind a partial frame. Segments roll at round boundaries.
 //!
-//! Reading is one frame walker, `scan_segment`. The seal, live snapshots
-//! and the crash fallback replay a store's committed bytes sequentially
-//! ([`SpillStore::replay`] — there is no per-node fault-in index), and
-//! offline recovery walks the manifest-named bytes with the same loop.
+//! Reading is one frame walker, `scan_segment`, run one segment at a time
+//! by `scan_segment_file`, the unit the read side fans out across the
+//! host's cores. The seal, live snapshots and the crash fallback replay a
+//! store's committed bytes ([`SpillStore::replay`] — there is no per-node
+//! fault-in index), and offline recovery walks the manifest-named bytes
+//! through the same unit. Both take the per-segment outcomes in segment
+//! order, so what they return, errors included, is what one sequential
+//! pass over the segments returns.
 //!
 //! # Crash consistency
 //!
@@ -75,6 +79,7 @@ use crate::clock::VectorClock;
 use crate::event::{BranchKind, SyncKind};
 use crate::graph::{DependenceEdge, EdgeKind};
 use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
+use crate::pool;
 use crate::subcomputation::{SubComputation, SyncPoint};
 
 /// Default segment-roll size: 1 MiB keeps individual files small enough to
@@ -92,6 +97,10 @@ pub const SEGMENT_HEADER_BYTES: u64 = 24;
 
 /// Per-record framing overhead: u32 length prefix + u32 CRC32 trailer.
 pub const RECORD_OVERHEAD_BYTES: u64 = 8;
+
+/// The shortest node frame: framing, tag, id, and empty clock, page sets,
+/// thunk list and terminator.
+pub(crate) const MIN_NODE_FRAME_BYTES: u64 = RECORD_OVERHEAD_BYTES + 1 + 12 + 4 + 4 + 4 + 4 + 1;
 
 /// Name of the per-session manifest file inside the spill directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -378,6 +387,19 @@ pub(crate) struct ThreadRuns {
 }
 
 impl ThreadRuns {
+    /// Runs pre-sized to the node count each thread will reach: a 48 k-node
+    /// run grown by doubling re-faults its pages several times over.
+    pub(crate) fn presized(counts: &BTreeMap<u32, u64>) -> Self {
+        let runs = counts
+            .iter()
+            .map(|(&thread, &count)| (ThreadId::new(thread), Vec::with_capacity(count as usize)))
+            .collect();
+        ThreadRuns {
+            runs,
+            out_of_order: false,
+        }
+    }
+
     pub(crate) fn push(&mut self, sub: SubComputation) {
         let run = self.runs.entry(sub.id.thread).or_default();
         if run.last().is_some_and(|last| last.id.alpha >= sub.id.alpha) {
@@ -770,6 +792,10 @@ pub(crate) enum ScanEnd {
 /// edge record (tag consumed) to `edge`, until the bytes run out or a
 /// record is bad. Nothing after a bad record is looked at — without sync
 /// markers it cannot be trusted. The caller has validated the header.
+///
+/// A segment's outcome depends on its own bytes only, so segments scan
+/// independently (and in parallel, through [`scan_segment_file`]); what a
+/// bad record means for the segments after it is the caller's policy.
 pub(crate) fn scan_segment(
     bytes: &[u8],
     trusted_len: usize,
@@ -815,6 +841,133 @@ pub(crate) fn scan_segment(
         pos += 8 + len;
     }
     ScanEnd::Clean
+}
+
+/// What reading and scanning one segment file found: the unit of work the
+/// read side fans out across the host's cores ([`crate::pool`]). A worker
+/// takes one segment at a time; what to make of the outcome — trust it,
+/// count it, or stop at it — is decided afterwards, in segment order.
+#[derive(Debug)]
+pub(crate) enum SegmentScan {
+    /// The file could not be read.
+    Unreadable(std::io::Error),
+    /// The file was read but its header is invalid.
+    BadHeader { file_len: u64, error: SpillError },
+    /// The header parsed and the trusted bytes were walked.
+    Scanned {
+        file_len: u64,
+        header: SegmentHeader,
+        records: SegmentRecords,
+        end: ScanEnd,
+    },
+}
+
+/// The records a [`scan_segment_file`] delivered, in append order.
+#[derive(Debug, Default)]
+pub(crate) struct SegmentRecords {
+    pub(crate) nodes: Vec<SubComputation>,
+    /// Decoded edge records (only when asked for).
+    pub(crate) edges: Vec<DependenceEdge>,
+    /// Edge records that passed, decoded or only grammar-checked.
+    pub(crate) edge_records: u64,
+}
+
+/// Record buffers for segment scans, made on the calling thread and handed
+/// back once a segment's records are taken.
+///
+/// What a worker thread allocates comes from its own allocator arena, which
+/// the calling thread never reuses; a buffer the caller made stays in the
+/// caller's arena, even when a worker grows it. Circulating the caller's
+/// buffers keeps a parallel scan's transient memory where a sequential scan
+/// would have put it.
+#[derive(Debug)]
+pub(crate) struct RecordBuffers(Mutex<Vec<SegmentRecords>>);
+
+impl RecordBuffers {
+    /// `count` buffers, each vector already allocated here: a worker that
+    /// grows it reallocates within this thread's arena, and a buffer keeps
+    /// its capacity from one segment to the next.
+    pub(crate) fn new(count: usize) -> Self {
+        let buffers = (0..count)
+            .map(|_| SegmentRecords {
+                nodes: Vec::with_capacity(1),
+                edges: Vec::with_capacity(1),
+                edge_records: 0,
+            })
+            .collect();
+        RecordBuffers(Mutex::new(buffers))
+    }
+
+    /// An image buffer for segments of up to `bytes` bytes, made here for
+    /// the same reason.
+    pub(crate) fn image(bytes: u64) -> Vec<u8> {
+        let mut image = Vec::with_capacity(1);
+        let _ = image.try_reserve_exact(usize::try_from(bytes).unwrap_or(0));
+        image
+    }
+
+    fn take(&self) -> SegmentRecords {
+        self.0.lock().pop().unwrap_or_default()
+    }
+
+    /// Returns a buffer whose records were taken out.
+    pub(crate) fn give_back(&self, mut records: SegmentRecords) {
+        records.nodes.clear();
+        records.edges.clear();
+        records.edge_records = 0;
+        self.0.lock().push(records);
+    }
+}
+
+/// Reads the segment at `path` into `image` (a reusable buffer: segments
+/// are equally sized, and a fresh megabyte per file is a fresh round of
+/// page faults), validates its header and runs [`scan_segment`] over its
+/// first `trusted_len` bytes, decoding into a buffer from `buffers`. Edge
+/// records are decoded with `decode_edges`, otherwise only grammar-checked
+/// and counted. Damage is reported, never a panic.
+pub(crate) fn scan_segment_file(
+    path: &Path,
+    trusted_len: u64,
+    decode_edges: bool,
+    image: &mut Vec<u8>,
+    buffers: &RecordBuffers,
+) -> SegmentScan {
+    image.clear();
+    if let Err(e) = File::open(path).and_then(|mut file| file.read_to_end(image)) {
+        return SegmentScan::Unreadable(e);
+    }
+    let file_len = image.len() as u64;
+    let header = match parse_segment_header(image, path) {
+        Ok(header) => header,
+        Err(error) => return SegmentScan::BadHeader { file_len, error },
+    };
+    let mut records = buffers.take();
+    let SegmentRecords {
+        nodes,
+        edges,
+        edge_records,
+    } = &mut records;
+    let end = scan_segment(
+        image,
+        usize::try_from(trusted_len).unwrap_or(usize::MAX),
+        |sub| nodes.push(sub),
+        |cursor| {
+            if decode_edges {
+                edges.push(decode_edge(cursor)?);
+            } else {
+                check_edge(cursor)?;
+                cursor.expect_exhausted()?;
+            }
+            *edge_records += 1;
+            Ok(())
+        },
+    );
+    SegmentScan::Scanned {
+        file_len,
+        header,
+        records,
+        end,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1342,10 +1495,14 @@ impl SpillStore {
     }
 
     /// Replays the committed records of every segment in append order
-    /// without consuming the store: one sequential read per segment, node
-    /// records bucketed per thread in α order, edge records in append
-    /// order. Used by the seal, the live-snapshot path and the crash /
-    /// write-failure fallbacks.
+    /// without consuming the store: node records bucketed per thread in α
+    /// order, edge records in append order. Used by the seal, the
+    /// live-snapshot path and the crash / write-failure fallbacks.
+    ///
+    /// The segments are read and decoded on every core the host offers,
+    /// one segment per unit (`scan_segment_file`), and their records are
+    /// taken in segment order, so the replay — and the first error, with
+    /// its location — is what one sequential pass over the segments gives.
     ///
     /// A record torn at the end of a segment's committed bytes (the file
     /// was truncated underneath the store) and bytes past them (a round
@@ -1356,46 +1513,59 @@ impl SpillStore {
     /// # Errors
     ///
     /// [`SpillError::CrcMismatch`] / [`SpillError::CorruptAt`] for a damaged
-    /// fully-framed record; [`SpillError::Io`] on read failure.
+    /// fully-framed record; [`SpillError::BadHeader`] for a damaged header;
+    /// [`SpillError::Io`] on read failure.
     pub fn replay(&self) -> SpillResult<Replay> {
         let records: u64 = self.segments.iter().map(|meta| meta.records).sum();
-        // Exact-size runs: a 48 k-node run grown by doubling re-faults its
-        // pages several times over.
-        let mut nodes = ThreadRuns::default();
-        for (&thread, &count) in &self.thread_counts {
-            let run = Vec::with_capacity(count as usize);
-            nodes.runs.insert(ThreadId::new(thread), run);
-        }
+        let mut nodes = ThreadRuns::presized(&self.thread_counts);
         let mut edges = Vec::with_capacity(records.saturating_sub(self.nodes_spilled) as usize);
         let mut torn_tails = 0;
-        // One image buffer for all segments: they are equally sized, and a
-        // fresh megabyte per file is a fresh round of page faults.
-        let mut bytes = Vec::new();
-        for meta in &self.segments {
-            bytes.clear();
-            File::open(&meta.path)?.read_to_end(&mut bytes)?;
-            parse_segment_header(&bytes, &meta.path)?;
-            let end = scan_segment(
-                &bytes,
-                meta.bytes as usize,
-                |sub| nodes.push(sub),
-                |cursor| {
-                    edges.push(decode_edge(cursor)?);
-                    Ok(())
-                },
-            );
-            match end {
-                ScanEnd::Clean => torn_tails += u64::from(bytes.len() as u64 > meta.bytes),
-                ScanEnd::Torn(_) => torn_tails += 1,
-                ScanEnd::Crc(at) => {
-                    return Err(SpillError::CrcMismatch {
-                        path: meta.path.clone(),
-                        offset: at as u64,
-                    })
+        let workers = pool::workers(self.segments.len(), 1);
+        let largest = self.segments.iter().map(|meta| meta.bytes).max();
+        let buffers = RecordBuffers::new(pool::in_flight(workers));
+        pool::fan_out(
+            self.segments.len(),
+            workers,
+            || RecordBuffers::image(largest.unwrap_or(0)),
+            |image, i| {
+                let meta = &self.segments[i];
+                scan_segment_file(&meta.path, meta.bytes, true, image, &buffers)
+            },
+            |scans| -> SpillResult<()> {
+                for (meta, scan) in self.segments.iter().zip(scans) {
+                    let (file_len, records, end) = match scan {
+                        SegmentScan::Unreadable(e) => return Err(SpillError::Io(e)),
+                        SegmentScan::BadHeader { error, .. } => return Err(error),
+                        SegmentScan::Scanned {
+                            file_len,
+                            records,
+                            end,
+                            ..
+                        } => (file_len, records, end),
+                    };
+                    match end {
+                        ScanEnd::Clean => torn_tails += u64::from(file_len > meta.bytes),
+                        ScanEnd::Torn(_) => torn_tails += 1,
+                        ScanEnd::Crc(at) => {
+                            return Err(SpillError::CrcMismatch {
+                                path: meta.path.clone(),
+                                offset: at as u64,
+                            })
+                        }
+                        ScanEnd::Decode(at, e) => {
+                            return Err(e.with_location(&meta.path, at as u64))
+                        }
+                    }
+                    let mut records = records;
+                    for sub in records.nodes.drain(..) {
+                        nodes.push(sub);
+                    }
+                    edges.append(&mut records.edges);
+                    buffers.give_back(records);
                 }
-                ScanEnd::Decode(at, e) => return Err(e.with_location(&meta.path, at as u64)),
-            }
-        }
+                Ok(())
+            },
+        )?;
         Ok(Replay {
             nodes: nodes.into_sorted(),
             edges,
@@ -1774,6 +1944,63 @@ mod tests {
         // Replay reads across the segment boundaries.
         let replay = store.drain_all().unwrap();
         assert_eq!(run_of(&replay), subs);
+    }
+
+    /// A named way to damage one segment file.
+    type Damage = (&'static str, fn(&Path));
+
+    /// A segment in the middle of a multi-segment store is damaged: the
+    /// replay fails at the same place, with the same error, on one worker
+    /// and on several, and an undamaged store replays identically.
+    #[test]
+    fn parallel_replay_is_the_sequential_replay() {
+        let damages: [Damage; 4] = [
+            ("clean", |_| {}),
+            ("flipped crc", |path| {
+                let mut bytes = std::fs::read(path).unwrap();
+                bytes[SEGMENT_HEADER_BYTES as usize + 6] ^= 0x40;
+                std::fs::write(path, bytes).unwrap();
+            }),
+            ("bad header", |path| {
+                let mut bytes = std::fs::read(path).unwrap();
+                bytes[0] ^= 0xFF;
+                std::fs::write(path, bytes).unwrap();
+            }),
+            ("missing file", |path| std::fs::remove_file(path).unwrap()),
+        ];
+        let subs: Vec<SubComputation> = (0..8).flat_map(|_| recorded_subs()).collect();
+        for (what, damage) in damages {
+            let tmp = TempDir::new("spill-test");
+            let mut store = store_in(tmp.path(), 1, 400);
+            for round in subs.chunks(2) {
+                commit_nodes(&mut store, round);
+            }
+            assert!(store.segments.len() >= 5, "{}", store.segments.len());
+            damage(&store.segments[store.segments.len() / 2].path);
+            let outcome = |workers| {
+                crate::pool::with_workers(workers, || match store.replay() {
+                    Ok(replay) => Ok((replay.nodes, replay.edges, replay.torn_tails)),
+                    Err(e) => Err(e.to_string()),
+                })
+            };
+            let sequential = outcome(1);
+            for workers in [2, 4] {
+                assert_eq!(outcome(workers), sequential, "{what}, {workers} workers");
+            }
+            match sequential {
+                Ok((nodes, ..)) => {
+                    assert_eq!(what, "clean");
+                    assert_eq!(nodes[&ThreadId::new(2)].len(), subs.len());
+                }
+                // A record or header error names the damaged segment; a
+                // missing file is the read's own not-found error.
+                Err(e) => assert!(
+                    e.contains(&segment_file_name(1, store.segments.len() / 2))
+                        || (what == "missing file" && e.contains("No such file")),
+                    "{what}: {e}"
+                ),
+            }
+        }
     }
 
     #[test]
