@@ -822,7 +822,8 @@ impl CpgBuilder {
     /// order, on the calling thread.
     fn into_cpg_malformed(self) -> Cpg {
         let raw = NodeView::of_sequences(self.sequences.values().map(Vec::as_slice));
-        let mut edges = control_edges(&raw);
+        let mut edges = Vec::new();
+        control_edges(&raw, &mut edges);
         sync_edges(&raw, false, &mut edges);
         drop(raw);
         let mut nodes = concat(self.sequences);
@@ -1053,7 +1054,11 @@ fn derive(
             None => Part::Edges(Vec::new()),
         },
         |parts| {
-            let mut edges = control_edges(view);
+            // Room for one synchronization or data edge per node beside the
+            // control edges, which most graphs stay under: the parts are
+            // appended without moving what is already there.
+            let mut edges = Vec::with_capacity(2 * view.nodes.len());
+            control_edges(view, &mut edges);
             let mut nodes = Vec::new();
             for part in parts {
                 match part {
@@ -1097,14 +1102,9 @@ fn reader_chunks(nodes: &[&SubComputation], chunks: usize) -> Vec<Range<usize>> 
     out
 }
 
-/// Control edges: consecutive nodes of each run, in run order.
-fn control_edges(view: &NodeView<'_>) -> Vec<DependenceEdge> {
-    let count = view
-        .threads
-        .iter()
-        .map(|run| run.len().saturating_sub(1))
-        .sum();
-    let mut edges = Vec::with_capacity(count);
+/// Appends the control edges: consecutive nodes of each run, in run
+/// order.
+fn control_edges(view: &NodeView<'_>, edges: &mut Vec<DependenceEdge>) {
     for seq in view.sequences() {
         edges.extend(seq.windows(2).map(|pair| DependenceEdge {
             src: pair[0].id,
@@ -1114,11 +1114,10 @@ fn control_edges(view: &NodeView<'_>) -> Vec<DependenceEdge> {
             pages: Vec::new(),
         }));
     }
-    edges
 }
 
-/// Synchronization edges of the view's runs, acquire by acquire in run
-/// order.
+/// Appends the synchronization edges of the view's runs, acquire by
+/// acquire in run order.
 ///
 /// A synchronization edge goes from `a` to `b` when `a` ended with a
 /// release of object `S`, `b` started right after an acquire of `S` on
