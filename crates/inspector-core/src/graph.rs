@@ -1218,31 +1218,10 @@ fn sync_edges(view: &NodeView<'_>, monotone: bool, edges: &mut Vec<DependenceEdg
     }
 }
 
-/// One multiply per page number (FxHash's step): the writer index is
-/// probed once per page a reader reads, where SipHash's cost shows.
-#[derive(Default)]
-struct PageHasher(u64);
-
-impl std::hash::Hasher for PageHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(u64::from(byte));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
 /// Page → writer index of the batch derivation: per written page, the
 /// positions of its writers, ascending, cut into one run per thread.
 struct WriterIndex {
-    slots: HashMap<PageId, u32, std::hash::BuildHasherDefault<PageHasher>>,
+    slots: HashMap<PageId, u32>,
     writers: PositionRows,
     /// Page `i`'s runs end at `run_ends[run_rows[i]..run_rows[i + 1]]`,
     /// offsets into its writer row. A run's index in `run_ends` names it.
@@ -1252,7 +1231,7 @@ struct WriterIndex {
 
 impl WriterIndex {
     fn build(view: &NodeView<'_>) -> Self {
-        let mut slots: HashMap<PageId, u32, _> = HashMap::default();
+        let mut slots: HashMap<PageId, u32> = HashMap::new();
         // A writer often writes the page its predecessor wrote.
         let mut last: Option<(PageId, u32)> = None;
         let mut writes: Vec<(u32, u32)> = Vec::new();

@@ -260,15 +260,20 @@ mod tests {
     #[test]
     fn results_arrive_in_unit_order_for_any_worker_count() {
         for workers in [1, 2, 3, 8] {
-            // Early units are the slow ones, so later results overtake them.
+            // With several workers, unit 0 waits until unit 1 is done, so a
+            // later result always overtakes an earlier one.
+            let (done, overtaken) = mpsc::channel();
+            let overtaken = Mutex::new(overtaken);
             let out = map(
                 40,
                 workers,
-                || 0usize,
-                |calls, unit| {
-                    *calls += 1;
-                    if unit < 4 {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
+                || (),
+                |_, unit| {
+                    if workers > 1 && unit == 0 {
+                        overtaken.lock().unwrap().recv().unwrap();
+                    }
+                    if workers > 1 && unit == 1 {
+                        done.send(()).unwrap();
                     }
                     unit * unit
                 },
