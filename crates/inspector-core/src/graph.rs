@@ -47,12 +47,13 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::OnceLock;
 
+use parking_lot::Mutex;
+
 use crate::clock::VectorClock;
 use crate::event::SyncKind;
 use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
 use crate::pool;
 use crate::subcomputation::SubComputation;
-use parking_lot::Mutex;
 
 /// Happens-before between two sub-computations identified by `(id, clock)`
 /// pairs — the exact relation [`SubComputation::happens_before`] evaluates,

@@ -50,8 +50,9 @@ use std::path::Path;
 use crate::graph::Cpg;
 use crate::pool;
 use crate::spill::{
-    read_manifest, scan_segment_file, segment_file_name, ManifestSegment, RecordBuffers, ScanEnd,
-    SegmentScan, SpillError, SpillResult, MIN_NODE_FRAME_BYTES, SEGMENT_HEADER_BYTES,
+    image_buffer, read_manifest, scan_segment_file, segment_file_name, ManifestSegment,
+    RecordBuffers, ScanEnd, SegmentScan, SpillError, SpillResult, MIN_NODE_FRAME_BYTES,
+    SEGMENT_HEADER_BYTES,
 };
 use crate::subcomputation::SubComputation;
 
@@ -200,7 +201,7 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
     pool::fan_out(
         plan.len(),
         workers,
-        || RecordBuffers::image(largest.unwrap_or(0)),
+        || image_buffer(largest.unwrap_or(0)),
         |image, i| {
             let seg = &plan[i].1;
             let path = dir.join(segment_file_name(seg.shard, seg.index));
@@ -260,7 +261,7 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
                 let header_ok = header.is_some_and(|header| {
                     header.shard as usize == seg.shard && header.session_id == manifest.session_id
                 });
-                let (true, Some(records), Some(end)) = (header_ok, records, end) else {
+                let (true, Some(mut records), Some(end)) = (header_ok, records, end) else {
                     report.bad_headers += 1;
                     report.lost_bytes += file_len;
                     poisoned = true;
@@ -274,7 +275,6 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
                     report.missing_bytes += seg.bytes - file_len;
                 }
                 report.recovered_edge_records += records.edge_records;
-                let mut records = records;
                 nodes.append(&mut records.nodes);
                 buffers.give_back(records);
                 let valid_end = match end {

@@ -898,14 +898,6 @@ impl RecordBuffers {
         RecordBuffers(Mutex::new(buffers))
     }
 
-    /// An image buffer for segments of up to `bytes` bytes, made here for
-    /// the same reason.
-    pub(crate) fn image(bytes: u64) -> Vec<u8> {
-        let mut image = Vec::with_capacity(1);
-        let _ = image.try_reserve_exact(usize::try_from(bytes).unwrap_or(0));
-        image
-    }
-
     fn take(&self) -> SegmentRecords {
         self.0.lock().pop().unwrap_or_default()
     }
@@ -917,6 +909,16 @@ impl RecordBuffers {
         records.edge_records = 0;
         self.0.lock().push(records);
     }
+}
+
+/// A segment image buffer with room for files of `bytes` bytes (at most
+/// 64 MiB up front; a larger file grows it), made on the calling thread for
+/// the reason [`RecordBuffers`] gives.
+pub(crate) fn image_buffer(bytes: u64) -> Vec<u8> {
+    let mut image = Vec::with_capacity(1);
+    let room = bytes.min(64 << 20) as usize;
+    let _ = image.try_reserve_exact(room);
+    image
 }
 
 /// Reads the segment at `path` into `image` (a reusable buffer: segments
@@ -1526,14 +1528,14 @@ impl SpillStore {
         pool::fan_out(
             self.segments.len(),
             workers,
-            || RecordBuffers::image(largest.unwrap_or(0)),
+            || image_buffer(largest.unwrap_or(0)),
             |image, i| {
                 let meta = &self.segments[i];
                 scan_segment_file(&meta.path, meta.bytes, true, image, &buffers)
             },
             |scans| -> SpillResult<()> {
                 for (meta, scan) in self.segments.iter().zip(scans) {
-                    let (file_len, records, end) = match scan {
+                    let (file_len, mut records, end) = match scan {
                         SegmentScan::Unreadable(e) => return Err(SpillError::Io(e)),
                         SegmentScan::BadHeader { error, .. } => return Err(error),
                         SegmentScan::Scanned {
@@ -1556,7 +1558,6 @@ impl SpillStore {
                             return Err(e.with_location(&meta.path, at as u64))
                         }
                     }
-                    let mut records = records;
                     for sub in records.nodes.drain(..) {
                         nodes.push(sub);
                     }
