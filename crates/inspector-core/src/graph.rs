@@ -186,59 +186,75 @@ pub(crate) struct AdjacencyIndex {
 impl AdjacencyIndex {
     /// Builds the successor and predecessor indexes over `edges`, whose
     /// endpoints `resolved` holds as positions (`None` for an edge with a
-    /// missing endpoint, which gets no row): one counting pass, one
-    /// prefix-sum pass, one fill pass — a stable counting sort, so each row
-    /// keeps edge-vector order.
+    /// missing endpoint, which gets no row). The two share nothing, so with
+    /// two workers each builds one; their vectors are made here, on the
+    /// calling thread, for the reason `derive` gives.
     fn build_pair(
         nodes: usize,
         edges: &[DependenceEdge],
         resolved: &[Option<(u32, u32)>],
     ) -> (Self, Self) {
-        let mut successors = vec![0u32; nodes + 1];
-        let mut predecessors = vec![0u32; nodes + 1];
-        for &(src, dst) in resolved.iter().flatten() {
-            successors[src as usize + 1] += 1;
-            predecessors[dst as usize + 1] += 1;
+        let sides: [Mutex<Option<(Vec<u32>, Vec<Adjacent>)>>; 2] = std::array::from_fn(|_| {
+            Mutex::new(Some((
+                vec![0u32; nodes + 1],
+                Vec::with_capacity(edges.len()),
+            )))
+        });
+        let workers = pool::workers(2 * edges.len(), MIN_EDGES_PER_SIDE);
+        let mut built = pool::map(
+            2,
+            workers,
+            || (),
+            |_, side| {
+                let (offsets, entries) = sides[side].lock().take().unwrap_or_default();
+                Self::build(edges, resolved, side == 0, offsets, entries)
+            },
+        )
+        .into_iter();
+        (
+            built.next().unwrap_or_default(),
+            built.next().unwrap_or_default(),
+        )
+    }
+
+    /// One side, rows keyed by each edge's source (`outgoing`) or
+    /// destination, into `offsets` (zeroed, one longer than the node count)
+    /// and `entries`: one counting pass, one prefix-sum pass, one fill pass
+    /// — a stable counting sort, so each row keeps edge-vector order.
+    fn build(
+        edges: &[DependenceEdge],
+        resolved: &[Option<(u32, u32)>],
+        outgoing: bool,
+        mut offsets: Vec<u32>,
+        mut entries: Vec<Adjacent>,
+    ) -> Self {
+        // (row, neighbour) of an edge on this side.
+        let ends = |&(src, dst): &(u32, u32)| if outgoing { (src, dst) } else { (dst, src) };
+        for pair in resolved.iter().flatten() {
+            offsets[ends(pair).0 as usize + 1] += 1;
         }
-        for offsets in [&mut successors, &mut predecessors] {
-            for p in 0..nodes {
-                offsets[p + 1] += offsets[p];
-            }
-        }
-        fn place(cursor: &mut [u32], entries: &mut [Adjacent], row: u32, entry: Adjacent) {
-            let slot = &mut cursor[row as usize];
-            entries[*slot as usize] = entry;
-            *slot += 1;
+        for p in 1..offsets.len() {
+            offsets[p] += offsets[p - 1];
         }
         let unfilled = Adjacent {
             neighbour: 0,
             edge: 0,
             kind: EdgeKind::Control,
         };
-        let mut out = vec![unfilled; successors[nodes] as usize];
-        let mut into = out.clone();
-        let (mut out_cursor, mut in_cursor) = (successors.clone(), predecessors.clone());
-        for (i, (e, ends)) in edges.iter().zip(resolved).enumerate() {
-            let Some((src, dst)) = *ends else { continue };
-            let (edge, kind) = (i as u32, e.kind);
-            let towards = |neighbour| Adjacent {
+        entries.resize(offsets.last().map_or(0, |&n| n as usize), unfilled);
+        let mut cursor = offsets.clone();
+        for (i, (e, pair)) in edges.iter().zip(resolved).enumerate() {
+            let Some(pair) = pair else { continue };
+            let (row, neighbour) = ends(pair);
+            let slot = &mut cursor[row as usize];
+            entries[*slot as usize] = Adjacent {
                 neighbour,
-                edge,
-                kind,
+                edge: i as u32,
+                kind: e.kind,
             };
-            place(&mut out_cursor, &mut out, src, towards(dst));
-            place(&mut in_cursor, &mut into, dst, towards(src));
+            *slot += 1;
         }
-        (
-            AdjacencyIndex {
-                offsets: successors,
-                entries: out,
-            },
-            AdjacencyIndex {
-                offsets: predecessors,
-                entries: into,
-            },
-        )
+        AdjacencyIndex { offsets, entries }
     }
 
     /// The entries of the vertex at `position`.
@@ -755,6 +771,10 @@ const MIN_NODES_PER_WORKER: usize = 1 << 12;
 /// Data-edge chunks per worker, so readers of uneven cost still balance.
 const CHUNKS_PER_WORKER: usize = 4;
 
+/// Edges below which both sides of the adjacency index are built on the
+/// calling thread.
+const MIN_EDGES_PER_SIDE: usize = 1 << 14;
+
 impl CpgBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
@@ -1219,10 +1239,32 @@ fn sync_edges(view: &NodeView<'_>, monotone: bool, edges: &mut Vec<DependenceEdg
     }
 }
 
+/// One multiply per page number (FxHash's step): the writer index is
+/// built once per page write and probed once per page read, on the
+/// derivation's critical path, where SipHash's cost shows.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl std::hash::Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
 /// Page → writer index of the batch derivation: per written page, the
 /// positions of its writers, ascending, cut into one run per thread.
 struct WriterIndex {
-    slots: HashMap<PageId, u32>,
+    slots: HashMap<PageId, u32, std::hash::BuildHasherDefault<PageHasher>>,
     writers: PositionRows,
     /// Page `i`'s runs end at `run_ends[run_rows[i]..run_rows[i + 1]]`,
     /// offsets into its writer row. A run's index in `run_ends` names it.
@@ -1232,7 +1274,7 @@ struct WriterIndex {
 
 impl WriterIndex {
     fn build(view: &NodeView<'_>) -> Self {
-        let mut slots: HashMap<PageId, u32> = HashMap::new();
+        let mut slots: HashMap<PageId, u32, _> = HashMap::default();
         // A writer often writes the page its predecessor wrote.
         let mut last: Option<(PageId, u32)> = None;
         let mut writes: Vec<(u32, u32)> = Vec::new();
@@ -1260,8 +1302,14 @@ impl WriterIndex {
         run_rows.push(0);
         for i in 0..slots.len() {
             let row = writers.row(i);
-            let cuts = (1..row.len()).filter(|&k| run_of(row[k - 1]) != run_of(row[k]));
-            run_ends.extend(cuts.map(|k| k as u32));
+            let mut runs = row.iter().map(|&p| run_of(p));
+            let mut current = runs.next();
+            for (k, run) in runs.enumerate() {
+                if Some(run) != current {
+                    run_ends.push(k as u32 + 1);
+                    current = Some(run);
+                }
+            }
             run_ends.push(row.len() as u32);
             run_rows.push(run_ends.len() as u32);
         }
@@ -1748,6 +1796,13 @@ mod tests {
                 for graph in [&built, &consumed] {
                     proptest::prop_assert_eq!(&graph.nodes, &reference.nodes);
                     proptest::prop_assert_eq!(&graph.edges, &reference.edges);
+                    for node in reference.nodes() {
+                        let rows = |g: &Cpg| {
+                            let out: Vec<_> = g.outgoing(node.id).cloned().collect();
+                            (out, g.incoming(node.id).cloned().collect::<Vec<_>>())
+                        };
+                        proptest::prop_assert_eq!(rows(graph), rows(&reference));
+                    }
                 }
             }
         }
