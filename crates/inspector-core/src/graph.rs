@@ -194,11 +194,11 @@ impl AdjacencyIndex {
         edges: &[DependenceEdge],
         resolved: &[Option<(u32, u32)>],
     ) -> (Self, Self) {
-        let sides: [Mutex<Option<(Vec<u32>, Vec<Adjacent>)>>; 2] = std::array::from_fn(|_| {
-            Mutex::new(Some((
-                vec![0u32; nodes + 1],
-                Vec::with_capacity(edges.len()),
-            )))
+        let sides = [(); 2].map(|()| {
+            Mutex::new(Some(AdjacencyIndex {
+                offsets: vec![0u32; nodes + 1],
+                entries: Vec::with_capacity(edges.len()),
+            }))
         });
         let workers = pool::workers(2 * edges.len(), MIN_EDGES_PER_SIDE);
         let mut built = pool::map(
@@ -206,8 +206,8 @@ impl AdjacencyIndex {
             workers,
             || (),
             |_, side| {
-                let (offsets, entries) = sides[side].lock().take().unwrap_or_default();
-                Self::build(edges, resolved, side == 0, offsets, entries)
+                let empty = sides[side].lock().take().unwrap_or_default();
+                empty.fill(edges, resolved, side == 0)
             },
         )
         .into_iter();
@@ -218,16 +218,20 @@ impl AdjacencyIndex {
     }
 
     /// One side, rows keyed by each edge's source (`outgoing`) or
-    /// destination, into `offsets` (zeroed, one longer than the node count)
-    /// and `entries`: one counting pass, one prefix-sum pass, one fill pass
-    /// — a stable counting sort, so each row keeps edge-vector order.
-    fn build(
+    /// destination, filled into this empty index (offsets zeroed, one
+    /// longer than the node count): one counting pass, one prefix-sum pass,
+    /// one fill pass — a stable counting sort, so each row keeps
+    /// edge-vector order.
+    fn fill(
+        self,
         edges: &[DependenceEdge],
         resolved: &[Option<(u32, u32)>],
         outgoing: bool,
-        mut offsets: Vec<u32>,
-        mut entries: Vec<Adjacent>,
     ) -> Self {
+        let AdjacencyIndex {
+            mut offsets,
+            mut entries,
+        } = self;
         // (row, neighbour) of an edge on this side.
         let ends = |&(src, dst): &(u32, u32)| if outgoing { (src, dst) } else { (dst, src) };
         for pair in resolved.iter().flatten() {
