@@ -1819,22 +1819,30 @@ impl ShardedCpgBuilder {
         // Cleared when the retained on-disk copy is incomplete (a replay,
         // commit or sync failed): the manifest then stays unclean.
         let mut retained_complete = true;
-        for index in 0..self.shards.len() {
+        // Spilled prefixes first: every shard's segments are replayed in one
+        // fan-out, so the cores stay busy across shard boundaries. The
+        // stores are lent out of their shards for it (producers are
+        // quiesced) and put back below.
+        let mut stores: Vec<Option<SpillStore>> = (0..self.shards.len())
+            .map(|index| self.lock_shard(index).spill.take())
+            .collect();
+        let replays = SpillStore::replay_all(&stores.iter().flatten().collect::<Vec<_>>());
+        let mut replays = replays.into_iter();
+        for (index, lent) in stores.iter_mut().enumerate() {
             let mut guard = self.lock_shard(index);
             let shard = &mut *guard;
-            // Spilled prefixes first: the segments are concatenated back
-            // into the final graph (one sequential replay per shard). A
-            // simulated crash (a dead process drains and deletes nothing)
-            // and a retaining seal replay non-destructively and leave every
-            // file in place; otherwise the segments are deleted so the
-            // store is empty for the next build.
+            shard.spill = lent.take();
+            // The replayed segments are concatenated back into the final
+            // graph. A simulated crash (a dead process drains and deletes
+            // nothing) and a retaining seal leave every file in place;
+            // otherwise the segments are deleted so the store is empty for
+            // the next build.
             let mut detach_store = crashed || retain;
             if let Some(store) = shard.spill.as_mut() {
-                let replayed = if detach_store {
-                    store.replay()
-                } else {
-                    store.drain_all()
-                };
+                let replayed = replays.next().unwrap_or_else(|| Ok(Replay::default()));
+                if replayed.is_ok() && !detach_store {
+                    store.forget_drained();
+                }
                 match replayed {
                     Ok(mut replay) => {
                         // Torn tails are skipped by the replay; each one is

@@ -1518,26 +1518,65 @@ impl SpillStore {
     /// fully-framed record; [`SpillError::BadHeader`] for a damaged header;
     /// [`SpillError::Io`] on read failure.
     pub fn replay(&self) -> SpillResult<Replay> {
-        let records: u64 = self.segments.iter().map(|meta| meta.records).sum();
-        let mut nodes = ThreadRuns::presized(&self.thread_counts);
-        let mut edges = Vec::with_capacity(records.saturating_sub(self.nodes_spilled) as usize);
-        let mut torn_tails = 0;
-        let workers = pool::workers(self.segments.len(), 1);
-        let largest = self.segments.iter().map(|meta| meta.bytes).max();
+        let mut replays = Self::replay_all(&[self]);
+        replays.pop().unwrap_or_else(|| Ok(Replay::default()))
+    }
+
+    /// [`replay`](Self::replay) of several stores at once, one result per
+    /// store: one fan-out over every store's segments, so the cores stay
+    /// busy across the stores' boundaries. A store's error ends only that
+    /// store's replay.
+    pub(crate) fn replay_all(stores: &[&SpillStore]) -> Vec<SpillResult<Replay>> {
+        struct Partial {
+            nodes: ThreadRuns,
+            edges: Vec<DependenceEdge>,
+            torn_tails: u64,
+            failed: Option<SpillError>,
+        }
+        let mut partials: Vec<Partial> = stores
+            .iter()
+            .map(|store| {
+                let records: u64 = store.segments.iter().map(|meta| meta.records).sum();
+                let edges = records.saturating_sub(store.nodes_spilled);
+                Partial {
+                    nodes: ThreadRuns::presized(&store.thread_counts),
+                    edges: Vec::with_capacity(edges as usize),
+                    torn_tails: 0,
+                    failed: None,
+                }
+            })
+            .collect();
+        let segments: Vec<(usize, &SegmentMeta)> = stores
+            .iter()
+            .enumerate()
+            .flat_map(|(s, store)| store.segments.iter().map(move |meta| (s, meta)))
+            .collect();
+        let workers = pool::workers(segments.len(), 1);
+        let largest = segments.iter().map(|(_, meta)| meta.bytes).max();
         let buffers = RecordBuffers::new(pool::in_flight(workers));
         pool::fan_out(
-            self.segments.len(),
+            segments.len(),
             workers,
             || image_buffer(largest.unwrap_or(0)),
             |image, i| {
-                let meta = &self.segments[i];
+                let meta = segments[i].1;
                 scan_segment_file(&meta.path, meta.bytes, true, image, &buffers)
             },
-            |scans| -> SpillResult<()> {
-                for (meta, scan) in self.segments.iter().zip(scans) {
+            |scans| {
+                for (&(s, meta), scan) in segments.iter().zip(scans) {
+                    let partial = &mut partials[s];
+                    if partial.failed.is_some() {
+                        continue;
+                    }
                     let (file_len, mut records, end) = match scan {
-                        SegmentScan::Unreadable(e) => return Err(SpillError::Io(e)),
-                        SegmentScan::BadHeader { error, .. } => return Err(error),
+                        SegmentScan::Unreadable(e) => {
+                            partial.failed = Some(SpillError::Io(e));
+                            continue;
+                        }
+                        SegmentScan::BadHeader { error, .. } => {
+                            partial.failed = Some(error);
+                            continue;
+                        }
                         SegmentScan::Scanned {
                             file_len,
                             records,
@@ -1546,32 +1585,39 @@ impl SpillStore {
                         } => (file_len, records, end),
                     };
                     match end {
-                        ScanEnd::Clean => torn_tails += u64::from(file_len > meta.bytes),
-                        ScanEnd::Torn(_) => torn_tails += 1,
+                        ScanEnd::Clean => partial.torn_tails += u64::from(file_len > meta.bytes),
+                        ScanEnd::Torn(_) => partial.torn_tails += 1,
                         ScanEnd::Crc(at) => {
-                            return Err(SpillError::CrcMismatch {
+                            partial.failed = Some(SpillError::CrcMismatch {
                                 path: meta.path.clone(),
                                 offset: at as u64,
-                            })
+                            });
+                            continue;
                         }
                         ScanEnd::Decode(at, e) => {
-                            return Err(e.with_location(&meta.path, at as u64))
+                            partial.failed = Some(e.with_location(&meta.path, at as u64));
+                            continue;
                         }
                     }
                     for sub in records.nodes.drain(..) {
-                        nodes.push(sub);
+                        partial.nodes.push(sub);
                     }
-                    edges.append(&mut records.edges);
+                    partial.edges.append(&mut records.edges);
                     buffers.give_back(records);
                 }
-                Ok(())
             },
-        )?;
-        Ok(Replay {
-            nodes: nodes.into_sorted(),
-            edges,
-            torn_tails,
-        })
+        );
+        partials
+            .into_iter()
+            .map(|partial| match partial.failed {
+                Some(e) => Err(e),
+                None => Ok(Replay {
+                    nodes: partial.nodes.into_sorted(),
+                    edges: partial.edges,
+                    torn_tails: partial.torn_tails,
+                }),
+            })
+            .collect()
     }
 
     /// Replays every committed record of every segment in append order,
@@ -1587,12 +1633,19 @@ impl SpillStore {
         // Close the writer before replaying.
         self.current = None;
         let drained = self.replay()?;
+        self.forget_drained();
+        Ok(drained)
+    }
+
+    /// The second half of [`drain_all`](Self::drain_all), for a store whose
+    /// replay was taken already: deletes the segment files and resets the
+    /// store for the next build.
+    pub(crate) fn forget_drained(&mut self) {
         self.remove_files();
         self.current_len = 0;
         self.bytes_written = 0;
         self.nodes_spilled = 0;
         self.thread_counts.clear();
-        Ok(drained)
     }
 
     /// Closes the writer and forgets the segment list *without* deleting
@@ -1988,6 +2041,27 @@ mod tests {
             for workers in [2, 4] {
                 assert_eq!(outcome(workers), sequential, "{what}, {workers} workers");
             }
+            // Replayed together with a clean store, each store gets its
+            // own replay: the damage stays in the damaged one.
+            let clean_tmp = TempDir::new("spill-test");
+            let mut clean = store_in(clean_tmp.path(), 2, 400);
+            for round in subs.chunks(3) {
+                commit_nodes(&mut clean, round);
+            }
+            let together = crate::pool::with_workers(4, || {
+                SpillStore::replay_all(&[&store, &clean])
+                    .into_iter()
+                    .map(|replay| match replay {
+                        Ok(replay) => Ok((replay.nodes, replay.edges, replay.torn_tails)),
+                        Err(e) => Err(e.to_string()),
+                    })
+                    .collect::<Vec<_>>()
+            });
+            let alone = match clean.replay() {
+                Ok(replay) => Ok((replay.nodes, replay.edges, replay.torn_tails)),
+                Err(e) => Err(e.to_string()),
+            };
+            assert_eq!(together, [sequential.clone(), alone], "{what}");
             match sequential {
                 Ok((nodes, ..)) => {
                     assert_eq!(what, "clean");
