@@ -186,79 +186,59 @@ pub(crate) struct AdjacencyIndex {
 impl AdjacencyIndex {
     /// Builds the successor and predecessor indexes over `edges`, whose
     /// endpoints `resolved` holds as positions (`None` for an edge with a
-    /// missing endpoint, which gets no row). The two share nothing, so with
-    /// two workers each builds one; their vectors are made here, on the
-    /// calling thread, for the reason `derive` gives.
+    /// missing endpoint, which gets no row): one counting pass, one
+    /// prefix-sum pass, one fill pass — a stable counting sort, so each row
+    /// keeps edge-vector order.
     fn build_pair(
         nodes: usize,
         edges: &[DependenceEdge],
         resolved: &[Option<(u32, u32)>],
     ) -> (Self, Self) {
-        let sides = [(); 2].map(|()| {
-            Mutex::new(Some(AdjacencyIndex {
-                offsets: vec![0u32; nodes + 1],
-                entries: Vec::with_capacity(edges.len()),
-            }))
-        });
-        let workers = pool::workers(2 * edges.len(), MIN_EDGES_PER_SIDE);
-        let mut built = pool::map(
-            2,
-            workers,
-            || (),
-            |_, side| {
-                let empty = sides[side].lock().take().unwrap_or_default();
-                empty.fill(edges, resolved, side == 0)
-            },
-        )
-        .into_iter();
-        (
-            built.next().unwrap_or_default(),
-            built.next().unwrap_or_default(),
-        )
-    }
-
-    /// One side, rows keyed by each edge's source (`outgoing`) or
-    /// destination, filled into this empty index (offsets zeroed, one
-    /// longer than the node count): one counting pass, one prefix-sum pass,
-    /// one fill pass — a stable counting sort, so each row keeps
-    /// edge-vector order.
-    fn fill(
-        self,
-        edges: &[DependenceEdge],
-        resolved: &[Option<(u32, u32)>],
-        outgoing: bool,
-    ) -> Self {
-        let AdjacencyIndex {
-            mut offsets,
-            mut entries,
-        } = self;
-        // (row, neighbour) of an edge on this side.
-        let ends = |&(src, dst): &(u32, u32)| if outgoing { (src, dst) } else { (dst, src) };
-        for pair in resolved.iter().flatten() {
-            offsets[ends(pair).0 as usize + 1] += 1;
+        let mut successors = vec![0u32; nodes + 1];
+        let mut predecessors = vec![0u32; nodes + 1];
+        for &(src, dst) in resolved.iter().flatten() {
+            successors[src as usize + 1] += 1;
+            predecessors[dst as usize + 1] += 1;
         }
-        for p in 1..offsets.len() {
-            offsets[p] += offsets[p - 1];
+        for offsets in [&mut successors, &mut predecessors] {
+            for p in 0..nodes {
+                offsets[p + 1] += offsets[p];
+            }
+        }
+        fn place(cursor: &mut [u32], entries: &mut [Adjacent], row: u32, entry: Adjacent) {
+            let slot = &mut cursor[row as usize];
+            entries[*slot as usize] = entry;
+            *slot += 1;
         }
         let unfilled = Adjacent {
             neighbour: 0,
             edge: 0,
             kind: EdgeKind::Control,
         };
-        entries.resize(offsets.last().map_or(0, |&n| n as usize), unfilled);
-        let mut cursor = offsets.clone();
-        for (i, (e, pair)) in edges.iter().zip(resolved).enumerate() {
-            let Some(pair) = pair else { continue };
-            let (row, neighbour) = ends(pair);
-            let slot = &mut cursor[row as usize];
-            entries[*slot as usize] = Adjacent {
+        let mut out = vec![unfilled; successors[nodes] as usize];
+        let mut into = out.clone();
+        let (mut out_cursor, mut in_cursor) = (successors.clone(), predecessors.clone());
+        for (i, (e, ends)) in edges.iter().zip(resolved).enumerate() {
+            let Some((src, dst)) = *ends else { continue };
+            let (edge, kind) = (i as u32, e.kind);
+            let towards = |neighbour| Adjacent {
                 neighbour,
-                edge: i as u32,
-                kind: e.kind,
+                edge,
+                kind,
             };
-            *slot += 1;
+            place(&mut out_cursor, &mut out, src, towards(dst));
+            place(&mut in_cursor, &mut into, dst, towards(src));
         }
-        AdjacencyIndex { offsets, entries }
+        (
+            AdjacencyIndex {
+                offsets: successors,
+                entries: out,
+            },
+            AdjacencyIndex {
+                offsets: predecessors,
+                entries: into,
+            },
+        )
     }
 
     /// The entries of the vertex at `position`.
@@ -774,10 +754,6 @@ const MIN_NODES_PER_WORKER: usize = 1 << 12;
 
 /// Data-edge chunks per worker, so readers of uneven cost still balance.
 const CHUNKS_PER_WORKER: usize = 4;
-
-/// Edges below which both sides of the adjacency index are built on the
-/// calling thread.
-const MIN_EDGES_PER_SIDE: usize = 1 << 14;
 
 impl CpgBuilder {
     /// Creates an empty builder.
