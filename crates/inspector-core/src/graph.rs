@@ -39,9 +39,11 @@
 //! searches for a reader's latest preceding writer (or an acquire's latest
 //! preceding release) start from a cursor the previous reader of the same
 //! thread left, which is sound because clocks never go backwards along a
-//! thread; sequences that break that rule are searched from scratch. The
-//! sequential derivation it replaced is kept under `cfg(test)` as the
-//! reference it must match edge for edge.
+//! thread. Sequences that are not recorder output (ids out of order,
+//! duplicate or foreign, or a clock that goes backwards) take the
+//! sequential derivation the parallel one replaced, on the calling thread;
+//! it is also the reference the parallel one is tested against, edge for
+//! edge.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
@@ -456,14 +458,29 @@ impl Cpg {
         cpg
     }
 
-    /// The graph of an id-sorted, duplicate-free node store whose threads
-    /// are recorder output (what [`CpgBuilder::into_cpg`] concatenates, and
-    /// what offline recovery keeps), with the edges derived over it.
+    /// The graph of an id-sorted, duplicate-free node store (what
+    /// [`CpgBuilder::into_cpg`] concatenates, and what offline recovery
+    /// keeps), with the edges derived over it: in parallel when its threads
+    /// are recorder output, by the sequential derivation when a clock goes
+    /// backwards along a thread.
     pub(crate) fn derived(nodes: Vec<SubComputation>) -> Self {
-        let edges = {
-            let view = NodeView::of_sorted(&nodes);
-            derive(&view, false, view.clocks_monotone()).0
-        };
+        let view = NodeView::of_sorted(&nodes);
+        if !view.clocks_monotone() {
+            drop(view);
+            let mut builder = CpgBuilder::new();
+            let mut nodes = nodes.into_iter().peekable();
+            while let Some(first) = nodes.next() {
+                let thread = first.id.thread;
+                let mut seq = vec![first];
+                seq.extend(std::iter::from_fn(|| {
+                    nodes.next_if(|sub| sub.id.thread == thread)
+                }));
+                builder.add_thread(seq);
+            }
+            return builder.into_cpg_sequential();
+        }
+        let edges = derive(&view);
+        drop(view);
         Cpg::from_sorted_nodes(nodes, edges)
     }
 
@@ -770,26 +787,19 @@ impl CpgBuilder {
         self
     }
 
-    /// Builds the graph: derives control, synchronization and data edges,
-    /// and leaves the builder usable.
+    /// Builds the graph: derives control, synchronization and data edges.
     ///
-    /// This is the reference *batch* path, kept as the equivalence oracle
-    /// of the streaming [`crate::sharded::ShardedCpgBuilder`] and for
-    /// offline reconstruction from stored sequences. The edges are derived
-    /// over the borrowed sequences while one unit of the same fan-out clones
-    /// the nodes straight into the graph's node store, so nothing is copied
-    /// twice. The derivation is [`into_cpg`](Self::into_cpg)'s.
+    /// This is the reference *batch* path: it clones every sub-computation
+    /// and hands the copy to [`into_cpg`](Self::into_cpg), so the builder
+    /// stays usable. The streaming [`crate::sharded::ShardedCpgBuilder`]
+    /// produces an identical graph without the clone or the end-of-run
+    /// scan; this builder is kept as the equivalence oracle and for offline
+    /// reconstruction from stored sequences.
     pub fn build(&self) -> Cpg {
-        if !self.ids_in_order() {
-            return CpgBuilder {
-                sequences: self.sequences.clone(),
-            }
-            .into_cpg();
+        CpgBuilder {
+            sequences: self.sequences.clone(),
         }
-        let view = NodeView::of_sequences(self.sequences.values().map(Vec::as_slice));
-        let (edges, nodes) = derive(&view, true, view.clocks_monotone());
-        drop(view);
-        Cpg::from_sorted_nodes(nodes, edges)
+        .into_cpg()
     }
 
     /// Builds the graph out of the builder's own sequences: the
@@ -807,27 +817,35 @@ impl CpgBuilder {
     /// writer index and every scratch buffer are gone before the adjacency
     /// index is built.
     ///
-    /// Sequences whose ids are not recorder output (out of α order,
-    /// duplicate or foreign ids) take the sequential path instead: control
-    /// and synchronization edges over the raw sequences, then the id order
-    /// a map would impose on the nodes (the later of two equal ids
-    /// winning), then the data edges.
+    /// Sequences that are not recorder output — ids out of α order,
+    /// duplicate or foreign, or a clock that goes backwards along a thread
+    /// — take the sequential derivation instead, which gives the nodes the
+    /// id order a map would impose (the later of two equal ids winning).
     pub fn into_cpg(self) -> Cpg {
         if !self.ids_in_order() {
-            return self.into_cpg_malformed();
+            return self.into_cpg_sequential();
         }
         Cpg::derived(concat(self.sequences))
     }
 
-    /// [`into_cpg`](Self::into_cpg) for sequences whose ids are out of
-    /// order, on the calling thread.
-    fn into_cpg_malformed(self) -> Cpg {
-        let raw = NodeView::of_sequences(self.sequences.values().map(Vec::as_slice));
+    /// The sequential derivation on the calling thread, for any sequences:
+    /// the edges are derived from the per-thread slices, then the
+    /// sub-computations *move* into the graph. [`into_cpg`](Self::into_cpg)
+    /// takes it for malformed sequences, and the parallel derivation is
+    /// tested against it, edge for edge.
+    fn into_cpg_sequential(self) -> Cpg {
         let mut edges = Vec::new();
-        control_edges(&raw, &mut edges);
-        sync_edges(&raw, false, &mut edges);
-        drop(raw);
-        let mut nodes = concat(self.sequences);
+        Self::derive_control_edges(&self.sequences, &mut edges);
+        Self::derive_sync_edges(&self.sequences, &mut edges);
+
+        let total = self.sequences.values().map(Vec::len).sum();
+        let mut nodes: Vec<SubComputation> = Vec::with_capacity(total);
+        for seq in self.sequences.into_values() {
+            nodes.extend(seq);
+        }
+        // Recorder output is one ascending α-run per thread; anything else
+        // gets the id order a map would have imposed, the later of two
+        // equal ids winning.
         if !nodes.windows(2).all(|w| w[0].id < w[1].id) {
             nodes.sort_by_key(|sub| sub.id);
             nodes.dedup_by(|later, kept| {
@@ -838,13 +856,7 @@ impl CpgBuilder {
                 same
             });
         }
-        {
-            let sorted = NodeView::of_sorted(&nodes);
-            let writers = WriterIndex::build(&sorted);
-            let mut scratch = DataScratch::default();
-            let readers = 0..nodes.len();
-            data_edges(&sorted, &writers, readers, false, &mut scratch, &mut edges);
-        }
+        Self::derive_data_edges(&nodes, &mut edges);
         Cpg::from_sorted_nodes(nodes, edges)
     }
 
@@ -881,29 +893,14 @@ impl CpgBuilder {
     }
 }
 
-/// Borrowed nodes with one run per thread: the id-sorted node store, or
-/// the raw input sequences.
+/// An id-sorted node store with one run per thread.
 struct NodeView<'a> {
-    nodes: Vec<&'a SubComputation>,
+    nodes: &'a [SubComputation],
     /// Position ranges of the runs, in order.
     threads: Vec<Range<usize>>,
 }
 
 impl<'a> NodeView<'a> {
-    /// One run per input sequence.
-    fn of_sequences(sequences: impl Iterator<Item = &'a [SubComputation]>) -> Self {
-        let mut view = NodeView {
-            nodes: Vec::new(),
-            threads: Vec::new(),
-        };
-        for seq in sequences {
-            let start = view.nodes.len();
-            view.nodes.extend(seq);
-            view.threads.push(start..view.nodes.len());
-        }
-        view
-    }
-
     /// One run per thread of an id-sorted node store.
     fn of_sorted(nodes: &'a [SubComputation]) -> Self {
         let mut threads: Vec<Range<usize>> = Vec::new();
@@ -917,13 +914,10 @@ impl<'a> NodeView<'a> {
             let start = threads.last().map_or(0, |run| run.end);
             threads.push(start..nodes.len());
         }
-        NodeView {
-            nodes: nodes.iter().collect(),
-            threads,
-        }
+        NodeView { nodes, threads }
     }
 
-    fn sequences(&self) -> impl Iterator<Item = &[&'a SubComputation]> + '_ {
+    fn sequences(&self) -> impl Iterator<Item = &'a [SubComputation]> + '_ {
         self.threads.iter().map(|run| &self.nodes[run.clone()])
     }
 
@@ -943,27 +937,18 @@ impl<'a> NodeView<'a> {
 }
 
 /// How many of `run` — one thread's nodes in execution order — happen
-/// before `target`.
+/// before `target`, when the first `from` of them are already known to: a
+/// cursor left by an earlier target that `target` succeeds on its own
+/// thread.
 ///
 /// Happens-before is monotone along a thread's execution sequence (if
 /// `L_t[α]` happens-before `x` then so does every earlier sub-computation
-/// of `t`), so the predecessors form a prefix, a binary search finds its
-/// end, and the node before it is the latest preceding one.
-fn preceding<'n, T>(
-    run: &[T],
-    node: impl Fn(&T) -> &'n SubComputation,
-    target: &SubComputation,
-) -> usize {
-    run.partition_point(|entry| node(entry).happens_before(target))
-}
-
-/// [`preceding`] when the first `from` entries of `run` are already known
-/// to happen before `target` — a cursor left by an earlier target that
-/// `target` succeeds on its own thread. Gallops forward from the cursor,
-/// then binary-searches the last step, so a target that moved the prefix
-/// by `d` costs `O(log d)` tests, nearly all of them on nodes next to the
-/// cursor. Needs a well-formed run: its answer is [`preceding`]'s only when
-/// happens-before is monotone along it.
+/// of `t`), so the predecessors form a prefix, and the node before its end
+/// is the latest preceding one (the prefix
+/// [`CpgBuilder::latest_preceding`] binary-searches). Gallops forward from
+/// the cursor, then binary-searches the last step, so a target that moved
+/// the prefix by `d` costs `O(log d)` tests, nearly all of them on nodes
+/// next to the cursor. Needs a run whose clocks never go backwards.
 fn preceding_from<'n, T>(
     run: &[T],
     from: usize,
@@ -985,74 +970,44 @@ fn preceding_from<'n, T>(
     }
 }
 
-/// One unit of the parallel derivation, with the vector its output goes
-/// into.
-enum Unit {
-    Sync(Vec<DependenceEdge>),
-    CloneNodes(Vec<SubComputation>),
-    Data(Range<usize>, Vec<DependenceEdge>),
-}
-
-/// What a unit hands back.
-enum Part {
-    Edges(Vec<DependenceEdge>),
-    Nodes(Vec<SubComputation>),
-}
-
-/// Derives every edge of `view`, whose runs are id-ordered threads —
-/// control, then synchronization, then data edges reader by reader — plus,
-/// with `clone_nodes`, a copy of its nodes in view order.
+/// Derives every edge of `view`, whose runs are recorder-output threads in
+/// id order — control, then synchronization, then data edges reader by
+/// reader.
 ///
 /// The calling thread derives the control edges into the edge vector the
 /// graph keeps, while up to [`pool::workers`] workers derive the
-/// synchronization edges, clone the nodes, and split the readers into
-/// contiguous chunks; their parts are appended in unit order. `monotone`
-/// says whether every run's clocks never go backwards, which lets the
-/// searches for the latest preceding release or writer start from a
-/// cursor.
-fn derive(
-    view: &NodeView<'_>,
-    clone_nodes: bool,
-    monotone: bool,
-) -> (Vec<DependenceEdge>, Vec<SubComputation>) {
+/// synchronization edges (unit 0) and split the readers into contiguous
+/// chunks (the other units); their parts are appended in unit order.
+fn derive(view: &NodeView<'_>) -> Vec<DependenceEdge> {
     let workers = pool::workers(view.nodes.len(), MIN_NODES_PER_WORKER);
     let chunks = if workers > 1 {
         workers * CHUNKS_PER_WORKER
     } else {
         1
     };
+    let chunks = reader_chunks(view.nodes, chunks);
     // Every unit's output vector is made here, on the calling thread, so it
     // stays in this thread's allocator arena however a worker grows it (a
     // worker's own allocations go to an arena this thread never reuses).
-    let mut units = vec![Unit::Sync(Vec::with_capacity(1))];
-    if clone_nodes {
-        units.push(Unit::CloneNodes(Vec::with_capacity(view.nodes.len())));
-    }
-    for readers in reader_chunks(&view.nodes, chunks) {
-        units.push(Unit::Data(readers, Vec::with_capacity(1)));
-    }
-    let units: Vec<Mutex<Option<Unit>>> = units.into_iter().map(|u| Mutex::new(Some(u))).collect();
+    let outputs: Vec<Mutex<Vec<DependenceEdge>>> = (0..=chunks.len())
+        .map(|_| Mutex::new(Vec::with_capacity(1)))
+        .collect();
     // Built by the first data unit, while the synchronization unit runs.
     let writers = OnceLock::new();
     pool::fan_out(
-        units.len(),
+        outputs.len(),
         workers,
         DataScratch::default,
-        |scratch, unit| match units[unit].lock().take() {
-            Some(Unit::Sync(mut out)) => {
-                sync_edges(view, monotone, &mut out);
-                Part::Edges(out)
+        |scratch, unit| {
+            let mut out = std::mem::take(&mut *outputs[unit].lock());
+            match unit.checked_sub(1) {
+                None => sync_edges(view, &mut out),
+                Some(chunk) => {
+                    let writers = writers.get_or_init(|| WriterIndex::build(view));
+                    data_edges(view, writers, chunks[chunk].clone(), scratch, &mut out);
+                }
             }
-            Some(Unit::CloneNodes(mut out)) => {
-                out.extend(view.nodes.iter().map(|&sub| sub.clone()));
-                Part::Nodes(out)
-            }
-            Some(Unit::Data(readers, mut out)) => {
-                let writers = writers.get_or_init(|| WriterIndex::build(view));
-                data_edges(view, writers, readers, monotone, scratch, &mut out);
-                Part::Edges(out)
-            }
-            None => Part::Edges(Vec::new()),
+            out
         },
         |parts| {
             // Room for one synchronization or data edge per node beside the
@@ -1060,14 +1015,10 @@ fn derive(
             // appended without moving what is already there.
             let mut edges = Vec::with_capacity(2 * view.nodes.len());
             control_edges(view, &mut edges);
-            let mut nodes = Vec::new();
-            for part in parts {
-                match part {
-                    Part::Edges(mut part) => edges.append(&mut part),
-                    Part::Nodes(part) => nodes = part,
-                }
+            for mut part in parts {
+                edges.append(&mut part);
             }
-            (edges, nodes)
+            edges
         },
     )
 }
@@ -1084,13 +1035,13 @@ fn concat(sequences: BTreeMap<ThreadId, Vec<SubComputation>>) -> Vec<SubComputat
 
 /// Contiguous reader ranges of about equal read-set weight, at most
 /// `chunks` of them, covering every position.
-fn reader_chunks(nodes: &[&SubComputation], chunks: usize) -> Vec<Range<usize>> {
+fn reader_chunks(nodes: &[SubComputation], chunks: usize) -> Vec<Range<usize>> {
     let weight = |sub: &SubComputation| sub.read_set.len() + 1;
-    let total: usize = nodes.iter().map(|&sub| weight(sub)).sum();
+    let total: usize = nodes.iter().map(weight).sum();
     let per_chunk = total.div_ceil(chunks.max(1)).max(1);
     let mut out = Vec::with_capacity(chunks);
     let (mut start, mut filled) = (0, 0);
-    for (p, &sub) in nodes.iter().enumerate() {
+    for (p, sub) in nodes.iter().enumerate() {
         filled += weight(sub);
         if filled >= per_chunk {
             out.push(start..p + 1);
@@ -1128,19 +1079,17 @@ fn control_edges(view: &NodeView<'_>, edges: &mut Vec<DependenceEdge>) {
 /// candidates are dropped so the edge set stays close to a transitive
 /// reduction.
 ///
-/// With `monotone` (every run is a well-formed thread), each releasing
-/// thread's latest preceding release is found from a cursor that only
-/// moves forward along the acquiring thread ([`preceding_from`]): its
-/// clock never goes backwards, so neither does the prefix of releases that
-/// precede it. Otherwise each acquire binary-searches the whole release run
-/// ([`preceding`]).
-fn sync_edges(view: &NodeView<'_>, monotone: bool, edges: &mut Vec<DependenceEdge>) {
+/// Each releasing thread's latest preceding release is found from a
+/// cursor that only moves forward along the acquiring thread
+/// ([`preceding_from`]): its clock never goes backwards, so neither does
+/// the prefix of releases that precede it.
+fn sync_edges(view: &NodeView<'_>, edges: &mut Vec<DependenceEdge>) {
     // Releases grouped by object, then releasing thread, each group in run
     // order: a stable sort of the releases as the runs list them.
     let mut releases: Vec<(SyncObjectId, &SubComputation)> = view
         .nodes
         .iter()
-        .filter_map(|&sub| {
+        .filter_map(|sub| {
             let sp = sub.terminator?;
             matches!(sp.kind, SyncKind::Release | SyncKind::ReleaseAcquire)
                 .then_some((sp.object, sub))
@@ -1173,7 +1122,7 @@ fn sync_edges(view: &NodeView<'_>, monotone: bool, edges: &mut Vec<DependenceEdg
     let mut candidates: Vec<&SubComputation> = Vec::new();
     for (run, seq) in view.sequences().enumerate() {
         for pair in seq.windows(2) {
-            let (prev, next) = (pair[0], pair[1]);
+            let (prev, next) = (&pair[0], &pair[1]);
             let Some(sp) = prev.terminator else { continue };
             if !matches!(sp.kind, SyncKind::Acquire | SyncKind::ReleaseAcquire) {
                 continue;
@@ -1187,16 +1136,12 @@ fn sync_edges(view: &NodeView<'_>, monotone: bool, edges: &mut Vec<DependenceEdg
                 if group[0].1.id.thread == next.id.thread {
                     continue;
                 }
-                let before = if monotone {
-                    let (owner, cursor) = &mut cursors[g];
-                    if *owner != run {
-                        (*owner, *cursor) = (run, 0);
-                    }
-                    *cursor = preceding_from(group, *cursor, |r| r.1, next);
-                    *cursor
-                } else {
-                    preceding(group, |r| r.1, next)
-                };
+                let (owner, cursor) = &mut cursors[g];
+                if *owner != run {
+                    (*owner, *cursor) = (run, 0);
+                }
+                *cursor = preceding_from(group, *cursor, |r| r.1, next);
+                let before = *cursor;
                 if before > 0 {
                     candidates.push(group[before - 1].1);
                 }
@@ -1351,22 +1296,21 @@ struct DataScratch<'a> {
 /// page the latest preceding writer of each thread is a candidate and
 /// superseded candidates are dropped (the shared
 /// [`prune_superseded_writers`] kernel, which the streaming builder runs
-/// too). With `monotone`, the latest preceding writer is searched from a
-/// per-run cursor that a reader's successors on its thread only move
-/// forward ([`preceding_from`]); otherwise from scratch ([`preceding`]).
-/// Nothing is allocated per reader beyond the edges' page lists.
+/// too). The latest preceding writer is searched from a per-run cursor
+/// that a reader's successors on its thread only move forward
+/// ([`preceding_from`]). Nothing is allocated per reader beyond the edges'
+/// page lists.
 fn data_edges<'a>(
     view: &NodeView<'a>,
     writers: &WriterIndex,
     readers: Range<usize>,
-    monotone: bool,
     scratch: &mut DataScratch<'a>,
     edges: &mut Vec<DependenceEdge>,
 ) {
-    let nodes = &view.nodes;
+    let nodes = view.nodes;
     scratch.cursors.resize(writers.runs_total(), (0, 0));
     let mut thread = None;
-    for &reader in &nodes[readers] {
+    for reader in &nodes[readers] {
         if thread != Some(reader.id.thread) {
             thread = Some(reader.id.thread);
             scratch.epoch += 1;
@@ -1375,19 +1319,15 @@ fn data_edges<'a>(
         for &page in &reader.read_set {
             scratch.candidates.clear();
             for (r, run) in writers.runs(page) {
-                let node = |&p: &u32| nodes[p as usize];
-                let before = if monotone {
-                    let (owner, cursor) = &mut scratch.cursors[r];
-                    if *owner != scratch.epoch {
-                        (*owner, *cursor) = (scratch.epoch, 0);
-                    }
-                    *cursor = preceding_from(run, *cursor, node, reader);
-                    *cursor
-                } else {
-                    preceding(run, node, reader)
-                };
+                let node = |&p: &u32| &nodes[p as usize];
+                let (owner, cursor) = &mut scratch.cursors[r];
+                if *owner != scratch.epoch {
+                    (*owner, *cursor) = (scratch.epoch, 0);
+                }
+                *cursor = preceding_from(run, *cursor, node, reader);
+                let before = *cursor;
                 if before > 0 {
-                    let w = nodes[run[before - 1] as usize];
+                    let w = &nodes[run[before - 1] as usize];
                     if w.id != reader.id {
                         scratch.candidates.push((w.id, &w.clock));
                     }
@@ -1411,34 +1351,8 @@ fn data_edges<'a>(
     }
 }
 
-/// The sequential derivation this module shipped before the parallel one,
-/// kept verbatim as the reference it is tested against, edge for edge.
-#[cfg(test)]
+/// The sequential derivation (see [`CpgBuilder::into_cpg_sequential`]).
 impl CpgBuilder {
-    pub(crate) fn into_cpg_reference(self) -> Cpg {
-        let mut edges = Vec::new();
-        Self::derive_control_edges(&self.sequences, &mut edges);
-        Self::derive_sync_edges(&self.sequences, &mut edges);
-
-        let total = self.sequences.values().map(Vec::len).sum();
-        let mut nodes: Vec<SubComputation> = Vec::with_capacity(total);
-        for seq in self.sequences.into_values() {
-            nodes.extend(seq);
-        }
-        if !nodes.windows(2).all(|w| w[0].id < w[1].id) {
-            nodes.sort_by_key(|sub| sub.id);
-            nodes.dedup_by(|later, kept| {
-                let same = later.id == kept.id;
-                if same {
-                    std::mem::swap(later, kept);
-                }
-                same
-            });
-        }
-        Self::derive_data_edges(&nodes, &mut edges);
-        Cpg::from_sorted_nodes(nodes, edges)
-    }
-
     fn derive_control_edges(
         sequences: &BTreeMap<ThreadId, Vec<SubComputation>>,
         edges: &mut Vec<DependenceEdge>,
@@ -1456,6 +1370,13 @@ impl CpgBuilder {
         }
     }
 
+    /// For a list of same-thread sub-computations sorted by execution order,
+    /// returns the latest one that happens-before `target`, if any.
+    ///
+    /// Happens-before is monotone along a thread's execution sequence
+    /// (if `L_t[α]` happens-before `x` then so does every earlier
+    /// sub-computation of `t`), so the predecessors form a prefix and a
+    /// binary search suffices.
     fn latest_preceding<'a>(
         sorted: &[&'a SubComputation],
         target: &SubComputation,
@@ -1468,10 +1389,19 @@ impl CpgBuilder {
         }
     }
 
+    /// Synchronization edge from `a` to `b` when `a` ended with a release of
+    /// object `S`, `b` started right after an acquire of `S` on another
+    /// thread, and `a` happens-before `b`.
+    ///
+    /// For every acquiring sub-computation only the *latest* preceding
+    /// release per releasing thread is considered (earlier releases are
+    /// transitively implied), and dominated candidates are dropped so the
+    /// edge set stays close to a transitive reduction.
     fn derive_sync_edges(
         sequences: &BTreeMap<ThreadId, Vec<SubComputation>>,
         edges: &mut Vec<DependenceEdge>,
     ) {
+        // Index releases by object, grouped by thread, in execution order.
         type ByThread<'a> = BTreeMap<ThreadId, Vec<&'a SubComputation>>;
         let mut releases: HashMap<SyncObjectId, ByThread<'_>> = HashMap::new();
         for seq in sequences.values() {
@@ -1521,7 +1451,17 @@ impl CpgBuilder {
         }
     }
 
+    /// Data edge from writer `w` to reader `r` when `w` happens-before `r`,
+    /// `w`'s write set intersects `r`'s read set, and no intervening writer
+    /// of the same page sits between them (update-use relation).
+    ///
+    /// Writers of a page are grouped per thread; for each reader only the
+    /// latest preceding writer of each thread is a candidate, and dominated
+    /// candidates are discarded (last-writer semantics, the
+    /// [`prune_superseded_writers`] kernel the streaming builder shares).
     fn derive_data_edges(nodes: &[SubComputation], edges: &mut Vec<DependenceEdge>) {
+        // Index writers by page and thread; `nodes` is in (thread, α)
+        // order, so per-thread lists are already sorted.
         type ByThread<'a> = BTreeMap<ThreadId, Vec<&'a SubComputation>>;
         let mut writers: HashMap<PageId, ByThread<'_>> = HashMap::new();
         for sub in nodes {
@@ -1746,8 +1686,9 @@ mod tests {
 
     proptest::proptest! {
         /// The parallel derivation is the sequential one it replaced, edge
-        /// for edge in vector order, on recorder output and on malformed
-        /// sequences alike, with one worker and with several.
+        /// for edge in vector order, with one worker and with several; and
+        /// malformed sequences (ids out of order, duplicate or foreign, a
+        /// clock that goes backwards) reach the sequential one.
         #[test]
         fn prop_parallel_derivation_matches_the_reference(
             shape in 0u8..4,
@@ -1767,22 +1708,17 @@ mod tests {
             for seq in &sequences {
                 builder.add_thread(seq.clone());
             }
-            let reference = CpgBuilder { sequences: builder.sequences.clone() }.into_cpg_reference();
+            let reference = CpgBuilder { sequences: builder.sequences.clone() }.into_cpg_sequential();
             for workers in [1, workers] {
-                let (built, consumed) = crate::pool::with_workers(workers, || {
-                    let consumed = CpgBuilder { sequences: builder.sequences.clone() }.into_cpg();
-                    (builder.build(), consumed)
-                });
-                for graph in [&built, &consumed] {
-                    proptest::prop_assert_eq!(&graph.nodes, &reference.nodes);
-                    proptest::prop_assert_eq!(&graph.edges, &reference.edges);
-                    for node in reference.nodes() {
-                        let rows = |g: &Cpg| {
-                            let out: Vec<_> = g.outgoing(node.id).cloned().collect();
-                            (out, g.incoming(node.id).cloned().collect::<Vec<_>>())
-                        };
-                        proptest::prop_assert_eq!(rows(graph), rows(&reference));
-                    }
+                let graph = crate::pool::with_workers(workers, || builder.build());
+                proptest::prop_assert_eq!(&graph.nodes, &reference.nodes);
+                proptest::prop_assert_eq!(&graph.edges, &reference.edges);
+                for node in reference.nodes() {
+                    let rows = |g: &Cpg| {
+                        let out: Vec<_> = g.outgoing(node.id).cloned().collect();
+                        (out, g.incoming(node.id).cloned().collect::<Vec<_>>())
+                    };
+                    proptest::prop_assert_eq!(rows(&graph), rows(&reference));
                 }
             }
         }

@@ -21,7 +21,9 @@
 //!    checked and decoded on every core the host offers, one segment per
 //!    unit of work; the torn / CRC / poison policy is then applied to the
 //!    outcomes **in segment order**, so the report is the one a sequential
-//!    pass produces, field for field.
+//!    pass produces, field for field. The workers do not know the policy,
+//!    so a damaged session's segments past the poison are still read and
+//!    decoded before their outcome is discarded.
 //! 3. **Shrink to a consistent cut.** The decoded per-thread prefixes are
 //!    lowered to the largest frontier `F` such that every kept node's
 //!    vector clock is covered by `F` (a fixpoint that terminates because
@@ -213,7 +215,7 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
             let mut shard = None;
             // Once a shard hits its first invalid record (or a hole in the
             // segment list), nothing after it can be trusted: later files
-            // are counted wholesale, never decoded.
+            // are counted wholesale and their scans discarded.
             let mut poisoned = false;
             for (&(expected_index, seg), scan) in plan.iter().zip(scans) {
                 if shard != Some(seg.shard) {
@@ -229,6 +231,7 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
                     poisoned = true;
                 }
                 if poisoned {
+                    buffers.recycle(scan);
                     match std::fs::metadata(&path) {
                         Ok(meta) => {
                             report.total_bytes += meta.len();
@@ -241,7 +244,7 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
                     }
                     continue;
                 }
-                let (file_len, header, records, end) = match scan {
+                let (file_len, scanned) = match scan {
                     SegmentScan::Unreadable(e) if e.kind() == std::io::ErrorKind::NotFound => {
                         report.missing_segments += 1;
                         report.missing_bytes += seg.bytes;
@@ -249,19 +252,25 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
                         continue;
                     }
                     SegmentScan::Unreadable(e) => return Err(e.into()),
-                    SegmentScan::BadHeader { file_len, .. } => (file_len, None, None, None),
+                    SegmentScan::BadHeader { file_len, .. } => (file_len, None),
                     SegmentScan::Scanned {
                         file_len,
                         header,
                         records,
                         end,
-                    } => (file_len, Some(header), Some(records), Some(end)),
+                    } => {
+                        if header.shard as usize == seg.shard
+                            && header.session_id == manifest.session_id
+                        {
+                            (file_len, Some((records, end)))
+                        } else {
+                            buffers.give_back(records);
+                            (file_len, None)
+                        }
+                    }
                 };
                 report.total_bytes += file_len;
-                let header_ok = header.is_some_and(|header| {
-                    header.shard as usize == seg.shard && header.session_id == manifest.session_id
-                });
-                let (true, Some(mut records), Some(end)) = (header_ok, records, end) else {
+                let Some((mut records, end)) = scanned else {
                     report.bad_headers += 1;
                     report.lost_bytes += file_len;
                     poisoned = true;

@@ -336,7 +336,7 @@ impl ReleaseShard {
             .filter_map(|(&t, rels)| {
                 // happens-before is monotone along a thread's sequence, so
                 // the preceding releases form a prefix (same argument as
-                // the batch derivation's `preceding` in `graph.rs`).
+                // `CpgBuilder::latest_preceding`).
                 let prefix = rels.partition_point(|(_, c)| c.happens_before(&p.clock));
                 if prefix == 0 {
                     None
@@ -1363,7 +1363,7 @@ impl ShardedCpgBuilder {
                     .filter_map(|(&t, entries)| {
                         // happens-before is monotone along a thread's
                         // writes, so the preceding writers form a prefix
-                        // (same argument as `graph.rs`'s `preceding`).
+                        // (same argument as `CpgBuilder::latest_preceding`).
                         let prefix = entries.partition_point(|(a, c)| {
                             ordered_before(SubId::new(t, *a), c, dst, clock)
                         });

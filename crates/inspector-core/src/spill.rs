@@ -902,12 +902,20 @@ impl RecordBuffers {
         self.0.lock().pop().unwrap_or_default()
     }
 
-    /// Returns a buffer whose records were taken out.
+    /// Returns a buffer whose records were taken out, or are discarded.
     pub(crate) fn give_back(&self, mut records: SegmentRecords) {
         records.nodes.clear();
         records.edges.clear();
         records.edge_records = 0;
         self.0.lock().push(records);
+    }
+
+    /// Returns the buffer of a scan whose outcome is discarded, if it
+    /// holds one.
+    pub(crate) fn recycle(&self, scan: SegmentScan) {
+        if let SegmentScan::Scanned { records, .. } = scan {
+            self.give_back(records);
+        }
     }
 }
 
@@ -1566,6 +1574,7 @@ impl SpillStore {
                 for (&(s, meta), scan) in segments.iter().zip(scans) {
                     let partial = &mut partials[s];
                     if partial.failed.is_some() {
+                        buffers.recycle(scan);
                         continue;
                     }
                     let (file_len, mut records, end) = match scan {
@@ -1592,17 +1601,17 @@ impl SpillStore {
                                 path: meta.path.clone(),
                                 offset: at as u64,
                             });
-                            continue;
                         }
                         ScanEnd::Decode(at, e) => {
                             partial.failed = Some(e.with_location(&meta.path, at as u64));
-                            continue;
                         }
                     }
-                    for sub in records.nodes.drain(..) {
-                        partial.nodes.push(sub);
+                    if partial.failed.is_none() {
+                        for sub in records.nodes.drain(..) {
+                            partial.nodes.push(sub);
+                        }
+                        partial.edges.append(&mut records.edges);
                     }
-                    partial.edges.append(&mut records.edges);
                     buffers.give_back(records);
                 }
             },
