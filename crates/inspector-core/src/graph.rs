@@ -831,18 +831,14 @@ impl CpgBuilder {
     /// The sequential derivation on the calling thread, for any sequences:
     /// the edges are derived from the per-thread slices, then the
     /// sub-computations *move* into the graph. [`into_cpg`](Self::into_cpg)
-    /// takes it for malformed sequences, and the parallel derivation is
-    /// tested against it, edge for edge.
+    /// and [`Cpg::derived`] take it for malformed sequences, and the
+    /// parallel derivation is tested against it, edge for edge.
     fn into_cpg_sequential(self) -> Cpg {
         let mut edges = Vec::new();
         Self::derive_control_edges(&self.sequences, &mut edges);
         Self::derive_sync_edges(&self.sequences, &mut edges);
 
-        let total = self.sequences.values().map(Vec::len).sum();
-        let mut nodes: Vec<SubComputation> = Vec::with_capacity(total);
-        for seq in self.sequences.into_values() {
-            nodes.extend(seq);
-        }
+        let mut nodes = concat(self.sequences);
         // Recorder output is one ascending α-run per thread; anything else
         // gets the id order a map would have imposed, the later of two
         // equal ids winning.
@@ -1351,7 +1347,7 @@ fn data_edges<'a>(
     }
 }
 
-/// The sequential derivation (see [`CpgBuilder::into_cpg_sequential`]).
+// The kernels of the sequential derivation, `CpgBuilder::into_cpg_sequential`.
 impl CpgBuilder {
     fn derive_control_edges(
         sequences: &BTreeMap<ThreadId, Vec<SubComputation>>,
