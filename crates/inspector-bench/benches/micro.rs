@@ -7,9 +7,7 @@ use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use inspector_bench::ingest_bench::{
-    encoded_branch_stream, ingest_with_pool, ingest_with_pool_batched,
-};
+use inspector_bench::ingest_bench::{encoded_branch_stream, ingest_with_pool};
 use inspector_core::clock::VectorClock;
 use inspector_core::event::BranchKind;
 use inspector_core::graph::CpgBuilder;
@@ -418,44 +416,10 @@ fn bench_cpg_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sync_contention(c: &mut Criterion) {
-    // The de-contended ingest hot path under the most synchronization-heavy
-    // shape we have: an interleaved ping-pong where *every* sub-computation
-    // is an acquire or release on one lock, so the old global sync stripe
-    // serialized every producer. With the partitioned state the remaining
-    // shared point is the one semantic release stripe; the pool sweep
-    // exposes what contention is left, and the batch sweep shows the lane
-    // transport amortising stripe locking.
-    let mut group = c.benchmark_group("sync_contention");
-    let sequences = inspector_core::testing::ping_pong_sequences(8, 100);
-    let subs: usize = sequences.iter().map(|s| s.len()).sum();
-    group.throughput(Throughput::Elements(subs as u64));
-    for pool in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("ping_pong_pool", pool),
-            &sequences,
-            |b, sequences| {
-                b.iter(|| ingest_with_pool(sequences, pool, 8));
-            },
-        );
-    }
-    for batch in [1usize, 16, 64] {
-        group.bench_with_input(
-            BenchmarkId::new("ping_pong_pool4_batch", batch),
-            &sequences,
-            |b, sequences| {
-                b.iter(|| ingest_with_pool_batched(sequences, 4, 8, batch));
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_seal_latency(c: &mut Criterion) {
-    // Seal cost after *complete* delivery: every synchronization and data
-    // edge was already resolved during ingestion (`data_resolved_at_seal ==
-    // 0`), so the seal only moves nodes — its per-sub cost must stay flat
-    // as the run length grows instead of scaling with the dependence count.
+    // Seal cost after complete delivery: the seal concatenates the stored
+    // runs and derives every edge over them, so its per-sub cost is the
+    // batch derivation's, at three run lengths.
     let mut group = c.benchmark_group("seal_latency");
     for iterations in [50u64, 200, 800] {
         let sequences = inspector_core::testing::lock_heavy_sequences(4, iterations, 32, 16);
@@ -478,11 +442,6 @@ fn bench_seal_latency(c: &mut Criterion) {
                         let cpg = builder.seal();
                         total += start.elapsed();
                         criterion::black_box(cpg);
-                        let stats = builder.last_sealed_stats().expect("sealed");
-                        assert_eq!(
-                            stats.data_resolved_at_seal, 0,
-                            "complete delivery must leave nothing for the seal"
-                        );
                     }
                     total
                 });
@@ -520,6 +479,6 @@ fn bench_cpg_spill(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_vector_clocks, bench_fault_path, bench_pt_codec, bench_recorder, bench_pt_decode, bench_cpg_build, bench_cpg_ingest, bench_sync_contention, bench_seal_latency, bench_cpg_spill
+    targets = bench_vector_clocks, bench_fault_path, bench_pt_codec, bench_recorder, bench_pt_decode, bench_cpg_build, bench_cpg_ingest, bench_seal_latency, bench_cpg_spill
 }
 criterion_main!(micro);

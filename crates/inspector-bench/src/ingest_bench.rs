@@ -1,6 +1,5 @@
-//! Streaming-ingest plumbing shared by the `cpg_ingest` /
-//! `sync_contention` / `pt_decode` / `cpg_spill` micro-benchmarks in
-//! `benches/micro.rs`.
+//! Streaming-ingest plumbing shared by the `cpg_ingest` / `pt_decode` /
+//! `cpg_spill` micro-benchmarks in `benches/micro.rs`.
 //!
 //! The CPG half drives one object: [`ShardedCpgBuilder`] fed by a producer
 //! pool whose worker `w` owns the application threads with
@@ -13,7 +12,6 @@ use inspector_core::graph::Cpg;
 use inspector_core::sharded::{IngestStats, ShardedCpgBuilder};
 use inspector_core::spill::SpillSettings;
 use inspector_core::subcomputation::SubComputation;
-use inspector_core::testing::announce_all;
 use inspector_pt::branch::BranchEvent;
 use inspector_pt::encode::PacketEncoder;
 
@@ -22,52 +20,6 @@ use inspector_pt::encode::PacketEncoder;
 /// baseline shape.
 pub fn ingest_with_pool(sequences: &[Vec<SubComputation>], pool: usize, shards: usize) -> Cpg {
     measure_build_with_spill(sequences, pool, shards, 0).cpg
-}
-
-/// [`ingest_with_pool`] through [`ShardedCpgBuilder::ingest_batch`]: each
-/// producer hands the builder α-contiguous batches of up to `batch`
-/// sub-computations per call, so stripe locking amortises across the batch
-/// (a shape for replay and offline rebuilds; the runtime's lanes carry one
-/// sub-computation per message).
-pub fn ingest_with_pool_batched(
-    sequences: &[Vec<SubComputation>],
-    pool: usize,
-    shards: usize,
-    batch: usize,
-) -> Cpg {
-    let builder = ShardedCpgBuilder::with_shards(shards);
-    announce_all(&builder, sequences);
-    let batch = batch.max(1);
-    std::thread::scope(|scope| {
-        for worker in 0..pool.max(1) {
-            let builder = &builder;
-            let lanes: Vec<Vec<SubComputation>> = sequences
-                .iter()
-                .enumerate()
-                .filter(|(t, _)| t % pool.max(1) == worker)
-                .map(|(_, seq)| seq.clone())
-                .collect();
-            scope.spawn(move || {
-                let mut cursors: Vec<std::iter::Peekable<std::vec::IntoIter<SubComputation>>> =
-                    lanes
-                        .into_iter()
-                        .map(|s| s.into_iter().peekable())
-                        .collect();
-                let mut progressed = true;
-                while progressed {
-                    progressed = false;
-                    for cursor in &mut cursors {
-                        let chunk: Vec<SubComputation> = cursor.by_ref().take(batch).collect();
-                        if !chunk.is_empty() {
-                            builder.ingest_batch(chunk);
-                            progressed = true;
-                        }
-                    }
-                }
-            });
-        }
-    });
-    builder.seal()
 }
 
 /// A bench-unique spill directory under the system temp dir.
@@ -101,7 +53,6 @@ pub fn measure_build_with_spill(
     let spill =
         (spill_threshold > 0).then(|| SpillSettings::new(spill_threshold, bench_spill_dir()));
     let builder = ShardedCpgBuilder::with_shards_and_spill(shards, spill);
-    announce_all(&builder, sequences);
     if pool <= 1 {
         for seq in sequences {
             for sub in seq.clone() {
@@ -180,26 +131,6 @@ mod tests {
             let cpg = ingest_with_pool(&sequences, pool, 4);
             assert_eq!(cpg.node_count(), reference.node_count(), "pool={pool}");
             assert_eq!(fingerprint(&cpg), fingerprint(&reference), "pool={pool}");
-        }
-    }
-
-    #[test]
-    fn batched_pooled_build_matches_batch() {
-        let sequences = inspector_core::testing::lock_heavy_sequences(4, 15, 8, 8);
-        let mut batch = CpgBuilder::new();
-        for seq in &sequences {
-            batch.add_thread(seq.clone());
-        }
-        let reference = batch.build();
-        let fingerprint =
-            |cpg: &Cpg| -> BTreeSet<String> { cpg.edges().map(|e| format!("{e:?}")).collect() };
-        for (pool, chunk) in [(1usize, 8usize), (2, 1), (4, 16)] {
-            let cpg = ingest_with_pool_batched(&sequences, pool, 4, chunk);
-            assert_eq!(
-                fingerprint(&cpg),
-                fingerprint(&reference),
-                "pool={pool} chunk={chunk}"
-            );
         }
     }
 

@@ -59,15 +59,8 @@ use crate::subcomputation::SubComputation;
 
 /// Happens-before between two sub-computations identified by `(id, clock)`
 /// pairs — the exact relation [`SubComputation::happens_before`] evaluates,
-/// exposed over bare identifiers so edge-derivation code that indexes
-/// `(α, clock)` entries (the streaming builder's page-write index) orders
-/// candidates identically to code that holds whole nodes.
-pub(crate) fn ordered_before(
-    a: SubId,
-    a_clock: &VectorClock,
-    b: SubId,
-    b_clock: &VectorClock,
-) -> bool {
+/// over the `(id, clock)` candidate pairs the data derivations collect.
+fn ordered_before(a: SubId, a_clock: &VectorClock, b: SubId, b_clock: &VectorClock) -> bool {
     if a.thread == b.thread {
         a.alpha < b.alpha
     } else {
@@ -80,12 +73,10 @@ pub(crate) fn ordered_before(
 /// `candidates` holds, per writing thread, the latest writer of the page
 /// that happens-before the reader. A candidate is superseded when another
 /// candidate happens-after it (its update was overwritten before the read),
-/// so only the maximal candidates survive, in candidate order. This is the
-/// single shared kernel of data-dependence resolution: the batch
-/// derivation, the streaming builder's ingest-time resolution and its
-/// seal-time leftovers all feed it the same shape and therefore cannot
-/// diverge in last-writer semantics.
-pub(crate) fn prune_superseded_writers<'c>(
+/// so only the maximal candidates survive, in candidate order. The parallel
+/// derivation and the sequential one share it, so they cannot diverge in
+/// last-writer semantics.
+fn prune_superseded_writers<'c>(
     candidates: &'c [(SubId, &'c VectorClock)],
 ) -> impl Iterator<Item = SubId> + 'c {
     candidates
@@ -792,9 +783,9 @@ impl CpgBuilder {
     /// This is the reference *batch* path: it clones every sub-computation
     /// and hands the copy to [`into_cpg`](Self::into_cpg), so the builder
     /// stays usable. The streaming [`crate::sharded::ShardedCpgBuilder`]
-    /// produces an identical graph without the clone or the end-of-run
-    /// scan; this builder is kept as the equivalence oracle and for offline
-    /// reconstruction from stored sequences.
+    /// ends in the same derivation over the nodes it stored, without the
+    /// clone; this builder is kept as the equivalence oracle and for
+    /// offline reconstruction from stored sequences.
     pub fn build(&self) -> Cpg {
         CpgBuilder {
             sequences: self.sequences.clone(),
@@ -864,28 +855,6 @@ impl CpgBuilder {
             seq.iter().all(|sub| sub.id.thread == thread)
                 && seq.windows(2).all(|w| w[0].id.alpha < w[1].id.alpha)
         })
-    }
-
-    /// Emits one data edge per surviving writer of `reader`. Shared tail of
-    /// the streaming builder's resolution paths; the page list is part of
-    /// an edge's identity, so it is normalised to page order here
-    /// regardless of the order the caller visited the read set in (the
-    /// streaming path visits it stripe-major).
-    pub(crate) fn emit_reader_data_edges(
-        reader: SubId,
-        per_writer_pages: BTreeMap<SubId, Vec<PageId>>,
-        edges: &mut Vec<DependenceEdge>,
-    ) {
-        for (writer, mut pages) in per_writer_pages {
-            pages.sort_unstable();
-            edges.push(DependenceEdge {
-                src: writer,
-                dst: reader,
-                kind: EdgeKind::Data,
-                object: None,
-                pages,
-            });
-        }
     }
 }
 
@@ -1291,8 +1260,8 @@ struct DataScratch<'a> {
 /// writer of the same page sits between them (update-use relation). Per
 /// page the latest preceding writer of each thread is a candidate and
 /// superseded candidates are dropped (the shared
-/// [`prune_superseded_writers`] kernel, which the streaming builder runs
-/// too). The latest preceding writer is searched from a per-run cursor
+/// [`prune_superseded_writers`] kernel, which the sequential derivation
+/// runs too). The latest preceding writer is searched from a per-run cursor
 /// that a reader's successors on its thread only move forward
 /// ([`preceding_from`]). Nothing is allocated per reader beyond the edges'
 /// page lists.
@@ -1454,7 +1423,9 @@ impl CpgBuilder {
     /// Writers of a page are grouped per thread; for each reader only the
     /// latest preceding writer of each thread is a candidate, and dominated
     /// candidates are discarded (last-writer semantics, the
-    /// [`prune_superseded_writers`] kernel the streaming builder shares).
+    /// [`prune_superseded_writers`] kernel the parallel derivation shares).
+    /// The page list is part of an edge's identity; pages are visited in
+    /// read-set order, so each list comes out ascending.
     fn derive_data_edges(nodes: &[SubComputation], edges: &mut Vec<DependenceEdge>) {
         // Index writers by page and thread; `nodes` is in (thread, α)
         // order, so per-thread lists are already sorted.
@@ -1486,7 +1457,15 @@ impl CpgBuilder {
                     per_writer_pages.entry(w).or_default().push(page);
                 }
             }
-            Self::emit_reader_data_edges(reader.id, per_writer_pages, edges);
+            for (writer, pages) in per_writer_pages {
+                edges.push(DependenceEdge {
+                    src: writer,
+                    dst: reader.id,
+                    kind: EdgeKind::Data,
+                    object: None,
+                    pages,
+                });
+            }
         }
     }
 }

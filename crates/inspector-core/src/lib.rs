@@ -24,30 +24,24 @@
 //! * [`sharded::ShardedCpgBuilder`] — the **streaming** path the runtime
 //!   uses. Each recorder hands a sub-computation out as it retires
 //!   ([`recorder::ThreadRecorder::retire_at_synchronization`]) and it is
-//!   ingested **by value**
-//!   — singly or as α-contiguous batches — into lock-striped shards keyed
-//!   by thread id. All three edge kinds are applied during ingestion (an
-//!   acquire's candidate releases and a reader's candidate writers are
-//!   pinned by its vector clock, so edges are emitted as soon as the
-//!   causal frontier is fully delivered), against synchronization state
-//!   that is fully partitioned — the release index striped by object, the
-//!   wait indexes striped by awaited thread, per-thread frontiers in a
-//!   lock-free epoch array ([`frontier`]) — so no global lock sits on the
-//!   ingest path, and the release/page-write indexes are frontier-GC'd
-//!   down to O(threads) live entries. Peak memory tracks the in-flight
-//!   sub-computations, not a second copy of the whole trace — and with
-//!   [`spill::SpillSettings`] it is bounded to an *active window*: sealed-off
-//!   consistent prefixes are encoded into length-prefixed, append-only
-//!   per-shard segment files (see [`spill`] for the on-disk format) — one
-//!   write per consistent cut —, replayed on demand for live snapshots,
-//!   and concatenated back into the final graph at seal.
+//!   ingested **by value** — singly or as α-contiguous batches — into
+//!   lock-striped shards keyed by thread id. Ingest only stores; the seal
+//!   derives every edge over the stored nodes with the batch builder's
+//!   parallel derivation, so the streamed graph equals the batch oracle by
+//!   construction. Peak memory tracks the in-flight sub-computations, not a
+//!   second copy of the whole trace — and with [`spill::SpillSettings`] it
+//!   is bounded to an *active window*: a stripe's resident nodes are
+//!   encoded into length-prefixed, append-only per-shard segment files
+//!   (see [`spill`] for the on-disk format) — one write per round —,
+//!   replayed on demand for live snapshots, and concatenated back into the
+//!   final graph at seal.
 //!
 //!   The spill tier is **fault tolerant rather than fault free**: every
 //!   I/O failure surfaces as a typed [`spill::SpillError`] instead of a
 //!   panic. A failing round is retried with bounded backoff (each attempt
 //!   from the last committed length, so a partial write never stays in
-//!   front of the retry); if the device stays broken the cut never
-//!   happened — the prefix it was about to evict is still resident, earlier
+//!   front of the retry); if the device stays broken the round never
+//!   happened — the nodes it was about to evict are still resident, earlier
 //!   rounds are replayed back into memory and the store detaches, so
 //!   the session degrades to unbounded-memory operation with a graph
 //!   **identical** to the never-spilled one (callers see the episode as a
@@ -70,13 +64,13 @@
 //! process (or the tracer itself) dying mid-run must leave a trustworthy
 //! partial record behind. Three pieces make that hold:
 //!
-//! * **Spill format v2** ([`spill`]) — every segment opens with a header
+//! * **Spill format v3** ([`spill`]) — every segment opens with a header
 //!   (magic, format version, shard, session id) and every record carries a
 //!   CRC32 trailer, so torn tails and bit rot are detectable, not fatal.
 //! * **The manifest contract** — each session directory holds a `MANIFEST`
 //!   (updated by atomic rename, with [`spill::SpillDurability`] controlling
 //!   fdatasync/fsync at cut boundaries) that records segment ids, record
-//!   counts, and the per-thread durable frontier. The manifest **never
+//!   counts, and the per-thread durable node counts. The manifest **never
 //!   names bytes that are not on disk**: segments are synced *before* the
 //!   manifest that references them is published, and torn appends never
 //!   enter it. `SpillDurability::None` costs nothing and survives process
@@ -106,7 +100,6 @@
 
 pub mod clock;
 pub mod event;
-pub mod frontier;
 pub mod graph;
 pub mod ids;
 mod pool;

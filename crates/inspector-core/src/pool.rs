@@ -1,8 +1,8 @@
 //! One scoped fan-out over independent units of work.
 //!
 //! The read side of the spill tier (segment scans for the seal's replay and
-//! for offline recovery), the batch edge derivation and the seal's parked
-//! readers all split into units that share nothing mutable. [`fan_out`]
+//! for offline recovery) and the batch edge derivation split into units
+//! that share nothing mutable. [`fan_out`]
 //! runs them on scoped worker threads and hands the results to the caller
 //! **in unit order**, so whatever the caller folds them into (a report, a
 //! node run, an edge vector) comes out exactly as a sequential pass would
@@ -159,16 +159,6 @@ pub(crate) fn fan_out<S: Send, R: Send, T>(
     })
 }
 
-/// Every result of [`fan_out`], in unit order.
-pub(crate) fn map<S: Send, R: Send>(
-    units: usize,
-    workers: usize,
-    init: impl Fn() -> S,
-    work: impl Fn(&mut S, usize) -> R + Sync,
-) -> Vec<R> {
-    fan_out(units, workers, init, work, |results| results.collect())
-}
-
 /// What the workers and the caller share besides the result channel: the
 /// unit the caller waits for, and whether to stop.
 struct Gate {
@@ -257,6 +247,17 @@ impl<R> Iterator for InOrder<'_, R> {
 mod tests {
     use super::*;
 
+    /// Every result of [`fan_out`], in unit order.
+    fn map<R: Send>(units: usize, workers: usize, work: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        fan_out(
+            units,
+            workers,
+            || (),
+            |_, unit| work(unit),
+            |results| results.collect(),
+        )
+    }
+
     #[test]
     fn results_arrive_in_unit_order_for_any_worker_count() {
         for workers in [1, 2, 3, 8] {
@@ -264,20 +265,15 @@ mod tests {
             // later result always overtakes an earlier one.
             let (done, overtaken) = mpsc::channel();
             let overtaken = Mutex::new(overtaken);
-            let out = map(
-                40,
-                workers,
-                || (),
-                |_, unit| {
-                    if workers > 1 && unit == 0 {
-                        overtaken.lock().unwrap().recv().unwrap();
-                    }
-                    if workers > 1 && unit == 1 {
-                        done.send(()).unwrap();
-                    }
-                    unit * unit
-                },
-            );
+            let out = map(40, workers, |unit| {
+                if workers > 1 && unit == 0 {
+                    overtaken.lock().unwrap().recv().unwrap();
+                }
+                if workers > 1 && unit == 1 {
+                    done.send(()).unwrap();
+                }
+                unit * unit
+            });
             assert_eq!(out, (0..40).map(|u| u * u).collect::<Vec<_>>());
         }
     }
@@ -329,17 +325,12 @@ mod tests {
     #[test]
     fn a_worker_panic_reaches_the_caller_with_its_payload() {
         let caught = std::panic::catch_unwind(|| {
-            map(
-                16,
-                4,
-                || (),
-                |_, unit| {
-                    if unit == 9 {
-                        panic!("unit nine");
-                    }
-                    unit
-                },
-            )
+            map(16, 4, |unit| {
+                if unit == 9 {
+                    panic!("unit nine");
+                }
+                unit
+            })
         });
         let payload = caught.expect_err("the panic propagates");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"unit nine"));

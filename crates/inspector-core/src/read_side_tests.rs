@@ -24,7 +24,7 @@ use crate::recorder::{SyncClockRegistry, ThreadRecorder};
 use crate::sharded::ShardedCpgBuilder;
 use crate::subcomputation::SubComputation;
 use crate::taint::{ReferenceReport, TaintLabel, TaintReport, TaintTracker};
-use crate::testing::{announce_all, lock_heavy_sequences, ping_pong_sequences};
+use crate::testing::{ingest_round_robin, lock_heavy_sequences, ping_pong_sequences};
 
 const FILTERS: [EdgeFilter; 3] = [
     EdgeFilter::ALL,
@@ -447,13 +447,7 @@ fn both_builds(sequences: Vec<Vec<SubComputation>>, shards: usize) -> [Cpg; 2] {
         batch.add_thread(seq.clone());
     }
     let streaming = ShardedCpgBuilder::with_shards(shards);
-    announce_all(&streaming, &sequences);
-    let mut cursors: Vec<_> = sequences.into_iter().map(Vec::into_iter).collect();
-    while cursors.iter().any(|c| c.len() > 0) {
-        for sub in cursors.iter_mut().filter_map(Iterator::next) {
-            streaming.ingest(sub);
-        }
-    }
+    ingest_round_robin(&streaming, sequences, |_| {});
     [batch.build(), streaming.seal()]
 }
 

@@ -35,12 +35,10 @@
 //!    thread; the cut is applied to it in place, and the survivors become
 //!    the graph's node store as they are. Their edges are derived by the
 //!    batch [`CpgBuilder`](crate::graph::CpgBuilder)'s parallel derivation
-//!    — the oracle the streaming builder is proven against — so the
+//!    — the one the streaming builder's seal ends in too — so the
 //!    recovered CPG carries complete control, sync, and data edges for its
 //!    prefix. A consistent prefix is causally closed, which makes the
-//!    oracle over the prefix identical to the full graph restricted to it;
-//!    spilled edge *records* are therefore only needed for byte
-//!    accounting, never for graph reconstruction.
+//!    oracle over the prefix identical to the full graph restricted to it.
 //!
 //! Recovering the directory of a cleanly sealed, retained session yields a
 //! graph node- and edge-identical to the sealed one, with zero loss.
@@ -71,9 +69,6 @@ pub struct RecoveryReport {
     pub session_id: u64,
     /// Nodes in the recovered graph (below the consistent frontier).
     pub recovered_nodes: u64,
-    /// Spilled edge records that decoded fine. They only corroborate the
-    /// byte accounting — edges are re-derived from the node payloads.
-    pub recovered_edge_records: u64,
     /// Edges in the recovered graph (re-derived by the batch oracle).
     pub recovered_edges: u64,
     /// Nodes that decoded fine but sit above the maximal consistent
@@ -90,7 +85,7 @@ pub struct RecoveryReport {
     /// Bytes of validated segment headers in scanned segments.
     pub header_bytes: u64,
     /// Bytes of record frames that were CRC-valid and decoded (including
-    /// frames of excluded nodes and edge records).
+    /// frames of excluded nodes).
     pub recovered_bytes: u64,
     /// Every on-disk byte that was neither a validated header nor a
     /// decoded frame: `total_bytes = header_bytes + recovered_bytes +
@@ -207,9 +202,7 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
         |image, i| {
             let seg = &plan[i].1;
             let path = dir.join(segment_file_name(seg.shard, seg.index));
-            // Edge records are only grammar-checked and counted: the graph
-            // re-derives its edges from the node payloads.
-            scan_segment_file(&path, seg.bytes, false, image, &buffers)
+            scan_segment_file(&path, seg.bytes, image, &buffers)
         },
         |scans| -> SpillResult<()> {
             let mut shard = None;
@@ -256,36 +249,34 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
                     SegmentScan::Scanned {
                         file_len,
                         header,
-                        records,
+                        nodes: decoded,
                         end,
                     } => {
                         if header.shard as usize == seg.shard
                             && header.session_id == manifest.session_id
                         {
-                            (file_len, Some((records, end)))
+                            (file_len, Some((decoded, end)))
                         } else {
-                            buffers.give_back(records);
+                            buffers.give_back(decoded);
                             (file_len, None)
                         }
                     }
                 };
                 report.total_bytes += file_len;
-                let Some((mut records, end)) = scanned else {
+                // A file shorter than its manifest entry was externally
+                // truncated, whether or not its header survived.
+                report.missing_bytes += seg.bytes.saturating_sub(file_len);
+                let Some((mut decoded, end)) = scanned else {
                     report.bad_headers += 1;
                     report.lost_bytes += file_len;
                     poisoned = true;
                     continue;
                 };
                 report.header_bytes += SEGMENT_HEADER_BYTES;
-                // Only the manifest-named prefix is trusted; a file shorter
-                // than its manifest entry was externally truncated.
+                // Only the manifest-named prefix is trusted.
                 let avail = file_len.min(seg.bytes) as usize;
-                if file_len < seg.bytes {
-                    report.missing_bytes += seg.bytes - file_len;
-                }
-                report.recovered_edge_records += records.edge_records;
-                nodes.append(&mut records.nodes);
-                buffers.give_back(records);
+                nodes.append(&mut decoded);
+                buffers.give_back(decoded);
                 let valid_end = match end {
                     ScanEnd::Clean => avail,
                     ScanEnd::Torn(at) => {
@@ -442,7 +433,6 @@ mod tests {
             ..SpillSettings::new(2, dir).with_retain_on_seal(true)
         };
         let builder = ShardedCpgBuilder::with_shards_and_spill(3, Some(settings));
-        crate::testing::announce_all(&builder, &sequences);
         let mut cursors: Vec<_> = sequences.into_iter().map(Vec::into_iter).collect();
         while cursors
             .iter_mut()
@@ -463,7 +453,7 @@ mod tests {
     /// after it in the same shard.
     #[test]
     fn parallel_scan_is_the_sequential_scan() {
-        let damages: [Damage; 5] = [
+        let damages: [Damage; 7] = [
             ("clean", |_| {}),
             ("flipped crc", |path| {
                 let mut bytes = std::fs::read(path).unwrap();
@@ -479,6 +469,14 @@ mod tests {
                 bytes[0] ^= 0xFF;
                 std::fs::write(path, bytes).unwrap();
             }),
+            // A v2 segment, whose records could be edges: refused whole at
+            // its header, never half-decoded.
+            ("v2 segment", |path| {
+                let mut bytes = std::fs::read(path).unwrap();
+                bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+                std::fs::write(path, bytes).unwrap();
+            }),
+            ("emptied file", |path| std::fs::write(path, []).unwrap()),
             ("missing file", |path| std::fs::remove_file(path).unwrap()),
         ];
         for (what, damage) in damages {
@@ -526,9 +524,16 @@ mod tests {
                     assert_eq!(report.torn_records, 1);
                     assert_eq!(report.lost_bytes, 10 + behind);
                 }
-                "bad header" => {
+                "bad header" | "v2 segment" => {
                     assert_eq!(report.bad_headers, 1);
                     assert_eq!(report.lost_bytes, hit_len + behind);
+                }
+                // Cut below its header: refused, and every byte the
+                // manifest named for it is missing.
+                "emptied file" => {
+                    assert_eq!(report.bad_headers, 1);
+                    assert_eq!(report.missing_bytes, hit_len);
+                    assert_eq!(report.lost_bytes, behind);
                 }
                 _ => {
                     assert_eq!(report.missing_segments, 1);

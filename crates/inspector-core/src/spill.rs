@@ -1,17 +1,16 @@
-//! Spill-to-disk storage for sealed-off consistent prefixes of the
-//! streaming CPG build (§VI: bounding resident memory for long runs).
+//! Spill-to-disk storage for the streaming CPG build's nodes (§VI:
+//! bounding resident memory for long runs).
 //!
 //! Without spilling, every ingested [`SubComputation`] stays resident in its
 //! shard until [`seal`](crate::sharded::ShardedCpgBuilder::seal), so peak
 //! memory grows linearly with execution length. This module gives each shard
-//! an **append-only spill store**: once a consistent prefix of a thread's
-//! sequence can never be touched again (its causal frontier is fully
-//! delivered, so every sync/data edge into it has been emitted — see
-//! [`crate::sharded`]), the finished sub-computations and their
-//! stripe-local edges are encoded into **length-prefixed records** appended
-//! to per-shard **segment files**, and evicted from memory.
+//! an **append-only spill store**: a shard's resident sub-computations are
+//! encoded into **length-prefixed records** appended to per-shard **segment
+//! files**, and evicted from memory. Only nodes are stored — the graph's
+//! edges are a function of the nodes, derived at seal and at recovery — so
+//! any per-thread prefix may go to disk at any time.
 //!
-//! # On-disk format (v2)
+//! # On-disk format (v3)
 //!
 //! A spill store owns a sequence of segment files
 //! (`shard-<k>-seg-<n>.spill` under the configured directory); a segment is
@@ -29,19 +28,20 @@
 //! [u32 payload_len (LE)] [u8 tag] [payload...] [u32 crc32 (LE)]
 //! ```
 //!
-//! where the CRC32 (IEEE) covers the tag byte and payload. Tag `0` is a
-//! node record (a fully encoded [`SubComputation`]: id, vector clock,
-//! read/write sets, thunk list, terminator), tag `1` an edge record (a
-//! [`DependenceEdge`]). The encoding is exact — a decoded record compares
-//! equal to the original — because the seal-time reload must reproduce a
-//! graph that is node- and edge-identical to the batch oracle.
+//! where the CRC32 (IEEE) covers the tag byte and payload. The one tag, `0`,
+//! marks a node record: a fully encoded [`SubComputation`] (id, vector
+//! clock, read/write sets, thunk list, terminator). The encoding is exact —
+//! a decoded record compares equal to the original — because the
+//! seal-time reload must reproduce the nodes the batch oracle derives its
+//! graph from. Version 2 also stored edge records (tag `1`); a v2 segment
+//! is refused at its header.
 //!
-//! # One write per consistent cut
+//! # One write per round
 //!
-//! The unit of I/O is the **round**: the builder stages everything one
-//! consistent cut of a shard moves to disk back to back in one reusable
-//! buffer ([`SpillStore::stage_node`] / [`SpillStore::stage_edge`]) and
-//! [`SpillStore::commit_round`] issues a single `write`. Counters and the
+//! The unit of I/O is the **round**: every node resident in the shard when
+//! the round starts, staged back to back in one reusable buffer
+//! ([`SpillStore::stage_node`]) and committed by [`SpillStore::commit_round`]
+//! with a single `write`. Counters and the
 //! manifest snapshot move only after it succeeded; a failed attempt cuts
 //! the segment back to the last committed length, so a retry never lands
 //! behind a partial frame. Segments roll at round boundaries.
@@ -60,13 +60,14 @@
 //! A per-session `MANIFEST` file in the spill directory (rewritten by
 //! atomic rename from `MANIFEST.tmp`, see [`ManifestWriter`]) records, per
 //! shard, the segment list with record counts and byte lengths, plus the
-//! per-thread durable node counts — the durable consistent-cut frontier.
-//! The builder updates the manifest only **after** the corresponding bytes
-//! were synced according to the configured [`SpillDurability`] policy, so
-//! the manifest never names bytes that are not on disk. Offline recovery
-//! ([`crate::recover`]) trusts exactly the manifest-named byte ranges,
-//! CRC-checks every record inside them, and rebuilds the maximal
-//! consistent prefix of the run.
+//! per-thread durable node counts — a durable prefix of each thread, not
+//! necessarily a consistent cut across threads. The builder updates the
+//! manifest only **after** the corresponding bytes were synced according to
+//! the configured [`SpillDurability`] policy, so the manifest never names
+//! bytes that are not on disk. Offline recovery ([`crate::recover`]) trusts
+//! exactly the manifest-named byte ranges, CRC-checks every record inside
+//! them, computes the maximal consistent cut of the durable prefixes and
+//! rebuilds the run's graph up to it.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -77,7 +78,6 @@ use parking_lot::Mutex;
 
 use crate::clock::VectorClock;
 use crate::event::{BranchKind, SyncKind};
-use crate::graph::{DependenceEdge, EdgeKind};
 use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
 use crate::pool;
 use crate::subcomputation::{SubComputation, SyncPoint};
@@ -86,11 +86,12 @@ use crate::subcomputation::{SubComputation, SyncPoint};
 /// replay incrementally while amortising file creation.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 1 << 20;
 
-/// Magic bytes opening every v2 segment file.
+/// Magic bytes opening every segment file (unchanged since v2; the version
+/// field after it tells the formats apart).
 pub const SEGMENT_MAGIC: [u8; 8] = *b"INSPSPL2";
 
 /// On-disk spill format version stamped into every segment header.
-pub const SPILL_FORMAT_VERSION: u32 = 2;
+pub const SPILL_FORMAT_VERSION: u32 = 3;
 
 /// Size of the fixed segment header: magic + version + shard + session id.
 pub const SEGMENT_HEADER_BYTES: u64 = 24;
@@ -128,7 +129,7 @@ pub enum SpillDurability {
     /// Write into the page cache only; no explicit sync.
     #[default]
     None,
-    /// `fdatasync` segment data at consistent-cut boundaries.
+    /// `fdatasync` segment data at round boundaries.
     Flush,
     /// `Flush` plus fsync of the manifest file and spill directory.
     Fsync,
@@ -155,8 +156,8 @@ pub struct SpillSettings {
     pub dir: PathBuf,
     /// Roll to a new segment file once the current one exceeds this size.
     pub segment_bytes: u64,
-    /// Sync policy applied at consistent-cut boundaries before the
-    /// manifest names the freshly spilled bytes.
+    /// Sync policy applied at round boundaries before the manifest names
+    /// the freshly spilled bytes.
     pub durability: SpillDurability,
     /// Session id stamped into segment headers and the manifest, so
     /// recovery can reject segments from a different run.
@@ -271,9 +272,8 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Record tags.
+/// Record tag of a node record, the only kind.
 const TAG_NODE: u8 = 0;
-const TAG_EDGE: u8 = 1;
 
 /// A spill-stage failure. The spill store never panics on bad input: I/O
 /// failures, malformed payloads, and crash-torn tails each surface as a
@@ -424,8 +424,6 @@ impl ThreadRuns {
 pub struct Replay {
     /// Recovered node records per thread, each run in α order.
     pub nodes: BTreeMap<ThreadId, Vec<SubComputation>>,
-    /// Recovered edge records, in append order.
-    pub edges: Vec<DependenceEdge>,
     /// Segments whose committed bytes end in a torn record, or that carry
     /// bytes past the committed length (a round that never committed).
     pub torn_tails: u64,
@@ -452,7 +450,7 @@ fn put_sub_id(buf: &mut Vec<u8>, id: SubId) {
 /// truncated or malformed record as [`SpillError::Corrupt`] — never a
 /// panic — so a damaged spill file degrades the session instead of
 /// aborting it.
-pub(crate) struct Cursor<'a> {
+struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
@@ -510,7 +508,7 @@ impl<'a> Cursor<'a> {
         self.pos == self.bytes.len()
     }
 
-    pub(crate) fn expect_exhausted(&self) -> SpillResult<()> {
+    fn expect_exhausted(&self) -> SpillResult<()> {
         if self.exhausted() {
             Ok(())
         } else {
@@ -555,23 +553,6 @@ fn branch_kind_from(code: u8) -> SpillResult<BranchKind> {
         3 => Ok(BranchKind::Indirect),
         4 => Ok(BranchKind::Return),
         other => Err(SpillError::Corrupt(format!("branch kind {other}"))),
-    }
-}
-
-fn edge_kind_code(kind: EdgeKind) -> u8 {
-    match kind {
-        EdgeKind::Control => 1,
-        EdgeKind::Synchronization => 2,
-        EdgeKind::Data => 3,
-    }
-}
-
-fn edge_kind_from(code: u8) -> SpillResult<EdgeKind> {
-    match code {
-        1 => Ok(EdgeKind::Control),
-        2 => Ok(EdgeKind::Synchronization),
-        3 => Ok(EdgeKind::Data),
-        other => Err(SpillError::Corrupt(format!("edge kind {other}"))),
     }
 }
 
@@ -666,59 +647,6 @@ fn decode_node(cursor: &mut Cursor<'_>) -> SpillResult<SubComputation> {
     Ok(sub)
 }
 
-fn encode_edge(buf: &mut Vec<u8>, edge: &DependenceEdge) {
-    put_sub_id(buf, edge.src);
-    put_sub_id(buf, edge.dst);
-    buf.push(edge_kind_code(edge.kind));
-    match edge.object {
-        None => buf.push(0),
-        Some(obj) => {
-            buf.push(1);
-            put_u64(buf, obj.raw());
-        }
-    }
-    put_u32(buf, edge.pages.len() as u32);
-    for page in &edge.pages {
-        put_u64(buf, page.number());
-    }
-}
-
-/// Walks one edge body — the grammar [`encode_edge`] writes — handing each
-/// page to `page` instead of deciding what to do with it.
-fn walk_edge(
-    cursor: &mut Cursor<'_>,
-    mut page: impl FnMut(PageId),
-) -> SpillResult<(SubId, SubId, EdgeKind, Option<SyncObjectId>)> {
-    let src = cursor.take_sub_id()?;
-    let dst = cursor.take_sub_id()?;
-    let kind = edge_kind_from(cursor.take_u8()?)?;
-    let object = match cursor.take_u8()? {
-        0 => None,
-        _ => Some(SyncObjectId::new(cursor.take_u64()?)),
-    };
-    for _ in 0..cursor.take_u32()? {
-        page(PageId::new(cursor.take_u64()?));
-    }
-    Ok((src, dst, kind, object))
-}
-
-pub(crate) fn decode_edge(cursor: &mut Cursor<'_>) -> SpillResult<DependenceEdge> {
-    let mut pages = Vec::new();
-    let (src, dst, kind, object) = walk_edge(cursor, |page| pages.push(page))?;
-    Ok(DependenceEdge {
-        src,
-        dst,
-        kind,
-        object,
-        pages,
-    })
-}
-
-/// Grammar-checks one edge body without materialising it.
-pub(crate) fn check_edge(cursor: &mut Cursor<'_>) -> SpillResult<()> {
-    walk_edge(cursor, |_| ()).map(drop)
-}
-
 // ---------------------------------------------------------------------------
 // Segment headers and the frame walker (shared with offline recovery)
 // ---------------------------------------------------------------------------
@@ -788,8 +716,7 @@ pub(crate) enum ScanEnd {
 
 /// The one frame walker over a segment image: CRC-checks and decodes the
 /// records in `bytes[SEGMENT_HEADER_BYTES..min(bytes.len(), trusted_len)]`
-/// in order, handing every node record to `node` and the body of every
-/// edge record (tag consumed) to `edge`, until the bytes run out or a
+/// in order, handing every node to `node`, until the bytes run out or a
 /// record is bad. Nothing after a bad record is looked at — without sync
 /// markers it cannot be trusted. The caller has validated the header.
 ///
@@ -800,7 +727,6 @@ pub(crate) fn scan_segment(
     bytes: &[u8],
     trusted_len: usize,
     mut node: impl FnMut(SubComputation),
-    mut edge: impl FnMut(&mut Cursor<'_>) -> SpillResult<()>,
 ) -> ScanEnd {
     let avail = bytes.len().min(trusted_len);
     let mut pos = SEGMENT_HEADER_BYTES as usize;
@@ -829,10 +755,6 @@ pub(crate) fn scan_segment(
                 node(sub);
                 Ok(())
             }
-            TAG_EDGE => {
-                edge(&mut cursor)?;
-                cursor.expect_exhausted()
-            }
             other => Err(SpillError::Corrupt(format!("tag {other}"))),
         };
         if let Err(e) = record() {
@@ -853,23 +775,14 @@ pub(crate) enum SegmentScan {
     Unreadable(std::io::Error),
     /// The file was read but its header is invalid.
     BadHeader { file_len: u64, error: SpillError },
-    /// The header parsed and the trusted bytes were walked.
+    /// The header parsed and the trusted bytes were walked; `nodes` are
+    /// the node records delivered, in append order.
     Scanned {
         file_len: u64,
         header: SegmentHeader,
-        records: SegmentRecords,
+        nodes: Vec<SubComputation>,
         end: ScanEnd,
     },
-}
-
-/// The records a [`scan_segment_file`] delivered, in append order.
-#[derive(Debug, Default)]
-pub(crate) struct SegmentRecords {
-    pub(crate) nodes: Vec<SubComputation>,
-    /// Decoded edge records (only when asked for).
-    pub(crate) edges: Vec<DependenceEdge>,
-    /// Edge records that passed, decoded or only grammar-checked.
-    pub(crate) edge_records: u64,
 }
 
 /// Record buffers for segment scans, made on the calling thread and handed
@@ -881,40 +794,32 @@ pub(crate) struct SegmentRecords {
 /// buffers keeps a parallel scan's transient memory where a sequential scan
 /// would have put it.
 #[derive(Debug)]
-pub(crate) struct RecordBuffers(Mutex<Vec<SegmentRecords>>);
+pub(crate) struct RecordBuffers(Mutex<Vec<Vec<SubComputation>>>);
 
 impl RecordBuffers {
     /// `count` buffers, each vector already allocated here: a worker that
     /// grows it reallocates within this thread's arena, and a buffer keeps
     /// its capacity from one segment to the next.
     pub(crate) fn new(count: usize) -> Self {
-        let buffers = (0..count)
-            .map(|_| SegmentRecords {
-                nodes: Vec::with_capacity(1),
-                edges: Vec::with_capacity(1),
-                edge_records: 0,
-            })
-            .collect();
+        let buffers = (0..count).map(|_| Vec::with_capacity(1)).collect();
         RecordBuffers(Mutex::new(buffers))
     }
 
-    fn take(&self) -> SegmentRecords {
+    fn take(&self) -> Vec<SubComputation> {
         self.0.lock().pop().unwrap_or_default()
     }
 
     /// Returns a buffer whose records were taken out, or are discarded.
-    pub(crate) fn give_back(&self, mut records: SegmentRecords) {
-        records.nodes.clear();
-        records.edges.clear();
-        records.edge_records = 0;
-        self.0.lock().push(records);
+    pub(crate) fn give_back(&self, mut nodes: Vec<SubComputation>) {
+        nodes.clear();
+        self.0.lock().push(nodes);
     }
 
     /// Returns the buffer of a scan whose outcome is discarded, if it
     /// holds one.
     pub(crate) fn recycle(&self, scan: SegmentScan) {
-        if let SegmentScan::Scanned { records, .. } = scan {
-            self.give_back(records);
+        if let SegmentScan::Scanned { nodes, .. } = scan {
+            self.give_back(nodes);
         }
     }
 }
@@ -932,13 +837,11 @@ pub(crate) fn image_buffer(bytes: u64) -> Vec<u8> {
 /// Reads the segment at `path` into `image` (a reusable buffer: segments
 /// are equally sized, and a fresh megabyte per file is a fresh round of
 /// page faults), validates its header and runs [`scan_segment`] over its
-/// first `trusted_len` bytes, decoding into a buffer from `buffers`. Edge
-/// records are decoded with `decode_edges`, otherwise only grammar-checked
-/// and counted. Damage is reported, never a panic.
+/// first `trusted_len` bytes, decoding into a buffer from `buffers`.
+/// Damage is reported, never a panic.
 pub(crate) fn scan_segment_file(
     path: &Path,
     trusted_len: u64,
-    decode_edges: bool,
     image: &mut Vec<u8>,
     buffers: &RecordBuffers,
 ) -> SegmentScan {
@@ -951,31 +854,16 @@ pub(crate) fn scan_segment_file(
         Ok(header) => header,
         Err(error) => return SegmentScan::BadHeader { file_len, error },
     };
-    let mut records = buffers.take();
-    let SegmentRecords {
-        nodes,
-        edges,
-        edge_records,
-    } = &mut records;
+    let mut nodes = buffers.take();
     let end = scan_segment(
         image,
         usize::try_from(trusted_len).unwrap_or(usize::MAX),
         |sub| nodes.push(sub),
-        |cursor| {
-            if decode_edges {
-                edges.push(decode_edge(cursor)?);
-            } else {
-                check_edge(cursor)?;
-                cursor.expect_exhausted()?;
-            }
-            *edge_records += 1;
-            Ok(())
-        },
     );
     SegmentScan::Scanned {
         file_len,
         header,
-        records,
+        nodes,
         end,
     }
 }
@@ -992,7 +880,8 @@ pub struct ShardManifest {
     /// includes the fixed header and covers exactly the synced prefix of
     /// the file at snapshot time.
     pub segments: Vec<(u64, u64)>,
-    /// Durable node-record count per thread (raw thread index).
+    /// Durable node-record count per thread (raw thread index): the length
+    /// of the thread's prefix on disk.
     pub thread_counts: BTreeMap<u32, u64>,
 }
 
@@ -1017,7 +906,7 @@ pub struct ParsedManifest {
     /// `true` once the session sealed cleanly (final update).
     pub clean: bool,
     /// Durable node counts per thread (raw thread index): the durable
-    /// consistent-cut frontier recovery starts from.
+    /// per-thread prefixes recovery computes the consistent cut over.
     pub thread_counts: BTreeMap<u32, u64>,
     /// Every segment the manifest vouches for.
     pub segments: Vec<ManifestSegment>,
@@ -1352,12 +1241,6 @@ impl SpillStore {
         }
     }
 
-    /// Stages one stripe-local edge (its destination is below the shard's
-    /// spill cut, so no further edge into that destination can appear).
-    pub fn stage_edge(&mut self, edge: &DependenceEdge) {
-        self.stage(TAG_EDGE, |buf| encode_edge(buf, edge));
-    }
-
     /// Ensures a writable segment with room is open, rolling (and syncing
     /// the finished segment per the durability policy) if needed.
     fn open_segment(&mut self) -> std::io::Result<()> {
@@ -1506,7 +1389,7 @@ impl SpillStore {
 
     /// Replays the committed records of every segment in append order
     /// without consuming the store: node records bucketed per thread in α
-    /// order, edge records in append order. Used by the seal, the
+    /// order. Used by the seal, the
     /// live-snapshot path and the crash / write-failure fallbacks.
     ///
     /// The segments are read and decoded on every core the host offers,
@@ -1537,21 +1420,15 @@ impl SpillStore {
     pub(crate) fn replay_all(stores: &[&SpillStore]) -> Vec<SpillResult<Replay>> {
         struct Partial {
             nodes: ThreadRuns,
-            edges: Vec<DependenceEdge>,
             torn_tails: u64,
             failed: Option<SpillError>,
         }
         let mut partials: Vec<Partial> = stores
             .iter()
-            .map(|store| {
-                let records: u64 = store.segments.iter().map(|meta| meta.records).sum();
-                let edges = records.saturating_sub(store.nodes_spilled);
-                Partial {
-                    nodes: ThreadRuns::presized(&store.thread_counts),
-                    edges: Vec::with_capacity(edges as usize),
-                    torn_tails: 0,
-                    failed: None,
-                }
+            .map(|store| Partial {
+                nodes: ThreadRuns::presized(&store.thread_counts),
+                torn_tails: 0,
+                failed: None,
             })
             .collect();
         let segments: Vec<(usize, &SegmentMeta)> = stores
@@ -1568,7 +1445,7 @@ impl SpillStore {
             || image_buffer(largest.unwrap_or(0)),
             |image, i| {
                 let meta = segments[i].1;
-                scan_segment_file(&meta.path, meta.bytes, true, image, &buffers)
+                scan_segment_file(&meta.path, meta.bytes, image, &buffers)
             },
             |scans| {
                 for (&(s, meta), scan) in segments.iter().zip(scans) {
@@ -1577,7 +1454,7 @@ impl SpillStore {
                         buffers.recycle(scan);
                         continue;
                     }
-                    let (file_len, mut records, end) = match scan {
+                    let (file_len, mut nodes, end) = match scan {
                         SegmentScan::Unreadable(e) => {
                             partial.failed = Some(SpillError::Io(e));
                             continue;
@@ -1588,10 +1465,10 @@ impl SpillStore {
                         }
                         SegmentScan::Scanned {
                             file_len,
-                            records,
+                            nodes,
                             end,
                             ..
-                        } => (file_len, records, end),
+                        } => (file_len, nodes, end),
                     };
                     match end {
                         ScanEnd::Clean => partial.torn_tails += u64::from(file_len > meta.bytes),
@@ -1607,12 +1484,11 @@ impl SpillStore {
                         }
                     }
                     if partial.failed.is_none() {
-                        for sub in records.nodes.drain(..) {
+                        for sub in nodes.drain(..) {
                             partial.nodes.push(sub);
                         }
-                        partial.edges.append(&mut records.edges);
                     }
-                    buffers.give_back(records);
+                    buffers.give_back(nodes);
                 }
             },
         );
@@ -1622,7 +1498,6 @@ impl SpillStore {
                 Some(e) => Err(e),
                 None => Ok(Replay {
                     nodes: partial.nodes.into_sorted(),
-                    edges: partial.edges,
                     torn_tails: partial.torn_tails,
                 }),
             })
@@ -1891,59 +1766,16 @@ mod tests {
     }
 
     #[test]
-    fn edge_codec_roundtrip_is_exact() {
-        let edges = [
-            DependenceEdge {
-                src: SubId::new(ThreadId::new(0), 3),
-                dst: SubId::new(ThreadId::new(1), 9),
-                kind: EdgeKind::Data,
-                object: None,
-                pages: vec![PageId::new(4), PageId::new(7)],
-            },
-            DependenceEdge {
-                src: SubId::new(ThreadId::new(5), 0),
-                dst: SubId::new(ThreadId::new(5), 1),
-                kind: EdgeKind::Control,
-                object: None,
-                pages: Vec::new(),
-            },
-            DependenceEdge {
-                src: SubId::new(ThreadId::new(2), 2),
-                dst: SubId::new(ThreadId::new(0), 8),
-                kind: EdgeKind::Synchronization,
-                object: Some(SyncObjectId::new(41)),
-                pages: Vec::new(),
-            },
-        ];
-        for edge in edges {
-            let mut buf = Vec::new();
-            encode_edge(&mut buf, &edge);
-            let mut cursor = Cursor::new(&buf);
-            let decoded = decode_edge(&mut cursor).unwrap();
-            assert!(cursor.exhausted());
-            assert_eq!(decoded, edge);
-        }
-    }
-
-    #[test]
     fn store_commits_rounds_and_drains() {
         let tmp = TempDir::new("spill-test");
         let dir = tmp.path();
         let subs = recorded_subs();
         let mut store = store_in(dir, 0, DEFAULT_SEGMENT_BYTES);
-        let edge = DependenceEdge {
-            src: subs[0].id,
-            dst: subs[1].id,
-            kind: EdgeKind::Control,
-            object: None,
-            pages: Vec::new(),
-        };
-        // Two rounds: nodes and an edge, then the remaining nodes.
+        // Two rounds: four nodes, then the remaining ones.
         store.begin_round();
         for sub in &subs[..4] {
             store.stage_node(sub);
         }
-        store.stage_edge(&edge);
         assert_eq!(store.nodes_spilled, 0, "staging commits nothing");
         assert!(
             store.commit_round().unwrap(),
@@ -1963,12 +1795,11 @@ mod tests {
         let replay = store.drain_all().unwrap();
         assert_eq!(run_of(&replay), subs);
         assert_eq!(replay.nodes.len(), 1);
-        assert_eq!(replay.edges, vec![edge]);
         assert_eq!(replay.torn_tails, 0);
         assert_eq!(store.nodes_spilled, 0);
         assert_eq!(store.segments.len(), 0);
         let replay = store.drain_all().unwrap();
-        assert!(replay.nodes.is_empty() && replay.edges.is_empty());
+        assert!(replay.nodes.is_empty());
         drop(store);
         assert!(!dir.exists(), "store drop removes the spill directory");
     }
@@ -2042,7 +1873,7 @@ mod tests {
             damage(&store.segments[store.segments.len() / 2].path);
             let outcome = |workers| {
                 crate::pool::with_workers(workers, || match store.replay() {
-                    Ok(replay) => Ok((replay.nodes, replay.edges, replay.torn_tails)),
+                    Ok(replay) => Ok((replay.nodes, replay.torn_tails)),
                     Err(e) => Err(e.to_string()),
                 })
             };
@@ -2061,13 +1892,13 @@ mod tests {
                 SpillStore::replay_all(&[&store, &clean])
                     .into_iter()
                     .map(|replay| match replay {
-                        Ok(replay) => Ok((replay.nodes, replay.edges, replay.torn_tails)),
+                        Ok(replay) => Ok((replay.nodes, replay.torn_tails)),
                         Err(e) => Err(e.to_string()),
                     })
                     .collect::<Vec<_>>()
             });
             let alone = match clean.replay() {
-                Ok(replay) => Ok((replay.nodes, replay.edges, replay.torn_tails)),
+                Ok(replay) => Ok((replay.nodes, replay.torn_tails)),
                 Err(e) => Err(e.to_string()),
             };
             assert_eq!(together, [sequential.clone(), alone], "{what}");
@@ -2097,7 +1928,6 @@ mod tests {
             commit_nodes(&mut store, &subs);
             let replay = store.drain_all().unwrap();
             assert_eq!(run_of(&replay), subs, "round {round}");
-            assert!(replay.edges.is_empty());
         }
     }
 
@@ -2122,7 +1952,6 @@ mod tests {
             drop(file);
             let replay = store.replay().unwrap();
             assert_eq!(run_of(&replay), &subs[..subs.len() - 1]);
-            assert!(replay.edges.is_empty());
             assert_eq!(replay.torn_tails, 1, "chop {chop}");
         }
         // drain_all skips + counts the same way.
@@ -2215,11 +2044,18 @@ mod tests {
         let err = parse_segment_header(&clobbered, &path).unwrap_err();
         assert!(matches!(err, SpillError::BadHeader { .. }), "{err}");
         assert!(err.to_string().contains("bad magic"), "{err}");
-        // An unsupported version is rejected too.
-        let mut newer = bytes;
-        newer[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let err = parse_segment_header(&newer, &path).unwrap_err();
-        assert!(err.to_string().contains("version 99"), "{err}");
+        // An unsupported version is rejected too: a newer one, and v2,
+        // whose segments also held edge records.
+        for version in [99u32, 2] {
+            let mut other = bytes.clone();
+            other[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = parse_segment_header(&other, &path).unwrap_err();
+            assert!(matches!(err, SpillError::BadHeader { .. }), "{err}");
+            assert!(
+                err.to_string().contains(&format!("version {version}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -2342,12 +2178,11 @@ mod tests {
     /// Golden byte identity of the unit of I/O: whatever the round sizes,
     /// a segment is its header followed by exactly the frames a per-record
     /// writer would have appended one at a time, and the records are the
-    /// graph.
+    /// run's nodes.
     #[test]
     fn rounds_are_the_concatenation_of_per_record_frames() {
         use crate::sharded::ShardedCpgBuilder;
         use crate::testing::{ingest_round_robin, lock_heavy_sequences, ping_pong_sequences};
-        use std::cell::RefCell;
 
         let shapes = [
             lock_heavy_sequences(4, 40, 4, 4),
@@ -2366,47 +2201,28 @@ mod tests {
                 ingest_round_robin(&builder, sequences.clone(), |_| {});
                 let spilled = builder.stats().spilled_subs;
                 assert!(spilled > 0 || threshold == 64, "threshold {threshold}");
-                let sealed = builder.seal();
+                builder.seal();
 
                 let mut nodes = ThreadRuns::default();
-                let mut edges = Vec::new();
                 for shard in 0..2 {
                     for index in 0.. {
                         let path = dir.join(segment_file_name(shard, index));
                         let Ok(bytes) = std::fs::read(&path) else {
                             break;
                         };
-                        let expected =
-                            RefCell::new(encode_segment_header(shard as u32, 0).to_vec());
-                        let end = scan_segment(
-                            &bytes,
-                            bytes.len(),
-                            |sub| {
-                                let frame = lone_frame(TAG_NODE, |buf| encode_node(buf, &sub));
-                                expected.borrow_mut().extend(frame);
-                                nodes.push(sub);
-                            },
-                            |cursor| {
-                                let edge = decode_edge(cursor)?;
-                                let frame = lone_frame(TAG_EDGE, |buf| encode_edge(buf, &edge));
-                                expected.borrow_mut().extend(frame);
-                                edges.push(edge);
-                                Ok(())
-                            },
-                        );
+                        let mut expected = encode_segment_header(shard as u32, 0).to_vec();
+                        let end = scan_segment(&bytes, bytes.len(), |sub| {
+                            expected.extend(lone_frame(TAG_NODE, |buf| encode_node(buf, &sub)));
+                            nodes.push(sub);
+                        });
                         assert!(matches!(end, ScanEnd::Clean), "{end:?}");
-                        assert_eq!(bytes, expected.into_inner(), "{}", path.display());
+                        assert_eq!(bytes, expected, "{}", path.display());
                     }
                 }
                 // The retained image holds every node, per thread in α
-                // order, and each spilled edge record once.
+                // order, each once.
                 let runs: Vec<_> = nodes.into_sorted().into_values().collect();
                 assert_eq!(&runs, sequences, "threshold {threshold}");
-                let graph_edges: Vec<_> = sealed.edges().collect();
-                for (i, edge) in edges.iter().enumerate() {
-                    assert!(graph_edges.contains(&edge), "{edge:?}");
-                    assert!(!edges[..i].contains(edge), "{edge:?} spilled twice");
-                }
             }
         }
     }

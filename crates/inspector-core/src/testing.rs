@@ -171,14 +171,9 @@ pub fn lock_heavy_sequences(
 /// Records a genuinely *interleaved* ping-pong execution: the threads take
 /// turns acquiring one global lock in a global round-robin schedule, each
 /// reading the previous holder's page and writing its own, so every
-/// thread's vector clock continuously tracks every other thread's progress.
-///
-/// This is the adversarial shape for the release / page-write index GC:
-/// unlike [`lock_heavy_sequences`] (which records the threads one after
-/// another, so earlier threads never observe later ones and legitimately
-/// pin their index entries forever), mutual observation lets the reference
-/// floor advance and the live index entries stay O(threads) instead of
-/// O(events).
+/// thread's vector clock continuously tracks every other thread's progress
+/// — unlike [`lock_heavy_sequences`], which records the threads one after
+/// another, so earlier threads never observe later ones.
 pub fn ping_pong_sequences(threads: u32, rounds: u64) -> Vec<Vec<SubComputation>> {
     let registry = SyncClockRegistry::shared();
     let lock = SyncObjectId::new(1);
@@ -197,26 +192,18 @@ pub fn ping_pong_sequences(threads: u32, rounds: u64) -> Vec<Vec<SubComputation>
     recs.into_iter().map(|r| r.finish()).collect()
 }
 
-/// Announces every thread of `sequences` to `builder` (first-sub clocks)
-/// before delivery starts — the index-GC contract shared by every harness
-/// that drives the builder directly with skewed or pooled interleavings: a
-/// thread the builder has never heard of is invisible to the GC's
-/// reference floor, so entries its late-delivered sub-computations still
-/// reference could be dropped. The runtime announces every context at
-/// creation; direct drivers call this instead.
+/// Does nothing: the builder no longer needs to hear of a thread before its
+/// delivery starts. Kept only because the repository benchmark
+/// (`benchmark/`) still calls it; the next change to the benchmark deletes
+/// it.
 pub fn announce_all(
-    builder: &crate::sharded::ShardedCpgBuilder,
-    sequences: &[Vec<SubComputation>],
+    _builder: &crate::sharded::ShardedCpgBuilder,
+    _sequences: &[Vec<SubComputation>],
 ) {
-    for seq in sequences {
-        if let Some(first) = seq.first() {
-            builder.announce_thread(first.id.thread, &first.clock);
-        }
-    }
 }
 
-/// Announces the threads of `sequences`, then delivers them from one
-/// producer round-robin over the threads (FIFO within each), calling
+/// Delivers `sequences` from one producer round-robin over the threads
+/// (FIFO within each), calling
 /// `after_each` once per ingested sub-computation — the deterministic
 /// delivery the spill-tier tests count rounds and writes against.
 pub fn ingest_round_robin(
@@ -224,7 +211,6 @@ pub fn ingest_round_robin(
     sequences: Vec<Vec<SubComputation>>,
     mut after_each: impl FnMut(&crate::sharded::ShardedCpgBuilder),
 ) {
-    announce_all(builder, &sequences);
     let mut cursors: Vec<_> = sequences.into_iter().map(Vec::into_iter).collect();
     while cursors.iter().any(|c| c.len() > 0) {
         for sub in cursors.iter_mut().filter_map(Iterator::next) {
@@ -234,15 +220,13 @@ pub fn ingest_round_robin(
     }
 }
 
-/// Announces the threads of `sequences`, then delivers them in a random
-/// interleaving drawn from `seed` that is FIFO per thread (repeatedly
-/// picking a random non-empty thread cursor).
+/// Delivers `sequences` in a random interleaving drawn from `seed` that is
+/// FIFO per thread (repeatedly picking a random non-empty thread cursor).
 pub fn ingest_random_interleaving(
     builder: &crate::sharded::ShardedCpgBuilder,
     sequences: Vec<Vec<SubComputation>>,
     seed: u64,
 ) {
-    announce_all(builder, &sequences);
     let mut rng = Rng(seed ^ 0xDEAD_BEEF);
     let mut cursors: Vec<_> = sequences.into_iter().map(Vec::into_iter).collect();
     let mut remaining: usize = cursors.iter().map(|c| c.len()).sum();

@@ -124,8 +124,8 @@ pub struct SessionConfig {
     /// decode_time}`). Off by default; the chunks still reach the perf
     /// session either way.
     pub decode_online: bool,
-    /// Spill sealed-off consistent prefixes of the streaming CPG build to
-    /// disk once a shard holds this many resident sub-computations, bounding
+    /// Spill the streaming CPG build's resident sub-computations to disk
+    /// once a shard holds this many, bounding
     /// peak memory to the active window for long runs (§VI). `0` (the
     /// default) keeps everything resident until the seal. The cost is
     /// attributed as the `spill` phase (`RunStats::{spilled_subs,
@@ -139,7 +139,7 @@ pub struct SessionConfig {
     /// Durability policy for the spill tier's segment files and per-session
     /// `MANIFEST`: [`SpillDurability::None`] (default) leaves writes in the
     /// page cache — free, and sufficient to survive a *process* crash;
-    /// `Flush` fdatasyncs segments at cut boundaries before the manifest
+    /// `Flush` fdatasyncs segments at round boundaries before the manifest
     /// names them; `Fsync` additionally fsyncs the manifest and directory,
     /// extending the guarantee to power loss. The manifest never names
     /// bytes that are not durable at the configured tier.

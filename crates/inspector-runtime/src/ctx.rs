@@ -138,14 +138,6 @@ impl ThreadCtx {
         };
         let mem = ThreadMemory::new(Arc::clone(&shared.image), tracking);
         let recorder = ThreadRecorder::new(thread, Arc::clone(&shared.registry));
-        if shared.config.mode == ExecutionMode::Inspector {
-            // Every context announces itself before it can emit provenance
-            // (spawned children are additionally announced by their parent
-            // with the inherited clock, *before* the spawn release): the
-            // builder's index GC must know about a thread before any of
-            // its sub-computations' clocks can reference index entries.
-            shared.builder.announce_thread(thread, &recorder.clock());
-        }
         let trace = match shared.config.mode {
             ExecutionMode::Inspector => {
                 let mut trace = ThreadTrace::with_aux_capacity(
@@ -444,15 +436,6 @@ impl ThreadCtx {
         let exit_object = fresh_sync_id();
 
         if self.mode() == ExecutionMode::Inspector {
-            // Announce the child to the streaming builder *before* the
-            // spawn release: the child's post-acquire sub-computations
-            // inherit this thread's current clock components, and the
-            // announcement keeps the builder's index GC from dropping
-            // entries the child can still reference before it publishes a
-            // clock of its own.
-            self.shared
-                .builder
-                .announce_thread(child_thread, &self.recorder.clock());
             // The parent's updates so far happen-before everything the child
             // does: release the start object before forking.
             self.sync_boundary(start_object, SyncKind::Release);

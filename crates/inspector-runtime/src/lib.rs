@@ -32,24 +32,24 @@
 //! lane `ThreadId % pool`, so per-thread delivery stays FIFO while
 //! different threads' provenance is ingested concurrently). The workers
 //! feed the session-wide [`inspector_core::sharded::ShardedCpgBuilder`],
-//! whose lock-striped shards apply control, synchronization *and*
-//! data-dependence edges during ingestion — the latter two gated on the
-//! destination's clock frontier, which pins their candidate sets. The PT
+//! whose lock-striped shards store each thread's sub-computations in α
+//! order and derive nothing yet. The PT
 //! packet stream takes the same path: pending AUX bytes are drained to the
 //! perf session at every boundary instead of one lump at teardown.
 //!
 //! When [`InspectorSession::run`] returns, the pool is joined and `seal()`
-//! only moves nodes and resolves whatever stayed parked — nothing, on
-//! complete runs — so end-of-run latency no longer scales with the trace's
-//! dependence count, and peak provenance memory tracks the in-flight
-//! sub-computations. Construction cost is attributed both as critical path
+//! replays any spilled prefixes, concatenates the per-thread runs and
+//! derives control, synchronization and data-dependence edges over them on
+//! every core — the derivation the batch builder runs — so peak provenance
+//! memory tracks the in-flight sub-computations and the graph is a
+//! function of the nodes. Construction cost is attributed both as critical path
 //! ([`RunStats::graph_ingest_time`]: busiest worker + seal) and as CPU
 //! ([`RunStats::graph_ingest_cpu_time`]: all workers + seal); their ratio
 //! is the pool's overlap factor in the Figure 6 harness
 //! ([`PhaseBreakdown`]). The streamed graph is node- and edge-identical to
-//! what the batch [`inspector_core::graph::CpgBuilder`] would produce; the
-//! equivalence suite in `tests/streaming_equivalence.rs` and the
-//! `tests/incremental_data_edges.rs` property suite enforce that.
+//! what the batch [`inspector_core::graph::CpgBuilder`] produces, by
+//! construction; the equivalence suite in `tests/streaming_equivalence.rs`
+//! checks it.
 //!
 //! With [`SessionConfig::decode_online`] the AUX chunks also travel the
 //! ingest lanes, and each pool worker decodes its threads' PT packets back

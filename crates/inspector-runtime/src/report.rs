@@ -61,14 +61,13 @@ pub struct RunStats {
     /// application execution; attributing it separately lets Figure 6 show
     /// what decode-while-running costs.
     pub decode_time: Duration,
-    /// Release- and page-write-index entries the streaming builder's
-    /// frontier GC dropped as provably superseded during the run. Nonzero
-    /// on any run with enough synchronization/write traffic to cross the
-    /// GC cadence; together with `index_entries_live` it shows the index
-    /// residency staying O(objects × threads) instead of O(events).
+    /// Always 0: the streaming builder keeps no release or page-write index
+    /// any more, so there is nothing to collect. Kept only because the
+    /// repository benchmark (`benchmark/`) still reads it; the next change
+    /// to the benchmark deletes it.
     pub index_entries_gcd: u64,
-    /// Release- and page-write-index entries still live when the run
-    /// sealed.
+    /// Always 0, like [`index_entries_gcd`](Self::index_entries_gcd), and
+    /// kept for the same reason until the same change.
     pub index_entries_live: u64,
     /// Sub-computations the spill stage moved out of memory into on-disk
     /// segments during the run. Zero unless
@@ -83,8 +82,8 @@ pub struct RunStats {
     /// active window — the memory bound §VI asks for — rather than the
     /// trace length.
     pub peak_resident_subs: u64,
-    /// CPU time of the spill stage (consistent-cut computation, record
-    /// encoding and segment appends), summed across ingest workers (the
+    /// CPU time of the spill stage (record encoding and segment
+    /// appends), summed across ingest workers (the
     /// `spill` phase). A subset of the workers' graph-ingest busy time,
     /// attributed separately so Figure 6 can show what bounding memory
     /// costs.

@@ -16,12 +16,12 @@
 //! invariant the lock-striped [`ShardedCpgBuilder`] relies on — while
 //! different threads' provenance is ingested genuinely in parallel.
 //!
-//! The builder emits control, synchronization *and* data-dependence edges
-//! during ingestion (clock-frontier-gated, see
-//! [`inspector_core::sharded`]), so when the run's last sender drops and
-//! the workers drain their lanes and exit, the session's
-//! [`seal`](ShardedCpgBuilder::seal) only moves nodes and resolves
-//! whatever stayed parked — nothing, on complete runs. Each worker's busy
+//! The builder only stores what the workers hand it (see
+//! [`inspector_core::sharded`]): when the run's last sender drops and the
+//! workers drain their lanes and exit, the session's
+//! [`seal`](ShardedCpgBuilder::seal) concatenates the stored runs and
+//! derives control, synchronization and data-dependence edges over them,
+//! on every core. Each worker's busy
 //! time is aggregated into [`RunStats`] both as a sum
 //! (`graph_ingest_cpu_time`: total construction CPU) and as a max
 //! (`graph_ingest_time`: the critical-path share the overlap could not
@@ -803,8 +803,6 @@ impl InspectorSession {
             stats.spill_time = ingest.spill_time;
             stats.peak_resident_subs = ingest.peak_resident_subs;
             stats.spill_fallbacks = ingest.spill_fallbacks;
-            stats.index_entries_gcd = ingest.release_entries_gcd + ingest.page_entries_gcd;
-            stats.index_entries_live = ingest.release_entries_live + ingest.page_entries_live;
             cpg
         } else {
             Cpg::default()
@@ -1209,39 +1207,6 @@ mod tests {
         };
         assert_eq!(fingerprint(&spilled.cpg), fingerprint(&plain.cpg));
         assert!(spilled.cpg.validate().is_ok());
-    }
-
-    #[test]
-    fn index_gc_is_reported_for_contended_runs() {
-        // Enough same-lock traffic to cross the GC cadence: the run report
-        // must show entries dropped and a bounded live index.
-        let session = InspectorSession::new(SessionConfig::inspector());
-        let region = session.map_region("cell", 8);
-        let base = region.base();
-        let lock = Arc::new(InspMutex::new());
-        let report = session.run(move |ctx| {
-            let lock2 = Arc::clone(&lock);
-            let worker = ctx.spawn(move |ctx| {
-                for i in 0..200u64 {
-                    lock2.lock(ctx);
-                    ctx.write_u64(base, i);
-                    lock2.unlock(ctx);
-                }
-            });
-            for _ in 0..200u64 {
-                lock.lock(ctx);
-                let _ = ctx.read_u64(base);
-                lock.unlock(ctx);
-            }
-            ctx.join(worker);
-        });
-        assert!(
-            report.stats.index_entries_gcd > 0,
-            "expected GC'd index entries, got {:?}",
-            report.stats
-        );
-        assert!(report.stats.index_entries_live > 0);
-        assert!(report.cpg.validate().is_ok());
     }
 
     #[test]

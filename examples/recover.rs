@@ -94,7 +94,6 @@ fn print_report(recovery: &Recovery) {
     println!("  consistent cut    : {:?}", r.consistent_frontier);
     println!("  recovered nodes   : {}", r.recovered_nodes);
     println!("  excluded nodes    : {}", r.excluded_nodes);
-    println!("  edge records      : {}", r.recovered_edge_records);
     println!();
     println!("byte accounting (total = headers + recovered + lost):");
     println!("  total bytes       : {}", r.total_bytes);

@@ -2,8 +2,8 @@
 //! segment files, counted by the store beside each `write_all`
 //! (`IngestStats::spill_writes`).
 //!
-//! A consistent cut is committed as one round — every spillable node of the
-//! stripe and the edges into them, framed back to back, one `write`. Wall
+//! A round — every resident node of the stripe, framed back to back — is
+//! committed with one `write`. Wall
 //! time on a shared box cannot pin that; a count can: it is the same on
 //! every runner, so one `write` per record (what the tier did before: ≈ 240 k
 //! calls for `reverse_index` Small, ≈ 12 k now) fails here.

@@ -1,7 +1,8 @@
 //! Equivalence suite for the streaming CPG pipeline: the sharded/streaming
 //! builder must produce a graph that is node- and edge-identical to the
 //! reference batch build, for every workload shape, thread count, delivery
-//! interleaving and shard count — and the graphs coming out of real
+//! interleaving, batch chunking, producer pool, shard count and spill
+//! threshold, and on reuse after a seal — and the graphs coming out of real
 //! [`InspectorSession`] runs must satisfy the same property.
 
 use std::sync::Arc;
@@ -11,11 +12,13 @@ use inspector::core::graph::Cpg;
 use inspector::core::ids::{PageId, SyncObjectId, ThreadId};
 use inspector::core::recorder::{SyncClockRegistry, ThreadRecorder};
 use inspector::core::sharded::ShardedCpgBuilder;
+use inspector::core::spill::SpillSettings;
 use inspector::core::subcomputation::SubComputation;
 use inspector::core::testing::{
-    announce_all, batch_build, edge_fingerprint, node_fingerprint, rebatch,
+    batch_build, edge_fingerprint, node_fingerprint, random_sequences, rebatch, Rng, TempDir,
 };
 use inspector::prelude::*;
+use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
 // Synthetic recorder-driven workloads (deterministic schedules)
@@ -110,7 +113,6 @@ fn assert_identical(streamed: &Cpg, reference: &Cpg, context: &str) {
 /// Streams the sequences round-robin across threads (FIFO per thread).
 fn stream_round_robin(sequences: Vec<Vec<SubComputation>>, shards: usize) -> Cpg {
     let builder = ShardedCpgBuilder::with_shards(shards);
-    announce_all(&builder, &sequences);
     let mut cursors: Vec<std::vec::IntoIter<SubComputation>> =
         sequences.into_iter().map(|s| s.into_iter()).collect();
     let mut progressed = true;
@@ -130,7 +132,6 @@ fn stream_round_robin(sequences: Vec<Vec<SubComputation>>, shards: usize) -> Cpg
 /// most adversarial delivery the per-thread FIFO contract allows.
 fn stream_thread_at_a_time_reversed(sequences: Vec<Vec<SubComputation>>, shards: usize) -> Cpg {
     let builder = ShardedCpgBuilder::with_shards(shards);
-    announce_all(&builder, &sequences);
     for seq in sequences.into_iter().rev() {
         for sub in seq {
             builder.ingest(sub);
@@ -185,6 +186,110 @@ fn empty_and_single_sub_streams_match_batch() {
 }
 
 // ---------------------------------------------------------------------------
+// Random schedules × every delivery shape the FIFO contract allows
+// ---------------------------------------------------------------------------
+
+/// How a build hands its sequences to the builder.
+#[derive(Debug, Clone, Copy)]
+enum Delivery {
+    /// `pool` producer threads with the runtime's lane routing (worker `w`
+    /// owns the threads with index % pool == w), each repeatedly handing
+    /// the builder an α-contiguous batch of 1..=`max_batch` sub-computations
+    /// from a random one of its threads.
+    RandomBatches { pool: usize, max_batch: usize },
+    /// One producer, whole threads back to back in reverse thread order —
+    /// the most skewed delivery the per-thread FIFO contract allows.
+    ThreadsReversed,
+}
+
+fn deliver(
+    builder: &ShardedCpgBuilder,
+    sequences: &[Vec<SubComputation>],
+    delivery: Delivery,
+    seed: u64,
+) {
+    match delivery {
+        Delivery::ThreadsReversed => {
+            for seq in sequences.iter().rev() {
+                builder.ingest_batch(seq.clone());
+            }
+        }
+        Delivery::RandomBatches { pool, max_batch } => std::thread::scope(|scope| {
+            for worker in 0..pool {
+                let mut cursors: Vec<std::vec::IntoIter<SubComputation>> = sequences
+                    .iter()
+                    .skip(worker)
+                    .step_by(pool)
+                    .map(|seq| seq.clone().into_iter())
+                    .collect();
+                let mut rng = Rng(seed ^ worker as u64);
+                scope.spawn(move || {
+                    let mut remaining: usize = cursors.iter().map(|c| c.len()).sum();
+                    while remaining > 0 {
+                        let pick = rng.below(cursors.len() as u64) as usize;
+                        let take = 1 + rng.below(max_batch as u64) as usize;
+                        let batch: Vec<SubComputation> =
+                            cursors[pick].by_ref().take(take).collect();
+                        remaining -= batch.len();
+                        builder.ingest_batch(batch);
+                    }
+                });
+            }
+        }),
+    }
+}
+
+proptest! {
+    /// Random schedule × delivery (random α-contiguous batch chunking from
+    /// a 1-, 2- or 4-wide producer pool, or whole threads in reverse order)
+    /// × shard count × spill threshold (tiny segments, so they roll
+    /// constantly): the sealed graph is the batch oracle's. The same
+    /// builder then takes the sequences again, delivered another way, and
+    /// must seal the same graph with fresh counters.
+    #[test]
+    fn streamed_build_matches_batch_over_random_everything(seed in any::<u64>()) {
+        let sequences = random_sequences(seed, 40..120);
+        let reference = batch_build(&sequences);
+        let total = reference.node_count() as u64;
+
+        let mut rng = Rng(seed ^ 0x0BA7_C4ED);
+        let shards = 1 + rng.below(8) as usize;
+        let threshold = [0usize, 0, 1, 4][rng.below(4) as usize];
+        let mut delivery = || match rng.below(3) {
+            0 => Delivery::ThreadsReversed,
+            _ => Delivery::RandomBatches {
+                pool: [1, 2, 4][rng.below(3) as usize],
+                max_batch: 1 + rng.below(7) as usize,
+            },
+        };
+        let deliveries = [delivery(), delivery()];
+
+        let dir = TempDir::new("streaming-eq");
+        let spill = (threshold > 0).then(|| SpillSettings {
+            segment_bytes: 256,
+            ..SpillSettings::new(threshold, dir.path())
+        });
+        let builder = ShardedCpgBuilder::with_shards_and_spill(shards, spill);
+        for (round, delivery) in deliveries.into_iter().enumerate() {
+            deliver(&builder, &sequences, delivery, seed.wrapping_add(round as u64));
+            let sealed = builder.seal();
+            prop_assert_eq!(node_fingerprint(&sealed), node_fingerprint(&reference));
+            prop_assert_eq!(edge_fingerprint(&sealed), edge_fingerprint(&reference));
+            prop_assert!(sealed.validate().is_ok());
+            let stats = builder.last_sealed_stats().expect("sealed");
+            prop_assert_eq!(stats.ingested, total, "{:?}", delivery);
+            prop_assert_eq!(stats.spill_fallbacks, 0);
+            // Threshold 1 makes every ingest a round.
+            match threshold {
+                0 => prop_assert_eq!(stats.spilled_subs, 0),
+                1 => prop_assert!(stats.spilled_subs > 0, "{:?}", stats),
+                _ => {}
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end: real sessions produce batch-identical graphs
 // ---------------------------------------------------------------------------
 
@@ -236,10 +341,6 @@ fn real_session_graphs_match_batch_rebuild() {
                     assert_eq!(s.spilled_subs > 0, threshold > 0, "{context}: {s:?}");
                     assert!(!s.degraded, "{context}: {s:?}");
                     assert_eq!(s.decode_errors + s.decode_mismatches, 0, "{context}: {s:?}");
-                    // Complete runs never leave work for the seal-time safety nets.
-                    let stats = session.ingest_stats();
-                    assert_eq!(stats.sync_resolved_at_seal, 0, "{context}: {stats:?}");
-                    assert_eq!(stats.data_resolved_at_seal, 0, "{context}: {stats:?}");
                 }
             }
         }
@@ -263,14 +364,7 @@ fn no_acquire_is_left_unresolved_after_a_session_run() {
         });
         ctx.join(worker);
     });
-    let stats = session.ingest_stats();
-    // Complete delivery means the seal-time safety nets stay idle: every
-    // synchronization *and* data edge resolved while the application was
-    // running.
-    assert_eq!(stats.sync_resolved_at_seal, 0, "{stats:?}");
-    assert!(stats.sync_resolved_at_ingest > 0, "{stats:?}");
-    assert_eq!(stats.data_resolved_at_seal, 0, "{stats:?}");
-    assert!(stats.data_resolved_at_ingest > 0, "{stats:?}");
+    // The seal derived the lock hand-offs and the counter's data flow.
     assert!(report.cpg.stats().sync_edges > 0);
     assert!(report.cpg.stats().data_edges > 0);
 }
@@ -279,14 +373,12 @@ fn no_acquire_is_left_unresolved_after_a_session_run() {
 fn concurrent_pool_ingestion_matches_batch() {
     // Drive the builder directly from a 4-wide producer pool with the
     // runtime's lane routing (worker w owns threads with index % 4 == w):
-    // the concurrent build must be identical to the batch oracle and leave
-    // nothing for the seal-time safety nets.
+    // the concurrent build must be identical to the batch oracle.
     let sequences = inspector::core::testing::lock_heavy_sequences(8, 30, 12, 12);
     let reference = batch_build(&sequences);
 
     for shards in [1usize, 4, 8] {
         let builder = ShardedCpgBuilder::with_shards(shards);
-        announce_all(&builder, &sequences);
         std::thread::scope(|scope| {
             for worker in 0..4usize {
                 let builder = &builder;
@@ -314,8 +406,5 @@ fn concurrent_pool_ingestion_matches_batch() {
         });
         let sealed = builder.seal();
         assert_identical(&sealed, &reference, &format!("pool4/shards={shards}"));
-        let stats = builder.last_sealed_stats().expect("sealed");
-        assert_eq!(stats.sync_resolved_at_seal, 0, "shards={shards}: {stats:?}");
-        assert_eq!(stats.data_resolved_at_seal, 0, "shards={shards}: {stats:?}");
     }
 }
