@@ -1,14 +1,15 @@
-//! Property suite for incremental data-dependence resolution: over random
-//! write/read/clock interleavings, the streaming builder's ingest-time
-//! (clock-frontier-gated) last-writer resolution must produce exactly the
-//! edges the batch `CpgBuilder` derives offline — and whenever every
-//! frontier was delivered before the seal, the seal-time safety net must
-//! have had nothing to do (`data_resolved_at_seal == 0`,
-//! `sync_resolved_at_seal == 0`).
+//! Property suite for data-dependence derivation under streamed delivery:
+//! the streaming builder stores each sub-computation's read/write sets at
+//! ingest and derives the last-writer data edges (with the control and
+//! synchronization edges) at seal. Over random write/read/clock schedules
+//! and any delivery that is FIFO per thread, the sealed graph must be node-
+//! and edge-identical to the batch `CpgBuilder` oracle, and a seal must
+//! leave the builder ready to build the same graph again.
 
 use inspector::core::sharded::ShardedCpgBuilder;
 use inspector::core::testing::{
-    announce_all, batch_build, edge_fingerprint, ingest_random_interleaving, random_sequences, Rng,
+    batch_build, edge_fingerprint, ingest_random_interleaving, node_fingerprint, random_sequences,
+    Rng,
 };
 use proptest::prelude::*;
 
@@ -25,28 +26,22 @@ proptest! {
         let sealed = streaming.seal();
 
         prop_assert_eq!(sealed.node_count(), reference.node_count());
+        prop_assert_eq!(node_fingerprint(&sealed), node_fingerprint(&reference));
         prop_assert_eq!(edge_fingerprint(&sealed), edge_fingerprint(&reference));
         prop_assert!(sealed.validate().is_ok());
-
-        // Everything was delivered before the seal, so both seal-time
-        // safety nets must have stayed idle: every synchronization and
-        // data edge was pinned and emitted during ingestion.
         let stats = streaming.last_sealed_stats().expect("sealed once");
-        prop_assert_eq!(stats.sync_resolved_at_seal, 0);
-        prop_assert_eq!(stats.data_resolved_at_seal, 0);
+        prop_assert_eq!(stats.ingested as usize, reference.node_count());
     }
 
     #[test]
     fn adversarial_whole_thread_delivery_still_matches_batch(seed in any::<u64>()) {
         // Whole threads delivered back to back in reverse thread order —
-        // the most skewed delivery the per-thread FIFO contract allows, so
-        // readers and acquires park in bulk and resolve via the frontier
-        // wait-index, never via a seal-time pass.
+        // the most skewed delivery the per-thread FIFO contract allows:
+        // every reader arrives before the writers it depends on.
         let sequences = random_sequences(seed, 30..90);
         let reference = batch_build(&sequences);
 
         let streaming = ShardedCpgBuilder::with_shards(4);
-        announce_all(&streaming, &sequences);
         for seq in sequences.into_iter().rev() {
             for sub in seq {
                 streaming.ingest(sub);
@@ -54,27 +49,34 @@ proptest! {
         }
         let sealed = streaming.seal();
 
+        prop_assert_eq!(node_fingerprint(&sealed), node_fingerprint(&reference));
         prop_assert_eq!(edge_fingerprint(&sealed), edge_fingerprint(&reference));
-        let stats = streaming.last_sealed_stats().expect("sealed once");
-        prop_assert_eq!(stats.sync_resolved_at_seal, 0);
-        prop_assert_eq!(stats.data_resolved_at_seal, 0);
+        prop_assert!(sealed.validate().is_ok());
     }
 
     #[test]
     fn data_edges_survive_builder_reuse(seed in any::<u64>()) {
-        // Sealing must fully reset the write index, the wait indexes and
-        // the counters: a second identical build on the same builder
-        // produces identical edges and fresh counters.
+        // Sealing must fully reset the stored runs and the counters: the
+        // same builder, fed the same sequences in another interleaving and
+        // then as whole-thread batches, seals the oracle's graph each time
+        // with fresh counters.
         let sequences = random_sequences(seed, 30..90);
+        let reference = batch_build(&sequences);
         let streaming = ShardedCpgBuilder::with_shards(3);
         ingest_random_interleaving(&streaming, sequences.clone(), seed);
         let first = streaming.seal();
-        ingest_random_interleaving(&streaming, sequences, seed.wrapping_add(1));
+        ingest_random_interleaving(&streaming, sequences.clone(), seed.wrapping_add(1));
         let second = streaming.seal();
+        for seq in sequences {
+            streaming.ingest_batch(seq);
+        }
+        let third = streaming.seal();
 
-        prop_assert_eq!(edge_fingerprint(&first), edge_fingerprint(&second));
-        let stats = streaming.last_sealed_stats().expect("sealed twice");
-        prop_assert_eq!(stats.ingested as usize, second.node_count());
-        prop_assert_eq!(stats.data_resolved_at_seal, 0);
+        for sealed in [&first, &second, &third] {
+            prop_assert_eq!(node_fingerprint(sealed), node_fingerprint(&reference));
+            prop_assert_eq!(edge_fingerprint(sealed), edge_fingerprint(&reference));
+        }
+        let stats = streaming.last_sealed_stats().expect("sealed three times");
+        prop_assert_eq!(stats.ingested as usize, third.node_count());
     }
 }

@@ -1,50 +1,57 @@
-//! Property suite for the frontier-based index GC: for any schedule, FIFO
-//! delivery interleaving, batch chunking, shard count, GC aggressiveness
-//! (including a GC pass after *every* index append) and spill threshold,
-//! the GC'd incremental build must stay node- and edge-identical to the
-//! batch `CpgBuilder::build()` oracle — the GC may only drop index entries
-//! no present or future resolution can select. A long interleaved
-//! ping-pong run additionally pins the residency claim: live release-index
-//! entries stay O(threads), not O(events).
+//! Property suite for batched, pooled and spilling delivery. The streaming
+//! builder keeps no release or page-write index (so there is no index to
+//! collect): ingest appends each α-contiguous batch to its thread's run and
+//! the seal derives every edge. For any schedule, batch chunking, producer
+//! pool width, shard count and spill threshold (including threshold 1, a
+//! spill round after every ingest, with tiny rolling segments), the sealed
+//! graph must be node- and edge-identical to the batch
+//! `CpgBuilder::build()` oracle.
 
-use inspector::core::event::SyncKind;
 use inspector::core::sharded::ShardedCpgBuilder;
 use inspector::core::spill::SpillSettings;
 use inspector::core::subcomputation::SubComputation;
 use inspector::core::testing::{
-    announce_all, batch_build, edge_fingerprint, node_fingerprint, ping_pong_sequences,
-    random_sequences, Rng, TempDir,
+    batch_build, edge_fingerprint, node_fingerprint, random_sequences, Rng, TempDir,
 };
 use proptest::prelude::*;
 
-/// Streams the sequences in a random delivery interleaving that is FIFO per
-/// thread, delivering a random-length α-contiguous *batch* from a random
-/// thread each step — the `ingest_batch` delivery shape.
+/// Streams the sequences from `pool` producer threads with the runtime's
+/// lane routing (worker `w` owns the threads with index % pool == w), each
+/// repeatedly handing the builder an α-contiguous batch of
+/// 1..=`max_batch` sub-computations from a random one of its threads — the
+/// `ingest_batch` delivery shape, FIFO per thread.
 fn stream_random_batches(
     builder: &ShardedCpgBuilder,
-    sequences: Vec<Vec<SubComputation>>,
-    seed: u64,
+    sequences: &[Vec<SubComputation>],
+    pool: usize,
     max_batch: usize,
+    seed: u64,
 ) {
-    announce_all(builder, &sequences);
-    let mut rng = Rng(seed ^ 0x0BA7_C4ED);
-    let mut cursors: Vec<std::vec::IntoIter<SubComputation>> =
-        sequences.into_iter().map(|s| s.into_iter()).collect();
-    let mut remaining: usize = cursors.iter().map(|c| c.len()).sum();
-    while remaining > 0 {
-        let pick = rng.below(cursors.len() as u64) as usize;
-        let take = 1 + rng.below(max_batch as u64) as usize;
-        let batch: Vec<SubComputation> = cursors[pick].by_ref().take(take).collect();
-        if batch.is_empty() {
-            continue;
+    std::thread::scope(|scope| {
+        for worker in 0..pool {
+            let mut cursors: Vec<std::vec::IntoIter<SubComputation>> = sequences
+                .iter()
+                .skip(worker)
+                .step_by(pool)
+                .map(|seq| seq.clone().into_iter())
+                .collect();
+            let mut rng = Rng(seed ^ 0x0BA7_C4ED ^ worker as u64);
+            scope.spawn(move || {
+                let mut remaining: usize = cursors.iter().map(|c| c.len()).sum();
+                while remaining > 0 {
+                    let pick = rng.below(cursors.len() as u64) as usize;
+                    let take = 1 + rng.below(max_batch as u64) as usize;
+                    let batch: Vec<SubComputation> = cursors[pick].by_ref().take(take).collect();
+                    remaining -= batch.len();
+                    builder.ingest_batch(batch);
+                }
+            });
         }
-        remaining -= batch.len();
-        builder.ingest_batch(batch);
-    }
+    });
 }
 
-/// Spill settings with tiny segments, so the GC × spill interaction is
-/// exercised with constant segment rolling.
+/// Spill settings with tiny segments, so segment rolling is exercised
+/// constantly.
 fn spill_settings(threshold: usize, dir: &TempDir) -> SpillSettings {
     SpillSettings {
         segment_bytes: 256,
@@ -56,26 +63,21 @@ proptest! {
     #[test]
     fn gcd_build_matches_batch_over_random_everything(seed in any::<u64>()) {
         // Random schedule × random batched FIFO interleaving × random shard
-        // count × random GC aggressiveness (biased toward interval 1, a GC
-        // pass after every single index append) × random spill threshold:
-        // the graph must be identical to the batch oracle and the seal-time
-        // safety nets must stay idle.
+        // count × random spill threshold (off, 1 or 4).
         let sequences = random_sequences(seed, 40..120);
         let reference = batch_build(&sequences);
 
         let mut rng = Rng(seed ^ 0x006C_0A11);
         let shards = 1 + rng.below(8) as usize;
-        let gc_interval = [1, 1, 1, 2, 8, 64][rng.below(6) as usize];
-        let spill = [0usize, 0, 1, 4][rng.below(4) as usize];
+        let threshold = [0usize, 0, 1, 4][rng.below(4) as usize];
         let max_batch = 1 + rng.below(7) as usize;
 
         let dir = TempDir::new("index-gc");
-        let mut streaming = ShardedCpgBuilder::with_shards_and_spill(
+        let streaming = ShardedCpgBuilder::with_shards_and_spill(
             shards,
-            (spill > 0).then(|| spill_settings(spill, &dir)),
+            (threshold > 0).then(|| spill_settings(threshold, &dir)),
         );
-        streaming.set_index_gc_interval(gc_interval);
-        stream_random_batches(&streaming, sequences, seed, max_batch);
+        stream_random_batches(&streaming, &sequences, 1, max_batch, seed);
         let sealed = streaming.seal();
 
         prop_assert_eq!(sealed.node_count(), reference.node_count());
@@ -84,144 +86,34 @@ proptest! {
         prop_assert!(sealed.validate().is_ok());
 
         let stats = streaming.last_sealed_stats().expect("sealed once");
-        prop_assert_eq!(stats.sync_resolved_at_seal, 0);
-        prop_assert_eq!(stats.data_resolved_at_seal, 0);
-        // Entry accounting never leaks: live + GC'd covers exactly what
-        // was appended (one release entry per release-terminated sub, one
-        // page entry per written page per sub).
-        let releases: u64 = reference
-            .nodes()
-            .filter(|n| {
-                n.terminator.is_some_and(|sp| {
-                    matches!(sp.kind, SyncKind::Release | SyncKind::ReleaseAcquire)
-                })
-            })
-            .count() as u64;
-        prop_assert_eq!(stats.release_entries_live + stats.release_entries_gcd, releases);
-        let writes: u64 = reference.nodes().map(|n| n.write_set.len() as u64).sum();
-        prop_assert_eq!(stats.page_entries_live + stats.page_entries_gcd, writes);
+        prop_assert_eq!(stats.ingested as usize, reference.node_count());
+        prop_assert_eq!(stats.spill_fallbacks, 0);
+        // Threshold 1 makes every ingest a round.
+        match threshold {
+            0 => prop_assert_eq!(stats.spilled_subs, 0),
+            1 => prop_assert!(stats.spilled_subs > 0, "{:?}", stats),
+            _ => {}
+        }
     }
 
     #[test]
     fn concurrent_pools_with_aggressive_gc_match_batch(seed in any::<u64>()) {
-        // Real OS-thread producer pools (the runtime's lane routing) with a
-        // GC pass after every append: races between parking, popping,
-        // resolution and the GC floor must never cost an edge.
+        // Real OS-thread producer pools handing over random batches, with a
+        // spill round after every ingest: races between appends, spill
+        // rounds and segment rolls must never cost a node or an edge.
         let sequences = random_sequences(seed, 40..120);
         let reference = batch_build(&sequences);
         for pool in [2usize, 4] {
-            let mut streaming = ShardedCpgBuilder::with_shards(4);
-            streaming.set_index_gc_interval(1);
-            announce_all(&streaming, &sequences);
-            std::thread::scope(|scope| {
-                for worker in 0..pool {
-                    let streaming = &streaming;
-                    let lanes: Vec<Vec<SubComputation>> = sequences
-                        .iter()
-                        .enumerate()
-                        .filter(|(t, _)| t % pool == worker)
-                        .map(|(_, seq)| seq.clone())
-                        .collect();
-                    scope.spawn(move || {
-                        let mut cursors: Vec<std::vec::IntoIter<SubComputation>> =
-                            lanes.into_iter().map(|s| s.into_iter()).collect();
-                        let mut progressed = true;
-                        while progressed {
-                            progressed = false;
-                            for cursor in &mut cursors {
-                                if let Some(sub) = cursor.next() {
-                                    streaming.ingest(sub);
-                                    progressed = true;
-                                }
-                            }
-                        }
-                    });
-                }
-            });
+            let dir = TempDir::new("index-gc");
+            let streaming =
+                ShardedCpgBuilder::with_shards_and_spill(4, Some(spill_settings(1, &dir)));
+            stream_random_batches(&streaming, &sequences, pool, 4, seed);
             let sealed = streaming.seal();
+            prop_assert_eq!(node_fingerprint(&sealed), node_fingerprint(&reference));
             prop_assert_eq!(edge_fingerprint(&sealed), edge_fingerprint(&reference));
             let stats = streaming.last_sealed_stats().expect("sealed");
-            prop_assert_eq!(stats.sync_resolved_at_seal, 0);
-            prop_assert_eq!(stats.data_resolved_at_seal, 0);
+            prop_assert_eq!(stats.ingested as usize, reference.node_count());
+            prop_assert_eq!(stats.spill_fallbacks, 0);
         }
     }
-}
-
-#[test]
-fn ping_pong_release_index_is_o_threads_not_o_events() {
-    // The headline residency claim: a long two-thread ping-pong run on one
-    // lock keeps the live release index O(threads) — with slack for the GC
-    // cadence — while the GC'd counter absorbs the O(events) bulk. The
-    // graph still matches the oracle exactly.
-    let rounds = 1000u64;
-    let sequences = ping_pong_sequences(2, rounds);
-    let reference = batch_build(&sequences);
-    let total_releases: u64 = 2 * rounds; // one release per round per thread
-
-    let streaming = ShardedCpgBuilder::with_shards(2);
-    announce_all(&streaming, &sequences);
-    let mut cursors: Vec<std::vec::IntoIter<SubComputation>> =
-        sequences.into_iter().map(|s| s.into_iter()).collect();
-    let mut progressed = true;
-    while progressed {
-        progressed = false;
-        for cursor in &mut cursors {
-            if let Some(sub) = cursor.next() {
-                streaming.ingest(sub);
-                progressed = true;
-            }
-        }
-    }
-    let stats = streaming.stats();
-    assert_eq!(
-        stats.release_entries_live + stats.release_entries_gcd,
-        total_releases
-    );
-    // O(threads) with GC-cadence slack — crucially, independent of the
-    // round count: doubling `rounds` leaves this bound unchanged.
-    let interval = inspector::core::sharded::DEFAULT_INDEX_GC_INTERVAL as u64;
-    let bound = 2 * (2 * interval + 8);
-    assert!(
-        stats.release_entries_live < bound,
-        "live release entries {} should stay below {bound} over {} events",
-        stats.release_entries_live,
-        stats.ingested
-    );
-    assert!(
-        stats.page_entries_live < bound + 16,
-        "live page entries {} should stay bounded",
-        stats.page_entries_live
-    );
-    assert!(stats.release_entries_gcd > total_releases / 2);
-
-    let sealed = streaming.seal();
-    assert_eq!(edge_fingerprint(&sealed), edge_fingerprint(&reference));
-    assert!(sealed.validate().is_ok());
-}
-
-#[test]
-fn gc_disabled_reproduces_o_events_growth() {
-    // The counterfactual for the test above: with the GC off, the same
-    // run's live release index grows with the event count — which is
-    // exactly the superlinear-seal regime the GC exists to remove.
-    let rounds = 300u64;
-    let sequences = ping_pong_sequences(2, rounds);
-    let mut streaming = ShardedCpgBuilder::with_shards(2);
-    streaming.set_index_gc_interval(0);
-    let mut cursors: Vec<std::vec::IntoIter<SubComputation>> =
-        sequences.into_iter().map(|s| s.into_iter()).collect();
-    let mut progressed = true;
-    while progressed {
-        progressed = false;
-        for cursor in &mut cursors {
-            if let Some(sub) = cursor.next() {
-                streaming.ingest(sub);
-                progressed = true;
-            }
-        }
-    }
-    let stats = streaming.stats();
-    assert_eq!(stats.release_entries_gcd, 0);
-    assert_eq!(stats.release_entries_live, 2 * rounds);
-    assert!(streaming.seal().validate().is_ok());
 }

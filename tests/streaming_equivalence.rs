@@ -1,9 +1,11 @@
 //! Equivalence suite for the streaming CPG pipeline: the sharded/streaming
 //! builder must produce a graph that is node- and edge-identical to the
 //! reference batch build, for every workload shape, thread count, delivery
-//! interleaving, batch chunking, producer pool, shard count and spill
-//! threshold, and on reuse after a seal — and the graphs coming out of real
-//! [`InspectorSession`] runs must satisfy the same property.
+//! interleaving, producer pool and shard count — and the graphs coming out
+//! of real [`InspectorSession`] runs must satisfy the same property. Random
+//! schedules under random delivery are in `incremental_data_edges.rs`
+//! (interleavings, reversed threads, builder reuse) and `index_gc.rs`
+//! (batch chunking, producer pools, spill thresholds).
 
 use std::sync::Arc;
 
@@ -12,13 +14,9 @@ use inspector::core::graph::Cpg;
 use inspector::core::ids::{PageId, SyncObjectId, ThreadId};
 use inspector::core::recorder::{SyncClockRegistry, ThreadRecorder};
 use inspector::core::sharded::ShardedCpgBuilder;
-use inspector::core::spill::SpillSettings;
 use inspector::core::subcomputation::SubComputation;
-use inspector::core::testing::{
-    batch_build, edge_fingerprint, node_fingerprint, random_sequences, rebatch, Rng, TempDir,
-};
+use inspector::core::testing::{batch_build, edge_fingerprint, node_fingerprint, rebatch};
 use inspector::prelude::*;
-use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
 // Synthetic recorder-driven workloads (deterministic schedules)
@@ -183,110 +181,6 @@ fn empty_and_single_sub_streams_match_batch() {
     let reference = batch_build(&sequences);
     let streamed = stream_round_robin(sequences, 4);
     assert_identical(&streamed, &reference, "single-sub");
-}
-
-// ---------------------------------------------------------------------------
-// Random schedules × every delivery shape the FIFO contract allows
-// ---------------------------------------------------------------------------
-
-/// How a build hands its sequences to the builder.
-#[derive(Debug, Clone, Copy)]
-enum Delivery {
-    /// `pool` producer threads with the runtime's lane routing (worker `w`
-    /// owns the threads with index % pool == w), each repeatedly handing
-    /// the builder an α-contiguous batch of 1..=`max_batch` sub-computations
-    /// from a random one of its threads.
-    RandomBatches { pool: usize, max_batch: usize },
-    /// One producer, whole threads back to back in reverse thread order —
-    /// the most skewed delivery the per-thread FIFO contract allows.
-    ThreadsReversed,
-}
-
-fn deliver(
-    builder: &ShardedCpgBuilder,
-    sequences: &[Vec<SubComputation>],
-    delivery: Delivery,
-    seed: u64,
-) {
-    match delivery {
-        Delivery::ThreadsReversed => {
-            for seq in sequences.iter().rev() {
-                builder.ingest_batch(seq.clone());
-            }
-        }
-        Delivery::RandomBatches { pool, max_batch } => std::thread::scope(|scope| {
-            for worker in 0..pool {
-                let mut cursors: Vec<std::vec::IntoIter<SubComputation>> = sequences
-                    .iter()
-                    .skip(worker)
-                    .step_by(pool)
-                    .map(|seq| seq.clone().into_iter())
-                    .collect();
-                let mut rng = Rng(seed ^ worker as u64);
-                scope.spawn(move || {
-                    let mut remaining: usize = cursors.iter().map(|c| c.len()).sum();
-                    while remaining > 0 {
-                        let pick = rng.below(cursors.len() as u64) as usize;
-                        let take = 1 + rng.below(max_batch as u64) as usize;
-                        let batch: Vec<SubComputation> =
-                            cursors[pick].by_ref().take(take).collect();
-                        remaining -= batch.len();
-                        builder.ingest_batch(batch);
-                    }
-                });
-            }
-        }),
-    }
-}
-
-proptest! {
-    /// Random schedule × delivery (random α-contiguous batch chunking from
-    /// a 1-, 2- or 4-wide producer pool, or whole threads in reverse order)
-    /// × shard count × spill threshold (tiny segments, so they roll
-    /// constantly): the sealed graph is the batch oracle's. The same
-    /// builder then takes the sequences again, delivered another way, and
-    /// must seal the same graph with fresh counters.
-    #[test]
-    fn streamed_build_matches_batch_over_random_everything(seed in any::<u64>()) {
-        let sequences = random_sequences(seed, 40..120);
-        let reference = batch_build(&sequences);
-        let total = reference.node_count() as u64;
-
-        let mut rng = Rng(seed ^ 0x0BA7_C4ED);
-        let shards = 1 + rng.below(8) as usize;
-        let threshold = [0usize, 0, 1, 4][rng.below(4) as usize];
-        let mut delivery = || match rng.below(3) {
-            0 => Delivery::ThreadsReversed,
-            _ => Delivery::RandomBatches {
-                pool: [1, 2, 4][rng.below(3) as usize],
-                max_batch: 1 + rng.below(7) as usize,
-            },
-        };
-        let deliveries = [delivery(), delivery()];
-
-        let dir = TempDir::new("streaming-eq");
-        let spill = (threshold > 0).then(|| SpillSettings {
-            segment_bytes: 256,
-            ..SpillSettings::new(threshold, dir.path())
-        });
-        let builder = ShardedCpgBuilder::with_shards_and_spill(shards, spill);
-        for (round, delivery) in deliveries.into_iter().enumerate() {
-            deliver(&builder, &sequences, delivery, seed.wrapping_add(round as u64));
-            let sealed = builder.seal();
-            prop_assert_eq!(node_fingerprint(&sealed), node_fingerprint(&reference));
-            prop_assert_eq!(edge_fingerprint(&sealed), edge_fingerprint(&reference));
-            prop_assert!(sealed.validate().is_ok());
-            let stats = builder.last_sealed_stats().expect("sealed");
-            prop_assert_eq!(stats.ingested, total, "{:?}", delivery);
-            prop_assert_eq!(stats.spill_fallbacks, 0);
-            // Threshold 1 makes every ingest a round.
-            match threshold {
-                0 => prop_assert_eq!(stats.spilled_subs, 0),
-                1 => prop_assert!(stats.spilled_subs > 0, "{:?}", stats),
-                _ => {}
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
