@@ -11,11 +11,24 @@
 //! the rank of a vertex in id order, which is also its index in the node
 //! store. `SubId → position` is one `(thread, first position, len)` range
 //! per thread; adjacency is CSR over positions, each row holding
-//! `(neighbour position, edge position, kind)` in edge-vector order. An
+//! `(neighbour position, edge position, kind)` in edge-store order. An
 //! edge with an endpoint that is not a vertex stays in [`Cpg::edges`] but
 //! has no row. The whole-graph algorithms (topological order, slices,
 //! taint, validation) run on these flat arrays; positions are crate-private
 //! and every public signature speaks [`SubId`].
+//!
+//! ## Edge store
+//!
+//! Edges are stored as positions too: one 24-byte record per edge holding
+//! its two endpoint positions and a payload — nothing for a control edge,
+//! the object for a synchronization edge, and for a data edge a range of
+//! one page vector all data edges share. The batch derivation writes these
+//! records directly, so assembling a graph neither allocates per edge nor
+//! looks an id up. [`Cpg::edges`] and the other edge iterators rebuild a
+//! [`DependenceEdge`] per edge they yield. Hand-built edge lists (and the
+//! sequential derivation's) are converted once; an edge the record cannot
+//! hold — an endpoint that is not a vertex, or a field its kind does not
+//! use — is kept whole beside the records.
 //!
 //! ## Page index
 //!
@@ -73,20 +86,21 @@ fn ordered_before(a: SubId, a_clock: &VectorClock, b: SubId, b_clock: &VectorClo
 /// `candidates` holds, per writing thread, the latest writer of the page
 /// that happens-before the reader. A candidate is superseded when another
 /// candidate happens-after it (its update was overwritten before the read),
-/// so only the maximal candidates survive, in candidate order. The parallel
-/// derivation and the sequential one share it, so they cannot diverge in
-/// last-writer semantics.
+/// so only the maximal candidates survive: their indexes, in candidate
+/// order. The parallel derivation and the sequential one share it, so they
+/// cannot diverge in last-writer semantics.
 fn prune_superseded_writers<'c>(
     candidates: &'c [(SubId, &'c VectorClock)],
-) -> impl Iterator<Item = SubId> + 'c {
+) -> impl Iterator<Item = usize> + 'c {
     candidates
         .iter()
-        .filter(|(id, clock)| {
+        .enumerate()
+        .filter(|(_, (id, clock))| {
             !candidates
                 .iter()
                 .any(|(other, oc)| other != id && ordered_before(*id, clock, *other, oc))
         })
-        .map(|(id, _)| *id)
+        .map(|(i, _)| i)
 }
 
 /// The kind of a CPG edge.
@@ -115,6 +129,164 @@ pub struct DependenceEdge {
     /// For data edges, the pages flowing from `src`'s write set into `dst`'s
     /// read set.
     pub pages: Vec<PageId>,
+}
+
+/// The endpoint of an edge record that is not a vertex. Positions are
+/// below the node count, which is at most `u32::MAX`.
+const NOT_A_VERTEX: u32 = u32::MAX;
+
+/// What an edge record carries beside its endpoints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Payload {
+    Control,
+    Synchronization(SyncObjectId),
+    /// The edge's pages: `pages[first..first + len]` of its store (of its
+    /// part, while the derivation is still running).
+    Data {
+        first: u32,
+        len: u32,
+    },
+    /// An edge of any other shape, kept whole at `odd[i]` of its store.
+    Odd(u32),
+}
+
+/// One stored edge (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct EdgeRecord {
+    /// Endpoint positions, [`NOT_A_VERTEX`] for an endpoint that is none.
+    src: u32,
+    dst: u32,
+    payload: Payload,
+}
+
+impl EdgeRecord {
+    fn ends(&self) -> Option<(u32, u32)> {
+        (self.src != NOT_A_VERTEX && self.dst != NOT_A_VERTEX).then_some((self.src, self.dst))
+    }
+}
+
+/// The edges of a graph, in edge order (see the module docs). The parts the
+/// derivation's units write are stores too, whose data records index their
+/// own page vector until [`append`](Self::append) rebases them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct EdgeStore {
+    records: Vec<EdgeRecord>,
+    /// Every data edge's pages, back to back in edge order.
+    pages: Vec<PageId>,
+    /// The edges a record cannot hold, in edge order.
+    odd: Vec<DependenceEdge>,
+}
+
+impl EdgeStore {
+    fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    fn kind(&self, record: &EdgeRecord) -> EdgeKind {
+        match record.payload {
+            Payload::Control => EdgeKind::Control,
+            Payload::Synchronization(_) => EdgeKind::Synchronization,
+            Payload::Data { .. } => EdgeKind::Data,
+            Payload::Odd(i) => self.odd[i as usize].kind,
+        }
+    }
+
+    fn push_data(&mut self, src: u32, dst: u32, pages: impl IntoIterator<Item = PageId>) {
+        let first = self.pages.len();
+        self.pages.extend(pages);
+        assert!(
+            u32::try_from(self.pages.len()).is_ok(),
+            "edge pages are 32-bit: {} of them",
+            self.pages.len()
+        );
+        self.records.push(EdgeRecord {
+            src,
+            dst,
+            payload: Payload::Data {
+                first: first as u32,
+                len: (self.pages.len() - first) as u32,
+            },
+        });
+    }
+
+    /// Appends a part of the derivation, rebasing its page ranges.
+    fn append(&mut self, mut part: EdgeStore) {
+        debug_assert!(part.odd.is_empty(), "the derivation writes records only");
+        let base = self.pages.len();
+        assert!(
+            u32::try_from(base + part.pages.len()).is_ok(),
+            "edge pages are 32-bit: {} of them",
+            base + part.pages.len()
+        );
+        let base = base as u32;
+        self.records
+            .extend(part.records.iter().map(|&record| match record.payload {
+                Payload::Data { first, len } => EdgeRecord {
+                    payload: Payload::Data {
+                        first: first + base,
+                        len,
+                    },
+                    ..record
+                },
+                _ => record,
+            }));
+        self.pages.append(&mut part.pages);
+    }
+
+    /// Stores `edges`, whose endpoints `position` resolves. An edge of a
+    /// shape no record holds is kept whole, with a record pointing at it.
+    fn of_edges(edges: Vec<DependenceEdge>, position: impl Fn(SubId) -> Option<u32>) -> Self {
+        let mut store = EdgeStore {
+            records: Vec::with_capacity(edges.len()),
+            ..EdgeStore::default()
+        };
+        for edge in edges {
+            let ends = (position(edge.src), position(edge.dst));
+            let (src, dst) = (
+                ends.0.unwrap_or(NOT_A_VERTEX),
+                ends.1.unwrap_or(NOT_A_VERTEX),
+            );
+            let vertices = ends.0.is_some() && ends.1.is_some();
+            let payload = match (vertices, edge.kind, edge.object, edge.pages.is_empty()) {
+                (true, EdgeKind::Control, None, true) => Payload::Control,
+                (true, EdgeKind::Synchronization, Some(object), true) => {
+                    Payload::Synchronization(object)
+                }
+                (true, EdgeKind::Data, None, _) => {
+                    store.push_data(src, dst, edge.pages);
+                    continue;
+                }
+                _ => {
+                    store.odd.push(edge);
+                    Payload::Odd(store.odd.len() as u32 - 1)
+                }
+            };
+            store.records.push(EdgeRecord { src, dst, payload });
+        }
+        store
+    }
+
+    /// The edge `record` stores, its endpoints named by `ids`.
+    fn edge(&self, record: &EdgeRecord, ids: &[SubId]) -> DependenceEdge {
+        let edge = |kind, object, pages| DependenceEdge {
+            src: ids[record.src as usize],
+            dst: ids[record.dst as usize],
+            kind,
+            object,
+            pages,
+        };
+        match record.payload {
+            Payload::Control => edge(EdgeKind::Control, None, Vec::new()),
+            Payload::Synchronization(object) => {
+                edge(EdgeKind::Synchronization, Some(object), Vec::new())
+            }
+            Payload::Data { first, len } => {
+                let pages = &self.pages[first as usize..(first + len) as usize];
+                edge(EdgeKind::Data, None, pages.to_vec())
+            }
+            Payload::Odd(i) => self.odd[i as usize].clone(),
+        }
+    }
 }
 
 /// Aggregate statistics about a CPG, used by the evaluation harness.
@@ -159,13 +331,13 @@ impl ThreadRange {
 pub(crate) struct Adjacent {
     /// Position of the vertex at the other end.
     pub(crate) neighbour: u32,
-    /// Index of the edge in the edge vector.
+    /// Index of the edge in the edge store.
     edge: u32,
     pub(crate) kind: EdgeKind,
 }
 
 /// CSR adjacency over node positions: row `p` is
-/// `entries[offsets[p]..offsets[p + 1]]`, in edge-vector order. Two
+/// `entries[offsets[p]..offsets[p + 1]]`, in edge-store order. Two
 /// allocations for the whole graph and no hashing — the streaming seal
 /// builds this on the run's critical path.
 #[derive(Debug, Clone, Default)]
@@ -177,19 +349,14 @@ pub(crate) struct AdjacencyIndex {
 }
 
 impl AdjacencyIndex {
-    /// Builds the successor and predecessor indexes over `edges`, whose
-    /// endpoints `resolved` holds as positions (`None` for an edge with a
-    /// missing endpoint, which gets no row): one counting pass, one
-    /// prefix-sum pass, one fill pass — a stable counting sort, so each row
-    /// keeps edge-vector order.
-    fn build_pair(
-        nodes: usize,
-        edges: &[DependenceEdge],
-        resolved: &[Option<(u32, u32)>],
-    ) -> (Self, Self) {
+    /// Builds the successor and predecessor indexes over `edges` (an edge
+    /// with an endpoint that is not a vertex gets no row): one counting
+    /// pass, one prefix-sum pass, one fill pass — a stable counting sort, so
+    /// each row keeps edge-store order.
+    fn build_pair(nodes: usize, edges: &EdgeStore) -> (Self, Self) {
         let mut successors = vec![0u32; nodes + 1];
         let mut predecessors = vec![0u32; nodes + 1];
-        for &(src, dst) in resolved.iter().flatten() {
+        for (src, dst) in edges.records.iter().filter_map(EdgeRecord::ends) {
             successors[src as usize + 1] += 1;
             predecessors[dst as usize + 1] += 1;
         }
@@ -211,9 +378,11 @@ impl AdjacencyIndex {
         let mut out = vec![unfilled; successors[nodes] as usize];
         let mut into = out.clone();
         let (mut out_cursor, mut in_cursor) = (successors.clone(), predecessors.clone());
-        for (i, (e, ends)) in edges.iter().zip(resolved).enumerate() {
-            let Some((src, dst)) = *ends else { continue };
-            let (edge, kind) = (i as u32, e.kind);
+        for (i, record) in edges.records.iter().enumerate() {
+            let Some((src, dst)) = record.ends() else {
+                continue;
+            };
+            let (edge, kind) = (i as u32, edges.kind(record));
             let towards = |neighbour| Adjacent {
                 neighbour,
                 edge,
@@ -373,15 +542,16 @@ pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 ///
 /// The node store is a flat vector sorted by [`SubId`]. The graph is built
 /// once and never mutated, so the sorted-vector layout costs nothing over a
-/// tree while letting the streaming seal hand its already-merged-in-order
-/// nodes over without building one (the tree bulk build was the largest
-/// remaining per-node cost on the seal's critical path), and it makes a
-/// vertex's index its dense position (see the module docs).
+/// tree while letting every builder hand over its concatenated per-thread
+/// runs without building one — the streaming seal, the batch builder and
+/// offline recovery all end in the same derivation over such a store — and it
+/// makes a vertex's index its dense position, which the edge store speaks
+/// (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct Cpg {
     /// Vertices, sorted by id and duplicate-free.
     pub(crate) nodes: Vec<SubComputation>,
-    pub(crate) edges: Vec<DependenceEdge>,
+    pub(crate) edges: EdgeStore,
     /// `ids[p] == nodes[p].id`, packed so lookups and orderings stay off
     /// the (much larger) vertices.
     ids: Vec<SubId>,
@@ -404,21 +574,34 @@ impl Cpg {
         Self::from_sorted_nodes(nodes.into_values().collect(), edges)
     }
 
-    /// Assembles a graph from nodes already sorted by id (the streaming
-    /// seal's k-way merge yields exactly that) and the edge set.
+    /// Assembles a graph from nodes already sorted by id (the sequential
+    /// derivation's, or a hand-built graph's) and an edge list, which is
+    /// converted into the edge store once.
     pub(crate) fn from_sorted_nodes(
         nodes: Vec<SubComputation>,
         edges: Vec<DependenceEdge>,
     ) -> Self {
+        let cpg = Cpg::indexed(nodes);
+        let edges = EdgeStore::of_edges(edges, |id| cpg.position(id));
+        cpg.with_edges(edges)
+    }
+
+    /// Assembles a graph from nodes already sorted by id and the edge store
+    /// over their positions.
+    pub(crate) fn from_store(nodes: Vec<SubComputation>, edges: EdgeStore) -> Self {
+        Cpg::indexed(nodes).with_edges(edges)
+    }
+
+    /// An edgeless graph of `nodes` with its position index.
+    fn indexed(nodes: Vec<SubComputation>) -> Self {
         debug_assert!(
             nodes.windows(2).all(|w| w[0].id < w[1].id),
             "node store must be sorted by id and duplicate-free"
         );
         assert!(
-            u32::try_from(nodes.len()).is_ok() && u32::try_from(edges.len()).is_ok(),
-            "positions are 32-bit: {} nodes, {} edges",
-            nodes.len(),
-            edges.len()
+            u32::try_from(nodes.len()).is_ok(),
+            "positions are 32-bit: {} nodes",
+            nodes.len()
         );
         let ids: Vec<SubId> = nodes.iter().map(|n| n.id).collect();
         let mut ranges: Vec<ThreadRange> = Vec::new();
@@ -432,21 +615,24 @@ impl Cpg {
                 }),
             }
         }
-        let mut cpg = Cpg {
+        Cpg {
             nodes,
-            edges,
             ids,
             ranges,
             ..Cpg::default()
-        };
-        let resolved: Vec<Option<(u32, u32)>> = cpg
-            .edges
-            .iter()
-            .map(|e| Some((cpg.position(e.src)?, cpg.position(e.dst)?)))
-            .collect();
-        (cpg.successors, cpg.predecessors) =
-            AdjacencyIndex::build_pair(cpg.nodes.len(), &cpg.edges, &resolved);
-        cpg
+        }
+    }
+
+    /// The graph with `edges` and their adjacency.
+    fn with_edges(mut self, edges: EdgeStore) -> Self {
+        assert!(
+            u32::try_from(edges.len()).is_ok(),
+            "positions are 32-bit: {} edges",
+            edges.len()
+        );
+        (self.successors, self.predecessors) = AdjacencyIndex::build_pair(self.nodes.len(), &edges);
+        self.edges = edges;
+        self
     }
 
     /// The graph of an id-sorted, duplicate-free node store (what
@@ -472,7 +658,7 @@ impl Cpg {
         }
         let edges = derive(&view);
         drop(view);
-        Cpg::from_sorted_nodes(nodes, edges)
+        Cpg::from_store(nodes, edges)
     }
 
     /// Number of vertices.
@@ -515,6 +701,11 @@ impl Cpg {
         self.ids[position as usize]
     }
 
+    /// The edge at `index` of the edge store.
+    fn edge_at(&self, index: usize) -> DependenceEdge {
+        self.edges.edge(&self.edges.records[index], &self.ids)
+    }
+
     /// The vertex at `position`.
     pub(crate) fn node_at(&self, position: u32) -> &SubComputation {
         &self.nodes[position as usize]
@@ -552,35 +743,37 @@ impl Cpg {
         self.nodes.iter()
     }
 
-    /// Iterates over all edges.
-    pub fn edges(&self) -> impl Iterator<Item = &DependenceEdge> {
-        self.edges.iter()
+    /// Iterates over all edges, each rebuilt from the edge store.
+    pub fn edges(&self) -> impl Iterator<Item = DependenceEdge> + '_ {
+        (0..self.edges.len()).map(|i| self.edge_at(i))
     }
 
     /// Iterates over the edges of one kind.
-    pub fn edges_of_kind(&self, kind: EdgeKind) -> impl Iterator<Item = &DependenceEdge> {
-        self.edges.iter().filter(move |e| e.kind == kind)
+    pub fn edges_of_kind(&self, kind: EdgeKind) -> impl Iterator<Item = DependenceEdge> + '_ {
+        let records = self.edges.records.iter().enumerate();
+        records
+            .filter(move |(_, record)| self.edges.kind(record) == kind)
+            .map(|(i, _)| self.edge_at(i))
     }
 
     fn incident<'a>(
         &'a self,
         index: &'a AdjacencyIndex,
         id: SubId,
-    ) -> impl Iterator<Item = &'a DependenceEdge> {
+    ) -> impl Iterator<Item = DependenceEdge> + 'a {
         let row = self.position(id).map_or(&[][..], |p| index.row(p));
-        row.iter()
-            .map(move |entry| &self.edges[entry.edge as usize])
+        row.iter().map(|entry| self.edge_at(entry.edge as usize))
     }
 
-    /// Outgoing edges of a vertex, in edge-vector order (an edge whose other
+    /// Outgoing edges of a vertex, in edge-store order (an edge whose other
     /// endpoint is not a vertex is not listed).
-    pub fn outgoing(&self, id: SubId) -> impl Iterator<Item = &DependenceEdge> {
+    pub fn outgoing(&self, id: SubId) -> impl Iterator<Item = DependenceEdge> + '_ {
         self.incident(&self.successors, id)
     }
 
     /// Incoming edges of a vertex, under the same rules as
     /// [`outgoing`](Self::outgoing).
-    pub fn incoming(&self, id: SubId) -> impl Iterator<Item = &DependenceEdge> {
+    pub fn incoming(&self, id: SubId) -> impl Iterator<Item = DependenceEdge> + '_ {
         self.incident(&self.predecessors, id)
     }
 
@@ -611,8 +804,8 @@ impl Cpg {
             threads: self.ranges.len(),
             ..CpgStats::default()
         };
-        for e in &self.edges {
-            match e.kind {
+        for record in &self.edges.records {
+            match self.edges.kind(record) {
                 EdgeKind::Control => stats.control_edges += 1,
                 EdgeKind::Synchronization => stats.sync_edges += 1,
                 EdgeKind::Data => stats.data_edges += 1,
@@ -659,8 +852,9 @@ impl Cpg {
     /// Checks structural invariants: the graph is a DAG, every edge endpoint
     /// exists, and every edge respects the happens-before order.
     pub fn validate(&self) -> Result<(), CpgValidationError> {
-        for e in &self.edges {
-            let (Some(src), Some(dst)) = (self.position(e.src), self.position(e.dst)) else {
+        for (i, record) in self.edges.records.iter().enumerate() {
+            let Some((src, dst)) = record.ends() else {
+                let e = self.edge_at(i);
                 return Err(CpgValidationError::DanglingEdge {
                     src: e.src,
                     dst: e.dst,
@@ -668,8 +862,8 @@ impl Cpg {
             };
             if !self.node_at(src).happens_before(self.node_at(dst)) {
                 return Err(CpgValidationError::EdgeAgainstOrder {
-                    src: e.src,
-                    dst: e.dst,
+                    src: self.id_at(src),
+                    dst: self.id_at(dst),
                 });
             }
         }
@@ -686,7 +880,7 @@ impl Cpg {
 impl Cpg {
     pub(crate) fn topological_order_reference(&self) -> Option<Vec<SubId>> {
         let mut indegree: BTreeMap<SubId, usize> = self.nodes.iter().map(|n| (n.id, 0)).collect();
-        for e in &self.edges {
+        for e in self.edges() {
             *indegree.get_mut(&e.dst)? += 1;
         }
         let mut queue: std::collections::VecDeque<SubId> = indegree
@@ -821,10 +1015,17 @@ impl CpgBuilder {
 
     /// The sequential derivation on the calling thread, for any sequences:
     /// the edges are derived from the per-thread slices, then the
-    /// sub-computations *move* into the graph. [`into_cpg`](Self::into_cpg)
-    /// and [`Cpg::derived`] take it for malformed sequences, and the
-    /// parallel derivation is tested against it, edge for edge.
+    /// sub-computations *move* into the graph and the edge list into its
+    /// store. [`into_cpg`](Self::into_cpg) and [`Cpg::derived`] take it for
+    /// malformed sequences, and the parallel derivation is tested against
+    /// it, edge for edge.
     fn into_cpg_sequential(self) -> Cpg {
+        let (nodes, edges) = self.sequential_parts();
+        Cpg::from_sorted_nodes(nodes, edges)
+    }
+
+    /// The sequential derivation's node store and edge list.
+    fn sequential_parts(self) -> (Vec<SubComputation>, Vec<DependenceEdge>) {
         let mut edges = Vec::new();
         Self::derive_control_edges(&self.sequences, &mut edges);
         Self::derive_sync_edges(&self.sequences, &mut edges);
@@ -844,7 +1045,7 @@ impl CpgBuilder {
             });
         }
         Self::derive_data_edges(&nodes, &mut edges);
-        Cpg::from_sorted_nodes(nodes, edges)
+        (nodes, edges)
     }
 
     /// Every sequence holds one thread's nodes only, strictly ascending in
@@ -939,11 +1140,11 @@ fn preceding_from<'n, T>(
 /// id order — control, then synchronization, then data edges reader by
 /// reader.
 ///
-/// The calling thread derives the control edges into the edge vector the
+/// The calling thread derives the control edges into the edge store the
 /// graph keeps, while up to [`pool::workers`] workers derive the
 /// synchronization edges (unit 0) and split the readers into contiguous
 /// chunks (the other units); their parts are appended in unit order.
-fn derive(view: &NodeView<'_>) -> Vec<DependenceEdge> {
+fn derive(view: &NodeView<'_>) -> EdgeStore {
     let workers = pool::workers(view.nodes.len(), MIN_NODES_PER_WORKER);
     let chunks = if workers > 1 {
         workers * CHUNKS_PER_WORKER
@@ -951,11 +1152,17 @@ fn derive(view: &NodeView<'_>) -> Vec<DependenceEdge> {
         1
     };
     let chunks = reader_chunks(view.nodes, chunks);
-    // Every unit's output vector is made here, on the calling thread, so it
-    // stays in this thread's allocator arena however a worker grows it (a
-    // worker's own allocations go to an arena this thread never reuses).
-    let outputs: Vec<Mutex<Vec<DependenceEdge>>> = (0..=chunks.len())
-        .map(|_| Mutex::new(Vec::with_capacity(1)))
+    // Every unit's output vectors are made here, on the calling thread, so
+    // they stay in this thread's allocator arena however a worker grows them
+    // (a worker's own allocations go to an arena this thread never reuses).
+    let outputs: Vec<Mutex<EdgeStore>> = (0..=chunks.len())
+        .map(|_| {
+            Mutex::new(EdgeStore {
+                records: Vec::with_capacity(1),
+                pages: Vec::with_capacity(1),
+                odd: Vec::new(),
+            })
+        })
         .collect();
     // Built by the first data unit, while the synchronization unit runs.
     let writers = OnceLock::new();
@@ -966,7 +1173,7 @@ fn derive(view: &NodeView<'_>) -> Vec<DependenceEdge> {
         |scratch, unit| {
             let mut out = std::mem::take(&mut *outputs[unit].lock());
             match unit.checked_sub(1) {
-                None => sync_edges(view, &mut out),
+                None => sync_edges(view, &mut out.records),
                 Some(chunk) => {
                     let writers = writers.get_or_init(|| WriterIndex::build(view));
                     data_edges(view, writers, chunks[chunk].clone(), scratch, &mut out);
@@ -978,10 +1185,13 @@ fn derive(view: &NodeView<'_>) -> Vec<DependenceEdge> {
             // Room for one synchronization or data edge per node beside the
             // control edges, which most graphs stay under: the parts are
             // appended without moving what is already there.
-            let mut edges = Vec::with_capacity(2 * view.nodes.len());
-            control_edges(view, &mut edges);
-            for mut part in parts {
-                edges.append(&mut part);
+            let mut edges = EdgeStore {
+                records: Vec::with_capacity(2 * view.nodes.len()),
+                ..EdgeStore::default()
+            };
+            control_edges(view, &mut edges.records);
+            for part in parts {
+                edges.append(part);
             }
             edges
         },
@@ -1019,16 +1229,14 @@ fn reader_chunks(nodes: &[SubComputation], chunks: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Appends the control edges: consecutive nodes of each run, in run
+/// Appends the control edges: consecutive positions of each run, in run
 /// order.
-fn control_edges(view: &NodeView<'_>, edges: &mut Vec<DependenceEdge>) {
-    for seq in view.sequences() {
-        edges.extend(seq.windows(2).map(|pair| DependenceEdge {
-            src: pair[0].id,
-            dst: pair[1].id,
-            kind: EdgeKind::Control,
-            object: None,
-            pages: Vec::new(),
+fn control_edges(view: &NodeView<'_>, edges: &mut Vec<EdgeRecord>) {
+    for run in &view.threads {
+        edges.extend((run.start + 1..run.end).map(|p| EdgeRecord {
+            src: p as u32 - 1,
+            dst: p as u32,
+            payload: Payload::Control,
         }));
     }
 }
@@ -1048,34 +1256,37 @@ fn control_edges(view: &NodeView<'_>, edges: &mut Vec<DependenceEdge>) {
 /// cursor that only moves forward along the acquiring thread
 /// ([`preceding_from`]): its clock never goes backwards, so neither does
 /// the prefix of releases that precede it.
-fn sync_edges(view: &NodeView<'_>, edges: &mut Vec<DependenceEdge>) {
-    // Releases grouped by object, then releasing thread, each group in run
-    // order: a stable sort of the releases as the runs list them.
-    let mut releases: Vec<(SyncObjectId, &SubComputation)> = view
-        .nodes
+fn sync_edges(view: &NodeView<'_>, edges: &mut Vec<EdgeRecord>) {
+    let nodes = view.nodes;
+    let node = |&(_, p): &(SyncObjectId, u32)| &nodes[p as usize];
+    // Releases as `(object, position)`, grouped by object, then releasing
+    // thread, each group in run order: positions ascend in `(thread, α)`
+    // order, so sorting the pairs is the grouping.
+    let mut releases: Vec<(SyncObjectId, u32)> = nodes
         .iter()
-        .filter_map(|sub| {
+        .enumerate()
+        .filter_map(|(p, sub)| {
             let sp = sub.terminator?;
             matches!(sp.kind, SyncKind::Release | SyncKind::ReleaseAcquire)
-                .then_some((sp.object, sub))
+                .then_some((sp.object, p as u32))
         })
         .collect();
-    releases.sort_by_key(|&(object, sub)| (object, sub.id.thread));
+    releases.sort_unstable();
     // `groups[g]` is one (object, thread) group of `releases`; `objects`
     // maps each object to its groups, in thread order.
     let mut groups: Vec<Range<usize>> = Vec::new();
     let mut objects: Vec<(SyncObjectId, Range<usize>)> = Vec::new();
-    for (i, &(object, sub)) in releases.iter().enumerate() {
-        let (last_object, last) = releases[i.saturating_sub(1)];
-        if i > 0 && last_object == object && last.id.thread == sub.id.thread {
+    for (i, release) in releases.iter().enumerate() {
+        let last = &releases[i.saturating_sub(1)];
+        if i > 0 && last.0 == release.0 && node(last).id.thread == node(release).id.thread {
             if let Some(group) = groups.last_mut() {
                 group.end = i + 1;
             }
             continue;
         }
         match objects.last_mut() {
-            Some((known, range)) if *known == object => range.end = groups.len() + 1,
-            _ => objects.push((object, groups.len()..groups.len() + 1)),
+            Some((known, range)) if *known == release.0 => range.end = groups.len() + 1,
+            _ => objects.push((release.0, groups.len()..groups.len() + 1)),
         }
         groups.push(i..i + 1);
     }
@@ -1084,10 +1295,10 @@ fn sync_edges(view: &NodeView<'_>, edges: &mut Vec<DependenceEdge>) {
     // cursor (how many of the group's releases precede that run's latest
     // acquire).
     let mut cursors: Vec<(usize, usize)> = vec![(usize::MAX, 0); groups.len()];
-    let mut candidates: Vec<&SubComputation> = Vec::new();
-    for (run, seq) in view.sequences().enumerate() {
-        for pair in seq.windows(2) {
-            let (prev, next) = (&pair[0], &pair[1]);
+    let mut candidates: Vec<u32> = Vec::new();
+    for (run, positions) in view.threads.iter().enumerate() {
+        for next in positions.start + 1..positions.end {
+            let (prev, acquirer) = (&nodes[next - 1], &nodes[next]);
             let Some(sp) = prev.terminator else { continue };
             if !matches!(sp.kind, SyncKind::Acquire | SyncKind::ReleaseAcquire) {
                 continue;
@@ -1098,30 +1309,28 @@ fn sync_edges(view: &NodeView<'_>, edges: &mut Vec<DependenceEdge>) {
             candidates.clear();
             for g in objects[o].1.clone() {
                 let group = &releases[groups[g].clone()];
-                if group[0].1.id.thread == next.id.thread {
+                if node(&group[0]).id.thread == acquirer.id.thread {
                     continue;
                 }
                 let (owner, cursor) = &mut cursors[g];
                 if *owner != run {
                     (*owner, *cursor) = (run, 0);
                 }
-                *cursor = preceding_from(group, *cursor, |r| r.1, next);
+                *cursor = preceding_from(group, *cursor, node, acquirer);
                 let before = *cursor;
                 if before > 0 {
                     candidates.push(group[before - 1].1);
                 }
             }
-            for r in &candidates {
-                let dominated = candidates
-                    .iter()
-                    .any(|other| other.id != r.id && r.happens_before(other));
+            for &r in &candidates {
+                let dominated = candidates.iter().any(|&other| {
+                    other != r && nodes[r as usize].happens_before(&nodes[other as usize])
+                });
                 if !dominated {
-                    edges.push(DependenceEdge {
-                        src: r.id,
-                        dst: next.id,
-                        kind: EdgeKind::Synchronization,
-                        object: Some(sp.object),
-                        pages: Vec::new(),
+                    edges.push(EdgeRecord {
+                        src: r,
+                        dst: next as u32,
+                        payload: Payload::Synchronization(sp.object),
                     });
                 }
             }
@@ -1241,10 +1450,12 @@ impl WriterIndex {
 /// A data worker's buffers, reused for every reader it resolves.
 #[derive(Default)]
 struct DataScratch<'a> {
-    /// One page's candidate writers.
+    /// One page's candidate writers, and their positions.
     candidates: Vec<(SubId, &'a VectorClock)>,
-    /// `(writer, page)` for every page the reader takes from a writer.
-    flows: Vec<(SubId, PageId)>,
+    candidate_positions: Vec<u32>,
+    /// `(writer position, page)` for every page the reader takes from a
+    /// writer.
+    flows: Vec<(u32, PageId)>,
     /// Per writer run: the reader thread that last moved its cursor (as
     /// `epoch`), and the cursor.
     cursors: Vec<(u64, usize)>,
@@ -1263,19 +1474,20 @@ struct DataScratch<'a> {
 /// [`prune_superseded_writers`] kernel, which the sequential derivation
 /// runs too). The latest preceding writer is searched from a per-run cursor
 /// that a reader's successors on its thread only move forward
-/// ([`preceding_from`]). Nothing is allocated per reader beyond the edges'
-/// page lists.
+/// ([`preceding_from`]). Nothing is allocated per reader: the edges are
+/// records, their pages one run each of the part's page vector.
 fn data_edges<'a>(
     view: &NodeView<'a>,
     writers: &WriterIndex,
     readers: Range<usize>,
     scratch: &mut DataScratch<'a>,
-    edges: &mut Vec<DependenceEdge>,
+    edges: &mut EdgeStore,
 ) {
     let nodes = view.nodes;
     scratch.cursors.resize(writers.runs_total(), (0, 0));
     let mut thread = None;
-    for reader in &nodes[readers] {
+    for position in readers {
+        let reader = &nodes[position];
         if thread != Some(reader.id.thread) {
             thread = Some(reader.id.thread);
             scratch.epoch += 1;
@@ -1283,6 +1495,7 @@ fn data_edges<'a>(
         scratch.flows.clear();
         for &page in &reader.read_set {
             scratch.candidates.clear();
+            scratch.candidate_positions.clear();
             for (r, run) in writers.runs(page) {
                 let node = |&p: &u32| &nodes[p as usize];
                 let (owner, cursor) = &mut scratch.cursors[r];
@@ -1290,28 +1503,23 @@ fn data_edges<'a>(
                     (*owner, *cursor) = (scratch.epoch, 0);
                 }
                 *cursor = preceding_from(run, *cursor, node, reader);
-                let before = *cursor;
-                if before > 0 {
-                    let w = &nodes[run[before - 1] as usize];
-                    if w.id != reader.id {
-                        scratch.candidates.push((w.id, &w.clock));
-                    }
+                let latest = run[..*cursor].last().copied();
+                if let Some(writer) = latest.filter(|&w| w as usize != position) {
+                    let w = &nodes[writer as usize];
+                    scratch.candidates.push((w.id, &w.clock));
+                    scratch.candidate_positions.push(writer);
                 }
             }
-            for w in prune_superseded_writers(&scratch.candidates) {
-                scratch.flows.push((w, page));
+            for i in prune_superseded_writers(&scratch.candidates) {
+                scratch.flows.push((scratch.candidate_positions[i], page));
             }
         }
-        // Each page is visited once per reader, so the pairs are distinct.
+        // Each page is visited once per reader, so the pairs are distinct;
+        // positions sort like ids, so the writers come out in id order.
         scratch.flows.sort_unstable();
         for flow in scratch.flows.chunk_by(|a, b| a.0 == b.0) {
-            edges.push(DependenceEdge {
-                src: flow[0].0,
-                dst: reader.id,
-                kind: EdgeKind::Data,
-                object: None,
-                pages: flow.iter().map(|&(_, page)| page).collect(),
-            });
+            let pages = flow.iter().map(|&(_, page)| page);
+            edges.push_data(flow[0].0, position as u32, pages);
         }
     }
 }
@@ -1453,8 +1661,11 @@ impl CpgBuilder {
                     .filter(|w| w.id != reader.id)
                     .map(|w| (w.id, &w.clock))
                     .collect();
-                for w in prune_superseded_writers(&candidates) {
-                    per_writer_pages.entry(w).or_default().push(page);
+                for i in prune_superseded_writers(&candidates) {
+                    per_writer_pages
+                        .entry(candidates[i].0)
+                        .or_default()
+                        .push(page);
                 }
             }
             for (writer, pages) in per_writer_pages {
@@ -1690,13 +1901,103 @@ mod tests {
                 proptest::prop_assert_eq!(&graph.edges, &reference.edges);
                 for node in reference.nodes() {
                     let rows = |g: &Cpg| {
-                        let out: Vec<_> = g.outgoing(node.id).cloned().collect();
-                        (out, g.incoming(node.id).cloned().collect::<Vec<_>>())
+                        let out: Vec<_> = g.outgoing(node.id).collect();
+                        (out, g.incoming(node.id).collect::<Vec<_>>())
                     };
                     proptest::prop_assert_eq!(rows(&graph), rows(&reference));
                 }
             }
         }
+    }
+
+    proptest::proptest! {
+        /// The edge store gives back the edge list it was made from: in
+        /// order, objects and page lists included, and all of it in
+        /// records.
+        #[test]
+        fn prop_the_edge_store_is_lossless(
+            random in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+            threads in 1u32..9,
+            iterations in 1u64..12,
+            pages in 1u64..6,
+        ) {
+            let sequences = if random {
+                crate::testing::random_sequences(seed, 1..160)
+            } else {
+                crate::testing::lock_heavy_sequences(threads, iterations, pages, pages + 1)
+            };
+            let mut builder = CpgBuilder::new();
+            for seq in sequences {
+                builder.add_thread(seq);
+            }
+            let (nodes, edges) = builder.sequential_parts();
+            let cpg = Cpg::from_sorted_nodes(nodes, edges.clone());
+            proptest::prop_assert_eq!(cpg.edge_count(), edges.len());
+            proptest::prop_assert_eq!(cpg.edges().collect::<Vec<_>>(), edges.clone());
+            for kind in [EdgeKind::Control, EdgeKind::Synchronization, EdgeKind::Data] {
+                let of_kind: Vec<_> = edges.iter().filter(|e| e.kind == kind).cloned().collect();
+                proptest::prop_assert_eq!(cpg.edges_of_kind(kind).collect::<Vec<_>>(), of_kind);
+            }
+            proptest::prop_assert!(cpg.edges.odd.is_empty());
+            proptest::prop_assert_eq!(cpg.validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn an_edge_record_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<EdgeRecord>(), 24);
+    }
+
+    #[test]
+    fn edges_no_record_holds_are_kept_whole() {
+        let id = |thread: u32, alpha: u64| SubId::new(ThreadId::new(thread), alpha);
+        let (a, b, missing) = (id(0, 0), id(0, 1), id(1, 7));
+        let nodes: Vec<SubComputation> = [a, b]
+            .into_iter()
+            .map(|id| SubComputation::new(id, VectorClock::new()))
+            .collect();
+        let edge = |src, dst, kind, object: Option<u64>, pages: &[u64]| DependenceEdge {
+            src,
+            dst,
+            kind,
+            object: object.map(SyncObjectId::new),
+            pages: pages.iter().copied().map(PageId::new).collect(),
+        };
+        let edges = vec![
+            edge(a, b, EdgeKind::Control, None, &[]),
+            edge(a, missing, EdgeKind::Data, None, &[3, 4]),
+            edge(a, b, EdgeKind::Data, None, &[5]),
+            edge(missing, b, EdgeKind::Synchronization, Some(2), &[]),
+            edge(a, b, EdgeKind::Synchronization, None, &[]),
+            edge(a, b, EdgeKind::Control, Some(9), &[6]),
+            edge(a, b, EdgeKind::Data, Some(1), &[]),
+            edge(a, b, EdgeKind::Data, None, &[]),
+        ];
+        let cpg = Cpg::from_sorted_nodes(nodes, edges.clone());
+        assert_eq!(cpg.edge_count(), edges.len());
+        assert_eq!(cpg.edges().collect::<Vec<_>>(), edges);
+        assert_eq!(cpg.edges.odd.len(), 5);
+        assert_eq!(
+            cpg.validate(),
+            Err(CpgValidationError::DanglingEdge {
+                src: a,
+                dst: missing
+            })
+        );
+        assert_eq!(cpg.topological_order(), None);
+        let between: Vec<_> = edges
+            .iter()
+            .filter(|e| e.src == a && e.dst == b)
+            .cloned()
+            .collect();
+        assert_eq!(cpg.outgoing(a).collect::<Vec<_>>(), between);
+        assert_eq!(cpg.incoming(b).collect::<Vec<_>>(), between);
+        let stats = cpg.stats();
+        assert_eq!(
+            (stats.control_edges, stats.sync_edges, stats.data_edges),
+            (2, 2, 4)
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! that share nothing mutable. [`fan_out`]
 //! runs them on scoped worker threads and hands the results to the caller
 //! **in unit order**, so whatever the caller folds them into (a report, a
-//! node run, an edge vector) comes out exactly as a sequential pass would
+//! node run, an edge store) comes out exactly as a sequential pass would
 //! have built it.
 //!
 //! There is no setting: the worker count is the host's

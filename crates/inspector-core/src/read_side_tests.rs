@@ -326,7 +326,10 @@ fn dangling_edges_are_reported_and_have_no_row() {
         assert_eq!(cpg.edges().count(), 2);
         // The present endpoint sees only its real neighbour.
         assert_eq!(cpg.outgoing(b).count(), 0);
-        assert_eq!(cpg.incoming(b).collect::<Vec<_>>(), [&control]);
+        assert_eq!(
+            cpg.incoming(b).collect::<Vec<_>>(),
+            std::slice::from_ref(&control)
+        );
         assert_eq!(cpg.outgoing(missing).count(), 0);
         assert_eq!(cpg.incoming(missing).count(), 0);
         for start in [a, b, missing] {

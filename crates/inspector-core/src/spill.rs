@@ -504,8 +504,12 @@ impl<'a> Cursor<'a> {
         Ok(SubId::new(thread, alpha))
     }
 
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn exhausted(&self) -> bool {
-        self.pos == self.bytes.len()
+        self.remaining() == 0
     }
 
     fn expect_exhausted(&self) -> SpillResult<()> {
@@ -514,7 +518,7 @@ impl<'a> Cursor<'a> {
         } else {
             Err(SpillError::Corrupt(format!(
                 "{} trailing bytes in spill record",
-                self.bytes.len() - self.pos
+                self.remaining()
             )))
         }
     }
@@ -601,6 +605,14 @@ fn encode_node(buf: &mut Vec<u8>, sub: &SubComputation) {
 fn decode_node(cursor: &mut Cursor<'_>) -> SpillResult<SubComputation> {
     let id = cursor.take_sub_id()?;
     let clock_len = cursor.take_u32()? as usize;
+    // Checked before the clock is sized to it: a CRC-valid record may still
+    // claim more components than it holds.
+    if clock_len > cursor.remaining() / 8 {
+        return Err(SpillError::Corrupt(format!(
+            "clock of {clock_len} components in {} payload bytes",
+            cursor.remaining()
+        )));
+    }
     let mut clock = VectorClock::with_capacity(clock_len);
     for i in 0..clock_len {
         let v = cursor.take_u64()?;
@@ -1732,37 +1744,75 @@ mod tests {
         }
     }
 
+    /// Two good node records, then a framed record whose CRC is right but
+    /// whose `payload` does not decode, then a record that is fine again:
+    /// recovery keeps the prefix, counts one decode failure and accounts
+    /// every byte from the bad frame on as lost.
+    fn assert_recovery_skips_the_record(what: &str, payload: &[u8]) {
+        let tmp = TempDir::new("spill-test");
+        let dir = tmp.path();
+        let subs = recorded_subs();
+        let mut store = store_in(dir, 0, DEFAULT_SEGMENT_BYTES);
+        store.detach_keeping_files();
+        commit_nodes(&mut store, &subs[..2]);
+        let good_bytes = store.bytes_written();
+        store.begin_round();
+        store.stage(TAG_NODE, |buf| buf.extend_from_slice(payload));
+        store.stage_node(&subs[2]);
+        store.commit_round().unwrap();
+        let manifest = ManifestWriter::new(dir, 0, SpillDurability::None);
+        manifest.update_shard(0, store.manifest_snapshot()).unwrap();
+        let lost = store.bytes_written() - good_bytes;
+        drop(store);
+
+        let recovery = crate::recover::recover_session(dir).unwrap();
+        let report = &recovery.report;
+        assert_eq!(report.decode_failures, 1, "{what}");
+        assert_eq!(report.crc_failures + report.torn_records, 0, "{what}");
+        assert_eq!(report.lost_bytes, lost, "{what}");
+        assert_eq!(report.recovered_nodes, 2, "{what}");
+        assert!(recovery.cpg.nodes().eq(subs[..2].iter()), "{what}");
+    }
+
     #[test]
     fn recovery_counts_a_crc_valid_broken_chain_as_a_skipped_record() {
-        // Two good node records, then a framed record whose CRC is right
-        // but whose thunk chain is not, then a record that is fine again:
-        // recovery keeps the prefix, counts one decode failure and accounts
-        // every byte from the bad frame on as lost.
         for (what, payload) in broken_chains() {
-            let tmp = TempDir::new("spill-test");
-            let dir = tmp.path();
-            let subs = recorded_subs();
-            let mut store = store_in(dir, 0, DEFAULT_SEGMENT_BYTES);
-            store.detach_keeping_files();
-            commit_nodes(&mut store, &subs[..2]);
-            let good_bytes = store.bytes_written();
-            store.begin_round();
-            store.stage(TAG_NODE, |buf| buf.extend_from_slice(&payload));
-            store.stage_node(&subs[2]);
-            store.commit_round().unwrap();
-            let manifest = ManifestWriter::new(dir, 0, SpillDurability::None);
-            manifest.update_shard(0, store.manifest_snapshot()).unwrap();
-            let lost = store.bytes_written() - good_bytes;
-            drop(store);
-
-            let recovery = crate::recover::recover_session(dir).unwrap();
-            let report = &recovery.report;
-            assert_eq!(report.decode_failures, 1, "{what}");
-            assert_eq!(report.crc_failures + report.torn_records, 0, "{what}");
-            assert_eq!(report.lost_bytes, lost, "{what}");
-            assert_eq!(report.recovered_nodes, 2, "{what}");
-            assert!(recovery.cpg.nodes().eq(subs[..2].iter()), "{what}");
+            assert_recovery_skips_the_record(what, &payload);
         }
+    }
+
+    /// The golden payload claiming a clock of `u32::MAX` components: the
+    /// record is rejected before any clock is sized to it.
+    fn huge_clock_payload() -> Vec<u8> {
+        let mut payload = unhex(GOLDEN_NODE_HEX);
+        // The clock length follows the 12-byte id.
+        payload[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        payload
+    }
+
+    #[test]
+    fn a_huge_clock_length_is_a_decode_error_in_the_scan() {
+        let mut image = encode_segment_header(0, 0).to_vec();
+        let good = recorded_subs();
+        image.extend(lone_frame(TAG_NODE, |buf| encode_node(buf, &good[0])));
+        let bad_at = image.len();
+        image.extend(lone_frame(TAG_NODE, |buf| {
+            buf.extend_from_slice(&huge_clock_payload())
+        }));
+        let mut delivered = Vec::new();
+        match scan_segment(&image, image.len(), |sub| delivered.push(sub)) {
+            ScanEnd::Decode(at, SpillError::Corrupt(msg)) => {
+                assert_eq!(at, bad_at);
+                assert!(msg.contains("clock of 4294967295 components"), "{msg}");
+            }
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+        assert_eq!(delivered, good[..1]);
+    }
+
+    #[test]
+    fn recovery_counts_a_huge_clock_length_as_a_skipped_record() {
+        assert_recovery_skips_the_record("huge clock", &huge_clock_payload());
     }
 
     #[test]

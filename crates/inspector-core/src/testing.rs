@@ -240,10 +240,10 @@ pub fn ingest_random_interleaving(
 }
 
 /// Rebuilds `cpg`'s position index and adjacency from its own nodes and
-/// edges: the step every builder ends with (the streaming seal pays it on
-/// the run's critical path), isolated for the micro-benchmarks.
+/// edge store: the step every builder ends with (the streaming seal pays it
+/// on the run's critical path), isolated for the micro-benchmarks.
 pub fn reindex(cpg: Cpg) -> Cpg {
-    Cpg::from_sorted_nodes(cpg.nodes, cpg.edges)
+    Cpg::from_store(cpg.nodes, cpg.edges)
 }
 
 #[cfg(test)]

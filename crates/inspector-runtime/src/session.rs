@@ -567,10 +567,11 @@ impl InspectorSession {
         self.shared.perf.full_log()
     }
 
-    /// Counters describing how the streaming CPG build progressed (shard
-    /// ingestion, eager vs. deferred synchronization-edge resolution):
-    /// the last completed run's counters once a run has finished, or the
-    /// in-progress build's counters while [`run`](Self::run) is executing.
+    /// Counters describing how the streaming CPG build progressed (nodes
+    /// stored, the spill tier's rounds, bytes and fallbacks, the resident
+    /// high-water mark): the last completed run's counters once a run has
+    /// finished, or the in-progress build's counters while
+    /// [`run`](Self::run) is executing.
     pub fn ingest_stats(&self) -> IngestStats {
         if self.shared.ingest_active() {
             // A run is in progress: report the live build, not the counters
@@ -595,10 +596,12 @@ impl InspectorSession {
     /// Runs the application's main thread and returns the full report.
     ///
     /// Graph construction is streamed: bounded channel lanes carry every
-    /// retired sub-computation to an ingest-thread pool that applies it to
-    /// the sharded builder while the application is still executing —
-    /// control, synchronization and data edges included — so the
-    /// end-of-run work collapses to moving the nodes into the final graph.
+    /// retired sub-computation to an ingest-thread pool that stores it in
+    /// the sharded builder (spilling old nodes to disk when a spill tier is
+    /// configured) while the application is still executing. At the end of
+    /// the run the seal replays any spilled prefixes, concatenates the
+    /// per-thread runs into the graph's node store and derives the control,
+    /// synchronization and data edges over it, on every core.
     ///
     /// Any worker threads spawned through [`ThreadCtx::spawn`] **must** be
     /// joined by the closure (as a pthreads program would); panics in
