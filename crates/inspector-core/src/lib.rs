@@ -33,8 +33,9 @@
 //!   is bounded to an *active window*: a stripe's resident nodes are
 //!   encoded into length-prefixed, append-only per-shard segment files
 //!   (see [`spill`] for the on-disk format) — one write per round —,
-//!   replayed on demand for live snapshots, and concatenated back into the
-//!   final graph at seal.
+//!   replayed when a live snapshot gathers the store (under the stripe
+//!   locks, which the snapshot's cut and derivation then run without), and
+//!   concatenated back into the final graph at seal.
 //!
 //!   The spill tier is **fault tolerant rather than fault free**: every
 //!   I/O failure surfaces as a typed [`spill::SpillError`] instead of a
@@ -81,8 +82,9 @@
 //!   torn/CRC-failing tails with **exact loss accounting**
 //!   ([`recover::RecoveryReport`]), shrinks the decoded per-thread prefixes
 //!   to the maximal *consistent* frontier (every kept node's vector clock
-//!   covered by the kept prefixes), and rebuilds that prefix's CPG with the
-//!   batch oracle. Recovering a cleanly sealed, retained directory
+//!   covered by the kept prefixes — the cut a live [`snapshot`] takes, with
+//!   the manifest's durable frontier as its bound), and rebuilds that
+//!   prefix's CPG with the batch oracle. Recovering a cleanly sealed, retained directory
 //!   reproduces the sealed graph exactly; recovering a crashed one yields
 //!   the maximal consistent prefix — sound, incomplete, accounted.
 //!

@@ -25,9 +25,12 @@
 //!    so a damaged session's segments past the poison are still read and
 //!    decoded before their outcome is discarded.
 //! 3. **Shrink to a consistent cut.** The decoded per-thread prefixes are
-//!    lowered to the largest frontier `F` such that every kept node's
-//!    vector clock is covered by `F` (a fixpoint that terminates because
-//!    `F` only shrinks). Nodes decoded fine but above the cut are counted
+//!    lowered to the largest frontier `F` within the manifest's durable
+//!    frontier such that every kept node's vector clock is covered by `F`.
+//!    This is the crate's one consistent-cut computation, the one a live
+//!    [`Snapshot`](crate::snapshot::Snapshot) takes too (see
+//!    [`crate::snapshot`]); recovery passes the durable frontier as its
+//!    per-thread bound. Nodes decoded fine but above the cut are counted
 //!    as [`RecoveryReport::excluded_nodes`] — they are not *lost*, they
 //!    just cannot join a causally closed graph.
 //! 4. **Re-derive the graph.** The decoded nodes land in one store, which
@@ -44,11 +47,11 @@
 //! graph node- and edge-identical to the sealed one, with zero loss.
 
 use std::collections::{BTreeMap, HashSet};
-use std::ops::Range;
 use std::path::Path;
 
 use crate::graph::Cpg;
 use crate::pool;
+use crate::snapshot::cut_in_place;
 use crate::spill::{
     image_buffer, read_manifest, scan_segment_file, segment_file_name, ManifestSegment,
     RecordBuffers, ScanEnd, SegmentScan, SpillError, SpillResult, MIN_NODE_FRAME_BYTES,
@@ -342,71 +345,22 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
     }
     let decoded_nodes = nodes.len() as u64;
 
-    // Per thread, the positions of its run, and the contiguous α-prefix
-    // of it (a hole means the records beyond it are unusable) that the
-    // manifest vouched for — a record the durable frontier does not cover
-    // may lack its causal context.
-    let mut threads: Vec<(u32, Range<usize>)> = Vec::new();
-    for (p, sub) in nodes.iter().enumerate() {
-        let thread = sub.id.thread.index() as u32;
-        match threads.last_mut() {
-            Some((t, run)) if *t == thread => run.end = p + 1,
-            _ => threads.push((thread, p..p + 1)),
-        }
-    }
-    let mut frontier: BTreeMap<u32, u64> = BTreeMap::new();
-    for (thread, run) in &threads {
-        let contiguous = nodes[run.clone()]
-            .iter()
-            .enumerate()
-            .take_while(|(i, sub)| sub.id.alpha == *i as u64)
-            .count();
-        let durable = *report.durable_frontier.get(thread).unwrap_or(&0) as usize;
-        frontier.insert(*thread, contiguous.min(durable) as u64);
-    }
-
-    // Shrink to the maximal consistent frontier: every kept node's clock
-    // must be covered by the kept prefixes themselves. Coverage is
-    // monotone along a thread (clocks only grow), so each pass is a
-    // partition point, and the frontier only ever shrinks — the fixpoint
-    // terminates.
-    loop {
-        let mut changed = false;
-        for (thread, run) in &threads {
-            let current = frontier[thread] as usize;
-            let covered = |sub: &SubComputation| {
-                sub.clock.iter().all(|(u, k)| {
-                    u.index() as u32 == *thread
-                        || k == 0
-                        || k <= *frontier.get(&(u.index() as u32)).unwrap_or(&0)
-                })
-            };
-            let kept = nodes[run.start..run.start + current].partition_point(covered);
-            if kept < current {
-                frontier.insert(*thread, kept as u64);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Keep each thread's consistent prefix, in place, and derive the edges
-    // as the batch oracle does.
-    let mut position = 0;
-    let mut run = threads.iter().peekable();
-    nodes.retain(|_| {
-        while run.next_if(|(_, r)| r.end <= position).is_some() {}
-        let keep = run
-            .peek()
-            .is_some_and(|(t, r)| position < r.start + frontier[t] as usize);
-        position += 1;
-        keep
+    // Keep each thread's maximal consistent prefix — α-contiguous (a hole
+    // means the records beyond it are unusable), within what the manifest
+    // vouched for (a record the durable frontier does not cover may lack
+    // its causal context), and causally closed — in place, with the cut a
+    // live snapshot takes; then derive the edges as the batch oracle does.
+    let cut = cut_in_place(&mut nodes, |thread| {
+        let durable = report.durable_frontier.get(&(thread.index() as u32));
+        durable.map_or(0, |&n| n as usize)
     });
     report.recovered_nodes = nodes.len() as u64;
     report.excluded_nodes = decoded_nodes - report.recovered_nodes;
-    report.consistent_frontier = frontier.into_iter().filter(|&(_, f)| f > 0).collect();
+    report.consistent_frontier = cut
+        .frontier
+        .into_iter()
+        .map(|(thread, kept)| (thread.index() as u32, kept as u64))
+        .collect();
     let cpg = Cpg::derived(nodes);
     report.recovered_edges = cpg.edge_count() as u64;
     debug_assert_eq!(

@@ -37,10 +37,12 @@
 //!   and memory is touched only after that write succeeded, so a failed
 //!   round leaves the stripe as it was. Any per-thread prefix is a valid
 //!   round, because the on-disk image promises only durable prefixes and
-//!   offline recovery computes the consistent cut itself. Live snapshots
-//!   replay the stripe's segments to fault spilled prefixes back in, and
-//!   the seal replays them into the final graph, making peak resident
-//!   memory O(active window) instead of O(trace length) (paper §VI).
+//!   offline recovery computes the consistent cut itself. A live
+//!   [`snapshot`](ShardedCpgBuilder::snapshot) replays the spilled stripes'
+//!   segments to fault their prefixes back in, and the seal replays them
+//!   into the final graph — both in one fan-out over every stripe —,
+//!   making peak resident memory O(active window) instead of O(trace
+//!   length) (paper §VI).
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -51,6 +53,7 @@ use parking_lot::Mutex;
 
 use crate::graph::Cpg;
 use crate::ids::ThreadId;
+use crate::snapshot::Snapshot;
 use crate::spill::{ManifestWriter, Replay, SpillDurability, SpillSettings, SpillStore};
 use crate::subcomputation::SubComputation;
 
@@ -639,64 +642,61 @@ impl ShardedCpgBuilder {
         }
     }
 
-    /// Runs `f` over the complete per-thread sequences ingested so far, with
-    /// every stripe locked for the duration. Used by the live-snapshot
-    /// facility to obtain a stable view; without spilling nothing is cloned.
-    /// Threads with a spilled prefix are faulted back in from the spill
-    /// segments first, so the view always starts at α = 0 — snapshots and
-    /// taint queries see spilled history transparently.
-    pub fn with_sequences<R>(
-        &self,
-        f: impl FnOnce(&BTreeMap<ThreadId, &[SubComputation]>) -> R,
-    ) -> R {
+    /// Every sub-computation ingested so far, as an owned, id-sorted node
+    /// store: each thread's spilled prefix, replayed from its segments,
+    /// then its live suffix, so every thread starts at α = 0 — snapshots
+    /// see spilled history transparently. The stripe locks are held while
+    /// gathering only: every spilled shard's segments are replayed in the
+    /// seal's one fan-out, and the live suffixes are cloned. A prefix that
+    /// cannot be read back (segment damaged or gone) is a counted
+    /// degradation, never a panic with every stripe locked: the thread is
+    /// left out, and the snapshot's cut drops whatever then lacks its
+    /// causal context.
+    pub(crate) fn gather(&self) -> Vec<SubComputation> {
         let guards: Vec<_> = self.shards.iter().map(Mutex::lock).collect();
-        // Fault spilled prefixes into owned storage: one sequential segment
-        // replay per shard (not a seek per node — the stripe locks are held
-        // for the duration, so the fault path must scale with segment
-        // count, not trace length). Only shards that actually spilled pay.
-        // A prefix that cannot be read back (segment damaged or gone) is a
-        // counted degradation, never a panic with every stripe locked: the
-        // thread is left out of the view, and the snapshot's consistent-cut
-        // trim drops whatever then lacks its causal context.
-        let mut faulted: Vec<(ThreadId, Vec<SubComputation>)> = Vec::new();
-        for guard in &guards {
-            let spilled_any = guard.sequences.values().any(|seq| seq.base > 0);
-            if !spilled_any {
-                continue;
+        let spilled = |shard: &Shard| shard.sequences.values().any(|seq| seq.base > 0);
+        let stores: Vec<&SpillStore> = guards
+            .iter()
+            .filter(|shard| spilled(shard))
+            .filter_map(|shard| shard.spill.as_ref())
+            .collect();
+        let mut replays = SpillStore::replay_all(&stores).into_iter();
+        let mut runs: BTreeMap<ThreadId, Vec<SubComputation>> = BTreeMap::new();
+        for shard in &guards {
+            let mut prefixes = match (spilled(shard), &shard.spill) {
+                (true, Some(_)) => replays.next().and_then(Result::ok),
+                _ => None,
             }
-            let mut prefixes = match guard.spill.as_ref().map(SpillStore::replay) {
-                Some(Ok(replay)) => replay.nodes,
-                _ => BTreeMap::new(),
-            };
+            .map(|replay| replay.nodes)
+            .unwrap_or_default();
             let mut complete = true;
-            for (&t, seq) in &guard.sequences {
-                if seq.base == 0 {
+            for (&t, seq) in &shard.sequences {
+                let mut run = match seq.base {
+                    0 => Vec::with_capacity(seq.live.len()),
+                    _ => prefixes.remove(&t).unwrap_or_default(),
+                };
+                if run.len() as u64 != seq.base {
+                    complete = false;
                     continue;
                 }
-                let mut full = prefixes.remove(&t).unwrap_or_default();
-                if full.len() as u64 == seq.base {
-                    full.extend(seq.live.iter().cloned());
-                    faulted.push((t, full));
-                } else {
-                    complete = false;
-                }
+                run.extend(seq.live.iter().cloned());
+                runs.insert(t, run);
             }
             if !complete {
                 self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
             }
         }
-        let mut map: BTreeMap<ThreadId, &[SubComputation]> = BTreeMap::new();
-        for guard in &guards {
-            for (&t, seq) in &guard.sequences {
-                if seq.base == 0 {
-                    map.insert(t, seq.live.as_slice());
-                }
-            }
-        }
-        for (t, full) in &faulted {
-            map.insert(*t, full.as_slice());
-        }
-        f(&map)
+        drop(guards);
+        runs.into_values().flatten().collect()
+    }
+
+    /// A consistent snapshot of everything ingested so far: every stored
+    /// node, gathered under the stripe locks, cut to the maximal consistent
+    /// cut, with the edges derived over it as the seal derives them. Only
+    /// the gathering holds the locks; the cut and the derivation run on the
+    /// calling thread while ingest goes on.
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot::of(self.gather())
     }
 
     /// Finishes the graph: replays every stripe's spilled prefixes,
@@ -891,8 +891,6 @@ impl ShardedCpgBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    use crate::ids::SubId;
     use crate::testing::{batch_build, edge_fingerprint, TempDir};
 
     fn lock_heavy_sequences(threads: u32) -> Vec<Vec<SubComputation>> {
@@ -1132,9 +1130,9 @@ mod tests {
     }
 
     #[test]
-    fn with_sequences_faults_spilled_prefixes_back_in() {
+    fn gather_faults_spilled_prefixes_back_in() {
         let sequences = lock_heavy_sequences(2);
-        let expected: usize = sequences.iter().map(|s| s.len()).sum();
+        let expected = sequences.concat();
         let tmp = TempDir::new("sharded-spill");
         let streaming =
             ShardedCpgBuilder::with_shards_and_spill(2, Some(spill_settings(1, tmp.path())));
@@ -1151,21 +1149,13 @@ mod tests {
             }
         }
         assert!(streaming.stats().spilled_subs > 0);
-        // The live view still exposes every sub-computation from α = 0, in
-        // order, with spilled nodes transparently faulted back in.
-        streaming.with_sequences(|map| {
-            let seen: usize = map.values().map(|s| s.len()).sum();
-            assert_eq!(seen, expected);
-            for (&t, seq) in map {
-                for (i, sub) in seq.iter().enumerate() {
-                    assert_eq!(sub.id, SubId::new(t, i as u64));
-                }
-            }
-        });
+        // The gathered store holds every sub-computation from α = 0, in
+        // (thread, α) order, with spilled nodes transparently faulted back in.
+        assert_eq!(streaming.gather(), expected);
     }
 
     #[test]
-    fn with_sequences_survives_a_vanished_segment() {
+    fn gather_survives_a_vanished_segment() {
         // A segment deleted between a spill and a snapshot must degrade the
         // view, not abort the caller with every stripe locked.
         let sequences = lock_heavy_sequences(2);
@@ -1182,14 +1172,10 @@ mod tests {
         // Thread 0 spills through shard 0: take its first segment away.
         let dir = streaming.spill_directory().expect("spilling").to_path_buf();
         std::fs::remove_file(dir.join(crate::spill::segment_file_name(0, 0))).unwrap();
-        streaming.with_sequences(|map| {
-            // The thread whose prefix is gone is left out; the other
-            // shard's thread is complete from α = 0.
-            assert!(!map.contains_key(&ThreadId::new(0)));
-            let other = map[&ThreadId::new(1)];
-            assert_eq!(other.len(), sequences[1].len());
-            assert_eq!(other[0].id.alpha, 0);
-        });
+        // The thread whose prefix is gone is left out; the other shard's
+        // thread is complete from α = 0.
+        let nodes = streaming.gather();
+        assert_eq!(nodes, sequences[1]);
         assert_eq!(streaming.stats().spill_fallbacks, 1);
         // The seal degrades the same way instead of panicking.
         let sealed = streaming.seal();
@@ -1325,7 +1311,7 @@ mod tests {
     }
 
     #[test]
-    fn with_sequences_exposes_live_view() {
+    fn gather_exposes_live_view() {
         let sequences = lock_heavy_sequences(2);
         let streaming = ShardedCpgBuilder::with_shards(2);
         let mut expected = 0usize;
@@ -1335,8 +1321,7 @@ mod tests {
                 expected += 1;
             }
         }
-        let seen: usize = streaming.with_sequences(|map| map.values().map(|s| s.len()).sum());
-        assert_eq!(seen, expected);
+        assert_eq!(streaming.gather().len(), expected);
         assert_eq!(streaming.ingested_nodes(), expected as u64);
     }
 }

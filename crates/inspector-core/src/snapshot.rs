@@ -1,27 +1,38 @@
 //! Consistent-cut snapshots of the CPG (paper §VI).
 //!
 //! For long-running programs the provenance log grows without bound, so
-//! INSPECTOR lets the user analyse provenance *while the program runs*: the
-//! library periodically takes a consistent cut of the CPG and stores it in a
-//! bounded ring of snapshot slots, mirroring the perf snapshot mode built on
-//! `SIGUSR2`.
+//! INSPECTOR lets the user analyse provenance *while the program runs*: a
+//! [`Snapshot`] is the CPG restricted to a consistent cut of everything
+//! recorded so far, taken on demand.
 //!
 //! A cut is consistent if, for every synchronization object `S`, whenever an
 //! *acquire(S)* is included in the cut the matching *release(S)* is included
 //! as well (Chandy–Lamport). We obtain this by cutting each thread at its
 //! latest recorded synchronization event and then shrinking the cut until the
 //! closure property holds.
+//!
+//! The crate computes that cut in one place, over an id-sorted node store,
+//! and both of its consumers end in it: a live snapshot cuts what the
+//! streaming builder has gathered
+//! ([`ShardedCpgBuilder::snapshot`](crate::sharded::ShardedCpgBuilder::snapshot)),
+//! and offline recovery ([`crate::recover`]) cuts what a crashed session's
+//! segments decode to, bounded by the frontier its manifest vouched for.
+//! Both then derive the edges over the survivors with the batch
+//! derivation, so a snapshot equals the batch oracle over its cut.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
-use crate::graph::{Cpg, CpgBuilder};
+use crate::graph::Cpg;
 use crate::ids::ThreadId;
 use crate::subcomputation::SubComputation;
 
 /// A consistent prefix of every thread's execution sequence.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConsistentCut {
-    /// For each thread, how many completed sub-computations are included.
+    /// For each thread with anything in the cut, how many of its
+    /// sub-computations (from α = 0) are included. Threads with nothing in
+    /// the cut are absent.
     pub frontier: BTreeMap<ThreadId, usize>,
 }
 
@@ -37,40 +48,56 @@ impl ConsistentCut {
     }
 }
 
-/// Computes a consistent cut from the per-thread sequences of *completed*
-/// sub-computations.
+/// Shrinks an id-sorted node store, in place, to its maximal consistent
+/// cut within `bound`, and returns that cut.
 ///
-/// The initial frontier takes every completed sub-computation of every
-/// thread (i.e. each thread is cut at its latest synchronization event).
-/// The frontier is then shrunk to the largest downward-closed set under
-/// happens-before: a sub-computation may stay in the cut only if every
-/// sub-computation it causally depends on (as witnessed by its vector clock)
-/// is in the cut as well. Because acquires are the only way causality enters
-/// a thread, this is exactly the "acquire implies matching release" property
-/// from the paper.
-pub fn consistent_cut(sequences: &BTreeMap<ThreadId, &[SubComputation]>) -> ConsistentCut {
-    let mut frontier: BTreeMap<ThreadId, usize> =
-        sequences.iter().map(|(&t, seq)| (t, seq.len())).collect();
+/// Each thread starts at its α-contiguous prefix (a hole makes the records
+/// beyond it unusable), lowered to `bound(thread)`. The frontier `F` is then
+/// shrunk until every kept node's vector clock is covered by `F`: a
+/// sub-computation of thread `t` whose clock component for thread `u ≠ t` is
+/// `k > 0` causally depends on `u`'s sub-computations with α < k (the
+/// recorder stores α + 1 in the owner component), so `F[u] ≥ k` must hold.
+/// Because acquires are the only way causality enters a thread, this is
+/// exactly the "acquire implies matching release" property. Coverage is
+/// monotone along a thread (clocks only grow), so each pass is a partition
+/// point, and `F` only ever shrinks — the fixpoint terminates. Last, every
+/// thread's run is truncated to `F` without moving the survivors.
+pub(crate) fn cut_in_place(
+    nodes: &mut Vec<SubComputation>,
+    bound: impl Fn(ThreadId) -> usize,
+) -> ConsistentCut {
+    let mut threads: Vec<(ThreadId, Range<usize>)> = Vec::new();
+    for (p, sub) in nodes.iter().enumerate() {
+        match threads.last_mut() {
+            Some((t, run)) if *t == sub.id.thread => run.end = p + 1,
+            _ => threads.push((sub.id.thread, p..p + 1)),
+        }
+    }
+    let mut frontier: BTreeMap<ThreadId, usize> = threads
+        .iter()
+        .map(|(thread, run)| {
+            let contiguous = nodes[run.clone()]
+                .iter()
+                .enumerate()
+                .take_while(|(i, sub)| sub.id.alpha == *i as u64)
+                .count();
+            (*thread, contiguous.min(bound(*thread)))
+        })
+        .collect();
 
-    // A sub-computation of thread `t` whose clock component for thread `u`
-    // is `k > 0` causally depends on `u`'s sub-computations with α < k
-    // (the recorder stores α + 1 in the owner component), so the cut must
-    // include at least `k` of `u`'s sub-computations. Shrink the violating
-    // thread's frontier until a fixed point is reached.
     loop {
         let mut changed = false;
-        for (&thread, seq) in sequences {
-            let limit = frontier[&thread];
-            for idx in 0..limit {
-                let sub = &seq[idx];
-                let violated = sub.clock.iter().any(|(u, k)| {
-                    u != thread && frontier.get(&u).copied().unwrap_or(0) < k as usize
-                });
-                if violated {
-                    frontier.insert(thread, idx);
-                    changed = true;
-                    break;
-                }
+        for (thread, run) in &threads {
+            let current = frontier[thread];
+            let covered = |sub: &SubComputation| {
+                sub.clock.iter().all(|(u, k)| {
+                    u == *thread || k as usize <= frontier.get(&u).copied().unwrap_or(0)
+                })
+            };
+            let kept = nodes[run.start..run.start + current].partition_point(covered);
+            if kept < current {
+                frontier.insert(*thread, kept);
+                changed = true;
             }
         }
         if !changed {
@@ -78,118 +105,39 @@ pub fn consistent_cut(sequences: &BTreeMap<ThreadId, &[SubComputation]>) -> Cons
         }
     }
 
+    let mut position = 0;
+    let mut run = threads.iter().peekable();
+    nodes.retain(|_| {
+        while run.next_if(|(_, r)| r.end <= position).is_some() {}
+        let keep = run
+            .peek()
+            .is_some_and(|(t, r)| position < r.start + frontier[t]);
+        position += 1;
+        keep
+    });
+    frontier.retain(|_, kept| *kept > 0);
     ConsistentCut { frontier }
 }
 
 /// A snapshot: the CPG restricted to a consistent cut, plus the cut itself.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Snapshot {
-    /// Monotonically increasing snapshot sequence number.
-    pub sequence: u64,
     /// The cut this snapshot corresponds to.
     pub cut: ConsistentCut,
     /// The provenance graph over the cut.
     pub cpg: Cpg,
 }
 
-/// A bounded ring of snapshots, mirroring the perf snapshot-mode ring buffer
-/// with a configurable number of slots (paper §VI: 4 MB slots; here the unit
-/// is "one snapshot").
-#[derive(Debug)]
-pub struct SnapshotRing {
-    slots: Vec<Option<Snapshot>>,
-    next_sequence: u64,
-    taken: u64,
-    overwritten: u64,
-}
-
-impl SnapshotRing {
-    /// Creates a ring with `slots` snapshot slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` is zero.
-    pub fn new(slots: usize) -> Self {
-        assert!(slots > 0, "snapshot ring needs at least one slot");
-        SnapshotRing {
-            slots: vec![None; slots],
-            next_sequence: 0,
-            taken: 0,
-            overwritten: 0,
-        }
-    }
-
-    /// Number of slots in the ring.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Number of snapshots currently stored.
-    pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Returns `true` if no snapshot is stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of snapshots that were overwritten before being consumed.
-    pub fn overwritten(&self) -> u64 {
-        self.overwritten
-    }
-
-    /// Takes a snapshot from the threads' completed sub-computation
-    /// sequences and stores it in the ring, overwriting the oldest slot if
-    /// the ring is full (the "reuse slots" behaviour from §VI).
-    pub fn take_snapshot(
-        &mut self,
-        sequences: &BTreeMap<ThreadId, &[SubComputation]>,
-    ) -> &Snapshot {
-        let cut = consistent_cut(sequences);
-        let mut builder = CpgBuilder::new();
-        for (&thread, seq) in sequences {
-            let limit = cut.frontier.get(&thread).copied().unwrap_or(0);
-            builder.add_thread(seq[..limit].to_vec());
-        }
-        let snapshot = Snapshot {
-            sequence: self.next_sequence,
+impl Snapshot {
+    /// The snapshot of an id-sorted node store whose threads each start at
+    /// α = 0: the store cut to its maximal consistent cut, and the graph
+    /// derived over what remains.
+    pub(crate) fn of(mut nodes: Vec<SubComputation>) -> Snapshot {
+        let cut = cut_in_place(&mut nodes, |_| usize::MAX);
+        Snapshot {
             cut,
-            cpg: builder.build(),
-        };
-        let slot = (self.next_sequence as usize) % self.slots.len();
-        if self.slots[slot].is_some() {
-            self.overwritten += 1;
+            cpg: Cpg::derived(nodes),
         }
-        self.slots[slot] = Some(snapshot);
-        self.next_sequence += 1;
-        self.taken += 1;
-        self.slots[slot].as_ref().expect("just stored")
-    }
-
-    /// The most recent snapshot, if any.
-    pub fn latest(&self) -> Option<&Snapshot> {
-        self.slots.iter().flatten().max_by_key(|s| s.sequence)
-    }
-
-    /// Removes and returns the oldest stored snapshot (the "user consumed the
-    /// slot" operation that frees it for reuse).
-    pub fn consume_oldest(&mut self) -> Option<Snapshot> {
-        let idx = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|s| (i, s.sequence)))
-            .min_by_key(|&(_, seq)| seq)
-            .map(|(i, _)| i)?;
-        self.slots[idx].take()
-    }
-
-    /// Iterates over stored snapshots in sequence order.
-    pub fn iter(&self) -> impl Iterator<Item = &Snapshot> {
-        let mut v: Vec<&Snapshot> = self.slots.iter().flatten().collect();
-        v.sort_by_key(|s| s.sequence);
-        v.into_iter()
     }
 }
 
@@ -199,7 +147,37 @@ mod tests {
     use crate::event::{AccessKind, SyncKind};
     use crate::ids::{PageId, SyncObjectId};
     use crate::recorder::{SyncClockRegistry, ThreadRecorder};
+    use crate::testing::{batch_build, edge_fingerprint, Rng};
     use std::sync::Arc;
+
+    /// The reference cut: every thread starts whole, and each pass rescans
+    /// every prefix from index 0 and lowers a thread to its first node whose
+    /// clock the frontier does not cover, until nothing changes.
+    fn consistent_cut(sequences: &BTreeMap<ThreadId, &[SubComputation]>) -> ConsistentCut {
+        let mut frontier: BTreeMap<ThreadId, usize> =
+            sequences.iter().map(|(&t, seq)| (t, seq.len())).collect();
+        loop {
+            let mut changed = false;
+            for (&thread, seq) in sequences {
+                let limit = frontier[&thread];
+                for idx in 0..limit {
+                    let sub = &seq[idx];
+                    let violated = sub.clock.iter().any(|(u, k)| {
+                        u != thread && frontier.get(&u).copied().unwrap_or(0) < k as usize
+                    });
+                    if violated {
+                        frontier.insert(thread, idx);
+                        changed = true;
+                        break;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        ConsistentCut { frontier }
+    }
 
     fn sequences_for_test() -> (Vec<SubComputation>, Vec<SubComputation>) {
         let reg = SyncClockRegistry::shared();
@@ -220,94 +198,152 @@ mod tests {
     #[test]
     fn full_sequences_form_consistent_cut() {
         let (l0, l1) = sequences_for_test();
-        let mut map: BTreeMap<ThreadId, &[SubComputation]> = BTreeMap::new();
-        map.insert(ThreadId::new(0), &l0);
-        map.insert(ThreadId::new(1), &l1);
-        let cut = consistent_cut(&map);
-        assert_eq!(cut.frontier[&ThreadId::new(0)], l0.len());
-        assert_eq!(cut.frontier[&ThreadId::new(1)], l1.len());
-        assert!(!cut.is_empty());
+        let (n0, n1) = (l0.len(), l1.len());
+        let snapshot = Snapshot::of(l0.into_iter().chain(l1).collect());
+        assert_eq!(snapshot.cut.frontier[&ThreadId::new(0)], n0);
+        assert_eq!(snapshot.cut.frontier[&ThreadId::new(1)], n1);
+        assert_eq!(snapshot.cut.len(), snapshot.cpg.node_count());
+        assert!(snapshot.cpg.validate().is_ok());
     }
 
     #[test]
     fn acquire_without_included_release_is_cut_away() {
-        let (l0, l1) = sequences_for_test();
-        // Only expose thread 1's sequence (which starts with an acquire whose
-        // matching release lives on thread 0): the cut must truncate thread 1
-        // to before the post-acquire sub-computation.
-        let empty: Vec<SubComputation> = Vec::new();
-        let mut map: BTreeMap<ThreadId, &[SubComputation]> = BTreeMap::new();
-        map.insert(ThreadId::new(0), &empty[..]);
-        map.insert(ThreadId::new(1), &l1);
-        let cut = consistent_cut(&map);
-        assert!(cut.frontier[&ThreadId::new(1)] <= 1);
-        let _ = l0;
+        // Only thread 1's sequence (which starts with an acquire whose
+        // matching release lives on thread 0) is present: the cut must
+        // truncate thread 1 to before the post-acquire sub-computation.
+        let (_, l1) = sequences_for_test();
+        let snapshot = Snapshot::of(l1);
+        assert!(snapshot.cut.len() <= 1);
+        assert_eq!(snapshot.cut.len(), snapshot.cpg.node_count());
+        assert!(snapshot.cpg.validate().is_ok());
     }
 
     #[test]
-    fn snapshot_ring_overwrites_oldest() {
-        let (l0, l1) = sequences_for_test();
-        let mut map: BTreeMap<ThreadId, &[SubComputation]> = BTreeMap::new();
-        map.insert(ThreadId::new(0), &l0);
-        map.insert(ThreadId::new(1), &l1);
-
-        let mut ring = SnapshotRing::new(2);
-        ring.take_snapshot(&map);
-        ring.take_snapshot(&map);
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.overwritten(), 0);
-        ring.take_snapshot(&map);
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.overwritten(), 1);
-        assert_eq!(ring.latest().unwrap().sequence, 2);
+    fn an_empty_store_is_an_empty_valid_snapshot() {
+        let snapshot = Snapshot::of(Vec::new());
+        assert!(snapshot.cut.is_empty());
+        assert_eq!(snapshot.cpg.node_count(), 0);
+        assert!(snapshot.cpg.validate().is_ok());
     }
 
-    #[test]
-    fn consume_oldest_frees_slot() {
-        let (l0, l1) = sequences_for_test();
-        let mut map: BTreeMap<ThreadId, &[SubComputation]> = BTreeMap::new();
-        map.insert(ThreadId::new(0), &l0);
-        map.insert(ThreadId::new(1), &l1);
-
-        let mut ring = SnapshotRing::new(2);
-        ring.take_snapshot(&map);
-        ring.take_snapshot(&map);
-        let oldest = ring.consume_oldest().unwrap();
-        assert_eq!(oldest.sequence, 0);
-        assert_eq!(ring.len(), 1);
-        ring.take_snapshot(&map);
-        assert_eq!(ring.overwritten(), 0, "freed slot should be reused");
+    /// `sequences` damaged the ways a live view or a crashed directory can
+    /// be: random per-thread truncations, whole threads dropped, and one
+    /// thread with an α hole (a node missing from its middle).
+    fn damaged(mut sequences: Vec<Vec<SubComputation>>, seed: u64) -> Vec<Vec<SubComputation>> {
+        let mut rng = Rng(seed);
+        for seq in &mut sequences {
+            match rng.below(4) {
+                0 => seq.clear(),
+                1 => {}
+                _ => seq.truncate(rng.below(seq.len() as u64 + 1) as usize),
+            }
+        }
+        let holed = rng.below(sequences.len() as u64) as usize;
+        if sequences[holed].len() > 1 {
+            let hole = rng.below(sequences[holed].len() as u64 - 1) as usize;
+            sequences[holed].remove(hole);
+        }
+        sequences
     }
 
-    #[test]
-    fn snapshot_cpg_is_valid() {
-        let (l0, l1) = sequences_for_test();
-        let mut map: BTreeMap<ThreadId, &[SubComputation]> = BTreeMap::new();
-        map.insert(ThreadId::new(0), &l0);
-        map.insert(ThreadId::new(1), &l1);
-        let mut ring = SnapshotRing::new(1);
-        let snap = ring.take_snapshot(&map);
-        assert!(snap.cpg.validate().is_ok());
-        assert_eq!(snap.cut.len(), snap.cpg.node_count());
-    }
+    proptest::proptest! {
+        /// Random, one-after-another and round-robin executions, damaged.
+        /// The shared cut equals the reference over the same input (the
+        /// reference told each thread's α-contiguous prefix, which the
+        /// shared cut finds itself), keeps exactly each thread's frontier
+        /// prefix, and its result is downward-closed and maximal; the
+        /// snapshot over it is the batch oracle over the cut.
+        #[test]
+        fn prop_shared_cut_is_the_reference_cut(
+            kind in 0u8..3,
+            seed in proptest::prelude::any::<u64>(),
+            threads in 2u32..6,
+            iterations in 1u64..8,
+        ) {
+            let whole = match kind {
+                0 => crate::testing::lock_heavy_sequences(threads, iterations, 3, 3),
+                1 => crate::testing::random_sequences(seed, 20..120),
+                // Every thread tracks every other: a cut cascades around
+                // the ring, back into threads a pass has already lowered.
+                _ => crate::testing::ping_pong_sequences(threads, iterations),
+            };
+            let sequences = damaged(whole, seed);
+            let contiguous: Vec<&[SubComputation]> = sequences
+                .iter()
+                .map(|seq| {
+                    let n = seq.iter().enumerate().take_while(|(i, s)| s.id.alpha == *i as u64).count();
+                    &seq[..n]
+                })
+                .collect();
+            let map: BTreeMap<ThreadId, &[SubComputation]> = contiguous
+                .iter()
+                .filter(|seq| !seq.is_empty())
+                .map(|seq| (seq[0].id.thread, *seq))
+                .collect();
+            let mut reference = consistent_cut(&map);
+            reference.frontier.retain(|_, kept| *kept > 0);
 
-    #[test]
-    #[should_panic(expected = "at least one slot")]
-    fn zero_slot_ring_panics() {
-        let _ = SnapshotRing::new(0);
-    }
+            let mut nodes: Vec<SubComputation> = sequences.iter().flatten().cloned().collect();
+            let cut = cut_in_place(&mut nodes, |_| usize::MAX);
+            proptest::prop_assert_eq!(&cut, &reference);
 
-    #[test]
-    fn iter_returns_snapshots_in_sequence_order() {
-        let (l0, l1) = sequences_for_test();
-        let mut map: BTreeMap<ThreadId, &[SubComputation]> = BTreeMap::new();
-        map.insert(ThreadId::new(0), &l0);
-        map.insert(ThreadId::new(1), &l1);
-        let mut ring = SnapshotRing::new(3);
-        ring.take_snapshot(&map);
-        ring.take_snapshot(&map);
-        ring.take_snapshot(&map);
-        let seqs: Vec<u64> = ring.iter().map(|s| s.sequence).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
+            // The survivors are each thread's frontier prefix, in place.
+            let expected: Vec<SubComputation> = map
+                .iter()
+                .flat_map(|(t, seq)| seq[..cut.frontier.get(t).copied().unwrap_or(0)].iter().cloned())
+                .collect();
+            proptest::prop_assert_eq!(&nodes, &expected);
+
+            let kept = |u: ThreadId| cut.frontier.get(&u).copied().unwrap_or(0);
+            let covered = |sub: &SubComputation| {
+                sub.clock.iter().all(|(u, k)| u == sub.id.thread || k as usize <= kept(u))
+            };
+            // Downward-closed: every kept node's causal past is kept.
+            proptest::prop_assert!(nodes.iter().all(covered));
+            // Maximal: no thread's next usable node could join.
+            for (t, seq) in &map {
+                if let Some(next) = seq.get(kept(*t)) {
+                    proptest::prop_assert!(!covered(next), "{next:?} could join the cut");
+                }
+            }
+
+            let snapshot = Snapshot::of(sequences.iter().flatten().cloned().collect());
+            proptest::prop_assert_eq!(&snapshot.cut, &cut);
+            proptest::prop_assert_eq!(snapshot.cpg.validate(), Ok(()));
+            let prefixes: Vec<Vec<SubComputation>> = map
+                .iter()
+                .map(|(t, seq)| seq[..kept(*t)].to_vec())
+                .collect();
+            proptest::prop_assert_eq!(
+                edge_fingerprint(&snapshot.cpg),
+                edge_fingerprint(&batch_build(&prefixes))
+            );
+        }
+
+        /// A per-thread bound caps the starting frontier, and the cut
+        /// under it is the reference cut over the bounded prefixes.
+        #[test]
+        fn prop_a_bound_is_a_truncation(
+            seed in proptest::prelude::any::<u64>(),
+            threads in 2u32..6,
+            iterations in 1u64..8,
+        ) {
+            let sequences = crate::testing::lock_heavy_sequences(threads, iterations, 3, 3);
+            let mut rng = Rng(seed);
+            let bounds: BTreeMap<ThreadId, usize> = sequences
+                .iter()
+                .map(|seq| (seq[0].id.thread, rng.below(seq.len() as u64 + 2) as usize))
+                .collect();
+            let map: BTreeMap<ThreadId, &[SubComputation]> = sequences
+                .iter()
+                .map(|seq| (seq[0].id.thread, &seq[..bounds[&seq[0].id.thread].min(seq.len())]))
+                .collect();
+            let mut reference = consistent_cut(&map);
+            reference.frontier.retain(|_, kept| *kept > 0);
+            let mut nodes: Vec<SubComputation> = sequences.into_iter().flatten().collect();
+            let cut = cut_in_place(&mut nodes, |t| bounds[&t]);
+            proptest::prop_assert_eq!(&cut, &reference);
+            proptest::prop_assert_eq!(nodes.len(), cut.len());
+        }
     }
 }

@@ -48,9 +48,10 @@
 //!
 //! Reading is one frame walker, `scan_segment`, run one segment at a time
 //! by `scan_segment_file`, the unit the read side fans out across the
-//! host's cores. The seal, live snapshots and the crash fallback replay a
-//! store's committed bytes ([`SpillStore::replay`] — there is no per-node
-//! fault-in index), and offline recovery walks the manifest-named bytes
+//! host's cores. The seal and live snapshots replay every spilled store's
+//! committed bytes in one fan-out (`SpillStore::replay_all`), the crash
+//! fallback one store's ([`SpillStore::replay`]) — there is no per-node
+//! fault-in index —, and offline recovery walks the manifest-named bytes
 //! through the same unit. Both take the per-segment outcomes in segment
 //! order, so what they return, errors included, is what one sequential
 //! pass over the segments returns.
@@ -1401,8 +1402,8 @@ impl SpillStore {
 
     /// Replays the committed records of every segment in append order
     /// without consuming the store: node records bucketed per thread in α
-    /// order. Used by the seal, the
-    /// live-snapshot path and the crash / write-failure fallbacks.
+    /// order. Used by the crash / write-failure fallbacks; the seal and live
+    /// snapshots replay every store at once (`replay_all`).
     ///
     /// The segments are read and decoded on every core the host offers,
     /// one segment per unit (`scan_segment_file`), and their records are

@@ -9,7 +9,6 @@
 //! |---|---|---|
 //! | `mode` | `Inspector` | [`SessionConfig::native`]: the denominator of every overhead figure |
 //! | `aux_capacity` | 4 MiB | the tiny-ring overflow tests (`tests/fault_tolerance.rs`, session tests) |
-//! | `live_snapshots`, `snapshot_slots` | off, 8 | `tests/snapshots_and_taint.rs` and the lane tests (snapshot barriers) |
 //! | `charge_spawn_cost` | on | the spawn-cost ablation in `benches/figures.rs` |
 //! | `ingest_threads` | `min(4, cores)` | every benchmark session (`1`); the equivalence and fault suites sweep 1–4 |
 //! | `decode_online` | off | the Figure 6 `pt_decode` column; `tests/streaming_decode.rs` and the session sweeps |
@@ -22,7 +21,9 @@
 //! setting at all — a synchronization boundary retires exactly one
 //! sub-computation, so there is nothing for a batch cap to choose between,
 //! and the backlog at which a producer wakes a parked ingest worker is a
-//! measured constant.
+//! measured constant. Live snapshots have no setting either:
+//! [`crate::session::LiveMonitor::snapshot`] costs nothing until it is
+//! called.
 
 use std::path::PathBuf;
 
@@ -99,13 +100,6 @@ pub struct SessionConfig {
     pub mode: ExecutionMode,
     /// AUX buffer capacity per thread, in bytes.
     pub aux_capacity: usize,
-    /// Enable the live-snapshot ring so consistent snapshots can be taken
-    /// while the program runs (§VI). Snapshots read the streaming CPG
-    /// builder's shard store directly, so enabling this no longer costs a
-    /// clone per completed sub-computation.
-    pub live_snapshots: bool,
-    /// Number of snapshot ring slots (only used when `live_snapshots`).
-    pub snapshot_slots: usize,
     /// Charge the cost of duplicating the page-table / protection state when
     /// a thread (process) is created, as the real threads-as-processes
     /// design does. Disable to isolate other overhead sources in ablations.
@@ -172,8 +166,6 @@ impl SessionConfig {
         SessionConfig {
             mode: ExecutionMode::Inspector,
             aux_capacity: 4 << 20,
-            live_snapshots: false,
-            snapshot_slots: 8,
             charge_spawn_cost: true,
             ingest_threads: default_ingest_threads(),
             decode_online: false,
@@ -191,13 +183,6 @@ impl SessionConfig {
             mode: ExecutionMode::Native,
             ..Self::inspector()
         }
-    }
-
-    /// Returns a copy with live snapshots enabled and the given slot count.
-    pub fn with_live_snapshots(mut self, slots: usize) -> Self {
-        self.live_snapshots = true;
-        self.snapshot_slots = slots;
-        self
     }
 
     /// Returns a copy with the given ingest-pool width (clamped to ≥ 1).
@@ -266,14 +251,11 @@ mod tests {
     #[test]
     fn builders_apply() {
         let c = SessionConfig::inspector()
-            .with_live_snapshots(3)
             .with_ingest_threads(2)
             .with_decode_online(true)
             .with_spill_threshold(128)
             .with_spill_dir("/tmp/spill");
         assert_eq!(c.mode, ExecutionMode::Inspector);
-        assert!(c.live_snapshots);
-        assert_eq!(c.snapshot_slots, 3);
         assert_eq!(c.ingest_threads, 2);
         assert!(c.decode_online);
         assert_eq!(c.spill_threshold, 128);

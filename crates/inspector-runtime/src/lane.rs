@@ -429,20 +429,14 @@ mod tests {
     #[test]
     fn a_barrier_to_a_parked_worker_is_acknowledged() {
         watchdog(|| {
-            let session = InspectorSession::new(
-                SessionConfig::inspector()
-                    .with_ingest_threads(2)
-                    .with_live_snapshots(2),
-            );
+            let session = InspectorSession::new(SessionConfig::inspector().with_ingest_threads(2));
             let monitor = session.live_monitor();
             session.run(|ctx| {
                 boundaries(ctx, 3);
                 // Three messages sit on lane 0 below the threshold; lane 1
                 // has seen none. The snapshot's barrier must get through
                 // both and find all three applied.
-                monitor.take_snapshot();
-                let snapshot = monitor.latest().expect("snapshot stored");
-                assert_eq!(snapshot.cpg.node_count(), 3);
+                assert_eq!(monitor.snapshot().cpg.node_count(), 3);
             });
         });
     }

@@ -36,7 +36,7 @@
 //! the `pt_decode` phase (`RunStats::{decoded_branches, decode_errors,
 //! decode_time, ...}`).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -47,7 +47,7 @@ use inspector_core::graph::Cpg;
 use inspector_core::ids::ThreadId;
 use inspector_core::recorder::{RecorderStats, SyncClockRegistry};
 use inspector_core::sharded::{IngestStats, ShardedCpgBuilder};
-use inspector_core::snapshot::{Snapshot, SnapshotRing};
+use inspector_core::snapshot::Snapshot;
 use inspector_core::subcomputation::SubComputation;
 use inspector_mem::alloc::HeapAllocator;
 use inspector_mem::region::Region;
@@ -365,68 +365,33 @@ fn ingest_loop(rx: LaneReceiver<IngestMsg>, shared: Arc<Shared>, lane: usize) ->
 }
 
 /// Handle for taking consistent snapshots while the traced program runs
-/// (the §VI live-analysis facility). Snapshots are cut directly from the
-/// streaming builder's shard store; without
-/// [`SessionConfig::with_live_snapshots`] the facility is disabled and
-/// snapshots come out empty.
+/// (the §VI live-analysis facility). There is nothing to switch on and
+/// nothing is stored: a snapshot costs nothing until
+/// [`snapshot`](Self::snapshot) is called, and it is cut directly from the
+/// streaming builder's shard store.
 #[derive(Debug, Clone)]
 pub struct LiveMonitor {
     shared: Arc<Shared>,
-    ring: Arc<Mutex<SnapshotRing>>,
 }
 
 impl LiveMonitor {
-    /// Takes a consistent snapshot of the provenance recorded so far and
-    /// stores it in the snapshot ring. Returns the snapshot's sequence
-    /// number.
+    /// A consistent snapshot of the provenance recorded so far.
     ///
-    /// A flush barrier is pushed through the ingest channel first, so the
+    /// A flush barrier is pushed through the ingest lanes first, so the
     /// snapshot contains at least every sub-computation that was flushed
-    /// before this call; the consistent-cut computation then trims whatever
-    /// in-flight suffix would violate causality.
+    /// before this call; the consistent cut then trims whatever in-flight
+    /// suffix would violate causality. The stripe locks are held only while
+    /// the stored nodes are gathered — spilled prefixes are replayed from
+    /// their segments —, and the cut and the edge derivation run on the
+    /// calling thread while ingest goes on.
     ///
-    /// Without [`SessionConfig::with_live_snapshots`] the facility is
-    /// disabled: an empty snapshot is stored, as in the batch design.
-    ///
-    /// Once [`InspectorSession::run`](super::InspectorSession::run) has
-    /// returned, the recorded provenance has been sealed into the
-    /// [`crate::RunReport`] and the shard store is empty; calling this then
-    /// does not overwrite earlier snapshots — it returns the most recent
-    /// stored sequence number instead.
-    pub fn take_snapshot(&self) -> u64 {
-        if !self.shared.config.live_snapshots {
-            return self.ring.lock().take_snapshot(&BTreeMap::new()).sequence;
-        }
+    /// Before [`InspectorSession::run`](super::InspectorSession::run)
+    /// starts, and once it has returned (the recorded provenance is then
+    /// sealed into the [`crate::RunReport`]), the store is empty and so is
+    /// the snapshot.
+    pub fn snapshot(&self) -> Snapshot {
         self.shared.flush_barrier();
-        let ring = Arc::clone(&self.ring);
-        self.shared.builder.with_sequences(|sequences| {
-            let mut ring = ring.lock();
-            // The store-empty check happens under the stripe locks, so a
-            // run sealing concurrently cannot slip an empty store past a
-            // stale "run active" observation: whatever we see here is what
-            // gets snapshotted.
-            if sequences.values().all(|s| s.is_empty()) {
-                if let Some(latest) = ring.latest() {
-                    return latest.sequence;
-                }
-            }
-            ring.take_snapshot(sequences).sequence
-        })
-    }
-
-    /// The most recent snapshot, if any has been taken.
-    pub fn latest(&self) -> Option<Snapshot> {
-        self.ring.lock().latest().cloned()
-    }
-
-    /// Number of snapshots currently held in the ring.
-    pub fn stored(&self) -> usize {
-        self.ring.lock().len()
-    }
-
-    /// Removes and returns the oldest stored snapshot, freeing its slot.
-    pub fn consume_oldest(&self) -> Option<Snapshot> {
-        self.ring.lock().consume_oldest()
+        self.shared.builder.snapshot()
     }
 }
 
@@ -486,7 +451,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[derive(Debug)]
 pub struct InspectorSession {
     shared: Arc<Shared>,
-    monitor_ring: Arc<Mutex<SnapshotRing>>,
 }
 
 impl InspectorSession {
@@ -497,7 +461,6 @@ impl InspectorSession {
         let allocator = HeapAllocator::new(heap_region);
         let cgroup = Arc::new(Cgroup::new("inspector"));
         let perf = TraceSession::new(cgroup);
-        let slots = config.snapshot_slots.max(1);
         let builder = Arc::new(ShardedCpgBuilder::with_shards_and_spill(
             CPG_SHARDS,
             spill_settings_for(&config),
@@ -514,10 +477,7 @@ impl InspectorSession {
             spawned_threads: AtomicU64::new(0),
             ingest_tx: Mutex::new(None),
         });
-        InspectorSession {
-            shared,
-            monitor_ring: Arc::new(Mutex::new(SnapshotRing::new(slots))),
-        }
+        InspectorSession { shared }
     }
 
     /// The session configuration.
@@ -585,11 +545,11 @@ impl InspectorSession {
     }
 
     /// Returns a handle that can take consistent live snapshots from another
-    /// (monitoring) thread while [`run`](Self::run) is executing.
+    /// (monitoring) thread while [`run`](Self::run) is executing. A run
+    /// nobody snapshots pays nothing for it; there is no setting to enable.
     pub fn live_monitor(&self) -> LiveMonitor {
         LiveMonitor {
             shared: Arc::clone(&self.shared),
-            ring: Arc::clone(&self.monitor_ring),
         }
     }
 
@@ -1090,32 +1050,30 @@ mod tests {
 
     #[test]
     fn live_monitor_takes_consistent_snapshots() {
-        let session = InspectorSession::new(SessionConfig::inspector().with_live_snapshots(4));
+        let session = InspectorSession::new(SessionConfig::inspector());
         let region = session.map_region("data", 4096);
         let monitor = session.live_monitor();
         let lock = Arc::new(InspMutex::new());
+        let mut snap = None;
         let _report = session.run(|ctx| {
             for i in 0..20 {
                 lock.lock(ctx);
                 ctx.write_u64(region.base(), i);
                 lock.unlock(ctx);
                 if i == 10 {
-                    monitor.take_snapshot();
+                    snap = Some(monitor.snapshot());
                 }
             }
         });
-        assert_eq!(monitor.stored(), 1);
-        let snap = monitor.latest().expect("snapshot taken");
+        let snap = snap.expect("snapshot taken");
         assert!(snap.cpg.node_count() > 0);
+        assert_eq!(snap.cut.len(), snap.cpg.node_count());
         assert!(snap.cpg.validate().is_ok());
         // After run() the provenance is sealed into the report; a late
-        // take_snapshot must not shadow the real snapshot with an empty one.
-        let late_sequence = monitor.take_snapshot();
-        assert_eq!(late_sequence, snap.sequence);
-        assert_eq!(monitor.stored(), 1);
-        assert!(monitor.latest().expect("still stored").cpg.node_count() > 0);
-        assert!(monitor.consume_oldest().is_some());
-        assert_eq!(monitor.stored(), 0);
+        // snapshot is empty, not a panic.
+        let late = monitor.snapshot();
+        assert!(late.cut.is_empty());
+        assert_eq!(late.cpg.node_count(), 0);
     }
 
     #[test]

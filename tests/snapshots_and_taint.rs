@@ -1,65 +1,162 @@
 //! Integration tests for the live-snapshot facility (§VI) and the DIFT /
 //! NUMA case studies (§VIII) across crate boundaries.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
+use inspector::core::graph::CpgBuilder;
+use inspector::core::snapshot::Snapshot;
+use inspector::core::subcomputation::SubComputation;
+use inspector::core::testing::edge_fingerprint;
 use inspector::prelude::*;
+
+/// Outside a run — before it starts, after its seal — the store is empty,
+/// and so is a snapshot of it.
+fn assert_empty(snapshot: Snapshot) {
+    assert!(snapshot.cut.is_empty());
+    assert_eq!(snapshot.cpg.node_count(), 0);
+    snapshot.cpg.validate().expect("an empty graph is valid");
+}
+
+/// A snapshot is a valid graph over a consistent cut of the run that
+/// produced `sealed`: each thread's sequence is a prefix of the sealed
+/// graph's, node for node, and its edges are the batch oracle's over that
+/// cut (the same oracle `tests/crash_recovery.rs` holds recovery to).
+fn assert_prefix_of(snapshot: &Snapshot, sealed: &Cpg) {
+    snapshot.cpg.validate().expect("consistent snapshot");
+    assert_eq!(snapshot.cut.len(), snapshot.cpg.node_count());
+    let mut oracle = CpgBuilder::new();
+    for (&thread, &kept) in &snapshot.cut.frontier {
+        let ids = snapshot.cpg.thread_sequence(thread);
+        assert_eq!(
+            ids,
+            sealed.thread_sequence(thread)[..kept],
+            "thread {thread}"
+        );
+        for id in &ids {
+            assert_eq!(snapshot.cpg.node(*id), sealed.node(*id), "node {id:?}");
+        }
+        let prefix: Vec<SubComputation> = ids
+            .iter()
+            .map(|id| sealed.node(*id).expect("sealed node").clone())
+            .collect();
+        oracle.add_thread(prefix);
+    }
+    assert_eq!(
+        edge_fingerprint(&snapshot.cpg),
+        edge_fingerprint(&oracle.build())
+    );
+}
 
 #[test]
 fn live_snapshots_are_consistent_and_bounded() {
-    let session = InspectorSession::new(SessionConfig::inspector().with_live_snapshots(2));
+    // Two programs: lock-protected updates of one word, and a loop of
+    // releases on fresh sync objects. Every mid-run snapshot is a valid
+    // graph bounded by the run — a prefix of the sealed graph — and a later
+    // snapshot never holds less than an earlier one.
+    let session = InspectorSession::new(SessionConfig::inspector());
     let data = session.map_region("data", 4096).base();
     let monitor = session.live_monitor();
-    let monitor_for_run = monitor.clone();
     let lock = Arc::new(InspMutex::new());
-
-    let _report = session.run(move |ctx| {
+    assert_empty(monitor.snapshot());
+    let mut locked = Vec::new();
+    let locked_report = session.run(|ctx| {
         for i in 0..32u64 {
             lock.lock(ctx);
             let v = ctx.read_u64(data);
             ctx.write_u64(data, v + i);
             lock.unlock(ctx);
             if i % 8 == 7 {
-                monitor_for_run.take_snapshot();
+                locked.push(monitor.snapshot());
             }
         }
     });
-
-    // Four snapshots into two slots: the ring stays bounded and every stored
-    // snapshot satisfies the consistency invariants.
-    assert_eq!(monitor.stored(), 2);
-    while let Some(snapshot) = monitor.consume_oldest() {
-        snapshot.cpg.validate().expect("consistent snapshot");
-    }
-}
-
-#[test]
-fn snapshot_ring_overwrites_but_latest_is_usable() {
-    let session = InspectorSession::new(SessionConfig::inspector().with_live_snapshots(2));
-    let data = session.map_region("data", 8).base();
-    let monitor = session.live_monitor();
-    let monitor_for_run = monitor.clone();
-
-    let _report = session.run(move |ctx| {
+    assert_empty(monitor.snapshot());
+    let mut released = Vec::new();
+    let released_report = session.run(|ctx| {
         for i in 0..50u64 {
             let obj = inspector::runtime::ctx::fresh_sync_id();
             ctx.write_u64(data, i);
             ctx.sync_boundary(obj, inspector::core::event::SyncKind::Release);
             if i % 10 == 9 {
-                monitor_for_run.take_snapshot();
+                released.push(monitor.snapshot());
             }
         }
     });
 
-    // Five snapshots were taken into a two-slot ring: three were overwritten.
-    assert_eq!(monitor.stored(), 2);
-    let latest = monitor.latest().expect("latest snapshot");
-    latest.cpg.validate().expect("snapshot CPG is valid");
-    assert!(latest.cpg.node_count() > 0);
-    // Consuming frees slots.
-    assert!(monitor.consume_oldest().is_some());
-    assert!(monitor.consume_oldest().is_some());
-    assert!(monitor.consume_oldest().is_none());
+    assert_empty(monitor.snapshot());
+
+    for (snapshots, report) in [(locked, locked_report), (released, released_report)] {
+        assert!(snapshots[0].cpg.node_count() > 0);
+        for snapshot in &snapshots {
+            assert_prefix_of(snapshot, &report.cpg);
+        }
+        for pair in snapshots.windows(2) {
+            assert!(pair[0].cut.len() <= pair[1].cut.len());
+        }
+    }
+}
+
+#[test]
+fn concurrent_snapshots_are_prefixes_of_the_sealed_graph() {
+    // A monitor thread snapshots while four application threads contend on
+    // one lock, two ingest workers drain the lanes and every retired node
+    // spills at once: each snapshot gathers a moving store and must still
+    // be a consistent prefix of the graph the run seals.
+    let session = InspectorSession::new(
+        SessionConfig::inspector()
+            .with_ingest_threads(2)
+            .with_spill_threshold(1),
+    );
+    let data = session.map_region("data", 4096).base();
+    let monitor = session.live_monitor();
+    let lock = Arc::new(InspMutex::new());
+    let mut snapshots = Vec::new();
+
+    let report = session.run(|ctx| {
+        let done = Arc::new(AtomicBool::new(false));
+        let watcher = {
+            let done = Arc::clone(&done);
+            let monitor = monitor.clone();
+            std::thread::spawn(move || {
+                let mut taken = Vec::new();
+                while !done.load(Ordering::Acquire) && taken.len() < 64 {
+                    taken.push(monitor.snapshot());
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                taken
+            })
+        };
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                let lock = Arc::clone(&lock);
+                ctx.spawn(move |ctx| {
+                    for i in 0..48u64 {
+                        lock.lock(ctx);
+                        let v = ctx.read_u64(data);
+                        ctx.write_u64(data, v + i);
+                        lock.unlock(ctx);
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            ctx.join(worker);
+        }
+        done.store(true, Ordering::Release);
+        snapshots = watcher.join().expect("monitor thread");
+        // Every worker has been joined: a snapshot now holds their work.
+        snapshots.push(monitor.snapshot());
+    });
+
+    assert!(report.stats.spilled_subs > 0, "{:?}", report.stats);
+    assert!(!report.stats.degraded, "{:?}", report.stats);
+    let last = snapshots.last().expect("final snapshot");
+    assert!(last.cpg.threads().len() > 4, "{:?}", last.cut);
+    for snapshot in &snapshots {
+        assert_prefix_of(snapshot, &report.cpg);
+    }
 }
 
 #[test]
@@ -68,30 +165,26 @@ fn live_snapshots_fault_spilled_nodes_back_in() {
     // recorded history has left memory. The snapshot must still cover it —
     // spilled nodes are faulted back in from the segment files
     // transparently — and stay a consistent, valid cut.
-    let session = InspectorSession::new(
-        SessionConfig::inspector()
-            .with_live_snapshots(2)
-            .with_spill_threshold(1),
-    );
+    let session = InspectorSession::new(SessionConfig::inspector().with_spill_threshold(1));
     let data = session.map_region("data", 4096).base();
     let monitor = session.live_monitor();
-    let monitor_for_run = monitor.clone();
     let lock = Arc::new(InspMutex::new());
+    let mut snapshot = None;
 
-    let report = session.run(move |ctx| {
+    let report = session.run(|ctx| {
         for i in 0..32u64 {
             lock.lock(ctx);
             let v = ctx.read_u64(data);
             ctx.write_u64(data, v + i);
             lock.unlock(ctx);
             if i == 31 {
-                monitor_for_run.take_snapshot();
+                snapshot = Some(monitor.snapshot());
             }
         }
     });
 
     assert!(report.stats.spilled_subs > 0, "{:?}", report.stats);
-    let snapshot = monitor.latest().expect("snapshot taken");
+    let snapshot = snapshot.expect("snapshot taken");
     snapshot.cpg.validate().expect("consistent snapshot");
     // The snapshot was cut after the last write: it must reach deep into
     // the spilled history, far beyond the resident window.
@@ -107,6 +200,8 @@ fn live_snapshots_fault_spilled_nodes_back_in() {
         let seq = snapshot.cpg.thread_sequence(thread);
         assert_eq!(seq.first().map(|id| id.alpha), Some(0), "thread {thread}");
     }
+    // The seal drained the spill store too.
+    assert_empty(monitor.snapshot());
 }
 
 #[test]
@@ -115,19 +210,15 @@ fn taint_propagates_through_a_spill_active_snapshot() {
     // policy over the snapshot's CPG: the flow from the tainted input page
     // to the derived page crosses sub-computations that were spilled and
     // faulted back in.
-    let session = InspectorSession::new(
-        SessionConfig::inspector()
-            .with_live_snapshots(2)
-            .with_spill_threshold(1),
-    );
+    let session = InspectorSession::new(SessionConfig::inspector().with_spill_threshold(1));
     let secret = session.map_input("secret.bin", &[5u8; 4096]);
     let secret_base = secret.base();
     let secret_pages = secret.page_count() as u64;
     let derived = session.map_region("derived", 8).base();
     let monitor = session.live_monitor();
-    let monitor_for_run = monitor.clone();
+    let mut snapshot = None;
 
-    let report = session.run(move |ctx| {
+    let report = session.run(|ctx| {
         let mut acc = 0u64;
         for i in 0..64 {
             acc += ctx.read_u8(secret_base.add(i)) as u64;
@@ -139,11 +230,11 @@ fn taint_propagates_through_a_spill_active_snapshot() {
             let obj = inspector::runtime::ctx::fresh_sync_id();
             ctx.sync_boundary(obj, inspector::core::event::SyncKind::Release);
         }
-        monitor_for_run.take_snapshot();
+        snapshot = Some(monitor.snapshot());
     });
     assert!(report.stats.spilled_subs > 0, "{:?}", report.stats);
 
-    let snapshot = monitor.latest().expect("snapshot taken");
+    let snapshot = snapshot.expect("snapshot taken");
     snapshot.cpg.validate().expect("consistent snapshot");
     let mut tracker = TaintTracker::new().with_control_flow(true);
     tracker.taint_page_range(
