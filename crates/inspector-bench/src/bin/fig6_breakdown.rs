@@ -16,14 +16,21 @@ fn main() {
     eprintln!("running figure 6 (size={size:?}, threads={threads}, repeats={repeats}) ...");
     let rows = figure6(size, threads, repeats);
     print_figure6(&rows, threads);
-    // The decode-online cross-check is the end-to-end correctness gate for
-    // the decode stage: every workload's decoded branch count must equal
-    // the recorder's own count on lossless runs. A run whose trace gapped
-    // (a tiny AUX ring) has no exact expected count: its loss is accounted
-    // in the `gaps`/`lost_bytes` columns instead, and the degraded bit must
-    // be set — degradation is never silent. `tests/end_to_end.rs` holds the
-    // same invariant under decode, spill and fault configurations.
+    // The post-run cross-check is the end-to-end correctness gate for the
+    // PT stream: every workload's decoded branch count must equal the
+    // recorder's own count on lossless runs. A run whose trace gapped (a
+    // tiny AUX ring) has no exact expected count: its loss is accounted in
+    // the `gaps`/`lost_bytes` columns instead, and the degraded bit must be
+    // set — degradation is never silent. `tests/end_to_end.rs` holds the
+    // same invariant under spill and fault configurations.
     for r in &rows {
+        if !r.degraded {
+            assert_eq!(
+                r.decoded_branches, r.pt_branches,
+                "decoded branches differ from recorded ones in {}: {r:?}",
+                r.name
+            );
+        }
         if r.gaps == 0 && r.lost_bytes == 0 {
             assert_eq!(r.decode_errors, 0, "decode errors in {}: {r:?}", r.name);
             assert_eq!(

@@ -91,21 +91,22 @@ pub struct Fig6Row {
     /// busiest ingest worker plus the seal — that the overlap could not
     /// hide).
     pub graph: f64,
-    /// Share attributed to online PT decoding (the `pt_decode` phase).
-    /// Zero unless the run set `decode_online`.
+    /// Share attributed to the post-run PT decode (the `pt_decode` phase).
     pub pt_decode: f64,
     /// Share attributed to the spill stage (`spill` phase). Zero unless the
     /// run set `spill_threshold`.
     pub spill: f64,
     /// Sub-computations the spill stage moved to disk (0 with spilling off).
     pub spilled_subs: u64,
-    /// Branch events the decode stage recovered from the packet stream
-    /// (0 when decoding offline).
+    /// Branches the PT encoder recorded (`RunStats::pt.branches`).
+    pub pt_branches: u64,
+    /// Branch events the post-run decode recovered from the packet stream
+    /// (equal to `pt_branches` on an undegraded run).
     pub decoded_branches: u64,
     /// Decode errors the streaming decoders reported (must be 0).
     pub decode_errors: u64,
     /// Lossless runs where the decoded branch count disagreed with the
-    /// recorder's own count (must be 0 — the decode-online cross-check).
+    /// recorder's own count (must be 0 — the post-run cross-check).
     pub decode_mismatches: u64,
     /// AUX overflow episodes across the run's threads (0 on healthy runs;
     /// nonzero under tiny rings or a `FaultPlan::overflow_bytes` plan).
@@ -143,6 +144,7 @@ pub fn figure6(size: InputSize, threads: usize, repeats: usize) -> Vec<Fig6Row> 
                 pt_decode: b.decode_overhead,
                 spill: b.spill_overhead,
                 spilled_subs: m.report.stats.spilled_subs,
+                pt_branches: m.report.stats.pt.branches,
                 decoded_branches: m.report.stats.decoded_branches,
                 decode_errors: m.report.stats.decode_errors,
                 decode_mismatches: m.report.stats.decode_mismatches,
@@ -184,15 +186,13 @@ pub fn print_figure6(rows: &[Fig6Row], threads: usize) {
             r.ingest_workers
         );
     }
-    if rows.iter().any(|r| r.decoded_branches > 0) {
-        let decoded: u64 = rows.iter().map(|r| r.decoded_branches).sum();
-        let errors: u64 = rows.iter().map(|r| r.decode_errors).sum();
-        let mismatches: u64 = rows.iter().map(|r| r.decode_mismatches).sum();
-        println!(
-            "online decode: {decoded} branches recovered, {errors} decode errors, \
-             {mismatches} cross-check mismatches"
-        );
-    }
+    let decoded: u64 = rows.iter().map(|r| r.decoded_branches).sum();
+    let errors: u64 = rows.iter().map(|r| r.decode_errors).sum();
+    let mismatches: u64 = rows.iter().map(|r| r.decode_mismatches).sum();
+    println!(
+        "post-run decode: {decoded} branches recovered, {errors} decode errors, \
+         {mismatches} cross-check mismatches"
+    );
     if rows.iter().any(|r| r.spilled_subs > 0) {
         let spilled: u64 = rows.iter().map(|r| r.spilled_subs).sum();
         println!("spill stage: {spilled} sub-computations moved to disk during the runs");
@@ -419,9 +419,8 @@ mod tests {
             );
             assert!(r.graph_overlap >= 1.0, "{:?}", r);
             assert!(r.ingest_workers >= 1, "{:?}", r);
-            // The presets leave the decode stage off, so this is the
-            // invariant's default arm; `tests/end_to_end.rs` runs it with
-            // decode, spill and injected faults on.
+            // The presets' arm of the invariant; `tests/end_to_end.rs` runs
+            // it with spill and injected faults on too.
             if r.gaps == 0 && r.lost_bytes == 0 {
                 assert_eq!(r.decode_errors, 0, "{:?}", r);
                 assert_eq!(r.decode_mismatches, 0, "{:?}", r);
@@ -498,6 +497,7 @@ mod tests {
                 pt_decode: 0.05,
                 spill: 0.02,
                 spilled_subs: 17,
+                pt_branches: 1234,
                 decoded_branches: 1234,
                 decode_errors: 0,
                 decode_mismatches: 0,

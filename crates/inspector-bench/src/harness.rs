@@ -117,8 +117,8 @@ pub fn size_from_env(default: InputSize) -> InputSize {
 /// them.
 pub fn pipeline_knobs_label(config: &SessionConfig) -> String {
     format!(
-        "ingest_threads={} decode_online={} spill_threshold={}",
-        config.ingest_threads, config.decode_online as u8, config.spill_threshold
+        "ingest_threads={} spill_threshold={}",
+        config.ingest_threads, config.spill_threshold
     )
 }
 

@@ -132,6 +132,14 @@ impl TraceSession {
         out
     }
 
+    /// Lends `pid`'s AUX log — the process's PT packet stream as submitted,
+    /// empty when it submitted none — to `f`, without copying it. The
+    /// session is locked while `f` runs.
+    pub fn with_aux_log<R>(&self, pid: ProcessId, f: impl FnOnce(&[u8]) -> R) -> R {
+        let st = self.state.lock();
+        f(st.aux.get(&pid).map_or(&[], Vec::as_slice))
+    }
+
     /// Recorded executable mappings (for IP-to-binary resolution).
     pub fn mmaps(&self) -> Vec<(ProcessId, u64, u64, String)> {
         self.state.lock().mmaps.clone()
@@ -203,6 +211,8 @@ mod tests {
         });
         assert_eq!(s.full_log(), vec![1, 2, 3]);
         assert_eq!(s.stats().aux_records, 2);
+        assert_eq!(s.with_aux_log(ProcessId(1), <[u8]>::to_vec), vec![1, 2, 3]);
+        assert!(s.with_aux_log(ProcessId(7), <[u8]>::is_empty));
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //!   packet is.
 //! * [`stream::StreamingDecoder`] is the **carrier** over it — a carry
 //!   buffer around `PacketDecoder::next_packet` — and the one decoder the
-//!   runtime's ingest workers and post-mortem log decoding run. It has one
+//!   runtime's post-run check and post-mortem log decoding run. It has one
 //!   mode: every push decodes all complete packets and adds to its
 //!   counters once per packet, from one per-packet function beside
 //!   `packet_events`; a caller that wants the events passes a sink

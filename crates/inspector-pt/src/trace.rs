@@ -190,8 +190,8 @@ impl ThreadTrace {
     /// differ, since a drain forces pending TNT bits into a packet early).
     ///
     /// A drained chunk never ends mid-packet (see the module docs), so a
-    /// per-chunk consumer (the online decode stage) never carries a partial
-    /// packet from one drain to the next.
+    /// per-chunk consumer never carries a partial packet from one drain to
+    /// the next.
     pub fn drain_collected(&mut self) -> Vec<u8> {
         // The chunk is copied out at its exact size and the log keeps its
         // buffer, so the flushes in between allocate nothing.

@@ -11,7 +11,6 @@
 //! | `aux_capacity` | 4 MiB | the tiny-ring overflow tests (`tests/fault_tolerance.rs`, session tests) |
 //! | `charge_spawn_cost` | on | the spawn-cost ablation in `benches/figures.rs` |
 //! | `ingest_threads` | `min(4, cores)` | every benchmark session (`1`); the equivalence and fault suites sweep 1–4 |
-//! | `decode_online` | off | the Figure 6 `pt_decode` column; `tests/streaming_decode.rs` and the session sweeps |
 //! | `spill_threshold`, `spill_dir`, `spill_durability`, `spill_retain` | off, temp dir, `None`, off | the benchmark's `fault_commit_spill` sets all four; `tests/crash_recovery.rs` sweeps durability |
 //! | `fault_plan` | empty | `tests/fault_tolerance.rs`, `tests/crash_recovery.rs`, `examples/recover.rs` |
 //!
@@ -51,10 +50,11 @@ pub enum ExecutionMode {
 /// instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultPlan {
-    /// XOR-flip the byte at this 1-based cumulative offset of every
-    /// thread's AUX stream as it enters the online decoder, modelling
-    /// in-flight trace corruption. The decoder reports a decode error and
-    /// the thread's cross-check degrades instead of asserting.
+    /// XOR-flip the byte at this 1-based offset of every thread's AUX
+    /// stream where the post-run check decodes it, modelling trace
+    /// corruption; the perf log itself is left intact. The flip surfaces as
+    /// a decode error or a branch-count mismatch — or, when it lands on a
+    /// payload bit the grammar cannot see, as nothing.
     pub corrupt_aux_at: u64,
     /// Inject one AUX overflow episode of this many lost bytes into each
     /// thread's trace right after its start header, before its first
@@ -110,14 +110,6 @@ pub struct SessionConfig {
     /// the streaming builder relies on. Defaults to
     /// `min(4, available_parallelism)`.
     pub ingest_threads: usize,
-    /// Decode PT packets back into branch events **while the program runs**:
-    /// AUX chunks are routed through the ingest lanes to per-thread
-    /// streaming decoders on the pool workers, which cross-check the
-    /// decoded branch counts against the recorder and attribute the cost as
-    /// the `pt_decode` phase (`RunStats::{decoded_branches, decode_errors,
-    /// decode_time}`). Off by default; the chunks still reach the perf
-    /// session either way.
-    pub decode_online: bool,
     /// Spill the streaming CPG build's resident sub-computations to disk
     /// once a shard holds this many, bounding
     /// peak memory to the active window for long runs (§VI). `0` (the
@@ -168,7 +160,6 @@ impl SessionConfig {
             aux_capacity: 4 << 20,
             charge_spawn_cost: true,
             ingest_threads: default_ingest_threads(),
-            decode_online: false,
             spill_threshold: 0,
             spill_dir: None,
             spill_durability: SpillDurability::None,
@@ -188,12 +179,6 @@ impl SessionConfig {
     /// Returns a copy with the given ingest-pool width (clamped to ≥ 1).
     pub fn with_ingest_threads(mut self, workers: usize) -> Self {
         self.ingest_threads = workers.max(1);
-        self
-    }
-
-    /// Returns a copy with online PT decoding switched on or off.
-    pub fn with_decode_online(mut self, on: bool) -> Self {
-        self.decode_online = on;
         self
     }
 
@@ -252,21 +237,17 @@ mod tests {
     fn builders_apply() {
         let c = SessionConfig::inspector()
             .with_ingest_threads(2)
-            .with_decode_online(true)
             .with_spill_threshold(128)
             .with_spill_dir("/tmp/spill");
         assert_eq!(c.mode, ExecutionMode::Inspector);
         assert_eq!(c.ingest_threads, 2);
-        assert!(c.decode_online);
         assert_eq!(c.spill_threshold, 128);
         assert_eq!(c.spill_dir, Some(PathBuf::from("/tmp/spill")));
     }
 
     #[test]
-    fn online_decode_spill_and_faults_default_off() {
+    fn spill_and_faults_default_off() {
         let c = SessionConfig::inspector();
-        assert!(!c.decode_online);
-        assert!(!SessionConfig::native().decode_online);
         assert_eq!(c.spill_threshold, 0);
         assert_eq!(c.spill_dir, None);
         assert_eq!(c.spill_durability, SpillDurability::None);

@@ -254,6 +254,8 @@ impl ThreadCtx {
     ///
     /// Panics if the shared heap is exhausted.
     pub fn alloc(&mut self, size: u64) -> VirtAddr {
+        // The shim returns an address, not an `Option`: as with a `malloc`
+        // whose null is never checked, exhaustion can only end the run.
         self.shared
             .allocator
             .alloc(size)
@@ -363,60 +365,21 @@ impl ThreadCtx {
         }
     }
 
-    /// Hands the PT packet bytes collected since the last flush to their
-    /// consumer, so AUX data is consumed while the thread runs instead of
-    /// in one lump at teardown. On the direct route the perf session copies
-    /// the chunk straight out of the trace's own log; only the online-decode
-    /// route, whose consumer is another thread, takes an owned copy.
+    /// Hands the PT packet bytes collected since the last flush to the perf
+    /// session, so AUX data is consumed while the thread runs instead of in
+    /// one lump at teardown. The session copies the chunk straight out of
+    /// the trace's own log.
     fn flush_trace(&mut self) {
         let Some(trace) = self.trace.as_mut() else {
             return;
         };
         trace.flush();
-        if self.ingest.is_some() && self.shared.config.decode_online {
-            let chunk = trace.drain_collected();
+        let (perf, pid) = (&self.shared.perf, self.pid);
+        trace.drain_collected_with(|chunk| {
             if !chunk.is_empty() {
-                self.submit_aux(chunk);
+                perf.submit_aux(pid, chunk);
             }
-        } else {
-            let (perf, pid) = (&self.shared.perf, self.pid);
-            trace.drain_collected_with(|chunk| {
-                if !chunk.is_empty() {
-                    perf.submit_aux(pid, chunk);
-                }
-            });
-        }
-    }
-
-    /// Routes one owned AUX chunk to its consumer. With online decoding off
-    /// the chunk goes straight into the perf session; with it on, the chunk
-    /// travels this thread's ingest lane instead, so the pool worker runs
-    /// it through the thread's streaming decoder **in recording order**
-    /// (the lane is the same FIFO that carries the sub-computations) and
-    /// forwards the bytes to the perf session afterwards.
-    fn submit_aux(&mut self, data: Vec<u8>) {
-        let data = match &self.ingest {
-            Some(tx) if self.shared.config.decode_online => {
-                let msg = IngestMsg::Aux {
-                    thread: self.thread,
-                    pid: self.pid,
-                    data,
-                };
-                match tx.send(msg) {
-                    Ok(()) => return,
-                    // The run is already over (receiver gone): take the
-                    // bytes back out of the rejected message and fall
-                    // through to the direct path so late AUX data is still
-                    // accounted, as before online decoding existed.
-                    Err(std::sync::mpsc::SendError(IngestMsg::Aux { data, .. })) => data,
-                    // `send` hands back the `Aux` it was given; any other
-                    // message would carry no AUX bytes to account.
-                    Err(_) => return,
-                }
-            }
-            _ => data,
-        };
-        self.shared.perf.submit_aux(self.pid, &data);
+        });
     }
 
     // ----- thread management -------------------------------------------------
@@ -466,6 +429,8 @@ impl ThreadCtx {
     ///
     /// Panics if the worker panicked.
     pub fn join(&mut self, handle: JoinHandle) {
+        // Re-raises the worker's panic in the joiner, as documented: a join
+        // that returned would order a thread that never finished before it.
         handle
             .os_handle
             .join()
@@ -500,10 +465,7 @@ impl ThreadCtx {
             None => (Vec::new(), Default::default()),
         };
         if mode == ExecutionMode::Inspector && !tail.is_empty() {
-            // The tail takes the same route as every other chunk; it lands
-            // on this thread's lane *before* the Done message below, so the
-            // decode stage sees the complete stream when it cross-checks.
-            self.submit_aux(tail);
+            self.shared.perf.submit_aux(self.pid, &tail);
         }
         let last = self.recorder.retire_at_exit();
         if mode == ExecutionMode::Inspector {
@@ -517,6 +479,7 @@ impl ThreadCtx {
             // backlog would ever wake the worker for it.
             let _ = tx.send_urgent(IngestMsg::Done(ThreadDone {
                 thread: self.thread,
+                pid: self.pid,
                 mem: mem_stats,
                 pt: pt_stats,
                 recorder: recorder_stats,

@@ -51,12 +51,12 @@
 //! construction; the equivalence suite in `tests/streaming_equivalence.rs`
 //! checks it.
 //!
-//! With [`SessionConfig::decode_online`] the AUX chunks also travel the
-//! ingest lanes, and each pool worker decodes its threads' PT packets back
-//! into branch events
-//! **while the program runs** ([`inspector_pt::stream::StreamingDecoder`]),
-//! cross-checking the decoded branch counts against the recorder; the cost
-//! appears as the `pt_decode` phase of the Figure 6 breakdown.
+//! The PT stream is decoded after the run, as `perf record`'s log is
+//! (§V-B): once the pool is joined and before the seal, every Inspector run
+//! decodes each thread's log from the perf session
+//! ([`inspector_pt::stream::StreamingDecoder`]) and cross-checks its branch
+//! count against the thread's recorder; the cost appears as the
+//! `pt_decode` phase of the Figure 6 breakdown.
 //!
 //! # Degraded mode and loss accounting
 //!

@@ -40,26 +40,24 @@ pub struct RunStats {
     pub graph_ingest_cpu_time: Duration,
     /// Number of ingest-pool workers that drained the provenance channel.
     pub ingest_workers: usize,
-    /// Branch events decoded back out of the PT packet stream by the online
-    /// decode stage (conditional + indirect; trace start/stop markers and
+    /// Branch events decoded back out of the threads' PT logs by the
+    /// post-run check (conditional + indirect; trace start/stop markers and
     /// overflow gaps excluded, so the number is directly comparable to
-    /// `pt.branches`). Zero when [`SessionConfig::decode_online`] is off.
-    ///
-    /// [`SessionConfig::decode_online`]: crate::SessionConfig::decode_online
+    /// `pt.branches`). Every Inspector run decodes every thread that
+    /// reported; a native run decodes nothing.
     pub decoded_branches: u64,
     /// Decode errors the streaming decoders reported (unknown packets,
     /// truncated tails). Zero on a healthy run.
     pub decode_errors: u64,
     /// Threads whose clean decode (no errors, no AUX loss) still disagreed
-    /// with the recorder's branch count — the online control-flow
-    /// cross-check. Zero unless the encoder and recorder diverge.
+    /// with the recorder's branch count — the control-flow cross-check.
+    /// Zero unless the encoder and recorder diverge.
     pub decode_mismatches: u64,
-    /// AUX payload bytes pushed through the online decoders.
+    /// PT log bytes the post-run check decoded.
     pub decode_bytes: u64,
-    /// CPU time of the online decode stage, summed across ingest workers
-    /// (the `pt_decode` phase). Like graph ingestion it is overlapped with
-    /// application execution; attributing it separately lets Figure 6 show
-    /// what decode-while-running costs.
+    /// Time the post-run check spent decoding (the `pt_decode` phase). It
+    /// runs on the caller after the ingest pool is joined, one thread's log
+    /// after another, before the seal.
     pub decode_time: Duration,
     /// Always 0: the streaming builder keeps no release or page-write index
     /// any more, so there is nothing to collect. Kept only because the
@@ -96,7 +94,7 @@ pub struct RunStats {
     /// AUX payload bytes the producer dropped across all overflow
     /// episodes (the size of the lost windows).
     pub lost_bytes: u64,
-    /// Threads whose online decode cross-check was *skipped* because the
+    /// Threads whose decode cross-check was *skipped* because the
     /// stream was degraded (decode errors or AUX loss) rather than
     /// asserted. Healthy threads still hard-verify; this counts the ones
     /// that could not be.
@@ -140,9 +138,8 @@ impl RunStats {
         self.graph_ingest_time
     }
 
-    /// Time attributable to online PT decoding (the `pt_decode` phase):
-    /// the ingest workers' summed streaming-decode time. Zero when
-    /// `decode_online` is off.
+    /// Time attributable to PT decoding (the `pt_decode` phase): the
+    /// post-run check's decode time.
     pub fn pt_decode_time(&self) -> Duration {
         self.decode_time
     }
@@ -188,8 +185,7 @@ pub struct PhaseBreakdown {
     pub pt_overhead: f64,
     /// Portion attributed to streaming CPG construction (`graph_ingest`).
     pub graph_overhead: f64,
-    /// Portion attributed to online PT decoding (`pt_decode`). Zero unless
-    /// the run decoded while running.
+    /// Portion attributed to the post-run PT decode (`pt_decode`).
     pub decode_overhead: f64,
     /// Portion attributed to the spill stage (`spill`). Zero unless the run
     /// bounded shard memory via `spill_threshold`.
@@ -210,7 +206,7 @@ impl PhaseBreakdown {
     /// [`PtStats::encode_time`]: inspector_pt::stats::PtStats::encode_time
     ///
     /// Spilling runs *inside* the ingest workers' timed busy loop (unlike
-    /// online decode, which is timed separately), so its time is carved out
+    /// the PT decode, which is timed separately), so its time is carved out
     /// of the graph share rather than added next to it — otherwise the
     /// graph+spill phases would be double-counted against threading/PT.
     /// With a multi-worker pool the carve-out is approximate (`spill_time`
@@ -306,7 +302,7 @@ mod tests {
                 < 1e-9,
             "components must sum to the extra overhead"
         );
-        // Without online decoding the share vanishes and the split is
+        // With no decode time the share vanishes and the split is
         // unchanged from the three-phase behaviour.
         stats.decode_time = Duration::ZERO;
         let b = PhaseBreakdown::split(3.0, &stats);

@@ -27,16 +27,14 @@
 //! (`graph_ingest_time`: the critical-path share the overlap could not
 //! hide), so Figure 6 can report the overlap factor.
 //!
-//! With [`SessionConfig::decode_online`] the lanes additionally carry the
-//! threads' AUX chunks: each worker keeps one
-//! [`StreamingDecoder`] per thread it serves, decodes the PT packets back
-//! into branch events **while the application runs**, cross-checks the
-//! decoded branch count against the recorder when the thread reports done,
-//! and forwards the bytes to the perf session. The cost is attributed as
-//! the `pt_decode` phase (`RunStats::{decoded_branches, decode_errors,
-//! decode_time, ...}`).
+//! The PT packet stream takes no lane: each thread lends its AUX chunks
+//! straight to the perf session. After the pool is joined and before the
+//! seal, every run decodes each reporting thread's log from the perf
+//! session with a [`StreamingDecoder`] and cross-checks the decoded branch
+//! count against that thread's recorder, as `perf record`'s log is decoded
+//! after the run (§V-B). The cost is attributed as the `pt_decode` phase
+//! (`RunStats::{decoded_branches, decode_errors, decode_time, ...}`).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -112,6 +110,9 @@ fn spill_settings_for(config: &SessionConfig) -> Option<inspector_core::spill::S
 #[derive(Debug)]
 pub(crate) struct ThreadDone {
     pub(crate) thread: ThreadId,
+    /// The backing process, whose perf-session log is this thread's PT
+    /// stream.
+    pub(crate) pid: ProcessId,
     pub(crate) mem: MemStats,
     pub(crate) pt: PtStats,
     pub(crate) recorder: RecorderStats,
@@ -124,19 +125,6 @@ pub(crate) enum IngestMsg {
     /// One retired sub-computation, handed off by value — what every
     /// synchronization boundary and every thread exit publishes.
     Sub(SubComputation),
-    /// One AUX chunk, routed through the lane when
-    /// [`SessionConfig::decode_online`] is set: the worker pushes it
-    /// through the producing thread's streaming decoder (the lane's FIFO
-    /// is per-thread recording order) and then forwards the bytes to the
-    /// perf session.
-    Aux {
-        /// The producing thread — the decoder key.
-        thread: ThreadId,
-        /// The backing process — the perf attribution.
-        pid: ProcessId,
-        /// The PT packet bytes.
-        data: Vec<u8>,
-    },
     /// A thread finished; carries its statistics.
     Done(ThreadDone),
     /// Flush barrier: acknowledged once every message queued before it on
@@ -228,34 +216,6 @@ impl Drop for SenderGuard<'_> {
     }
 }
 
-/// Aggregates of one worker's online-decode stage (the `pt_decode` phase).
-#[derive(Debug, Default)]
-pub(crate) struct DecodeAgg {
-    /// Time spent inside the streaming decoders.
-    pub(crate) time: Duration,
-    /// AUX payload bytes decoded.
-    pub(crate) bytes: u64,
-    /// Branch events decoded (conditional + indirect).
-    pub(crate) branches: u64,
-    /// In-band decode errors.
-    pub(crate) errors: u64,
-    /// Threads whose clean decode disagreed with the recorder.
-    pub(crate) mismatches: u64,
-    /// Threads whose cross-check was skipped because their stream was
-    /// degraded (decode errors or AUX loss) — gap-aware accounting, not a
-    /// mismatch.
-    pub(crate) degraded: u64,
-}
-
-impl DecodeAgg {
-    /// Folds one finished per-thread decoder into the aggregate.
-    fn absorb(&mut self, stats: inspector_pt::StreamStats) {
-        self.bytes += stats.bytes_consumed;
-        self.branches += stats.branches;
-        self.errors += stats.errors;
-    }
-}
-
 /// What one pool worker hands back when its lane disconnects.
 pub(crate) struct WorkerOutcome {
     /// Exit statistics of the threads that reported on this lane.
@@ -263,20 +223,13 @@ pub(crate) struct WorkerOutcome {
     /// Time spent applying sub-computations to the sharded builder
     /// (blocking on the empty lane is overlap, not cost).
     pub(crate) busy: Duration,
-    /// Online-decode aggregates (zeroed when `decode_online` is off — no
-    /// Aux messages are routed through the lanes then).
-    pub(crate) decode: DecodeAgg,
 }
 
 /// One pool worker's ingest loop: applies every sub-computation streamed on
-/// its lane to the sharded builder, runs routed AUX chunks through
-/// per-thread streaming decoders (decode-while-running), and collects
-/// per-thread statistics.
+/// its lane to the sharded builder and collects per-thread statistics.
 fn ingest_loop(rx: LaneReceiver<IngestMsg>, shared: Arc<Shared>, lane: usize) -> WorkerOutcome {
     let mut done = Vec::new();
     let mut busy = Duration::ZERO;
-    let mut decode = DecodeAgg::default();
-    let mut decoders: HashMap<ThreadId, StreamingDecoder> = HashMap::new();
     let plan = shared.config.fault_plan;
     // Deterministic worker-death injection: this lane dies on its Nth
     // provenance message. The supervisor in `try_run` catches the unwind;
@@ -285,8 +238,6 @@ fn ingest_loop(rx: LaneReceiver<IngestMsg>, shared: Arc<Shared>, lane: usize) ->
         .then_some(plan.panic_at_batch)
         .filter(|&at| at > 0);
     let mut batches = 0u64;
-    // Per-thread cumulative AUX offsets for the corruption fault.
-    let mut aux_offsets: HashMap<ThreadId, u64> = HashMap::new();
     while let Ok(msg) = rx.recv() {
         match msg {
             IngestMsg::Sub(sub) => {
@@ -298,70 +249,52 @@ fn ingest_loop(rx: LaneReceiver<IngestMsg>, shared: Arc<Shared>, lane: usize) ->
                 shared.builder.ingest(sub);
                 busy += start.elapsed();
             }
-            IngestMsg::Aux {
-                thread,
-                pid,
-                mut data,
-            } => {
-                if plan.corrupt_aux_at > 0 {
-                    // XOR-flip the byte at the armed 1-based cumulative
-                    // offset of this thread's AUX stream — in-flight trace
-                    // corruption, seen by decoder and perf log alike.
-                    let seen = aux_offsets.entry(thread).or_insert(0);
-                    let target = plan.corrupt_aux_at - 1;
-                    if target >= *seen && target - *seen < data.len() as u64 {
-                        data[(target - *seen) as usize] ^= 0xFF;
-                    }
-                    *seen += data.len() as u64;
-                }
-                let data = data;
-                let start = Instant::now();
-                // No sink: the cross-check needs the decoders' counters,
-                // not the event stream.
-                let dec = decoders
-                    .entry(thread)
-                    .or_insert_with(StreamingDecoder::counting_only);
-                dec.push(&data);
-                decode.time += start.elapsed();
-                // Decode borrowed the bytes; the perf session takes them
-                // whole, exactly as the direct (decode-off) path would.
-                shared.perf.submit(PerfEvent::Aux { pid, data });
-            }
-            IngestMsg::Done(stats) => {
-                if let Some(mut dec) = decoders.remove(&stats.thread) {
-                    let start = Instant::now();
-                    dec.finish();
-                    decode.time += start.elapsed();
-                    let s = dec.stats();
-                    // Cross-check: on a loss- and error-free stream the
-                    // decoded branches must equal what the recorder saw.
-                    // With gaps or errors the expected count is unknowable,
-                    // so the check degrades to accounting instead.
-                    if s.errors == 0 && stats.pt.bytes_lost == 0 && stats.pt.gaps == 0 {
-                        if s.branches != stats.pt.branches {
-                            decode.mismatches += 1;
-                        }
-                    } else {
-                        decode.degraded += 1;
-                    }
-                    decode.absorb(s);
-                }
-                done.push(stats);
-            }
+            IngestMsg::Done(stats) => done.push(stats),
             IngestMsg::Barrier(ack) => {
                 let _ = ack.send(());
             }
         }
     }
-    // Threads that never reported Done (the app closure panicked mid-run):
-    // still account their partial decode work, without a cross-check.
-    for (_, mut dec) in decoders {
-        let start = Instant::now();
-        dec.finish();
-        decode.time += start.elapsed();
-        decode.absorb(dec.stats());
+    WorkerOutcome { done, busy }
+}
+
+/// Decodes one thread's PT log as `perf record`'s log is decoded after
+/// the run, and cross-checks it against the thread's recorder.
+///
+/// An armed
+/// [`FaultPlan::corrupt_aux_at`](crate::config::FaultPlan::corrupt_aux_at)
+/// flips its byte on the way in — `log[..t]`, the flipped byte, `log[t+1..]`
+/// — so the perf log itself stays intact.
+fn check_thread_log(log: &[u8], corrupt_aux_at: u64, thread: &ThreadDone, stats: &mut RunStats) {
+    let start = Instant::now();
+    let mut decoder = StreamingDecoder::counting_only();
+    // 64 KiB slices: the decoder copies each pushed slice into its carry
+    // buffer, which would otherwise grow to the whole log.
+    let mut push = |bytes: &[u8]| bytes.chunks(64 << 10).for_each(|s| decoder.push(s));
+    match corrupt_aux_at.checked_sub(1).map(|t| t as usize) {
+        Some(t) if t < log.len() => {
+            push(&log[..t]);
+            push(&[log[t] ^ 0xFF]);
+            push(&log[t + 1..]);
+        }
+        _ => push(log),
     }
-    WorkerOutcome { done, busy, decode }
+    decoder.finish();
+    stats.decode_time += start.elapsed();
+    let s = decoder.stats();
+    // On a loss- and error-free stream the decoded branches must equal what
+    // the recorder saw. With gaps or errors the expected count is
+    // unknowable, so the check degrades to accounting instead.
+    if s.errors == 0 && thread.pt.bytes_lost == 0 && thread.pt.gaps == 0 {
+        if s.branches != thread.pt.branches {
+            stats.decode_mismatches += 1;
+        }
+    } else {
+        stats.decode_degraded += 1;
+    }
+    stats.decoded_branches += s.branches;
+    stats.decode_bytes += s.bytes_consumed;
+    stats.decode_errors += s.errors;
 }
 
 /// Handle for taking consistent snapshots while the traced program runs
@@ -629,6 +562,8 @@ impl InspectorSession {
                             ingest_loop(rx, shared, index)
                         }))
                     })
+                    // Before any app thread exists, so nothing is lost: an
+                    // OS that cannot start one thread cannot start the app.
                     .expect("failed to spawn CPG ingest worker"),
             );
         }
@@ -646,7 +581,6 @@ impl InspectorSession {
         let mut done = Vec::new();
         let mut busy_total = Duration::ZERO;
         let mut busy_max = Duration::ZERO;
-        let mut decode = DecodeAgg::default();
         let mut failures = Vec::new();
         for (lane, worker) in workers.into_iter().enumerate() {
             // Collect every worker's verdict instead of aborting on the
@@ -661,12 +595,6 @@ impl InspectorSession {
                     done.extend(outcome.done);
                     busy_total += outcome.busy;
                     busy_max = busy_max.max(outcome.busy);
-                    decode.time += outcome.decode.time;
-                    decode.bytes += outcome.decode.bytes;
-                    decode.branches += outcome.decode.branches;
-                    decode.errors += outcome.decode.errors;
-                    decode.mismatches += outcome.decode.mismatches;
-                    decode.degraded += outcome.decode.degraded;
                 }
                 Err(payload) => failures.push(WorkerFailure {
                     lane,
@@ -675,15 +603,8 @@ impl InspectorSession {
             }
         }
         let wall_time = start.elapsed();
-        let report = self.assemble_report(
-            wall_time,
-            done,
-            busy_total,
-            busy_max,
-            lanes,
-            decode,
-            failures.len(),
-        );
+        let report =
+            self.assemble_report(wall_time, done, busy_total, busy_max, lanes, failures.len());
         if failures.is_empty() {
             Ok(report)
         } else {
@@ -694,7 +615,6 @@ impl InspectorSession {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn assemble_report(
         &self,
         wall_time: Duration,
@@ -702,7 +622,6 @@ impl InspectorSession {
         ingest_busy_total: Duration,
         ingest_busy_max: Duration,
         ingest_workers: usize,
-        decode: DecodeAgg,
         worker_failures: usize,
     ) -> RunReport {
         done.sort_by_key(|o| o.thread);
@@ -712,12 +631,6 @@ impl InspectorSession {
             graph_ingest_time: ingest_busy_max,
             graph_ingest_cpu_time: ingest_busy_total,
             ingest_workers,
-            decoded_branches: decode.branches,
-            decode_errors: decode.errors,
-            decode_mismatches: decode.mismatches,
-            decode_bytes: decode.bytes,
-            decode_time: decode.time,
-            decode_degraded: decode.degraded,
             worker_failures: worker_failures as u64,
             ..RunStats::default()
         };
@@ -737,6 +650,14 @@ impl InspectorSession {
         stats.gaps = stats.pt.gaps;
         stats.lost_bytes = stats.pt.bytes_lost;
         let cpg = if self.shared.config.mode == ExecutionMode::Inspector {
+            // The PT cross-check of every thread that reported; it runs
+            // before the seal because the forensics test below reads it.
+            let corrupt_aux_at = self.shared.config.fault_plan.corrupt_aux_at;
+            for thread in &done {
+                self.shared.perf.with_aux_log(thread.pid, |log| {
+                    check_thread_log(log, corrupt_aux_at, thread, &mut stats)
+                });
+            }
             // Forensics contract: a run already known to be degraded keeps
             // its spill directory and manifest through the seal, whatever
             // the configured retain policy says — damaged runs are exactly
@@ -1077,12 +998,8 @@ mod tests {
     }
 
     #[test]
-    fn online_decode_cross_checks_the_recorder() {
-        let session = InspectorSession::new(
-            SessionConfig::inspector()
-                .with_decode_online(true)
-                .with_ingest_threads(2),
-        );
+    fn post_run_decode_cross_checks_the_recorder() {
+        let session = InspectorSession::new(SessionConfig::inspector().with_ingest_threads(2));
         let lock = Arc::new(InspMutex::new());
         let report = session.run(|ctx| {
             let lock2 = Arc::clone(&lock);
@@ -1111,26 +1028,11 @@ mod tests {
         assert_eq!(report.stats.decoded_branches, report.stats.pt.branches);
         assert!(report.stats.decode_bytes > 0);
         assert!(report.stats.pt_decode_time() > Duration::ZERO);
-        // The AUX bytes still reached the perf session through the workers.
+        // The check decoded exactly the bytes the perf session holds.
         assert_eq!(
             session.shared.perf.stats().aux_bytes,
             report.stats.decode_bytes
         );
-    }
-
-    #[test]
-    fn decode_off_leaves_decode_counters_zero() {
-        let session = InspectorSession::new(SessionConfig::inspector());
-        let report = session.run(|ctx| {
-            for i in 0..100u64 {
-                ctx.branch(i % 3 == 0);
-            }
-        });
-        assert!(report.stats.pt.branches >= 100);
-        assert_eq!(report.stats.decoded_branches, 0);
-        assert_eq!(report.stats.decode_errors, 0);
-        assert_eq!(report.stats.decode_bytes, 0);
-        assert_eq!(report.stats.decode_time, Duration::ZERO);
     }
 
     #[test]
@@ -1206,11 +1108,7 @@ mod tests {
             overflow_bytes: 512,
             ..FaultPlan::default()
         };
-        let session = InspectorSession::new(
-            SessionConfig::inspector()
-                .with_decode_online(true)
-                .with_fault_plan(plan),
-        );
+        let session = InspectorSession::new(SessionConfig::inspector().with_fault_plan(plan));
         let report = session.run(|ctx| {
             let worker = ctx.spawn(|ctx| {
                 for i in 0..200u64 {
@@ -1322,18 +1220,17 @@ mod tests {
         use crate::config::FaultPlan;
         // Corruption detection is best-effort (a flipped byte may surface as
         // a decode error, a count mismatch, or a silently different branch
-        // target) — the guarantees under test are termination and that the
-        // counters stay internally consistent.
-        for offset in [1u64, 7, 64, 333] {
+        // target) — the guarantees under test are termination, that the
+        // counters stay internally consistent, and that the flips this
+        // stream's grammar can see are seen. The run writes a 114-byte log:
+        // offsets 1 and 7 hit packet headers, 64 a TNT payload the count
+        // survives, and 333 lies past the end, so nothing is flipped.
+        for (offset, expect_detected) in [(1u64, true), (7, true), (64, false), (333, false)] {
             let plan = FaultPlan {
                 corrupt_aux_at: offset,
                 ..FaultPlan::default()
             };
-            let session = InspectorSession::new(
-                SessionConfig::inspector()
-                    .with_decode_online(true)
-                    .with_fault_plan(plan),
-            );
+            let session = InspectorSession::new(SessionConfig::inspector().with_fault_plan(plan));
             let report = session.run(|ctx| {
                 for i in 0..500u64 {
                     ctx.branch(i % 2 == 0);
@@ -1341,7 +1238,10 @@ mod tests {
             });
             assert!(report.cpg.validate().is_ok());
             let s = &report.stats;
-            let detected = s.decode_errors > 0 || s.decode_mismatches > 0;
+            assert_eq!(report.space.log_bytes, 114, "{s:?}");
+            let detected = s.decode_errors + s.decode_mismatches > 0;
+            assert_eq!(detected, expect_detected, "offset {offset}: {s:?}");
+            assert_eq!(s.degraded, detected, "offset {offset}: {s:?}");
             // Undetected corruption must not have disturbed the count: the
             // cross-check either fired or the totals still line up.
             assert!(
@@ -1349,6 +1249,21 @@ mod tests {
                 "undetected count drift at offset {offset}: {s:?}"
             );
         }
+        // The flip is applied where the check reads, not in the perf log.
+        let plan = FaultPlan {
+            corrupt_aux_at: 1,
+            ..FaultPlan::default()
+        };
+        let logs: Vec<Vec<u8>> = [FaultPlan::default(), plan]
+            .into_iter()
+            .map(|plan| {
+                let session =
+                    InspectorSession::new(SessionConfig::inspector().with_fault_plan(plan));
+                session.run(|ctx| ctx.branch(true));
+                session.provenance_log()
+            })
+            .collect();
+        assert_eq!(logs[0], logs[1]);
     }
 
     #[test]

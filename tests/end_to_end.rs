@@ -111,8 +111,8 @@ fn native_and_inspector_compute_identical_results_for_all_workloads() {
     }
 }
 
-/// The pipeline configurations every workload runs under: the preset;
-/// online decode behind a single ingest worker with spilling on; an AUX
+/// The pipeline configurations every workload runs under: the preset; a
+/// single ingest worker with spilling on; an AUX
 /// overflow on every thread plus a spill device that never takes a write;
 /// and a crash that tears the sixth spilled record under the `flush` tier.
 fn pipeline_configurations(spill_dir: &Path) -> [(&'static str, SessionConfig); 4] {
@@ -120,10 +120,9 @@ fn pipeline_configurations(spill_dir: &Path) -> [(&'static str, SessionConfig); 
     [
         ("default", SessionConfig::inspector()),
         (
-            "decode+spill",
+            "spill",
             spilling
                 .clone()
-                .with_decode_online(true)
                 .with_ingest_threads(1)
                 .with_spill_threshold(4),
         ),
@@ -131,7 +130,6 @@ fn pipeline_configurations(spill_dir: &Path) -> [(&'static str, SessionConfig); 
             "faults",
             spilling
                 .clone()
-                .with_decode_online(true)
                 .with_ingest_threads(4)
                 .with_spill_threshold(4)
                 .with_fault_plan(FaultPlan {
@@ -176,9 +174,7 @@ fn every_workload_produces_a_valid_graph_with_all_edge_kinds() {
             // The configuration took effect.
             let plan = config.fault_plan;
             assert_eq!(s.ingest_workers, config.ingest_threads, "{context}");
-            if config.decode_online {
-                assert!(s.decoded_branches > 0, "{context}: {s:?}");
-            }
+            assert!(s.decoded_branches > 0, "{context}: {s:?}");
             if config.spill_threshold > 0 && plan.is_empty() {
                 assert!(s.spilled_subs > 0, "{context}: {s:?}");
             }
@@ -186,13 +182,27 @@ fn every_workload_produces_a_valid_graph_with_all_edge_kinds() {
                 assert!(s.spill_fallbacks > 0, "{context}: {s:?}");
             }
             assert_eq!(s.degraded, !plan.is_empty(), "{context}: {s:?}");
-            // The decode cross-check is exact when nothing was lost, and a
-            // loss is never silent.
+            let health = [
+                s.gaps,
+                s.lost_bytes,
+                s.decode_errors,
+                s.decode_degraded,
+                s.spill_fallbacks,
+                s.worker_failures,
+            ];
+            assert_eq!(
+                s.degraded,
+                health.iter().any(|&h| h != 0),
+                "{context}: {s:?}"
+            );
+            // Every run checks its PT stream after the fact. The check is
+            // exact when nothing was lost, and a loss is never silent.
             if s.gaps == 0 && s.lost_bytes == 0 {
                 assert_eq!(s.decode_errors, 0, "{context}: {s:?}");
                 assert_eq!(s.decode_mismatches, 0, "{context}: {s:?}");
+                assert_eq!(s.decoded_branches, s.pt.branches, "{context}: {s:?}");
             } else {
-                assert!(s.degraded, "{context}: loss without the degraded bit");
+                assert!(s.decode_degraded > 0, "{context}: {s:?}");
             }
         }
     }

@@ -93,7 +93,6 @@ proptest! {
         let fail_spill_write = [0u64, 0, 1][rng.below(3) as usize];
         let panic_worker = [0u64, 0, 1, 2][rng.below(4) as usize];
         let panic_at_batch = [1, 1, 2, 5][rng.below(4) as usize];
-        let decode_online = rng.below(2) == 1;
 
         let plan = FaultPlan {
             corrupt_aux_at,
@@ -104,7 +103,6 @@ proptest! {
             ..FaultPlan::default()
         };
         let mut config = SessionConfig::inspector()
-            .with_decode_online(decode_online)
             .with_ingest_threads(1 + rng.below(2) as usize)
             .with_fault_plan(plan);
         // A degraded run keeps its spill directory; the guard removes it.
@@ -163,14 +161,17 @@ proptest! {
             prop_assert_eq!(s.gaps, 0, "{:?}", s);
             prop_assert_eq!(s.lost_bytes, 0, "{:?}", s);
         }
-        // Lossy streams skip the cross-check into accounting; on a healthy
-        // full run the decoded count must agree with the recorder.
-        if decode_online && overflow_bytes > 0 && !expect_death {
+        // Lossy streams skip the cross-check into accounting. Whenever the
+        // PT stream itself was left alone, the decoded count must agree with
+        // the recorder's — under worker death and spill-write failure too,
+        // over the threads that reported.
+        if overflow_bytes > 0 && !expect_death {
             prop_assert!(s.decode_degraded > 0, "{:?}", s);
         }
-        if decode_online && plan.is_empty() {
+        if overflow_bytes == 0 && corrupt_aux_at == 0 {
             prop_assert_eq!(s.decode_errors, 0, "{:?}", s);
             prop_assert_eq!(s.decode_mismatches, 0, "{:?}", s);
+            prop_assert_eq!(s.decoded_branches, s.pt.branches, "{:?}", s);
         }
         // A persistently failing spill device never lands a sub on disk —
         // the builder reverts to in-memory retention instead.
@@ -184,9 +185,7 @@ proptest! {
     fn empty_plan_leaves_every_health_field_zero(seed in any::<u64>()) {
         let mut rng = Rng(seed ^ 0xFAB7);
         let shape = random_shape(&mut rng);
-        let session = InspectorSession::new(
-            SessionConfig::inspector().with_decode_online(true),
-        );
+        let session = InspectorSession::new(SessionConfig::inspector());
         let report = run_shaped(&session, &shape).expect("no faults planned");
         let s = &report.stats;
         prop_assert!(!s.degraded, "{:?}", s);
@@ -213,7 +212,7 @@ proptest! {
 
 #[test]
 fn tiny_ring_session_overflows_and_accounts_the_loss() {
-    let mut config = SessionConfig::inspector().with_decode_online(true);
+    let mut config = SessionConfig::inspector();
     config.aux_capacity = 256;
     let session = InspectorSession::new(config);
     let report = session.run(|ctx| {

@@ -128,62 +128,60 @@ proptest! {
 
 #[test]
 fn session_with_spill_threshold_one_bounds_the_window() {
-    // The most aggressive cut, under every decode × ingest-pool combination.
-    for decode in [false, true] {
-        for pool in [1usize, 4] {
-            let context = format!("decode={decode}/pool={pool}");
-            let session = InspectorSession::new(
-                SessionConfig::inspector()
-                    .with_decode_online(decode)
-                    .with_ingest_threads(pool)
-                    .with_spill_threshold(1),
-            );
-            let counter = session.map_region("counter", 8).base();
-            let lock = Arc::new(InspMutex::new());
-            let report = session.run(move |ctx| {
-                let mut handles = Vec::new();
-                for _ in 0..3 {
-                    let lock = Arc::clone(&lock);
-                    handles.push(ctx.spawn(move |ctx| {
-                        for i in 0..12u64 {
-                            ctx.branch(i % 2 == 0);
-                            lock.lock(ctx);
-                            let v = ctx.read_u64(counter);
-                            ctx.write_u64(counter, v + 1);
-                            lock.unlock(ctx);
-                        }
-                    }));
-                }
-                for h in handles {
-                    ctx.join(h);
-                }
-            });
-            let s = &report.stats;
+    // The most aggressive cut, under every ingest-pool width.
+    for pool in [1usize, 4] {
+        let context = format!("pool={pool}");
+        let session = InspectorSession::new(
+            SessionConfig::inspector()
+                .with_ingest_threads(pool)
+                .with_spill_threshold(1),
+        );
+        let counter = session.map_region("counter", 8).base();
+        let lock = Arc::new(InspMutex::new());
+        let report = session.run(move |ctx| {
+            let mut handles = Vec::new();
+            for _ in 0..3 {
+                let lock = Arc::clone(&lock);
+                handles.push(ctx.spawn(move |ctx| {
+                    for i in 0..12u64 {
+                        ctx.branch(i % 2 == 0);
+                        lock.lock(ctx);
+                        let v = ctx.read_u64(counter);
+                        ctx.write_u64(counter, v + 1);
+                        lock.unlock(ctx);
+                    }
+                }));
+            }
+            for h in handles {
+                ctx.join(h);
+            }
+        });
+        let s = &report.stats;
 
-            // The configuration took effect.
-            assert_eq!(s.ingest_workers, pool, "{context}");
-            assert_eq!(s.decoded_branches > 0, decode, "{context}: {s:?}");
-            // Spilling happened and is reported.
-            assert!(s.spilled_subs > 0, "{context}: {s:?}");
-            assert!(s.spill_bytes > 0, "{context}");
-            // Peak resident memory is the active window, not the trace length.
-            assert!(
-                s.peak_resident_subs < s.recorder.subcomputations,
-                "{context}: peak resident {} vs {} recorded",
-                s.peak_resident_subs,
-                s.recorder.subcomputations
-            );
-            // Equivalence is preserved: the sealed graph matches its own
-            // batch rebuild exactly.
-            let reference = rebatch(&report.cpg);
-            assert_eq!(report.cpg.node_count(), reference.node_count(), "{context}");
-            assert_eq!(
-                edge_fingerprint(&report.cpg),
-                edge_fingerprint(&reference),
-                "{context}"
-            );
-            assert!(report.cpg.validate().is_ok(), "{context}");
-            assert!(!s.degraded, "{context}: {s:?}");
-        }
+        // The configuration took effect.
+        assert_eq!(s.ingest_workers, pool, "{context}");
+        // The post-run PT check agreed with the recorder.
+        assert_eq!(s.decoded_branches, s.pt.branches, "{context}: {s:?}");
+        // Spilling happened and is reported.
+        assert!(s.spilled_subs > 0, "{context}: {s:?}");
+        assert!(s.spill_bytes > 0, "{context}");
+        // Peak resident memory is the active window, not the trace length.
+        assert!(
+            s.peak_resident_subs < s.recorder.subcomputations,
+            "{context}: peak resident {} vs {} recorded",
+            s.peak_resident_subs,
+            s.recorder.subcomputations
+        );
+        // Equivalence is preserved: the sealed graph matches its own
+        // batch rebuild exactly.
+        let reference = rebatch(&report.cpg);
+        assert_eq!(report.cpg.node_count(), reference.node_count(), "{context}");
+        assert_eq!(
+            edge_fingerprint(&report.cpg),
+            edge_fingerprint(&reference),
+            "{context}"
+        );
+        assert!(report.cpg.validate().is_ok(), "{context}");
+        assert!(!s.degraded, "{context}: {s:?}");
     }
 }

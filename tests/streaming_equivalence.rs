@@ -187,55 +187,51 @@ fn empty_and_single_sub_streams_match_batch() {
 // End-to-end: real sessions produce batch-identical graphs
 // ---------------------------------------------------------------------------
 
-/// Worker count × online decode × ingest-pool width × spill threshold: the
-/// graph must be identical to its own batch rebuild whichever stages ran and
-/// however many ingest workers drained the provenance lanes.
+/// Worker count × ingest-pool width × spill threshold: the graph must be
+/// identical to its own batch rebuild whichever stages ran and however many
+/// ingest workers drained the provenance lanes.
 #[test]
 fn real_session_graphs_match_batch_rebuild() {
     for workers in [1usize, 4, 8] {
-        for decode in [false, true] {
-            for pool in [1usize, 4] {
-                for threshold in [0usize, 4] {
-                    let context =
-                        format!("workers={workers}/decode={decode}/pool={pool}/spill={threshold}");
-                    let session = InspectorSession::new(
-                        SessionConfig::inspector()
-                            .with_decode_online(decode)
-                            .with_ingest_threads(pool)
-                            .with_spill_threshold(threshold),
-                    );
-                    let counter = session.map_region("counter", 8).base();
-                    let staging = session.map_region("staging", 4096 * 8).base();
-                    let lock = Arc::new(InspMutex::new());
-                    let report = session.run(move |ctx| {
-                        let mut handles = Vec::new();
-                        for w in 0..workers {
-                            let lock = Arc::clone(&lock);
-                            handles.push(ctx.spawn(move |ctx| {
-                                for i in 0..6u64 {
-                                    ctx.branch(i % 2 == 0);
-                                    ctx.write_u64(staging.add(w as u64 * 4096), i);
-                                    lock.lock(ctx);
-                                    let v = ctx.read_u64(counter);
-                                    ctx.write_u64(counter, v + 1);
-                                    lock.unlock(ctx);
-                                }
-                            }));
-                        }
-                        for h in handles {
-                            ctx.join(h);
-                        }
-                    });
-                    let s = &report.stats;
-                    assert_identical(&report.cpg, &rebatch(&report.cpg), &context);
-                    assert_eq!(session.image().read_u64_direct(counter), 6 * workers as u64);
-                    // The configuration took effect, and nothing was lost.
-                    assert_eq!(s.ingest_workers, pool, "{context}");
-                    assert_eq!(s.decoded_branches > 0, decode, "{context}: {s:?}");
-                    assert_eq!(s.spilled_subs > 0, threshold > 0, "{context}: {s:?}");
-                    assert!(!s.degraded, "{context}: {s:?}");
-                    assert_eq!(s.decode_errors + s.decode_mismatches, 0, "{context}: {s:?}");
-                }
+        for pool in [1usize, 4] {
+            for threshold in [0usize, 4] {
+                let context = format!("workers={workers}/pool={pool}/spill={threshold}");
+                let session = InspectorSession::new(
+                    SessionConfig::inspector()
+                        .with_ingest_threads(pool)
+                        .with_spill_threshold(threshold),
+                );
+                let counter = session.map_region("counter", 8).base();
+                let staging = session.map_region("staging", 4096 * 8).base();
+                let lock = Arc::new(InspMutex::new());
+                let report = session.run(move |ctx| {
+                    let mut handles = Vec::new();
+                    for w in 0..workers {
+                        let lock = Arc::clone(&lock);
+                        handles.push(ctx.spawn(move |ctx| {
+                            for i in 0..6u64 {
+                                ctx.branch(i % 2 == 0);
+                                ctx.write_u64(staging.add(w as u64 * 4096), i);
+                                lock.lock(ctx);
+                                let v = ctx.read_u64(counter);
+                                ctx.write_u64(counter, v + 1);
+                                lock.unlock(ctx);
+                            }
+                        }));
+                    }
+                    for h in handles {
+                        ctx.join(h);
+                    }
+                });
+                let s = &report.stats;
+                assert_identical(&report.cpg, &rebatch(&report.cpg), &context);
+                assert_eq!(session.image().read_u64_direct(counter), 6 * workers as u64);
+                // The configuration took effect, and nothing was lost.
+                assert_eq!(s.ingest_workers, pool, "{context}");
+                assert_eq!(s.spilled_subs > 0, threshold > 0, "{context}: {s:?}");
+                assert!(!s.degraded, "{context}: {s:?}");
+                assert_eq!(s.decoded_branches, s.pt.branches, "{context}: {s:?}");
+                assert_eq!(s.decode_errors + s.decode_mismatches, 0, "{context}: {s:?}");
             }
         }
     }
