@@ -70,7 +70,7 @@ fn bench_fault_path(c: &mut Criterion) {
         let mut mem = ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked);
         let mut page = 0u64;
         b.iter(|| {
-            // Always a fresh page: measures the full fault + twin-copy path.
+            // Always a fresh page: measures the full fault + page-snapshot path.
             mem.write_u64(region.base().add(page * 4096), page);
             page += 1;
             if page.is_multiple_of(1024) {
@@ -102,9 +102,26 @@ fn bench_fault_path(c: &mut Criterion) {
             mem.commit()
         });
     });
+    group.bench_function("commit_dense_page", |b| {
+        // One page rewritten word by word, then committed: the written
+        // range grows by 8 bytes per store and ends covering the page, the
+        // worst case for the range next to the sparse `commit_dirty_page`.
+        let image = SharedImage::shared(4096);
+        let region = image.map_region("bench", 4096);
+        let mut mem = ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked);
+        let mut value = 0u64;
+        b.iter(|| {
+            value += 1;
+            for word in 0..512u64 {
+                mem.write_u64(region.base().add(word * 8), value);
+            }
+            mem.commit()
+        });
+    });
     group.bench_function("twin_copy", |b| {
         // One write fault on a page the view already knows, then its
-        // commit: the pooled snapshot plus a one-run fused diff.
+        // commit: the pooled snapshot of the working copy, an 8-byte twin
+        // fill and a one-run fused diff over the 8 written bytes.
         let image = SharedImage::shared(4096);
         let region = image.map_region("bench", 4096);
         let mut mem = ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked);

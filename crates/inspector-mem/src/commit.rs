@@ -1,11 +1,14 @@
 //! Byte-level diffing and the last-writer-wins shared-memory commit.
 //!
 //! At every synchronization point a tracked thread compares each dirty
-//! private page against its *twin* (the copy taken when the page was first
-//! written in the current interval) and applies only the changed bytes to the
-//! shared image. Overlapping writes by different threads to the *same byte*
-//! are resolved last-writer-wins, exactly as in the paper (and in TreadMarks
-//! / Munin / Dthreads before it). Writes by different threads to different
+//! private page against its *twin* (the page as it was when the thread first
+//! wrote it) over the byte range the thread has written since, and applies
+//! only the changed bytes to the shared image. Outside that range the working
+//! copy still equals the twin by construction (see
+//! [`thread_mem`](crate::thread_mem)), so the commit never reads it.
+//! Overlapping writes by different threads to the *same byte* are resolved
+//! last-writer-wins, exactly as in the paper (and in TreadMarks / Munin /
+//! Dthreads before it). Writes by different threads to different
 //! bytes of the same page — down to different bytes of one word, which
 //! [`SharedPage::write`] merges lane by lane — merge cleanly, which is what
 //! makes the threads-as-processes design immune to false sharing.
@@ -13,8 +16,10 @@
 //! One span kernel finds the changed runs (maximal, non-adjacent, only
 //! bytes that differ) a word at a time. [`diff_page`] collects them into a
 //! [`PageDiff`]; [`ThreadMemory::commit`](crate::ThreadMemory::commit) runs
-//! the same kernel fused with the store into the shared page, so the commit
-//! path allocates nothing.
+//! the same kernel over the written range, fused with the store into the
+//! shared page, so the commit path allocates nothing.
+
+use std::ops::Range;
 
 use crate::shared::SharedPage;
 
@@ -134,14 +139,23 @@ pub fn apply_diff(shared: &SharedPage, diff: &PageDiff) {
     }
 }
 
-/// Fused diff + commit of one dirty page: stores every byte of `working`
-/// that differs from `twin` straight into `shared` — the same bytes
+/// Fused diff + commit of the `range` of one dirty page: stores every byte
+/// of `working[range]` that differs from `twin[range]` straight into
+/// `shared` at its page offset, and returns how many bytes that was. Over
+/// the whole page these are the bytes
 /// `apply_diff(shared, &diff_page(twin, working))` writes, without
-/// materialising the diff — and returns how many bytes that was.
-pub(crate) fn commit_page(shared: &SharedPage, twin: &[u8], working: &[u8]) -> usize {
+/// materialising the diff; a caller passes a narrower range only when the
+/// two copies are equal outside it.
+pub(crate) fn commit_page(
+    shared: &SharedPage,
+    twin: &[u8],
+    working: &[u8],
+    range: Range<usize>,
+) -> usize {
     let mut written = 0;
-    changed_runs(twin, working, |offset, bytes| {
-        shared.write(offset, bytes);
+    let start = range.start;
+    changed_runs(&twin[range.clone()], &working[range], |offset, bytes| {
+        shared.write(start + offset, bytes);
         written += bytes.len();
     });
     written
@@ -204,7 +218,10 @@ mod tests {
         fused.write(0, &other);
         applied.write(0, &other);
         apply_diff(&applied, &expected);
-        assert_eq!(commit_page(&fused, twin, working), changed_bytes(&expected));
+        assert_eq!(
+            commit_page(&fused, twin, working, 0..twin.len()),
+            changed_bytes(&expected)
+        );
         assert_eq!(fused.snapshot(), applied.snapshot());
     }
 
@@ -221,6 +238,13 @@ mod tests {
                     let mut working = twin.clone();
                     working[start..end].iter_mut().for_each(|b| *b ^= 0x80);
                     assert_kernel_matches_reference(&twin, &working);
+                    // The copies are equal outside the span, so committing
+                    // just the span stores what the whole-page commit does,
+                    // at the same offsets.
+                    let (whole, span) = (SharedPage::zeroed(len), SharedPage::zeroed(len));
+                    let n = commit_page(&whole, &twin, &working, 0..len);
+                    assert_eq!(commit_page(&span, &twin, &working, start..end), n);
+                    assert_eq!(span.snapshot(), whole.snapshot());
                 }
             }
         }

@@ -32,16 +32,20 @@
 //! * **interval stamps**: an entry's protection flags count only while its
 //!   stamp equals the view's current interval, so `commit`, `protect_all`
 //!   and `discard` revoke every protection by bumping one counter;
-//! * **pooled twins**: a dirty page's twin and working copy share one
-//!   buffer from a bounded per-view free list that commit and discard refill,
-//!   so a write fault allocates nothing in steady state;
+//! * **pooled private copies, lazy twins**: a dirty page's twin and working
+//!   copy share one buffer from a bounded per-view free list that commit and
+//!   discard refill, so a write fault allocates nothing in steady state. The
+//!   write fault snapshots the working copy only; each write copies into the
+//!   twin just the bytes it adds to the page's written range `[lo, hi)`, so
+//!   a page written in one place is never copied whole twice;
 //! * **one word-wide span kernel** ([`commit`]): equal regions and differing
-//!   runs are both crossed 8 bytes at a time; `commit` runs it fused with the
-//!   store into the cached shared page (no intermediate diff), and the public
-//!   `diff_page` runs the same kernel into a `PageDiff`;
+//!   runs are both crossed 8 bytes at a time; `commit` runs it over each
+//!   page's written range only, fused with the store into the cached shared
+//!   page (no intermediate diff), and the public `diff_page` runs the same
+//!   kernel over whole pages into a `PageDiff`;
 //! * **word-wide shared pages** ([`shared`]): a `SharedPage` is relaxed
 //!   atomic `u64` words, byte `i` in little-endian lane `i % 8` of word
-//!   `i / 8`, so a twin is 512 word loads, a clean-page read inside one word
+//!   `i / 8`, so a page snapshot is 512 word loads, a clean-page read inside one word
 //!   is one load and a shift, and a commit stores whole words outright and
 //!   merges partial ones with one compare-and-swap that replaces only its
 //!   own lanes — every byte still behaves as its own atomic.

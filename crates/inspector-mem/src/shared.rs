@@ -10,7 +10,7 @@
 //! Page contents are stored as relaxed atomic 64-bit words so that
 //! concurrent direct access (native mode) and concurrent commits (tracked
 //! mode) are well-defined in Rust without a lock on every access, and so
-//! that whole-page copies (twins) and aligned reads and writes move eight
+//! that whole-page copies (snapshots) and aligned reads and writes move eight
 //! bytes per atomic operation. Byte `i` of a page lives in little-endian
 //! lane `i % 8` of word `i / 8`; a page whose length is not a multiple of
 //! eight keeps its tail in the low lanes of its last word.
@@ -100,14 +100,14 @@ impl SharedPage {
     }
 
     /// Copies the whole page into `buf`, one word load per eight bytes (the
-    /// twin of a pooled private copy).
+    /// working copy of a pooled private copy, at a page's first write).
     ///
     /// # Panics
     ///
     /// Panics if `buf` is not exactly one page long.
     pub fn snapshot_into(&self, buf: &mut [u8]) {
         assert_eq!(buf.len(), self.len, "snapshot buffer size mismatch");
-        // Stores dominate a twin copy, so words are gathered four at a time
+        // Stores dominate a page snapshot, so words are gathered four at a time
         // and stored as one 32-byte block: a quarter of the stores of a
         // word-by-word copy such as `read`.
         const BLOCK: usize = 4 * WORD;

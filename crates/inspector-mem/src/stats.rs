@@ -14,7 +14,9 @@ pub struct MemStats {
     /// Simulated write-protection faults (first write of a page in a
     /// sub-computation).
     pub write_faults: u64,
-    /// Private copy-on-write page copies created.
+    /// Private copy-on-write page copies created: one snapshot of the shared
+    /// page per page per dirty period (first write to the next commit or
+    /// discard), however many tracking intervals the period spans.
     pub pages_copied: u64,
     /// Dirty pages examined at commits.
     pub pages_examined: u64,
@@ -25,7 +27,9 @@ pub struct MemStats {
     /// Number of commit operations (one per synchronization point).
     pub commits: u64,
     /// Wall-clock time spent in the fault path (protection bookkeeping plus
-    /// twin copying).
+    /// the page snapshot of a first write). The twin bytes a write copies
+    /// when it widens its page's written range are copied by the store
+    /// itself, on no timer: at most a page per page per dirty period.
     ///
     /// A sampled estimate: the fault path times one read fault in 64 and
     /// one write fault in 64 — net of the clock read itself — and adds each
@@ -36,7 +40,8 @@ pub struct MemStats {
     /// A sampled estimate, like `fault_time`: one commit in 64 (the first
     /// included) is timed net of the clock read and added scaled. A commit
     /// runs at every synchronization boundary and, with a page or two dirty,
-    /// takes about three clock reads' time itself.
+    /// diffs only each page's written range, which takes about two clock
+    /// reads' time.
     pub commit_time: Duration,
 }
 
