@@ -33,9 +33,9 @@
 //!   is bounded to an *active window*: a stripe's resident nodes are
 //!   encoded into length-prefixed, append-only per-shard segment files
 //!   (see [`spill`] for the on-disk format) — one write per round —,
-//!   replayed when a live snapshot gathers the store (under the stripe
-//!   locks, which the snapshot's cut and derivation then run without), and
-//!   concatenated back into the final graph at seal.
+//!   and read back through recovery's reader ([`recover`]) when a live
+//!   snapshot gathers the store (under the stripe locks, which the
+//!   snapshot's cut and derivation then run without) and at seal.
 //!
 //!   The spill tier is **fault tolerant rather than fault free**: every
 //!   I/O failure surfaces as a typed [`spill::SpillError`] instead of a
@@ -43,16 +43,17 @@
 //!   from the last committed length, so a partial write never stays in
 //!   front of the retry); if the device stays broken the round never
 //!   happened — the nodes it was about to evict are still resident, earlier
-//!   rounds are replayed back into memory and the store detaches, so
+//!   rounds are read back into memory and the store detaches, so
 //!   the session degrades to unbounded-memory operation with a graph
 //!   **identical** to the never-spilled one (callers see the episode as a
-//!   `spill_fallbacks` count, never as data loss). On reload, a torn
-//!   final record — a crash mid-append — is skipped and counted rather
-//!   than poisoning the segment; every record that was fully written is
-//!   still recovered. This is the crate-level half of the runtime's
-//!   loss-accounting contract (see `inspector-runtime`'s crate docs):
-//!   degraded runs are **sound but incomplete, accounted, never silent,
-//!   never fatal**.
+//!   `spill_fallbacks` count, never as data loss). On reload — at seal, in
+//!   a snapshot or offline — a torn or corrupt record is skipped and
+//!   counted with whatever follows it in its shard; every record before it
+//!   is still recovered, and the seal keeps the maximal consistent cut of
+//!   what was read, as recovery does. This is the crate-level half of the
+//!   runtime's loss-accounting contract (see `inspector-runtime`'s crate
+//!   docs): degraded runs are **sound but incomplete, accounted, never
+//!   silent, never fatal**.
 //! * [`graph::CpgBuilder`] — the **batch** reference. It buffers every
 //!   thread's full sequence and derives all edges in one offline pass; it is
 //!   the oracle the streaming path is tested against (the two produce

@@ -1,7 +1,7 @@
 //! One scoped fan-out over independent units of work.
 //!
-//! The read side of the spill tier (segment scans for the seal's replay and
-//! for offline recovery) and the batch edge derivation split into units
+//! The read side of the spill tier (the segment scans of its one reader,
+//! `recover::read_segments`) and the batch edge derivation split into units
 //! that share nothing mutable. [`fan_out`]
 //! runs them on scoped worker threads and hands the results to the caller
 //! **in unit order**, so whatever the caller folds them into (a report, a

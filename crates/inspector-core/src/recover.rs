@@ -1,55 +1,66 @@
-//! Offline crash recovery: rebuild the **maximal consistent-prefix CPG**
-//! from a (possibly crashed) session's spill directory.
+//! Reading the spill tier back: the one reader, and offline crash recovery
+//! on top of it.
 //!
-//! The spill tier ([`crate::spill`]) leaves behind per-shard segment files
-//! and a per-session `MANIFEST` naming exactly the byte ranges that were
-//! durable when it was last published. Recovery trusts nothing else:
+//! Everything that reads spilled nodes goes through one crate-private
+//! function, `read_segments`: offline recovery of a (possibly crashed)
+//! session's directory, the seal, a live snapshot's gather, and the
+//! crash and write-failure fallbacks. Its input is a **plan** — the
+//! segments vouched for, each named by shard, index and trusted byte length
+//! — and the callers differ only in where the plan comes from:
+//! [`recover_session`] parses it from the `MANIFEST`, the streaming builder
+//! takes it from its stores (the manifest each store would publish now,
+//! with the committed lengths). Its policy, stated once:
 //!
-//! 1. **Manifest first.** Only segments (and byte prefixes of segments)
-//!    named by the manifest are scanned; anything beyond — bytes appended
-//!    after the last published cut, whole unmanifested files — is counted
-//!    as [`RecoveryReport::unmanifested_bytes`] and never decoded. A
-//!    missing or unparsable manifest recovers an empty graph with every
-//!    byte accounted as unmanifested.
-//! 2. **Validate, never panic.** Each scanned segment's header (magic,
-//!    version, shard, session id) is checked, then every record frame is
-//!    CRC-checked and decoded. The first invalid record poisons the rest
-//!    of its shard — without sync markers nothing after a bad frame can be
+//! 1. **Only vouched bytes are decoded.** A segment is scanned up to its
+//!    trusted length; bytes past it (a round that never committed, appends
+//!    after the last published cut) are counted as
+//!    [`RecoveryReport::unmanifested_bytes`] and never decoded.
+//! 2. **Validate, never panic.** Each segment's header (magic, version,
+//!    shard, session id) is checked, then every record frame is CRC-checked
+//!    and decoded. A missing segment, a bad header, a torn or CRC-failing
+//!    frame, or a record that does not decode **poisons the rest of its
+//!    shard** — without sync markers nothing after a bad frame can be
 //!    trusted — and every skipped byte lands in a typed counter
 //!    ([`RecoveryReport::torn_records`], [`RecoveryReport::crc_failures`],
-//!    …) plus the [`RecoveryReport::lost_bytes`] total. Segments are read,
-//!    checked and decoded on every core the host offers, one segment per
-//!    unit of work; the torn / CRC / poison policy is then applied to the
-//!    outcomes **in segment order**, so the report is the one a sequential
-//!    pass produces, field for field. The workers do not know the policy,
-//!    so a damaged session's segments past the poison are still read and
-//!    decoded before their outcome is discarded.
-//! 3. **Shrink to a consistent cut.** The decoded per-thread prefixes are
-//!    lowered to the largest frontier `F` within the manifest's durable
-//!    frontier such that every kept node's vector clock is covered by `F`.
-//!    This is the crate's one consistent-cut computation, the one a live
-//!    [`Snapshot`](crate::snapshot::Snapshot) takes too (see
-//!    [`crate::snapshot`]); recovery passes the durable frontier as its
-//!    per-thread bound. Nodes decoded fine but above the cut are counted
-//!    as [`RecoveryReport::excluded_nodes`] — they are not *lost*, they
-//!    just cannot join a causally closed graph.
-//! 4. **Re-derive the graph.** The decoded nodes land in one store, which
-//!    arrives in `(thread, α)` order whenever every shard holds one
-//!    thread; the cut is applied to it in place, and the survivors become
-//!    the graph's node store as they are. Their edges are derived by the
-//!    batch [`CpgBuilder`](crate::graph::CpgBuilder)'s parallel derivation
-//!    — the one the streaming builder's seal ends in too — so the
-//!    recovered CPG carries complete control, sync, and data edges for its
-//!    prefix. A consistent prefix is causally closed, which makes the
-//!    oracle over the prefix identical to the full graph restricted to it.
+//!    …) plus the [`RecoveryReport::lost_bytes`] total; vouched bytes that
+//!    are not on disk at all are [`RecoveryReport::missing_bytes`].
+//!    Segments are read, checked and decoded on every core the host offers,
+//!    one segment per unit of work (`pool.rs`); the policy is then
+//!    applied to the outcomes **in segment order**, so the report is the
+//!    one a sequential pass produces, field for field. The workers do not
+//!    know the policy, so a damaged shard's segments past the poison are
+//!    still read and decoded before their outcome is discarded.
+//! 3. **A shard's in-memory tail continues it.** The builder's live
+//!    suffixes — nodes no store has written — follow their shard's records,
+//!    and a poisoned shard's tail is poisoned with it, exactly as a final
+//!    round written behind the damage would be.
+//! 4. **(thread, α) order.** The nodes come back as an id-sorted store,
+//!    each thread's records followed by its tail.
 //!
+//! What a caller does with a lossy read is the same everywhere: it keeps
+//! each thread's maximal consistent prefix with the crate's one cut
+//! (`snapshot::cut_in_place`) and derives the edges with the batch
+//! derivation (`Cpg::derived`). Recovery bounds the cut by
+//! the manifest's durable frontier; the seal and a snapshot leave it
+//! unbounded, and the seal cuts only when the read lost something — a clean
+//! read needs no cut. So the sealed graph is the graph recovery rebuilds
+//! from the same bytes, and nodes decoded fine but above the cut are
+//! [`RecoveryReport::excluded_nodes`]: not lost, just unable to join a
+//! causally closed graph. A consistent prefix is causally closed, which
+//! makes the oracle over the prefix identical to the full graph restricted
+//! to it.
+//!
+//! Recovery itself trusts nothing but the manifest: whole files it never
+//! named are counted as unmanifested, and a missing or unparsable manifest
+//! recovers an empty graph with every byte accounted as unmanifested.
 //! Recovering the directory of a cleanly sealed, retained session yields a
 //! graph node- and edge-identical to the sealed one, with zero loss.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::Path;
 
 use crate::graph::Cpg;
+use crate::ids::ThreadId;
 use crate::pool;
 use crate::snapshot::cut_in_place;
 use crate::spill::{
@@ -129,6 +140,18 @@ impl RecoveryReport {
             || self.bad_headers > 0
             || self.unmanifested_bytes > 0
     }
+
+    /// `true` when a read lost bytes its plan vouched for: a segment
+    /// missing, short or refused at its header, or a bad record. Bytes past
+    /// the vouched length are not a loss — no vouched node is in them.
+    pub(crate) fn lost_vouched(&self) -> bool {
+        self.missing_segments > 0
+            || self.missing_bytes > 0
+            || self.bad_headers > 0
+            || self.torn_records > 0
+            || self.crc_failures > 0
+            || self.decode_failures > 0
+    }
 }
 
 /// A recovered session: the maximal consistent-prefix CPG, ready for
@@ -139,6 +162,222 @@ pub struct Recovery {
     pub cpg: Cpg,
     /// What was kept and what was skipped.
     pub report: RecoveryReport,
+}
+
+/// One thread's live suffix, the in-memory tail of shard `.1`'s records:
+/// `(thread, shard, nodes)`.
+pub(crate) type Tail = (ThreadId, usize, Vec<SubComputation>);
+
+/// The one reader of the spill tier (policy in the module docs): reads the
+/// segments `plan` vouches for — in `(shard, index)` order, stamped with
+/// `session_id`, under `dir` — in one fan-out, appends the `tails` (sorted
+/// by thread) behind their shards' records, and returns every node in
+/// (thread, α) order, with `report`'s byte and damage counters filled.
+///
+/// A segment that cannot be read counts as missing; the first such failure
+/// other than a missing file is returned beside the nodes. An empty plan
+/// starts no fan-out.
+pub(crate) fn read_segments(
+    dir: &Path,
+    session_id: u64,
+    plan: &[ManifestSegment],
+    tails: Vec<Tail>,
+    report: &mut RecoveryReport,
+) -> (Vec<SubComputation>, Option<std::io::Error>) {
+    // One store for records and tails, sized for what the plan vouches for
+    // — which its bytes bound, so a damaged manifest cannot make this
+    // abort — plus the tails.
+    let (records, bytes) = plan.iter().fold((0u64, 0u64), |(r, b), seg| {
+        (r.saturating_add(seg.records), b.saturating_add(seg.bytes))
+    });
+    let room = usize::try_from(records.min(bytes / MIN_NODE_FRAME_BYTES))
+        .unwrap_or(0)
+        .saturating_add(tails.iter().map(|tail| tail.2.len()).sum());
+    let mut nodes: Vec<SubComputation> = Vec::new();
+    let _ = nodes.try_reserve_exact(room);
+    let mut tails = tails.into_iter().peekable();
+    // A tail goes in once its shard has been read, and only if nothing of
+    // the shard was lost.
+    let mut damaged: BTreeSet<usize> = BTreeSet::new();
+    let mut flush = |nodes: &mut Vec<SubComputation>,
+                     damaged: &BTreeSet<usize>,
+                     due: &dyn Fn(&Tail) -> bool| {
+        while let Some((_, shard, mut run)) = tails.next_if(due) {
+            if !damaged.contains(&shard) {
+                nodes.append(&mut run);
+            }
+        }
+    };
+    let mut unreadable = None;
+    if !plan.is_empty() {
+        let in_plan = |shard| plan.binary_search_by_key(&shard, |seg| seg.shard).is_ok();
+        let workers = pool::workers(plan.len(), 1);
+        let largest = plan.iter().map(|seg| seg.bytes).max();
+        let buffers = RecordBuffers::new(pool::in_flight(workers));
+        pool::fan_out(
+            plan.len(),
+            workers,
+            || image_buffer(largest.unwrap_or(0)),
+            |image, i| {
+                let seg = &plan[i];
+                let path = dir.join(segment_file_name(seg.shard, seg.index));
+                scan_segment_file(&path, seg.bytes, image, &buffers)
+            },
+            |scans| {
+                let mut shard = usize::MAX;
+                let (mut next_index, mut poisoned, mut lost) = (0, false, false);
+                for (seg, scan) in plan.iter().zip(scans) {
+                    if seg.shard != shard {
+                        if lost {
+                            damaged.insert(shard);
+                        }
+                        (shard, next_index, poisoned, lost) = (seg.shard, 0, false, false);
+                    }
+                    let expected_index = next_index;
+                    next_index += 1;
+                    if seg.index != expected_index {
+                        report.missing_segments += 1;
+                        report.missing_bytes += seg.bytes;
+                        poisoned = true;
+                    }
+                    if poisoned {
+                        // Later files are counted wholesale and their scans
+                        // discarded.
+                        lost = true;
+                        buffers.recycle(scan);
+                        let path = dir.join(segment_file_name(seg.shard, seg.index));
+                        match std::fs::metadata(&path) {
+                            Ok(meta) => {
+                                report.total_bytes += meta.len();
+                                report.lost_bytes += meta.len();
+                            }
+                            Err(_) => {
+                                report.missing_segments += 1;
+                                report.missing_bytes += seg.bytes;
+                            }
+                        }
+                        continue;
+                    }
+                    let (file_len, scanned) = match scan {
+                        SegmentScan::Unreadable(e) => {
+                            report.missing_segments += 1;
+                            report.missing_bytes += seg.bytes;
+                            if e.kind() != std::io::ErrorKind::NotFound {
+                                unreadable.get_or_insert(e);
+                            }
+                            (poisoned, lost) = (true, true);
+                            continue;
+                        }
+                        SegmentScan::BadHeader { file_len } => (file_len, None),
+                        SegmentScan::Scanned {
+                            file_len,
+                            header,
+                            nodes: decoded,
+                            end,
+                        } => {
+                            if header.shard as usize == seg.shard && header.session_id == session_id
+                            {
+                                (file_len, Some((decoded, end)))
+                            } else {
+                                buffers.give_back(decoded);
+                                (file_len, None)
+                            }
+                        }
+                    };
+                    report.total_bytes += file_len;
+                    // A file shorter than its plan entry was externally
+                    // truncated, whether or not its header survived.
+                    let short = seg.bytes.saturating_sub(file_len);
+                    report.missing_bytes += short;
+                    lost |= short > 0;
+                    let Some((mut decoded, end)) = scanned else {
+                        report.bad_headers += 1;
+                        report.lost_bytes += file_len;
+                        (poisoned, lost) = (true, true);
+                        continue;
+                    };
+                    report.header_bytes += SEGMENT_HEADER_BYTES;
+                    // Only the vouched prefix is trusted.
+                    let avail = file_len.min(seg.bytes) as usize;
+                    let valid_end = match end {
+                        ScanEnd::Clean => avail,
+                        ScanEnd::Torn(at) => {
+                            report.torn_records += 1;
+                            at
+                        }
+                        ScanEnd::Crc(at) => {
+                            report.crc_failures += 1;
+                            at
+                        }
+                        ScanEnd::Decode(at) => {
+                            report.decode_failures += 1;
+                            at
+                        }
+                    };
+                    report.recovered_bytes +=
+                        (valid_end as u64).saturating_sub(SEGMENT_HEADER_BYTES);
+                    if valid_end < avail {
+                        report.lost_bytes += (avail - valid_end) as u64;
+                        (poisoned, lost) = (true, true);
+                    }
+                    if file_len > seg.bytes {
+                        // Bytes appended after the last vouched cut: durable
+                        // but never promised. The crash round's appends land
+                        // here.
+                        let tail = file_len - seg.bytes;
+                        report.unmanifested_bytes += tail;
+                        report.lost_bytes += tail;
+                    }
+                    // The tails of shards read already go in ahead of the
+                    // first thread that follows them.
+                    if let Some(first) = decoded.first().map(|sub| sub.id.thread) {
+                        let due = |tail: &Tail| {
+                            tail.0 < first && (tail.1 < seg.shard || !in_plan(tail.1))
+                        };
+                        flush(&mut nodes, &damaged, &due);
+                    }
+                    nodes.append(&mut decoded);
+                    buffers.give_back(decoded);
+                }
+                if lost {
+                    damaged.insert(shard);
+                }
+            },
+        );
+    }
+    flush(&mut nodes, &damaged, &|_| true);
+    (into_thread_order(nodes), unreadable)
+}
+
+/// `nodes` in (thread, α) order. Each thread's records arrive in α order,
+/// shard after shard, so with one thread per shard the store is in that
+/// order already and is returned as it is. Otherwise it is bucketed per
+/// thread, arrival order kept, and a bucket that arrived out of α order is
+/// sorted: a stable sort by id.
+fn into_thread_order(nodes: Vec<SubComputation>) -> Vec<SubComputation> {
+    if nodes.windows(2).all(|w| w[0].id < w[1].id) {
+        return nodes;
+    }
+    let mut counts: BTreeMap<ThreadId, usize> = BTreeMap::new();
+    for sub in &nodes {
+        *counts.entry(sub.id.thread).or_default() += 1;
+    }
+    let mut runs: BTreeMap<ThreadId, Vec<SubComputation>> = counts
+        .into_iter()
+        .map(|(thread, count)| (thread, Vec::with_capacity(count)))
+        .collect();
+    let total = nodes.len();
+    for sub in nodes {
+        runs.entry(sub.id.thread).or_default().push(sub);
+    }
+    let mut sorted = Vec::with_capacity(total);
+    for mut run in runs.into_values() {
+        if !run.windows(2).all(|w| w[0].id.alpha < w[1].id.alpha) {
+            run.sort_by_key(|sub| sub.id.alpha);
+        }
+        sorted.append(&mut run);
+    }
+    sorted
 }
 
 /// Rebuilds the maximal consistent-prefix CPG from a spill directory.
@@ -157,7 +396,7 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
         Ok(found) => found,
         // An unparsable manifest is treated exactly like a missing one:
         // nothing on disk can be trusted, everything is unmanifested.
-        Err(SpillError::Corrupt(_)) | Err(SpillError::CorruptAt { .. }) => None,
+        Err(SpillError::Corrupt(_)) => None,
         Err(e) => return Err(e),
     };
     report.manifest_found = manifest.is_some();
@@ -166,161 +405,27 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
     report.session_id = manifest.session_id;
     report.durable_frontier = manifest.thread_counts.clone();
 
-    // Scan exactly the manifest-named byte ranges, shard by shard.
-    let mut by_shard: BTreeMap<usize, Vec<ManifestSegment>> = BTreeMap::new();
-    for seg in &manifest.segments {
-        by_shard.entry(seg.shard).or_default().push(*seg);
+    // Exactly the manifest-named byte ranges, shard by shard.
+    let mut plan = manifest.segments;
+    plan.sort_by_key(|seg| (seg.shard, seg.index));
+    let (mut nodes, unreadable) =
+        read_segments(dir, manifest.session_id, &plan, Vec::new(), &mut report);
+    if let Some(e) = unreadable {
+        return Err(e.into());
     }
-    let plan: Vec<(usize, ManifestSegment)> = by_shard
-        .into_values()
-        .flat_map(|mut segs| {
-            segs.sort_by_key(|s| s.index);
-            segs.into_iter().enumerate()
-        })
-        .collect();
-    // Every decoded node, in arrival order, in what becomes the recovered
-    // graph's node store. Sized for the durable frontier, which the named
-    // bytes bound (a damaged manifest cannot make this abort).
-    let named_bytes = plan
-        .iter()
-        .fold(0u64, |sum, (_, seg)| sum.saturating_add(seg.bytes));
-    let durable = manifest
-        .thread_counts
-        .values()
-        .fold(0u64, |sum, &n| sum.saturating_add(n));
-    let mut nodes: Vec<SubComputation> = Vec::new();
-    let room = durable.min(named_bytes / MIN_NODE_FRAME_BYTES);
-    let _ = nodes.try_reserve_exact(usize::try_from(room).unwrap_or(0));
-    let mut consumed: HashSet<String> = HashSet::new();
-    // Every segment is read and scanned on the pool, one per unit; the
-    // policy below takes the outcomes in segment order, exactly as one
-    // sequential pass would meet them.
-    let workers = pool::workers(plan.len(), 1);
-    let largest = plan.iter().map(|(_, seg)| seg.bytes).max();
-    let buffers = RecordBuffers::new(pool::in_flight(workers));
-    pool::fan_out(
-        plan.len(),
-        workers,
-        || image_buffer(largest.unwrap_or(0)),
-        |image, i| {
-            let seg = &plan[i].1;
-            let path = dir.join(segment_file_name(seg.shard, seg.index));
-            scan_segment_file(&path, seg.bytes, image, &buffers)
-        },
-        |scans| -> SpillResult<()> {
-            let mut shard = None;
-            // Once a shard hits its first invalid record (or a hole in the
-            // segment list), nothing after it can be trusted: later files
-            // are counted wholesale and their scans discarded.
-            let mut poisoned = false;
-            for (&(expected_index, seg), scan) in plan.iter().zip(scans) {
-                if shard != Some(seg.shard) {
-                    shard = Some(seg.shard);
-                    poisoned = false;
-                }
-                let name = segment_file_name(seg.shard, seg.index);
-                let path = dir.join(&name);
-                consumed.insert(name);
-                if seg.index != expected_index {
-                    report.missing_segments += 1;
-                    report.missing_bytes += seg.bytes;
-                    poisoned = true;
-                }
-                if poisoned {
-                    buffers.recycle(scan);
-                    match std::fs::metadata(&path) {
-                        Ok(meta) => {
-                            report.total_bytes += meta.len();
-                            report.lost_bytes += meta.len();
-                        }
-                        Err(_) => {
-                            report.missing_segments += 1;
-                            report.missing_bytes += seg.bytes;
-                        }
-                    }
-                    continue;
-                }
-                let (file_len, scanned) = match scan {
-                    SegmentScan::Unreadable(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                        report.missing_segments += 1;
-                        report.missing_bytes += seg.bytes;
-                        poisoned = true;
-                        continue;
-                    }
-                    SegmentScan::Unreadable(e) => return Err(e.into()),
-                    SegmentScan::BadHeader { file_len, .. } => (file_len, None),
-                    SegmentScan::Scanned {
-                        file_len,
-                        header,
-                        nodes: decoded,
-                        end,
-                    } => {
-                        if header.shard as usize == seg.shard
-                            && header.session_id == manifest.session_id
-                        {
-                            (file_len, Some((decoded, end)))
-                        } else {
-                            buffers.give_back(decoded);
-                            (file_len, None)
-                        }
-                    }
-                };
-                report.total_bytes += file_len;
-                // A file shorter than its manifest entry was externally
-                // truncated, whether or not its header survived.
-                report.missing_bytes += seg.bytes.saturating_sub(file_len);
-                let Some((mut decoded, end)) = scanned else {
-                    report.bad_headers += 1;
-                    report.lost_bytes += file_len;
-                    poisoned = true;
-                    continue;
-                };
-                report.header_bytes += SEGMENT_HEADER_BYTES;
-                // Only the manifest-named prefix is trusted.
-                let avail = file_len.min(seg.bytes) as usize;
-                nodes.append(&mut decoded);
-                buffers.give_back(decoded);
-                let valid_end = match end {
-                    ScanEnd::Clean => avail,
-                    ScanEnd::Torn(at) => {
-                        report.torn_records += 1;
-                        at
-                    }
-                    ScanEnd::Crc(at) => {
-                        report.crc_failures += 1;
-                        at
-                    }
-                    ScanEnd::Decode(at, _) => {
-                        report.decode_failures += 1;
-                        at
-                    }
-                };
-                report.recovered_bytes += (valid_end as u64).saturating_sub(SEGMENT_HEADER_BYTES);
-                if valid_end < avail {
-                    report.lost_bytes += (avail - valid_end) as u64;
-                    poisoned = true;
-                }
-                if file_len > seg.bytes {
-                    // Bytes appended after the last published cut: durable
-                    // but never promised. The crash round's appends land
-                    // here.
-                    let tail = file_len - seg.bytes;
-                    report.unmanifested_bytes += tail;
-                    report.lost_bytes += tail;
-                }
-            }
-            Ok(())
-        },
-    )?;
 
     // Whole files the manifest never named (including everything when the
     // manifest itself is missing).
+    let named: HashSet<String> = plan
+        .iter()
+        .map(|seg| segment_file_name(seg.shard, seg.index))
+        .collect();
     match std::fs::read_dir(dir) {
         Ok(entries) => {
             for entry in entries {
                 let entry = entry?;
                 let name = entry.file_name().to_string_lossy().into_owned();
-                if !name.ends_with(".spill") || consumed.contains(&name) {
+                if !name.ends_with(".spill") || named.contains(&name) {
                     continue;
                 }
                 let len = entry.metadata()?.len();
@@ -333,23 +438,12 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
         Err(e) => return Err(e.into()),
     }
 
-    // Into (thread, α) order. The scan delivers each thread's records in
-    // α order, and shards in index order, so with one thread per shard the
-    // store arrives sorted. Otherwise a stable sort by id gives the order
-    // per-thread buckets would have, equal ids in arrival order.
-    if !nodes.windows(2).all(|w| w[0].id < w[1].id) {
-        let mut order: Vec<usize> = (0..nodes.len()).collect();
-        order.sort_by_key(|&i| nodes[i].id);
-        let mut slots: Vec<Option<SubComputation>> = nodes.into_iter().map(Some).collect();
-        nodes = order.into_iter().filter_map(|i| slots[i].take()).collect();
-    }
-    let decoded_nodes = nodes.len() as u64;
-
     // Keep each thread's maximal consistent prefix — α-contiguous (a hole
     // means the records beyond it are unusable), within what the manifest
     // vouched for (a record the durable frontier does not cover may lack
     // its causal context), and causally closed — in place, with the cut a
     // live snapshot takes; then derive the edges as the batch oracle does.
+    let decoded_nodes = nodes.len() as u64;
     let cut = cut_in_place(&mut nodes, |thread| {
         let durable = report.durable_frontier.get(&(thread.index() as u32));
         durable.map_or(0, |&n| n as usize)

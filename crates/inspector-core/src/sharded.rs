@@ -13,18 +13,23 @@
 //!   an ingest takes exactly one node stripe, and concurrent producers
 //!   delivering different threads contend only when their threads share a
 //!   stripe.
-//! * **Seal derives.** [`ShardedCpgBuilder::seal`] replays the spilled
-//!   prefixes, concatenates the per-thread runs in thread order — a thread
-//!   lives in exactly one stripe, so its replayed prefix and its live suffix
-//!   are one contiguous piece of the graph's id-sorted node store — and
-//!   derives the edges over that store with the same parallel derivation
+//! * **Seal derives.** [`ShardedCpgBuilder::seal`] reads the spilled
+//!   prefixes through recovery's core ([`crate::recover`]) — the reader and
+//!   the torn / CRC / missing / poison policy offline recovery uses, with
+//!   each store's committed lengths as the plan — with every thread's live
+//!   suffix behind its prefix, so the node store arrives in (thread, α)
+//!   order. A clean read is the whole run; a read that lost spilled bytes
+//!   is **cut only on loss**, to the maximal consistent cut, as recovery
+//!   cuts it. It then derives the edges over that store with the same
+//!   parallel derivation
 //!   [`CpgBuilder::into_cpg`](crate::graph::CpgBuilder::into_cpg) and
 //!   [`recover_session`](crate::recover::recover_session) end in. The
 //!   streamed graph is therefore node- and edge-identical to the batch
 //!   oracle by construction, for any delivery interleaving that is FIFO per
 //!   thread, any batch chunking and any stripe count;
 //!   `tests/streaming_equivalence.rs` and `tests/spill_equivalence.rs`
-//!   check it.
+//!   check it. Over damaged spill files it is the graph recovery rebuilds
+//!   from them (`tests/crash_recovery.rs`).
 //! * **Batched ingest.** [`ShardedCpgBuilder::ingest_batch`] applies one
 //!   thread's α-contiguous retirement batch under one stripe lock
 //!   ([`ingest`](ShardedCpgBuilder::ingest) is the batch of one).
@@ -38,23 +43,24 @@
 //!   round leaves the stripe as it was. Any per-thread prefix is a valid
 //!   round, because the on-disk image promises only durable prefixes and
 //!   offline recovery computes the consistent cut itself. A live
-//!   [`snapshot`](ShardedCpgBuilder::snapshot) replays the spilled stripes'
-//!   segments to fault their prefixes back in, and the seal replays them
-//!   into the final graph — both in one fan-out over every stripe —,
-//!   making peak resident memory O(active window) instead of O(trace
-//!   length) (paper §VI).
+//!   [`snapshot`](ShardedCpgBuilder::snapshot) and the seal read the
+//!   spilled stripes back through recovery's core, in one fan-out over
+//!   every stripe's segments; the seal cuts only on loss, a snapshot always
+//!   takes its consistent cut. Peak resident memory is O(active window)
+//!   instead of O(trace length) (paper §VI).
 
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::graph::Cpg;
 use crate::ids::ThreadId;
-use crate::snapshot::Snapshot;
-use crate::spill::{ManifestWriter, Replay, SpillDurability, SpillSettings, SpillStore};
+use crate::recover::{read_segments, RecoveryReport, Tail};
+use crate::snapshot::{cut_in_place, Snapshot};
+use crate::spill::{ManifestSegment, ManifestWriter, SpillDurability, SpillSettings, SpillStore};
 use crate::subcomputation::SubComputation;
 
 /// Default number of lock stripes.
@@ -85,13 +91,16 @@ pub struct IngestStats {
     /// With spilling enabled this is the measured active window — about the
     /// threshold per stripe — rather than the trace length.
     pub peak_resident_subs: u64,
-    /// Times the spill stage *degraded* instead of aborting: a spill write
-    /// failed after bounded retries (ENOSPC, injected fault) and the shard
-    /// fell back to in-memory retention, a store could not be created, or
-    /// a seal-time replay hit unreadable/torn records. As long as the
-    /// spilled data stayed readable, a fallback loses nothing — the shard
-    /// replays its segments back into memory and the final graph is
-    /// complete.
+    /// Times the spill stage *degraded* instead of aborting: a shard's
+    /// store could not be created; a round's write failed after bounded
+    /// retries (ENOSPC, injected fault) and the shard fell back to
+    /// in-memory retention; the injected crash fired; a retaining seal
+    /// could not complete its on-disk copy; or a read of the spilled
+    /// prefixes — by the seal, a snapshot or a fallback — lost bytes its
+    /// stores had committed (one per such read). A fallback whose read is
+    /// clean loses nothing: the shard's prefixes come back into memory and
+    /// the final graph is complete. A lossy read leaves the seal the
+    /// maximal consistent cut over what could be read.
     pub spill_fallbacks: u64,
     /// `write` calls issued on spill segments: one per opened segment (its
     /// header) plus one per round commit attempt — never one per record.
@@ -128,9 +137,9 @@ struct Shard {
     /// round — its resident count while the store works. A round is due
     /// once it reaches the threshold.
     unspilled: usize,
-    /// Set when a spill write failed *and* the already-spilled records
-    /// could not be replayed back into memory: the store is kept so the
-    /// seal can retry the read, but no further spill attempt is made.
+    /// Set when a fallback could not read the spilled records back into
+    /// memory: the store is kept so the seal reads it once more, but no
+    /// further spill attempt is made.
     spill_disabled: bool,
 }
 
@@ -565,21 +574,11 @@ impl ShardedCpgBuilder {
                     manifest.freeze();
                 }
                 self.restore_and_detach(shard);
-            } else {
-                // Bounded retries exhausted (ENOSPC, injected fault): fall
-                // back to in-memory retention. The earlier rounds are
-                // replayed back into the shard so nothing is lost, and the
-                // store is dropped.
-                match store.drain_all() {
-                    Ok(replay) => {
-                        self.restore_replay_into_shard(shard, replay);
-                        shard.spill = None;
-                    }
-                    // The spilled prefix cannot be read back right now;
-                    // keep the store so the seal can retry the replay, but
-                    // make no further spill attempt.
-                    Err(_) => shard.spill_disabled = true,
-                }
+            } else if self.restore(shard) {
+                // Bounded retries exhausted (ENOSPC, injected fault): the
+                // earlier rounds are back in memory, so nothing is lost,
+                // and the store is dropped.
+                shard.spill = None;
             }
             return;
         };
@@ -610,29 +609,42 @@ impl ShardedCpgBuilder {
         }
     }
 
-    /// Replays the shard's store back into memory (best effort) and
-    /// detaches it with its files kept — what every shard does once the
-    /// injected crash has fired.
+    /// Reads the shard's store back into memory and detaches it with its
+    /// files kept — what every shard does once the injected crash has
+    /// fired.
     fn restore_and_detach(&self, shard: &mut Shard) {
-        if let Some(mut store) = shard.spill.take() {
-            if let Ok(replay) = store.replay() {
-                self.restore_replay_into_shard(shard, replay);
+        if self.restore(shard) {
+            if let Some(mut store) = shard.spill.take() {
+                store.detach_keeping_files();
             }
-            store.detach_keeping_files();
         }
     }
 
-    /// Merges a spill replay back into the shard's live state: nodes
-    /// re-enter their sequences ahead of the current live suffix and the
-    /// residency counters are adjusted. A replay holds exactly the
-    /// committed rounds, i.e. the nodes that had left the residency
-    /// accounting.
-    fn restore_replay_into_shard(&self, shard: &mut Shard, replay: Replay) {
-        let restored: u64 = replay.nodes.values().map(|run| run.len() as u64).sum();
-        for (t, mut live) in replay.nodes {
-            let seq = shard.sequences.entry(t).or_default();
-            live.append(&mut seq.live);
-            seq.live = live;
+    /// The crash and write-failure fallbacks' read: puts the store's
+    /// committed records back in front of their threads' live runs, read
+    /// through recovery's core like every read of the tier. A read that
+    /// lost anything leaves the shard as it was, disables its spilling and
+    /// returns `false`; the seal then reads the store once more and cuts
+    /// what is lost.
+    fn restore(&self, shard: &mut Shard) -> bool {
+        let Some(store) = shard.spill.as_ref() else {
+            return true;
+        };
+        let (nodes, lost) = self.read(&store.plan(), Vec::new());
+        if lost {
+            shard.spill_disabled = true;
+            return false;
+        }
+        let restored = nodes.len() as u64;
+        let mut nodes = nodes.into_iter().peekable();
+        while let Some(thread) = nodes.peek().map(|sub| sub.id.thread) {
+            let seq = shard.sequences.entry(thread).or_default();
+            let mut run = Vec::with_capacity(seq.len() as usize);
+            run.extend(std::iter::from_fn(|| {
+                nodes.next_if(|sub| sub.id.thread == thread)
+            }));
+            run.append(&mut seq.live);
+            seq.live = run;
             seq.base = 0;
         }
         if restored > 0 {
@@ -640,54 +652,72 @@ impl ShardedCpgBuilder {
             self.peak_resident.fetch_max(resident, Ordering::AcqRel);
             self.spilled_subs.fetch_sub(restored, Ordering::AcqRel);
         }
+        true
+    }
+
+    /// Reads the segments `plan` names through recovery's core, with the
+    /// `tails` behind their shards' records, into one (thread, α)-ordered
+    /// store. A read that lost spilled bytes is a counted fallback; the flag
+    /// says whether it did.
+    fn read(&self, plan: &[ManifestSegment], tails: Vec<Tail>) -> (Vec<SubComputation>, bool) {
+        let (dir, session_id) = self
+            .spill
+            .as_ref()
+            .map_or((Path::new(""), 0), |s| (s.dir.as_path(), s.session_id));
+        let mut report = RecoveryReport::default();
+        let (nodes, _) = read_segments(dir, session_id, plan, tails, &mut report);
+        let lost = report.lost_vouched();
+        if lost {
+            self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
+        }
+        (nodes, lost)
+    }
+
+    /// Every stored node in (thread, α) order: what the stripes' stores
+    /// vouch for, read through recovery's core in one fan-out, each
+    /// thread's live suffix — taken or cloned by `live` — behind its
+    /// prefix. A stripe that lost spilled bytes loses its live suffixes
+    /// too, as in recovery the rest of a damaged shard is lost. Returns the
+    /// store and whether anything was lost.
+    fn read_back(
+        &self,
+        plan: &[ManifestSegment],
+        stripes: &mut [MutexGuard<'_, Shard>],
+        live: impl Fn(&mut ThreadSeq) -> Vec<SubComputation>,
+    ) -> (Vec<SubComputation>, bool) {
+        let mut tails: Vec<Tail> = Vec::new();
+        for (stripe, shard) in stripes.iter_mut().enumerate() {
+            for (&thread, seq) in &mut shard.sequences {
+                tails.push((thread, stripe, live(seq)));
+            }
+        }
+        tails.sort_by_key(|tail| tail.0);
+        self.read(plan, tails)
+    }
+
+    /// The read plan of every stripe's store: the segments each vouches
+    /// for, stripe after stripe.
+    fn plan(stripes: &[MutexGuard<'_, Shard>]) -> Vec<ManifestSegment> {
+        stripes
+            .iter()
+            .filter_map(|shard| shard.spill.as_ref())
+            .flat_map(SpillStore::plan)
+            .collect()
     }
 
     /// Every sub-computation ingested so far, as an owned, id-sorted node
-    /// store: each thread's spilled prefix, replayed from its segments,
-    /// then its live suffix, so every thread starts at α = 0 — snapshots
-    /// see spilled history transparently. The stripe locks are held while
-    /// gathering only: every spilled shard's segments are replayed in the
-    /// seal's one fan-out, and the live suffixes are cloned. A prefix that
-    /// cannot be read back (segment damaged or gone) is a counted
-    /// degradation, never a panic with every stripe locked: the thread is
-    /// left out, and the snapshot's cut drops whatever then lacks its
-    /// causal context.
+    /// store: each thread's spilled prefix, read back from its segments,
+    /// then a clone of its live suffix — snapshots see spilled history
+    /// transparently. The stripe locks are held while gathering only. A
+    /// prefix that cannot be read back (segment damaged or gone) is a
+    /// counted degradation, never a panic with every stripe locked: what
+    /// the read lost leaves holes, and the snapshot's cut drops whatever
+    /// then lacks its causal context.
     pub(crate) fn gather(&self) -> Vec<SubComputation> {
-        let guards: Vec<_> = self.shards.iter().map(Mutex::lock).collect();
-        let spilled = |shard: &Shard| shard.sequences.values().any(|seq| seq.base > 0);
-        let stores: Vec<&SpillStore> = guards
-            .iter()
-            .filter(|shard| spilled(shard))
-            .filter_map(|shard| shard.spill.as_ref())
-            .collect();
-        let mut replays = SpillStore::replay_all(&stores).into_iter();
-        let mut runs: BTreeMap<ThreadId, Vec<SubComputation>> = BTreeMap::new();
-        for shard in &guards {
-            let mut prefixes = match (spilled(shard), &shard.spill) {
-                (true, Some(_)) => replays.next().and_then(Result::ok),
-                _ => None,
-            }
-            .map(|replay| replay.nodes)
-            .unwrap_or_default();
-            let mut complete = true;
-            for (&t, seq) in &shard.sequences {
-                let mut run = match seq.base {
-                    0 => Vec::with_capacity(seq.live.len()),
-                    _ => prefixes.remove(&t).unwrap_or_default(),
-                };
-                if run.len() as u64 != seq.base {
-                    complete = false;
-                    continue;
-                }
-                run.extend(seq.live.iter().cloned());
-                runs.insert(t, run);
-            }
-            if !complete {
-                self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
-            }
-        }
-        drop(guards);
-        runs.into_values().flatten().collect()
+        let mut stripes: Vec<_> = self.shards.iter().map(Mutex::lock).collect();
+        let plan = Self::plan(&stripes);
+        self.read_back(&plan, &mut stripes, |seq| seq.live.clone())
+            .0
     }
 
     /// A consistent snapshot of everything ingested so far: every stored
@@ -699,10 +729,11 @@ impl ShardedCpgBuilder {
         Snapshot::of(self.gather())
     }
 
-    /// Finishes the graph: replays every stripe's spilled prefixes,
-    /// concatenates each thread's prefix and live suffix in thread order —
-    /// the graph's id-sorted node store — and derives the edges over it
-    /// with the parallel derivation
+    /// Finishes the graph: reads every stripe's spilled prefixes through
+    /// recovery's core, each thread's live suffix behind its prefix, into
+    /// the graph's id-sorted node store; cuts it to the maximal consistent
+    /// cut only if the read lost spilled bytes; and derives the edges over
+    /// it with the parallel derivation
     /// [`CpgBuilder::into_cpg`](crate::graph::CpgBuilder::into_cpg) ends
     /// in. The builder is left completely empty — node store, spill stores
     /// *and* counters — ready for another run; the finished build's
@@ -726,133 +757,82 @@ impl ShardedCpgBuilder {
                  quiesce every producer before sealing"
             );
         }
-
-        // Per-thread node runs: a thread is stored in exactly one stripe,
-        // its live sequence is in α order and a spill replay arrives
-        // bucketed per thread in α order, so a thread's replayed prefix
-        // followed by its live suffix is one contiguous run of the graph's
-        // (thread, α)-sorted node store.
-        let mut runs: BTreeMap<ThreadId, [Vec<SubComputation>; 2]> = BTreeMap::new();
+        let mut stripes: Vec<_> = self.shards.iter().map(Mutex::lock).collect();
         let crashed = self.spill_crashed.load(Ordering::Acquire);
         let retain = self.seal_retain.load(Ordering::Acquire)
             || self.spill.as_ref().is_some_and(|s| s.retain_on_seal);
-        // Set when any spill artifact must outlive the seal (crash,
-        // retention, or an unreadable store kept for forensics): the
-        // directory and manifest are then left in place.
-        let mut artifacts_kept = crashed;
-        // Cleared when the retained on-disk copy is incomplete (a replay,
-        // commit or sync failed): the manifest then stays unclean.
-        let mut retained_complete = true;
-        // Spilled prefixes first: every shard's segments are replayed in one
-        // fan-out, so the cores stay busy across shard boundaries. The
-        // stores are lent out of their shards for it (producers are
-        // quiesced) and put back below.
-        let mut stores: Vec<Option<SpillStore>> =
-            self.shards.iter().map(|s| s.lock().spill.take()).collect();
-        let replays = SpillStore::replay_all(&stores.iter().flatten().collect::<Vec<_>>());
-        let mut replays = replays.into_iter();
-        for (index, lent) in stores.iter_mut().enumerate() {
-            let mut guard = self.shards[index].lock();
-            let shard = &mut *guard;
-            shard.spill = lent.take();
-            // The replayed segments are concatenated back into the final
-            // graph. A simulated crash (a dead process drains and deletes
-            // nothing) and a retaining seal leave every file in place;
-            // otherwise the segments are deleted so the store is empty for
-            // the next build.
-            let mut detach_store = crashed || retain;
-            if let Some(store) = shard.spill.as_mut() {
-                let replayed = replays.next().unwrap_or_else(|| Ok(Replay::default()));
-                if replayed.is_ok() && !detach_store {
-                    store.forget_drained();
+        let plan = Self::plan(&stripes);
+        if retain && !crashed {
+            // A retaining seal completes the on-disk copy with one more
+            // round per store, holding the stripe's live nodes, so the
+            // directory becomes a recoverable image of the whole graph. The
+            // read below takes those nodes from memory, behind the prefixes
+            // the plan vouched for before this round.
+            for shard in &mut stripes {
+                let Shard {
+                    sequences,
+                    spill: Some(store),
+                    ..
+                } = &mut **shard
+                else {
+                    continue;
+                };
+                let writes_before = store.writes();
+                store.begin_round();
+                for sub in sequences.values().flat_map(|seq| &seq.live) {
+                    store.stage_node(sub);
                 }
-                match replayed {
-                    Ok(replay) => {
-                        // Torn tails are skipped by the replay; each one is
-                        // a degradation the caller can observe.
-                        if replay.torn_tails > 0 {
-                            self.spill_fallbacks
-                                .fetch_add(replay.torn_tails, Ordering::AcqRel);
-                            retained_complete = false;
-                        }
-                        for (thread, prefix) in replay.nodes {
-                            runs.entry(thread).or_default()[0] = prefix;
-                        }
-                    }
-                    Err(_) => {
-                        // The spilled prefix is unreadable: seal what is
-                        // still in memory and account the degradation
-                        // instead of aborting the whole build. The store is
-                        // detached with its files kept — never delete
-                        // material a forensic recovery might still read.
-                        self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
-                        retained_complete = false;
-                        if let Some(manifest) = self.spill_manifest.as_ref() {
-                            manifest.set_shard(index, store.manifest_snapshot());
-                        }
-                        detach_store = true;
-                        artifacts_kept = true;
-                    }
+                if !self.try_spill_append(|| store.commit_round().map(drop)) {
+                    self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
                 }
-                if retain && !crashed {
-                    // Retained seal: complete the on-disk copy with one
-                    // more round holding every still-live node, sync, and
-                    // hand the manifest the final entry. The directory
-                    // becomes a recoverable image of the full graph.
-                    let writes_before = store.writes();
-                    store.begin_round();
-                    for seq in shard.sequences.values() {
-                        for sub in &seq.live {
-                            store.stage_node(sub);
-                        }
-                    }
-                    let appended = self.try_spill_append(|| store.commit_round().map(drop));
-                    self.spill_writes
-                        .fetch_add(store.writes() - writes_before, Ordering::AcqRel);
-                    let synced = store.sync_for_cut().is_ok();
-                    if let Some(manifest) = self.spill_manifest.as_ref().filter(|_| synced) {
-                        manifest.set_shard(index, store.manifest_snapshot());
-                    }
-                    if !appended || !synced {
-                        self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
-                        retained_complete = false;
-                    }
-                    artifacts_kept = true;
-                }
-                if detach_store {
-                    store.detach_keeping_files();
-                    shard.spill = None;
-                }
+                self.spill_writes
+                    .fetch_add(store.writes() - writes_before, Ordering::AcqRel);
             }
-            for (thread, seq) in std::mem::take(&mut shard.sequences) {
-                runs.entry(thread).or_default()[1] = seq.live;
-            }
+        }
+        let (mut nodes, lost) =
+            self.read_back(&plan, &mut stripes, |seq| std::mem::take(&mut seq.live));
+
+        // What outlives the seal: a crash (a dead process deletes nothing),
+        // a retaining seal and a lossy read keep every spill file and hand
+        // the manifest each store's durable state (a crashed, frozen
+        // manifest ignores it); the manifest is clean only if the build
+        // degraded nowhere. Otherwise the files, the manifest and the
+        // session directory are deleted, so nothing accumulates under the
+        // spill root, and the stores are empty for the next build.
+        let keep = crashed || retain || lost;
+        for (stripe, shard) in stripes.iter_mut().enumerate() {
+            shard.sequences.clear();
             shard.unspilled = 0;
             shard.spill_disabled = false;
-        }
-        // Spill-artifact epilogue. A retained seal that completed its
-        // on-disk copy publishes the clean manifest (a frozen, crashed
-        // manifest ignores this); a clean non-retaining seal removes the
-        // manifest and the now-empty session directory so nothing
-        // accumulates under the spill root across runs. Kept artifacts
-        // (crash, retention, unreadable store) are never touched.
-        if let Some(settings) = self.spill.as_ref() {
-            if artifacts_kept {
-                if let Some(manifest) = self.spill_manifest.as_ref() {
-                    if retain && retained_complete && !crashed {
-                        let _ = manifest.mark_clean();
-                    } else if !crashed {
-                        // Incomplete retention / unreadable store: publish
-                        // the entries handed over above, but the manifest
-                        // stays unclean.
-                        let _ = manifest.publish();
+            let Some(store) = shard.spill.as_mut() else {
+                continue;
+            };
+            if !keep {
+                store.clear();
+                continue;
+            }
+            match store.sync_for_cut() {
+                Ok(()) => {
+                    if let Some(manifest) = self.spill_manifest.as_ref() {
+                        manifest.set_shard(stripe, store.manifest_snapshot());
                     }
                 }
-            } else {
-                if let Some(manifest) = self.spill_manifest.as_ref() {
-                    manifest.cleanup();
+                Err(_) => {
+                    self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
                 }
+            }
+            store.detach_keeping_files();
+            shard.spill = None;
+        }
+        drop(stripes);
+        if let (Some(settings), Some(manifest)) = (&self.spill, &self.spill_manifest) {
+            if !keep {
+                manifest.cleanup();
                 let _ = std::fs::remove_dir(&settings.dir);
+            } else if retain && self.spill_fallbacks.load(Ordering::Acquire) == 0 {
+                let _ = manifest.mark_clean();
+            } else {
+                let _ = manifest.publish();
             }
         }
 
@@ -877,12 +857,8 @@ impl ShardedCpgBuilder {
         self.spill_crashed.store(false, Ordering::Release);
         self.seal_retain.store(false, Ordering::Release);
 
-        // The runs concatenate in thread order straight into the graph's
-        // sorted node store: one bulk move per run, no merge, no sort.
-        let total_nodes = runs.values().flatten().map(Vec::len).sum();
-        let mut nodes: Vec<SubComputation> = Vec::with_capacity(total_nodes);
-        for run in runs.into_values().flatten() {
-            nodes.extend(run);
+        if lost {
+            cut_in_place(&mut nodes, |_| usize::MAX);
         }
         Cpg::derived(nodes)
     }
@@ -1180,6 +1156,43 @@ mod tests {
         // The seal degrades the same way instead of panicking.
         let sealed = streaming.seal();
         assert!(sealed.node_count() < sequences.iter().map(Vec::len).sum());
+    }
+
+    #[test]
+    fn seal_over_a_lost_prefix_is_the_consistent_cut() {
+        // The vanished-segment setup at threshold 4: thread 0 keeps a live
+        // suffix beyond its lost prefix, and thread 1's clocks reference
+        // the lost work. The seal must not keep either as it stands.
+        let sequences = lock_heavy_sequences(2);
+        let total: usize = sequences.iter().map(Vec::len).sum();
+        let tmp = TempDir::new("sharded-spill");
+        let streaming =
+            ShardedCpgBuilder::with_shards_and_spill(2, Some(spill_settings(4, tmp.path())));
+        for seq in sequences {
+            for sub in seq {
+                streaming.ingest(sub);
+            }
+        }
+        let dir = streaming.spill_directory().expect("spilling").to_path_buf();
+        std::fs::remove_file(dir.join(crate::spill::segment_file_name(0, 0))).unwrap();
+        let view = Snapshot::of(streaming.gather());
+        let sealed = streaming.seal();
+        // The sealed graph is the live view's consistent cut, node for node
+        // and edge for edge.
+        assert!(sealed.nodes().eq(view.cpg.nodes()));
+        assert_eq!(edge_fingerprint(&sealed), edge_fingerprint(&view.cpg));
+        assert!(sealed.node_count() < total);
+        assert!(sealed.validate().is_ok());
+        // Every thread's run starts at α = 0 and is contiguous.
+        for thread in sealed.threads() {
+            let run = sealed.thread_sequence(thread);
+            assert!(
+                run.iter().enumerate().all(|(i, id)| id.alpha == i as u64),
+                "{thread}: {run:?}"
+            );
+        }
+        let stats = streaming.last_sealed_stats().expect("sealed");
+        assert!(stats.spill_fallbacks > 0, "{stats:?}");
     }
 
     #[test]

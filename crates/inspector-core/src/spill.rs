@@ -46,15 +46,13 @@
 //! the segment back to the last committed length, so a retry never lands
 //! behind a partial frame. Segments roll at round boundaries.
 //!
-//! Reading is one frame walker, `scan_segment`, run one segment at a time
-//! by `scan_segment_file`, the unit the read side fans out across the
-//! host's cores. The seal and live snapshots replay every spilled store's
-//! committed bytes in one fan-out (`SpillStore::replay_all`), the crash
-//! fallback one store's ([`SpillStore::replay`]) — there is no per-node
-//! fault-in index —, and offline recovery walks the manifest-named bytes
-//! through the same unit. Both take the per-segment outcomes in segment
-//! order, so what they return, errors included, is what one sequential
-//! pass over the segments returns.
+//! The store writes; it does not read. Reading is one frame walker,
+//! `scan_segment`, run one segment at a time by `scan_segment_file`, the
+//! unit the read side fans out across the host's cores, under one reader
+//! and one policy: [`crate::recover`]'s. The seal, live snapshots and the
+//! crash and write-failure fallbacks hand it what a store vouches for
+//! (`SpillStore::plan`, the manifest the store would publish now, with
+//! the committed lengths); offline recovery hands it the parsed manifest.
 //!
 //! # Crash consistency
 //!
@@ -80,11 +78,10 @@ use parking_lot::Mutex;
 use crate::clock::VectorClock;
 use crate::event::{BranchKind, SyncKind};
 use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
-use crate::pool;
 use crate::subcomputation::{SubComputation, SyncPoint};
 
 /// Default segment-roll size: 1 MiB keeps individual files small enough to
-/// replay incrementally while amortising file creation.
+/// read one at a time while amortising file creation.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 1 << 20;
 
 /// Magic bytes opening every segment file (unchanged since v2; the version
@@ -288,24 +285,6 @@ pub enum SpillError {
     /// code, or trailing bytes. This indicates a writer bug or on-disk
     /// corruption, not an interrupted append.
     Corrupt(String),
-    /// Like [`SpillError::Corrupt`], but located: the decoder knew which
-    /// file and record offset the malformed payload came from.
-    CorruptAt {
-        /// What was malformed.
-        what: String,
-        /// Segment file the record sits in.
-        path: PathBuf,
-        /// Byte offset of the record's length prefix within the file.
-        offset: u64,
-    },
-    /// A fully-framed record whose CRC32 trailer does not match its
-    /// payload: on-disk corruption (bit rot, partial overwrite).
-    CrcMismatch {
-        /// Segment file the record sits in.
-        path: PathBuf,
-        /// Byte offset of the record's length prefix within the file.
-        offset: u64,
-    },
     /// A segment file whose fixed header is missing or wrong (bad magic,
     /// unsupported version, shard/session mismatch).
     BadHeader {
@@ -316,40 +295,11 @@ pub enum SpillError {
     },
 }
 
-impl SpillError {
-    /// Attaches file/offset context to a bare [`SpillError::Corrupt`];
-    /// every other variant already carries its location (or has none).
-    fn with_location(self, path: &Path, offset: u64) -> SpillError {
-        match self {
-            SpillError::Corrupt(what) => SpillError::CorruptAt {
-                what,
-                path: path.to_path_buf(),
-                offset,
-            },
-            other => other,
-        }
-    }
-}
-
 impl std::fmt::Display for SpillError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SpillError::Io(e) => write!(f, "spill I/O failed: {e}"),
             SpillError::Corrupt(what) => write!(f, "corrupt spill record: {what}"),
-            SpillError::CorruptAt { what, path, offset } => {
-                write!(
-                    f,
-                    "corrupt spill record in {} at offset {offset}: {what}",
-                    path.display()
-                )
-            }
-            SpillError::CrcMismatch { path, offset } => {
-                write!(
-                    f,
-                    "spill record crc mismatch in {} at offset {offset}",
-                    path.display()
-                )
-            }
             SpillError::BadHeader { path, what } => {
                 write!(f, "bad spill segment header in {}: {what}", path.display())
             }
@@ -374,61 +324,6 @@ impl From<std::io::Error> for SpillError {
 
 /// Result alias for spill operations.
 pub type SpillResult<T> = Result<T, SpillError>;
-
-/// Node records bucketed per thread as a scan delivers them.
-///
-/// A thread spills through exactly one shard and its prefix only ever
-/// grows, so within one thread records arrive in α order; that is checked
-/// on arrival, and a run that arrived out of order is sorted once at the
-/// end instead of every consumer re-bucketing and re-sorting the replay.
-#[derive(Debug, Default)]
-pub(crate) struct ThreadRuns {
-    runs: BTreeMap<ThreadId, Vec<SubComputation>>,
-    out_of_order: bool,
-}
-
-impl ThreadRuns {
-    /// Runs pre-sized to the node count each thread will reach: a 48 k-node
-    /// run grown by doubling re-faults its pages several times over.
-    pub(crate) fn presized(counts: &BTreeMap<u32, u64>) -> Self {
-        let runs = counts
-            .iter()
-            .map(|(&thread, &count)| (ThreadId::new(thread), Vec::with_capacity(count as usize)))
-            .collect();
-        ThreadRuns {
-            runs,
-            out_of_order: false,
-        }
-    }
-
-    pub(crate) fn push(&mut self, sub: SubComputation) {
-        let run = self.runs.entry(sub.id.thread).or_default();
-        if run.last().is_some_and(|last| last.id.alpha >= sub.id.alpha) {
-            self.out_of_order = true;
-        }
-        run.push(sub);
-    }
-
-    /// The per-thread runs, each in α order.
-    pub(crate) fn into_sorted(mut self) -> BTreeMap<ThreadId, Vec<SubComputation>> {
-        if self.out_of_order {
-            for run in self.runs.values_mut() {
-                run.sort_by_key(|sub| sub.id.alpha);
-            }
-        }
-        self.runs
-    }
-}
-
-/// Everything a sequential replay recovered, plus how much it had to skip.
-#[derive(Debug, Default)]
-pub struct Replay {
-    /// Recovered node records per thread, each run in α order.
-    pub nodes: BTreeMap<ThreadId, Vec<SubComputation>>,
-    /// Segments whose committed bytes end in a torn record, or that carry
-    /// bytes past the committed length (a round that never committed).
-    pub torn_tails: u64,
-}
 
 // ---------------------------------------------------------------------------
 // Primitive encoding (little-endian, length-prefixed collections)
@@ -661,7 +556,7 @@ fn decode_node(cursor: &mut Cursor<'_>) -> SpillResult<SubComputation> {
 }
 
 // ---------------------------------------------------------------------------
-// Segment headers and the frame walker (shared with offline recovery)
+// Segment headers and the frame walker (run by the one reader, `recover.rs`)
 // ---------------------------------------------------------------------------
 
 /// File name of segment `index` of shard `shard`.
@@ -724,7 +619,7 @@ pub(crate) enum ScanEnd {
     /// The record at this offset is fully framed but fails its CRC.
     Crc(usize),
     /// The record at this offset passes its CRC but does not decode.
-    Decode(usize, SpillError),
+    Decode(usize),
 }
 
 /// The one frame walker over a segment image: CRC-checks and decodes the
@@ -770,8 +665,8 @@ pub(crate) fn scan_segment(
             }
             other => Err(SpillError::Corrupt(format!("tag {other}"))),
         };
-        if let Err(e) = record() {
-            return ScanEnd::Decode(pos, e);
+        if record().is_err() {
+            return ScanEnd::Decode(pos);
         }
         pos += 8 + len;
     }
@@ -787,7 +682,7 @@ pub(crate) enum SegmentScan {
     /// The file could not be read.
     Unreadable(std::io::Error),
     /// The file was read but its header is invalid.
-    BadHeader { file_len: u64, error: SpillError },
+    BadHeader { file_len: u64 },
     /// The header parsed and the trusted bytes were walked; `nodes` are
     /// the node records delivered, in append order.
     Scanned {
@@ -865,7 +760,7 @@ pub(crate) fn scan_segment_file(
     let file_len = image.len() as u64;
     let header = match parse_segment_header(image, path) {
         Ok(header) => header,
-        Err(error) => return SegmentScan::BadHeader { file_len, error },
+        Err(_) => return SegmentScan::BadHeader { file_len },
     };
     let mut nodes = buffers.take();
     let end = scan_segment(
@@ -1400,144 +1295,27 @@ impl SpillStore {
         }
     }
 
-    /// Replays the committed records of every segment in append order
-    /// without consuming the store: node records bucketed per thread in α
-    /// order. Used by the crash / write-failure fallbacks; the seal and live
-    /// snapshots replay every store at once (`replay_all`).
-    ///
-    /// The segments are read and decoded on every core the host offers,
-    /// one segment per unit (`scan_segment_file`), and their records are
-    /// taken in segment order, so the replay — and the first error, with
-    /// its location — is what one sequential pass over the segments gives.
-    ///
-    /// A record torn at the end of a segment's committed bytes (the file
-    /// was truncated underneath the store) and bytes past them (a round
-    /// that never committed) are **skipped and counted** in
-    /// [`Replay::torn_tails`], not an error: the committed prefix before
-    /// them is intact by construction.
-    ///
-    /// # Errors
-    ///
-    /// [`SpillError::CrcMismatch`] / [`SpillError::CorruptAt`] for a damaged
-    /// fully-framed record; [`SpillError::BadHeader`] for a damaged header;
-    /// [`SpillError::Io`] on read failure.
-    pub fn replay(&self) -> SpillResult<Replay> {
-        let mut replays = Self::replay_all(&[self]);
-        replays.pop().unwrap_or_else(|| Ok(Replay::default()))
-    }
-
-    /// [`replay`](Self::replay) of several stores at once, one result per
-    /// store: one fan-out over every store's segments, so the cores stay
-    /// busy across the stores' boundaries. A store's error ends only that
-    /// store's replay.
-    pub(crate) fn replay_all(stores: &[&SpillStore]) -> Vec<SpillResult<Replay>> {
-        struct Partial {
-            nodes: ThreadRuns,
-            torn_tails: u64,
-            failed: Option<SpillError>,
-        }
-        let mut partials: Vec<Partial> = stores
-            .iter()
-            .map(|store| Partial {
-                nodes: ThreadRuns::presized(&store.thread_counts),
-                torn_tails: 0,
-                failed: None,
-            })
-            .collect();
-        let segments: Vec<(usize, &SegmentMeta)> = stores
+    /// What the store vouches for, as a read plan: every segment it opened,
+    /// with its committed record count and byte length — the segment list
+    /// of the manifest it would publish now. Bytes past a committed length
+    /// (a round that failed or never committed) are not in it.
+    pub(crate) fn plan(&self) -> Vec<ManifestSegment> {
+        let shard = self.shard;
+        self.segments
             .iter()
             .enumerate()
-            .flat_map(|(s, store)| store.segments.iter().map(move |meta| (s, meta)))
-            .collect();
-        let workers = pool::workers(segments.len(), 1);
-        let largest = segments.iter().map(|(_, meta)| meta.bytes).max();
-        let buffers = RecordBuffers::new(pool::in_flight(workers));
-        pool::fan_out(
-            segments.len(),
-            workers,
-            || image_buffer(largest.unwrap_or(0)),
-            |image, i| {
-                let meta = segments[i].1;
-                scan_segment_file(&meta.path, meta.bytes, image, &buffers)
-            },
-            |scans| {
-                for (&(s, meta), scan) in segments.iter().zip(scans) {
-                    let partial = &mut partials[s];
-                    if partial.failed.is_some() {
-                        buffers.recycle(scan);
-                        continue;
-                    }
-                    let (file_len, mut nodes, end) = match scan {
-                        SegmentScan::Unreadable(e) => {
-                            partial.failed = Some(SpillError::Io(e));
-                            continue;
-                        }
-                        SegmentScan::BadHeader { error, .. } => {
-                            partial.failed = Some(error);
-                            continue;
-                        }
-                        SegmentScan::Scanned {
-                            file_len,
-                            nodes,
-                            end,
-                            ..
-                        } => (file_len, nodes, end),
-                    };
-                    match end {
-                        ScanEnd::Clean => partial.torn_tails += u64::from(file_len > meta.bytes),
-                        ScanEnd::Torn(_) => partial.torn_tails += 1,
-                        ScanEnd::Crc(at) => {
-                            partial.failed = Some(SpillError::CrcMismatch {
-                                path: meta.path.clone(),
-                                offset: at as u64,
-                            });
-                        }
-                        ScanEnd::Decode(at, e) => {
-                            partial.failed = Some(e.with_location(&meta.path, at as u64));
-                        }
-                    }
-                    if partial.failed.is_none() {
-                        for sub in nodes.drain(..) {
-                            partial.nodes.push(sub);
-                        }
-                    }
-                    buffers.give_back(nodes);
-                }
-            },
-        );
-        partials
-            .into_iter()
-            .map(|partial| match partial.failed {
-                Some(e) => Err(e),
-                None => Ok(Replay {
-                    nodes: partial.nodes.into_sorted(),
-                    torn_tails: partial.torn_tails,
-                }),
+            .map(|(index, meta)| ManifestSegment {
+                shard,
+                index,
+                records: meta.records,
+                bytes: meta.bytes,
             })
             .collect()
     }
 
-    /// Replays every committed record of every segment in append order,
-    /// then deletes the segment files and resets the store for the next
-    /// build. This is the seal path: segments are concatenated back into
-    /// the final graph instead of nodes being moved out of memory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SpillStore::replay`]'s errors; the store is left
-    /// unconsumed on failure so the caller can decide how to degrade.
-    pub fn drain_all(&mut self) -> SpillResult<Replay> {
-        // Close the writer before replaying.
-        self.current = None;
-        let drained = self.replay()?;
-        self.forget_drained();
-        Ok(drained)
-    }
-
-    /// The second half of [`drain_all`](Self::drain_all), for a store whose
-    /// replay was taken already: deletes the segment files and resets the
-    /// store for the next build.
-    pub(crate) fn forget_drained(&mut self) {
+    /// Deletes the segment files and empties the store for the next build:
+    /// what a clean, non-retaining seal does once it has read them.
+    pub(crate) fn clear(&mut self) {
         self.remove_files();
         self.current_len = 0;
         self.bytes_written = 0;
@@ -1583,6 +1361,7 @@ mod tests {
     use super::*;
     use crate::event::{AccessKind, SyncKind};
     use crate::recorder::{SyncClockRegistry, ThreadRecorder};
+    use crate::recover::{read_segments, RecoveryReport};
     use crate::testing::TempDir;
     use std::sync::Arc;
 
@@ -1596,9 +1375,15 @@ mod tests {
     }
 
     fn recorded_subs() -> Vec<SubComputation> {
+        recorded_subs_of(2)
+    }
+
+    /// Six lock-protected sub-computations of thread `thread`, and the
+    /// seventh its recorder finishes with.
+    fn recorded_subs_of(thread: u32) -> Vec<SubComputation> {
         let registry = SyncClockRegistry::shared();
         let lock = SyncObjectId::new(7);
-        let mut rec = ThreadRecorder::new(ThreadId::new(2), Arc::clone(&registry));
+        let mut rec = ThreadRecorder::new(ThreadId::new(thread), Arc::clone(&registry));
         for i in 0..6u64 {
             rec.on_synchronization(lock, SyncKind::Acquire);
             rec.on_memory_access(PageId::new(i % 3), AccessKind::Read);
@@ -1618,12 +1403,20 @@ mod tests {
         store.commit_round().unwrap();
     }
 
-    /// The replayed run of thread 2, the one `recorded_subs` records.
-    fn run_of(replay: &Replay) -> &[SubComputation] {
-        replay
-            .nodes
-            .get(&ThreadId::new(2))
-            .map_or(&[], Vec::as_slice)
+    /// What the seal reads of `stores` (one directory, one session): what
+    /// each vouches for, through recovery's core, with no live tail.
+    fn read(stores: &[&SpillStore]) -> (Vec<SubComputation>, RecoveryReport) {
+        let plan: Vec<ManifestSegment> = stores.iter().flat_map(|store| store.plan()).collect();
+        let mut report = RecoveryReport::default();
+        let (nodes, unreadable) = read_segments(
+            &stores[0].dir,
+            stores[0].session_id,
+            &plan,
+            Vec::new(),
+            &mut report,
+        );
+        assert!(unreadable.is_none(), "{unreadable:?}");
+        (nodes, report)
     }
 
     /// The bytes of the store's newest segment file.
@@ -1802,13 +1595,17 @@ mod tests {
         }));
         let mut delivered = Vec::new();
         match scan_segment(&image, image.len(), |sub| delivered.push(sub)) {
-            ScanEnd::Decode(at, SpillError::Corrupt(msg)) => {
-                assert_eq!(at, bad_at);
-                assert!(msg.contains("clock of 4294967295 components"), "{msg}");
-            }
+            ScanEnd::Decode(at) => assert_eq!(at, bad_at),
             other => panic!("expected a decode error, got {other:?}"),
         }
         assert_eq!(delivered, good[..1]);
+        // The record is refused by the clock check, before a clock is sized.
+        match decode_node(&mut Cursor::new(&huge_clock_payload())) {
+            Err(SpillError::Corrupt(msg)) => {
+                assert!(msg.contains("clock of 4294967295 components"), "{msg}")
+            }
+            other => panic!("expected a corrupt record, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1817,7 +1614,7 @@ mod tests {
     }
 
     #[test]
-    fn store_commits_rounds_and_drains() {
+    fn store_commits_rounds_and_clears() {
         let tmp = TempDir::new("spill-test");
         let dir = tmp.path();
         let subs = recorded_subs();
@@ -1842,15 +1639,20 @@ mod tests {
         assert!(!store.commit_round().unwrap());
         assert_eq!(store.writes(), 3);
 
-        // Sequential replay returns everything in append order and resets.
-        let replay = store.drain_all().unwrap();
-        assert_eq!(run_of(&replay), subs);
-        assert_eq!(replay.nodes.len(), 1);
-        assert_eq!(replay.torn_tails, 0);
+        // The read returns everything in append order, every byte decoded.
+        let (nodes, report) = read(&[&store]);
+        assert_eq!(nodes, subs);
+        assert!(!report.lost_vouched(), "{report:?}");
+        assert_eq!(report.header_bytes, SEGMENT_HEADER_BYTES);
+        assert_eq!(report.recovered_bytes, store.bytes_written());
+        assert_eq!(report.lost_bytes, 0);
+        // A clean seal's clear empties the store.
+        store.clear();
         assert_eq!(store.nodes_spilled, 0);
         assert_eq!(store.segments.len(), 0);
-        let replay = store.drain_all().unwrap();
-        assert!(replay.nodes.is_empty());
+        let (nodes, report) = read(&[&store]);
+        assert!(nodes.is_empty());
+        assert_eq!(report, RecoveryReport::default());
         drop(store);
         assert!(!dir.exists(), "store drop removes the spill directory");
     }
@@ -1886,19 +1688,25 @@ mod tests {
             store.writes(),
             (store.segments.len() + subs.chunks(2).len()) as u64
         );
-        // Replay reads across the segment boundaries.
-        let replay = store.drain_all().unwrap();
-        assert_eq!(run_of(&replay), subs);
+        // The read crosses the segment boundaries.
+        let (nodes, report) = read(&[&store]);
+        assert_eq!(nodes, subs);
+        assert_eq!(
+            report.header_bytes,
+            store.segments.len() as u64 * SEGMENT_HEADER_BYTES
+        );
+        assert_eq!(report.recovered_bytes, store.bytes_written());
+        assert_eq!(report.lost_bytes, 0);
     }
 
     /// A named way to damage one segment file.
     type Damage = (&'static str, fn(&Path));
 
-    /// A segment in the middle of a multi-segment store is damaged: the
-    /// replay fails at the same place, with the same error, on one worker
-    /// and on several, and an undamaged store replays identically.
+    /// A segment in the middle of a multi-segment store is damaged: the read
+    /// stops at the same place, with the same report, on one worker and on
+    /// several, and an undamaged store reads identically.
     #[test]
-    fn parallel_replay_is_the_sequential_replay() {
+    fn parallel_read_is_the_sequential_read() {
         let damages: [Damage; 4] = [
             ("clean", |_| {}),
             ("flipped crc", |path| {
@@ -1914,78 +1722,113 @@ mod tests {
             ("missing file", |path| std::fs::remove_file(path).unwrap()),
         ];
         let subs: Vec<SubComputation> = (0..8).flat_map(|_| recorded_subs()).collect();
+        // The eight copies of one run come back in (thread, α) order, equal
+        // ids in append order.
+        let in_order = |subs: &[SubComputation]| {
+            let mut subs = subs.to_vec();
+            subs.sort_by_key(|sub| sub.id);
+            subs
+        };
         for (what, damage) in damages {
             let tmp = TempDir::new("spill-test");
             let mut store = store_in(tmp.path(), 1, 400);
             for round in subs.chunks(2) {
                 commit_nodes(&mut store, round);
             }
-            assert!(store.segments.len() >= 5, "{}", store.segments.len());
-            damage(&store.segments[store.segments.len() / 2].path);
-            let outcome = |workers| {
-                crate::pool::with_workers(workers, || match store.replay() {
-                    Ok(replay) => Ok((replay.nodes, replay.torn_tails)),
-                    Err(e) => Err(e.to_string()),
-                })
-            };
+            let count = store.segments.len();
+            assert!(count >= 5, "{count}");
+            let hit = count / 2;
+            let before: u64 = store.segments[..hit].iter().map(|m| m.records).sum();
+            let hit_bytes = store.segments[hit].bytes;
+            let behind: u64 = store.segments[hit + 1..].iter().map(|m| m.bytes).sum();
+            damage(&store.segments[hit].path);
+            let outcome = |workers| crate::pool::with_workers(workers, || read(&[&store]));
             let sequential = outcome(1);
             for workers in [2, 4] {
                 assert_eq!(outcome(workers), sequential, "{what}, {workers} workers");
             }
-            // Replayed together with a clean store, each store gets its
-            // own replay: the damage stays in the damaged one.
-            let clean_tmp = TempDir::new("spill-test");
-            let mut clean = store_in(clean_tmp.path(), 2, 400);
-            for round in subs.chunks(3) {
+            // Read together with a clean store of another shard and thread,
+            // the damage stays in the damaged shard: the nodes are the two
+            // reads' in thread order, and the damage counters are the
+            // damaged one's.
+            let others = recorded_subs_of(3);
+            let mut clean = store_in(tmp.path(), 2, 400);
+            for round in others.chunks(3) {
                 commit_nodes(&mut clean, round);
             }
-            let together = crate::pool::with_workers(4, || {
-                SpillStore::replay_all(&[&store, &clean])
-                    .into_iter()
-                    .map(|replay| match replay {
-                        Ok(replay) => Ok((replay.nodes, replay.torn_tails)),
-                        Err(e) => Err(e.to_string()),
-                    })
-                    .collect::<Vec<_>>()
-            });
-            let alone = match clean.replay() {
-                Ok(replay) => Ok((replay.nodes, replay.torn_tails)),
-                Err(e) => Err(e.to_string()),
-            };
-            assert_eq!(together, [sequential.clone(), alone], "{what}");
-            match sequential {
-                Ok((nodes, ..)) => {
-                    assert_eq!(what, "clean");
-                    assert_eq!(nodes[&ThreadId::new(2)].len(), subs.len());
-                }
-                // A record or header error names the damaged segment; a
-                // missing file is the read's own not-found error.
-                Err(e) => assert!(
-                    e.contains(&segment_file_name(1, store.segments.len() / 2))
-                        || (what == "missing file" && e.contains("No such file")),
-                    "{what}: {e}"
+            let (together, report) = crate::pool::with_workers(4, || read(&[&store, &clean]));
+            let (alone, clean_report) = read(&[&clean]);
+            assert_eq!(alone, others);
+            assert_eq!(together, [sequential.0.clone(), alone].concat(), "{what}");
+            let seq = &sequential.1;
+            let sum = |f: fn(&RecoveryReport) -> u64| f(seq) + f(&clean_report);
+            assert_eq!(report.total_bytes, sum(|r| r.total_bytes), "{what}");
+            assert_eq!(report.header_bytes, sum(|r| r.header_bytes), "{what}");
+            assert_eq!(report.recovered_bytes, sum(|r| r.recovered_bytes));
+            assert_eq!(report.lost_bytes, seq.lost_bytes, "{what}");
+            assert_eq!(
+                (
+                    report.crc_failures,
+                    report.bad_headers,
+                    report.missing_segments
                 ),
+                (seq.crc_failures, seq.bad_headers, seq.missing_segments),
+                "{what}"
+            );
+            // The damage is located: every record before the damaged
+            // segment is read, and its bytes and every later segment's are
+            // accounted.
+            let (nodes, report) = sequential;
+            let header = SEGMENT_HEADER_BYTES;
+            match what {
+                "clean" => {
+                    assert_eq!(nodes, in_order(&subs));
+                    assert!(!report.lost_vouched(), "{report:?}");
+                }
+                "flipped crc" => {
+                    assert_eq!(nodes, in_order(&subs[..before as usize]));
+                    assert_eq!(report.crc_failures, 1);
+                    assert_eq!(report.lost_bytes, hit_bytes - header + behind);
+                }
+                "bad header" => {
+                    assert_eq!(nodes, in_order(&subs[..before as usize]));
+                    assert_eq!(report.bad_headers, 1);
+                    assert_eq!(report.lost_bytes, hit_bytes + behind);
+                }
+                _ => {
+                    assert_eq!(nodes, in_order(&subs[..before as usize]));
+                    assert_eq!(report.missing_segments, 1);
+                    assert_eq!(report.missing_bytes, hit_bytes);
+                    assert_eq!(report.lost_bytes, behind);
+                }
             }
+            assert_eq!(
+                report.recovered_bytes + report.header_bytes + report.lost_bytes,
+                report.total_bytes,
+                "{what}"
+            );
         }
     }
 
     #[test]
-    fn store_is_reusable_after_drain() {
+    fn store_is_reusable_after_clear() {
         let tmp = TempDir::new("spill-test");
         let dir = tmp.path();
         let subs = recorded_subs();
         let mut store = store_in(dir, 1, 64);
         for round in 0..3 {
             commit_nodes(&mut store, &subs);
-            let replay = store.drain_all().unwrap();
-            assert_eq!(run_of(&replay), subs, "round {round}");
+            let (nodes, report) = read(&[&store]);
+            assert_eq!(nodes, subs, "round {round}");
+            assert!(!report.lost_vouched(), "round {round}: {report:?}");
+            store.clear();
         }
     }
 
     #[test]
     fn torn_final_record_is_skipped_and_counted() {
         // Crash-mid-append round trip: commit, truncate the segment inside
-        // the final record, replay. The surviving prefix comes back intact
+        // the final record, read. The surviving prefix comes back intact
         // and the torn record is counted, never a panic.
         let tmp = TempDir::new("spill-test");
         let dir = tmp.path();
@@ -2001,18 +1844,24 @@ mod tests {
             let file = OpenOptions::new().write(true).open(&path).unwrap();
             file.set_len(full.len() as u64 - chop).unwrap();
             drop(file);
-            let replay = store.replay().unwrap();
-            assert_eq!(run_of(&replay), &subs[..subs.len() - 1]);
-            assert_eq!(replay.torn_tails, 1, "chop {chop}");
+            let (nodes, report) = read(&[&store]);
+            assert_eq!(nodes, &subs[..subs.len() - 1]);
+            assert_eq!(report.torn_records, 1, "chop {chop}");
+            assert_eq!(report.missing_bytes, chop, "chop {chop}");
+            // What is left of the torn frame on disk is lost, and nothing
+            // else.
+            let frame_start = SEGMENT_HEADER_BYTES + report.recovered_bytes;
+            assert_eq!(
+                report.lost_bytes,
+                full.len() as u64 - chop - frame_start,
+                "chop {chop}"
+            );
+            assert!(report.lost_bytes > 0);
         }
-        // drain_all skips + counts the same way.
-        let replay = store.drain_all().unwrap();
-        assert_eq!(run_of(&replay), &subs[..subs.len() - 1]);
-        assert_eq!(replay.torn_tails, 1);
     }
 
     #[test]
-    fn corrupt_payload_is_a_typed_error_not_a_panic() {
+    fn corrupt_payload_is_a_counted_crc_failure_not_a_panic() {
         let tmp = TempDir::new("spill-test");
         let dir = tmp.path();
         let subs = recorded_subs();
@@ -2022,24 +1871,23 @@ mod tests {
         let path = store.segments.last().unwrap().path.clone();
         let mut bytes = std::fs::read(&path).unwrap();
         // Clobber the record tag (first payload byte after the segment
-        // header and length prefix): the CRC trailer catches the flip and
-        // the error names the file and record offset.
+        // header and length prefix): the CRC trailer catches the flip, at
+        // the record's offset — nothing before it is decoded, everything
+        // from it on is lost.
         let tag_at = SEGMENT_HEADER_BYTES as usize + 4;
         bytes[tag_at] = 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let err = store.replay().unwrap_err();
-        assert!(matches!(err, SpillError::CrcMismatch { .. }), "{err}");
-        let msg = err.to_string();
-        assert!(msg.contains("crc mismatch"), "{msg}");
-        assert!(msg.contains("shard-0-seg-0.spill"), "{msg}");
-        assert!(
-            msg.contains(&format!("offset {SEGMENT_HEADER_BYTES}")),
-            "{msg}"
-        );
+        let (nodes, report) = read(&[&store]);
+        assert!(nodes.is_empty());
+        assert_eq!(report.crc_failures, 1, "{report:?}");
+        assert_eq!(report.decode_failures + report.torn_records, 0);
+        assert_eq!(report.header_bytes, SEGMENT_HEADER_BYTES);
+        assert_eq!(report.recovered_bytes, 0);
+        assert_eq!(report.lost_bytes, bytes.len() as u64 - SEGMENT_HEADER_BYTES);
     }
 
     #[test]
-    fn bad_tag_with_valid_crc_is_a_located_corrupt_error() {
+    fn bad_tag_with_valid_crc_is_a_located_decode_failure() {
         let tmp = TempDir::new("spill-test");
         let dir = tmp.path();
         let subs = recorded_subs();
@@ -2051,21 +1899,13 @@ mod tests {
         store.begin_round();
         store.stage(9, |_| ());
         store.commit_round().unwrap();
-        let path = store.segments.last().unwrap().path.clone();
-        let err = store.replay().unwrap_err();
-        match &err {
-            SpillError::CorruptAt {
-                what,
-                path: at,
-                offset: o,
-            } => {
-                assert!(what.contains("tag 9"), "{what}");
-                assert_eq!(at, &path);
-                assert_eq!(*o, offset);
-            }
-            other => panic!("expected CorruptAt, got {other}"),
-        }
-        assert!(err.to_string().contains("tag 9"), "{err}");
+        let (nodes, report) = read(&[&store]);
+        assert_eq!(nodes, subs[..1]);
+        assert_eq!(report.decode_failures, 1, "{report:?}");
+        assert_eq!(report.crc_failures + report.torn_records, 0);
+        // Located: decoding stopped at the bad record's offset.
+        assert_eq!(SEGMENT_HEADER_BYTES + report.recovered_bytes, offset);
+        assert_eq!(report.lost_bytes, store.current_len - offset);
     }
 
     #[test]
@@ -2140,10 +1980,17 @@ mod tests {
         // snapshot are unchanged.
         assert_eq!(store.nodes_spilled, 2);
         assert_eq!(store.manifest_snapshot(), before);
-        // Replay stops at the committed length and counts the tail.
-        let replay = store.replay().unwrap();
-        assert_eq!(run_of(&replay), &subs[..2]);
-        assert_eq!(replay.torn_tails, 1);
+        // The read stops at the committed length: the crash round's bytes
+        // are past what the store vouches for, counted and never decoded,
+        // and nothing vouched for is lost.
+        let (nodes, report) = read(&[&store]);
+        assert_eq!(nodes, &subs[..2]);
+        assert!(!report.lost_vouched(), "{report:?}");
+        assert_eq!(
+            report.unmanifested_bytes,
+            (whole.len() + 4 + payload_len / 2) as u64
+        );
+        assert_eq!(report.lost_bytes, report.unmanifested_bytes);
     }
 
     /// The satellite bugfix: segments are not opened in append mode, so a
@@ -2192,7 +2039,7 @@ mod tests {
         store.commit_round().unwrap();
         assert_eq!(segment_bytes(&store), both_rounds);
         assert_eq!(store.manifest_snapshot(), clean.manifest_snapshot());
-        assert_eq!(run_of(&store.replay().unwrap()), subs);
+        assert_eq!(read(&[&store]).0, subs);
 
         // Retries exhausted: the segment ends exactly at the previous
         // round and the store replays what it committed.
@@ -2210,9 +2057,10 @@ mod tests {
         }
         assert_eq!(segment_bytes(&store), first_round);
         assert_eq!(store.nodes_spilled, 2);
-        let replay = store.replay().unwrap();
-        assert_eq!(run_of(&replay), &subs[..2]);
-        assert_eq!(replay.torn_tails, 0);
+        let (nodes, report) = read(&[&store]);
+        assert_eq!(nodes, &subs[..2]);
+        assert!(!report.lost_vouched(), "{report:?}");
+        assert_eq!(report.unmanifested_bytes, 0);
     }
 
     /// One record framed on its own, as the per-record writer framed it:
@@ -2254,7 +2102,7 @@ mod tests {
                 assert!(spilled > 0 || threshold == 64, "threshold {threshold}");
                 builder.seal();
 
-                let mut nodes = ThreadRuns::default();
+                let mut runs: BTreeMap<ThreadId, Vec<SubComputation>> = BTreeMap::new();
                 for shard in 0..2 {
                     for index in 0.. {
                         let path = dir.join(segment_file_name(shard, index));
@@ -2264,7 +2112,7 @@ mod tests {
                         let mut expected = encode_segment_header(shard as u32, 0).to_vec();
                         let end = scan_segment(&bytes, bytes.len(), |sub| {
                             expected.extend(lone_frame(TAG_NODE, |buf| encode_node(buf, &sub)));
-                            nodes.push(sub);
+                            runs.entry(sub.id.thread).or_default().push(sub);
                         });
                         assert!(matches!(end, ScanEnd::Clean), "{end:?}");
                         assert_eq!(bytes, expected, "{}", path.display());
@@ -2272,26 +2120,33 @@ mod tests {
                 }
                 // The retained image holds every node, per thread in α
                 // order, each once.
-                let runs: Vec<_> = nodes.into_sorted().into_values().collect();
+                let runs: Vec<_> = runs.into_values().collect();
                 assert_eq!(&runs, sequences, "threshold {threshold}");
             }
         }
     }
 
+    /// One shard holding two threads: a round stages one thread's run,
+    /// then the other's, so their records arrive interleaved — and one run
+    /// even out of α order. They come out in (thread, α) order.
     #[test]
-    fn thread_runs_verify_order_on_arrival_and_fall_back_to_the_sort() {
-        let subs = &recorded_subs()[..6];
-        let mut in_order = ThreadRuns::default();
-        let mut shuffled = ThreadRuns::default();
-        for sub in subs {
-            in_order.push(sub.clone());
+    fn interleaved_threads_come_out_in_thread_order() {
+        let tmp = TempDir::new("spill-test");
+        let (two, three) = (recorded_subs(), recorded_subs_of(3));
+        let mut store = store_in(tmp.path(), 0, DEFAULT_SEGMENT_BYTES);
+        for (i, round) in [1, 0, 3, 2, 5, 4].chunks(2).enumerate() {
+            store.begin_round();
+            for &k in round {
+                store.stage_node(&three[k]);
+            }
+            for sub in &two[2 * i..2 * i + 2] {
+                store.stage_node(sub);
+            }
+            store.commit_round().unwrap();
         }
-        for i in [1, 0, 3, 2, 5, 4] {
-            shuffled.push(subs[i].clone());
-        }
-        assert!(!in_order.out_of_order && shuffled.out_of_order);
-        assert_eq!(in_order.into_sorted()[&ThreadId::new(2)], subs);
-        assert_eq!(shuffled.into_sorted()[&ThreadId::new(2)], subs);
+        let (nodes, report) = read(&[&store]);
+        assert!(!report.lost_vouched(), "{report:?}");
+        assert_eq!(nodes, [&two[..6], &three[..6]].concat());
     }
 
     #[test]
@@ -2322,8 +2177,7 @@ mod tests {
             commit_nodes(&mut store, round);
         }
         store.sync_for_cut().unwrap();
-        let replay = store.replay().unwrap();
-        assert_eq!(run_of(&replay), subs);
+        assert_eq!(read(&[&store]).0, subs);
         let snapshot = store.manifest_snapshot();
         assert_eq!(
             snapshot.segments.iter().map(|(r, _)| r).sum::<u64>(),

@@ -38,8 +38,8 @@
 //! perf session at every boundary instead of one lump at teardown.
 //!
 //! When [`InspectorSession::run`] returns, the pool is joined and `seal()`
-//! replays any spilled prefixes, concatenates the per-thread runs and
-//! derives control, synchronization and data-dependence edges over them on
+//! reads any spilled prefixes back, each thread's live suffix behind its
+//! prefix, and derives control, synchronization and data-dependence edges over them on
 //! every core — the derivation the batch builder runs — so peak provenance
 //! memory tracks the in-flight sub-computations and the graph is a
 //! function of the nodes. Construction cost is attributed both as critical path

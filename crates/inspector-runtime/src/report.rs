@@ -101,7 +101,7 @@ pub struct RunStats {
     pub decode_degraded: u64,
     /// Times the spill stage degraded to in-memory retention instead of
     /// aborting (write failure after bounded retries, store creation
-    /// failure, torn or unreadable records at replay). See
+    /// failure, a read of the spilled prefixes that lost bytes). See
     /// [`IngestStats::spill_fallbacks`](inspector_core::IngestStats::spill_fallbacks).
     pub spill_fallbacks: u64,
     /// Ingest workers that died (panicked) before draining their lane.

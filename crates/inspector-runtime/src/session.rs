@@ -314,7 +314,7 @@ impl LiveMonitor {
     /// snapshot contains at least every sub-computation that was flushed
     /// before this call; the consistent cut then trims whatever in-flight
     /// suffix would violate causality. The stripe locks are held only while
-    /// the stored nodes are gathered — spilled prefixes are replayed from
+    /// the stored nodes are gathered — spilled prefixes are read back from
     /// their segments —, and the cut and the edge derivation run on the
     /// calling thread while ingest goes on.
     ///
@@ -492,9 +492,9 @@ impl InspectorSession {
     /// retired sub-computation to an ingest-thread pool that stores it in
     /// the sharded builder (spilling old nodes to disk when a spill tier is
     /// configured) while the application is still executing. At the end of
-    /// the run the seal replays any spilled prefixes, concatenates the
-    /// per-thread runs into the graph's node store and derives the control,
-    /// synchronization and data edges over it, on every core.
+    /// the run the seal reads any spilled prefixes back, each followed by
+    /// its thread's live suffix, into the graph's node store and derives
+    /// the control, synchronization and data edges over it, on every core.
     ///
     /// Any worker threads spawned through [`ThreadCtx::spawn`] **must** be
     /// joined by the closure (as a pthreads program would); panics in

@@ -493,3 +493,94 @@ fn a_crashed_session_directory_is_gone_once_the_guard_drops() {
     drop(tmp);
     assert!(!dir.exists(), "{} outlived its guard", dir.display());
 }
+
+/// A thread's sub-computations with no synchronization shared with any
+/// other thread: nothing it does depends on another thread's work.
+fn independent_sequence(thread: u32, subs: u64) -> Vec<SubComputation> {
+    use inspector::core::recorder::{SyncClockRegistry, ThreadRecorder};
+    use inspector::core::{AccessKind, PageId, SyncKind, SyncObjectId, ThreadId};
+    let mut rec = ThreadRecorder::new(ThreadId::new(thread), SyncClockRegistry::shared());
+    for i in 0..subs {
+        let page = PageId::new(u64::from(thread) * 1_000 + i);
+        rec.on_memory_access(page, AccessKind::Write);
+        rec.on_synchronization(SyncObjectId::new(u64::from(thread)), SyncKind::Release);
+    }
+    rec.finish()
+}
+
+/// Cuts record `index` of the segment at `path` in the middle of its
+/// payload (a negative index counts from the end).
+fn tear_record(path: &Path, index: isize) {
+    let bytes = std::fs::read(path).unwrap();
+    let mut starts = vec![SEGMENT_HEADER_BYTES as usize];
+    while let Some(&at) = starts.last().filter(|&&at| at < bytes.len()) {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        starts.push(at + len + RECORD_OVERHEAD_BYTES as usize);
+    }
+    starts.pop();
+    let at = starts[index.rem_euclid(starts.len() as isize) as usize];
+    let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    std::fs::write(path, &bytes[..at + 4 + len / 2]).unwrap();
+}
+
+/// The seal reads the spill tier as recovery does: a retained session
+/// whose segment is torn mid-record under it seals to exactly the graph
+/// `recover_session` rebuilds from the directory it leaves — the maximal
+/// consistent cut over what both could read — and says so in its health
+/// counters. Two cases, each with two threads sharing shard 0:
+///
+/// * three ping-pong threads over two shards, shard 0's first segment torn
+///   in its second record: the tear costs both of the shard's threads;
+/// * two independent threads, the tear in the other thread's last record,
+///   behind the whole spilled prefix of thread 2 but ahead of where the
+///   seal's retained round puts thread 2's live suffix — the suffix is lost
+///   with the rest of the shard, in the seal as in recovery.
+#[test]
+fn a_seal_over_a_torn_segment_is_the_recovery_of_its_directory() {
+    for case in ["ping-pong", "independent suffix"] {
+        let tmp = TempDir::new("crash-rec");
+        let dir = tmp.path();
+        let settings = SpillSettings {
+            segment_bytes: 4 << 10,
+            ..SpillSettings::new(4, dir).with_retain_on_seal(true)
+        };
+        let builder = ShardedCpgBuilder::with_shards_and_spill(2, Some(settings));
+        let total = if case == "ping-pong" {
+            let sequences = ping_pong_sequences(3, 40);
+            let total = sequences.iter().map(Vec::len).sum();
+            ingest_round_robin(&builder, sequences, |_| {});
+            // Shard 0's first segment, a full one.
+            assert!(dir.join(segment_file_name(0, 1)).exists());
+            tear_record(&dir.join(segment_file_name(0, 0)), 1);
+            total
+        } else {
+            let (zero, two) = (independent_sequence(0, 4), independent_sequence(2, 6));
+            // A round of thread 2's first four, a round of thread 0's four,
+            // and thread 2's next two left live.
+            builder.ingest_batch(two[..4].to_vec());
+            builder.ingest_batch(zero[..4].to_vec());
+            builder.ingest_batch(two[4..6].to_vec());
+            assert_eq!(builder.stats().spilled_subs, 8);
+            // The newest record is thread 0's α 3.
+            tear_record(&dir.join(segment_file_name(0, 0)), -1);
+            10
+        };
+
+        let sealed = builder.seal();
+        let stats = builder.last_sealed_stats().expect("sealed");
+        assert!(stats.spill_fallbacks > 0, "{case}: {stats:?}");
+        assert!(sealed.node_count() < total, "{case}");
+        assert!(sealed.validate().is_ok(), "{case}");
+
+        let recovery = inspector::core::recover::recover_session(dir).expect("recovery I/O");
+        let r = &recovery.report;
+        assert!(r.degraded(), "{case}: {r:?}");
+        assert_eq!(r.torn_records + r.crc_failures, 1, "{case}: {r:?}");
+        assert!(recovery.cpg.nodes().eq(sealed.nodes()), "{case}");
+        assert_eq!(
+            edge_fingerprint(&recovery.cpg),
+            edge_fingerprint(&sealed),
+            "{case}"
+        );
+    }
+}
