@@ -28,6 +28,23 @@
 //! [`on_synchronization`](ThreadRecorder::on_synchronization) and
 //! [`finish`](ThreadRecorder::finish) keep the whole sequence `L_t` for
 //! callers that replay a trace offline.
+//!
+//! # Two halves around the real operation
+//!
+//! A boundary is two halves, and a threading library calls them on either
+//! side of the blocking operation it wraps:
+//! [`close_at_synchronization`](ThreadRecorder::close_at_synchronization)
+//! **before** the real operation — it closes the sub-computation and, for a
+//! release, publishes the thread clock to the object — and
+//! [`open_after_synchronization`](ThreadRecorder::open_after_synchronization)
+//! **after** it — for an acquire it joins the object's clock, which the
+//! releaser published before its real release, then it starts the next
+//! sub-computation. Nothing may be recorded between the halves. A closed
+//! sub-computation's clock was stamped when it started, so where the
+//! halves run changes nothing it holds; only the join must follow the
+//! real acquire.
+//! [`retire_at_synchronization`](ThreadRecorder::retire_at_synchronization)
+//! is the two halves back to back.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -129,6 +146,9 @@ pub struct ThreadRecorder {
     completed: Vec<SubComputation>,
     stats: RecorderStats,
     registry: Arc<SyncClockRegistry>,
+    /// The synchronization point a close half left for its open half;
+    /// `None` while a sub-computation is open.
+    pending: Option<SyncPoint>,
     finished: bool,
 }
 
@@ -152,6 +172,7 @@ impl ThreadRecorder {
             completed: Vec::new(),
             stats: RecorderStats::default(),
             registry,
+            pending: None,
             finished: false,
         }
     }
@@ -174,6 +195,7 @@ impl ThreadRecorder {
     /// `onMemoryAccess`: records a first-touch page access.
     pub fn on_memory_access(&mut self, page: PageId, kind: AccessKind) {
         debug_assert!(!self.finished, "recorder used after thread exit");
+        debug_assert!(self.pending.is_none(), "access between two halves");
         match kind {
             AccessKind::Read => {
                 if self.current.record_read(page) {
@@ -192,6 +214,7 @@ impl ThreadRecorder {
     /// the next one.
     pub fn on_branch(&mut self, kind: BranchKind, ip: u64) {
         debug_assert!(!self.finished, "recorder used after thread exit");
+        debug_assert!(self.pending.is_none(), "branch between two halves");
         self.stats.branches += 1;
         self.staged.record(kind, ip);
     }
@@ -207,6 +230,10 @@ impl ThreadRecorder {
     /// * for an **acquire**, call this *after* the real operation has
     ///   returned, so that the releasing thread's clock is already stored in
     ///   the registry.
+    ///
+    /// A caller that wants the closing work outside the blocking operation
+    /// calls the two halves instead: the close half before it, the open
+    /// half after it.
     pub fn on_synchronization(&mut self, object: SyncObjectId, kind: SyncKind) -> SubId {
         let closed = self.retire_at_synchronization(object, kind);
         self.completed.push(closed);
@@ -224,23 +251,53 @@ impl ThreadRecorder {
         object: SyncObjectId,
         kind: SyncKind,
     ) -> SubComputation {
+        let closed = self.close_at_synchronization(object, kind);
+        self.open_after_synchronization();
+        closed
+    }
+
+    /// The close half of a boundary, called **before** the real
+    /// operation: closes the current sub-computation at `object` and hands
+    /// it out by value; for a release (or release-acquire) it also merges
+    /// the thread clock into the object's, so an acquirer that returns from
+    /// the real operation finds it there.
+    ///
+    /// [`open_after_synchronization`](Self::open_after_synchronization)
+    /// must follow before anything else is recorded.
+    pub fn close_at_synchronization(
+        &mut self,
+        object: SyncObjectId,
+        kind: SyncKind,
+    ) -> SubComputation {
         debug_assert!(!self.finished, "recorder used after thread exit");
+        debug_assert!(self.pending.is_none(), "two close halves in a row");
         self.stats.sync_ops += 1;
-        let closed = self.close_current(Some(SyncPoint { object, kind }));
-        match kind {
-            SyncKind::Release => {
-                self.registry.release(object, &self.clock);
-            }
-            SyncKind::Acquire => {
-                self.registry.acquire(object, &mut self.clock);
-            }
-            SyncKind::ReleaseAcquire => {
-                self.registry.release(object, &self.clock);
-                self.registry.acquire(object, &mut self.clock);
-            }
+        let point = SyncPoint { object, kind };
+        let closed = self.close_current(Some(point));
+        if matches!(kind, SyncKind::Release | SyncKind::ReleaseAcquire) {
+            self.registry.release(object, &self.clock);
+        }
+        self.pending = Some(point);
+        closed
+    }
+
+    /// The open half of a boundary, called **after** the real operation
+    /// returned: for an acquire (or release-acquire) joins the object's
+    /// clock into the thread clock, then starts the next sub-computation.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a [`close_at_synchronization`](Self::close_at_synchronization)
+    /// is waiting for it.
+    pub fn open_after_synchronization(&mut self) {
+        let point = self
+            .pending
+            .take()
+            .expect("open half without its close half");
+        if matches!(point.kind, SyncKind::Acquire | SyncKind::ReleaseAcquire) {
+            self.registry.acquire(point.object, &mut self.clock);
         }
         self.start_next();
-        closed
     }
 
     /// Marks the thread as terminated, closing the last sub-computation
@@ -255,6 +312,7 @@ impl ThreadRecorder {
     /// sub-computation to the caller by value. `None` if the thread already
     /// exited.
     pub fn retire_at_exit(&mut self) -> Option<SubComputation> {
+        debug_assert!(self.pending.is_none(), "exit between two halves");
         if self.finished {
             return None;
         }
@@ -303,6 +361,7 @@ impl ThreadRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(i: u32) -> ThreadId {
         ThreadId::new(i)
@@ -453,6 +512,91 @@ mod tests {
             assert!(closed.thunks.is_inline(), "{branches} branches");
             assert!(r.staged.is_empty());
             assert_eq!(r.staged.log_ptr(), buffer, "{branches} branches");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "open half without its close half")]
+    fn an_open_half_needs_its_close_half() {
+        ThreadRecorder::new(t(0), SyncClockRegistry::shared()).open_after_synchronization();
+    }
+
+    proptest! {
+        /// Three threads over shared objects, driven through the two halves
+        /// the way the threading library calls them: every close half where
+        /// the real operation starts, its open half only when the thread
+        /// next does something (other threads' steps run in between, as
+        /// they would while it blocks), except a release-acquire's, which
+        /// follows at once. The reference retires each boundary in one call
+        /// where the real operation takes effect: a release where it
+        /// closed, an acquire where it opened. Both close the same
+        /// sub-computations — ids, clocks, terminators, thunks, page sets.
+        #[test]
+        fn prop_halves_close_what_retire_closes(
+            steps in proptest::collection::vec(0u32..3, 0..64),
+            ops in proptest::collection::vec(0u8..6, 64),
+            args in proptest::collection::vec(0u64..4, 64),
+        ) {
+            let (split_reg, whole_reg) = (SyncClockRegistry::shared(), SyncClockRegistry::shared());
+            let mut split: Vec<_> =
+                (0..3).map(|i| ThreadRecorder::new(t(i), Arc::clone(&split_reg))).collect();
+            let mut whole: Vec<_> =
+                (0..3).map(|i| ThreadRecorder::new(t(i), Arc::clone(&whole_reg))).collect();
+            let (mut split_out, mut whole_out) = (vec![Vec::new(); 3], vec![Vec::new(); 3]);
+            // Per thread: a close half whose open is still due, and the
+            // reference's acquire still due at that point.
+            let mut opens_due = [false; 3];
+            let mut acquires_due: [Option<SyncObjectId>; 3] = [None; 3];
+            for ((thread, op), arg) in steps.into_iter().zip(ops).zip(args) {
+                let i = thread as usize;
+                let (s, w) = (&mut split[i], &mut whole[i]);
+                if std::mem::take(&mut opens_due[i]) {
+                    s.open_after_synchronization();
+                }
+                if let Some(object) = acquires_due[i].take() {
+                    whole_out[i].push(w.retire_at_synchronization(object, SyncKind::Acquire));
+                }
+                let object = SyncObjectId::new(arg % 2);
+                match op {
+                    0 | 1 => {
+                        let kind = if op == 0 { AccessKind::Read } else { AccessKind::Write };
+                        s.on_memory_access(PageId::new(arg), kind);
+                        w.on_memory_access(PageId::new(arg), kind);
+                    }
+                    2 => {
+                        s.on_branch(BranchKind::ConditionalTaken, 0x10 + arg);
+                        w.on_branch(BranchKind::ConditionalTaken, 0x10 + arg);
+                    }
+                    3 => {
+                        split_out[i].push(s.close_at_synchronization(object, SyncKind::Acquire));
+                        opens_due[i] = true;
+                        acquires_due[i] = Some(object);
+                    }
+                    4 => {
+                        split_out[i].push(s.close_at_synchronization(object, SyncKind::Release));
+                        opens_due[i] = true;
+                        whole_out[i].push(w.retire_at_synchronization(object, SyncKind::Release));
+                    }
+                    _ => {
+                        let kind = SyncKind::ReleaseAcquire;
+                        split_out[i].push(s.close_at_synchronization(object, kind));
+                        s.open_after_synchronization();
+                        whole_out[i].push(w.retire_at_synchronization(object, kind));
+                    }
+                }
+            }
+            for i in 0..3 {
+                if opens_due[i] {
+                    split[i].open_after_synchronization();
+                }
+                if let Some(object) = acquires_due[i] {
+                    whole_out[i].push(whole[i].retire_at_synchronization(object, SyncKind::Acquire));
+                }
+                split_out[i].extend(split[i].retire_at_exit());
+                whole_out[i].extend(whole[i].retire_at_exit());
+                prop_assert_eq!(split[i].stats(), whole[i].stats());
+                prop_assert_eq!(&split_out[i], &whole_out[i]);
+            }
         }
     }
 

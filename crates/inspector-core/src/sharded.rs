@@ -357,6 +357,13 @@ impl ShardedCpgBuilder {
         self.seal_retain.store(retain, Ordering::Release);
     }
 
+    /// Whether the seal keeps the spill image on disk: the session retains
+    /// it, or asked the seal to.
+    fn retains_spill(&self) -> bool {
+        self.seal_retain.load(Ordering::Acquire)
+            || self.spill.as_ref().is_some_and(|s| s.retain_on_seal)
+    }
+
     /// The spill directory, when spilling is enabled.
     pub fn spill_directory(&self) -> Option<&Path> {
         self.spill.as_ref().map(|s| s.dir.as_path())
@@ -577,8 +584,14 @@ impl ShardedCpgBuilder {
             } else if self.restore(shard) {
                 // Bounded retries exhausted (ENOSPC, injected fault): the
                 // earlier rounds are back in memory, so nothing is lost,
-                // and the store is dropped.
-                shard.spill = None;
+                // and the store is dropped — keeping its files when the
+                // session retains its spill image, since the published
+                // manifest still names them.
+                if let Some(mut store) = shard.spill.take() {
+                    if self.retains_spill() {
+                        store.detach_keeping_files();
+                    }
+                }
             }
             return;
         };
@@ -759,8 +772,7 @@ impl ShardedCpgBuilder {
         }
         let mut stripes: Vec<_> = self.shards.iter().map(Mutex::lock).collect();
         let crashed = self.spill_crashed.load(Ordering::Acquire);
-        let retain = self.seal_retain.load(Ordering::Acquire)
-            || self.spill.as_ref().is_some_and(|s| s.retain_on_seal);
+        let retain = self.retains_spill();
         let plan = Self::plan(&stripes);
         if retain && !crashed {
             // A retaining seal completes the on-disk copy with one more
@@ -1295,6 +1307,40 @@ mod tests {
             );
             let stats = streaming.last_sealed_stats().expect("sealed");
             assert!(stats.spill_fallbacks > 0, "fail_at={fail_at}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn a_retaining_fallback_keeps_the_segments_its_manifest_names() {
+        // A write failure after some rounds landed: the shard falls back to
+        // memory, but the session retains its spill image, and the manifest
+        // published before the failure names those rounds' segments.
+        let sequences = lock_heavy_sequences(3);
+        let tmp = TempDir::new("sharded-spill");
+        let settings = spill_settings(1, tmp.path()).with_retain_on_seal(true);
+        let streaming = ShardedCpgBuilder::with_shards_and_spill(2, Some(settings));
+        streaming.inject_spill_write_failure(30);
+        let dir = streaming.spill_directory().expect("spilling").to_path_buf();
+        for seq in sequences {
+            for sub in seq {
+                streaming.ingest(sub);
+            }
+        }
+        let sealed = streaming.seal();
+        let stats = streaming.last_sealed_stats().expect("sealed");
+        assert!(stats.spill_fallbacks > 0, "{stats:?}");
+        assert!(stats.spill_bytes > 0, "{stats:?}");
+
+        let recovery = crate::recover::recover_session(&dir).expect("retained image");
+        let report = &recovery.report;
+        assert!(report.manifest_found);
+        assert!(!report.manifest_clean, "a fallback leaves it unclean");
+        assert!(!report.lost_vouched(), "{report:?}");
+        assert_eq!(report.missing_segments, 0, "{report:?}");
+        assert!(report.recovered_nodes > 0, "{report:?}");
+        // Every node the manifest vouched for came back as it was sealed.
+        for node in recovery.cpg.nodes() {
+            assert_eq!(sealed.node(node.id), Some(node));
         }
     }
 

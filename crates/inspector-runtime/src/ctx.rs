@@ -24,6 +24,20 @@
 //! conditionals under one label, one exact-size block beyond — and two
 //! queue operations. `tests/boundary_allocs.rs` pins the allocation count,
 //! so a new per-boundary allocation fails CI rather than a benchmark.
+//!
+//! Where that work runs matters as much as what it costs: a lock's
+//! boundaries would otherwise sit inside its critical section and serialize
+//! the threads waiting for it. The shims in [`crate::sync`] therefore split
+//! each boundary around the blocking operation. An **acquire** commits,
+//! closes the sub-computation and hands it off (lane publish, AUX flush)
+//! *before* it blocks, and after it returns only joins the object's clock
+//! and starts the next sub-computation. A **release** commits, closes and
+//! publishes its clock *before* the real release — an acquirer that returns
+//! must find both — and starts the next sub-computation and hands off
+//! *after* it. What a lock holder still does under the lock is the join,
+//! the app's own work, the commit and the close. Each closed
+//! sub-computation is the one [`ThreadCtx::sync_boundary`] would close: its
+//! clock was stamped when it started.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -322,17 +336,62 @@ impl ThreadCtx {
     /// the closed sub-computation into the streaming CPG pipeline and the
     /// pending PT packet bytes into the perf session.
     ///
-    /// The synchronization primitives in [`crate::sync`] call this for you;
-    /// it is public so that custom primitives can participate in provenance
-    /// recording (anything more exotic than acquire/release — e.g. ad-hoc
-    /// spin loops — is unsupported, as in the paper).
+    /// The synchronization primitives in [`crate::sync`] run the same work
+    /// split around their blocking operation (see the module docs); this
+    /// composition of the two halves is public so that custom primitives
+    /// can participate in provenance recording (anything more exotic than
+    /// acquire/release — e.g. ad-hoc spin loops — is unsupported, as in the
+    /// paper).
     pub fn sync_boundary(&mut self, object: SyncObjectId, kind: SyncKind) {
         if self.mode() == ExecutionMode::Native {
             return;
         }
+        let closed = self.close_at(object, kind);
+        self.recorder.open_after_synchronization();
+        self.hand_off(closed);
+    }
+
+    /// An acquire of `object` around the real blocking operation `block`:
+    /// the boundary's commit, close and hand-off run before `block`, and
+    /// only the clock join and the start of the next sub-computation after
+    /// it — so a thread that returns from `block` holding a lock does
+    /// nothing more under it than the join.
+    pub(crate) fn acquire_with<R>(&mut self, object: SyncObjectId, block: impl FnOnce() -> R) -> R {
+        if self.mode() == ExecutionMode::Native {
+            return block();
+        }
+        let closed = self.close_at(object, SyncKind::Acquire);
+        self.hand_off(closed);
+        let result = block();
+        self.recorder.open_after_synchronization();
+        result
+    }
+
+    /// A release of `object` around the real operation `release`: the
+    /// commit, the close and the clock's publication run before `release`
+    /// (an acquirer that returns from the real operation must find both),
+    /// the start of the next sub-computation and the hand-off after it.
+    pub(crate) fn release_with(&mut self, object: SyncObjectId, release: impl FnOnce()) {
+        if self.mode() == ExecutionMode::Native {
+            return release();
+        }
+        let closed = self.close_at(object, SyncKind::Release);
+        release();
+        self.recorder.open_after_synchronization();
+        self.hand_off(closed);
+    }
+
+    /// The close half of a boundary: ends the tracking interval and closes
+    /// the sub-computation at `object`, publishing the clock for a release.
+    fn close_at(&mut self, object: SyncObjectId, kind: SyncKind) -> SubComputation {
         self.end_interval();
-        let retired = self.recorder.retire_at_synchronization(object, kind);
-        self.stream_retired(retired);
+        self.recorder.close_at_synchronization(object, kind)
+    }
+
+    /// The hand-off of a closed sub-computation: onto the lane, and the PT
+    /// bytes recorded until its close to the perf session.
+    fn hand_off(&mut self, closed: SubComputation) {
+        self.stream_retired(closed);
         self.flush_trace();
     }
 
@@ -431,14 +490,15 @@ impl ThreadCtx {
     pub fn join(&mut self, handle: JoinHandle) {
         // Re-raises the worker's panic in the joiner, as documented: a join
         // that returned would order a thread that never finished before it.
-        handle
-            .os_handle
-            .join()
-            .expect("INSPECTOR worker thread panicked");
-        if self.mode() == ExecutionMode::Inspector {
-            // Everything the child did happens-before the join returning.
-            self.sync_boundary(handle.exit_object, SyncKind::Acquire);
-        }
+        // Everything the child did happens-before the join returning.
+        let JoinHandle {
+            os_handle,
+            exit_object,
+            ..
+        } = handle;
+        self.acquire_with(exit_object, || {
+            os_handle.join().expect("INSPECTOR worker thread panicked")
+        });
     }
 
     /// Finalises the thread: commits outstanding writes, closes the last

@@ -1267,6 +1267,89 @@ mod tests {
     }
 
     #[test]
+    fn lock_hand_offs_keep_the_batch_graph_and_their_sync_edges() {
+        use inspector_core::testing::{edge_fingerprint, node_fingerprint, rebatch};
+        const ROUNDS: usize = 200;
+        let session = InspectorSession::new(SessionConfig::inspector());
+        let counter = session.map_region("counter", 8).base();
+        let lock = Arc::new(InspMutex::new());
+        // The counter value each critical section read: the holders' order.
+        let reads = Arc::new(std::sync::Mutex::new(vec![Vec::new(); 2]));
+        let mut workers = Vec::new();
+        let report = session.run(|ctx| {
+            let handles: Vec<_> = (0..2)
+                .map(|w| {
+                    let (lock, reads) = (Arc::clone(&lock), Arc::clone(&reads));
+                    ctx.spawn(move |ctx| {
+                        let mut seen = Vec::with_capacity(ROUNDS);
+                        for _ in 0..ROUNDS {
+                            lock.lock(ctx);
+                            let v = ctx.read_u64(counter);
+                            ctx.write_u64(counter, v + 1);
+                            lock.unlock(ctx);
+                            seen.push(v);
+                        }
+                        reads.lock().unwrap()[w] = seen;
+                    })
+                })
+                .collect();
+            for h in handles {
+                workers.push(h.thread());
+                ctx.join(h);
+            }
+        });
+        assert_eq!(session.image().read_u64_direct(counter), 2 * ROUNDS as u64);
+        let cpg = &report.cpg;
+        let oracle = rebatch(cpg);
+        assert_eq!(node_fingerprint(cpg), node_fingerprint(&oracle));
+        assert_eq!(edge_fingerprint(cpg), edge_fingerprint(&oracle));
+
+        // Each worker's critical sections are its sub-computations that
+        // ended in an unlock; each began right after the lock's acquire.
+        let ends_with = |sub: &inspector_core::subcomputation::SubComputation, kind| {
+            sub.terminator
+                .is_some_and(|p| p.object == lock.id() && p.kind == kind)
+        };
+        let mut holders = vec![None; 2 * ROUNDS];
+        for (w, &thread) in workers.iter().enumerate() {
+            let ids = cpg.thread_sequence(thread);
+            let sections: Vec<_> = ids
+                .windows(2)
+                .filter(|pair| {
+                    let (before, at) = (cpg.node(pair[0]).unwrap(), cpg.node(pair[1]).unwrap());
+                    ends_with(before, SyncKind::Acquire) && ends_with(at, SyncKind::Release)
+                })
+                .map(|pair| pair[1])
+                .collect();
+            let seen = &reads.lock().unwrap()[w];
+            assert_eq!(sections.len(), seen.len());
+            for (&v, &id) in seen.iter().zip(&sections) {
+                holders[v as usize] = Some(id);
+            }
+        }
+        let holders: Vec<_> = holders.into_iter().map(Option::unwrap).collect();
+        // Each critical section is entered from the latest one the other
+        // worker ran before it (none before that worker's first), and the
+        // lock carries no other edge.
+        let expected: std::collections::BTreeSet<_> = (0..holders.len())
+            .filter_map(|j| {
+                let dst = holders[j];
+                let src = holders[..j]
+                    .iter()
+                    .rev()
+                    .find(|id| id.thread != dst.thread)?;
+                Some((*src, dst))
+            })
+            .collect();
+        let edges: std::collections::BTreeSet<_> = cpg
+            .edges_of_kind(EdgeKind::Synchronization)
+            .filter(|e| e.object == Some(lock.id()))
+            .map(|e| (e.src, e.dst))
+            .collect();
+        assert_eq!(edges, expected);
+    }
+
+    #[test]
     fn sync_boundary_is_usable_for_custom_primitives() {
         let session = InspectorSession::new(SessionConfig::inspector());
         let report = session.run(|ctx| {
