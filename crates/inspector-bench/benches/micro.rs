@@ -13,7 +13,7 @@ use inspector_core::event::BranchKind;
 use inspector_core::graph::CpgBuilder;
 use inspector_core::ids::{PageId, ThreadId};
 use inspector_core::query::{EdgeFilter, ProvenanceQuery};
-use inspector_core::recorder::{SyncClockRegistry, ThreadRecorder};
+use inspector_core::recorder::ThreadRecorder;
 use inspector_core::sharded::ShardedCpgBuilder;
 use inspector_core::subcomputation::SubComputation;
 use inspector_core::taint::{TaintLabel, TaintTracker};
@@ -223,7 +223,7 @@ fn bench_recorder(c: &mut Criterion) {
     group.throughput(Throughput::Elements(10_000));
     group.bench_function("on_branch_10k", |b| {
         b.iter(|| {
-            let mut rec = ThreadRecorder::new(ThreadId::new(0), SyncClockRegistry::shared());
+            let mut rec = ThreadRecorder::new(ThreadId::new(0));
             for i in 0..10_000u64 {
                 let kind = if i % 16 == 0 {
                     BranchKind::Indirect

@@ -1686,39 +1686,37 @@ mod tests {
     use super::*;
     use crate::event::{AccessKind, SyncKind};
     use crate::ids::{PageId, SyncObjectId, ThreadId};
-    use crate::recorder::{SyncClockRegistry, ThreadRecorder};
-    use std::sync::Arc;
+    use crate::recorder::{SyncObject, ThreadRecorder};
 
     /// Builds the CPG for the paper's running example (Figure 1): two threads
     /// updating `x` and `y` under a lock.
     fn example_cpg() -> Cpg {
-        let reg = SyncClockRegistry::shared();
-        let lock = SyncObjectId::new(1);
+        let lock = SyncObject::new(SyncObjectId::new(1));
         let page_x = PageId::new(10);
         let page_y = PageId::new(11);
 
         // Thread 1: T1.a { read y, write x,y } unlock; ... lock; T1.b { y = y/2 }
-        let mut t1 = ThreadRecorder::new(ThreadId::new(0), Arc::clone(&reg));
+        let mut t1 = ThreadRecorder::new(ThreadId::new(0));
         // T1.a executes while holding the lock (acquire happened before the
         // recorded region; we model the initial acquire as sub 0 boundary).
-        t1.on_synchronization(lock, SyncKind::Acquire);
+        t1.on_synchronization(&lock, SyncKind::Acquire);
         t1.on_memory_access(page_y, AccessKind::Read);
         t1.on_memory_access(page_x, AccessKind::Write);
         t1.on_memory_access(page_y, AccessKind::Write);
-        t1.on_synchronization(lock, SyncKind::Release);
+        t1.on_synchronization(&lock, SyncKind::Release);
 
         // Thread 2: lock; T2.a { y = 2*x } unlock
-        let mut t2 = ThreadRecorder::new(ThreadId::new(1), Arc::clone(&reg));
-        t2.on_synchronization(lock, SyncKind::Acquire);
+        let mut t2 = ThreadRecorder::new(ThreadId::new(1));
+        t2.on_synchronization(&lock, SyncKind::Acquire);
         t2.on_memory_access(page_x, AccessKind::Read);
         t2.on_memory_access(page_y, AccessKind::Write);
-        t2.on_synchronization(lock, SyncKind::Release);
+        t2.on_synchronization(&lock, SyncKind::Release);
 
         // Thread 1 again: lock; T1.b { y = y/2 } unlock
-        t1.on_synchronization(lock, SyncKind::Acquire);
+        t1.on_synchronization(&lock, SyncKind::Acquire);
         t1.on_memory_access(page_y, AccessKind::Read);
         t1.on_memory_access(page_y, AccessKind::Write);
-        t1.on_synchronization(lock, SyncKind::Release);
+        t1.on_synchronization(&lock, SyncKind::Release);
 
         let mut b = CpgBuilder::new();
         b.add_thread(t1.finish());

@@ -18,8 +18,9 @@
 //!
 //! The crate is deliberately independent of *how* the underlying trace is
 //! obtained: the threading library (`inspector-runtime`) feeds events into a
-//! [`recorder::ThreadRecorder`] per thread, and the per-thread logs become a
-//! [`graph::Cpg`] through one of two builders:
+//! [`recorder::ThreadRecorder`] per thread, whose clock meets other threads'
+//! only in the [`recorder::SyncObject`] of an object they share, and the
+//! per-thread logs become a [`graph::Cpg`] through one of two builders:
 //!
 //! * [`sharded::ShardedCpgBuilder`] — the **streaming** path the runtime
 //!   uses. Each recorder hands a sub-computation out as it retires
@@ -124,7 +125,7 @@ pub use clock::VectorClock;
 pub use event::{AccessKind, BranchKind, SyncKind};
 pub use graph::{Cpg, CpgBuilder, DependenceEdge, EdgeKind};
 pub use ids::{PageId, SubId, SyncObjectId, ThreadId, ThunkId};
-pub use recorder::{SyncClockRegistry, ThreadRecorder};
+pub use recorder::{SyncObject, ThreadRecorder};
 pub use recover::{recover_session, Recovery, RecoveryReport};
 pub use sharded::{IngestStats, ShardedCpgBuilder};
 pub use spill::{SpillDurability, SpillError, SpillSettings, SpillStore};

@@ -445,28 +445,26 @@ mod tests {
     use crate::event::{AccessKind, SyncKind};
     use crate::graph::CpgBuilder;
     use crate::ids::SyncObjectId;
-    use crate::recorder::{SyncClockRegistry, ThreadRecorder};
-    use std::sync::Arc;
+    use crate::recorder::{SyncObject, ThreadRecorder};
 
     /// Pipeline: T0 writes page 1, releases; T1 acquires, reads page 1,
     /// writes page 2, releases; T2 acquires, reads page 2.
     fn pipeline_cpg() -> Cpg {
-        let reg = SyncClockRegistry::shared();
-        let s01 = SyncObjectId::new(1);
-        let s12 = SyncObjectId::new(2);
+        let s01 = SyncObject::new(SyncObjectId::new(1));
+        let s12 = SyncObject::new(SyncObjectId::new(2));
 
-        let mut t0 = ThreadRecorder::new(ThreadId::new(0), Arc::clone(&reg));
+        let mut t0 = ThreadRecorder::new(ThreadId::new(0));
         t0.on_memory_access(PageId::new(1), AccessKind::Write);
-        t0.on_synchronization(s01, SyncKind::Release);
+        t0.on_synchronization(&s01, SyncKind::Release);
 
-        let mut t1 = ThreadRecorder::new(ThreadId::new(1), Arc::clone(&reg));
-        t1.on_synchronization(s01, SyncKind::Acquire);
+        let mut t1 = ThreadRecorder::new(ThreadId::new(1));
+        t1.on_synchronization(&s01, SyncKind::Acquire);
         t1.on_memory_access(PageId::new(1), AccessKind::Read);
         t1.on_memory_access(PageId::new(2), AccessKind::Write);
-        t1.on_synchronization(s12, SyncKind::Release);
+        t1.on_synchronization(&s12, SyncKind::Release);
 
-        let mut t2 = ThreadRecorder::new(ThreadId::new(2), Arc::clone(&reg));
-        t2.on_synchronization(s12, SyncKind::Acquire);
+        let mut t2 = ThreadRecorder::new(ThreadId::new(2));
+        t2.on_synchronization(&s12, SyncKind::Acquire);
         t2.on_memory_access(PageId::new(2), AccessKind::Read);
 
         let mut b = CpgBuilder::new();
@@ -567,10 +565,9 @@ mod tests {
     #[test]
     fn racy_writes_show_up_as_conflicts() {
         // Two threads write the same page with no synchronization at all.
-        let reg = SyncClockRegistry::shared();
-        let mut t0 = ThreadRecorder::new(ThreadId::new(0), Arc::clone(&reg));
+        let mut t0 = ThreadRecorder::new(ThreadId::new(0));
         t0.on_memory_access(PageId::new(7), AccessKind::Write);
-        let mut t1 = ThreadRecorder::new(ThreadId::new(1), Arc::clone(&reg));
+        let mut t1 = ThreadRecorder::new(ThreadId::new(1));
         t1.on_memory_access(PageId::new(7), AccessKind::Write);
         let mut b = CpgBuilder::new();
         b.add_thread(t0.finish());

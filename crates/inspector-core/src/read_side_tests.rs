@@ -13,14 +13,12 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use std::sync::Arc;
-
 use crate::clock::VectorClock;
 use crate::event::{AccessKind, SyncKind};
 use crate::graph::{Cpg, CpgBuilder, CpgValidationError, DependenceEdge, EdgeKind};
 use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
 use crate::query::{Direction, EdgeFilter, ProvenanceQuery, SubSet};
-use crate::recorder::{SyncClockRegistry, ThreadRecorder};
+use crate::recorder::{SyncObject, ThreadRecorder};
 use crate::sharded::ShardedCpgBuilder;
 use crate::subcomputation::SubComputation;
 use crate::taint::{ReferenceReport, TaintLabel, TaintReport, TaintTracker};
@@ -389,20 +387,21 @@ fn explain_page_on_a_hot_page() {
     const WORKERS: u32 = 4;
     const WRITES: u64 = 2_500;
     let hot = PageId::new(7);
-    let done = |t: u32| SyncObjectId::new(10 + t as u64);
-    let registry = SyncClockRegistry::shared();
-    let recorder = |t: u32| ThreadRecorder::new(ThreadId::new(t), Arc::clone(&registry));
-    let spawn = SyncObjectId::new(1);
+    let done: Vec<_> = (0..=WORKERS)
+        .map(|t| SyncObject::new(SyncObjectId::new(10 + t as u64)))
+        .collect();
+    let recorder = |t: u32| ThreadRecorder::new(ThreadId::new(t));
+    let spawn = SyncObject::new(SyncObjectId::new(1));
     let mut spawner = recorder(WORKERS + 1);
-    spawner.on_synchronization(spawn, SyncKind::Release);
+    spawner.on_synchronization(&spawn, SyncKind::Release);
     let mut sequences = vec![spawner.finish()];
     for t in 1..=WORKERS {
         let mut worker = recorder(t);
-        worker.on_synchronization(spawn, SyncKind::Acquire);
+        worker.on_synchronization(&spawn, SyncKind::Acquire);
         for _ in 0..WRITES {
             worker.on_memory_access(hot, AccessKind::Read);
             worker.on_memory_access(hot, AccessKind::Write);
-            worker.on_synchronization(done(t), SyncKind::Release);
+            worker.on_synchronization(&done[t as usize], SyncKind::Release);
         }
         sequences.push(worker.finish());
     }
@@ -414,7 +413,7 @@ fn explain_page_on_a_hot_page() {
     assert_eq!(last_writes.len(), WORKERS as usize);
     let mut joiner = recorder(0);
     for t in 1..=WORKERS {
-        joiner.on_synchronization(done(t), SyncKind::Acquire);
+        joiner.on_synchronization(&done[t as usize], SyncKind::Acquire);
     }
     joiner.on_memory_access(hot, AccessKind::Read);
     joiner.on_memory_access(hot, AccessKind::Write);

@@ -1,14 +1,16 @@
 //! The parallel provenance-recording algorithm (paper Algorithms 1 and 2).
 //!
-//! Each application thread owns a [`ThreadRecorder`]; synchronization-object
-//! clocks live in a shared [`SyncClockRegistry`]. The threading library
-//! drives the recorder: memory accesses extend the read/write sets, branches
-//! extend the thunk list, and synchronization operations terminate the
-//! current sub-computation and exchange vector clocks through the registry.
+//! Each application thread owns a [`ThreadRecorder`], and each
+//! synchronization object owns its clock `C_S` in a [`SyncObject`]. The
+//! threading library drives the recorder: memory accesses extend the
+//! read/write sets, branches extend the thunk list, and synchronization
+//! operations terminate the current sub-computation and join vector clocks
+//! with the object operated on.
 //!
 //! The design is completely decentralized: threads only interact through the
-//! per-object synchronization clocks, exactly as in the paper, so recording
-//! does not serialize the application.
+//! objects they share, exactly as in the paper. Two threads that use
+//! different objects take no common lock, so recording does not serialize
+//! the application.
 //!
 //! # What closing a sub-computation costs
 //!
@@ -46,9 +48,6 @@
 //! [`retire_at_synchronization`](ThreadRecorder::retire_at_synchronization)
 //! is the two halves back to back.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use parking_lot::Mutex;
 
 use crate::clock::VectorClock;
@@ -57,50 +56,41 @@ use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
 use crate::subcomputation::{SubComputation, SyncPoint};
 use crate::thunk::StagedThunks;
 
-/// Shared registry of synchronization-object vector clocks (`C_S`).
+/// A synchronization object `S` as the recorder sees it: the id the graph
+/// names it by ([`SyncPoint`]) and its clock `C_S`, which starts at zero.
 ///
-/// The registry is the only point of inter-thread communication during
-/// recording. Each entry is touched exactly when the owning synchronization
-/// object is acquired or released, so contention mirrors the application's
-/// own synchronization pattern.
-#[derive(Debug, Default)]
-pub struct SyncClockRegistry {
-    clocks: Mutex<HashMap<SyncObjectId, VectorClock>>,
+/// The clock's lock is taken only by a release or an acquire of this
+/// object, so contention mirrors the application's own synchronization.
+/// The graph pairs releases with acquires by id, so one run's objects need
+/// distinct ids.
+#[derive(Debug)]
+pub struct SyncObject {
+    id: SyncObjectId,
+    clock: Mutex<VectorClock>,
 }
 
-impl SyncClockRegistry {
-    /// Creates an empty registry (all synchronization clocks are zero).
-    pub fn new() -> Self {
-        SyncClockRegistry::default()
-    }
-
-    /// Creates a reference-counted registry, the form used by the runtime.
-    pub fn shared() -> Arc<Self> {
-        Arc::new(Self::new())
-    }
-
-    /// `release(S)`: merge the releasing thread's clock into `C_S`.
-    pub fn release(&self, object: SyncObjectId, thread_clock: &VectorClock) {
-        let mut clocks = self.clocks.lock();
-        clocks.entry(object).or_default().join(thread_clock);
-    }
-
-    /// `acquire(S)`: merge `C_S` into the acquiring thread's clock.
-    pub fn acquire(&self, object: SyncObjectId, thread_clock: &mut VectorClock) {
-        let clocks = self.clocks.lock();
-        if let Some(c) = clocks.get(&object) {
-            thread_clock.join(c);
+impl SyncObject {
+    /// The object named `id`, with a zero clock.
+    pub fn new(id: SyncObjectId) -> Self {
+        SyncObject {
+            id,
+            clock: Mutex::new(VectorClock::new()),
         }
     }
 
-    /// Number of synchronization objects seen so far.
-    pub fn len(&self) -> usize {
-        self.clocks.lock().len()
+    /// The graph's name for this object.
+    pub fn id(&self) -> SyncObjectId {
+        self.id
     }
 
-    /// Returns `true` if no synchronization object has been touched.
-    pub fn is_empty(&self) -> bool {
-        self.clocks.lock().is_empty()
+    /// `release(S)`: merge the releasing thread's clock into `C_S`.
+    fn release(&self, thread_clock: &VectorClock) {
+        self.clock.lock().join(thread_clock);
+    }
+
+    /// `acquire(S)`: merge `C_S` into the acquiring thread's clock.
+    fn acquire(&self, thread_clock: &mut VectorClock) {
+        thread_clock.join(&self.clock.lock());
     }
 }
 
@@ -145,7 +135,6 @@ pub struct ThreadRecorder {
     /// [`on_thread_exit`]: Self::on_thread_exit
     completed: Vec<SubComputation>,
     stats: RecorderStats,
-    registry: Arc<SyncClockRegistry>,
     /// The synchronization point a close half left for its open half;
     /// `None` while a sub-computation is open.
     pending: Option<SyncPoint>,
@@ -155,7 +144,7 @@ pub struct ThreadRecorder {
 impl ThreadRecorder {
     /// `initThread(t)`: creates the recorder for thread `t` with all clocks
     /// zero and an open first sub-computation `L_t[0]`.
-    pub fn new(thread: ThreadId, registry: Arc<SyncClockRegistry>) -> Self {
+    pub fn new(thread: ThreadId) -> Self {
         let mut clock = VectorClock::new();
         // The thread's own component counts *started* sub-computations
         // (α + 1) so that the very first sub-computation does not carry an
@@ -171,7 +160,6 @@ impl ThreadRecorder {
             staged: StagedThunks::new(),
             completed: Vec::new(),
             stats: RecorderStats::default(),
-            registry,
             pending: None,
             finished: false,
         }
@@ -180,11 +168,6 @@ impl ThreadRecorder {
     /// The thread this recorder belongs to.
     pub fn thread(&self) -> ThreadId {
         self.thread
-    }
-
-    /// A copy of the thread clock `C_t`.
-    pub fn clock(&self) -> VectorClock {
-        self.clock.clone()
     }
 
     /// Counters accumulated so far.
@@ -228,13 +211,13 @@ impl ThreadRecorder {
     /// convention (matching the paper) is:
     /// * for a **release**, call this *before* the real operation,
     /// * for an **acquire**, call this *after* the real operation has
-    ///   returned, so that the releasing thread's clock is already stored in
-    ///   the registry.
+    ///   returned, so that the releasing thread's clock is already in the
+    ///   object's.
     ///
     /// A caller that wants the closing work outside the blocking operation
     /// calls the two halves instead: the close half before it, the open
     /// half after it.
-    pub fn on_synchronization(&mut self, object: SyncObjectId, kind: SyncKind) -> SubId {
+    pub fn on_synchronization(&mut self, object: &SyncObject, kind: SyncKind) -> SubId {
         let closed = self.retire_at_synchronization(object, kind);
         self.completed.push(closed);
         self.current.id
@@ -248,11 +231,11 @@ impl ThreadRecorder {
     /// nothing but the sub-computation in progress.
     pub fn retire_at_synchronization(
         &mut self,
-        object: SyncObjectId,
+        object: &SyncObject,
         kind: SyncKind,
     ) -> SubComputation {
         let closed = self.close_at_synchronization(object, kind);
-        self.open_after_synchronization();
+        self.open_after_synchronization(object);
         closed
     }
 
@@ -266,36 +249,41 @@ impl ThreadRecorder {
     /// must follow before anything else is recorded.
     pub fn close_at_synchronization(
         &mut self,
-        object: SyncObjectId,
+        object: &SyncObject,
         kind: SyncKind,
     ) -> SubComputation {
         debug_assert!(!self.finished, "recorder used after thread exit");
         debug_assert!(self.pending.is_none(), "two close halves in a row");
         self.stats.sync_ops += 1;
-        let point = SyncPoint { object, kind };
+        let point = SyncPoint {
+            object: object.id,
+            kind,
+        };
         let closed = self.close_current(Some(point));
         if matches!(kind, SyncKind::Release | SyncKind::ReleaseAcquire) {
-            self.registry.release(object, &self.clock);
+            object.release(&self.clock);
         }
         self.pending = Some(point);
         closed
     }
 
     /// The open half of a boundary, called **after** the real operation
-    /// returned: for an acquire (or release-acquire) joins the object's
-    /// clock into the thread clock, then starts the next sub-computation.
+    /// returned, on the object its close half closed at: for an acquire (or
+    /// release-acquire) joins the object's clock into the thread clock, then
+    /// starts the next sub-computation.
     ///
     /// # Panics
     ///
     /// Panics unless a [`close_at_synchronization`](Self::close_at_synchronization)
     /// is waiting for it.
-    pub fn open_after_synchronization(&mut self) {
+    pub fn open_after_synchronization(&mut self, object: &SyncObject) {
         let point = self
             .pending
             .take()
             .expect("open half without its close half");
+        debug_assert_eq!(point.object, object.id, "open half on another object");
         if matches!(point.kind, SyncKind::Acquire | SyncKind::ReleaseAcquire) {
-            self.registry.acquire(point.object, &mut self.clock);
+            object.acquire(&mut self.clock);
         }
         self.start_next();
     }
@@ -369,8 +357,7 @@ mod tests {
 
     #[test]
     fn memory_accesses_build_read_write_sets() {
-        let reg = SyncClockRegistry::shared();
-        let mut r = ThreadRecorder::new(t(0), reg);
+        let mut r = ThreadRecorder::new(t(0));
         r.on_memory_access(PageId::new(1), AccessKind::Read);
         r.on_memory_access(PageId::new(1), AccessKind::Read);
         r.on_memory_access(PageId::new(2), AccessKind::Write);
@@ -382,8 +369,7 @@ mod tests {
 
     #[test]
     fn stats_count_first_touch_only() {
-        let reg = SyncClockRegistry::shared();
-        let mut r = ThreadRecorder::new(t(0), reg);
+        let mut r = ThreadRecorder::new(t(0));
         r.on_memory_access(PageId::new(1), AccessKind::Read);
         r.on_memory_access(PageId::new(1), AccessKind::Read);
         assert_eq!(r.stats().page_reads, 1);
@@ -391,11 +377,10 @@ mod tests {
 
     #[test]
     fn synchronization_splits_subcomputations() {
-        let reg = SyncClockRegistry::shared();
-        let mut r = ThreadRecorder::new(t(0), reg);
+        let mut r = ThreadRecorder::new(t(0));
         r.on_memory_access(PageId::new(1), AccessKind::Write);
-        let s = SyncObjectId::new(1);
-        let next = r.on_synchronization(s, SyncKind::Release);
+        let s = SyncObject::new(SyncObjectId::new(1));
+        let next = r.on_synchronization(&s, SyncKind::Release);
         assert_eq!(next.alpha, 1);
         r.on_memory_access(PageId::new(2), AccessKind::Write);
         let subs = r.finish();
@@ -408,18 +393,17 @@ mod tests {
 
     #[test]
     fn release_acquire_orders_cross_thread_subcomputations() {
-        let reg = SyncClockRegistry::shared();
-        let s = SyncObjectId::new(42);
+        let s = SyncObject::new(SyncObjectId::new(42));
 
         // Thread 0 writes page 1 and releases S.
-        let mut r0 = ThreadRecorder::new(t(0), Arc::clone(&reg));
+        let mut r0 = ThreadRecorder::new(t(0));
         r0.on_memory_access(PageId::new(1), AccessKind::Write);
-        r0.on_synchronization(s, SyncKind::Release);
+        r0.on_synchronization(&s, SyncKind::Release);
         let l0 = r0.finish();
 
         // Thread 1 acquires S and reads page 1.
-        let mut r1 = ThreadRecorder::new(t(1), Arc::clone(&reg));
-        r1.on_synchronization(s, SyncKind::Acquire);
+        let mut r1 = ThreadRecorder::new(t(1));
+        r1.on_synchronization(&s, SyncKind::Acquire);
         r1.on_memory_access(PageId::new(1), AccessKind::Read);
         let l1 = r1.finish();
 
@@ -432,8 +416,7 @@ mod tests {
 
     #[test]
     fn branches_create_thunks() {
-        let reg = SyncClockRegistry::shared();
-        let mut r = ThreadRecorder::new(t(0), reg);
+        let mut r = ThreadRecorder::new(t(0));
         r.on_branch(BranchKind::ConditionalTaken, 0x10);
         r.on_branch(BranchKind::ConditionalNotTaken, 0x20);
         r.on_branch(BranchKind::Return, 0x30);
@@ -446,8 +429,7 @@ mod tests {
 
     #[test]
     fn thread_exit_is_idempotent() {
-        let reg = SyncClockRegistry::shared();
-        let mut r = ThreadRecorder::new(t(0), reg);
+        let mut r = ThreadRecorder::new(t(0));
         r.on_thread_exit();
         r.on_thread_exit();
         assert_eq!(r.completed().len(), 1);
@@ -455,10 +437,11 @@ mod tests {
 
     #[test]
     fn retired_subcomputations_are_handed_out_not_kept() {
-        let reg = SyncClockRegistry::shared();
-        let s = SyncObjectId::new(3);
-        let mut streamed = ThreadRecorder::new(t(0), Arc::clone(&reg));
-        let mut kept = ThreadRecorder::new(t(0), SyncClockRegistry::shared());
+        // Two objects of one name: each route has its own clock.
+        let s = SyncObject::new(SyncObjectId::new(3));
+        let kept_s = SyncObject::new(SyncObjectId::new(3));
+        let mut streamed = ThreadRecorder::new(t(0));
+        let mut kept = ThreadRecorder::new(t(0));
         let mut retired = Vec::new();
         for round in 0..3u64 {
             for r in [&mut streamed, &mut kept] {
@@ -467,8 +450,8 @@ mod tests {
                     r.on_branch(BranchKind::ConditionalTaken, 0x10 + b);
                 }
             }
-            retired.push(streamed.retire_at_synchronization(s, SyncKind::ReleaseAcquire));
-            kept.on_synchronization(s, SyncKind::ReleaseAcquire);
+            retired.push(streamed.retire_at_synchronization(&s, SyncKind::ReleaseAcquire));
+            kept.on_synchronization(&kept_s, SyncKind::ReleaseAcquire);
         }
         assert!(streamed.completed().is_empty(), "nothing is kept");
         retired.extend(streamed.retire_at_exit());
@@ -483,14 +466,13 @@ mod tests {
 
     #[test]
     fn a_short_retire_leaves_staging_empty_and_allocates_nothing() {
-        let reg = SyncClockRegistry::shared();
-        let s = SyncObjectId::new(3);
-        let mut r = ThreadRecorder::new(t(0), reg);
+        let s = SyncObject::new(SyncObjectId::new(3));
+        let mut r = ThreadRecorder::new(t(0));
         // A new target per branch: a long log, grown on the heap.
         for b in 0..10_000u64 {
             r.on_branch(BranchKind::Indirect, b);
         }
-        let long = r.retire_at_synchronization(s, SyncKind::Release);
+        let long = r.retire_at_synchronization(&s, SyncKind::Release);
         assert_eq!(long.thunks.branches(), 10_000);
         assert_eq!(long.thunks.iter().last().map(|t| t.entry_ip), Some(9_999));
         assert!(!long.thunks.is_inline());
@@ -506,7 +488,7 @@ mod tests {
                 };
                 r.on_branch(kind, 0x49_0000);
             }
-            let closed = r.retire_at_synchronization(s, SyncKind::Release);
+            let closed = r.retire_at_synchronization(&s, SyncKind::Release);
             assert_eq!(closed.thunks.branches(), branches);
             assert_eq!(closed.thunks.conditional_branches(), branches);
             assert!(closed.thunks.is_inline(), "{branches} branches");
@@ -518,7 +500,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "open half without its close half")]
     fn an_open_half_needs_its_close_half() {
-        ThreadRecorder::new(t(0), SyncClockRegistry::shared()).open_after_synchronization();
+        let s = SyncObject::new(SyncObjectId::new(1));
+        ThreadRecorder::new(t(0)).open_after_synchronization(&s);
     }
 
     proptest! {
@@ -537,26 +520,28 @@ mod tests {
             ops in proptest::collection::vec(0u8..6, 64),
             args in proptest::collection::vec(0u64..4, 64),
         ) {
-            let (split_reg, whole_reg) = (SyncClockRegistry::shared(), SyncClockRegistry::shared());
-            let mut split: Vec<_> =
-                (0..3).map(|i| ThreadRecorder::new(t(i), Arc::clone(&split_reg))).collect();
-            let mut whole: Vec<_> =
-                (0..3).map(|i| ThreadRecorder::new(t(i), Arc::clone(&whole_reg))).collect();
+            // Each side has its own two objects, so the sides share no clock.
+            let objects = |_| [0, 1].map(|id| SyncObject::new(SyncObjectId::new(id)));
+            let [split_objects, whole_objects] = [0, 1].map(objects);
+            let mut split: Vec<_> = (0..3).map(|i| ThreadRecorder::new(t(i))).collect();
+            let mut whole: Vec<_> = (0..3).map(|i| ThreadRecorder::new(t(i))).collect();
             let (mut split_out, mut whole_out) = (vec![Vec::new(); 3], vec![Vec::new(); 3]);
-            // Per thread: a close half whose open is still due, and the
-            // reference's acquire still due at that point.
-            let mut opens_due = [false; 3];
-            let mut acquires_due: [Option<SyncObjectId>; 3] = [None; 3];
+            // Per thread: the object of a close half whose open is still
+            // due, and of the reference's acquire still due at that point.
+            let mut opens_due: [Option<usize>; 3] = [None; 3];
+            let mut acquires_due: [Option<usize>; 3] = [None; 3];
             for ((thread, op), arg) in steps.into_iter().zip(ops).zip(args) {
                 let i = thread as usize;
                 let (s, w) = (&mut split[i], &mut whole[i]);
-                if std::mem::take(&mut opens_due[i]) {
-                    s.open_after_synchronization();
+                if let Some(object) = opens_due[i].take() {
+                    s.open_after_synchronization(&split_objects[object]);
                 }
                 if let Some(object) = acquires_due[i].take() {
-                    whole_out[i].push(w.retire_at_synchronization(object, SyncKind::Acquire));
+                    whole_out[i]
+                        .push(w.retire_at_synchronization(&whole_objects[object], SyncKind::Acquire));
                 }
-                let object = SyncObjectId::new(arg % 2);
+                let object = (arg % 2) as usize;
+                let (so, wo) = (&split_objects[object], &whole_objects[object]);
                 match op {
                     0 | 1 => {
                         let kind = if op == 0 { AccessKind::Read } else { AccessKind::Write };
@@ -568,29 +553,31 @@ mod tests {
                         w.on_branch(BranchKind::ConditionalTaken, 0x10 + arg);
                     }
                     3 => {
-                        split_out[i].push(s.close_at_synchronization(object, SyncKind::Acquire));
-                        opens_due[i] = true;
+                        split_out[i].push(s.close_at_synchronization(so, SyncKind::Acquire));
+                        opens_due[i] = Some(object);
                         acquires_due[i] = Some(object);
                     }
                     4 => {
-                        split_out[i].push(s.close_at_synchronization(object, SyncKind::Release));
-                        opens_due[i] = true;
-                        whole_out[i].push(w.retire_at_synchronization(object, SyncKind::Release));
+                        split_out[i].push(s.close_at_synchronization(so, SyncKind::Release));
+                        opens_due[i] = Some(object);
+                        whole_out[i].push(w.retire_at_synchronization(wo, SyncKind::Release));
                     }
                     _ => {
                         let kind = SyncKind::ReleaseAcquire;
-                        split_out[i].push(s.close_at_synchronization(object, kind));
-                        s.open_after_synchronization();
-                        whole_out[i].push(w.retire_at_synchronization(object, kind));
+                        split_out[i].push(s.close_at_synchronization(so, kind));
+                        s.open_after_synchronization(so);
+                        whole_out[i].push(w.retire_at_synchronization(wo, kind));
                     }
                 }
             }
             for i in 0..3 {
-                if opens_due[i] {
-                    split[i].open_after_synchronization();
+                if let Some(object) = opens_due[i] {
+                    split[i].open_after_synchronization(&split_objects[object]);
                 }
                 if let Some(object) = acquires_due[i] {
-                    whole_out[i].push(whole[i].retire_at_synchronization(object, SyncKind::Acquire));
+                    whole_out[i].push(
+                        whole[i].retire_at_synchronization(&whole_objects[object], SyncKind::Acquire),
+                    );
                 }
                 split_out[i].extend(split[i].retire_at_exit());
                 whole_out[i].extend(whole[i].retire_at_exit());
@@ -598,12 +585,5 @@ mod tests {
                 prop_assert_eq!(&split_out[i], &whole_out[i]);
             }
         }
-    }
-
-    #[test]
-    fn new_registry_is_empty() {
-        let reg = SyncClockRegistry::new();
-        assert!(reg.is_empty());
-        assert_eq!(reg.len(), 0);
     }
 }

@@ -146,9 +146,8 @@ mod tests {
     use super::*;
     use crate::event::{AccessKind, SyncKind};
     use crate::ids::{PageId, SyncObjectId};
-    use crate::recorder::{SyncClockRegistry, ThreadRecorder};
+    use crate::recorder::{SyncObject, ThreadRecorder};
     use crate::testing::{batch_build, edge_fingerprint, Rng};
-    use std::sync::Arc;
 
     /// The reference cut: every thread starts whole, and each pass rescans
     /// every prefix from index 0 and lowers a thread to its first node whose
@@ -180,16 +179,15 @@ mod tests {
     }
 
     fn sequences_for_test() -> (Vec<SubComputation>, Vec<SubComputation>) {
-        let reg = SyncClockRegistry::shared();
-        let s = SyncObjectId::new(1);
+        let s = SyncObject::new(SyncObjectId::new(1));
 
-        let mut t0 = ThreadRecorder::new(ThreadId::new(0), Arc::clone(&reg));
+        let mut t0 = ThreadRecorder::new(ThreadId::new(0));
         t0.on_memory_access(PageId::new(1), AccessKind::Write);
-        t0.on_synchronization(s, SyncKind::Release);
+        t0.on_synchronization(&s, SyncKind::Release);
         t0.on_memory_access(PageId::new(2), AccessKind::Write);
 
-        let mut t1 = ThreadRecorder::new(ThreadId::new(1), Arc::clone(&reg));
-        t1.on_synchronization(s, SyncKind::Acquire);
+        let mut t1 = ThreadRecorder::new(ThreadId::new(1));
+        t1.on_synchronization(&s, SyncKind::Acquire);
         t1.on_memory_access(PageId::new(1), AccessKind::Read);
 
         (t0.finish(), t1.finish())

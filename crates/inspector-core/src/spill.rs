@@ -1360,10 +1360,9 @@ impl Drop for SpillStore {
 mod tests {
     use super::*;
     use crate::event::{AccessKind, SyncKind};
-    use crate::recorder::{SyncClockRegistry, ThreadRecorder};
+    use crate::recorder::{SyncObject, ThreadRecorder};
     use crate::recover::{read_segments, RecoveryReport};
     use crate::testing::TempDir;
-    use std::sync::Arc;
 
     /// A store under `dir` with the given segment size.
     fn store_in(dir: &Path, shard: usize, segment_bytes: u64) -> SpillStore {
@@ -1381,15 +1380,14 @@ mod tests {
     /// Six lock-protected sub-computations of thread `thread`, and the
     /// seventh its recorder finishes with.
     fn recorded_subs_of(thread: u32) -> Vec<SubComputation> {
-        let registry = SyncClockRegistry::shared();
-        let lock = SyncObjectId::new(7);
-        let mut rec = ThreadRecorder::new(ThreadId::new(thread), Arc::clone(&registry));
+        let lock = SyncObject::new(SyncObjectId::new(7));
+        let mut rec = ThreadRecorder::new(ThreadId::new(thread));
         for i in 0..6u64 {
-            rec.on_synchronization(lock, SyncKind::Acquire);
+            rec.on_synchronization(&lock, SyncKind::Acquire);
             rec.on_memory_access(PageId::new(i % 3), AccessKind::Read);
             rec.on_memory_access(PageId::new(10 + i), AccessKind::Write);
             rec.on_branch(crate::event::BranchKind::ConditionalTaken, 0x40_0000 + i);
-            rec.on_synchronization(lock, SyncKind::Release);
+            rec.on_synchronization(&lock, SyncKind::Release);
         }
         rec.finish()
     }
@@ -1443,14 +1441,14 @@ mod tests {
     /// branch-free `L_2[1]` behind it.
     fn golden_subs() -> Vec<SubComputation> {
         use crate::event::BranchKind;
-        let mut rec = ThreadRecorder::new(ThreadId::new(2), SyncClockRegistry::shared());
+        let mut rec = ThreadRecorder::new(ThreadId::new(2));
         rec.on_memory_access(PageId::new(3), AccessKind::Read);
         rec.on_memory_access(PageId::new(17), AccessKind::Write);
         rec.on_branch(BranchKind::ConditionalTaken, 0x40_0000);
         rec.on_branch(BranchKind::ConditionalNotTaken, 0x40_0010);
         rec.on_branch(BranchKind::Indirect, 0x7fff_1234_5678);
         rec.on_branch(BranchKind::Return, 0x40_0020);
-        rec.on_synchronization(SyncObjectId::new(7), SyncKind::Release);
+        rec.on_synchronization(&SyncObject::new(SyncObjectId::new(7)), SyncKind::Release);
         rec.finish()
     }
 

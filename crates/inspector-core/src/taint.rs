@@ -404,26 +404,24 @@ mod tests {
     use crate::event::{AccessKind, SyncKind};
     use crate::graph::CpgBuilder;
     use crate::ids::{SyncObjectId, ThreadId};
-    use crate::recorder::{SyncClockRegistry, ThreadRecorder};
-    use std::sync::Arc;
+    use crate::recorder::{SyncObject, ThreadRecorder};
 
     /// T0 reads input page 100 and writes page 1; T1 (after sync) reads page
     /// 1 and writes page 2; page 3 is written by T1 without reading anything
     /// tainted.
     fn cpg_with_flow() -> Cpg {
-        let reg = SyncClockRegistry::shared();
-        let s = SyncObjectId::new(1);
+        let s = SyncObject::new(SyncObjectId::new(1));
 
-        let mut t0 = ThreadRecorder::new(ThreadId::new(0), Arc::clone(&reg));
+        let mut t0 = ThreadRecorder::new(ThreadId::new(0));
         t0.on_memory_access(PageId::new(100), AccessKind::Read);
         t0.on_memory_access(PageId::new(1), AccessKind::Write);
-        t0.on_synchronization(s, SyncKind::Release);
+        t0.on_synchronization(&s, SyncKind::Release);
 
-        let mut t1 = ThreadRecorder::new(ThreadId::new(1), Arc::clone(&reg));
-        t1.on_synchronization(s, SyncKind::Acquire);
+        let mut t1 = ThreadRecorder::new(ThreadId::new(1));
+        t1.on_synchronization(&s, SyncKind::Acquire);
         t1.on_memory_access(PageId::new(1), AccessKind::Read);
         t1.on_memory_access(PageId::new(2), AccessKind::Write);
-        t1.on_synchronization(s, SyncKind::Release);
+        t1.on_synchronization(&s, SyncKind::Release);
         t1.on_memory_access(PageId::new(3), AccessKind::Write);
 
         let mut b = CpgBuilder::new();

@@ -8,12 +8,11 @@ use std::collections::BTreeSet;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::event::{AccessKind, SyncKind};
 use crate::graph::{Cpg, CpgBuilder};
 use crate::ids::{PageId, SyncObjectId, ThreadId};
-use crate::recorder::{SyncClockRegistry, ThreadRecorder};
+use crate::recorder::{SyncObject, ThreadRecorder};
 use crate::subcomputation::SubComputation;
 
 /// splitmix64, so each property-test case expands one seed into a full
@@ -48,9 +47,11 @@ pub fn random_sequences(seed: u64, ops: Range<u64>) -> Vec<Vec<SubComputation>> 
     let locks = 1 + rng.below(3);
     let ops = ops.start + rng.below(ops.end - ops.start);
 
-    let registry = SyncClockRegistry::shared();
+    let locks: Vec<_> = (1..=locks)
+        .map(|id| SyncObject::new(SyncObjectId::new(id)))
+        .collect();
     let mut recs: Vec<ThreadRecorder> = (0..threads)
-        .map(|t| ThreadRecorder::new(ThreadId::new(t), Arc::clone(&registry)))
+        .map(|t| ThreadRecorder::new(ThreadId::new(t)))
         .collect();
     for _ in 0..ops {
         let t = rng.below(threads as u64) as usize;
@@ -58,12 +59,12 @@ pub fn random_sequences(seed: u64, ops: Range<u64>) -> Vec<Vec<SubComputation>> 
             0 => recs[t].on_memory_access(PageId::new(rng.below(pages)), AccessKind::Read),
             1 | 2 => recs[t].on_memory_access(PageId::new(rng.below(pages)), AccessKind::Write),
             3 => {
-                recs[t]
-                    .on_synchronization(SyncObjectId::new(1 + rng.below(locks)), SyncKind::Release);
+                let lock = &locks[rng.below(locks.len() as u64) as usize];
+                recs[t].on_synchronization(lock, SyncKind::Release);
             }
             _ => {
-                recs[t]
-                    .on_synchronization(SyncObjectId::new(1 + rng.below(locks)), SyncKind::Acquire);
+                let lock = &locks[rng.below(locks.len() as u64) as usize];
+                recs[t].on_synchronization(lock, SyncKind::Acquire);
             }
         }
     }
@@ -152,16 +153,15 @@ pub fn lock_heavy_sequences(
     read_pages: u64,
     write_pages: u64,
 ) -> Vec<Vec<SubComputation>> {
-    let registry = SyncClockRegistry::shared();
-    let lock = SyncObjectId::new(1);
+    let lock = SyncObject::new(SyncObjectId::new(1));
     (0..threads)
         .map(|t| {
-            let mut rec = ThreadRecorder::new(ThreadId::new(t), Arc::clone(&registry));
+            let mut rec = ThreadRecorder::new(ThreadId::new(t));
             for i in 0..iterations {
-                rec.on_synchronization(lock, SyncKind::Acquire);
+                rec.on_synchronization(&lock, SyncKind::Acquire);
                 rec.on_memory_access(PageId::new(i % read_pages), AccessKind::Read);
                 rec.on_memory_access(PageId::new((i + t as u64) % write_pages), AccessKind::Write);
-                rec.on_synchronization(lock, SyncKind::Release);
+                rec.on_synchronization(&lock, SyncKind::Release);
             }
             rec.finish()
         })
@@ -175,18 +175,17 @@ pub fn lock_heavy_sequences(
 /// — unlike [`lock_heavy_sequences`], which records the threads one after
 /// another, so earlier threads never observe later ones.
 pub fn ping_pong_sequences(threads: u32, rounds: u64) -> Vec<Vec<SubComputation>> {
-    let registry = SyncClockRegistry::shared();
-    let lock = SyncObjectId::new(1);
+    let lock = SyncObject::new(SyncObjectId::new(1));
     let mut recs: Vec<ThreadRecorder> = (0..threads)
-        .map(|t| ThreadRecorder::new(ThreadId::new(t), Arc::clone(&registry)))
+        .map(|t| ThreadRecorder::new(ThreadId::new(t)))
         .collect();
     for _ in 0..rounds {
         for (t, rec) in recs.iter_mut().enumerate() {
-            rec.on_synchronization(lock, SyncKind::Acquire);
+            rec.on_synchronization(&lock, SyncKind::Acquire);
             let prev = (t + threads as usize - 1) % threads as usize;
             rec.on_memory_access(PageId::new(prev as u64), AccessKind::Read);
             rec.on_memory_access(PageId::new(t as u64), AccessKind::Write);
-            rec.on_synchronization(lock, SyncKind::Release);
+            rec.on_synchronization(&lock, SyncKind::Release);
         }
     }
     recs.into_iter().map(|r| r.finish()).collect()

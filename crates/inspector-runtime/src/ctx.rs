@@ -19,7 +19,7 @@
 //! take and regrow), the thread clock is copied inline, the AUX chunk is
 //! lent to the perf session rather than copied for it, and the ingest worker
 //! is woken once per backlog, not once per message (`lane.rs`). What a
-//! boundary still pays is the commit, the registry's clock exchange, a
+//! boundary still pays is the commit, the object's clock join, a
 //! copy of the branch log at 2 bits per branch — inline up to 40
 //! conditionals under one label, one exact-size block beyond — and two
 //! queue operations. `tests/boundary_allocs.rs` pins the allocation count,
@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use inspector_core::event::{AccessKind, BranchKind, SyncKind};
 use inspector_core::ids::{PageId as CorePageId, SyncObjectId, ThreadId};
-use inspector_core::recorder::ThreadRecorder;
+use inspector_core::recorder::{SyncObject, ThreadRecorder};
 use inspector_core::subcomputation::SubComputation;
 use inspector_mem::addr::VirtAddr;
 use inspector_mem::thread_mem::{ThreadMemory, TrackingMode};
@@ -61,9 +61,12 @@ use crate::session::{IngestMsg, Shared, ThreadDone};
 /// Allocates process-wide unique synchronization-object identifiers.
 static NEXT_SYNC_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Returns a fresh synchronization-object identifier.
-pub fn fresh_sync_id() -> SyncObjectId {
-    SyncObjectId::new(NEXT_SYNC_ID.fetch_add(1, Ordering::Relaxed))
+/// A synchronization object with a fresh process-unique id and a zero
+/// clock: what every primitive in [`crate::sync`] holds, and what a custom
+/// primitive passes to [`ThreadCtx::sync_boundary`].
+pub fn fresh_sync_object() -> SyncObject {
+    let id = NEXT_SYNC_ID.fetch_add(1, Ordering::Relaxed);
+    SyncObject::new(SyncObjectId::new(id))
 }
 
 /// Handle to a spawned worker thread, returned by [`ThreadCtx::spawn`] and
@@ -72,7 +75,8 @@ pub fn fresh_sync_id() -> SyncObjectId {
 pub struct JoinHandle {
     pub(crate) os_handle: std::thread::JoinHandle<()>,
     pub(crate) thread: ThreadId,
-    pub(crate) exit_object: SyncObjectId,
+    /// Released by the worker as it exits and acquired by the join.
+    pub(crate) exit_object: Arc<SyncObject>,
 }
 
 impl JoinHandle {
@@ -112,7 +116,7 @@ impl ThreadCtx {
         shared: Arc<Shared>,
         thread: ThreadId,
         pid: ProcessId,
-        start_object: SyncObjectId,
+        start_object: SyncObject,
     ) -> Self {
         // Threads-as-processes: creating the child means duplicating its
         // page-table/protection state for every mapped page, which is why
@@ -136,7 +140,7 @@ impl ThreadCtx {
         // The implicit happens-before edge of pthread_create: the parent
         // released `start_object` just before forking; the child acquires it
         // as its first action.
-        ctx.sync_boundary(start_object, SyncKind::Acquire);
+        ctx.sync_boundary(&start_object, SyncKind::Acquire);
         ctx
     }
 
@@ -151,7 +155,7 @@ impl ThreadCtx {
             ExecutionMode::Native => TrackingMode::Native,
         };
         let mem = ThreadMemory::new(Arc::clone(&shared.image), tracking);
-        let recorder = ThreadRecorder::new(thread, Arc::clone(&shared.registry));
+        let recorder = ThreadRecorder::new(thread);
         let trace = match shared.config.mode {
             ExecutionMode::Inspector => {
                 let mut trace = ThreadTrace::with_aux_capacity(
@@ -331,8 +335,9 @@ impl ThreadCtx {
 
     /// Ends the current sub-computation at a synchronization operation on
     /// `object`: publishes buffered writes (shared-memory commit), feeds the
-    /// interval's first-touch accesses into the provenance recorder,
-    /// performs the vector-clock exchange, and hands on what just retired —
+    /// interval's first-touch accesses into the provenance recorder, joins
+    /// the thread clock with `object`'s (into it for a release, from it for
+    /// an acquire), and hands on what just retired —
     /// the closed sub-computation into the streaming CPG pipeline and the
     /// pending PT packet bytes into the perf session.
     ///
@@ -341,13 +346,14 @@ impl ThreadCtx {
     /// composition of the two halves is public so that custom primitives
     /// can participate in provenance recording (anything more exotic than
     /// acquire/release — e.g. ad-hoc spin loops — is unsupported, as in the
-    /// paper).
-    pub fn sync_boundary(&mut self, object: SyncObjectId, kind: SyncKind) {
+    /// paper). A custom primitive passes the one [`SyncObject`] it holds
+    /// ([`fresh_sync_object`]) to each of its boundaries.
+    pub fn sync_boundary(&mut self, object: &SyncObject, kind: SyncKind) {
         if self.mode() == ExecutionMode::Native {
             return;
         }
         let closed = self.close_at(object, kind);
-        self.recorder.open_after_synchronization();
+        self.recorder.open_after_synchronization(object);
         self.hand_off(closed);
     }
 
@@ -356,14 +362,14 @@ impl ThreadCtx {
     /// only the clock join and the start of the next sub-computation after
     /// it — so a thread that returns from `block` holding a lock does
     /// nothing more under it than the join.
-    pub(crate) fn acquire_with<R>(&mut self, object: SyncObjectId, block: impl FnOnce() -> R) -> R {
+    pub(crate) fn acquire_with<R>(&mut self, object: &SyncObject, block: impl FnOnce() -> R) -> R {
         if self.mode() == ExecutionMode::Native {
             return block();
         }
         let closed = self.close_at(object, SyncKind::Acquire);
         self.hand_off(closed);
         let result = block();
-        self.recorder.open_after_synchronization();
+        self.recorder.open_after_synchronization(object);
         result
     }
 
@@ -371,19 +377,19 @@ impl ThreadCtx {
     /// commit, the close and the clock's publication run before `release`
     /// (an acquirer that returns from the real operation must find both),
     /// the start of the next sub-computation and the hand-off after it.
-    pub(crate) fn release_with(&mut self, object: SyncObjectId, release: impl FnOnce()) {
+    pub(crate) fn release_with(&mut self, object: &SyncObject, release: impl FnOnce()) {
         if self.mode() == ExecutionMode::Native {
             return release();
         }
         let closed = self.close_at(object, SyncKind::Release);
         release();
-        self.recorder.open_after_synchronization();
+        self.recorder.open_after_synchronization(object);
         self.hand_off(closed);
     }
 
     /// The close half of a boundary: ends the tracking interval and closes
     /// the sub-computation at `object`, publishing the clock for a release.
-    fn close_at(&mut self, object: SyncObjectId, kind: SyncKind) -> SubComputation {
+    fn close_at(&mut self, object: &SyncObject, kind: SyncKind) -> SubComputation {
         self.end_interval();
         self.recorder.close_at_synchronization(object, kind)
     }
@@ -454,13 +460,14 @@ impl ThreadCtx {
     {
         let child_thread = self.shared.allocate_thread_id();
         let child_pid = self.shared.allocate_pid();
-        let start_object = fresh_sync_id();
-        let exit_object = fresh_sync_id();
+        // Both objects live as long as the thread and its handle, no longer.
+        let start_object = fresh_sync_object();
+        let exit_object = Arc::new(fresh_sync_object());
 
         if self.mode() == ExecutionMode::Inspector {
             // The parent's updates so far happen-before everything the child
             // does: release the start object before forking.
-            self.sync_boundary(start_object, SyncKind::Release);
+            self.sync_boundary(&start_object, SyncKind::Release);
             self.shared.perf.submit(PerfEvent::Fork {
                 parent: self.pid,
                 child: child_pid,
@@ -468,10 +475,11 @@ impl ThreadCtx {
         }
 
         let shared = Arc::clone(&self.shared);
+        let child_exit = Arc::clone(&exit_object);
         let os_handle = std::thread::spawn(move || {
             let mut ctx = ThreadCtx::new_child(shared, child_thread, child_pid, start_object);
             f(&mut ctx);
-            ctx.finish(Some(exit_object));
+            ctx.finish(Some(&child_exit));
         });
         self.shared.note_spawn();
 
@@ -496,7 +504,7 @@ impl ThreadCtx {
             exit_object,
             ..
         } = handle;
-        self.acquire_with(exit_object, || {
+        self.acquire_with(&exit_object, || {
             os_handle.join().expect("INSPECTOR worker thread panicked")
         });
     }
@@ -505,7 +513,7 @@ impl ThreadCtx {
     /// sub-computation, streams whatever is still unflushed (sub-computations
     /// and PT tail) and reports the thread's statistics to the session.
     /// Called automatically for workers and for the root thread.
-    pub(crate) fn finish(mut self, exit_object: Option<SyncObjectId>) {
+    pub(crate) fn finish(mut self, exit_object: Option<&SyncObject>) {
         let mode = self.mode();
         if mode == ExecutionMode::Inspector {
             if let Some(object) = exit_object {
@@ -514,9 +522,6 @@ impl ThreadCtx {
                 // Root thread: flush the final interval without a release.
                 self.end_interval();
             }
-        } else {
-            // Native mode still has to make buffered writes visible (they
-            // are already direct, so this is a no-op) — nothing to do.
         }
 
         let mem_stats = self.mem.stats();

@@ -225,7 +225,7 @@ pub(crate) fn lane<T>(depth: usize) -> (LaneSender<T>, LaneReceiver<T>) {
 mod tests {
     use super::*;
     use crate::config::{FaultPlan, SessionConfig};
-    use crate::ctx::fresh_sync_id;
+    use crate::ctx::fresh_sync_object;
     use crate::session::InspectorSession;
     use inspector_core::event::SyncKind;
     use std::sync::mpsc;
@@ -411,7 +411,7 @@ mod tests {
 
     fn boundaries(ctx: &mut crate::ThreadCtx, count: usize) {
         for _ in 0..count {
-            ctx.sync_boundary(fresh_sync_id(), SyncKind::Release);
+            ctx.sync_boundary(&fresh_sync_object(), SyncKind::Release);
         }
     }
 

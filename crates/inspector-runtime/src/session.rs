@@ -43,7 +43,7 @@ use parking_lot::Mutex;
 
 use inspector_core::graph::Cpg;
 use inspector_core::ids::ThreadId;
-use inspector_core::recorder::{RecorderStats, SyncClockRegistry};
+use inspector_core::recorder::RecorderStats;
 use inspector_core::sharded::{IngestStats, ShardedCpgBuilder};
 use inspector_core::snapshot::Snapshot;
 use inspector_core::subcomputation::SubComputation;
@@ -139,7 +139,6 @@ pub(crate) enum IngestMsg {
 pub(crate) struct Shared {
     pub(crate) config: SessionConfig,
     pub(crate) image: Arc<SharedImage>,
-    pub(crate) registry: Arc<SyncClockRegistry>,
     pub(crate) perf: TraceSession,
     pub(crate) allocator: HeapAllocator,
     pub(crate) builder: Arc<ShardedCpgBuilder>,
@@ -401,7 +400,6 @@ impl InspectorSession {
         let shared = Arc::new(Shared {
             config,
             image,
-            registry: SyncClockRegistry::shared(),
             perf,
             allocator,
             builder,
@@ -1078,8 +1076,8 @@ mod tests {
         let report = session.run(|ctx| {
             for i in 0..20u64 {
                 ctx.branch(i % 2 == 0);
-                let obj = crate::ctx::fresh_sync_id();
-                ctx.sync_boundary(obj, SyncKind::Release);
+                let obj = crate::ctx::fresh_sync_object();
+                ctx.sync_boundary(&obj, SyncKind::Release);
             }
         });
         assert_eq!(report.stats.spilled_subs, 0);
@@ -1353,9 +1351,9 @@ mod tests {
     fn sync_boundary_is_usable_for_custom_primitives() {
         let session = InspectorSession::new(SessionConfig::inspector());
         let report = session.run(|ctx| {
-            let obj = crate::ctx::fresh_sync_id();
-            ctx.sync_boundary(obj, SyncKind::Release);
-            ctx.sync_boundary(obj, SyncKind::Acquire);
+            let obj = crate::ctx::fresh_sync_object();
+            ctx.sync_boundary(&obj, SyncKind::Release);
+            ctx.sync_boundary(&obj, SyncKind::Acquire);
         });
         assert!(report.stats.recorder.sync_ops >= 2);
         // Backward slice across the custom edges still works.

@@ -17,6 +17,11 @@
 //! (`lock()`/`unlock()` rather than RAII guards) so that ported benchmark
 //! code keeps its original structure.
 //!
+//! Their state mutexes are the `parking_lot` stand-in's, which never poison,
+//! and a `Condvar` wait ignores poison too (`wait`). That is sound because
+//! every assert in a primitive's critical section runs before its mutation:
+//! a thread that panics there leaves the state as it found it.
+//!
 //! # The lock, and its wake handshake
 //!
 //! [`InspMutex`] waits the way a futex mutex does, from std atomics: one
@@ -52,12 +57,14 @@
 
 use std::hint;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, PoisonError};
 
 use inspector_core::event::SyncKind;
 use inspector_core::ids::SyncObjectId;
+use inspector_core::recorder::SyncObject;
+use parking_lot::{Mutex, MutexGuard};
 
-use crate::ctx::{fresh_sync_id, ThreadCtx};
+use crate::ctx::{fresh_sync_object, ThreadCtx};
 
 /// Spins an [`InspMutex`] waiter makes on a held lock before it parks.
 ///
@@ -72,10 +79,15 @@ use crate::ctx::{fresh_sync_id, ThreadCtx};
 /// futex wake.
 pub(crate) const SPINS: u32 = 100;
 
+/// `cv.wait(guard)`, ignoring poison like the state mutexes (module docs).
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A mutual-exclusion lock (the `pthread_mutex_t` shim).
 #[derive(Debug)]
 pub struct InspMutex {
-    id: SyncObjectId,
+    object: SyncObject,
     /// The lock word.
     locked: AtomicBool,
     /// Threads registered to park (see the module docs' handshake).
@@ -95,7 +107,7 @@ impl InspMutex {
     /// Creates an unlocked mutex.
     pub fn new() -> Self {
         InspMutex {
-            id: fresh_sync_id(),
+            object: fresh_sync_object(),
             locked: AtomicBool::new(false),
             waiters: AtomicUsize::new(0),
             park: Mutex::new(()),
@@ -105,12 +117,12 @@ impl InspMutex {
 
     /// The provenance identity of this mutex.
     pub fn id(&self) -> SyncObjectId {
-        self.id
+        self.object.id()
     }
 
     /// Acquires the lock, blocking until it is available.
     pub fn lock(&self, ctx: &mut ThreadCtx) {
-        ctx.acquire_with(self.id, || self.acquire());
+        ctx.acquire_with(&self.object, || self.acquire());
     }
 
     /// Attempts to acquire the lock without blocking; returns `true` on
@@ -120,7 +132,7 @@ impl InspMutex {
         if !self.try_acquire() {
             return false;
         }
-        ctx.sync_boundary(self.id, SyncKind::Acquire);
+        ctx.sync_boundary(&self.object, SyncKind::Acquire);
         true
     }
 
@@ -130,7 +142,7 @@ impl InspMutex {
     ///
     /// Panics if the mutex is not currently locked.
     pub fn unlock(&self, ctx: &mut ThreadCtx) {
-        ctx.release_with(self.id, || self.release());
+        ctx.release_with(&self.object, || self.release());
     }
 
     /// Runs `f` with the lock held (convenience for Rust-style call sites).
@@ -158,14 +170,14 @@ impl InspMutex {
                 return;
             }
         }
-        let mut park = self.park.lock().expect("mutex poisoned");
+        let mut park = self.park.lock();
         self.waiters.fetch_add(1, Ordering::SeqCst);
         while self
             .locked
             .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
             .is_err()
         {
-            park = self.cv.wait(park).expect("mutex poisoned");
+            park = wait(&self.cv, park);
         }
         self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
@@ -175,7 +187,7 @@ impl InspMutex {
         let was_locked = self.locked.swap(false, Ordering::SeqCst);
         assert!(was_locked, "unlock of an unlocked InspMutex");
         if self.waiters.load(Ordering::SeqCst) > 0 {
-            let _park = self.park.lock().expect("mutex poisoned");
+            let _park = self.park.lock();
             self.cv.notify_one();
         }
     }
@@ -184,7 +196,7 @@ impl InspMutex {
 /// A counting semaphore (the `sem_t` shim).
 #[derive(Debug)]
 pub struct InspSemaphore {
-    id: SyncObjectId,
+    object: SyncObject,
     count: Mutex<i64>,
     cv: Condvar,
 }
@@ -193,7 +205,7 @@ impl InspSemaphore {
     /// Creates a semaphore with the given initial count.
     pub fn new(initial: i64) -> Self {
         InspSemaphore {
-            id: fresh_sync_id(),
+            object: fresh_sync_object(),
             count: Mutex::new(initial),
             cv: Condvar::new(),
         }
@@ -201,38 +213,33 @@ impl InspSemaphore {
 
     /// The provenance identity of this semaphore.
     pub fn id(&self) -> SyncObjectId {
-        self.id
+        self.object.id()
     }
 
     /// `sem_post`: increments the count and wakes one waiter.
     pub fn post(&self, ctx: &mut ThreadCtx) {
-        ctx.release_with(self.id, || {
-            *self.count.lock().expect("semaphore poisoned") += 1;
+        ctx.release_with(&self.object, || {
+            *self.count.lock() += 1;
             self.cv.notify_one();
         });
     }
 
     /// `sem_wait`: blocks until the count is positive, then decrements it.
     pub fn wait(&self, ctx: &mut ThreadCtx) {
-        ctx.acquire_with(self.id, || {
-            let mut c = self.count.lock().expect("semaphore poisoned");
+        ctx.acquire_with(&self.object, || {
+            let mut c = self.count.lock();
             while *c <= 0 {
-                c = self.cv.wait(c).expect("semaphore poisoned");
+                c = wait(&self.cv, c);
             }
             *c -= 1;
         });
-    }
-
-    /// Current count (diagnostic only; racy by nature).
-    pub fn count(&self) -> i64 {
-        *self.count.lock().expect("semaphore poisoned")
     }
 }
 
 /// A cyclic barrier (the `pthread_barrier_t` shim).
 #[derive(Debug)]
 pub struct InspBarrier {
-    id: SyncObjectId,
+    object: SyncObject,
     parties: usize,
     state: Mutex<BarrierState>,
     cv: Condvar,
@@ -253,7 +260,7 @@ impl InspBarrier {
     pub fn new(parties: usize) -> Self {
         assert!(parties > 0, "barrier needs at least one party");
         InspBarrier {
-            id: fresh_sync_id(),
+            object: fresh_sync_object(),
             parties,
             state: Mutex::new(BarrierState::default()),
             cv: Condvar::new(),
@@ -262,7 +269,7 @@ impl InspBarrier {
 
     /// The provenance identity of this barrier.
     pub fn id(&self) -> SyncObjectId {
-        self.id
+        self.object.id()
     }
 
     /// Number of participating threads.
@@ -276,9 +283,9 @@ impl InspBarrier {
     pub fn wait(&self, ctx: &mut ThreadCtx) -> bool {
         // Publish this thread's updates (and clock) before blocking, and
         // observe everyone else's after unblocking.
-        ctx.sync_boundary(self.id, SyncKind::Release);
-        ctx.acquire_with(self.id, || {
-            let mut st = self.state.lock().expect("barrier poisoned");
+        ctx.sync_boundary(&self.object, SyncKind::Release);
+        ctx.acquire_with(&self.object, || {
+            let mut st = self.state.lock();
             let generation = st.generation;
             st.waiting += 1;
             let leader = st.waiting == self.parties;
@@ -289,7 +296,7 @@ impl InspBarrier {
                 self.cv.notify_all();
             } else {
                 while st.generation == generation {
-                    st = self.cv.wait(st).expect("barrier poisoned");
+                    st = wait(&self.cv, st);
                 }
             }
             leader
@@ -300,7 +307,7 @@ impl InspBarrier {
 /// A condition variable (the `pthread_cond_t` shim).
 #[derive(Debug)]
 pub struct InspCondvar {
-    id: SyncObjectId,
+    object: SyncObject,
     epoch: Mutex<u64>,
     cv: Condvar,
 }
@@ -315,7 +322,7 @@ impl InspCondvar {
     /// Creates a condition variable.
     pub fn new() -> Self {
         InspCondvar {
-            id: fresh_sync_id(),
+            object: fresh_sync_object(),
             epoch: Mutex::new(0),
             cv: Condvar::new(),
         }
@@ -323,7 +330,7 @@ impl InspCondvar {
 
     /// The provenance identity of this condition variable.
     pub fn id(&self) -> SyncObjectId {
-        self.id
+        self.object.id()
     }
 
     /// `pthread_cond_wait`: atomically releases `mutex`, waits for a signal,
@@ -331,13 +338,13 @@ impl InspCondvar {
     pub fn wait(&self, ctx: &mut ThreadCtx, mutex: &InspMutex) {
         // Snapshot the epoch *before* releasing the mutex so a signal sent
         // between unlock and block is not missed.
-        let start_epoch = *self.epoch.lock().expect("condvar poisoned");
+        let start_epoch = *self.epoch.lock();
         mutex.unlock(ctx);
         // Order this thread after the signaller.
-        ctx.acquire_with(self.id, || {
-            let mut epoch = self.epoch.lock().expect("condvar poisoned");
+        ctx.acquire_with(&self.object, || {
+            let mut epoch = self.epoch.lock();
             while *epoch == start_epoch {
-                epoch = self.cv.wait(epoch).expect("condvar poisoned");
+                epoch = wait(&self.cv, epoch);
             }
         });
         mutex.lock(ctx);
@@ -345,8 +352,8 @@ impl InspCondvar {
 
     /// `pthread_cond_signal` / `broadcast`: wakes all current waiters.
     pub fn signal(&self, ctx: &mut ThreadCtx) {
-        ctx.release_with(self.id, || {
-            *self.epoch.lock().expect("condvar poisoned") += 1;
+        ctx.release_with(&self.object, || {
+            *self.epoch.lock() += 1;
             self.cv.notify_all();
         });
     }
@@ -359,7 +366,7 @@ impl InspCondvar {
 /// order each other.
 #[derive(Debug)]
 pub struct InspRwLock {
-    id: SyncObjectId,
+    object: SyncObject,
     state: Mutex<RwState>,
     cv: Condvar,
 }
@@ -380,7 +387,7 @@ impl InspRwLock {
     /// Creates an unlocked readers-writer lock.
     pub fn new() -> Self {
         InspRwLock {
-            id: fresh_sync_id(),
+            object: fresh_sync_object(),
             state: Mutex::new(RwState::default()),
             cv: Condvar::new(),
         }
@@ -388,15 +395,15 @@ impl InspRwLock {
 
     /// The provenance identity of this lock.
     pub fn id(&self) -> SyncObjectId {
-        self.id
+        self.object.id()
     }
 
     /// Acquires the lock for reading.
     pub fn read_lock(&self, ctx: &mut ThreadCtx) {
-        ctx.acquire_with(self.id, || {
-            let mut st = self.state.lock().expect("rwlock poisoned");
+        ctx.acquire_with(&self.object, || {
+            let mut st = self.state.lock();
             while st.writer {
-                st = self.cv.wait(st).expect("rwlock poisoned");
+                st = wait(&self.cv, st);
             }
             st.readers += 1;
         });
@@ -404,8 +411,8 @@ impl InspRwLock {
 
     /// Releases a read lock.
     pub fn read_unlock(&self, ctx: &mut ThreadCtx) {
-        ctx.release_with(self.id, || {
-            let mut st = self.state.lock().expect("rwlock poisoned");
+        ctx.release_with(&self.object, || {
+            let mut st = self.state.lock();
             assert!(st.readers > 0, "read_unlock without read_lock");
             st.readers -= 1;
             if st.readers == 0 {
@@ -416,10 +423,10 @@ impl InspRwLock {
 
     /// Acquires the lock for writing.
     pub fn write_lock(&self, ctx: &mut ThreadCtx) {
-        ctx.acquire_with(self.id, || {
-            let mut st = self.state.lock().expect("rwlock poisoned");
+        ctx.acquire_with(&self.object, || {
+            let mut st = self.state.lock();
             while st.writer || st.readers > 0 {
-                st = self.cv.wait(st).expect("rwlock poisoned");
+                st = wait(&self.cv, st);
             }
             st.writer = true;
         });
@@ -427,8 +434,8 @@ impl InspRwLock {
 
     /// Releases a write lock.
     pub fn write_unlock(&self, ctx: &mut ThreadCtx) {
-        ctx.release_with(self.id, || {
-            let mut st = self.state.lock().expect("rwlock poisoned");
+        ctx.release_with(&self.object, || {
+            let mut st = self.state.lock();
             assert!(st.writer, "write_unlock without write_lock");
             st.writer = false;
             drop(st);
@@ -445,6 +452,8 @@ mod tests {
     use super::*;
     use crate::config::SessionConfig;
     use crate::session::InspectorSession;
+    use inspector_core::graph::{Cpg, EdgeKind};
+    use inspector_core::ids::{SubId, ThreadId};
 
     /// Runs `test` on a thread of its own and fails if it has not finished
     /// within `limit`: a lost wakeup fails the test instead of hanging it.
@@ -543,5 +552,172 @@ mod tests {
         // Two locks and two unlocks: four boundaries, five sub-computations.
         assert_eq!(report.stats.recorder.sync_ops, 4);
         assert_eq!(report.cpg.node_count(), 5);
+    }
+
+    /// Runs `app` as a session's root thread (thread 0, the session's
+    /// first) and returns the sealed graph and the worker `app` spawned.
+    fn sealed(app: impl FnOnce(&mut ThreadCtx) -> ThreadId) -> (Cpg, ThreadId) {
+        let session = InspectorSession::new(SessionConfig::inspector());
+        let mut worker = None;
+        let report = session.run(|ctx| worker = Some(app(ctx)));
+        assert!(report.cpg.validate().is_ok());
+        (report.cpg, worker.expect("the app returns its worker"))
+    }
+
+    /// Asserts that `object` handed off from thread `from` to thread `to`:
+    /// the sub-computation `from` closed with its (only) release of `object`
+    /// happens-before the one `to` opened with its last acquire of it, and a
+    /// synchronization edge naming `object` joins the two.
+    fn assert_hand_off(cpg: &Cpg, object: SyncObjectId, from: ThreadId, to: ThreadId) {
+        let ends_with = |id: &SubId, kind: SyncKind| {
+            let terminator = cpg.node(*id).expect("listed node").terminator;
+            terminator.is_some_and(|p| p.object == object && p.kind == kind)
+        };
+        let releases: Vec<_> = cpg
+            .thread_sequence(from)
+            .into_iter()
+            .filter(|id| ends_with(id, SyncKind::Release))
+            .collect();
+        assert_eq!(releases.len(), 1, "{object:?}: releases by {from:?}");
+        let to_seq = cpg.thread_sequence(to);
+        let acquire = to_seq
+            .iter()
+            .rposition(|id| ends_with(id, SyncKind::Acquire))
+            .unwrap_or_else(|| panic!("{object:?}: no acquire by {to:?}"));
+        let (released, acquired) = (releases[0], to_seq[acquire + 1]);
+        assert!(
+            cpg.happens_before(released, acquired),
+            "{object:?}: {released:?} does not happen-before {acquired:?}"
+        );
+        assert!(
+            cpg.edges_of_kind(EdgeKind::Synchronization)
+                .any(|e| (e.src, e.dst, e.object) == (released, acquired, Some(object))),
+            "{object:?}: no synchronization edge {released:?} -> {acquired:?}"
+        );
+    }
+
+    /// The object of the `nth` synchronization `thread` closed at.
+    fn object_at(cpg: &Cpg, thread: ThreadId, nth: usize) -> SyncObjectId {
+        let ids = cpg.thread_sequence(thread);
+        let mut points = ids
+            .iter()
+            .filter_map(|id| cpg.node(*id).unwrap().terminator);
+        points.nth(nth).expect("a synchronization point").object
+    }
+
+    #[test]
+    fn every_primitive_hand_off_is_a_synchronization_edge() {
+        let main = ThreadId::new(0);
+
+        // Mutex: held across the spawn, so the worker's lock returns only
+        // after the main thread's unlock.
+        let lock = Arc::new(InspMutex::new());
+        let (cpg, worker) = sealed(|ctx| {
+            lock.lock(ctx);
+            let worker = {
+                let lock = Arc::clone(&lock);
+                ctx.spawn(move |ctx| lock.with(ctx, |_| ()))
+            };
+            lock.unlock(ctx);
+            let thread = worker.thread();
+            ctx.join(worker);
+            thread
+        });
+        assert_hand_off(&cpg, lock.id(), main, worker);
+
+        // Semaphore: the wait returns only after the worker's post.
+        let sem = Arc::new(InspSemaphore::new(0));
+        let (cpg, worker) = sealed(|ctx| {
+            let worker = {
+                let sem = Arc::clone(&sem);
+                ctx.spawn(move |ctx| sem.post(ctx))
+            };
+            sem.wait(ctx);
+            let thread = worker.thread();
+            ctx.join(worker);
+            thread
+        });
+        assert_hand_off(&cpg, sem.id(), worker, main);
+
+        // Barrier: each party's arrival happens-before the other's exit.
+        let barrier = Arc::new(InspBarrier::new(2));
+        let (cpg, worker) = sealed(|ctx| {
+            let worker = {
+                let barrier = Arc::clone(&barrier);
+                ctx.spawn(move |ctx| {
+                    barrier.wait(ctx);
+                })
+            };
+            barrier.wait(ctx);
+            let thread = worker.thread();
+            ctx.join(worker);
+            thread
+        });
+        assert_hand_off(&cpg, barrier.id(), worker, main);
+        assert_hand_off(&cpg, barrier.id(), main, worker);
+
+        // Condition variable: the main thread holds the mutex until its wait
+        // releases it, so the worker's signal comes after the wait's epoch
+        // snapshot and the wait returns only after that signal.
+        let (lock, cond) = (Arc::new(InspMutex::new()), Arc::new(InspCondvar::new()));
+        let flag = Arc::new(AtomicBool::new(false));
+        let (cpg, worker) = sealed(|ctx| {
+            lock.lock(ctx);
+            let worker = {
+                let (lock, cond, flag) = (Arc::clone(&lock), Arc::clone(&cond), Arc::clone(&flag));
+                ctx.spawn(move |ctx| {
+                    lock.lock(ctx);
+                    flag.store(true, Ordering::SeqCst);
+                    cond.signal(ctx);
+                    lock.unlock(ctx);
+                })
+            };
+            while !flag.load(Ordering::SeqCst) {
+                cond.wait(ctx, &lock);
+            }
+            lock.unlock(ctx);
+            let thread = worker.thread();
+            ctx.join(worker);
+            thread
+        });
+        assert_hand_off(&cpg, cond.id(), worker, main);
+
+        // Readers-writer lock: write-locked across the spawn, so the
+        // worker's read (then write) lock returns only after the main
+        // thread's write unlock.
+        for write in [false, true] {
+            let rw = Arc::new(InspRwLock::new());
+            let (cpg, worker) = sealed(|ctx| {
+                rw.write_lock(ctx);
+                let worker = {
+                    let rw = Arc::clone(&rw);
+                    ctx.spawn(move |ctx| {
+                        if write {
+                            rw.write_lock(ctx);
+                            rw.write_unlock(ctx);
+                        } else {
+                            rw.read_lock(ctx);
+                            rw.read_unlock(ctx);
+                        }
+                    })
+                };
+                rw.write_unlock(ctx);
+                let thread = worker.thread();
+                ctx.join(worker);
+                thread
+            });
+            assert_hand_off(&cpg, rw.id(), main, worker);
+        }
+
+        // Spawn and join: the child's first synchronization acquires the
+        // start object, its last releases the exit object.
+        let (cpg, worker) = sealed(|ctx| {
+            let worker = ctx.spawn(|ctx| ctx.branch(true));
+            let thread = worker.thread();
+            ctx.join(worker);
+            thread
+        });
+        assert_hand_off(&cpg, object_at(&cpg, worker, 0), main, worker);
+        assert_hand_off(&cpg, object_at(&cpg, worker, 1), worker, main);
     }
 }

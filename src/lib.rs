@@ -10,9 +10,12 @@
 //!
 //! * [`runtime`] — the threading library and session API
 //!   ([`InspectorSession`](runtime::InspectorSession),
-//!   [`ThreadCtx`](runtime::ThreadCtx), the `sync` primitives);
-//! * [`core`] — the Concurrent Provenance Graph, queries, taint tracking and
-//!   snapshots;
+//!   [`ThreadCtx`](runtime::ThreadCtx), the `sync` primitives, each of
+//!   which owns its synchronization object's clock);
+//! * [`core`] — the Concurrent Provenance Graph and its recorder
+//!   ([`ThreadRecorder`](core::ThreadRecorder) per thread,
+//!   [`SyncObject`](core::SyncObject) per synchronization object), queries,
+//!   taint tracking and snapshots;
 //! * [`mem`] — the paged shared-memory substrate;
 //! * [`pt`] — the PT packet encoder/decoder;
 //! * [`perf`] — the perf-style trace session, cgroup filter and LZ

@@ -497,13 +497,14 @@ fn a_crashed_session_directory_is_gone_once_the_guard_drops() {
 /// A thread's sub-computations with no synchronization shared with any
 /// other thread: nothing it does depends on another thread's work.
 fn independent_sequence(thread: u32, subs: u64) -> Vec<SubComputation> {
-    use inspector::core::recorder::{SyncClockRegistry, ThreadRecorder};
+    use inspector::core::recorder::{SyncObject, ThreadRecorder};
     use inspector::core::{AccessKind, PageId, SyncKind, SyncObjectId, ThreadId};
-    let mut rec = ThreadRecorder::new(ThreadId::new(thread), SyncClockRegistry::shared());
+    let object = SyncObject::new(SyncObjectId::new(u64::from(thread)));
+    let mut rec = ThreadRecorder::new(ThreadId::new(thread));
     for i in 0..subs {
         let page = PageId::new(u64::from(thread) * 1_000 + i);
         rec.on_memory_access(page, AccessKind::Write);
-        rec.on_synchronization(SyncObjectId::new(u64::from(thread)), SyncKind::Release);
+        rec.on_synchronization(&object, SyncKind::Release);
     }
     rec.finish()
 }

@@ -76,9 +76,9 @@ fn live_snapshots_are_consistent_and_bounded() {
     let mut released = Vec::new();
     let released_report = session.run(|ctx| {
         for i in 0..50u64 {
-            let obj = inspector::runtime::ctx::fresh_sync_id();
+            let obj = inspector::runtime::ctx::fresh_sync_object();
             ctx.write_u64(data, i);
-            ctx.sync_boundary(obj, inspector::core::event::SyncKind::Release);
+            ctx.sync_boundary(&obj, inspector::core::event::SyncKind::Release);
             if i % 10 == 9 {
                 released.push(monitor.snapshot());
             }
@@ -227,8 +227,8 @@ fn taint_propagates_through_a_spill_active_snapshot() {
         // Several boundaries so the read/write subs retire (and spill)
         // before the snapshot is cut.
         for _ in 0..8 {
-            let obj = inspector::runtime::ctx::fresh_sync_id();
-            ctx.sync_boundary(obj, inspector::core::event::SyncKind::Release);
+            let obj = inspector::runtime::ctx::fresh_sync_object();
+            ctx.sync_boundary(&obj, inspector::core::event::SyncKind::Release);
         }
         snapshot = Some(monitor.snapshot());
     });

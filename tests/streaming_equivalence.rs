@@ -12,7 +12,7 @@ use std::sync::Arc;
 use inspector::core::event::{AccessKind, SyncKind};
 use inspector::core::graph::Cpg;
 use inspector::core::ids::{PageId, SyncObjectId, ThreadId};
-use inspector::core::recorder::{SyncClockRegistry, ThreadRecorder};
+use inspector::core::recorder::{SyncObject, ThreadRecorder};
 use inspector::core::sharded::ShardedCpgBuilder;
 use inspector::core::subcomputation::SubComputation;
 use inspector::core::testing::{batch_build, edge_fingerprint, node_fingerprint, rebatch};
@@ -32,19 +32,18 @@ fn lock_heavy(threads: u32) -> Vec<Vec<SubComputation>> {
 /// release-acquire barrier, then reads its neighbour's page — repeated for
 /// several phases.
 fn barrier_phases(threads: u32) -> Vec<Vec<SubComputation>> {
-    let registry = SyncClockRegistry::shared();
     let mut recs: Vec<ThreadRecorder> = (0..threads)
-        .map(|t| ThreadRecorder::new(ThreadId::new(t), Arc::clone(&registry)))
+        .map(|t| ThreadRecorder::new(ThreadId::new(t)))
         .collect();
     for phase in 0..8u64 {
-        let barrier = SyncObjectId::new(100 + phase);
+        let barrier = SyncObject::new(SyncObjectId::new(100 + phase));
         for (t, rec) in recs.iter_mut().enumerate() {
             rec.on_memory_access(PageId::new(1000 + t as u64), AccessKind::Write);
         }
         // Barrier: everyone releases, then everyone acquires (the recorder
         // convention for a barrier is a combined release-acquire).
         for rec in recs.iter_mut() {
-            rec.on_synchronization(barrier, SyncKind::ReleaseAcquire);
+            rec.on_synchronization(&barrier, SyncKind::ReleaseAcquire);
         }
         for (t, rec) in recs.iter_mut().enumerate() {
             let neighbour = (t as u64 + 1) % threads as u64;
@@ -58,18 +57,17 @@ fn barrier_phases(threads: u32) -> Vec<Vec<SubComputation>> {
 /// through a dedicated release/acquire object, forming a chain of
 /// cross-thread data dependencies.
 fn producer_chain(threads: u32) -> Vec<Vec<SubComputation>> {
-    let registry = SyncClockRegistry::shared();
     let mut recs: Vec<ThreadRecorder> = (0..threads)
-        .map(|t| ThreadRecorder::new(ThreadId::new(t), Arc::clone(&registry)))
+        .map(|t| ThreadRecorder::new(ThreadId::new(t)))
         .collect();
     for round in 0..10u64 {
         for t in 0..threads as usize {
             let page = PageId::new(2000 + round * 64 + t as u64);
             recs[t].on_memory_access(page, AccessKind::Write);
-            let link = SyncObjectId::new(500 + round * 64 + t as u64);
-            recs[t].on_synchronization(link, SyncKind::Release);
+            let link = SyncObject::new(SyncObjectId::new(500 + round * 64 + t as u64));
+            recs[t].on_synchronization(&link, SyncKind::Release);
             if t + 1 < threads as usize {
-                recs[t + 1].on_synchronization(link, SyncKind::Acquire);
+                recs[t + 1].on_synchronization(&link, SyncKind::Acquire);
                 recs[t + 1].on_memory_access(page, AccessKind::Read);
             }
         }
@@ -173,8 +171,7 @@ fn empty_and_single_sub_streams_match_batch() {
     assert_eq!(empty.node_count(), 0);
     assert_eq!(empty.edge_count(), 0);
 
-    let registry = SyncClockRegistry::shared();
-    let mut rec = ThreadRecorder::new(ThreadId::new(0), registry);
+    let mut rec = ThreadRecorder::new(ThreadId::new(0));
     rec.on_memory_access(PageId::new(1), AccessKind::Write);
     rec.on_memory_access(PageId::new(1), AccessKind::Read);
     let sequences = vec![rec.finish()];
