@@ -63,9 +63,11 @@ use crate::graph::Cpg;
 use crate::ids::ThreadId;
 use crate::pool;
 use crate::snapshot::cut_in_place;
+use crate::spill::codec::{
+    image_buffer, scan_segment_file, RecordBuffers, ScanEnd, SegmentScan, MIN_NODE_FRAME_BYTES,
+};
 use crate::spill::{
-    image_buffer, read_manifest, scan_segment_file, segment_file_name, ManifestSegment,
-    RecordBuffers, ScanEnd, SegmentScan, SpillError, SpillResult, MIN_NODE_FRAME_BYTES,
+    read_manifest, segment_file_name, ManifestSegment, SpillError, SpillResult,
     SEGMENT_HEADER_BYTES,
 };
 use crate::subcomputation::SubComputation;

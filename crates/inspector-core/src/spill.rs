@@ -10,31 +10,9 @@
 //! edges are a function of the nodes, derived at seal and at recovery — so
 //! any per-thread prefix may go to disk at any time.
 //!
-//! # On-disk format (v3)
+//! # On-disk format
 //!
-//! A spill store owns a sequence of segment files
-//! (`shard-<k>-seg-<n>.spill` under the configured directory); a segment is
-//! closed and a new one started once it exceeds
-//! [`SpillSettings::segment_bytes`]. Every segment starts with a 24-byte
-//! header:
-//!
-//! ```text
-//! [magic "INSPSPL2"] [u32 version (LE)] [u32 shard (LE)] [u64 session (LE)]
-//! ```
-//!
-//! followed by CRC-protected records:
-//!
-//! ```text
-//! [u32 payload_len (LE)] [u8 tag] [payload...] [u32 crc32 (LE)]
-//! ```
-//!
-//! where the CRC32 (IEEE) covers the tag byte and payload. The one tag, `0`,
-//! marks a node record: a fully encoded [`SubComputation`] (id, vector
-//! clock, read/write sets, thunk list, terminator). The encoding is exact —
-//! a decoded record compares equal to the original — because the
-//! seal-time reload must reproduce the nodes the batch oracle derives its
-//! graph from. Version 2 also stored edge records (tag `1`); a v2 segment
-//! is refused at its header.
+//! Framing, records and segment headers are the codec's (`codec.rs`).
 //!
 //! # One write per round
 //!
@@ -70,36 +48,24 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
 
-use crate::clock::VectorClock;
-use crate::event::{BranchKind, SyncKind};
-use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
-use crate::subcomputation::{SubComputation, SyncPoint};
+use crate::subcomputation::SubComputation;
+
+pub(crate) mod codec;
+
+use codec::{crc32, encode_node, encode_segment_header, TAG_NODE};
+pub use codec::{
+    segment_file_name, RECORD_OVERHEAD_BYTES, SEGMENT_HEADER_BYTES, SEGMENT_MAGIC,
+    SPILL_FORMAT_VERSION,
+};
 
 /// Default segment-roll size: 1 MiB keeps individual files small enough to
 /// read one at a time while amortising file creation.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 1 << 20;
-
-/// Magic bytes opening every segment file (unchanged since v2; the version
-/// field after it tells the formats apart).
-pub const SEGMENT_MAGIC: [u8; 8] = *b"INSPSPL2";
-
-/// On-disk spill format version stamped into every segment header.
-pub const SPILL_FORMAT_VERSION: u32 = 3;
-
-/// Size of the fixed segment header: magic + version + shard + session id.
-pub const SEGMENT_HEADER_BYTES: u64 = 24;
-
-/// Per-record framing overhead: u32 length prefix + u32 CRC32 trailer.
-pub const RECORD_OVERHEAD_BYTES: u64 = 8;
-
-/// The shortest node frame: framing, tag, id, and empty clock, page sets,
-/// thunk list and terminator.
-pub(crate) const MIN_NODE_FRAME_BYTES: u64 = RECORD_OVERHEAD_BYTES + 1 + 12 + 4 + 4 + 4 + 4 + 1;
 
 /// Name of the per-session manifest file inside the spill directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -197,82 +163,6 @@ impl SpillSettings {
     }
 }
 
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3), table-driven; no external dependency.
-// ---------------------------------------------------------------------------
-
-const fn build_crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                0xEDB8_8320 ^ (crc >> 1)
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = build_crc32_table();
-
-/// Slicing-by-8 companion tables: `CRC32_TABLES[k][b]` advances a CRC
-/// whose `b` byte sits `k` positions before the end of an 8-byte chunk,
-/// letting the hot loop fold 8 input bytes per iteration instead of 1.
-const fn build_crc32_tables() -> [[u32; 256]; 8] {
-    let base = build_crc32_table();
-    let mut tables = [[0u32; 256]; 8];
-    tables[0] = base;
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = base[(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-}
-
-static CRC32_TABLES: [[u32; 256]; 8] = build_crc32_tables();
-
-/// CRC32 (IEEE) over `bytes`, as used by the per-record trailer.
-/// Slicing-by-8: the record framing puts this on the spill hot path once
-/// per appended record, so the byte-at-a-time loop only handles the tail.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
-
-/// Record tag of a node record, the only kind.
-const TAG_NODE: u8 = 0;
-
 /// A spill-stage failure. The spill store never panics on bad input: I/O
 /// failures, malformed payloads, and crash-torn tails each surface as a
 /// typed error the builder can degrade around (fall back to in-memory
@@ -324,457 +214,6 @@ impl From<std::io::Error> for SpillError {
 
 /// Result alias for spill operations.
 pub type SpillResult<T> = Result<T, SpillError>;
-
-// ---------------------------------------------------------------------------
-// Primitive encoding (little-endian, length-prefixed collections)
-// ---------------------------------------------------------------------------
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_sub_id(buf: &mut Vec<u8>, id: SubId) {
-    put_u32(buf, id.thread.index() as u32);
-    put_u64(buf, id.alpha);
-}
-
-/// Cursor over an encoded payload. All `take_*` methods surface a
-/// truncated or malformed record as [`SpillError::Corrupt`] — never a
-/// panic — so a damaged spill file degrades the session instead of
-/// aborting it.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> SpillResult<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| {
-                SpillError::Corrupt(format!(
-                    "payload truncated: need {n} bytes at offset {}",
-                    self.pos
-                ))
-            })?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn take_u8(&mut self) -> SpillResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Copies the next `N` bytes into a fixed array. Unlike the former
-    /// `try_into().expect(..)` decodes, a short read is a typed
-    /// [`SpillError::Corrupt`] from [`Cursor::take`], never a panic.
-    fn take_array<const N: usize>(&mut self) -> SpillResult<[u8; N]> {
-        let slice = self.take(N)?;
-        let mut array = [0u8; N];
-        array.copy_from_slice(slice);
-        Ok(array)
-    }
-
-    fn take_u32(&mut self) -> SpillResult<u32> {
-        Ok(u32::from_le_bytes(self.take_array::<4>()?))
-    }
-
-    fn take_u64(&mut self) -> SpillResult<u64> {
-        Ok(u64::from_le_bytes(self.take_array::<8>()?))
-    }
-
-    fn take_sub_id(&mut self) -> SpillResult<SubId> {
-        let thread = ThreadId::new(self.take_u32()?);
-        let alpha = self.take_u64()?;
-        Ok(SubId::new(thread, alpha))
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn exhausted(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    fn expect_exhausted(&self) -> SpillResult<()> {
-        if self.exhausted() {
-            Ok(())
-        } else {
-            Err(SpillError::Corrupt(format!(
-                "{} trailing bytes in spill record",
-                self.remaining()
-            )))
-        }
-    }
-}
-
-fn sync_kind_code(kind: SyncKind) -> u8 {
-    match kind {
-        SyncKind::Release => 1,
-        SyncKind::Acquire => 2,
-        SyncKind::ReleaseAcquire => 3,
-    }
-}
-
-fn sync_kind_from(code: u8) -> SpillResult<SyncKind> {
-    match code {
-        1 => Ok(SyncKind::Release),
-        2 => Ok(SyncKind::Acquire),
-        3 => Ok(SyncKind::ReleaseAcquire),
-        other => Err(SpillError::Corrupt(format!("sync kind {other}"))),
-    }
-}
-
-fn branch_kind_code(kind: BranchKind) -> u8 {
-    match kind {
-        BranchKind::ConditionalTaken => 1,
-        BranchKind::ConditionalNotTaken => 2,
-        BranchKind::Indirect => 3,
-        BranchKind::Return => 4,
-    }
-}
-
-fn branch_kind_from(code: u8) -> SpillResult<BranchKind> {
-    match code {
-        1 => Ok(BranchKind::ConditionalTaken),
-        2 => Ok(BranchKind::ConditionalNotTaken),
-        3 => Ok(BranchKind::Indirect),
-        4 => Ok(BranchKind::Return),
-        other => Err(SpillError::Corrupt(format!("branch kind {other}"))),
-    }
-}
-
-/// Encodes one node payload (without the record framing).
-///
-/// The vector clock is stored as its dense component vector — including
-/// zero and trailing-zero components — so the decoded clock is
-/// representation-identical, not just order-equivalent (equivalence suites
-/// fingerprint nodes through `Debug`).
-fn encode_node(buf: &mut Vec<u8>, sub: &SubComputation) {
-    put_sub_id(buf, sub.id);
-    let clock_len = sub.clock.len();
-    put_u32(buf, clock_len as u32);
-    for i in 0..clock_len {
-        put_u64(buf, sub.clock.get(ThreadId::new(i as u32)));
-    }
-    put_u32(buf, sub.read_set.len() as u32);
-    for page in &sub.read_set {
-        put_u64(buf, page.number());
-    }
-    put_u32(buf, sub.write_set.len() as u32);
-    for page in &sub.write_set {
-        put_u64(buf, page.number());
-    }
-    put_u32(buf, sub.thunks.len() as u32);
-    for thunk in sub.thunks.iter() {
-        put_u64(buf, thunk.id.beta);
-        put_u64(buf, thunk.entry_ip);
-        match thunk.terminator {
-            None => buf.push(0),
-            Some(b) => {
-                buf.push(branch_kind_code(b.kind));
-                put_u64(buf, b.ip);
-            }
-        }
-    }
-    match sub.terminator {
-        None => buf.push(0),
-        Some(sp) => {
-            buf.push(sync_kind_code(sp.kind));
-            put_u64(buf, sp.object.raw());
-        }
-    }
-}
-
-fn decode_node(cursor: &mut Cursor<'_>) -> SpillResult<SubComputation> {
-    let id = cursor.take_sub_id()?;
-    let clock_len = cursor.take_u32()? as usize;
-    // Checked before the clock is sized to it: a CRC-valid record may still
-    // claim more components than it holds.
-    if clock_len > cursor.remaining() / 8 {
-        return Err(SpillError::Corrupt(format!(
-            "clock of {clock_len} components in {} payload bytes",
-            cursor.remaining()
-        )));
-    }
-    let mut clock = VectorClock::with_capacity(clock_len);
-    for i in 0..clock_len {
-        let v = cursor.take_u64()?;
-        clock.set(ThreadId::new(i as u32), v);
-    }
-    let mut sub = SubComputation::new(id, clock);
-    for _ in 0..cursor.take_u32()? {
-        sub.read_set.insert(PageId::new(cursor.take_u64()?));
-    }
-    for _ in 0..cursor.take_u32()? {
-        sub.write_set.insert(PageId::new(cursor.take_u64()?));
-    }
-    // The thunk records are a derived view of the branch log (see
-    // `thunk.rs`): β counts up from 0, each thunk starts where the previous
-    // one branched to, and exactly the last one is open — behind at least
-    // one branch, so never alone. Anything else would decode into a
-    // different list than was written.
-    let thunks = cursor.take_u32()? as u64;
-    let mut entry = 0;
-    for index in 0..thunks {
-        let beta = cursor.take_u64()?;
-        let entry_ip = cursor.take_u64()?;
-        let code = cursor.take_u8()?;
-        let open = code == 0;
-        if beta != index || entry_ip != entry || open != (index + 1 == thunks) || thunks == 1 {
-            return Err(SpillError::Corrupt(format!(
-                "thunk {index} of {thunks} breaks the branch chain: beta {beta}, \
-                 entry {entry_ip:#x} (expected {entry:#x}), open {open}"
-            )));
-        }
-        if !open {
-            entry = cursor.take_u64()?;
-            sub.thunks.record_branch(branch_kind_from(code)?, entry);
-        }
-    }
-    sub.terminator = match cursor.take_u8()? {
-        0 => None,
-        code => {
-            let kind = sync_kind_from(code)?;
-            let object = SyncObjectId::new(cursor.take_u64()?);
-            Some(SyncPoint { object, kind })
-        }
-    };
-    Ok(sub)
-}
-
-// ---------------------------------------------------------------------------
-// Segment headers and the frame walker (run by the one reader, `recover.rs`)
-// ---------------------------------------------------------------------------
-
-/// File name of segment `index` of shard `shard`.
-pub fn segment_file_name(shard: usize, index: usize) -> String {
-    format!("shard-{shard}-seg-{index}.spill")
-}
-
-/// Decoded fixed segment header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SegmentHeader {
-    pub shard: u32,
-    pub session_id: u64,
-}
-
-fn encode_segment_header(shard: u32, session_id: u64) -> [u8; SEGMENT_HEADER_BYTES as usize] {
-    let mut header = [0u8; SEGMENT_HEADER_BYTES as usize];
-    header[..8].copy_from_slice(&SEGMENT_MAGIC);
-    header[8..12].copy_from_slice(&SPILL_FORMAT_VERSION.to_le_bytes());
-    header[12..16].copy_from_slice(&shard.to_le_bytes());
-    header[16..24].copy_from_slice(&session_id.to_le_bytes());
-    header
-}
-
-/// Validates and decodes the fixed header at the start of `bytes`.
-pub(crate) fn parse_segment_header(bytes: &[u8], path: &Path) -> SpillResult<SegmentHeader> {
-    let bad = |what: String| SpillError::BadHeader {
-        path: path.to_path_buf(),
-        what,
-    };
-    if bytes.len() < SEGMENT_HEADER_BYTES as usize {
-        return Err(bad(format!(
-            "file is {} bytes, shorter than the {SEGMENT_HEADER_BYTES}-byte header",
-            bytes.len()
-        )));
-    }
-    if bytes[..8] != SEGMENT_MAGIC {
-        return Err(bad("bad magic".into()));
-    }
-    let mut cursor = Cursor::new(&bytes[8..SEGMENT_HEADER_BYTES as usize]);
-    let version = cursor.take_u32()?;
-    if version != SPILL_FORMAT_VERSION {
-        return Err(bad(format!(
-            "unsupported format version {version} (expected {SPILL_FORMAT_VERSION})"
-        )));
-    }
-    let shard = cursor.take_u32()?;
-    let session_id = cursor.take_u64()?;
-    Ok(SegmentHeader { shard, session_id })
-}
-
-/// How a [`scan_segment`] pass ended. Offsets are those of the offending
-/// record's length prefix; everything before it was delivered.
-#[derive(Debug)]
-pub(crate) enum ScanEnd {
-    /// Every trusted byte was a complete, valid record.
-    Clean,
-    /// The record at this offset is cut short by the end of the trusted
-    /// bytes: the writer died (or the file was truncated) mid-record.
-    Torn(usize),
-    /// The record at this offset is fully framed but fails its CRC.
-    Crc(usize),
-    /// The record at this offset passes its CRC but does not decode.
-    Decode(usize),
-}
-
-/// The one frame walker over a segment image: CRC-checks and decodes the
-/// records in `bytes[SEGMENT_HEADER_BYTES..min(bytes.len(), trusted_len)]`
-/// in order, handing every node to `node`, until the bytes run out or a
-/// record is bad. Nothing after a bad record is looked at — without sync
-/// markers it cannot be trusted. The caller has validated the header.
-///
-/// A segment's outcome depends on its own bytes only, so segments scan
-/// independently (and in parallel, through [`scan_segment_file`]); what a
-/// bad record means for the segments after it is the caller's policy.
-pub(crate) fn scan_segment(
-    bytes: &[u8],
-    trusted_len: usize,
-    mut node: impl FnMut(SubComputation),
-) -> ScanEnd {
-    let avail = bytes.len().min(trusted_len);
-    let mut pos = SEGMENT_HEADER_BYTES as usize;
-    while pos < avail {
-        // A frame too short for its length word, payload, or CRC trailer
-        // is a torn tail.
-        let Some(body) = bytes[pos..avail].get(4..) else {
-            return ScanEnd::Torn(pos);
-        };
-        let mut word = [0u8; 4];
-        word.copy_from_slice(&bytes[pos..pos + 4]);
-        let len = u32::from_le_bytes(word) as usize;
-        if (body.len() as u64) < len as u64 + 4 {
-            return ScanEnd::Torn(pos);
-        }
-        let payload = &body[..len];
-        word.copy_from_slice(&body[len..len + 4]);
-        if crc32(payload) != u32::from_le_bytes(word) {
-            return ScanEnd::Crc(pos);
-        }
-        let mut cursor = Cursor::new(payload);
-        let mut record = || match cursor.take_u8()? {
-            TAG_NODE => {
-                let sub = decode_node(&mut cursor)?;
-                cursor.expect_exhausted()?;
-                node(sub);
-                Ok(())
-            }
-            other => Err(SpillError::Corrupt(format!("tag {other}"))),
-        };
-        if record().is_err() {
-            return ScanEnd::Decode(pos);
-        }
-        pos += 8 + len;
-    }
-    ScanEnd::Clean
-}
-
-/// What reading and scanning one segment file found: the unit of work the
-/// read side fans out across the host's cores ([`crate::pool`]). A worker
-/// takes one segment at a time; what to make of the outcome — trust it,
-/// count it, or stop at it — is decided afterwards, in segment order.
-#[derive(Debug)]
-pub(crate) enum SegmentScan {
-    /// The file could not be read.
-    Unreadable(std::io::Error),
-    /// The file was read but its header is invalid.
-    BadHeader { file_len: u64 },
-    /// The header parsed and the trusted bytes were walked; `nodes` are
-    /// the node records delivered, in append order.
-    Scanned {
-        file_len: u64,
-        header: SegmentHeader,
-        nodes: Vec<SubComputation>,
-        end: ScanEnd,
-    },
-}
-
-/// Record buffers for segment scans, made on the calling thread and handed
-/// back once a segment's records are taken.
-///
-/// What a worker thread allocates comes from its own allocator arena, which
-/// the calling thread never reuses; a buffer the caller made stays in the
-/// caller's arena, even when a worker grows it. Circulating the caller's
-/// buffers keeps a parallel scan's transient memory where a sequential scan
-/// would have put it.
-#[derive(Debug)]
-pub(crate) struct RecordBuffers(Mutex<Vec<Vec<SubComputation>>>);
-
-impl RecordBuffers {
-    /// `count` buffers, each vector already allocated here: a worker that
-    /// grows it reallocates within this thread's arena, and a buffer keeps
-    /// its capacity from one segment to the next.
-    pub(crate) fn new(count: usize) -> Self {
-        let buffers = (0..count).map(|_| Vec::with_capacity(1)).collect();
-        RecordBuffers(Mutex::new(buffers))
-    }
-
-    fn take(&self) -> Vec<SubComputation> {
-        self.0.lock().pop().unwrap_or_default()
-    }
-
-    /// Returns a buffer whose records were taken out, or are discarded.
-    pub(crate) fn give_back(&self, mut nodes: Vec<SubComputation>) {
-        nodes.clear();
-        self.0.lock().push(nodes);
-    }
-
-    /// Returns the buffer of a scan whose outcome is discarded, if it
-    /// holds one.
-    pub(crate) fn recycle(&self, scan: SegmentScan) {
-        if let SegmentScan::Scanned { nodes, .. } = scan {
-            self.give_back(nodes);
-        }
-    }
-}
-
-/// A segment image buffer with room for files of `bytes` bytes (at most
-/// 64 MiB up front; a larger file grows it), made on the calling thread for
-/// the reason [`RecordBuffers`] gives.
-pub(crate) fn image_buffer(bytes: u64) -> Vec<u8> {
-    let mut image = Vec::with_capacity(1);
-    let room = bytes.min(64 << 20) as usize;
-    let _ = image.try_reserve_exact(room);
-    image
-}
-
-/// Reads the segment at `path` into `image` (a reusable buffer: segments
-/// are equally sized, and a fresh megabyte per file is a fresh round of
-/// page faults), validates its header and runs [`scan_segment`] over its
-/// first `trusted_len` bytes, decoding into a buffer from `buffers`.
-/// Damage is reported, never a panic.
-pub(crate) fn scan_segment_file(
-    path: &Path,
-    trusted_len: u64,
-    image: &mut Vec<u8>,
-    buffers: &RecordBuffers,
-) -> SegmentScan {
-    image.clear();
-    if let Err(e) = File::open(path).and_then(|mut file| file.read_to_end(image)) {
-        return SegmentScan::Unreadable(e);
-    }
-    let file_len = image.len() as u64;
-    let header = match parse_segment_header(image, path) {
-        Ok(header) => header,
-        Err(_) => return SegmentScan::BadHeader { file_len },
-    };
-    let mut nodes = buffers.take();
-    let end = scan_segment(
-        image,
-        usize::try_from(trusted_len).unwrap_or(usize::MAX),
-        |sub| nodes.push(sub),
-    );
-    SegmentScan::Scanned {
-        file_len,
-        header,
-        nodes,
-        end,
-    }
-}
 
 // ---------------------------------------------------------------------------
 // The per-session manifest
@@ -1358,8 +797,10 @@ impl Drop for SpillStore {
 
 #[cfg(test)]
 mod tests {
+    use super::codec::{decode_node, parse_segment_header, scan_segment, Cursor, ScanEnd};
     use super::*;
     use crate::event::{AccessKind, SyncKind};
+    use crate::ids::{PageId, SyncObjectId, ThreadId};
     use crate::recorder::{SyncObject, ThreadRecorder};
     use crate::recover::{read_segments, RecoveryReport};
     use crate::testing::TempDir;
