@@ -67,9 +67,12 @@
 //! process (or the tracer itself) dying mid-run must leave a trustworthy
 //! partial record behind. Three pieces make that hold:
 //!
-//! * **Spill format v3** ([`spill`]) — every segment opens with a header
+//! * **Spill format v4** ([`spill`]) — every segment opens with a header
 //!   (magic, format version, shard, session id) and every record carries a
-//!   CRC32 trailer, so torn tails and bit rot are detectable, not fatal.
+//!   CRC32 trailer, so torn tails and bit rot are detectable, not fatal. A
+//!   record is the node's compact form — varint fields, delta-coded page
+//!   sets, the branch log verbatim — and decodes only if canonical, so a
+//!   CRC-valid record is one node or corrupt, never a different node.
 //! * **The manifest contract** — each session directory holds a `MANIFEST`
 //!   (updated by atomic rename, with [`spill::SpillDurability`] controlling
 //!   fdatasync/fsync at cut boundaries) that records segment ids, record

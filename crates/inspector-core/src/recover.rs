@@ -63,13 +63,9 @@ use crate::graph::Cpg;
 use crate::ids::ThreadId;
 use crate::pool;
 use crate::snapshot::cut_in_place;
-use crate::spill::codec::{
-    image_buffer, scan_segment_file, RecordBuffers, ScanEnd, SegmentScan, MIN_NODE_FRAME_BYTES,
-};
-use crate::spill::{
-    read_manifest, segment_file_name, ManifestSegment, SpillError, SpillResult,
-    SEGMENT_HEADER_BYTES,
-};
+use crate::spill::codec::{image_buffer, scan_segment_file, RecordBuffers, ScanEnd, SegmentScan};
+use crate::spill::codec::{MIN_NODE_FRAME_BYTES, SEGMENT_HEADER_BYTES};
+use crate::spill::{read_manifest, segment_file_name, ManifestSegment, SpillError, SpillResult};
 use crate::subcomputation::SubComputation;
 
 /// Exact accounting of what a [`recover_session`] pass found, kept, and
@@ -503,7 +499,7 @@ mod tests {
     /// after it in the same shard.
     #[test]
     fn parallel_scan_is_the_sequential_scan() {
-        let damages: [Damage; 7] = [
+        let damages: [Damage; 8] = [
             ("clean", |_| {}),
             ("flipped crc", |path| {
                 let mut bytes = std::fs::read(path).unwrap();
@@ -524,6 +520,13 @@ mod tests {
             ("v2 segment", |path| {
                 let mut bytes = std::fs::read(path).unwrap();
                 bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+                std::fs::write(path, bytes).unwrap();
+            }),
+            // A v3 segment, whose records expanded every thunk: refused at
+            // its header too.
+            ("v3 segment", |path| {
+                let mut bytes = std::fs::read(path).unwrap();
+                bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
                 std::fs::write(path, bytes).unwrap();
             }),
             ("emptied file", |path| std::fs::write(path, []).unwrap()),
@@ -574,7 +577,7 @@ mod tests {
                     assert_eq!(report.torn_records, 1);
                     assert_eq!(report.lost_bytes, 10 + behind);
                 }
-                "bad header" | "v2 segment" => {
+                "bad header" | "v2 segment" | "v3 segment" => {
                     assert_eq!(report.bad_headers, 1);
                     assert_eq!(report.lost_bytes, hit_len + behind);
                 }

@@ -1,13 +1,13 @@
 //! The spill tier's byte format: record framing and its CRC32, the node
 //! codec, the segment header, and the one frame walker that reads them back.
 //!
-//! # On-disk format (v3)
+//! # On-disk format (v4)
 //!
 //! A spill store owns a sequence of segment files
 //! (`shard-<k>-seg-<n>.spill` under the configured directory); a segment is
 //! closed and a new one started once it exceeds
-//! [`SpillSettings::segment_bytes`](super::SpillSettings::segment_bytes). Every segment starts with a 24-byte
-//! header:
+//! [`SpillSettings::segment_bytes`](super::SpillSettings::segment_bytes).
+//! Every segment starts with a 24-byte header:
 //!
 //! ```text
 //! [magic "INSPSPL2"] [u32 version (LE)] [u32 shard (LE)] [u64 session (LE)]
@@ -20,12 +20,31 @@
 //! ```
 //!
 //! where the CRC32 (IEEE) covers the tag byte and payload. The one tag, `0`,
-//! marks a node record: a fully encoded [`SubComputation`] (id, vector
-//! clock, read/write sets, thunk list, terminator). The encoding is exact —
-//! a decoded record compares equal to the original — because the
-//! seal-time reload must reproduce the nodes the batch oracle derives its
-//! graph from. Version 2 also stored edge records (tag `1`); a v2 segment
-//! is refused at its header.
+//! marks a node record, whose payload is the [`SubComputation`]'s compact
+//! form (`v` is an LEB128 varint):
+//!
+//! ```text
+//! v thread  v α  v clock_len  v component × clock_len
+//! v reads   v page × reads    (ascending: the first page, then each
+//! v writes  v page × writes    page's distance from the one before)
+//! v log_len  branch log × log_len bytes (thunk.rs's encoding, verbatim)
+//! u8 terminator kind (0 none, 1 release, 2 acquire, 3 both)  [v object]
+//! ```
+//!
+//! The clock is dense — trailing zeros included — so a decoded clock is
+//! representation-identical, not just order-equivalent (equivalence suites
+//! fingerprint nodes through `Debug`).
+//!
+//! **One node, one byte string.** The decoder accepts only what the encoder
+//! writes: shortest-form varints within their type, page steps of at least
+//! 1, a canonical branch log — runs of 1 to 4095 branches, each IP at its
+//! minimal width (≤ 8 bytes), no kind bits past a run's last branch, an IP
+//! repeated only after a full run ([`ThunkList::from_log`]) — and no
+//! trailing bytes. So a CRC-valid payload decodes to the one node that
+//! re-encodes to it, or is [`SpillError::Corrupt`], never a different node.
+//! Decoding is one validation pass over the log and one copy. Version 3
+//! expanded every thunk to 25 bytes and version 2 also stored edges; their
+//! segments are refused at the header.
 
 use std::fs::File;
 use std::io::Read;
@@ -35,16 +54,17 @@ use parking_lot::Mutex;
 
 use super::{SpillError, SpillResult};
 use crate::clock::VectorClock;
-use crate::event::{BranchKind, SyncKind};
+use crate::event::SyncKind;
 use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
 use crate::subcomputation::{SubComputation, SyncPoint};
+use crate::thunk::ThunkList;
 
 /// Magic bytes opening every segment file (unchanged since v2; the version
 /// field after it tells the formats apart).
 pub const SEGMENT_MAGIC: [u8; 8] = *b"INSPSPL2";
 
 /// On-disk spill format version stamped into every segment header.
-pub const SPILL_FORMAT_VERSION: u32 = 3;
+pub const SPILL_FORMAT_VERSION: u32 = 4;
 
 /// Size of the fixed segment header: magic + version + shard + session id.
 pub const SEGMENT_HEADER_BYTES: u64 = 24;
@@ -52,9 +72,10 @@ pub const SEGMENT_HEADER_BYTES: u64 = 24;
 /// Per-record framing overhead: u32 length prefix + u32 CRC32 trailer.
 pub const RECORD_OVERHEAD_BYTES: u64 = 8;
 
-/// The shortest node frame: framing, tag, id, and empty clock, page sets,
-/// thunk list and terminator.
-pub(crate) const MIN_NODE_FRAME_BYTES: u64 = RECORD_OVERHEAD_BYTES + 1 + 12 + 4 + 4 + 4 + 4 + 1;
+/// The shortest node frame: framing, tag, a one-byte varint each for the
+/// id's thread and α, the clock's length, both page sets' counts and the
+/// branch log's length, and the terminator byte.
+pub(crate) const MIN_NODE_FRAME_BYTES: u64 = RECORD_OVERHEAD_BYTES + 1 + 2 + 1 + 2 + 1 + 1;
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3), table-driven; no external dependency.
@@ -132,34 +153,40 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 /// Record tag of a node record, the only kind.
 pub(super) const TAG_NODE: u8 = 0;
 
-// ---------------------------------------------------------------------------
-// Primitive encoding (little-endian, length-prefixed collections)
-// ---------------------------------------------------------------------------
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Appends one whole frame to `buf`: length word, tag, the payload
+/// `encode` writes, CRC32 trailer over tag and payload.
+pub(super) fn put_frame(buf: &mut Vec<u8>, tag: u8, encode: impl FnOnce(&mut Vec<u8>)) {
+    let start = buf.len();
+    buf.extend_from_slice(&[0u8; 4]);
+    buf.push(tag);
+    encode(buf);
+    let payload_len = (buf.len() - start - 4) as u32;
+    buf[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(&buf[start + 4..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_sub_id(buf: &mut Vec<u8>, id: SubId) {
-    put_u32(buf, id.thread.index() as u32);
-    put_u64(buf, id.alpha);
+/// Appends `v` as an LEB128 varint: 7 bits per byte, low bits first, the
+/// high bit set on every byte but the last. Shortest form only.
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
 }
 
 /// Cursor over an encoded payload. All `take_*` methods surface a
 /// truncated or malformed record as [`SpillError::Corrupt`] — never a
 /// panic — so a damaged spill file degrades the session instead of
 /// aborting it.
-pub(super) struct Cursor<'a> {
+struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    pub(super) fn new(bytes: &'a [u8]) -> Self {
+    fn new(bytes: &'a [u8]) -> Self {
         Cursor { bytes, pos: 0 }
     }
 
@@ -183,40 +210,42 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Copies the next `N` bytes into a fixed array. Unlike the former
-    /// `try_into().expect(..)` decodes, a short read is a typed
-    /// [`SpillError::Corrupt`] from [`Cursor::take`], never a panic.
-    fn take_array<const N: usize>(&mut self) -> SpillResult<[u8; N]> {
-        let slice = self.take(N)?;
-        let mut array = [0u8; N];
-        array.copy_from_slice(slice);
-        Ok(array)
+    /// The next varint, in its shortest form only: an overlong one (a last
+    /// byte of zero after the first) or one past `u64` is corrupt, so one
+    /// value has exactly one encoding.
+    fn take_varint(&mut self) -> SpillResult<u64> {
+        let mut v = 0;
+        for shift in (0..64).step_by(7) {
+            let byte = self.take_u8()?;
+            if shift == 63 && byte > 1 {
+                break;
+            }
+            v |= u64::from(byte & 0x7F) << shift;
+            if byte < 0x80 {
+                if byte == 0 && shift > 0 {
+                    return Err(SpillError::Corrupt(format!("overlong varint for {v}")));
+                }
+                return Ok(v);
+            }
+        }
+        Err(SpillError::Corrupt("varint past u64".into()))
     }
 
-    fn take_u32(&mut self) -> SpillResult<u32> {
-        Ok(u32::from_le_bytes(self.take_array::<4>()?))
-    }
-
-    fn take_u64(&mut self) -> SpillResult<u64> {
-        Ok(u64::from_le_bytes(self.take_array::<8>()?))
-    }
-
-    fn take_sub_id(&mut self) -> SpillResult<SubId> {
-        let thread = ThreadId::new(self.take_u32()?);
-        let alpha = self.take_u64()?;
-        Ok(SubId::new(thread, alpha))
+    /// A varint element count, checked against the bytes left — every
+    /// element takes at least one — before anything is sized to it.
+    fn take_len(&mut self) -> SpillResult<usize> {
+        let len = self.take_varint()?;
+        let left = self.remaining();
+        (usize::try_from(len).ok().filter(|&len| len <= left))
+            .ok_or_else(|| SpillError::Corrupt(format!("{len} elements in {left} payload bytes")))
     }
 
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
-    pub(super) fn exhausted(&self) -> bool {
-        self.remaining() == 0
-    }
-
     fn expect_exhausted(&self) -> SpillResult<()> {
-        if self.exhausted() {
+        if self.remaining() == 0 {
             Ok(())
         } else {
             Err(SpillError::Corrupt(format!(
@@ -244,121 +273,70 @@ fn sync_kind_from(code: u8) -> SpillResult<SyncKind> {
     }
 }
 
-fn branch_kind_code(kind: BranchKind) -> u8 {
-    match kind {
-        BranchKind::ConditionalTaken => 1,
-        BranchKind::ConditionalNotTaken => 2,
-        BranchKind::Indirect => 3,
-        BranchKind::Return => 4,
-    }
-}
-
-fn branch_kind_from(code: u8) -> SpillResult<BranchKind> {
-    match code {
-        1 => Ok(BranchKind::ConditionalTaken),
-        2 => Ok(BranchKind::ConditionalNotTaken),
-        3 => Ok(BranchKind::Indirect),
-        4 => Ok(BranchKind::Return),
-        other => Err(SpillError::Corrupt(format!("branch kind {other}"))),
-    }
-}
-
-/// Encodes one node payload (without the record framing).
-///
-/// The vector clock is stored as its dense component vector — including
-/// zero and trailing-zero components — so the decoded clock is
-/// representation-identical, not just order-equivalent (equivalence suites
-/// fingerprint nodes through `Debug`).
+/// Encodes one node payload (without the record framing): its compact
+/// form, laid out in the module docs.
 pub(super) fn encode_node(buf: &mut Vec<u8>, sub: &SubComputation) {
-    put_sub_id(buf, sub.id);
-    let clock_len = sub.clock.len();
-    put_u32(buf, clock_len as u32);
-    for i in 0..clock_len {
-        put_u64(buf, sub.clock.get(ThreadId::new(i as u32)));
+    put_varint(buf, sub.id.thread.index() as u64);
+    put_varint(buf, sub.id.alpha);
+    put_varint(buf, sub.clock.len() as u64);
+    for i in 0..sub.clock.len() {
+        put_varint(buf, sub.clock.get(ThreadId::new(i as u32)));
     }
-    put_u32(buf, sub.read_set.len() as u32);
-    for page in &sub.read_set {
-        put_u64(buf, page.number());
-    }
-    put_u32(buf, sub.write_set.len() as u32);
-    for page in &sub.write_set {
-        put_u64(buf, page.number());
-    }
-    put_u32(buf, sub.thunks.len() as u32);
-    for thunk in sub.thunks.iter() {
-        put_u64(buf, thunk.id.beta);
-        put_u64(buf, thunk.entry_ip);
-        match thunk.terminator {
-            None => buf.push(0),
-            Some(b) => {
-                buf.push(branch_kind_code(b.kind));
-                put_u64(buf, b.ip);
-            }
+    for set in [&sub.read_set, &sub.write_set] {
+        put_varint(buf, set.len() as u64);
+        let mut prev = 0;
+        for page in set {
+            put_varint(buf, page.number() - prev);
+            prev = page.number();
         }
     }
+    let log = sub.thunks.log_bytes();
+    put_varint(buf, log.len() as u64);
+    buf.extend_from_slice(log);
     match sub.terminator {
         None => buf.push(0),
         Some(sp) => {
             buf.push(sync_kind_code(sp.kind));
-            put_u64(buf, sp.object.raw());
+            put_varint(buf, sp.object.raw());
         }
     }
 }
 
-pub(super) fn decode_node(cursor: &mut Cursor<'_>) -> SpillResult<SubComputation> {
-    let id = cursor.take_sub_id()?;
-    let clock_len = cursor.take_u32()? as usize;
-    // Checked before the clock is sized to it: a CRC-valid record may still
-    // claim more components than it holds.
-    if clock_len > cursor.remaining() / 8 {
-        return Err(SpillError::Corrupt(format!(
-            "clock of {clock_len} components in {} payload bytes",
-            cursor.remaining()
-        )));
-    }
+/// Decodes a whole node payload — what [`encode_node`] wrote, and only
+/// that: any byte string it accepts re-encodes to itself (module docs).
+pub(super) fn decode_node(payload: &[u8]) -> SpillResult<SubComputation> {
+    let mut cursor = Cursor::new(payload);
+    let thread = cursor.take_varint()?;
+    let thread =
+        u32::try_from(thread).map_err(|_| SpillError::Corrupt(format!("thread {thread}")))?;
+    let id = SubId::new(ThreadId::new(thread), cursor.take_varint()?);
+    let clock_len = cursor.take_len()?;
     let mut clock = VectorClock::with_capacity(clock_len);
     for i in 0..clock_len {
-        let v = cursor.take_u64()?;
-        clock.set(ThreadId::new(i as u32), v);
+        clock.set(ThreadId::new(i as u32), cursor.take_varint()?);
     }
     let mut sub = SubComputation::new(id, clock);
-    for _ in 0..cursor.take_u32()? {
-        sub.read_set.insert(PageId::new(cursor.take_u64()?));
-    }
-    for _ in 0..cursor.take_u32()? {
-        sub.write_set.insert(PageId::new(cursor.take_u64()?));
-    }
-    // The thunk records are a derived view of the branch log (see
-    // `thunk.rs`): β counts up from 0, each thunk starts where the previous
-    // one branched to, and exactly the last one is open — behind at least
-    // one branch, so never alone. Anything else would decode into a
-    // different list than was written.
-    let thunks = cursor.take_u32()? as u64;
-    let mut entry = 0;
-    for index in 0..thunks {
-        let beta = cursor.take_u64()?;
-        let entry_ip = cursor.take_u64()?;
-        let code = cursor.take_u8()?;
-        let open = code == 0;
-        if beta != index || entry_ip != entry || open != (index + 1 == thunks) || thunks == 1 {
-            return Err(SpillError::Corrupt(format!(
-                "thunk {index} of {thunks} breaks the branch chain: beta {beta}, \
-                 entry {entry_ip:#x} (expected {entry:#x}), open {open}"
-            )));
-        }
-        if !open {
-            entry = cursor.take_u64()?;
-            sub.thunks.record_branch(branch_kind_from(code)?, entry);
+    for set in [&mut sub.read_set, &mut sub.write_set] {
+        let mut page = 0u64;
+        for i in 0..cursor.take_len()? {
+            let step = cursor.take_varint()?;
+            page = (page.checked_add(step).filter(|_| step > 0 || i == 0))
+                .ok_or_else(|| SpillError::Corrupt(format!("page step {step}")))?;
+            set.insert(PageId::new(page));
         }
     }
+    let log_len = cursor.take_len()?;
+    sub.thunks = ThunkList::from_log(id, cursor.take(log_len)?)
+        .map_err(|what| SpillError::Corrupt(format!("branch log: {what}")))?;
     sub.terminator = match cursor.take_u8()? {
         0 => None,
         code => {
             let kind = sync_kind_from(code)?;
-            let object = SyncObjectId::new(cursor.take_u64()?);
+            let object = SyncObjectId::new(cursor.take_varint()?);
             Some(SyncPoint { object, kind })
         }
     };
+    cursor.expect_exhausted()?;
     Ok(sub)
 }
 
@@ -378,10 +356,7 @@ pub(crate) struct SegmentHeader {
     pub session_id: u64,
 }
 
-pub(super) fn encode_segment_header(
-    shard: u32,
-    session_id: u64,
-) -> [u8; SEGMENT_HEADER_BYTES as usize] {
+pub(super) fn segment_header(shard: u32, session_id: u64) -> [u8; SEGMENT_HEADER_BYTES as usize] {
     let mut header = [0u8; SEGMENT_HEADER_BYTES as usize];
     header[..8].copy_from_slice(&SEGMENT_MAGIC);
     header[8..12].copy_from_slice(&SPILL_FORMAT_VERSION.to_le_bytes());
@@ -405,16 +380,19 @@ pub(crate) fn parse_segment_header(bytes: &[u8], path: &Path) -> SpillResult<Seg
     if bytes[..8] != SEGMENT_MAGIC {
         return Err(bad("bad magic".into()));
     }
-    let mut cursor = Cursor::new(&bytes[8..SEGMENT_HEADER_BYTES as usize]);
-    let version = cursor.take_u32()?;
+    // In bounds: the length was checked above.
+    let word = |at: usize| u32::from_le_bytes(std::array::from_fn(|i| bytes[at + i]));
+    let version = word(8);
     if version != SPILL_FORMAT_VERSION {
         return Err(bad(format!(
             "unsupported format version {version} (expected {SPILL_FORMAT_VERSION})"
         )));
     }
-    let shard = cursor.take_u32()?;
-    let session_id = cursor.take_u64()?;
-    Ok(SegmentHeader { shard, session_id })
+    let session_id = u64::from(word(16)) | u64::from(word(20)) << 32;
+    Ok(SegmentHeader {
+        shard: word(12),
+        session_id,
+    })
 }
 
 /// How a [`scan_segment`] pass ended. Offsets are those of the offending
@@ -465,19 +443,10 @@ pub(crate) fn scan_segment(
         if crc32(payload) != u32::from_le_bytes(word) {
             return ScanEnd::Crc(pos);
         }
-        let mut cursor = Cursor::new(payload);
-        let mut record = || match cursor.take_u8()? {
-            TAG_NODE => {
-                let sub = decode_node(&mut cursor)?;
-                cursor.expect_exhausted()?;
-                node(sub);
-                Ok(())
-            }
-            other => Err(SpillError::Corrupt(format!("tag {other}"))),
-        };
-        if record().is_err() {
+        let Some(Ok(sub)) = payload.strip_prefix(&[TAG_NODE]).map(decode_node) else {
             return ScanEnd::Decode(pos);
-        }
+        };
+        node(sub);
         pos += 8 + len;
     }
     ScanEnd::Clean
@@ -583,5 +552,122 @@ pub(crate) fn scan_segment_file(
         header,
         nodes,
         end,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::event::BranchKind;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// A page number or IP drawn from `v`: small, one byte boundary, or
+    /// anything.
+    fn number(v: u64) -> u64 {
+        match v % 3 {
+            0 => (v >> 2) % 300,
+            1 => 1 << (8 * ((v >> 2) % 8)),
+            _ => v,
+        }
+    }
+
+    /// A node with a dense clock, pages in any order, branches under one
+    /// label or anywhere, and any terminator.
+    fn node(
+        id: &[u64],
+        clock: &[u64],
+        pages: [&[u64]; 2],
+        branches: &[u64],
+        end: u64,
+    ) -> SubComputation {
+        let id = SubId::new(ThreadId::new(number(id[0]) as u32), number(id[1]));
+        let clock = clock.iter().enumerate();
+        let clock = clock
+            .map(|(i, &v)| (ThreadId::new(i as u32), number(v)))
+            .collect();
+        let mut sub = SubComputation::new(id, clock);
+        for &page in pages[0] {
+            sub.record_read(PageId::new(number(page)));
+        }
+        for &page in pages[1] {
+            sub.record_write(PageId::new(number(page)));
+        }
+        let kinds = [
+            BranchKind::ConditionalTaken,
+            BranchKind::ConditionalNotTaken,
+            BranchKind::Indirect,
+            BranchKind::Return,
+        ];
+        for &b in branches {
+            let ip = if b % 8 < 5 { 0x49_0000 } else { number(b >> 3) };
+            sub.thunks.record_branch(kinds[(b >> 6) as usize % 4], ip);
+        }
+        let code = (end % 4) as u8;
+        sub.terminator = (code > 0).then(|| SyncPoint {
+            object: SyncObjectId::new(number(end >> 2)),
+            kind: sync_kind_from(code).unwrap(),
+        });
+        sub
+    }
+
+    /// `payload` with each edit overwriting, inserting or removing a byte.
+    fn edited(mut payload: Vec<u8>, edits: &[u64]) -> Vec<u8> {
+        for &edit in edits {
+            let (len, byte, at) = (payload.len(), (edit >> 2) as u8, (edit >> 10) as usize);
+            match edit % 3 {
+                0 if len > 0 => payload[at % len] = byte,
+                1 => payload.insert(at % (len + 1), byte),
+                _ if len > 0 => {
+                    payload.remove(at % len);
+                }
+                _ => {}
+            }
+        }
+        payload
+    }
+
+    proptest! {
+        /// Every node round-trips; and whatever CRC-valid payload a frame
+        /// carries — an edited record or noise — the frame walker does not
+        /// panic, and a node it delivers re-encodes to that payload: one
+        /// node, one byte string.
+        #[test]
+        fn prop_crc_valid_payloads_decode_to_one_node_or_none(
+            id in vec(any::<u64>(), 2),
+            clock in vec(any::<u64>(), 0..6),
+            reads in vec(any::<u64>(), 0..6),
+            writes in vec(any::<u64>(), 0..6),
+            branches in vec(any::<u64>(), 0..40),
+            end in any::<u64>(),
+            edits in vec(any::<u64>(), 0..4),
+            noise in vec(any::<u8>(), 0..48),
+        ) {
+            let sub = node(&id, &clock, [&reads, &writes], &branches, end);
+            let mut payload = vec![TAG_NODE];
+            encode_node(&mut payload, &sub);
+            prop_assert_eq!(&decode_node(&payload[1..]).unwrap(), &sub);
+            let edited = edited(payload.clone(), &edits);
+            for payload in [payload, edited, noise] {
+                let mut image = segment_header(0, 0).to_vec();
+                image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                image.extend_from_slice(&payload);
+                image.extend_from_slice(&crc32(&payload).to_le_bytes());
+                let mut delivered = Vec::new();
+                match scan_segment(&image, image.len(), |sub| delivered.push(sub)) {
+                    ScanEnd::Clean => {
+                        prop_assert_eq!(delivered.len(), 1);
+                        let mut again = vec![TAG_NODE];
+                        encode_node(&mut again, &delivered[0]);
+                        prop_assert_eq!(again, payload);
+                    }
+                    ScanEnd::Decode(at) => {
+                        prop_assert_eq!(at, SEGMENT_HEADER_BYTES as usize);
+                        prop_assert!(delivered.is_empty());
+                    }
+                    other => prop_assert!(false, "{other:?}"),
+                }
+            }
+        }
     }
 }

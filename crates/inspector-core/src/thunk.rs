@@ -16,8 +16,8 @@
 //! `β − 1` (`0` for `β = 0`), and it is terminated by branch `β` (by nothing
 //! for `β = n`). No branches, no thunks.**
 //!
-//! The spill codec writes the view and, on the way back in, accepts only
-//! byte strings that satisfy it.
+//! The spill codec writes the branch log below verbatim and, on the way
+//! back in, accepts only a canonical one (`ThunkList::from_log`).
 //!
 //! # The branch log: 2 bits per branch
 //!
@@ -40,7 +40,11 @@
 //! label) also opens a run, whose header and IP take 2–10 bytes. Slots past a run's last
 //! branch are `00`, so a conditional count is a popcount of the kind
 //! bytes' high bits. The encoding is a function of the branch sequence, so
-//! equal logs are equal byte strings.
+//! equal logs are equal byte strings. A byte string is **canonical** — the
+//! log of some branch sequence — exactly when every run has a count in
+//! 1..=4095, its IP at its minimal width (≤ 8; no zero top byte), no kind
+//! bits past its last branch, and an IP equal to its predecessor's only if
+//! the predecessor is full.
 //!
 //! Up to 15 bytes of log — 40 conditionals under one label — live inside
 //! the list itself (`small.rs`), so a sub-computation that branched a
@@ -236,6 +240,54 @@ impl ThunkList {
         self.log.truncate(0);
         self.open = 0;
         taken
+    }
+
+    /// The branch log's bytes (see the module docs).
+    pub(crate) fn log_bytes(&self) -> &[u8] {
+        &self.log
+    }
+
+    /// The thunk list of `owner` whose branch log is `bytes`, copied at its
+    /// exact size, or what makes `bytes` non-canonical (module docs): a
+    /// list is accepted only in the one form recording its branches gives.
+    pub(crate) fn from_log(owner: SubId, bytes: &[u8]) -> Result<ThunkList, &'static str> {
+        let (mut rest, mut open, mut last): (_, _, Option<(u64, bool)>) = (bytes, 0, None);
+        while let Some((header, tail)) = rest.split_first_chunk::<HEADER>() {
+            let header = u16::from_le_bytes(*header);
+            let (count, width) = split_header(header);
+            let (ip, tail) = tail
+                .split_at_checked(width)
+                .ok_or("log ends inside a run")?;
+            let (kinds, tail) = tail
+                .split_at_checked(count.div_ceil(4))
+                .ok_or("log ends inside a run")?;
+            let used = 2 * (count % 4);
+            if count == 0 {
+                return Err("a run of no branches");
+            }
+            if width > 8 || ip.last() == Some(&0) {
+                return Err("an IP not at its minimal width");
+            }
+            if used > 0 && kinds.last().is_some_and(|&b| b >> used != 0) {
+                return Err("kind bits past a run's last branch");
+            }
+            let ip = ip_from(ip);
+            if last.is_some_and(|(prev, full)| prev == ip && !full) {
+                return Err("a run repeats the IP of a run with room");
+            }
+            (rest, open, last) = (tail, header, Some((ip, count == RUN_MAX)));
+        }
+        if !rest.is_empty() {
+            return Err("log ends inside a run header");
+        }
+        let mut log = SmallVec::with_capacity(bytes.len());
+        log.extend_from_slice(bytes);
+        Ok(ThunkList {
+            alpha: owner.alpha,
+            thread: owner.thread,
+            open,
+            log,
+        })
     }
 
     /// Number of thunks recorded so far (the trailing open one included).
@@ -645,6 +697,8 @@ mod tests {
             .all(|t| t.entry_ip == 0x49_0000 || t.id.beta == 0));
         assert_eq!(staged.take(OWNER), list);
         assert!(staged.is_empty());
+        // Full runs repeat their IP, and the log reads back as itself.
+        assert_eq!(ThunkList::from_log(OWNER, list.log_bytes()), Ok(list));
     }
 
     #[test]
@@ -755,6 +809,45 @@ mod tests {
                 let mut other = list.clone();
                 other.record_branch(last.kind, last.ip ^ 1);
                 prop_assert_ne!(&other, &list);
+            }
+        }
+
+        /// The branch log is its own serialisation: `from_log` reads any
+        /// list's bytes back as that list, and whatever edited bytes it
+        /// accepts are the log their branches record — canonical.
+        #[test]
+        fn prop_from_log_accepts_exactly_canonical_logs(
+            sources in proptest::collection::vec(any::<u8>(), 0..6),
+            lens in proptest::collection::vec(1usize..48, 6),
+            seeds in proptest::collection::vec(any::<u64>(), 6),
+            edits in proptest::collection::vec(any::<u64>(), 0..4),
+        ) {
+            let runs: Vec<RunSpec> = sources
+                .iter()
+                .zip(&lens)
+                .zip(&seeds)
+                .map(|((&source, &len), &seed)| (source, len, seed))
+                .collect();
+            let list = ThunkList::from_branches(OWNER, branches_of(&runs));
+            let read = ThunkList::from_log(OWNER, list.log_bytes());
+            prop_assert_eq!(read.as_ref(), Ok(&list));
+            prop_assert_eq!(read.unwrap().is_inline(), list.log.len() <= INLINE_LOG);
+            let mut bytes = list.log_bytes().to_vec();
+            for &edit in &edits {
+                let (len, byte, at) = (bytes.len(), (edit >> 2) as u8, (edit >> 10) as usize);
+                match edit % 3 {
+                    0 if len > 0 => bytes[at % len] = byte,
+                    1 => bytes.insert(at % (len + 1), byte),
+                    _ if len > 0 => {
+                        bytes.remove(at % len);
+                    }
+                    _ => {}
+                }
+            }
+            if let Ok(read) = ThunkList::from_log(OWNER, &bytes) {
+                let recorded = ThunkList::from_branches(OWNER, read.records().collect());
+                prop_assert_eq!(recorded.log_bytes(), &bytes[..]);
+                prop_assert_eq!(recorded, read);
             }
         }
     }

@@ -542,7 +542,7 @@ fn a_seal_over_a_torn_segment_is_the_recovery_of_its_directory() {
         let tmp = TempDir::new("crash-rec");
         let dir = tmp.path();
         let settings = SpillSettings {
-            segment_bytes: 4 << 10,
+            segment_bytes: 1 << 10,
             ..SpillSettings::new(4, dir).with_retain_on_seal(true)
         };
         let builder = ShardedCpgBuilder::with_shards_and_spill(2, Some(settings));
