@@ -62,17 +62,17 @@ pub use codec::{
 /// Default segment-roll size. A segment is the read side's unit of work,
 /// and one scan buffer holds its nodes at ≈ 192 B each, so records per
 /// segment, not bytes, set the read side's transient memory. Measured on
-/// `fault_commit_spill` (`--seconds 10`, 2 vCPUs, 10 order-alternated pairs
+/// `fault_commit_spill` (`--seconds 10`, 2 vCPUs, order-alternated pairs
 /// against format v3 at 1 MiB, ≈ 5 200 records per segment):
 ///
 /// | v4 roll | records/segment | `peak_rss_mib` vs v3 | `wall_s` vs v3 |
 /// |---------|-----------------|----------------------|----------------|
-/// | 256 KiB | ≈ 7 300 | 90.7 → 93.7, lower in 1/10 | −14 %, 9/10 |
-/// | 128 KiB | ≈ 3 600 | 90.9 → 81.1, lower in 10/10 | −14 %, 10/10 |
+/// | 256 KiB | ≈ 7 300 | 90.7 → 93.7, lower in 1/10 | −14 %, lower in 9/10 |
+/// | 128 KiB | ≈ 3 600 | 90.7 → 81.3, lower in 20/20 | −18 %, lower in 20/20 |
 ///
-/// The memory is allocator placement, not format: with glibc's mmap
-/// threshold pinned at 128 KiB, v3, 256 KiB and 128 KiB read 69.5, 67.3 and
-/// 67.7 MiB.
+/// Head to head the two rolls read the same `wall_s` (4/8 pairs). The
+/// memory is allocator placement, not format: with glibc's mmap threshold
+/// pinned at 128 KiB, v3, 256 KiB and 128 KiB read 69.5, 67.3 and 67.7 MiB.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 128 << 10;
 
 /// Name of the per-session manifest file inside the spill directory.

@@ -251,7 +251,9 @@ impl ThunkList {
     /// exact size, or what makes `bytes` non-canonical (module docs): a
     /// list is accepted only in the one form recording its branches gives.
     pub(crate) fn from_log(owner: SubId, bytes: &[u8]) -> Result<ThunkList, &'static str> {
-        let (mut rest, mut open, mut last): (_, _, Option<(u64, bool)>) = (bytes, 0, None);
+        let (mut rest, mut open) = (bytes, 0);
+        // The previous run's IP, and whether it is full.
+        let mut last: Option<(u64, bool)> = None;
         while let Some((header, tail)) = rest.split_first_chunk::<HEADER>() {
             let header = u16::from_le_bytes(*header);
             let (count, width) = split_header(header);
@@ -261,13 +263,13 @@ impl ThunkList {
             let (kinds, tail) = tail
                 .split_at_checked(count.div_ceil(4))
                 .ok_or("log ends inside a run")?;
-            let used = 2 * (count % 4);
             if count == 0 {
                 return Err("a run of no branches");
             }
             if width > 8 || ip.last() == Some(&0) {
                 return Err("an IP not at its minimal width");
             }
+            let used = 2 * (count % 4);
             if used > 0 && kinds.last().is_some_and(|&b| b >> used != 0) {
                 return Err("kind bits past a run's last branch");
             }
