@@ -43,10 +43,11 @@
 //!   panic. A failing round is retried with bounded backoff (each attempt
 //!   from the last committed length, so a partial write never stays in
 //!   front of the retry); if the device stays broken the round never
-//!   happened — the nodes it was about to evict are still resident, earlier
-//!   rounds are read back into memory and the store detaches, so
-//!   the session degrades to unbounded-memory operation with a graph
-//!   **identical** to the never-spilled one (callers see the episode as a
+//!   happened — the nodes it was about to evict are still resident — and
+//!   the store stops: the rounds it committed stay on disk, nothing is
+//!   read back or deleted, and its shard keeps what it ingests from then
+//!   on in memory. The seal reads both, so the graph is **identical** to
+//!   the never-spilled one (callers see the episode as a
 //!   `spill_fallbacks` count, never as data loss). On reload — at seal, in
 //!   a snapshot or offline — a torn or corrupt record is skipped and
 //!   counted with whatever follows it in its shard; every record before it

@@ -48,6 +48,13 @@
 //!   every stripe's segments; the seal cuts only on loss, a snapshot always
 //!   takes its consistent cut. Peak resident memory is O(active window)
 //!   instead of O(trace length) (paper §VI).
+//! * **A store only appends or stops.** A round whose write still fails
+//!   after bounded retries stops its stripe's store; the injected crash
+//!   stops every stripe's. A stopped store keeps on disk what it committed
+//!   and takes no further round, and its stripe keeps the rest resident.
+//!   Nothing is read back, dropped or deleted during ingest: the seal reads
+//!   every store, stopped or not, and is the only place a spill file is
+//!   deleted. A builder that is never sealed leaves a recoverable image.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -93,12 +100,12 @@ pub struct IngestStats {
     pub peak_resident_subs: u64,
     /// Times the spill stage *degraded* instead of aborting: a shard's
     /// store could not be created; a round's write failed after bounded
-    /// retries (ENOSPC, injected fault) and the shard fell back to
-    /// in-memory retention; the injected crash fired; a retaining seal
-    /// could not complete its on-disk copy; or a read of the spilled
-    /// prefixes — by the seal, a snapshot or a fallback — lost bytes its
-    /// stores had committed (one per such read). A fallback whose read is
-    /// clean loses nothing: the shard's prefixes come back into memory and
+    /// retries (ENOSPC, injected fault) and the shard's store stopped; the
+    /// injected crash fired; a retaining seal could not complete its
+    /// on-disk copy; or a read of the spilled prefixes — by the seal or a
+    /// snapshot — lost bytes its stores had committed (one per such read).
+    /// A stopped store loses nothing: its committed prefix stays on disk,
+    /// the rest of its stripe stays in memory, and the seal reads both, so
     /// the final graph is complete. A lossy read leaves the seal the
     /// maximal consistent cut over what could be read.
     pub spill_fallbacks: u64,
@@ -131,16 +138,17 @@ struct Shard {
     /// Per-thread execution sequences in ingest (= α) order.
     sequences: BTreeMap<ThreadId, ThreadSeq>,
     /// Append-only on-disk store for spilled prefixes (`None` when
-    /// spilling is disabled).
+    /// spilling is disabled, the store could not be created, or a seal kept
+    /// the image).
     spill: Option<SpillStore>,
     /// Sub-computations ingested into this stripe since its last committed
     /// round — its resident count while the store works. A round is due
     /// once it reaches the threshold.
     unspilled: usize,
-    /// Set when a fallback could not read the spilled records back into
-    /// memory: the store is kept so the seal reads it once more, but no
-    /// further spill attempt is made.
-    spill_disabled: bool,
+    /// Set when a round's write still failed after the bounded retries, or
+    /// once the injected crash fired: the store keeps what it committed,
+    /// for the seal to read, and takes no further round.
+    stopped: bool,
 }
 
 /// RAII registration of an in-flight `ingest()` call, backing the quiesce
@@ -188,9 +196,8 @@ pub struct ShardedCpgBuilder {
     resident: AtomicU64,
     /// Largest `resident` value observed in the current build.
     peak_resident: AtomicU64,
-    /// Times the spill stage degraded to in-memory retention in the
-    /// current build (write failure after retries, store creation failure,
-    /// unreadable or torn records at replay).
+    /// Times the spill stage degraded in the current build (see
+    /// [`IngestStats::spill_fallbacks`]).
     spill_fallbacks: AtomicU64,
     /// Segment `write` calls issued in the current build.
     spill_writes: AtomicU64,
@@ -205,8 +212,8 @@ pub struct ShardedCpgBuilder {
     spill_manifest: Option<ManifestWriter>,
     /// Fault injection: simulate a whole-process crash after the Nth spill
     /// record — record N+1 reaches the disk as a torn frame, the manifest
-    /// freezes, and every store detaches keeping its files, exactly the
-    /// on-disk state a dead process leaves behind.
+    /// freezes, and every store stops, exactly the on-disk state a dead
+    /// process leaves behind.
     /// `0` = disabled. Survives seals (it is configuration, not a counter).
     crash_spill_at: AtomicU64,
     /// Spill records staged so far; only advanced while
@@ -337,10 +344,10 @@ impl ShardedCpgBuilder {
     /// in — its round's write carries the whole frames staged before it
     /// and only a torn prefix of that one — and then the builder behaves
     /// as if the process died: the manifest freezes where it was, every
-    /// store detaches keeping its files, and the seal retains all spill
-    /// artifacts for offline recovery. `0` disarms. The build itself still
-    /// completes, degraded: everything spilled is restored into memory
-    /// first, so the sealed graph loses nothing in-process.
+    /// stripe stops spilling, and the seal keeps all spill artifacts for
+    /// offline recovery. `0` disarms. The build itself still completes,
+    /// degraded: the seal reads the committed prefixes back as it always
+    /// does, so the sealed graph loses nothing in-process.
     pub fn inject_spill_crash(&self, nth: u64) {
         self.crash_spill_at.store(nth, Ordering::Release);
     }
@@ -382,8 +389,7 @@ impl ShardedCpgBuilder {
 
     /// Runs one round's write with bounded retries. Injected failures
     /// consume the same attempt budget as real ones. Returns `false` when
-    /// the write never succeeded — the caller falls back to in-memory
-    /// retention.
+    /// the write never succeeded — the caller stops the store.
     fn try_spill_append(&self, mut attempt: impl FnMut() -> std::io::Result<()>) -> bool {
         const BACKOFF_MICROS: [u64; 3] = [0, 50, 200];
         for backoff in BACKOFF_MICROS {
@@ -493,7 +499,7 @@ impl ShardedCpgBuilder {
             self.resident.fetch_add(batch_len as u64, Ordering::AcqRel) + batch_len as u64;
         self.peak_resident.fetch_max(resident, Ordering::AcqRel);
 
-        if shard.spill.is_some() && !shard.spill_disabled {
+        if shard.spill.is_some() && !shard.stopped {
             if let Some(threshold) = self.spill_threshold() {
                 shard.unspilled += batch_len;
                 if shard.unspilled >= threshold {
@@ -508,8 +514,8 @@ impl ShardedCpgBuilder {
     /// A round is every resident node of every thread of the stripe,
     /// staged as back-to-back frames and committed with one write. Memory
     /// is touched only after that write succeeded — the runs are emptied
-    /// and their bases advanced — so a failed round leaves the shard
-    /// exactly as it was.
+    /// and their bases advanced — so a failed round leaves the shard's
+    /// nodes exactly as they were, and stops its store.
     fn spill_shard(&self, stripe: usize, shard: &mut Shard) {
         let started = Instant::now();
         self.spill_round(stripe, shard);
@@ -518,22 +524,21 @@ impl ShardedCpgBuilder {
     }
 
     fn spill_round(&self, stripe: usize, shard: &mut Shard) {
-        // After a simulated crash nothing spills any more: each store is
-        // lazily restored into memory (the dead process's graph work was
-        // already restored at the crash point; intact shards restore here
-        // or at seal) and detached with its files kept for recovery.
-        if self.spill_crashed.load(Ordering::Acquire) {
-            self.restore_and_detach(shard);
-            return;
-        }
         let Shard {
             sequences,
             spill: Some(store),
-            ..
+            unspilled,
+            stopped,
         } = shard
         else {
             return;
         };
+        // The injected crash stops every stripe: a dead process writes
+        // nothing more.
+        if self.spill_crashed.load(Ordering::Acquire) {
+            *stopped = true;
+            return;
+        }
 
         // Stage the round. Every record counts against the armed crash
         // point; the one that "kills" the process ends the round there.
@@ -569,28 +574,18 @@ impl ShardedCpgBuilder {
             .fetch_add(store.writes() - writes_before, Ordering::AcqRel);
 
         let Some(rolled) = committed else {
+            // Bounded retries exhausted (ENOSPC, injected fault) or the
+            // process "died": the store stops. What it committed stays on
+            // disk for the seal to read; the round's nodes stay resident,
+            // and so does whatever the stripe ingests from now on. A crash
+            // also freezes the manifest exactly where the dead process left
+            // it.
             self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
+            *stopped = true;
             if crashed {
-                // Freeze the manifest exactly where the "dead" process
-                // left it, restore every committed round back into the
-                // shard so the in-process graph stays complete, and detach
-                // the store keeping every byte on disk for offline
-                // recovery.
                 self.spill_crashed.store(true, Ordering::Release);
                 if let Some(manifest) = self.spill_manifest.as_ref() {
                     manifest.freeze();
-                }
-                self.restore_and_detach(shard);
-            } else if self.restore(shard) {
-                // Bounded retries exhausted (ENOSPC, injected fault): the
-                // earlier rounds are back in memory, so nothing is lost,
-                // and the store is dropped — keeping its files when the
-                // session retains its spill image, since the published
-                // manifest still names them.
-                if let Some(mut store) = shard.spill.take() {
-                    if self.retains_spill() {
-                        store.detach_keeping_files();
-                    }
                 }
             }
             return;
@@ -601,7 +596,7 @@ impl ShardedCpgBuilder {
             seq.base += seq.live.len() as u64;
             seq.live.clear();
         }
-        shard.unspilled = 0;
+        *unspilled = 0;
         self.resident.fetch_sub(staged, Ordering::AcqRel);
         self.spilled_subs.fetch_add(staged, Ordering::AcqRel);
         self.spill_bytes
@@ -622,76 +617,13 @@ impl ShardedCpgBuilder {
         }
     }
 
-    /// Reads the shard's store back into memory and detaches it with its
-    /// files kept — what every shard does once the injected crash has
-    /// fired.
-    fn restore_and_detach(&self, shard: &mut Shard) {
-        if self.restore(shard) {
-            if let Some(mut store) = shard.spill.take() {
-                store.detach_keeping_files();
-            }
-        }
-    }
-
-    /// The crash and write-failure fallbacks' read: puts the store's
-    /// committed records back in front of their threads' live runs, read
-    /// through recovery's core like every read of the tier. A read that
-    /// lost anything leaves the shard as it was, disables its spilling and
-    /// returns `false`; the seal then reads the store once more and cuts
-    /// what is lost.
-    fn restore(&self, shard: &mut Shard) -> bool {
-        let Some(store) = shard.spill.as_ref() else {
-            return true;
-        };
-        let (nodes, lost) = self.read(&store.plan(), Vec::new());
-        if lost {
-            shard.spill_disabled = true;
-            return false;
-        }
-        let restored = nodes.len() as u64;
-        let mut nodes = nodes.into_iter().peekable();
-        while let Some(thread) = nodes.peek().map(|sub| sub.id.thread) {
-            let seq = shard.sequences.entry(thread).or_default();
-            let mut run = Vec::with_capacity(seq.len() as usize);
-            run.extend(std::iter::from_fn(|| {
-                nodes.next_if(|sub| sub.id.thread == thread)
-            }));
-            run.append(&mut seq.live);
-            seq.live = run;
-            seq.base = 0;
-        }
-        if restored > 0 {
-            let resident = self.resident.fetch_add(restored, Ordering::AcqRel) + restored;
-            self.peak_resident.fetch_max(resident, Ordering::AcqRel);
-            self.spilled_subs.fetch_sub(restored, Ordering::AcqRel);
-        }
-        true
-    }
-
-    /// Reads the segments `plan` names through recovery's core, with the
-    /// `tails` behind their shards' records, into one (thread, α)-ordered
-    /// store. A read that lost spilled bytes is a counted fallback; the flag
-    /// says whether it did.
-    fn read(&self, plan: &[ManifestSegment], tails: Vec<Tail>) -> (Vec<SubComputation>, bool) {
-        let (dir, session_id) = self
-            .spill
-            .as_ref()
-            .map_or((Path::new(""), 0), |s| (s.dir.as_path(), s.session_id));
-        let mut report = RecoveryReport::default();
-        let (nodes, _) = read_segments(dir, session_id, plan, tails, &mut report);
-        let lost = report.lost_vouched();
-        if lost {
-            self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
-        }
-        (nodes, lost)
-    }
-
-    /// Every stored node in (thread, α) order: what the stripes' stores
-    /// vouch for, read through recovery's core in one fan-out, each
-    /// thread's live suffix — taken or cloned by `live` — behind its
-    /// prefix. A stripe that lost spilled bytes loses its live suffixes
-    /// too, as in recovery the rest of a damaged shard is lost. Returns the
-    /// store and whether anything was lost.
+    /// Every stored node in (thread, α) order: the segments `plan` names,
+    /// read through recovery's core in one fan-out, each thread's live
+    /// suffix — taken or cloned by `live` — behind its prefix. A stripe
+    /// that lost spilled bytes loses its live suffixes too, as in recovery
+    /// the rest of a damaged shard is lost. A read that lost spilled bytes
+    /// is a counted fallback. Returns the store and whether anything was
+    /// lost.
     fn read_back(
         &self,
         plan: &[ManifestSegment],
@@ -705,7 +637,17 @@ impl ShardedCpgBuilder {
             }
         }
         tails.sort_by_key(|tail| tail.0);
-        self.read(plan, tails)
+        let (dir, session_id) = self
+            .spill
+            .as_ref()
+            .map_or((Path::new(""), 0), |s| (s.dir.as_path(), s.session_id));
+        let mut report = RecoveryReport::default();
+        let (nodes, _) = read_segments(dir, session_id, plan, tails, &mut report);
+        let lost = report.lost_vouched();
+        if lost {
+            self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
+        }
+        (nodes, lost)
     }
 
     /// The read plan of every stripe's store: the segments each vouches
@@ -753,6 +695,14 @@ impl ShardedCpgBuilder {
     /// counters remain available through
     /// [`last_sealed_stats`](Self::last_sealed_stats).
     ///
+    /// The seal is the only place a spill file is deleted. A crashed build,
+    /// a retaining seal and a read that lost spilled bytes keep the image;
+    /// otherwise every segment, the manifest and the directory go. A seal
+    /// that keeps the image also ends spilling for this builder: its stores
+    /// are let go, so a later build stays resident rather than write over
+    /// the kept image. A builder that is never sealed deletes nothing and
+    /// leaves a recoverable image, as a crashed process does.
+    ///
     /// # Quiescence
     ///
     /// Callers must quiesce every producer before sealing — the runtime
@@ -779,11 +729,13 @@ impl ShardedCpgBuilder {
             // round per store, holding the stripe's live nodes, so the
             // directory becomes a recoverable image of the whole graph. The
             // read below takes those nodes from memory, behind the prefixes
-            // the plan vouched for before this round.
+            // the plan vouched for before this round. A stopped store takes
+            // no round, this one included.
             for shard in &mut stripes {
                 let Shard {
                     sequences,
                     spill: Some(store),
+                    stopped: false,
                     ..
                 } = &mut **shard
                 else {
@@ -815,14 +767,16 @@ impl ShardedCpgBuilder {
         for (stripe, shard) in stripes.iter_mut().enumerate() {
             shard.sequences.clear();
             shard.unspilled = 0;
-            shard.spill_disabled = false;
-            let Some(store) = shard.spill.as_mut() else {
-                continue;
-            };
+            shard.stopped = false;
             if !keep {
-                store.clear();
+                if let Some(store) = shard.spill.as_mut() {
+                    store.clear();
+                }
                 continue;
             }
+            let Some(mut store) = shard.spill.take() else {
+                continue;
+            };
             match store.sync_for_cut() {
                 Ok(()) => {
                     if let Some(manifest) = self.spill_manifest.as_ref() {
@@ -833,8 +787,6 @@ impl ShardedCpgBuilder {
                     self.spill_fallbacks.fetch_add(1, Ordering::AcqRel);
                 }
             }
-            store.detach_keeping_files();
-            shard.spill = None;
         }
         drop(stripes);
         if let (Some(settings), Some(manifest)) = (&self.spill, &self.spill_manifest) {
@@ -1210,7 +1162,7 @@ mod tests {
     #[test]
     fn a_failed_round_leaves_the_shard_untouched() {
         // All-or-nothing: a round whose write fails on every attempt (each
-        // one part-way through) detaches nothing.
+        // one part-way through) detaches nothing, and stops the store.
         let sequences = lock_heavy_sequences(2);
         // A threshold nothing reaches, so the only round is the one below.
         let tmp = TempDir::new("sharded-spill");
@@ -1238,7 +1190,8 @@ mod tests {
             .fail_next_writes(&[9, 200, 1]);
         streaming.spill_shard(0, &mut guard);
         assert_eq!(snapshot(&guard), before);
-        assert!(guard.spill.is_none(), "the shard fell back to memory");
+        assert!(guard.spill.is_some(), "the store is kept for the seal");
+        assert!(guard.stopped, "and takes no further round");
         drop(guard);
         let stats = streaming.stats();
         assert_eq!(stats.spilled_subs, 0);
@@ -1281,9 +1234,9 @@ mod tests {
         let reference = batch_build(&sequences);
 
         // Fail from the very first spill write, and after letting a few
-        // writes land first (so already-spilled records must be replayed
-        // back): both degrade to in-memory retention and the final graph
-        // is complete.
+        // writes land first: each stripe's store stops, the rounds it
+        // committed stay on disk, the rest stays resident, and the seal
+        // reads both into a complete graph.
         for fail_at in [1u64, 10] {
             let tmp = TempDir::new("sharded-spill");
             let streaming =
@@ -1307,13 +1260,50 @@ mod tests {
             );
             let stats = streaming.last_sealed_stats().expect("sealed");
             assert!(stats.spill_fallbacks > 0, "fail_at={fail_at}: {stats:?}");
+            if fail_at > 1 {
+                // The prefix written before the failure is still counted.
+                assert!(stats.spilled_subs > 0, "fail_at={fail_at}: {stats:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_unsealed_builder_leaves_a_recoverable_image() {
+        // A builder dropped without a seal — a run whose app panicked —
+        // deletes nothing: every segment its manifest names is still there.
+        let sequences = lock_heavy_sequences(4);
+        let tmp = TempDir::new("sharded-spill");
+        let streaming =
+            ShardedCpgBuilder::with_shards_and_spill(2, Some(spill_settings(1, tmp.path())));
+        for seq in sequences.clone() {
+            for sub in seq {
+                streaming.ingest(sub);
+            }
+        }
+        assert!(streaming.stats().spilled_subs > 0);
+        let dir = streaming.spill_directory().expect("spilling").to_path_buf();
+        drop(streaming);
+
+        let recovery = crate::recover::recover_session(&dir).expect("recovery I/O");
+        let report = &recovery.report;
+        assert!(
+            report.manifest_found && !report.manifest_clean,
+            "{report:?}"
+        );
+        assert_eq!(report.missing_segments, 0, "{report:?}");
+        assert!(!report.lost_vouched(), "{report:?}");
+        assert!(report.recovered_nodes > 0, "{report:?}");
+        // What came back is the manifested prefix, node for node.
+        for node in recovery.cpg.nodes() {
+            let thread = node.id.thread.index();
+            assert_eq!(&sequences[thread][node.id.alpha as usize], node);
         }
     }
 
     #[test]
     fn a_retaining_fallback_keeps_the_segments_its_manifest_names() {
-        // A write failure after some rounds landed: the shard falls back to
-        // memory, but the session retains its spill image, and the manifest
+        // A write failure after some rounds landed: the shard's store
+        // stops, the session retains its spill image, and the manifest
         // published before the failure names those rounds' segments.
         let sequences = lock_heavy_sequences(3);
         let tmp = TempDir::new("sharded-spill");

@@ -20,13 +20,20 @@
 //! the segment back to the last committed length, so a retry never lands
 //! behind a partial frame. Segments roll at round boundaries.
 //!
-//! The store writes; it does not read. Reading is one frame walker,
-//! `scan_segment`, run one segment at a time by `scan_segment_file`, the
-//! unit the read side fans out across the host's cores, under one reader
-//! and one policy: [`crate::recover`]'s. The seal, live snapshots and the
-//! crash and write-failure fallbacks hand it what a store vouches for
-//! (`SpillStore::plan`, the manifest the store would publish now, with
-//! the committed lengths); offline recovery hands it the parsed manifest.
+//! The store writes; it does not read, and it deletes only when told to.
+//! During a run it appends or stops: a round that still fails after the
+//! builder's retries, or the injected crash, leaves the store with what it
+//! committed, and the builder sends it no further round. Only a seal that
+//! chose not to keep the image deletes its files (`SpillStore::clear`);
+//! a store that is dropped leaves them, so a builder that is never sealed
+//! leaves a recoverable image, as a crashed process does.
+//!
+//! Reading is one frame walker, `scan_segment`, run one segment at a time
+//! by `scan_segment_file`, the unit the read side fans out across the
+//! host's cores, under one reader and one policy: [`crate::recover`]'s.
+//! The seal and live snapshots hand it what a store vouches for
+//! (`SpillStore::plan`, the manifest the store would publish now, with the
+//! committed lengths); offline recovery hands it the parsed manifest.
 //!
 //! # Crash consistency
 //!
@@ -173,8 +180,8 @@ impl SpillSettings {
 
 /// A spill-stage failure. The spill store never panics on bad input: I/O
 /// failures, malformed payloads, and crash-torn tails each surface as a
-/// typed error the builder can degrade around (fall back to in-memory
-/// retention) instead of aborting the session.
+/// typed error the builder can degrade around (stop the store, or cut the
+/// read to what is intact) instead of aborting the session.
 #[derive(Debug)]
 pub enum SpillError {
     /// Underlying file I/O failed (the injected-ENOSPC path included).
@@ -488,9 +495,6 @@ pub struct SpillStore {
     segment_bytes: u64,
     durability: SpillDurability,
     session_id: u64,
-    /// Keep files (and the directory) on drop/removal — set for degraded
-    /// and retained runs so forensic material is never deleted.
-    retain: bool,
     /// All segments written so far (index = segment number).
     segments: Vec<SegmentMeta>,
     /// Writer for the last segment in `segments`.
@@ -529,7 +533,6 @@ impl SpillStore {
             segment_bytes: settings.segment_bytes.max(1),
             durability: settings.durability,
             session_id: settings.session_id,
-            retain: false,
             segments: Vec::new(),
             current: None,
             current_len: 0,
@@ -752,46 +755,18 @@ impl SpillStore {
             .collect()
     }
 
-    /// Deletes the segment files and empties the store for the next build:
-    /// what a clean, non-retaining seal does once it has read them.
+    /// Deletes the segment files (best effort) and empties the store for
+    /// the next build: what a seal that does not keep the image does once
+    /// it has read them — the only deletion of a spill file.
     pub(crate) fn clear(&mut self) {
-        self.remove_files();
+        self.current = None;
+        for meta in self.segments.drain(..) {
+            let _ = std::fs::remove_file(meta.path);
+        }
         self.current_len = 0;
         self.bytes_written = 0;
         self.nodes_spilled = 0;
         self.thread_counts.clear();
-    }
-
-    /// Closes the writer and forgets the segment list *without* deleting
-    /// anything on disk — the detach path for crashed/retained runs.
-    pub fn detach_keeping_files(&mut self) {
-        self.retain = true;
-        self.current = None;
-    }
-
-    /// Best-effort deletion of this shard's segment files. Retained
-    /// stores only close the writer — forensic material is never deleted.
-    fn remove_files(&mut self) {
-        self.current = None;
-        if self.retain {
-            return;
-        }
-        for meta in self.segments.drain(..) {
-            let _ = std::fs::remove_file(meta.path);
-        }
-    }
-}
-
-impl Drop for SpillStore {
-    fn drop(&mut self) {
-        self.remove_files();
-        if self.retain {
-            return;
-        }
-        // The directory is shared by all shards of one builder; removing it
-        // succeeds only for the last store standing (and only once the
-        // manifest, if any, is gone), which is exactly the clean-up we want.
-        let _ = std::fs::remove_dir(&self.dir);
     }
 }
 
@@ -1012,7 +987,6 @@ mod tests {
         let dir = tmp.path();
         let subs = recorded_subs();
         let mut store = store_in(dir, 0, DEFAULT_SEGMENT_BYTES);
-        store.detach_keeping_files();
         commit_nodes(&mut store, &subs[..2]);
         let good_bytes = store.bytes_written();
         store.begin_round();
@@ -1114,15 +1088,14 @@ mod tests {
         assert_eq!(report.header_bytes, SEGMENT_HEADER_BYTES);
         assert_eq!(report.recovered_bytes, store.bytes_written());
         assert_eq!(report.lost_bytes, 0);
-        // A clean seal's clear empties the store.
+        // A clean seal's clear deletes the segment and empties the store.
         store.clear();
         assert_eq!(store.nodes_spilled, 0);
         assert_eq!(store.segments.len(), 0);
+        assert_eq!(std::fs::read_dir(dir).unwrap().count(), 0);
         let (nodes, report) = read(&[&store]);
         assert!(nodes.is_empty());
         assert_eq!(report, RecoveryReport::default());
-        drop(store);
-        assert!(!dir.exists(), "store drop removes the spill directory");
     }
 
     #[test]
@@ -1622,17 +1595,18 @@ mod tests {
     }
 
     #[test]
-    fn retained_store_keeps_files_on_drop() {
+    fn a_dropped_store_keeps_its_files() {
+        // Only `clear` deletes: a store dropped without it — an unsealed
+        // builder's — leaves every committed byte where it was.
         let tmp = TempDir::new("spill-test");
         let dir = tmp.path();
         let subs = recorded_subs();
         let mut store = store_in(dir, 0, DEFAULT_SEGMENT_BYTES);
         commit_nodes(&mut store, &subs[..1]);
         let path = store.segments.last().unwrap().path.clone();
-        store.detach_keeping_files();
+        let committed = segment_bytes(&store);
         drop(store);
-        assert!(path.exists(), "retained segment must survive drop");
-        assert!(dir.exists());
+        assert_eq!(std::fs::read(&path).unwrap(), committed);
     }
 
     #[test]

@@ -65,17 +65,18 @@ pub struct FaultPlan {
     /// one, modelling a disk that filled up and stayed full. A consistent
     /// cut is written as one round, so this counts one attempt per round
     /// (plus its retries), not one per record. The builder retries with
-    /// bounded backoff, then falls back to in-memory retention
-    /// (`spill_fallbacks`).
+    /// bounded backoff, then stops the shard's store: what it wrote stays
+    /// on disk, and the shard keeps the rest in memory (`spill_fallbacks`).
     pub fail_spill_write: u64,
     /// Simulate a whole-process crash after the Nth (1-based) spilled
     /// **record** — records, not rounds: the round holding record N+1
     /// writes the whole frames before it and only a torn prefix of that
     /// one (exactly what a process killed inside the write leaves
-    /// behind), the manifest freezes at its last published cut, and the
-    /// session degrades to in-memory retention with the on-disk artifacts
-    /// kept for [`inspector_core::recover::recover_session`] to examine
-    /// (`spill_fallbacks` counts the episode).
+    /// behind), the manifest freezes at its last published cut, and every
+    /// shard's store stops. The session still seals the whole graph from
+    /// the written prefixes and the resident rest, and keeps the on-disk
+    /// artifacts for [`inspector_core::recover::recover_session`] to
+    /// examine (`spill_fallbacks` counts the episode).
     pub crash_at_spill: u64,
     /// Panic this ingest worker (1-based lane index; `0` = none) …
     pub panic_worker: u64,
@@ -118,9 +119,11 @@ pub struct SessionConfig {
     /// spill_bytes, spill_time}`).
     pub spill_threshold: usize,
     /// Directory for the per-shard spill segment files. `None` (the
-    /// default) puts them in a unique directory under the system temp dir;
-    /// either way each session uses its own subdirectory and removes it
-    /// with the builder.
+    /// default) puts them under the system temp dir. Either way each run
+    /// spills into a subdirectory of its own, which only a seal deletes: a
+    /// clean, non-retaining seal removes it, while a crashed, degraded or
+    /// retained run — or one whose application panicked, so that it never
+    /// sealed — leaves it for [`inspector_core::recover::recover_session`].
     pub spill_dir: Option<PathBuf>,
     /// Durability policy for the spill tier's segment files and per-session
     /// `MANIFEST`: [`SpillDurability::None`] (default) leaves writes in the

@@ -357,16 +357,23 @@ impl ThreadCtx {
         self.hand_off(closed);
     }
 
-    /// An acquire of `object` around the real blocking operation `block`:
-    /// the boundary's commit, close and hand-off run before `block`, and
-    /// only the clock join and the start of the next sub-computation after
-    /// it — so a thread that returns from `block` holding a lock does
-    /// nothing more under it than the join.
-    pub(crate) fn acquire_with<R>(&mut self, object: &SyncObject, block: impl FnOnce() -> R) -> R {
+    /// An acquire of `object` — `kind` is [`SyncKind::Acquire`], or
+    /// [`SyncKind::ReleaseAcquire`] for a barrier, which also publishes the
+    /// clock at the close — around the real blocking operation `block`: the
+    /// boundary's commit, close and hand-off run before `block`, and only
+    /// the clock join and the start of the next sub-computation after it —
+    /// so a thread that returns from `block` holding a lock does nothing
+    /// more under it than the join.
+    pub(crate) fn acquire_with<R>(
+        &mut self,
+        object: &SyncObject,
+        kind: SyncKind,
+        block: impl FnOnce() -> R,
+    ) -> R {
         if self.mode() == ExecutionMode::Native {
             return block();
         }
-        let closed = self.close_at(object, SyncKind::Acquire);
+        let closed = self.close_at(object, kind);
         self.hand_off(closed);
         let result = block();
         self.recorder.open_after_synchronization(object);
@@ -504,7 +511,7 @@ impl ThreadCtx {
             exit_object,
             ..
         } = handle;
-        self.acquire_with(&exit_object, || {
+        self.acquire_with(&exit_object, SyncKind::Acquire, || {
             os_handle.join().expect("INSPECTOR worker thread panicked")
         });
     }

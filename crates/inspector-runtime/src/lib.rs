@@ -67,7 +67,8 @@
 //! ([`RunStats::gaps`] / [`RunStats::lost_bytes`], mirroring the per-thread
 //! recorder's counters), decoder windows that crossed a gap and therefore
 //! skipped the branch-count cross-check ([`RunStats::decode_degraded`]),
-//! spill-stage write failures that fell back to in-memory retention
+//! spill-stage write failures that stopped a shard's store, keeping its
+//! written prefix on disk and the rest in memory
 //! ([`RunStats::spill_fallbacks`]), and ingest workers that died
 //! ([`RunStats::worker_failures`]). [`RunStats::degraded`] is the single
 //! bit meaning "some health field is nonzero"; healthy runs still

@@ -99,9 +99,10 @@ pub struct RunStats {
     /// asserted. Healthy threads still hard-verify; this counts the ones
     /// that could not be.
     pub decode_degraded: u64,
-    /// Times the spill stage degraded to in-memory retention instead of
-    /// aborting (write failure after bounded retries, store creation
-    /// failure, a read of the spilled prefixes that lost bytes). See
+    /// Times the spill stage degraded instead of aborting (a write failure
+    /// after bounded retries or an injected crash stopped a store, a store
+    /// could not be created, a read of the spilled prefixes lost bytes).
+    /// See
     /// [`IngestStats::spill_fallbacks`](inspector_core::IngestStats::spill_fallbacks).
     pub spill_fallbacks: u64,
     /// Ingest workers that died (panicked) before draining their lane.

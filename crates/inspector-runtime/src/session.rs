@@ -57,7 +57,7 @@ use inspector_perf::session::TraceSession;
 use inspector_pt::stats::PtStats;
 use inspector_pt::stream::StreamingDecoder;
 
-use crate::config::{ExecutionMode, SessionConfig};
+use crate::config::{ExecutionMode, FaultPlan, SessionConfig};
 use crate::ctx::ThreadCtx;
 use crate::lane::{lane, LaneReceiver, LaneSender, LANE_DEPTH};
 use crate::report::{RunReport, RunStats};
@@ -75,11 +75,12 @@ const HEAP_BYTES: u64 = 256 << 20;
 /// live as `cpg_ingest/pool{1,2,4}/shards{1,4,8}`.
 const CPG_SHARDS: usize = 8;
 
-/// Resolves the spill configuration for a session's streaming builder:
+/// Resolves the spill configuration for one run's streaming builder:
 /// `None` when spilling is off (threshold 0 or a native run, which never
-/// ingests), otherwise a session-unique subdirectory under the configured
-/// [`SessionConfig::spill_dir`] (or the system temp dir), so concurrent
-/// sessions never collide on segment files.
+/// ingests), otherwise a run-unique subdirectory under the configured
+/// [`SessionConfig::spill_dir`] (or the system temp dir), so neither
+/// concurrent sessions nor a session's successive runs collide on segment
+/// files.
 fn spill_settings_for(config: &SessionConfig) -> Option<inspector_core::spill::SpillSettings> {
     use std::sync::atomic::AtomicU64 as SeqCounter;
     static NEXT_SPILL_DIR: SeqCounter = SeqCounter::new(0);
@@ -94,7 +95,7 @@ fn spill_settings_for(config: &SessionConfig) -> Option<inspector_core::spill::S
         sequence
     ));
     // The session id stamped into every segment header and the manifest:
-    // unique per (process, session) so recovery can reject segments that
+    // unique per (process, run) so recovery can reject segments that
     // leaked in from another run sharing the directory.
     let session_id = ((std::process::id() as u64) << 32) | (sequence & 0xFFFF_FFFF);
     Some(
@@ -141,7 +142,10 @@ pub(crate) struct Shared {
     pub(crate) image: Arc<SharedImage>,
     pub(crate) perf: TraceSession,
     pub(crate) allocator: HeapAllocator,
-    pub(crate) builder: Arc<ShardedCpgBuilder>,
+    /// The streaming builder of the current (or latest) run. Every
+    /// [`InspectorSession::run`] starts a fresh one with its own spill
+    /// directory, so no run writes over an image a previous seal kept.
+    builder: Mutex<Arc<ShardedCpgBuilder>>,
     next_thread: AtomicU32,
     next_pid: AtomicU64,
     spawned_threads: AtomicU64,
@@ -160,6 +164,11 @@ impl Shared {
         ProcessId(self.next_pid.fetch_add(1, Ordering::Relaxed))
     }
 
+    /// The current run's builder.
+    fn builder(&self) -> Arc<ShardedCpgBuilder> {
+        Arc::clone(&self.builder.lock())
+    }
+
     pub(crate) fn note_spawn(&self) {
         self.spawned_threads.fetch_add(1, Ordering::Relaxed);
     }
@@ -172,11 +181,6 @@ impl Shared {
             .lock()
             .as_ref()
             .map(|lanes| lanes[thread.index() % lanes.len()].clone())
-    }
-
-    /// True while a run (and therefore an ingest pool) is active.
-    pub(crate) fn ingest_active(&self) -> bool {
-        self.ingest_tx.lock().is_some()
     }
 
     /// Pushes a flush barrier through every lane and waits for all acks, so
@@ -225,11 +229,15 @@ pub(crate) struct WorkerOutcome {
 }
 
 /// One pool worker's ingest loop: applies every sub-computation streamed on
-/// its lane to the sharded builder and collects per-thread statistics.
-fn ingest_loop(rx: LaneReceiver<IngestMsg>, shared: Arc<Shared>, lane: usize) -> WorkerOutcome {
+/// its lane to the run's sharded builder and collects per-thread statistics.
+fn ingest_loop(
+    rx: LaneReceiver<IngestMsg>,
+    builder: Arc<ShardedCpgBuilder>,
+    plan: FaultPlan,
+    lane: usize,
+) -> WorkerOutcome {
     let mut done = Vec::new();
     let mut busy = Duration::ZERO;
-    let plan = shared.config.fault_plan;
     // Deterministic worker-death injection: this lane dies on its Nth
     // provenance message. The supervisor in `try_run` catches the unwind;
     // dropping `rx` mid-loop closes the lane so producers fail fast.
@@ -245,7 +253,7 @@ fn ingest_loop(rx: LaneReceiver<IngestMsg>, shared: Arc<Shared>, lane: usize) ->
                     panic!("injected fault: ingest worker {lane} died at message {batches}");
                 }
                 let start = Instant::now();
-                shared.builder.ingest(sub);
+                builder.ingest(sub);
                 busy += start.elapsed();
             }
             IngestMsg::Done(stats) => done.push(stats),
@@ -323,7 +331,7 @@ impl LiveMonitor {
     /// the snapshot.
     pub fn snapshot(&self) -> Snapshot {
         self.shared.flush_barrier();
-        self.shared.builder.snapshot()
+        self.shared.builder().snapshot()
     }
 }
 
@@ -393,16 +401,14 @@ impl InspectorSession {
         let allocator = HeapAllocator::new(heap_region);
         let cgroup = Arc::new(Cgroup::new("inspector"));
         let perf = TraceSession::new(cgroup);
-        let builder = Arc::new(ShardedCpgBuilder::with_shards_and_spill(
-            CPG_SHARDS,
-            spill_settings_for(&config),
-        ));
         let shared = Arc::new(Shared {
             config,
             image,
             perf,
             allocator,
-            builder,
+            // Empty until the first run replaces it: snapshots and counters
+            // read it, and it spills nothing.
+            builder: Mutex::new(Arc::new(ShardedCpgBuilder::with_shards(CPG_SHARDS))),
             next_thread: AtomicU32::new(0),
             next_pid: AtomicU64::new(1),
             spawned_threads: AtomicU64::new(0),
@@ -464,15 +470,12 @@ impl InspectorSession {
     /// finished, or the in-progress build's counters while
     /// [`run`](Self::run) is executing.
     pub fn ingest_stats(&self) -> IngestStats {
-        if self.shared.ingest_active() {
-            // A run is in progress: report the live build, not the counters
-            // frozen at the previous seal.
-            return self.shared.builder.stats();
-        }
-        self.shared
-            .builder
+        // Each run has a builder of its own: sealed, it holds that run's
+        // final counters; until then, its live ones.
+        let builder = self.shared.builder();
+        builder
             .last_sealed_stats()
-            .unwrap_or_else(|| self.shared.builder.stats())
+            .unwrap_or_else(|| builder.stats())
     }
 
     /// Returns a handle that can take consistent live snapshots from another
@@ -512,12 +515,13 @@ impl InspectorSession {
         self.try_run(f).unwrap_or_else(|err| panic!("{err}"))
     }
 
-    /// Directory holding this session's spill artifacts (segments +
-    /// `MANIFEST`), when spilling is configured. After a crashed or
-    /// retained run the directory outlives the session and can be handed
-    /// to [`inspector_core::recover::recover_session`].
+    /// Directory holding the latest run's spill artifacts (segments +
+    /// `MANIFEST`), when spilling is configured and a run has started; each
+    /// run has its own. After a crashed, degraded or retained run — or one
+    /// whose application panicked — the directory outlives the session and
+    /// can be handed to [`inspector_core::recover::recover_session`].
     pub fn spill_directory(&self) -> Option<std::path::PathBuf> {
-        self.shared.builder.spill_directory().map(Into::into)
+        self.shared.builder().spill_directory().map(Into::into)
     }
 
     /// [`run`](Self::run), with ingest-worker failures reported instead of
@@ -533,21 +537,24 @@ impl InspectorSession {
     {
         let start = Instant::now();
         let plan = self.shared.config.fault_plan;
+        let builder = Arc::new(ShardedCpgBuilder::with_shards_and_spill(
+            CPG_SHARDS,
+            spill_settings_for(&self.shared.config),
+        ));
         if plan.fail_spill_write > 0 {
-            self.shared
-                .builder
-                .inject_spill_write_failure(plan.fail_spill_write);
+            builder.inject_spill_write_failure(plan.fail_spill_write);
         }
         if plan.crash_at_spill > 0 {
-            self.shared.builder.inject_spill_crash(plan.crash_at_spill);
+            builder.inject_spill_crash(plan.crash_at_spill);
         }
+        *self.shared.builder.lock() = Arc::clone(&builder);
         let lanes = self.shared.config.ingest_threads.max(1);
         let mut senders = Vec::with_capacity(lanes);
         let mut workers = Vec::with_capacity(lanes);
         for index in 0..lanes {
             let (tx, rx) = lane::<IngestMsg>(LANE_DEPTH);
             senders.push(tx);
-            let shared = Arc::clone(&self.shared);
+            let builder = Arc::clone(&builder);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("inspector-cpg-ingest-{index}"))
@@ -557,7 +564,7 @@ impl InspectorSession {
                         // and producers blocked on it fail fast instead of
                         // deadlocking on a dead consumer.
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            ingest_loop(rx, shared, index)
+                            ingest_loop(rx, builder, plan, index)
                         }))
                     })
                     // Before any app thread exists, so nothing is lost: an
@@ -648,6 +655,7 @@ impl InspectorSession {
         stats.gaps = stats.pt.gaps;
         stats.lost_bytes = stats.pt.bytes_lost;
         let cpg = if self.shared.config.mode == ExecutionMode::Inspector {
+            let builder = self.shared.builder();
             // The PT cross-check of every thread that reported; it runs
             // before the seal because the forensics test below reads it.
             let corrupt_aux_at = self.shared.config.fault_plan.corrupt_aux_at;
@@ -666,10 +674,10 @@ impl InspectorSession {
                 || stats.decode_degraded != 0
                 || stats.worker_failures != 0;
             if keep_forensics {
-                self.shared.builder.set_seal_retain(true);
+                builder.set_seal_retain(true);
             }
             let seal_start = Instant::now();
-            let cpg = self.shared.builder.seal();
+            let cpg = builder.seal();
             let seal = seal_start.elapsed();
             // The seal runs on the caller's critical path, so it counts
             // toward both the critical-path and the CPU attribution.
@@ -679,7 +687,7 @@ impl InspectorSession {
             // workers' busy time already includes the encode cost (spilling
             // happens inside `ingest`); reporting it separately lets the
             // Figure 6 breakdown show what bounding memory costs.
-            let ingest = self.shared.builder.last_sealed_stats().unwrap_or_default();
+            let ingest = builder.last_sealed_stats().unwrap_or_default();
             stats.spilled_subs = ingest.spilled_subs;
             stats.spill_bytes = ingest.spill_bytes;
             stats.spill_time = ingest.spill_time;
@@ -801,10 +809,10 @@ mod tests {
             // While the application is still inside `run`, earlier
             // sub-computations must already have been ingested (streamed),
             // not parked in the recorder until the end.
-            assert!(shared.ingest_active(), "run in progress");
+            assert!(shared.ingest_tx.lock().is_some(), "run in progress");
             shared.flush_barrier();
             assert!(
-                shared.builder.ingested_nodes() >= 100,
+                shared.builder().ingested_nodes() >= 100,
                 "mid-run the builder should already hold streamed nodes"
             );
         });
@@ -1201,8 +1209,9 @@ mod tests {
         let faulted = run(SessionConfig::inspector()
             .with_spill_threshold(1)
             .with_fault_plan(plan));
-        // Every spill attempt hit the persistent write fault; the builder
-        // reverted to in-memory retention instead of aborting or losing data.
+        // Every spill attempt hit the persistent write fault; each store
+        // stopped and its shard kept its nodes resident instead of aborting
+        // or losing data.
         assert!(faulted.stats.spill_fallbacks > 0, "{:?}", faulted.stats);
         assert!(faulted.stats.degraded);
         assert_eq!(faulted.cpg.node_count(), plain.cpg.node_count());
@@ -1361,5 +1370,67 @@ mod tests {
         let ids: Vec<_> = report.cpg.nodes().map(|n| n.id).collect();
         let last = *ids.last().unwrap();
         assert!(!q.backward_slice(last, EdgeFilter::ALL).is_empty());
+    }
+
+    #[test]
+    fn an_app_panic_leaves_a_recoverable_spill_directory() {
+        use inspector_core::recover::recover_session;
+        use inspector_core::spill::SpillDurability;
+        use inspector_core::testing::TempDir;
+        let tmp = TempDir::new("session-panic");
+        // `Flush` publishes the manifest at every round, and at threshold 1
+        // every ingest is a round: the manifest names everything ingested.
+        let session = InspectorSession::new(
+            SessionConfig::inspector()
+                .with_spill_threshold(1)
+                .with_spill_durability(SpillDurability::Flush)
+                .with_spill_dir(tmp.path()),
+        );
+        let monitor = session.live_monitor();
+        let lock = InspMutex::new();
+        let mut seen = None;
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            session.run(|ctx| {
+                for i in 0..20 {
+                    lock.lock(ctx);
+                    ctx.branch(i % 3 == 0);
+                    lock.unlock(ctx);
+                }
+                // The flush barrier: everything closed so far is ingested.
+                seen = Some(monitor.snapshot());
+                panic!("the application died");
+            })
+        }));
+        assert!(died.is_err());
+        let seen = seen.expect("snapshot taken before the panic");
+        assert!(seen.cpg.node_count() > 0);
+        let dir = session.spill_directory().expect("spill directory");
+        let builder = Arc::downgrade(&session.shared.builder());
+        drop((session, monitor));
+        // The ingest workers drain their lanes after the session is gone;
+        // the run's builder, never sealed, goes with the last of them.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while builder.strong_count() > 0 {
+            assert!(Instant::now() < deadline, "ingest workers never exited");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let recovery = recover_session(&dir).expect("recovery I/O");
+        let report = &recovery.report;
+        assert!(
+            report.manifest_found && !report.manifest_clean,
+            "{report:?}"
+        );
+        assert_eq!(
+            report.missing_segments + report.missing_bytes,
+            0,
+            "{report:?}"
+        );
+        assert_eq!(report.lost_bytes, 0, "{report:?}");
+        assert!(recovery.cpg.validate().is_ok());
+        // Everything the run had ingested before it died is recovered.
+        for node in seen.cpg.nodes() {
+            assert_eq!(recovery.cpg.node(node.id), Some(node));
+        }
     }
 }

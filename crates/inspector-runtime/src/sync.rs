@@ -11,7 +11,9 @@
 //! and hands off after it (`ThreadCtx::acquire_with` / `release_with`). So a
 //! lock's critical section holds the clock join, the app's own work, the
 //! commit and the close — not the lane publish and the AUX flush of both
-//! boundaries.
+//! boundaries. A barrier wait is both in one boundary
+//! (`SyncKind::ReleaseAcquire`): it publishes before it blocks and joins
+//! after, closing one sub-computation per wait.
 //!
 //! The primitives intentionally expose the pthreads call shape
 //! (`lock()`/`unlock()` rather than RAII guards) so that ported benchmark
@@ -122,7 +124,7 @@ impl InspMutex {
 
     /// Acquires the lock, blocking until it is available.
     pub fn lock(&self, ctx: &mut ThreadCtx) {
-        ctx.acquire_with(&self.object, || self.acquire());
+        ctx.acquire_with(&self.object, SyncKind::Acquire, || self.acquire());
     }
 
     /// Attempts to acquire the lock without blocking; returns `true` on
@@ -226,7 +228,7 @@ impl InspSemaphore {
 
     /// `sem_wait`: blocks until the count is positive, then decrements it.
     pub fn wait(&self, ctx: &mut ThreadCtx) {
-        ctx.acquire_with(&self.object, || {
+        ctx.acquire_with(&self.object, SyncKind::Acquire, || {
             let mut c = self.count.lock();
             while *c <= 0 {
                 c = wait(&self.cv, c);
@@ -281,10 +283,9 @@ impl InspBarrier {
     /// "leader" thread per cycle (mirroring
     /// `PTHREAD_BARRIER_SERIAL_THREAD`).
     pub fn wait(&self, ctx: &mut ThreadCtx) -> bool {
-        // Publish this thread's updates (and clock) before blocking, and
-        // observe everyone else's after unblocking.
-        ctx.sync_boundary(&self.object, SyncKind::Release);
-        ctx.acquire_with(&self.object, || {
+        // One boundary: publish this thread's updates (and clock) before
+        // blocking, and observe everyone else's after unblocking.
+        ctx.acquire_with(&self.object, SyncKind::ReleaseAcquire, || {
             let mut st = self.state.lock();
             let generation = st.generation;
             st.waiting += 1;
@@ -341,7 +342,7 @@ impl InspCondvar {
         let start_epoch = *self.epoch.lock();
         mutex.unlock(ctx);
         // Order this thread after the signaller.
-        ctx.acquire_with(&self.object, || {
+        ctx.acquire_with(&self.object, SyncKind::Acquire, || {
             let mut epoch = self.epoch.lock();
             while *epoch == start_epoch {
                 epoch = wait(&self.cv, epoch);
@@ -400,7 +401,7 @@ impl InspRwLock {
 
     /// Acquires the lock for reading.
     pub fn read_lock(&self, ctx: &mut ThreadCtx) {
-        ctx.acquire_with(&self.object, || {
+        ctx.acquire_with(&self.object, SyncKind::Acquire, || {
             let mut st = self.state.lock();
             while st.writer {
                 st = wait(&self.cv, st);
@@ -423,7 +424,7 @@ impl InspRwLock {
 
     /// Acquires the lock for writing.
     pub fn write_lock(&self, ctx: &mut ThreadCtx) {
-        ctx.acquire_with(&self.object, || {
+        ctx.acquire_with(&self.object, SyncKind::Acquire, || {
             let mut st = self.state.lock();
             while st.writer || st.readers > 0 {
                 st = wait(&self.cv, st);
@@ -567,11 +568,14 @@ mod tests {
     /// Asserts that `object` handed off from thread `from` to thread `to`:
     /// the sub-computation `from` closed with its (only) release of `object`
     /// happens-before the one `to` opened with its last acquire of it, and a
-    /// synchronization edge naming `object` joins the two.
+    /// synchronization edge naming `object` joins the two. A barrier's
+    /// release-acquire counts as both.
     fn assert_hand_off(cpg: &Cpg, object: SyncObjectId, from: ThreadId, to: ThreadId) {
         let ends_with = |id: &SubId, kind: SyncKind| {
             let terminator = cpg.node(*id).expect("listed node").terminator;
-            terminator.is_some_and(|p| p.object == object && p.kind == kind)
+            terminator.is_some_and(|p| {
+                p.object == object && (p.kind == kind || p.kind == SyncKind::ReleaseAcquire)
+            })
         };
         let releases: Vec<_> = cpg
             .thread_sequence(from)
@@ -639,15 +643,19 @@ mod tests {
         });
         assert_hand_off(&cpg, sem.id(), worker, main);
 
-        // Barrier: each party's arrival happens-before the other's exit.
+        // Barrier: each party's arrival happens-before the other's exit,
+        // and a wait closes one sub-computation — the party's work before
+        // it — not a second, empty one between its release and acquire.
         let barrier = Arc::new(InspBarrier::new(2));
         let (cpg, worker) = sealed(|ctx| {
             let worker = {
                 let barrier = Arc::clone(&barrier);
                 ctx.spawn(move |ctx| {
+                    ctx.branch(true);
                     barrier.wait(ctx);
                 })
             };
+            ctx.branch(false);
             barrier.wait(ctx);
             let thread = worker.thread();
             ctx.join(worker);
@@ -655,6 +663,16 @@ mod tests {
         });
         assert_hand_off(&cpg, barrier.id(), worker, main);
         assert_hand_off(&cpg, barrier.id(), main, worker);
+        for party in [main, worker] {
+            let closed: Vec<_> = cpg
+                .thread_sequence(party)
+                .into_iter()
+                .map(|id| cpg.node(id).expect("listed node"))
+                .filter(|sub| sub.terminator.is_some_and(|p| p.object == barrier.id()))
+                .collect();
+            assert_eq!(closed.len(), 1, "{party:?}: one wait, one boundary");
+            assert!(!closed[0].thunks.is_empty(), "{party:?}: empty {closed:?}");
+        }
 
         // Condition variable: the main thread holds the mutex until its wait
         // releases it, so the worker's signal comes after the wait's epoch

@@ -411,6 +411,44 @@ fn clean_retained_directory_recovers_the_sealed_graph_exactly() {
     );
 }
 
+/// A session's runs never share an image: each run spills into a
+/// directory of its own, so the second run of a retaining session spills
+/// again, and each directory recovers exactly the graph its run sealed.
+#[test]
+fn each_run_of_a_retaining_session_keeps_its_own_image() {
+    let tmp = TempDir::new("crash-rec");
+    let session = InspectorSession::new(
+        SessionConfig::inspector()
+            .with_spill_threshold(1)
+            .with_spill_dir(tmp.path())
+            .with_spill_retain(true),
+    );
+    let mut runs = Vec::new();
+    for seed in [5, 6] {
+        let report = run_shaped(&session, &mut Rng(seed));
+        assert!(
+            report.stats.spilled_subs > 0,
+            "seed {seed}: {:?}",
+            report.stats
+        );
+        assert!(!report.stats.degraded, "seed {seed}: {:?}", report.stats);
+        let dir = session.spill_directory().expect("spill directory");
+        runs.push((dir, report.cpg));
+    }
+    assert_ne!(runs[0].0, runs[1].0, "each run has its own directory");
+    for (dir, sealed) in &runs {
+        let recovery = inspector::core::recover::recover_session(dir).expect("recovery I/O");
+        let r = &recovery.report;
+        assert!(
+            r.manifest_clean && !r.degraded(),
+            "{}: {r:?}",
+            dir.display()
+        );
+        assert!(recovery.cpg.nodes().eq(sealed.nodes()), "{}", dir.display());
+        assert_eq!(edge_fingerprint(&recovery.cpg), edge_fingerprint(sealed));
+    }
+}
+
 /// A stale `MANIFEST.tmp` left by an interrupted atomic rename is ignored:
 /// recovery reads the last published manifest and still reproduces the
 /// sealed graph exactly.

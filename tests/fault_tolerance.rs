@@ -173,8 +173,9 @@ proptest! {
             prop_assert_eq!(s.decode_mismatches, 0, "{:?}", s);
             prop_assert_eq!(s.decoded_branches, s.pt.branches, "{:?}", s);
         }
-        // A persistently failing spill device never lands a sub on disk —
-        // the builder reverts to in-memory retention instead.
+        // A spill device failing from its first write never lands a sub on
+        // disk — every store stops at its first round and its shard keeps
+        // its nodes resident instead.
         if fail_spill_write > 0 {
             prop_assert_eq!(s.spilled_subs, 0, "{:?}", s);
         }
