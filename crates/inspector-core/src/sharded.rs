@@ -55,10 +55,15 @@
 //!   Nothing is read back, dropped or deleted during ingest: the seal reads
 //!   every store, stopped or not, and is the only place a spill file is
 //!   deleted. A builder that is never sealed leaves a recoverable image.
+//! * **One build per builder.** A builder is one run's store: its spill
+//!   settings, fault points included, are fixed at construction, its
+//!   counters are that build's, and [`seal`](ShardedCpgBuilder::seal) runs
+//!   once. An `ingest` after the seal, or a second seal, panics — checked
+//!   under the stripe locks both already take, in every build profile.
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard};
@@ -138,8 +143,7 @@ struct Shard {
     /// Per-thread execution sequences in ingest (= α) order.
     sequences: BTreeMap<ThreadId, ThreadSeq>,
     /// Append-only on-disk store for spilled prefixes (`None` when
-    /// spilling is disabled, the store could not be created, or a seal kept
-    /// the image).
+    /// spilling is disabled or the store could not be created).
     spill: Option<SpillStore>,
     /// Sub-computations ingested into this stripe since its last committed
     /// round — its resident count while the store works. A round is due
@@ -151,23 +155,6 @@ struct Shard {
     stopped: bool,
 }
 
-/// RAII registration of an in-flight `ingest()` call, backing the quiesce
-/// guard in [`ShardedCpgBuilder::seal`].
-struct ProducerGuard<'a>(&'a AtomicUsize);
-
-impl<'a> ProducerGuard<'a> {
-    fn enter(counter: &'a AtomicUsize) -> Self {
-        counter.fetch_add(1, Ordering::AcqRel);
-        ProducerGuard(counter)
-    }
-}
-
-impl Drop for ProducerGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
 /// Streaming, lock-striped builder producing the same [`Cpg`] as
 /// [`CpgBuilder`](crate::graph::CpgBuilder) without buffering the whole
 /// trace twice.
@@ -177,6 +164,7 @@ impl Drop for ProducerGuard<'_> {
 /// concurrently, as long as each *thread's* sub-computations arrive in α
 /// order (which a per-thread FIFO hand-off — e.g. the runtime's
 /// lane-per-worker ingest pool routing by `ThreadId % pool` — guarantees).
+/// It builds one graph: [`seal`](Self::seal) ends it.
 #[derive(Debug)]
 pub struct ShardedCpgBuilder {
     /// Thread-keyed node stripes.
@@ -184,40 +172,30 @@ pub struct ShardedCpgBuilder {
     /// Spill configuration; `None` (or threshold 0) keeps every node
     /// resident until the seal.
     spill: Option<SpillSettings>,
-    /// Sub-computations ingested in the current build.
+    /// Sub-computations ingested.
     ingested: AtomicU64,
-    /// Sub-computations spilled to disk in the current build.
+    /// Sub-computations spilled to disk.
     spilled_subs: AtomicU64,
-    /// Bytes appended to the spill segments in the current build.
+    /// Bytes appended to the spill segments.
     spill_bytes: AtomicU64,
-    /// Nanoseconds spent in the spill stage in the current build.
+    /// Nanoseconds spent in the spill stage.
     spill_time_nanos: AtomicU64,
     /// Sub-computations currently resident in the shards.
     resident: AtomicU64,
-    /// Largest `resident` value observed in the current build.
+    /// Largest `resident` value observed.
     peak_resident: AtomicU64,
-    /// Times the spill stage degraded in the current build (see
+    /// Times the spill stage degraded (see
     /// [`IngestStats::spill_fallbacks`]).
     spill_fallbacks: AtomicU64,
-    /// Segment `write` calls issued in the current build.
+    /// Segment `write` calls issued.
     spill_writes: AtomicU64,
-    /// Spill-write attempts since the injection counter was armed; only
-    /// advanced while `fail_spill_write_at` is nonzero.
+    /// Spill-write attempts; only advanced while
+    /// [`SpillSettings::fail_write_at`] is armed.
     spill_appends: AtomicU64,
-    /// Fault injection: fail the Nth (1-based) spill-write attempt and
-    /// every later one, like a disk that filled up and stayed full.
-    /// `0` = disabled. Survives seals (it is configuration, not a counter).
-    fail_spill_write_at: AtomicU64,
     /// Per-session manifest publisher (`None` when spilling is disabled).
     spill_manifest: Option<ManifestWriter>,
-    /// Fault injection: simulate a whole-process crash after the Nth spill
-    /// record — record N+1 reaches the disk as a torn frame, the manifest
-    /// freezes, and every store stops, exactly the on-disk state a dead
-    /// process leaves behind.
-    /// `0` = disabled. Survives seals (it is configuration, not a counter).
-    crash_spill_at: AtomicU64,
-    /// Spill records staged so far; only advanced while
-    /// `crash_spill_at` is armed.
+    /// Spill records staged; only advanced while
+    /// [`SpillSettings::crash_after_records`] is armed.
     spill_record_count: AtomicU64,
     /// Set once the injected crash fired.
     spill_crashed: AtomicBool,
@@ -225,10 +203,9 @@ pub struct ShardedCpgBuilder {
     /// manifest) at seal even though the seal itself completes. Set by
     /// the session when the run degraded before the seal.
     seal_retain: AtomicBool,
-    /// Final counters of the most recently sealed build.
-    last_sealed: Mutex<Option<IngestStats>>,
-    /// Number of `ingest()` calls currently in flight (quiesce guard).
-    active_producers: AtomicUsize,
+    /// Set by the seal, under every stripe lock, once the build's counters
+    /// are final. An ingest reads it under its stripe lock.
+    sealed: AtomicBool,
 }
 
 impl Default for ShardedCpgBuilder {
@@ -293,14 +270,11 @@ impl ShardedCpgBuilder {
             spill_fallbacks: AtomicU64::new(create_fallbacks),
             spill_writes: AtomicU64::new(0),
             spill_appends: AtomicU64::new(0),
-            fail_spill_write_at: AtomicU64::new(0),
             spill_manifest,
-            crash_spill_at: AtomicU64::new(0),
             spill_record_count: AtomicU64::new(0),
             spill_crashed: AtomicBool::new(false),
             seal_retain: AtomicBool::new(false),
-            last_sealed: Mutex::new(None),
-            active_producers: AtomicUsize::new(0),
+            sealed: AtomicBool::new(false),
         }
     }
 
@@ -310,12 +284,13 @@ impl ShardedCpgBuilder {
     }
 
     /// The stripe a thread's sub-computations are stored in.
-    pub fn shard_for(&self, thread: ThreadId) -> usize {
+    fn shard_for(&self, thread: ThreadId) -> usize {
         thread.index() % self.shards.len()
     }
 
-    /// Snapshot of every builder-level counter.
-    fn counters_snapshot(&self) -> IngestStats {
+    /// The build's counters: live while it ingests, final once it is
+    /// sealed.
+    pub fn stats(&self) -> IngestStats {
         IngestStats {
             ingested: self.ingested.load(Ordering::Acquire),
             sync_resolved_at_seal: 0,
@@ -329,30 +304,8 @@ impl ShardedCpgBuilder {
         }
     }
 
-    /// Arms deterministic spill fault injection: the `nth` (1-based)
-    /// spill-write attempt — and every attempt after it — fails, modelling
-    /// a disk that filled up and stayed full. A round is one write, so
-    /// attempts count **rounds** (and their retries), not records. `0`
-    /// disarms. Callable on the shared builder; writes already in flight
-    /// may complete first.
-    pub fn inject_spill_write_failure(&self, nth: u64) {
-        self.fail_spill_write_at.store(nth, Ordering::Release);
-    }
-
-    /// Arms deterministic crash injection: the (`nth`+1)-th spill
-    /// **record** (1-based, across all shards) is the one the process dies
-    /// in — its round's write carries the whole frames staged before it
-    /// and only a torn prefix of that one — and then the builder behaves
-    /// as if the process died: the manifest freezes where it was, every
-    /// stripe stops spilling, and the seal keeps all spill artifacts for
-    /// offline recovery. `0` disarms. The build itself still completes,
-    /// degraded: the seal reads the committed prefixes back as it always
-    /// does, so the sealed graph loses nothing in-process.
-    pub fn inject_spill_crash(&self, nth: u64) {
-        self.crash_spill_at.store(nth, Ordering::Release);
-    }
-
-    /// Whether the injected spill crash has fired in the current build.
+    /// Whether the injected spill crash
+    /// ([`SpillSettings::crash_after_records`]) has fired.
     pub fn spill_crash_triggered(&self) -> bool {
         self.spill_crashed.load(Ordering::Acquire)
     }
@@ -378,9 +331,9 @@ impl ShardedCpgBuilder {
 
     /// Counts one staged spill record against the armed crash point.
     /// Returns `true` when this record is the one that "kills" the
-    /// process. Costs one atomic load while disarmed.
+    /// process.
     fn spill_crash_due(&self) -> bool {
-        let at = self.crash_spill_at.load(Ordering::Acquire);
+        let at = self.spill.as_ref().map_or(0, |s| s.crash_after_records);
         if at == 0 {
             return false;
         }
@@ -392,11 +345,11 @@ impl ShardedCpgBuilder {
     /// the write never succeeded — the caller stops the store.
     fn try_spill_append(&self, mut attempt: impl FnMut() -> std::io::Result<()>) -> bool {
         const BACKOFF_MICROS: [u64; 3] = [0, 50, 200];
+        let fail_at = self.spill.as_ref().map_or(0, |s| s.fail_write_at);
         for backoff in BACKOFF_MICROS {
             if backoff > 0 {
                 std::thread::sleep(Duration::from_micros(backoff));
             }
-            let fail_at = self.fail_spill_write_at.load(Ordering::Acquire);
             if fail_at > 0 {
                 let n = self.spill_appends.fetch_add(1, Ordering::AcqRel) + 1;
                 if n >= fail_at {
@@ -410,45 +363,21 @@ impl ShardedCpgBuilder {
         false
     }
 
-    /// Counters of the build currently in progress (reset by
-    /// [`seal`](Self::seal)).
-    pub fn stats(&self) -> IngestStats {
-        self.counters_snapshot()
-    }
-
-    /// Final counters of the most recently sealed build, if any. Unlike
-    /// [`stats`](Self::stats) this includes the seal pass itself and is not
-    /// affected by a subsequent build starting.
+    /// The build's final counters, once the builder is sealed: what
+    /// [`stats`](Self::stats) then returns. `None` before the seal.
     pub fn last_sealed_stats(&self) -> Option<IngestStats> {
-        *self.last_sealed.lock()
-    }
-
-    /// Number of sub-computations ingested so far.
-    pub fn ingested_nodes(&self) -> u64 {
-        self.ingested.load(Ordering::Acquire)
+        self.sealed.load(Ordering::Acquire).then(|| self.stats())
     }
 
     /// Ingests one retired sub-computation **by value** — the batch of one;
-    /// see [`ingest_batch`](Self::ingest_batch). A reused thread-local
-    /// buffer keeps this path allocation-free.
+    /// see [`ingest_batch`](Self::ingest_batch).
     ///
     /// # Panics
     ///
-    /// Panics if a thread's sub-computations are delivered out of α order.
+    /// Panics if a thread's sub-computations are delivered out of α order,
+    /// or if the builder is sealed.
     pub fn ingest(&self, sub: SubComputation) {
-        thread_local! {
-            static SINGLE: std::cell::RefCell<Vec<SubComputation>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        SINGLE.with(|buf| {
-            let mut buf = buf.borrow_mut();
-            // A panicking ingest (α-order violation) leaves its sub behind;
-            // clear on entry so the next call from this thread cannot form
-            // a phantom batch with it.
-            buf.clear();
-            buf.push(sub);
-            self.ingest_run(&mut buf);
-        });
+        self.append(sub.id.thread, sub.id.alpha, std::iter::once(sub));
     }
 
     /// Ingests one thread's α-contiguous batch of retired sub-computations
@@ -458,19 +387,12 @@ impl ShardedCpgBuilder {
     /// # Panics
     ///
     /// Panics if the batch mixes threads, is not contiguous in α, or is
-    /// delivered out of α order with respect to earlier ingests.
-    pub fn ingest_batch(&self, mut batch: Vec<SubComputation>) {
-        self.ingest_run(&mut batch);
-    }
-
-    /// The ingest body: drains `batch` (leaving its capacity to the
-    /// caller, which is what keeps [`ingest`](Self::ingest) reusing one
-    /// buffer).
-    fn ingest_run(&self, batch: &mut Vec<SubComputation>) {
+    /// delivered out of α order with respect to earlier ingests, or if the
+    /// builder is sealed.
+    pub fn ingest_batch(&self, batch: Vec<SubComputation>) {
         let Some(first) = batch.first() else {
             return;
         };
-        let _quiesce = ProducerGuard::enter(&self.active_producers);
         let (thread, first_alpha) = (first.id.thread, first.id.alpha);
         for (i, sub) in batch.iter().enumerate() {
             assert_eq!(
@@ -483,9 +405,25 @@ impl ShardedCpgBuilder {
                 "an ingest batch must be contiguous in α"
             );
         }
-        let batch_len = batch.len();
+        self.append(thread, first_alpha, batch.into_iter());
+    }
+
+    /// The ingest body: under `thread`'s stripe lock, refuses a sealed
+    /// builder, checks that `subs` continue the thread's run at
+    /// `first_alpha`, moves them onto it and runs the stripe's spill stage.
+    fn append(
+        &self,
+        thread: ThreadId,
+        first_alpha: u64,
+        subs: impl ExactSizeIterator<Item = SubComputation>,
+    ) {
+        let batch_len = subs.len();
         let stripe = self.shard_for(thread);
         let mut guard = self.shards[stripe].lock();
+        assert!(
+            !self.sealed.load(Ordering::Acquire),
+            "ingest into a sealed ShardedCpgBuilder: a builder builds one graph"
+        );
         let shard = &mut *guard;
         let seq = shard.sequences.entry(thread).or_default();
         assert_eq!(
@@ -493,7 +431,7 @@ impl ShardedCpgBuilder {
             first_alpha,
             "sub-computations of {thread} must be ingested in α order"
         );
-        seq.live.append(batch);
+        seq.live.extend(subs);
         self.ingested.fetch_add(batch_len as u64, Ordering::AcqRel);
         let resident =
             self.resident.fetch_add(batch_len as u64, Ordering::AcqRel) + batch_len as u64;
@@ -667,9 +605,13 @@ impl ShardedCpgBuilder {
     /// prefix that cannot be read back (segment damaged or gone) is a
     /// counted degradation, never a panic with every stripe locked: what
     /// the read lost leaves holes, and the snapshot's cut drops whatever
-    /// then lacks its causal context.
+    /// then lacks its causal context. A sealed builder holds nothing: the
+    /// seal took its nodes, and an image it kept is recovery's.
     pub(crate) fn gather(&self) -> Vec<SubComputation> {
         let mut stripes: Vec<_> = self.shards.iter().map(Mutex::lock).collect();
+        if self.sealed.load(Ordering::Acquire) {
+            return Vec::new();
+        }
         let plan = Self::plan(&stripes);
         self.read_back(&plan, &mut stripes, |seq| seq.live.clone())
             .0
@@ -690,37 +632,34 @@ impl ShardedCpgBuilder {
     /// cut only if the read lost spilled bytes; and derives the edges over
     /// it with the parallel derivation
     /// [`CpgBuilder::into_cpg`](crate::graph::CpgBuilder::into_cpg) ends
-    /// in. The builder is left completely empty — node store, spill stores
-    /// *and* counters — ready for another run; the finished build's
-    /// counters remain available through
-    /// [`last_sealed_stats`](Self::last_sealed_stats).
+    /// in. The seal ends the builder's one build and resets nothing:
+    /// [`stats`](Self::stats) stay the build's final counters, which
+    /// [`last_sealed_stats`](Self::last_sealed_stats) now returns, and a
+    /// [`snapshot`](Self::snapshot) is empty.
     ///
     /// The seal is the only place a spill file is deleted. A crashed build,
     /// a retaining seal and a read that lost spilled bytes keep the image;
-    /// otherwise every segment, the manifest and the directory go. A seal
-    /// that keeps the image also ends spilling for this builder: its stores
-    /// are let go, so a later build stays resident rather than write over
-    /// the kept image. A builder that is never sealed deletes nothing and
-    /// leaves a recoverable image, as a crashed process does.
+    /// otherwise every segment, the manifest and the directory go. A builder
+    /// that is never sealed deletes nothing and leaves a recoverable image,
+    /// as a crashed process does.
     ///
     /// # Quiescence
     ///
-    /// Callers must quiesce every producer before sealing — the runtime
-    /// joins its ingest pool first. Sealing while an `ingest` is still in
-    /// flight would drain the stripes out from under it, landing the late
-    /// sub-computation in the *next* build; in debug builds an explicit
-    /// producer refcount turns that silent loss into a panic.
+    /// Callers quiesce every producer before sealing — the runtime joins
+    /// its ingest pool first. The builder checks it, in every build
+    /// profile: the seal holds every stripe lock, so an `ingest` either
+    /// finished before it and is in the graph, or takes its stripe lock
+    /// after it and panics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the builder is already sealed.
     pub fn seal(&self) -> Cpg {
-        #[cfg(debug_assertions)]
-        {
-            let in_flight = self.active_producers.load(Ordering::Acquire);
-            assert!(
-                in_flight == 0,
-                "seal() called with {in_flight} ingest call(s) still in flight — \
-                 quiesce every producer before sealing"
-            );
-        }
         let mut stripes: Vec<_> = self.shards.iter().map(Mutex::lock).collect();
+        assert!(
+            !self.sealed.load(Ordering::Acquire),
+            "ShardedCpgBuilder sealed twice: a builder builds one graph"
+        );
         let crashed = self.spill_crashed.load(Ordering::Acquire);
         let retain = self.retains_spill();
         let plan = Self::plan(&stripes);
@@ -762,21 +701,16 @@ impl ShardedCpgBuilder {
         // manifest ignores it); the manifest is clean only if the build
         // degraded nowhere. Otherwise the files, the manifest and the
         // session directory are deleted, so nothing accumulates under the
-        // spill root, and the stores are empty for the next build.
+        // spill root.
         let keep = crashed || retain || lost;
         for (stripe, shard) in stripes.iter_mut().enumerate() {
-            shard.sequences.clear();
-            shard.unspilled = 0;
-            shard.stopped = false;
-            if !keep {
-                if let Some(store) = shard.spill.as_mut() {
-                    store.clear();
-                }
-                continue;
-            }
-            let Some(mut store) = shard.spill.take() else {
+            let Some(store) = shard.spill.as_mut() else {
                 continue;
             };
+            if !keep {
+                store.clear();
+                continue;
+            }
             match store.sync_for_cut() {
                 Ok(()) => {
                     if let Some(manifest) = self.spill_manifest.as_ref() {
@@ -788,6 +722,9 @@ impl ShardedCpgBuilder {
                 }
             }
         }
+        // The counters are final: mark the build sealed before the stripe
+        // locks go, so an ingest that was waiting on one panics.
+        self.sealed.store(true, Ordering::Release);
         drop(stripes);
         if let (Some(settings), Some(manifest)) = (&self.spill, &self.spill_manifest) {
             if !keep {
@@ -799,27 +736,6 @@ impl ShardedCpgBuilder {
                 let _ = manifest.publish();
             }
         }
-
-        *self.last_sealed.lock() = Some(self.counters_snapshot());
-        for counter in [
-            &self.ingested,
-            &self.spilled_subs,
-            &self.spill_bytes,
-            &self.spill_time_nanos,
-            &self.resident,
-            &self.peak_resident,
-            &self.spill_fallbacks,
-            &self.spill_writes,
-            &self.spill_appends,
-            &self.spill_record_count,
-            // fail_spill_write_at and crash_spill_at are configuration,
-            // not counters: they survive the seal like the spill settings
-            // themselves.
-        ] {
-            counter.store(0, Ordering::Release);
-        }
-        self.spill_crashed.store(false, Ordering::Release);
-        self.seal_retain.store(false, Ordering::Release);
 
         if lost {
             cut_in_place(&mut nodes, |_| usize::MAX);
@@ -951,31 +867,41 @@ mod tests {
     }
 
     #[test]
-    fn builder_is_reusable_after_seal() {
+    fn a_sealed_builder_keeps_its_final_counters() {
         let sequences = lock_heavy_sequences(2);
+        let total: usize = sequences.iter().map(Vec::len).sum();
         let streaming = ShardedCpgBuilder::new();
-        for seq in &sequences {
-            for sub in seq.clone() {
-                streaming.ingest(sub);
-            }
-        }
-        let first = streaming.seal();
-        assert!(first.node_count() > 0);
-        let empty = streaming.seal();
-        assert_eq!(empty.node_count(), 0);
-        assert_eq!(empty.edge_count(), 0);
-
         for seq in sequences {
-            for sub in seq {
-                streaming.ingest(sub);
-            }
+            streaming.ingest_batch(seq);
         }
-        let second = streaming.seal();
-        assert_eq!(edge_fingerprint(&second), edge_fingerprint(&first));
-        // Per-build counters: the second build's stats cover only the
-        // second ingestion round.
+        assert_eq!(streaming.last_sealed_stats(), None);
+        let sealed = streaming.seal();
+        assert_eq!(sealed.node_count(), total);
         let stats = streaming.last_sealed_stats().expect("sealed");
-        assert_eq!(stats.ingested as usize, second.node_count());
+        assert_eq!(stats.ingested as usize, total);
+        assert_eq!(streaming.stats(), stats, "the seal resets nothing");
+        assert_eq!(streaming.snapshot().cpg.node_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "sealed ShardedCpgBuilder")]
+    fn ingest_after_seal_panics() {
+        let sequence = lock_heavy_sequences(1).remove(0);
+        let first = sequence[0].clone();
+        let streaming = ShardedCpgBuilder::new();
+        streaming.ingest_batch(sequence);
+        streaming.seal();
+        // α 0 again: what a second build would start with.
+        streaming.ingest(first);
+    }
+
+    #[test]
+    #[should_panic(expected = "sealed twice")]
+    fn sealing_twice_panics() {
+        let streaming = ShardedCpgBuilder::new();
+        streaming.ingest_batch(lock_heavy_sequences(1).remove(0));
+        streaming.seal();
+        streaming.seal();
     }
 
     #[test]
@@ -1203,32 +1129,6 @@ mod tests {
     }
 
     #[test]
-    fn spilling_builder_is_reusable_after_seal() {
-        let sequences = lock_heavy_sequences(2);
-        let tmp = TempDir::new("sharded-spill");
-        let streaming =
-            ShardedCpgBuilder::with_shards_and_spill(2, Some(spill_settings(2, tmp.path())));
-        let mut first: Option<std::collections::BTreeSet<String>> = None;
-        for _ in 0..2 {
-            for seq in sequences.clone() {
-                for sub in seq {
-                    streaming.ingest(sub);
-                }
-            }
-            let sealed = streaming.seal();
-            let fingerprint = edge_fingerprint(&sealed);
-            if let Some(prev) = &first {
-                assert_eq!(&fingerprint, prev);
-            }
-            first = Some(fingerprint);
-            let stats = streaming.last_sealed_stats().expect("sealed");
-            assert!(stats.spilled_subs > 0);
-            // Counters are per build.
-            assert_eq!(streaming.stats().spilled_subs, 0);
-        }
-    }
-
-    #[test]
     fn spill_write_failure_falls_back_to_memory_without_loss() {
         let sequences = lock_heavy_sequences(3);
         let reference = batch_build(&sequences);
@@ -1239,9 +1139,11 @@ mod tests {
         // reads both into a complete graph.
         for fail_at in [1u64, 10] {
             let tmp = TempDir::new("sharded-spill");
-            let streaming =
-                ShardedCpgBuilder::with_shards_and_spill(2, Some(spill_settings(1, tmp.path())));
-            streaming.inject_spill_write_failure(fail_at);
+            let settings = SpillSettings {
+                fail_write_at: fail_at,
+                ..spill_settings(1, tmp.path())
+            };
+            let streaming = ShardedCpgBuilder::with_shards_and_spill(2, Some(settings));
             for seq in sequences.clone() {
                 for sub in seq {
                     streaming.ingest(sub);
@@ -1307,9 +1209,11 @@ mod tests {
         // published before the failure names those rounds' segments.
         let sequences = lock_heavy_sequences(3);
         let tmp = TempDir::new("sharded-spill");
-        let settings = spill_settings(1, tmp.path()).with_retain_on_seal(true);
+        let settings = SpillSettings {
+            fail_write_at: 30,
+            ..spill_settings(1, tmp.path()).with_retain_on_seal(true)
+        };
         let streaming = ShardedCpgBuilder::with_shards_and_spill(2, Some(settings));
-        streaming.inject_spill_write_failure(30);
         let dir = streaming.spill_directory().expect("spilling").to_path_buf();
         for seq in sequences {
             for sub in seq {
@@ -1320,6 +1224,8 @@ mod tests {
         let stats = streaming.last_sealed_stats().expect("sealed");
         assert!(stats.spill_fallbacks > 0, "{stats:?}");
         assert!(stats.spill_bytes > 0, "{stats:?}");
+        // The kept image is recovery's: the sealed builder shows nothing.
+        assert_eq!(streaming.snapshot().cpg.node_count(), 0);
 
         let recovery = crate::recover::recover_session(&dir).expect("retained image");
         let report = &recovery.report;
@@ -1371,6 +1277,6 @@ mod tests {
             }
         }
         assert_eq!(streaming.gather().len(), expected);
-        assert_eq!(streaming.ingested_nodes(), expected as u64);
+        assert_eq!(streaming.stats().ingested, expected as u64);
     }
 }

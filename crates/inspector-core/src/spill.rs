@@ -144,6 +144,20 @@ pub struct SpillSettings {
     /// Keep the spill directory (segments + final manifest) after a clean
     /// seal instead of deleting it. Degraded runs always retain.
     pub retain_on_seal: bool,
+    /// Fault point: the `fail_write_at`-th (1-based) round-write attempt
+    /// across all shards, and every attempt after it, fails, like a disk
+    /// that filled up and stayed full. A round is one write, so attempts
+    /// count rounds and their retries, not records. `0` (the default)
+    /// disarms.
+    pub fail_write_at: u64,
+    /// Fault point: the process "dies" in the spill record that follows
+    /// the first `crash_after_records` (across all shards). That round's
+    /// write carries the whole frames staged before it and a torn prefix
+    /// of that one; then the manifest freezes where it was, every store
+    /// stops, and the seal keeps the image for offline recovery. The build
+    /// still completes: the seal reads the committed prefixes back, so the
+    /// sealed graph loses nothing in-process. `0` (the default) disarms.
+    pub crash_after_records: u64,
 }
 
 impl SpillSettings {
@@ -156,6 +170,8 @@ impl SpillSettings {
             durability: SpillDurability::default(),
             session_id: 0,
             retain_on_seal: false,
+            fail_write_at: 0,
+            crash_after_records: 0,
         }
     }
 
@@ -413,13 +429,11 @@ impl ManifestWriter {
         self.state.lock().frozen = true;
     }
 
-    /// Deletes the manifest (and any stale tmp) and resets the state, for
-    /// the clean non-retaining seal path.
+    /// Deletes the manifest (and any stale tmp): what a seal that does
+    /// not keep the image does last. Nothing publishes after it.
     pub fn cleanup(&self) {
-        let mut state = self.state.lock();
         let _ = std::fs::remove_file(self.dir.join(MANIFEST_FILE));
         let _ = std::fs::remove_file(self.dir.join(MANIFEST_TMP_FILE));
-        *state = ManifestState::default();
     }
 
     fn write_locked(&self, state: &ManifestState) -> std::io::Result<()> {
@@ -504,9 +518,9 @@ pub struct SpillStore {
     /// A write attempt failed: the file may hold part of a round past
     /// `current_len`, and the next attempt must cut it back first.
     rewind_due: bool,
-    /// Total payload + framing bytes committed since the last reset.
+    /// Total payload + framing bytes committed.
     bytes_written: u64,
-    /// Node records committed since the last reset.
+    /// Node records committed.
     nodes_spilled: u64,
     /// Segment `write_all` calls issued since creation: one per opened
     /// segment (its header) plus one per round commit attempt.
@@ -522,8 +536,8 @@ pub struct SpillStore {
 }
 
 impl SpillStore {
-    /// Creates the store for shard `shard` under `settings.dir` (created if
-    /// needed), with the settings' segment size, durability policy and
+    /// Creates the store for shard `shard` under `settings.dir` (created
+    /// here if needed, and only here), with the settings' segment size, durability policy and
     /// session id.
     pub fn create(settings: &SpillSettings, shard: usize) -> std::io::Result<Self> {
         std::fs::create_dir_all(&settings.dir)?;
@@ -547,7 +561,7 @@ impl SpillStore {
         })
     }
 
-    /// Bytes committed (framing included) since the last reset.
+    /// Bytes committed (framing included).
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
@@ -602,9 +616,6 @@ impl SpillStore {
                 finished.sync_data()?;
             }
         }
-        // The directory may have been cleaned up by a previous seal of
-        // a reused builder; recreate it on demand.
-        std::fs::create_dir_all(&self.dir)?;
         let path = self
             .dir
             .join(segment_file_name(self.shard, self.segments.len()));
@@ -755,18 +766,16 @@ impl SpillStore {
             .collect()
     }
 
-    /// Deletes the segment files (best effort) and empties the store for
-    /// the next build: what a seal that does not keep the image does once
-    /// it has read them — the only deletion of a spill file.
+    /// Closes the open segment and deletes every segment file (best
+    /// effort), so the store vouches for none: what a seal that does not
+    /// keep the image does once it has read them — the only deletion of a
+    /// spill file. It resets nothing else; the store takes no round after
+    /// it.
     pub(crate) fn clear(&mut self) {
         self.current = None;
         for meta in self.segments.drain(..) {
             let _ = std::fs::remove_file(meta.path);
         }
-        self.current_len = 0;
-        self.bytes_written = 0;
-        self.nodes_spilled = 0;
-        self.thread_counts.clear();
     }
 }
 
@@ -1088,9 +1097,9 @@ mod tests {
         assert_eq!(report.header_bytes, SEGMENT_HEADER_BYTES);
         assert_eq!(report.recovered_bytes, store.bytes_written());
         assert_eq!(report.lost_bytes, 0);
-        // A clean seal's clear deletes the segment and empties the store.
+        // A clean seal's clear deletes the segment, which leaves the store
+        // nothing to vouch for.
         store.clear();
-        assert_eq!(store.nodes_spilled, 0);
         assert_eq!(store.segments.len(), 0);
         assert_eq!(std::fs::read_dir(dir).unwrap().count(), 0);
         let (nodes, report) = read(&[&store]);
@@ -1252,21 +1261,6 @@ mod tests {
                 report.total_bytes,
                 "{what}"
             );
-        }
-    }
-
-    #[test]
-    fn store_is_reusable_after_clear() {
-        let tmp = TempDir::new("spill-test");
-        let dir = tmp.path();
-        let subs = recorded_subs();
-        let mut store = store_in(dir, 1, 64);
-        for round in 0..3 {
-            commit_nodes(&mut store, &subs);
-            let (nodes, report) = read(&[&store]);
-            assert_eq!(nodes, subs, "round {round}");
-            assert!(!report.lost_vouched(), "round {round}: {report:?}");
-            store.clear();
         }
     }
 
@@ -1688,8 +1682,7 @@ mod tests {
         let after_freeze = read_manifest(dir).unwrap().unwrap();
         assert_eq!(after_freeze.segments.len(), 3);
         writer.cleanup();
-        // cleanup() removed the manifest but freeze() keeps future writes
-        // suppressed; only the state was reset.
+        // cleanup() deletes the manifest, frozen or not.
         assert!(read_manifest(dir).unwrap().is_none());
     }
 

@@ -67,6 +67,8 @@ pub struct FaultPlan {
     /// (plus its retries), not one per record. The builder retries with
     /// bounded backoff, then stops the shard's store: what it wrote stays
     /// on disk, and the shard keeps the rest in memory (`spill_fallbacks`).
+    /// Each run's builder is created with it, as
+    /// [`SpillSettings::fail_write_at`](inspector_core::spill::SpillSettings::fail_write_at).
     pub fail_spill_write: u64,
     /// Simulate a whole-process crash after the Nth (1-based) spilled
     /// **record** — records, not rounds: the round holding record N+1
@@ -76,7 +78,9 @@ pub struct FaultPlan {
     /// shard's store stops. The session still seals the whole graph from
     /// the written prefixes and the resident rest, and keeps the on-disk
     /// artifacts for [`inspector_core::recover::recover_session`] to
-    /// examine (`spill_fallbacks` counts the episode).
+    /// examine (`spill_fallbacks` counts the episode). Each run's builder
+    /// is created with it, as
+    /// [`SpillSettings::crash_after_records`](inspector_core::spill::SpillSettings::crash_after_records).
     pub crash_at_spill: u64,
     /// Panic this ingest worker (1-based lane index; `0` = none) …
     pub panic_worker: u64,

@@ -80,7 +80,7 @@ const CPG_SHARDS: usize = 8;
 /// ingests), otherwise a run-unique subdirectory under the configured
 /// [`SessionConfig::spill_dir`] (or the system temp dir), so neither
 /// concurrent sessions nor a session's successive runs collide on segment
-/// files.
+/// files, with the [`FaultPlan`]'s two spill fault points.
 fn spill_settings_for(config: &SessionConfig) -> Option<inspector_core::spill::SpillSettings> {
     use std::sync::atomic::AtomicU64 as SeqCounter;
     static NEXT_SPILL_DIR: SeqCounter = SeqCounter::new(0);
@@ -98,12 +98,14 @@ fn spill_settings_for(config: &SessionConfig) -> Option<inspector_core::spill::S
     // unique per (process, run) so recovery can reject segments that
     // leaked in from another run sharing the directory.
     let session_id = ((std::process::id() as u64) << 32) | (sequence & 0xFFFF_FFFF);
-    Some(
-        inspector_core::spill::SpillSettings::new(config.spill_threshold, unique)
+    Some(inspector_core::spill::SpillSettings {
+        fail_write_at: config.fault_plan.fail_spill_write,
+        crash_after_records: config.fault_plan.crash_at_spill,
+        ..inspector_core::spill::SpillSettings::new(config.spill_threshold, unique)
             .with_durability(config.spill_durability)
             .with_session_id(session_id)
-            .with_retain_on_seal(config.spill_retain),
-    )
+            .with_retain_on_seal(config.spill_retain)
+    })
 }
 
 /// Everything a thread reports when it exits (its sub-computations have
@@ -470,12 +472,8 @@ impl InspectorSession {
     /// finished, or the in-progress build's counters while
     /// [`run`](Self::run) is executing.
     pub fn ingest_stats(&self) -> IngestStats {
-        // Each run has a builder of its own: sealed, it holds that run's
-        // final counters; until then, its live ones.
-        let builder = self.shared.builder();
-        builder
-            .last_sealed_stats()
-            .unwrap_or_else(|| builder.stats())
+        // Each run has a builder of its own, whose counters are that run's.
+        self.shared.builder().stats()
     }
 
     /// Returns a handle that can take consistent live snapshots from another
@@ -519,7 +517,9 @@ impl InspectorSession {
     /// `MANIFEST`), when spilling is configured and a run has started; each
     /// run has its own. After a crashed, degraded or retained run — or one
     /// whose application panicked — the directory outlives the session and
-    /// can be handed to [`inspector_core::recover::recover_session`].
+    /// can be handed to [`inspector_core::recover::recover_session`]. After
+    /// a caught application panic it may still be growing: see
+    /// [`try_run`](Self::try_run).
     pub fn spill_directory(&self) -> Option<std::path::PathBuf> {
         self.shared.builder().spill_directory().map(Into::into)
     }
@@ -531,6 +531,15 @@ impl InspectorSession {
     /// normally, and the provenance ingested before the failure is still
     /// sealed. On failure the returned [`SessionError`] carries every dead
     /// worker's panic message plus that partial report.
+    ///
+    /// If the application closure panics, the panic unwinds out of this
+    /// call without joining the ingest workers, and nothing is sealed.
+    /// Joining them could block forever: a thread the app never joined may
+    /// wait on a barrier the dead root thread never reaches. So after a
+    /// caught app panic the workers may keep ingesting, and spilling into
+    /// [`spill_directory`](Self::spill_directory), until the app's last
+    /// unjoined thread ends: recovering the directory before then sees a
+    /// prefix of what it will hold.
     pub fn try_run<F>(&self, f: F) -> Result<RunReport, SessionError>
     where
         F: FnOnce(&mut ThreadCtx),
@@ -541,12 +550,6 @@ impl InspectorSession {
             CPG_SHARDS,
             spill_settings_for(&self.shared.config),
         ));
-        if plan.fail_spill_write > 0 {
-            builder.inject_spill_write_failure(plan.fail_spill_write);
-        }
-        if plan.crash_at_spill > 0 {
-            builder.inject_spill_crash(plan.crash_at_spill);
-        }
         *self.shared.builder.lock() = Arc::clone(&builder);
         let lanes = self.shared.config.ingest_threads.max(1);
         let mut senders = Vec::with_capacity(lanes);
@@ -687,7 +690,7 @@ impl InspectorSession {
             // workers' busy time already includes the encode cost (spilling
             // happens inside `ingest`); reporting it separately lets the
             // Figure 6 breakdown show what bounding memory costs.
-            let ingest = builder.last_sealed_stats().unwrap_or_default();
+            let ingest = builder.stats();
             stats.spilled_subs = ingest.spilled_subs;
             stats.spill_bytes = ingest.spill_bytes;
             stats.spill_time = ingest.spill_time;
@@ -812,7 +815,7 @@ mod tests {
             assert!(shared.ingest_tx.lock().is_some(), "run in progress");
             shared.flush_barrier();
             assert!(
-                shared.builder().ingested_nodes() >= 100,
+                shared.builder().stats().ingested >= 100,
                 "mid-run the builder should already hold streamed nodes"
             );
         });

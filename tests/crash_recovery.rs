@@ -273,9 +273,11 @@ fn build_crashing_at(
     mut observe: impl FnMut(&ShardedCpgBuilder),
 ) -> (Cpg, bool) {
     let sequences = ping_pong_sequences(2, 6);
-    let settings = SpillSettings::new(2, dir).with_durability(SpillDurability::Flush);
+    let settings = SpillSettings {
+        crash_after_records: crash_at,
+        ..SpillSettings::new(2, dir).with_durability(SpillDurability::Flush)
+    };
     let builder = ShardedCpgBuilder::with_shards_and_spill(1, Some(settings));
-    builder.inject_spill_crash(crash_at);
     ingest_round_robin(&builder, sequences, &mut observe);
     let crashed = builder.spill_crash_triggered();
     (builder.seal(), crashed)

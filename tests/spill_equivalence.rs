@@ -103,22 +103,30 @@ proptest! {
     }
 
     #[test]
-    fn spilling_builder_reuse_is_clean(seed in any::<u64>()) {
-        // Sealing must fully reset the spill stores alongside the node
-        // store and counters: a second build on the same builder produces
-        // identical edges and fresh counters.
+    fn each_spilled_delivery_seals_the_oracle_on_a_fresh_builder(seed in any::<u64>()) {
+        // One spilling builder per delivery, each in its own directory and
+        // sealed once: two random interleavings and whole-thread batches
+        // each seal the oracle's graph, and each build counts exactly its
+        // own ingests.
         let sequences = random_sequences(seed, 30..90);
-        let dir = TempDir::new("spill-eq");
-        let streaming =
-            ShardedCpgBuilder::with_shards_and_spill(3, Some(spill_settings(2, &dir)));
-        ingest_random_interleaving(&streaming, sequences.clone(), seed);
-        let first = streaming.seal();
-        ingest_random_interleaving(&streaming, sequences, seed.wrapping_add(1));
-        let second = streaming.seal();
-
-        prop_assert_eq!(edge_fingerprint(&first), edge_fingerprint(&second));
-        let stats = streaming.last_sealed_stats().expect("sealed twice");
-        prop_assert_eq!(stats.ingested as usize, second.node_count());
+        let reference = batch_build(&sequences);
+        let deliveries: [&dyn Fn(&ShardedCpgBuilder); 3] = [
+            &|b| ingest_random_interleaving(b, sequences.clone(), seed),
+            &|b| ingest_random_interleaving(b, sequences.clone(), seed.wrapping_add(1)),
+            &|b| sequences.iter().cloned().for_each(|seq| b.ingest_batch(seq)),
+        ];
+        for deliver in deliveries {
+            let dir = TempDir::new("spill-eq");
+            let streaming =
+                ShardedCpgBuilder::with_shards_and_spill(3, Some(spill_settings(2, &dir)));
+            deliver(&streaming);
+            let sealed = streaming.seal();
+            prop_assert_eq!(node_fingerprint(&sealed), node_fingerprint(&reference));
+            prop_assert_eq!(edge_fingerprint(&sealed), edge_fingerprint(&reference));
+            let stats = streaming.last_sealed_stats().expect("sealed once");
+            prop_assert_eq!(stats.ingested as usize, reference.node_count());
+            prop_assert!(stats.spilled_subs > 0, "threshold 2 must spill: {:?}", stats);
+        }
     }
 }
 

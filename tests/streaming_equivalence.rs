@@ -4,7 +4,7 @@
 //! interleaving, producer pool and shard count — and the graphs coming out
 //! of real [`InspectorSession`] runs must satisfy the same property. Random
 //! schedules under random delivery are in `incremental_data_edges.rs`
-//! (interleavings, reversed threads, builder reuse) and `index_gc.rs`
+//! (interleavings, reversed threads, whole-thread batches) and `index_gc.rs`
 //! (batch chunking, producer pools, spill thresholds).
 
 use std::sync::Arc;
