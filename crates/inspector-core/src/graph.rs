@@ -1154,12 +1154,12 @@ fn derive(view: &NodeView<'_>) -> EdgeStore {
     let chunks = reader_chunks(view.nodes, chunks);
     // Every unit's output vectors are made here, on the calling thread, so
     // they stay in this thread's allocator arena however a worker grows them
-    // (a worker's own allocations go to an arena this thread never reuses).
+    // (see `pool::caller_buffer`).
     let outputs: Vec<Mutex<EdgeStore>> = (0..=chunks.len())
         .map(|_| {
             Mutex::new(EdgeStore {
-                records: Vec::with_capacity(1),
-                pages: Vec::with_capacity(1),
+                records: pool::caller_buffer(1),
+                pages: pool::caller_buffer(1),
                 odd: Vec::new(),
             })
         })

@@ -82,6 +82,27 @@ pub(crate) fn in_flight(workers: usize) -> usize {
     }
 }
 
+/// A buffer for another thread to grow, allocated here, on the calling
+/// thread, with room for `len` elements: never less than 4 KiB of them, and
+/// at most 64 MiB up front, so a size read from a damaged plan cannot make
+/// the reservation abort (a larger buffer grows when it is filled).
+///
+/// This is placement. glibc gives each thread an arena of its own, and
+/// `realloc` keeps a block in the arena it came from, so a buffer made here
+/// stays in this thread's arena however a worker grows it, and goes back
+/// there when this thread frees it. A worker's own allocations go to the
+/// worker's arena, which keeps what is freed into it after the worker
+/// exits. The 4 KiB floor is what makes the rule hold: a smaller request
+/// may be served from this thread's cache of recently freed small blocks,
+/// which can come from any thread's arena.
+pub(crate) fn caller_buffer<T>(len: u64) -> Vec<T> {
+    let size = std::mem::size_of::<T>().max(1) as u64;
+    let room = len.max(4096_u64.div_ceil(size)).min((64 << 20) / size);
+    let mut buffer = Vec::new();
+    let _ = buffer.try_reserve_exact(room as usize);
+    buffer
+}
+
 /// Runs `work(state, i)` for every unit `i` in `0..units` and lets `caller`
 /// take the results, in unit order, from the iterator it is handed; returns
 /// what `caller` returns.
@@ -256,6 +277,16 @@ mod tests {
             |_, unit| work(unit),
             |results| results.collect(),
         )
+    }
+
+    #[test]
+    fn a_caller_buffer_has_a_floor_and_a_cap() {
+        assert!(caller_buffer::<u64>(1).capacity() >= 512, "4 KiB at least");
+        assert!(caller_buffer::<u8>(10_000).capacity() >= 10_000);
+        // A size read from a damaged plan reserves at most 64 MiB.
+        let capped = caller_buffer::<[u8; 192]>(u64::MAX).capacity();
+        let cap = (64 << 20) / 192;
+        assert!((cap..=cap + 1).contains(&capped), "{capped}");
     }
 
     #[test]

@@ -63,7 +63,7 @@ use crate::graph::Cpg;
 use crate::ids::ThreadId;
 use crate::pool;
 use crate::snapshot::cut_in_place;
-use crate::spill::codec::{image_buffer, scan_segment_file, RecordBuffers, ScanEnd, SegmentScan};
+use crate::spill::codec::{scan_segment_file, RecordBuffers, ScanEnd, SegmentScan};
 use crate::spill::codec::{MIN_NODE_FRAME_BYTES, SEGMENT_HEADER_BYTES};
 use crate::spill::{read_manifest, segment_file_name, ManifestSegment, SpillError, SpillResult};
 use crate::subcomputation::SubComputation;
@@ -210,12 +210,20 @@ pub(crate) fn read_segments(
     if !plan.is_empty() {
         let in_plan = |shard| plan.binary_search_by_key(&shard, |seg| seg.shard).is_ok();
         let workers = pool::workers(plan.len(), 1);
-        let largest = plan.iter().map(|seg| seg.bytes).max();
-        let buffers = RecordBuffers::new(pool::in_flight(workers));
+        // Every buffer has room for the largest segment: its bytes, and its
+        // records bounded by its bytes as the store's room is above, so a
+        // damaged plan cannot size them.
+        let largest = plan.iter().map(|seg| seg.bytes).max().unwrap_or(0);
+        let most_records = plan
+            .iter()
+            .map(|seg| seg.records.min(seg.bytes / MIN_NODE_FRAME_BYTES))
+            .max()
+            .unwrap_or(0);
+        let buffers = RecordBuffers::new(pool::in_flight(workers), most_records);
         pool::fan_out(
             plan.len(),
             workers,
-            || image_buffer(largest.unwrap_or(0)),
+            || pool::caller_buffer::<u8>(largest),
             |image, i| {
                 let seg = &plan[i];
                 let path = dir.join(segment_file_name(seg.shard, seg.index));

@@ -60,6 +60,17 @@
 //!   counters are that build's, and [`seal`](ShardedCpgBuilder::seal) runs
 //!   once. An `ingest` after the seal, or a second seal, panics — checked
 //!   under the stripe locks both already take, in every build profile.
+//! * **A run lives in the arena of the thread that opened it.** This is
+//!   the rule the spill reader's scan buffers and the derivation's edge
+//!   parts already follow (`pool::caller_buffer`): a buffer the sealing
+//!   thread makes stays in that thread's allocator arena, however a worker
+//!   grows it, because `realloc` keeps a block in its own arena. The seal
+//!   frees every run on the sealing thread, so
+//!   [`open_run`](ShardedCpgBuilder::open_run) there, before the thread's
+//!   first ingest, returns a run's memory to the arena the next build
+//!   draws from. A run that an ingest creates instead is grown on the
+//!   worker, whose arena keeps it after the worker exits. The runtime
+//!   opens every thread's run where it allocates the thread's id.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -70,6 +81,7 @@ use parking_lot::{Mutex, MutexGuard};
 
 use crate::graph::Cpg;
 use crate::ids::ThreadId;
+use crate::pool;
 use crate::recover::{read_segments, RecoveryReport, Tail};
 use crate::snapshot::{cut_in_place, Snapshot};
 use crate::spill::{ManifestSegment, ManifestWriter, SpillDurability, SpillSettings, SpillStore};
@@ -367,6 +379,37 @@ impl ShardedCpgBuilder {
     /// [`stats`](Self::stats) then returns. `None` before the seal.
     pub fn last_sealed_stats(&self) -> Option<IngestStats> {
         self.sealed.load(Ordering::Acquire).then(|| self.stats())
+    }
+
+    /// Opens `thread`'s run: creates it empty, on the calling thread, with
+    /// 4 KiB of room. Opening a run that exists does nothing; an
+    /// [`ingest`](Self::ingest) of a thread nobody opened creates its run
+    /// itself.
+    ///
+    /// This is placement, not bookkeeping. A run's first block comes from
+    /// the arena of the thread that opens it, and every `realloc` that
+    /// grows it stays in that arena, whichever ingest worker makes it. The
+    /// seal frees the runs on the sealing thread. Opened there, a run's
+    /// memory goes back to the arena it was taken from, and that arena
+    /// serves the next build; grown from nothing on a worker, it stays
+    /// behind in the worker's arena when the worker exits. The room is what
+    /// pins the first block: a block of one node's size may come from the
+    /// thread's cache of freed small blocks, which any thread's arena can
+    /// have filled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the builder is sealed.
+    pub fn open_run(&self, thread: ThreadId) {
+        let mut shard = self.shards[self.shard_for(thread)].lock();
+        assert!(
+            !self.sealed.load(Ordering::Acquire),
+            "run opened in a sealed ShardedCpgBuilder: a builder builds one graph"
+        );
+        shard.sequences.entry(thread).or_insert_with(|| ThreadSeq {
+            base: 0,
+            live: pool::caller_buffer(1),
+        });
     }
 
     /// Ingests one retired sub-computation **by value** — the batch of one;
@@ -902,6 +945,92 @@ mod tests {
         streaming.ingest_batch(lock_heavy_sequences(1).remove(0));
         streaming.seal();
         streaming.seal();
+    }
+
+    /// The sealed graph, the snapshot taken halfway through ingest and every
+    /// file of the retained spill image (name → bytes) of one build:
+    /// `lock_heavy_sequences(6, 4000, 16, 16)` delivered round-robin into 8
+    /// stripes at threshold 8, sealed retaining. With `open`, every
+    /// thread's run is opened before the first ingest, and so is the run
+    /// of a seventh thread that never ingests.
+    fn retained_build(open: bool) -> (String, String, BTreeMap<String, Vec<u8>>) {
+        let sequences = crate::testing::lock_heavy_sequences(6, 4000, 16, 16);
+        let half = sequences.iter().map(Vec::len).sum::<usize>() / 2;
+        let tmp = TempDir::new("sharded-open-run");
+        let settings = SpillSettings::new(8, tmp.path()).with_retain_on_seal(true);
+        let streaming = ShardedCpgBuilder::with_shards_and_spill(8, Some(settings));
+        if open {
+            for thread in 0..=sequences.len() as u32 {
+                streaming.open_run(ThreadId::new(thread));
+            }
+        }
+        let (mut ingested, mut snapshot) = (0, String::new());
+        crate::testing::ingest_round_robin(&streaming, sequences, |builder| {
+            ingested += 1;
+            if ingested == half {
+                snapshot = format!("{:?}", builder.snapshot());
+            }
+        });
+        let sealed = format!("{:?}", streaming.seal());
+        let files = std::fs::read_dir(tmp.path())
+            .expect("a retained image")
+            .map(|entry| {
+                let path = entry.expect("a directory entry").path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).expect("a readable file"))
+            })
+            .collect();
+        (sealed, snapshot, files)
+    }
+
+    #[test]
+    fn opened_runs_change_no_byte_of_the_build() {
+        let (sealed, snapshot, files) = retained_build(false);
+        let (opened_sealed, opened_snapshot, opened_files) = retained_build(true);
+        assert!(!snapshot.is_empty());
+        assert!(opened_sealed == sealed, "the sealed graph differs");
+        assert!(opened_snapshot == snapshot, "the halfway snapshot differs");
+        assert!(
+            files.contains_key(crate::spill::MANIFEST_FILE),
+            "{:?}",
+            files.keys()
+        );
+        assert!(files.len() > 8, "segments rolled: {:?}", files.keys());
+        assert_eq!(
+            opened_files.keys().collect::<Vec<_>>(),
+            files.keys().collect::<Vec<_>>()
+        );
+        for (name, bytes) in &files {
+            assert!(opened_files[name] == *bytes, "{name} differs");
+        }
+    }
+
+    #[test]
+    fn opening_a_run_twice_does_nothing() {
+        let sequence = lock_heavy_sequences(1).remove(0);
+        let reference = batch_build(std::slice::from_ref(&sequence));
+        let thread = sequence[0].id.thread;
+        let streaming = ShardedCpgBuilder::new();
+        streaming.open_run(thread);
+        streaming.open_run(thread);
+        assert!(streaming.gather().is_empty());
+        let (head, tail) = sequence.split_at(5);
+        streaming.ingest_batch(head.to_vec());
+        // The run keeps its nodes: the next ingest continues at α 5.
+        streaming.open_run(thread);
+        streaming.ingest_batch(tail.to_vec());
+        let sealed = streaming.seal();
+        assert!(sealed.nodes().eq(reference.nodes()));
+        assert_eq!(edge_fingerprint(&sealed), edge_fingerprint(&reference));
+    }
+
+    #[test]
+    #[should_panic(expected = "sealed ShardedCpgBuilder")]
+    fn opening_a_run_after_the_seal_panics() {
+        let streaming = ShardedCpgBuilder::new();
+        streaming.ingest_batch(lock_heavy_sequences(1).remove(0));
+        streaming.seal();
+        streaming.open_run(ThreadId::new(1));
     }
 
     #[test]

@@ -520,8 +520,6 @@ pub struct SpillStore {
     rewind_due: bool,
     /// Total payload + framing bytes committed.
     bytes_written: u64,
-    /// Node records committed.
-    nodes_spilled: u64,
     /// Segment `write_all` calls issued since creation: one per opened
     /// segment (its header) plus one per round commit attempt.
     writes: u64,
@@ -552,7 +550,6 @@ impl SpillStore {
             current_len: 0,
             rewind_due: false,
             bytes_written: 0,
-            nodes_spilled: 0,
             writes: 0,
             thread_counts: BTreeMap::new(),
             round: Round::default(),
@@ -697,7 +694,6 @@ impl SpillStore {
         }
         for (thread, nodes) in self.round.nodes.drain(..) {
             *self.thread_counts.entry(thread).or_insert(0) += nodes;
-            self.nodes_spilled += nodes;
         }
         self.round.frames.clear();
         self.round.records = 0;
@@ -798,6 +794,11 @@ mod tests {
             ..SpillSettings::new(1, dir)
         };
         SpillStore::create(&settings, shard).unwrap()
+    }
+
+    /// The node records `store` committed: its per-thread counts' total.
+    fn spilled(store: &SpillStore) -> u64 {
+        store.thread_counts.values().sum()
     }
 
     fn recorded_subs() -> Vec<SubComputation> {
@@ -1075,13 +1076,13 @@ mod tests {
         for sub in &subs[..4] {
             store.stage_node(sub);
         }
-        assert_eq!(store.nodes_spilled, 0, "staging commits nothing");
+        assert_eq!(spilled(&store), 0, "staging commits nothing");
         assert!(
             store.commit_round().unwrap(),
             "the first round opens segment 0"
         );
         commit_nodes(&mut store, &subs[4..]);
-        assert_eq!(store.nodes_spilled, subs.len() as u64);
+        assert_eq!(spilled(&store), subs.len() as u64);
         assert!(store.bytes_written() > 0);
         // One write for the header, one per round — none per record.
         assert_eq!(store.writes(), 3);
@@ -1417,7 +1418,7 @@ mod tests {
         assert_eq!(segment_bytes(&store), expected);
         // The round never becomes durable state: counters and the manifest
         // snapshot are unchanged.
-        assert_eq!(store.nodes_spilled, 2);
+        assert_eq!(spilled(&store), 2);
         assert_eq!(store.manifest_snapshot(), before);
         // The read stops at the committed length: the crash round's bytes
         // are past what the store vouches for, counted and never decoded,
@@ -1452,7 +1453,7 @@ mod tests {
         let mut store = store_in(dir, 0, DEFAULT_SEGMENT_BYTES);
         commit_nodes(&mut store, &subs[..2]);
         let counters = (
-            store.nodes_spilled,
+            spilled(&store),
             store.bytes_written(),
             store.manifest_snapshot(),
         );
@@ -1468,7 +1469,7 @@ mod tests {
         assert!(store.commit_round().is_err());
         assert_eq!(
             (
-                store.nodes_spilled,
+                spilled(&store),
                 store.bytes_written(),
                 store.manifest_snapshot()
             ),
@@ -1495,7 +1496,7 @@ mod tests {
             assert!(store.commit_round().is_err());
         }
         assert_eq!(segment_bytes(&store), first_round);
-        assert_eq!(store.nodes_spilled, 2);
+        assert_eq!(spilled(&store), 2);
         let (nodes, report) = read(&[&store]);
         assert_eq!(nodes, &subs[..2]);
         assert!(!report.lost_vouched(), "{report:?}");

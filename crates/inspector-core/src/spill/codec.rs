@@ -56,6 +56,7 @@ use super::{SpillError, SpillResult};
 use crate::clock::VectorClock;
 use crate::event::SyncKind;
 use crate::ids::{PageId, SubId, SyncObjectId, ThreadId};
+use crate::pool;
 use crate::subcomputation::{SubComputation, SyncPoint};
 use crate::thunk::ThunkList;
 
@@ -472,23 +473,17 @@ pub(crate) enum SegmentScan {
     },
 }
 
-/// Record buffers for segment scans, made on the calling thread and handed
-/// back once a segment's records are taken.
-///
-/// What a worker thread allocates comes from its own allocator arena, which
-/// the calling thread never reuses; a buffer the caller made stays in the
-/// caller's arena, even when a worker grows it. Circulating the caller's
-/// buffers keeps a parallel scan's transient memory where a sequential scan
-/// would have put it.
+/// Record buffers for segment scans, made on the calling thread with
+/// [`pool::caller_buffer`] — so they stay in its arena however a worker
+/// grows them — and handed back once a segment's records are taken.
 #[derive(Debug)]
 pub(crate) struct RecordBuffers(Mutex<Vec<Vec<SubComputation>>>);
 
 impl RecordBuffers {
-    /// `count` buffers, each vector already allocated here: a worker that
-    /// grows it reallocates within this thread's arena, and a buffer keeps
+    /// `count` buffers, each with room for `records` nodes. A buffer keeps
     /// its capacity from one segment to the next.
-    pub(crate) fn new(count: usize) -> Self {
-        let buffers = (0..count).map(|_| Vec::with_capacity(1)).collect();
+    pub(crate) fn new(count: usize, records: u64) -> Self {
+        let buffers = (0..count).map(|_| pool::caller_buffer(records)).collect();
         RecordBuffers(Mutex::new(buffers))
     }
 
@@ -509,16 +504,6 @@ impl RecordBuffers {
             self.give_back(nodes);
         }
     }
-}
-
-/// A segment image buffer with room for files of `bytes` bytes (at most
-/// 64 MiB up front; a larger file grows it), made on the calling thread for
-/// the reason [`RecordBuffers`] gives.
-pub(crate) fn image_buffer(bytes: u64) -> Vec<u8> {
-    let mut image = Vec::with_capacity(1);
-    let room = bytes.min(64 << 20) as usize;
-    let _ = image.try_reserve_exact(room);
-    image
 }
 
 /// Reads the segment at `path` into `image` (a reusable buffer: segments

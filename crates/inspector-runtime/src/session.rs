@@ -158,8 +158,25 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// A fresh thread id. During an Inspector run it also opens the
+    /// thread's run in the run's builder, here, on the thread that asks:
+    /// the root's id on the session's calling thread, a child's on its
+    /// parent. For the root and every thread the root spawns, that is the
+    /// thread that seals the run, so the run grows in the arena it is
+    /// freed into (see [`ShardedCpgBuilder::open_run`]).
     pub(crate) fn allocate_thread_id(&self) -> ThreadId {
-        ThreadId::new(self.next_thread.fetch_add(1, Ordering::Relaxed))
+        let thread = ThreadId::new(self.next_thread.fetch_add(1, Ordering::Relaxed));
+        if self.config.mode == ExecutionMode::Inspector {
+            // Held across the open: the lanes close before the seal starts,
+            // so while they are open the run's builder is not sealed. A
+            // thread that a panicked run never joined may spawn outside
+            // any run; its child opens nothing.
+            let lanes = self.ingest_tx.lock();
+            if lanes.is_some() {
+                self.builder().open_run(thread);
+            }
+        }
+        thread
     }
 
     pub(crate) fn allocate_pid(&self) -> ProcessId {
