@@ -1152,9 +1152,9 @@ fn derive(view: &NodeView<'_>) -> EdgeStore {
         1
     };
     let chunks = reader_chunks(view.nodes, chunks);
-    // Every unit's output vectors are made here, on the calling thread, so
-    // they stay in this thread's allocator arena however a worker grows them
-    // (see `pool::caller_buffer`).
+    // Every unit's output vectors, and every worker's scratch, are made
+    // here, on the calling thread, so they stay in this thread's allocator
+    // arena however a worker grows them (see `pool::caller_buffer`).
     let outputs: Vec<Mutex<EdgeStore>> = (0..=chunks.len())
         .map(|_| {
             Mutex::new(EdgeStore {
@@ -1169,7 +1169,7 @@ fn derive(view: &NodeView<'_>) -> EdgeStore {
     pool::fan_out(
         outputs.len(),
         workers,
-        DataScratch::default,
+        DataScratch::new,
         |scratch, unit| {
             let mut out = std::mem::take(&mut *outputs[unit].lock());
             match unit.checked_sub(1) {
@@ -1448,7 +1448,6 @@ impl WriterIndex {
 }
 
 /// A data worker's buffers, reused for every reader it resolves.
-#[derive(Default)]
 struct DataScratch<'a> {
     /// One page's candidate writers, and their positions.
     candidates: Vec<(SubId, &'a VectorClock)>,
@@ -1461,6 +1460,20 @@ struct DataScratch<'a> {
     cursors: Vec<(u64, usize)>,
     /// Names the reader thread being resolved; bumped for every new one.
     epoch: u64,
+}
+
+impl DataScratch<'_> {
+    /// Buffers allocated on the calling thread, in its arena, for a worker
+    /// to grow.
+    fn new() -> Self {
+        DataScratch {
+            candidates: pool::caller_buffer(1),
+            candidate_positions: pool::caller_buffer(1),
+            flows: pool::caller_buffer(1),
+            cursors: pool::caller_buffer(1),
+            epoch: 0,
+        }
+    }
 }
 
 /// Data edges into the readers at positions `readers` of `view`, reader by

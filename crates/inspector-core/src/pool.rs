@@ -110,8 +110,10 @@ pub(crate) fn caller_buffer<T>(len: u64) -> Vec<T> {
 /// With `workers > 1`, that many scoped threads each take one `state` made
 /// by `init` and units one at a time off a shared counter, so uneven units
 /// balance, while the calling thread runs `caller`. The states are made on
-/// the calling thread, so buffers they hold come from the allocator memory
-/// the caller reuses afterwards, not from a worker's. With one worker,
+/// the calling thread, but only a buffer that `init` reserves (with
+/// [`caller_buffer`]) comes from the allocator memory the caller reuses
+/// afterwards: an empty `Vec` allocates on its first push, on the worker,
+/// in the worker's arena. With one worker,
 /// each unit runs on the calling thread when `caller` asks for its result.
 /// A caller that stops iterating early stops the hand-out of further units.
 pub(crate) fn fan_out<S: Send, R: Send, T>(

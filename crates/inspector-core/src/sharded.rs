@@ -27,9 +27,8 @@
 //!   streamed graph is therefore node- and edge-identical to the batch
 //!   oracle by construction, for any delivery interleaving that is FIFO per
 //!   thread, any batch chunking and any stripe count;
-//!   `tests/streaming_equivalence.rs` and `tests/spill_equivalence.rs`
-//!   check it. Over damaged spill files it is the graph recovery rebuilds
-//!   from them (`tests/crash_recovery.rs`).
+//!   `tests/equivalence.rs` checks it. Over damaged spill files it is the
+//!   graph recovery rebuilds from them (`tests/crash_recovery.rs`).
 //! * **Batched ingest.** [`ShardedCpgBuilder::ingest_batch`] applies one
 //!   thread's α-contiguous retirement batch under one stripe lock
 //!   ([`ingest`](ShardedCpgBuilder::ingest) is the batch of one).
@@ -818,58 +817,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_graph_matches_batch_graph() {
-        let sequences = lock_heavy_sequences(4);
-
-        let reference = batch_build(&sequences);
-
-        let streaming = ShardedCpgBuilder::with_shards(3);
-        // Round-robin delivery across threads, FIFO within each thread.
-        let mut cursors: Vec<std::vec::IntoIter<SubComputation>> =
-            sequences.into_iter().map(|s| s.into_iter()).collect();
-        let mut progressed = true;
-        while progressed {
-            progressed = false;
-            for cursor in &mut cursors {
-                if let Some(sub) = cursor.next() {
-                    streaming.ingest(sub);
-                    progressed = true;
-                }
-            }
-        }
-        let sealed = streaming.seal();
-
-        assert_eq!(sealed.node_count(), reference.node_count());
-        assert_eq!(edge_fingerprint(&sealed), edge_fingerprint(&reference));
-        assert!(sealed.validate().is_ok());
-    }
-
-    #[test]
-    fn batched_ingest_matches_per_sub_ingest() {
-        // Chunking each thread's sequence into arbitrary α-contiguous
-        // batches must produce the same graph as one sub per call.
-        let sequences = lock_heavy_sequences(4);
-        let reference = batch_build(&sequences);
-
-        for chunk in [1usize, 3, 7, 64] {
-            let streaming = ShardedCpgBuilder::with_shards(3);
-            for seq in sequences.clone() {
-                let mut seq = seq.into_iter().peekable();
-                while seq.peek().is_some() {
-                    let batch: Vec<SubComputation> = seq.by_ref().take(chunk).collect();
-                    streaming.ingest_batch(batch);
-                }
-            }
-            let sealed = streaming.seal();
-            assert_eq!(
-                edge_fingerprint(&sealed),
-                edge_fingerprint(&reference),
-                "chunk={chunk}"
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "single thread")]
     fn mixed_thread_batches_are_rejected() {
         let sequences = lock_heavy_sequences(2);
@@ -885,28 +832,6 @@ mod tests {
         let builder = ShardedCpgBuilder::new();
         let gapped = vec![sequences[0][0].clone(), sequences[0][2].clone()];
         builder.ingest_batch(gapped);
-    }
-
-    #[test]
-    fn concurrent_producers_match_batch() {
-        // Four producers ingesting four threads' sequences concurrently
-        // (FIFO per thread by construction: one producer per thread).
-        let sequences = lock_heavy_sequences(4);
-        let reference = batch_build(&sequences);
-
-        let streaming = ShardedCpgBuilder::with_shards(4);
-        std::thread::scope(|scope| {
-            for seq in sequences {
-                let streaming = &streaming;
-                scope.spawn(move || {
-                    for sub in seq {
-                        streaming.ingest(sub);
-                    }
-                });
-            }
-        });
-        let sealed = streaming.seal();
-        assert_eq!(edge_fingerprint(&sealed), edge_fingerprint(&reference));
     }
 
     #[test]
@@ -1050,49 +975,6 @@ mod tests {
             // Small segments so the tests exercise segment rolling too.
             segment_bytes: 512,
             ..SpillSettings::new(threshold, dir)
-        }
-    }
-
-    #[test]
-    fn spilled_build_matches_batch_graph() {
-        let sequences = lock_heavy_sequences(4);
-        let reference = batch_build(&sequences);
-
-        for threshold in [1usize, 2, 8] {
-            let tmp = TempDir::new("sharded-spill");
-            let streaming = ShardedCpgBuilder::with_shards_and_spill(
-                3,
-                Some(spill_settings(threshold, tmp.path())),
-            );
-            let mut cursors: Vec<std::vec::IntoIter<SubComputation>> = sequences
-                .clone()
-                .into_iter()
-                .map(|s| s.into_iter())
-                .collect();
-            let mut progressed = true;
-            while progressed {
-                progressed = false;
-                for cursor in &mut cursors {
-                    if let Some(sub) = cursor.next() {
-                        streaming.ingest(sub);
-                        progressed = true;
-                    }
-                }
-            }
-            let sealed = streaming.seal();
-            assert_eq!(
-                sealed.node_count(),
-                reference.node_count(),
-                "threshold={threshold}"
-            );
-            assert_eq!(
-                edge_fingerprint(&sealed),
-                edge_fingerprint(&reference),
-                "threshold={threshold}"
-            );
-            let stats = streaming.last_sealed_stats().expect("sealed");
-            assert!(stats.spilled_subs > 0, "threshold={threshold}: {stats:?}");
-            assert!(stats.spill_bytes > 0, "threshold={threshold}: {stats:?}");
         }
     }
 

@@ -219,25 +219,6 @@ pub fn ingest_round_robin(
     }
 }
 
-/// Delivers `sequences` in a random interleaving drawn from `seed` that is
-/// FIFO per thread (repeatedly picking a random non-empty thread cursor).
-pub fn ingest_random_interleaving(
-    builder: &crate::sharded::ShardedCpgBuilder,
-    sequences: Vec<Vec<SubComputation>>,
-    seed: u64,
-) {
-    let mut rng = Rng(seed ^ 0xDEAD_BEEF);
-    let mut cursors: Vec<_> = sequences.into_iter().map(Vec::into_iter).collect();
-    let mut remaining: usize = cursors.iter().map(|c| c.len()).sum();
-    while remaining > 0 {
-        let pick = rng.below(cursors.len() as u64) as usize;
-        if let Some(sub) = cursors[pick].next() {
-            builder.ingest(sub);
-            remaining -= 1;
-        }
-    }
-}
-
 /// Rebuilds `cpg`'s position index and adjacency from its own nodes and
 /// edge store: the step every builder ends with (the streaming seal pays it
 /// on the run's critical path), isolated for the micro-benchmarks.

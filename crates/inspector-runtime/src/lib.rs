@@ -48,8 +48,8 @@
 //! is the pool's overlap factor in the Figure 6 harness
 //! ([`PhaseBreakdown`]). The streamed graph is node- and edge-identical to
 //! what the batch [`inspector_core::graph::CpgBuilder`] produces, by
-//! construction; the equivalence suite in `tests/streaming_equivalence.rs`
-//! checks it.
+//! construction; the equivalence harness in `tests/equivalence.rs` checks
+//! it.
 //!
 //! The PT stream is decoded after the run, as `perf record`'s log is
 //! (§V-B): once the pool is joined and before the seal, every Inspector run

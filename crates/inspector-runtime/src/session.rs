@@ -284,6 +284,17 @@ fn ingest_loop(
     WorkerOutcome { done, busy }
 }
 
+/// Whether the run lost or damaged anything so far: the health predicate
+/// behind [`RunStats::degraded`].
+fn is_degraded(stats: &RunStats) -> bool {
+    stats.gaps != 0
+        || stats.lost_bytes != 0
+        || stats.decode_errors != 0
+        || stats.decode_degraded != 0
+        || stats.spill_fallbacks != 0
+        || stats.worker_failures != 0
+}
+
 /// Decodes one thread's PT log as `perf record`'s log is decoded after
 /// the run, and cross-checks it against the thread's recorder.
 ///
@@ -687,13 +698,9 @@ impl InspectorSession {
             // Forensics contract: a run already known to be degraded keeps
             // its spill directory and manifest through the seal, whatever
             // the configured retain policy says — damaged runs are exactly
-            // the ones whose on-disk record matters.
-            let keep_forensics = stats.gaps != 0
-                || stats.lost_bytes != 0
-                || stats.decode_errors != 0
-                || stats.decode_degraded != 0
-                || stats.worker_failures != 0;
-            if keep_forensics {
+            // the ones whose on-disk record matters. The seal has not run, so
+            // `spill_fallbacks` is still 0 here.
+            if is_degraded(&stats) {
                 builder.set_seal_retain(true);
             }
             let seal_start = Instant::now();
@@ -717,12 +724,7 @@ impl InspectorSession {
         } else {
             Cpg::default()
         };
-        stats.degraded = stats.gaps != 0
-            || stats.lost_bytes != 0
-            || stats.decode_errors != 0
-            || stats.decode_degraded != 0
-            || stats.spill_fallbacks != 0
-            || stats.worker_failures != 0;
+        stats.degraded = is_degraded(&stats);
         let space = if self.shared.config.mode == ExecutionMode::Inspector {
             self.shared.perf.space_report(stats.pt.branches, wall_time)
         } else {
