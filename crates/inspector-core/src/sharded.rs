@@ -26,9 +26,9 @@
 //!   [`recover_session`](crate::recover::recover_session) end in. The
 //!   streamed graph is therefore node- and edge-identical to the batch
 //!   oracle by construction, for any delivery interleaving that is FIFO per
-//!   thread, any batch chunking and any stripe count;
-//!   `tests/equivalence.rs` checks it. Over damaged spill files it is the
-//!   graph recovery rebuilds from them (`tests/crash_recovery.rs`).
+//!   thread, any batch chunking and any stripe count; the equivalence
+//!   harness in `tests/equivalence/` checks it. Over damaged spill files it
+//!   is the graph recovery rebuilds from them (`tests/crash_recovery.rs`).
 //! * **Batched ingest.** [`ShardedCpgBuilder::ingest_batch`] applies one
 //!   thread's α-contiguous retirement batch under one stripe lock
 //!   ([`ingest`](ShardedCpgBuilder::ingest) is the batch of one).

@@ -48,7 +48,7 @@
 //! is the pool's overlap factor in the Figure 6 harness
 //! ([`PhaseBreakdown`]). The streamed graph is node- and edge-identical to
 //! what the batch [`inspector_core::graph::CpgBuilder`] produces, by
-//! construction; the equivalence harness in `tests/equivalence.rs` checks
+//! construction; the equivalence harness in `tests/equivalence/` checks
 //! it.
 //!
 //! The PT stream is decoded after the run, as `perf record`'s log is

@@ -1,37 +1,38 @@
-//! Equivalence suite for the streaming CPG pipeline: the sharded/streaming
-//! builder must produce a graph that is node- and edge-identical to the
-//! reference batch build, for every workload shape, thread count, delivery
-//! interleaving, producer pool and shard count — and the graphs coming out
-//! of real [`InspectorSession`] runs must satisfy the same property. Random
-//! schedules under random delivery are in `incremental_data_edges.rs`
-//! (interleavings, reversed threads, whole-thread batches) and `index_gc.rs`
-//! (batch chunking, producer pools, spill thresholds).
+//! Fixed-shape and real-session cases of the equivalence harness
+//! (`equivalence/mod.rs`): recorder-driven workload shapes across thread
+//! counts, stripes, orders and pools, the degenerate streams, and the
+//! graphs real [`InspectorSession`] runs seal against their own batch
+//! rebuild.
 
-use std::sync::Arc;
+mod equivalence;
+#[path = "equivalence/session.rs"]
+mod session;
 
+use equivalence::{check, seal_random, Order, Plan, Sequences};
 use inspector::core::event::{AccessKind, SyncKind};
-use inspector::core::graph::Cpg;
 use inspector::core::ids::{PageId, SyncObjectId, ThreadId};
 use inspector::core::recorder::{SyncObject, ThreadRecorder};
-use inspector::core::sharded::ShardedCpgBuilder;
-use inspector::core::subcomputation::SubComputation;
-use inspector::core::testing::{batch_build, edge_fingerprint, node_fingerprint, rebatch};
+use inspector::core::testing::{batch_build, lock_heavy_sequences};
 use inspector::prelude::*;
+use proptest::prelude::*;
+use session::run_counter_session;
 
-// ---------------------------------------------------------------------------
-// Synthetic recorder-driven workloads (deterministic schedules)
-// ---------------------------------------------------------------------------
-
-/// Global-lock counter: every thread repeatedly acquires one lock, reads and
-/// writes a small set of shared pages, and releases.
-fn lock_heavy(threads: u32) -> Vec<Vec<SubComputation>> {
-    inspector::core::testing::lock_heavy_sequences(threads, 25, 6, 6)
+/// A plan with one fixed delivery and no randomness.
+fn fixed(order: Order, pool: usize, stripes: usize, threshold: usize) -> Plan {
+    Plan {
+        order,
+        pool,
+        stripes,
+        threshold,
+        durability: SpillDurability::None,
+        seed: 0,
+    }
 }
 
 /// Barrier-phased pipeline: every thread writes its own page, joins a
-/// release-acquire barrier, then reads its neighbour's page — repeated for
-/// several phases.
-fn barrier_phases(threads: u32) -> Vec<Vec<SubComputation>> {
+/// release-acquire barrier, then reads its neighbour's page, for eight
+/// phases.
+fn barrier_phases(threads: u32) -> Sequences {
     let mut recs: Vec<ThreadRecorder> = (0..threads)
         .map(|t| ThreadRecorder::new(ThreadId::new(t)))
         .collect();
@@ -40,8 +41,6 @@ fn barrier_phases(threads: u32) -> Vec<Vec<SubComputation>> {
         for (t, rec) in recs.iter_mut().enumerate() {
             rec.on_memory_access(PageId::new(1000 + t as u64), AccessKind::Write);
         }
-        // Barrier: everyone releases, then everyone acquires (the recorder
-        // convention for a barrier is a combined release-acquire).
         for rec in recs.iter_mut() {
             rec.on_synchronization(&barrier, SyncKind::ReleaseAcquire);
         }
@@ -50,13 +49,12 @@ fn barrier_phases(threads: u32) -> Vec<Vec<SubComputation>> {
             rec.on_memory_access(PageId::new(1000 + neighbour), AccessKind::Read);
         }
     }
-    recs.into_iter().map(|r| r.finish()).collect()
+    recs.into_iter().map(ThreadRecorder::finish).collect()
 }
 
-/// Producer/consumer chain: thread `t` hands a value page to thread `t+1`
-/// through a dedicated release/acquire object, forming a chain of
-/// cross-thread data dependencies.
-fn producer_chain(threads: u32) -> Vec<Vec<SubComputation>> {
+/// Producer/consumer chain: thread `t` hands a page to thread `t + 1`
+/// through a release/acquire object of its own, ten rounds over.
+fn producer_chain(threads: u32) -> Sequences {
     let mut recs: Vec<ThreadRecorder> = (0..threads)
         .map(|t| ThreadRecorder::new(ThreadId::new(t)))
         .collect();
@@ -72,226 +70,108 @@ fn producer_chain(threads: u32) -> Vec<Vec<SubComputation>> {
             }
         }
     }
-    recs.into_iter().map(|r| r.finish()).collect()
+    recs.into_iter().map(ThreadRecorder::finish).collect()
 }
 
-// ---------------------------------------------------------------------------
-// Comparison helpers
-// ---------------------------------------------------------------------------
-
-fn assert_identical(streamed: &Cpg, reference: &Cpg, context: &str) {
-    assert_eq!(
-        streamed.node_count(),
-        reference.node_count(),
-        "{context}: node counts differ"
-    );
-    assert_eq!(
-        node_fingerprint(streamed),
-        node_fingerprint(reference),
-        "{context}: node sets differ"
-    );
-    assert_eq!(
-        streamed.edge_count(),
-        reference.edge_count(),
-        "{context}: edge counts differ"
-    );
-    assert_eq!(
-        edge_fingerprint(streamed),
-        edge_fingerprint(reference),
-        "{context}: edge sets differ"
-    );
-    assert!(
-        streamed.validate().is_ok(),
-        "{context}: invalid streamed CPG"
-    );
-}
-
-/// Streams the sequences round-robin across threads (FIFO per thread).
-fn stream_round_robin(sequences: Vec<Vec<SubComputation>>, shards: usize) -> Cpg {
-    let builder = ShardedCpgBuilder::with_shards(shards);
-    let mut cursors: Vec<std::vec::IntoIter<SubComputation>> =
-        sequences.into_iter().map(|s| s.into_iter()).collect();
-    let mut progressed = true;
-    while progressed {
-        progressed = false;
-        for cursor in &mut cursors {
-            if let Some(sub) = cursor.next() {
-                builder.ingest(sub);
-                progressed = true;
-            }
-        }
-    }
-    builder.seal()
-}
-
-/// Streams whole threads one after another, in *reverse* thread order — the
-/// most adversarial delivery the per-thread FIFO contract allows.
-fn stream_thread_at_a_time_reversed(sequences: Vec<Vec<SubComputation>>, shards: usize) -> Cpg {
-    let builder = ShardedCpgBuilder::with_shards(shards);
-    for seq in sequences.into_iter().rev() {
-        for sub in seq {
-            builder.ingest(sub);
-        }
-    }
-    builder.seal()
-}
-
-// ---------------------------------------------------------------------------
-// Synthetic-workload equivalence across threads, shards and interleavings
-// ---------------------------------------------------------------------------
-
+/// Three fixed shapes × threads {1, 4, 8} × stripes {1, 3, 8}, each
+/// delivered round robin, in reversed threads, from a pool of 4, and from
+/// a pool of 4 spilling at threshold 1.
 #[test]
 fn synthetic_workloads_stream_identically_across_threads_and_shards() {
-    type Generator = fn(u32) -> Vec<Vec<SubComputation>>;
+    type Generator = fn(u32) -> Sequences;
     let generators: [(&str, Generator); 3] = [
-        ("lock_heavy", lock_heavy),
+        ("lock_heavy", |threads| {
+            lock_heavy_sequences(threads, 25, 6, 6)
+        }),
         ("barrier_phases", barrier_phases),
         ("producer_chain", producer_chain),
     ];
+    let mut rolled = 0;
     for (name, generate) in generators {
         for threads in [1u32, 4, 8] {
             let sequences = generate(threads);
             let reference = batch_build(&sequences);
-            for shards in [1usize, 3, 8] {
-                let context = format!("{name}/threads={threads}/shards={shards}");
-                let streamed = stream_round_robin(sequences.clone(), shards);
-                assert_identical(&streamed, &reference, &format!("{context}/round-robin"));
-                let adversarial = stream_thread_at_a_time_reversed(sequences.clone(), shards);
-                assert_identical(&adversarial, &reference, &format!("{context}/reversed"));
+            let label = format!("{name}/threads={threads}");
+            for stripes in [1usize, 3, 8] {
+                let plans = [
+                    fixed(Order::RoundRobin, 1, stripes, 0),
+                    fixed(Order::ReversedThreads, 1, stripes, 0),
+                    fixed(Order::RoundRobin, 4, stripes, 0),
+                    fixed(Order::RoundRobin, 4, stripes, 1),
+                ];
+                for plan in plans {
+                    let stats = check(&label, plan, &sequences, &reference);
+                    if plan.threshold == 1 {
+                        // Every `ingest` here is a round of one sub, so every
+                        // write past one per sub opened a segment; more
+                        // segments than used stripes means a store rolled.
+                        let segments = stats.spill_writes - stats.spilled_subs;
+                        rolled += usize::from(segments > stripes.min(threads as usize) as u64);
+                    }
+                }
             }
         }
     }
+    assert!(rolled > 0, "no 256-byte segment ever rolled");
 }
 
+/// The degenerate streams: nothing at all, and one thread that never
+/// synchronizes (one trailing sub-computation), with and without a spill
+/// tier.
 #[test]
 fn empty_and_single_sub_streams_match_batch() {
-    // Degenerate shapes: nothing ingested, and a single thread that never
-    // synchronizes (one trailing sub-computation).
-    let empty = ShardedCpgBuilder::new().seal();
-    assert_eq!(empty.node_count(), 0);
-    assert_eq!(empty.edge_count(), 0);
-
     let mut rec = ThreadRecorder::new(ThreadId::new(0));
     rec.on_memory_access(PageId::new(1), AccessKind::Write);
     rec.on_memory_access(PageId::new(1), AccessKind::Read);
-    let sequences = vec![rec.finish()];
-    let reference = batch_build(&sequences);
-    let streamed = stream_round_robin(sequences, 4);
-    assert_identical(&streamed, &reference, "single-sub");
+    for sequences in [Vec::new(), vec![rec.finish()]] {
+        let reference = batch_build(&sequences);
+        assert_eq!(reference.node_count(), sequences.len());
+        for threshold in [0, 1] {
+            let plan = fixed(Order::RoundRobin, 1, 4, threshold);
+            check("degenerate", plan, &sequences, &reference);
+        }
+    }
 }
 
-// ---------------------------------------------------------------------------
-// End-to-end: real sessions produce batch-identical graphs
-// ---------------------------------------------------------------------------
+proptest! {
+    /// A producer pool of 4 OS threads over stripes {1, 4, 8}, in any order
+    /// and with no spill tier.
+    #[test]
+    fn concurrent_pool_ingestion_matches_batch(seed in any::<u64>()) {
+        seal_random(seed, 3, |i, rng| Plan {
+            pool: 4,
+            stripes: [1, 4, 8][i],
+            threshold: 0,
+            ..Plan::random(rng)
+        });
+    }
+}
 
-/// Worker count × ingest-pool width × spill threshold: the graph must be
-/// identical to its own batch rebuild whichever stages ran and however many
-/// ingest workers drained the provenance lanes.
+/// Real sessions: app workers {1, 4, 8} × ingest pool {1, 4} × spill
+/// threshold {0, 4}.
 #[test]
 fn real_session_graphs_match_batch_rebuild() {
-    for workers in [1usize, 4, 8] {
+    for workers in [1u64, 4, 8] {
         for pool in [1usize, 4] {
             for threshold in [0usize, 4] {
-                let context = format!("workers={workers}/pool={pool}/spill={threshold}");
-                let session = InspectorSession::new(
-                    SessionConfig::inspector()
-                        .with_ingest_threads(pool)
-                        .with_spill_threshold(threshold),
-                );
-                let counter = session.map_region("counter", 8).base();
-                let staging = session.map_region("staging", 4096 * 8).base();
-                let lock = Arc::new(InspMutex::new());
-                let report = session.run(move |ctx| {
-                    let mut handles = Vec::new();
-                    for w in 0..workers {
-                        let lock = Arc::clone(&lock);
-                        handles.push(ctx.spawn(move |ctx| {
-                            for i in 0..6u64 {
-                                ctx.branch(i % 2 == 0);
-                                ctx.write_u64(staging.add(w as u64 * 4096), i);
-                                lock.lock(ctx);
-                                let v = ctx.read_u64(counter);
-                                ctx.write_u64(counter, v + 1);
-                                lock.unlock(ctx);
-                            }
-                        }));
-                    }
-                    for h in handles {
-                        ctx.join(h);
-                    }
-                });
-                let s = &report.stats;
-                assert_identical(&report.cpg, &rebatch(&report.cpg), &context);
-                assert_eq!(session.image().read_u64_direct(counter), 6 * workers as u64);
-                // The configuration took effect, and nothing was lost.
-                assert_eq!(s.ingest_workers, pool, "{context}");
-                assert_eq!(s.spilled_subs > 0, threshold > 0, "{context}: {s:?}");
-                assert!(!s.degraded, "{context}: {s:?}");
-                assert_eq!(s.decoded_branches, s.pt.branches, "{context}: {s:?}");
-                assert_eq!(s.decode_errors + s.decode_mismatches, 0, "{context}: {s:?}");
+                run_counter_session(workers, pool, threshold);
             }
         }
     }
 }
 
+/// With more than one worker the sealed graph must hold the lock hand-offs
+/// and the counter's data flow. The rebuild cannot see their absence: a
+/// runtime that recorded no lock boundary would seal nodes without
+/// terminators, and a graph with no sync edges still equals its own
+/// rebuild.
 #[test]
 fn no_acquire_is_left_unresolved_after_a_session_run() {
-    let session = InspectorSession::new(SessionConfig::inspector());
-    let cell = session.map_region("cell", 8).base();
-    let lock = Arc::new(InspMutex::new());
-    let report = session.run(move |ctx| {
-        let lock2 = Arc::clone(&lock);
-        let worker = ctx.spawn(move |ctx| {
-            for _ in 0..10 {
-                lock2.lock(ctx);
-                let v = ctx.read_u64(cell);
-                ctx.write_u64(cell, v + 1);
-                lock2.unlock(ctx);
-            }
-        });
-        ctx.join(worker);
-    });
-    // The seal derived the lock hand-offs and the counter's data flow.
-    assert!(report.cpg.stats().sync_edges > 0);
-    assert!(report.cpg.stats().data_edges > 0);
-}
-
-#[test]
-fn concurrent_pool_ingestion_matches_batch() {
-    // Drive the builder directly from a 4-wide producer pool with the
-    // runtime's lane routing (worker w owns threads with index % 4 == w):
-    // the concurrent build must be identical to the batch oracle.
-    let sequences = inspector::core::testing::lock_heavy_sequences(8, 30, 12, 12);
-    let reference = batch_build(&sequences);
-
-    for shards in [1usize, 4, 8] {
-        let builder = ShardedCpgBuilder::with_shards(shards);
-        std::thread::scope(|scope| {
-            for worker in 0..4usize {
-                let builder = &builder;
-                let lanes: Vec<Vec<SubComputation>> = sequences
-                    .iter()
-                    .enumerate()
-                    .filter(|(t, _)| t % 4 == worker)
-                    .map(|(_, seq)| seq.clone())
-                    .collect();
-                scope.spawn(move || {
-                    let mut cursors: Vec<std::vec::IntoIter<SubComputation>> =
-                        lanes.into_iter().map(|s| s.into_iter()).collect();
-                    let mut progressed = true;
-                    while progressed {
-                        progressed = false;
-                        for cursor in &mut cursors {
-                            if let Some(sub) = cursor.next() {
-                                builder.ingest(sub);
-                                progressed = true;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        let sealed = builder.seal();
-        assert_identical(&sealed, &reference, &format!("pool4/shards={shards}"));
+    for workers in [2u64, 8] {
+        for pool in [1usize, 4] {
+            let (report, context) = run_counter_session(workers, pool, 0);
+            let graph = report.cpg.stats();
+            assert!(graph.sync_edges > 0 && graph.data_edges > 0, "{context}");
+        }
     }
 }
