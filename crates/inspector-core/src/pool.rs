@@ -19,10 +19,11 @@
 //! they hold — stay bounded however fast the workers are.
 //!
 //! The units themselves never panic on damaged input: spill decoding
-//! returns typed errors and the derivation is total. A panic in a worker is
-//! therefore a bug; it stops the other workers and is re-raised on the
-//! calling thread with its original payload
-//! ([`std::panic::resume_unwind`]).
+//! returns typed errors, and the derivation, whose input is recorder shape
+//! (`graph.rs`), still panics on nothing and keeps every node when a clock
+//! goes backwards. A panic in a worker is therefore a bug; it stops the
+//! other workers and is re-raised on the calling thread with its original
+//! payload ([`std::panic::resume_unwind`]).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver};

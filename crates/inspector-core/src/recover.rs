@@ -35,7 +35,11 @@
 //!    and a poisoned shard's tail is poisoned with it, exactly as a final
 //!    round written behind the damage would be.
 //! 4. **(thread, α) order.** The nodes come back as an id-sorted store,
-//!    each thread's records followed by its tail.
+//!    each thread's records followed by its tail. Nothing else about a
+//!    record's shape is checked here: a CRC-valid record can still leave a
+//!    hole in α or carry a clock that goes backwards. The cut
+//!    (`snapshot::cut_in_place`) ends each thread before the first such
+//!    record, so the derivation only ever sees recorder shape.
 //!
 //! What a caller does with a lossy read is the same everywhere: it keeps
 //! each thread's maximal consistent prefix with the crate's one cut
@@ -168,9 +172,10 @@ pub(crate) type Tail = (ThreadId, usize, Vec<SubComputation>);
 
 /// The one reader of the spill tier (policy in the module docs): reads the
 /// segments `plan` vouches for — in `(shard, index)` order, stamped with
-/// `session_id`, under `dir` — in one fan-out, appends the `tails` (sorted
-/// by thread) behind their shards' records, and returns every node in
-/// (thread, α) order, with `report`'s byte and damage counters filled.
+/// `session_id`, under `dir` — in one fan-out, appends the `tails` (one per
+/// thread, sorted by thread; debug builds check it) behind their shards'
+/// records, and returns every node in (thread, α) order, with `report`'s
+/// byte and damage counters filled.
 ///
 /// A segment that cannot be read counts as missing; the first such failure
 /// other than a missing file is returned beside the nodes. An empty plan
@@ -182,6 +187,10 @@ pub(crate) fn read_segments(
     tails: Vec<Tail>,
     report: &mut RecoveryReport,
 ) -> (Vec<SubComputation>, Option<std::io::Error>) {
+    debug_assert!(
+        tails.windows(2).all(|w| w[0].0 < w[1].0),
+        "read_segments takes one tail per thread, sorted by thread"
+    );
     // One store for records and tails, sized for what the plan vouches for
     // — which its bytes bound, so a damaged manifest cannot make this
     // abort — plus the tails.
@@ -445,10 +454,11 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
     }
 
     // Keep each thread's maximal consistent prefix — α-contiguous (a hole
-    // means the records beyond it are unusable), within what the manifest
-    // vouched for (a record the durable frontier does not cover may lack
-    // its causal context), and causally closed — in place, with the cut a
-    // live snapshot takes; then derive the edges as the batch oracle does.
+    // means the records beyond it are unusable) with no clock going
+    // backwards, within what the manifest vouched for (a record the durable
+    // frontier does not cover may lack its causal context), and causally
+    // closed — in place, with the cut a live snapshot takes; then derive the
+    // edges as the batch oracle does.
     let decoded_nodes = nodes.len() as u64;
     let cut = cut_in_place(&mut nodes, |thread| {
         let durable = report.durable_frontier.get(&(thread.index() as u32));
@@ -606,6 +616,44 @@ mod tests {
                 assert!(report.recovered_nodes < sealed.node_count() as u64);
             }
         }
+    }
+
+    /// The streaming builder checks α but not clocks, so a retained image
+    /// can hold a CRC-valid record whose clock goes backwards. Recovery
+    /// keeps its thread's prefix before it, excludes the rest and whatever
+    /// depends on it, and derives a valid graph: the oracle over the cut.
+    #[test]
+    fn a_clock_that_goes_backwards_ends_its_threads_prefix() {
+        let tmp = TempDir::new("recover-test");
+        let dir = tmp.path();
+        let mut sequences = crate::testing::ping_pong_sequences(3, 5);
+        let (thread, at) = (1, 4);
+        sequences[thread][at].clock = crate::clock::VectorClock::new();
+        let total: usize = sequences.iter().map(Vec::len).sum();
+        let settings = SpillSettings::new(2, dir).with_retain_on_seal(true);
+        let builder = ShardedCpgBuilder::with_shards_and_spill(2, Some(settings));
+        crate::testing::ingest_round_robin(&builder, sequences.clone(), |_| {});
+        assert_eq!(builder.seal().node_count(), total);
+
+        let Recovery { cpg, report } = recover_session(dir).unwrap();
+        assert!(
+            report.manifest_clean && report.lost_bytes == 0,
+            "{report:?}"
+        );
+        assert_eq!(report.consistent_frontier[&(thread as u32)], at as u64);
+        assert_eq!(report.recovered_nodes + report.excluded_nodes, total as u64);
+        assert!(report.excluded_nodes >= (sequences[thread].len() - at) as u64);
+        assert_eq!(cpg.validate(), Ok(()));
+        let prefixes: Vec<Vec<SubComputation>> = sequences
+            .iter()
+            .map(|seq| {
+                let kept = report.consistent_frontier[&(seq[0].id.thread.index() as u32)];
+                seq[..kept as usize].to_vec()
+            })
+            .collect();
+        let oracle = crate::testing::batch_build(&prefixes);
+        assert_eq!(cpg.nodes, oracle.nodes);
+        assert_eq!(cpg.edges, oracle.edges);
     }
 
     #[test]

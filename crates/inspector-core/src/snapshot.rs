@@ -20,6 +20,7 @@
 //! Both then derive the edges over the survivors with the batch
 //! derivation, so a snapshot equals the batch oracle over its cut.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -51,17 +52,18 @@ impl ConsistentCut {
 /// Shrinks an id-sorted node store, in place, to its maximal consistent
 /// cut within `bound`, and returns that cut.
 ///
-/// Each thread starts at its α-contiguous prefix (a hole makes the records
-/// beyond it unusable), lowered to `bound(thread)`. The frontier `F` is then
-/// shrunk until every kept node's vector clock is covered by `F`: a
-/// sub-computation of thread `t` whose clock component for thread `u ≠ t` is
-/// `k > 0` causally depends on `u`'s sub-computations with α < k (the
-/// recorder stores α + 1 in the owner component), so `F[u] ≥ k` must hold.
-/// Because acquires are the only way causality enters a thread, this is
-/// exactly the "acquire implies matching release" property. Coverage is
-/// monotone along a thread (clocks only grow), so each pass is a partition
-/// point, and `F` only ever shrinks — the fixpoint terminates. Last, every
-/// thread's run is truncated to `F` without moving the survivors.
+/// Each thread starts at its usable prefix (see [`usable_prefix`]), lowered
+/// to `bound(thread)`. The frontier `F` is then shrunk until every kept
+/// node's vector clock is covered by `F`: a sub-computation of thread `t`
+/// whose clock component for thread `u ≠ t` is `k > 0` causally depends
+/// on `u`'s sub-computations with α < k (the recorder stores α + 1 in the
+/// owner component), so `F[u] ≥ k` must hold. Because acquires are the
+/// only way causality enters a thread, this is exactly the "acquire
+/// implies matching release" property. Coverage is
+/// monotone along a usable prefix (its clocks only grow), so each pass is a
+/// partition point, and `F` only ever shrinks — the fixpoint terminates.
+/// Last, every thread's run is truncated to `F` without moving the
+/// survivors. What survives is in recorder shape, the derivation's input.
 pub(crate) fn cut_in_place(
     nodes: &mut Vec<SubComputation>,
     bound: impl Fn(ThreadId) -> usize,
@@ -76,12 +78,10 @@ pub(crate) fn cut_in_place(
     let mut frontier: BTreeMap<ThreadId, usize> = threads
         .iter()
         .map(|(thread, run)| {
-            let contiguous = nodes[run.clone()]
-                .iter()
-                .enumerate()
-                .take_while(|(i, sub)| sub.id.alpha == *i as u64)
-                .count();
-            (*thread, contiguous.min(bound(*thread)))
+            (
+                *thread,
+                usable_prefix(&nodes[run.clone()]).min(bound(*thread)),
+            )
         })
         .collect();
 
@@ -119,6 +119,24 @@ pub(crate) fn cut_in_place(
     ConsistentCut { frontier }
 }
 
+/// How many of `run` — one thread's nodes in id order — can start a cut:
+/// the longest prefix that is α-contiguous from 0 (a hole makes the records
+/// beyond it unusable) and whose clocks never go backwards (a CRC-valid
+/// record can still carry a clock its recorder never wrote).
+fn usable_prefix(run: &[SubComputation]) -> usize {
+    run.iter()
+        .enumerate()
+        .take_while(|&(i, sub)| {
+            sub.id.alpha == i as u64
+                && (i == 0
+                    || run[i - 1]
+                        .clock
+                        .partial_cmp_hb(&sub.clock)
+                        .is_some_and(Ordering::is_le))
+        })
+        .count()
+}
+
 /// A snapshot: the CPG restricted to a consistent cut, plus the cut itself.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
@@ -144,6 +162,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::VectorClock;
     use crate::event::{AccessKind, SyncKind};
     use crate::ids::{PageId, SyncObjectId};
     use crate::recorder::{SyncObject, ThreadRecorder};
@@ -225,8 +244,9 @@ mod tests {
     }
 
     /// `sequences` damaged the ways a live view or a crashed directory can
-    /// be: random per-thread truncations, whole threads dropped, and one
-    /// thread with an α hole (a node missing from its middle).
+    /// be: random per-thread truncations, whole threads dropped, one thread
+    /// with an α hole (a node missing from its middle), and one node whose
+    /// clock is zeroed, as a CRC-valid record's can be.
     fn damaged(mut sequences: Vec<Vec<SubComputation>>, seed: u64) -> Vec<Vec<SubComputation>> {
         let mut rng = Rng(seed);
         for seq in &mut sequences {
@@ -241,16 +261,22 @@ mod tests {
             let hole = rng.below(sequences[holed].len() as u64 - 1) as usize;
             sequences[holed].remove(hole);
         }
+        let lowered = rng.below(sequences.len() as u64) as usize;
+        if !sequences[lowered].is_empty() {
+            let at = rng.below(sequences[lowered].len() as u64) as usize;
+            sequences[lowered][at].clock = VectorClock::new();
+        }
         sequences
     }
 
     proptest::proptest! {
         /// Random, one-after-another and round-robin executions, damaged.
         /// The shared cut equals the reference over the same input (the
-        /// reference told each thread's α-contiguous prefix, which the
-        /// shared cut finds itself), keeps exactly each thread's frontier
-        /// prefix, and its result is downward-closed and maximal; the
-        /// snapshot over it is the batch oracle over the cut.
+        /// reference told each thread's usable prefix — α-contiguous, no
+        /// clock below an earlier one — which the shared cut finds itself),
+        /// keeps exactly each thread's frontier prefix, and its result is
+        /// downward-closed and maximal; the snapshot over it is the batch
+        /// oracle over the cut.
         #[test]
         fn prop_shared_cut_is_the_reference_cut(
             kind in 0u8..3,
@@ -266,14 +292,23 @@ mod tests {
                 _ => crate::testing::ping_pong_sequences(threads, iterations),
             };
             let sequences = damaged(whole, seed);
-            let contiguous: Vec<&[SubComputation]> = sequences
+            let usable: Vec<&[SubComputation]> = sequences
                 .iter()
                 .map(|seq| {
-                    let n = seq.iter().enumerate().take_while(|(i, s)| s.id.alpha == *i as u64).count();
+                    let n = seq
+                        .iter()
+                        .enumerate()
+                        .take_while(|(i, s)| {
+                            s.id.alpha == *i as u64
+                                && seq[..*i].iter().all(|earlier| {
+                                    earlier.clock.partial_cmp_hb(&s.clock).is_some_and(Ordering::is_le)
+                                })
+                        })
+                        .count();
                     &seq[..n]
                 })
                 .collect();
-            let map: BTreeMap<ThreadId, &[SubComputation]> = contiguous
+            let map: BTreeMap<ThreadId, &[SubComputation]> = usable
                 .iter()
                 .filter(|seq| !seq.is_empty())
                 .map(|seq| (seq[0].id.thread, *seq))
