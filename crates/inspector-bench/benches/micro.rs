@@ -118,10 +118,11 @@ fn bench_fault_path(c: &mut Criterion) {
             mem.commit()
         });
     });
-    group.bench_function("twin_copy", |b| {
-        // One write fault on a page the view already knows, then its
-        // commit: the pooled snapshot of the working copy, an 8-byte twin
-        // fill and a one-run fused diff over the 8 written bytes.
+    group.bench_function("write_fault_on_kept_copy", |b| {
+        // One write fault on a page whose copy the view kept at its own last
+        // commit, then its commit: no copy (no other view committed in
+        // between), an 8-byte twin fill, a one-run fused diff over the 8
+        // written bytes and the version bump.
         let image = SharedImage::shared(4096);
         let region = image.map_region("bench", 4096);
         let mut mem = ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked);
@@ -132,6 +133,30 @@ fn bench_fault_path(c: &mut Criterion) {
             mem.commit()
         });
     });
+    // The same fault and commit after `foreign` commits by another view
+    // (8 bytes each, 1 KiB apart): one commit behind, the fault reads that
+    // commit's recorded range; two behind, it snapshots the whole page.
+    for (name, foreign) in [
+        ("write_fault_after_foreign_commit", 1u64),
+        ("write_fault_after_two_foreign_commits", 2),
+    ] {
+        group.bench_function(name, |b| {
+            let image = SharedImage::shared(4096);
+            let region = image.map_region("bench", 4096);
+            let mut mem = ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked);
+            let mut other = ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked);
+            let mut value = 0u64;
+            b.iter(|| {
+                value += 1;
+                for i in 1..=foreign {
+                    other.write_u64(region.base().add(1024 * i), value);
+                    other.commit();
+                }
+                mem.write_u64(region.base(), value);
+                mem.commit()
+            });
+        });
+    }
     group.bench_function("tracked_hit_read", |b| {
         // Repeat reads alternating between two already-faulted pages: one
         // takes the last-slot fast path, the other the index lookup.

@@ -485,7 +485,7 @@ pub fn recover_session(dir: &Path) -> SpillResult<Recovery> {
 mod tests {
     use super::*;
     use crate::sharded::ShardedCpgBuilder;
-    use crate::spill::SpillSettings;
+    use crate::spill::{ManifestWriter, SpillSettings, SpillStore};
     use crate::testing::TempDir;
 
     /// A cleanly sealed, retained session over three shards with tiny
@@ -618,8 +618,33 @@ mod tests {
         }
     }
 
-    /// The streaming builder checks α but not clocks, so a retained image
-    /// can hold a CRC-valid record whose clock goes backwards. Recovery
+    /// Writes `sequences` into `dir` as a cleanly sealed, retained image
+    /// holds them, straight through the spill store and the manifest writer:
+    /// thread `t` in shard `t % shards`, in rounds of two records. No builder
+    /// checks what is written.
+    fn write_image(dir: &Path, sequences: &[Vec<SubComputation>], shards: usize) {
+        let settings = SpillSettings::new(2, dir);
+        let manifest = ManifestWriter::new(dir, settings.session_id, settings.durability);
+        for shard in 0..shards {
+            let mut store = SpillStore::create(&settings, shard).unwrap();
+            for sequence in sequences {
+                if sequence[0].id.thread.index() % shards != shard {
+                    continue;
+                }
+                for round in sequence.chunks(2) {
+                    store.begin_round();
+                    round.iter().for_each(|sub| store.stage_node(sub));
+                    store.commit_round().unwrap();
+                }
+            }
+            store.sync_for_cut().unwrap();
+            manifest.set_shard(shard, store.manifest_snapshot());
+        }
+        manifest.mark_clean().unwrap();
+    }
+
+    /// The streaming builder refuses a clock that goes backwards, but a
+    /// retained image can still hold a CRC-valid record with one. Recovery
     /// keeps its thread's prefix before it, excludes the rest and whatever
     /// depends on it, and derives a valid graph: the oracle over the cut.
     #[test]
@@ -630,10 +655,7 @@ mod tests {
         let (thread, at) = (1, 4);
         sequences[thread][at].clock = crate::clock::VectorClock::new();
         let total: usize = sequences.iter().map(Vec::len).sum();
-        let settings = SpillSettings::new(2, dir).with_retain_on_seal(true);
-        let builder = ShardedCpgBuilder::with_shards_and_spill(2, Some(settings));
-        crate::testing::ingest_round_robin(&builder, sequences.clone(), |_| {});
-        assert_eq!(builder.seal().node_count(), total);
+        write_image(dir, &sequences, 2);
 
         let Recovery { cpg, report } = recover_session(dir).unwrap();
         assert!(

@@ -78,11 +78,12 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard};
 
+use crate::clock::VectorClock;
 use crate::graph::Cpg;
 use crate::ids::ThreadId;
 use crate::pool;
 use crate::recover::{read_segments, RecoveryReport, Tail};
-use crate::snapshot::{cut_in_place, Snapshot};
+use crate::snapshot::{clock_follows, cut_in_place, Snapshot};
 use crate::spill::{ManifestSegment, ManifestWriter, SpillDurability, SpillSettings, SpillStore};
 use crate::subcomputation::SubComputation;
 
@@ -131,7 +132,7 @@ pub struct IngestStats {
 }
 
 /// One thread's stored execution sequence inside a shard: the live suffix
-/// plus the length of the spilled prefix.
+/// plus the length and last clock of the spilled prefix.
 #[derive(Debug, Default)]
 struct ThreadSeq {
     /// Number of sub-computations already spilled to disk; the live suffix
@@ -139,12 +140,24 @@ struct ThreadSeq {
     base: u64,
     /// Resident sub-computations, in α order.
     live: Vec<SubComputation>,
+    /// The clock of the last spilled sub-computation (`None` before the
+    /// first spill), which the next ingest is checked against while the live
+    /// suffix is empty.
+    spilled_clock: Option<VectorClock>,
 }
 
 impl ThreadSeq {
     /// Total sub-computations ingested for this thread (spilled + live).
     fn len(&self) -> u64 {
         self.base + self.live.len() as u64
+    }
+
+    /// The clock of the thread's last ingested sub-computation.
+    fn last_clock(&self) -> Option<&VectorClock> {
+        self.live
+            .last()
+            .map(|sub| &sub.clock)
+            .or(self.spilled_clock.as_ref())
     }
 }
 
@@ -406,8 +419,8 @@ impl ShardedCpgBuilder {
             "run opened in a sealed ShardedCpgBuilder: a builder builds one graph"
         );
         shard.sequences.entry(thread).or_insert_with(|| ThreadSeq {
-            base: 0,
             live: pool::caller_buffer(1),
+            ..ThreadSeq::default()
         });
     }
 
@@ -417,7 +430,8 @@ impl ShardedCpgBuilder {
     /// # Panics
     ///
     /// Panics if a thread's sub-computations are delivered out of α order,
-    /// or if the builder is sealed.
+    /// if its clock goes backwards against the thread's previous one, or if
+    /// the builder is sealed.
     pub fn ingest(&self, sub: SubComputation) {
         self.append(sub.id.thread, sub.id.alpha, std::iter::once(sub));
     }
@@ -429,7 +443,8 @@ impl ShardedCpgBuilder {
     /// # Panics
     ///
     /// Panics if the batch mixes threads, is not contiguous in α, or is
-    /// delivered out of α order with respect to earlier ingests, or if the
+    /// delivered out of α order with respect to earlier ingests, if a clock
+    /// in it goes backwards against the thread's previous one, or if the
     /// builder is sealed.
     pub fn ingest_batch(&self, batch: Vec<SubComputation>) {
         let Some(first) = batch.first() else {
@@ -452,7 +467,9 @@ impl ShardedCpgBuilder {
 
     /// The ingest body: under `thread`'s stripe lock, refuses a sealed
     /// builder, checks that `subs` continue the thread's run at
-    /// `first_alpha`, moves them onto it and runs the stripe's spill stage.
+    /// `first_alpha` with clocks that never go backwards (the rule
+    /// [`cut_in_place`] starts each thread's cut with), moves them onto it
+    /// and runs the stripe's spill stage.
     fn append(
         &self,
         thread: ThreadId,
@@ -473,7 +490,16 @@ impl ShardedCpgBuilder {
             first_alpha,
             "sub-computations of {thread} must be ingested in α order"
         );
-        seq.live.extend(subs);
+        seq.live.reserve(batch_len);
+        for sub in subs {
+            assert!(
+                seq.last_clock()
+                    .is_none_or(|last| clock_follows(last, &sub.clock)),
+                "the clock of {} goes backwards: a builder ingests recorder output",
+                sub.id
+            );
+            seq.live.push(sub);
+        }
         self.ingested.fetch_add(batch_len as u64, Ordering::AcqRel);
         let resident =
             self.resident.fetch_add(batch_len as u64, Ordering::AcqRel) + batch_len as u64;
@@ -574,6 +600,9 @@ impl ShardedCpgBuilder {
         // The round is on disk: detach it from memory.
         for seq in sequences.values_mut() {
             seq.base += seq.live.len() as u64;
+            if let Some(last) = seq.live.last_mut() {
+                seq.spilled_clock = Some(std::mem::take(&mut last.clock));
+            }
             seq.live.clear();
         }
         *unspilled = 0;
@@ -968,6 +997,26 @@ mod tests {
         let second = subs.next().unwrap();
         streaming.ingest(second);
         streaming.ingest(first);
+    }
+
+    /// The clock rule holds across a spill: the damaged sub-computation
+    /// arrives when its thread's live run is empty, and is checked against
+    /// the clock of the last spilled one.
+    #[test]
+    #[should_panic(expected = "goes backwards")]
+    fn a_clock_that_goes_backwards_is_refused_after_a_spill() {
+        let tmp = TempDir::new("sharded-test");
+        let mut sequence = lock_heavy_sequences(1).remove(0);
+        sequence[4].clock = VectorClock::new();
+        let streaming =
+            ShardedCpgBuilder::with_shards_and_spill(1, Some(spill_settings(2, tmp.path())));
+        for sub in sequence {
+            let alpha = sub.id.alpha;
+            streaming.ingest(sub);
+            if alpha == 3 {
+                assert_eq!(streaming.stats().spilled_subs, 4, "nothing left live");
+            }
+        }
     }
 
     fn spill_settings(threshold: usize, dir: &Path) -> SpillSettings {

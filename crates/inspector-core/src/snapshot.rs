@@ -24,6 +24,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
+use crate::clock::VectorClock;
 use crate::graph::Cpg;
 use crate::ids::ThreadId;
 use crate::subcomputation::SubComputation;
@@ -127,14 +128,16 @@ fn usable_prefix(run: &[SubComputation]) -> usize {
     run.iter()
         .enumerate()
         .take_while(|&(i, sub)| {
-            sub.id.alpha == i as u64
-                && (i == 0
-                    || run[i - 1]
-                        .clock
-                        .partial_cmp_hb(&sub.clock)
-                        .is_some_and(Ordering::is_le))
+            sub.id.alpha == i as u64 && (i == 0 || clock_follows(&run[i - 1].clock, &sub.clock))
         })
         .count()
+}
+
+/// Whether `next`, the clock of a thread's sub-computation, can follow
+/// `previous`, the clock of the thread's one before it: a recorder's clocks
+/// only grow, so `previous` must happen before or equal `next`.
+pub(crate) fn clock_follows(previous: &VectorClock, next: &VectorClock) -> bool {
+    previous.partial_cmp_hb(next).is_some_and(Ordering::is_le)
 }
 
 /// A snapshot: the CPG restricted to a consistent cut, plus the cut itself.
@@ -162,7 +165,6 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::VectorClock;
     use crate::event::{AccessKind, SyncKind};
     use crate::ids::{PageId, SyncObjectId};
     use crate::recorder::{SyncObject, ThreadRecorder};

@@ -132,7 +132,11 @@ pub fn diff_page(twin: &[u8], working: &[u8]) -> PageDiff {
 }
 
 /// Applies a diff to the shared page (last-writer-wins for overlapping
-/// bytes — whichever thread commits later overwrites).
+/// bytes — whichever thread commits later overwrites). It publishes no
+/// commit version, so like [`SharedImage::write_direct`] it is a store
+/// outside the commit protocol of [`crate::thread_mem`].
+///
+/// [`SharedImage::write_direct`]: crate::shared::SharedImage::write_direct
 pub fn apply_diff(shared: &SharedPage, diff: &PageDiff) {
     for run in &diff.runs {
         shared.write(run.offset, &run.bytes);

@@ -38,6 +38,12 @@
 //!   write fault snapshots the working copy only; each write copies into the
 //!   twin just the bytes it adds to the page's written range `[lo, hi)`, so
 //!   a page written in one place is never copied whole twice;
+//! * **kept copies, commit versions**: a commit that no other thread's
+//!   commit to the page overtook keeps the page's buffer, which then equals
+//!   the shared page at the version its commit made. The next write fault on
+//!   that page copies nothing if the version has not moved, reads only the
+//!   last commit's recorded range if it moved by one, and snapshots the page
+//!   otherwise;
 //! * **one word-wide span kernel** ([`commit`]): equal regions and differing
 //!   runs are both crossed 8 bytes at a time; `commit` runs it over each
 //!   page's written range only, fused with the store into the cached shared

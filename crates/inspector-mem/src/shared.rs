@@ -28,8 +28,34 @@
 //!
 //! Atomicity across multi-byte values is the application's responsibility,
 //! exactly as POSIX requires for pthreads programs.
+//!
+//! # The commit version
+//!
+//! Beside its bytes a page keeps two words that only the commit path writes
+//! (`SharedPage::publish`, after a commit's stores into the page):
+//!
+//! * the **version**, the number of commits published into the page, bumped
+//!   with one `fetch_add(1, AcqRel)`. Its Release half orders the commit's
+//!   stores before the bump, its Acquire half orders every earlier commit's
+//!   bump before this one, so a load of the version with Acquire sees the
+//!   bytes of every commit it counts;
+//! * the **record** of the last commit, `version << 32 | lo << 16 | hi`: the
+//!   version that commit made and the byte range `[lo, hi)` it stored into,
+//!   raised with one `fetch_max` (Release) after the bump. Versions are
+//!   unique, so of two commits racing to record the later one wins, and a
+//!   reader that finds the version it loaded in the record knows that commit
+//!   changed nothing outside `[lo, hi)`. The record is written only while
+//!   the version fits in 32 bits and the page is at most 32 KiB (so `hi`
+//!   fits in 16), so a stale or wrapped record never matches.
+//!
+//! A thread's view uses the two to skip or shrink the copy a write fault
+//! takes (see [`crate::thread_mem`]). Direct stores
+//! ([`SharedImage::write_direct`]) are outside the protocol: they bump
+//! nothing, and a view that already holds a copy of the page does not see
+//! them.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -62,12 +88,19 @@ fn out_of_range(offset: usize, len: usize, page: usize) -> ! {
     panic!("range {offset}+{len} outside a {page}-byte page")
 }
 
+/// The largest page whose commits are recorded: `hi` must fit in 16 bits.
+const MAX_RECORDED_PAGE: usize = 1 << 15;
+
 /// One shared page: relaxed atomic words, each byte an independent lane
-/// (see the module docs for the write rule).
+/// (see the module docs for the write rule and the commit version).
 #[derive(Debug)]
 pub struct SharedPage {
     words: Box<[AtomicU64]>,
     len: usize,
+    /// Commits published into the page.
+    version: AtomicU64,
+    /// The last commit: `version << 32 | lo << 16 | hi`.
+    last_commit: AtomicU64,
 }
 
 impl SharedPage {
@@ -79,7 +112,37 @@ impl SharedPage {
         SharedPage {
             words,
             len: page_size,
+            version: AtomicU64::new(0),
+            last_commit: AtomicU64::new(0),
         }
+    }
+
+    /// The number of commits published into the page (Acquire: their bytes
+    /// are visible to the caller).
+    pub(crate) fn version(&self) -> u64 {
+        self.version.load(Ordering::Acquire)
+    }
+
+    /// Counts one commit whose stores into `range` are done, records it, and
+    /// returns the version before it: the caller's copy of the page is
+    /// current after the commit iff that is the version the copy was taken
+    /// at.
+    pub(crate) fn publish(&self, range: Range<usize>) -> u64 {
+        let before = self.version.fetch_add(1, Ordering::AcqRel);
+        let version = before + 1;
+        if version <= u64::from(u32::MAX) && self.len <= MAX_RECORDED_PAGE {
+            let record = version << 32 | (range.start as u64) << 16 | range.end as u64;
+            self.last_commit.fetch_max(record, Ordering::Release);
+        }
+        before
+    }
+
+    /// The range the commit that made `version` stored into, if the record
+    /// still holds that commit.
+    pub(crate) fn committed_range(&self, version: u64) -> Option<Range<usize>> {
+        let record = self.last_commit.load(Ordering::Acquire);
+        (record >> 32 == version)
+            .then(|| usize::from((record >> 16) as u16)..usize::from(record as u16))
     }
 
     /// Page size in bytes.
@@ -146,7 +209,8 @@ impl SharedPage {
     }
 
     /// Writes `data` starting at `offset`: a whole word is one store, a
-    /// partial word a merge of its own lanes (see the module docs).
+    /// partial word a merge of its own lanes (see the module docs). Like
+    /// [`SharedImage::write_direct`], a store outside the commit protocol.
     pub fn write(&self, mut offset: usize, mut data: &[u8]) {
         self.check_range(offset, data.len());
         while !data.is_empty() {
@@ -291,6 +355,11 @@ impl SharedImage {
     }
 
     /// Writes bytes directly to the shared image.
+    ///
+    /// A direct store is outside the commit protocol (see the module docs):
+    /// it bumps no version, so a tracked view that keeps a copy of the page
+    /// from an earlier commit would not see it. Call it before or after a
+    /// tracked run, never while tracked views write the same pages.
     pub fn write_direct(&self, addr: VirtAddr, data: &[u8]) {
         let mut cursor = 0;
         for (page, offset, len) in split_by_page(addr, data.len(), self.page_size) {
@@ -406,6 +475,30 @@ mod tests {
         assert!(!page.is_empty());
         page.write(5, &[0xab]);
         assert_eq!(page.read_byte(5), 0xab);
+    }
+
+    #[test]
+    fn the_record_names_only_the_last_commit_of_a_page_up_to_32_kib() {
+        let page = SharedPage::zeroed(4096);
+        assert_eq!(page.publish(8..16), 0);
+        assert_eq!(page.publish(100..4096), 1);
+        assert_eq!(page.version(), 2);
+        assert_eq!(page.committed_range(2), Some(100..4096));
+        assert_eq!(page.committed_range(1), None, "no longer the last");
+        let largest = SharedPage::zeroed(1 << 15);
+        largest.publish(0..1 << 15);
+        assert_eq!(largest.committed_range(1), Some(0..1 << 15));
+        let larger = SharedPage::zeroed(1 << 16);
+        larger.publish(0..8);
+        assert_eq!(larger.committed_range(1), None, "`hi` would not fit");
+        // Past 32 bits nothing is recorded, so no record can match again.
+        page.version
+            .store(u64::from(u32::MAX) - 1, Ordering::Relaxed);
+        page.publish(0..8);
+        page.publish(0..16);
+        assert_eq!(page.version(), 1 << 32);
+        assert_eq!(page.committed_range(u64::from(u32::MAX)), Some(0..8));
+        assert_eq!(page.committed_range(1 << 32), None);
     }
 
     #[test]

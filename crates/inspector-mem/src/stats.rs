@@ -14,9 +14,11 @@ pub struct MemStats {
     /// Simulated write-protection faults (first write of a page in a
     /// sub-computation).
     pub write_faults: u64,
-    /// Private copy-on-write page copies created: one snapshot of the shared
-    /// page per page per dirty period (first write to the next commit or
-    /// discard), however many tracking intervals the period spans.
+    /// Whole-page snapshots of the shared page taken by write faults: at
+    /// most one per page per dirty period (first write to the next commit or
+    /// discard), however many tracking intervals the period spans, and none
+    /// when the page's kept copy is current or one commit behind (that
+    /// commit's range is read instead; see [`crate::thread_mem`]).
     pub pages_copied: u64,
     /// Dirty pages examined at commits.
     pub pages_examined: u64,
@@ -27,7 +29,8 @@ pub struct MemStats {
     /// Number of commit operations (one per synchronization point).
     pub commits: u64,
     /// Wall-clock time spent in the fault path (protection bookkeeping plus
-    /// the page snapshot of a first write). The twin bytes a write copies
+    /// the page snapshot or the read of the last commit's range that a first
+    /// write takes). The twin bytes a write copies
     /// when it widens its page's written range are copied by the store
     /// itself, on no timer: at most a page per page per dirty period.
     ///

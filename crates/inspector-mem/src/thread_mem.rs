@@ -38,11 +38,49 @@
 //! page written at both ends costs what one whole-page twin copy would, and
 //! one written in a single place costs that place. `commit` diffs
 //! `twin[lo..hi]` against `working[lo..hi]` and nothing else, since nothing
-//! else can differ; commit and discard then empty the range and hand the
-//! buffer back to a bounded free list, so a write fault allocates nothing in
-//! steady state. Private copies are *not* interval-stamped: `protect_all`
-//! with uncommitted writes makes the pages fault again but keeps their
-//! snapshot and range.
+//! else can differ; commit and discard then empty the range. Private copies
+//! are *not* interval-stamped: `protect_all` with uncommitted writes makes
+//! the pages fault again but keeps their snapshot and range.
+//!
+//! # Kept copies and the commit version
+//!
+//! A commit publishes each page it wrote with [`SharedPage`]'s commit version
+//! (see [`crate::shared`]): the write fault loads the version its copy is
+//! taken at, and the commit's own bump returns the version before it. If
+//! that is the fault's version, no other thread committed to the page in
+//! between, so after the commit the working copy *is* the shared page at the
+//! bumped version: the page stays clean but keeps its buffer, marked with
+//! that version. Otherwise the buffer goes back to the free list, and so do
+//! discarded copies.
+//!
+//! **Invariant: a clean page's kept working copy equals the shared page at
+//! its version.** A later write fault on it loads the version (Acquire) and
+//!
+//! * skips the copy if the version is unchanged;
+//! * reads only the recorded range `[lo, hi)` of the last commit if the
+//!   version is exactly one ahead and the page's record names that version;
+//! * otherwise snapshots the whole page, as a page without a kept copy does.
+//!
+//! Why that is sound:
+//!
+//! * In a race-free program another thread's commit is ordered before this
+//!   fault by the release and acquire that order its synchronization, which
+//!   the commit precedes. The fault's Acquire load therefore sees that
+//!   commit's bump and, through the record's Release, its bytes.
+//! * A commit still in flight during the fault bumps after the fault's load.
+//!   This thread's own later bump then returns a version other than the one
+//!   its copy was taken at, and the buffer is dropped at that commit.
+//! * A racy program could already read a torn snapshot, and gets no new
+//!   behaviour.
+//! * Direct stores ([`SharedImage::write_direct`]) are outside the protocol.
+//!   That is sound because views exist only inside a tracked run, and the
+//!   runtime makes no direct store during one.
+//!
+//! Kept and free buffers together stay within `POOL_MAX_BUFFERS`: a page
+//! without a copy takes a free buffer or else the oldest kept one, through
+//! a list threaded through the page table, so a write fault allocates
+//! nothing in steady state. Reads of a clean page still go to the shared
+//! page.
 //!
 //! The important behavioural properties preserved from the paper:
 //!
@@ -84,8 +122,12 @@ pub struct AccessRecord {
     pub write: bool,
 }
 
-/// Private-copy buffers kept for reuse per view (two pages each).
+/// Private-copy buffers kept per view after commit, free or holding a kept
+/// copy (two pages each).
 const POOL_MAX_BUFFERS: usize = 64;
+
+/// The end of the kept list.
+const NO_SLOT: usize = usize::MAX;
 
 /// One fault of each kind — and one commit — in this many is timed, and its
 /// time stands for all of them: a clock read costs as much as the
@@ -133,14 +175,23 @@ struct PageEntry {
     stamp: u64,
     readable: bool,
     writable: bool,
-    /// Empty while the page is clean. While dirty: the twin, valid over
-    /// `lo..hi` only, followed by the thread's working copy.
+    /// Whether the page holds uncommitted writes in `private`.
+    dirty: bool,
+    /// Empty, or the twin, valid over `lo..hi` only, followed by the
+    /// thread's working copy. A clean page's copy is a kept one.
     private: Box<[u8]>,
+    /// The version of the shared page the working copy was taken at; for a
+    /// kept copy, the version it equals.
+    version: u64,
     /// Start of the range written since the page went dirty (`lo == hi`:
     /// nothing written yet).
     lo: usize,
     /// End (exclusive) of the written range.
     hi: usize,
+    /// The next older and newer page of the kept list ([`NO_SLOT`] at its
+    /// ends); meaningful only while the page keeps a copy.
+    older: usize,
+    newer: usize,
 }
 
 impl PageEntry {
@@ -165,6 +216,60 @@ impl PageEntry {
     }
 }
 
+/// The clean pages that keep a copy, oldest commit first: a doubly linked
+/// list threaded through the page table, so a refault unlinks its page and a
+/// page without a copy takes the oldest buffer, both in O(1).
+#[derive(Debug)]
+struct KeptList {
+    oldest: usize,
+    newest: usize,
+    len: usize,
+}
+
+impl KeptList {
+    const EMPTY: KeptList = KeptList {
+        oldest: NO_SLOT,
+        newest: NO_SLOT,
+        len: 0,
+    };
+
+    /// Appends `slot` as the newest kept copy.
+    fn push(&mut self, table: &mut [PageEntry], slot: usize) {
+        (table[slot].older, table[slot].newer) = (self.newest, NO_SLOT);
+        match self.newest {
+            NO_SLOT => self.oldest = slot,
+            newest => table[newest].newer = slot,
+        }
+        self.newest = slot;
+        self.len += 1;
+    }
+
+    /// Removes `slot`, which must be on the list.
+    fn unlink(&mut self, table: &mut [PageEntry], slot: usize) {
+        let (older, newer) = (table[slot].older, table[slot].newer);
+        match older {
+            NO_SLOT => self.oldest = newer,
+            older => table[older].newer = newer,
+        }
+        match newer {
+            NO_SLOT => self.newest = older,
+            newer => table[newer].older = older,
+        }
+        self.len -= 1;
+    }
+
+    /// Takes the buffer of the oldest kept copy, whose page is left without
+    /// one.
+    fn take_oldest(&mut self, table: &mut [PageEntry]) -> Option<Box<[u8]>> {
+        let slot = self.oldest;
+        if slot == NO_SLOT {
+            return None;
+        }
+        self.unlink(table, slot);
+        Some(std::mem::take(&mut table[slot].private))
+    }
+}
+
 /// A thread's private, protection-tracked view of the shared image.
 #[derive(Debug)]
 pub struct ThreadMemory {
@@ -177,10 +282,13 @@ pub struct ThreadMemory {
     last_slot: usize,
     /// Current tracking interval; starts above every fresh entry's stamp.
     interval: u64,
-    /// Slots holding a private copy, in first-write order.
+    /// Dirty slots, in first-write order.
     dirty: Vec<usize>,
-    /// Free private-copy buffers, at most [`POOL_MAX_BUFFERS`].
+    /// Free private-copy buffers; with the kept copies, at most
+    /// [`POOL_MAX_BUFFERS`] after a commit or discard.
     pool: Vec<Box<[u8]>>,
+    /// Clean pages that keep their copy (module docs).
+    kept: KeptList,
     /// First-touch log of the current tracking interval, drained by the
     /// runtime at synchronization points.
     access_log: Vec<AccessRecord>,
@@ -201,6 +309,7 @@ impl ThreadMemory {
             interval: 1,
             dirty: Vec::new(),
             pool: Vec::new(),
+            kept: KeptList::EMPTY,
             access_log: Vec::new(),
             stats: MemStats::default(),
         }
@@ -252,10 +361,10 @@ impl ThreadMemory {
             self.fault_on_read(slot);
             let entry = &self.table[slot];
             let dst = &mut buf[cursor..cursor + len];
-            if entry.private.is_empty() {
-                entry.shared.read(offset, dst);
-            } else {
+            if entry.dirty {
                 dst.copy_from_slice(&entry.private[self.page_size + offset..][..len]);
+            } else {
+                entry.shared.read(offset, dst);
             }
             cursor += len;
         }
@@ -338,8 +447,9 @@ impl ThreadMemory {
 
     /// Publishes the thread's buffered writes to the shared image
     /// (byte-level diff of each page's written range against its twin,
-    /// last-writer-wins, pages in first-write order), drops the private
-    /// copies and re-protects every page.
+    /// last-writer-wins, pages in first-write order), keeps the copies that
+    /// are still current (module docs), frees the others and re-protects
+    /// every page.
     ///
     /// In native mode this is a no-op (writes were already direct).
     pub fn commit(&mut self) -> CommitOutcome {
@@ -353,18 +463,24 @@ impl ThreadMemory {
         let mut outcome = CommitOutcome::default();
         for slot in self.dirty.drain(..) {
             let entry = &mut self.table[slot];
-            let buf = std::mem::take(&mut entry.private);
-            let (twin, working) = buf.split_at(self.page_size);
+            let (twin, working) = entry.private.split_at(self.page_size);
             let written = commit_page(&entry.shared, twin, working, entry.lo..entry.hi);
+            let before = entry.shared.publish(entry.lo..entry.hi);
             (entry.lo, entry.hi) = (0, 0);
+            entry.dirty = false;
             outcome.pages_examined += 1;
             if written > 0 {
                 outcome.pages_changed += 1;
                 outcome.bytes_written += written;
             }
-            self.pool.push(buf);
+            if before == entry.version {
+                entry.version = before + 1;
+                self.kept.push(&mut self.table, slot);
+            } else {
+                self.pool.push(std::mem::take(&mut entry.private));
+            }
         }
-        self.pool.truncate(POOL_MAX_BUFFERS);
+        self.trim_buffers();
         self.interval += 1;
         self.stats.commits += 1;
         self.stats.pages_examined += outcome.pages_examined as u64;
@@ -382,11 +498,23 @@ impl ThreadMemory {
         for slot in self.dirty.drain(..) {
             let entry = &mut self.table[slot];
             (entry.lo, entry.hi) = (0, 0);
+            entry.dirty = false;
             self.pool.push(std::mem::take(&mut entry.private));
         }
-        self.pool.truncate(POOL_MAX_BUFFERS);
+        self.trim_buffers();
         self.interval += 1;
         self.access_log.clear();
+    }
+
+    /// Drops free buffers, then the oldest kept copies, until the two
+    /// together fit in [`POOL_MAX_BUFFERS`].
+    fn trim_buffers(&mut self) {
+        let excess = (self.pool.len() + self.kept.len).saturating_sub(POOL_MAX_BUFFERS);
+        let free = excess.min(self.pool.len());
+        self.pool.truncate(self.pool.len() - free);
+        for _ in free..excess {
+            self.kept.take_oldest(&mut self.table);
+        }
     }
 
     // ----- fault path ------------------------------------------------------
@@ -407,9 +535,13 @@ impl ThreadMemory {
                     stamp: 0,
                     readable: false,
                     writable: false,
+                    dirty: false,
                     private: Box::default(),
+                    version: 0,
                     lo: 0,
                     hi: 0,
+                    older: NO_SLOT,
+                    newer: NO_SLOT,
                 });
                 self.index.insert(page, slot);
                 slot
@@ -461,19 +593,48 @@ impl ThreadMemory {
             page: entry.page,
             write: true,
         });
-        if entry.private.is_empty() {
-            let mut buf = self
-                .pool
-                .pop()
-                .unwrap_or_else(|| vec![0; 2 * self.page_size].into_boxed_slice());
-            entry.shared.snapshot_into(&mut buf[self.page_size..]);
-            entry.private = buf;
+        if !entry.dirty {
+            entry.dirty = true;
             self.dirty.push(slot);
-            self.stats.pages_copied += 1;
+            self.fill_working_copy(slot);
         }
         if let Some(sample) = sample {
             self.stats.fault_time += sample.scaled();
         }
+    }
+
+    /// Makes the working copy of `slot`, which just went dirty, the shared
+    /// page: a kept copy is brought up to date when one commit or none came
+    /// since it (module docs); anything else is a whole-page snapshot.
+    fn fill_working_copy(&mut self, slot: usize) {
+        let ps = self.page_size;
+        let version = self.table[slot].shared.version();
+        if self.table[slot].private.is_empty() {
+            let buf = self
+                .pool
+                .pop()
+                .or_else(|| self.kept.take_oldest(&mut self.table))
+                .unwrap_or_else(|| vec![0; 2 * ps].into_boxed_slice());
+            self.table[slot].private = buf;
+        } else {
+            self.kept.unlink(&mut self.table, slot);
+            let entry = &mut self.table[slot];
+            if version == entry.version {
+                return;
+            }
+            if version == entry.version + 1 {
+                if let Some(range) = entry.shared.committed_range(version) {
+                    entry.version = version;
+                    let working = &mut entry.private[ps..];
+                    entry.shared.read(range.start, &mut working[range]);
+                    return;
+                }
+            }
+        }
+        let entry = &mut self.table[slot];
+        entry.version = version;
+        entry.shared.snapshot_into(&mut entry.private[ps..]);
+        self.stats.pages_copied += 1;
     }
 }
 
@@ -699,6 +860,27 @@ mod tests {
         assert_eq!(image.read_u64_direct(base.add(8)), 77, "not clobbered");
     }
 
+    /// The buffers a view holds outside an interval, free or kept, after
+    /// checking that the kept list links exactly the clean pages that hold a
+    /// copy, oldest first.
+    fn held_buffers(mem: &ThreadMemory) -> usize {
+        let mut linked = Vec::new();
+        let (mut slot, mut older) = (mem.kept.oldest, NO_SLOT);
+        while slot != NO_SLOT {
+            assert_eq!(mem.table[slot].older, older, "broken back link");
+            linked.push(slot);
+            (older, slot) = (slot, mem.table[slot].newer);
+        }
+        assert_eq!(mem.kept.newest, older);
+        assert_eq!(linked.len(), mem.kept.len);
+        linked.sort_unstable();
+        let keeping: Vec<usize> = (0..mem.table.len())
+            .filter(|&s| !mem.table[s].dirty && !mem.table[s].private.is_empty())
+            .collect();
+        assert_eq!(linked, keeping);
+        mem.pool.len() + mem.kept.len
+    }
+
     #[test]
     fn buffer_pool_stays_bounded_after_a_large_interval() {
         let image = SharedImage::shared(4096);
@@ -710,14 +892,129 @@ mod tests {
             }
             assert_eq!(mem.dirty.len(), 1000);
             assert_eq!(mem.commit().pages_changed, 1000);
-            assert_eq!(mem.pool.len(), POOL_MAX_BUFFERS);
+            assert_eq!(held_buffers(&mem), POOL_MAX_BUFFERS);
         }
         for page in 0..1000 {
             mem.write_u64(region.base().add(page * 4096), 3);
         }
         mem.discard();
-        assert_eq!(mem.pool.len(), POOL_MAX_BUFFERS);
+        assert_eq!(held_buffers(&mem), POOL_MAX_BUFFERS);
         assert_eq!(image.read_u64_direct(region.base()), 2);
+    }
+
+    // ----- kept copies ---------------------------------------------------------
+
+    /// The working copy of the page holding `addr`.
+    fn working_copy(mem: &ThreadMemory, addr: VirtAddr) -> &[u8] {
+        &mem.table[mem.index[&addr.page(mem.page_size)]].private[mem.page_size..]
+    }
+
+    #[test]
+    fn a_refault_after_the_threads_own_commit_copies_nothing() {
+        let (image, mut mem, base) = setup(TrackingMode::Tracked);
+        mem.write_u64(base, 1);
+        mem.commit();
+        assert_eq!((mem.kept.len, mem.pool.len()), (1, 0), "the copy is kept");
+        mem.write_u64(base.add(8), 2);
+        let stats = mem.stats();
+        assert_eq!((stats.write_faults, stats.pages_copied), (2, 1));
+        assert_eq!(mem.read_u64(base), 1, "the kept copy holds the commit");
+        let mut expected = image.page(base.page(4096)).snapshot();
+        expected[8] = 2;
+        assert!(working_copy(&mem, base) == expected);
+        assert_eq!(mem.commit().bytes_written, 1);
+        assert_eq!(image.read_u64_direct(base.add(8)), 2);
+    }
+
+    #[test]
+    fn one_foreign_commit_is_read_as_its_recorded_range() {
+        let (image, mut mem, base) = setup(TrackingMode::Tracked);
+        let mut other = ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked);
+        mem.write_u64(base, 1);
+        mem.commit();
+        other.write_u64(base.add(512), 0x0102_0304_0506_0708);
+        other.write_u64(base.add(1024), 9);
+        other.commit();
+        mem.write_u64(base.add(8), 2);
+        assert_eq!(mem.stats().pages_copied, 1, "a range read, not a copy");
+        assert_eq!(mem.read_u64(base.add(512)), 0x0102_0304_0506_0708);
+        assert_eq!(mem.read_u64(base.add(1024)), 9);
+        // The same bytes a whole-page snapshot would have taken, besides
+        // the thread's own new store.
+        let mut expected = image.page(base.page(4096)).snapshot();
+        expected[8] = 2;
+        assert!(
+            working_copy(&mem, base) == expected,
+            "not a snapshot's bytes"
+        );
+        mem.commit();
+        assert_eq!(image.read_u64_direct(base.add(8)), 2);
+        assert_eq!(image.read_u64_direct(base.add(1024)), 9, "not clobbered");
+    }
+
+    #[test]
+    fn two_foreign_commits_mean_a_full_copy() {
+        let (image, mut mem, base) = setup(TrackingMode::Tracked);
+        let mut other = ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked);
+        mem.write_u64(base, 1);
+        mem.commit();
+        for (offset, value) in [(64, 5), (2048, 6)] {
+            other.write_u64(base.add(offset), value);
+            other.commit();
+        }
+        mem.write_u64(base.add(8), 2);
+        assert_eq!(mem.stats().pages_copied, 2);
+        assert_eq!(
+            (mem.read_u64(base.add(64)), mem.read_u64(base.add(2048))),
+            (5, 6)
+        );
+        mem.commit();
+        assert_eq!(image.read_u64_direct(base.add(8)), 2);
+    }
+
+    #[test]
+    fn a_foreign_commit_between_snapshot_and_own_commit_drops_the_buffer() {
+        let (image, mut mem, base) = setup(TrackingMode::Tracked);
+        let mut other = ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked);
+        mem.write_u64(base, 1); // snapshot at version 0
+        other.write_u64(base.add(64), 7);
+        other.commit(); // version 1, unseen by `mem`'s working copy
+        mem.commit(); // returns version 1, not 0: the copy is stale
+        assert_eq!((mem.kept.len, mem.pool.len()), (0, 1), "freed, not kept");
+        mem.write_u64(base.add(8), 2);
+        assert_eq!(mem.stats().pages_copied, 2, "a fresh snapshot");
+        assert_eq!(mem.read_u64(base.add(64)), 7);
+        assert_eq!(mem.read_u64(base), 1);
+    }
+
+    #[test]
+    fn a_page_without_a_copy_takes_the_oldest_kept_buffer() {
+        let image = SharedImage::shared(4096);
+        let pages = POOL_MAX_BUFFERS as u64 + 1;
+        let base = image.map_region("heap", 4096 * pages).base();
+        let page = |i: u64| base.add(4096 * i);
+        let mut mem = ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked);
+        for i in 0..POOL_MAX_BUFFERS as u64 {
+            mem.write_u64(page(i), i + 1);
+        }
+        mem.commit();
+        assert_eq!((mem.kept.len, mem.pool.len()), (POOL_MAX_BUFFERS, 0));
+        // Page 1 refaults: its copy leaves the list, so page 0 stays oldest.
+        mem.write_u64(page(1), 100);
+        mem.commit();
+        mem.write_u64(page(POOL_MAX_BUFFERS as u64), 1); // takes page 0's buffer
+        assert_eq!(mem.kept.len, POOL_MAX_BUFFERS - 1);
+        assert!(mem.table[mem.index[&page(0).page(4096)]].private.is_empty());
+        mem.commit();
+        assert_eq!(held_buffers(&mem), POOL_MAX_BUFFERS);
+        // Page 0 lost its copy (a snapshot); page 1 is the newest but one.
+        let copied = mem.stats().pages_copied;
+        mem.write_u64(page(0), 2);
+        mem.write_u64(page(1), 3);
+        assert_eq!(mem.stats().pages_copied, copied + 1);
+        mem.commit();
+        assert_eq!(image.read_u64_direct(page(0)), 2);
+        assert_eq!(image.read_u64_direct(page(1)), 3);
     }
 
     // ----- the written range -------------------------------------------------
@@ -817,32 +1114,152 @@ mod tests {
         assert_eq!(image.read_u64_direct(base.add(200)), 4);
     }
 
+    /// Two views on two threads pass a mutex back and forth, strictly in
+    /// turn, over one page: view `me` writes only the bytes `i` with
+    /// `i % 2 == me`, and commits before it releases. Thread 0 commits
+    /// `round % 3` times in its turn and thread 1 `(round + 1) % 3` times, so
+    /// a view's next write fault finds its kept copy current, one commit
+    /// behind (a range read) or more (a full copy). After every acquire the
+    /// view must see every byte committed before the hand-off, through its
+    /// working copy once it has written; the test counts which path each
+    /// fault had to take and checks the view's copy count against it.
+    #[test]
+    fn two_threads_taking_turns_see_every_committed_byte() {
+        use std::sync::{Condvar, Mutex};
+
+        const PAGE: usize = 4096;
+        const ROUNDS: u64 = 3000;
+        /// What the turns have committed (the page and its commit count) and
+        /// whose turn is next.
+        struct Turns {
+            page: Vec<u8>,
+            commits: u64,
+            next: usize,
+        }
+        /// Wakes the other view when this one's thread ends, by a failed
+        /// check too: the other then finds the lock poisoned and fails
+        /// instead of waiting for a turn that never comes.
+        struct WakeOnExit<'a>(&'a Condvar);
+        impl Drop for WakeOnExit<'_> {
+            fn drop(&mut self) {
+                self.0.notify_all();
+            }
+        }
+        let image = SharedImage::shared(PAGE);
+        let base = image.map_region("heap", PAGE as u64).base();
+        let turns = Mutex::new(Turns {
+            page: vec![0; PAGE],
+            commits: 0,
+            next: 0,
+        });
+        let handed = Condvar::new();
+        let paths: Vec<[u64; 3]> = std::thread::scope(|s| {
+            let views: Vec<_> = (0..2)
+                .map(|me| {
+                    let (image, turns, handed) = (&image, &turns, &handed);
+                    s.spawn(move || {
+                        let _wake = WakeOnExit(handed);
+                        let mut mem = ThreadMemory::new(Arc::clone(image), TrackingMode::Tracked);
+                        // The commit count the view's kept copy equals, and
+                        // its write faults by path: reuse, range read, full copy.
+                        let mut kept_at: Option<u64> = None;
+                        let mut paths = [0u64; 3];
+                        let mut seen = vec![0; PAGE];
+                        for round in 0..ROUNDS {
+                            let guard = turns.lock().unwrap();
+                            let mut turn = handed.wait_while(guard, |t| t.next != me).unwrap();
+                            mem.read_bytes(base, &mut seen);
+                            assert!(seen == turn.page, "view {me}, round {round}: clean read");
+                            for c in 0..(round + me as u64) % 3 {
+                                let path = match kept_at.map(|v| turn.commits - v) {
+                                    Some(0) => 0,
+                                    Some(1) => 1,
+                                    _ => 2,
+                                };
+                                paths[path] += 1;
+                                for j in 0..3 {
+                                    let mix = (round * 3 + c) * 0x9E37_79B9 + j * 0x85EB_CA6B;
+                                    let at = (mix >> 7) as usize % (PAGE / 2) * 2 + me;
+                                    let value = (mix >> 3) as u8 | 1;
+                                    mem.write_u8(base.add(at as u64), value);
+                                    turn.page[at] = value;
+                                }
+                                mem.read_bytes(base, &mut seen);
+                                assert!(
+                                    seen == turn.page,
+                                    "view {me}, round {round}: working copy after path {path}"
+                                );
+                                mem.commit();
+                                turn.commits += 1;
+                                kept_at = Some(turn.commits);
+                            }
+                            turn.next = 1 - me;
+                            handed.notify_all();
+                        }
+                        assert_eq!(mem.stats().pages_copied, paths[2]);
+                        paths
+                    })
+                })
+                .collect();
+            views.into_iter().map(|v| v.join().unwrap()).collect()
+        });
+        for (me, paths) in paths.iter().enumerate() {
+            assert!(paths.iter().all(|&n| n > 0), "view {me} paths {paths:?}");
+        }
+        let mut shared = vec![0; PAGE];
+        image.read_direct(base, &mut shared);
+        assert!(shared == turns.into_inner().unwrap().page);
+    }
+
     // ----- model-based equivalence ------------------------------------------
 
     const MODEL_PAGE: usize = 64;
     const MODEL_PAGES: u64 = 6;
 
+    /// One page of the model image: its bytes, the commits published into
+    /// it and the written range of the last one.
+    #[derive(Clone)]
+    struct ModelPage {
+        bytes: Vec<u8>,
+        version: u64,
+        last: std::ops::Range<usize>,
+    }
+
+    impl Default for ModelPage {
+        fn default() -> Self {
+            ModelPage {
+                bytes: vec![0; MODEL_PAGE],
+                version: 0,
+                last: 0..0,
+            }
+        }
+    }
+
+    type ModelImage = HashMap<PageId, ModelPage>;
+
+    /// A model private copy: eager twin, working copy, the version it was
+    /// taken at and the hull of the writes into it.
+    struct ModelCopy {
+        twin: Vec<u8>,
+        working: Vec<u8>,
+        version: u64,
+        written: std::ops::Range<usize>,
+    }
+
     /// The naive map-based view the page table replaced: one protection map
-    /// and one private-copy map per thread, cleared wholesale, over a shared
-    /// image that is a plain map of byte vectors.
+    /// and one list of private copies in first-write order per thread,
+    /// cleared wholesale, over a shared image that is a plain map of pages.
+    /// Beside them, what decides whether a write fault copies: the kept
+    /// copies, oldest first, with the version each equals, and the number of
+    /// free buffers.
     #[derive(Default)]
     struct ModelView {
         protections: HashMap<PageId, (bool, bool)>,
-        private: HashMap<PageId, (Vec<u8>, Vec<u8>)>,
+        private: Vec<(PageId, ModelCopy)>,
+        kept: Vec<(PageId, u64)>,
+        free: usize,
         log: Vec<AccessRecord>,
         stats: MemStats,
-    }
-
-    type ModelImage = HashMap<PageId, Vec<u8>>;
-
-    /// A third party's direct store into the model image.
-    fn model_write_direct(shared: &mut ModelImage, addr: VirtAddr, data: &[u8]) {
-        let mut cursor = 0;
-        for (page, offset, len) in split_by_page(addr, data.len(), MODEL_PAGE) {
-            let bytes = shared.entry(page).or_insert(vec![0; MODEL_PAGE]);
-            bytes[offset..offset + len].copy_from_slice(&data[cursor..cursor + len]);
-            cursor += len;
-        }
     }
 
     impl ModelView {
@@ -855,10 +1272,10 @@ mod tests {
                     self.stats.read_faults += 1;
                     self.log.push(AccessRecord { page, write: false });
                 }
-                let zero = vec![0; MODEL_PAGE];
-                let bytes = match self.private.get(&page) {
-                    Some((_, working)) => working,
-                    None => shared.get(&page).unwrap_or(&zero),
+                let zero = ModelPage::default().bytes;
+                let bytes = match self.private.iter().find(|(p, _)| *p == page) {
+                    Some((_, copy)) => &copy.working,
+                    None => shared.get(&page).map_or(&zero, |p| &p.bytes),
                 };
                 out.extend_from_slice(&bytes[offset..offset + len]);
             }
@@ -873,30 +1290,61 @@ mod tests {
                     *prot = (true, true);
                     self.stats.write_faults += 1;
                     self.log.push(AccessRecord { page, write: true });
-                    self.private.entry(page).or_insert_with(|| {
-                        self.stats.pages_copied += 1;
-                        let twin = shared.get(&page).cloned().unwrap_or(vec![0; MODEL_PAGE]);
-                        (twin.clone(), twin)
-                    });
+                    if !self.private.iter().any(|(p, _)| *p == page) {
+                        let current = shared.get(&page).cloned().unwrap_or_default();
+                        // A kept copy no commit or one commit behind is
+                        // brought up to date without a whole-page copy.
+                        let kept = match self.kept.iter().position(|&(p, _)| p == page) {
+                            Some(at) => Some(self.kept.remove(at).1),
+                            None => {
+                                // A free buffer, or else the oldest kept
+                                // copy's.
+                                if self.free > 0 {
+                                    self.free -= 1;
+                                } else if !self.kept.is_empty() {
+                                    self.kept.remove(0);
+                                }
+                                None
+                            }
+                        };
+                        if kept.is_none_or(|version| current.version - version > 1) {
+                            self.stats.pages_copied += 1;
+                        }
+                        let copy = ModelCopy {
+                            twin: current.bytes.clone(),
+                            working: current.bytes,
+                            version: current.version,
+                            written: offset..offset + len,
+                        };
+                        self.private.push((page, copy));
+                    }
                 }
-                self.private.get_mut(&page).unwrap().1[offset..offset + len]
-                    .copy_from_slice(&data[cursor..cursor + len]);
+                let (_, copy) = self.private.iter_mut().find(|(p, _)| *p == page).unwrap();
+                copy.working[offset..offset + len].copy_from_slice(&data[cursor..cursor + len]);
+                copy.written = copy.written.start.min(offset)..copy.written.end.max(offset + len);
                 cursor += len;
             }
         }
 
         fn commit(&mut self, shared: &mut ModelImage) -> CommitOutcome {
             let mut outcome = CommitOutcome::default();
-            for (page, (twin, working)) in self.private.drain() {
+            for (page, copy) in self.private.drain(..) {
                 outcome.pages_examined += 1;
-                let target = shared.entry(page).or_insert(vec![0; MODEL_PAGE]);
+                let target = shared.entry(page).or_default();
                 let mut changed = 0;
-                for i in (0..MODEL_PAGE).filter(|&i| twin[i] != working[i]) {
-                    target[i] = working[i];
+                for i in (0..MODEL_PAGE).filter(|&i| copy.twin[i] != copy.working[i]) {
+                    target.bytes[i] = copy.working[i];
                     changed += 1;
                 }
                 outcome.pages_changed += usize::from(changed > 0);
                 outcome.bytes_written += changed;
+                if target.version == copy.version {
+                    self.kept.push((page, target.version + 1));
+                } else {
+                    self.free += 1;
+                }
+                target.version += 1;
+                target.last = copy.written;
             }
             self.protections.clear();
             outcome
@@ -907,30 +1355,36 @@ mod tests {
         /// Two page-table views over one image behave exactly like two
         /// naive map-based views (eager twin, whole-page diff) over a map
         /// image under any interleaving of reads, writes (page-crossing ones
-        /// included), commits, `protect_all`s, discards and a third party's
-        /// direct stores, which land inside written ranges and in the gaps
-        /// they have not yet covered: same bytes read, same fault and copy
-        /// counts, same access logs, same commit outcomes, same final shared
-        /// bytes.
+        /// included), commits, `protect_all`s, discards and a third view's
+        /// write-and-commit, which lands inside written ranges, in the gaps
+        /// they have not yet covered and between a kept copy and its next
+        /// fault: same bytes read, same fault and copy counts, same kept
+        /// copies, same access logs, same commit outcomes, same page versions
+        /// and commit records, same final shared bytes.
         #[test]
         fn prop_page_table_matches_the_map_model(
             ops in proptest::collection::vec(any::<u64>(), 1..160),
         ) {
             let image = SharedImage::shared(MODEL_PAGE);
             let base = image.map_region("heap", MODEL_PAGES * MODEL_PAGE as u64).base();
-            let mut views: Vec<ThreadMemory> = (0..2)
+            let mut views: Vec<ThreadMemory> = (0..3)
                 .map(|_| ThreadMemory::new(Arc::clone(&image), TrackingMode::Tracked))
                 .collect();
             let mut model_image = ModelImage::new();
-            let mut models = [ModelView::default(), ModelView::default()];
+            let mut models: Vec<ModelView> = (0..3).map(|_| ModelView::default()).collect();
+            let pages: Vec<PageId> = (0..MODEL_PAGES)
+                .map(|page| base.add(page * MODEL_PAGE as u64).page(MODEL_PAGE))
+                .collect();
 
             for op in ops {
-                let (view, model) = (&mut views[op as usize & 1], &mut models[op as usize & 1]);
+                let kind = (op >> 1) % 18;
+                let who = if kind >= 16 { 2 } else { op as usize & 1 };
+                let (view, model) = (&mut views[who], &mut models[who]);
                 let len = 1 + (op >> 8) as usize % 20;
                 let span = MODEL_PAGES * MODEL_PAGE as u64 - len as u64;
                 let addr = base.add((op >> 16) % (span + 1));
                 let data: Vec<u8> = (0..len).map(|i| (op >> (i % 8 * 8)) as u8).collect();
-                match (op >> 1) % 18 {
+                match kind {
                     0..=5 => {
                         let mut buf = vec![0; len];
                         view.read_bytes(addr, &mut buf);
@@ -950,13 +1404,16 @@ mod tests {
                     }
                     15 => {
                         view.discard();
+                        model.free += model.private.len();
                         model.private.clear();
                         model.protections.clear();
                         model.log.clear();
                     }
                     _ => {
-                        image.write_direct(addr, &data);
-                        model_write_direct(&mut model_image, addr, &data);
+                        view.write_bytes(addr, &data);
+                        model.write(&model_image, addr, &data);
+                        prop_assert_eq!(view.drain_access_log().collect::<Vec<_>>(), std::mem::take(&mut model.log));
+                        prop_assert_eq!(view.commit(), model.commit(&mut model_image));
                     }
                 }
                 let stats = view.stats();
@@ -965,16 +1422,22 @@ mod tests {
                     (model.stats.read_faults, model.stats.write_faults, model.stats.pages_copied)
                 );
                 prop_assert_eq!(view.dirty.len(), model.private.len());
+                prop_assert_eq!(held_buffers(view), model.kept.len() + model.free);
+                prop_assert_eq!(view.kept.len, model.kept.len());
             }
 
             for (view, model) in views.iter_mut().zip(&mut models) {
                 prop_assert_eq!(view.drain_access_log().collect::<Vec<_>>(), model.log.clone());
                 prop_assert_eq!(view.commit(), model.commit(&mut model_image));
             }
-            for page in 0..MODEL_PAGES {
-                let page = base.add(page * MODEL_PAGE as u64).page(MODEL_PAGE);
-                let expected = model_image.get(&page).cloned().unwrap_or(vec![0; MODEL_PAGE]);
-                prop_assert_eq!(image.page(page).snapshot(), expected);
+            for page in pages {
+                let expected = model_image.get(&page).cloned().unwrap_or_default();
+                let shared = image.page(page);
+                prop_assert_eq!(shared.snapshot(), expected.bytes);
+                prop_assert_eq!(shared.version(), expected.version);
+                if expected.version > 0 {
+                    prop_assert_eq!(shared.committed_range(expected.version), Some(expected.last));
+                }
             }
         }
     }
