@@ -87,8 +87,15 @@ use crate::snapshot::{clock_follows, cut_in_place, Snapshot};
 use crate::spill::{ManifestSegment, ManifestWriter, SpillDurability, SpillSettings, SpillStore};
 use crate::subcomputation::SubComputation;
 
-/// Default number of lock stripes.
-const DEFAULT_SHARDS: usize = 8;
+/// Lock stripes of [`ShardedCpgBuilder::new`], and of every session's
+/// streaming builder. Not a setting: the pool × stripe grid recorded on one
+/// core (the numbers CHANGES.md keeps) reads 969 / 947 / 950 ns per
+/// sub-computation at 1 / 4 / 8 stripes (one ingest worker) and stays
+/// within 10 % at every other pool width, so no measured value beats
+/// another and the one every session has always run with stays.
+/// `benches/micro.rs` in `inspector-bench` sweeps the same grid live as
+/// `cpg_ingest/pool{1,2,4}/shards{1,4,8}`.
+pub const DEFAULT_SHARDS: usize = 8;
 
 /// Counters describing how a streamed build progressed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -5,7 +5,7 @@
 //! payloads and are accumulated per process; `mmap` events are kept so the
 //! decoder can map IPs back onto loadables.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,10 +24,8 @@ pub struct SessionStats {
     pub filtered: u64,
     /// Total AUX payload bytes stored.
     pub aux_bytes: u64,
-    /// AUX records accepted. With the streaming runtime each thread submits
-    /// one record per synchronization boundary (plus a final tail), so this
-    /// counter evidences incremental consumption rather than a single
-    /// teardown hand-off.
+    /// AUX records accepted. Each thread hands its whole PT log over once,
+    /// when it exits, so a run counts one record per reporting thread.
     pub aux_records: u64,
     /// Processes observed (members only).
     pub processes: u64,
@@ -76,41 +74,32 @@ impl TraceSession {
             }
             return;
         }
-        if let PerfEvent::Aux { pid, data } = &event {
-            return self.submit_aux(*pid, data);
-        }
         if !self.cgroup.contains(event.pid()) {
             self.state.lock().stats.filtered += 1;
             return;
         }
         let mut st = self.state.lock();
         st.stats.accepted += 1;
-        if let PerfEvent::Mmap {
-            pid,
-            addr,
-            len,
-            filename,
-        } = event
-        {
-            st.mmaps.push((pid, addr, len, filename));
+        match event {
+            PerfEvent::Mmap {
+                pid,
+                addr,
+                len,
+                filename,
+            } => st.mmaps.push((pid, addr, len, filename)),
+            PerfEvent::Aux { pid, data } => {
+                st.stats.aux_bytes += data.len() as u64;
+                st.stats.aux_records += 1;
+                // A process's first record is moved in, not copied.
+                match st.aux.entry(pid) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(data);
+                    }
+                    Entry::Occupied(slot) => slot.into_mut().extend_from_slice(&data),
+                }
+            }
+            PerfEvent::Fork { .. } | PerfEvent::Exit { .. } => {}
         }
-    }
-
-    /// Submits one AUX record from borrowed bytes: what
-    /// [`submit`](Self::submit) does with a [`PerfEvent::Aux`] — same cgroup
-    /// filter, same `aux_records` / `aux_bytes` accounting, the payload
-    /// appended to the process's log — for a producer that still owns the
-    /// buffer the bytes sit in.
-    pub fn submit_aux(&self, pid: ProcessId, data: &[u8]) {
-        if !self.cgroup.contains(pid) {
-            self.state.lock().stats.filtered += 1;
-            return;
-        }
-        let mut st = self.state.lock();
-        st.stats.accepted += 1;
-        st.stats.aux_bytes += data.len() as u64;
-        st.stats.aux_records += 1;
-        st.aux.entry(pid).or_default().extend_from_slice(data);
     }
 
     /// Registers the root process of the traced application and counts it.
@@ -213,24 +202,6 @@ mod tests {
         assert_eq!(s.stats().aux_records, 2);
         assert_eq!(s.with_aux_log(ProcessId(1), <[u8]>::to_vec), vec![1, 2, 3]);
         assert!(s.with_aux_log(ProcessId(7), <[u8]>::is_empty));
-    }
-
-    #[test]
-    fn borrowed_aux_is_filtered_and_accounted_like_an_aux_event() {
-        let owned = session();
-        let borrowed = session();
-        for (pid, data) in [(1, vec![1u8, 2]), (99, vec![9; 4]), (1, vec![3])] {
-            borrowed.submit_aux(ProcessId(pid), &data);
-            owned.submit(PerfEvent::Aux {
-                pid: ProcessId(pid),
-                data,
-            });
-        }
-        assert_eq!(borrowed.stats(), owned.stats());
-        assert_eq!(borrowed.stats().filtered, 1);
-        assert_eq!(borrowed.stats().aux_records, 2);
-        assert_eq!(borrowed.full_log(), owned.full_log());
-        assert_eq!(borrowed.full_log(), vec![1, 2, 3]);
     }
 
     #[test]

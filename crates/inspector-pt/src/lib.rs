@@ -55,14 +55,14 @@
 //!      the events between the corruption point and that PSB.
 //!
 //! Producers never hand out a chunk that ends mid-packet, and no second
-//! grammar checks it, because three facts make it so by construction:
+//! grammar checks it, because two facts make it so by construction:
 //!
 //! 1. [`encode::PacketEncoder::drain_with`] flushes pending TNT bits before
 //!    it lends its output, so the encoder only ever hands out whole
 //!    packets;
-//! 2. [`aux::AuxBuffer::produce`] accepts or drops each such output whole,
-//!    and writes the OVF marker of a gap as one 2-byte unit;
-//! 3. [`aux::AuxBuffer::collect_into`] moves the whole ring.
+//! 2. [`aux::AuxBuffer::produce`] appends or drops each such output whole,
+//!    straight onto the thread's log, and writes the OVF marker of a gap
+//!    as one 2-byte unit.
 //!
 //! So every chunk [`trace::ThreadTrace::drain_collected`] returns decodes
 //! on its own, and deferral only triggers for consumers that cut a log at

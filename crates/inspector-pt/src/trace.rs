@@ -2,13 +2,15 @@
 //!
 //! The runtime gives every traced thread a [`ThreadTrace`]. Branch events are
 //! encoded immediately (that cost is the "OS support for Intel PT" share of
-//! the provenance overhead); the resulting packet bytes are pushed into the
-//! thread's AUX buffer and collected at every flush.
+//! the provenance overhead); at every flush the encoder's output passes the
+//! thread's AUX ring, which appends what it accepts to the trace's log. That
+//! log is the only copy of the thread's PT stream until the thread hands it
+//! over at [`finish`](ThreadTrace::finish).
 //!
-//! The collected log only ever ends on a packet boundary, by construction:
-//! the encoder flushes its pending TNT bits before it lends its output, the
-//! ring accepts or drops each lent output whole and writes its OVF marker
-//! as one unit, and collection moves the whole ring.
+//! The log only ever ends on a packet boundary, by construction: the
+//! encoder flushes its pending TNT bits before it lends its output, and the
+//! ring appends or drops each lent output whole and writes its OVF marker
+//! as one unit.
 
 use std::time::{Duration, Instant};
 
@@ -64,7 +66,8 @@ impl Sample {
 pub struct ThreadTrace {
     encoder: PacketEncoder,
     aux: AuxBuffer,
-    collected: Vec<u8>,
+    log: Vec<u8>,
+    /// Everything but the loss counters, which the ring keeps.
     stats: PtStats,
     since_flush: u64,
 }
@@ -88,7 +91,7 @@ impl ThreadTrace {
         ThreadTrace {
             encoder,
             aux: AuxBuffer::new(bytes),
-            collected: Vec::new(),
+            log: Vec::new(),
             stats: PtStats::default(),
             since_flush: 0,
         }
@@ -134,9 +137,8 @@ impl ThreadTrace {
         self.record(BranchEvent::Indirect { target });
     }
 
-    /// Flushes pending encoder output into the AUX buffer and collects the
-    /// AUX contents into the trace log (what `perf record` would write to
-    /// `/tmp`).
+    /// Flushes pending encoder output through the AUX buffer into the trace
+    /// log (what `perf record` would write to `/tmp`).
     ///
     /// If the ring drops the output, the encoder's IP compression restarts:
     /// the decoder resets its last-IP context at the OVF marker that will
@@ -145,13 +147,11 @@ impl ThreadTrace {
     pub fn flush(&mut self) {
         let dropped = self.encoder.drain_with(|bytes| {
             self.stats.trace_bytes += bytes.len() as u64;
-            !bytes.is_empty() && !self.aux.produce(bytes)
+            !bytes.is_empty() && !self.aux.produce(bytes, &mut self.log)
         });
         if dropped {
             self.encoder.restart_ip_compression();
         }
-        self.aux.collect_into(&mut self.collected);
-        self.sync_loss();
         self.since_flush = 0;
     }
 
@@ -159,7 +159,7 @@ impl ThreadTrace {
     /// AUX ring (deterministic fault injection). Everything recorded so far
     /// is flushed first, so the gap follows it. The loss is accounted like
     /// a real slow-consumer drop — `gaps`/`bytes_lost` in [`PtStats`] — the
-    /// next flush emits a real OVF marker into the collected stream, and IP
+    /// next flush emits a real OVF marker into the log, and IP
     /// compression restarts as after a real drop.
     pub fn inject_overflow(&mut self, bytes: u64) {
         if bytes == 0 {
@@ -168,26 +168,15 @@ impl ThreadTrace {
         self.flush();
         self.aux.inject_overflow(bytes);
         self.encoder.restart_ip_compression();
-        self.sync_loss();
     }
 
-    /// Copies the ring's loss accounting into the trace statistics.
-    fn sync_loss(&mut self) {
-        let aux_stats = self.aux.stats();
-        self.stats.bytes_lost = aux_stats.bytes_lost;
-        self.stats.gaps = aux_stats.gaps;
-    }
-
-    /// Removes and returns the packet bytes collected since the last drain.
+    /// Removes and returns the packet bytes logged since the last drain.
     ///
-    /// This is the incremental consumption path of the streaming pipeline:
-    /// the runtime drains the collected log at every synchronization
-    /// boundary and submits it to the perf session right away, so AUX data
-    /// flows while the thread runs instead of being handed over in one lump
-    /// at [`finish`](Self::finish). Bytes are moved out; the concatenation
-    /// of all drains plus the tail returned by `finish` decodes to exactly
-    /// the same branch-event stream as an undrained run (packet framing may
-    /// differ, since a drain forces pending TNT bits into a packet early).
+    /// For a consumer that takes the stream in pieces while the thread runs
+    /// (a replay, a streaming decoder); the runtime drains nothing and takes
+    /// the whole log at [`finish`](Self::finish). Bytes are moved out; the
+    /// concatenation of all drains plus the log returned by `finish` is
+    /// byte for byte the undrained log of the same flushes.
     ///
     /// A drained chunk never ends mid-packet (see the module docs), so a
     /// per-chunk consumer never carries a partial packet from one drain to
@@ -195,36 +184,30 @@ impl ThreadTrace {
     pub fn drain_collected(&mut self) -> Vec<u8> {
         // The chunk is copied out at its exact size and the log keeps its
         // buffer, so the flushes in between allocate nothing.
-        self.drain_collected_with(<[u8]>::to_vec)
-    }
-
-    /// [`drain_collected`](Self::drain_collected) without the copy: lends
-    /// the whole collected log, possibly empty, to `consume` and empties it
-    /// afterwards. For consumers that append the bytes somewhere of their
-    /// own (the perf session's per-process log) and would drop an owned
-    /// chunk right after.
-    pub fn drain_collected_with<R>(&mut self, consume: impl FnOnce(&[u8]) -> R) -> R {
-        let result = consume(&self.collected);
-        self.collected.clear();
-        result
+        let chunk = self.log.to_vec();
+        self.log.clear();
+        chunk
     }
 
     /// Statistics so far.
     pub fn stats(&self) -> PtStats {
-        self.stats
+        let loss = self.aux.stats();
+        PtStats {
+            bytes_lost: loss.bytes_lost,
+            gaps: loss.gaps,
+            ..self.stats
+        }
     }
 
-    /// Finishes the trace and returns the full collected log.
+    /// Finishes the trace and returns the log (everything not drained).
     pub fn finish(mut self) -> (Vec<u8>, PtStats) {
         self.flush();
         // finish() on the encoder emits the final TIP.PGD.
-        let encoder = std::mem::take(&mut self.encoder);
-        let tail = encoder.finish();
+        let tail = std::mem::take(&mut self.encoder).finish();
         self.stats.trace_bytes += tail.len() as u64;
-        self.aux.produce(&tail);
-        self.aux.collect_into(&mut self.collected);
-        self.sync_loss();
-        (self.collected, self.stats)
+        self.aux.produce(&tail, &mut self.log);
+        let stats = self.stats();
+        (self.log, stats)
     }
 }
 
@@ -232,6 +215,7 @@ impl ThreadTrace {
 mod tests {
     use super::*;
     use crate::decode::PacketDecoder;
+    use proptest::prelude::*;
 
     fn decode(log: &[u8]) -> Vec<BranchEvent> {
         PacketDecoder::new(log).decode_events().unwrap()
@@ -274,8 +258,8 @@ mod tests {
 
     #[test]
     fn full_trace_mode_with_tiny_aux_reports_loss_free_collection() {
-        // The runtime collects at every flush, so even a small AUX buffer
-        // does not lose data as long as flushes are frequent enough.
+        // The ring passes each flush's output on at once, so even a small
+        // AUX buffer loses nothing while no one flush outgrows it.
         let mut trace = ThreadTrace::with_aux_capacity(0, 512);
         for i in 0..5_000u64 {
             trace.indirect(i * 0x1111);
@@ -410,28 +394,6 @@ mod tests {
         assert!(!incremental.is_empty());
     }
 
-    #[test]
-    fn lent_chunks_are_the_drained_chunks() {
-        // Two traces in lockstep, one drained by value and one by loan:
-        // same cuts, same bytes, and the loan leaves nothing behind.
-        let mut owned = ThreadTrace::new(0x400000);
-        let mut lent = ThreadTrace::new(0x400000);
-        for round in 0..40u64 {
-            for i in 0..round % 7 {
-                for trace in [&mut owned, &mut lent] {
-                    trace.conditional(i % 2 == 0);
-                    trace.indirect(0x400000 + round * 64 + i);
-                }
-            }
-            owned.flush();
-            lent.flush();
-            let chunk = owned.drain_collected();
-            assert!(lent.drain_collected_with(|bytes| bytes == chunk.as_slice()));
-            assert!(lent.collected.is_empty());
-        }
-        assert_eq!(owned.finish().0, lent.finish().0);
-    }
-
     /// Records `branches` conditionals; the sampled estimate and the wall
     /// time of the loop that produced it.
     fn timed_trace(branches: u64) -> (Duration, Duration) {
@@ -493,5 +455,52 @@ mod tests {
         trace.flush();
         assert_eq!(trace.stats().branches, 2);
         assert!(trace.stats().trace_bytes > 0);
+    }
+
+    proptest! {
+        /// The log is the encoder's output and nothing else: with a ring
+        /// that never fills, the drained chunks followed by `finish`'s log
+        /// are, byte for byte, what a bare encoder hands out when drained
+        /// at the same points (the trace's periodic flush included), and
+        /// `trace_bytes` counts exactly them.
+        #[test]
+        fn prop_drains_and_finish_are_the_bare_encoders_output(
+            words in proptest::collection::vec(any::<u64>(), 1..10_000),
+        ) {
+            let mut trace = ThreadTrace::new(0x40_0000);
+            let mut encoder = PacketEncoder::new();
+            encoder.begin(0x40_0000);
+            let (mut logged, mut expected) = (Vec::new(), Vec::new());
+            let mut since_flush = 0;
+            for w in words {
+                let event = match w % 8 {
+                    0 => BranchEvent::Indirect { target: (w >> 16) & 0xFFFF_FFFF },
+                    1 => BranchEvent::Return { target: (w >> 16) & 0xFFFF },
+                    _ => BranchEvent::Conditional { taken: w & 0x80 != 0 },
+                };
+                trace.record(event);
+                encoder.branch(&event);
+                since_flush += 1;
+                let point = (w >> 40) % 61;
+                if since_flush == FLUSH_EVERY || point < 2 {
+                    expected.extend_from_slice(&encoder.drain());
+                    since_flush = 0;
+                }
+                match point {
+                    0 => trace.flush(),
+                    1 => {
+                        trace.flush();
+                        logged.extend_from_slice(&trace.drain_collected());
+                    }
+                    _ => {}
+                }
+            }
+            let (log, stats) = trace.finish();
+            logged.extend_from_slice(&log);
+            expected.extend_from_slice(&encoder.finish());
+            prop_assert_eq!(stats.gaps, 0);
+            prop_assert_eq!(stats.trace_bytes, logged.len() as u64);
+            prop_assert_eq!(logged, expected);
+        }
     }
 }

@@ -9,13 +9,13 @@
 //! |---|---|---|
 //! | `mode` | `Inspector` | [`SessionConfig::native`]: the denominator of every overhead figure |
 //! | `aux_capacity` | 4 MiB | the tiny-ring overflow tests (`tests/fault_tolerance.rs`, session tests) |
-//! | `charge_spawn_cost` | on | the spawn-cost ablation in `benches/figures.rs` |
 //! | `ingest_threads` | `min(4, cores)` | every benchmark session (`1`); the equivalence and fault suites sweep 1–4 |
 //! | `spill_threshold`, `spill_dir`, `spill_durability`, `spill_retain` | off, temp dir, `None`, off | the benchmark's `fault_commit_spill` sets all four; `tests/crash_recovery.rs` sweeps durability |
 //! | `fault_plan` | empty | `tests/fault_tolerance.rs`, `tests/crash_recovery.rs`, `examples/recover.rs` |
 //!
 //! What is *not* here on purpose: the streaming builder's shard count and
-//! the lane depth are constants (`session.rs`, `lane.rs`) because no
+//! the lane depth are constants (`DEFAULT_SHARDS` in
+//! `inspector-core/src/sharded.rs`, `LANE_DEPTH` in `lane.rs`) because no
 //! measurement told their values apart, and the lane transport has no
 //! setting at all — a synchronization boundary retires exactly one
 //! sub-computation, so there is nothing for a batch cap to choose between,
@@ -105,10 +105,6 @@ pub struct SessionConfig {
     pub mode: ExecutionMode,
     /// AUX buffer capacity per thread, in bytes.
     pub aux_capacity: usize,
-    /// Charge the cost of duplicating the page-table / protection state when
-    /// a thread (process) is created, as the real threads-as-processes
-    /// design does. Disable to isolate other overhead sources in ablations.
-    pub charge_spawn_cost: bool,
     /// Number of ingest-pool workers draining the provenance channel. Each
     /// worker owns one lane; application threads are routed to lanes by
     /// `ThreadId % ingest_threads`, preserving the per-thread FIFO delivery
@@ -165,7 +161,6 @@ impl SessionConfig {
         SessionConfig {
             mode: ExecutionMode::Inspector,
             aux_capacity: 4 << 20,
-            charge_spawn_cost: true,
             ingest_threads: default_ingest_threads(),
             spill_threshold: 0,
             spill_dir: None,

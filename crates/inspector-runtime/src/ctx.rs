@@ -16,20 +16,21 @@
 //! has none of them by construction: the interval's first-touch records fold
 //! into inline page sets, the recorder hands the closed sub-computation out
 //! by value and it travels the lane as itself (no batch vector, no list to
-//! take and regrow), the thread clock is copied inline, the AUX chunk is
-//! lent to the perf session rather than copied for it, and the ingest worker
-//! is woken once per backlog, not once per message (`lane.rs`). What a
-//! boundary still pays is the commit, the object's clock join, a
-//! copy of the branch log at 2 bits per branch — inline up to 40
-//! conditionals under one label, one exact-size block beyond — and two
-//! queue operations. `tests/boundary_allocs.rs` pins the allocation count,
-//! so a new per-boundary allocation fails CI rather than a benchmark.
+//! take and regrow), the thread clock is copied inline, the PT flush appends
+//! straight to the thread's own log and calls nothing of the perf session
+//! (the log goes over once, at thread exit), and the ingest worker is woken
+//! once per backlog, not once per message (`lane.rs`). What a boundary
+//! still pays is the commit, the object's clock join, a copy of the branch
+//! log at 2 bits per branch — inline up to 40 conditionals under one label,
+//! one exact-size block beyond — and two queue operations.
+//! `tests/boundary_allocs.rs` pins the allocation count, so a new
+//! per-boundary allocation fails CI rather than a benchmark.
 //!
 //! Where that work runs matters as much as what it costs: a lock's
 //! boundaries would otherwise sit inside its critical section and serialize
 //! the threads waiting for it. The shims in [`crate::sync`] therefore split
 //! each boundary around the blocking operation. An **acquire** commits,
-//! closes the sub-computation and hands it off (lane publish, AUX flush)
+//! closes the sub-computation and hands it off (lane publish, PT flush)
 //! *before* it blocks, and after it returns only joins the object's clock
 //! and starts the next sub-computation. A **release** commits, closes and
 //! publishes its clock *before* the real release — an acquirer that returns
@@ -122,20 +123,19 @@ impl ThreadCtx {
         // page-table/protection state for every mapped page, which is why
         // process creation is noticeably more expensive than thread creation
         // (the kmeans outlier in the paper).
-        let spawn_overhead =
-            if shared.config.charge_spawn_cost && shared.config.mode == ExecutionMode::Inspector {
-                let start = Instant::now();
-                let mut checksum: u64 = 0;
-                for region in shared.image.regions() {
-                    for page in region.pages() {
-                        checksum = checksum.wrapping_mul(31).wrapping_add(page.number());
-                    }
+        let spawn_overhead = if shared.config.mode == ExecutionMode::Inspector {
+            let start = Instant::now();
+            let mut checksum: u64 = 0;
+            for region in shared.image.regions() {
+                for page in region.pages() {
+                    checksum = checksum.wrapping_mul(31).wrapping_add(page.number());
                 }
-                std::hint::black_box(checksum);
-                start.elapsed()
-            } else {
-                Duration::ZERO
-            };
+            }
+            std::hint::black_box(checksum);
+            start.elapsed()
+        } else {
+            Duration::ZERO
+        };
         let mut ctx = Self::build(shared, thread, pid, spawn_overhead);
         // The implicit happens-before edge of pthread_create: the parent
         // released `start_object` just before forking; the child acquires it
@@ -339,7 +339,7 @@ impl ThreadCtx {
     /// the thread clock with `object`'s (into it for a release, from it for
     /// an acquire), and hands on what just retired —
     /// the closed sub-computation into the streaming CPG pipeline and the
-    /// pending PT packet bytes into the perf session.
+    /// pending PT packet bytes into the thread's log.
     ///
     /// The synchronization primitives in [`crate::sync`] run the same work
     /// split around their blocking operation (see the module docs); this
@@ -402,10 +402,12 @@ impl ThreadCtx {
     }
 
     /// The hand-off of a closed sub-computation: onto the lane, and the PT
-    /// bytes recorded until its close to the perf session.
+    /// bytes recorded until its close into the thread's log.
     fn hand_off(&mut self, closed: SubComputation) {
         self.stream_retired(closed);
-        self.flush_trace();
+        if let Some(trace) = self.trace.as_mut() {
+            trace.flush();
+        }
     }
 
     /// Closes the tracking interval: feeds its first-touch accesses into
@@ -435,23 +437,6 @@ impl ThreadCtx {
         if let Some(tx) = &self.ingest {
             let _ = tx.send(IngestMsg::Sub(retired));
         }
-    }
-
-    /// Hands the PT packet bytes collected since the last flush to the perf
-    /// session, so AUX data is consumed while the thread runs instead of in
-    /// one lump at teardown. The session copies the chunk straight out of
-    /// the trace's own log.
-    fn flush_trace(&mut self) {
-        let Some(trace) = self.trace.as_mut() else {
-            return;
-        };
-        trace.flush();
-        let (perf, pid) = (&self.shared.perf, self.pid);
-        trace.drain_collected_with(|chunk| {
-            if !chunk.is_empty() {
-                perf.submit_aux(pid, chunk);
-            }
-        });
     }
 
     // ----- thread management -------------------------------------------------
@@ -517,8 +502,9 @@ impl ThreadCtx {
     }
 
     /// Finalises the thread: commits outstanding writes, closes the last
-    /// sub-computation, streams whatever is still unflushed (sub-computations
-    /// and PT tail) and reports the thread's statistics to the session.
+    /// sub-computation, streams it, hands the thread's whole PT log to the
+    /// perf session by value and reports the thread's statistics to the
+    /// session.
     /// Called automatically for workers and for the root thread.
     pub(crate) fn finish(mut self, exit_object: Option<&SyncObject>) {
         let mode = self.mode();
@@ -532,12 +518,15 @@ impl ThreadCtx {
         }
 
         let mem_stats = self.mem.stats();
-        let (tail, pt_stats) = match self.trace.take() {
+        let (log, pt_stats) = match self.trace.take() {
             Some(trace) => trace.finish(),
             None => (Vec::new(), Default::default()),
         };
-        if mode == ExecutionMode::Inspector && !tail.is_empty() {
-            self.shared.perf.submit_aux(self.pid, &tail);
+        if !log.is_empty() {
+            self.shared.perf.submit(PerfEvent::Aux {
+                pid: self.pid,
+                data: log,
+            });
         }
         let last = self.recorder.retire_at_exit();
         if mode == ExecutionMode::Inspector {

@@ -34,8 +34,9 @@
 //! feed the session-wide [`inspector_core::sharded::ShardedCpgBuilder`],
 //! whose lock-striped shards store each thread's sub-computations in α
 //! order and derive nothing yet. The PT
-//! packet stream takes the same path: pending AUX bytes are drained to the
-//! perf session at every boundary instead of one lump at teardown.
+//! packet stream does not: a boundary flushes it into the thread's own
+//! log, and the thread hands that log to the perf session once, as it
+//! exits.
 //!
 //! When [`InspectorSession::run`] returns, the pool is joined and `seal()`
 //! reads any spilled prefixes back, each thread's live suffix behind its

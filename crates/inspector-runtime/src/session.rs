@@ -27,8 +27,10 @@
 //! (`graph_ingest_time`: the critical-path share the overlap could not
 //! hide), so Figure 6 can report the overlap factor.
 //!
-//! The PT packet stream takes no lane: each thread lends its AUX chunks
-//! straight to the perf session. After the pool is joined and before the
+//! The PT packet stream takes no lane and no boundary calls the perf
+//! session: each thread's trace keeps the only copy of its PT log, flushed
+//! at every boundary, and hands the whole log to the perf session once, by
+//! value, when the thread exits. After the pool is joined and before the
 //! seal, every run decodes each reporting thread's log from the perf
 //! session with a [`StreamingDecoder`] and cross-checks the decoded branch
 //! count against that thread's recorder, as `perf record`'s log is decoded
@@ -44,7 +46,7 @@ use parking_lot::Mutex;
 use inspector_core::graph::Cpg;
 use inspector_core::ids::ThreadId;
 use inspector_core::recorder::RecorderStats;
-use inspector_core::sharded::{IngestStats, ShardedCpgBuilder};
+use inspector_core::sharded::{IngestStats, ShardedCpgBuilder, DEFAULT_SHARDS};
 use inspector_core::snapshot::Snapshot;
 use inspector_core::subcomputation::SubComputation;
 use inspector_mem::alloc::HeapAllocator;
@@ -65,15 +67,6 @@ use crate::report::{RunReport, RunStats};
 /// Size of the shared heap mapped at session creation. Pages are
 /// materialised lazily, so a generous reservation costs nothing.
 const HEAP_BYTES: u64 = 256 << 20;
-
-/// Lock stripes of the session's streaming builder. Not a setting: the
-/// pool × stripe grid recorded on one core (the numbers CHANGES.md keeps)
-/// reads 969 / 947 / 950 ns per sub-computation at 1 / 4 / 8 stripes (one
-/// ingest worker) and stays within 10 % at every other pool width, so no
-/// measured value beats another and the one every session has always run
-/// with stays. `benches/micro.rs` in `inspector-bench` sweeps the same grid
-/// live as `cpg_ingest/pool{1,2,4}/shards{1,4,8}`.
-const CPG_SHARDS: usize = 8;
 
 /// Resolves the spill configuration for one run's streaming builder:
 /// `None` when spilling is off (threshold 0 or a native run, which never
@@ -438,7 +431,7 @@ impl InspectorSession {
             allocator,
             // Empty until the first run replaces it: snapshots and counters
             // read it, and it spills nothing.
-            builder: Mutex::new(Arc::new(ShardedCpgBuilder::with_shards(CPG_SHARDS))),
+            builder: Mutex::new(Arc::new(ShardedCpgBuilder::new())),
             next_thread: AtomicU32::new(0),
             next_pid: AtomicU64::new(1),
             spawned_threads: AtomicU64::new(0),
@@ -488,8 +481,10 @@ impl InspectorSession {
     }
 
     /// The raw provenance log (concatenated per-thread Intel PT packet
-    /// streams) collected so far — what `perf record` would have written to
-    /// disk. Empty for native runs.
+    /// streams) — what `perf record` would have written to disk. It holds
+    /// the logs of the threads that have exited: a thread hands its log
+    /// over as it exits, so during a run the running threads' logs are not
+    /// in it yet. Empty for native runs.
     pub fn provenance_log(&self) -> Vec<u8> {
         self.shared.perf.full_log()
     }
@@ -575,7 +570,7 @@ impl InspectorSession {
         let start = Instant::now();
         let plan = self.shared.config.fault_plan;
         let builder = Arc::new(ShardedCpgBuilder::with_shards_and_spill(
-            CPG_SHARDS,
+            DEFAULT_SHARDS,
             spill_settings_for(&self.shared.config),
         ));
         *self.shared.builder.lock() = Arc::clone(&builder);
@@ -847,24 +842,38 @@ mod tests {
     }
 
     #[test]
-    fn aux_data_is_consumed_incrementally() {
+    fn each_thread_hands_its_log_over_once_at_exit() {
         let session = InspectorSession::new(SessionConfig::inspector());
         let lock = Arc::new(InspMutex::new());
-        let _ = session.run(move |ctx| {
+        let shared = Arc::clone(&session.shared);
+        let boundaries = |ctx: &mut ThreadCtx, lock: &InspMutex| {
             for i in 0..100u64 {
                 ctx.branch(i % 2 == 0);
                 lock.lock(ctx);
                 ctx.branch(i % 3 == 0);
                 lock.unlock(ctx);
             }
+        };
+        let report = session.run(move |ctx| {
+            let workers: Vec<_> = (0..3)
+                .map(|_| {
+                    let lock = Arc::clone(&lock);
+                    ctx.spawn(move |ctx| boundaries(ctx, &lock))
+                })
+                .collect();
+            for worker in workers {
+                ctx.join(worker);
+            }
+            assert_eq!(shared.perf.stats().aux_records, 3, "the joined workers");
+            // The root's 200 boundaries hand nothing to the perf session.
+            boundaries(ctx, &lock);
+            assert_eq!(shared.perf.stats().aux_records, 3);
         });
-        // One AUX record per sync boundary with pending branches — far more
-        // than the single teardown record the batch design produced.
-        assert!(
-            session.shared.perf.stats().aux_records > 10,
-            "expected incremental AUX submission, got {:?}",
-            session.shared.perf.stats()
-        );
+        let perf = session.shared.perf.stats();
+        assert_eq!(report.stats.threads, 4);
+        assert_eq!(perf.aux_records, 4, "{perf:?}");
+        assert_eq!(perf.aux_bytes, session.provenance_log().len() as u64);
+        assert_eq!(perf.aux_bytes, report.stats.pt.trace_bytes);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use inspector::core::testing::TempDir;
 use inspector::prelude::*;
+use inspector::pt::branch::BranchEvent;
 use inspector::pt::decode::PacketDecoder;
 
 /// The paper's Figure 1 program: two threads updating x and y under a lock.
@@ -86,10 +87,26 @@ fn pt_log_decodes_to_the_recorded_branch_count() {
         }
         ctx.call(0x2000);
     });
-    // The perf session's full log must decode back to at least the recorded
-    // number of branch events (trace start/stop markers add a few more).
     assert_eq!(report.stats.pt.branches, 5_001);
-    assert!(report.space.log_bytes > 0);
+    // The perf session's full log decodes back to exactly the recorded
+    // branch events; the trace's start and stop markers are not branches.
+    let events = PacketDecoder::new(&session.provenance_log())
+        .decode_events()
+        .unwrap();
+    let branches = events
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                BranchEvent::Conditional { .. }
+                    | BranchEvent::Indirect { .. }
+                    | BranchEvent::Return { .. }
+            )
+        })
+        .count();
+    assert_eq!(branches, 5_001);
+    // Every encoded byte reached the session, once.
+    assert_eq!(report.space.log_bytes, report.stats.pt.trace_bytes);
 }
 
 #[test]
@@ -198,6 +215,9 @@ fn every_workload_produces_a_valid_graph_with_all_edge_kinds() {
             // Every run checks its PT stream after the fact. The check is
             // exact when nothing was lost, and a loss is never silent.
             if s.gaps == 0 && s.lost_bytes == 0 {
+                // Every encoded byte reached the perf session, once.
+                let log_bytes = result.report.space.log_bytes;
+                assert_eq!(log_bytes, s.pt.trace_bytes, "{context}: {s:?}");
                 assert_eq!(s.decode_errors, 0, "{context}: {s:?}");
                 assert_eq!(s.decode_mismatches, 0, "{context}: {s:?}");
                 assert_eq!(s.decoded_branches, s.pt.branches, "{context}: {s:?}");
@@ -224,7 +244,7 @@ fn decoded_aux_stream_matches_conditional_branch_count() {
     let events = PacketDecoder::new(&log).decode_events().unwrap();
     let conditionals = events
         .iter()
-        .filter(|e| matches!(e, inspector::pt::branch::BranchEvent::Conditional { .. }))
+        .filter(|e| matches!(e, BranchEvent::Conditional { .. }))
         .count() as u64;
     assert_eq!(conditionals, branches);
 }
