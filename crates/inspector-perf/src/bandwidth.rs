@@ -8,8 +8,8 @@ use crate::compress::{compression_ratio, lz_compress};
 /// Figure 9 table.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SpaceReport {
-    /// Raw provenance log size in bytes (PT packets + threading-library
-    /// records + perf framing).
+    /// Raw provenance log size in bytes: the threads' concatenated PT
+    /// packet streams.
     pub log_bytes: u64,
     /// Size after LZ compression.
     pub compressed_bytes: u64,
@@ -31,14 +31,7 @@ impl SpaceReport {
         Self::from_sizes(log.len() as u64, compressed.len() as u64, branches, elapsed)
     }
 
-    /// Builds a report from already-known sizes (used when the log is too
-    /// large to keep in memory and was compressed incrementally).
-    pub fn from_sizes(
-        log_bytes: u64,
-        compressed_bytes: u64,
-        branches: u64,
-        elapsed: Duration,
-    ) -> Self {
+    fn from_sizes(log_bytes: u64, compressed_bytes: u64, branches: u64, elapsed: Duration) -> Self {
         let secs = elapsed.as_secs_f64().max(1e-9);
         SpaceReport {
             log_bytes,

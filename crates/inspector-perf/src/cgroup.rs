@@ -60,24 +60,9 @@ impl Cgroup {
         }
     }
 
-    /// Removes a process (it exited).
-    pub fn remove(&self, pid: ProcessId) {
-        self.members.write().remove(&pid);
-    }
-
     /// Returns `true` if `pid` is currently a member.
     pub fn contains(&self, pid: ProcessId) -> bool {
         self.members.read().contains(&pid)
-    }
-
-    /// Number of member processes.
-    pub fn len(&self) -> usize {
-        self.members.read().len()
-    }
-
-    /// Returns `true` if the cgroup has no members.
-    pub fn is_empty(&self) -> bool {
-        self.members.read().is_empty()
     }
 }
 
@@ -92,7 +77,7 @@ mod tests {
         assert!(cg.fork(ProcessId(1), ProcessId(2)));
         assert!(cg.fork(ProcessId(2), ProcessId(3)));
         assert!(cg.contains(ProcessId(3)));
-        assert_eq!(cg.len(), 3);
+        assert!(!cg.contains(ProcessId(4)));
         assert_eq!(cg.name(), "inspector");
     }
 
@@ -102,15 +87,6 @@ mod tests {
         cg.add(ProcessId(1));
         assert!(!cg.fork(ProcessId(99), ProcessId(100)));
         assert!(!cg.contains(ProcessId(100)));
-    }
-
-    #[test]
-    fn remove_drops_membership() {
-        let cg = Cgroup::new("g");
-        cg.add(ProcessId(5));
-        cg.remove(ProcessId(5));
-        assert!(!cg.contains(ProcessId(5)));
-        assert!(cg.is_empty());
     }
 
     #[test]

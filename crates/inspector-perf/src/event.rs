@@ -1,10 +1,8 @@
 //! perf event records.
 //!
-//! A small subset of the `perf_event` record types, enough to reconstruct
-//! what `perf record` would have written for an INSPECTOR run: process
-//! lifecycle events (needed to follow the cgroup), `mmap` events (needed by
-//! the PT decoder to map trace IPs back onto binaries), and AUX records
-//! carrying the PT packet payloads.
+//! The two `perf_event` record types a trace session needs: fork events
+//! (needed to follow the cgroup) and AUX records carrying the PT packet
+//! payloads.
 
 use crate::cgroup::ProcessId;
 
@@ -17,23 +15,6 @@ pub enum PerfEvent {
         parent: ProcessId,
         /// Child process.
         child: ProcessId,
-    },
-    /// A process exited.
-    Exit {
-        /// The exiting process.
-        pid: ProcessId,
-    },
-    /// A process mapped an executable region (the decoder uses these to map
-    /// IPs back onto loadables).
-    Mmap {
-        /// The mapping process.
-        pid: ProcessId,
-        /// Start of the mapping.
-        addr: u64,
-        /// Length of the mapping.
-        len: u64,
-        /// Path of the mapped file.
-        filename: String,
     },
     /// A chunk of AUX (Intel PT) data became available for a process.
     Aux {
@@ -49,9 +30,7 @@ impl PerfEvent {
     pub fn pid(&self) -> ProcessId {
         match *self {
             PerfEvent::Fork { child, .. } => child,
-            PerfEvent::Exit { pid } | PerfEvent::Mmap { pid, .. } | PerfEvent::Aux { pid, .. } => {
-                pid
-            }
+            PerfEvent::Aux { pid, .. } => pid,
         }
     }
 }
@@ -70,6 +49,13 @@ mod tests {
             .pid(),
             ProcessId(2)
         );
-        assert_eq!(PerfEvent::Exit { pid: ProcessId(3) }.pid(), ProcessId(3));
+        assert_eq!(
+            PerfEvent::Aux {
+                pid: ProcessId(3),
+                data: Vec::new()
+            }
+            .pid(),
+            ProcessId(3)
+        );
     }
 }

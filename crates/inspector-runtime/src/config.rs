@@ -52,7 +52,7 @@ pub enum ExecutionMode {
 pub struct FaultPlan {
     /// XOR-flip the byte at this 1-based offset of every thread's AUX
     /// stream where the post-run check decodes it, modelling trace
-    /// corruption; the perf log itself is left intact. The flip surfaces as
+    /// corruption; the thread's kept log itself is left intact. The flip surfaces as
     /// a decode error or a branch-count mismatch — or, when it lands on a
     /// payload bit the grammar cannot see, as nothing.
     pub corrupt_aux_at: u64,

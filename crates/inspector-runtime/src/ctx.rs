@@ -17,8 +17,8 @@
 //! into inline page sets, the recorder hands the closed sub-computation out
 //! by value and it travels the lane as itself (no batch vector, no list to
 //! take and regrow), the thread clock is copied inline, the PT flush appends
-//! straight to the thread's own log and calls nothing of the perf session
-//! (the log goes over once, at thread exit), and the ingest worker is woken
+//! straight to the thread's own log (the session takes the log over once,
+//! at thread exit), and the ingest worker is woken
 //! once per backlog, not once per message (`lane.rs`). What a boundary
 //! still pays is the commit, the object's clock join, a copy of the branch
 //! log at 2 bits per branch — inline up to 40 conditionals under one label,
@@ -50,8 +50,6 @@ use inspector_core::recorder::{SyncObject, ThreadRecorder};
 use inspector_core::subcomputation::SubComputation;
 use inspector_mem::addr::VirtAddr;
 use inspector_mem::thread_mem::{ThreadMemory, TrackingMode};
-use inspector_perf::cgroup::ProcessId;
-use inspector_perf::event::PerfEvent;
 use inspector_pt::branch::BranchEvent;
 use inspector_pt::trace::ThreadTrace;
 
@@ -92,7 +90,6 @@ impl JoinHandle {
 pub struct ThreadCtx {
     shared: Arc<Shared>,
     thread: ThreadId,
-    pid: ProcessId,
     mem: ThreadMemory,
     recorder: ThreadRecorder,
     trace: Option<ThreadTrace>,
@@ -108,15 +105,12 @@ pub struct ThreadCtx {
 impl ThreadCtx {
     pub(crate) fn new_root(shared: Arc<Shared>) -> Self {
         let thread = shared.allocate_thread_id();
-        let pid = shared.allocate_pid();
-        shared.perf.register_root(pid);
-        Self::build(shared, thread, pid, Duration::ZERO)
+        Self::build(shared, thread, Duration::ZERO)
     }
 
     pub(crate) fn new_child(
         shared: Arc<Shared>,
         thread: ThreadId,
-        pid: ProcessId,
         start_object: SyncObject,
     ) -> Self {
         // Threads-as-processes: creating the child means duplicating its
@@ -136,7 +130,7 @@ impl ThreadCtx {
         } else {
             Duration::ZERO
         };
-        let mut ctx = Self::build(shared, thread, pid, spawn_overhead);
+        let mut ctx = Self::build(shared, thread, spawn_overhead);
         // The implicit happens-before edge of pthread_create: the parent
         // released `start_object` just before forking; the child acquires it
         // as its first action.
@@ -144,12 +138,7 @@ impl ThreadCtx {
         ctx
     }
 
-    fn build(
-        shared: Arc<Shared>,
-        thread: ThreadId,
-        pid: ProcessId,
-        spawn_overhead: Duration,
-    ) -> Self {
+    fn build(shared: Arc<Shared>, thread: ThreadId, spawn_overhead: Duration) -> Self {
         let tracking = match shared.config.mode {
             ExecutionMode::Inspector => TrackingMode::Tracked,
             ExecutionMode::Native => TrackingMode::Native,
@@ -182,7 +171,6 @@ impl ThreadCtx {
         ThreadCtx {
             shared,
             thread,
-            pid,
             mem,
             recorder,
             trace,
@@ -190,11 +178,6 @@ impl ThreadCtx {
             pc: 0x40_0000,
             spawn_overhead,
         }
-    }
-
-    /// The process id backing this thread (threads are processes).
-    pub fn pid(&self) -> ProcessId {
-        self.pid
     }
 
     /// The execution mode of the session.
@@ -444,14 +427,13 @@ impl ThreadCtx {
     /// Spawns a worker thread running `f` (the `pthread_create` shim).
     ///
     /// Under INSPECTOR the worker becomes its own process: it gets a private
-    /// memory view, its own PT trace, and a fork event is reported to the
-    /// perf session so the cgroup filter follows it.
+    /// memory view and its own PT trace, whose log the session keeps under
+    /// the worker's thread id once it exits.
     pub fn spawn<F>(&mut self, f: F) -> JoinHandle
     where
         F: FnOnce(&mut ThreadCtx) + Send + 'static,
     {
         let child_thread = self.shared.allocate_thread_id();
-        let child_pid = self.shared.allocate_pid();
         // Both objects live as long as the thread and its handle, no longer.
         let start_object = fresh_sync_object();
         let exit_object = Arc::new(fresh_sync_object());
@@ -460,16 +442,12 @@ impl ThreadCtx {
             // The parent's updates so far happen-before everything the child
             // does: release the start object before forking.
             self.sync_boundary(&start_object, SyncKind::Release);
-            self.shared.perf.submit(PerfEvent::Fork {
-                parent: self.pid,
-                child: child_pid,
-            });
         }
 
         let shared = Arc::clone(&self.shared);
         let child_exit = Arc::clone(&exit_object);
         let os_handle = std::thread::spawn(move || {
-            let mut ctx = ThreadCtx::new_child(shared, child_thread, child_pid, start_object);
+            let mut ctx = ThreadCtx::new_child(shared, child_thread, start_object);
             f(&mut ctx);
             ctx.finish(Some(&child_exit));
         });
@@ -502,9 +480,11 @@ impl ThreadCtx {
     }
 
     /// Finalises the thread: commits outstanding writes, closes the last
-    /// sub-computation, streams it, hands the thread's whole PT log to the
-    /// perf session by value and reports the thread's statistics to the
-    /// session.
+    /// sub-computation, streams it, moves the thread's whole PT log into
+    /// the session's logs under its thread id and reports the thread's
+    /// statistics to the session. The log goes in here, not with the
+    /// statistics on the lane, so a thread whose lane's worker died still
+    /// keeps it.
     /// Called automatically for workers and for the root thread.
     pub(crate) fn finish(mut self, exit_object: Option<&SyncObject>) {
         let mode = self.mode();
@@ -523,10 +503,7 @@ impl ThreadCtx {
             None => (Vec::new(), Default::default()),
         };
         if !log.is_empty() {
-            self.shared.perf.submit(PerfEvent::Aux {
-                pid: self.pid,
-                data: log,
-            });
+            self.shared.logs.lock().insert(self.thread, log);
         }
         let last = self.recorder.retire_at_exit();
         if mode == ExecutionMode::Inspector {
@@ -540,15 +517,11 @@ impl ThreadCtx {
             // backlog would ever wake the worker for it.
             let _ = tx.send_urgent(IngestMsg::Done(ThreadDone {
                 thread: self.thread,
-                pid: self.pid,
                 mem: mem_stats,
                 pt: pt_stats,
                 recorder: recorder_stats,
                 spawn_overhead: self.spawn_overhead,
             }));
-        }
-        if mode == ExecutionMode::Inspector {
-            self.shared.perf.submit(PerfEvent::Exit { pid: self.pid });
         }
     }
 }

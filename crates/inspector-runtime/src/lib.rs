@@ -14,9 +14,9 @@
 //!   ([`inspector_mem`]),
 //! * buffers writes in private copy-on-write pages and commits byte-level
 //!   diffs at synchronization points (Release Consistency),
-//! * encodes every recorded branch into an Intel-PT packet stream
-//!   ([`inspector_pt`]) routed through a perf-style session
-//!   ([`inspector_perf`]), and
+//! * encodes every recorded branch into a per-thread Intel-PT packet
+//!   stream ([`inspector_pt`]), which the session keeps by thread id and
+//!   measures for Figure 9 ([`inspector_perf`]), and
 //! * **streams** the Concurrent Provenance Graph ([`inspector_core`]) while
 //!   the application runs.
 //!
@@ -35,8 +35,7 @@
 //! whose lock-striped shards store each thread's sub-computations in α
 //! order and derive nothing yet. The PT
 //! packet stream does not: a boundary flushes it into the thread's own
-//! log, and the thread hands that log to the perf session once, as it
-//! exits.
+//! log, and the session takes that log over once, as the thread exits.
 //!
 //! When [`InspectorSession::run`] returns, the pool is joined and `seal()`
 //! reads any spilled prefixes back, each thread's live suffix behind its
@@ -54,7 +53,7 @@
 //!
 //! The PT stream is decoded after the run, as `perf record`'s log is
 //! (§V-B): once the pool is joined and before the seal, every Inspector run
-//! decodes each thread's log from the perf session
+//! decodes each thread's kept log
 //! ([`inspector_pt::stream::StreamingDecoder`]) and cross-checks its branch
 //! count against the thread's recorder; the cost appears as the
 //! `pt_decode` phase of the Figure 6 breakdown.

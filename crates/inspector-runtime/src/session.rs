@@ -27,16 +27,19 @@
 //! (`graph_ingest_time`: the critical-path share the overlap could not
 //! hide), so Figure 6 can report the overlap factor.
 //!
-//! The PT packet stream takes no lane and no boundary calls the perf
-//! session: each thread's trace keeps the only copy of its PT log, flushed
-//! at every boundary, and hands the whole log to the perf session once, by
-//! value, when the thread exits. After the pool is joined and before the
-//! seal, every run decodes each reporting thread's log from the perf
-//! session with a [`StreamingDecoder`] and cross-checks the decoded branch
-//! count against that thread's recorder, as `perf record`'s log is decoded
-//! after the run (§V-B). The cost is attributed as the `pt_decode` phase
+//! The PT packet stream takes no lane: each thread's trace keeps the only
+//! copy of its PT log, flushed at every boundary, and moves the whole log
+//! into the session's logs, under its thread id, once, when the thread
+//! exits — the per-thread stream `perf record` collects through its cgroup
+//! filter (§V-B), with no filter to pass since the runtime starts every
+//! thread itself. After the pool is joined and before the seal, every run
+//! decodes each reporting thread's log with a [`StreamingDecoder`] and
+//! cross-checks the decoded branch count against that thread's recorder,
+//! as `perf record`'s log is decoded after the run. The cost is attributed
+//! as the `pt_decode` phase
 //! (`RunStats::{decoded_branches, decode_errors, decode_time, ...}`).
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,9 +56,7 @@ use inspector_mem::alloc::HeapAllocator;
 use inspector_mem::region::Region;
 use inspector_mem::shared::SharedImage;
 use inspector_mem::stats::MemStats;
-use inspector_perf::cgroup::{Cgroup, ProcessId};
-use inspector_perf::event::PerfEvent;
-use inspector_perf::session::TraceSession;
+use inspector_perf::bandwidth::SpaceReport;
 use inspector_pt::stats::PtStats;
 use inspector_pt::stream::StreamingDecoder;
 
@@ -106,9 +107,6 @@ fn spill_settings_for(config: &SessionConfig) -> Option<inspector_core::spill::S
 #[derive(Debug)]
 pub(crate) struct ThreadDone {
     pub(crate) thread: ThreadId,
-    /// The backing process, whose perf-session log is this thread's PT
-    /// stream.
-    pub(crate) pid: ProcessId,
     pub(crate) mem: MemStats,
     pub(crate) pt: PtStats,
     pub(crate) recorder: RecorderStats,
@@ -135,14 +133,15 @@ pub(crate) enum IngestMsg {
 pub(crate) struct Shared {
     pub(crate) config: SessionConfig,
     pub(crate) image: Arc<SharedImage>,
-    pub(crate) perf: TraceSession,
+    /// Each exited thread's whole PT log, moved in by `ThreadCtx::finish`
+    /// under its thread id.
+    pub(crate) logs: Mutex<BTreeMap<ThreadId, Vec<u8>>>,
     pub(crate) allocator: HeapAllocator,
     /// The streaming builder of the current (or latest) run. Every
     /// [`InspectorSession::run`] starts a fresh one with its own spill
     /// directory, so no run writes over an image a previous seal kept.
     builder: Mutex<Arc<ShardedCpgBuilder>>,
     next_thread: AtomicU32,
-    next_pid: AtomicU64,
     spawned_threads: AtomicU64,
     /// Sender sides of the ingest-pool lanes of the *current* run (one per
     /// pool worker). Present only while [`InspectorSession::run`] is
@@ -170,10 +169,6 @@ impl Shared {
             }
         }
         thread
-    }
-
-    pub(crate) fn allocate_pid(&self) -> ProcessId {
-        ProcessId(self.next_pid.fetch_add(1, Ordering::Relaxed))
     }
 
     /// The current run's builder.
@@ -294,7 +289,7 @@ fn is_degraded(stats: &RunStats) -> bool {
 /// An armed
 /// [`FaultPlan::corrupt_aux_at`](crate::config::FaultPlan::corrupt_aux_at)
 /// flips its byte on the way in — `log[..t]`, the flipped byte, `log[t+1..]`
-/// — so the perf log itself stays intact.
+/// — so the kept log itself stays intact.
 fn check_thread_log(log: &[u8], corrupt_aux_at: u64, thread: &ThreadDone, stats: &mut RunStats) {
     let start = Instant::now();
     let mut decoder = StreamingDecoder::counting_only();
@@ -408,7 +403,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// A configured INSPECTOR session.
 ///
-/// The session owns the shared memory image, the perf/PT plumbing and the
+/// The session owns the shared memory image, the threads' PT logs and the
 /// streaming provenance pipeline. Map shared regions and inputs first, then
 /// call [`run`](Self::run) with the application's main-thread closure.
 #[derive(Debug)]
@@ -422,18 +417,15 @@ impl InspectorSession {
         let image = SharedImage::with_default_page_size();
         let heap_region = image.map_region("shared-heap", HEAP_BYTES);
         let allocator = HeapAllocator::new(heap_region);
-        let cgroup = Arc::new(Cgroup::new("inspector"));
-        let perf = TraceSession::new(cgroup);
         let shared = Arc::new(Shared {
             config,
             image,
-            perf,
+            logs: Mutex::new(BTreeMap::new()),
             allocator,
             // Empty until the first run replaces it: snapshots and counters
             // read it, and it spills nothing.
             builder: Mutex::new(Arc::new(ShardedCpgBuilder::new())),
             next_thread: AtomicU32::new(0),
-            next_pid: AtomicU64::new(1),
             spawned_threads: AtomicU64::new(0),
             ingest_tx: Mutex::new(None),
         });
@@ -457,21 +449,11 @@ impl InspectorSession {
     }
 
     /// Maps an input file into the shared address space (the `mmap` shim for
-    /// reading inputs) and reports it to the perf session so the trace
-    /// decoder can attribute the pages.
-    pub fn map_input(&self, name: impl Into<String> + Clone, data: &[u8]) -> Region {
-        let region = self.shared.image.map_input(name.clone(), data);
-        // The mapping is performed by the INSPECTOR library itself before the
-        // traced application starts; report it from the library's own pid so
-        // the decoder can attribute the pages.
-        self.shared.perf.cgroup().add(ProcessId(0));
-        self.shared.perf.submit(PerfEvent::Mmap {
-            pid: ProcessId(0),
-            addr: region.base().raw(),
-            len: region.len(),
-            filename: name.into(),
-        });
-        region
+    /// reading inputs), initialised with `data`. Its pages are tracked like
+    /// any shared page, so a read of the input shows up in the reading
+    /// sub-computation's read set.
+    pub fn map_input(&self, name: impl Into<String>, data: &[u8]) -> Region {
+        self.shared.image.map_input(name, data)
     }
 
     /// The shared heap allocator (also reachable from every
@@ -480,13 +462,18 @@ impl InspectorSession {
         &self.shared.allocator
     }
 
-    /// The raw provenance log (concatenated per-thread Intel PT packet
-    /// streams) — what `perf record` would have written to disk. It holds
-    /// the logs of the threads that have exited: a thread hands its log
-    /// over as it exits, so during a run the running threads' logs are not
-    /// in it yet. Empty for native runs.
+    /// The raw provenance log (the per-thread Intel PT packet streams,
+    /// concatenated in thread-id order) — what `perf record` would have
+    /// written to disk. It holds the logs of the threads that have exited:
+    /// the session takes a thread's log over as the thread exits, so during
+    /// a run the running threads' logs are not in it yet. Empty for native
+    /// runs.
     pub fn provenance_log(&self) -> Vec<u8> {
-        self.shared.perf.full_log()
+        let logs = self.shared.logs.lock();
+        logs.values()
+            .map(Vec::as_slice)
+            .collect::<Vec<_>>()
+            .concat()
     }
 
     /// Counters describing how the streaming CPG build progressed (nodes
@@ -685,11 +672,12 @@ impl InspectorSession {
             // The PT cross-check of every thread that reported; it runs
             // before the seal because the forensics test below reads it.
             let corrupt_aux_at = self.shared.config.fault_plan.corrupt_aux_at;
+            let logs = self.shared.logs.lock();
             for thread in &done {
-                self.shared.perf.with_aux_log(thread.pid, |log| {
-                    check_thread_log(log, corrupt_aux_at, thread, &mut stats)
-                });
+                let log = logs.get(&thread.thread).map_or(&[][..], Vec::as_slice);
+                check_thread_log(log, corrupt_aux_at, thread, &mut stats);
             }
+            drop(logs);
             // Forensics contract: a run already known to be degraded keeps
             // its spill directory and manifest through the seal, whatever
             // the configured retain policy says — damaged runs are exactly
@@ -721,7 +709,7 @@ impl InspectorSession {
         };
         stats.degraded = is_degraded(&stats);
         let space = if self.shared.config.mode == ExecutionMode::Inspector {
-            self.shared.perf.space_report(stats.pt.branches, wall_time)
+            SpaceReport::from_log(&self.provenance_log(), stats.pt.branches, wall_time)
         } else {
             Default::default()
         };
@@ -845,7 +833,7 @@ mod tests {
     fn each_thread_hands_its_log_over_once_at_exit() {
         let session = InspectorSession::new(SessionConfig::inspector());
         let lock = Arc::new(InspMutex::new());
-        let shared = Arc::clone(&session.shared);
+        let observer = &session;
         let boundaries = |ctx: &mut ThreadCtx, lock: &InspMutex| {
             for i in 0..100u64 {
                 ctx.branch(i % 2 == 0);
@@ -861,19 +849,34 @@ mod tests {
                     ctx.spawn(move |ctx| boundaries(ctx, &lock))
                 })
                 .collect();
+            let ids: Vec<_> = workers.iter().map(|w| w.thread()).collect();
             for worker in workers {
                 ctx.join(worker);
             }
-            assert_eq!(shared.perf.stats().aux_records, 3, "the joined workers");
-            // The root's 200 boundaries hand nothing to the perf session.
+            // Exactly the joined workers' logs, in thread-id order: each
+            // decodes to its worker's 200 branches.
+            let joined: Vec<u8> = {
+                let logs = observer.shared.logs.lock();
+                assert_eq!(logs.keys().copied().collect::<Vec<_>>(), ids);
+                for log in logs.values() {
+                    let mut decoder = StreamingDecoder::counting_only();
+                    decoder.push(log);
+                    decoder.finish();
+                    assert_eq!(decoder.stats().branches, 200);
+                }
+                logs.values().flatten().copied().collect()
+            };
+            assert_eq!(observer.provenance_log(), joined);
+            // The root's 200 boundaries add nothing to it.
             boundaries(ctx, &lock);
-            assert_eq!(shared.perf.stats().aux_records, 3);
+            assert_eq!(observer.provenance_log(), joined);
         });
-        let perf = session.shared.perf.stats();
         assert_eq!(report.stats.threads, 4);
-        assert_eq!(perf.aux_records, 4, "{perf:?}");
-        assert_eq!(perf.aux_bytes, session.provenance_log().len() as u64);
-        assert_eq!(perf.aux_bytes, report.stats.pt.trace_bytes);
+        assert_eq!(session.shared.logs.lock().len(), 4);
+        assert_eq!(
+            session.provenance_log().len() as u64,
+            report.stats.pt.trace_bytes
+        );
     }
 
     #[test]
@@ -987,8 +990,6 @@ mod tests {
         let q = ProvenanceQuery::new(&report.cpg);
         let first_input_page = PageId::new(input.base().raw() / 4096);
         assert!(q.readers_of(first_input_page).next().is_some());
-        // And the perf session recorded the mmap event.
-        assert_eq!(session.shared.perf.mmaps().len(), 1);
     }
 
     #[test]
@@ -1065,10 +1066,10 @@ mod tests {
         assert_eq!(report.stats.decoded_branches, report.stats.pt.branches);
         assert!(report.stats.decode_bytes > 0);
         assert!(report.stats.pt_decode_time() > Duration::ZERO);
-        // The check decoded exactly the bytes the perf session holds.
+        // The check decoded exactly the bytes the session keeps.
         assert_eq!(
-            session.shared.perf.stats().aux_bytes,
-            report.stats.decode_bytes
+            report.stats.decode_bytes,
+            session.provenance_log().len() as u64
         );
     }
 
@@ -1287,7 +1288,7 @@ mod tests {
                 "undetected count drift at offset {offset}: {s:?}"
             );
         }
-        // The flip is applied where the check reads, not in the perf log.
+        // The flip is applied where the check reads, not in the kept log.
         let plan = FaultPlan {
             corrupt_aux_at: 1,
             ..FaultPlan::default()

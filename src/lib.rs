@@ -18,8 +18,8 @@
 //!   taint tracking and snapshots;
 //! * [`mem`] — the paged shared-memory substrate;
 //! * [`pt`] — the PT packet encoder/decoder;
-//! * [`perf`] — the perf-style trace session, cgroup filter and LZ
-//!   compressor;
+//! * [`perf`] — the provenance log's space accounting and LZ compressor
+//!   (plus a perf-style trace session model the runtime does not use);
 //! * [`workloads`] — the twelve PARSEC/Phoenix benchmark applications.
 //!
 //! ## Quickstart

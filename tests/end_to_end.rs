@@ -88,7 +88,7 @@ fn pt_log_decodes_to_the_recorded_branch_count() {
         ctx.call(0x2000);
     });
     assert_eq!(report.stats.pt.branches, 5_001);
-    // The perf session's full log decodes back to exactly the recorded
+    // The session's provenance log decodes back to exactly the recorded
     // branch events; the trace's start and stop markers are not branches.
     let events = PacketDecoder::new(&session.provenance_log())
         .decode_events()
@@ -215,7 +215,7 @@ fn every_workload_produces_a_valid_graph_with_all_edge_kinds() {
             // Every run checks its PT stream after the fact. The check is
             // exact when nothing was lost, and a loss is never silent.
             if s.gaps == 0 && s.lost_bytes == 0 {
-                // Every encoded byte reached the perf session, once.
+                // Every encoded byte reached the session's logs, once.
                 let log_bytes = result.report.space.log_bytes;
                 assert_eq!(log_bytes, s.pt.trace_bytes, "{context}: {s:?}");
                 assert_eq!(s.decode_errors, 0, "{context}: {s:?}");
@@ -231,7 +231,7 @@ fn every_workload_produces_a_valid_graph_with_all_edge_kinds() {
 #[test]
 fn decoded_aux_stream_matches_conditional_branch_count() {
     // Drive a run with a known number of conditional branches and decode the
-    // AUX payload collected by the perf layer end to end.
+    // threads' kept PT logs end to end.
     let session = InspectorSession::new(SessionConfig::inspector());
     let branches = 2_000u64;
     let report = session.run(|ctx| {
