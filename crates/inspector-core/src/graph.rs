@@ -28,18 +28,27 @@
 //! writer of a graph's store, so both endpoints of every record are
 //! vertices: no graph holds a dangling edge.
 //!
-//! ## Page index
+//! ## Indexes built on first use
 //!
-//! The page-keyed queries (writers and readers of a page, the page summary,
-//! taint seeding and tainted pages) go through a page index: the distinct
-//! pages any vertex reads or writes, ascending, and per page CSR rows of its
-//! reader positions and its writer positions, each ascending. Positions
-//! ascend in `(thread, α)` order, so one thread's accessors of a page are one
-//! contiguous run of its row. The index is built on the first page-keyed
-//! query, once per graph: sealing and recovery never pay for it, and neither
-//! does a traced run that is never queried. On the 97 k-node `reverse_index`
-//! Small graph (≈ 242 k page accesses over 286 pages) the build takes
-//! 5.5–8 ms on a 2-vCPU guest.
+//! A graph is built to be queried, but the seal, recovery, a snapshot and
+//! [`CpgBuilder::into_cpg`] do not query it, so a graph leaves them with its
+//! nodes, its edge store and its position index only. The two traversal
+//! indexes are built on first use, once per graph, and a clone made before
+//! that builds its own:
+//!
+//! - **Adjacency**: the successor and predecessor CSR rows, each holding
+//!   `(neighbour position, edge position, kind)` in edge-store order. The
+//!   first traversal builds both — topological order and
+//!   [`Cpg::validate`], slices, taint, [`Cpg::outgoing`] and
+//!   [`Cpg::incoming`]. On the 97 k-node `reverse_index` Small graph the
+//!   build takes 3.5–13 ms and ≈ 6 MB on a 2-vCPU guest.
+//! - **Page index**: the page-keyed queries (writers and readers of a page,
+//!   the page summary, taint seeding and tainted pages) go through the
+//!   distinct pages any vertex reads or writes, ascending, and per page CSR
+//!   rows of its reader positions and its writer positions, each ascending.
+//!   Positions ascend in `(thread, α)` order, so one thread's accessors of a
+//!   page are one contiguous run of its row. On the same graph (≈ 242 k page
+//!   accesses over 286 pages) the build takes 5.5–8 ms.
 //!
 //! ## Batch derivation
 //!
@@ -294,8 +303,8 @@ pub(crate) struct Adjacent {
 
 /// CSR adjacency over node positions: row `p` is
 /// `entries[offsets[p]..offsets[p + 1]]`, in edge-store order. Two
-/// allocations for the whole graph and no hashing — the streaming seal
-/// builds this on the run's critical path.
+/// allocations for the whole graph and no hashing; built on a graph's first
+/// traversal (see the module docs), never by the seal or recovery.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AdjacencyIndex {
     /// Row starts, `nodes + 1` long (empty for [`Cpg::default`], which has
@@ -304,11 +313,18 @@ pub(crate) struct AdjacencyIndex {
     entries: Vec<Adjacent>,
 }
 
-impl AdjacencyIndex {
-    /// Builds the successor and predecessor indexes over `edges`: one
-    /// counting pass, one prefix-sum pass, one fill pass — a stable counting
-    /// sort, so each row keeps edge-store order.
-    fn build_pair(nodes: usize, edges: &EdgeStore) -> (Self, Self) {
+/// A graph's successor and predecessor indexes over the same edges.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Adjacency {
+    pub(crate) successors: AdjacencyIndex,
+    pub(crate) predecessors: AdjacencyIndex,
+}
+
+impl Adjacency {
+    /// Builds both indexes over `edges`: one counting pass, one prefix-sum
+    /// pass, one fill pass — a stable counting sort, so each row keeps
+    /// edge-store order.
+    fn build(nodes: usize, edges: &EdgeStore) -> Self {
         let mut successors = vec![0u32; nodes + 1];
         let mut predecessors = vec![0u32; nodes + 1];
         for record in &edges.records {
@@ -343,18 +359,20 @@ impl AdjacencyIndex {
             place(&mut out_cursor, &mut out, record.src, towards(record.dst));
             place(&mut in_cursor, &mut into, record.dst, towards(record.src));
         }
-        (
-            AdjacencyIndex {
+        Adjacency {
+            successors: AdjacencyIndex {
                 offsets: successors,
                 entries: out,
             },
-            AdjacencyIndex {
+            predecessors: AdjacencyIndex {
                 offsets: predecessors,
                 entries: into,
             },
-        )
+        }
     }
+}
 
+impl AdjacencyIndex {
     /// The entries of the vertex at `position`.
     pub(crate) fn row(&self, position: u32) -> &[Adjacent] {
         let p = position as usize;
@@ -509,60 +527,66 @@ pub struct Cpg {
     ids: Vec<SubId>,
     /// Per-thread position ranges, sorted by thread.
     ranges: Vec<ThreadRange>,
-    pub(crate) successors: AdjacencyIndex,
-    pub(crate) predecessors: AdjacencyIndex,
+    /// Built on the first traversal (see the module docs).
+    adjacency: OnceLock<Adjacency>,
     /// Built on the first page-keyed query (see the module docs).
     page_index: OnceLock<PageIndex>,
+}
+
+/// The position index of an id-sorted, duplicate-free node store: every
+/// vertex's id by position, and one range per thread.
+fn position_index(view: &NodeView<'_>) -> (Vec<SubId>, Vec<ThreadRange>) {
+    let nodes = view.nodes;
+    debug_assert!(
+        nodes.windows(2).all(|w| w[0].id < w[1].id),
+        "node store must be sorted by id and duplicate-free"
+    );
+    assert!(
+        u32::try_from(nodes.len()).is_ok(),
+        "positions are 32-bit: {} nodes",
+        nodes.len()
+    );
+    let ids = nodes.iter().map(|n| n.id).collect();
+    let ranges = view
+        .threads
+        .iter()
+        .map(|run| ThreadRange {
+            thread: nodes[run.start].id.thread,
+            first: run.start as u32,
+            len: run.len() as u32,
+        })
+        .collect();
+    (ids, ranges)
 }
 
 impl Cpg {
     /// Assembles a graph from nodes already sorted by id and the edge store
     /// over their positions.
     pub(crate) fn from_store(nodes: Vec<SubComputation>, edges: EdgeStore) -> Self {
-        Cpg::indexed(nodes).with_edges(edges)
+        let (ids, ranges) = position_index(&NodeView::of_sorted(&nodes));
+        Cpg::of_parts(nodes, edges, ids, ranges)
     }
 
-    /// An edgeless graph of `nodes` with its position index.
-    fn indexed(nodes: Vec<SubComputation>) -> Self {
-        debug_assert!(
-            nodes.windows(2).all(|w| w[0].id < w[1].id),
-            "node store must be sorted by id and duplicate-free"
-        );
-        assert!(
-            u32::try_from(nodes.len()).is_ok(),
-            "positions are 32-bit: {} nodes",
-            nodes.len()
-        );
-        let ids: Vec<SubId> = nodes.iter().map(|n| n.id).collect();
-        let mut ranges: Vec<ThreadRange> = Vec::new();
-        for (p, id) in ids.iter().enumerate() {
-            match ranges.last_mut() {
-                Some(range) if range.thread == id.thread => range.len += 1,
-                _ => ranges.push(ThreadRange {
-                    thread: id.thread,
-                    first: p as u32,
-                    len: 1,
-                }),
-            }
-        }
-        Cpg {
-            nodes,
-            ids,
-            ranges,
-            ..Cpg::default()
-        }
-    }
-
-    /// The graph with `edges` and their adjacency.
-    fn with_edges(mut self, edges: EdgeStore) -> Self {
+    /// The graph of an id-sorted node store, the edge store over its
+    /// positions and its position index; no traversal index is built.
+    fn of_parts(
+        nodes: Vec<SubComputation>,
+        edges: EdgeStore,
+        ids: Vec<SubId>,
+        ranges: Vec<ThreadRange>,
+    ) -> Self {
         assert!(
             u32::try_from(edges.len()).is_ok(),
             "positions are 32-bit: {} edges",
             edges.len()
         );
-        (self.successors, self.predecessors) = AdjacencyIndex::build_pair(self.nodes.len(), &edges);
-        self.edges = edges;
-        self
+        Cpg {
+            nodes,
+            edges,
+            ids,
+            ranges,
+            ..Cpg::default()
+        }
     }
 
     /// The graph of an id-sorted node store in recorder shape (see the
@@ -570,8 +594,8 @@ impl Cpg {
     /// seal reads back and what the consistent cut keeps — with the edges
     /// derived over it by the parallel derivation.
     pub(crate) fn derived(nodes: Vec<SubComputation>) -> Self {
-        let edges = derive(&NodeView::of_sorted(&nodes));
-        Cpg::from_store(nodes, edges)
+        let (edges, (ids, ranges)) = derive(&NodeView::of_sorted(&nodes));
+        Cpg::of_parts(nodes, edges, ids, ranges)
     }
 
     /// Number of vertices.
@@ -630,6 +654,12 @@ impl Cpg {
             .get_or_init(|| PageIndex::build(&self.nodes))
     }
 
+    /// The successor and predecessor indexes, built on first use.
+    pub(crate) fn adjacency(&self) -> &Adjacency {
+        self.adjacency
+            .get_or_init(|| Adjacency::build(self.nodes.len(), &self.edges))
+    }
+
     /// Splits an ascending row of positions into one run per thread, in
     /// thread order: O(log) per run, whatever its length.
     pub(crate) fn thread_runs<'r>(
@@ -680,12 +710,12 @@ impl Cpg {
 
     /// Outgoing edges of a vertex, in edge-store order.
     pub fn outgoing(&self, id: SubId) -> impl Iterator<Item = DependenceEdge> + '_ {
-        self.incident(&self.successors, id)
+        self.incident(&self.adjacency().successors, id)
     }
 
     /// Incoming edges of a vertex, in edge-store order.
     pub fn incoming(&self, id: SubId) -> impl Iterator<Item = DependenceEdge> + '_ {
-        self.incident(&self.predecessors, id)
+        self.incident(&self.adjacency().predecessors, id)
     }
 
     /// Returns `true` if `a` happens-before `b` according to the recorded
@@ -736,15 +766,19 @@ impl Cpg {
     pub fn topological_order(&self) -> Option<Vec<SubId>> {
         // FIFO Kahn; `order` doubles as the queue (`head` is its front).
         let nodes = self.nodes.len();
+        let Adjacency {
+            successors,
+            predecessors,
+        } = self.adjacency();
         let mut indegree: Vec<u32> = (0..nodes as u32)
-            .map(|p| self.predecessors.row(p).len() as u32)
+            .map(|p| predecessors.row(p).len() as u32)
             .collect();
         let mut order: Vec<u32> = Vec::with_capacity(nodes);
         order.extend((0..nodes as u32).filter(|&p| indegree[p as usize] == 0));
         let mut head = 0;
         while let Some(&p) = order.get(head) {
             head += 1;
-            for entry in self.successors.row(p) {
+            for entry in successors.row(p) {
                 let d = &mut indegree[entry.neighbour as usize];
                 *d -= 1;
                 if *d == 0 {
@@ -876,8 +910,8 @@ impl CpgBuilder {
     /// concatenated in the order a single pass emits them — control edges,
     /// then synchronization edges, then data edges reader by reader — so
     /// the graph is the same, edge for edge, on any number of cores. The
-    /// writer index and every scratch buffer are gone before the adjacency
-    /// index is built.
+    /// graph's traversal indexes are built on its first query (see the
+    /// module docs), not here.
     ///
     /// [`add_thread`](Self::add_thread) admitted each sequence in α order,
     /// so they concatenate into the id-sorted node store as they are. The
@@ -950,13 +984,14 @@ fn preceding_from<'n, T>(
 
 /// Derives every edge of `view`, whose runs are recorder-output threads in
 /// id order — control, then synchronization, then data edges reader by
-/// reader.
+/// reader — and the view's position index.
 ///
-/// The calling thread derives the control edges into the edge store the
-/// graph keeps, while up to [`pool::workers`] workers derive the
-/// synchronization edges (unit 0) and split the readers into contiguous
-/// chunks (the other units); their parts are appended in unit order.
-fn derive(view: &NodeView<'_>) -> EdgeStore {
+/// Up to [`pool::workers`] workers derive the synchronization edges (unit
+/// 0) and split the readers into contiguous chunks (the other units), while
+/// the calling thread builds the position index. Once every part is in, the
+/// calling thread reserves the edge store exactly, derives the control
+/// edges into it and appends the parts in unit order.
+fn derive(view: &NodeView<'_>) -> (EdgeStore, (Vec<SubId>, Vec<ThreadRange>)) {
     let workers = pool::workers(view.nodes.len(), MIN_NODES_PER_WORKER);
     let chunks = if workers > 1 {
         workers * CHUNKS_PER_WORKER
@@ -993,18 +1028,20 @@ fn derive(view: &NodeView<'_>) -> EdgeStore {
             out
         },
         |parts| {
-            // Room for one synchronization or data edge per node beside the
-            // control edges, which most graphs stay under: the parts are
-            // appended without moving what is already there.
+            let positions = position_index(view);
+            let parts: Vec<EdgeStore> = parts.collect();
+            let control = view.nodes.len() - view.threads.len();
+            let records = control + parts.iter().map(EdgeStore::len).sum::<usize>();
+            let pages = parts.iter().map(|part| part.pages.len()).sum();
             let mut edges = EdgeStore {
-                records: Vec::with_capacity(2 * view.nodes.len()),
-                ..EdgeStore::default()
+                records: Vec::with_capacity(records),
+                pages: Vec::with_capacity(pages),
             };
             control_edges(view, &mut edges.records);
             for part in parts {
                 edges.append(part);
             }
-            edges
+            (edges, positions)
         },
     )
 }
@@ -1369,9 +1406,15 @@ mod tests {
         /// Assembles a graph from nodes already sorted by id and an edge list,
         /// which is converted into the edge store once.
         fn from_sorted_nodes(nodes: Vec<SubComputation>, edges: Vec<DependenceEdge>) -> Self {
-            let cpg = Cpg::indexed(nodes);
+            let cpg = Cpg::from_store(nodes, EdgeStore::default());
             let edges = EdgeStore::of_edges(edges, |id| cpg.position(id));
-            cpg.with_edges(edges)
+            Cpg::of_parts(cpg.nodes, edges, cpg.ids, cpg.ranges)
+        }
+
+        /// Whether the adjacency was built: a probe for the tests that pin
+        /// when it is.
+        pub(crate) fn adjacency_built(&self) -> bool {
+            self.adjacency.get().is_some()
         }
 
         /// The pre-dense-index implementation, kept verbatim over the public
@@ -1713,6 +1756,19 @@ mod tests {
             assert!(cpg.outgoing(e.src).any(|o| o == e));
             assert!(cpg.incoming(e.dst).any(|i| i == e));
         }
+    }
+
+    #[test]
+    fn a_derived_graph_builds_its_adjacency_on_the_first_traversal() {
+        let cpg = example_cpg();
+        assert!(!cpg.adjacency_built());
+        // Counting, listing and page queries build no adjacency either.
+        assert!(cpg.edge_count() > 0 && cpg.edges().count() > 0);
+        let query = crate::query::ProvenanceQuery::new(&cpg);
+        assert!(!query.page_summary().is_empty());
+        assert!(!cpg.adjacency_built());
+        assert!(cpg.validate().is_ok());
+        assert!(cpg.adjacency_built());
     }
 
     #[test]

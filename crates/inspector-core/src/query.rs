@@ -301,9 +301,10 @@ impl<'a> ProvenanceQuery<'a> {
         dir: Direction,
     ) -> SubSet<'a> {
         let cpg = self.cpg;
+        let adjacency = cpg.adjacency();
         let index = match dir {
-            Direction::Forward => &cpg.successors,
-            Direction::Backward => &cpg.predecessors,
+            Direction::Forward => &adjacency.successors,
+            Direction::Backward => &adjacency.predecessors,
         };
         // One bit per position. The reached set does not depend on visit
         // order, so the frontier is a plain stack. The set's size is counted

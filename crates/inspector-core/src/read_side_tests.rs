@@ -506,3 +506,96 @@ proptest! {
         }
     }
 }
+
+/// Every traversal of `cpg`, rendered, in a fixed order of kinds; the kind
+/// `first` runs first, so it is the one that meets an unbuilt index.
+fn traversals(cpg: &Cpg, first: usize, picks: &[u64]) -> Vec<String> {
+    let ids: Vec<SubId> = cpg.nodes().map(|n| n.id).collect();
+    let starts: Vec<SubId> = picks
+        .iter()
+        .map(|&pick| ids[pick as usize % ids.len()])
+        .collect();
+    let query = ProvenanceQuery::new(cpg);
+    let slices = || {
+        let mut out: Vec<(Vec<SubId>, Vec<SubId>)> = Vec::new();
+        for &start in &starts {
+            for filter in FILTERS {
+                let backward = query.backward_slice(start, filter);
+                let forward = query.forward_slice(start, filter);
+                out.push((backward.iter().collect(), forward.iter().collect()));
+            }
+        }
+        format!("{out:?}")
+    };
+    let taint = || {
+        let mut out = Vec::new();
+        for control_flow in [false, true] {
+            let mut tracker = TaintTracker::new().with_control_flow(control_flow);
+            tracker.taint_page(PageId::new(picks[0] % 3), TaintLabel(1));
+            tracker.taint_page(PageId::new(0), TaintLabel(2));
+            let report = tracker.propagate(cpg);
+            let subs: Vec<Vec<TaintLabel>> = ids
+                .iter()
+                .map(|&id| report.labels_of_sub(id).collect())
+                .collect();
+            out.push(format!("{subs:?} {:?}", report.tainted_pages));
+        }
+        out.join(" ")
+    };
+    let incident = || {
+        let rows: Vec<(Vec<_>, Vec<_>)> = ids
+            .iter()
+            .map(|&id| (cpg.outgoing(id).collect(), cpg.incoming(id).collect()))
+            .collect();
+        format!("{rows:?}")
+    };
+    let kinds: [&dyn Fn() -> String; 6] = [
+        &|| format!("{:?}", cpg.topological_order()),
+        &|| format!("{:?}", cpg.validate()),
+        &|| format!("{:?}", query.schedule()),
+        &incident,
+        &slices,
+        &taint,
+    ];
+    let mut out = vec![String::new(); kinds.len()];
+    for k in (0..kinds.len()).map(|i| (first + i) % kinds.len()) {
+        out[k] = kinds[k]();
+    }
+    out
+}
+
+proptest! {
+    /// The adjacency is built on first use: whichever traversal comes
+    /// first, on a fresh graph or on a clone taken before any traversal,
+    /// every traversal answers what it answers once the index is built, and
+    /// a clone taken after that carries the index.
+    #[test]
+    fn prop_lazy_adjacency_answers_as_a_built_one(
+        ping_pong in any::<bool>(),
+        threads in 1u32..9,
+        iterations in 1u64..8,
+        pages in 1u64..5,
+        shards in 1usize..4,
+        first in 0usize..6,
+        picks in proptest::collection::vec(any::<u64>(), 3),
+    ) {
+        let sequences = if ping_pong {
+            ping_pong_sequences(threads, iterations)
+        } else {
+            lock_heavy_sequences(threads, iterations, pages, pages)
+        };
+        for cpg in both_builds(sequences, shards) {
+            prop_assert!(!cpg.adjacency_built());
+            let early = cpg.clone();
+            let lazy = traversals(&cpg, first, &picks);
+            prop_assert!(cpg.adjacency_built());
+            prop_assert!(!early.adjacency_built());
+            let built = traversals(&cpg, 0, &picks);
+            let later = cpg.clone();
+            prop_assert!(later.adjacency_built());
+            prop_assert_eq!(&lazy, &built);
+            prop_assert_eq!(&traversals(&early, (first + 1) % 6, &picks), &built);
+            prop_assert_eq!(&traversals(&later, first, &picks), &built);
+        }
+    }
+}

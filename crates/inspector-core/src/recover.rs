@@ -206,14 +206,19 @@ pub(crate) fn read_segments(
     // A tail goes in once its shard has been read, and only if nothing of
     // the shard was lost.
     let mut damaged: BTreeSet<usize> = BTreeSet::new();
+    // Whether the store ascends by id so far. A live tail ascends by the
+    // ingest check, so only its seam is checked.
+    let mut ordered = true;
     let mut flush = |nodes: &mut Vec<SubComputation>,
                      damaged: &BTreeSet<usize>,
                      due: &dyn Fn(&Tail) -> bool| {
+        let mut ascending = true;
         while let Some((_, shard, mut run)) = tails.next_if(due) {
             if !damaged.contains(&shard) {
-                nodes.append(&mut run);
+                ascending &= append_ascending(nodes, &mut run);
             }
         }
+        ascending
     };
     let mut unreadable = None;
     if !plan.is_empty() {
@@ -288,11 +293,12 @@ pub(crate) fn read_segments(
                             file_len,
                             header,
                             nodes: decoded,
+                            ascending,
                             end,
                         } => {
                             if header.shard as usize == seg.shard && header.session_id == session_id
                             {
-                                (file_len, Some((decoded, end)))
+                                (file_len, Some((decoded, ascending, end)))
                             } else {
                                 buffers.give_back(decoded);
                                 (file_len, None)
@@ -305,7 +311,7 @@ pub(crate) fn read_segments(
                     let short = seg.bytes.saturating_sub(file_len);
                     report.missing_bytes += short;
                     lost |= short > 0;
-                    let Some((mut decoded, end)) = scanned else {
+                    let Some((mut decoded, ascending, end)) = scanned else {
                         report.bad_headers += 1;
                         report.lost_bytes += file_len;
                         (poisoned, lost) = (true, true);
@@ -349,9 +355,10 @@ pub(crate) fn read_segments(
                         let due = |tail: &Tail| {
                             tail.0 < first && (tail.1 < seg.shard || !in_plan(tail.1))
                         };
-                        flush(&mut nodes, &damaged, &due);
+                        ordered &= flush(&mut nodes, &damaged, &due);
                     }
-                    nodes.append(&mut decoded);
+                    let seam = append_ascending(&mut nodes, &mut decoded);
+                    ordered &= ascending && seam;
                     buffers.give_back(decoded);
                 }
                 if lost {
@@ -360,19 +367,32 @@ pub(crate) fn read_segments(
             },
         );
     }
-    flush(&mut nodes, &damaged, &|_| true);
-    (into_thread_order(nodes), unreadable)
+    ordered &= flush(&mut nodes, &damaged, &|_| true);
+    if ordered {
+        debug_assert!(nodes.windows(2).all(|w| w[0].id < w[1].id));
+        (nodes, unreadable)
+    } else {
+        (into_thread_order(nodes), unreadable)
+    }
 }
 
-/// `nodes` in (thread, α) order. Each thread's records arrive in α order,
-/// shard after shard, so with one thread per shard the store is in that
-/// order already and is returned as it is. Otherwise it is bucketed per
-/// thread, arrival order kept, and a bucket that arrived out of α order is
-/// sorted: a stable sort by id.
+/// Appends `run` to `nodes`; returns whether the seam between them
+/// ascends by id.
+fn append_ascending(nodes: &mut Vec<SubComputation>, run: &mut Vec<SubComputation>) -> bool {
+    let seam = match (nodes.last(), run.first()) {
+        (Some(last), Some(first)) => last.id < first.id,
+        _ => true,
+    };
+    nodes.append(run);
+    seam
+}
+
+/// `nodes`, which do not ascend by id, in (thread, α) order. Each thread's
+/// records arrive in α order, shard after shard — with one thread per
+/// shard the reader finds them ascending and never calls this. The store
+/// is bucketed per thread, arrival order kept, and a bucket that arrived
+/// out of α order is sorted: a stable sort by id.
 fn into_thread_order(nodes: Vec<SubComputation>) -> Vec<SubComputation> {
-    if nodes.windows(2).all(|w| w[0].id < w[1].id) {
-        return nodes;
-    }
     let mut counts: BTreeMap<ThreadId, usize> = BTreeMap::new();
     for sub in &nodes {
         *counts.entry(sub.id.thread).or_default() += 1;
@@ -506,6 +526,34 @@ mod tests {
             > 0
         {}
         builder.seal()
+    }
+
+    /// The seal, a live snapshot and recovery derive their graphs without a
+    /// traversal index; the first traversal builds it.
+    #[test]
+    fn sealed_snapshot_and_recovered_graphs_build_no_adjacency() {
+        let tmp = TempDir::new("recover-test");
+        let sealed = retained_session(tmp.path());
+        let recovered = recover_session(tmp.path()).expect("recovery I/O").cpg;
+        let builder = ShardedCpgBuilder::with_shards(2);
+        for seq in crate::testing::lock_heavy_sequences(3, 20, 2, 3) {
+            for sub in seq {
+                builder.ingest(sub);
+            }
+        }
+        let snapshot = builder.snapshot().cpg;
+        let in_memory = builder.seal();
+        for (what, cpg) in [
+            ("spilled seal", &sealed),
+            ("recovery", &recovered),
+            ("snapshot", &snapshot),
+            ("in-memory seal", &in_memory),
+        ] {
+            assert!(cpg.node_count() > 0, "{what}");
+            assert!(!cpg.adjacency_built(), "{what}");
+            assert!(cpg.topological_order().is_some(), "{what}");
+            assert!(cpg.adjacency_built(), "{what}");
+        }
     }
 
     /// A named way to damage one segment file.

@@ -76,28 +76,38 @@ pub(crate) fn cut_in_place(
             _ => threads.push((sub.id.thread, p..p + 1)),
         }
     }
-    let mut frontier: BTreeMap<ThreadId, usize> = threads
+    // `kept[i]` is the frontier of `threads[i]`. `by_thread` mirrors it by
+    // thread index for the clock lookups, over the indexes some clock
+    // names: a clock is dense, so it never names a thread past its length,
+    // and a thread no clock names needs no entry (its own frontier is
+    // never looked up).
+    let mut kept: Vec<usize> = threads
         .iter()
-        .map(|(thread, run)| {
-            (
-                *thread,
-                usable_prefix(&nodes[run.clone()]).min(bound(*thread)),
-            )
-        })
+        .map(|(thread, run)| usable_prefix(&nodes[run.clone()]).min(bound(*thread)))
         .collect();
+    let named = nodes.iter().map(|sub| sub.clock.len()).max().unwrap_or(0);
+    let mut by_thread = vec![0usize; named];
+    for ((thread, _), &k) in threads.iter().zip(&kept) {
+        if let Some(slot) = by_thread.get_mut(thread.index()) {
+            *slot = k;
+        }
+    }
 
     loop {
         let mut changed = false;
-        for (thread, run) in &threads {
-            let current = frontier[thread];
+        for (i, (thread, run)) in threads.iter().enumerate() {
+            let current = kept[i];
             let covered = |sub: &SubComputation| {
-                sub.clock.iter().all(|(u, k)| {
-                    u == *thread || k as usize <= frontier.get(&u).copied().unwrap_or(0)
-                })
+                sub.clock
+                    .iter()
+                    .all(|(u, k)| u == *thread || k as usize <= by_thread[u.index()])
             };
-            let kept = nodes[run.start..run.start + current].partition_point(covered);
-            if kept < current {
-                frontier.insert(*thread, kept);
+            let now = nodes[run.start..run.start + current].partition_point(covered);
+            if now < current {
+                kept[i] = now;
+                if let Some(slot) = by_thread.get_mut(thread.index()) {
+                    *slot = now;
+                }
                 changed = true;
             }
         }
@@ -107,16 +117,21 @@ pub(crate) fn cut_in_place(
     }
 
     let mut position = 0;
-    let mut run = threads.iter().peekable();
+    let mut run = threads.iter().zip(&kept).peekable();
     nodes.retain(|_| {
-        while run.next_if(|(_, r)| r.end <= position).is_some() {}
+        while run.next_if(|((_, r), _)| r.end <= position).is_some() {}
         let keep = run
             .peek()
-            .is_some_and(|(t, r)| position < r.start + frontier[t]);
+            .is_some_and(|((_, r), &k)| position < r.start + k);
         position += 1;
         keep
     });
-    frontier.retain(|_, kept| *kept > 0);
+    let frontier = threads
+        .iter()
+        .zip(kept)
+        .filter(|&(_, k)| k > 0)
+        .map(|((thread, _), k)| (*thread, k))
+        .collect();
     ConsistentCut { frontier }
 }
 

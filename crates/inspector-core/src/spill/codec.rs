@@ -464,11 +464,13 @@ pub(crate) enum SegmentScan {
     /// The file was read but its header is invalid.
     BadHeader { file_len: u64 },
     /// The header parsed and the trusted bytes were walked; `nodes` are
-    /// the node records delivered, in append order.
+    /// the node records delivered, in append order, and `ascending` says
+    /// whether they ascend strictly by id.
     Scanned {
         file_len: u64,
         header: SegmentHeader,
         nodes: Vec<SubComputation>,
+        ascending: bool,
         end: ScanEnd,
     },
 }
@@ -509,8 +511,9 @@ impl RecordBuffers {
 /// Reads the segment at `path` into `image` (a reusable buffer: segments
 /// are equally sized, and a fresh megabyte per file is a fresh round of
 /// page faults), validates its header and runs [`scan_segment`] over its
-/// first `trusted_len` bytes, decoding into a buffer from `buffers`.
-/// Damage is reported, never a panic.
+/// first `trusted_len` bytes, decoding into a buffer from `buffers` and
+/// noting whether the records ascend by id — so the reader checks order
+/// only where it joins runs. Damage is reported, never a panic.
 pub(crate) fn scan_segment_file(
     path: &Path,
     trusted_len: u64,
@@ -527,15 +530,20 @@ pub(crate) fn scan_segment_file(
         Err(_) => return SegmentScan::BadHeader { file_len },
     };
     let mut nodes = buffers.take();
+    let mut ascending = true;
     let end = scan_segment(
         image,
         usize::try_from(trusted_len).unwrap_or(usize::MAX),
-        |sub| nodes.push(sub),
+        |sub| {
+            ascending &= nodes.last().is_none_or(|last| last.id < sub.id);
+            nodes.push(sub);
+        },
     );
     SegmentScan::Scanned {
         file_len,
         header,
         nodes,
+        ascending,
         end,
     }
 }

@@ -192,8 +192,9 @@ impl TaintTracker {
             EdgeKind::Control => self.through_control_flow,
             EdgeKind::Synchronization => false,
         };
+        let successors = &cpg.adjacency().successors;
         let followed = |p: u32| {
-            cpg.successors
+            successors
                 .row(p)
                 .iter()
                 .filter(move |entry| follows(entry.kind))

@@ -220,10 +220,12 @@ pub fn ingest_round_robin(
 }
 
 /// Rebuilds `cpg`'s position index and adjacency from its own nodes and
-/// edge store: the step every builder ends with (the streaming seal pays it
-/// on the run's critical path), isolated for the micro-benchmarks.
+/// edge store: what a graph's first traversal adds to the position index
+/// every builder ends with, isolated for the micro-benchmarks.
 pub fn reindex(cpg: Cpg) -> Cpg {
-    Cpg::from_store(cpg.nodes, cpg.edges)
+    let cpg = Cpg::from_store(cpg.nodes, cpg.edges);
+    cpg.adjacency();
+    cpg
 }
 
 #[cfg(test)]

@@ -255,8 +255,7 @@ impl ThreadCtx {
     ///
     /// Panics if the shared heap is exhausted.
     pub fn alloc(&mut self, size: u64) -> VirtAddr {
-        // The shim returns an address, not an `Option`: as with a `malloc`
-        // whose null is never checked, exhaustion can only end the run.
+        // A `malloc` shim returns an address, so exhaustion ends the run.
         self.shared
             .allocator
             .alloc(size)
@@ -466,8 +465,6 @@ impl ThreadCtx {
     ///
     /// Panics if the worker panicked.
     pub fn join(&mut self, handle: JoinHandle) {
-        // Re-raises the worker's panic in the joiner, as documented: a join
-        // that returned would order a thread that never finished before it.
         // Everything the child did happens-before the join returning.
         let JoinHandle {
             os_handle,
@@ -475,6 +472,7 @@ impl ThreadCtx {
             ..
         } = handle;
         self.acquire_with(&exit_object, SyncKind::Acquire, || {
+            // A join that returned would order an unfinished thread before it.
             os_handle.join().expect("INSPECTOR worker thread panicked")
         });
     }

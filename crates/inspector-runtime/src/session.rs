@@ -134,7 +134,8 @@ pub(crate) struct Shared {
     pub(crate) config: SessionConfig,
     pub(crate) image: Arc<SharedImage>,
     /// Each exited thread's whole PT log, moved in by `ThreadCtx::finish`
-    /// under its thread id.
+    /// under its thread id; emptied when a run starts, so it holds the
+    /// latest run's logs.
     pub(crate) logs: Mutex<BTreeMap<ThreadId, Vec<u8>>>,
     pub(crate) allocator: HeapAllocator,
     /// The streaming builder of the current (or latest) run. Every
@@ -462,9 +463,10 @@ impl InspectorSession {
         &self.shared.allocator
     }
 
-    /// The raw provenance log (the per-thread Intel PT packet streams,
-    /// concatenated in thread-id order) — what `perf record` would have
-    /// written to disk. It holds the logs of the threads that have exited:
+    /// The raw provenance log of the latest run (the per-thread Intel PT
+    /// packet streams, concatenated in thread-id order) — what `perf record`
+    /// would have written to disk. It holds the logs of the threads that
+    /// have exited:
     /// the session takes a thread's log over as the thread exits, so during
     /// a run the running threads' logs are not in it yet. Empty for native
     /// runs.
@@ -556,6 +558,7 @@ impl InspectorSession {
     {
         let start = Instant::now();
         let plan = self.shared.config.fault_plan;
+        self.shared.logs.lock().clear();
         let builder = Arc::new(ShardedCpgBuilder::with_shards_and_spill(
             DEFAULT_SHARDS,
             spill_settings_for(&self.shared.config),
@@ -580,9 +583,8 @@ impl InspectorSession {
                             ingest_loop(rx, builder, plan, index)
                         }))
                     })
-                    // Before any app thread exists, so nothing is lost: an
-                    // OS that cannot start one thread cannot start the app.
-                    .expect("failed to spawn CPG ingest worker"),
+                    // No app thread exists yet, so this loses no provenance.
+                    .expect("the OS could not start a CPG ingest worker"),
             );
         }
         *self.shared.ingest_tx.lock() = Some(senders);
@@ -990,6 +992,32 @@ mod tests {
         let q = ProvenanceQuery::new(&report.cpg);
         let first_input_page = PageId::new(input.base().raw() / 4096);
         assert!(q.readers_of(first_input_page).next().is_some());
+    }
+
+    #[test]
+    fn each_run_of_a_session_reports_its_own_log() {
+        let session = InspectorSession::new(SessionConfig::inspector());
+        for run in 0..3u64 {
+            let report = session.run(|ctx| {
+                let worker = ctx.spawn(|ctx| {
+                    for i in 0..5_000u64 {
+                        ctx.branch(i % 3 == 0);
+                    }
+                });
+                for i in 0..5_000u64 {
+                    ctx.branch(i % 2 == 0);
+                }
+                ctx.join(worker);
+            });
+            let trace_bytes = report.stats.pt.trace_bytes;
+            assert!(trace_bytes > 0, "run {run}");
+            assert_eq!(report.space.log_bytes, trace_bytes, "run {run}");
+            assert_eq!(
+                session.provenance_log().len() as u64,
+                trace_bytes,
+                "run {run}"
+            );
+        }
     }
 
     #[test]

@@ -9,12 +9,16 @@
 //! raced.
 //!
 //! Run with: `cargo run --example debugging`
+//! (`tests/case_studies.rs` pins what it reports).
 
 use std::sync::Arc;
 
 use inspector::prelude::*;
 
-fn main() {
+/// Runs the buggy program under INSPECTOR. Returns the session, whose
+/// memory image holds the final total, the run's report and the address of
+/// the accumulator.
+pub fn run_buggy_program() -> (InspectorSession, RunReport, VirtAddr) {
     let session = InspectorSession::new(SessionConfig::inspector());
     let total = session.map_region("total", 8).base();
     let scratch = session.map_region("scratch", 8).base();
@@ -44,7 +48,11 @@ fn main() {
             ctx.join(h);
         }
     });
+    (session, report, total)
+}
 
+fn main() {
+    let (session, report, total) = run_buggy_program();
     let final_total = session.image().read_u64_direct(total);
     println!("final total = {final_total} (expected 60 if fully synchronized)");
     println!();

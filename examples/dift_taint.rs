@@ -8,12 +8,16 @@
 //! — the leaky output is rejected, the clean one is allowed.
 //!
 //! Run with: `cargo run --example dift_taint`
+//! (`tests/case_studies.rs` pins what it reports).
 
 use std::sync::Arc;
 
 use inspector::prelude::*;
 
-fn main() {
+/// Runs the program under INSPECTOR and sets up its policy. Returns the
+/// run's report, the tracker with every page of the sensitive input
+/// tainted, and the two output buffers' pages by name, the leaky one first.
+pub fn run_with_policy() -> (RunReport, TaintTracker, [(&'static str, PageId); 2]) {
     let session = InspectorSession::new(SessionConfig::inspector());
 
     // The sensitive input: a "credit card database".
@@ -53,7 +57,16 @@ fn main() {
     let mut tracker = TaintTracker::new().with_control_flow(true);
     let first_page = PageId::new(secret_base.raw() / 4096);
     tracker.taint_page_range(first_page, secret_region.page_count() as u64, TaintLabel(1));
+    let page = |addr: VirtAddr| PageId::new(addr.raw() / 4096);
+    let outputs = [
+        ("report-buffer", page(leaky_out)),
+        ("public-buffer", page(clean_out)),
+    ];
+    (report, tracker, outputs)
+}
 
+fn main() {
+    let (report, tracker, outputs) = run_with_policy();
     let taint = tracker.propagate(&report.cpg);
     println!(
         "taint propagation: {} tainted sub-computations, {} tainted pages",
@@ -62,7 +75,7 @@ fn main() {
     );
     // Which sub-computations wrote the report buffer, and what they carry.
     let query = ProvenanceQuery::new(&report.cpg);
-    let leaky_page = PageId::new(leaky_out.raw() / 4096);
+    let leaky_page = outputs[0].1;
     for writer in query.writers_of(leaky_page) {
         let labels: Vec<TaintLabel> = taint.labels_of_sub(writer).collect();
         println!("  report-buffer writer {writer} carries {labels:?}");
@@ -70,8 +83,7 @@ fn main() {
     println!();
 
     // Policy check at the output system call.
-    for (name, addr) in [("report-buffer", leaky_out), ("public-buffer", clean_out)] {
-        let page = PageId::new(addr.raw() / 4096);
+    for (name, page) in outputs {
         match tracker.check_output(&report.cpg, &[page]) {
             Ok(()) => println!("ALLOW  write({name}) — no sensitive data reaches it"),
             Err(violation) => println!("BLOCK  write({name}) — {violation}"),

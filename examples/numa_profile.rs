@@ -8,12 +8,14 @@
 //! candidates for interleaving (or indicate false sharing to fix).
 //!
 //! Run with: `cargo run --example numa_profile`
+//! (`tests/case_studies.rs` pins what it reports).
 
 use std::sync::Arc;
 
 use inspector::prelude::*;
 
-fn main() {
+/// Runs the sharded workload under INSPECTOR and returns the run's report.
+pub fn run_sharded_workload() -> RunReport {
     const WORKERS: usize = 4;
     const PER_WORKER_PAGES: usize = 4;
 
@@ -27,7 +29,7 @@ fn main() {
     let stats_page = session.map_region("global-stats", 8).base();
     let lock = Arc::new(InspMutex::new());
 
-    let report = session.run(move |ctx| {
+    session.run(move |ctx| {
         let mut handles = Vec::new();
         for (w, &shard) in shards.iter().enumerate() {
             let lock = Arc::clone(&lock);
@@ -51,8 +53,11 @@ fn main() {
         for h in handles {
             ctx.join(h);
         }
-    });
+    })
+}
 
+fn main() {
+    let report = run_sharded_workload();
     let query = ProvenanceQuery::new(&report.cpg);
     let summary = query.page_summary();
 
