@@ -269,9 +269,11 @@ fn bench_pt_decode(c: &mut Criterion) {
     // Decode-while-running throughput: the batch decoder over the whole
     // stream is the reference; the streaming decoder is measured at the
     // chunk sizes AUX delivery actually produces, handing events to a sink
-    // and, at 4 KiB, without one, as the ingest workers and post-mortem log
-    // decoding run it. The delta is the price of incremental decoding
-    // (carry buffer + per-chunk pump).
+    // and without one, as the post-run check and post-mortem log decoding
+    // run it. The delta is the price of incremental decoding (the per-push
+    // pump and completing a packet the previous chunk cut). At 16- and
+    // 1-byte chunks nearly every push completes a cut packet, so those
+    // counting rows price `push`'s per-call cost.
     let mut group = c.benchmark_group("pt_decode");
     let bytes = encoded_branch_stream(50_000);
     group.throughput(Throughput::Bytes(bytes.len() as u64));
@@ -295,16 +297,18 @@ fn bench_pt_decode(c: &mut Criterion) {
             });
         });
     }
-    group.bench_with_input(BenchmarkId::new("counting", 4096), &4096, |b, &chunk| {
-        b.iter(|| {
-            let mut dec = StreamingDecoder::counting_only();
-            for c in bytes.chunks(chunk) {
-                dec.push(c);
-            }
-            dec.finish();
-            dec.stats().events
+    for chunk in [4096usize, 16, 1] {
+        group.bench_with_input(BenchmarkId::new("counting", chunk), &chunk, |b, &chunk| {
+            b.iter(|| {
+                let mut dec = StreamingDecoder::counting_only();
+                for c in bytes.chunks(chunk) {
+                    dec.push(c);
+                }
+                dec.finish();
+                dec.stats().events
+            });
         });
-    });
+    }
     // The PSB-boundary scan the streaming decoder resynchronises with: the
     // swar word-at-a-time scan against the byte-at-a-time reference.
     // Same walk shape for both — restart one past each hit, like a decoder

@@ -5,8 +5,8 @@ use std::fmt;
 
 use crate::branch::BranchEvent;
 use crate::packet::{
-    ip_decompress, Packet, TntBits, FUP_BASE, IP_BYTES_BY_CODE, OPC_ESCAPE, OPC_LONG_TNT, OPC_MODE,
-    OPC_OVF, OPC_PAD, OPC_PSB, OPC_PSBEND, TIP_BASE, TIP_PGD_BASE, TIP_PGE_BASE,
+    Packet, TntBits, FUP_BASE, IP_BYTES_BY_CODE, OPC_ESCAPE, OPC_LONG_TNT, OPC_MODE, OPC_OVF,
+    OPC_PAD, OPC_PSB, OPC_PSBEND, TIP_BASE, TIP_PGD_BASE, TIP_PGE_BASE,
 };
 
 /// A malformed or truncated packet stream.
@@ -80,123 +80,74 @@ impl<'a> PacketDecoder<'a> {
 
     /// Decodes the next packet, or `None` at end of stream.
     ///
+    /// The packet is read from a 16-byte window at the current position (a
+    /// zero-padded copy when fewer bytes remain): the header, and for an
+    /// escape the second byte, give the packet's length, one check against
+    /// the bytes remaining reports truncation, and payloads are shifted out
+    /// of the window. A failed call leaves the position and the IP context
+    /// untouched.
+    ///
     /// # Errors
     ///
     /// Returns [`DecodeError`] on truncation or unknown headers.
+    #[inline]
     pub fn next_packet(&mut self) -> Result<Option<Packet>, DecodeError> {
-        if self.pos >= self.data.len() {
+        let rest = &self.data[self.pos..];
+        let Some(&header) = rest.first() else {
             return Ok(None);
-        }
-        let start = self.pos;
-        let byte = self.data[self.pos];
-
-        if byte == OPC_PAD {
-            self.pos += 1;
-            return Ok(Some(Packet::Pad));
-        }
-        if byte == OPC_ESCAPE {
-            let second = *self
-                .data
-                .get(self.pos + 1)
-                .ok_or(DecodeError::Truncated { offset: start })?;
-            match second {
-                OPC_PSB => {
-                    // A PSB is eight 0x02 0x82 pairs; consume as many pairs
-                    // as are present (at least this one).
-                    let mut consumed = 0;
-                    while self.pos + 1 < self.data.len()
-                        && self.data[self.pos] == OPC_ESCAPE
-                        && self.data[self.pos + 1] == OPC_PSB
-                        && consumed < 8
-                    {
-                        self.pos += 2;
-                        consumed += 1;
-                    }
-                    // PSB resets the IP context.
-                    self.last_ip = 0;
-                    return Ok(Some(Packet::Psb));
-                }
-                OPC_PSBEND => {
-                    self.pos += 2;
-                    return Ok(Some(Packet::PsbEnd));
-                }
-                OPC_OVF => {
-                    self.pos += 2;
-                    // An overflow means an unknown number of packets were
-                    // lost; the last-IP context from before the gap is
-                    // stale, so reset it (the encoder resets symmetrically).
-                    self.last_ip = 0;
-                    return Ok(Some(Packet::Overflow));
-                }
-                OPC_LONG_TNT => {
-                    if self.pos + 8 > self.data.len() {
-                        return Err(DecodeError::Truncated { offset: start });
-                    }
-                    let mut payload = [0u8; 8];
-                    payload[..6].copy_from_slice(&self.data[self.pos + 2..self.pos + 8]);
-                    self.pos += 8;
-                    return Ok(Some(Packet::Tnt {
-                        bits: TntBits::from_payload(u64::from_le_bytes(payload)),
-                    }));
-                }
-                _ => {
-                    return Err(DecodeError::UnknownPacket {
-                        offset: start,
-                        byte: second,
-                    })
-                }
-            }
-        }
-        if byte == OPC_MODE {
-            let payload = *self
-                .data
-                .get(self.pos + 1)
-                .ok_or(DecodeError::Truncated { offset: start })?;
-            self.pos += 2;
-            return Ok(Some(Packet::Mode { payload }));
-        }
-        if byte & 1 == 0 {
-            // Short TNT.
-            self.pos += 1;
-            return Ok(Some(Packet::Tnt {
-                bits: TntBits::from_payload((byte >> 1) as u64),
-            }));
-        }
-
-        // IP packet family.
-        let base = byte & 0x1F;
-        let code = byte >> 5;
-        let nbytes =
-            IP_BYTES_BY_CODE
-                .get(code as usize)
-                .copied()
-                .ok_or(DecodeError::UnknownPacket {
-                    offset: start,
-                    byte,
-                })?;
-        if self.pos + 1 + nbytes > self.data.len() {
-            return Err(DecodeError::Truncated { offset: start });
-        }
-        let payload = &self.data[self.pos + 1..self.pos + 1 + nbytes];
-        let ip = ip_decompress(self.last_ip, code, payload);
-        // Validate the packet before committing any decoder state: a
-        // failed next_packet must leave position and IP context untouched
-        // (the streaming decoder carries `last_ip` across chunks and would
-        // otherwise resume from a polluted context).
-        let packet = match base {
-            TIP_BASE => Packet::Tip { ip },
-            TIP_PGE_BASE => Packet::TipPge { ip },
-            TIP_PGD_BASE => Packet::TipPgd { ip },
-            FUP_BASE => Packet::Fup { ip },
-            _ => {
-                return Err(DecodeError::UnknownPacket {
-                    offset: start,
-                    byte,
-                })
-            }
         };
-        self.pos += 1 + nbytes;
-        self.last_ip = ip;
+        let window = window(rest);
+        let last_ip = self.last_ip;
+        // The packet's length, the packet (or the byte that makes it
+        // unknown) and the IP context after it.
+        let (len, packet, last_ip) = match header {
+            OPC_PAD => (1, Ok(Packet::Pad), last_ip),
+            OPC_ESCAPE => match (window >> 8) as u8 {
+                // PSB and OVF reset the IP context; a PSB takes as many of
+                // its eight pairs as are present (at least this one).
+                OPC_PSB => (2 * psb_pairs(window), Ok(Packet::Psb), 0),
+                OPC_PSBEND => (2, Ok(Packet::PsbEnd), last_ip),
+                OPC_OVF => (2, Ok(Packet::Overflow), 0),
+                OPC_LONG_TNT => {
+                    let payload = (window >> 16) as u64 & 0xFFFF_FFFF_FFFF;
+                    let bits = TntBits::from_payload(payload);
+                    (8, Ok(Packet::Tnt { bits }), last_ip)
+                }
+                second => (2, Err(second), last_ip),
+            },
+            OPC_MODE => {
+                let payload = (window >> 8) as u8;
+                (2, Ok(Packet::Mode { payload }), last_ip)
+            }
+            _ if header & 1 == 0 => {
+                let bits = TntBits::from_payload(u64::from(header >> 1));
+                (1, Ok(Packet::Tnt { bits }), last_ip)
+            }
+            _ => match IP_BYTES_BY_CODE.get(usize::from(header >> 5)) {
+                None => (1, Err(header), last_ip),
+                Some(&n) => {
+                    // Last-IP compression: the payload's `n` bytes replace
+                    // the low bytes of the previous IP.
+                    let low = ((1u128 << (8 * n)) - 1) as u64;
+                    let ip = (last_ip & !low) | ((window >> 8) as u64 & low);
+                    let packet = match header & 0x1F {
+                        TIP_BASE => Ok(Packet::Tip { ip }),
+                        TIP_PGE_BASE => Ok(Packet::TipPge { ip }),
+                        TIP_PGD_BASE => Ok(Packet::TipPgd { ip }),
+                        FUP_BASE => Ok(Packet::Fup { ip }),
+                        _ => Err(header),
+                    };
+                    (1 + n, packet, ip)
+                }
+            },
+        };
+        let offset = self.pos;
+        if len > rest.len() {
+            return Err(DecodeError::Truncated { offset });
+        }
+        let packet = packet.map_err(|byte| DecodeError::UnknownPacket { offset, byte })?;
+        self.pos += len;
+        self.last_ip = last_ip;
         Ok(Some(packet))
     }
 
@@ -219,6 +170,34 @@ impl<'a> PacketDecoder<'a> {
         }
         Ok(out)
     }
+}
+
+/// The 16 bytes at the start of `rest` as one little-endian word (two
+/// `u64` halves), zero-padded past the end of `rest`. Padding never
+/// completes a packet: `next_packet` checks every length against
+/// `rest.len()`, and zeros match no PSB pair.
+#[inline(always)]
+fn window(rest: &[u8]) -> u128 {
+    match rest.first_chunk::<16>() {
+        Some(bytes) => u128::from_le_bytes(*bytes),
+        None => padded(rest),
+    }
+}
+
+/// [`window`] of fewer than 16 bytes: shifted in one at a time, so the
+/// bytes past the end read as zeros.
+#[cold]
+fn padded(rest: &[u8]) -> u128 {
+    rest.iter()
+        .rev()
+        .fold(0, |window, &byte| window << 8 | u128::from(byte))
+}
+
+/// The number of `0x02 0x82` pairs the window starts with, at most eight.
+#[inline(always)]
+fn psb_pairs(window: u128) -> usize {
+    const PAIRS: u128 = (u128::MAX / 0xFFFF) * ((OPC_PSB as u128) << 8 | OPC_ESCAPE as u128);
+    ((window ^ PAIRS).trailing_zeros() / 16) as usize
 }
 
 /// Feeds the branch events `packet` contributes to a decoded event stream
@@ -256,19 +235,19 @@ pub(crate) struct PacketCounts {
 /// both of its modes, so counting mode keeps recording mode's counters by
 /// construction.
 pub(crate) fn packet_counts(packet: Packet) -> PacketCounts {
-    let (events, branches, gaps) = match packet {
-        Packet::Tnt { bits } => (bits.len() as u64, bits.len() as u64, 0),
-        Packet::Tip { .. } => (1, 1, 0),
-        Packet::TipPge { .. } | Packet::TipPgd { .. } => (1, 0, 0),
-        Packet::Overflow => (1, 0, 1),
-        Packet::Pad | Packet::Psb | Packet::PsbEnd | Packet::Fup { .. } | Packet::Mode { .. } => {
-            (0, 0, 0)
-        }
+    let branches = match packet {
+        Packet::Tnt { bits } => bits.len() as u64,
+        Packet::Tip { .. } => 1,
+        _ => 0,
     };
+    let markers = matches!(
+        packet,
+        Packet::TipPge { .. } | Packet::TipPgd { .. } | Packet::Overflow
+    );
     PacketCounts {
-        events,
+        events: branches + u64::from(markers),
         branches,
-        gaps,
+        gaps: u64::from(packet == Packet::Overflow),
     }
 }
 
@@ -276,7 +255,210 @@ pub(crate) fn packet_counts(packet: Packet) -> PacketCounts {
 mod tests {
     use super::*;
     use crate::encode::PacketEncoder;
-    use crate::packet::LONG_TNT_CAPACITY;
+    use crate::packet::{ip_decompress, LONG_TNT_CAPACITY};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time grammar the word-window
+    /// [`PacketDecoder::next_packet`] replaced: the reference it is
+    /// compared with packet by packet.
+    fn reference_next_packet(dec: &mut PacketDecoder<'_>) -> Result<Option<Packet>, DecodeError> {
+        if dec.pos >= dec.data.len() {
+            return Ok(None);
+        }
+        let start = dec.pos;
+        let byte = dec.data[dec.pos];
+
+        if byte == OPC_PAD {
+            dec.pos += 1;
+            return Ok(Some(Packet::Pad));
+        }
+        if byte == OPC_ESCAPE {
+            let second = *dec
+                .data
+                .get(dec.pos + 1)
+                .ok_or(DecodeError::Truncated { offset: start })?;
+            match second {
+                OPC_PSB => {
+                    let mut consumed = 0;
+                    while dec.pos + 1 < dec.data.len()
+                        && dec.data[dec.pos] == OPC_ESCAPE
+                        && dec.data[dec.pos + 1] == OPC_PSB
+                        && consumed < 8
+                    {
+                        dec.pos += 2;
+                        consumed += 1;
+                    }
+                    dec.last_ip = 0;
+                    return Ok(Some(Packet::Psb));
+                }
+                OPC_PSBEND => {
+                    dec.pos += 2;
+                    return Ok(Some(Packet::PsbEnd));
+                }
+                OPC_OVF => {
+                    dec.pos += 2;
+                    dec.last_ip = 0;
+                    return Ok(Some(Packet::Overflow));
+                }
+                OPC_LONG_TNT => {
+                    if dec.pos + 8 > dec.data.len() {
+                        return Err(DecodeError::Truncated { offset: start });
+                    }
+                    let mut payload = [0u8; 8];
+                    payload[..6].copy_from_slice(&dec.data[dec.pos + 2..dec.pos + 8]);
+                    dec.pos += 8;
+                    return Ok(Some(Packet::Tnt {
+                        bits: TntBits::from_payload(u64::from_le_bytes(payload)),
+                    }));
+                }
+                _ => {
+                    return Err(DecodeError::UnknownPacket {
+                        offset: start,
+                        byte: second,
+                    })
+                }
+            }
+        }
+        if byte == OPC_MODE {
+            let payload = *dec
+                .data
+                .get(dec.pos + 1)
+                .ok_or(DecodeError::Truncated { offset: start })?;
+            dec.pos += 2;
+            return Ok(Some(Packet::Mode { payload }));
+        }
+        if byte & 1 == 0 {
+            dec.pos += 1;
+            return Ok(Some(Packet::Tnt {
+                bits: TntBits::from_payload((byte >> 1) as u64),
+            }));
+        }
+        let base = byte & 0x1F;
+        let code = byte >> 5;
+        let nbytes =
+            IP_BYTES_BY_CODE
+                .get(code as usize)
+                .copied()
+                .ok_or(DecodeError::UnknownPacket {
+                    offset: start,
+                    byte,
+                })?;
+        if dec.pos + 1 + nbytes > dec.data.len() {
+            return Err(DecodeError::Truncated { offset: start });
+        }
+        let payload = &dec.data[dec.pos + 1..dec.pos + 1 + nbytes];
+        let ip = ip_decompress(dec.last_ip, code, payload);
+        let packet = match base {
+            TIP_BASE => Packet::Tip { ip },
+            TIP_PGE_BASE => Packet::TipPge { ip },
+            TIP_PGD_BASE => Packet::TipPgd { ip },
+            FUP_BASE => Packet::Fup { ip },
+            _ => {
+                return Err(DecodeError::UnknownPacket {
+                    offset: start,
+                    byte,
+                })
+            }
+        };
+        dec.pos += 1 + nbytes;
+        dec.last_ip = ip;
+        Ok(Some(packet))
+    }
+
+    /// Walks `bytes` with `next_packet` and the reference side by side from
+    /// the IP context `last_ip`, asserting the same packet or error (offset
+    /// included), position and context after every step. After an error
+    /// both skip the bad byte, as a resynchronising reader would, so an
+    /// arbitrary byte soup is compared to its end. Returns the steps taken.
+    fn assert_matches_reference(bytes: &[u8], last_ip: u64) -> usize {
+        let mut dec = PacketDecoder::with_context(bytes, last_ip);
+        let mut reference = PacketDecoder::with_context(bytes, last_ip);
+        let mut steps = 0;
+        loop {
+            let got = dec.next_packet();
+            let want = reference_next_packet(&mut reference);
+            assert_eq!(got, want, "at {} of {bytes:02x?}", reference.pos);
+            assert_eq!(dec.position(), reference.pos, "{bytes:02x?}");
+            assert_eq!(dec.last_ip(), reference.last_ip, "{bytes:02x?}");
+            steps += 1;
+            match got {
+                Ok(Some(_)) => {}
+                Ok(None) => return steps,
+                Err(_) => {
+                    dec.pos += 1;
+                    reference.pos += 1;
+                }
+            }
+        }
+    }
+
+    /// The start of a packet of every kind: each IP code 0–7 under the four
+    /// IP bases and an unknown one, every escape second byte, MODE, PAD, a
+    /// short TNT and a PSB run.
+    fn packet_heads() -> Vec<Vec<u8>> {
+        let mut heads = Vec::new();
+        for code in 0..8u8 {
+            for base in [TIP_BASE, TIP_PGE_BASE, TIP_PGD_BASE, FUP_BASE, 0x03] {
+                heads.push(vec![code << 5 | base]);
+            }
+        }
+        heads.extend((0..=u8::MAX).map(|second| vec![OPC_ESCAPE, second]));
+        heads.extend([vec![OPC_MODE], vec![OPC_PAD], vec![0b0000_1010]]);
+        // A PSB run longer than one PSB, cut at every pair and between.
+        heads.push([OPC_ESCAPE, OPC_PSB].repeat(9));
+        heads
+    }
+
+    proptest! {
+        #[test]
+        fn word_window_matches_the_reference_on_arbitrary_bytes(
+            data in vec(any::<u8>(), 0..512),
+            last_ip in any::<u64>(),
+        ) {
+            assert_matches_reference(&data, last_ip);
+        }
+
+        #[test]
+        fn word_window_matches_the_reference_on_well_formed_streams(
+            seeds in vec(any::<u64>(), 1..200),
+            psb_interval in 0usize..128,
+        ) {
+            let mut enc = PacketEncoder::with_psb_interval(psb_interval);
+            enc.begin(0x40_0000);
+            for seed in seeds {
+                enc.branch(&match seed % 4 {
+                    0 => BranchEvent::Indirect { target: seed >> 2 },
+                    1 => BranchEvent::Indirect { target: 0x40_0000 + (seed >> 2) % 0x1_0000 },
+                    _ => BranchEvent::Conditional { taken: seed & 4 != 0 },
+                });
+            }
+            let bytes = enc.finish();
+            let steps = assert_matches_reference(&bytes, 0);
+            // A clean stream ends in `None` without an error on the way.
+            prop_assert!(PacketDecoder::new(&bytes).decode_events().is_ok());
+            prop_assert!(steps > 1);
+        }
+
+        #[test]
+        fn every_header_matches_the_reference_near_the_end(
+            filler in vec(any::<u8>(), 32),
+            last_ip in any::<u64>(),
+        ) {
+            // Each header starts 0–16 bytes before the end, so every
+            // packet is cut at every length, and the zero-padded window
+            // must report each cut as the reference does.
+            for head in packet_heads() {
+                for before_end in 0..=16 {
+                    let mut bytes = vec![0x0A; 3];
+                    bytes.extend_from_slice(&head);
+                    bytes.extend_from_slice(&filler);
+                    bytes.truncate(3 + before_end);
+                    assert_matches_reference(&bytes, last_ip);
+                }
+            }
+        }
+    }
 
     fn roundtrip(events: &[BranchEvent]) -> Vec<BranchEvent> {
         let mut enc = PacketEncoder::new();

@@ -29,19 +29,25 @@
 //! * [`decode::PacketDecoder`] is the **grammar**: `next_packet` parses one
 //!   packet from a complete byte slice, fails fast
 //!   ([`decode::DecodeError`]) and is the semantic reference every other
-//!   decode result is compared against. A [`Packet`] is `Copy` and a TNT
-//!   packet's branches are one packed word ([`packet::TntBits`]), so
+//!   decode result is compared against. It reads a 16-byte window at a
+//!   time: the header (and an escape's second byte) gives the packet's
+//!   length, one check against the bytes left reports truncation, and
+//!   payloads are shifted out of the window. A [`Packet`] is `Copy` and a
+//!   TNT packet's branches are one packed word ([`packet::TntBits`]), so
 //!   parsing allocates nothing. It is the only code that knows how long a
 //!   packet is.
-//! * [`stream::StreamingDecoder`] is the **carrier** over it — a carry
-//!   buffer around `PacketDecoder::next_packet` — and the one decoder the
-//!   runtime's post-run check and post-mortem log decoding run. It has one
+//! * [`stream::StreamingDecoder`] is the **carrier** over it, and the one
+//!   decoder the runtime's post-run check and post-mortem log decoding
+//!   run. A push runs the grammar in place over the caller's chunk; the
+//!   only bytes it keeps are a packet the chunk's end cut, fewer than
+//!   [`packet::PSB_LEN`], which it learns of only from the grammar's
+//!   [`decode::DecodeError::Truncated`]. The next push completes that
+//!   packet from its first bytes and decodes on in place. It has one
 //!   mode: every push decodes all complete packets and adds to its
 //!   counters once per packet, from one per-packet function beside
 //!   `packet_events`; a caller that wants the events passes a sink
 //!   ([`stream::StreamingDecoder::push_with`]), and the counters are the
-//!   same either way. It accepts AUX chunks incrementally and upholds two
-//!   contracts:
+//!   same either way. It allocates nothing, and upholds two contracts:
 //!
 //!   1. **Chunk boundaries are invisible.** A packet cut by a chunk
 //!      boundary is carried (deferred), never errored; over *any* chunking

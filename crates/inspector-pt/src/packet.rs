@@ -195,8 +195,11 @@ pub fn ip_compression(last_ip: u64, ip: u64) -> (u8, usize) {
     }
 }
 
-/// Reconstructs a full IP from `payload` low-order bytes and the previous IP.
-pub fn ip_decompress(last_ip: u64, code: u8, payload: &[u8]) -> u64 {
+/// Reconstructs a full IP from `payload` low-order bytes and the previous IP,
+/// a byte at a time: the reference the decoder's word-window IP decoding is
+/// tested against.
+#[cfg(test)]
+pub(crate) fn ip_decompress(last_ip: u64, code: u8, payload: &[u8]) -> u64 {
     let n = payload.len();
     debug_assert_eq!(n, IP_BYTES_BY_CODE[code as usize]);
     if n == 0 {

@@ -1,16 +1,14 @@
 //! The streaming packet decoder: decode-while-running.
 //!
-//! [`PacketDecoder`] needs the complete byte
-//! stream up front; a live session only ever has a *prefix* — AUX chunks
-//! arrive at synchronization boundaries, and a post-mortem reader may cut
-//! a log at arbitrary byte offsets. [`StreamingDecoder`] closes that gap
-//! (the hwtracer-style incremental decoder the ROADMAP's "real decoder
-//! path" item asks for):
+//! [`PacketDecoder`] needs the complete byte stream up front; a live
+//! session only ever has a *prefix* — AUX chunks arrive at synchronization
+//! boundaries, and a post-mortem reader may cut a log at arbitrary byte
+//! offsets. [`StreamingDecoder`] closes that gap:
 //!
-//! * [`push`](StreamingDecoder::push) accepts chunks incrementally and
-//!   decodes every complete packet before returning; a packet cut by a
-//!   chunk boundary is **deferred**, not an error — its prefix is carried
-//!   until the missing bytes arrive;
+//! * [`push`](StreamingDecoder::push) decodes every complete packet of the
+//!   chunk in place, where the caller's bytes lie; a packet cut by the
+//!   chunk's end is **deferred**, not an error — its prefix, fewer than
+//!   [`PSB_LEN`] bytes, is all that is carried to the next push;
 //! * counters are kept **per packet**, from one function
 //!   (`decode::packet_counts`) that states what each packet's events add
 //!   up to, so a push never expands a TNT packet into its events;
@@ -27,17 +25,22 @@
 //!   exactly what the batch decoder produces on the concatenation of every
 //!   chunk (`tests/streaming_decode.rs` enforces this by property test).
 //!
-//! The equivalence argument: the carry buffer always holds the
-//! still-undecoded suffix, so each pass decodes the same byte sequence the
-//! batch decoder would see, with [`StreamStats::bytes_consumed`] bytes
-//! already committed and `last_ip` carrying the IP-decompression context
-//! across the cut. The only framing divergence a cut can introduce is a
-//! PSB run split into two shorter PSB packets — which contribute no events
-//! and reset the IP context identically.
+//! The equivalence argument: the grammar's answer for a packet depends
+//! only on the packet's own bytes, unless they run out, which it reports
+//! as [`DecodeError::Truncated`] — the only way the carrier learns of a
+//! cut. So a chunk decodes in place as those bytes of the whole stream
+//! do, up to the cut packet. The next push appends its first [`PSB_LEN`]
+//! bytes (all, if fewer) to that packet's prefix, which makes every
+//! packet starting in the prefix whole (none is longer); decoding runs
+//! to the end of those bytes and goes on in the chunk where it stopped,
+//! `last_ip` carrying the IP context. The only framing divergence this
+//! can introduce is a PSB run that a chunk's end, or the end of the
+//! appended bytes, splits into two shorter PSB packets, which contribute
+//! no events and reset the IP context identically.
 
 use crate::branch::BranchEvent;
 use crate::decode::{packet_counts, packet_events, DecodeError, PacketDecoder};
-use crate::packet::find_psb;
+use crate::packet::{find_psb_from, PSB_LEN};
 
 /// Counters of one streaming decode session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -45,7 +48,7 @@ pub struct StreamStats {
     /// Bytes handed to [`StreamingDecoder::push`] so far.
     pub bytes_pushed: u64,
     /// Bytes fully consumed (decoded or discarded during resync); the
-    /// difference to `bytes_pushed` is the buffered partial tail.
+    /// difference to `bytes_pushed` is the carried partial packet.
     pub bytes_consumed: u64,
     /// Packets decoded.
     pub packets: u64,
@@ -65,14 +68,12 @@ pub struct StreamStats {
     pub gaps: u64,
 }
 
-/// Where a decode pass sends events and in-band errors: the caller's sink,
-/// or nowhere, in which case only the counters move.
-type Sink<'a> = Option<&'a mut dyn FnMut(Result<BranchEvent, DecodeError>)>;
+/// Where a decode pass sends events and in-band errors.
+trait Sink: FnMut(Result<BranchEvent, DecodeError>) {}
+impl<F: FnMut(Result<BranchEvent, DecodeError>)> Sink for F {}
 
-/// Compact the carry buffer only once at least this many consumed bytes
-/// would be reclaimed (and the consumed prefix dominates the remainder), so
-/// compaction cost stays amortised O(1) per byte.
-const COMPACT_AT: usize = 4096;
+/// Bytes a resync keeps when a chunk holds no PSB: a PSB may start in them.
+const RESYNC_TAIL: usize = 3;
 
 /// An incremental PT packet decoder fed by AUX chunks.
 ///
@@ -83,12 +84,10 @@ const COMPACT_AT: usize = 4096;
 /// error.
 #[derive(Debug)]
 pub struct StreamingDecoder {
-    /// Carry buffer: the not-yet-consumed suffix of the stream lives at
-    /// `buf[head..]`. Consuming advances the cursor instead of memmoving the
-    /// tail; the prefix is reclaimed lazily (amortised O(1) per byte).
-    buf: Vec<u8>,
-    /// Start of the live region within `buf`.
-    head: usize,
+    /// `carry[..carried]` is the packet the last chunk's end cut (an IP
+    /// packet, at most nine bytes, is the longest) or a resync tail.
+    carry: [u8; PSB_LEN],
+    carried: usize,
     /// Last-IP decompression context carried across chunk boundaries.
     last_ip: u64,
     /// Discarding garbage until the next PSB.
@@ -101,13 +100,13 @@ pub struct StreamingDecoder {
 impl StreamingDecoder {
     /// Creates a decoder positioned at the start of a stream. It keeps
     /// [`StreamStats`] counters — one add per counter per packet, however
-    /// many branches the packet carries — and allocates nothing beyond its
-    /// carry buffer; events reach a caller only through the sink of
+    /// many branches the packet carries — and allocates nothing; events
+    /// reach a caller only through the sink of
     /// [`push_with`](Self::push_with) / [`finish_with`](Self::finish_with).
     pub fn counting_only() -> Self {
         StreamingDecoder {
-            buf: Vec::new(),
-            head: 0,
+            carry: [0; PSB_LEN],
+            carried: 0,
             last_ip: 0,
             resyncing: false,
             finished: false,
@@ -115,14 +114,15 @@ impl StreamingDecoder {
         }
     }
 
-    /// Appends one AUX chunk and decodes every complete packet buffered,
-    /// updating the counters only.
+    /// Decodes the packet the previous chunk's end cut and every complete
+    /// packet of `chunk`, updating the counters only.
     ///
     /// # Panics
     ///
     /// Panics if called after [`finish`](Self::finish).
     pub fn push(&mut self, chunk: &[u8]) {
-        self.feed(chunk, None);
+        assert!(!self.finished, "push after finish");
+        self.feed(chunk, &mut |_| {});
     }
 
     /// [`push`](Self::push), handing every decoded event and in-band error
@@ -137,24 +137,26 @@ impl StreamingDecoder {
         chunk: &[u8],
         mut sink: impl FnMut(Result<BranchEvent, DecodeError>),
     ) {
-        self.feed(chunk, Some(&mut sink));
+        assert!(!self.finished, "push after finish");
+        self.feed(chunk, &mut sink);
     }
 
     /// Marks the end of the stream and flushes: a partial packet still
-    /// buffered becomes an in-band [`DecodeError::Truncated`], and garbage
+    /// carried becomes an in-band [`DecodeError::Truncated`], and garbage
     /// awaiting a PSB is dropped. Idempotent.
     pub fn finish(&mut self) {
-        self.close(None);
+        self.close(&mut |_| {});
     }
 
     /// [`finish`](Self::finish), handing a truncated tail's error to `sink`.
     pub fn finish_with(&mut self, mut sink: impl FnMut(Result<BranchEvent, DecodeError>)) {
-        self.close(Some(&mut sink));
+        self.close(&mut sink);
     }
 
-    /// Bytes buffered: a partial packet or a resync tail.
+    /// Bytes carried: a partial packet or a resync tail, always fewer than
+    /// [`PSB_LEN`].
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.head
+        self.carried
     }
 
     /// Counters so far.
@@ -162,121 +164,113 @@ impl StreamingDecoder {
         self.stats
     }
 
-    fn feed(&mut self, chunk: &[u8], sink: Sink<'_>) {
-        assert!(!self.finished, "push after finish");
+    /// Decodes the carried packet, completed from `chunk`'s head, then the
+    /// rest of `chunk` in place, and carries what `chunk`'s end cut.
+    fn feed(&mut self, chunk: &[u8], sink: &mut impl Sink) {
+        let base = self.stats.bytes_pushed; // stream offset of `chunk[0]`
         self.stats.bytes_pushed += chunk.len() as u64;
-        if self.head == self.buf.len() {
-            self.buf.clear();
-            self.head = 0;
-        } else if self.head >= COMPACT_AT && self.head >= self.buf.len() - self.head {
-            self.buf.drain(..self.head);
-            self.head = 0;
-        }
-        self.buf.extend_from_slice(chunk);
-        self.pump(sink);
-    }
-
-    fn close(&mut self, sink: Sink<'_>) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        self.pump(sink);
-        debug_assert_eq!(
-            self.head,
-            self.buf.len(),
-            "finish must drain the carry buffer"
-        );
-    }
-
-    /// Decodes every complete packet in the carry buffer, resynchronising
-    /// past corruption, until only a partial packet (or, before `finish`,
-    /// a resync tail) is left.
-    fn pump(&mut self, mut sink: Sink<'_>) {
-        loop {
-            if self.resyncing && !self.resync() {
-                return;
+        let mut at = 0;
+        if self.carried > 0 {
+            // Complete the carried packet from the chunk's head.
+            let (carried, head) = (self.carried, chunk.len().min(PSB_LEN));
+            let mut stitch = [0; 3 * PSB_LEN];
+            stitch[..PSB_LEN].copy_from_slice(&self.carry);
+            stitch[carried..carried + head].copy_from_slice(&chunk[..head]);
+            let len = carried + head;
+            let stop = self.decode(&stitch[..len], 0, base - carried as u64, sink);
+            if head == chunk.len() {
+                // One fixed-size copy: `stitch` has room past its end.
+                self.carry.copy_from_slice(&stitch[stop..stop + PSB_LEN]);
+                return self.keep(len - stop);
             }
-            let mut dec = PacketDecoder::with_context(&self.buf[self.head..], self.last_ip);
+            // No packet starting in the carry is long enough for the
+            // stitch's end to cut it, so decoding got past the carry.
+            at = stop - carried;
+        }
+        let stop = self.decode(chunk, at, base, sink);
+        let tail = &chunk[stop..];
+        self.carry[..tail.len()].copy_from_slice(tail);
+        self.keep(tail.len());
+    }
+
+    fn close(&mut self, sink: &mut impl Sink) {
+        if !self.finished {
+            self.finished = true;
+            self.feed(&[], sink);
+            debug_assert_eq!(self.carried, 0, "finish must drain the carry");
+        }
+    }
+
+    /// Keeps `carry[..carried]`: the bytes of the stream not yet consumed.
+    fn keep(&mut self, carried: usize) {
+        self.carried = carried;
+        self.stats.bytes_consumed = self.stats.bytes_pushed - carried as u64;
+    }
+
+    /// Decodes `bytes` from `at`, skipping corruption up to the next PSB;
+    /// `base` is the stream offset of `bytes[0]`. Returns where it stopped:
+    /// at the end, at a packet `bytes` cut, or (before `finish`) at a
+    /// resync tail.
+    fn decode(&mut self, bytes: &[u8], mut at: usize, base: u64, sink: &mut impl Sink) -> usize {
+        // Events are branches plus markers (trace start/stop, gaps).
+        let (mut packets, mut branches, mut markers, mut gaps) = (0, 0, 0, 0);
+        loop {
+            if self.resyncing {
+                let Some(psb) = find_psb_from(bytes, at) else {
+                    let keep = if self.finished { 0 } else { RESYNC_TAIL };
+                    at = at.max(bytes.len().saturating_sub(keep));
+                    break;
+                };
+                (at, self.resyncing) = (psb, false);
+                self.stats.resyncs += 1;
+            }
+            let mut dec = PacketDecoder::with_context(&bytes[at..], self.last_ip);
             let stop = loop {
                 match dec.next_packet() {
                     Ok(Some(packet)) => {
-                        let counts = packet_counts(packet);
-                        self.stats.packets += 1;
-                        self.stats.events += counts.events;
-                        self.stats.branches += counts.branches;
-                        self.stats.gaps += counts.gaps;
-                        if let Some(sink) = sink.as_deref_mut() {
-                            packet_events(packet, &mut |event| sink(Ok(event)));
-                        }
+                        let add = packet_counts(packet);
+                        packets += 1;
+                        branches += add.branches;
+                        markers += add.events - add.branches;
+                        gaps += add.gaps;
+                        packet_events(packet, &mut |event| sink(Ok(event)));
                     }
                     Ok(None) => break None,
                     Err(error) => break Some(error),
                 }
             };
             // A failed next_packet advances neither the position nor the
-            // context, so both are exactly where the last good packet left
-            // them, and a bad packet now starts the carry buffer.
-            let (decoded, last_ip) = (dec.position(), dec.last_ip());
-            self.last_ip = last_ip;
-            self.consume(decoded);
-            let offset = self.stats.bytes_consumed as usize;
+            // context, so both are where the last good packet left them.
+            at += dec.position();
+            self.last_ip = dec.last_ip();
+            let offset = (base + at as u64) as usize;
             match stop {
-                None => return,
+                None => break,
                 Some(DecodeError::Truncated { .. }) => {
                     if self.finished {
-                        self.report(DecodeError::Truncated { offset }, &mut sink);
-                        self.consume(self.buffered());
+                        self.report(DecodeError::Truncated { offset }, sink);
+                        at = bytes.len();
                     }
-                    return;
+                    break;
                 }
                 Some(DecodeError::UnknownPacket { byte, .. }) => {
-                    self.report(DecodeError::UnknownPacket { offset, byte }, &mut sink);
-                    self.consume(1);
+                    self.report(DecodeError::UnknownPacket { offset, byte }, sink);
+                    at += 1;
                     self.resyncing = true;
                 }
             }
         }
+        self.stats.packets += packets;
+        self.stats.events += branches + markers;
+        self.stats.branches += branches;
+        self.stats.gaps += gaps;
+        at
     }
 
-    /// Counts an in-band error and hands it to the sink, if any.
-    fn report(&mut self, error: DecodeError, sink: &mut Sink<'_>) {
+    /// Counts an in-band error and hands it to the sink.
+    fn report(&mut self, error: DecodeError, sink: &mut impl Sink) {
         self.stats.errors += 1;
-        if let Some(sink) = sink {
-            sink(Err(error));
-        }
-    }
-
-    /// Discards garbage up to the next PSB. Returns `true` once
-    /// synchronised; `false` when more bytes are needed (a 3-byte tail is
-    /// kept in case a PSB pattern straddles the chunk boundary).
-    fn resync(&mut self) -> bool {
-        if let Some(i) = find_psb(&self.buf[self.head..]) {
-            self.consume(i);
-            self.resyncing = false;
-            self.stats.resyncs += 1;
-            return true;
-        }
-        let keep = if self.finished {
-            0
-        } else {
-            self.buffered().min(3)
-        };
-        let drop = self.buffered() - keep;
-        self.consume(drop);
-        if self.finished {
-            self.resyncing = false;
-        }
-        false
-    }
-
-    /// Drops `n` bytes from the head of the carry buffer (cursor advance
-    /// only; the prefix is reclaimed on the next push).
-    fn consume(&mut self, n: usize) {
-        if n > 0 {
-            self.head += n;
-            self.stats.bytes_consumed += n as u64;
-        }
+        sink(Err(error));
     }
 }
 
@@ -284,7 +278,7 @@ impl StreamingDecoder {
 mod tests {
     use super::*;
     use crate::encode::PacketEncoder;
-    use crate::packet::{OPC_ESCAPE, OPC_PSB};
+    use crate::packet::{find_psb, OPC_ESCAPE, OPC_PSB};
 
     fn encode(events: &[BranchEvent]) -> Vec<u8> {
         let mut enc = PacketEncoder::new();

@@ -294,16 +294,13 @@ fn is_degraded(stats: &RunStats) -> bool {
 fn check_thread_log(log: &[u8], corrupt_aux_at: u64, thread: &ThreadDone, stats: &mut RunStats) {
     let start = Instant::now();
     let mut decoder = StreamingDecoder::counting_only();
-    // 64 KiB slices: the decoder copies each pushed slice into its carry
-    // buffer, which would otherwise grow to the whole log.
-    let mut push = |bytes: &[u8]| bytes.chunks(64 << 10).for_each(|s| decoder.push(s));
     match corrupt_aux_at.checked_sub(1).map(|t| t as usize) {
         Some(t) if t < log.len() => {
-            push(&log[..t]);
-            push(&[log[t] ^ 0xFF]);
-            push(&log[t + 1..]);
+            decoder.push(&log[..t]);
+            decoder.push(&[log[t] ^ 0xFF]);
+            decoder.push(&log[t + 1..]);
         }
-        _ => push(log),
+        _ => decoder.push(log),
     }
     decoder.finish();
     stats.decode_time += start.elapsed();

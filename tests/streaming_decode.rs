@@ -19,6 +19,7 @@ use inspector::prelude::*;
 use inspector::pt::branch::BranchEvent;
 use inspector::pt::decode::{packet_events, DecodeError, PacketDecoder};
 use inspector::pt::encode::PacketEncoder;
+use inspector::pt::packet::PSB_LEN;
 use inspector::pt::stream::{StreamStats, StreamingDecoder};
 use inspector::pt::trace::ThreadTrace;
 use proptest::collection::vec;
@@ -59,6 +60,18 @@ fn encode_seeds(seeds: &[u64], psb_interval_bytes: usize) -> Vec<u8> {
     enc.finish()
 }
 
+/// What every push leaves behind: only a packet the chunk boundary cut (or
+/// a resync tail), fewer than [`PSB_LEN`] bytes, and every pushed byte
+/// either consumed or carried.
+fn assert_carries_only_a_cut_packet(dec: &StreamingDecoder) {
+    let stats = dec.stats();
+    assert!(dec.buffered() < PSB_LEN, "{} bytes carried", dec.buffered());
+    assert_eq!(
+        stats.bytes_consumed + dec.buffered() as u64,
+        stats.bytes_pushed
+    );
+}
+
 /// Streams `bytes` through a fresh decoder cut at `cut_points`, asserting a
 /// clean decode, and returns the yielded events.
 fn stream_with_cuts(bytes: &[u8], cut_points: &[usize]) -> Vec<BranchEvent> {
@@ -74,9 +87,11 @@ fn stream_with_cuts(bytes: &[u8], cut_points: &[usize]) -> Vec<BranchEvent> {
     let mut prev = 0;
     for &cut in &cuts {
         dec.push_with(&bytes[prev..cut], &mut sink);
+        assert_carries_only_a_cut_packet(&dec);
         prev = cut;
     }
     dec.push_with(&bytes[prev..], &mut sink);
+    assert_carries_only_a_cut_packet(&dec);
     dec.finish_with(&mut sink);
     assert_eq!(dec.stats().errors, 0);
     assert_eq!(dec.buffered(), 0, "finish must consume the whole stream");
@@ -93,6 +108,7 @@ fn decode_chunks<'a>(
     let mut items = Vec::new();
     for chunk in chunks {
         dec.push_with(chunk, |item| items.push(item));
+        assert_carries_only_a_cut_packet(&dec);
     }
     dec.finish_with(|item| items.push(item));
     assert_eq!(dec.buffered(), 0, "finish must consume the whole stream");
@@ -113,6 +129,7 @@ fn count_chunked(bytes: &[u8], chunk: usize) -> StreamStats {
     let mut dec = StreamingDecoder::counting_only();
     for c in bytes.chunks(chunk) {
         dec.push(c);
+        assert_carries_only_a_cut_packet(&dec);
     }
     dec.finish();
     assert_eq!(dec.buffered(), 0, "finish must consume the whole stream");
